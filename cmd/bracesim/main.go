@@ -66,7 +66,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		"with -distribute: worker dial+handshake budget (0 = default %v)", distrib.DefaultDialTimeout))
 	rejoinTimeout := fs.Duration("rejoin-timeout", 0, "with -distribute: re-dial budget when re-admitting a dead worker (0 = same as -dial-timeout)")
 	vt := fs.Bool("vtime", false, "enable virtual-time cluster accounting")
-	seq := fs.Bool("seq", false, "use the sequential reference engine")
+	seq := fs.Bool("seq", false, "use the sequential reference engine; with -distribute or -submit the run stays partitioned and each worker process instead ticks its partitions one at a time")
 	invert := fs.Bool("invert", false, "apply effect inversion to the BRASIL script")
 	span := fs.Float64("span", 100, "initial placement span for BRASIL agents")
 	distribute := fs.String("distribute", "", "run across real worker processes: 'tcp' (requires -worker-addrs or -registry)")

@@ -94,6 +94,25 @@ func TestLivenessHelpDerivedFromDefaults(t *testing.T) {
 	}
 }
 
+// -seq means two different things — the single-loop engine in-process, serial
+// partition ticking inside each worker under -distribute/-submit — and the
+// help has to say so.
+func TestSeqHelpStatesBothMeanings(t *testing.T) {
+	code, _, errOut := runCLI(t, "-h")
+	if code != 0 {
+		t.Fatalf("-h exit = %d", code)
+	}
+	for _, want := range []string{
+		"use the sequential reference engine",
+		"with -distribute or -submit",
+		"ticks its partitions one at a time",
+	} {
+		if !strings.Contains(errOut, want) {
+			t.Errorf("-seq help should say %q:\n%s", want, errOut)
+		}
+	}
+}
+
 func TestEpidemicEndToEnd(t *testing.T) {
 	code, out, errOut := runCLI(t, "-model", "epidemic", "-agents", "120", "-ticks", "5", "-workers", "2", "-v")
 	if code != 0 {

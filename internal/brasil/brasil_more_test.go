@@ -1,6 +1,7 @@
 package brasil
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -176,6 +177,71 @@ class F { public state float x : x; public state float y : y; #range[-50,50];
 	for _, a := range e.Agents() {
 		if a.State[pi] != 6 {
 			t.Errorf("agent %d pairs = %v, want 6", a.ID, a.State[pi])
+		}
+	}
+}
+
+// TestNestedForeachTighterInnerRadius pins probe re-entrancy: index
+// selection gives the inner loop a tighter radius than the outer one, so
+// the inner probe must not refill the row buffer the outer iteration is
+// still walking. Checked against brute force on every index path the
+// engines select between.
+func TestNestedForeachTighterInnerRadius(t *testing.T) {
+	src := `
+class F { public state float x : x; public state float y : y; #range[-5,5];
+  public state float got : np;
+  public effect float np : sum;
+  public void run() {
+    foreach (F p : Extent<F>) {
+      if (dist(this, p) < 3.5) {
+        foreach (F q : Extent<F>) {
+          if (dist(this, q) < 1.5) {
+            np <- p.x;
+          }
+        }
+      }
+    }
+  } }`
+	p := compileOK(t, src)
+	const n = 6
+	// Agent i sits at x=i. For each of its outer neighbours p (|Δx| < 3.5)
+	// it adds p.x once per inner neighbour q (|Δx| < 1.5).
+	want := make([]float64, n)
+	for i := 0; i < n; i++ {
+		for pi := 0; pi < n; pi++ {
+			for qi := 0; qi < n; qi++ {
+				if math.Abs(float64(i-pi)) < 3.5 && math.Abs(float64(i-qi)) < 1.5 {
+					want[i] += float64(pi)
+				}
+			}
+		}
+	}
+	for _, cfg := range []struct {
+		name  string
+		index spatial.Kind
+		skin  float64
+	}{
+		{"scan", spatial.KindScan, 0},
+		{"kd-uncached", spatial.KindKDTree, -1},
+		{"kd-cached", spatial.KindKDTree, 0},
+	} {
+		agents := make([]*agent.Agent, n)
+		for i := range agents {
+			agents[i] = agent.New(p.Schema(), agent.ID(i+1))
+			agents[i].State[0] = float64(i)
+		}
+		e, err := engine.NewSequentialCache(p, agents, cfg.index, 1, cfg.skin)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.RunTicks(1); err != nil {
+			t.Fatal(err)
+		}
+		gi := p.Schema().StateIndex("got")
+		for i, a := range e.Agents() {
+			if a.State[gi] != want[i] {
+				t.Errorf("%s: agent at x=%d got %v, brute force says %v", cfg.name, i, a.State[gi], want[i])
+			}
 		}
 	}
 }

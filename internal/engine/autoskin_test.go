@@ -101,7 +101,8 @@ func TestAutoSkinRetunesWithinBand(t *testing.T) {
 	if err := e.RunTicks(15); err != nil {
 		t.Fatal(err)
 	}
-	for w, c := range e.cixs {
+	for w, p := range e.parts {
+		c := p.cached
 		if c == nil {
 			continue
 		}

@@ -8,20 +8,14 @@
 // the model asks once for the visible row set and then streams the columns
 // directly, with its accumulators in registers.
 //
-// Both paths share one probe machinery (Cols is a view over queryEnv), the
-// same candidate arithmetic, the same ascending-agent-ID iteration order
-// and the same probe accounting — a columnar query phase is bit-identical
+// Both paths are views over one probe core (queryEnv.rows): the candidate
+// source, the distance arithmetic, the ascending-agent-ID row order and the
+// probe accounting exist once, so a columnar query phase is bit-identical
 // to the classic one, including the Visited counters the load balancer's
 // cost model consumes.
 package engine
 
-import (
-	"fmt"
-	"slices"
-
-	"github.com/bigreddata/brace/internal/agent"
-	"github.com/bigreddata/brace/internal/spatial"
-)
+import "github.com/bigreddata/brace/internal/agent"
 
 // ColumnarModel is implemented by models whose query phase can run against
 // column slices instead of per-agent callbacks. The engines use QueryCols
@@ -36,9 +30,9 @@ type ColumnarModel interface {
 	QueryCols(env *Cols, self int32)
 }
 
-// Cols is the columnar query window: a view over the same queryEnv the
-// classic Env path uses, so probes, scratch buffers and stats are shared.
-// The defined type (rather than embedding) keeps the two method sets
+// Cols is the columnar query window: the same queryEnv the classic Env path
+// uses, with its probes returning rows instead of iterating them. The
+// defined type (rather than embedding) keeps the two method sets
 // independent — Cols.Assign takes a row, Env.Assign takes an agent.
 type Cols queryEnv
 
@@ -52,140 +46,11 @@ func (c *Cols) Rows() int { return len(c.cols[0]) }
 // Visible returns the rows within the visibility bound of self's position,
 // including self, in ascending agent-ID order — the columnar mirror of
 // Env.ForEachVisible. The slice is valid until the next probe on this env.
-func (c *Cols) Visible() []int32 {
-	vis := c.schema.Visibility
-	if vis <= 0 {
-		// Unbounded visibility never coexists with a halo (the overlapped
-		// path requires the cached index, which requires a bound), so all
-		// rows are the core rows.
-		q := (*queryEnv)(c)
-		q.vbuf = q.vbuf[:0]
-		for i := range q.copies {
-			q.vbuf = append(q.vbuf, int32(i))
-		}
-		return q.vbuf
-	}
-	return c.rangeRows(vis)
-}
+func (c *Cols) Visible() []int32 { return (*queryEnv)(c).visible() }
 
 // Nearby is Visible restricted to the given radius (cropped to the
 // visibility bound) — the columnar mirror of Env.Nearby.
-func (c *Cols) Nearby(radius float64) []int32 {
-	vis := c.schema.Visibility
-	if vis > 0 && radius > vis {
-		radius = vis
-	}
-	return c.rangeRows(radius)
-}
-
-// rangeRows mirrors queryEnv.rangeSorted exactly — same candidate sources,
-// same distance arithmetic, same stats — but collects row indices instead
-// of invoking a callback per agent.
-func (c *Cols) rangeRows(radius float64) []int32 {
-	q := (*queryEnv)(c)
-	if q.haloOn && len(q.halo.agents) > 0 {
-		return c.rangeRowsHalo(radius)
-	}
-	if q.cached != nil && q.listsOK && q.slot >= 0 && radius <= q.cached.ProbeRadius() {
-		cand, cur := q.cached.SlotCandidates(q.slot)
-		q.stats.Probes++
-		q.stats.Visited += int64(len(cand))
-		pos := cur[q.slot]
-		r2 := radius * radius
-		// Pre-sized buffer with an unconditional store and a conditional
-		// advance: the pass/fail branch is data-dependent (≈ the ratio of
-		// the visibility disc to the list's ρ+skin disc), so keeping it
-		// off the store's critical path is worth a few percent on the
-		// hottest loop in the engine.
-		vbuf := q.vbuf
-		if cap(vbuf) < len(cand) {
-			vbuf = make([]int32, len(cand))
-		}
-		vbuf = vbuf[:len(cand)]
-		k := 0
-		for _, j := range cand {
-			p := cur[j]
-			dx, dy := p.X-pos.X, p.Y-pos.Y
-			vbuf[k] = j
-			if dx*dx+dy*dy <= r2 {
-				k++
-			}
-		}
-		q.vbuf = vbuf[:0]
-		return vbuf[:k]
-	}
-	q.scratch = q.scratch[:0]
-	if q.cached != nil {
-		var visited int64
-		q.scratch, visited = q.cached.RangeCircleInto(q.self.Pos(q.schema), radius, q.scratch)
-		q.stats.Probes++
-		q.stats.Visited += visited
-	} else {
-		q.ix.RangeCircle(q.self.Pos(q.schema), radius, func(p spatial.Point) {
-			q.scratch = append(q.scratch, p.ID)
-		})
-	}
-	slices.Sort(q.scratch)
-	return q.scratch
-}
-
-// rangeRowsHalo mirrors queryEnv.rangeSortedHalo: core candidates from the
-// index, halo candidates from a linear scan, merged in ascending agent-ID
-// order. Halo row j surfaces as len(copies)+j.
-func (c *Cols) rangeRowsHalo(radius float64) []int32 {
-	q := (*queryEnv)(c)
-	pos := q.self.Pos(q.schema)
-	r2 := radius * radius
-	q.scratch = q.scratch[:0]
-	if q.cached != nil && q.listsOK && q.slot >= 0 && radius <= q.cached.ProbeRadius() {
-		cand, cur := q.cached.SlotCandidates(q.slot)
-		q.stats.Probes++
-		q.stats.Visited += int64(len(cand))
-		at := cur[q.slot]
-		for _, j := range cand {
-			dx, dy := cur[j].X-at.X, cur[j].Y-at.Y
-			if dx*dx+dy*dy <= r2 {
-				q.scratch = append(q.scratch, j)
-			}
-		}
-		// cand ascends by slot, so scratch is already ID-sorted.
-	} else if q.cached != nil {
-		var visited int64
-		q.scratch, visited = q.cached.RangeCircleInto(pos, radius, q.scratch)
-		q.stats.Probes++
-		q.stats.Visited += visited
-		slices.Sort(q.scratch)
-	} else {
-		q.ix.RangeCircle(pos, radius, func(p spatial.Point) {
-			q.scratch = append(q.scratch, p.ID)
-		})
-		slices.Sort(q.scratch)
-	}
-
-	q.hscratch = q.hscratch[:0]
-	q.stats.Visited += int64(len(q.halo.agents))
-	for j, hp := range q.halo.pos {
-		dx, dy := hp.X-pos.X, hp.Y-pos.Y
-		if dx*dx+dy*dy <= r2 {
-			q.hscratch = append(q.hscratch, int32(j))
-		}
-	}
-
-	ncore := int32(len(q.copies))
-	q.vbuf = q.vbuf[:0]
-	core, halo := q.scratch, q.hscratch
-	i, j := 0, 0
-	for i < len(core) || j < len(halo) {
-		if j >= len(halo) || (i < len(core) && q.copies[core[i]].ID < q.halo.agents[halo[j]].ID) {
-			q.vbuf = append(q.vbuf, core[i])
-			i++
-		} else {
-			q.vbuf = append(q.vbuf, ncore+halo[j])
-			j++
-		}
-	}
-	return q.vbuf
-}
+func (c *Cols) Nearby(radius float64) []int32 { return (*queryEnv)(c).nearby(radius) }
 
 // Assign folds value into the row's effect field using the schema's
 // combinator — the columnar mirror of Env.Assign. Effects stay in the
@@ -193,23 +58,7 @@ func (c *Cols) rangeRowsHalo(radius float64) []int32 {
 // there), so this writes through to the row's agent.
 func (c *Cols) Assign(row int32, effectIndex int, value float64) {
 	q := (*queryEnv)(c)
-	var target *agent.Agent
-	if int(row) < len(q.copies) {
-		target = q.copies[row]
-	} else {
-		target = q.halo.agents[int(row)-len(q.copies)]
-	}
-	if !q.nonLocal && target.ID != q.self.ID {
-		panic(fmt.Sprintf(
-			"engine: non-local effect assignment (agent %d -> agent %d) in a local-effects model; implement NonLocalModel",
-			q.self.ID, target.ID))
-	}
-	if q.isSum[effectIndex] {
-		target.Effect[effectIndex] += value
-		return
-	}
-	cb := q.combs[effectIndex]
-	target.Effect[effectIndex] = cb.Combine(target.Effect[effectIndex], value)
+	q.Assign(q.agentAt(row), effectIndex, value)
 }
 
 // columnarModel resolves the engines' columnar fast path: the model must

@@ -3,22 +3,20 @@ package engine
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"github.com/bigreddata/brace/internal/agent"
 	"github.com/bigreddata/brace/internal/cluster"
-	"github.com/bigreddata/brace/internal/geom"
 	"github.com/bigreddata/brace/internal/mapreduce"
 	"github.com/bigreddata/brace/internal/partition"
 	"github.com/bigreddata/brace/internal/spatial"
 	"github.com/bigreddata/brace/internal/transport"
 )
 
-// Options configures a Distributed engine.
 // Tunables aliases the shared knob set Options embeds, so engine callers
 // can write engine.Tunables{...} without importing internal/cluster.
 type Tunables = cluster.Tunables
 
+// Options configures a Distributed engine.
 type Options struct {
 	// Workers is the number of worker nodes (= spatial partitions).
 	Workers int
@@ -86,10 +84,6 @@ type Options struct {
 	// never results; this switch exists for the ablation experiment and
 	// for debugging.
 	NoOverlap bool
-	// NoColumnar disables the columnar query path (see cols.go) even for
-	// models implementing ColumnarModel — the equivalence suite's
-	// ablation knob. Columnar and classic query phases are bit-identical.
-	NoColumnar bool
 }
 
 // EpochStat records one epoch for the Fig. 8 style series.
@@ -105,11 +99,8 @@ type EpochStat struct {
 // Distributed is the BRACE engine: a Model executed as an iterated spatial
 // join on the MapReduce runtime.
 type Distributed struct {
-	model    Model
-	schema   *agent.Schema
-	combs    []agent.Combinator
-	opts     Options
-	nonLocal bool
+	core
+	opts Options
 
 	part   partition.Func
 	rt     *mapreduce.Runtime[*Envelope]
@@ -120,17 +111,11 @@ type Distributed struct {
 	wOwned   []int64
 	wVisited []int64
 
-	// Reusable per-worker machinery. ixs[w] is the partition's index;
-	// when the cached path is on it is also cixs[w]. envs[w] holds one
-	// probe env per worker-pool chunk; bufs[w] the tick build buffers.
-	ixs   []spatial.Index
-	cixs  []*spatial.CachedIndex
-	envs  [][]queryEnv
+	// Reusable per-worker machinery: parts[w] is partition w's query
+	// machine (index, probe envs, build buffers, update context), bufs[w]
+	// the envelope-side buffers prepare fills around it.
+	parts []*part
 	bufs  []partBufs
-	isSum []bool
-	// colM is non-nil when the model runs the columnar query path; the
-	// per-partition columns live in bufs[w].cols (see cols.go).
-	colM ColumnarModel
 
 	// Overlapped two-pass tick state (overlap.go). obufs[w] carries the
 	// interior/boundary split between the early and late pass; noSplitTick
@@ -158,19 +143,16 @@ type Distributed struct {
 	// only by worker w's goroutine; read after RunTicks returns.
 	tunedSkin []float64
 
-	agentTicks   int64
-	visitedTotal int64
-	epochs       []EpochStat
-	lastEpochV   float64
-	lastEpochT   uint64
-	lastWall     time.Time
-	wallTotal    time.Duration
-	virtStart    float64
+	epochs     []EpochStat
+	lastEpochV float64
+	lastEpochT uint64
+	virtStart  float64
 }
 
 // NewDistributed builds the engine and loads the initial population.
 func NewDistributed(m Model, pop []*agent.Agent, opts Options) (*Distributed, error) {
-	if err := validateModel(m); err != nil {
+	c, err := newCore(m, opts.Seed)
+	if err != nil {
 		return nil, err
 	}
 	if opts.Workers < 1 {
@@ -195,26 +177,17 @@ func NewDistributed(m Model, pop []*agent.Agent, opts Options) (*Distributed, er
 			return nil, fmt.Errorf("engine: failure injection is unsupported with LocalParts")
 		}
 	}
-	s := m.Schema()
+	s := c.schema
 	e := &Distributed{
-		model:    m,
-		schema:   s,
-		combs:    effectCombs(s),
+		core:     c,
 		opts:     opts,
-		nonLocal: modelNonLocal(m),
 		wOwned:   make([]int64, opts.Workers),
 		wVisited: make([]int64, opts.Workers),
-		ixs:      make([]spatial.Index, opts.Workers),
-		cixs:     make([]*spatial.CachedIndex, opts.Workers),
-		envs:     make([][]queryEnv, opts.Workers),
+		parts:    make([]*part, opts.Workers),
 		bufs:     make([]partBufs, opts.Workers),
 
 		noSplitTick:  neverTick,
 		prebuiltTick: neverTick,
-	}
-	e.isSum = sumMask(e.combs)
-	if !opts.NoColumnar {
-		e.colM = columnarModel(m)
 	}
 	skin := resolveSkin(s, opts.Index, opts.CacheSkin)
 	if opts.CostModel != nil {
@@ -227,14 +200,11 @@ func NewDistributed(m Model, pop []*agent.Agent, opts Options) (*Distributed, er
 	}
 	e.autoSkin = skin > 0 && opts.CacheSkin == 0 && opts.CostModel == nil
 	e.seedSkin = skin
-	e.tunedSkin = make([]float64, len(e.ixs))
-	for i := range e.ixs {
+	e.tunedSkin = make([]float64, opts.Workers)
+	for i := range e.parts {
+		e.parts[i] = e.newPart(opts.Index, skin)
 		if skin > 0 {
-			e.cixs[i] = spatial.NewCached(cacheProbeRadius(s), skin)
-			e.cixs[i].SetStepTracking(e.autoSkin)
-			e.ixs[i] = e.cixs[i]
-		} else {
-			e.ixs[i] = spatial.New(opts.Index, indexCell(s))
+			e.parts[i].cached.SetStepTracking(e.autoSkin)
 		}
 	}
 
@@ -268,7 +238,7 @@ func NewDistributed(m Model, pop []*agent.Agent, opts Options) (*Distributed, er
 	// against Region bounds are sound (Strips and KD2D qualify; Grid's
 	// edge clamping does not). The decision is a pure function of the
 	// options, so every process of a distributed run takes the same branch.
-	if !opts.NoOverlap && !e.nonLocal && overlapPartitioning(e.part) && e.cixs[0] != nil {
+	if !opts.NoOverlap && !e.nonLocal && overlapPartitioning(e.part) && e.parts[0].cached != nil {
 		e.overlap = true
 		e.obufs = make([]overlapBufs, opts.Workers)
 	}
@@ -382,14 +352,6 @@ func overlapPartitioning(p partition.Func) bool {
 	return false
 }
 
-// indexCell picks a grid-index cell size near the visibility bound.
-func indexCell(s *agent.Schema) float64 {
-	if s.Visibility > 0 {
-		return s.Visibility
-	}
-	return 1
-}
-
 // mapPhase is mapᵗ₁: distribute and replicate (Table 1; update has already
 // run at the end of the previous tick's final reduce, which is collocated
 // with this map on the same worker).
@@ -417,61 +379,8 @@ func (e *Distributed) mapPhase(ctx *mapreduce.Ctx, env *Envelope, emit mapreduce
 func (e *Distributed) reduce1(ctx *mapreduce.Ctx, envs []*Envelope, emit mapreduce.Emit[*Envelope]) {
 	w := ctx.Worker
 	e.maybeRetune(w, ctx.Tick)
-	copies, owned, ownedSlots := e.prepare(w, envs)
-	before := e.ixs[w].Stats().Visited
-	cached := e.cixs[w]
-	listsOK := cached != nil && cached.HasLists()
-
-	penvs := e.partEnvs(w)
-	if cached != nil && !e.nonLocal {
-		// Batched probes: owned agents' query phases are independent in a
-		// local-effects model (each writes only its own effect fields), so
-		// they fan out over the spatial worker pool, one probe env per
-		// chunk. Per-agent fold order is unchanged — bit-identical state.
-		cols := e.bufs[w].cols
-		spatial.ParallelFor(len(ownedSlots), probeGrain, func(chunk, lo, hi int) {
-			q := &penvs[chunk]
-			q.copies = copies
-			q.cached = cached
-			q.listsOK = listsOK
-			q.ix = e.ixs[w]
-			q.cols = cols
-			if e.colM != nil {
-				for oi := lo; oi < hi; oi++ {
-					q.slot = ownedSlots[oi]
-					q.self = copies[q.slot]
-					e.colM.QueryCols((*Cols)(q), q.slot)
-				}
-				return
-			}
-			for oi := lo; oi < hi; oi++ {
-				q.slot = ownedSlots[oi]
-				q.self = copies[q.slot]
-				e.model.Query(q.self, q)
-			}
-		})
-	} else {
-		q := &penvs[0]
-		q.copies = copies
-		q.cached = cached
-		q.listsOK = listsOK
-		q.ix = e.ixs[w]
-		q.cols = e.bufs[w].cols
-		for _, slot := range ownedSlots {
-			q.slot = slot
-			q.self = copies[slot]
-			if e.colM != nil {
-				e.colM.QueryCols((*Cols)(q), slot)
-			} else {
-				e.model.Query(q.self, q)
-			}
-		}
-	}
-
-	visited := e.ixs[w].Stats().Visited - before
-	for i := range penvs {
-		visited += penvs[i].takeStats().Visited
-	}
+	owned, ownedSlots, _ := e.prepare(w, envs)
+	visited := e.parts[w].query(ownedSlots, haloArrays{})
 	e.wVisited[w] += visited
 	e.wOwned[w] += int64(len(owned))
 	if e.vclock != nil {
@@ -542,113 +451,49 @@ func (e *Distributed) reduce2(ctx *mapreduce.Ctx, envs []*Envelope, emit mapredu
 	}
 }
 
-// updateAndEmit runs the update phase for one owned agent, applies the
-// reachability crop, handles death and spawning, resets effects to θ, and
-// emits the owned copy to its (possibly new) owner partition.
+// updateAndEmit runs the update phase for one owned agent and routes the
+// outcome: the owned copy to its (possibly new) owner partition unless the
+// agent died, and every spawned agent to the partition owning its position.
 func (e *Distributed) updateAndEmit(ctx *mapreduce.Ctx, oe *Envelope, emit mapreduce.Emit[*Envelope]) {
 	a := oe.A
-	u := &e.bufs[ctx.Worker].uctx
-	u.reset(e.opts.Seed, ctx.Tick, e.schema, a.ID)
-	oldPos := a.Pos(e.schema)
-	e.model.Update(a, u)
-	if r := e.schema.Reach; r > 0 {
-		// Reachability crop (§4.1): the update may move the agent at most
-		// r along each axis.
-		a.SetPos(e.schema, a.Pos(e.schema).Clamp(geom.Square(oldPos, r)))
-	}
-	e.schema.ResetEffects(a.Effect)
+	spawns := e.parts[ctx.Worker].update(a, ctx.Tick)
 	if !a.Dead {
 		owner := e.part.Locate(a.Pos(e.schema))
 		oe.Replica = false
 		oe.SrcPart = int32(owner)
 		emit(owner, oe)
 	}
-	for _, sp := range u.spawns {
+	for _, sp := range spawns {
 		owner := e.part.Locate(sp.Pos(e.schema))
 		emit(owner, &Envelope{A: sp, SrcPart: int32(owner)})
 	}
 }
 
-// partBufs is one partition's reusable tick build state; prepare rewrites
-// every entry each tick, so reuse is pure allocation avoidance.
+// partBufs is one partition's reusable envelope-side tick state; prepare
+// rewrites every entry each tick, so reuse is pure allocation avoidance.
 type partBufs struct {
-	pts       []spatial.Point
-	keys      []int64
-	ownedSlot []int32
 	copies    []*agent.Agent
 	owned     []*Envelope
-	// cols are the tick's gathered state columns (columnar models only);
-	// the late overlap pass appends the halo rows.
-	cols [][]float64
-	// uctx is the partition's reused update context (reducers for one
-	// worker never run concurrently); reset re-seeds it per agent.
-	uctx UpdateCtx
+	ownedSlot []int32
 }
 
-// prepare sorts this reducer's copies by agent ID, (re)builds the spatial
-// index over them — through the keyed cache when enabled, so unchanged
-// copy sets with sub-skin motion reuse their candidate lists — and returns
-// the ID-sorted copies plus the owned envelopes and their slots.
-func (e *Distributed) prepare(w int, envs []*Envelope) (copies []*agent.Agent, owned []*Envelope, ownedSlots []int32) {
+// prepare sorts this reducer's envelopes by agent ID, builds partition w's
+// index over the copies with the owned slots as the probe set, and returns
+// the owned envelopes, their slots, and the build's visited count.
+func (e *Distributed) prepare(w int, envs []*Envelope) (owned []*Envelope, ownedSlots []int32, built int64) {
 	sort.Slice(envs, func(i, j int) bool { return envs[i].A.ID < envs[j].A.ID })
 	b := &e.bufs[w]
-	n := len(envs)
-	b.copies = resize(b.copies, n)
+	b.copies = resize(b.copies, len(envs))
 	b.ownedSlot = b.ownedSlot[:0]
 	b.owned = b.owned[:0]
-	cached := e.cixs[w]
-	if cached != nil {
-		b.keys = resize(b.keys, n)
-	}
 	for i, env := range envs {
 		b.copies[i] = env.A
-		if cached != nil {
-			b.keys[i] = int64(env.A.ID)
-		}
 		if !env.Replica {
 			b.ownedSlot = append(b.ownedSlot, int32(i))
 			b.owned = append(b.owned, env)
 		}
 	}
-	// Columnar models gather columns before the build so the index build
-	// reads the position columns directly.
-	if e.colM != nil {
-		b.cols = gatherCols(b.cols, e.schema, b.copies)
-	}
-	fillPts := func() {
-		b.pts = resize(b.pts, n)
-		for i, a := range b.copies {
-			b.pts[i] = spatial.Point{Pos: a.Pos(e.schema), ID: int32(i)}
-		}
-	}
-	if cached != nil {
-		// Keys are agent IDs and the probe set is the owned slots: any
-		// membership or ownership change rebuilds; replica drift beyond
-		// skin/2 rebuilds; everything else reuses.
-		if e.colM != nil {
-			cached.BuildKeyedCols(b.cols[e.schema.PosX], b.cols[e.schema.PosY], b.keys, b.ownedSlot)
-		} else {
-			fillPts()
-			cached.BuildKeyed(b.pts, b.keys, b.ownedSlot)
-		}
-	} else {
-		fillPts()
-		e.ixs[w].Build(b.pts)
-	}
-	return b.copies, b.owned, b.ownedSlot
-}
-
-// partEnvs returns partition w's probe envs, one per worker-pool chunk
-// (just one when the partition probes serially).
-func (e *Distributed) partEnvs(w int) []queryEnv {
-	need := 1
-	if e.cixs[w] != nil && !e.nonLocal {
-		need = spatial.Parallelism()
-	}
-	for len(e.envs[w]) < need {
-		e.envs[w] = append(e.envs[w], newQueryEnv(e.schema, e.combs, e.isSum, e.nonLocal))
-	}
-	return e.envs[w]
+	return b.owned, b.ownedSlot, e.parts[w].build(b.copies, b.ownedSlot)
 }
 
 // invalidateCaches drops every partition's query cache. Called at epoch
@@ -657,7 +502,8 @@ func (e *Distributed) partEnvs(w int) []queryEnv {
 // rebalancing, or plain execution), because the visited counters feed the
 // load balancer's cost model.
 func (e *Distributed) invalidateCaches() {
-	for _, c := range e.cixs {
+	for _, p := range e.parts {
+		c := p.cached
 		if c == nil {
 			continue
 		}
@@ -686,7 +532,7 @@ func (e *Distributed) maybeRetune(w int, tick uint64) {
 	if !e.autoSkin || tick != e.lastEpochT+skinWarmupTicks {
 		return
 	}
-	c := e.cixs[w]
+	c := e.parts[w].cached
 	samples, step := c.StepStats()
 	if samples == 0 {
 		return // population churned every warmup tick; keep the seed
@@ -717,25 +563,20 @@ func autoSkinFor(step, probeRad float64) float64 {
 // the cached path is disabled).
 func (e *Distributed) CacheStats() spatial.CacheStats {
 	var cs spatial.CacheStats
-	for _, c := range e.cixs {
-		if c != nil {
-			s := c.CacheStats()
-			cs.Builds += s.Builds
-			cs.Reuses += s.Reuses
-		}
+	for _, p := range e.parts {
+		s := p.cacheStats()
+		cs.Builds += s.Builds
+		cs.Reuses += s.Reuses
 	}
 	return cs
 }
 
 // RunTicks advances the simulation n full ticks (query + update each).
 func (e *Distributed) RunTicks(n int) error {
-	e.lastWall = time.Now() //bracevet:allow wallclock metrics-only: feeds the wallTotal throughput gauge, never simulation state
 	if e.vclock != nil && e.rt.Tick() == 0 {
 		e.virtStart = e.vclock.Now()
 	}
-	err := e.rt.RunTicks(n)
-	e.wallTotal += time.Since(e.lastWall) //bracevet:allow wallclock metrics-only: wallTotal throughput gauge
-	return err
+	return e.timed(func() error { return e.rt.RunTicks(n) })
 }
 
 // onEpoch runs on the master at epoch boundaries: record statistics and,
@@ -763,7 +604,7 @@ func (e *Distributed) onEpoch(tick uint64, v mapreduce.EpochView) {
 		visited += e.wVisited[w]
 	}
 	e.agentTicks = owned
-	e.visitedTotal = visited
+	e.visited = visited
 
 	if e.opts.LoadBalance && tick > e.lastEpochT {
 		st.Rebalanced = e.rebalance()
@@ -852,12 +693,6 @@ func (e *Distributed) Runtime() *mapreduce.Runtime[*Envelope] { return e.rt }
 // Epochs returns per-epoch statistics recorded so far.
 func (e *Distributed) Epochs() []EpochStat { return e.epochs }
 
-// AgentTicks returns the total owned-agent query phases processed.
-func (e *Distributed) AgentTicks() int64 { return e.agentTicks }
-
-// Visited returns total index candidates examined across all reducers.
-func (e *Distributed) Visited() int64 { return e.visitedTotal }
-
 // VirtualSeconds returns virtual time consumed since construction (0 when
 // virtual accounting is disabled).
 func (e *Distributed) VirtualSeconds() float64 {
@@ -867,9 +702,6 @@ func (e *Distributed) VirtualSeconds() float64 {
 	return e.vclock.Now() - e.virtStart
 }
 
-// WallSeconds returns wall-clock time spent inside RunTicks.
-func (e *Distributed) WallSeconds() float64 { return e.wallTotal.Seconds() }
-
 // ThroughputVirtual returns agent-ticks per virtual second, the Fig. 5–7
 // metric.
 func (e *Distributed) ThroughputVirtual() float64 {
@@ -878,13 +710,4 @@ func (e *Distributed) ThroughputVirtual() float64 {
 		return 0
 	}
 	return float64(e.agentTicks) / v
-}
-
-// ThroughputWall returns agent-ticks per wall second.
-func (e *Distributed) ThroughputWall() float64 {
-	w := e.WallSeconds()
-	if w <= 0 {
-		return 0
-	}
-	return float64(e.agentTicks) / w
 }

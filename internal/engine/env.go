@@ -10,50 +10,45 @@ import (
 	"github.com/bigreddata/brace/internal/spatial"
 )
 
-// queryEnv implements Env over one reducer's local copies (owned agents +
-// replicas). The copies slice is sorted by agent ID; iteration therefore
-// yields visible agents in ascending ID order no matter which index
+// queryEnv implements Env (and, viewed as Cols, the columnar window) over
+// one part's copy set. The copies are sorted by agent ID, and every probe
+// yields its rows in ascending ID order no matter which index
 // implementation found them, making query phases deterministic across
 // index kinds and partition layouts (and giving the BRASIL weak-reference
 // visibility semantics of Theorem 1: agents outside the bound simply do
 // not appear).
 //
-// Two probe paths exist. The generic path runs RangeCircle/Nearest on the
-// index and sorts the hits by slot. The cached fast path reads the slot's
-// Verlet candidate list from a spatial.CachedIndex — the list is already
-// slot-sorted (= ID-sorted), so a probe is a branch-predictable linear
-// filter with no tree walk and no sort, and it is read-only, so the
-// engines run one queryEnv per worker-pool chunk concurrently. Both paths
-// produce identical iteration sequences.
+// Rows are the one probe representation: row i < len(copies) is core copy
+// i (its slot in the index), row len(copies)+j is halo copy j. The rows
+// core below picks the candidate source once; Cols hands its result to the
+// model as is, and the closure-style Env methods iterate it.
 type queryEnv struct {
-	schema   *agent.Schema
-	combs    []agent.Combinator
-	isSum    []bool // devirtualized fast path for the ubiquitous sum fold
-	nonLocal bool
+	c      *core
+	ix     spatial.Index        // built over copies (Point.ID = slot)
+	cached *spatial.CachedIndex // non-nil: ix is the cached KD-tree
 
-	copies  []*agent.Agent       // ID-sorted candidate set
-	ix      spatial.Index        // built over copies (Point.ID = index into copies)
-	cached  *spatial.CachedIndex // non-nil: the engine runs the cached path
-	listsOK bool                 // the tick's build carries candidate lists
-	slot    int32                // self's index into copies (-1: self is halo-owned)
-	stats   spatial.Stats        // per-env probe accounting (cached path)
+	// Bound per pass by part.query.
+	copies []*agent.Agent // ID-sorted core copies
+	cols   [][]float64    // columnar models: per-state-field columns over all rows
+	lists  bool           // the tick's build carries Verlet candidate lists
+	// halo is non-empty only in the overlapped late pass: the index covers
+	// the core (self-sent) copies and probes merge in the ID-sorted
+	// peer-sent copies by linear scan.
+	halo haloArrays
 
-	// Two-array mode for the overlapped late pass: the index covers only
-	// the core (self-sent) copies, and probes merge in the halo — the
-	// ID-sorted peer-sent copies — by linear scan.
-	halo   haloArrays
-	haloOn bool
+	// Bound per agent.
+	self *agent.Agent
+	slot int32 // self's core slot (-1: self is a halo row)
 
-	self     *agent.Agent
-	scratch  []int32
-	hscratch []int32
-	nnbuf    []spatial.Point
-
-	// Columnar mode (see cols.go): per-state-field columns over
-	// copies+halo rows, shared read-only across a tick's probe envs, and
-	// the per-env merged visible-row buffer.
-	cols [][]float64
-	vbuf []int32
+	stats spatial.Stats // probe accounting of the cached paths
+	// out[d] holds the result rows of the probe issued at closure-iteration
+	// depth d. A probe made from inside a ForEachVisible/Nearby callback
+	// must not reuse the buffer the outer loop is still walking, so each
+	// live iteration level owns one; steady-state probes allocate nothing.
+	out   [][]int32
+	depth int
+	hits  []int32 // halo scan scratch, consumed before rows returns
+	nnbuf []spatial.Point
 }
 
 // haloArrays is the probe-side view of a partition's peer-sent copies,
@@ -69,128 +64,160 @@ var _ Env = (*queryEnv)(nil)
 func (q *queryEnv) Self() *agent.Agent { return q.self }
 
 // ForEachVisible implements Env.
-func (q *queryEnv) ForEachVisible(fn func(*agent.Agent)) {
-	vis := q.schema.Visibility
-	if vis <= 0 {
-		for _, a := range q.copies {
-			fn(a)
-		}
-		return
-	}
-	q.rangeSorted(vis, fn)
-}
+func (q *queryEnv) ForEachVisible(fn func(*agent.Agent)) { q.each(q.visible(), fn) }
 
 // Nearby implements Env.
-func (q *queryEnv) Nearby(radius float64, fn func(*agent.Agent)) {
-	vis := q.schema.Visibility
-	if vis > 0 && radius > vis {
+func (q *queryEnv) Nearby(radius float64, fn func(*agent.Agent)) { q.each(q.nearby(radius), fn) }
+
+// each calls fn for every row's agent. The rows stay live until it
+// returns, so probes fn issues run one buffer level down.
+func (q *queryEnv) each(rows []int32, fn func(*agent.Agent)) {
+	q.depth++
+	for _, r := range rows {
+		fn(q.agentAt(r))
+	}
+	q.depth--
+}
+
+// agentAt resolves a row to its copy.
+func (q *queryEnv) agentAt(row int32) *agent.Agent {
+	if n := len(q.copies); int(row) >= n {
+		return q.halo.agents[int(row)-n]
+	}
+	return q.copies[row]
+}
+
+// buf returns the emptied row buffer of the current iteration depth.
+func (q *queryEnv) buf() []int32 {
+	for len(q.out) <= q.depth {
+		q.out = append(q.out, nil)
+	}
+	return q.out[q.depth][:0]
+}
+
+// visible returns the rows within the visibility bound of self, including
+// self, in ascending agent-ID order. Valid until the next probe at the
+// same iteration depth.
+func (q *queryEnv) visible() []int32 {
+	if vis := q.c.schema.Visibility; vis > 0 {
+		return q.rows(vis)
+	}
+	// Unbounded visibility never coexists with a halo (the overlapped path
+	// requires the cached index, which requires a bound), so all rows are
+	// the core rows.
+	out := q.buf()
+	for i := range q.copies {
+		out = append(out, int32(i))
+	}
+	q.out[q.depth] = out
+	return out
+}
+
+// nearby is visible restricted to the given radius (cropped to the
+// visibility bound).
+func (q *queryEnv) nearby(radius float64) []int32 {
+	if vis := q.c.schema.Visibility; vis > 0 && radius > vis {
 		radius = vis
 	}
-	q.rangeSorted(radius, fn)
+	return q.rows(radius)
 }
 
-func (q *queryEnv) rangeSorted(radius float64, fn func(*agent.Agent)) {
-	if q.haloOn && len(q.halo.agents) > 0 {
-		q.rangeSortedHalo(radius, fn)
-		return
-	}
-	if q.cached != nil && q.listsOK && q.slot >= 0 && radius <= q.cached.ProbeRadius() {
-		// Verlet fast path: the list covers every point within the
-		// cache's probe radius of self's current position (cache
-		// invariant), is sorted by slot, and slots ascend with agent ID.
-		cand, cur := q.cached.SlotCandidates(q.slot)
-		q.stats.Probes++
-		q.stats.Visited += int64(len(cand))
-		pos := cur[q.slot]
-		r2 := radius * radius
-		for _, j := range cand {
-			dx, dy := cur[j].X-pos.X, cur[j].Y-pos.Y
-			if dx*dx+dy*dy <= r2 {
-				fn(q.copies[j])
-			}
-		}
-		return
-	}
-	q.scratch = q.scratch[:0]
-	if q.cached != nil {
-		// No list covers this probe (adaptive gate off, or the radius
-		// exceeds the model's SetProbeRadius hint): exact current-position
-		// query against the cached index, caller-buffered and safe during
-		// a parallel query phase.
-		var visited int64
-		q.scratch, visited = q.cached.RangeCircleInto(q.self.Pos(q.schema), radius, q.scratch)
-		q.stats.Probes++
-		q.stats.Visited += visited
-	} else {
-		q.ix.RangeCircle(q.self.Pos(q.schema), radius, func(p spatial.Point) {
-			q.scratch = append(q.scratch, p.ID)
-		})
-	}
-	// copies is ID-sorted, so sorting candidate slice positions sorts by
-	// agent ID. slices.Sort on int32 keeps this far cheaper than the
-	// query work itself.
-	slices.Sort(q.scratch)
-	for _, i := range q.scratch {
-		fn(q.copies[i])
-	}
-}
-
-// rangeSortedHalo is the two-array probe of the overlapped late pass:
-// core candidates come from the index (candidate list or circle query),
-// halo candidates from a linear distance scan — the halo is small, just
-// the replicas in the visibility band plus any post-rebalance migrants,
-// so a scan beats building a second index. Both sides ascend by agent ID
-// and the merge emits their union in ascending ID order: the exact
-// visible sequence a single combined index produces.
-func (q *queryEnv) rangeSortedHalo(radius float64, fn func(*agent.Agent)) {
-	pos := q.self.Pos(q.schema)
+// rows is the probe core: the rows within radius of self's position, self
+// included, ascending by agent ID. It picks the candidate source once —
+//
+//   - the slot's Verlet candidate list when the tick's build carries lists
+//     covering the radius: already slot-sorted (= ID-sorted), so the probe
+//     is a linear distance filter with no tree walk and no sort;
+//   - an exact current-position circle query against the cached index when
+//     no list covers the probe (adaptive gate off, radius beyond the
+//     model's probe-radius hint, or self has no core slot);
+//   - the plain index's RangeCircle otherwise;
+//
+// — then merges the halo when the pass has one. The two cached sources are
+// read-only on shared state, so one env per worker-pool chunk may probe
+// concurrently (a plain index counts its own probes; part.query runs it
+// serially). The Probes/Visited accounting of the cached paths lives here and nowhere
+// else; it feeds the load balancer's cost model, so it must not depend on
+// which API (Cols or Env) asked.
+func (q *queryEnv) rows(radius float64) []int32 {
+	out := q.buf()
+	var pos geom.Vec
 	r2 := radius * radius
-	q.scratch = q.scratch[:0]
-	if q.cached != nil && q.listsOK && q.slot >= 0 && radius <= q.cached.ProbeRadius() {
+	if q.lists && q.slot >= 0 && radius <= q.cached.ProbeRadius() {
 		cand, cur := q.cached.SlotCandidates(q.slot)
 		q.stats.Probes++
 		q.stats.Visited += int64(len(cand))
-		at := cur[q.slot]
+		pos = cur[q.slot]
+		// Pre-sized buffer with an unconditional store and a conditional
+		// advance: the pass/fail branch is data-dependent (≈ the ratio of
+		// the probe disc to the list's ρ+skin disc), so keeping it off the
+		// store's critical path is worth a few percent on the hottest loop
+		// in the engine.
+		out = resize(out, len(cand))
+		k := 0
 		for _, j := range cand {
-			dx, dy := cur[j].X-at.X, cur[j].Y-at.Y
+			p := cur[j]
+			dx, dy := p.X-pos.X, p.Y-pos.Y
+			out[k] = j
 			if dx*dx+dy*dy <= r2 {
-				q.scratch = append(q.scratch, j)
+				k++
 			}
 		}
-		// cand ascends by slot, so scratch is already ID-sorted.
-	} else if q.cached != nil {
-		var visited int64
-		q.scratch, visited = q.cached.RangeCircleInto(pos, radius, q.scratch)
-		q.stats.Probes++
-		q.stats.Visited += visited
-		slices.Sort(q.scratch)
+		out = out[:k]
 	} else {
-		q.ix.RangeCircle(pos, radius, func(p spatial.Point) {
-			q.scratch = append(q.scratch, p.ID)
-		})
-		slices.Sort(q.scratch)
+		pos = q.self.Pos(q.c.schema)
+		if q.cached != nil {
+			var visited int64
+			out, visited = q.cached.RangeCircleInto(pos, radius, out)
+			q.stats.Probes++
+			q.stats.Visited += visited
+		} else {
+			d := q.depth
+			q.out[d] = out
+			q.ix.RangeCircle(pos, radius, func(p spatial.Point) {
+				q.out[d] = append(q.out[d], p.ID)
+			})
+			out = q.out[d]
+		}
+		// Slots ascend with agent ID, so sorting slots sorts by ID.
+		slices.Sort(out)
 	}
+	if len(q.halo.agents) > 0 {
+		out = q.mergeHalo(out, pos, r2)
+	}
+	q.out[q.depth] = out
+	return out
+}
 
-	q.hscratch = q.hscratch[:0]
+// mergeHalo extends a probe's ID-ascending core rows with the halo copies
+// in range, found by a linear distance scan — the halo is small, just the
+// replicas in the visibility band plus any post-rebalance migrants, so a
+// scan beats building a second index. Both sides ascend by agent ID and
+// the merge (in place, from the back) yields their union in ascending ID
+// order: the exact row sequence a single combined index produces.
+func (q *queryEnv) mergeHalo(rows []int32, pos geom.Vec, r2 float64) []int32 {
+	hits := q.hits[:0]
 	q.stats.Visited += int64(len(q.halo.agents))
 	for j, hp := range q.halo.pos {
 		dx, dy := hp.X-pos.X, hp.Y-pos.Y
 		if dx*dx+dy*dy <= r2 {
-			q.hscratch = append(q.hscratch, int32(j))
+			hits = append(hits, int32(j))
 		}
 	}
-
-	core, halo := q.scratch, q.hscratch
-	i, j := 0, 0
-	for i < len(core) || j < len(halo) {
-		if j >= len(halo) || (i < len(core) && q.copies[core[i]].ID < q.halo.agents[halo[j]].ID) {
-			fn(q.copies[core[i]])
-			i++
+	q.hits = hits
+	ncore := int32(len(q.copies))
+	i, j := len(rows)-1, len(hits)-1
+	rows = append(rows, hits...) // make room; every added entry is overwritten
+	for k := len(rows) - 1; j >= 0; k-- {
+		if i >= 0 && q.copies[rows[i]].ID >= q.halo.agents[hits[j]].ID {
+			rows[k] = rows[i]
+			i--
 		} else {
-			fn(q.halo.agents[halo[j]])
-			j++
+			rows[k] = ncore + hits[j]
+			j--
 		}
 	}
+	return rows
 }
 
 // Nearest implements Env.
@@ -198,10 +225,12 @@ func (q *queryEnv) Nearest(k int, buf []*agent.Agent) []*agent.Agent {
 	if k <= 0 {
 		return buf
 	}
-	pos := q.self.Pos(q.schema)
-	vis := q.schema.Visibility
-	cand := q.scratch[:0]
-	if q.cached != nil && q.listsOK && q.slot >= 0 && vis > 0 && vis <= q.cached.ProbeRadius() {
+	s := q.c.schema
+	pos := q.self.Pos(s)
+	vis := s.Visibility
+	vis2 := vis * vis
+	cand := q.buf()
+	if q.lists && q.slot >= 0 && vis > 0 && vis <= q.cached.ProbeRadius() {
 		// The candidate list covers the visibility disc, and Env.Nearest
 		// never returns agents beyond it: every true k-nearest-in-vis is
 		// in the list (see the cache invariant), so collecting in-vis
@@ -209,96 +238,68 @@ func (q *queryEnv) Nearest(k int, buf []*agent.Agent) []*agent.Agent {
 		list, cur := q.cached.SlotCandidates(q.slot)
 		q.stats.Probes++
 		q.stats.Visited += int64(len(list))
-		vis2 := vis * vis
 		for _, j := range list {
 			if cur[j].Dist2(pos) <= vis2 && q.copies[j].ID != q.self.ID {
 				cand = append(cand, j)
 			}
 		}
 	} else {
-		// k+1 core candidates suffice even in two-array mode: no core
-		// agent outside the k+1 nearest (k after self-exclusion) can make
-		// the combined top k, however many halo agents outrank it.
+		// k+1 core candidates suffice even with a halo: no core agent
+		// outside the k+1 nearest (k after self-exclusion) can make the
+		// combined top k, however many halo agents outrank it.
 		q.nnbuf = q.ix.Nearest(pos, k+1, q.nnbuf[:0])
 		for _, p := range q.nnbuf {
-			a := q.copies[p.ID]
-			if a.ID == q.self.ID {
-				continue
-			}
-			if vis > 0 && p.Pos.Dist2(pos) > vis*vis {
+			if q.copies[p.ID].ID == q.self.ID || (vis > 0 && p.Pos.Dist2(pos) > vis2) {
 				continue
 			}
 			cand = append(cand, p.ID)
 		}
 	}
-	if q.haloOn && len(q.halo.agents) > 0 {
+	if len(q.halo.agents) > 0 {
 		q.stats.Visited += int64(len(q.halo.agents))
-		vis2 := vis * vis
-		for j := range q.halo.agents {
-			if q.halo.agents[j].ID == q.self.ID {
-				continue // a halo-owned probe finds itself in the halo
-			}
-			if vis > 0 && q.halo.pos[j].Dist2(pos) > vis2 {
+		ncore := int32(len(q.copies))
+		for j, a := range q.halo.agents {
+			// A halo-owned probe finds itself in the halo.
+			if a.ID == q.self.ID || (vis > 0 && q.halo.pos[j].Dist2(pos) > vis2) {
 				continue
 			}
-			cand = append(cand, ^int32(j))
+			cand = append(cand, ncore+int32(j))
 		}
 	}
 	// Canonical order: (distance, agent ID).
 	sort.Slice(cand, func(i, j int) bool {
-		ai, aj := q.candAgent(cand[i]), q.candAgent(cand[j])
-		di, dj := ai.Pos(q.schema).Dist2(pos), aj.Pos(q.schema).Dist2(pos)
+		ai, aj := q.agentAt(cand[i]), q.agentAt(cand[j])
+		di, dj := ai.Pos(s).Dist2(pos), aj.Pos(s).Dist2(pos)
 		if di != dj {
 			return di < dj
 		}
 		return ai.ID < aj.ID
 	})
+	q.out[q.depth] = cand
 	if len(cand) > k {
 		cand = cand[:k]
 	}
 	for _, c := range cand {
-		buf = append(buf, q.candAgent(c))
+		buf = append(buf, q.agentAt(c))
 	}
-	q.scratch = cand[:0]
 	return buf
-}
-
-// candAgent resolves an encoded Nearest candidate: non-negative values
-// are core slots, negative ones (bitwise complement) index the halo.
-func (q *queryEnv) candAgent(c int32) *agent.Agent {
-	if c >= 0 {
-		return q.copies[c]
-	}
-	return q.halo.agents[^c]
 }
 
 // Assign implements Env.
 func (q *queryEnv) Assign(target *agent.Agent, effectIndex int, value float64) {
-	if !q.nonLocal && target.ID != q.self.ID {
+	if !q.c.nonLocal && target.ID != q.self.ID {
 		panic(fmt.Sprintf(
 			"engine: non-local effect assignment (agent %d -> agent %d) in a local-effects model; implement NonLocalModel",
 			q.self.ID, target.ID))
 	}
-	if q.isSum[effectIndex] {
+	if q.c.isSum[effectIndex] {
 		// Devirtualized sum fold: every hot model accumulates with sum,
 		// and the interface dispatch per neighbor per field is measurable.
 		target.Effect[effectIndex] += value
 		return
 	}
-	c := q.combs[effectIndex]
+	c := q.c.combs[effectIndex]
 	target.Effect[effectIndex] = c.Combine(target.Effect[effectIndex], value)
-}
-
-// takeStats returns and clears the env's probe accounting (cached path).
-func (q *queryEnv) takeStats() spatial.Stats {
-	s := q.stats
-	q.stats = spatial.Stats{}
-	return s
-}
-
-// newQueryEnv builds a probe env for one worker-pool chunk.
-func newQueryEnv(s *agent.Schema, combs []agent.Combinator, isSum []bool, nonLocal bool) queryEnv {
-	return queryEnv{schema: s, combs: combs, isSum: isSum, nonLocal: nonLocal}
 }
 
 // effectCombs caches the per-index combinators of a schema.

@@ -12,7 +12,15 @@
 //
 // Two engines share the same Model interface: Distributed (the BRACE
 // runtime over internal/mapreduce) and Sequential (a single-loop reference
-// used for validation and as the single-node baseline).
+// used for validation and as the single-node baseline). They also share one
+// tick body (part.go): a core holds what a run derives from its model once,
+// and a part runs build → query → update over one ID-sorted copy set. The
+// engines differ only in scheduling. Sequential has one part covering the
+// world; Distributed has one per partition and keeps what is its own:
+// replication, interior/boundary classification and halo assembly for the
+// overlapped tick (overlap.go), emit routing, non-local effect shipping.
+// Every probe, from either query API, goes through one candidate-selection
+// core (queryEnv.rows in env.go).
 package engine
 
 import (

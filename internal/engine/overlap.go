@@ -27,7 +27,6 @@ import (
 	"time"
 
 	"github.com/bigreddata/brace/internal/mapreduce"
-	"github.com/bigreddata/brace/internal/spatial"
 )
 
 // neverTick is the "no tick" sentinel for noSplitTick/prebuiltTick.
@@ -37,18 +36,13 @@ const neverTick = ^uint64(0)
 // pass of a tick. Reused every tick; purely allocation avoidance.
 type overlapBufs struct {
 	split     bool  // this tick's interior pass ran (no recent cut change)
-	listsOK   bool  // the early build carries candidate lists
-	before    int64 // index visited counter at early-pass start
+	visited   int64 // candidates examined so far this tick (build + early pass)
 	coreOwned []*Envelope
 	interior  []int32 // owned slots probed by the early pass
-	boundary  []int32 // owned slots deferred to the late pass
+	boundary  []int32 // owned rows deferred to the late pass
 
-	halo      []*Envelope // every peer-sent envelope, ID-sorted
-	haloAg    haloArrays  // the probe-side view of halo (agents + positions)
-	haloOwned []*Envelope // non-replica members of halo (post-cut-change migrants)
-	// haloOwnedRow[i] is haloOwned[i]'s index within haloAg — a migrant's
-	// columnar self row is len(copies)+haloOwnedRow[i].
-	haloOwnedRow []int32
+	haloAg    haloArrays  // every peer-sent copy, ID-sorted (agents + positions)
+	haloOwned []*Envelope // non-replica members of the halo (post-cut-change migrants)
 }
 
 // reduce1Early is the interior pass of the overlapped reduceᵗ₁, running in
@@ -62,14 +56,17 @@ type overlapBufs struct {
 // peer-sent copy, so their query phases are exact without the halo.
 func (e *Distributed) reduce1Early(ctx *mapreduce.Ctx, self []*Envelope) {
 	start := time.Now() //bracevet:allow wallclock metrics-only: feeds the overlapNanos hidden-compute gauge
+	defer func() {
+		atomic.AddInt64(&e.overlapNanos, int64(time.Since(start))) //bracevet:allow wallclock metrics-only: overlapNanos gauge
+	}()
 	w := ctx.Worker
 	e.maybeRetune(w, ctx.Tick)
 	ob := &e.obufs[w]
-	ob.before = e.ixs[w].Stats().Visited
-	copies, owned, ownedSlots := e.prepare(w, self)
-	cached := e.cixs[w]
-	ob.coreOwned = owned
-	ob.listsOK = cached.HasLists()
+	var ownedSlots []int32
+	// The overlapped tick has always charged the core build's list
+	// construction to the partition's cost counter, which the single-pass
+	// reduce1 does not. The counter feeds the balancer, so it stays as is.
+	ob.coreOwned, ownedSlots, ob.visited = e.prepare(w, self)
 	ob.split = ctx.Tick != e.noSplitTick
 	ob.interior = ob.interior[:0]
 	ob.boundary = ob.boundary[:0]
@@ -78,7 +75,6 @@ func (e *Distributed) reduce1Early(ctx *mapreduce.Ctx, self []*Envelope) {
 		// be in flight from their previous owners, so every probe must
 		// wait for the halo.
 		ob.boundary = append(ob.boundary, ownedSlots...)
-		atomic.AddInt64(&e.overlapNanos, int64(time.Since(start))) //bracevet:allow wallclock metrics-only: overlapNanos gauge
 		return
 	}
 
@@ -93,8 +89,9 @@ func (e *Distributed) reduce1Early(ctx *mapreduce.Ctx, self []*Envelope) {
 	// membership — the overlap gate admits only such partitionings.
 	region := e.part.Region(w)
 	vis := e.schema.Visibility
+	p := e.parts[w]
 	for _, slot := range ownedSlots {
-		pos := copies[slot].Pos(e.schema)
+		pos := p.copies[slot].Pos(e.schema)
 		if pos.X-region.Min.X > vis && region.Max.X-pos.X > vis &&
 			pos.Y-region.Min.Y > vis && region.Max.Y-pos.Y > vis {
 			ob.interior = append(ob.interior, slot)
@@ -102,35 +99,7 @@ func (e *Distributed) reduce1Early(ctx *mapreduce.Ctx, self []*Envelope) {
 			ob.boundary = append(ob.boundary, slot)
 		}
 	}
-
-	penvs := e.partEnvs(w)
-	interior := ob.interior
-	listsOK := ob.listsOK
-	cols := e.bufs[w].cols
-	spatial.ParallelFor(len(interior), probeGrain, func(chunk, lo, hi int) {
-		q := &penvs[chunk]
-		q.copies = copies
-		q.cached = cached
-		q.listsOK = listsOK
-		q.ix = e.ixs[w]
-		q.cols = cols
-		q.halo = haloArrays{}
-		q.haloOn = false
-		if e.colM != nil {
-			for _, slot := range interior[lo:hi] {
-				q.slot = slot
-				q.self = copies[slot]
-				e.colM.QueryCols((*Cols)(q), slot)
-			}
-			return
-		}
-		for _, slot := range interior[lo:hi] {
-			q.slot = slot
-			q.self = copies[slot]
-			e.model.Query(q.self, q)
-		}
-	})
-	atomic.AddInt64(&e.overlapNanos, int64(time.Since(start))) //bracevet:allow wallclock metrics-only: overlapNanos gauge
+	ob.visited += p.query(ob.interior, haloArrays{})
 }
 
 // reduce1Late finishes the overlapped reduceᵗ₁ once the map phase has
@@ -143,22 +112,22 @@ func (e *Distributed) reduce1Early(ctx *mapreduce.Ctx, self []*Envelope) {
 func (e *Distributed) reduce1Late(ctx *mapreduce.Ctx, rest []*Envelope, emit mapreduce.Emit[*Envelope]) {
 	w := ctx.Worker
 	ob := &e.obufs[w]
-	b := &e.bufs[w]
-	cached := e.cixs[w]
+	p := e.parts[w]
 
 	sort.Slice(rest, func(i, j int) bool { return rest[i].A.ID < rest[j].A.ID })
-	ob.halo = append(ob.halo[:0], rest...)
 	ob.haloAg.agents = ob.haloAg.agents[:0]
 	ob.haloAg.pos = ob.haloAg.pos[:0]
 	ob.haloOwned = ob.haloOwned[:0]
-	ob.haloOwnedRow = ob.haloOwnedRow[:0]
-	for _, env := range rest {
+	ncore := int32(len(p.copies))
+	for j, env := range rest {
 		if !env.Replica {
 			if ob.split {
 				panic("engine: owned envelope arrived from a peer on a split tick")
 			}
+			// A migrant owned agent has no core slot: it probes as halo
+			// row j, after the boundary slots.
 			ob.haloOwned = append(ob.haloOwned, env)
-			ob.haloOwnedRow = append(ob.haloOwnedRow, int32(len(ob.haloAg.agents)))
+			ob.boundary = append(ob.boundary, ncore+int32(j))
 		}
 		ob.haloAg.agents = append(ob.haloAg.agents, env.A)
 		ob.haloAg.pos = append(ob.haloAg.pos, env.A.Pos(e.schema))
@@ -166,59 +135,14 @@ func (e *Distributed) reduce1Late(ctx *mapreduce.Ctx, rest []*Envelope, emit map
 	if e.colM != nil {
 		// Halo copies become rows len(copies)+j so boundary query phases
 		// can read their state through the columns.
-		b.cols = appendHaloCols(b.cols, ob.haloAg.agents)
+		p.cols = appendHaloCols(p.cols, ob.haloAg.agents)
 	}
-
-	penvs := e.partEnvs(w)
-	boundary, haloOwned := ob.boundary, ob.haloOwned
-	nb := len(boundary)
-	copies := b.copies
-	ncore := int32(len(copies))
-	halo := ob.haloAg
-	listsOK := ob.listsOK
-	cols := b.cols
-	spatial.ParallelFor(nb+len(haloOwned), probeGrain, func(chunk, lo, hi int) {
-		q := &penvs[chunk]
-		q.copies = copies
-		q.cached = cached
-		q.listsOK = listsOK
-		q.ix = e.ixs[w]
-		q.cols = cols
-		q.halo = halo
-		q.haloOn = true
-		for i := lo; i < hi; i++ {
-			selfRow := int32(-1)
-			if i < nb {
-				q.slot = boundary[i]
-				q.self = copies[q.slot]
-				selfRow = q.slot
-			} else {
-				// A migrant owned agent has no core slot; its probes run
-				// index queries plus the halo scan.
-				q.slot = -1
-				q.self = haloOwned[i-nb].A
-				selfRow = ncore + ob.haloOwnedRow[i-nb]
-			}
-			if e.colM != nil {
-				e.colM.QueryCols((*Cols)(q), selfRow)
-			} else {
-				e.model.Query(q.self, q)
-			}
-		}
-		q.halo = haloArrays{}
-		q.haloOn = false
-	})
-
-	visited := e.ixs[w].Stats().Visited - ob.before
-	for i := range penvs {
-		visited += penvs[i].takeStats().Visited
-	}
-	e.wVisited[w] += visited
-	e.wOwned[w] += int64(len(ob.coreOwned) + len(haloOwned))
+	e.wVisited[w] += ob.visited + p.query(ob.boundary, ob.haloAg)
+	e.wOwned[w] += int64(len(ob.coreOwned) + len(ob.haloOwned))
 
 	// Update phase for all owned agents, merging the two ID-sorted owned
 	// sets in ascending ID order.
-	co, ho := ob.coreOwned, haloOwned
+	co, ho := ob.coreOwned, ob.haloOwned
 	i, j := 0, 0
 	for i < len(co) || j < len(ho) {
 		if j >= len(ho) || (i < len(co) && co[i].A.ID < ho[j].A.ID) {

@@ -1,0 +1,277 @@
+// The one query pass. Both engines run a tick as build → query → update
+// over an ID-sorted copy set; what differs is scheduling — which copy sets
+// exist, when their passes run and where updated agents go. core is what a
+// run shares across its copy sets, part is one copy set's machine, and its
+// three methods are the only place the tick's compute term is spelled out.
+package engine
+
+import (
+	"time"
+
+	"github.com/bigreddata/brace/internal/agent"
+	"github.com/bigreddata/brace/internal/geom"
+	"github.com/bigreddata/brace/internal/spatial"
+)
+
+// core is the per-run state both engines embed: the model and what is
+// derived from it once, the seed, and the throughput gauges.
+type core struct {
+	model    Model
+	schema   *agent.Schema
+	combs    []agent.Combinator
+	isSum    []bool // devirtualized fast path for the ubiquitous sum fold
+	nonLocal bool
+	// colM is non-nil when query phases run QueryCols: the model implements
+	// ColumnarModel and has only local effects (see columnarModel).
+	colM ColumnarModel
+	seed uint64
+
+	agentTicks int64
+	visited    int64
+	wall       time.Duration
+}
+
+func newCore(m Model, seed uint64) (core, error) {
+	if err := validateModel(m); err != nil {
+		return core{}, err
+	}
+	combs := effectCombs(m.Schema())
+	return core{
+		model:    m,
+		schema:   m.Schema(),
+		combs:    combs,
+		isSum:    sumMask(combs),
+		nonLocal: modelNonLocal(m),
+		colM:     columnarModel(m),
+		seed:     seed,
+	}, nil
+}
+
+// timed runs fn and adds its wall time to the throughput gauge.
+func (c *core) timed(fn func() error) error {
+	start := time.Now() //bracevet:allow wallclock metrics-only: feeds the wall throughput gauge, never simulation state
+	err := fn()
+	c.wall += time.Since(start) //bracevet:allow wallclock metrics-only: wall throughput gauge
+	return err
+}
+
+// AgentTicks returns the total agent query phases processed.
+func (c *core) AgentTicks() int64 { return c.agentTicks }
+
+// Visited returns total index candidates examined across all ticks and
+// copy sets (index rebuilds reset the indexes' own counters; this
+// accumulates them).
+func (c *core) Visited() int64 { return c.visited }
+
+// WallSeconds returns wall time spent in RunTicks.
+func (c *core) WallSeconds() float64 { return c.wall.Seconds() }
+
+// ThroughputWall returns agent-ticks per wall second.
+func (c *core) ThroughputWall() float64 {
+	w := c.WallSeconds()
+	if w <= 0 {
+		return 0
+	}
+	return float64(c.agentTicks) / w
+}
+
+// part is the query machine over one ID-sorted copy set: the whole world
+// for Sequential, one partition's owned agents plus replicas for
+// Distributed. Passes over one part never run concurrently.
+type part struct {
+	c      *core
+	ix     spatial.Index
+	cached *spatial.CachedIndex // non-nil: ix is the cached KD-tree
+	envs   []queryEnv           // one probe env per worker-pool chunk
+	uctx   UpdateCtx            // reused across agents; reset re-seeds per agent
+
+	// The tick's build, rewritten by every build call.
+	copies []*agent.Agent
+	cols   [][]float64 // state columns (columnar models only)
+	pts    []spatial.Point
+	keys   []int64
+	all    []int32 // identity slots, see allSlots
+}
+
+// newPart builds a part over the given index kind; skin > 0 selects the
+// cached KD-tree (see resolveSkin).
+func (c *core) newPart(index spatial.Kind, skin float64) *part {
+	p := &part{c: c}
+	if skin > 0 {
+		p.cached = spatial.NewCached(cacheProbeRadius(c.schema), skin)
+		p.ix = p.cached
+	} else {
+		p.ix = spatial.New(index, indexCell(c.schema))
+	}
+	return p
+}
+
+// resolveSkin applies the engine-wide cache policy: the cached query path
+// requires the KD-tree index and a bounded visibility; cacheSkin < 0
+// disables it, 0 selects the default skin.
+func resolveSkin(s *agent.Schema, index spatial.Kind, cacheSkin float64) float64 {
+	if index != spatial.KindKDTree || s.Visibility <= 0 || cacheSkin < 0 {
+		return 0
+	}
+	if cacheSkin == 0 {
+		return spatial.DefaultSkin(cacheProbeRadius(s), s.Reach)
+	}
+	return cacheSkin
+}
+
+// cacheProbeRadius is the radius the query cache's candidate lists cover:
+// the model's declared probe radius when it is tighter than visibility
+// (e.g. predators bite within 2 but see within 5), else visibility.
+func cacheProbeRadius(s *agent.Schema) float64 {
+	if s.ProbeRadius > 0 && s.ProbeRadius < s.Visibility {
+		return s.ProbeRadius
+	}
+	return s.Visibility
+}
+
+// indexCell picks a grid-index cell size near the visibility bound.
+func indexCell(s *agent.Schema) float64 {
+	if s.Visibility > 0 {
+		return s.Visibility
+	}
+	return 1
+}
+
+// probeGrain is the minimum number of query phases per worker-pool chunk;
+// below it, fan-out overhead beats the win.
+const probeGrain = 64
+
+// build installs the tick's ID-sorted copy set and (re)builds the index
+// over it — through the keyed cache when enabled, so an unchanged copy set
+// with sub-skin motion reuses its candidate lists. Keys are agent IDs and
+// probe is the set of slots that will query (nil = all): any membership or
+// ownership change rebuilds, drift beyond skin/2 rebuilds, everything else
+// reuses. Columnar models gather their state columns first so the build
+// reads the position columns instead of walking the agents again. Returns
+// the candidates the cached index visited constructing lists (0 on reuse).
+func (p *part) build(copies []*agent.Agent, probe []int32) int64 {
+	s := p.c.schema
+	p.copies = copies
+	if p.c.colM != nil {
+		p.cols = gatherCols(p.cols, s, copies)
+	}
+	if p.cached == nil {
+		p.ix.Build(p.points())
+		return 0
+	}
+	p.keys = resize(p.keys, len(copies))
+	for i, a := range copies {
+		p.keys[i] = int64(a.ID)
+	}
+	before := p.cached.Stats().Visited
+	if p.c.colM != nil {
+		p.cached.BuildKeyedCols(p.cols[s.PosX], p.cols[s.PosY], p.keys, probe)
+	} else {
+		p.cached.BuildKeyed(p.points(), p.keys, probe)
+	}
+	return p.cached.Stats().Visited - before
+}
+
+// points materializes the copy set's point set from the agents (the
+// non-columnar build input); Point.ID is the slot.
+func (p *part) points() []spatial.Point {
+	p.pts = resize(p.pts, len(p.copies))
+	for i, a := range p.copies {
+		p.pts[i] = spatial.Point{Pos: a.Pos(p.c.schema), ID: int32(i)}
+	}
+	return p.pts
+}
+
+// allSlots returns the identity rows [0, n): Sequential queries every copy.
+func (p *part) allSlots(n int) []int32 {
+	for i := len(p.all); i < n; i++ {
+		p.all = append(p.all, int32(i))
+	}
+	return p.all[:n]
+}
+
+// query runs the query phase for the given rows of the last build and
+// returns the candidates examined — the load balancer's cost input. A row
+// below len(copies) is a core slot; the overlapped late pass also passes
+// halo rows (len(copies)+j: an owned agent that arrived from a peer) along
+// with the halo itself, which probes then merge into their results.
+//
+// With the cached index and local effects, query phases are independent —
+// each writes only its own agent's effect fields and probes are read-only —
+// so they fan out over the spatial worker pool, one probe env per chunk.
+// Per-agent fold order is unchanged: bit-identical state.
+func (p *part) query(rows []int32, halo haloArrays) int64 {
+	c := p.c
+	need := 1
+	parallel := p.cached != nil && !c.nonLocal
+	if parallel {
+		need = spatial.Parallelism()
+	}
+	for len(p.envs) < need {
+		p.envs = append(p.envs, queryEnv{c: c, ix: p.ix, cached: p.cached})
+	}
+	lists := p.cached != nil && p.cached.HasLists()
+	ncore := int32(len(p.copies))
+	pass := func(chunk, lo, hi int) {
+		q := &p.envs[chunk]
+		q.copies, q.cols, q.halo, q.lists = p.copies, p.cols, halo, lists
+		for _, row := range rows[lo:hi] {
+			q.self, q.slot = q.agentAt(row), row
+			if row >= ncore {
+				q.slot = -1 // no core slot: index queries plus the halo scan
+			}
+			if c.colM != nil {
+				c.colM.QueryCols((*Cols)(q), row)
+			} else {
+				c.model.Query(q.self, q)
+			}
+		}
+	}
+	before := p.ix.Stats().Visited
+	if parallel {
+		spatial.ParallelFor(len(rows), probeGrain, pass)
+	} else {
+		pass(0, 0, len(rows))
+	}
+	// Uncached indexes count their own probes; the cached paths account
+	// per env so parallel chunks never share a counter.
+	visited := p.ix.Stats().Visited - before
+	for i := range p.envs {
+		visited += p.envs[i].stats.Visited
+		p.envs[i].stats = spatial.Stats{}
+	}
+	return visited
+}
+
+// update runs the update phase for one agent of this part: the model's
+// Update under per-(seed, tick, agent) randomness, the reachability crop
+// (§4.1: at most Reach along each axis per tick), and the effect reset to
+// θ. It returns the agents spawned, valid until the next update call.
+func (p *part) update(a *agent.Agent, tick uint64) []*agent.Agent {
+	s := p.c.schema
+	p.uctx.reset(p.c.seed, tick, s, a.ID)
+	oldPos := a.Pos(s)
+	p.c.model.Update(a, &p.uctx)
+	if r := s.Reach; r > 0 {
+		a.SetPos(s, a.Pos(s).Clamp(geom.Square(oldPos, r)))
+	}
+	s.ResetEffects(a.Effect)
+	return p.uctx.spawns
+}
+
+// cacheStats returns the part's query-cache build/reuse counters (zero
+// when the cached path is disabled).
+func (p *part) cacheStats() spatial.CacheStats {
+	if p.cached == nil {
+		return spatial.CacheStats{}
+	}
+	return p.cached.CacheStats()
+}
+
+// resize returns s with length n, reusing capacity.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}

@@ -2,10 +2,8 @@ package engine
 
 import (
 	"sort"
-	"time"
 
 	"github.com/bigreddata/brace/internal/agent"
-	"github.com/bigreddata/brace/internal/geom"
 	"github.com/bigreddata/brace/internal/spatial"
 )
 
@@ -31,33 +29,10 @@ import (
 // semantics-preserving — state is bit-identical to the uncached,
 // single-threaded path.
 type Sequential struct {
-	model    Model
-	schema   *agent.Schema
-	combs    []agent.Combinator
-	isSum    []bool
-	nonLocal bool
-	seed     uint64
-	tick     uint64
-
+	core
+	tick   uint64
 	agents agent.Population // ID-sorted
-	ix     spatial.Index
-	cached *spatial.CachedIndex
-	envs   []queryEnv
-	uctx   UpdateCtx // reused across agents; reset re-seeds per agent
-
-	// colM is non-nil when the model runs the columnar query path; cols
-	// holds the tick's gathered state columns (see cols.go).
-	colM ColumnarModel
-	cols [][]float64
-
-	// Per-tick build buffers, reused across ticks.
-	pts    []spatial.Point
-	keys   []int64
-	copies []*agent.Agent
-
-	agentTicks   int64
-	visitedTotal int64
-	wallTotal    time.Duration
+	world  *part            // the one copy set: every agent, no replicas
 }
 
 // NewSequential builds a sequential engine over the given population with
@@ -72,62 +47,15 @@ func NewSequential(m Model, pop []*agent.Agent, index spatial.Kind, seed uint64)
 // as-is. The cache only ever engages for the KD-tree index with a bounded
 // visibility.
 func NewSequentialCache(m Model, pop []*agent.Agent, index spatial.Kind, seed uint64, cacheSkin float64) (*Sequential, error) {
-	if err := validateModel(m); err != nil {
+	c, err := newCore(m, seed)
+	if err != nil {
 		return nil, err
 	}
-	s := m.Schema()
-	agents := append(agent.Population(nil), pop...)
-	sort.Sort(agents)
-	combs := effectCombs(s)
-	e := &Sequential{
-		model:    m,
-		schema:   s,
-		combs:    combs,
-		isSum:    sumMask(combs),
-		nonLocal: modelNonLocal(m),
-		seed:     seed,
-		agents:   agents,
-		ix:       spatial.New(index, indexCell(s)),
-	}
-	if skin := resolveSkin(s, index, cacheSkin); skin > 0 {
-		e.cached = spatial.NewCached(cacheProbeRadius(s), skin)
-		e.ix = e.cached
-	}
-	e.colM = columnarModel(m)
-	e.envs = append(e.envs, newQueryEnv(s, combs, e.isSum, e.nonLocal))
+	e := &Sequential{core: c, agents: append(agent.Population(nil), pop...)}
+	sort.Sort(e.agents)
+	e.world = e.newPart(index, resolveSkin(e.schema, index, cacheSkin))
 	return e, nil
 }
-
-// DisableColumnar forces the classic per-agent Env path even for models
-// implementing ColumnarModel — the equivalence suite's ablation knob.
-func (e *Sequential) DisableColumnar() { e.colM = nil }
-
-// resolveSkin applies the engine-wide cache policy: the cached query path
-// requires the KD-tree index and a bounded visibility; cacheSkin < 0
-// disables it, 0 selects the default skin.
-func resolveSkin(s *agent.Schema, index spatial.Kind, cacheSkin float64) float64 {
-	if index != spatial.KindKDTree || s.Visibility <= 0 || cacheSkin < 0 {
-		return 0
-	}
-	if cacheSkin == 0 {
-		return spatial.DefaultSkin(cacheProbeRadius(s), s.Reach)
-	}
-	return cacheSkin
-}
-
-// cacheProbeRadius is the radius the query cache's candidate lists cover:
-// the model's declared probe radius when it is tighter than visibility
-// (e.g. predators bite within 2 but see within 5), else visibility.
-func cacheProbeRadius(s *agent.Schema) float64 {
-	if s.ProbeRadius > 0 && s.ProbeRadius < s.Visibility {
-		return s.ProbeRadius
-	}
-	return s.Visibility
-}
-
-// probeGrain is the minimum number of query phases per worker-pool chunk;
-// below it, fan-out overhead beats the win.
-const probeGrain = 64
 
 // packInterval is the Morton-relayout cadence in ticks: long enough to
 // amortize the O(n log n) repack, short enough that drift (agents moving
@@ -136,13 +64,13 @@ const packInterval = 64
 
 // RunTicks advances the simulation n full ticks.
 func (e *Sequential) RunTicks(n int) error {
-	start := time.Now() //bracevet:allow wallclock metrics-only: feeds the wallTotal throughput gauge, never simulation state
-	for i := 0; i < n; i++ {
-		e.runTick()
-		e.tick++
-	}
-	e.wallTotal += time.Since(start) //bracevet:allow wallclock metrics-only: wallTotal throughput gauge
-	return nil
+	return e.timed(func() error {
+		for i := 0; i < n; i++ {
+			e.runTick()
+			e.tick++
+		}
+		return nil
+	})
 }
 
 func (e *Sequential) runTick() {
@@ -153,100 +81,20 @@ func (e *Sequential) runTick() {
 	if e.tick%packInterval == 0 {
 		agent.PackMorton(e.schema, e.agents)
 	}
-	// Query phase over the whole world.
-	n := len(e.agents)
-	e.copies = resize(e.copies, n)
-	for i, a := range e.agents {
-		e.copies[i] = a
-	}
-	// Columnar models gather state columns before the index build so the
-	// build itself reads the position columns (BuildKeyedCols) instead of
-	// walking the agents again.
-	if e.colM != nil {
-		e.cols = gatherCols(e.cols, e.schema, e.copies)
-	}
-	listsOK := false
-	if e.cached != nil {
-		e.keys = resize(e.keys, n)
-		for i, a := range e.agents {
-			e.keys[i] = int64(a.ID)
-		}
-		if e.colM != nil {
-			e.cached.BuildKeyedCols(e.cols[e.schema.PosX], e.cols[e.schema.PosY], e.keys, nil)
-		} else {
-			e.fillPts()
-			e.cached.BuildKeyed(e.pts, e.keys, nil)
-		}
-		listsOK = e.cached.HasLists()
-	} else {
-		e.fillPts()
-		e.ix.Build(e.pts)
-	}
-	before := e.ix.Stats().Visited
-	if e.cached != nil && !e.nonLocal {
-		for len(e.envs) < spatial.Parallelism() {
-			e.envs = append(e.envs, newQueryEnv(e.schema, e.combs, e.isSum, e.nonLocal))
-		}
-		spatial.ParallelFor(n, probeGrain, func(chunk, lo, hi int) {
-			env := &e.envs[chunk]
-			env.copies = e.copies
-			env.cached = e.cached
-			env.listsOK = listsOK
-			env.ix = e.ix
-			env.cols = e.cols
-			if e.colM != nil {
-				for i := lo; i < hi; i++ {
-					env.self = e.copies[i]
-					env.slot = int32(i)
-					e.colM.QueryCols((*Cols)(env), int32(i))
-				}
-				return
-			}
-			for i := lo; i < hi; i++ {
-				env.self = e.copies[i]
-				env.slot = int32(i)
-				e.model.Query(env.self, env)
-			}
-		})
-	} else {
-		env := &e.envs[0]
-		env.copies = e.copies
-		env.cached = e.cached
-		env.listsOK = listsOK
-		env.ix = e.ix
-		env.cols = e.cols
-		for i, a := range e.agents {
-			env.self = a
-			env.slot = int32(i)
-			if e.colM != nil {
-				e.colM.QueryCols((*Cols)(env), int32(i))
-			} else {
-				e.model.Query(a, env)
-			}
-		}
-	}
-	visited := e.ix.Stats().Visited - before
-	for i := range e.envs {
-		visited += e.envs[i].takeStats().Visited
-	}
-	e.visitedTotal += visited
-	e.agentTicks += int64(n)
+	// Query phase over the whole world: every agent probes.
+	p := e.world
+	p.build(e.agents, nil)
+	e.visited += p.query(p.allSlots(len(e.agents)), haloArrays{})
+	e.agentTicks += int64(len(e.agents))
 
 	// Update phase.
 	var spawned agent.Population
 	alive := e.agents[:0]
 	for _, a := range e.agents {
-		e.uctx.reset(e.seed, e.tick, e.schema, a.ID)
-		oldPos := a.Pos(e.schema)
-		e.model.Update(a, &e.uctx)
-		if r := e.schema.Reach; r > 0 {
-			a.SetPos(e.schema, a.Pos(e.schema).Clamp(geom.Square(oldPos, r)))
-		}
-		e.schema.ResetEffects(a.Effect)
+		spawned = append(spawned, p.update(a, e.tick)...)
 		if !a.Dead {
 			alive = append(alive, a)
 		}
-		spawned = append(spawned, e.uctx.spawns...)
 	}
 	e.agents = append(alive, spawned...)
 	// The in-place death filter preserves ID order, so the canonical sort
@@ -256,54 +104,12 @@ func (e *Sequential) runTick() {
 	}
 }
 
-// fillPts materializes the tick's point set from the agents (the
-// non-columnar build path).
-func (e *Sequential) fillPts() {
-	e.pts = resize(e.pts, len(e.agents))
-	for i, a := range e.agents {
-		e.pts[i] = spatial.Point{Pos: a.Pos(e.schema), ID: int32(i)}
-	}
-}
-
-// resize returns s with length n, reusing capacity.
-func resize[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	return s[:n]
-}
-
 // Agents returns the current ID-sorted population.
 func (e *Sequential) Agents() agent.Population { return e.agents }
 
 // Tick returns completed ticks.
 func (e *Sequential) Tick() uint64 { return e.tick }
 
-// AgentTicks returns total agent query phases processed.
-func (e *Sequential) AgentTicks() int64 { return e.agentTicks }
-
-// Visited returns total index candidates examined across all ticks (the
-// per-tick index rebuild resets the index's own counters; this accumulates
-// them).
-func (e *Sequential) Visited() int64 { return e.visitedTotal }
-
 // CacheStats returns the query cache's cumulative build/reuse counters
 // (zero when the cached path is disabled).
-func (e *Sequential) CacheStats() spatial.CacheStats {
-	if e.cached == nil {
-		return spatial.CacheStats{}
-	}
-	return e.cached.CacheStats()
-}
-
-// WallSeconds returns wall time spent in RunTicks.
-func (e *Sequential) WallSeconds() float64 { return e.wallTotal.Seconds() }
-
-// ThroughputWall returns agent-ticks per wall second.
-func (e *Sequential) ThroughputWall() float64 {
-	w := e.WallSeconds()
-	if w <= 0 {
-		return 0
-	}
-	return float64(e.agentTicks) / w
-}
+func (e *Sequential) CacheStats() spatial.CacheStats { return e.world.cacheStats() }

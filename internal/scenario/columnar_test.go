@@ -9,13 +9,26 @@ import (
 	"github.com/bigreddata/brace/internal/spatial"
 )
 
+// classic hides a model's QueryCols, so the engines — which pick the query
+// path from what the model implements — run its closure-style Query. The
+// embedded interface forwards Schema/Query/Update; HasNonLocalEffects is
+// forwarded by hand because Model does not include it.
+type classic struct{ engine.Model }
+
+func (c classic) HasNonLocalEffects() bool {
+	nl, ok := c.Model.(engine.NonLocalModel)
+	return ok && nl.HasNonLocalEffects()
+}
+
 // TestColumnarEquivalence is the struct-of-arrays analogue of
 // TestCrossEngineEquivalence: for every registered scenario, the columnar
 // query path (the default for local-effect models that implement
 // engine.ColumnarModel) must compute bit-identical state to the classic
 // per-agent Env path, on the sequential engine and on the distributed
 // engine at 1, 2 and 8 workers. The columnar path is a pure layout
-// optimization — any divergence, even one ulp, is a bug.
+// optimization — any divergence, even one ulp, is a bug. The candidates
+// visited must match too: both paths promise identical probe accounting,
+// because it is the load balancer's cost input.
 func TestColumnarEquivalence(t *testing.T) {
 	const ticks = 10
 	for _, sp := range All() {
@@ -30,11 +43,10 @@ func TestColumnarEquivalence(t *testing.T) {
 					t.Skipf("%s does not implement ColumnarModel", sp.Name)
 				}
 
-				ref, err := engine.NewSequential(m, clonePop(base), spatial.KindKDTree, seed)
+				ref, err := engine.NewSequential(classic{m}, clonePop(base), spatial.KindKDTree, seed)
 				if err != nil {
 					t.Fatal(err)
 				}
-				ref.DisableColumnar()
 				col, err := engine.NewSequential(m, clonePop(base), spatial.KindKDTree, seed)
 				if err != nil {
 					t.Fatal(err)
@@ -49,13 +61,15 @@ func TestColumnarEquivalence(t *testing.T) {
 					t.Fatalf("seed %d: population died out; test config mis-tuned", seed)
 				}
 				assertExact(t, sp.Name+"/seq", seed, 0, ref.Agents(), col.Agents())
+				if r, c := ref.Visited(), col.Visited(); r != c {
+					t.Errorf("seed %d seq: classic visited %d candidates, columnar %d", seed, r, c)
+				}
 
 				for _, workers := range []int{1, 2, 8} {
-					run := func(noColumnar bool) []*agent.Agent {
+					run := func(m engine.Model) ([]*agent.Agent, int64) {
 						t.Helper()
 						e, err := engine.NewDistributed(m, clonePop(base), engine.Options{
 							Workers: workers, Index: spatial.KindKDTree, Seed: seed,
-							NoColumnar: noColumnar,
 						})
 						if err != nil {
 							t.Fatal(err)
@@ -63,9 +77,14 @@ func TestColumnarEquivalence(t *testing.T) {
 						if err := e.RunTicks(ticks); err != nil {
 							t.Fatal(err)
 						}
-						return e.Agents()
+						return e.Agents(), e.Visited()
 					}
-					assertExact(t, sp.Name+"/dist", seed, workers, run(true), run(false))
+					refA, refV := run(classic{m})
+					colA, colV := run(m)
+					assertExact(t, sp.Name+"/dist", seed, workers, refA, colA)
+					if refV != colV {
+						t.Errorf("seed %d workers %d: classic visited %d candidates, columnar %d", seed, workers, refV, colV)
+					}
 				}
 			}
 		})
@@ -136,18 +155,20 @@ func TestColumnarEquivalenceLoadBalanceAndRecovery(t *testing.T) {
 			if _, ok := m.(engine.ColumnarModel); !ok {
 				t.Skipf("%s does not implement ColumnarModel", sp.Name)
 			}
-			run := func(noColumnar, lb bool, failures *cluster.FailurePlan) []*agent.Agent {
+			run := func(columnar, lb bool, failures *cluster.FailurePlan) []*agent.Agent {
 				t.Helper()
 				m, pop, err := sp.New(testConfig(sp, seed))
 				if err != nil {
 					t.Fatal(err)
+				}
+				if !columnar {
+					m = classic{m}
 				}
 				e, err := engine.NewDistributed(m, pop, engine.Options{
 					Workers: workers, Index: spatial.KindKDTree, Seed: seed,
 					Tunables:    engine.Tunables{EpochTicks: epochTicks, CheckpointEveryEpochs: 1},
 					LoadBalance: lb,
 					Failures:    failures,
-					NoColumnar:  noColumnar,
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -161,15 +182,15 @@ func TestColumnarEquivalenceLoadBalanceAndRecovery(t *testing.T) {
 				return e.Agents()
 			}
 
-			lbRef := run(true, true, nil)
-			lbCol := run(false, true, nil)
+			lbRef := run(false, true, nil)
+			lbCol := run(true, true, nil)
 			if len(lbRef) == 0 {
 				t.Fatal("population died out; test config mis-tuned")
 			}
 			assertExact(t, sp.Name+"/lb", seed, workers, lbRef, lbCol)
 
-			recRef := run(true, false, cluster.NewFailurePlan().CrashAt(crashTick, 2))
-			recCol := run(false, false, cluster.NewFailurePlan().CrashAt(crashTick, 2))
+			recRef := run(false, false, cluster.NewFailurePlan().CrashAt(crashTick, 2))
+			recCol := run(true, false, cluster.NewFailurePlan().CrashAt(crashTick, 2))
 			assertExact(t, sp.Name+"/recovery", seed, workers, recRef, recCol)
 		})
 	}
