@@ -93,10 +93,10 @@ func Run(o Options) (*Result, error) {
 	c.hub = transport.NewHub(o.Partitions, len(o.Addrs), c.place.Assign())
 	defer c.hub.Close()
 
-	// Dial and handshake every worker before attaching any to the hub:
-	// a worker whose handshake completes early starts ticking and sending
-	// immediately, and those frames must wait in its socket until every
-	// relay destination exists.
+	// Dial and handshake every worker before attaching any to the hub,
+	// and attach them all at once: a worker whose handshake completes
+	// early starts ticking and sending immediately, and those frames must
+	// wait in its socket until every relay destination exists.
 	conns := make([]*transport.Conn, len(o.Addrs))
 	for i, addr := range o.Addrs {
 		conn, err := o.Dial(addr, o.hello(i, c.gen, c.place.Assign()), o.DialTimeout)
@@ -110,9 +110,9 @@ func Run(o Options) (*Result, error) {
 		conns[i] = conn
 	}
 	now = time.Now()
-	for i, conn := range conns {
+	c.seqs = c.hub.AttachAll(conns)
+	for i := range conns {
 		c.live[i] = true
-		c.seqs[i] = c.hub.Attach(i, conn)
 		c.lv.admit(i, now)
 	}
 	// The tick-0 checkpoint is the first observable state of the run.

@@ -225,7 +225,7 @@ func TestMeshSeverInOverlapWindow(t *testing.T) {
 func severPeerLink(proc, dst, phase int) func(tr transport.Transport, h *transport.Hello) transport.Transport {
 	return func(tr transport.Transport, h *transport.Hello) transport.Transport {
 		if h.Proc == proc && h.Gen == 1 {
-			return &transport.SeverPeerAt{Transport: tr, Peer: dst, Phase: phase}
+			return &transport.FaultAt{Transport: tr, Phase: phase, Do: func() { tr.(*transport.TCP).CutPeer(dst) }}
 		}
 		return tr
 	}
@@ -237,7 +237,7 @@ func severPeerLink(proc, dst, phase int) func(tr transport.Transport, h *transpo
 func stallPeerLink(proc, dst, phase int) func(tr transport.Transport, h *transport.Hello) transport.Transport {
 	return func(tr transport.Transport, h *transport.Hello) transport.Transport {
 		if h.Proc == proc && h.Gen == 1 {
-			return &transport.StallPeerAt{Transport: tr, Peer: dst, Phase: phase}
+			return &transport.FaultAt{Transport: tr, Phase: phase, Do: func() { tr.(*transport.TCP).StallPeer(dst) }}
 		}
 		return tr
 	}
@@ -321,30 +321,6 @@ func TestMeshPeerLinkStallDedupsAndMatches(t *testing.T) {
 	assertSamePopulation(t, "peer-link stall dedup", ref.Agents(), res.Agents)
 }
 
-// hookAt fires fn once, right before the n-th phase barrier — a way to
-// trigger external events at a deterministic point of the run.
-type hookAt struct {
-	transport.Transport
-	phase int
-	fn    func()
-	n     int
-}
-
-func (h *hookAt) FlushPhase() error {
-	h.n++
-	if h.n == h.phase {
-		h.fn()
-	}
-	return h.Transport.FlushPhase()
-}
-
-func (h *hookAt) EndPhase() error {
-	if err := h.FlushPhase(); err != nil {
-		return err
-	}
-	return h.AwaitPhase()
-}
-
 // A worker that registers mid-run joins the fleet through the same
 // restore machinery recovery uses: the coordinator admits it at the next
 // generation, grows the placement, and rewinds the run from the last
@@ -398,7 +374,7 @@ func TestMeshMidRunRegistrationJoins(t *testing.T) {
 	}
 	joinOnce := func(tr transport.Transport, h *transport.Hello) transport.Transport {
 		if h.Proc == 0 && h.Gen == 1 {
-			return &hookAt{Transport: tr, phase: 9, fn: register}
+			return &transport.FaultAt{Transport: tr, Phase: 9, Do: register}
 		}
 		return tr
 	}

@@ -21,7 +21,7 @@ import (
 func stallProcInWindow(proc, phase int) func(tr transport.Transport, h *transport.Hello) transport.Transport {
 	return func(tr transport.Transport, h *transport.Hello) transport.Transport {
 		if h.Proc == proc && h.Gen == 1 {
-			return &transport.StallAt{Transport: tr, Phase: phase, Await: true}
+			return &transport.FaultAt{Transport: tr, Phase: phase, Await: true, Do: tr.(*transport.TCP).Stall}
 		}
 		return tr
 	}
@@ -32,7 +32,7 @@ func stallProcInWindow(proc, phase int) func(tr transport.Transport, h *transpor
 func severProcInWindow(proc, phase int) func(tr transport.Transport, h *transport.Hello) transport.Transport {
 	return func(tr transport.Transport, h *transport.Hello) transport.Transport {
 		if h.Proc == proc && h.Gen == 1 {
-			return &transport.SeverAt{Transport: tr, Phase: phase, Await: true}
+			return &transport.FaultAt{Transport: tr, Phase: phase, Await: true, Do: sever(tr)}
 		}
 		return tr
 	}

@@ -31,12 +31,16 @@ func startChaosWorkers(t *testing.T, n int, wrap func(tr transport.Transport, h 
 	return addrs
 }
 
+// sever is the SIGKILL fault: it closes the session's coordinator
+// connection, and with it every peer link.
+func sever(tr transport.Transport) func() { return func() { tr.Close() } }
+
 // severProcAt severs the given worker's first-generation session right
 // before its n-th phase barrier; re-admitted sessions run unharmed.
 func severProcAt(proc, phase int) func(tr transport.Transport, h *transport.Hello) transport.Transport {
 	return func(tr transport.Transport, h *transport.Hello) transport.Transport {
 		if h.Proc == proc && h.Gen == 1 {
-			return &transport.SeverAt{Transport: tr, Phase: phase}
+			return &transport.FaultAt{Transport: tr, Phase: phase, Do: sever(tr)}
 		}
 		return tr
 	}
@@ -226,7 +230,7 @@ func TestRecoveryWithLoadBalance(t *testing.T) {
 func TestRecoveryGivesUpOnFlappingWorker(t *testing.T) {
 	flappy := func(tr transport.Transport, h *transport.Hello) transport.Transport {
 		if h.Proc == 1 {
-			return &transport.SeverAt{Transport: tr, Phase: 3} // every session
+			return &transport.FaultAt{Transport: tr, Phase: 3, Do: sever(tr)} // every session
 		}
 		return tr
 	}
@@ -252,9 +256,9 @@ func TestRecoveryDoubleDeath(t *testing.T) {
 		}
 		switch h.Proc {
 		case 1:
-			return &transport.SeverAt{Transport: tr, Phase: 9}
+			return &transport.FaultAt{Transport: tr, Phase: 9, Do: sever(tr)}
 		case 2:
-			return &transport.SeverAt{Transport: tr, Phase: 13}
+			return &transport.FaultAt{Transport: tr, Phase: 13, Do: sever(tr)}
 		}
 		return tr
 	}

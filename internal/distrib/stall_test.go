@@ -11,12 +11,12 @@ import (
 
 // stallProcAt freezes the given worker's first-generation session right
 // before its n-th phase barrier — the silent-hang failure mode (SIGSTOP,
-// silent partition) the chaos suites could not reproduce before
-// transport.StallAt existed. Re-admitted sessions run unharmed.
+// silent partition) that raises no socket error. Re-admitted sessions run
+// unharmed.
 func stallProcAt(proc, phase int) func(tr transport.Transport, h *transport.Hello) transport.Transport {
 	return func(tr transport.Transport, h *transport.Hello) transport.Transport {
 		if h.Proc == proc && h.Gen == 1 {
-			return &transport.StallAt{Transport: tr, Phase: phase}
+			return &transport.FaultAt{Transport: tr, Phase: phase, Do: tr.(*transport.TCP).Stall}
 		}
 		return tr
 	}

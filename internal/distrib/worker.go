@@ -21,10 +21,10 @@ type ServeOptions struct {
 	// Once makes the daemon exit after its first coordinator session
 	// (tests and one-shot jobs).
 	Once bool
-	// Wrap, when non-nil, wraps each session's transport before the
-	// engine sees it. Fault-injection tests use it (transport.SeverAt,
-	// transport.StallAt) to kill or freeze a worker at a chosen phase;
-	// production passes nothing.
+	// Wrap, when non-nil, wraps each session's transport — always the
+	// session's *transport.TCP — before the engine sees it. Fault-injection
+	// tests use it (transport.FaultAt) to kill or freeze a worker, or break
+	// one of its peer links, at a chosen phase; production passes nothing.
 	Wrap func(tr transport.Transport, h *transport.Hello) transport.Transport
 	// CoordTimeout is the worker-side liveness watchdog: a session whose
 	// coordinator has been completely silent for this long is aborted,

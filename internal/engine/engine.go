@@ -581,8 +581,8 @@ func (e *Distributed) RunTicks(n int) error {
 
 // onEpoch runs on the master at epoch boundaries: record statistics and,
 // when enabled, rebalance partitions.
-func (e *Distributed) onEpoch(tick uint64, v mapreduce.EpochView) {
-	counts := v.OwnedCounts()
+func (e *Distributed) onEpoch(tick uint64) {
+	counts := e.rt.OwnedCounts()
 	loads := make([]float64, len(counts))
 	for i, c := range counts {
 		loads[i] = float64(c)

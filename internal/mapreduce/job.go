@@ -14,6 +14,13 @@
 //     rollback + re-execution), and lets the application rebalance
 //     partitions.
 //
+// Every phase of a tick — map, reduce₁, reduce₂ — is the same superstep
+// (Runtime.phase): compute into an outbox, send, end the transport's phase,
+// collect. The transport only delivers; which workers are alive is this
+// package's state, set from the FailurePlan between ticks and cleared by
+// the epoch boundary's rollback, so a crashed worker is skipped and cut off
+// here without the transport ever hearing of it.
+//
 // The runtime is generic over the value type V; the engine package
 // instantiates it with agent envelopes.
 package mapreduce
@@ -113,6 +120,11 @@ type Config struct {
 	CheckpointEveryEpochs int
 
 	// Failures optionally schedules worker crashes (for tests/ablations).
+	// The runtime owns the whole simulation of a crash: from the scheduled
+	// tick the worker loses its values, runs no phase and receives nothing
+	// (batches addressed to it are dropped before the transport sees them)
+	// until the next epoch boundary rolls everyone back to the last
+	// checkpoint.
 	Failures *cluster.FailurePlan
 
 	// VClock, when non-nil, accounts virtual time: the runtime charges
@@ -135,24 +147,16 @@ type Config struct {
 	Barrier func(tick uint64) error
 
 	// OnEpoch, when non-nil, runs on the master at each epoch boundary
-	// after the epoch's ticks complete. BRACE hooks load balancing here.
-	OnEpoch func(tick uint64, r EpochView)
+	// after the epoch's ticks complete (and after any checkpoint), unless
+	// the boundary detected a failure and rolled back. BRACE hooks load
+	// balancing here.
+	OnEpoch func(tick uint64)
 
 	// SnapshotMaster/RestoreMaster capture application master state (e.g.
 	// the current partitioning function) inside checkpoints so recovery
 	// restores a consistent view. Optional.
 	SnapshotMaster func() any
 	RestoreMaster  func(any)
-}
-
-// EpochView is the read-only interface OnEpoch receives.
-type EpochView interface {
-	// OwnedCounts returns the number of values held per worker.
-	OwnedCounts() []int
-	// Tick returns the current tick.
-	Tick() uint64
-	// Transport exposes traffic metrics.
-	Transport() transport.Transport
 }
 
 // phase tags for transport messages.

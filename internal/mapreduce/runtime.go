@@ -2,6 +2,7 @@ package mapreduce
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"github.com/bigreddata/brace/internal/cluster"
@@ -17,6 +18,13 @@ type Runtime[V any] struct {
 	local  []int // partitions this process computes (all of them by default)
 	values [][]V // per-worker owned values (worker main memory)
 	tick   uint64
+	// epoch counts the epoch boundaries run so far. It is the master's
+	// checkpoint cadence, so like the coordinator's it survives across
+	// RunTicks calls and is not rewound by a recovery.
+	epoch int
+	// failed marks crashed workers. Written only between ticks (crash
+	// injection, recover) and read-only inside phases, so it needs no lock.
+	failed []bool
 
 	ckpt      *checkpoint[V]
 	recovered int // number of recoveries performed (observable in tests)
@@ -65,6 +73,7 @@ func New[V any](job Job[V], cfg Config) *Runtime[V] {
 		tr:     tr,
 		local:  local,
 		values: make([][]V, cfg.Workers),
+		failed: make([]bool, cfg.Workers),
 	}
 }
 
@@ -92,7 +101,7 @@ func (r *Runtime[V]) Tick() uint64 { return r.tick }
 // Workers returns the worker count.
 func (r *Runtime[V]) Workers() int { return r.cfg.Workers }
 
-// Transport exposes the message layer (metrics, failure state).
+// Transport exposes the message layer (traffic metrics).
 func (r *Runtime[V]) Transport() transport.Transport { return r.tr }
 
 // Recoveries returns how many checkpoint rollbacks have occurred.
@@ -120,7 +129,7 @@ func (r *Runtime[V]) Reset(tick uint64, local []int, values map[int][]V) {
 	r.ckpt = nil
 }
 
-// OwnedCounts implements EpochView.
+// OwnedCounts returns the number of values held per worker.
 func (r *Runtime[V]) OwnedCounts() []int {
 	counts := make([]int, len(r.values))
 	for i, vs := range r.values {
@@ -138,12 +147,12 @@ func (r *Runtime[V]) RunTicks(n int) error {
 		r.takeCheckpoint()
 	}
 	target := r.tick + uint64(n)
-	epoch := 0
 	for r.tick < target {
-		// Inject scheduled crashes at tick start.
+		// Inject scheduled crashes at tick start. Inboxes are empty between
+		// ticks, so main memory is all a crashed worker has to lose.
 		for _, node := range r.cfg.Failures.At(r.tick) {
-			r.tr.Fail(node)
-			r.values[node] = nil // main memory lost
+			r.failed[node] = true
+			r.values[node] = nil
 		}
 
 		if err := r.runTick(); err != nil {
@@ -152,8 +161,7 @@ func (r *Runtime[V]) RunTicks(n int) error {
 		r.tick++
 
 		if r.tick%uint64(r.cfg.EpochTicks) == 0 || r.tick == target {
-			epoch++
-			if err := r.epochBoundary(epoch); err != nil {
+			if err := r.epochBoundary(); err != nil {
 				return err
 			}
 		}
@@ -164,7 +172,8 @@ func (r *Runtime[V]) RunTicks(n int) error {
 // epochBoundary is the master/worker synchronization point: external
 // barrier hook, failure detection + recovery, coordinated checkpoint,
 // application hook.
-func (r *Runtime[V]) epochBoundary(epoch int) error {
+func (r *Runtime[V]) epochBoundary() error {
+	r.epoch++
 	if r.cfg.Barrier != nil {
 		if err := r.cfg.Barrier(r.tick); err != nil {
 			return err
@@ -172,23 +181,16 @@ func (r *Runtime[V]) epochBoundary(epoch int) error {
 	}
 	// Failure detection: the master's epoch heartbeat notices dead
 	// workers; recovery re-executes from the last coordinated checkpoint.
-	anyFailed := false
-	for n := 0; n < r.cfg.Workers; n++ {
-		if r.tr.Failed(cluster.NodeID(n)) {
-			anyFailed = true
-		}
+	// Checkpoint and hooks re-run when the re-executed ticks arrive here
+	// again.
+	if slices.Contains(r.failed, true) {
+		return r.recover()
 	}
-	if anyFailed {
-		if err := r.recover(); err != nil {
-			return err
-		}
-		return nil // checkpoint/hooks re-run when re-executed ticks arrive here again
-	}
-	if r.cfg.CheckpointEveryEpochs > 0 && epoch%r.cfg.CheckpointEveryEpochs == 0 {
+	if r.cfg.CheckpointEveryEpochs > 0 && r.epoch%r.cfg.CheckpointEveryEpochs == 0 {
 		r.takeCheckpoint()
 	}
 	if r.cfg.OnEpoch != nil {
-		r.cfg.OnEpoch(r.tick, r)
+		r.cfg.OnEpoch(r.tick)
 	}
 	return nil
 }
@@ -215,10 +217,9 @@ func (r *Runtime[V]) recover() error {
 	if r.ckpt == nil {
 		return fmt.Errorf("mapreduce %s: worker failed with no checkpoint available", r.job.Name)
 	}
-	for n := 0; n < r.cfg.Workers; n++ {
-		id := cluster.NodeID(n)
-		r.tr.Recover(id)
-		r.tr.Drain(id) // discard in-flight messages from the failed epoch
+	for n := range r.failed {
+		r.failed[n] = false
+		r.tr.Drain(cluster.NodeID(n)) // discard in-flight messages from the failed epoch
 	}
 	for i, vs := range r.ckpt.values {
 		cp := make([]V, len(vs))
@@ -235,111 +236,70 @@ func (r *Runtime[V]) recover() error {
 	return nil
 }
 
-// runTick executes one map → reduce1 (→ reduce2) superstep. Each compute
-// phase is followed by a transport EndPhase and then a drain phase under
+// runTick executes one map → reduce1 (→ reduce2) superstep. Values flow
+// through the phases: each one consumes what the previous one delivered,
+// and the final phase's output is each worker's values for the next tick
+// ("the final reducer ... sends them to the map task on the same node",
+// §3.3).
+func (r *Runtime[V]) runTick() error {
+	mapAll := func(ctx *Ctx, vs []V, emit Emit[V]) {
+		for _, v := range vs {
+			r.job.Map(ctx, v, emit)
+		}
+	}
+	reduce1 := r.job.Reduce1
+	if r.job.Reduce1Early != nil {
+		reduce1 = r.job.Reduce1Late
+	}
+	if err := r.phase(tagMapOut, mapAll, r.job.Reduce1Early); err != nil {
+		return err
+	}
+	if err := r.phase(tagReduce1Out, reduce1, nil); err != nil {
+		return err
+	}
+	if r.job.Reduce2 != nil {
+		return r.phase(tagReduce2Out, r.job.Reduce2, nil)
+	}
+	return nil
+}
+
+// phase is the one shape every compute phase has: each live worker runs fn
+// over its values into an outbox, the batches are sent, the transport's
+// phase ends, and every worker collects what was addressed to it — under
 // its own barrier: all workers (local goroutines and, over TCP, remote
 // processes) must finish sending before any worker collects, otherwise a
 // fast worker's next-phase output could land in a slow worker's
 // not-yet-drained inbox.
-func (r *Runtime[V]) runTick() error {
-	stage := make([][]V, r.cfg.Workers)
-
-	// Phase 1: map (update + distribute).
+//
+// window, when non-nil, runs between the transport's FlushPhase and
+// AwaitPhase on just the values each worker sent to itself: those are
+// complete the moment the local flush returns, so the early (interior)
+// pass computes while peer envelopes are still in flight.
+func (r *Runtime[V]) phase(tag int, fn func(*Ctx, []V, Emit[V]), window func(*Ctx, []V)) error {
 	r.eachWorker(func(w int) {
-		if r.tr.Failed(cluster.NodeID(w)) {
-			return
-		}
-		ctx := &Ctx{Tick: r.tick, Worker: w}
-		out := newOutbox[V](r.cfg.Workers)
-		for _, v := range r.values[w] {
-			r.job.Map(ctx, v, out.emit)
-		}
+		in := r.values[w]
 		r.values[w] = nil // ownership moves through the dataflow
-		r.flush(w, tagMapOut, out)
+		out := newOutbox[V](r.cfg.Workers)
+		fn(r.ctx(w), in, out.emit)
+		r.flush(w, tag, out)
 	})
 	if err := r.tr.FlushPhase(); err != nil {
 		return err
 	}
-	overlap := r.job.Reduce1Early != nil
-	if overlap {
-		// Overlap window: each worker's sends to itself are complete the
-		// moment the local flush returns, so the early (interior) pass
-		// computes while peer envelopes are still in flight.
-		r.eachWorker(func(w int) {
-			if r.tr.Failed(cluster.NodeID(w)) {
-				return
-			}
-			ctx := &Ctx{Tick: r.tick, Worker: w}
-			r.job.Reduce1Early(ctx, r.collectSelf(w, tagMapOut))
-		})
+	if window != nil {
+		r.eachWorker(func(w int) { window(r.ctx(w), r.collect(w, tag, r.tr.DrainSelf)) })
 	}
 	if err := r.tr.AwaitPhase(); err != nil {
 		return err
 	}
-	r.drainAll(stage, tagMapOut)
-	r.barrier()
-
-	// Phase 2: reduce1 (query phase / local effects).
-	r.eachWorker(func(w int) {
-		if r.tr.Failed(cluster.NodeID(w)) {
-			return
-		}
-		ctx := &Ctx{Tick: r.tick, Worker: w}
-		out := newOutbox[V](r.cfg.Workers)
-		if overlap {
-			r.job.Reduce1Late(ctx, stage[w], out.emit)
-		} else {
-			r.job.Reduce1(ctx, stage[w], out.emit)
-		}
-		r.flush(w, tagReduce1Out, out)
-	})
-	if err := r.tr.EndPhase(); err != nil {
-		return err
+	r.eachWorker(func(w int) { r.values[w] = r.collect(w, tag, r.tr.Drain) })
+	if r.cfg.VClock != nil {
+		r.cfg.VClock.Barrier()
 	}
-	r.drainAll(stage, tagReduce1Out)
-	r.barrier()
-
-	// Phase 3: optional reduce2 (global effect aggregation).
-	if r.job.Reduce2 != nil {
-		r.eachWorker(func(w int) {
-			if r.tr.Failed(cluster.NodeID(w)) {
-				return
-			}
-			ctx := &Ctx{Tick: r.tick, Worker: w}
-			out := newOutbox[V](r.cfg.Workers)
-			r.job.Reduce2(ctx, stage[w], out.emit)
-			r.flush(w, tagReduce2Out, out)
-		})
-		if err := r.tr.EndPhase(); err != nil {
-			return err
-		}
-		r.drainAll(stage, tagReduce2Out)
-		r.barrier()
-	}
-
-	// The final phase's drained values become each worker's values for the
-	// next tick ("the final reducer ... sends them to the map task on the
-	// same node", §3.3).
-	r.eachWorker(func(w int) {
-		if r.tr.Failed(cluster.NodeID(w)) {
-			return
-		}
-		r.values[w] = stage[w]
-	})
 	return nil
 }
 
-// drainAll runs a barriered drain phase: every worker empties its inbox of
-// messages with the given tag into stage.
-func (r *Runtime[V]) drainAll(stage [][]V, tag int) {
-	r.eachWorker(func(w int) {
-		if r.tr.Failed(cluster.NodeID(w)) {
-			stage[w] = nil
-			return
-		}
-		stage[w] = r.collect(w, tag)
-	})
-}
+func (r *Runtime[V]) ctx(w int) *Ctx { return &Ctx{Tick: r.tick, Worker: w} }
 
 // outbox buffers emissions grouped by destination partition so each
 // (sender, receiver, phase) triple costs one message.
@@ -356,6 +316,8 @@ func (o *outbox[V]) emit(part int, v V) {
 }
 
 // flush sends the buffered batches and charges the sender's network time.
+// A batch addressed to a crashed worker is lost before it is sent — so the
+// transport never meters it — but the sender paid for the attempt.
 func (r *Runtime[V]) flush(w int, tag int, o *outbox[V]) {
 	for dest, batch := range o.byDest {
 		if len(batch) == 0 {
@@ -367,13 +329,15 @@ func (r *Runtime[V]) flush(w int, tag int, o *outbox[V]) {
 				bytes += r.job.SizeOf(v)
 			}
 		}
-		_ = r.tr.Send(cluster.Message{
-			From:    cluster.NodeID(w),
-			To:      cluster.NodeID(dest),
-			Tag:     tag,
-			Payload: batch,
-			Bytes:   bytes,
-		})
+		if !r.failed[dest] {
+			_ = r.tr.Send(cluster.Message{
+				From:    cluster.NodeID(w),
+				To:      cluster.NodeID(dest),
+				Tag:     tag,
+				Payload: batch,
+				Bytes:   bytes,
+			})
+		}
 		if r.cfg.VClock != nil && dest != w {
 			// Collocated traffic bypasses the network: free.
 			r.cfg.VClock.ChargeNetwork(cluster.NodeID(w), 1, int64(bytes))
@@ -381,24 +345,12 @@ func (r *Runtime[V]) flush(w int, tag int, o *outbox[V]) {
 	}
 }
 
-// collectSelf drains only worker w's sends to itself — complete as soon
-// as the local FlushPhase returns, before any peer marker.
-func (r *Runtime[V]) collectSelf(w int, tag int) []V {
+// collect empties worker w's inbox through drain — the transport's Drain,
+// or DrainSelf for just w's sends to itself — and concatenates the batches,
+// which must all carry the given phase tag.
+func (r *Runtime[V]) collect(w int, tag int, drain func(cluster.NodeID) []cluster.Message) []V {
 	var out []V
-	for _, m := range r.tr.DrainSelf(cluster.NodeID(w)) {
-		if m.Tag != tag {
-			panic(fmt.Sprintf("mapreduce: worker %d got tag %d during phase %d", w, m.Tag, tag))
-		}
-		out = append(out, m.Payload.([]V)...)
-	}
-	return out
-}
-
-// collect drains worker w's inbox and concatenates batches with the given
-// phase tag.
-func (r *Runtime[V]) collect(w int, tag int) []V {
-	var out []V
-	for _, m := range r.tr.Drain(cluster.NodeID(w)) {
+	for _, m := range drain(cluster.NodeID(w)) {
 		if m.Tag != tag {
 			// A phase mismatch means a routing bug; fail loudly.
 			panic(fmt.Sprintf("mapreduce: worker %d got tag %d during phase %d", w, m.Tag, tag))
@@ -408,32 +360,27 @@ func (r *Runtime[V]) collect(w int, tag int) []V {
 	return out
 }
 
-// eachWorker runs fn for every locally computed partition, concurrently
-// unless Sequential. In a single-process runtime that is every partition;
-// in a multi-process run each process covers only its LocalParts block and
-// the transport's phase protocol keeps the processes in lockstep.
+// eachWorker runs fn for every locally computed partition whose worker is
+// alive, concurrently unless Sequential. In a single-process runtime that is
+// every partition; in a multi-process run each process covers only its
+// LocalParts block and the transport's phase protocol keeps the processes
+// in lockstep.
 func (r *Runtime[V]) eachWorker(fn func(w int)) {
-	if r.cfg.Sequential {
-		for _, w := range r.local {
-			fn(w)
-		}
-		return
-	}
 	var wg sync.WaitGroup
 	for _, w := range r.local {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
+		switch {
+		case r.failed[w]: // a crashed worker runs nothing
+		case r.cfg.Sequential:
 			fn(w)
-		}(w)
+		default:
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				fn(w)
+			}(w)
+		}
 	}
 	wg.Wait()
-}
-
-func (r *Runtime[V]) barrier() {
-	if r.cfg.VClock != nil {
-		r.cfg.VClock.Barrier()
-	}
 }
 
 type checkpoint[V any] struct {

@@ -2,6 +2,7 @@ package mapreduce
 
 import (
 	"encoding/gob"
+	"slices"
 	"sort"
 	"testing"
 
@@ -201,6 +202,124 @@ func TestFailureRecoveryMatchesFailureFreeRun(t *testing.T) {
 	}
 }
 
+// A crash is simulated by the runtime alone: from the crash tick to the
+// next epoch boundary the worker's memory is gone, it runs no phase, and
+// batches addressed to it are dropped before the transport sees them (so
+// they are never metered) while the sender still pays the network time for
+// the attempt. Recovery re-enables delivery.
+func TestCrashedWorkerIsCutOffUntilRecovery(t *testing.T) {
+	const workers, items, ticks, epoch = 2, 4, 8, 2
+	run := func(failures *cluster.FailurePlan, vc *cluster.VClock, atBoundary func(r *Runtime[rec], tick uint64)) *Runtime[rec] {
+		var r *Runtime[rec]
+		r = New(ringJob(workers), Config{
+			Workers: workers, EpochTicks: epoch, CheckpointEveryEpochs: 1,
+			Failures: failures, VClock: vc,
+			// Barrier runs first at a boundary, before failure detection.
+			Barrier: func(tick uint64) error { atBoundary(r, tick); return nil },
+		})
+		loadItems(r, items, workers)
+		if err := r.RunTicks(ticks); err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	model := cluster.CostModel{SecPerByte: 1}
+	cleanClock, clock := cluster.NewVClock(workers, model), cluster.NewVClock(workers, model)
+	clean := run(nil, cleanClock, func(*Runtime[rec], uint64) {})
+
+	// Worker 1 crashes at the start of tick 2, the first tick of an epoch:
+	// that tick worker 0 maps its items to partition 1 and nothing comes
+	// back, so by the boundary at tick 4 every value is gone.
+	var beforeCrash cluster.NodeMetrics
+	var clockBeforeCrash float64
+	faulty := run(cluster.NewFailurePlan().CrashAt(2, 1), clock, func(r *Runtime[rec], tick uint64) {
+		if r.Recoveries() > 0 {
+			return
+		}
+		switch tick {
+		case 2:
+			beforeCrash, clockBeforeCrash = r.Transport().Metrics().Totals(), clock.Now()
+		case 4:
+			if got := r.Transport().Metrics().Totals(); got != beforeCrash {
+				t.Errorf("the crashed epoch was metered: %+v before, %+v after", beforeCrash, got)
+			}
+			if clock.Now() <= clockBeforeCrash {
+				t.Error("worker 0's dropped sends cost no virtual network time")
+			}
+			if got := r.OwnedCounts(); got[0] != 0 || got[1] != 0 {
+				t.Errorf("values after the crashed epoch = %v, want none: worker 1 lost its memory and worker 0's sends were dropped", got)
+			}
+			for n := 0; n < workers; n++ {
+				if msgs := r.Transport().Drain(cluster.NodeID(n)); len(msgs) != 0 {
+					t.Errorf("inbox %d holds %d messages; nothing to or from a crashed worker may be delivered", n, len(msgs))
+				}
+			}
+		}
+	})
+	if faulty.Recoveries() != 1 {
+		t.Fatalf("Recoveries = %d, want 1", faulty.Recoveries())
+	}
+	// Delivery works again after recovery: the re-executed epoch and the
+	// rest of the run move exactly the traffic of the clean run, and end in
+	// its state — later, by the virtual time the lost epoch cost.
+	if got, want := faulty.Transport().Metrics().Totals(), clean.Transport().Metrics().Totals(); got != want {
+		t.Errorf("traffic with a recovered crash = %+v, want the clean run's %+v", got, want)
+	}
+	if clock.Now() <= cleanClock.Now() {
+		t.Error("the lost epoch cost no virtual time")
+	}
+	a, b := sortedItems(clean), sortedItems(faulty)
+	if len(a) != items || len(b) != items {
+		t.Fatalf("item counts %d and %d, want %d", len(a), len(b), items)
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("recovered run diverges at %d: %+v vs %+v", i, a[i], b[i])
+		}
+	}
+}
+
+// The checkpoint cadence is the master's, not the caller's: however a run
+// is sliced into RunTicks calls, the same epochs checkpoint and a crash
+// rolls back to the same tick.
+func TestCheckpointCadenceIndependentOfRunTicksSlicing(t *testing.T) {
+	const workers, items, epoch, every = 2, 4, 5, 2
+	for _, slicing := range []struct{ calls, ticks int }{{1, 20}, {4, 5}} {
+		var checkpoints, rollbacks []uint64
+		var r *Runtime[rec]
+		r = New(ringJob(workers), Config{
+			Workers: workers, EpochTicks: epoch, CheckpointEveryEpochs: every,
+			Failures: cluster.NewFailurePlan().CrashAt(17, 1),
+			// The master snapshot is taken with, and handed back from,
+			// every checkpoint: putting the tick in it observes both.
+			SnapshotMaster: func() any {
+				checkpoints = append(checkpoints, r.Tick())
+				return r.Tick()
+			},
+			RestoreMaster: func(v any) { rollbacks = append(rollbacks, v.(uint64)) },
+		})
+		loadItems(r, items, workers)
+		for i := 0; i < slicing.calls; i++ {
+			if err := r.RunTicks(slicing.ticks); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Epochs end at ticks 5, 10, 15, 20 and every second one
+		// checkpoints. The crash at tick 17 is detected at tick 20 and
+		// rolls back to tick 10; the master's epoch count is not rewound,
+		// so of the re-executed boundaries (15, 20) the second checkpoints.
+		if want := []uint64{0, 10, 20}; !slices.Equal(checkpoints, want) {
+			t.Errorf("%d×%d ticks: checkpoints at %v, want %v", slicing.calls, slicing.ticks, checkpoints, want)
+		}
+		if want := []uint64{10}; !slices.Equal(rollbacks, want) {
+			t.Errorf("%d×%d ticks: rolled back to %v, want %v", slicing.calls, slicing.ticks, rollbacks, want)
+		}
+		if r.Tick() != 20 {
+			t.Errorf("%d×%d ticks: Tick = %d, want 20", slicing.calls, slicing.ticks, r.Tick())
+		}
+	}
+}
+
 func TestMultipleFailures(t *testing.T) {
 	const workers, items, ticks = 3, 9, 30
 	failures := cluster.NewFailurePlan().CrashAt(4, 0).CrashAt(13, 1).CrashAt(22, 2)
@@ -239,16 +358,14 @@ func TestEpochHookAndOwnedCounts(t *testing.T) {
 	const workers = 3
 	var hookTicks []uint64
 	var lastCounts []int
-	r := New(ringJob(workers), Config{
+	var r *Runtime[rec]
+	r = New(ringJob(workers), Config{
 		Workers: workers, EpochTicks: 4,
-		OnEpoch: func(tick uint64, v EpochView) {
+		OnEpoch: func(tick uint64) {
 			hookTicks = append(hookTicks, tick)
-			lastCounts = v.OwnedCounts()
-			if v.Tick() != tick {
-				t.Errorf("EpochView.Tick = %d, want %d", v.Tick(), tick)
-			}
-			if v.Transport() == nil {
-				t.Error("EpochView.Transport nil")
+			lastCounts = r.OwnedCounts()
+			if r.Tick() != tick {
+				t.Errorf("Tick at the hook = %d, want %d", r.Tick(), tick)
 			}
 		},
 	})
@@ -322,7 +439,7 @@ func TestMasterSnapshotRestoredOnRecovery(t *testing.T) {
 		Failures:       cluster.NewFailurePlan().CrashAt(3, 1),
 		SnapshotMaster: func() any { return masterState },
 		RestoreMaster:  func(v any) { masterState = v.(int) },
-		OnEpoch: func(tick uint64, _ EpochView) {
+		OnEpoch: func(tick uint64) {
 			masterState++ // master mutates its state each epoch
 		},
 	})

@@ -2,7 +2,7 @@
 // go 1.21, where the enhanced ServeMux patterns (methods, wildcards) are
 // disabled, and the API is small enough that a prefix switch stays honest.
 //
-//	POST   /v1/runs            submit a RunSpec            -> 202 RunStatus
+//	POST   /v1/runs            submit a RunSpec (≤ 1 MiB)  -> 202 RunStatus
 //	GET    /v1/runs            list runs                   -> 200 []RunStatus
 //	GET    /v1/runs/{id}       one run's status            -> 200 RunStatus
 //	DELETE /v1/runs/{id}       cancel a run                -> 200 RunStatus
@@ -19,6 +19,8 @@ package service
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
+	"io"
 	"net/http"
 	"strings"
 )
@@ -117,11 +119,20 @@ func (h *apiHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// maxSpecBytes bounds a submitted run spec. A RunSpec is a handful of
+// knobs; the limit only stops a client from making the daemon read forever.
+const maxSpecBytes = 1 << 20
+
 func (h *apiHandler) submit(w http.ResponseWriter, r *http.Request) {
 	var spec RunSpec
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
+	err := decodeOnly(http.MaxBytesReader(w, r.Body, maxSpecBytes), &spec)
+	var tooBig *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooBig):
+		writeJSON(w, http.StatusRequestEntityTooLarge,
+			apiError{Error: fmt.Sprintf("run spec larger than %d bytes", tooBig.Limit)})
+		return
+	case err != nil:
 		writeJSON(w, http.StatusBadRequest, apiError{Error: "bad run spec: " + err.Error()})
 		return
 	}
@@ -131,6 +142,24 @@ func (h *apiHandler) submit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusAccepted, st)
+}
+
+// decodeOnly decodes r as exactly one JSON value of known fields: anything
+// but EOF after the value means the sender said more than was understood.
+func decodeOnly(r io.Reader, v interface{}) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	switch _, err := dec.Token(); err {
+	case io.EOF:
+		return nil
+	case nil:
+		return errors.New("data after the JSON value")
+	default:
+		return err
+	}
 }
 
 // watch streams a run's observation frames as ndjson until the run ends,

@@ -418,6 +418,55 @@ func TestHTTPEndpoints(t *testing.T) {
 	}
 }
 
+// endless is a request body that never ends, counting what is read of it.
+type endless struct{ read int }
+
+func (e *endless) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = ' '
+	}
+	e.read += len(p)
+	return len(p), nil
+}
+
+// POST /v1/runs takes exactly one bounded JSON value: an oversized body is
+// refused once the limit is read — not buffered, not read to its end — and
+// anything after the spec is an error rather than silently ignored.
+func TestSubmitBodyIsBoundedAndSingleValued(t *testing.T) {
+	m, err := NewManager(Config{WorkerAddrs: startFleet(t, 1), Log: io.Discard})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	post := func(body io.Reader) (int, apiError) {
+		rec := httptest.NewRecorder()
+		Handler(m).ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/runs", body))
+		var e apiError
+		if err := json.NewDecoder(rec.Body).Decode(&e); err != nil {
+			t.Errorf("response is not a JSON error: %v", err)
+		}
+		return rec.Code, e
+	}
+
+	body := &endless{}
+	code, e := post(io.MultiReader(strings.NewReader(`{"scenario":"fish","ticks":1}`), body))
+	if code != http.StatusRequestEntityTooLarge || e.Error == "" {
+		t.Errorf("endless body: %d %+v, want 413 with an error message", code, e)
+	}
+	if body.read > maxSpecBytes+1 {
+		t.Errorf("handler read %d bytes of an oversized body, limit is %d", body.read, maxSpecBytes)
+	}
+
+	for _, trailing := range []string{`{"scenario":"fish","ticks":1} {"x":1}`, `{"scenario":"fish","ticks":1} x`} {
+		if code, e := post(strings.NewReader(trailing)); code != http.StatusBadRequest || e.Error == "" {
+			t.Errorf("%s: %d %+v, want 400 with an error message", trailing, code, e)
+		}
+	}
+	if got := m.List(); len(got) != 0 {
+		t.Errorf("%d runs were admitted from rejected bodies", len(got))
+	}
+}
+
 // A registry-fed fleet end to end: the manager starts with no worker
 // addresses at all, daemons announce themselves, a mesh run completes
 // bit-identical to a star-fleet equivalent, and /v1/fleet's data reports

@@ -25,7 +25,7 @@ func BenchmarkTransport(b *testing.B) {
 			for j := 0; j < batch; j++ {
 				tr.Send(cluster.Message{From: 0, To: 1, Tag: 1, Payload: payload, Bytes: bytesPer})
 			}
-			if err := tr.EndPhase(); err != nil {
+			if err := endPhase(tr); err != nil {
 				b.Fatal(err)
 			}
 			tr.Drain(1)
@@ -38,7 +38,7 @@ func BenchmarkTransport(b *testing.B) {
 		peerDone := make(chan error, 1)
 		go func() {
 			for i := 0; i < b.N; i++ {
-				if err := trs[1].EndPhase(); err != nil {
+				if err := endPhase(trs[1]); err != nil {
 					peerDone <- err
 					return
 				}
@@ -54,7 +54,7 @@ func BenchmarkTransport(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			if err := trs[0].EndPhase(); err != nil {
+			if err := endPhase(trs[0]); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -1,226 +1,60 @@
 package transport
 
-import (
-	"fmt"
-	"sync"
-)
-
-// SeverAt is a fault-injection Transport wrapper for recovery tests: it
-// counts phase barriers and severs the wrapped transport — closing its
-// coordinator connection — immediately before the Nth FlushPhase (or, with
-// Await set, between that phase's FlushPhase and its AwaitPhase). To the
-// coordinator this is indistinguishable from the worker process dying
-// mid-phase; to the worker every subsequent transport operation fails, so
-// its session unwinds exactly like a crash while the daemon survives to
-// accept a re-admission dial.
+// FaultAt is the fault-injection Transport wrapper of the recovery, stall
+// and mesh chaos suites: it counts phase barriers and fires Do immediately
+// before the Nth FlushPhase (or, with Await set, between that phase's
+// FlushPhase and its AwaitPhase). What the fault is belongs to the caller,
+// usually a method of the wrapped *TCP:
+//
+//   - Close severs the coordinator connection. To the coordinator this is
+//     indistinguishable from the worker process dying mid-phase; to the
+//     worker every subsequent transport operation fails, so its session
+//     unwinds exactly like a crash while the daemon survives to accept a
+//     re-admission dial.
+//   - Stall freezes the session *without* closing the socket — a SIGSTOPped
+//     or silently-partitioned worker. No error, no EOF: every peer blocks at
+//     the barrier waiting for a marker that never comes, and only
+//     heartbeat/deadline liveness can break the hang.
+//   - CutPeer(dst) closes one outgoing mesh link. The run must not notice:
+//     traffic to dst falls back to the coordinator relay mid-epoch and the
+//     count-based barrier stays exact.
+//   - StallPeer(dst) makes that link fail *after* each write reaches the
+//     socket, so a frame may arrive twice — directly and through the relay
+//     re-send — and the receiver's sequence dedup must keep exactly one.
 //
 // Local-effect scenarios run two phases per tick (map, reduce₁) and
-// non-local ones three, so Phase = 2·tick+1 severs a local-effect worker
-// in the middle of that tick. With Await, the cut lands in the overlap
-// window of the two-pass tick: the phase's sends (and marker) are already
-// out, the interior pass has its inputs, but the boundary drain has not
-// happened yet.
-type SeverAt struct {
+// non-local ones three, so Phase = 2·tick+1 hits a local-effect worker in
+// the middle of that tick. With Await the fault lands in the overlap window
+// of the two-pass tick: the phase's sends and marker are already out, the
+// interior pass has its inputs, but the boundary drain has not happened —
+// so peers sail through this barrier and only the next one hangs.
+type FaultAt struct {
 	Transport
-	// Phase is the 1-based phase barrier to sever at.
+	// Phase is the 1-based phase barrier the fault fires at.
 	Phase int
-	// Await severs between the chosen phase's FlushPhase and its
-	// AwaitPhase instead of before the FlushPhase.
+	// Await fires between the chosen phase's FlushPhase and its AwaitPhase
+	// instead of before the FlushPhase.
 	Await bool
+	// Do is the fault.
+	Do func()
 
 	n int
 }
 
-// FlushPhase counts barriers and, without Await, cuts the connection at
-// the chosen one.
-func (s *SeverAt) FlushPhase() error {
-	s.n++
-	if s.n == s.Phase && !s.Await {
-		_ = s.Transport.Close()
+// FlushPhase counts barriers and, without Await, fires at the chosen one.
+func (f *FaultAt) FlushPhase() error {
+	f.n++
+	if f.n == f.Phase && !f.Await {
+		f.Do()
 	}
-	return s.Transport.FlushPhase()
+	return f.Transport.FlushPhase()
 }
 
-// AwaitPhase cuts the connection before waiting when Await is set and the
-// chosen phase was just flushed.
-func (s *SeverAt) AwaitPhase() error {
-	if s.n == s.Phase && s.Await {
-		_ = s.Transport.Close()
+// AwaitPhase fires before waiting when Await is set and the chosen phase
+// was just flushed.
+func (f *FaultAt) AwaitPhase() error {
+	if f.n == f.Phase && f.Await {
+		f.Do()
 	}
-	return s.Transport.AwaitPhase()
-}
-
-// EndPhase keeps the wrapper transparent for callers that do not split
-// the barrier.
-func (s *SeverAt) EndPhase() error {
-	if err := s.FlushPhase(); err != nil {
-		return err
-	}
-	return s.AwaitPhase()
-}
-
-// Staller is implemented by transports that can simulate a silently
-// frozen process (TCP.Stall). StallAt uses it when available.
-type Staller interface {
-	Stall()
-}
-
-// StallAt is the silent twin of SeverAt: it freezes the wrapped transport
-// immediately before the Nth FlushPhase (or, with Await set, between that
-// phase's FlushPhase and AwaitPhase) *without* closing the socket — the
-// failure mode of a SIGSTOPped or silently-partitioned worker. The
-// coordinator sees no socket error, no EOF, nothing: every peer blocks at
-// the phase barrier waiting for a marker that will never come, and only
-// heartbeat/deadline liveness can break the hang. The Await variant is
-// the nastier case for the overlapped tick: the frozen worker's marker
-// *did* go out, so peers sail through the barrier and only the next one
-// hangs. On transports without Stall support the wrapper blocks the call
-// itself until Close.
-type StallAt struct {
-	Transport
-	// Phase is the 1-based phase barrier to stall at.
-	Phase int
-	// Await stalls between the chosen phase's FlushPhase and its
-	// AwaitPhase instead of before the FlushPhase.
-	Await bool
-
-	n      int
-	once   sync.Once
-	closed chan struct{}
-}
-
-// FlushPhase counts barriers and, without Await, freezes at the chosen one.
-func (s *StallAt) FlushPhase() error {
-	s.n++
-	if s.n == s.Phase && !s.Await {
-		if err := s.stall(); err != nil {
-			return err
-		}
-	}
-	return s.Transport.FlushPhase()
-}
-
-// AwaitPhase freezes before waiting when Await is set and the chosen
-// phase was just flushed.
-func (s *StallAt) AwaitPhase() error {
-	if s.n == s.Phase && s.Await {
-		if err := s.stall(); err != nil {
-			return err
-		}
-	}
-	return s.Transport.AwaitPhase()
-}
-
-// EndPhase keeps the wrapper transparent for callers that do not split
-// the barrier.
-func (s *StallAt) EndPhase() error {
-	if err := s.FlushPhase(); err != nil {
-		return err
-	}
-	return s.AwaitPhase()
-}
-
-func (s *StallAt) stall() error {
-	if st, ok := s.Transport.(Staller); ok {
-		st.Stall()
-		return nil
-	}
-	s.init()
-	<-s.closed // block like a frozen process until Close
-	return fmt.Errorf("transport: stalled connection closed")
-}
-
-func (s *StallAt) init() {
-	s.once.Do(func() { s.closed = make(chan struct{}) })
-}
-
-// Close releases a fallback-blocked barrier call along with the transport.
-func (s *StallAt) Close() error {
-	s.init()
-	select {
-	case <-s.closed:
-	default:
-		close(s.closed)
-	}
-	return s.Transport.Close()
-}
-
-// PeerFaulter is implemented by transports whose data plane has directed
-// peer links that fault injection can break one at a time (TCP in mesh
-// mode). CutPeer closes the outgoing link to dst; StallPeer makes its next
-// send "succeed" on the wire but fail at the sender — the write-deadline
-// failure mode that leaves a maybe-delivered frame behind.
-type PeerFaulter interface {
-	CutPeer(dst int)
-	StallPeer(dst int)
-}
-
-// SeverPeerAt is SeverAt's peer-link twin for the mesh chaos suite: it
-// counts phase barriers and, immediately before the Nth FlushPhase, cuts
-// this process's outgoing peer link to Peer. The run must not notice —
-// traffic to Peer falls back to the coordinator relay mid-epoch and the
-// count-based barrier stays exact — which is precisely what the suite
-// asserts (bit-identical final state, nonzero relayed data frames).
-type SeverPeerAt struct {
-	Transport
-	// Peer is the destination process whose link is cut.
-	Peer int
-	// Phase is the 1-based phase barrier to cut at.
-	Phase int
-
-	n int
-}
-
-// FlushPhase counts barriers and cuts the peer link at the chosen one.
-func (s *SeverPeerAt) FlushPhase() error {
-	s.n++
-	if s.n == s.Phase {
-		if pf, ok := s.Transport.(PeerFaulter); ok {
-			pf.CutPeer(s.Peer)
-		}
-	}
-	return s.Transport.FlushPhase()
-}
-
-// EndPhase keeps the wrapper transparent for callers that do not split
-// the barrier.
-func (s *SeverPeerAt) EndPhase() error {
-	if err := s.FlushPhase(); err != nil {
-		return err
-	}
-	return s.AwaitPhase()
-}
-
-// StallPeerAt is SeverPeerAt's silent variant: before the Nth FlushPhase
-// the outgoing link to Peer starts failing *after* each write reaches the
-// socket, so the frame may arrive twice — once directly, once through the
-// relay re-send — and the receiver's sequence dedup must keep exactly one.
-type StallPeerAt struct {
-	Transport
-	// Peer is the destination process whose link goes bad.
-	Peer int
-	// Phase is the 1-based phase barrier to stall at.
-	Phase int
-
-	n int
-}
-
-// FlushPhase counts barriers and degrades the peer link at the chosen one.
-func (s *StallPeerAt) FlushPhase() error {
-	s.n++
-	if s.n == s.Phase {
-		if pf, ok := s.Transport.(PeerFaulter); ok {
-			pf.StallPeer(s.Peer)
-		}
-	}
-	return s.Transport.FlushPhase()
-}
-
-// EndPhase keeps the wrapper transparent for callers that do not split
-// the barrier.
-func (s *StallPeerAt) EndPhase() error {
-	if err := s.FlushPhase(); err != nil {
-		return err
-	}
-	return s.AwaitPhase()
+	return f.Transport.AwaitPhase()
 }

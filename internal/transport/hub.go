@@ -142,13 +142,36 @@ func (h *Hub) SetAssign(assign []int) {
 // attach sequence (compare against HubEvent.Seq to spot stale events).
 func (h *Hub) Attach(proc int, c *Conn) int {
 	h.mu.Lock()
-	h.conns[proc] = c
-	h.live[proc] = true
-	h.seqs[proc]++
-	seq := h.seqs[proc]
+	seq := h.attachLocked(proc, c)
 	h.mu.Unlock()
 	go h.relay(proc, c)
 	return seq
+}
+
+// AttachAll attaches the initial fleet, process i on conns[i], and returns
+// the attach sequences. Every slot is live before the first relay starts: a
+// worker sends from the moment its handshake completes, and a frame relayed
+// to a slot not yet attached would be dropped as addressed to a dead
+// process — leaving its receiver at the phase barrier for good.
+func (h *Hub) AttachAll(conns []*Conn) []int {
+	seqs := make([]int, len(conns))
+	h.mu.Lock()
+	for proc, c := range conns {
+		seqs[proc] = h.attachLocked(proc, c)
+	}
+	h.mu.Unlock()
+	for proc, c := range conns {
+		go h.relay(proc, c)
+	}
+	return seqs
+}
+
+// attachLocked fills process proc's slot. Caller holds h.mu.
+func (h *Hub) attachLocked(proc int, c *Conn) int {
+	h.conns[proc] = c
+	h.live[proc] = true
+	h.seqs[proc]++
+	return h.seqs[proc]
 }
 
 // Send delivers one frame to process proc.

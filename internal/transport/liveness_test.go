@@ -74,17 +74,17 @@ func TestPingAnsweredByPong(t *testing.T) {
 	}
 }
 
-// StallAt freezes the transport without any socket error: pings go
+// A Stall fault freezes the transport without any socket error: pings go
 // unanswered, engine operations block, and only closing the connection
 // (the coordinator's force-drop) unwinds them.
-func TestStallAtSilencesWorker(t *testing.T) {
+func TestStallSilencesWorker(t *testing.T) {
 	coord, worker := connPair(t)
 	tcp := NewTCP(worker, 0, 2, 2, []int{0, 1}, 1)
 	defer tcp.Close()
-	st := &StallAt{Transport: tcp, Phase: 1}
+	st := &FaultAt{Transport: tcp, Phase: 1, Do: tcp.Stall}
 
 	done := make(chan error, 1)
-	go func() { done <- st.EndPhase() }() // freezes at phase 1
+	go func() { done <- endPhase(st) }() // freezes at phase 1
 
 	// Give the stall a moment to take effect, then ping: no pong.
 	time.Sleep(50 * time.Millisecond)
@@ -96,7 +96,7 @@ func TestStallAtSilencesWorker(t *testing.T) {
 	}
 	select {
 	case err := <-done:
-		t.Fatalf("stalled EndPhase returned early: %v", err)
+		t.Fatalf("stalled phase barrier returned early: %v", err)
 	default:
 	}
 

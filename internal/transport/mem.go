@@ -16,7 +16,6 @@ type Mem struct {
 	mu      sync.Mutex
 	inbox   [][]cluster.Message
 	metrics *cluster.Metrics
-	failed  []bool
 }
 
 var _ Transport = (*Mem)(nil)
@@ -26,25 +25,19 @@ func NewMem(n int) *Mem {
 	return &Mem{
 		inbox:   make([][]cluster.Message, n),
 		metrics: cluster.NewMetrics(n),
-		failed:  make([]bool, n),
 	}
 }
 
 // N returns the number of nodes.
 func (t *Mem) N() int { return len(t.inbox) }
 
-// Send enqueues a message for the destination node. Sends to or from a
-// failed node are dropped, mimicking a crashed worker; the runtime notices
-// the failure at the next barrier.
+// Send enqueues a message for the destination node.
 func (t *Mem) Send(m cluster.Message) error {
 	if m.To < 0 || int(m.To) >= len(t.inbox) {
 		return fmt.Errorf("transport: send to unknown node %d", m.To)
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.failed[m.From] || t.failed[m.To] {
-		return nil // silently lost, like a dead TCP peer
-	}
 	t.inbox[m.To] = append(t.inbox[m.To], m)
 	t.metrics.RecordSend(m.From, m.To, m.Bytes, m.From == m.To)
 	return nil
@@ -57,35 +50,6 @@ func (t *Mem) Drain(n cluster.NodeID) []cluster.Message {
 	msgs := t.inbox[n]
 	t.inbox[n] = nil
 	return msgs
-}
-
-// Pending returns the number of queued messages for node n.
-func (t *Mem) Pending(n cluster.NodeID) int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.inbox[n])
-}
-
-// Fail marks a node as crashed and discards its queued messages.
-func (t *Mem) Fail(n cluster.NodeID) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.failed[n] = true
-	t.inbox[n] = nil
-}
-
-// Recover clears a node's failed status.
-func (t *Mem) Recover(n cluster.NodeID) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.failed[n] = false
-}
-
-// Failed reports whether node n is currently marked crashed.
-func (t *Mem) Failed(n cluster.NodeID) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.failed[n]
 }
 
 // Metrics returns the transport's traffic counters.
@@ -108,10 +72,7 @@ func (t *Mem) DrainSelf(n cluster.NodeID) []cluster.Message {
 	return out
 }
 
-// EndPhase is a no-op: in-memory sends are visible immediately.
-func (t *Mem) EndPhase() error { return nil }
-
-// FlushPhase is a no-op.
+// FlushPhase is a no-op: in-memory sends are visible immediately.
 func (t *Mem) FlushPhase() error { return nil }
 
 // AwaitPhase is a no-op.

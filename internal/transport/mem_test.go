@@ -20,17 +20,12 @@ func TestMemSendDrain(t *testing.T) {
 	if err := tr.Send(cluster.Message{From: 2, To: 1, Tag: 7, Payload: "b", Bytes: 20}); err != nil {
 		t.Fatal(err)
 	}
-	if tr.Pending(1) != 2 {
-		t.Errorf("Pending = %d", tr.Pending(1))
-	}
-	if err := tr.EndPhase(); err != nil {
-		t.Fatal(err)
-	}
+	// In-memory sends are visible at once: Mem needs no phase end.
 	msgs := tr.Drain(1)
 	if len(msgs) != 2 {
 		t.Fatalf("Drain len = %d", len(msgs))
 	}
-	if tr.Pending(1) != 0 || len(tr.Drain(1)) != 0 {
+	if len(tr.Drain(1)) != 0 {
 		t.Error("Drain did not clear inbox")
 	}
 	if err := tr.Send(cluster.Message{From: 0, To: 9}); err == nil {
@@ -85,31 +80,6 @@ func TestMemConcurrentSends(t *testing.T) {
 	}
 	if total != 4*per {
 		t.Errorf("delivered %d, want %d", total, 4*per)
-	}
-}
-
-func TestMemFailure(t *testing.T) {
-	tr := NewMem(2)
-	tr.Send(cluster.Message{From: 0, To: 1, Bytes: 5})
-	tr.Fail(1)
-	if !tr.Failed(1) {
-		t.Error("Failed not reported")
-	}
-	if tr.Pending(1) != 0 {
-		t.Error("failure should discard queued messages")
-	}
-	tr.Send(cluster.Message{From: 0, To: 1, Bytes: 5}) // dropped
-	tr.Send(cluster.Message{From: 1, To: 0, Bytes: 5}) // dropped (from failed node)
-	if tr.Pending(1) != 0 || tr.Pending(0) != 0 {
-		t.Error("messages to/from failed node delivered")
-	}
-	tr.Recover(1)
-	if tr.Failed(1) {
-		t.Error("Recover did not clear failure")
-	}
-	tr.Send(cluster.Message{From: 0, To: 1, Bytes: 5})
-	if tr.Pending(1) != 1 {
-		t.Error("recovered node should receive")
 	}
 }
 

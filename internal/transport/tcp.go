@@ -64,7 +64,6 @@ type TCP struct {
 	assign    []int
 	live      []bool
 	inbox     [][]phasedMsg
-	failed    []bool
 	phase     uint64
 	sent      []uint32                  // per-destination-process Data frames this phase
 	seqTo     []uint64                  // per-destination-process Data sequence (this gen)
@@ -75,7 +74,7 @@ type TCP struct {
 	directive *Directive                // pending epoch directive (slot of one)
 	restore   *Restore                  // pending restore; wins over everything
 	readErr   error                     // terminal reader state; sticky
-	stalled   bool                      // fault injection: process frozen (StallAt)
+	stalled   bool                      // fault injection: process frozen (Stall)
 	lastRecv  time.Time                 // time of the last frame from the coordinator
 
 	mesh   bool
@@ -108,7 +107,7 @@ type recvSeq struct {
 }
 
 // phasedMsg tags an inbox entry with the phase it was sent in. A fast peer
-// may race ahead: once its EndPhase(k) returns (it has this process's
+// may race ahead: once its AwaitPhase(k) returns (it has this process's
 // marker k) it starts sending phase-k+1 data, which can arrive before this
 // process has drained phase k. Phase tags keep such early arrivals queued
 // until their own drain.
@@ -144,7 +143,6 @@ func NewTCP(fc *Conn, proc, procs, parts int, assign []int, gen int) *TCP {
 		assign:   append([]int(nil), assign...),
 		live:     live,
 		inbox:    make([][]phasedMsg, parts),
-		failed:   make([]bool, parts),
 		sent:     make([]uint32, procs),
 		seqTo:    make([]uint64, procs),
 		dedup:    newDedup(procs),
@@ -246,9 +244,9 @@ func (t *TCP) ingest(f *Frame) {
 
 // Stall freezes the transport's engine-facing surface, simulating a
 // SIGSTOPped or livelocked worker process without killing it: subsequent
-// Send/EndPhase/Control/Await* calls block until the connection dies, no
+// Send/FlushPhase/Control/Await* calls block until the connection dies, no
 // heartbeat Pongs are answered, and incoming frames are discarded. Unlike
-// SeverAt's closed socket, the coordinator gets no error to react to —
+// a closed socket, the coordinator gets no error to react to —
 // only its own liveness machinery can notice. The stall ends when the
 // coordinator closes the connection (force-drop), which unwinds every
 // blocked call with the read error so the daemon can accept a rejoin.
@@ -291,15 +289,11 @@ func (t *TCP) apply(f *Frame) {
 			if !t.dedup[f.Src].accept(f.Seq) {
 				return
 			}
-			// Count the unique arrival toward its phase's declared total —
-			// before the failed-partition filter below: the sender counted
-			// the frame when it put it on the wire, and barrier
-			// completeness tracks transport-level delivery, not whether
-			// the application kept the message.
+			// Count the unique arrival toward its phase's declared total.
 			t.recvdAdd(f.Phase, f.Src)
 		}
 		m := f.Msg
-		if m.To >= 0 && int(m.To) < len(t.inbox) && !t.failed[m.To] {
+		if m.To >= 0 && int(m.To) < len(t.inbox) {
 			t.inbox[m.To] = append(t.inbox[m.To], phasedMsg{phase: f.Phase, m: m})
 		}
 		t.cond.Broadcast()
@@ -407,13 +401,9 @@ func (t *TCP) Send(m cluster.Message) error {
 		t.mu.Unlock()
 		return err
 	}
-	if t.failed[m.From] || t.failed[m.To] {
-		t.mu.Unlock()
-		return nil
-	}
 	dst := t.assign[m.To]
 	local := dst == t.proc
-	// Sends happen inside the phase that the *next* EndPhase ends.
+	// Sends happen inside the phase that the *next* FlushPhase ends.
 	phase := t.phase + 1
 	gen := t.gen
 	// Collocation: traffic between partitions of the same process never
@@ -687,58 +677,8 @@ func (t *TCP) Drain(n cluster.NodeID) []cluster.Message {
 	return out
 }
 
-// Pending returns the number of queued messages for partition n that a
-// Drain right now would return — early arrivals for a not-yet-ended phase
-// are excluded, keeping Pending and Drain consistent.
-func (t *TCP) Pending(n cluster.NodeID) int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	count := 0
-	for _, pm := range t.inbox[n] {
-		if pm.phase <= t.phase {
-			count++
-		}
-	}
-	return count
-}
-
-// Fail marks a partition crashed in this process's local bookkeeping;
-// it only serves the Transport contract (multi-process failure handling
-// is the coordinator's job, not the injection API's).
-func (t *TCP) Fail(n cluster.NodeID) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.failed[n] = true
-	t.inbox[n] = nil
-}
-
-// Recover clears a partition's local failed mark.
-func (t *TCP) Recover(n cluster.NodeID) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.failed[n] = false
-}
-
-// Failed reports the local failed mark for partition n.
-func (t *TCP) Failed(n cluster.NodeID) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.failed[n]
-}
-
 // Metrics returns this process's traffic counters.
 func (t *TCP) Metrics() *cluster.Metrics { return t.metrics }
-
-// EndPhase sends this process's end-of-phase markers and blocks until the
-// phase is complete from every live peer: all markers in, all declared
-// Data frames in the local inboxes. It returns ErrRestore if the
-// coordinator orders a restore while waiting.
-func (t *TCP) EndPhase() error {
-	if err := t.FlushPhase(); err != nil {
-		return err
-	}
-	return t.AwaitPhase()
-}
 
 // FlushPhase advances the local phase counter and sends every live peer an
 // end-of-phase marker declaring this process's Data-frame count to it,
@@ -798,7 +738,8 @@ func (t *TCP) FlushPhase() error {
 // AwaitPhase blocks until the phase the preceding FlushPhase ended is
 // complete: every live peer's marker has arrived and its declared number
 // of unique Data frames is in the local inboxes — whichever mix of peer
-// links and coordinator relay delivered them.
+// links and coordinator relay delivered them. It returns ErrRestore if the
+// coordinator orders a restore while waiting.
 func (t *TCP) AwaitPhase() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()

@@ -112,13 +112,13 @@ func TestTCPRoutesAndMeters(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// EndPhase is a rendezvous: both processes must enter it.
+	// The phase barrier is a rendezvous: both processes must enter it.
 	var wg sync.WaitGroup
 	for _, tr := range trs {
 		wg.Add(1)
 		go func(tr *TCP) {
 			defer wg.Done()
-			if err := tr.EndPhase(); err != nil {
+			if err := endPhase(tr); err != nil {
 				t.Error(err)
 			}
 		}(tr)
@@ -171,12 +171,12 @@ func TestTCPRoutesAndMeters(t *testing.T) {
 
 // A worker failure must not leave its peers blocked at a phase barrier:
 // the control loop tears the run down (when it does not recover) and
-// EndPhase returns an error.
+// the barrier returns an error.
 func TestTCPErrorUnblocksPeers(t *testing.T) {
 	trs, conns, res := miniCluster(t, 2, 2)
 
 	done := make(chan error, 1)
-	go func() { done <- trs[1].EndPhase() }()
+	go func() { done <- endPhase(trs[1]) }()
 
 	if err := conns[0].Send(&Frame{Kind: FrameError, Src: 0, Gen: 1, Err: "engine exploded"}); err != nil {
 		t.Fatal(err)
@@ -186,7 +186,7 @@ func TestTCPErrorUnblocksPeers(t *testing.T) {
 		// The peer must unblock with *some* error once the control loop
 		// closes the connections.
 		if err == nil {
-			t.Fatal("EndPhase returned nil after worker failure")
+			t.Fatal("phase barrier returned nil after worker failure")
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("peer still blocked at phase barrier after worker failure")
@@ -207,7 +207,7 @@ func TestTCPSingleProc(t *testing.T) {
 	if err := trs[0].Send(cluster.Message{From: 0, To: 2, Bytes: 8}); err != nil {
 		t.Fatal(err)
 	}
-	if err := trs[0].EndPhase(); err != nil {
+	if err := endPhase(trs[0]); err != nil {
 		t.Fatal(err)
 	}
 	if msgs := trs[0].Drain(2); len(msgs) != 1 {
@@ -219,6 +219,35 @@ func TestTCPSingleProc(t *testing.T) {
 	conns[0].Send(&Frame{Kind: FrameFinal, Src: 0, Gen: 1, Final: &FinalReport{Proc: 0}})
 	if r := <-res; r.err != nil {
 		t.Fatal(r.err)
+	}
+}
+
+// A worker sends from the moment its handshake completes, which can be
+// before the coordinator has attached anyone. Nothing it sent may be lost:
+// AttachAll relays no frame until every destination slot is live.
+func TestHubAttachAllRelaysFramesSentBeforeAttach(t *testing.T) {
+	var workers, coord []*Conn
+	for i := 0; i < 2; i++ {
+		c, w := connPair(t)
+		workers, coord = append(workers, w), append(coord, c)
+	}
+	early := []*Frame{
+		{Kind: FrameData, Src: 0, Gen: 1, Phase: 1, Dst: 1, Seq: 1, Msg: cluster.Message{From: 0, To: 1, Tag: 7, Payload: []float64{1}}},
+		{Kind: FrameEndPhase, Src: 0, Gen: 1, Phase: 1, Dst: 1, Count: 1},
+	}
+	for _, f := range early {
+		if err := workers[0].Send(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hub := NewHub(2, 2, []int{0, 1})
+	defer hub.Close()
+	hub.AttachAll(coord)
+	for _, want := range early {
+		got := recvWithin(t, workers[1], 5*time.Second)
+		if got == nil || got.Kind != want.Kind || got.Src != 0 {
+			t.Fatalf("process 1 received %+v, want process 0's early %v frame", got, want.Kind)
+		}
 	}
 }
 
@@ -255,7 +284,7 @@ func TestTCPRestoreFencesGenerations(t *testing.T) {
 	// The worker blocks at a barrier that will never complete (its peer
 	// is dead); the coordinator orders a restore instead.
 	done := make(chan error, 1)
-	go func() { done <- tr.EndPhase() }()
+	go func() { done <- endPhase(tr) }()
 
 	// Early next-generation traffic from a peer that restored first: must
 	// buffer, then replay at Reset.
@@ -275,7 +304,7 @@ func TestTCPRestoreFencesGenerations(t *testing.T) {
 	select {
 	case err := <-done:
 		if !errors.Is(err, ErrRestore) {
-			t.Fatalf("EndPhase = %v, want ErrRestore", err)
+			t.Fatalf("phase barrier = %v, want ErrRestore", err)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("restore did not unblock the phase barrier")
@@ -291,7 +320,7 @@ func TestTCPRestoreFencesGenerations(t *testing.T) {
 	if err := coord.Send(&Frame{Kind: FrameEndPhase, Src: 0, Gen: 2, Phase: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.EndPhase(); err != nil {
+	if err := endPhase(tr); err != nil {
 		t.Fatal(err)
 	}
 	msgs := tr.Drain(1)

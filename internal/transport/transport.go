@@ -12,7 +12,9 @@
 //
 // The runtime is bulk-synchronous: a phase's sends all complete before any
 // receiver drains its inbox, so the interface exposes phase-oriented
-// Send / EndPhase / Drain rather than streaming channels.
+// Send / FlushPhase / AwaitPhase / Drain rather than streaming channels.
+// Delivery is all a transport does: which workers are alive is the
+// runtime's (in process) or the coordinator's (across processes) business.
 package transport
 
 import "github.com/bigreddata/brace/internal/cluster"
@@ -22,51 +24,19 @@ import "github.com/bigreddata/brace/internal/cluster"
 //
 // Send is safe for concurrent use by many sending nodes; Drain(n) must not
 // race with sends to n — the runtime's phase structure guarantees this:
-// every worker finishes its sends, then EndPhase is called once, then
-// workers drain. Implementations backed by real networks use EndPhase to
-// flush and to wait until all remote sends of the phase have arrived.
+// every worker finishes its sends, then FlushPhase and AwaitPhase are each
+// called once, then workers drain.
 type Transport interface {
 	// N returns the number of nodes.
 	N() int
-	// Send enqueues a message for the destination node. Sends to or from
-	// a failed node are dropped, mimicking a crashed worker.
+	// Send enqueues a message for the destination node.
 	Send(m cluster.Message) error
-	// Drain removes and returns all messages queued for node n, in
-	// arrival order. Arrival order is deliberately *not* part of the
-	// runtime's semantics (the state-effect pattern makes reducers
-	// order-independent); tests shuffle drained batches to enforce that.
+	// Drain removes and returns all messages queued for node n from the
+	// phases ended so far, in arrival order. Arrival order is deliberately
+	// *not* part of the runtime's semantics (the state-effect pattern makes
+	// reducers order-independent); tests shuffle drained batches to enforce
+	// that. It is complete only after AwaitPhase.
 	Drain(n cluster.NodeID) []cluster.Message
-	// Pending returns the number of queued messages for node n without
-	// removing them.
-	Pending(n cluster.NodeID) int
-	// Fail marks a node as crashed: its queued messages are discarded and
-	// all future traffic involving it is dropped until Recover.
-	Fail(n cluster.NodeID)
-	// Recover clears a node's failed status (after the master restores
-	// its state from a checkpoint).
-	Recover(n cluster.NodeID)
-	// Failed reports whether node n is currently marked crashed.
-	Failed(n cluster.NodeID) bool
-	// Metrics returns this process's traffic counters. For multi-process
-	// transports each process meters the messages it sends (so summing
-	// Totals across processes counts each delivery exactly once).
-	Metrics() *cluster.Metrics
-	// EndPhase is the send/drain boundary: called after all of a phase's
-	// sends complete and before any drain. Networked transports flush
-	// outgoing frames and block until every peer process has ended the
-	// same phase, which (with in-order delivery) guarantees complete
-	// inboxes; Mem is a no-op. EndPhase ≡ FlushPhase followed by
-	// AwaitPhase; it remains for callers without overlap.
-	EndPhase() error
-	// FlushPhase is the first half of EndPhase: it declares this
-	// process's sends for the phase complete (networked transports emit
-	// their end-of-phase marker) without waiting for peers. After
-	// FlushPhase, DrainSelf is valid; full Drain requires AwaitPhase.
-	FlushPhase() error
-	// AwaitPhase is the second half of EndPhase: it blocks until every
-	// live peer has flushed the same phase, guaranteeing complete
-	// inboxes. Exactly one AwaitPhase must follow each FlushPhase.
-	AwaitPhase() error
 	// DrainSelf removes and returns the messages node n sent to itself
 	// in the phase just flushed. Self-sends never cross a process
 	// boundary, so they are complete as soon as the local FlushPhase
@@ -75,6 +45,20 @@ type Transport interface {
 	// AwaitPhase (and after); messages it returns are not returned again
 	// by Drain.
 	DrainSelf(n cluster.NodeID) []cluster.Message
+	// FlushPhase is the first half of the send/drain boundary, called after
+	// all of a phase's sends complete: it declares this process's sends for
+	// the phase complete (networked transports emit their end-of-phase
+	// marker) without waiting for peers; Mem is a no-op.
+	FlushPhase() error
+	// AwaitPhase is the second half: it blocks until every live peer
+	// process has flushed the same phase and everything it sent has
+	// arrived, guaranteeing complete inboxes. Exactly one AwaitPhase must
+	// follow each FlushPhase.
+	AwaitPhase() error
+	// Metrics returns this process's traffic counters. For multi-process
+	// transports each process meters the messages it sends (so summing
+	// Totals across processes counts each delivery exactly once).
+	Metrics() *cluster.Metrics
 	// Close releases any resources (connections, goroutines).
 	Close() error
 }

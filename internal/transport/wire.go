@@ -45,9 +45,9 @@ const (
 	// CapIncrCkpt: the worker can ship differential checkpoint payloads
 	// against a coordinator-held base.
 	CapIncrCkpt = "incr-ckpt"
-	// CapOverlapAwait: the worker's transport splits EndPhase into
-	// FlushPhase/AwaitPhase so the engine can overlap interior compute
-	// with boundary exchange.
+	// CapOverlapAwait: the worker's transport splits the phase barrier
+	// into FlushPhase/AwaitPhase so the engine can overlap interior
+	// compute with boundary exchange.
 	CapOverlapAwait = "overlap-await"
 )
 
