@@ -93,36 +93,26 @@ const (
 	IndexKD IndexKind = iota
 	// IndexScan disables indexing (the "no indexing" baselines).
 	IndexScan
-	// IndexGrid uses a uniform bucket grid.
-	IndexGrid
 )
 
 func (k IndexKind) spatial() spatial.Kind {
-	switch k {
-	case IndexScan:
+	if k == IndexScan {
 		return spatial.KindScan
-	case IndexGrid:
-		return spatial.KindGrid
-	default:
-		return spatial.KindKDTree
 	}
+	return spatial.KindKDTree
 }
 
-// ParseIndex resolves an index name ("kd", "scan", "grid"; "" defaults to
-// kd) through the engine's single index vocabulary.
+// ParseIndex resolves an index name ("kd", "scan"; "" defaults to kd)
+// through the engine's single index vocabulary.
 func ParseIndex(name string) (IndexKind, error) {
 	k, err := spatial.ParseKind(name)
 	if err != nil {
 		return 0, err
 	}
-	switch k {
-	case spatial.KindScan:
+	if k == spatial.KindScan {
 		return IndexScan, nil
-	case spatial.KindGrid:
-		return IndexGrid, nil
-	default:
-		return IndexKD, nil
 	}
+	return IndexKD, nil
 }
 
 // Config tunes a Simulation.
@@ -150,12 +140,6 @@ type Config struct {
 	// Sequential uses the single-loop reference engine instead of the
 	// distributed runtime (Workers is then ignored).
 	Sequential bool
-	// CacheSkin tunes the Verlet query cache (KD-tree index with bounded
-	// visibility only): 0 selects the default skin, a negative value
-	// disables the cached query path, a positive value is the skin
-	// radius. The cache is semantics-preserving: results are
-	// bit-identical with it on or off.
-	CacheSkin float64
 }
 
 // Simulation is a running BRACE simulation over either engine.
@@ -170,7 +154,7 @@ func New(m Model, pop []*Agent, cfg Config) (*Simulation, error) {
 		cfg.Workers = 1
 	}
 	if cfg.Sequential {
-		seq, err := engine.NewSequentialCache(m, pop, cfg.Index.spatial(), cfg.Seed, cfg.CacheSkin)
+		seq, err := engine.NewSequential(m, pop, cfg.Index.spatial(), cfg.Seed)
 		if err != nil {
 			return nil, err
 		}
@@ -183,7 +167,6 @@ func New(m Model, pop []*Agent, cfg Config) (*Simulation, error) {
 		Tunables: cluster.Tunables{
 			EpochTicks:            cfg.EpochTicks,
 			CheckpointEveryEpochs: cfg.Checkpoint,
-			CacheSkin:             cfg.CacheSkin,
 		},
 		LoadBalance: cfg.LoadBalance,
 	}

@@ -49,7 +49,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	ticks := fs.Int("ticks", 100, "ticks to simulate")
 	workers := fs.Int("workers", 4, "worker nodes")
 	seed := fs.Uint64("seed", 42, "simulation seed")
-	index := fs.String("index", "kd", "spatial index: kd, scan, grid")
+	index := fs.String("index", "kd", "spatial index: kd, scan")
 	part := fs.String("part", "strips", "partitioning: strips (1-D quantile cuts, load-balanceable), kd2d (2-D median splits)")
 	lb := fs.Bool("lb", false, "enable load balancing")
 	ckptEpochs := fs.Int("ckpt-epochs", 0, "coordinated checkpoint every N epochs (0 = initial checkpoint only)")

@@ -45,6 +45,11 @@ func TestUnknownIndexFails(t *testing.T) {
 	if code, _, _ := runCLI(t, "-index", "btree", "-ticks", "1"); code == 0 {
 		t.Fatal("unknown index accepted")
 	}
+	// The error names the whole vocabulary, which has no grid index.
+	code, _, errOut := runCLI(t, "-index", "grid", "-ticks", "1")
+	if code == 0 || !strings.Contains(errOut, "(kd, scan)") {
+		t.Fatalf("-index grid: exit %d, stderr %q; want a failure listing kd, scan", code, errOut)
+	}
 }
 
 // Distributed-only flags used to be silently ignored without -distribute;

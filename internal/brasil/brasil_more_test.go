@@ -219,18 +219,16 @@ class F { public state float x : x; public state float y : y; #range[-5,5];
 	for _, cfg := range []struct {
 		name  string
 		index spatial.Kind
-		skin  float64
 	}{
-		{"scan", spatial.KindScan, 0},
-		{"kd-uncached", spatial.KindKDTree, -1},
-		{"kd-cached", spatial.KindKDTree, 0},
+		{"scan", spatial.KindScan},
+		{"kd-cached", spatial.KindKDTree},
 	} {
 		agents := make([]*agent.Agent, n)
 		for i := range agents {
 			agents[i] = agent.New(p.Schema(), agent.ID(i+1))
 			agents[i].State[0] = float64(i)
 		}
-		e, err := engine.NewSequentialCache(p, agents, cfg.index, 1, cfg.skin)
+		e, err := engine.NewSequential(p, agents, cfg.index, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/bigreddata/brace/internal/agent"
+	"github.com/bigreddata/brace/internal/cluster"
 	"github.com/bigreddata/brace/internal/engine"
 	"github.com/bigreddata/brace/internal/spatial"
 )
@@ -510,21 +511,36 @@ class F { public state float x : x; public state float y : y; #range[-50,50];
 		}
 		return pop
 	}
-	// Uncached engines: the visited-count assertion below measures the
-	// optimizer's probe-radius narrowing against the raw index, which the
-	// Verlet query cache deliberately blurs (its candidate lists are sized
-	// by the visibility bound, not the probe radius).
-	e1, _ := engine.NewSequentialCache(p1, mk(p1.Schema()), spatial.KindKDTree, 1, -1)
-	e2, _ := engine.NewSequentialCache(p2, mk(p2.Schema()), spatial.KindKDTree, 1, -1)
+	// The equality check runs against the KindScan reference; the
+	// visited-count assertion below measures the optimizer's probe-radius
+	// narrowing against the raw KD-tree, which the Verlet query cache
+	// deliberately blurs (its candidate lists are sized by the visibility
+	// bound, not the probe radius) — a CostModel is what keeps the engine
+	// on the uncached per-tick rebuild.
+	cm := cluster.DefaultCostModel()
+	rawKD := func(p *Program) *engine.Distributed {
+		e, err := engine.NewDistributed(p, mk(p.Schema()), engine.Options{
+			Workers: 1, Index: spatial.KindKDTree, Seed: 1, CostModel: &cm,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	e1, e2 := rawKD(p1), rawKD(p2)
+	ref, _ := engine.NewSequential(p2, mk(p2.Schema()), spatial.KindScan, 1)
+	if err := ref.RunTicks(5); err != nil {
+		t.Fatal(err)
+	}
 	if err := e1.RunTicks(5); err != nil {
 		t.Fatal(err)
 	}
 	if err := e2.RunTicks(5); err != nil {
 		t.Fatal(err)
 	}
-	a, b := e1.Agents(), e2.Agents()
+	a, b, r := e1.Agents(), e2.Agents(), ref.Agents()
 	for i := range a {
-		if !a[i].Equal(b[i]) {
+		if !a[i].Equal(b[i]) || !a[i].Equal(r[i]) {
 			t.Fatalf("index selection changed results at agent %d", a[i].ID)
 		}
 	}

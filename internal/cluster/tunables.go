@@ -31,12 +31,6 @@ type Tunables struct {
 	// previous checkpoint. 1 ships full state every time; 0 means the
 	// default (DefaultCheckpointFullEvery).
 	CheckpointFullEvery int
-	// CacheSkin tunes the Verlet query cache (KD-tree index with bounded
-	// visibility only): 0 auto-tunes per partition from observed per-tick
-	// displacement, a negative value disables the cached path, a positive
-	// value is the skin radius used verbatim. Semantics-preserving in all
-	// modes — see engine.Options for the full contract.
-	CacheSkin float64
 	// Heartbeat is the coordinator's liveness ping interval. 0 means the
 	// default (DefaultHeartbeat); negative disables heartbeats.
 	Heartbeat time.Duration

@@ -63,11 +63,11 @@ type Options struct {
 	// Ticks to simulate.
 	Ticks int
 	// Tunables carries the shared knob set — epoch cadence, checkpoint
-	// cadence and keyframe interval, cache skin, liveness timeouts,
-	// recovery bounds, and the mesh switch. See cluster.Tunables for the
-	// per-field contracts; zero values select the Default* constants.
+	// cadence and keyframe interval, liveness timeouts, recovery bounds,
+	// and the mesh switch. See cluster.Tunables for the per-field
+	// contracts; zero values select the Default* constants.
 	Tunables
-	// Index selects the spatial index: kd (default when empty), scan, grid.
+	// Index selects the spatial index: kd (default when empty) or scan.
 	Index string
 	// Sequential makes each worker process tick its partitions one at a
 	// time (debugging/determinism).
@@ -255,7 +255,6 @@ func initialPartition(part string, m engine.Model, pop []*agent.Agent, workers i
 func (o *Options) hello(proc, gen int, assign []int) *transport.Hello {
 	h := &transport.Hello{
 		Proto:       transport.ProtoVersion,
-		Caps:        o.caps(),
 		RunID:       o.RunID,
 		Proc:        proc,
 		NumProcs:    len(o.Addrs),
@@ -269,7 +268,6 @@ func (o *Options) hello(proc, gen int, assign []int) *transport.Hello {
 		Seed:        o.Seed,
 		Ticks:       o.Ticks,
 		EpochTicks:  o.EpochTicks,
-		CacheSkin:   o.CacheSkin,
 		Index:       o.Index,
 		Sequential:  o.Sequential,
 		Part:        o.Part,
@@ -281,18 +279,6 @@ func (o *Options) hello(proc, gen int, assign []int) *transport.Hello {
 		h.Peers = append([]string(nil), o.Addrs...)
 	}
 	return h
-}
-
-// caps is the capability set this coordinator requires of its workers.
-// Incremental checkpoints and the split FlushPhase/AwaitPhase barrier are
-// baseline in v5; the mesh capability is demanded only when the run
-// actually uses the peer-to-peer data plane.
-func (o *Options) caps() []string {
-	caps := []string{transport.CapIncrCkpt, transport.CapOverlapAwait}
-	if o.Mesh {
-		caps = append(caps, transport.CapMesh)
-	}
-	return caps
 }
 
 // initialState derives the run's tick-0 checkpoint on the coordinator: the
@@ -320,7 +306,7 @@ func initialState(o Options) (cuts []float64, parts []transport.PartState, err e
 		Workers:          o.Partitions,
 		Index:            kind,
 		Seed:             o.Seed,
-		Tunables:         Tunables{EpochTicks: o.EpochTicks, CacheSkin: o.CacheSkin},
+		Tunables:         Tunables{EpochTicks: o.EpochTicks},
 		InitialPartition: ipart,
 	})
 	if err != nil {

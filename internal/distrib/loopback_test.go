@@ -1,6 +1,7 @@
 package distrib
 
 import (
+	"errors"
 	"io"
 	"net"
 	"strings"
@@ -12,6 +13,7 @@ import (
 	"github.com/bigreddata/brace/internal/partition"
 	"github.com/bigreddata/brace/internal/scenario"
 	"github.com/bigreddata/brace/internal/spatial"
+	"github.com/bigreddata/brace/internal/transport"
 )
 
 // startWorkers launches n single-session worker daemons on loopback TCP
@@ -294,6 +296,28 @@ func TestHandshakeRejection(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("dialing a dead worker succeeded")
+	}
+
+	// Version skew: a v5 coordinator's Hello is refused with the typed
+	// error, and the daemon says so on the Ack instead of hanging up.
+	old := (&Options{Addrs: []string{"x"}, Scenario: "epidemic", Partitions: 1}).hello(0, 1, []int{0})
+	old.Proto = 5
+	var ve *transport.VersionError
+	if _, _, err := checkHello(old); !errors.As(err, &ve) || ve.Got != 5 || ve.Want != transport.ProtoVersion {
+		t.Fatalf("checkHello(v5) = %v, want *transport.VersionError{5, %d}", err, transport.ProtoVersion)
+	}
+	nc, err := net.Dial("tcp", startWorkers(t, 1)[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	fc := transport.NewConn(nc)
+	defer fc.Close()
+	if err := fc.Send(&transport.Frame{Kind: transport.FrameHello, Hello: old}); err != nil {
+		t.Fatal(err)
+	}
+	ack, err := fc.Recv()
+	if err != nil || ack.Kind != transport.FrameAck || !strings.Contains(ack.Err, "protocol version 5") {
+		t.Fatalf("v5 Hello answered with %+v, %v; want an Ack carrying the version error", ack, err)
 	}
 }
 

@@ -21,8 +21,6 @@ type RegisteredWorker struct {
 	// Addr is the address the daemon serves coordinator and peer sessions
 	// on — what a coordinator dials and what peer rosters carry.
 	Addr string
-	// Caps is the daemon's capability set from its announcement.
-	Caps []string
 	// Sessions and PeerLinks are the daemon's self-reported load, updated
 	// as long as its registration connection stays up.
 	Sessions  int
@@ -97,7 +95,6 @@ func (r *Registry) serve(conn net.Conn) {
 		r.workers[addr] = w
 		r.order = append(r.order, addr)
 	}
-	w.Caps = append([]string(nil), f.Reg.Caps...)
 	w.Sessions, w.PeerLinks = f.Reg.Sessions, f.Reg.PeerLinks
 	ev := *w
 	r.cond.Broadcast()

@@ -30,7 +30,7 @@ func registerFake(t *testing.T, reg *Registry, addr string, sessions int) *trans
 	fc := transport.NewConn(nc)
 	t.Cleanup(func() { fc.Close() })
 	err = fc.Send(&transport.Frame{Kind: transport.FrameRegister, Reg: &transport.Registration{
-		Addr: addr, Caps: transport.SupportedCaps(), Sessions: sessions,
+		Addr: addr, Sessions: sessions,
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -156,10 +156,6 @@ func TestRegistryDaemonAnnounces(t *testing.T) {
 	}
 	if addrs[0] != lis.Addr().String() {
 		t.Fatalf("announced %q, listening on %q", addrs[0], lis.Addr())
-	}
-	ws := reg.Workers()
-	if len(ws[0].Caps) == 0 {
-		t.Error("daemon announced no capabilities")
 	}
 
 	// Stopping the daemon closes its registration connection, which

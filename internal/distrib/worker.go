@@ -252,7 +252,6 @@ func announce(fc *transport.Conn, advertise string, ss *sessionSet, stop <-chan 
 		sessions, links := ss.load()
 		if err := fc.Send(&transport.Frame{Kind: transport.FrameRegister, Reg: &transport.Registration{
 			Addr:      advertise,
-			Caps:      transport.SupportedCaps(),
 			Sessions:  sessions,
 			PeerLinks: links,
 		}}); err != nil {
@@ -326,7 +325,7 @@ func serveConn(conn net.Conn, so ServeOptions) error {
 	if err != nil {
 		return reject(err)
 	}
-	if err := fc.Send(&transport.Frame{Kind: transport.FrameAck, Caps: transport.SupportedCaps()}); err != nil {
+	if err := fc.Send(&transport.Frame{Kind: transport.FrameAck}); err != nil {
 		return err
 	}
 	local := ownedParts(h.Assign, h.Proc)
@@ -371,7 +370,7 @@ func serveConn(conn net.Conn, so ServeOptions) error {
 		Workers:          h.Partitions,
 		Index:            kind,
 		Seed:             h.Seed,
-		Tunables:         Tunables{EpochTicks: h.EpochTicks, CacheSkin: h.CacheSkin},
+		Tunables:         Tunables{EpochTicks: h.EpochTicks},
 		Sequential:       h.Sequential,
 		Transport:        tr,
 		LocalParts:       local,
@@ -569,9 +568,6 @@ func checkHello(h *transport.Hello) (scenario.Spec, spatial.Kind, error) {
 	var none scenario.Spec
 	if h.Proto != transport.ProtoVersion {
 		return none, 0, &transport.VersionError{Got: h.Proto, Want: transport.ProtoVersion}
-	}
-	if missing := transport.MissingCaps(h.Caps, transport.SupportedCaps()); len(missing) > 0 {
-		return none, 0, &transport.CapabilityError{Missing: missing}
 	}
 	if h.NumProcs < 1 || h.Proc < 0 || h.Proc >= h.NumProcs {
 		return none, 0, fmt.Errorf("bad process index %d of %d", h.Proc, h.NumProcs)

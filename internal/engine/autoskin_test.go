@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/bigreddata/brace/internal/agent"
+	"github.com/bigreddata/brace/internal/cluster"
 	"github.com/bigreddata/brace/internal/spatial"
 )
 
@@ -23,19 +24,19 @@ func TestAutoSkinForClamps(t *testing.T) {
 	}
 }
 
-// The satellite's core guarantee: the skin — default-seeded auto-tune, an
-// explicit flag value, or no cache at all — is a pure performance knob.
-// Every mode must produce bit-identical populations, so operators who pin
-// -cache-skin explicitly keep bit-identity with auto-tuned runs.
+// The cached, auto-tuned query path is a pure performance choice the
+// engine derives: it must produce populations bit-identical to the two
+// uncached configurations that remain — the KD-tree under a CostModel and
+// the KindScan reference.
 func TestAutoSkinModesBitIdentical(t *testing.T) {
 	m := newFlockModel(8)
 	base := makePop(m.s, 150, 60, 21)
 	const ticks = 25 // crosses two epoch barriers and two retune points
 
-	run := func(cacheSkin float64) agent.Population {
+	run := func(index spatial.Kind, cm *cluster.CostModel) agent.Population {
 		t.Helper()
 		e, err := NewDistributed(m, clonePop(base), Options{
-			Workers: 4, Index: spatial.KindKDTree, Seed: 17, Tunables: Tunables{CacheSkin: cacheSkin},
+			Workers: 4, Index: index, Seed: 17, CostModel: cm,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -46,31 +47,33 @@ func TestAutoSkinModesBitIdentical(t *testing.T) {
 		return e.Agents()
 	}
 
-	auto := run(0)
-	popsExactlyEqual(t, "auto vs explicit", auto, run(2.5))
-	popsExactlyEqual(t, "auto vs uncached", auto, run(-1))
+	cm := cluster.DefaultCostModel()
+	auto := run(spatial.KindKDTree, nil)
+	popsExactlyEqual(t, "auto vs uncached kd", auto, run(spatial.KindKDTree, &cm))
+	popsExactlyEqual(t, "auto vs scan", auto, run(spatial.KindScan, nil))
 }
 
-// Auto mode engages only when the skin is left to the engine: an explicit
-// CacheSkin or a CostModel pins it.
+// The cache (and with it the auto-tuned skin) engages exactly when the
+// index is the KD-tree and no CostModel asks for per-tick-rebuild
+// accounting.
 func TestAutoSkinGating(t *testing.T) {
 	m := newFlockModel(8)
+	cm := cluster.DefaultCostModel()
 	for _, tc := range []struct {
 		name string
 		opts Options
 		want bool
 	}{
 		{"default", Options{Workers: 2, Index: spatial.KindKDTree, Seed: 3}, true},
-		{"explicit skin", Options{Workers: 2, Index: spatial.KindKDTree, Seed: 3, Tunables: Tunables{CacheSkin: 2}}, false},
-		{"cache off", Options{Workers: 2, Index: spatial.KindKDTree, Seed: 3, Tunables: Tunables{CacheSkin: -1}}, false},
-		{"non-kd index", Options{Workers: 2, Index: spatial.KindGrid, Seed: 3}, false},
+		{"non-kd index", Options{Workers: 2, Index: spatial.KindScan, Seed: 3}, false},
+		{"cost model", Options{Workers: 2, Index: spatial.KindKDTree, Seed: 3, CostModel: &cm}, false},
 	} {
 		e, err := NewDistributed(m, makePop(m.s, 40, 30, 4), tc.opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if e.autoSkin != tc.want {
-			t.Errorf("%s: autoSkin = %v, want %v", tc.name, e.autoSkin, tc.want)
+		if got := e.seedSkin > 0 && e.parts[0].cached != nil; got != tc.want {
+			t.Errorf("%s: cached auto-skin = %v, want %v", tc.name, got, tc.want)
 		}
 	}
 }
@@ -94,7 +97,7 @@ func TestAutoSkinRetunesWithinBand(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !e.autoSkin {
+	if e.seedSkin == 0 {
 		t.Fatal("auto mode should engage")
 	}
 	// 15 ticks: barrier at 10, warmup observations at 11-12, retune at 13.

@@ -27,10 +27,10 @@ type Options struct {
 	Seed uint64
 	// Tunables is the knob set shared with distrib.Options and the
 	// service run config. The engine reads EpochTicks (the master
-	// interaction interval, default 10), CheckpointEveryEpochs (0 = off;
-	// an initial rollback point is still kept) and CacheSkin (see below);
-	// the network timeouts and the mesh switch belong to the distributed
-	// layers and are ignored here.
+	// interaction interval, default 10) and CheckpointEveryEpochs (0 = off;
+	// an initial rollback point is still kept); the network timeouts and
+	// the mesh switch belong to the distributed layers and are ignored
+	// here.
 	cluster.Tunables
 	// LoadBalance enables the one-dimensional load balancer at epoch
 	// boundaries.
@@ -61,29 +61,11 @@ type Options struct {
 	// Distributed workers use it for the coordinator round-trip (ship
 	// stats, await the directive); a returned error aborts RunTicks.
 	EpochBarrier func(tick uint64) error
-	// Tunables.CacheSkin tunes the Verlet query cache (KD-tree index with
-	// bounded visibility only): 0 selects spatial.DefaultSkin as the seed
-	// and auto-tunes per partition from observed per-tick displacement
-	// (each epoch re-seeds, observes a warmup window, then retunes — a
-	// pure function of forward execution from the last barrier, so
-	// recovered and load-balanced runs still do identical index work); a
-	// negative value disables the cached path; a positive value is the
-	// skin radius s, used verbatim with no auto-tuning.
-	// The cache is semantics-preserving — reuse requires an unchanged
-	// keyed copy set with every agent within s/2 of its build position,
-	// and every epoch barrier (plus restores and rebalances) invalidates
-	// it, so recovered and load-balanced runs stay bit-identical.
-
 	// InitialPartition overrides the automatic quantile strip
 	// partitioning with any partitioning function (e.g. partition.KD2D
 	// for 2-D median splits). Load balancing applies only when the
 	// function is a *partition.Strips.
 	InitialPartition partition.Func
-	// NoOverlap disables the overlapped two-pass tick (see overlap.go)
-	// even when its preconditions hold. The overlap changes scheduling,
-	// never results; this switch exists for the ablation experiment and
-	// for debugging.
-	NoOverlap bool
 }
 
 // EpochStat records one epoch for the Fig. 8 style series.
@@ -127,14 +109,17 @@ type Distributed struct {
 	obufs        []overlapBufs
 	noSplitTick  uint64
 	prebuiltTick uint64
-	overlapNanos int64
 
-	// Skin auto-tuning (CacheSkin == 0): every invalidation re-seeds the
-	// skin to seedSkin, and skinWarmupTicks into each epoch the per-tick
+	// Verlet query cache (KD-tree index with bounded visibility, no cost
+	// model; seedSkin is 0 when it is off). Reuse requires an unchanged
+	// keyed copy set with every agent within skin/2 of its build position,
+	// so it never changes results. The skin auto-tunes per partition: every
+	// invalidation (epoch barrier, restore, rebalance) re-seeds it to
+	// seedSkin, and skinWarmupTicks into each epoch the per-tick
 	// displacement observed so far picks the partition's skin for the rest
 	// of the epoch. Epoch-self-contained by construction, so runs reaching
-	// a barrier state through different histories retune identically.
-	autoSkin bool
+	// a barrier state through different histories retune identically and
+	// do identical index work.
 	seedSkin float64
 	// tunedSkin[w] is the last skin maybeRetune installed for partition w
 	// (0 until the first retune). Epoch barriers re-seed the live skin, so
@@ -189,22 +174,12 @@ func NewDistributed(m Model, pop []*agent.Agent, opts Options) (*Distributed, er
 		noSplitTick:  neverTick,
 		prebuiltTick: neverTick,
 	}
-	skin := resolveSkin(s, opts.Index, opts.CacheSkin)
-	if opts.CostModel != nil {
-		// Virtual-time accounting charges candidates-visited through a
-		// cost model calibrated for the per-tick rebuild dataflow; the
-		// cached path changes what a "visit" physically costs (sequential
-		// list scan vs tree walk), so scale-up experiments keep the
-		// paper-faithful uncached accounting.
-		skin = 0
-	}
-	e.autoSkin = skin > 0 && opts.CacheSkin == 0 && opts.CostModel == nil
-	e.seedSkin = skin
+	e.seedSkin = resolveSkin(s, opts.Index, opts.CostModel != nil)
 	e.tunedSkin = make([]float64, opts.Workers)
 	for i := range e.parts {
-		e.parts[i] = e.newPart(opts.Index, skin)
-		if skin > 0 {
-			e.parts[i].cached.SetStepTracking(e.autoSkin)
+		e.parts[i] = e.newPart(opts.Index, e.seedSkin)
+		if e.seedSkin > 0 {
+			e.parts[i].cached.SetStepTracking(true)
 		}
 	}
 
@@ -235,10 +210,11 @@ func NewDistributed(m Model, pop []*agent.Agent, opts Options) (*Distributed, er
 	// bounded visibility, positive skin — never under a cost model), local
 	// effects, and a rectilinear partitioning whose Locate agrees with
 	// rectangle membership, so reduce1Early's per-rectangle distance checks
-	// against Region bounds are sound (Strips and KD2D qualify; Grid's
-	// edge clamping does not). The decision is a pure function of the
-	// options, so every process of a distributed run takes the same branch.
-	if !opts.NoOverlap && !e.nonLocal && overlapPartitioning(e.part) && e.parts[0].cached != nil {
+	// against Region bounds are sound (Strips and KD2D qualify). The
+	// decision is a pure function of the model, index kind, partitioning
+	// and cost model, so every process of a distributed run takes the same
+	// branch.
+	if !e.nonLocal && overlapPartitioning(e.part) && e.parts[0].cached != nil {
 		e.overlap = true
 		e.obufs = make([]overlapBufs, opts.Workers)
 	}
@@ -341,9 +317,7 @@ func NewDistributed(m Model, pop []*agent.Agent, opts Options) (*Distributed, er
 // a face of Region(w), so "self more than vis from every face" proves no
 // foreign agent is visible. Strips and KD2D qualify — their Locate
 // compares coordinates against the exact cut values Region returns, so
-// the bound is exact. Grid recomputes cell faces from the bounds with
-// fresh floating-point arithmetic, which can disagree with Locate's
-// truncation by an ulp; it stays on the single-pass path.
+// the bound is exact. Any other Func stays on the single-pass path.
 func overlapPartitioning(p partition.Func) bool {
 	switch p.(type) {
 	case *partition.Strips, *partition.KD2D:
@@ -503,14 +477,8 @@ func (e *Distributed) prepare(w int, envs []*Envelope) (owned []*Envelope, owned
 // load balancer's cost model.
 func (e *Distributed) invalidateCaches() {
 	for _, p := range e.parts {
-		c := p.cached
-		if c == nil {
-			continue
-		}
-		if e.autoSkin {
-			c.SetSkin(e.seedSkin) // re-seed; SetSkin invalidates
-		} else {
-			c.Invalidate()
+		if p.cached != nil {
+			p.cached.SetSkin(e.seedSkin) // re-seed; SetSkin invalidates
 		}
 	}
 }
@@ -529,10 +497,10 @@ const skinWarmupTicks = 3
 // rebalancing) or on whether the overlapped tick is active (its duplicate
 // zero-displacement prebuilds never raise the observed max).
 func (e *Distributed) maybeRetune(w int, tick uint64) {
-	if !e.autoSkin || tick != e.lastEpochT+skinWarmupTicks {
+	c := e.parts[w].cached
+	if c == nil || tick != e.lastEpochT+skinWarmupTicks {
 		return
 	}
-	c := e.parts[w].cached
 	samples, step := c.StepStats()
 	if samples == 0 {
 		return // population churned every warmup tick; keep the seed

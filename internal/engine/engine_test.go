@@ -225,7 +225,7 @@ func TestIndexKindsAgreeExactly(t *testing.T) {
 	m := newFlockModel(8)
 	base := makePop(m.s, 100, 50, 2)
 	var ref agent.Population
-	for i, kind := range []spatial.Kind{spatial.KindScan, spatial.KindKDTree, spatial.KindGrid} {
+	for i, kind := range []spatial.Kind{spatial.KindScan, spatial.KindKDTree} {
 		e, err := NewDistributed(m, clonePop(base), Options{
 			Workers: 3, Index: kind, Seed: 7,
 		})
@@ -455,7 +455,7 @@ func TestKD2DPartitioningAgreesExactly(t *testing.T) {
 // (RangeCircle and ReplicaTargets both use ≤).
 func TestVisibilityBoundaryInclusive(t *testing.T) {
 	m := newFlockModel(5)
-	for _, kind := range []spatial.Kind{spatial.KindScan, spatial.KindKDTree, spatial.KindGrid} {
+	for _, kind := range []spatial.Kind{spatial.KindScan, spatial.KindKDTree} {
 		a := agent.New(m.s, 1)
 		a.SetPos(m.s, geom.V(0, 0))
 		b := agent.New(m.s, 2)

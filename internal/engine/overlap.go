@@ -23,8 +23,6 @@ package engine
 
 import (
 	"sort"
-	"sync/atomic"
-	"time"
 
 	"github.com/bigreddata/brace/internal/mapreduce"
 )
@@ -55,10 +53,6 @@ type overlapBufs struct {
 // disc lies strictly inside the partition's strip: those can never see a
 // peer-sent copy, so their query phases are exact without the halo.
 func (e *Distributed) reduce1Early(ctx *mapreduce.Ctx, self []*Envelope) {
-	start := time.Now() //bracevet:allow wallclock metrics-only: feeds the overlapNanos hidden-compute gauge
-	defer func() {
-		atomic.AddInt64(&e.overlapNanos, int64(time.Since(start))) //bracevet:allow wallclock metrics-only: overlapNanos gauge
-	}()
 	w := ctx.Worker
 	e.maybeRetune(w, ctx.Tick)
 	ob := &e.obufs[w]
@@ -200,11 +194,3 @@ func (e *Distributed) StartBarrierPrebuild(tick uint64) (join func()) {
 // Overlapped reports whether the two-pass (interior/boundary) tick is
 // active.
 func (e *Distributed) Overlapped() bool { return e.overlap }
-
-// OverlapSeconds returns the wall time spent in early (interior) passes —
-// compute the overlapped tick hides behind envelope exchange. Summed
-// across partitions, so with concurrent workers it can exceed elapsed
-// wall time.
-func (e *Distributed) OverlapSeconds() float64 {
-	return time.Duration(atomic.LoadInt64(&e.overlapNanos)).Seconds()
-}

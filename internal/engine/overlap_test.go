@@ -9,13 +9,23 @@ import (
 	"github.com/bigreddata/brace/internal/spatial"
 )
 
-// The overlapped two-pass tick changes scheduling, never results: with the
-// split disabled via NoOverlap the run must be bit-identical at every
-// worker count, including under load balancing where live cut changes
-// force no-split ticks.
+// The overlapped two-pass tick changes scheduling, never results: the
+// KindScan run of the same options fails the gate (no cached index), so it
+// takes the single-pass tick, and both must be bit-identical to each other
+// and to the sequential engine at every worker count, including under load
+// balancing where live cut changes force no-split ticks.
 func TestOverlapAblationBitIdentical(t *testing.T) {
 	m := newFlockModel(8)
 	base := makePop(m.s, 140, 60, 9)
+
+	seq, err := NewSequential(m, clonePop(base), spatial.KindKDTree, 17)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := seq.RunTicks(testTicks); err != nil {
+		t.Fatal(err)
+	}
+
 	for _, tc := range []struct {
 		name string
 		opts Options
@@ -30,7 +40,7 @@ func TestOverlapAblationBitIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			offOpts := tc.opts
-			offOpts.NoOverlap = true
+			offOpts.Index = spatial.KindScan
 			off, err := NewDistributed(m, clonePop(base), offOpts)
 			if err != nil {
 				t.Fatal(err)
@@ -39,7 +49,7 @@ func TestOverlapAblationBitIdentical(t *testing.T) {
 				t.Fatalf("%s/%dw: overlap off despite KD strips local-effect config", tc.name, workers)
 			}
 			if off.Overlapped() {
-				t.Fatalf("%s/%dw: NoOverlap ignored", tc.name, workers)
+				t.Fatalf("%s/%dw: overlap on without a cached index", tc.name, workers)
 			}
 			if err := on.RunTicks(testTicks); err != nil {
 				t.Fatal(err)
@@ -47,7 +57,8 @@ func TestOverlapAblationBitIdentical(t *testing.T) {
 			if err := off.RunTicks(testTicks); err != nil {
 				t.Fatal(err)
 			}
-			popsExactlyEqual(t, tc.name+" overlap on vs off", off.Agents(), on.Agents())
+			popsExactlyEqual(t, tc.name+" overlapped vs single-pass", off.Agents(), on.Agents())
+			popsExactlyEqual(t, tc.name+" overlapped vs sequential", seq.Agents(), on.Agents())
 		}
 	}
 }
@@ -91,16 +102,19 @@ func TestOverlapKD2DBitIdentical(t *testing.T) {
 		}
 
 		offOpts := opts
-		offOpts.NoOverlap = true
+		offOpts.Index = spatial.KindScan
 		off, err := NewDistributed(m, clonePop(base), offOpts)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if off.Overlapped() {
+			t.Fatalf("%dw: overlap on without a cached index", workers)
 		}
 		if err := off.RunTicks(testTicks); err != nil {
 			t.Fatal(err)
 		}
 
-		popsExactlyEqual(t, "kd2d overlap on vs off", off.Agents(), on.Agents())
+		popsExactlyEqual(t, "kd2d overlapped vs single-pass", off.Agents(), on.Agents())
 		popsExactlyEqual(t, "kd2d overlap vs sequential", seq.Agents(), on.Agents())
 	}
 }

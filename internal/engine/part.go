@@ -101,22 +101,23 @@ func (c *core) newPart(index spatial.Kind, skin float64) *part {
 		p.cached = spatial.NewCached(cacheProbeRadius(c.schema), skin)
 		p.ix = p.cached
 	} else {
-		p.ix = spatial.New(index, indexCell(c.schema))
+		p.ix = spatial.New(index)
 	}
 	return p
 }
 
-// resolveSkin applies the engine-wide cache policy: the cached query path
-// requires the KD-tree index and a bounded visibility; cacheSkin < 0
-// disables it, 0 selects the default skin.
-func resolveSkin(s *agent.Schema, index spatial.Kind, cacheSkin float64) float64 {
-	if index != spatial.KindKDTree || s.Visibility <= 0 || cacheSkin < 0 {
+// resolveSkin is the engine-wide cache policy: the cached query path
+// requires the KD-tree index and a bounded visibility, and starts from the
+// default skin; 0 means uncached. A cost model also means uncached:
+// virtual-time accounting charges candidates-visited through a model
+// calibrated for the per-tick rebuild dataflow, and the cached path changes
+// what a "visit" physically costs (sequential list scan vs tree walk), so
+// scale-up experiments keep the paper-faithful accounting.
+func resolveSkin(s *agent.Schema, index spatial.Kind, costModel bool) float64 {
+	if index != spatial.KindKDTree || s.Visibility <= 0 || costModel {
 		return 0
 	}
-	if cacheSkin == 0 {
-		return spatial.DefaultSkin(cacheProbeRadius(s), s.Reach)
-	}
-	return cacheSkin
+	return spatial.DefaultSkin(cacheProbeRadius(s), s.Reach)
 }
 
 // cacheProbeRadius is the radius the query cache's candidate lists cover:
@@ -127,14 +128,6 @@ func cacheProbeRadius(s *agent.Schema) float64 {
 		return s.ProbeRadius
 	}
 	return s.Visibility
-}
-
-// indexCell picks a grid-index cell size near the visibility bound.
-func indexCell(s *agent.Schema) float64 {
-	if s.Visibility > 0 {
-		return s.Visibility
-	}
-	return 1
 }
 
 // probeGrain is the minimum number of query phases per worker-pool chunk;

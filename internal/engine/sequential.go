@@ -23,7 +23,7 @@ import (
 // floating-point reassociation; tests compare those with a tolerance.
 //
 // With the KD-tree index and a bounded visibility, the engine runs the
-// cached query path by default: Verlet candidate lists are reused across
+// cached query path: Verlet candidate lists are reused across
 // ticks while no agent has moved more than skin/2, and batched probes fan
 // out across the spatial worker pool for local-effect models. Both are
 // semantics-preserving — state is bit-identical to the uncached,
@@ -35,25 +35,17 @@ type Sequential struct {
 	world  *part            // the one copy set: every agent, no replicas
 }
 
-// NewSequential builds a sequential engine over the given population with
-// the default query-cache policy (see NewSequentialCache).
+// NewSequential builds a sequential engine over the given population. The
+// query cache engages for the KD-tree index with a bounded visibility (see
+// resolveSkin); KindScan is the uncached reference configuration.
 func NewSequential(m Model, pop []*agent.Agent, index spatial.Kind, seed uint64) (*Sequential, error) {
-	return NewSequentialCache(m, pop, index, seed, 0)
-}
-
-// NewSequentialCache builds a sequential engine with an explicit query
-// cache skin: 0 selects spatial.DefaultSkin, a negative value disables the
-// cached path (the reference configuration), and a positive value is used
-// as-is. The cache only ever engages for the KD-tree index with a bounded
-// visibility.
-func NewSequentialCache(m Model, pop []*agent.Agent, index spatial.Kind, seed uint64, cacheSkin float64) (*Sequential, error) {
 	c, err := newCore(m, seed)
 	if err != nil {
 		return nil, err
 	}
 	e := &Sequential{core: c, agents: append(agent.Population(nil), pop...)}
 	sort.Sort(e.agents)
-	e.world = e.newPart(index, resolveSkin(e.schema, index, cacheSkin))
+	e.world = e.newPart(index, resolveSkin(e.schema, index, false))
 	return e, nil
 }
 

@@ -1,7 +1,7 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§5): Table 2 and Figures 3–8. Each runner returns a Result
-// with the same rows/series the paper reports; cmd/experiments prints them
-// and bench_test.go wraps each in a testing.B benchmark.
+// with the same rows/series the paper reports; cmd/experiments prints
+// them. (Timing the engine itself is bench/'s job, see BENCHMARK.json.)
 //
 // Substitution note (see DESIGN.md §4): the paper's cluster experiments
 // (Figs. 5–8) ran on 60 physical nodes; here worker nodes are simulated
@@ -106,18 +106,27 @@ type Runner struct {
 // Runners returns every registered experiment in presentation order.
 func Runners() []Runner {
 	return []Runner{
+		// Table 2 (§5.1): the engine reproduces MITSIM's lane statistics.
 		{"table2", []string{"t2"}, "traffic validation RMSPE vs MITSIM", Table2},
+		// Fig. 3 (§5.2): KD-tree vs no index as the traffic segment grows.
 		{"fig3", []string{"figure3"}, "traffic: indexing vs segment length", Fig3},
+		// Fig. 4 (§5.2): KD-tree vs no index as fish visibility grows.
 		{"fig4", []string{"figure4"}, "fish: indexing vs visibility", Fig4},
+		// Fig. 5 (§5.2): non-local predator script vs its inverted form.
 		{"fig5", []string{"figure5"}, "predator: effect inversion", Fig5},
+		// Fig. 6 (§5.3): traffic throughput vs worker count (virtual time).
 		{"fig6", []string{"figure6"}, "traffic scale-up", Fig6},
+		// Fig. 7 (§5.3): fish throughput vs worker count, load balancer on/off.
 		{"fig7", []string{"figure7"}, "fish scale-up, LB on/off", Fig7},
+		// Fig. 8 (§5.3): fish per-epoch time as the school drifts, LB on/off.
 		{"fig8", []string{"figure8"}, "fish epoch time, LB on/off", Fig8},
+		// Kept: the only measurement of §3.3's task collocation (local vs network bytes).
 		{"collocation", []string{"a1"}, "ablation: collocated vs shipped update phase", AblationCollocation},
+		// Kept: the only run of §3.3's checkpoint-interval trade-off (Daly [13]) under failures.
 		{"checkpoint", []string{"a2"}, "ablation: checkpoint interval cost", AblationCheckpointInterval},
+		// Kept: shows §4.2's inversion as a compiler pass; Fig. 5's two scripts are hand-written.
 		{"inversion", []string{"a3"}, "ablation: compiler inversion pass", AblationInversionPass},
-		{"qcache", []string{"a4", "cache"}, "ablation: Verlet query cache off vs on, with build/reuse split", AblationQueryCache},
-		{"overlap", []string{"a5"}, "ablation: overlapped two-pass tick off vs on, bit-identity checked", AblationOverlap},
+		// Kept: per-scenario throughput vs workers for every registered workload, not only the paper's three.
 		{"scenarios", []string{"sweep"}, "every registered scenario: throughput vs workers", ScenarioSweep},
 	}
 }

@@ -550,15 +550,3 @@ func TestNewValidation(t *testing.T) {
 	bad.Map = nil
 	mustPanic("nil map", func() { New(bad, Config{Workers: 1}) })
 }
-
-func BenchmarkRingTick16x1000(b *testing.B) {
-	const workers, items = 16, 1000
-	r := New(ringJob(workers), Config{Workers: workers})
-	loadItems(r, items, workers)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := r.RunTicks(1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

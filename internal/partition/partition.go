@@ -164,70 +164,3 @@ func InitialStrips(xs []float64, n int) *Strips {
 	}
 	return &Strips{cuts: cuts}
 }
-
-// Grid is a uniform nx × ny rectilinear grid over a bounding rectangle,
-// the paper's "simple rectilinear grid partitioning scheme". Locations
-// outside the bounds clamp to the nearest cell, so ownership is total.
-type Grid struct {
-	bounds geom.Rect
-	nx, ny int
-}
-
-// NewGrid builds an nx × ny grid over bounds.
-func NewGrid(bounds geom.Rect, nx, ny int) *Grid {
-	if nx < 1 || ny < 1 {
-		panic("partition: grid needs at least one cell per axis")
-	}
-	if bounds.Empty() || bounds.W() <= 0 || bounds.H() <= 0 {
-		panic("partition: grid needs a non-degenerate bounding rectangle")
-	}
-	return &Grid{bounds: bounds, nx: nx, ny: ny}
-}
-
-// N implements Func.
-func (g *Grid) N() int { return g.nx * g.ny }
-
-// Locate implements Func.
-func (g *Grid) Locate(p geom.Vec) int {
-	cx := int(float64(g.nx) * (p.X - g.bounds.Min.X) / g.bounds.W())
-	cy := int(float64(g.ny) * (p.Y - g.bounds.Min.Y) / g.bounds.H())
-	if cx < 0 {
-		cx = 0
-	}
-	if cx >= g.nx {
-		cx = g.nx - 1
-	}
-	if cy < 0 {
-		cy = 0
-	}
-	if cy >= g.ny {
-		cy = g.ny - 1
-	}
-	return cy*g.nx + cx
-}
-
-// Region implements Func. Edge cells extend to infinity on their outer
-// sides so that Region is consistent with Locate's clamping.
-func (g *Grid) Region(i int) geom.Rect {
-	cx, cy := i%g.nx, i/g.nx
-	w, h := g.bounds.W()/float64(g.nx), g.bounds.H()/float64(g.ny)
-	r := geom.Rect{
-		Min: geom.Vec{X: g.bounds.Min.X + float64(cx)*w, Y: g.bounds.Min.Y + float64(cy)*h},
-		Max: geom.Vec{X: g.bounds.Min.X + float64(cx+1)*w, Y: g.bounds.Min.Y + float64(cy+1)*h},
-	}
-	if cx == 0 {
-		r.Min.X = math.Inf(-1)
-	}
-	if cx == g.nx-1 {
-		r.Max.X = math.Inf(1)
-	}
-	if cy == 0 {
-		r.Min.Y = math.Inf(-1)
-	}
-	if cy == g.ny-1 {
-		r.Max.Y = math.Inf(1)
-	}
-	return r
-}
-
-var _ Func = (*Grid)(nil)

@@ -1,7 +1,6 @@
 package partition
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
@@ -92,40 +91,6 @@ func TestStripsPanics(t *testing.T) {
 	}
 	mustPanic("zero strips", func() { NewStrips(0, 0, 1) })
 	mustPanic("empty domain", func() { NewStrips(2, 5, 5) })
-}
-
-func TestGridLocateRegion(t *testing.T) {
-	g := NewGrid(geom.R(0, 0, 100, 100), 4, 2)
-	if g.N() != 8 {
-		t.Fatalf("N = %d", g.N())
-	}
-	rng := rand.New(rand.NewSource(2))
-	for i := 0; i < 2000; i++ {
-		p := geom.V(rng.Float64()*140-20, rng.Float64()*140-20)
-		owner := g.Locate(p)
-		if owner < 0 || owner >= g.N() {
-			t.Fatalf("Locate out of range: %d", owner)
-		}
-		if !g.Region(owner).Contains(p) {
-			t.Fatalf("region %v does not contain %v (owner %d)", g.Region(owner), p, owner)
-		}
-	}
-	// Interior cell has finite bounds; corner cells extend to infinity.
-	if r := g.Region(g.Locate(geom.V(30, 30))); math.IsInf(r.Min.X, -1) {
-		t.Errorf("interior cell region unbounded: %v", r)
-	}
-	if r := g.Region(0); !math.IsInf(r.Min.X, -1) || !math.IsInf(r.Min.Y, -1) {
-		t.Errorf("corner cell should extend to -inf: %v", r)
-	}
-}
-
-func TestGridPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("degenerate grid accepted")
-		}
-	}()
-	NewGrid(geom.R(0, 0, 0, 10), 2, 2)
 }
 
 func TestReplicaTargets(t *testing.T) {

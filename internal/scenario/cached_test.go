@@ -8,13 +8,14 @@ import (
 )
 
 // TestCachedQueryEquivalence asserts the Verlet query cache is
-// semantics-preserving for every registered scenario: the cached engines
-// (the default) compute bit-identical state to explicitly uncached ones,
-// on the sequential engine and on the distributed engine at 1, 2 and 8
-// workers. Sequential comparisons are exact even for non-local scenarios
-// (one process, one fold order); distributed comparisons pin cached vs
-// uncached at the *same* worker count, where the fold grouping is
-// identical, so they are exact for every scenario too.
+// semantics-preserving for every registered scenario: the cached KD-tree
+// engines (the default) compute bit-identical state to the KindScan
+// reference, which never caches, on the sequential engine and on the
+// distributed engine at 1, 2 and 8 workers. Sequential comparisons are
+// exact even for non-local scenarios (one process, one fold order);
+// distributed comparisons pin cached vs scan at the *same* worker count,
+// where the fold grouping is identical, so they are exact for every
+// scenario too.
 func TestCachedQueryEquivalence(t *testing.T) {
 	const ticks = 12
 	for _, sp := range All() {
@@ -26,11 +27,11 @@ func TestCachedQueryEquivalence(t *testing.T) {
 					t.Fatal(err)
 				}
 
-				plain, err := engine.NewSequentialCache(m, clonePop(base), spatial.KindKDTree, seed, -1)
+				plain, err := engine.NewSequential(m, clonePop(base), spatial.KindScan, seed)
 				if err != nil {
 					t.Fatal(err)
 				}
-				cached, err := engine.NewSequentialCache(m, clonePop(base), spatial.KindKDTree, seed, 0)
+				cached, err := engine.NewSequential(m, clonePop(base), spatial.KindKDTree, seed)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -44,7 +45,7 @@ func TestCachedQueryEquivalence(t *testing.T) {
 
 				for _, workers := range []int{1, 2, 8} {
 					dPlain, err := engine.NewDistributed(m, clonePop(base), engine.Options{
-						Workers: workers, Index: spatial.KindKDTree, Seed: seed, Tunables: engine.Tunables{CacheSkin: -1},
+						Workers: workers, Index: spatial.KindScan, Seed: seed,
 					})
 					if err != nil {
 						t.Fatal(err)
@@ -71,7 +72,7 @@ func TestCachedQueryEquivalence(t *testing.T) {
 // TestCachedEquivalenceUnderLoadBalance pins the epoch-barrier
 // invalidation contract where it matters most: with the load balancer on,
 // the balancer's inputs (candidates-visited counters) differ between
-// cached and uncached runs, so partitionings may diverge — but for
+// cached KD and scan runs, so partitionings may diverge — but for
 // local-effect scenarios state must not, because partitioning never
 // changes results. Runs long enough to cross several epoch boundaries and
 // rebalances.
@@ -87,10 +88,10 @@ func TestCachedEquivalenceUnderLoadBalance(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			run := func(skin float64) *engine.Distributed {
+			run := func(index spatial.Kind) *engine.Distributed {
 				e, err := engine.NewDistributed(m, clonePop(base), engine.Options{
-					Workers: 4, Index: spatial.KindKDTree, Seed: 11,
-					LoadBalance: true, Tunables: engine.Tunables{EpochTicks: 5, CacheSkin: skin},
+					Workers: 4, Index: index, Seed: 11,
+					LoadBalance: true, Tunables: engine.Tunables{EpochTicks: 5},
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -100,8 +101,8 @@ func TestCachedEquivalenceUnderLoadBalance(t *testing.T) {
 				}
 				return e
 			}
-			plain := run(-1)
-			cached := run(0)
+			plain := run(spatial.KindScan)
+			cached := run(spatial.KindKDTree)
 			assertExact(t, sp.Name+"/lb-cached", 11, 4, plain.Agents(), cached.Agents())
 		})
 	}

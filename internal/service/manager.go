@@ -4,7 +4,7 @@
 // One submitted run = one distrib coordinator, embedded as a library and
 // wired to the slice of the fleet the scheduler reserved for it. Isolation
 // falls out of the architecture: each run has its own coordinator
-// goroutine, its own hub, its own TCP sessions (wire v4 scopes a session
+// goroutine, its own hub, its own TCP sessions (Hello.RunID scopes a session
 // to a run), and its own recovery machinery — a tenant's failure,
 // stall-drop or cancellation never crosses into another run. The only
 // shared failure domain is a worker *process*; when one dies, every run
@@ -216,6 +216,15 @@ func NewManager(cfg Config) (*Manager, error) {
 // construction, registry-fed fleets grow it as workers announce themselves.
 func (m *Manager) fleetSize() int { return m.fleet.size() }
 
+// Size limits on a submitted run. The coordinator allocates engine state
+// per partition and every worker process seeds the full population, all
+// inside daemons shared with other runs, so a spec is refused before
+// anything is sized from it.
+const (
+	maxRunPartitions = 1024
+	maxRunAgents     = 1 << 22
+)
+
 // normalize validates a spec and fills defaults. Validation failures are
 // client errors (HTTP 400).
 func (m *Manager) normalize(spec RunSpec) (RunSpec, error) {
@@ -224,6 +233,12 @@ func (m *Manager) normalize(spec RunSpec) (RunSpec, error) {
 	}
 	if spec.Ticks <= 0 {
 		return spec, fmt.Errorf("service: ticks must be > 0")
+	}
+	if spec.Partitions > maxRunPartitions {
+		return spec, fmt.Errorf("service: %d partitions over the limit of %d", spec.Partitions, maxRunPartitions)
+	}
+	if spec.Agents > maxRunAgents {
+		return spec, fmt.Errorf("service: %d agents over the limit of %d", spec.Agents, maxRunAgents)
 	}
 	fleetN := m.fleetSize()
 	if spec.Workers == 0 {

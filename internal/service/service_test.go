@@ -200,6 +200,8 @@ func TestSubmitValidation(t *testing.T) {
 		{"worker budget over fleet", RunSpec{Scenario: "fish", Ticks: 5, Workers: 3}},
 		{"partitions under workers", RunSpec{Scenario: "fish", Ticks: 5, Workers: 2, Partitions: 1}},
 		{"bad index", RunSpec{Scenario: "fish", Ticks: 5, Index: "btree"}},
+		{"partitions over limit", RunSpec{Scenario: "fish", Ticks: 5, Partitions: 1 << 30}},
+		{"agents over limit", RunSpec{Scenario: "fish", Ticks: 5, Agents: 1 << 30}},
 	} {
 		if _, err := m.Submit(tc.spec); err == nil {
 			t.Errorf("%s: accepted", tc.name)

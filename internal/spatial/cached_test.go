@@ -93,7 +93,6 @@ func TestNearestTieBreakDeterministic(t *testing.T) {
 	}{
 		{"scan", NewScan()},
 		{"kdtree", NewKDTree()},
-		{"grid", NewGrid(3)},
 		{"cached", NewCached(10, 2)},
 	} {
 		tc.ix.Build(append([]Point(nil), pts...))
@@ -311,15 +310,13 @@ func FuzzIndexConformance(f *testing.F) {
 		oracle.Build(append([]Point(nil), pts...))
 		kd := NewKDTree()
 		kd.Build(append([]Point(nil), pts...))
-		grid := NewGrid(4)
-		grid.Build(append([]Point(nil), pts...))
 
 		c := geom.V(rng.Float64()*60-5, rng.Float64()*60-5)
 		rad := rng.Float64() * 15
 		k := 1 + rng.Intn(6)
 		want := collectCircle(oracle, c, rad)
 		wantNN := collectNearest(oracle, c, k)
-		for name, ix := range map[string]Index{"kd": kd, "grid": grid, "cached": cached} {
+		for name, ix := range map[string]Index{"kd": kd, "cached": cached} {
 			if got := collectCircle(ix, c, rad); !idsEqual(got, want) {
 				t.Fatalf("%s RangeCircle: got=%v want=%v", name, got, want)
 			}

@@ -2,13 +2,12 @@
 // query phase of a tick into an orthogonal range query instead of a
 // quadratic all-pairs scan (paper §5.2, Fig. 3–4).
 //
-// Four implementations of Index are provided:
+// Three implementations of Index are provided:
 //
 //   - Scan: the no-index baseline ("BRACE - no indexing" in the figures);
 //     every probe enumerates all points.
 //   - KDTree: the paper's "generic KD-tree based spatial index capability"
 //     [Bentley, 3], rebuilt each tick over the agents visible at a reducer.
-//   - Grid: a uniform bucket grid, an alternative index used for ablations.
 //   - CachedIndex: a KD-tree wrapped in Verlet candidate-list reuse (see
 //     cached.go) — the engines' incremental fast path, which skips the
 //     per-tick rebuild while agents stay within half a skin radius of
@@ -78,18 +77,15 @@ type Kind int
 const (
 	KindScan Kind = iota // brute force, no indexing
 	KindKDTree
-	KindGrid
 )
 
-// String implements fmt.Stringer.
+// String returns the name ParseKind accepts for k.
 func (k Kind) String() string {
 	switch k {
 	case KindScan:
 		return "scan"
 	case KindKDTree:
-		return "kdtree"
-	case KindGrid:
-		return "grid"
+		return "kd"
 	default:
 		return "unknown"
 	}
@@ -105,22 +101,15 @@ func ParseKind(name string) (Kind, error) {
 		return KindKDTree, nil
 	case "scan":
 		return KindScan, nil
-	case "grid":
-		return KindGrid, nil
 	default:
-		return 0, fmt.Errorf("unknown index %q (kd, scan, grid)", name)
+		return 0, fmt.Errorf("unknown index %q (kd, scan)", name)
 	}
 }
 
-// New returns a fresh, empty index of the given kind. Grid indexes use the
-// given cell size hint; others ignore it.
-func New(kind Kind, cellSize float64) Index {
-	switch kind {
-	case KindKDTree:
+// New returns a fresh, empty index of the given kind.
+func New(kind Kind) Index {
+	if kind == KindKDTree {
 		return NewKDTree()
-	case KindGrid:
-		return NewGrid(cellSize)
-	default:
-		return NewScan()
 	}
+	return NewScan()
 }

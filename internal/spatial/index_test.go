@@ -3,6 +3,7 @@ package spatial
 import (
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"github.com/bigreddata/brace/internal/geom"
@@ -50,23 +51,17 @@ func TestIndexesMatchScanOracleRange(t *testing.T) {
 		n := 1 + rng.Intn(400)
 		ptsA := randomPoints(rng, n, 100)
 		ptsB := append([]Point(nil), ptsA...)
-		ptsC := append([]Point(nil), ptsA...)
 
 		oracle := NewScan()
 		oracle.Build(ptsA)
 		kd := NewKDTree()
 		kd.Build(ptsB)
-		grid := NewGrid(5)
-		grid.Build(ptsC)
 
 		for q := 0; q < 20; q++ {
 			r := geom.R(rng.Float64()*100, rng.Float64()*100, rng.Float64()*100, rng.Float64()*100)
 			want := collectRange(oracle, r)
 			if got := collectRange(kd, r); !idsEqual(got, want) {
 				t.Fatalf("kdtree Range mismatch: n=%d r=%v got=%v want=%v", n, r, got, want)
-			}
-			if got := collectRange(grid, r); !idsEqual(got, want) {
-				t.Fatalf("grid Range mismatch: n=%d r=%v got=%v want=%v", n, r, got, want)
 			}
 		}
 	}
@@ -81,8 +76,6 @@ func TestIndexesMatchScanOracleCircle(t *testing.T) {
 		oracle.Build(append([]Point(nil), base...))
 		kd := NewKDTree()
 		kd.Build(append([]Point(nil), base...))
-		grid := NewGrid(3)
-		grid.Build(append([]Point(nil), base...))
 
 		for q := 0; q < 20; q++ {
 			c := geom.V(rng.Float64()*50, rng.Float64()*50)
@@ -90,9 +83,6 @@ func TestIndexesMatchScanOracleCircle(t *testing.T) {
 			want := collectCircle(oracle, c, rad)
 			if got := collectCircle(kd, c, rad); !idsEqual(got, want) {
 				t.Fatalf("kdtree RangeCircle mismatch: got=%v want=%v", got, want)
-			}
-			if got := collectCircle(grid, c, rad); !idsEqual(got, want) {
-				t.Fatalf("grid RangeCircle mismatch: got=%v want=%v", got, want)
 			}
 		}
 	}
@@ -107,24 +97,20 @@ func TestNearestMatchesOracle(t *testing.T) {
 		oracle.Build(append([]Point(nil), base...))
 		kd := NewKDTree()
 		kd.Build(append([]Point(nil), base...))
-		grid := NewGrid(4)
-		grid.Build(append([]Point(nil), base...))
 
 		for q := 0; q < 10; q++ {
 			c := geom.V(rng.Float64()*60-5, rng.Float64()*60-5)
 			k := 1 + rng.Intn(8)
 			want := oracle.Nearest(c, k, nil)
-			for name, ix := range map[string]Index{"kdtree": kd, "grid": grid} {
-				got := ix.Nearest(c, k, nil)
-				if len(got) != len(want) {
-					t.Fatalf("%s Nearest count = %d, want %d", name, len(got), len(want))
-				}
-				// Distances must match even if equidistant points tie.
-				for i := range got {
-					dg, dw := got[i].Pos.Dist2(c), want[i].Pos.Dist2(c)
-					if dg != dw {
-						t.Fatalf("%s Nearest[%d] dist2 = %v, want %v", name, i, dg, dw)
-					}
+			got := kd.Nearest(c, k, nil)
+			if len(got) != len(want) {
+				t.Fatalf("kd Nearest count = %d, want %d", len(got), len(want))
+			}
+			// Distances must match even if equidistant points tie.
+			for i := range got {
+				dg, dw := got[i].Pos.Dist2(c), want[i].Pos.Dist2(c)
+				if dg != dw {
+					t.Fatalf("kd Nearest[%d] dist2 = %v, want %v", i, dg, dw)
 				}
 			}
 		}
@@ -146,8 +132,8 @@ func TestNearestOrdered(t *testing.T) {
 }
 
 func TestEmptyIndexes(t *testing.T) {
-	for _, kind := range []Kind{KindScan, KindKDTree, KindGrid} {
-		ix := New(kind, 1)
+	for _, kind := range []Kind{KindScan, KindKDTree} {
+		ix := New(kind)
 		ix.Build(nil)
 		if ix.Len() != 0 {
 			t.Errorf("%v Len = %d", kind, ix.Len())
@@ -165,8 +151,8 @@ func TestEmptyIndexes(t *testing.T) {
 }
 
 func TestSinglePoint(t *testing.T) {
-	for _, kind := range []Kind{KindScan, KindKDTree, KindGrid} {
-		ix := New(kind, 1)
+	for _, kind := range []Kind{KindScan, KindKDTree} {
+		ix := New(kind)
 		ix.Build([]Point{{Pos: geom.V(2, 3), ID: 7}})
 		var got []int32
 		ix.RangeCircle(geom.V(2, 3), 0, func(p Point) { got = append(got, p.ID) })
@@ -187,8 +173,8 @@ func TestDuplicatePositions(t *testing.T) {
 		{Pos: geom.V(1, 1), ID: 2},
 		{Pos: geom.V(5, 5), ID: 3},
 	}
-	for _, kind := range []Kind{KindScan, KindKDTree, KindGrid} {
-		ix := New(kind, 1)
+	for _, kind := range []Kind{KindScan, KindKDTree} {
+		ix := New(kind)
 		ix.Build(append([]Point(nil), pts...))
 		got := collectCircle(ix, geom.V(1, 1), 0.5)
 		if !idsEqual(got, []int32{0, 1, 2}) {
@@ -218,29 +204,20 @@ func TestKDTreeVisitsFewerThanScan(t *testing.T) {
 	}
 }
 
-func TestGridDegenerateCellSize(t *testing.T) {
-	g := NewGrid(-1) // defaults to 1
-	rng := rand.New(rand.NewSource(6))
-	pts := randomPoints(rng, 100, 10)
-	g.Build(pts)
-	if g.Len() != 100 {
-		t.Fatalf("Len = %d", g.Len())
-	}
-	// Tiny cell over huge span must not explode memory.
-	g2 := NewGrid(1e-9)
-	g2.Build([]Point{{Pos: geom.V(0, 0)}, {Pos: geom.V(1e6, 1e6), ID: 1}})
-	got := collectRange(g2, geom.R(-1, -1, 1e7, 1e7))
-	if !idsEqual(got, []int32{0, 1}) {
-		t.Errorf("degenerate grid range = %v", got)
-	}
-}
-
+// Kind.String prints the name ParseKind accepts, so a printed kind can be
+// fed back to -index, the handshake or RunSpec.Index.
 func TestKindString(t *testing.T) {
-	if KindScan.String() != "scan" || KindKDTree.String() != "kdtree" || KindGrid.String() != "grid" {
-		t.Error("Kind.String broken")
+	for _, k := range []Kind{KindScan, KindKDTree} {
+		got, err := ParseKind(k.String())
+		if err != nil || got != k {
+			t.Errorf("ParseKind(%q) = %v, %v; want %v", k.String(), got, err, k)
+		}
 	}
 	if Kind(99).String() != "unknown" {
 		t.Error("unknown kind string")
+	}
+	if _, err := ParseKind("btree"); err == nil || !strings.Contains(err.Error(), "(kd, scan)") {
+		t.Errorf("ParseKind(btree) = %v, want an error listing kd, scan", err)
 	}
 }
 
@@ -259,38 +236,5 @@ func TestStatsCounting(t *testing.T) {
 	}
 	if s.Visited == 0 {
 		t.Error("Visited = 0")
-	}
-}
-
-func BenchmarkKDTreeBuild10k(b *testing.B) {
-	rng := rand.New(rand.NewSource(9))
-	pts := randomPoints(rng, 10000, 1000)
-	kd := NewKDTree()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf := append([]Point(nil), pts...)
-		kd.Build(buf)
-	}
-}
-
-func BenchmarkKDTreeRangeCircle10k(b *testing.B) {
-	rng := rand.New(rand.NewSource(10))
-	pts := randomPoints(rng, 10000, 1000)
-	kd := NewKDTree()
-	kd.Build(pts)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		kd.RangeCircle(geom.V(500, 500), 10, func(Point) {})
-	}
-}
-
-func BenchmarkScanRangeCircle10k(b *testing.B) {
-	rng := rand.New(rand.NewSource(11))
-	pts := randomPoints(rng, 10000, 1000)
-	sc := NewScan()
-	sc.Build(pts)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sc.RangeCircle(geom.V(500, 500), 10, func(Point) {})
 	}
 }

@@ -109,8 +109,8 @@ func TestQuickKDTreeBuildPreservesPoints(t *testing.T) {
 // Property: a range query over the whole plane returns every point.
 func TestQuickRangeEverythingReturnsAll(t *testing.T) {
 	f := func(ps pointSet) bool {
-		for _, kind := range []Kind{KindKDTree, KindGrid} {
-			ix := New(kind, 5)
+		for _, kind := range []Kind{KindScan, KindKDTree} {
+			ix := New(kind)
 			ix.Build(append([]Point(nil), ps.Pts...))
 			n := 0
 			ix.Range(geom.R(-1000, -1000, 1000, 1000), func(Point) { n++ })

@@ -15,44 +15,19 @@ import (
 )
 
 // ProtoVersion guards against mismatched coordinator/worker binaries; the
-// handshake rejects any other value. Version 2 added the coordinator-owned
-// control plane: partition assignment travels in the handshake instead of
-// being derived by block arithmetic, and epoch barriers exchange
-// Stats/Directive/Checkpoint/Restore frames. Version 3 added liveness and
-// incremental checkpoints: Ping/Pong heartbeat frames (answered by the
-// worker's transport reader, so a frozen process goes silent) and
-// differential checkpoint payloads (PartState.Delta against a
-// coordinator-held base, with periodic full keyframes). Version 4 made
-// workers multi-run: a worker daemon serves concurrent coordinator
-// sessions (one per accepted connection, each its own framed stream), the
-// handshake scopes a session to a run via Hello.RunID, and a draining
-// worker finishes the in-flight epoch barrier before closing. Version 5
-// added capability negotiation (Hello.Caps, answered by the worker's
-// supported set on the Ack) and the peer-mesh data plane: per-destination
-// end-of-phase markers with declared frame counts, per-(src,dst) data
-// sequence numbers, worker registration (FrameRegister) and direct
-// worker↔worker sessions (FramePeerHello).
-const ProtoVersion = 5
-
-// Capability names negotiated in the v5 handshake. The coordinator lists
-// the capabilities the run requires in Hello.Caps; a worker that lacks any
-// of them rejects the session with a CapabilityError, and echoes its full
-// supported set on the Ack either way.
-const (
-	// CapMesh: the worker can serve direct peer sessions and run the
-	// addressed per-peer phase accounting.
-	CapMesh = "mesh"
-	// CapIncrCkpt: the worker can ship differential checkpoint payloads
-	// against a coordinator-held base.
-	CapIncrCkpt = "incr-ckpt"
-	// CapOverlapAwait: the worker's transport splits the phase barrier
-	// into FlushPhase/AwaitPhase so the engine can overlap interior
-	// compute with boundary exchange.
-	CapOverlapAwait = "overlap-await"
-)
-
-// SupportedCaps is this binary's full capability set.
-func SupportedCaps() []string { return []string{CapMesh, CapIncrCkpt, CapOverlapAwait} }
+// handshake rejects any other value with a VersionError, the one skew
+// guard (there is no per-feature negotiation: every v6 binary speaks the
+// whole protocol). Version 6 is: coordinator-owned placement in the Hello
+// and Stats/Directive/Checkpoint/Restore frames at epoch barriers;
+// Ping/Pong heartbeats answered by the worker's transport reader;
+// differential checkpoint payloads (PartState.Delta) between full
+// keyframes; concurrent sessions per worker daemon, scoped by Hello.RunID;
+// per-destination end-of-phase markers with declared frame counts and
+// per-(src,dst) data sequence numbers; worker registration (FrameRegister)
+// and direct worker↔worker sessions (FramePeerHello). Each process derives
+// the query cache and the overlapped tick from the Hello's scenario, index
+// and partitioning, so neither crosses the wire.
+const ProtoVersion = 6
 
 // VersionError reports a handshake between binaries speaking different
 // protocol versions.
@@ -62,35 +37,6 @@ type VersionError struct {
 
 func (e *VersionError) Error() string {
 	return fmt.Sprintf("transport: protocol version %d, this end speaks %d", e.Got, e.Want)
-}
-
-// CapabilityError reports a handshake requiring capabilities this end does
-// not implement.
-type CapabilityError struct {
-	Missing []string
-}
-
-func (e *CapabilityError) Error() string {
-	return fmt.Sprintf("transport: required capabilities not supported: %v", e.Missing)
-}
-
-// MissingCaps returns the entries of want absent from have (order
-// preserved); nil when every requirement is met.
-func MissingCaps(want, have []string) []string {
-	var missing []string
-	for _, w := range want {
-		found := false
-		for _, h := range have {
-			if h == w {
-				found = true
-				break
-			}
-		}
-		if !found {
-			missing = append(missing, w)
-		}
-	}
-	return missing
 }
 
 // maxFrame bounds a single frame so a corrupt length prefix cannot make a
@@ -134,28 +80,21 @@ type Hello struct {
 	Seed       uint64
 	Ticks      int
 	EpochTicks int
-	Index      string // kd | scan | grid
+	Index      string // kd | scan
 	Sequential bool
 	// Part names the partitioning scheme: "" or "strips" for quantile
 	// x-strips (the default, required for LoadBalance), "kd2d" for 2-D
 	// recursive median splits. Every process derives the identical
 	// function from the identical initial population, so only the name
-	// crosses the wire. Gob-additive: a v4 coordinator that never sets it
-	// interoperates with older captures.
+	// crosses the wire.
 	Part string
-	// Caps are the capabilities this run requires of the worker (v5); a
-	// worker missing any rejects the handshake with a CapabilityError.
-	Caps []string
-	// CacheSkin is the engine's Verlet-cache knob, forwarded so every
-	// process resolves the identical skin (0 = auto-tune, the default).
-	CacheSkin float64
 	// Peers are the worker daemons' data-plane addresses, indexed by
-	// process: with the mesh capability on, process i dials Peers[j]
+	// process: in a mesh run, process i dials Peers[j]
 	// directly for its j-bound envelope traffic. Empty in star runs.
 	Peers []string
 }
 
-// PeerHello opens a direct worker↔worker data-plane session (v5, mesh):
+// PeerHello opens a direct worker↔worker data-plane session (mesh runs):
 // the dialing process announces which run, direction and generation the
 // link carries; the accepting daemon routes it to the matching session's
 // transport or rejects it. One link is one direction — process i's frames
@@ -169,12 +108,11 @@ type PeerHello struct {
 
 // Registration announces (and then keeps updating) a worker daemon on the
 // coordinator's registry socket: the address the daemon serves sessions
-// on, its capability set, and its self-reported load. The daemon streams
+// on and its self-reported load. The daemon streams
 // updated Registration frames on the same connection as sessions and peer
 // links come and go.
 type Registration struct {
 	Addr      string
-	Caps      []string
 	Sessions  int
 	PeerLinks int
 }
@@ -304,8 +242,8 @@ const (
 	FrameRestore
 	FramePing
 	FramePong
-	// FramePeerHello opens a direct worker↔worker data-plane link (v5
-	// mesh); answered with a FrameAck like the coordinator handshake.
+	// FramePeerHello opens a direct worker↔worker data-plane link (mesh
+	// runs); answered with a FrameAck like the coordinator handshake.
 	FramePeerHello
 	// FrameRegister announces a worker daemon to the coordinator-side
 	// registry and streams its load updates.
@@ -371,7 +309,7 @@ type Frame struct {
 	Src   int    // sending worker process
 	Gen   int    // protocol generation; receivers drop stale generations
 	Phase uint64 // EndPhase sequence number
-	// Dst addresses a frame to one destination process (v5). A Data
+	// Dst addresses a frame to one destination process. A Data
 	// frame's Dst names the process owning Msg.To so relays route without
 	// consulting the assignment; an EndPhase marker's Dst names the peer
 	// whose inbox it closes, with -1 meaning "progress note only" (the
@@ -394,7 +332,6 @@ type Frame struct {
 	Rest  *Restore
 	Peer  *PeerHello    // FramePeerHello
 	Reg   *Registration // FrameRegister
-	Caps  []string      // FrameAck: the responder's supported capability set
 	Err   string        // FrameAck (empty = ok) and FrameError
 }
 
