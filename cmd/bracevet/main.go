@@ -1,6 +1,6 @@
 // Command bracevet runs the repo's determinism & wire-protocol analyzers
-// (maporder, framecase, wallclock, globalrand — see internal/lint) over a
-// set of packages.
+// (maporder, framecase, wallclock, globalrand, indexstats — see
+// internal/lint) over a set of packages.
 //
 // Standalone:
 //

@@ -54,6 +54,37 @@ func TestGateRedOnDoctoredViolation(t *testing.T) {
 	}
 }
 
+// TestGateRedOnIndexCounterRead: a balancer charged what the index happened
+// to examine — the coupling indexstats exists to keep out — fails the gate.
+func TestGateRedOnIndexCounterRead(t *testing.T) {
+	dir := writeModule(t, map[string]string{
+		"go.mod": "module example.com/doctored\n\ngo 1.21\n",
+		"spatial/index.go": `package spatial
+
+type Stats struct{ Visited int64 }
+
+type Index struct{ stats Stats }
+
+func (ix *Index) Stats() Stats { return ix.stats }
+`,
+		"engine/balance.go": `package engine
+
+import "example.com/doctored/spatial"
+
+// Cost is the load balancer's input.
+func Cost(ix *spatial.Index) int64 { return ix.Stats().Visited }
+`,
+	})
+	var stdout, stderr bytes.Buffer
+	code := run([]string{"-dir", dir, "./..."}, &stdout, &stderr)
+	if code != 1 {
+		t.Fatalf("exit = %d, want 1\nstdout: %s\nstderr: %s", code, stdout.String(), stderr.String())
+	}
+	if !strings.Contains(stdout.String(), "work counters") || !strings.Contains(stdout.String(), "[indexstats]") {
+		t.Fatalf("missing indexstats finding in output:\n%s", stdout.String())
+	}
+}
+
 // TestGateGreenAfterFix: the same module with the loop rewritten over a
 // sorted slice passes.
 func TestGateGreenAfterFix(t *testing.T) {
@@ -102,7 +133,7 @@ func TestListFlag(t *testing.T) {
 	if code := run([]string{"-list"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("exit = %d", code)
 	}
-	for _, name := range []string{"maporder", "framecase", "wallclock", "globalrand"} {
+	for _, name := range []string{"maporder", "framecase", "wallclock", "globalrand", "indexstats"} {
 		if !strings.Contains(stdout.String(), name) {
 			t.Errorf("-list output missing %s:\n%s", name, stdout.String())
 		}

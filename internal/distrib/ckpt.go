@@ -36,7 +36,7 @@ func (t *ckptTracker) snapshot(eng *engine.Distributed, proc int, tick, seq uint
 	newBase := make(map[int][]*engine.Envelope, len(local))
 	for _, p := range local {
 		cur := eng.ExportPartition(p)
-		ps := transport.PartState{Part: p, Visited: eng.PartitionVisited(p)}
+		ps := transport.PartState{Part: p}
 		base, haveBase := t.base[p]
 		if delta, ok := diffIfPossible(base, cur, haveBase && !full); ok {
 			ps.Base, ps.Delta = t.seq, delta

@@ -26,6 +26,7 @@ func Run(o Options) (*Result, error) {
 			o.Addrs = append(o.Addrs, w.Addr)
 		}
 	}
+	o.Agents = max(o.Agents, 0) // ≤ 0 asks for the scenario's default; validation and the wire spell it 0
 	if err := o.validate(); err != nil {
 		return nil, err
 	}
@@ -484,17 +485,17 @@ func (c *coordinator) planRebalance() ([]float64, bool) {
 		return nil, false
 	}
 	xs := make([][]float64, c.o.Partitions)
-	visited := make([]int64, c.o.Partitions)
+	cost := make([]int64, c.o.Partitions)
 	for _, p := range detutil.SortedKeys(c.stats) {
 		for _, ps := range c.stats[p].Parts {
 			if ps.Part < 0 || ps.Part >= c.o.Partitions {
 				continue
 			}
 			xs[ps.Part] = ps.Xs
-			visited[ps.Part] = ps.Visited
+			cost[ps.Part] = ps.Cost
 		}
 	}
-	d := engine.PlanRebalance(c.o.Balancer, strips, xs, visited)
+	d := engine.PlanRebalance(c.o.Balancer, strips, xs, cost)
 	if !d.Apply {
 		return nil, false
 	}
@@ -518,9 +519,7 @@ func (c *coordinator) onCheckpoint(src int, ck *transport.CheckpointMsg, bytes i
 		}
 		if ps.Full {
 			c.ckptFullParts++
-			c.pending.parts[ps.Part] = transport.PartState{
-				Part: ps.Part, Visited: ps.Visited, Full: true, Values: ps.Values,
-			}
+			c.pending.parts[ps.Part] = transport.PartState{Part: ps.Part, Full: true, Values: ps.Values}
 			continue
 		}
 		// A delta names the base it was computed against; it must be the
@@ -540,9 +539,7 @@ func (c *coordinator) onCheckpoint(src int, ck *transport.CheckpointMsg, bytes i
 			return fmt.Errorf("distrib: worker %d partition %d: %w", src, ps.Part, err)
 		}
 		c.ckptDeltaParts++
-		c.pending.parts[ps.Part] = transport.PartState{
-			Part: ps.Part, Visited: ps.Visited, Full: true, Values: vals,
-		}
+		c.pending.parts[ps.Part] = transport.PartState{Part: ps.Part, Full: true, Values: vals}
 	}
 	c.pending.have[src] = true
 	if len(c.pending.have) < c.liveCount() {

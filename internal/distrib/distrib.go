@@ -206,6 +206,9 @@ func (o *Options) validate() error {
 	if len(o.Addrs) == 0 {
 		return fmt.Errorf("distrib: no worker addresses")
 	}
+	if err := checkSize(o.Agents, o.Partitions); err != nil {
+		return fmt.Errorf("distrib: %w", err)
+	}
 	if o.Partitions < len(o.Addrs) {
 		return fmt.Errorf("distrib: %d partitions cannot cover %d worker processes", o.Partitions, len(o.Addrs))
 	}
@@ -226,6 +229,28 @@ func (o *Options) validate() error {
 		}
 	default:
 		return fmt.Errorf("distrib: unknown partitioning %q (want strips or kd2d)", o.Part)
+	}
+	return nil
+}
+
+// Size limits on a run, enforced wherever a size arrives from outside: the
+// coordinator's options, the HTTP run spec (service.Manager) and a worker
+// daemon's Hello. The coordinator allocates engine state per partition and
+// every worker process seeds the full population, so a size is refused
+// before anything is built from it.
+const (
+	MaxPartitions = 1024
+	MaxAgents     = 1 << 22
+)
+
+// checkSize refuses a population or partition count outside the limits.
+// Zero agents asks for the scenario's default.
+func checkSize(agents, partitions int) error {
+	if agents < 0 || agents > MaxAgents {
+		return fmt.Errorf("%d agents outside the limit of %d", agents, MaxAgents)
+	}
+	if partitions < 0 || partitions > MaxPartitions {
+		return fmt.Errorf("%d partitions outside the limit of %d", partitions, MaxPartitions)
 	}
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"slices"
 	"strings"
 	"testing"
 
@@ -128,11 +129,15 @@ func TestLoopbackTCPUnevenBlocks(t *testing.T) {
 
 // The cross-transport load-balancing oracle: `-lb` over loopback TCP must
 // make the *same migration decisions* as the in-memory engine — same
-// rebalanced-or-not verdict at every epoch, same final strip cuts — and
-// end in bit-identical state, for every registered local-effect scenario
-// in the suite. This is what "the coordinator runs the engine's decision
-// procedure" buys: PlanRebalance on worker statistics ≡ rebalance() on
-// in-process state.
+// rebalanced-or-not verdict and same strip cuts at every epoch — and end in
+// bit-identical state, for every registered local-effect scenario in the
+// suite, with the data plane on the coordinator relay (star) and on direct
+// peer links (mesh). This is what "the coordinator runs the engine's
+// decision procedure" buys: PlanRebalance on worker statistics ≡
+// rebalance() on in-process state. The daemons are one-shot (Once), so the
+// mesh half also pins that such a daemon keeps accepting peer links while
+// its one coordinator session runs: no data frame may fall back to the
+// relay.
 func TestLoopbackTCPLoadBalanceEquivalence(t *testing.T) {
 	const (
 		agents = 96
@@ -158,51 +163,59 @@ func TestLoopbackTCPLoadBalanceEquivalence(t *testing.T) {
 				Tunables:    engine.Tunables{EpochTicks: epoch},
 				LoadBalance: true, Balancer: bal,
 			})
-			if err := mem.RunTicks(ticks); err != nil {
-				t.Fatal(err)
+			// One RunTicks per epoch, to read the cuts each barrier leaves.
+			var memCuts [][]float64
+			for mem.Tick() < ticks {
+				if err := mem.RunTicks(epoch); err != nil {
+					t.Fatal(err)
+				}
+				memCuts = append(memCuts, mem.Partition().(*partition.Strips).Cuts())
 			}
-			res, err := Run(Options{
-				Addrs:    startWorkers(t, 2),
-				Scenario: name,
-				Agents:   agents, Extent: extent, Seed: seed,
-				Partitions: parts, Ticks: ticks,
-				Tunables:    Tunables{EpochTicks: epoch},
-				LoadBalance: true, Balancer: bal,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			// Identical migration decisions, epoch by epoch.
 			memEpochs := mem.Epochs()
-			if len(memEpochs) != len(res.Epochs) {
-				t.Fatalf("epoch counts differ: mem %d vs tcp %d", len(memEpochs), len(res.Epochs))
-			}
-			for i, me := range memEpochs {
-				te := res.Epochs[i]
-				if me.Tick != te.Tick || me.Rebalanced != te.Rebalanced {
-					t.Errorf("epoch %d: mem (tick %d, rebalanced %v) vs tcp (tick %d, rebalanced %v)",
-						i, me.Tick, me.Rebalanced, te.Tick, te.Rebalanced)
+
+			var star agent.Population
+			for _, mesh := range []bool{false, true} {
+				res, err := Run(Options{
+					Addrs:    startWorkers(t, 2),
+					Scenario: name,
+					Agents:   agents, Extent: extent, Seed: seed,
+					Partitions: parts, Ticks: ticks,
+					Tunables:    Tunables{EpochTicks: epoch, Mesh: mesh},
+					LoadBalance: true, Balancer: bal,
+				})
+				if err != nil {
+					t.Fatalf("mesh=%v: %v", mesh, err)
+				}
+
+				// Identical migration decisions and cuts, epoch by epoch.
+				if len(memEpochs) != len(res.Epochs) {
+					t.Fatalf("mesh=%v: epoch counts differ: mem %d vs tcp %d", mesh, len(memEpochs), len(res.Epochs))
+				}
+				for i, me := range memEpochs {
+					te := res.Epochs[i]
+					if me.Tick != te.Tick || me.Rebalanced != te.Rebalanced {
+						t.Errorf("mesh=%v epoch %d: mem (tick %d, rebalanced %v) vs tcp (tick %d, rebalanced %v)",
+							mesh, i, me.Tick, me.Rebalanced, te.Tick, te.Rebalanced)
+					}
+					if !slices.Equal(memCuts[i], te.Cuts) {
+						t.Fatalf("mesh=%v epoch %d: cuts differ: mem %v vs tcp %v", mesh, i, memCuts[i], te.Cuts)
+					}
+				}
+				if res.Rebalances == 0 {
+					t.Error("no rebalances happened; the equivalence was not exercised")
+				}
+
+				// Identical final state.
+				assertSamePopulation(t, name+"/lb-equivalence", mem.Agents(), res.Agents)
+				if !mesh {
+					star = res.Agents
+					continue
+				}
+				assertSamePopulation(t, name+"/mesh-vs-star", star, res.Agents)
+				if res.RelayedDataFrames != 0 {
+					t.Errorf("coordinator relayed %d data frames; one-shot daemons must still accept peer links", res.RelayedDataFrames)
 				}
 			}
-			if res.Rebalances == 0 {
-				t.Error("no rebalances happened; the equivalence was not exercised")
-			}
-
-			// Identical final cuts.
-			memCuts := mem.Partition().(*partition.Strips).Cuts()
-			tcpCuts := res.Epochs[len(res.Epochs)-1].Cuts
-			if len(memCuts) != len(tcpCuts) {
-				t.Fatalf("cut counts differ: mem %v vs tcp %v", memCuts, tcpCuts)
-			}
-			for i := range memCuts {
-				if memCuts[i] != tcpCuts[i] {
-					t.Fatalf("cut %d differs: mem %v vs tcp %v", i, memCuts[i], tcpCuts[i])
-				}
-			}
-
-			// Identical final state.
-			assertSamePopulation(t, name+"/lb-equivalence", mem.Agents(), res.Agents)
 		})
 	}
 }
@@ -298,26 +311,46 @@ func TestHandshakeRejection(t *testing.T) {
 		t.Fatal("dialing a dead worker succeeded")
 	}
 
-	// Version skew: a v5 coordinator's Hello is refused with the typed
-	// error, and the daemon says so on the Ack instead of hanging up.
-	old := (&Options{Addrs: []string{"x"}, Scenario: "epidemic", Partitions: 1}).hello(0, 1, []int{0})
-	old.Proto = 5
+	// A Hello this daemon must not serve is refused by checkHello — before
+	// anything is built from it — and the daemon says why on the Ack
+	// instead of hanging up: version skew (typed), and run sizes outside
+	// the limits, which would otherwise size a population from a number
+	// read off the network.
+	hello := func(mut func(*transport.Hello)) *transport.Hello {
+		h := (&Options{Addrs: []string{"x"}, Scenario: "epidemic", Partitions: 1}).hello(0, 1, []int{0})
+		mut(h)
+		return h
+	}
+	old := hello(func(h *transport.Hello) { h.Proto = 6 })
 	var ve *transport.VersionError
-	if _, _, err := checkHello(old); !errors.As(err, &ve) || ve.Got != 5 || ve.Want != transport.ProtoVersion {
-		t.Fatalf("checkHello(v5) = %v, want *transport.VersionError{5, %d}", err, transport.ProtoVersion)
+	if _, _, err := checkHello(old); !errors.As(err, &ve) || ve.Got != 6 || ve.Want != transport.ProtoVersion {
+		t.Fatalf("checkHello(v6) = %v, want *transport.VersionError{6, %d}", err, transport.ProtoVersion)
 	}
-	nc, err := net.Dial("tcp", startWorkers(t, 1)[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	fc := transport.NewConn(nc)
-	defer fc.Close()
-	if err := fc.Send(&transport.Frame{Kind: transport.FrameHello, Hello: old}); err != nil {
-		t.Fatal(err)
-	}
-	ack, err := fc.Recv()
-	if err != nil || ack.Kind != transport.FrameAck || !strings.Contains(ack.Err, "protocol version 5") {
-		t.Fatalf("v5 Hello answered with %+v, %v; want an Ack carrying the version error", ack, err)
+	for _, tc := range []struct {
+		name, want string
+		h          *transport.Hello
+	}{
+		{"stale version", "protocol version 6", old},
+		{"agents over limit", "agents outside the limit", hello(func(h *transport.Hello) { h.Agents = MaxAgents + 1 })},
+		{"negative agents", "agents outside the limit", hello(func(h *transport.Hello) { h.Agents = -1 })},
+		{"partitions over limit", "partitions outside the limit", hello(func(h *transport.Hello) {
+			h.Partitions = MaxPartitions + 1
+			h.Assign = make([]int, h.Partitions)
+		})},
+	} {
+		nc, err := net.Dial("tcp", startWorkers(t, 1)[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		fc := transport.NewConn(nc)
+		if err := fc.Send(&transport.Frame{Kind: transport.FrameHello, Hello: tc.h}); err != nil {
+			t.Fatal(err)
+		}
+		ack, err := fc.Recv()
+		if err != nil || ack.Kind != transport.FrameAck || !strings.Contains(ack.Err, tc.want) {
+			t.Errorf("%s: Hello answered with %+v, %v; want an Ack carrying %q", tc.name, ack, err, tc.want)
+		}
+		fc.Close()
 	}
 }
 

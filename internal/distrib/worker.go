@@ -18,8 +18,10 @@ import (
 type ServeOptions struct {
 	// Log receives session banners and errors (nil: silent).
 	Log io.Writer
-	// Once makes the daemon exit after its first coordinator session
-	// (tests and one-shot jobs).
+	// Once makes the daemon exit when its first coordinator session ends
+	// (tests and one-shot jobs). Peer links are not sessions: the daemon
+	// keeps accepting them while that session runs, so a mesh run works
+	// over one-shot daemons.
 	Once bool
 	// Wrap, when non-nil, wraps each session's transport — always the
 	// session's *transport.TCP — before the engine sees it. Fault-injection
@@ -151,11 +153,11 @@ func (s *sessionSet) load() (sessions, peerLinks int) {
 // one coordinator session — a complete simulation, or a re-admission into
 // a recovering one — and sessions run concurrently: a fleet daemon hosts
 // partitions of many runs at once, each session its own framed stream.
-// With once set it serves a single session serially and returns its error;
-// otherwise it serves until the listener closes. Session errors are logged
-// and do not stop the daemon — a failed run must not take the worker down
-// with it, and a coordinator recovering from this worker's death re-dials
-// the same daemon to re-admit it.
+// With once set it returns the first session's error as soon as that
+// session ends; otherwise it serves until the listener closes. Session
+// errors are logged and do not stop the daemon — a failed run must not take
+// the worker down with it, and a coordinator recovering from this worker's
+// death re-dials the same daemon to re-admit it.
 func Serve(lis net.Listener, logw io.Writer, once bool) error {
 	return ServeWith(lis, ServeOptions{Log: logw, Once: once})
 }
@@ -189,21 +191,38 @@ func ServeWith(lis net.Listener, so ServeOptions) error {
 			}
 		}()
 	}
+	// Once: the first coordinator session's result. Its goroutine closes
+	// the listener to end the accept loop, which then returns the result.
+	var first chan error
+	if so.Once {
+		first = make(chan error, 1)
+	}
 	for {
 		conn, err := lis.Accept()
 		if err != nil {
+			select {
+			case err := <-first:
+				return err // the caller reports it
+			default:
+			}
 			if draining(so.Drain) {
 				return nil // deliberate shutdown; wg wait covers the sessions
 			}
 			return err
 		}
-		if so.Once {
-			return serveConn(conn, so) // the caller reports it; logging here would duplicate
-		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if err := serveConn(conn, so); err != nil && so.Log != nil {
+			peer, err := serveConn(conn, so)
+			if so.Once && !peer {
+				select {
+				case first <- err:
+					lis.Close()
+					return
+				default: // a second coordinator dialed mid-session; not the one we exit on
+				}
+			}
+			if err != nil && so.Log != nil {
 				fmt.Fprintf(so.Log, "bracesim-worker: session: %v\n", err)
 			}
 		}()
@@ -281,27 +300,32 @@ func draining(d <-chan struct{}) bool {
 
 // ServeConn runs one coordinator session on an accepted connection.
 func ServeConn(conn net.Conn, logw io.Writer) error {
-	return serveConn(conn, ServeOptions{Log: logw})
+	_, err := serveConn(conn, ServeOptions{Log: logw})
+	return err
 }
 
-// serveConn runs one coordinator session: handshake, rebuild the scenario
-// locally, tick the partitions the coordinator assigned over the TCP
-// transport — re-winding to coordinator checkpoints whenever a Restore
-// arrives — and report the final owned envelopes.
-func serveConn(conn net.Conn, so ServeOptions) error {
+// serveConn serves one accepted connection by its first frame: a fleet
+// peer's link into one of this daemon's sessions (peer = true), or else a
+// coordinator session.
+func serveConn(conn net.Conn, so ServeOptions) (peer bool, err error) {
 	fc := transport.NewConn(conn)
-
 	f, err := fc.Recv()
 	if err != nil {
 		fc.Close()
-		return fmt.Errorf("handshake: %w", err)
+		return false, fmt.Errorf("handshake: %w", err)
 	}
 	if f.Kind == transport.FramePeerHello && f.Peer != nil {
-		// Not a coordinator session: a fleet peer dialing one of this
-		// daemon's sessions for direct neighbor exchange. On success the
-		// session's transport owns the connection.
-		return servePeer(fc, f.Peer, so)
+		// On success the session's transport owns the connection.
+		return true, servePeer(fc, f.Peer, so)
 	}
+	return false, serveSession(fc, f, so)
+}
+
+// serveSession runs one coordinator session: handshake, rebuild the
+// scenario locally, tick the partitions the coordinator assigned over the
+// TCP transport — re-winding to coordinator checkpoints whenever a Restore
+// arrives — and report the final owned envelopes.
+func serveSession(fc *transport.Conn, f *transport.Frame, so ServeOptions) error {
 	defer fc.Close()
 	if f.Kind != transport.FrameHello || f.Hello == nil {
 		fc.Send(&transport.Frame{Kind: transport.FrameAck, Err: "expected hello"})
@@ -492,15 +516,15 @@ func awaitAndApplyRestore(eng *engine.Distributed, tcp *transport.TCP, h *transp
 // incremental-checkpoint tracker on the restored state (both sides now
 // hold it bit for bit, so the next checkpoint can delta immediately).
 func applyRestore(eng *engine.Distributed, tcp *transport.TCP, h *transport.Hello, ckpts *ckptTracker, r *transport.Restore) error {
-	states := make([]engine.PartitionState, 0, len(r.Parts))
+	vals := make(map[int][]*engine.Envelope, len(r.Parts))
 	for _, ps := range r.Parts {
 		envs, ok := ps.Values.([]*engine.Envelope)
 		if !ok && ps.Values != nil {
 			return fmt.Errorf("distrib: restore carried %T, want []*engine.Envelope", ps.Values)
 		}
-		states = append(states, engine.PartitionState{Part: ps.Part, Visited: ps.Visited, Envs: envs})
+		vals[ps.Part] = envs
 	}
-	if err := eng.Restore(r.Tick, r.Cuts, ownedParts(r.Assign, h.Proc), states); err != nil {
+	if err := eng.Restore(r.Tick, r.Cuts, ownedParts(r.Assign, h.Proc), vals); err != nil {
 		return err
 	}
 	ckpts.reset(r.CkptSeq, r.Parts)
@@ -516,7 +540,7 @@ func workerBarrier(eng *engine.Distributed, tcp *transport.TCP, h *transport.Hel
 	local := eng.LocalPartitions()
 	stats := &transport.EpochStats{Proc: h.Proc, Tick: tick, Parts: make([]transport.PartStats, 0, len(local))}
 	for _, p := range local {
-		ps := transport.PartStats{Part: p, Visited: eng.PartitionVisited(p)}
+		ps := transport.PartStats{Part: p, Cost: eng.PartitionCost(p)}
 		if h.LoadBalance {
 			ps.Xs = eng.PartitionXs(p)
 		}
@@ -526,29 +550,25 @@ func workerBarrier(eng *engine.Distributed, tcp *transport.TCP, h *transport.Hel
 		return err
 	}
 	// Pipeline the next tick's index build behind the coordinator
-	// round-trip: the barrier's cache invalidation and core prebuild run
-	// on a goroutine while this worker waits for the directive (and ships
-	// its checkpoint). The join must land before InstallCuts — its
-	// invalidation has to follow the build, exactly as on the in-memory
-	// master — and before the barrier returns.
-	join := eng.StartBarrierPrebuild(tick)
+	// round-trip: the core builds run on a goroutine while this worker
+	// waits for the directive (and ships its checkpoint), and are joined
+	// before the barrier returns — on every path, so neither a tick nor a
+	// Restore ever meets a build in flight.
+	join := eng.StartBarrierPrebuild()
+	defer join()
 	d, err := tcp.AwaitDirective()
 	if err != nil {
-		join()
 		return err
 	}
 	if d.Tick != tick {
-		join()
 		return fmt.Errorf("distrib: directive for tick %d at barrier %d", d.Tick, tick)
 	}
 	if d.Checkpoint {
 		ck := ckpts.snapshot(eng, h.Proc, tick, d.CkptSeq, d.CkptFull)
 		if err := tcp.Control(&transport.Frame{Kind: transport.FrameCheckpoint, Ckpt: ck}); err != nil {
-			join()
 			return err
 		}
 	}
-	join()
 	if d.NewCuts != nil {
 		if err := eng.InstallCuts(d.NewCuts); err != nil {
 			return err
@@ -574,6 +594,9 @@ func checkHello(h *transport.Hello) (scenario.Spec, spatial.Kind, error) {
 	}
 	if h.Partitions < 1 {
 		return none, 0, fmt.Errorf("no partitions")
+	}
+	if err := checkSize(h.Agents, h.Partitions); err != nil {
+		return none, 0, err
 	}
 	if len(h.Assign) != h.Partitions {
 		return none, 0, fmt.Errorf("assignment covers %d partitions, want %d", len(h.Assign), h.Partitions)

@@ -1,11 +1,13 @@
 package engine
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"github.com/bigreddata/brace/internal/agent"
+	"github.com/bigreddata/brace/internal/cluster"
 	"github.com/bigreddata/brace/internal/geom"
 	"github.com/bigreddata/brace/internal/mapreduce"
 	"github.com/bigreddata/brace/internal/partition"
@@ -183,4 +185,120 @@ func TestLoadBalancerDeterministic(t *testing.T) {
 			t.Fatalf("cut %d differs: %v vs %v", i, c1[i], c2[i])
 		}
 	}
+}
+
+// Recovery under load balancing, on both restore paths: the final state is
+// bit-identical to the unfailed run's, and the balancer's cost restarts from
+// zero with the restored state — checkpoints are taken at barriers, where
+// the unfailed run's cost restarts too, so no checkpoint carries it.
+func TestRestoreStartsCostEpoch(t *testing.T) {
+	const (
+		workers = 4
+		epoch   = 4
+		ticks   = 24
+	)
+	m := newFlockModel(6)
+	base := makePop(m.s, 120, 30, 23)
+	opts := Options{
+		Workers: workers, Index: spatial.KindKDTree, Seed: 6, LoadBalance: true,
+		Balancer: partition.Balancer{MigrateCostPerAgent: 1e-9, HorizonTicks: 1000, MinRelativeGain: 0.01},
+		Tunables: Tunables{EpochTicks: epoch, CheckpointEveryEpochs: 1},
+	}
+	// epochCost[tick] is the population-wide cost the barrier at tick found,
+	// as last recorded: summed over partitions it counts every owned agent's
+	// rows once, whatever the cuts.
+	run := func(o Options, hook func(e *Distributed, tick uint64) error) (*Distributed, map[uint64]int64, error) {
+		var e *Distributed
+		epochCost := make(map[uint64]int64)
+		o.EpochBarrier = func(tick uint64) error {
+			epochCost[tick] = 0
+			for p := 0; p < workers; p++ {
+				epochCost[tick] += e.PartitionCost(p)
+			}
+			if hook != nil {
+				return hook(e, tick)
+			}
+			return nil
+		}
+		e, err := NewDistributed(m, clonePop(base), o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e, epochCost, e.RunTicks(ticks)
+	}
+	costsAreZero := func(e *Distributed, when string) {
+		t.Helper()
+		for p := 0; p < workers; p++ {
+			if c := e.PartitionCost(p); c != 0 {
+				t.Errorf("%s: partition %d cost = %d, want 0", when, p, c)
+			}
+		}
+	}
+
+	ref, refCost, err := run(opts, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if refCost[12] == 0 {
+		t.Fatal("the reference run charged nothing; test mis-tuned")
+	}
+
+	// The in-memory master: a crash at tick 9 is detected at barrier 12 and
+	// rolls back to the checkpoint of barrier 8. The re-executed epoch must
+	// be charged exactly what the unfailed run's was, not that plus the
+	// failed attempt's.
+	crashed := opts
+	crashed.Failures = cluster.NewFailurePlan().CrashAt(9, 2)
+	e, cost, err := run(crashed, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e.Runtime().Recoveries() != 1 {
+		t.Fatalf("Recoveries = %d, want 1", e.Runtime().Recoveries())
+	}
+	if cost[12] != refCost[12] {
+		t.Errorf("re-executed epoch charged %d rows, the unfailed run %d", cost[12], refCost[12])
+	}
+	costsAreZero(e, "after the final barrier")
+	popsExactlyEqual(t, "in-memory recovery under lb", ref.Agents(), e.Agents())
+
+	// A coordinator-driven worker: the barrier hook keeps barrier 8's state
+	// as a coordinator would and aborts the run at barrier 12, mid-protocol,
+	// with the epoch's cost still on the books; Restore then rewinds.
+	var cuts []float64
+	var states map[int][]*Envelope
+	aborted := false
+	errAbort := errors.New("restore pending")
+	e, _, err = run(opts, func(e *Distributed, tick uint64) error {
+		switch {
+		case tick == 8 && states == nil:
+			cuts = e.Partition().(*partition.Strips).Cuts()
+			states = make(map[int][]*Envelope, workers)
+			for p := 0; p < workers; p++ {
+				states[p] = CloneEnvelopes(e.ExportPartition(p))
+			}
+		case tick == 12 && !aborted:
+			aborted = true
+			return errAbort
+		}
+		return nil
+	})
+	if !errors.Is(err, errAbort) {
+		t.Fatalf("RunTicks = %v, want the barrier's abort", err)
+	}
+	var pending int64
+	for p := 0; p < workers; p++ {
+		pending += e.PartitionCost(p)
+	}
+	if pending == 0 {
+		t.Fatal("aborted epoch left no cost behind; the restore has nothing to clear")
+	}
+	if err := e.Restore(8, cuts, e.LocalPartitions(), states); err != nil {
+		t.Fatal(err)
+	}
+	costsAreZero(e, "right after Restore")
+	if err := e.RunTicks(ticks - 8); err != nil {
+		t.Fatal(err)
+	}
+	popsExactlyEqual(t, "restore under lb", ref.Agents(), e.Agents())
 }

@@ -11,8 +11,8 @@
 // Both paths are views over one probe core (queryEnv.rows): the candidate
 // source, the distance arithmetic, the ascending-agent-ID row order and the
 // probe accounting exist once, so a columnar query phase is bit-identical
-// to the classic one, including the Visited counters the load balancer's
-// cost model consumes.
+// to the classic one, down to the rows charged to the load balancer and
+// the Visited gauge.
 package engine
 
 import "github.com/bigreddata/brace/internal/agent"

@@ -89,44 +89,26 @@ type Distributed struct {
 	vclock *cluster.VClock
 
 	// Per-worker tick counters; each worker writes only its own slot
-	// during a phase and the master reads after the phase barrier.
+	// during a phase and the master reads after the phase barrier. Metrics
+	// only: wVisited depends on what the query caches happened to hold, so
+	// no decision may read it (the balancer's input is part.cost).
 	wOwned   []int64
 	wVisited []int64
 
 	// Reusable per-worker machinery: parts[w] is partition w's query
-	// machine (index, probe envs, build buffers, update context), bufs[w]
-	// the envelope-side buffers prepare fills around it.
+	// machine (index, probe envs, build buffers, update context, the
+	// epoch's balancer cost), bufs[w] the envelope-side buffers prepare
+	// fills around it.
 	parts []*part
 	bufs  []partBufs
 
 	// Overlapped two-pass tick state (overlap.go). obufs[w] carries the
 	// interior/boundary split between the early and late pass; noSplitTick
 	// is the single tick that must not split (the one right after a live
-	// cut change, when owned agents may still arrive from peers);
-	// prebuiltTick marks the barrier whose invalidate+prebuild already ran
-	// on the worker side, so onEpoch must not redo it.
-	overlap      bool
-	obufs        []overlapBufs
-	noSplitTick  uint64
-	prebuiltTick uint64
-
-	// Verlet query cache (KD-tree index with bounded visibility, no cost
-	// model; seedSkin is 0 when it is off). Reuse requires an unchanged
-	// keyed copy set with every agent within skin/2 of its build position,
-	// so it never changes results. The skin auto-tunes per partition: every
-	// invalidation (epoch barrier, restore, rebalance) re-seeds it to
-	// seedSkin, and skinWarmupTicks into each epoch the per-tick
-	// displacement observed so far picks the partition's skin for the rest
-	// of the epoch. Epoch-self-contained by construction, so runs reaching
-	// a barrier state through different histories retune identically and
-	// do identical index work.
-	seedSkin float64
-	// tunedSkin[w] is the last skin maybeRetune installed for partition w
-	// (0 until the first retune). Epoch barriers re-seed the live skin, so
-	// this is the only record of a retune that survives RunTicks — the
-	// runtime runs a barrier at the end of every RunTicks call. Written
-	// only by worker w's goroutine; read after RunTicks returns.
-	tunedSkin []float64
+	// cut change, when owned agents may still arrive from peers).
+	overlap     bool
+	obufs       []overlapBufs
+	noSplitTick uint64
 
 	epochs     []EpochStat
 	lastEpochV float64
@@ -171,16 +153,11 @@ func NewDistributed(m Model, pop []*agent.Agent, opts Options) (*Distributed, er
 		parts:    make([]*part, opts.Workers),
 		bufs:     make([]partBufs, opts.Workers),
 
-		noSplitTick:  neverTick,
-		prebuiltTick: neverTick,
+		noSplitTick: neverTick,
 	}
-	e.seedSkin = resolveSkin(s, opts.Index, opts.CostModel != nil)
-	e.tunedSkin = make([]float64, opts.Workers)
+	skin := resolveSkin(s, opts.Index, opts.CostModel != nil)
 	for i := range e.parts {
-		e.parts[i] = e.newPart(opts.Index, e.seedSkin)
-		if e.seedSkin > 0 {
-			e.parts[i].cached.SetStepTracking(true)
-		}
+		e.parts[i] = e.newPart(opts.Index, skin)
 	}
 
 	// Initial partitioning: equal-count quantiles of the initial agent x
@@ -245,34 +222,26 @@ func NewDistributed(m Model, pop []*agent.Agent, opts Options) (*Distributed, er
 		Barrier:               opts.EpochBarrier,
 		OnEpoch:               e.onEpoch,
 		// Checkpoints capture master state alongside worker memories: the
-		// strip cuts (the balancer mutates them) and the per-partition
-		// visited counters (the balancer's cost proxy), so a recovered run
-		// makes the same balancing decisions as an unfailed one.
+		// strip cuts, which the balancer mutates (nil for the static
+		// partitionings). Its other input, the per-partition cost, restarts
+		// at every barrier, where checkpoints are taken: nothing to capture.
 		SnapshotMaster: func() any {
-			ms := &masterState{visited: append([]int64(nil), e.wVisited...)}
 			if s, ok := e.part.(*partition.Strips); ok {
-				ms.cuts = s.Cuts()
+				return s.Cuts()
 			}
-			return ms
+			return nil
 		},
 		RestoreMaster: func(v any) {
-			e.invalidateCaches() // rolled-back state must rebuild like an unfailed run
 			// Restored values sit consistently under the restored cuts, so
 			// every owned agent self-sends on the next tick: the two-pass
-			// split may resume immediately, and the prebuilt core lists
-			// keep the cache-gate trajectory identical to an unfailed
-			// run's. Deferred so the prebuild sees the restored cuts.
+			// split may resume immediately.
 			e.noSplitTick = neverTick
-			defer e.prebuildCores()
-			if v == nil {
-				return
-			}
-			ms := v.(*masterState)
-			copy(e.wVisited, ms.visited)
-			if ms.cuts == nil {
+			e.resetCosts()
+			cuts, _ := v.([]float64)
+			if cuts == nil {
 				return // static partitionings never change
 			}
-			p, err := partition.NewStripsFromCuts(ms.cuts)
+			p, err := partition.NewStripsFromCuts(cuts)
 			if err != nil {
 				panic(err) // snapshots are produced by us; invalid means a bug
 			}
@@ -352,7 +321,6 @@ func (e *Distributed) mapPhase(ctx *mapreduce.Ctx, env *Envelope, emit mapreduce
 // owners for reduce₂.
 func (e *Distributed) reduce1(ctx *mapreduce.Ctx, envs []*Envelope, emit mapreduce.Emit[*Envelope]) {
 	w := ctx.Worker
-	e.maybeRetune(w, ctx.Tick)
 	owned, ownedSlots, _ := e.prepare(w, envs)
 	visited := e.parts[w].query(ownedSlots, haloArrays{})
 	e.wVisited[w] += visited
@@ -470,63 +438,6 @@ func (e *Distributed) prepare(w int, envs []*Envelope) (owned []*Envelope, owned
 	return b.owned, b.ownedSlot, e.parts[w].build(b.copies, b.ownedSlot)
 }
 
-// invalidateCaches drops every partition's query cache. Called at epoch
-// barriers, restores and rebalances: a run must do identical per-tick
-// index work from a given state no matter how it got there (recovery,
-// rebalancing, or plain execution), because the visited counters feed the
-// load balancer's cost model.
-func (e *Distributed) invalidateCaches() {
-	for _, p := range e.parts {
-		if p.cached != nil {
-			p.cached.SetSkin(e.seedSkin) // re-seed; SetSkin invalidates
-		}
-	}
-}
-
-// skinWarmupTicks is the auto-tune observation window: the retune runs at
-// the start of the tick this many past the epoch barrier, on the steps the
-// warmup builds observed. Epochs shorter than the window never retune and
-// keep the seed skin.
-const skinWarmupTicks = 3
-
-// maybeRetune re-picks partition w's skin from the displacement observed
-// since the epoch barrier. Runs at the top of the tick's query phase —
-// before prepare builds the index — exactly once per epoch, at a fixed tick
-// offset from the barrier: the decision depends only on barrier state plus
-// forward execution, never on how the run reached the barrier (recovery,
-// rebalancing) or on whether the overlapped tick is active (its duplicate
-// zero-displacement prebuilds never raise the observed max).
-func (e *Distributed) maybeRetune(w int, tick uint64) {
-	c := e.parts[w].cached
-	if c == nil || tick != e.lastEpochT+skinWarmupTicks {
-		return
-	}
-	samples, step := c.StepStats()
-	if samples == 0 {
-		return // population churned every warmup tick; keep the seed
-	}
-	s := autoSkinFor(step, c.ProbeRadius())
-	e.tunedSkin[w] = s
-	if s != c.Skin() {
-		c.SetSkin(s)
-	}
-}
-
-// autoSkinFor maps an observed max per-tick displacement to a skin: four
-// ticks of reuse at the observed speed, clamped so lists stay near the true
-// neighborhood (≤ ρ/2, the DefaultSkin cap) and a near-stationary workload
-// still gets a usable skin (≥ ρ/16).
-func autoSkinFor(step, probeRad float64) float64 {
-	s := 4 * step
-	if lo := probeRad / 16; s < lo {
-		s = lo
-	}
-	if hi := probeRad / 2; s > hi {
-		s = hi
-	}
-	return s
-}
-
 // CacheStats sums the query-cache counters across partitions (zero when
 // the cached path is disabled).
 func (e *Distributed) CacheStats() spatial.CacheStats {
@@ -578,26 +489,9 @@ func (e *Distributed) onEpoch(tick uint64) {
 		st.Rebalanced = e.rebalance()
 	}
 
-	// Epoch barriers are the deterministic cache-invalidation points: a
-	// restored run resumes at a barrier, so forcing a rebuild at every
-	// barrier makes its subsequent index work — and hence the balancer's
-	// cost inputs — identical to an unfailed run's. When the cuts survive
-	// the barrier the next tick's core build is already known, so the
-	// overlapped engine prebuilds it here; a worker process did both steps
-	// while awaiting the directive (StartBarrierPrebuild stamps
-	// prebuiltTick so they are not redone).
-	// A worker process never sees st.Rebalanced (the coordinator owns the
-	// decision and installs cuts through InstallCuts, which marks
-	// noSplitTick); either signal means this barrier changed the cuts and
-	// a prebuild would poison the adaptive gate with a build the next tick
-	// throws away.
-	cutsChanged := st.Rebalanced || e.noSplitTick == tick
-	if cutsChanged || e.prebuiltTick != tick {
-		e.invalidateCaches()
-		if e.overlap && !cutsChanged {
-			e.prebuildCores()
-		}
-	}
+	// The cost is per epoch: a distributed worker shipped it in the barrier
+	// hook, which runs before this one.
+	e.resetCosts()
 	if st.Rebalanced {
 		// The tick right after a cut change cannot split: agents may reach
 		// their new owner from a peer, so no owned agent is provably
@@ -608,7 +502,7 @@ func (e *Distributed) onEpoch(tick uint64) {
 	e.epochs = append(e.epochs, st)
 }
 
-// rebalance gathers agent positions and per-partition cost estimates and
+// rebalance gathers agent positions and the epoch's per-partition costs and
 // applies the balancer's plan when beneficial.
 func (e *Distributed) rebalance() bool {
 	strips, ok := e.part.(*partition.Strips)
@@ -616,10 +510,12 @@ func (e *Distributed) rebalance() bool {
 		return false // the 1-D balancer only adjusts strip cuts
 	}
 	xs := make([][]float64, e.opts.Workers)
+	cost := make([]int64, e.opts.Workers)
 	for w := 0; w < e.opts.Workers; w++ {
 		xs[w] = e.PartitionXs(w)
+		cost[w] = e.PartitionCost(w)
 	}
-	d := PlanRebalance(e.opts.Balancer, strips, xs, e.wVisited)
+	d := PlanRebalance(e.opts.Balancer, strips, xs, cost)
 	if !d.Apply {
 		return false
 	}
@@ -629,12 +525,6 @@ func (e *Distributed) rebalance() bool {
 	}
 	e.part = p
 	return true
-}
-
-// masterState is the engine's contribution to a coordinated checkpoint.
-type masterState struct {
-	cuts    []float64 // strip cuts; nil for non-strip partitionings
-	visited []int64   // cumulative per-partition candidates-visited
 }
 
 // Agents returns the current population, ID-sorted (owned copies only).

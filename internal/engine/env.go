@@ -40,7 +40,8 @@ type queryEnv struct {
 	self *agent.Agent
 	slot int32 // self's core slot (-1: self is a halo row)
 
-	stats spatial.Stats // probe accounting of the cached paths
+	visited int64 // candidates the cached paths examined (Visited gauge)
+	cost    int64 // rows returned to the model: the load balancer's input
 	// out[d] holds the result rows of the probe issued at closure-iteration
 	// depth d. A probe made from inside a ForEachVisible/Nearby callback
 	// must not reuse the buffer the outer loop is still walking, so each
@@ -110,6 +111,7 @@ func (q *queryEnv) visible() []int32 {
 		out = append(out, int32(i))
 	}
 	q.out[q.depth] = out
+	q.cost += int64(len(out))
 	return out
 }
 
@@ -136,17 +138,18 @@ func (q *queryEnv) nearby(radius float64) []int32 {
 // — then merges the halo when the pass has one. The two cached sources are
 // read-only on shared state, so one env per worker-pool chunk may probe
 // concurrently (a plain index counts its own probes; part.query runs it
-// serially). The Probes/Visited accounting of the cached paths lives here and nowhere
-// else; it feeds the load balancer's cost model, so it must not depend on
-// which API (Cols or Env) asked.
+// serially). Two counters live here and nowhere else. visited is the cached
+// paths' share of the Visited gauge: candidates examined, which depends on
+// the source picked above. cost counts the rows returned, which does not —
+// every source yields exactly the agents within radius — and is what the
+// load balancer is charged (see Distributed.PartitionCost).
 func (q *queryEnv) rows(radius float64) []int32 {
 	out := q.buf()
 	var pos geom.Vec
 	r2 := radius * radius
 	if q.lists && q.slot >= 0 && radius <= q.cached.ProbeRadius() {
 		cand, cur := q.cached.SlotCandidates(q.slot)
-		q.stats.Probes++
-		q.stats.Visited += int64(len(cand))
+		q.visited += int64(len(cand))
 		pos = cur[q.slot]
 		// Pre-sized buffer with an unconditional store and a conditional
 		// advance: the pass/fail branch is data-dependent (≈ the ratio of
@@ -169,8 +172,7 @@ func (q *queryEnv) rows(radius float64) []int32 {
 		if q.cached != nil {
 			var visited int64
 			out, visited = q.cached.RangeCircleInto(pos, radius, out)
-			q.stats.Probes++
-			q.stats.Visited += visited
+			q.visited += visited
 		} else {
 			d := q.depth
 			q.out[d] = out
@@ -186,6 +188,7 @@ func (q *queryEnv) rows(radius float64) []int32 {
 		out = q.mergeHalo(out, pos, r2)
 	}
 	q.out[q.depth] = out
+	q.cost += int64(len(out))
 	return out
 }
 
@@ -197,7 +200,7 @@ func (q *queryEnv) rows(radius float64) []int32 {
 // order: the exact row sequence a single combined index produces.
 func (q *queryEnv) mergeHalo(rows []int32, pos geom.Vec, r2 float64) []int32 {
 	hits := q.hits[:0]
-	q.stats.Visited += int64(len(q.halo.agents))
+	q.visited += int64(len(q.halo.agents))
 	for j, hp := range q.halo.pos {
 		dx, dy := hp.X-pos.X, hp.Y-pos.Y
 		if dx*dx+dy*dy <= r2 {
@@ -236,8 +239,7 @@ func (q *queryEnv) Nearest(k int, buf []*agent.Agent) []*agent.Agent {
 		// in the list (see the cache invariant), so collecting in-vis
 		// candidates and ranking below reproduces the index path exactly.
 		list, cur := q.cached.SlotCandidates(q.slot)
-		q.stats.Probes++
-		q.stats.Visited += int64(len(list))
+		q.visited += int64(len(list))
 		for _, j := range list {
 			if cur[j].Dist2(pos) <= vis2 && q.copies[j].ID != q.self.ID {
 				cand = append(cand, j)
@@ -256,7 +258,7 @@ func (q *queryEnv) Nearest(k int, buf []*agent.Agent) []*agent.Agent {
 		}
 	}
 	if len(q.halo.agents) > 0 {
-		q.stats.Visited += int64(len(q.halo.agents))
+		q.visited += int64(len(q.halo.agents))
 		ncore := int32(len(q.copies))
 		for j, a := range q.halo.agents {
 			// A halo-owned probe finds itself in the halo.
@@ -279,6 +281,7 @@ func (q *queryEnv) Nearest(k int, buf []*agent.Agent) []*agent.Agent {
 	if len(cand) > k {
 		cand = cand[:k]
 	}
+	q.cost += int64(len(cand))
 	for _, c := range cand {
 		buf = append(buf, q.agentAt(c))
 	}

@@ -27,14 +27,13 @@ import (
 	"github.com/bigreddata/brace/internal/mapreduce"
 )
 
-// neverTick is the "no tick" sentinel for noSplitTick/prebuiltTick.
+// neverTick is the "no tick" sentinel for noSplitTick.
 const neverTick = ^uint64(0)
 
 // overlapBufs carries one partition's state from the early to the late
 // pass of a tick. Reused every tick; purely allocation avoidance.
 type overlapBufs struct {
-	split     bool  // this tick's interior pass ran (no recent cut change)
-	visited   int64 // candidates examined so far this tick (build + early pass)
+	split     bool // this tick's interior pass ran (no recent cut change)
 	coreOwned []*Envelope
 	interior  []int32 // owned slots probed by the early pass
 	boundary  []int32 // owned rows deferred to the late pass
@@ -54,13 +53,10 @@ type overlapBufs struct {
 // peer-sent copy, so their query phases are exact without the halo.
 func (e *Distributed) reduce1Early(ctx *mapreduce.Ctx, self []*Envelope) {
 	w := ctx.Worker
-	e.maybeRetune(w, ctx.Tick)
 	ob := &e.obufs[w]
-	var ownedSlots []int32
-	// The overlapped tick has always charged the core build's list
-	// construction to the partition's cost counter, which the single-pass
-	// reduce1 does not. The counter feeds the balancer, so it stays as is.
-	ob.coreOwned, ownedSlots, ob.visited = e.prepare(w, self)
+	coreOwned, ownedSlots, built := e.prepare(w, self)
+	ob.coreOwned = coreOwned
+	e.wVisited[w] += built // the gauge counts the core list build
 	ob.split = ctx.Tick != e.noSplitTick
 	ob.interior = ob.interior[:0]
 	ob.boundary = ob.boundary[:0]
@@ -93,7 +89,7 @@ func (e *Distributed) reduce1Early(ctx *mapreduce.Ctx, self []*Envelope) {
 			ob.boundary = append(ob.boundary, slot)
 		}
 	}
-	ob.visited += p.query(ob.interior, haloArrays{})
+	e.wVisited[w] += p.query(ob.interior, haloArrays{})
 }
 
 // reduce1Late finishes the overlapped reduceᵗ₁ once the map phase has
@@ -131,7 +127,7 @@ func (e *Distributed) reduce1Late(ctx *mapreduce.Ctx, rest []*Envelope, emit map
 		// can read their state through the columns.
 		p.cols = appendHaloCols(p.cols, ob.haloAg.agents)
 	}
-	e.wVisited[w] += ob.visited + p.query(ob.boundary, ob.haloAg)
+	e.wVisited[w] += p.query(ob.boundary, ob.haloAg)
 	e.wOwned[w] += int64(len(ob.coreOwned) + len(ob.haloOwned))
 
 	// Update phase for all owned agents, merging the two ID-sorted owned
@@ -150,43 +146,28 @@ func (e *Distributed) reduce1Late(ctx *mapreduce.Ctx, rest []*Envelope, emit map
 	ob.coreOwned = nil
 }
 
-// prebuildCores rebuilds every local partition's core index and candidate
-// lists from the values it holds right now. At an epoch barrier (or right
-// after a restore) the next tick's self-sent envelope set is exactly
-// these values, so this build either is the next early pass's build —
-// same keys, same probe set, zero displacement, a guaranteed reuse — or,
-// when a directive then installs new cuts, is thrown away by the
-// invalidation that follows, leaving the adaptive gate in the same state
-// as an invalidate-only barrier. prepare sorts its argument in place and
-// a worker's checkpoint may still be serializing the live values, so the
-// build works on a copy of the slice.
-func (e *Distributed) prebuildCores() {
-	if !e.overlap {
-		return
-	}
-	for _, w := range e.LocalPartitions() {
-		vs := e.rt.Values(w)
-		envs := append(make([]*Envelope, 0, len(vs)), vs...)
-		e.prepare(w, envs)
-	}
-}
-
-// StartBarrierPrebuild begins the epoch-barrier cache invalidation and
-// core prebuild on a background goroutine, so a distributed worker
-// overlaps next tick's index build with the coordinator round-trip. The
-// returned join must be called before the engine ticks again — and before
-// InstallCuts, whose invalidation has to land after the build. No-op when
-// the overlapped path is off.
-func (e *Distributed) StartBarrierPrebuild(tick uint64) (join func()) {
+// StartBarrierPrebuild runs the next tick's core builds on a background
+// goroutine, so a distributed worker overlaps them with the coordinator
+// round-trip. At an epoch barrier the next tick's self-sent envelope set is
+// exactly the values each local partition holds now, so the early pass
+// finds its build in the cache (same keys, same probe set, zero
+// displacement) unless the directive moves the cuts, and then the keyed
+// cache rebuilds as it would have anyway. Pure scheduling: neither results
+// nor the balancer's cost can tell whether this ran. prepare sorts in place
+// and a checkpoint may still be serializing the live values, so each build
+// works on a copy of the slice. The returned join must be called before the
+// engine ticks again or is restored. No-op when the overlapped path is off.
+func (e *Distributed) StartBarrierPrebuild() (join func()) {
 	if !e.overlap {
 		return func() {}
 	}
-	e.prebuiltTick = tick
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		e.invalidateCaches()
-		e.prebuildCores()
+		for _, w := range e.LocalPartitions() {
+			vs := e.rt.Values(w)
+			e.prepare(w, append(make([]*Envelope, 0, len(vs)), vs...))
+		}
 	}()
 	return func() { <-done }
 }

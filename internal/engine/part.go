@@ -60,7 +60,9 @@ func (c *core) AgentTicks() int64 { return c.agentTicks }
 
 // Visited returns total index candidates examined across all ticks and
 // copy sets (index rebuilds reset the indexes' own counters; this
-// accumulates them).
+// accumulates them). A metrics gauge like the wall clock: it depends on the
+// index kind and on what the query caches held, so it never feeds back into
+// the simulation.
 func (c *core) Visited() int64 { return c.visited }
 
 // WallSeconds returns wall time spent in RunTicks.
@@ -84,6 +86,9 @@ type part struct {
 	cached *spatial.CachedIndex // non-nil: ix is the cached KD-tree
 	envs   []queryEnv           // one probe env per worker-pool chunk
 	uctx   UpdateCtx            // reused across agents; reset re-seeds per agent
+	// cost is the load balancer's input: the rows this part's probes have
+	// returned since Distributed last reset it (see PartitionCost).
+	cost int64
 
 	// The tick's build, rewritten by every build call.
 	copies []*agent.Agent
@@ -107,8 +112,8 @@ func (c *core) newPart(index spatial.Kind, skin float64) *part {
 }
 
 // resolveSkin is the engine-wide cache policy: the cached query path
-// requires the KD-tree index and a bounded visibility, and starts from the
-// default skin; 0 means uncached. A cost model also means uncached:
+// requires the KD-tree index and a bounded visibility, and runs the default
+// skin on every copy set; 0 means uncached. A cost model also means uncached:
 // virtual-time accounting charges candidates-visited through a model
 // calibrated for the per-tick rebuild dataflow, and the cached path changes
 // what a "visit" physically costs (sequential list scan vs tree walk), so
@@ -141,7 +146,8 @@ const probeGrain = 64
 // ownership change rebuilds, drift beyond skin/2 rebuilds, everything else
 // reuses. Columnar models gather their state columns first so the build
 // reads the position columns instead of walking the agents again. Returns
-// the candidates the cached index visited constructing lists (0 on reuse).
+// the candidates the cached index visited constructing lists (0 on reuse),
+// for the Visited gauge.
 func (p *part) build(copies []*agent.Agent, probe []int32) int64 {
 	s := p.c.schema
 	p.copies = copies
@@ -156,13 +162,13 @@ func (p *part) build(copies []*agent.Agent, probe []int32) int64 {
 	for i, a := range copies {
 		p.keys[i] = int64(a.ID)
 	}
-	before := p.cached.Stats().Visited
+	before := p.cached.Stats().Visited //bracevet:allow indexstats metrics-only: the build's share of the Visited gauge
 	if p.c.colM != nil {
 		p.cached.BuildKeyedCols(p.cols[s.PosX], p.cols[s.PosY], p.keys, probe)
 	} else {
 		p.cached.BuildKeyed(p.points(), p.keys, probe)
 	}
-	return p.cached.Stats().Visited - before
+	return p.cached.Stats().Visited - before //bracevet:allow indexstats metrics-only: Visited gauge
 }
 
 // points materializes the copy set's point set from the agents (the
@@ -183,11 +189,12 @@ func (p *part) allSlots(n int) []int32 {
 	return p.all[:n]
 }
 
-// query runs the query phase for the given rows of the last build and
-// returns the candidates examined — the load balancer's cost input. A row
-// below len(copies) is a core slot; the overlapped late pass also passes
-// halo rows (len(copies)+j: an owned agent that arrived from a peer) along
-// with the halo itself, which probes then merge into their results.
+// query runs the query phase for the given rows of the last build, adds
+// the rows its probes returned to the part's cost, and returns the
+// candidates the index examined (the Visited gauge). A row below
+// len(copies) is a core slot; the overlapped late pass also passes halo
+// rows (len(copies)+j: an owned agent that arrived from a peer) along with
+// the halo itself, which probes then merge into their results.
 //
 // With the cached index and local effects, query phases are independent —
 // each writes only its own agent's effect fields and probes are read-only —
@@ -220,7 +227,7 @@ func (p *part) query(rows []int32, halo haloArrays) int64 {
 			}
 		}
 	}
-	before := p.ix.Stats().Visited
+	before := p.ix.Stats().Visited //bracevet:allow indexstats metrics-only: the probes' share of the Visited gauge
 	if parallel {
 		spatial.ParallelFor(len(rows), probeGrain, pass)
 	} else {
@@ -228,10 +235,12 @@ func (p *part) query(rows []int32, halo haloArrays) int64 {
 	}
 	// Uncached indexes count their own probes; the cached paths account
 	// per env so parallel chunks never share a counter.
-	visited := p.ix.Stats().Visited - before
+	visited := p.ix.Stats().Visited - before //bracevet:allow indexstats metrics-only: Visited gauge
 	for i := range p.envs {
-		visited += p.envs[i].stats.Visited
-		p.envs[i].stats = spatial.Stats{}
+		q := &p.envs[i]
+		visited += q.visited
+		p.cost += q.cost
+		q.visited, q.cost = 0, 0
 	}
 	return visited
 }
@@ -258,7 +267,7 @@ func (p *part) cacheStats() spatial.CacheStats {
 	if p.cached == nil {
 		return spatial.CacheStats{}
 	}
-	return p.cached.CacheStats()
+	return p.cached.CacheStats() //bracevet:allow indexstats metrics-only: build/reuse counters for Metrics and the benchmark
 }
 
 // resize returns s with length n, reusing capacity.

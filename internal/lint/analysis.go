@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -156,7 +157,7 @@ func Run(analyzers []*Analyzer, pkgs []*Package) []Diagnostic {
 
 // All returns the full bracevet suite.
 func All() []*Analyzer {
-	return []*Analyzer{MapOrder, FrameCase, WallClock, GlobalRand}
+	return []*Analyzer{MapOrder, FrameCase, WallClock, GlobalRand, IndexStats}
 }
 
 // deterministicPkg reports whether a package path belongs to the
@@ -165,14 +166,8 @@ func All() []*Analyzer {
 // suites assert bit-identical results over them. Matching is by path
 // element so the analyzers work unchanged on testdata modules.
 func deterministicPkg(path string) bool {
-	for _, elem := range strings.Split(path, "/") {
-		switch elem {
-		case "engine", "mapreduce", "distrib", "transport", "scenario",
-			"sim", "spatial", "partition", "agent", "service":
-			return true
-		}
-	}
-	return false
+	return pathHasElem(path, "engine", "mapreduce", "distrib", "transport", "scenario",
+		"sim", "spatial", "partition", "agent", "service")
 }
 
 // simStatePkg reports whether a package path computes simulation state
@@ -181,10 +176,15 @@ func deterministicPkg(path string) bool {
 // design for liveness deadlines and adaptive timeouts; state-bearing
 // packages may not, except at sites annotated metrics-only.
 func simStatePkg(path string) bool {
-	for _, elem := range strings.Split(path, "/") {
-		switch elem {
-		case "engine", "mapreduce", "scenario", "sim", "spatial",
-			"partition", "agent":
+	return pathHasElem(path, "engine", "mapreduce", "scenario", "sim", "spatial",
+		"partition", "agent")
+}
+
+// pathHasElem reports whether any element of the package path is one of
+// elems.
+func pathHasElem(path string, elems ...string) bool {
+	for _, e := range strings.Split(path, "/") {
+		if slices.Contains(elems, e) {
 			return true
 		}
 	}

@@ -10,6 +10,7 @@ func TestMapOrder(t *testing.T)   { runTestdata(t, MapOrder, "maporder") }
 func TestFrameCase(t *testing.T)  { runTestdata(t, FrameCase, "framecase") }
 func TestWallClock(t *testing.T)  { runTestdata(t, WallClock, "wallclock") }
 func TestGlobalRand(t *testing.T) { runTestdata(t, GlobalRand, "globalrand") }
+func TestIndexStats(t *testing.T) { runTestdata(t, IndexStats, "indexstats") }
 
 // TestRepoIsCleanAtHEAD is the self-check the CI lint job depends on:
 // the full suite over the whole repository must be finding-free. Any

@@ -1,9 +1,12 @@
 package scenario
 
 import (
+	"slices"
 	"testing"
 
+	"github.com/bigreddata/brace/internal/agent"
 	"github.com/bigreddata/brace/internal/engine"
+	"github.com/bigreddata/brace/internal/partition"
 	"github.com/bigreddata/brace/internal/spatial"
 )
 
@@ -69,41 +72,98 @@ func TestCachedQueryEquivalence(t *testing.T) {
 	}
 }
 
-// TestCachedEquivalenceUnderLoadBalance pins the epoch-barrier
-// invalidation contract where it matters most: with the load balancer on,
-// the balancer's inputs (candidates-visited counters) differ between
-// cached KD and scan runs, so partitionings may diverge — but for
-// local-effect scenarios state must not, because partitioning never
-// changes results. Runs long enough to cross several epoch boundaries and
-// rebalances.
+// TestCachedEquivalenceUnderLoadBalance pins what the load balancer may
+// see: its cost input is the rows probes return, a function of agent state
+// and cuts alone, so for every registered scenario the per-partition cost
+// of every epoch, the cuts the balancer then picks and the final state are
+// identical between the cached KD-tree (overlapped two-pass tick where the
+// gate admits it) and the KindScan reference (never cached, always
+// single-pass), with worker tasks running concurrently or one at a time.
+// Charged index candidates instead — as the engine once was — the two
+// indexes examine different counts and pick different cuts. Identical cuts
+// mean identical fold groupings, so non-local scenarios are exact here too.
 func TestCachedEquivalenceUnderLoadBalance(t *testing.T) {
-	const ticks = 30
+	const (
+		workers = 4
+		ticks   = 30
+		epoch   = 5
+	)
+	// An eager balancer, so the cuts actually move within 30 ticks.
+	bal := partition.Balancer{MigrateCostPerAgent: 1e-9, HorizonTicks: 1000, MinRelativeGain: 0.01}
+	type epochRecord struct {
+		cost []int64   // per partition, as the barrier finds it
+		cuts []float64 // in force after the barrier
+	}
 	for _, sp := range All() {
-		if !sp.LocalOnly {
-			continue
-		}
 		sp := sp
 		t.Run(sp.Name, func(t *testing.T) {
 			m, base, err := sp.New(testConfig(sp, 11))
 			if err != nil {
 				t.Fatal(err)
 			}
-			run := func(index spatial.Kind) *engine.Distributed {
+			run := func(index spatial.Kind, sequential bool) ([]epochRecord, []*agent.Agent) {
+				var e *engine.Distributed
+				var log []epochRecord
 				e, err := engine.NewDistributed(m, clonePop(base), engine.Options{
-					Workers: 4, Index: index, Seed: 11,
-					LoadBalance: true, Tunables: engine.Tunables{EpochTicks: 5},
+					Workers: workers, Index: index, Seed: 11, Sequential: sequential,
+					LoadBalance: true, Balancer: bal, Tunables: engine.Tunables{EpochTicks: epoch},
+					EpochBarrier: func(uint64) error {
+						rec := epochRecord{cost: make([]int64, workers)}
+						for p := range rec.cost {
+							rec.cost[p] = e.PartitionCost(p)
+						}
+						log = append(log, rec)
+						return nil
+					},
 				})
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := e.RunTicks(ticks); err != nil {
-					t.Fatal(err)
+				for i := 0; i < ticks/epoch; i++ {
+					if err := e.RunTicks(epoch); err != nil {
+						t.Fatal(err)
+					}
+					log[i].cuts = e.Partition().(*partition.Strips).Cuts()
+					for p := 0; p < workers; p++ {
+						if c := e.PartitionCost(p); c != 0 {
+							t.Fatalf("partition %d cost = %d after the barrier at tick %d, want 0", p, c, e.Tick())
+						}
+					}
 				}
-				return e
+				return log, e.Agents()
 			}
-			plain := run(spatial.KindScan)
-			cached := run(spatial.KindKDTree)
-			assertExact(t, sp.Name+"/lb-cached", 11, 4, plain.Agents(), cached.Agents())
+			refLog, refPop := run(spatial.KindScan, false)
+			var charged int64
+			moved := false
+			for i, rec := range refLog {
+				for _, c := range rec.cost {
+					charged += c
+				}
+				moved = moved || (i > 0 && !slices.Equal(rec.cuts, refLog[i-1].cuts))
+			}
+			if charged == 0 || !moved {
+				t.Fatalf("charged %d rows, cuts moved: %v; the equivalence was not exercised", charged, moved)
+			}
+			for _, tc := range []struct {
+				name       string
+				index      spatial.Kind
+				sequential bool
+			}{
+				{"kd", spatial.KindKDTree, false},
+				{"kd/sequential", spatial.KindKDTree, true},
+				{"scan/sequential", spatial.KindScan, true},
+			} {
+				log, pop := run(tc.index, tc.sequential)
+				for i, rec := range log {
+					if !slices.Equal(rec.cost, refLog[i].cost) {
+						t.Fatalf("%s epoch %d: cost %v, scan reference %v", tc.name, i, rec.cost, refLog[i].cost)
+					}
+					if !slices.Equal(rec.cuts, refLog[i].cuts) {
+						t.Fatalf("%s epoch %d: cuts %v, scan reference %v", tc.name, i, rec.cuts, refLog[i].cuts)
+					}
+				}
+				assertExact(t, sp.Name+"/lb-"+tc.name, 11, workers, refPop, pop)
+			}
 		})
 	}
 }

@@ -216,15 +216,6 @@ func NewManager(cfg Config) (*Manager, error) {
 // construction, registry-fed fleets grow it as workers announce themselves.
 func (m *Manager) fleetSize() int { return m.fleet.size() }
 
-// Size limits on a submitted run. The coordinator allocates engine state
-// per partition and every worker process seeds the full population, all
-// inside daemons shared with other runs, so a spec is refused before
-// anything is sized from it.
-const (
-	maxRunPartitions = 1024
-	maxRunAgents     = 1 << 22
-)
-
 // normalize validates a spec and fills defaults. Validation failures are
 // client errors (HTTP 400).
 func (m *Manager) normalize(spec RunSpec) (RunSpec, error) {
@@ -234,11 +225,13 @@ func (m *Manager) normalize(spec RunSpec) (RunSpec, error) {
 	if spec.Ticks <= 0 {
 		return spec, fmt.Errorf("service: ticks must be > 0")
 	}
-	if spec.Partitions > maxRunPartitions {
-		return spec, fmt.Errorf("service: %d partitions over the limit of %d", spec.Partitions, maxRunPartitions)
+	// The daemons a run lands on are shared with other runs, so its size is
+	// refused here, before anything is sized from it.
+	if spec.Partitions > distrib.MaxPartitions {
+		return spec, fmt.Errorf("service: %d partitions over the limit of %d", spec.Partitions, distrib.MaxPartitions)
 	}
-	if spec.Agents > maxRunAgents {
-		return spec, fmt.Errorf("service: %d agents over the limit of %d", spec.Agents, maxRunAgents)
+	if spec.Agents > distrib.MaxAgents {
+		return spec, fmt.Errorf("service: %d agents over the limit of %d", spec.Agents, distrib.MaxAgents)
 	}
 	fleetN := m.fleetSize()
 	if spec.Workers == 0 {

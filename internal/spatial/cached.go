@@ -55,14 +55,12 @@ type CachedIndex struct {
 	// Adaptive candidate-list gate. Workloads whose per-tick motion
 	// exceeds skin/2 never reuse, so list construction would be pure
 	// overhead every tick; after one full build-reuse-miss cycle the cache
-	// stops building lists and degrades to plain per-tick rebuilds.
-	// Invalidate resets the gate, so in the distributed engine the state
-	// machine restarts at every epoch barrier — keeping a recovered run's
-	// adaptation (and therefore its index work) identical to an unfailed
-	// one's.
+	// stops building lists and degrades to plain per-tick rebuilds, until
+	// an Invalidate re-arms it. The gate picks between two exact probe
+	// sources, so it changes the work done and never the results.
 	listsOn    bool
 	listsBuilt bool  // the current build carries lists
-	buildSeen  bool  // a rebuild happened since the last Invalidate
+	buildSeen  bool  // a rebuild happened since construction or the last Invalidate
 	reuseRun   int   // reuses since the last rebuild
 	buildCost  int64 // tree candidates visited by the last list build
 	listWork   int64 // candidate-list entries of the last build (per-tick scan cost)
@@ -78,15 +76,6 @@ type CachedIndex struct {
 
 	lists [][]int32 // per-slot candidate slots, ascending; nil w/o probeRad
 	mask  []bool    // probe-set membership scratch
-
-	// Per-tick displacement tracking for skin auto-tuning. When enabled,
-	// every BuildKeyed whose keyed slot sequence matches the previous call
-	// records the max distance any point moved since that call. Reset by
-	// Invalidate, so the observations — like the adaptive list gate — are a
-	// pure function of forward execution from the last barrier.
-	track       bool
-	stepSamples int
-	stepMax     float64
 
 	// Per-chunk scratch for the parallel list build.
 	pairs [][]int64
@@ -141,52 +130,19 @@ func DefaultSkin(probeRad, reach float64) float64 {
 	return s
 }
 
-// Skin returns the configured skin radius s.
-func (c *CachedIndex) Skin() float64 { return c.skin }
-
-// SetSkin replaces the skin radius and invalidates the cached build: the
-// existing candidate lists were constructed at ρ+oldSkin and their reuse
-// bound is oldSkin/2, so they cannot be kept. Negative skins clamp to 0
-// (reuse disabled), matching NewCached.
-func (c *CachedIndex) SetSkin(s float64) {
-	if s < 0 {
-		s = 0
-	}
-	c.skin = s
-	c.Invalidate()
-}
-
-// SetStepTracking enables (or disables) per-tick displacement observation
-// for skin auto-tuning. Off by default: explicit-skin runs skip the extra
-// per-build scan entirely.
-func (c *CachedIndex) SetStepTracking(on bool) { c.track = on }
-
-// StepStats returns the number of same-population BuildKeyed calls observed
-// since the last Invalidate and the maximum per-call displacement among
-// them. Zero-displacement duplicate builds (the overlapped path's barrier
-// prebuilds) contribute samples but never raise the max, so the max is
-// identical whether or not the overlapped tick is active.
-func (c *CachedIndex) StepStats() (samples int, maxStep float64) {
-	return c.stepSamples, c.stepMax
-}
-
 // CacheStats returns cumulative build/reuse counters.
 func (c *CachedIndex) CacheStats() CacheStats { return c.cs }
 
 // Invalidate drops the cached build, forcing the next BuildKeyed to
-// rebuild, and re-arms the adaptive list gate. Engines call it at epoch
-// barriers and after migrations, restores and rebalances so that runs
-// reaching the same state through different histories (e.g. a recovered
-// vs an unfailed run) also make identical per-tick work — keeping
-// cost-driven decisions such as load balancing, and therefore distributed
-// runs, bit-identical.
+// rebuild, and re-arms the adaptive list gate: a cold start for callers
+// that measure one (the benchmark's build probes). Correctness never needs
+// it — BuildKeyed validates reuse against its own keys, probe set and
+// build positions — and the engines never call it.
 func (c *CachedIndex) Invalidate() {
 	c.valid = false
 	c.listsOn = true
 	c.buildSeen = false
 	c.reuseRun = 0
-	c.stepSamples = 0
-	c.stepMax = 0
 }
 
 // HasLists reports whether the current build carries candidate lists —
@@ -207,9 +163,6 @@ func (c *CachedIndex) ProbeRadius() float64 { return c.probeRad }
 //
 // The caller's pts slice is copied, not retained or reordered.
 func (c *CachedIndex) BuildKeyed(pts []Point, keys []int64, probe []int32) bool {
-	if c.track {
-		c.observeStep(pts, keys)
-	}
 	if c.listsOn && c.tryReuse(pts, keys, probe) {
 		c.cs.Reuses++
 		c.reuseRun++
@@ -253,31 +206,6 @@ func (c *CachedIndex) BuildKeyedCols(xs, ys []float64, keys []int64, probe []int
 func (c *CachedIndex) Build(pts []Point) {
 	c.rebuild(pts, nil, nil)
 	c.cs.Builds++
-}
-
-// observeStep records the displacement since the previous BuildKeyed call
-// when the keyed slot sequence is unchanged: pts[i] then corresponds to
-// c.cur[i], the position the same agent held at the previous call. Runs
-// before reuse/rebuild overwrite c.cur.
-func (c *CachedIndex) observeStep(pts []Point, keys []int64) {
-	if !c.valid || !c.keyed || keys == nil || len(pts) != c.n || len(keys) != c.n {
-		return
-	}
-	for i, k := range keys {
-		if c.keys[i] != k {
-			return
-		}
-	}
-	maxD2 := 0.0
-	for i := range pts {
-		if d2 := pts[i].Pos.Dist2(c.cur[i]); d2 > maxD2 {
-			maxD2 = d2
-		}
-	}
-	c.stepSamples++
-	if s := math.Sqrt(maxD2); s > c.stepMax {
-		c.stepMax = s
-	}
 }
 
 // tryReuse checks the reuse conditions and, when they hold, refreshes

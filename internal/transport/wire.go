@@ -16,8 +16,8 @@ import (
 
 // ProtoVersion guards against mismatched coordinator/worker binaries; the
 // handshake rejects any other value with a VersionError, the one skew
-// guard (there is no per-feature negotiation: every v6 binary speaks the
-// whole protocol). Version 6 is: coordinator-owned placement in the Hello
+// guard (there is no per-feature negotiation: every v7 binary speaks the
+// whole protocol). Version 7 is: coordinator-owned placement in the Hello
 // and Stats/Directive/Checkpoint/Restore frames at epoch barriers;
 // Ping/Pong heartbeats answered by the worker's transport reader;
 // differential checkpoint payloads (PartState.Delta) between full
@@ -26,8 +26,11 @@ import (
 // per-(src,dst) data sequence numbers; worker registration (FrameRegister)
 // and direct worker↔worker sessions (FramePeerHello). Each process derives
 // the query cache and the overlapped tick from the Hello's scenario, index
-// and partitioning, so neither crosses the wire.
-const ProtoVersion = 6
+// and partitioning, so neither crosses the wire. v7 took the balancer's cost
+// out of PartState: PartStats.Cost counts probe rows since the previous
+// barrier, checkpoints are taken at barriers, so the cost in a checkpoint
+// or a Restore would always be 0.
+const ProtoVersion = 7
 
 // VersionError reports a handshake between binaries speaking different
 // protocol versions.
@@ -130,9 +133,10 @@ type FinalReport struct {
 // PartStats is one partition's contribution to an epoch statistics frame.
 type PartStats struct {
 	Part int
-	// Visited is the partition's cumulative index-candidates counter, the
-	// balancer's per-agent cost proxy.
-	Visited int64
+	// Cost is the rows the partition's probes returned since the previous
+	// barrier (engine.Distributed.PartitionCost), the balancer's per-agent
+	// cost proxy.
+	Cost int64
 	// Xs are the x coordinates of the partition's owned agents; populated
 	// only when the run load-balances (Hello.LoadBalance).
 	Xs []float64
@@ -173,8 +177,7 @@ type Directive struct {
 // engine.DiffPartition. The coordinator reassembles deltas into full
 // state on arrival, so Restore frames always carry Full parts.
 type PartState struct {
-	Part    int
-	Visited int64
+	Part int
 	// Full marks Values as the complete partition state.
 	Full   bool
 	Values any // []*engine.Envelope (gob-registered by internal/scenario)
