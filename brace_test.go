@@ -179,3 +179,40 @@ func TestConfigDefaults(t *testing.T) {
 		t.Error("Tick")
 	}
 }
+
+// Partitioning may replicate work, but only so much: on the benchmark's
+// fish school, eight partitions examine at most twice the candidates per
+// agent-tick that the sequential engine does (1.6× when this guard went in;
+// 2.3–2.5× while boundary probes still scanned their partition's whole
+// halo). A count, not a timing: it repeats exactly.
+func TestPartitionedCandidateWorkGuard(t *testing.T) {
+	sp, ok := LookupScenario("fish")
+	if !ok {
+		t.Fatal("fish scenario not registered")
+	}
+	perAgentTick := func(cfg Config) float64 {
+		m, pop, err := sp.New(ScenarioConfig{Agents: 2000, Seed: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Seed = 7
+		sim, err := New(m, pop, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sim.Run(40); err != nil {
+			t.Fatal(err)
+		}
+		mt := sim.Metrics()
+		if mt.AgentTicks != 2000*40 {
+			t.Fatalf("agent-ticks = %d, want %d", mt.AgentTicks, 2000*40)
+		}
+		return float64(mt.CandidatesSeen) / float64(mt.AgentTicks)
+	}
+	seq := perAgentTick(Config{Sequential: true})
+	part := perAgentTick(Config{Workers: 8})
+	t.Logf("candidates per agent-tick: sequential %.1f, 8 partitions %.1f (%.2f×)", seq, part, part/seq)
+	if part > 2*seq {
+		t.Errorf("8 partitions examine %.1f candidates per agent-tick, over twice the sequential engine's %.1f", part, seq)
+	}
+}

@@ -22,6 +22,8 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"runtime"
+	"runtime/pprof"
 	"strings"
 	"text/tabwriter"
 	"time"
@@ -39,7 +41,7 @@ func main() {
 // run is the testable CLI entry point: it parses args, resolves the
 // scenario through the registry, runs the simulation and writes the
 // metrics summary to stdout. It returns the process exit code.
-func run(args []string, stdout, stderr io.Writer) int {
+func run(args []string, stdout, stderr io.Writer) (code int) {
 	fs := flag.NewFlagSet("bracesim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	model := fs.String("model", "fish", "scenario to run, or 'list' to enumerate the registry")
@@ -76,12 +78,24 @@ func run(args []string, stdout, stderr io.Writer) int {
 	awaitWorkers := fs.Int("await-workers", 0, "with -registry: wait for this many registered workers before starting the run")
 	mesh := fs.Bool("mesh", false, "with -distribute: peer-mesh data plane — workers exchange neighbor envelopes directly and only the control plane crosses the coordinator")
 	verbose := fs.Bool("v", false, "verbose output")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of this process to the file (with -distribute: the coordinator side)")
+	memProfile := fs.String("memprofile", "", "write a heap profile of this process to the file on exit")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
 		}
 		return 2
 	}
+
+	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
+	if err != nil {
+		return fail(stderr, err)
+	}
+	defer func() {
+		if err := stopProfiles(); err != nil && code == 0 {
+			code = fail(stderr, err)
+		}
+	}()
 
 	if *script == "" && *model == "list" {
 		listScenarios(stdout)
@@ -284,6 +298,42 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	return 0
+}
+
+// startProfiles begins the CPU profile and returns the function that ends
+// it and writes the heap profile; an empty path skips that profile.
+func startProfiles(cpuPath, memPath string) (stop func() error, err error) {
+	var cpu *os.File
+	if cpuPath != "" {
+		if cpu, err = os.Create(cpuPath); err != nil {
+			return nil, err
+		}
+		if err := pprof.StartCPUProfile(cpu); err != nil {
+			cpu.Close()
+			return nil, fmt.Errorf("-cpuprofile: %w", err)
+		}
+	}
+	return func() error {
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			if err := cpu.Close(); err != nil {
+				return err
+			}
+		}
+		if memPath == "" {
+			return nil
+		}
+		f, err := os.Create(memPath)
+		if err != nil {
+			return err
+		}
+		runtime.GC() // settle the live-heap numbers the profile reports
+		if err := pprof.WriteHeapProfile(f); err != nil {
+			f.Close()
+			return fmt.Errorf("-memprofile: %w", err)
+		}
+		return f.Close()
+	}, nil
 }
 
 // listScenarios renders the registry as a table (the README's scenario

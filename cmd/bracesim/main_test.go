@@ -3,6 +3,9 @@ package main
 import (
 	"bytes"
 	"fmt"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -150,5 +153,36 @@ func TestExtentSizesTraffic(t *testing.T) {
 	}
 	if !strings.Contains(out, "agents=128") {
 		t.Errorf("expected 128 vehicles from -extent 2000:\n%s", out)
+	}
+}
+
+// -cpuprofile and -memprofile write pprof files for the run's process: the
+// files exist, are non-empty and, where the go tool is at hand, parse.
+func TestProfileFlagsWriteProfiles(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
+	code, out, errOut := runCLI(t, "-model", "fish", "-agents", "600", "-workers", "2", "-ticks", "40",
+		"-cpuprofile", cpu, "-memprofile", mem)
+	if code != 0 || !strings.Contains(out, "agent-ticks=24000") {
+		t.Fatalf("exit %d, stdout %q, stderr %q", code, out, errOut)
+	}
+	for _, path := range []string{cpu, mem} {
+		if st, err := os.Stat(path); err != nil || st.Size() == 0 {
+			t.Fatalf("%s: missing or empty (%v)", path, err)
+		}
+	}
+	goTool, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("go tool not in PATH: profiles written but not parsed")
+	}
+	for _, path := range []string{cpu, mem} {
+		if b, err := exec.Command(goTool, "tool", "pprof", "-top", path).CombinedOutput(); err != nil {
+			t.Errorf("go tool pprof -top %s: %v\n%s", path, err, b)
+		}
+	}
+
+	// An unwritable path fails the run up front instead of after the ticks.
+	if code, _, _ := runCLI(t, "-ticks", "1", "-cpuprofile", filepath.Join(dir, "no-such-dir", "cpu.prof")); code == 0 {
+		t.Error("unwritable -cpuprofile path accepted")
 	}
 }

@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/bigreddata/brace/internal/agent"
@@ -322,7 +324,7 @@ func (e *Distributed) mapPhase(ctx *mapreduce.Ctx, env *Envelope, emit mapreduce
 func (e *Distributed) reduce1(ctx *mapreduce.Ctx, envs []*Envelope, emit mapreduce.Emit[*Envelope]) {
 	w := ctx.Worker
 	owned, ownedSlots, _ := e.prepare(w, envs)
-	visited := e.parts[w].query(ownedSlots, haloArrays{})
+	visited := e.parts[w].query(ownedSlots, nil)
 	e.wVisited[w] += visited
 	e.wOwned[w] += int64(len(owned))
 	if e.vclock != nil {
@@ -361,14 +363,17 @@ func (e *Distributed) reduce2(ctx *mapreduce.Ctx, envs []*Envelope, emit mapredu
 	w := ctx.Worker
 	// Group by agent; fold partials in ascending SrcPart order so the ⊕
 	// fold order is a function of the partitioning alone.
-	sort.Slice(envs, func(i, j int) bool {
-		if envs[i].A.ID != envs[j].A.ID {
-			return envs[i].A.ID < envs[j].A.ID
+	slices.SortFunc(envs, func(a, b *Envelope) int {
+		if c := cmp.Compare(a.A.ID, b.A.ID); c != 0 {
+			return c
 		}
-		if envs[i].Replica != envs[j].Replica {
-			return !envs[i].Replica // owned copy first
+		if a.Replica != b.Replica {
+			if b.Replica {
+				return -1 // owned copy first
+			}
+			return 1
 		}
-		return envs[i].SrcPart < envs[j].SrcPart
+		return cmp.Compare(a.SrcPart, b.SrcPart)
 	})
 	i := 0
 	for i < len(envs) {
@@ -423,7 +428,7 @@ type partBufs struct {
 // index over the copies with the owned slots as the probe set, and returns
 // the owned envelopes, their slots, and the build's visited count.
 func (e *Distributed) prepare(w int, envs []*Envelope) (owned []*Envelope, ownedSlots []int32, built int64) {
-	sort.Slice(envs, func(i, j int) bool { return envs[i].A.ID < envs[j].A.ID })
+	sortByID(envs)
 	b := &e.bufs[w]
 	b.copies = resize(b.copies, len(envs))
 	b.ownedSlot = b.ownedSlot[:0]
@@ -435,7 +440,24 @@ func (e *Distributed) prepare(w int, envs []*Envelope) (owned []*Envelope, owned
 			b.owned = append(b.owned, env)
 		}
 	}
-	return b.owned, b.ownedSlot, e.parts[w].build(b.copies, b.ownedSlot)
+	return b.owned, b.ownedSlot, e.parts[w].build(b.copies, b.ownedSlot, e.fanOut())
+}
+
+// fanOut is each local partition's share of the spatial pool right now
+// (see innerFanOut); the partitions tick concurrently unless
+// Options.Sequential.
+func (e *Distributed) fanOut() int {
+	parts := e.opts.Workers
+	if e.opts.LocalParts != nil {
+		parts = len(e.opts.LocalParts)
+	}
+	return innerFanOut(spatial.Parallelism(), parts, e.opts.Sequential)
+}
+
+// sortByID orders a reducer's envelopes by agent ID, which is unique among
+// them: a partition receives at most one copy of an agent per phase.
+func sortByID(envs []*Envelope) {
+	slices.SortFunc(envs, func(a, b *Envelope) int { return cmp.Compare(a.A.ID, b.A.ID) })
 }
 
 // CacheStats sums the query-cache counters across partitions (zero when

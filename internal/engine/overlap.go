@@ -14,18 +14,14 @@
 // The split changes scheduling, never results: interior agents are
 // exactly those whose visibility disc lies strictly inside the strip, so
 // their candidate sets cannot contain a peer-sent copy, and the late
-// pass's two-array probes merge core and halo candidates in ascending
-// agent-ID order — the same visible sequence a single combined index
-// produces. Update order is immaterial (state-effect pattern; per-agent
-// RNG is a function of (seed, tick, ID)), so the final state is
-// bit-identical to the single-pass engine's.
+// pass's probes join core and halo candidates by ID rank (haloJoin, the
+// rank bitset in queryEnv.rows) — the same ascending-ID visible sequence
+// a single combined index produces. Update order is immaterial
+// (state-effect pattern; per-agent RNG is a function of (seed, tick, ID)),
+// so the final state is bit-identical to the single-pass engine's.
 package engine
 
-import (
-	"sort"
-
-	"github.com/bigreddata/brace/internal/mapreduce"
-)
+import "github.com/bigreddata/brace/internal/mapreduce"
 
 // neverTick is the "no tick" sentinel for noSplitTick.
 const neverTick = ^uint64(0)
@@ -38,7 +34,7 @@ type overlapBufs struct {
 	interior  []int32 // owned slots probed by the early pass
 	boundary  []int32 // owned rows deferred to the late pass
 
-	haloAg    haloArrays  // every peer-sent copy, ID-sorted (agents + positions)
+	halo      haloJoin    // every peer-sent copy, ID-sorted, indexed for the boundary probes
 	haloOwned []*Envelope // non-replica members of the halo (post-cut-change migrants)
 }
 
@@ -89,24 +85,24 @@ func (e *Distributed) reduce1Early(ctx *mapreduce.Ctx, self []*Envelope) {
 			ob.boundary = append(ob.boundary, slot)
 		}
 	}
-	e.wVisited[w] += p.query(ob.interior, haloArrays{})
+	e.wVisited[w] += p.query(ob.interior, nil)
 }
 
 // reduce1Late finishes the overlapped reduceᵗ₁ once the map phase has
 // fully drained. rest holds everything peers sent this partition: replica
 // copies and, on the tick right after a cut change, owned agents arriving
-// from their previous owners. Boundary (and halo-owned) query phases
-// merge the core candidate lists with a linear scan of the halo, then the
-// update phase runs for all owned agents in ascending ID order — exactly
-// the single-pass engine's visible sequences and fold orders.
+// from their previous owners. The halo is indexed once (haloJoin.build: ID
+// ranks against the core, a cell grid over the positions), boundary and
+// halo-owned query phases probe core and halo together, then the update
+// phase runs for all owned agents in ascending ID order — exactly the
+// single-pass engine's visible sequences and fold orders.
 func (e *Distributed) reduce1Late(ctx *mapreduce.Ctx, rest []*Envelope, emit mapreduce.Emit[*Envelope]) {
 	w := ctx.Worker
 	ob := &e.obufs[w]
 	p := e.parts[w]
 
-	sort.Slice(rest, func(i, j int) bool { return rest[i].A.ID < rest[j].A.ID })
-	ob.haloAg.agents = ob.haloAg.agents[:0]
-	ob.haloAg.pos = ob.haloAg.pos[:0]
+	sortByID(rest)
+	ob.halo.agents = ob.halo.agents[:0]
 	ob.haloOwned = ob.haloOwned[:0]
 	ncore := int32(len(p.copies))
 	for j, env := range rest {
@@ -119,15 +115,15 @@ func (e *Distributed) reduce1Late(ctx *mapreduce.Ctx, rest []*Envelope, emit map
 			ob.haloOwned = append(ob.haloOwned, env)
 			ob.boundary = append(ob.boundary, ncore+int32(j))
 		}
-		ob.haloAg.agents = append(ob.haloAg.agents, env.A)
-		ob.haloAg.pos = append(ob.haloAg.pos, env.A.Pos(e.schema))
+		ob.halo.agents = append(ob.halo.agents, env.A)
 	}
+	ob.halo.build(e.schema, p.keys)
 	if e.colM != nil {
 		// Halo copies become rows len(copies)+j so boundary query phases
 		// can read their state through the columns.
-		p.cols = appendHaloCols(p.cols, ob.haloAg.agents)
+		p.cols = appendHaloCols(p.cols, ob.halo.agents)
 	}
-	e.wVisited[w] += p.query(ob.boundary, ob.haloAg)
+	e.wVisited[w] += p.query(ob.boundary, &ob.halo)
 	e.wOwned[w] += int64(len(ob.coreOwned) + len(ob.haloOwned))
 
 	// Update phase for all owned agents, merging the two ID-sorted owned

@@ -75,8 +75,8 @@ func (e *Sequential) runTick() {
 	}
 	// Query phase over the whole world: every agent probes.
 	p := e.world
-	p.build(e.agents, nil)
-	e.visited += p.query(p.allSlots(len(e.agents)), haloArrays{})
+	p.build(e.agents, nil, spatial.Parallelism()) // the one part owns the whole pool
+	e.visited += p.query(p.allSlots(len(e.agents)), nil)
 	e.agentTicks += int64(len(e.agents))
 
 	// Update phase.

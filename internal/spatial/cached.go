@@ -47,6 +47,7 @@ type CachedIndex struct {
 	tree     *KDTree
 	probeRad float64 // max slot-probe radius the lists must cover (ρ)
 	skin     float64 // list inflation s; reuse while max displacement ≤ s/2
+	fan      int     // build fan-out cap (see SetFanOut); 0 = the whole pool
 
 	valid bool
 	keyed bool // last build carried caller keys (reuse is possible)
@@ -128,6 +129,14 @@ func DefaultSkin(probeRad, reach float64) float64 {
 		}
 	}
 	return s
+}
+
+// SetFanOut caps the pool share the next builds (tree and candidate lists)
+// may use; 1 builds on the calling goroutine, anything below 1 means the
+// whole pool. The built tree and lists are the same either way.
+func (c *CachedIndex) SetFanOut(fan int) {
+	c.fan = fan
+	c.tree.SetFanOut(fan)
 }
 
 // CacheStats returns cumulative build/reuse counters.
@@ -315,14 +324,11 @@ func (c *CachedIndex) buildLists() {
 	if c.buildListsGrid(R) {
 		return
 	}
-	chunks := Parallelism()
-	if m := n / listBuildGrain; m < chunks {
-		chunks = m
-	}
-	for len(c.hits) < chunks || len(c.hits) == 0 {
+	chunks := chunkCount(c.fan, n, listBuildGrain)
+	for len(c.hits) < chunks {
 		c.hits = append(c.hits, nil)
 	}
-	if chunks <= 1 {
+	if chunks == 1 {
 		// Serial: append directly.
 		hits := c.hits[0]
 		var visited, entries int64
@@ -350,7 +356,7 @@ func (c *CachedIndex) buildLists() {
 		c.pairs = append(c.pairs, nil)
 	}
 	c.vis = grow(c.vis, chunks)
-	ParallelFor(n, listBuildGrain, func(chunk, lo, hi int) {
+	ParallelFor(c.fan, n, listBuildGrain, func(chunk, lo, hi int) {
 		pairs := c.pairs[chunk][:0]
 		hits := c.hits[chunk]
 		var visited int64
@@ -496,11 +502,8 @@ func (c *CachedIndex) buildListsGrid(R float64) bool {
 		return visited
 	}
 
-	chunks := Parallelism()
-	if m := n / listBuildGrain; m < chunks {
-		chunks = m
-	}
-	if chunks <= 1 {
+	chunks := chunkCount(c.fan, n, listBuildGrain)
+	if chunks == 1 {
 		// Serial sweep, written out rather than routed through sweep's emit
 		// closure: the indirect call per list entry is measurable (~15% of
 		// the build) and the serial path is the common one on small hosts.
@@ -550,7 +553,7 @@ func (c *CachedIndex) buildListsGrid(R float64) bool {
 		c.pairs = append(c.pairs, nil)
 	}
 	c.vis = grow(c.vis, chunks)
-	ParallelFor(n, listBuildGrain, func(chunk, lo, hi int) {
+	ParallelFor(c.fan, n, listBuildGrain, func(chunk, lo, hi int) {
 		pairs := c.pairs[chunk][:0]
 		c.vis[chunk] = sweep(lo, hi, func(i int32, j int) {
 			pairs = append(pairs, int64(i)<<32|int64(j))

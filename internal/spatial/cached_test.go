@@ -251,21 +251,31 @@ func TestCachedParallelMatchesSerial(t *testing.T) {
 	pts := randomPoints(rng, n, 200)
 	keys := keysFor(pts)
 
-	build := func(par int) *CachedIndex {
+	build := func(par, fan int) *CachedIndex {
 		SetParallelism(par)
 		c := NewCached(10, 3)
+		c.SetFanOut(fan)
 		c.BuildKeyed(append([]Point(nil), pts...), keys, nil)
 		return c
 	}
 	defer SetParallelism(runtime.GOMAXPROCS(0))
-	serial := build(1)
-	parallel := build(6)
+	serial := build(1, 0)
+	parallel := build(6, 0)
+	// A fan-out of 1 keeps the build on the calling goroutine whatever the
+	// pool size: same lists, and the parallel sweep's pair buffers never
+	// come into being.
+	capped := build(6, 1)
+	if capped.pairs != nil || parallel.pairs == nil {
+		t.Fatalf("pair buffers: fan-out 1 allocated %v, whole pool allocated %v; want false, true",
+			capped.pairs != nil, parallel.pairs != nil)
+	}
 
 	for slot := int32(0); slot < int32(n); slot += 17 {
 		a, _ := serial.SlotCandidates(slot)
 		b, _ := parallel.SlotCandidates(slot)
-		if !idsEqual(a, b) {
-			t.Fatalf("slot %d candidate lists differ: serial=%d parallel=%d entries", slot, len(a), len(b))
+		c, _ := capped.SlotCandidates(slot)
+		if !idsEqual(a, b) || !idsEqual(a, c) {
+			t.Fatalf("slot %d candidate lists differ: serial=%d parallel=%d capped=%d entries", slot, len(a), len(b), len(c))
 		}
 	}
 	for q := 0; q < 50; q++ {

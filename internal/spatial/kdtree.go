@@ -22,6 +22,7 @@ type KDTree struct {
 	pts   []Point // reordered during build; leaves reference spans
 	nodes []kdNode
 	root  int32
+	fan   int // build fan-out cap (see SetFanOut); 0 = the whole pool
 	stats Stats
 }
 
@@ -46,6 +47,11 @@ const (
 // NewKDTree returns an empty KD-tree.
 func NewKDTree() *KDTree { return &KDTree{root: kdNil} }
 
+// SetFanOut caps the pool share Build may use; 1 builds on the calling
+// goroutine, anything below 1 means the whole pool. The layout is the same
+// either way.
+func (t *KDTree) SetFanOut(fan int) { t.fan = fan }
+
 // Build implements Index. It takes ownership of pts (the slice is
 // reordered in place during median partitioning).
 func (t *KDTree) Build(pts []Point) {
@@ -63,7 +69,7 @@ func (t *KDTree) Build(pts []Point) {
 		t.nodes = t.nodes[:need]
 	}
 	t.root = 0
-	if len(pts) >= parallelBuildMin && Parallelism() > 1 {
+	if len(pts) >= parallelBuildMin && share(t.fan) > 1 {
 		var wg sync.WaitGroup
 		t.buildAt(0, 0, int32(len(pts)), 0, &wg)
 		wg.Wait()

@@ -11,6 +11,13 @@ import (
 // them across a small pool of persistent goroutines. All parallel paths are
 // value-deterministic: chunking changes scheduling, never results, so a
 // simulation is bit-identical at any parallelism (including 1).
+//
+// The pool is one level of parallelism, not two: a caller that is itself
+// one of several concurrent goroutines (an engine partition) passes its
+// share of the pool as the fan-out of every ParallelFor and index build it
+// issues, so the process never has more runnable chunks than the pool has
+// workers. Oversubscribing costs real time — eight partitions each fanning
+// a list build over a 2-worker pool doubled the build's CPU.
 var queryPool = &pool{}
 
 // pool is a lazily started set of persistent workers draining a task queue.
@@ -90,23 +97,42 @@ func (p *pool) submit(fn func()) {
 	}
 }
 
-// ParallelFor splits [0, n) into at most Parallelism() contiguous chunks of
-// at least minGrain items and runs fn(chunk, lo, hi) for each, returning when
-// all chunks are done. Chunk 0 runs on the calling goroutine. fn must not
-// call back into ParallelFor. With one chunk (small n or parallelism 1) this
-// is a plain loop with zero synchronization.
-func ParallelFor(n, minGrain int, fn func(chunk, lo, hi int)) {
-	if n <= 0 {
-		return
+// share clamps a caller's fan-out to the pool: fan < 1 or beyond
+// Parallelism() means the whole pool.
+func share(fan int) int {
+	if p := Parallelism(); fan < 1 || fan > p {
+		return p
 	}
+	return fan
+}
+
+// chunkCount is the number of chunks ParallelFor(fan, n, minGrain, …) runs:
+// at most share(fan), each of at least minGrain items, never below 1.
+func chunkCount(fan, n, minGrain int) int {
 	if minGrain < 1 {
 		minGrain = 1
 	}
-	chunks := Parallelism()
+	chunks := share(fan)
 	if c := n / minGrain; c < chunks {
 		chunks = c
 	}
-	if chunks <= 1 {
+	if chunks < 1 {
+		chunks = 1
+	}
+	return chunks
+}
+
+// ParallelFor splits [0, n) into chunkCount(fan, n, minGrain) contiguous chunks
+// and runs fn(chunk, lo, hi) for each, returning when all chunks are done.
+// Chunk 0 runs on the calling goroutine. fn must not call back into
+// ParallelFor. With one chunk (small n, fan 1 or parallelism 1) this is a
+// plain loop with zero synchronization.
+func ParallelFor(fan, n, minGrain int, fn func(chunk, lo, hi int)) {
+	if n <= 0 {
+		return
+	}
+	chunks := chunkCount(fan, n, minGrain)
+	if chunks == 1 {
 		fn(0, 0, n)
 		return
 	}

@@ -15,7 +15,7 @@ func TestSetParallelismResizesPool(t *testing.T) {
 	defer SetParallelism(runtime.GOMAXPROCS(0))
 
 	SetParallelism(2)
-	ParallelFor(64, 1, func(chunk, lo, hi int) {})
+	ParallelFor(0, 64, 1, func(chunk, lo, hi int) {})
 	queryPool.mu.Lock()
 	if c := cap(queryPool.tasks); c != 8 {
 		t.Errorf("queue capacity at parallelism 2 = %d, want 8", c)
@@ -34,7 +34,7 @@ func TestSetParallelismResizesPool(t *testing.T) {
 	}
 	queryPool.mu.Unlock()
 
-	ParallelFor(64, 1, func(chunk, lo, hi int) {})
+	ParallelFor(0, 64, 1, func(chunk, lo, hi int) {})
 	queryPool.mu.Lock()
 	if c := cap(queryPool.tasks); c != 32 {
 		t.Errorf("queue capacity after raise to 8 = %d, want 32", c)
@@ -62,14 +62,14 @@ func TestRaisedParallelismFanOut(t *testing.T) {
 	defer SetParallelism(runtime.GOMAXPROCS(0))
 
 	SetParallelism(2)
-	ParallelFor(64, 1, func(chunk, lo, hi int) {}) // prime the undersized pool
+	ParallelFor(0, 64, 1, func(chunk, lo, hi int) {}) // prime the undersized pool
 	SetParallelism(8)
 
 	const chunks = 8
 	var arrived atomic.Int32
 	var late atomic.Bool
 	deadline := time.Now().Add(10 * time.Second)
-	ParallelFor(chunks, 1, func(chunk, lo, hi int) {
+	ParallelFor(0, chunks, 1, func(chunk, lo, hi int) {
 		arrived.Add(1)
 		for arrived.Load() < chunks {
 			if time.Now().After(deadline) {
@@ -82,5 +82,37 @@ func TestRaisedParallelismFanOut(t *testing.T) {
 	if late.Load() {
 		t.Fatalf("fan-out after raise: only %d of %d chunks ran concurrently",
 			arrived.Load(), chunks)
+	}
+}
+
+// ParallelFor never runs more chunks than the caller's share of the pool:
+// a fan-out of 1 is a plain loop on the calling goroutine, and a share
+// outside [1, Parallelism()] means the whole pool.
+func TestParallelForHonoursFanOut(t *testing.T) {
+	defer SetParallelism(runtime.GOMAXPROCS(0))
+	SetParallelism(8)
+	for _, tc := range []struct{ fan, n, grain, want int }{
+		{1, 64, 1, 1},
+		{2, 64, 1, 2},
+		{3, 64, 1, 3},
+		{8, 64, 1, 8},
+		{0, 64, 1, 8},
+		{99, 64, 1, 8},
+		{4, 64, 32, 2}, // the grain still caps it
+		{4, 10, 32, 1},
+	} {
+		var ran atomic.Int32
+		var covered atomic.Int64
+		ParallelFor(tc.fan, tc.n, tc.grain, func(chunk, lo, hi int) {
+			ran.Add(1)
+			covered.Add(int64(hi - lo))
+			if chunk >= tc.want {
+				t.Errorf("fan %d: chunk index %d, want < %d", tc.fan, chunk, tc.want)
+			}
+		})
+		if int(ran.Load()) != tc.want || int(covered.Load()) != tc.n {
+			t.Errorf("ParallelFor(fan %d, n %d, grain %d): %d chunks over %d items, want %d over %d",
+				tc.fan, tc.n, tc.grain, ran.Load(), covered.Load(), tc.want, tc.n)
+		}
 	}
 }
