@@ -137,8 +137,10 @@ type Config struct {
 	// VirtualTime enables the calibrated cluster cost model, making
 	// Metrics report virtual-time throughput alongside wall time.
 	VirtualTime bool
-	// Sequential uses the single-loop reference engine instead of the
-	// distributed runtime (Workers is then ignored).
+	// Sequential uses the single-loop, single-threaded reference engine
+	// instead of the distributed runtime (Workers is then ignored).
+	// Partitions are the unit of parallelism: for multi-core, set Workers
+	// to at least the core count instead.
 	Sequential bool
 }
 
@@ -189,7 +191,8 @@ func New(m Model, pop []*Agent, cfg Config) (*Simulation, error) {
 	return &Simulation{dist: dist}, nil
 }
 
-// Run advances the simulation n full ticks (query + update each).
+// Run advances the simulation n full ticks (query + update each). A
+// negative n is an error on either engine.
 func (s *Simulation) Run(n int) error {
 	if s.seq != nil {
 		return s.seq.RunTicks(n)

@@ -1,9 +1,46 @@
 package brace
 
 import (
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 )
+
+// Partitions are the only unit of parallelism and they are joined every
+// tick: a finished run leaves no goroutine behind on either engine. At the
+// parent the spatial worker pool kept GOMAXPROCS-1 workers alive forever.
+// First in the file, so the pre-run count is the test binary's own.
+func TestRunLeavesNoGoroutines(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	sp, ok := LookupScenario("fish")
+	if !ok {
+		t.Fatal("fish not registered")
+	}
+	before := runtime.NumGoroutine()
+	for _, cfg := range []Config{{Sequential: true, Seed: 1}, {Workers: 8, Seed: 1}} {
+		// 1500 fish: enough rows per part that the parent fanned out.
+		m, pop, err := sp.New(ScenarioConfig{Agents: 1500, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sim, err := New(m, pop, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sim.Run(20); err != nil {
+			t.Fatal(err)
+		}
+		// A joined goroutine may still be unwinding when its waiter resumes.
+		deadline := time.Now().Add(2 * time.Second)
+		for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		if after := runtime.NumGoroutine(); after > before {
+			t.Errorf("%+v: %d goroutines before the run, %d after", cfg, before, after)
+		}
+	}
+}
 
 const quickFishSrc = `
 class Fish {
@@ -214,5 +251,42 @@ func TestPartitionedCandidateWorkGuard(t *testing.T) {
 	t.Logf("candidates per agent-tick: sequential %.1f, 8 partitions %.1f (%.2f×)", seq, part, part/seq)
 	if part > 2*seq {
 		t.Errorf("8 partitions examine %.1f candidates per agent-tick, over twice the sequential engine's %.1f", part, seq)
+	}
+}
+
+// One rule for both engines: a negative tick count is an error and leaves
+// the simulation where it was. At the parent the partitioned engine never
+// returned (its tick target wrapped to ~2^64) and the sequential one
+// silently did nothing.
+func TestRunNegativeTicksIsAnError(t *testing.T) {
+	prog, err := CompileBRASIL(quickFishSrc, CompileOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"sequential", Config{Sequential: true, Seed: 1}},
+		{"one partition", Config{Workers: 1, Seed: 1}},
+		{"two partitions", Config{Workers: 2, Seed: 1}},
+	} {
+		sim, err := New(prog, SeedPopulation(prog.Schema(), 30, 1, 20), tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan error, 1)
+		go func() { done <- sim.Run(-1) }()
+		select {
+		case err := <-done:
+			if err == nil || !strings.Contains(err.Error(), "negative tick count") {
+				t.Errorf("%s: Run(-1) = %v, want a negative-tick-count error", tc.name, err)
+			}
+			if sim.Tick() != 0 {
+				t.Errorf("%s: Run(-1) advanced to tick %d", tc.name, sim.Tick())
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("%s: Run(-1) still running after 2s", tc.name)
+		}
 	}
 }

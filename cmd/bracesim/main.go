@@ -68,7 +68,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		"with -distribute: worker dial+handshake budget (0 = default %v)", distrib.DefaultDialTimeout))
 	rejoinTimeout := fs.Duration("rejoin-timeout", 0, "with -distribute: re-dial budget when re-admitting a dead worker (0 = same as -dial-timeout)")
 	vt := fs.Bool("vtime", false, "enable virtual-time cluster accounting")
-	seq := fs.Bool("seq", false, "use the sequential reference engine; with -distribute or -submit the run stays partitioned and each worker process instead ticks its partitions one at a time")
+	seq := fs.Bool("seq", false, "use the sequential reference engine (single-threaded); with -distribute or -submit the run stays partitioned and each worker process instead ticks its partitions one at a time")
 	invert := fs.Bool("invert", false, "apply effect inversion to the BRASIL script")
 	span := fs.Float64("span", 100, "initial placement span for BRASIL agents")
 	distribute := fs.String("distribute", "", "run across real worker processes: 'tcp' (requires -worker-addrs or -registry)")
@@ -87,6 +87,24 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		return 2
 	}
 
+	if *ticks < 0 {
+		return fail(stderr, fmt.Errorf("-ticks %d: the tick count cannot be negative", *ticks))
+	}
+	mode := modeLocal
+	switch {
+	case *submit != "" && *distribute != "":
+		return fail(stderr, fmt.Errorf("-distribute and -submit are mutually exclusive"))
+	case *submit != "":
+		mode = modeSubmit
+	case *distribute != "":
+		mode = modeDistribute
+	case *script != "":
+		mode = modeScript
+	}
+	if err := checkFlagModes(fs, mode); err != nil {
+		return fail(stderr, err)
+	}
+
 	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
 	if err != nil {
 		return fail(stderr, err)
@@ -103,14 +121,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	}
 
 	if *submit != "" {
-		switch {
-		case *distribute != "":
-			return fail(stderr, fmt.Errorf("-distribute and -submit are mutually exclusive"))
-		case *script != "":
-			return fail(stderr, fmt.Errorf("-script is unsupported with -submit: the service rebuilds scenarios from the registry"))
-		case *vt:
-			return fail(stderr, fmt.Errorf("-vtime is unsupported with -submit: service runs measure real time"))
-		}
 		return submitRun(*submit, service.RunSpec{
 			Scenario:            *model,
 			Agents:              *agents,
@@ -129,12 +139,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	if *distribute != "" {
 		if *distribute != "tcp" {
 			return fail(stderr, fmt.Errorf("unknown -distribute mode %q (supported: tcp)", *distribute))
-		}
-		switch {
-		case *script != "":
-			return fail(stderr, fmt.Errorf("-script is unsupported with -distribute: workers rebuild scenarios from the registry"))
-		case *vt:
-			return fail(stderr, fmt.Errorf("-vtime is unsupported with -distribute: distributed runs measure real time"))
 		}
 		o := distrib.Options{
 			Addrs:       splitAddrs(*workerAddrs),
@@ -204,24 +208,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			}
 		}
 		return 0
-	}
-
-	// Distributed-only flags are meaningless on the in-process engines;
-	// reject the combination like the -script/-vtime guards above instead
-	// of silently ignoring an operator's liveness or checkpoint settings.
-	distOnly := map[string]bool{
-		"worker-addrs": true, "heartbeat": true, "epoch-timeout": true,
-		"ckpt-full-every": true, "dial-timeout": true, "rejoin-timeout": true,
-		"registry": true, "await-workers": true, "mesh": true,
-	}
-	var misused []string
-	fs.Visit(func(f *flag.Flag) {
-		if distOnly[f.Name] {
-			misused = append(misused, "-"+f.Name)
-		}
-	})
-	if len(misused) > 0 {
-		return fail(stderr, fmt.Errorf("%s only applies with -distribute", strings.Join(misused, ", ")))
 	}
 
 	cfg := brace.Config{
@@ -298,6 +284,78 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		}
 	}
 	return 0
+}
+
+// runMode is where a run executes; each flag applies to some of them.
+type runMode uint
+
+const (
+	modeLocal      runMode = 1 << iota // in this process, a registry scenario
+	modeScript                         // in this process, a BRASIL script
+	modeDistribute                     // -distribute: this process coordinates workers
+	modeSubmit                         // -submit: a bracesimd service runs it
+)
+
+// String names the modes the way the "only applies with" error needs them.
+func (m runMode) String() string {
+	var names []string
+	if m&modeLocal != 0 {
+		names = append(names, "an in-process run")
+	} else if m&modeScript != 0 {
+		names = append(names, "-script")
+	}
+	if m&modeDistribute != 0 {
+		names = append(names, "-distribute")
+	}
+	if m&modeSubmit != 0 {
+		names = append(names, "-submit")
+	}
+	return strings.Join(names, " or ")
+}
+
+// flagModes lists the flags that only some modes can honour, with the
+// reason where the flag name does not carry it; a flag not listed applies
+// everywhere. A set flag outside its modes is an error, never ignored.
+var flagModes = map[string]struct {
+	modes runMode
+	why   string
+}{
+	"script": {modeScript, "workers and the service rebuild scenarios from the registry"},
+	"invert": {modeScript, ""},
+	"span":   {modeScript, ""},
+	"vtime":  {modeLocal | modeScript, "distributed and service runs measure real time"},
+	"part":   {modeLocal | modeScript | modeDistribute, "the service partitions by strips"},
+
+	"ckpt-full-every": {modeDistribute | modeSubmit, ""},
+	"worker-addrs":    {modeDistribute, ""},
+	"registry":        {modeDistribute, ""},
+	"await-workers":   {modeDistribute, ""},
+	"mesh":            {modeDistribute, ""},
+	"heartbeat":       {modeDistribute, ""},
+	"epoch-timeout":   {modeDistribute, ""},
+	"dial-timeout":    {modeDistribute, ""},
+	"rejoin-timeout":  {modeDistribute, ""},
+}
+
+// checkFlagModes rejects every flag the command line set that the run's
+// mode cannot honour, naming each with the modes it applies to.
+func checkFlagModes(fs *flag.FlagSet, mode runMode) error {
+	var misused []string
+	fs.Visit(func(f *flag.Flag) {
+		fm, listed := flagModes[f.Name]
+		if !listed || fm.modes&mode != 0 {
+			return
+		}
+		msg := "-" + f.Name + " only applies with " + fm.modes.String()
+		if fm.why != "" {
+			msg += " (" + fm.why + ")"
+		}
+		misused = append(misused, msg)
+	})
+	if len(misused) == 0 {
+		return nil
+	}
+	return errors.New(strings.Join(misused, "; "))
 }
 
 // startProfiles begins the CPU profile and returns the function that ends

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/bigreddata/brace/internal/distrib"
 )
@@ -81,6 +82,69 @@ func TestDistributedOnlyFlagsRequireDistribute(t *testing.T) {
 	code, _, errOut := runCLI(t, "-heartbeat", "1s", "-worker-addrs", "x", "-ticks", "1")
 	if code == 0 || !strings.Contains(errOut, "-heartbeat") || !strings.Contains(errOut, "-worker-addrs") {
 		t.Errorf("combined misuse should name every flag:\n%s", errOut)
+	}
+}
+
+// One flag per mode from the flagModes table: a flag the chosen mode cannot
+// honour is rejected before anything is built, dialled or posted, and the
+// error says where it does apply. The addresses are never contacted.
+func TestFlagsRejectedOutsideTheirModes(t *testing.T) {
+	const svc, worker = "http://127.0.0.1:1", "127.0.0.1:1"
+	for _, tc := range []struct {
+		name string
+		args []string
+		want []string
+	}{
+		{"submit drops -part", []string{"-submit", svc, "-part", "kd2d"},
+			[]string{"-part only applies with an in-process run or -distribute"}},
+		{"submit drops -mesh", []string{"-submit", svc, "-mesh"}, []string{"-mesh only applies with -distribute"}},
+		{"submit keeps -ckpt-full-every out of the error", []string{"-submit", svc, "-ckpt-full-every", "2", "-registry", ":0"},
+			[]string{"-registry only applies with -distribute"}},
+		{"distribute drops -invert", []string{"-distribute", "tcp", "-worker-addrs", worker, "-invert"},
+			[]string{"-invert only applies with -script"}},
+		{"in-process drops -span", []string{"-span", "50", "-ticks", "1"}, []string{"-span only applies with -script"}},
+		{"script drops -heartbeat", []string{"-script", "no-such.brasil", "-heartbeat", "1s"},
+			[]string{"-heartbeat only applies with -distribute"}},
+		{"two groups, both named", []string{"-submit", svc, "-vtime", "-dial-timeout", "1s"},
+			[]string{"-dial-timeout only applies with -distribute", "-vtime only applies with an in-process run"}},
+	} {
+		code, out, errOut := runCLI(t, tc.args...)
+		if code != 1 || out != "" {
+			t.Errorf("%s: exit=%d stdout=%q stderr:\n%s", tc.name, code, out, errOut)
+		}
+		for _, want := range tc.want {
+			if !strings.Contains(errOut, want) {
+				t.Errorf("%s: stderr should say %q:\n%s", tc.name, want, errOut)
+			}
+		}
+		if strings.Contains(errOut, "-ckpt-full-every") {
+			t.Errorf("%s: -ckpt-full-every applies with -submit:\n%s", tc.name, errOut)
+		}
+	}
+}
+
+// A negative tick count is rejected up front on both engines; at the parent
+// -workers 2 never returned (the runtime's tick target wrapped to ~2^64).
+func TestNegativeTicksRejected(t *testing.T) {
+	for _, engine := range [][]string{{"-seq"}, {"-workers", "2"}} {
+		args := append([]string{"-model", "fish", "-agents", "200", "-ticks", "-1"}, engine...)
+		type result struct {
+			code   int
+			errOut string
+		}
+		done := make(chan result, 1)
+		go func() {
+			var out, errb bytes.Buffer
+			done <- result{run(args, &out, &errb), errb.String()}
+		}()
+		select {
+		case r := <-done:
+			if r.code != 1 || !strings.Contains(r.errOut, "-ticks") {
+				t.Errorf("%v: exit=%d stderr:\n%s", engine, r.code, r.errOut)
+			}
+		case <-time.After(time.Second):
+			t.Fatalf("%v: -ticks -1 still running after 1s", engine)
+		}
 	}
 }
 

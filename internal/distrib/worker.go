@@ -63,7 +63,7 @@ type ServeOptions struct {
 
 	// sessions routes incoming peer-link dials (FramePeerHello) to the
 	// coordinator session they belong to. ServeWith installs one per
-	// daemon; a bare ServeConn has none and rejects peer links.
+	// daemon.
 	sessions *sessionSet
 }
 
@@ -166,9 +166,7 @@ func Serve(lis net.Listener, logw io.Writer, once bool) error {
 // ServeWith stops accepting, waits for every active session to drain, and
 // returns nil.
 func ServeWith(lis net.Listener, so ServeOptions) error {
-	if so.sessions == nil {
-		so.sessions = newSessionSet()
-	}
+	so.sessions = newSessionSet()
 	var wg sync.WaitGroup
 	defer wg.Wait()
 	if so.Register != "" {
@@ -298,12 +296,6 @@ func draining(d <-chan struct{}) bool {
 	}
 }
 
-// ServeConn runs one coordinator session on an accepted connection.
-func ServeConn(conn net.Conn, logw io.Writer) error {
-	_, err := serveConn(conn, ServeOptions{Log: logw})
-	return err
-}
-
 // serveConn serves one accepted connection by its first frame: a fleet
 // peer's link into one of this daemon's sessions (peer = true), or else a
 // coordinator session.
@@ -371,7 +363,7 @@ func serveSession(fc *transport.Conn, f *transport.Frame, so ServeOptions) error
 	if len(h.Peers) > 0 {
 		tcp.EnableMesh(h.RunID, h.Peers)
 	}
-	if so.sessions != nil && h.RunID != "" {
+	if h.RunID != "" {
 		key := sessionKey(h.RunID, h.Proc)
 		so.sessions.put(key, tcp)
 		defer so.sessions.drop(key, tcp)
@@ -464,9 +456,6 @@ func servePeer(fc *transport.Conn, ph *transport.PeerHello, so ServeOptions) err
 		_ = fc.Send(&transport.Frame{Kind: transport.FrameAck, Err: err.Error()})
 		_ = fc.Close()
 		return fmt.Errorf("peer link: %w", err)
-	}
-	if so.sessions == nil {
-		return reject(errors.New("distrib: this daemon does not route peer links"))
 	}
 	tcp, err := so.sessions.await(sessionKey(ph.RunID, ph.To), peerAwaitTimeout)
 	if err != nil {

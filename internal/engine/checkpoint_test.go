@@ -2,129 +2,14 @@ package engine
 
 import (
 	"errors"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"github.com/bigreddata/brace/internal/agent"
 	"github.com/bigreddata/brace/internal/cluster"
 	"github.com/bigreddata/brace/internal/geom"
-	"github.com/bigreddata/brace/internal/mapreduce"
 	"github.com/bigreddata/brace/internal/partition"
 	"github.com/bigreddata/brace/internal/spatial"
 )
-
-// The engine's envelopes are gob-registered, so a distributed simulation
-// can checkpoint its worker memories to disk and resume in a fresh
-// process-equivalent runtime, continuing bit-identically.
-func TestEngineDiskCheckpointResume(t *testing.T) {
-	m := newFlockModel(6)
-	base := makePop(m.s, 60, 30, 21)
-
-	// Reference: uninterrupted run.
-	ref, err := NewDistributed(m, clonePop(base), Options{Workers: 3, Index: spatial.KindKDTree, Seed: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ref.RunTicks(14); err != nil {
-		t.Fatal(err)
-	}
-
-	// Interrupted run: 6 ticks, save, load into a fresh engine, 8 more.
-	first, err := NewDistributed(m, clonePop(base), Options{Workers: 3, Index: spatial.KindKDTree, Seed: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := first.RunTicks(6); err != nil {
-		t.Fatal(err)
-	}
-	d := mapreduce.DiskCheckpoint[*Envelope]{Dir: t.TempDir()}
-	if err := d.Save(first.Runtime()); err != nil {
-		t.Fatal(err)
-	}
-
-	second, err := NewDistributed(m, nil, Options{
-		Workers: 3, Index: spatial.KindKDTree, Seed: 8,
-		// Partitioning is part of engine state; restore the same cuts.
-		InitialPartition: first.Partition(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tick, err := d.Load(second.Runtime())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tick != 6 {
-		t.Fatalf("restored tick = %d", tick)
-	}
-	if err := second.RunTicks(8); err != nil {
-		t.Fatal(err)
-	}
-	popsExactlyEqual(t, "disk checkpoint resume", ref.Agents(), second.Agents())
-}
-
-// Incremental disk checkpoints: saves after the keyframe write only
-// field-level deltas (engine.EnvelopeDiffer), and loading the keyframe +
-// delta chain resumes bit-identically to an uninterrupted run — the
-// reassembly invariant, exercised through the production codec.
-func TestEngineIncrementalDiskCheckpointResume(t *testing.T) {
-	m := newFlockModel(6)
-	base := makePop(m.s, 60, 30, 21)
-
-	ref, err := NewDistributed(m, clonePop(base), Options{Workers: 3, Index: spatial.KindKDTree, Seed: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ref.RunTicks(14); err != nil {
-		t.Fatal(err)
-	}
-
-	first, err := NewDistributed(m, clonePop(base), Options{Workers: 3, Index: spatial.KindKDTree, Seed: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	d := mapreduce.DiskCheckpoint[*Envelope]{Dir: dir, Differ: EnvelopeDiffer{}, FullEvery: 4}
-	// Three saves: keyframe at tick 2, deltas at ticks 4 and 6.
-	for i := 0; i < 3; i++ {
-		if err := first.RunTicks(2); err != nil {
-			t.Fatal(err)
-		}
-		if err := d.Save(first.Runtime()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := os.Stat(filepath.Join(dir, "worker-000.k001.d02.gob")); err != nil {
-		t.Fatalf("expected a two-delta chain on disk: %v", err)
-	}
-
-	second, err := NewDistributed(m, nil, Options{
-		Workers: 3, Index: spatial.KindKDTree, Seed: 8,
-		InitialPartition: first.Partition(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d2 := mapreduce.DiskCheckpoint[*Envelope]{Dir: dir, Differ: EnvelopeDiffer{}}
-	tick, err := d2.Load(second.Runtime())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tick != 6 {
-		t.Fatalf("restored tick = %d", tick)
-	}
-	if err := second.RunTicks(8); err != nil {
-		t.Fatal(err)
-	}
-	popsExactlyEqual(t, "incremental disk checkpoint resume", ref.Agents(), second.Agents())
-
-	// A chain cannot be replayed without its codec.
-	plain := mapreduce.DiskCheckpoint[*Envelope]{Dir: dir}
-	if _, err := plain.Load(second.Runtime()); err == nil {
-		t.Error("delta chain loaded without a Differ")
-	}
-}
 
 // Epoch statistics must account for every agent: owned counts sum to the
 // live population at each epoch.

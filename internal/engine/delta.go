@@ -245,19 +245,6 @@ func appendFresh(buf []byte, e *Envelope) []byte {
 	return buf
 }
 
-// EnvelopeDiffer adapts the partition delta codec to the mapreduce
-// checkpoint Differ interface, so incremental disk checkpoints use the
-// exact codec the distributed control plane ships over the wire.
-type EnvelopeDiffer struct{}
-
-// Diff implements mapreduce.Differ.
-func (EnvelopeDiffer) Diff(base, cur []*Envelope) ([]byte, bool) { return DiffPartition(base, cur) }
-
-// Apply implements mapreduce.Differ.
-func (EnvelopeDiffer) Apply(base []*Envelope, delta []byte) ([]*Envelope, error) {
-	return ApplyDelta(base, delta)
-}
-
 // deltaReader decodes a delta blob with sticky error handling.
 type deltaReader struct {
 	buf []byte

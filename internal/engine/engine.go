@@ -440,18 +440,7 @@ func (e *Distributed) prepare(w int, envs []*Envelope) (owned []*Envelope, owned
 			b.owned = append(b.owned, env)
 		}
 	}
-	return b.owned, b.ownedSlot, e.parts[w].build(b.copies, b.ownedSlot, e.fanOut())
-}
-
-// fanOut is each local partition's share of the spatial pool right now
-// (see innerFanOut); the partitions tick concurrently unless
-// Options.Sequential.
-func (e *Distributed) fanOut() int {
-	parts := e.opts.Workers
-	if e.opts.LocalParts != nil {
-		parts = len(e.opts.LocalParts)
-	}
-	return innerFanOut(spatial.Parallelism(), parts, e.opts.Sequential)
+	return b.owned, b.ownedSlot, e.parts[w].build(b.copies, b.ownedSlot)
 }
 
 // sortByID orders a reducer's envelopes by agent ID, which is unique among

@@ -25,14 +25,13 @@ import (
 // core below picks the candidate source once; Cols hands its result to the
 // model as is, and the closure-style Env methods iterate it.
 type queryEnv struct {
+	// Bound per pass by part.query.
 	c      *core
 	ix     spatial.Index        // built over copies (Point.ID = slot)
 	cached *spatial.CachedIndex // non-nil: ix is the cached KD-tree
-
-	// Bound per pass by part.query.
-	copies []*agent.Agent // ID-sorted core copies
-	cols   [][]float64    // columnar models: per-state-field columns over all rows
-	lists  bool           // the tick's build carries Verlet candidate lists
+	copies []*agent.Agent       // ID-sorted core copies
+	cols   [][]float64          // columnar models: per-state-field columns over all rows
+	lists  bool                 // the tick's build carries Verlet candidate lists
 	// halo is non-nil only in the overlapped late pass: the index covers the
 	// core (self-sent) copies and probes join in the peer-sent ones.
 	halo *haloJoin
@@ -143,10 +142,8 @@ func (q *queryEnv) nearby(radius float64) []int32 {
 // no halo whose result is small next to the bitset (see bitsetOrders): a
 // comparison sort of a handful of slots beats scanning every word.
 //
-// The two cached sources are read-only on shared state, so one env per
-// worker-pool chunk may probe concurrently (a plain index counts its own
-// probes; part.query runs it serially). Two counters live here and nowhere
-// else. visited is the cached paths' share of the Visited gauge: candidates
+// Two counters live here and nowhere else (a plain index counts its own
+// probes). visited is the cached paths' share of the Visited gauge: candidates
 // examined, which depends on the source picked above. cost counts the rows
 // returned, which does not — every source yields exactly the agents within
 // radius — and is what the load balancer is charged (see

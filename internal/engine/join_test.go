@@ -122,7 +122,7 @@ func runJoin(t *testing.T, name string, m *probeModel, src joinSource, core, hal
 	sortAgents(core)
 	sortAgents(halo)
 	p := src.part(&c)
-	p.build(core, nil, 1) // serial: the recording model is not concurrency-safe
+	p.build(core, nil)
 	rows := append([]int32(nil), p.allSlots(len(core))...)
 	var join *haloJoin
 	if halo != nil {
@@ -417,74 +417,6 @@ func TestCellSpan(t *testing.T) {
 		if ok != tc.ok || (ok && (lo != tc.lo || hi != tc.hi)) {
 			t.Errorf("cellSpan(%v±%v over %d cells) = [%d,%d] %v, want [%d,%d] %v",
 				tc.c, tc.r, tc.n, lo, hi, ok, tc.lo, tc.hi, tc.ok)
-		}
-	}
-}
-
-// The fan-out rule: partitions that tick concurrently split the pool
-// between them and never fan out below one chunk; parts that run one at a
-// time keep all of it.
-func TestInnerFanOutTable(t *testing.T) {
-	for _, tc := range []struct {
-		parallelism, parts int
-		sequential         bool
-		want               int
-	}{
-		{1, 1, false, 1},
-		{2, 1, false, 2},
-		{2, 2, false, 1},
-		{2, 8, false, 1}, // the benchmark: 8 partitions, 2 procs
-		{8, 2, false, 4},
-		{8, 3, false, 2},
-		{8, 8, false, 1},
-		{8, 64, false, 1},
-		{16, 4, false, 4}, // a distributed worker's 4 local partitions
-		{2, 8, true, 2},   // Options.Sequential: one partition at a time
-		{8, 8, true, 8},
-		{4, 0, false, 4}, // no local partitions: nothing to divide by
-	} {
-		if got := innerFanOut(tc.parallelism, tc.parts, tc.sequential); got != tc.want {
-			t.Errorf("innerFanOut(%d, %d, %v) = %d, want %d", tc.parallelism, tc.parts, tc.sequential, got, tc.want)
-		}
-	}
-}
-
-// The rule reaches the chunks: a partition's probe pass runs in
-// innerFanOut-many chunks (given enough rows), evaluated per tick.
-func TestPartitionPassesUseTheirPoolShare(t *testing.T) {
-	defer spatial.SetParallelism(spatial.Parallelism())
-	m := newFlockModel(8)
-	base := makePop(m.s, 1200, 60, 3)
-	for _, tc := range []struct {
-		parallelism, workers int
-		sequential           bool
-		want                 int
-	}{
-		{4, 2, false, 2},
-		{4, 8, false, 1},
-		{4, 2, true, 4},
-		{1, 2, false, 1},
-	} {
-		spatial.SetParallelism(tc.parallelism)
-		e, err := NewDistributed(m, clonePop(base), Options{
-			Workers: tc.workers, Index: spatial.KindKDTree, Seed: 1, Sequential: tc.sequential,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := e.RunTicks(2); err != nil {
-			t.Fatal(err)
-		}
-		for w, p := range e.parts {
-			if p.fan != tc.want {
-				t.Errorf("parallelism %d, %d workers, sequential %v: partition %d fan-out %d, want %d",
-					tc.parallelism, tc.workers, tc.sequential, w, p.fan, tc.want)
-			}
-			// One probe env per chunk ever used: never more than the share.
-			if len(p.envs) > tc.want {
-				t.Errorf("parallelism %d, %d workers: partition %d used %d chunks, share is %d",
-					tc.parallelism, tc.workers, w, len(p.envs), tc.want)
-			}
 		}
 	}
 }

@@ -40,12 +40,11 @@ import (
 //     commutative effect combinators absorb. Env iterates visible agents
 //     in ascending agent-ID order, so any residual order dependence is at
 //     least deterministic.
-//   - For local-effect models the engines may run Query for *distinct*
-//     agents concurrently (the batched-probe fast path), so Query must not
-//     mutate shared model state. Each invocation still sees its own Env
-//     and its deterministic ID-ordered iteration; results are
-//     bit-identical to a serial run. (Compiled BRASIL programs satisfy
-//     this via per-invocation frames.)
+//   - Partitions tick concurrently, so Query runs for agents of different
+//     partitions at the same time and must not mutate shared model state.
+//     Each invocation still sees its own Env and its deterministic
+//     ID-ordered iteration; results are bit-identical to a serial run.
+//     (Compiled BRASIL programs satisfy this via per-invocation frames.)
 type Model interface {
 	// Schema describes the agent class.
 	Schema() *agent.Schema

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"runtime"
 	"testing"
 
 	"github.com/bigreddata/brace/internal/geom"
@@ -119,12 +118,11 @@ func TestOverlapKD2DBitIdentical(t *testing.T) {
 	}
 }
 
-// The two-pass tick under varying pool parallelism — the race-detector
-// canary for the overlap window, where the interior pass, the boundary
-// merge and the barrier prebuild all touch the per-partition cache state
-// from pool goroutines. CI runs this with -race.
+// The two-pass tick across an epoch barrier — the race-detector canary for
+// the overlap window, where the interior pass, the boundary merge and the
+// barrier prebuild all touch the per-partition cache state from partition
+// goroutines. CI runs this with -race.
 func TestOverlapTickAcrossParallelism(t *testing.T) {
-	defer spatial.SetParallelism(runtime.GOMAXPROCS(0))
 	m := newFlockModel(8)
 	base := makePop(m.s, 120, 60, 5)
 
@@ -136,20 +134,17 @@ func TestOverlapTickAcrossParallelism(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, par := range []int{1, 2, 8} {
-		spatial.SetParallelism(par)
-		dist, err := NewDistributed(m, clonePop(base), Options{
-			Workers: 4, Index: spatial.KindKDTree, Seed: 42, Tunables: Tunables{EpochTicks: 4},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !dist.Overlapped() {
-			t.Fatal("overlap expected on")
-		}
-		if err := dist.RunTicks(testTicks); err != nil {
-			t.Fatal(err)
-		}
-		popsExactlyEqual(t, "seq vs overlapped dist", seq.Agents(), dist.Agents())
+	dist, err := NewDistributed(m, clonePop(base), Options{
+		Workers: 4, Index: spatial.KindKDTree, Seed: 42, Tunables: Tunables{EpochTicks: 4},
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
+	if !dist.Overlapped() {
+		t.Fatal("overlap expected on")
+	}
+	if err := dist.RunTicks(testTicks); err != nil {
+		t.Fatal(err)
+	}
+	popsExactlyEqual(t, "seq vs overlapped dist", seq.Agents(), dist.Agents())
 }

@@ -79,17 +79,15 @@ func (c *core) ThroughputWall() float64 {
 
 // part is the query machine over one ID-sorted copy set: the whole world
 // for Sequential, one partition's owned agents plus replicas for
-// Distributed. Passes over one part never run concurrently.
+// Distributed. A part is the unit of parallelism: its build, query and
+// update run on the goroutine that owns it, and multi-core comes from
+// running several parts (Options.Workers) at once.
 type part struct {
 	c      *core
 	ix     spatial.Index
 	cached *spatial.CachedIndex // non-nil: ix is the cached KD-tree
-	envs   []queryEnv           // one probe env per worker-pool chunk
-	// fan is this part's share of the spatial pool, fixed by the tick's
-	// build (see innerFanOut): its index build and probe passes split into
-	// at most this many chunks.
-	fan  int
-	uctx UpdateCtx // reused across agents; reset re-seeds per agent
+	env    queryEnv             // the part's probe env, rebound per pass
+	uctx   UpdateCtx            // reused across agents; reset re-seeds per agent
 	// cost is the load balancer's input: the rows this part's probes have
 	// returned since Distributed last reset it (see PartitionCost).
 	cost int64
@@ -139,41 +137,18 @@ func cacheProbeRadius(s *agent.Schema) float64 {
 	return s.Visibility
 }
 
-// probeGrain is the minimum number of query phases per worker-pool chunk;
-// below it, fan-out overhead beats the win.
-const probeGrain = 64
-
-// innerFanOut is the one-level-parallelism rule: the share of a spatial
-// pool of the given size that each part's passes may fan out over, when
-// the process computes this many parts at once. Parts that run one at a
-// time (the Sequential engine, Options.Sequential) each get the whole pool;
-// concurrent partition goroutines split it, down to no inner fan-out at all
-// once they alone fill the pool. Chunking never changes results, so this
-// only moves work between goroutines.
-func innerFanOut(parallelism, parts int, sequential bool) int {
-	if sequential || parts < 1 {
-		parts = 1
-	}
-	return max(1, parallelism/parts)
-}
-
 // build installs the tick's ID-sorted copy set and (re)builds the index
 // over it — through the keyed cache when enabled, so an unchanged copy set
 // with sub-skin motion reuses its candidate lists. Keys are agent IDs and
 // probe is the set of slots that will query (nil = all): any membership or
 // ownership change rebuilds, drift beyond skin/2 rebuilds, everything else
 // reuses. Columnar models gather their state columns first so the build
-// reads the position columns instead of walking the agents again. fan is
-// the part's pool share for this build and the passes over it. Returns the
-// candidates the cached index visited constructing lists (0 on reuse), for
-// the Visited gauge.
-func (p *part) build(copies []*agent.Agent, probe []int32, fan int) int64 {
+// reads the position columns instead of walking the agents again. Returns
+// the candidates the cached index visited constructing lists (0 on reuse),
+// for the Visited gauge.
+func (p *part) build(copies []*agent.Agent, probe []int32) int64 {
 	s := p.c.schema
 	p.copies = copies
-	p.fan = fan
-	if f, ok := p.ix.(interface{ SetFanOut(int) }); ok {
-		f.SetFanOut(fan)
-	}
 	if p.c.colM != nil {
 		p.cols = gatherCols(p.cols, s, copies)
 	}
@@ -218,63 +193,38 @@ func (p *part) allSlots(n int) []int32 {
 // len(copies) is a core slot; the overlapped late pass also passes halo
 // rows (len(copies)+j: an owned agent that arrived from a peer) along with
 // the halo join, whose copies probes then find beside the core's.
-//
-// With the cached index and local effects, query phases are independent —
-// each writes only its own agent's effect fields and probes are read-only —
-// so they fan out over the part's share of the spatial worker pool, one
-// probe env per chunk. Per-agent fold order is unchanged: bit-identical
-// state.
 func (p *part) query(rows []int32, halo *haloJoin) int64 {
 	c := p.c
-	need := 1
-	parallel := p.cached != nil && !c.nonLocal
-	if parallel {
-		need = p.fan
-	}
-	for len(p.envs) < need {
-		p.envs = append(p.envs, queryEnv{c: c, ix: p.ix, cached: p.cached})
-	}
-	lists := p.cached != nil && p.cached.HasLists()
-	ncore := int32(len(p.copies))
+	q := &p.env
+	q.c, q.ix, q.cached = c, p.ix, p.cached
+	q.copies, q.cols, q.halo = p.copies, p.cols, halo
+	q.lists = p.cached != nil && p.cached.HasLists()
 	// Without a halo the ID ranks are the slots themselves.
-	coreRank := p.allSlots(len(p.copies))
-	rankRow := coreRank
+	q.coreRank = p.allSlots(len(p.copies))
+	q.rankRow = q.coreRank
 	if halo != nil {
-		coreRank, rankRow = halo.coreRank, halo.rankRow
+		q.coreRank, q.rankRow = halo.coreRank, halo.rankRow
 	}
-	pass := func(chunk, lo, hi int) {
-		q := &p.envs[chunk]
-		q.copies, q.cols, q.halo, q.lists = p.copies, p.cols, halo, lists
-		q.coreRank, q.rankRow = coreRank, rankRow
-		q.words = resize(q.words, (len(rankRow)+63)/64)
-		clear(q.words)
-		for _, row := range rows[lo:hi] {
-			q.self, q.row, q.slot = q.agentAt(row), row, row
-			if row >= ncore {
-				q.slot = -1 // no core slot: index queries plus the halo join
-			}
-			if c.colM != nil {
-				c.colM.QueryCols((*Cols)(q), row)
-			} else {
-				c.model.Query(q.self, q)
-			}
+	q.words = resize(q.words, (len(q.rankRow)+63)/64)
+	clear(q.words)
+	ncore := int32(len(p.copies))
+	before := p.ix.Stats().Visited //bracevet:allow indexstats metrics-only: the probes' share of the Visited gauge
+	for _, row := range rows {
+		q.self, q.row, q.slot = q.agentAt(row), row, row
+		if row >= ncore {
+			q.slot = -1 // no core slot: index queries plus the halo join
+		}
+		if c.colM != nil {
+			c.colM.QueryCols((*Cols)(q), row)
+		} else {
+			c.model.Query(q.self, q)
 		}
 	}
-	before := p.ix.Stats().Visited //bracevet:allow indexstats metrics-only: the probes' share of the Visited gauge
-	if parallel {
-		spatial.ParallelFor(p.fan, len(rows), probeGrain, pass)
-	} else {
-		pass(0, 0, len(rows))
-	}
-	// Uncached indexes count their own probes; the cached paths account
-	// per env so parallel chunks never share a counter.
-	visited := p.ix.Stats().Visited - before //bracevet:allow indexstats metrics-only: Visited gauge
-	for i := range p.envs {
-		q := &p.envs[i]
-		visited += q.visited
-		p.cost += q.cost
-		q.visited, q.cost = 0, 0
-	}
+	// Uncached indexes count their own probes; the cached paths account in
+	// the env.
+	visited := p.ix.Stats().Visited - before + q.visited //bracevet:allow indexstats metrics-only: Visited gauge
+	p.cost += q.cost
+	q.visited, q.cost = 0, 0
 	return visited
 }
 

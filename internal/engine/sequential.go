@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"sort"
 
 	"github.com/bigreddata/brace/internal/agent"
@@ -23,11 +24,10 @@ import (
 // floating-point reassociation; tests compare those with a tolerance.
 //
 // With the KD-tree index and a bounded visibility, the engine runs the
-// cached query path: Verlet candidate lists are reused across
-// ticks while no agent has moved more than skin/2, and batched probes fan
-// out across the spatial worker pool for local-effect models. Both are
-// semantics-preserving — state is bit-identical to the uncached,
-// single-threaded path.
+// cached query path: Verlet candidate lists are reused across ticks while
+// no agent has moved more than skin/2. State is bit-identical to the
+// uncached path. The engine is single-threaded: a tick runs on the
+// goroutine that called RunTicks.
 type Sequential struct {
 	core
 	tick   uint64
@@ -54,8 +54,12 @@ func NewSequential(m Model, pop []*agent.Agent, index spatial.Kind, seed uint64)
 // away from their arena neighbors) stays modest.
 const packInterval = 64
 
-// RunTicks advances the simulation n full ticks.
+// RunTicks advances the simulation n full ticks; a negative n is an error,
+// as it is from the partitioned engine.
 func (e *Sequential) RunTicks(n int) error {
+	if n < 0 {
+		return fmt.Errorf("engine: negative tick count %d", n)
+	}
 	return e.timed(func() error {
 		for i := 0; i < n; i++ {
 			e.runTick()
@@ -75,7 +79,7 @@ func (e *Sequential) runTick() {
 	}
 	// Query phase over the whole world: every agent probes.
 	p := e.world
-	p.build(e.agents, nil, spatial.Parallelism()) // the one part owns the whole pool
+	p.build(e.agents, nil)
 	e.visited += p.query(p.allSlots(len(e.agents)), nil)
 	e.agentTicks += int64(len(e.agents))
 

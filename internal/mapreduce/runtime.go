@@ -139,8 +139,12 @@ func (r *Runtime[V]) OwnedCounts() []int {
 }
 
 // RunTicks advances the computation n ticks (running any epoch-boundary
-// work that falls inside). It returns the first unrecoverable error.
+// work that falls inside). It returns the first unrecoverable error; a
+// negative n is one.
 func (r *Runtime[V]) RunTicks(n int) error {
+	if n < 0 {
+		return fmt.Errorf("mapreduce %s: negative tick count %d", r.job.Name, n)
+	}
 	// Always hold a tick-0 checkpoint when cloning is possible, so any
 	// failure is recoverable.
 	if r.ckpt == nil && r.job.Clone != nil {

@@ -460,82 +460,6 @@ func TestMasterSnapshotRestoredOnRecovery(t *testing.T) {
 	}
 }
 
-func TestDiskCheckpointRoundTrip(t *testing.T) {
-	const workers, items = 3, 7
-	r := New(ringJob(workers), Config{Workers: workers})
-	loadItems(r, items, workers)
-	if err := r.RunTicks(5); err != nil {
-		t.Fatal(err)
-	}
-	want := sortedItems(r)
-
-	d := DiskCheckpoint[rec]{Dir: t.TempDir()}
-	if err := d.Save(r); err != nil {
-		t.Fatal(err)
-	}
-
-	r2 := New(ringJob(workers), Config{Workers: workers})
-	tick, err := d.Load(r2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tick != 5 || r2.Tick() != 5 {
-		t.Errorf("restored tick = %d", tick)
-	}
-	got := sortedItems(r2)
-	if len(got) != len(want) {
-		t.Fatalf("restored %d items, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("restored item %d = %+v, want %+v", i, got[i], want[i])
-		}
-	}
-	// Continuing from the restore matches continuing the original.
-	if err := r.RunTicks(3); err != nil {
-		t.Fatal(err)
-	}
-	if err := r2.RunTicks(3); err != nil {
-		t.Fatal(err)
-	}
-	a, b := sortedItems(r), sortedItems(r2)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("post-restore divergence at %d", i)
-		}
-	}
-}
-
-func TestDiskCheckpointWorkerMismatch(t *testing.T) {
-	r := New(ringJob(2), Config{Workers: 2})
-	loadItems(r, 2, 2)
-	d := DiskCheckpoint[rec]{Dir: t.TempDir()}
-	if err := d.Save(r); err != nil {
-		t.Fatal(err)
-	}
-	r3 := New(ringJob(3), Config{Workers: 3})
-	if _, err := d.Load(r3); err == nil {
-		t.Error("worker-count mismatch accepted")
-	}
-	empty := DiskCheckpoint[rec]{Dir: t.TempDir()}
-	if _, err := empty.Load(r); err == nil {
-		t.Error("missing checkpoint accepted")
-	}
-}
-
-func TestOptimalCheckpointTicks(t *testing.T) {
-	// δ=2 ticks, M=10000 ticks → sqrt(2*2*10000)-2 = 198.
-	if got := OptimalCheckpointTicks(2, 10000); got != 198 {
-		t.Errorf("OptimalCheckpointTicks = %d, want 198", got)
-	}
-	if got := OptimalCheckpointTicks(0, 100); got != 1 {
-		t.Errorf("zero cost = %d, want 1", got)
-	}
-	if got := OptimalCheckpointTicks(100, 1); got != 1 {
-		t.Errorf("huge cost = %d, want clamp to 1", got)
-	}
-}
-
 func TestNewValidation(t *testing.T) {
 	mustPanic := func(name string, f func()) {
 		defer func() {

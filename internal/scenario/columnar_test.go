@@ -94,15 +94,10 @@ func TestColumnarEquivalence(t *testing.T) {
 // TestFishTickSteadyStateAllocs pins the columnar tick's allocation
 // behavior: once buffers have warmed up, a fish tick on the sequential
 // engine allocates (near) nothing — the columns, candidate lists, probe
-// scratch and update context are all reused. Parallelism is forced to 1
-// so the worker pool cannot contribute scheduling allocations; the
-// measured window sits strictly between Morton repack epochs (tick 16 to
-// tick 48 with packInterval 64), so the repack's arena is excluded too.
+// scratch and update context are all reused. The measured window sits
+// strictly between Morton repack epochs (tick 16 to tick 48 with
+// packInterval 64), so the repack's arena is excluded too.
 func TestFishTickSteadyStateAllocs(t *testing.T) {
-	old := spatial.Parallelism()
-	spatial.SetParallelism(1)
-	defer spatial.SetParallelism(old)
-
 	sp, ok := Lookup("fish")
 	if !ok {
 		t.Fatal("fish not registered")

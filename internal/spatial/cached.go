@@ -17,7 +17,6 @@ package spatial
 import (
 	"math"
 	"sort"
-	"sync/atomic"
 
 	"github.com/bigreddata/brace/internal/geom"
 )
@@ -36,18 +35,12 @@ type CacheStats struct {
 // the underlying tree holds stale build positions), plus the keyed build
 // and per-slot batched probe API the engines use.
 //
-// Concurrency: BuildKeyed/Build/Invalidate must be called from one
-// goroutine at a time, with no queries in flight. Between builds, all
-// queries are safe to run concurrently: SlotCandidates (the parallel
-// query phase's hot path) and RangeCircleInto are read-only on build
-// state, and the generic Index queries allocate their own scratch and
-// touch only atomic counters — the engines' probe fallback relies on
-// this during a parallel query phase.
+// A CachedIndex is owned by one engine part: builds and queries run on the
+// goroutine that owns the part, never concurrently.
 type CachedIndex struct {
 	tree     *KDTree
 	probeRad float64 // max slot-probe radius the lists must cover (ρ)
 	skin     float64 // list inflation s; reuse while max displacement ≤ s/2
-	fan      int     // build fan-out cap (see SetFanOut); 0 = the whole pool
 
 	valid bool
 	keyed bool // last build carried caller keys (reuse is possible)
@@ -78,10 +71,7 @@ type CachedIndex struct {
 	lists [][]int32 // per-slot candidate slots, ascending; nil w/o probeRad
 	mask  []bool    // probe-set membership scratch
 
-	// Per-chunk scratch for the parallel list build.
-	pairs [][]int64
-	hits  [][]int32
-	vis   []int64
+	hits []int32 // tree-probe scratch for the list build
 
 	// Uniform-grid scratch for the list build (see buildListsGrid).
 	cellStart []int32
@@ -93,7 +83,7 @@ type CachedIndex struct {
 	// Point scratch for BuildKeyedCols (column-fed builds).
 	colPts []Point
 
-	stats Stats // probe/visited counters; atomic (see Stats)
+	stats Stats // probe/visited counters, cumulative (see Stats)
 	cs    CacheStats
 }
 
@@ -129,14 +119,6 @@ func DefaultSkin(probeRad, reach float64) float64 {
 		}
 	}
 	return s
-}
-
-// SetFanOut caps the pool share the next builds (tree and candidate lists)
-// may use; 1 builds on the calling goroutine, anything below 1 means the
-// whole pool. The built tree and lists are the same either way.
-func (c *CachedIndex) SetFanOut(fan int) {
-	c.fan = fan
-	c.tree.SetFanOut(fan)
 }
 
 // CacheStats returns cumulative build/reuse counters.
@@ -292,9 +274,6 @@ func grow[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// listBuildGrain is the minimum number of probe sweeps per parallel chunk.
-const listBuildGrain = 64
-
 // buildLists constructs the per-slot candidate lists with radius ρ+s.
 // It sweeps candidates j in ascending slot order and appends j to the list
 // of every probe slot i within range — the pair relation is symmetric, so
@@ -324,64 +303,20 @@ func (c *CachedIndex) buildLists() {
 	if c.buildListsGrid(R) {
 		return
 	}
-	chunks := chunkCount(c.fan, n, listBuildGrain)
-	for len(c.hits) < chunks {
-		c.hits = append(c.hits, nil)
-	}
-	if chunks == 1 {
-		// Serial: append directly.
-		hits := c.hits[0]
-		var visited, entries int64
-		for j := 0; j < n; j++ {
-			var v int64
-			hits, v = c.tree.rangeCircleSlots(c.built[j], R, hits[:0])
-			visited += v
-			for _, i := range hits {
-				if c.mask[i] {
-					c.lists[i] = append(c.lists[i], int32(j))
-					entries++
-				}
-			}
-		}
-		c.hits[0] = hits
-		c.buildCost, c.listWork = visited, entries
-		c.charge(int64(n), visited)
-		return
-	}
-
-	// Parallel: chunks of the j-sweep record (i, j) pairs into private
-	// buffers; the merge appends them chunk-by-chunk, preserving ascending
-	// j — identical lists to the serial path, regardless of chunking.
-	for len(c.pairs) < chunks {
-		c.pairs = append(c.pairs, nil)
-	}
-	c.vis = grow(c.vis, chunks)
-	ParallelFor(c.fan, n, listBuildGrain, func(chunk, lo, hi int) {
-		pairs := c.pairs[chunk][:0]
-		hits := c.hits[chunk]
-		var visited int64
-		for j := lo; j < hi; j++ {
-			var v int64
-			hits, v = c.tree.rangeCircleSlots(c.built[j], R, hits[:0])
-			visited += v
-			for _, i := range hits {
-				if c.mask[i] {
-					pairs = append(pairs, int64(i)<<32|int64(j))
-				}
-			}
-		}
-		c.pairs[chunk] = pairs
-		c.hits[chunk] = hits
-		c.vis[chunk] = visited
-	})
+	hits := c.hits
 	var visited, entries int64
-	for chunk := 0; chunk < chunks; chunk++ {
-		for _, pr := range c.pairs[chunk] {
-			c.lists[pr>>32] = append(c.lists[pr>>32], int32(pr&0xffffffff))
+	for j := 0; j < n; j++ {
+		var v int64
+		hits, v = c.tree.rangeCircleSlots(c.built[j], R, hits[:0])
+		visited += v
+		for _, i := range hits {
+			if c.mask[i] {
+				c.lists[i] = append(c.lists[i], int32(j))
+				entries++
+			}
 		}
-		visited += c.vis[chunk]
-		entries += int64(len(c.pairs[chunk]))
 	}
+	c.hits = hits
 	c.buildCost, c.listWork = visited, entries
 	c.charge(int64(n), visited)
 }
@@ -479,94 +414,40 @@ func (c *CachedIndex) buildListsGrid(R float64) bool {
 		}
 		return
 	}
-	sweep := func(lo, hi int, emit func(i int32, j int)) int64 {
-		var visited int64
-		for j := lo; j < hi; j++ {
-			p := c.built[j]
-			xlo, xhi, ylo, yhi := cellWindow(p)
-			for yy := ylo; yy <= yhi; yy++ {
-				base := yy * nx
-				s, e := c.cellStart[base+xlo], c.cellStart[base+xhi+1]
-				xs, ys := c.cellXs[s:e], c.cellYs[s:e]
-				visited += int64(e - s)
+	// The all-slots-probe case (every sequential tick) gets its own inner
+	// loop without the per-candidate mask load.
+	var visited, entries int64
+	lists := c.lists
+	maskAll := !c.hasProbe
+	for j := 0; j < n; j++ {
+		p := c.built[j]
+		xlo, xhi, ylo, yhi := cellWindow(p)
+		for yy := ylo; yy <= yhi; yy++ {
+			base := yy * nx
+			s, e := c.cellStart[base+xlo], c.cellStart[base+xhi+1]
+			xs, ys := c.cellXs[s:e], c.cellYs[s:e]
+			visited += int64(e - s)
+			if maskAll {
+				for k, x := range xs {
+					dx, dy := x-p.X, ys[k]-p.Y
+					if dx*dx+dy*dy <= R2 {
+						i := c.cellPts[int(s)+k]
+						lists[i] = append(lists[i], int32(j))
+						entries++
+					}
+				}
+			} else {
 				for k, x := range xs {
 					dx, dy := x-p.X, ys[k]-p.Y
 					if dx*dx+dy*dy <= R2 {
 						if i := c.cellPts[int(s)+k]; c.mask[i] {
-							emit(i, j)
-						}
-					}
-				}
-			}
-		}
-		return visited
-	}
-
-	chunks := chunkCount(c.fan, n, listBuildGrain)
-	if chunks == 1 {
-		// Serial sweep, written out rather than routed through sweep's emit
-		// closure: the indirect call per list entry is measurable (~15% of
-		// the build) and the serial path is the common one on small hosts.
-		// The all-slots-probe case (every sequential tick) additionally
-		// drops the per-candidate mask load.
-		var visited, entries int64
-		lists := c.lists
-		maskAll := !c.hasProbe
-		for j := 0; j < n; j++ {
-			p := c.built[j]
-			xlo, xhi, ylo, yhi := cellWindow(p)
-			for yy := ylo; yy <= yhi; yy++ {
-				base := yy * nx
-				s, e := c.cellStart[base+xlo], c.cellStart[base+xhi+1]
-				xs, ys := c.cellXs[s:e], c.cellYs[s:e]
-				visited += int64(e - s)
-				if maskAll {
-					for k, x := range xs {
-						dx, dy := x-p.X, ys[k]-p.Y
-						if dx*dx+dy*dy <= R2 {
-							i := c.cellPts[int(s)+k]
 							lists[i] = append(lists[i], int32(j))
 							entries++
 						}
 					}
-				} else {
-					for k, x := range xs {
-						dx, dy := x-p.X, ys[k]-p.Y
-						if dx*dx+dy*dy <= R2 {
-							if i := c.cellPts[int(s)+k]; c.mask[i] {
-								lists[i] = append(lists[i], int32(j))
-								entries++
-							}
-						}
-					}
 				}
 			}
 		}
-		c.buildCost, c.listWork = visited, entries
-		c.charge(int64(n), visited)
-		return true
-	}
-
-	// Parallel: private (i, j) pair buffers per j-chunk, merged in chunk
-	// order — ascending j, identical lists to the serial sweep.
-	for len(c.pairs) < chunks {
-		c.pairs = append(c.pairs, nil)
-	}
-	c.vis = grow(c.vis, chunks)
-	ParallelFor(c.fan, n, listBuildGrain, func(chunk, lo, hi int) {
-		pairs := c.pairs[chunk][:0]
-		c.vis[chunk] = sweep(lo, hi, func(i int32, j int) {
-			pairs = append(pairs, int64(i)<<32|int64(j))
-		})
-		c.pairs[chunk] = pairs
-	})
-	var visited, entries int64
-	for chunk := 0; chunk < chunks; chunk++ {
-		for _, pr := range c.pairs[chunk] {
-			c.lists[pr>>32] = append(c.lists[pr>>32], int32(pr&0xffffffff))
-		}
-		visited += c.vis[chunk]
-		entries += int64(len(c.pairs[chunk]))
 	}
 	c.buildCost, c.listWork = visited, entries
 	c.charge(int64(n), visited)
@@ -576,8 +457,8 @@ func (c *CachedIndex) buildListsGrid(R float64) bool {
 // SlotCandidates returns slot's sorted candidate list and the shared
 // current-position array: every point within probeRad of cur[slot] is in
 // the list (plus near-misses within the skin); the caller filters by exact
-// current distance. Read-only and safe for concurrent calls. Only valid
-// after a BuildKeyed with probeRad > 0 and slot in the probe set.
+// current distance. Only valid after a BuildKeyed with probeRad > 0 and
+// slot in the probe set.
 func (c *CachedIndex) SlotCandidates(slot int32) ([]int32, []geom.Vec) {
 	return c.lists[slot], c.cur
 }
@@ -590,39 +471,19 @@ func (c *CachedIndex) Current(i int32) geom.Vec { return c.cur[i] }
 func (c *CachedIndex) Len() int { return c.n }
 
 // Stats implements Index. Counters accumulate across builds (see
-// CacheStats); list-construction probes are included. Generic queries may
-// run concurrently with each other (their counters are atomic), so Stats
-// reads atomically too.
-func (c *CachedIndex) Stats() Stats {
-	return Stats{
-		Probes:  atomic.LoadInt64(&c.stats.Probes),
-		Visited: atomic.LoadInt64(&c.stats.Visited),
-	}
-}
+// CacheStats); list-construction probes are included.
+func (c *CachedIndex) Stats() Stats { return c.stats }
 
 func (c *CachedIndex) charge(probes, visited int64) {
-	atomic.AddInt64(&c.stats.Probes, probes)
-	atomic.AddInt64(&c.stats.Visited, visited)
+	c.stats.Probes += probes
+	c.stats.Visited += visited
 }
 
 // The generic Index queries below answer against *current* positions even
 // when the underlying tree holds stale build positions: the tree is probed
 // with the region grown by the maximum displacement since build, then
-// candidates filter by where they are now. They allocate their own scratch
-// and touch only read-shared build state plus atomic counters, so they are
-// safe to call concurrently — they are the queryEnv fallback when a probe
-// exceeds the candidate lists' radius during a parallel query phase.
-
-// Range implements Index against current positions.
-func (c *CachedIndex) Range(r geom.Rect, fn func(Point)) {
-	slots, visited := c.tree.rangeRectSlots(r.Expand(c.pad), nil)
-	c.charge(1, visited)
-	for _, i := range slots {
-		if r.Contains(c.cur[i]) {
-			fn(Point{Pos: c.cur[i], ID: c.ids[i]})
-		}
-	}
-}
+// candidates filter by where they are now — the queryEnv fallback when a
+// probe exceeds the candidate lists' radius.
 
 // RangeCircle implements Index against current positions.
 func (c *CachedIndex) RangeCircle(cen geom.Vec, rad float64, fn func(Point)) {
@@ -636,8 +497,8 @@ func (c *CachedIndex) RangeCircle(cen geom.Vec, rad float64, fn func(Point)) {
 // RangeCircleInto appends the slots currently within rad of cen to the
 // caller-owned dst and returns (dst, candidates visited). It is the
 // engines' fallback when a probe is not served by the candidate lists:
-// stats-free and touching only read-shared build state, it is safe during
-// a parallel query phase, and reuses the caller's buffer. Right after a
+// stats-free (the caller accounts the visits), it reuses the caller's
+// buffer. Right after a
 // rebuild (pad 0) the tree's filter is already exact; on reuse ticks the
 // padded traversal re-filters by current position.
 func (c *CachedIndex) RangeCircleInto(cen geom.Vec, rad float64, dst []int32) ([]int32, int64) {

@@ -2,7 +2,6 @@ package spatial
 
 import (
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"github.com/bigreddata/brace/internal/geom"
@@ -59,10 +58,6 @@ func TestCachedGenericMatchesOracle(t *testing.T) {
 			rad := rng.Float64() * 20
 			if got, want := collectCircle(cached, c, rad), collectCircle(oracle, c, rad); !idsEqual(got, want) {
 				t.Fatalf("RangeCircle mismatch: got=%v want=%v", got, want)
-			}
-			r := geom.R(rng.Float64()*60, rng.Float64()*60, rng.Float64()*60, rng.Float64()*60)
-			if got, want := collectRange(cached, r), collectRange(oracle, r); !idsEqual(got, want) {
-				t.Fatalf("Range mismatch: got=%v want=%v", got, want)
 			}
 			k := 1 + rng.Intn(8)
 			if got, want := collectNearest(cached, c, k), collectNearest(oracle, c, k); !idsEqual(got, want) {
@@ -239,51 +234,6 @@ func TestCachedProbeSet(t *testing.T) {
 	cached.BuildKeyed(append([]Point(nil), pts...), keys, []int32{3, 7, 40, 98})
 	if got := cached.CacheStats(); got.Builds != 2 {
 		t.Fatalf("probe-set change should rebuild: %+v", got)
-	}
-}
-
-// TestCachedParallelMatchesSerial forces the pool through both paths —
-// parallel KD-tree construction and the two-pass parallel list build —
-// and requires bit-identical lists and probe answers.
-func TestCachedParallelMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	n := 3000 // above parallelBuildMin so the tree build forks too
-	pts := randomPoints(rng, n, 200)
-	keys := keysFor(pts)
-
-	build := func(par, fan int) *CachedIndex {
-		SetParallelism(par)
-		c := NewCached(10, 3)
-		c.SetFanOut(fan)
-		c.BuildKeyed(append([]Point(nil), pts...), keys, nil)
-		return c
-	}
-	defer SetParallelism(runtime.GOMAXPROCS(0))
-	serial := build(1, 0)
-	parallel := build(6, 0)
-	// A fan-out of 1 keeps the build on the calling goroutine whatever the
-	// pool size: same lists, and the parallel sweep's pair buffers never
-	// come into being.
-	capped := build(6, 1)
-	if capped.pairs != nil || parallel.pairs == nil {
-		t.Fatalf("pair buffers: fan-out 1 allocated %v, whole pool allocated %v; want false, true",
-			capped.pairs != nil, parallel.pairs != nil)
-	}
-
-	for slot := int32(0); slot < int32(n); slot += 17 {
-		a, _ := serial.SlotCandidates(slot)
-		b, _ := parallel.SlotCandidates(slot)
-		c, _ := capped.SlotCandidates(slot)
-		if !idsEqual(a, b) || !idsEqual(a, c) {
-			t.Fatalf("slot %d candidate lists differ: serial=%d parallel=%d capped=%d entries", slot, len(a), len(b), len(c))
-		}
-	}
-	for q := 0; q < 50; q++ {
-		c := geom.V(rng.Float64()*200, rng.Float64()*200)
-		rad := rng.Float64() * 15
-		if got, want := collectCircle(parallel, c, rad), collectCircle(serial, c, rad); !idsEqual(got, want) {
-			t.Fatalf("parallel RangeCircle diverges from serial")
-		}
 	}
 }
 

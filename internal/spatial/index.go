@@ -32,8 +32,8 @@ type Point struct {
 	ID  int32
 }
 
-// Index answers orthogonal range and nearest-neighbor queries over a point
-// set fixed at Build time.
+// Index answers disc-range and nearest-neighbor queries over a point set
+// fixed at Build time.
 type Index interface {
 	// Build replaces the index contents with pts. Implementations may
 	// retain pts.
@@ -42,12 +42,9 @@ type Index interface {
 	// Len returns the number of indexed points.
 	Len() int
 
-	// Range calls fn for every point inside the closed rectangle r.
-	// Iteration order is unspecified. fn must not call back into the index.
-	Range(r geom.Rect, fn func(Point))
-
 	// RangeCircle calls fn for every point within Euclidean distance rad
-	// of c (closed ball).
+	// of c (closed ball). Iteration order is unspecified. fn must not call
+	// back into the index.
 	RangeCircle(c geom.Vec, rad float64, fn func(Point))
 
 	// Nearest returns the k points closest to c in nondecreasing
@@ -113,3 +110,12 @@ func New(kind Kind) Index {
 	}
 	return NewScan()
 }
+
+// Parallelism and SetParallelism survive for the benchmark; drop with the
+// next [benchmark] PR. bench/workloads.go saves and restores a pool size
+// through them; there is no pool, and nothing else reads the value.
+func Parallelism() int { return parallelism }
+
+func SetParallelism(n int) { parallelism = n }
+
+var parallelism int

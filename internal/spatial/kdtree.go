@@ -1,10 +1,6 @@
 package spatial
 
-import (
-	"sync"
-
-	"github.com/bigreddata/brace/internal/geom"
-)
+import "github.com/bigreddata/brace/internal/geom"
 
 // KDTree is a bucketed 2-d tree over points [Bentley, SGC 1990], the index
 // the BRACE prototype uses (paper §5.1: "a generic KD-tree based spatial
@@ -14,23 +10,17 @@ import (
 //
 // Nodes are laid out in preorder (a node's left child immediately follows
 // it; the right child follows the whole left subtree). Because splits are
-// by count, the tree *shape* is a function of len(pts) alone, so every
-// subtree's node range is known before it is built — large builds fork
-// subtrees onto the package worker pool writing disjoint slice regions,
-// producing the bit-identical layout of a serial build.
+// by count, the tree *shape* is a function of len(pts) alone, so the node
+// slice is sized once (nodeCount) and every subtree writes its own known
+// range of it.
 type KDTree struct {
 	pts   []Point // reordered during build; leaves reference spans
 	nodes []kdNode
 	root  int32
-	fan   int // build fan-out cap (see SetFanOut); 0 = the whole pool
 	stats Stats
 }
 
-const (
-	leafSize = 16
-	// parallelBuildMin is the smallest subtree worth forking to the pool.
-	parallelBuildMin = 1024
-)
+const leafSize = 16
 
 type kdNode struct {
 	split       float64 // splitting coordinate (internal nodes)
@@ -46,11 +36,6 @@ const (
 
 // NewKDTree returns an empty KD-tree.
 func NewKDTree() *KDTree { return &KDTree{root: kdNil} }
-
-// SetFanOut caps the pool share Build may use; 1 builds on the calling
-// goroutine, anything below 1 means the whole pool. The layout is the same
-// either way.
-func (t *KDTree) SetFanOut(fan int) { t.fan = fan }
 
 // Build implements Index. It takes ownership of pts (the slice is
 // reordered in place during median partitioning).
@@ -69,13 +54,7 @@ func (t *KDTree) Build(pts []Point) {
 		t.nodes = t.nodes[:need]
 	}
 	t.root = 0
-	if len(pts) >= parallelBuildMin && share(t.fan) > 1 {
-		var wg sync.WaitGroup
-		t.buildAt(0, 0, int32(len(pts)), 0, &wg)
-		wg.Wait()
-	} else {
-		t.buildAt(0, 0, int32(len(pts)), 0, nil)
-	}
+	t.buildAt(0, 0, int32(len(pts)), 0)
 }
 
 // nodeCount returns the number of nodes a (sub)tree over n points uses.
@@ -89,9 +68,8 @@ func nodeCount(n int32) int32 {
 }
 
 // buildAt writes the subtree over pts[lo:hi] into the preorder node range
-// starting at ni. When wg is non-nil, large right subtrees fork onto the
-// worker pool; the regions they write are disjoint by construction.
-func (t *KDTree) buildAt(ni, lo, hi int32, depth int, wg *sync.WaitGroup) {
+// starting at ni.
+func (t *KDTree) buildAt(ni, lo, hi int32, depth int) {
 	for {
 		if hi-lo <= leafSize {
 			t.nodes[ni] = kdNode{axis: leafAxis, start: lo, end: hi}
@@ -103,17 +81,7 @@ func (t *KDTree) buildAt(ni, lo, hi int32, depth int, wg *sync.WaitGroup) {
 		left := ni + 1
 		right := ni + 1 + nodeCount(mid-lo)
 		t.nodes[ni] = kdNode{axis: axis, split: key(t.pts[mid], axis), left: left, right: right}
-		if wg != nil && hi-mid >= parallelBuildMin {
-			wg.Add(1)
-			ni, lo, hi := right, mid, hi
-			depth := depth + 1
-			queryPool.submit(func() {
-				defer wg.Done()
-				t.buildAt(ni, lo, hi, depth, wg)
-			})
-		} else {
-			t.buildAt(right, mid, hi, depth+1, wg)
-		}
+		t.buildAt(right, mid, hi, depth+1)
 		ni, hi = left, mid
 		depth++
 	}
@@ -187,47 +155,9 @@ func selectMedian(pts []Point, k int, axis int8) {
 // Len implements Index.
 func (t *KDTree) Len() int { return len(t.pts) }
 
-// Range implements Index using an explicit stack (no recursion overhead).
-func (t *KDTree) Range(r geom.Rect, fn func(Point)) {
-	t.stats.Probes++
-	if t.root == kdNil {
-		return
-	}
-	var stack [64]int32
-	sp := 0
-	stack[sp] = t.root
-	sp++
-	for sp > 0 {
-		sp--
-		n := &t.nodes[stack[sp]]
-		if n.axis == leafAxis {
-			t.stats.Visited += int64(n.end - n.start)
-			for _, p := range t.pts[n.start:n.end] {
-				if r.Contains(p.Pos) {
-					fn(p)
-				}
-			}
-			continue
-		}
-		var lo, hi float64
-		if n.axis == 0 {
-			lo, hi = r.Min.X, r.Max.X
-		} else {
-			lo, hi = r.Min.Y, r.Max.Y
-		}
-		if lo <= n.split {
-			stack[sp] = n.left
-			sp++
-		}
-		if hi >= n.split {
-			stack[sp] = n.right
-			sp++
-		}
-	}
-}
-
-// RangeCircle implements Index: prune by the circumscribing square, filter
-// candidates by exact distance.
+// RangeCircle implements Index using an explicit stack (no recursion
+// overhead): prune by the circumscribing square, filter candidates by exact
+// distance.
 func (t *KDTree) RangeCircle(c geom.Vec, rad float64, fn func(Point)) {
 	t.stats.Probes++
 	if t.root == kdNil {
@@ -268,51 +198,9 @@ func (t *KDTree) RangeCircle(c geom.Vec, rad float64, fn func(Point)) {
 	}
 }
 
-// rangeRectSlots appends the IDs of points inside r to dst and returns
-// (dst, candidates visited). Stats-free and read-only, like
-// rangeCircleSlots.
-func (t *KDTree) rangeRectSlots(r geom.Rect, dst []int32) ([]int32, int64) {
-	if t.root == kdNil {
-		return dst, 0
-	}
-	var visited int64
-	var stack [64]int32
-	sp := 0
-	stack[sp] = t.root
-	sp++
-	for sp > 0 {
-		sp--
-		n := &t.nodes[stack[sp]]
-		if n.axis == leafAxis {
-			visited += int64(n.end - n.start)
-			for _, p := range t.pts[n.start:n.end] {
-				if r.Contains(p.Pos) {
-					dst = append(dst, p.ID)
-				}
-			}
-			continue
-		}
-		var lo, hi float64
-		if n.axis == 0 {
-			lo, hi = r.Min.X, r.Max.X
-		} else {
-			lo, hi = r.Min.Y, r.Max.Y
-		}
-		if lo <= n.split {
-			stack[sp] = n.left
-			sp++
-		}
-		if hi >= n.split {
-			stack[sp] = n.right
-			sp++
-		}
-	}
-	return dst, visited
-}
-
 // rangeCircleSlots appends the IDs of points within rad of c to dst and
-// returns (dst, candidates visited). Stats-free and read-only: the cached
-// index's parallel candidate-list construction calls it concurrently.
+// returns (dst, candidates visited). Stats-free: the cached index accounts
+// the visits itself.
 func (t *KDTree) rangeCircleSlots(c geom.Vec, rad float64, dst []int32) ([]int32, int64) {
 	if t.root == kdNil {
 		return dst, 0
@@ -367,7 +255,7 @@ func (t *KDTree) Nearest(c geom.Vec, k int, dst []Point) []Point {
 }
 
 // nearestInto is Nearest without stats mutation (returns the visited count
-// instead), safe for concurrent read-only use.
+// instead).
 func (t *KDTree) nearestInto(c geom.Vec, k int, dst []Point) ([]Point, int64) {
 	if k <= 0 || t.root == kdNil {
 		return dst, 0

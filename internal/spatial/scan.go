@@ -27,17 +27,6 @@ func (s *Scan) Build(pts []Point) {
 // Len implements Index.
 func (s *Scan) Len() int { return len(s.pts) }
 
-// Range implements Index.
-func (s *Scan) Range(r geom.Rect, fn func(Point)) {
-	s.stats.Probes++
-	s.stats.Visited += int64(len(s.pts))
-	for _, p := range s.pts {
-		if r.Contains(p.Pos) {
-			fn(p)
-		}
-	}
-}
-
 // RangeCircle implements Index.
 func (s *Scan) RangeCircle(c geom.Vec, rad float64, fn func(Point)) {
 	s.stats.Probes++
