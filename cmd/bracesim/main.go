@@ -68,7 +68,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		"with -distribute: worker dial+handshake budget (0 = default %v)", distrib.DefaultDialTimeout))
 	rejoinTimeout := fs.Duration("rejoin-timeout", 0, "with -distribute: re-dial budget when re-admitting a dead worker (0 = same as -dial-timeout)")
 	vt := fs.Bool("vtime", false, "enable virtual-time cluster accounting")
-	seq := fs.Bool("seq", false, "use the sequential reference engine (single-threaded); with -distribute or -submit the run stays partitioned and each worker process instead ticks its partitions one at a time")
+	seq := fs.Bool("seq", false, "use the sequential reference engine (single-threaded, one partition)")
 	invert := fs.Bool("invert", false, "apply effect inversion to the BRASIL script")
 	span := fs.Float64("span", 100, "initial placement span for BRASIL agents")
 	distribute := fs.String("distribute", "", "run across real worker processes: 'tcp' (requires -worker-addrs or -registry)")
@@ -132,7 +132,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			LoadBalance:         *lb,
 			CheckpointEpochs:    *ckptEpochs,
 			CheckpointFullEvery: *ckptFullEvery,
-			Sequential:          *seq,
 		}, *verbose, stdout, stderr)
 	}
 
@@ -150,7 +149,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			Ticks:       *ticks,
 			Index:       *index,
 			Part:        *part,
-			Sequential:  *seq,
 			LoadBalance: *lb,
 			Tunables: distrib.Tunables{
 				CheckpointEveryEpochs: *ckptEpochs,
@@ -324,6 +322,7 @@ var flagModes = map[string]struct {
 	"invert": {modeScript, ""},
 	"span":   {modeScript, ""},
 	"vtime":  {modeLocal | modeScript, "distributed and service runs measure real time"},
+	"seq":    {modeLocal | modeScript, "distributed and service runs are partitioned"},
 	"part":   {modeLocal | modeScript | modeDistribute, "the service partitions by strips"},
 
 	"ckpt-full-every": {modeDistribute | modeSubmit, ""},

@@ -107,6 +107,11 @@ func TestFlagsRejectedOutsideTheirModes(t *testing.T) {
 			[]string{"-heartbeat only applies with -distribute"}},
 		{"two groups, both named", []string{"-submit", svc, "-vtime", "-dial-timeout", "1s"},
 			[]string{"-dial-timeout only applies with -distribute", "-vtime only applies with an in-process run"}},
+		// -seq has one meaning, the single-threaded engine: a partitioned run
+		// has no partition-at-a-time mode to fall back on.
+		{"distribute drops -seq", []string{"-seq", "-distribute", "tcp", "-worker-addrs", worker},
+			[]string{"-seq only applies with an in-process run"}},
+		{"submit drops -seq", []string{"-seq", "-submit", svc}, []string{"-seq only applies with an in-process run"}},
 	} {
 		code, out, errOut := runCLI(t, tc.args...)
 		if code != 1 || out != "" {
@@ -166,22 +171,25 @@ func TestLivenessHelpDerivedFromDefaults(t *testing.T) {
 	}
 }
 
-// -seq means two different things — the single-loop engine in-process, serial
-// partition ticking inside each worker under -distribute/-submit — and the
-// help has to say so.
+// -seq once also meant serial partition ticking inside each worker under
+// -distribute/-submit. That meaning is gone: the help states the one that
+// remains, and the rejection under the partitioned modes says why.
 func TestSeqHelpStatesBothMeanings(t *testing.T) {
 	code, _, errOut := runCLI(t, "-h")
 	if code != 0 {
 		t.Fatalf("-h exit = %d", code)
 	}
-	for _, want := range []string{
-		"use the sequential reference engine",
-		"with -distribute or -submit",
-		"ticks its partitions one at a time",
-	} {
-		if !strings.Contains(errOut, want) {
-			t.Errorf("-seq help should say %q:\n%s", want, errOut)
+	if want := "use the sequential reference engine"; !strings.Contains(errOut, want) {
+		t.Errorf("-seq help should say %q:\n%s", want, errOut)
+	}
+	for _, gone := range []string{"with -distribute or -submit", "ticks its partitions one at a time"} {
+		if strings.Contains(errOut, gone) {
+			t.Errorf("-seq help still describes the deleted meaning %q:\n%s", gone, errOut)
 		}
+	}
+	code, out, errOut := runCLI(t, "-seq", "-submit", "http://127.0.0.1:1")
+	if want := "-seq only applies with an in-process run (distributed and service runs are partitioned)"; code != 1 || out != "" || !strings.Contains(errOut, want) {
+		t.Errorf("-seq -submit: exit=%d stdout=%q, want 1 and %q in stderr:\n%s", code, out, want, errOut)
 	}
 }
 

@@ -69,9 +69,6 @@ type Options struct {
 	Tunables
 	// Index selects the spatial index: kd (default when empty) or scan.
 	Index string
-	// Sequential makes each worker process tick its partitions one at a
-	// time (debugging/determinism).
-	Sequential bool
 	// Part selects the partitioning scheme: "" or "strips" for quantile
 	// x-strips, "kd2d" for 2-D recursive median splits over the initial
 	// population. kd2d is static, so it is incompatible with LoadBalance.
@@ -294,7 +291,6 @@ func (o *Options) hello(proc, gen int, assign []int) *transport.Hello {
 		Ticks:       o.Ticks,
 		EpochTicks:  o.EpochTicks,
 		Index:       o.Index,
-		Sequential:  o.Sequential,
 		Part:        o.Part,
 	}
 	if o.Mesh {

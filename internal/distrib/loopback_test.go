@@ -321,16 +321,16 @@ func TestHandshakeRejection(t *testing.T) {
 		mut(h)
 		return h
 	}
-	old := hello(func(h *transport.Hello) { h.Proto = 6 })
+	old := hello(func(h *transport.Hello) { h.Proto = 7 })
 	var ve *transport.VersionError
-	if _, _, err := checkHello(old); !errors.As(err, &ve) || ve.Got != 6 || ve.Want != transport.ProtoVersion {
-		t.Fatalf("checkHello(v6) = %v, want *transport.VersionError{6, %d}", err, transport.ProtoVersion)
+	if _, _, err := checkHello(old); !errors.As(err, &ve) || ve.Got != 7 || ve.Want != transport.ProtoVersion {
+		t.Fatalf("checkHello(v7) = %v, want *transport.VersionError{7, %d}", err, transport.ProtoVersion)
 	}
 	for _, tc := range []struct {
 		name, want string
 		h          *transport.Hello
 	}{
-		{"stale version", "protocol version 6", old},
+		{"stale version", "protocol version 7", old},
 		{"agents over limit", "agents outside the limit", hello(func(h *transport.Hello) { h.Agents = MaxAgents + 1 })},
 		{"negative agents", "agents outside the limit", hello(func(h *transport.Hello) { h.Agents = -1 })},
 		{"partitions over limit", "partitions outside the limit", hello(func(h *transport.Hello) {

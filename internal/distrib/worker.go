@@ -387,7 +387,6 @@ func serveSession(fc *transport.Conn, f *transport.Frame, so ServeOptions) error
 		Index:            kind,
 		Seed:             h.Seed,
 		Tunables:         Tunables{EpochTicks: h.EpochTicks},
-		Sequential:       h.Sequential,
 		Transport:        tr,
 		LocalParts:       local,
 		InitialPartition: ipart,

@@ -44,8 +44,6 @@ type Options struct {
 	// CostModel, when non-nil, enables virtual-time accounting (see
 	// internal/cluster): required for the scale-up experiments.
 	CostModel *cluster.CostModel
-	// Sequential runs worker tasks one at a time (debugging/determinism).
-	Sequential bool
 	// Transport overrides the message layer (default: in-memory). A
 	// multi-process run passes the TCP transport wired to its
 	// coordinator; its node count must equal Workers.
@@ -74,7 +72,6 @@ type Options struct {
 type EpochStat struct {
 	Tick        uint64
 	VirtualSec  float64 // virtual time consumed by this epoch's ticks
-	WallSec     float64
 	OwnedCounts []int
 	Imbalance   float64 // max/mean of owned counts
 	Rebalanced  bool
@@ -220,7 +217,6 @@ func NewDistributed(m Model, pop []*agent.Agent, opts Options) (*Distributed, er
 		EpochTicks:            opts.EpochTicks,
 		CheckpointEveryEpochs: opts.CheckpointEveryEpochs,
 		Failures:              opts.Failures,
-		Sequential:            opts.Sequential,
 		Barrier:               opts.EpochBarrier,
 		OnEpoch:               e.onEpoch,
 		// Checkpoints capture master state alongside worker memories: the

@@ -301,10 +301,9 @@ func TestNonLocalAssignPanicsInLocalModel(t *testing.T) {
 	m := newFlockModel(8)
 	bad := &badModel{flockModel: m}
 	pop := makePop(m.s, 10, 5, 6)
-	e, err := NewDistributed(bad, pop, Options{
-		Workers: 1, Index: spatial.KindScan, Seed: 1,
-		Sequential: true, // keep the panic on this goroutine so recover() sees it
-	})
+	// The panic is raised by queryEnv.Assign, which both engines share; the
+	// sequential one raises it on this goroutine, where recover() sees it.
+	e, err := NewSequential(bad, pop, spatial.KindScan, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"sort"
 
 	"github.com/bigreddata/brace/internal/agent"
 	"github.com/bigreddata/brace/internal/geom"
@@ -42,7 +41,6 @@ type queryEnv struct {
 
 	// Bound per agent.
 	self *agent.Agent
-	row  int32 // self's row
 	slot int32 // self's core slot (-1: self is a halo row)
 
 	visited int64 // candidates the cached paths examined (Visited gauge)
@@ -57,7 +55,6 @@ type queryEnv struct {
 	// that sets bits drains them (ordered) before rows returns, so the words
 	// are all zero between probes and nested probes share them.
 	words []uint64
-	nnbuf []spatial.Point
 }
 
 var _ Env = (*queryEnv)(nil)
@@ -409,72 +406,6 @@ func cellSpan(c, r, origin, edge float64, n int) (lo, hi int, ok bool) {
 		hi = int(fhi)
 	}
 	return lo, hi, true
-}
-
-// Nearest implements Env.
-func (q *queryEnv) Nearest(k int, buf []*agent.Agent) []*agent.Agent {
-	if k <= 0 {
-		return buf
-	}
-	s := q.c.schema
-	pos := q.self.Pos(s)
-	vis := s.Visibility
-	vis2 := vis * vis
-	cand := q.buf()
-	if q.lists && q.slot >= 0 && vis > 0 && vis <= q.cached.ProbeRadius() {
-		// The candidate list covers the visibility disc, and Env.Nearest
-		// never returns agents beyond it: every true k-nearest-in-vis is
-		// in the list (see the cache invariant), so collecting in-vis
-		// candidates and ranking below reproduces the index path exactly.
-		list, cur := q.cached.SlotCandidates(q.slot)
-		q.visited += int64(len(list))
-		for _, j := range list {
-			if cur[j].Dist2(pos) <= vis2 && q.copies[j].ID != q.self.ID {
-				cand = append(cand, j)
-			}
-		}
-	} else {
-		// k+1 core candidates suffice even with a halo: no core agent
-		// outside the k+1 nearest (k after self-exclusion) can make the
-		// combined top k, however many halo agents outrank it.
-		q.nnbuf = q.ix.Nearest(pos, k+1, q.nnbuf[:0])
-		for _, p := range q.nnbuf {
-			if q.copies[p.ID].ID == q.self.ID || (vis > 0 && p.Pos.Dist2(pos) > vis2) {
-				continue
-			}
-			cand = append(cand, p.ID)
-		}
-	}
-	if h := q.halo; h != nil {
-		q.visited += int64(len(h.xs))
-		for i, x := range h.xs {
-			if vis > 0 && (geom.Vec{X: x, Y: h.ys[i]}).Dist2(pos) > vis2 {
-				continue
-			}
-			// A halo-owned probe finds itself in the halo.
-			if row := h.rankRow[h.rank[i]]; row != q.row {
-				cand = append(cand, row)
-			}
-		}
-	}
-	// Canonical order: (distance, agent ID).
-	sort.Slice(cand, func(i, j int) bool {
-		ai, aj := q.agentAt(cand[i]), q.agentAt(cand[j])
-		di, dj := ai.Pos(s).Dist2(pos), aj.Pos(s).Dist2(pos)
-		if di != dj {
-			return di < dj
-		}
-		return ai.ID < aj.ID
-	})
-	q.out[q.depth] = cand
-	if len(cand) > k {
-		cand = cand[:k]
-	}
-	q.cost += int64(len(cand))
-	for _, c := range cand {
-		buf = append(buf, q.agentAt(c))
-	}
-	return buf
 }
 
 // Assign implements Env.

@@ -19,11 +19,10 @@ import (
 // sees them. With nested > 0 each callback of the outer probe issues a
 // second probe of that radius before the outer iteration continues.
 type probeModel struct {
-	s       *agent.Schema
-	x, y    int
-	radius  float64 // 0: ForEachVisible; else Nearby(radius)
-	nested  float64
-	nearest int // > 0: the probe is Nearest(nearest) instead
+	s      *agent.Schema
+	x, y   int
+	radius float64 // 0: ForEachVisible; else Nearby(radius)
+	nested float64
 
 	outer map[agent.ID][]agent.ID
 	inner map[agent.ID][][]agent.ID // one sequence per outer callback
@@ -51,12 +50,6 @@ func (m *probeModel) Query(self *agent.Agent, env Env) {
 		}
 	}
 	m.outer[self.ID] = []agent.ID{} // a probe that finds nothing still ran
-	if m.nearest > 0 {
-		for _, p := range env.Nearest(m.nearest, nil) {
-			m.outer[self.ID] = append(m.outer[self.ID], p.ID)
-		}
-		return
-	}
 	probe(m.radius, func(p *agent.Agent) {
 		m.outer[self.ID] = append(m.outer[self.ID], p.ID)
 		if m.nested > 0 {
@@ -153,29 +146,6 @@ func runJoin(t *testing.T, name string, m *probeModel, src joinSource, core, hal
 		}
 		slices.Sort(ids)
 		return ids
-	}
-	if m.nearest > 0 {
-		// Nearest: the k closest other agents within visibility, by
-		// (distance, ID).
-		inRange := oracle
-		oracle = func(self *agent.Agent, r float64) []agent.ID {
-			pos := self.Pos(m.s)
-			byID := map[agent.ID]float64{}
-			for _, a := range all {
-				byID[a.ID] = a.Pos(m.s).Dist2(pos)
-			}
-			ids := slices.DeleteFunc(inRange(self, r), func(id agent.ID) bool { return id == self.ID })
-			slices.SortStableFunc(ids, func(a, b agent.ID) int {
-				switch {
-				case byID[a] < byID[b]:
-					return -1
-				case byID[a] > byID[b]:
-					return 1
-				}
-				return 0
-			})
-			return ids[:min(len(ids), m.nearest)]
-		}
 	}
 	var cost int64
 	for _, self := range all {
@@ -325,20 +295,6 @@ func TestOrderedJoinEdgeCases(t *testing.T) {
 		rng := agent.NewRNG(3, 0, 0)
 		box := geom.Rect{Max: geom.V(25, 25)}
 		runJoin(t, "nested", m, src, scatter(m.s, rng, 60, 1, 2, box), scatter(m.s, rng, 80, 2, 2, box))
-	}
-}
-
-// Env.Nearest ranks halo copies with the core's: the k closest within
-// visibility, self excluded, whichever side of the join holds them.
-func TestNearestJoinsHalo(t *testing.T) {
-	for _, src := range []joinSource{fromLists, fromWalk} {
-		for _, k := range []int{1, 3, 50} {
-			m := newProbeModel(6)
-			m.nearest = k
-			rng := agent.NewRNG(5, 0, agent.ID(k))
-			box := geom.Rect{Max: geom.V(30, 30)}
-			runJoin(t, fmt.Sprint("nearest ", k), m, src, scatter(m.s, rng, 70, 1, 2, box), scatter(m.s, rng, 90, 2, 2, box))
-		}
 	}
 }
 

@@ -77,9 +77,6 @@ type Env interface {
 	// Nearby is ForEachVisible restricted to the given radius (cropped to
 	// the visibility bound).
 	Nearby(radius float64, fn func(*agent.Agent))
-	// Nearest appends to buf up to k visible agents closest to self,
-	// excluding self, ordered by (distance, agent ID).
-	Nearest(k int, buf []*agent.Agent) []*agent.Agent
 	// Assign folds value into target's effect field using the schema's
 	// combinator. Assigning to an agent other than Self is a non-local
 	// effect and requires the model to declare HasNonLocalEffects.

@@ -210,7 +210,7 @@ func (p *part) query(rows []int32, halo *haloJoin) int64 {
 	ncore := int32(len(p.copies))
 	before := p.ix.Stats().Visited //bracevet:allow indexstats metrics-only: the probes' share of the Visited gauge
 	for _, row := range rows {
-		q.self, q.row, q.slot = q.agentAt(row), row, row
+		q.self, q.slot = q.agentAt(row), row
 		if row >= ncore {
 			q.slot = -1 // no core slot: index queries plus the halo join
 		}

@@ -121,7 +121,7 @@ func (r Rect) Translate(v Vec) Rect {
 func (r Rect) ClampPoint(p Vec) Vec { return p.Clamp(r) }
 
 // Dist2 returns the squared distance from p to the rectangle (0 when p is
-// inside). It prunes KD-tree traversal for range and nearest queries.
+// inside): a visibility disc reaches a partition's region iff it is ≤ ρ².
 func (r Rect) Dist2(p Vec) float64 {
 	dx := axisDist(p.X, r.Min.X, r.Max.X)
 	dy := axisDist(p.Y, r.Min.Y, r.Max.Y)

@@ -133,11 +133,6 @@ type Config struct {
 	// inside Map/Reduce (it knows its work counters).
 	VClock *cluster.VClock
 
-	// Sequential forces phases to run workers one at a time on the
-	// calling goroutine. Used by determinism tests; the default runs
-	// workers concurrently.
-	Sequential bool
-
 	// Barrier, when non-nil, runs first at every epoch boundary, before
 	// failure detection, checkpoints and OnEpoch. A multi-process worker
 	// uses it for the coordinator round-trip: ship epoch statistics, wait

@@ -6,10 +6,10 @@ import (
 	"testing/quick"
 )
 
-// Property: for random partition counts, item counts, routing patterns and
+// Property: for random partition counts, item counts, load placements and
 // tick counts, the runtime conserves every item (nothing is lost or
-// duplicated by the exchange machinery) and parallel execution equals
-// sequential execution.
+// duplicated by the exchange machinery) and routes each to its closed-form
+// owner, with concurrent partitions.
 func TestQuickConservationAndParallelEquivalence(t *testing.T) {
 	f := func(seed int64, nw, ni, nt uint8) bool {
 		workers := int(nw%6) + 1
@@ -35,34 +35,23 @@ func TestQuickConservationAndParallelEquivalence(t *testing.T) {
 			SizeOf: sizeRec,
 			Clone:  cloneRec,
 		}
-		mk := func(sequential bool) *Runtime[rec] {
-			r := New(job, Config{Workers: workers, Sequential: sequential})
-			for i := 0; i < items; i++ {
-				r.Load(rng.Intn(workers), []rec{{ID: i, Owner: i % workers}})
-			}
-			return r
+		r := New(job, Config{Workers: workers})
+		for i := 0; i < items; i++ {
+			// The loading partition is arbitrary: Map routes by Owner.
+			r.Load(rng.Intn(workers), []rec{{ID: i, Owner: i % workers}})
 		}
-		// Reset rng so both runtimes load identically.
-		rng = rand.New(rand.NewSource(seed))
-		par := mk(false)
-		rng = rand.New(rand.NewSource(seed))
-		seq := mk(true)
-
-		if err := par.RunTicks(ticks); err != nil {
+		if err := r.RunTicks(ticks); err != nil {
 			return false
 		}
-		if err := seq.RunTicks(ticks); err != nil {
+		all := sortedItems(r)
+		if len(all) != items {
 			return false
 		}
-		a, b := sortedItems(par), sortedItems(seq)
-		if len(a) != items || len(b) != items {
-			return false
-		}
-		for i := range a {
-			if a[i] != b[i] {
+		for i, it := range all {
+			if it.ID != i || it.Val != float64(ticks) { // one increment per tick
 				return false
 			}
-			if a[i].Val != float64(ticks) { // one increment per tick
+			if it.Owner != (i%workers+ticks*(i%workers+1))%workers {
 				return false
 			}
 		}

@@ -365,24 +365,20 @@ func (r *Runtime[V]) collect(w int, tag int, drain func(cluster.NodeID) []cluste
 }
 
 // eachWorker runs fn for every locally computed partition whose worker is
-// alive, concurrently unless Sequential. In a single-process runtime that is
-// every partition; in a multi-process run each process covers only its
-// LocalParts block and the transport's phase protocol keeps the processes
-// in lockstep.
+// alive, concurrently. In a single-process runtime that is every partition;
+// in a multi-process run each process covers only its LocalParts block and
+// the transport's phase protocol keeps the processes in lockstep.
 func (r *Runtime[V]) eachWorker(fn func(w int)) {
 	var wg sync.WaitGroup
 	for _, w := range r.local {
-		switch {
-		case r.failed[w]: // a crashed worker runs nothing
-		case r.cfg.Sequential:
-			fn(w)
-		default:
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				fn(w)
-			}(w)
+		if r.failed[w] { // a crashed worker runs nothing
+			continue
 		}
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			fn(w)
+		}(w)
 	}
 	wg.Wait()
 }

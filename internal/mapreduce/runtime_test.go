@@ -27,7 +27,7 @@ func sizeRec(r rec) int { return 24 }
 
 // ringJob moves every item one partition to the right each tick and has
 // the reducer add the number of co-located items to each item's Val. The
-// reduction is order-independent, so parallel and sequential runs agree.
+// reduction is order-independent, so the result has a closed form.
 func ringJob(workers int) Job[rec] {
 	return Job[rec]{
 		Name: "ring",
@@ -103,47 +103,81 @@ func sortedItems(r *Runtime[rec]) []rec {
 }
 
 func TestRingConservationAndMigration(t *testing.T) {
-	const workers, items, ticks = 4, 16, 8
-	r := New(ringJob(workers), Config{Workers: workers, EpochTicks: 4})
-	loadItems(r, items, workers)
-	if err := r.RunTicks(ticks); err != nil {
-		t.Fatal(err)
-	}
-	all := sortedItems(r)
-	if len(all) != items {
-		t.Fatalf("item count = %d, want %d", len(all), items)
-	}
-	for _, it := range all {
-		wantOwner := (it.ID%workers + ticks) % workers
-		if it.Owner != wantOwner {
-			t.Errorf("item %d owner = %d, want %d", it.ID, it.Owner, wantOwner)
+	for _, tc := range []struct{ workers, items, ticks, epoch int }{
+		{4, 16, 8, 4},
+		{5, 37, 11, 0}, // uneven residue classes: 8 items on owners 0–1, 7 on 2–4
+	} {
+		r := New(ringJob(tc.workers), Config{Workers: tc.workers, EpochTicks: tc.epoch})
+		loadItems(r, tc.items, tc.workers)
+		if err := r.RunTicks(tc.ticks); err != nil {
+			t.Fatal(err)
 		}
-		// 16 items / 4 partitions = 4 co-located per tick, 8 ticks.
-		if it.Val != float64(4*ticks) {
-			t.Errorf("item %d Val = %v, want %v", it.ID, it.Val, 4*ticks)
+		all := sortedItems(r)
+		if len(all) != tc.items {
+			t.Fatalf("%+v: item count = %d, want %d", tc, len(all), tc.items)
+		}
+		for _, it := range all {
+			home := it.ID % tc.workers
+			if want := (home + tc.ticks) % tc.workers; it.Owner != want {
+				t.Errorf("%+v: item %d owner = %d, want %d", tc, it.ID, it.Owner, want)
+			}
+			// An item's residue class moves as one block, so each tick it
+			// shares its partition with exactly the items of its class.
+			class := (tc.items - home + tc.workers - 1) / tc.workers
+			if want := float64(class * tc.ticks); it.Val != want {
+				t.Errorf("%+v: item %d Val = %v, want %v", tc, it.ID, it.Val, want)
+			}
+		}
+		if r.Tick() != uint64(tc.ticks) {
+			t.Errorf("%+v: Tick = %d", tc, r.Tick())
 		}
 	}
-	if r.Tick() != ticks {
-		t.Errorf("Tick = %d", r.Tick())
+}
+
+// runSerial applies a map-reduce job in one goroutine, partition by
+// partition, with no shuffle or exchange: the reference the concurrent
+// runtime must reproduce.
+func runSerial(job Job[rec], workers int, parts [][]rec, ticks int) []rec {
+	for tick := 0; tick < ticks; tick++ {
+		next := make([][]rec, workers)
+		for p, vs := range parts {
+			ctx := &Ctx{Tick: uint64(tick), Worker: p}
+			for _, v := range vs {
+				job.Map(ctx, v, func(dst int, v rec) { next[dst] = append(next[dst], v) })
+			}
+		}
+		parts = make([][]rec, workers)
+		for p, vs := range next {
+			ctx := &Ctx{Tick: uint64(tick), Worker: p}
+			job.Reduce1(ctx, vs, func(dst int, v rec) { parts[dst] = append(parts[dst], v) })
+		}
 	}
+	var all []rec
+	for _, vs := range parts {
+		all = append(all, vs...)
+	}
+	sort.Slice(all, func(i, j int) bool { return all[i].ID < all[j].ID })
+	return all
 }
 
 func TestParallelMatchesSequential(t *testing.T) {
 	const workers, items, ticks = 5, 37, 11
 	par := New(ringJob(workers), Config{Workers: workers})
-	seq := New(ringJob(workers), Config{Workers: workers, Sequential: true})
 	loadItems(par, items, workers)
-	loadItems(seq, items, workers)
 	if err := par.RunTicks(ticks); err != nil {
 		t.Fatal(err)
 	}
-	if err := seq.RunTicks(ticks); err != nil {
-		t.Fatal(err)
+	parts := make([][]rec, workers)
+	for i := 0; i < items; i++ {
+		parts[i%workers] = append(parts[i%workers], rec{ID: i, Owner: i % workers})
 	}
-	a, b := sortedItems(par), sortedItems(seq)
+	a, b := sortedItems(par), runSerial(ringJob(workers), workers, parts, ticks)
+	if len(a) != len(b) {
+		t.Fatalf("parallel has %d items, serial reference %d", len(a), len(b))
+	}
 	for i := range a {
 		if a[i] != b[i] {
-			t.Fatalf("parallel/sequential diverge at %d: %+v vs %+v", i, a[i], b[i])
+			t.Fatalf("parallel/serial reference diverge at %d: %+v vs %+v", i, a[i], b[i])
 		}
 	}
 }

@@ -78,10 +78,10 @@ func TestCachedQueryEquivalence(t *testing.T) {
 // of every epoch, the cuts the balancer then picks and the final state are
 // identical between the cached KD-tree (overlapped two-pass tick where the
 // gate admits it) and the KindScan reference (never cached, always
-// single-pass), with worker tasks running concurrently or one at a time.
-// Charged index candidates instead — as the engine once was — the two
-// indexes examine different counts and pick different cuts. Identical cuts
-// mean identical fold groupings, so non-local scenarios are exact here too.
+// single-pass). Charged index candidates instead — as the engine once was —
+// the two indexes examine different counts and pick different cuts.
+// Identical cuts mean identical fold groupings, so non-local scenarios are
+// exact here too.
 func TestCachedEquivalenceUnderLoadBalance(t *testing.T) {
 	const (
 		workers = 4
@@ -101,11 +101,11 @@ func TestCachedEquivalenceUnderLoadBalance(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			run := func(index spatial.Kind, sequential bool) ([]epochRecord, []*agent.Agent) {
+			run := func(index spatial.Kind) ([]epochRecord, []*agent.Agent) {
 				var e *engine.Distributed
 				var log []epochRecord
 				e, err := engine.NewDistributed(m, clonePop(base), engine.Options{
-					Workers: workers, Index: index, Seed: 11, Sequential: sequential,
+					Workers: workers, Index: index, Seed: 11,
 					LoadBalance: true, Balancer: bal, Tunables: engine.Tunables{EpochTicks: epoch},
 					EpochBarrier: func(uint64) error {
 						rec := epochRecord{cost: make([]int64, workers)}
@@ -132,7 +132,7 @@ func TestCachedEquivalenceUnderLoadBalance(t *testing.T) {
 				}
 				return log, e.Agents()
 			}
-			refLog, refPop := run(spatial.KindScan, false)
+			refLog, refPop := run(spatial.KindScan)
 			var charged int64
 			moved := false
 			for i, rec := range refLog {
@@ -144,26 +144,16 @@ func TestCachedEquivalenceUnderLoadBalance(t *testing.T) {
 			if charged == 0 || !moved {
 				t.Fatalf("charged %d rows, cuts moved: %v; the equivalence was not exercised", charged, moved)
 			}
-			for _, tc := range []struct {
-				name       string
-				index      spatial.Kind
-				sequential bool
-			}{
-				{"kd", spatial.KindKDTree, false},
-				{"kd/sequential", spatial.KindKDTree, true},
-				{"scan/sequential", spatial.KindScan, true},
-			} {
-				log, pop := run(tc.index, tc.sequential)
-				for i, rec := range log {
-					if !slices.Equal(rec.cost, refLog[i].cost) {
-						t.Fatalf("%s epoch %d: cost %v, scan reference %v", tc.name, i, rec.cost, refLog[i].cost)
-					}
-					if !slices.Equal(rec.cuts, refLog[i].cuts) {
-						t.Fatalf("%s epoch %d: cuts %v, scan reference %v", tc.name, i, rec.cuts, refLog[i].cuts)
-					}
+			log, pop := run(spatial.KindKDTree)
+			for i, rec := range log {
+				if !slices.Equal(rec.cost, refLog[i].cost) {
+					t.Fatalf("kd epoch %d: cost %v, scan reference %v", i, rec.cost, refLog[i].cost)
 				}
-				assertExact(t, sp.Name+"/lb-"+tc.name, 11, workers, refPop, pop)
+				if !slices.Equal(rec.cuts, refLog[i].cuts) {
+					t.Fatalf("kd epoch %d: cuts %v, scan reference %v", i, rec.cuts, refLog[i].cuts)
+				}
 			}
+			assertExact(t, sp.Name+"/lb-kd", 11, workers, refPop, pop)
 		})
 	}
 }

@@ -67,9 +67,8 @@ type RunSpec struct {
 	// CheckpointEpochs orders a coordinated checkpoint every k epochs
 	// (0 = every epoch — the service default leans observable, unlike the
 	// CLI's initial-checkpoint-only default).
-	CheckpointEpochs    int  `json:"checkpoint_epochs,omitempty"`
-	CheckpointFullEvery int  `json:"checkpoint_full_every,omitempty"`
-	Sequential          bool `json:"sequential,omitempty"`
+	CheckpointEpochs    int `json:"checkpoint_epochs,omitempty"`
+	CheckpointFullEvery int `json:"checkpoint_full_every,omitempty"`
 }
 
 // RunStatus is a run's externally visible state, the JSON body of
@@ -340,7 +339,6 @@ func (m *Manager) execute(r *run) {
 		Partitions:  spec.Partitions,
 		Ticks:       spec.Ticks,
 		Index:       spec.Index,
-		Sequential:  spec.Sequential,
 		LoadBalance: spec.LoadBalance,
 		Tunables: distrib.Tunables{
 			EpochTicks:            spec.EpochTicks,

@@ -433,7 +433,9 @@ func (e *endless) Read(p []byte) (int, error) {
 
 // POST /v1/runs takes exactly one bounded JSON value: an oversized body is
 // refused once the limit is read — not buffered, not read to its end — and
-// anything after the spec is an error rather than silently ignored.
+// anything after the spec is an error rather than silently ignored, as is
+// "sequential", a RunSpec field until protocol v8 retired partition-at-a-
+// time scheduling.
 func TestSubmitBodyIsBoundedAndSingleValued(t *testing.T) {
 	m, err := NewManager(Config{WorkerAddrs: startFleet(t, 1), Log: io.Discard})
 	if err != nil {
@@ -459,9 +461,13 @@ func TestSubmitBodyIsBoundedAndSingleValued(t *testing.T) {
 		t.Errorf("handler read %d bytes of an oversized body, limit is %d", body.read, maxSpecBytes)
 	}
 
-	for _, trailing := range []string{`{"scenario":"fish","ticks":1} {"x":1}`, `{"scenario":"fish","ticks":1} x`} {
-		if code, e := post(strings.NewReader(trailing)); code != http.StatusBadRequest || e.Error == "" {
-			t.Errorf("%s: %d %+v, want 400 with an error message", trailing, code, e)
+	for _, bad := range []string{
+		`{"scenario":"fish","ticks":1} {"x":1}`,
+		`{"scenario":"fish","ticks":1} x`,
+		`{"scenario":"fish","ticks":1,"sequential":true}`,
+	} {
+		if code, e := post(strings.NewReader(bad)); code != http.StatusBadRequest || e.Error == "" {
+			t.Errorf("%s: %d %+v, want 400 with an error message", bad, code, e)
 		}
 	}
 	if got := m.List(); len(got) != 0 {

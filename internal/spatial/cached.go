@@ -16,7 +16,6 @@ package spatial
 
 import (
 	"math"
-	"sort"
 
 	"github.com/bigreddata/brace/internal/geom"
 )
@@ -31,7 +30,7 @@ type CacheStats struct {
 }
 
 // CachedIndex is a KD-tree with Verlet candidate-list reuse. It implements
-// Index (generic probes answer against the *current* positions, even when
+// Index (disc probes answer against the *current* positions, even when
 // the underlying tree holds stale build positions), plus the keyed build
 // and per-slot batched probe API the engines use.
 //
@@ -66,7 +65,7 @@ type CachedIndex struct {
 	cur      []geom.Vec // current positions, slot order
 	ids      []int32    // caller Point.IDs, slot order
 	treePts  []Point    // tree's copy (reordered by its Build); ID = slot
-	pad      float64    // max displacement since build (generic inflation)
+	pad      float64    // max displacement since build (disc-query inflation)
 
 	lists [][]int32 // per-slot candidate slots, ascending; nil w/o probeRad
 	mask  []bool    // probe-set membership scratch
@@ -83,13 +82,13 @@ type CachedIndex struct {
 	// Point scratch for BuildKeyedCols (column-fed builds).
 	colPts []Point
 
-	stats Stats // probe/visited counters, cumulative (see Stats)
+	stats Stats // visited counter, cumulative (see Stats)
 	cs    CacheStats
 }
 
 // NewCached returns a cached KD-tree whose candidate lists cover slot
 // probes up to radius probeRad, with the given skin. probeRad ≤ 0 disables
-// candidate lists (generic queries still work, against the stale tree with
+// candidate lists (disc queries still work, against the stale tree with
 // displacement-padded traversals); skin ≤ 0 disables reuse entirely,
 // making every BuildKeyed a rebuild.
 func NewCached(probeRad, skin float64) *CachedIndex {
@@ -318,7 +317,7 @@ func (c *CachedIndex) buildLists() {
 	}
 	c.hits = hits
 	c.buildCost, c.listWork = visited, entries
-	c.charge(int64(n), visited)
+	c.stats.Visited += visited
 }
 
 // buildListsGrid is the dense-layout list construction: a uniform grid
@@ -450,7 +449,7 @@ func (c *CachedIndex) buildListsGrid(R float64) bool {
 		}
 	}
 	c.buildCost, c.listWork = visited, entries
-	c.charge(int64(n), visited)
+	c.stats.Visited += visited
 	return true
 }
 
@@ -467,28 +466,20 @@ func (c *CachedIndex) SlotCandidates(slot int32) ([]int32, []geom.Vec) {
 // slots but not positions).
 func (c *CachedIndex) Current(i int32) geom.Vec { return c.cur[i] }
 
-// Len implements Index.
-func (c *CachedIndex) Len() int { return c.n }
-
 // Stats implements Index. Counters accumulate across builds (see
-// CacheStats); list-construction probes are included.
+// CacheStats); list construction is included.
 func (c *CachedIndex) Stats() Stats { return c.stats }
 
-func (c *CachedIndex) charge(probes, visited int64) {
-	c.stats.Probes += probes
-	c.stats.Visited += visited
-}
-
-// The generic Index queries below answer against *current* positions even
-// when the underlying tree holds stale build positions: the tree is probed
-// with the region grown by the maximum displacement since build, then
-// candidates filter by where they are now — the queryEnv fallback when a
-// probe exceeds the candidate lists' radius.
+// The disc queries below answer against *current* positions even when the
+// underlying tree holds stale build positions: the tree is probed with the
+// disc grown by the maximum displacement since build, then candidates
+// filter by where they are now — the queryEnv fallback when a probe exceeds
+// the candidate lists' radius.
 
 // RangeCircle implements Index against current positions.
 func (c *CachedIndex) RangeCircle(cen geom.Vec, rad float64, fn func(Point)) {
 	slots, visited := c.RangeCircleInto(cen, rad, nil)
-	c.charge(1, visited)
+	c.stats.Visited += visited
 	for _, i := range slots {
 		fn(Point{Pos: c.cur[i], ID: c.ids[i]})
 	}
@@ -516,50 +507,6 @@ func (c *CachedIndex) RangeCircleInto(cen geom.Vec, rad float64, dst []int32) ([
 		}
 	}
 	return dst[:kept], visited
-}
-
-// Nearest implements Index against current positions. The k nearest build
-// positions bound the answer: any point among the current k nearest has a
-// build distance within twice the displacement pad of the build k-th
-// distance, so one padded range collects an exact candidate superset.
-func (c *CachedIndex) Nearest(cen geom.Vec, k int, dst []Point) []Point {
-	if k <= 0 || c.n == 0 {
-		c.charge(1, 0)
-		return dst
-	}
-	var slots []int32
-	if k >= c.n {
-		slots = make([]int32, c.n)
-		for i := range slots {
-			slots[i] = int32(i)
-		}
-		c.charge(1, int64(c.n))
-	} else {
-		nn, visited := c.tree.nearestInto(cen, k, nil)
-		dk := math.Sqrt(nn[len(nn)-1].Pos.Dist2(cen))
-		// Inflate past rounding: a too-wide candidate circle is harmless
-		// (candidates are re-ranked by exact current distance below), a
-		// too-narrow one drops a boundary point.
-		r := dk + 2*c.pad
-		r += r*1e-9 + 1e-12
-		var v2 int64
-		slots, v2 = c.tree.rangeCircleSlots(cen, r, nil)
-		c.charge(1, visited+v2)
-	}
-	sort.Slice(slots, func(a, b int) bool {
-		da, db := c.cur[slots[a]].Dist2(cen), c.cur[slots[b]].Dist2(cen)
-		if da != db {
-			return da < db
-		}
-		return c.ids[slots[a]] < c.ids[slots[b]]
-	})
-	if len(slots) > k {
-		slots = slots[:k]
-	}
-	for _, i := range slots {
-		dst = append(dst, Point{Pos: c.cur[i], ID: c.ids[i]})
-	}
-	return dst
 }
 
 var _ Index = (*CachedIndex)(nil)

@@ -7,15 +7,6 @@ import (
 	"github.com/bigreddata/brace/internal/geom"
 )
 
-// collectNearest gathers (ID...) from Nearest in order.
-func collectNearest(ix Index, c geom.Vec, k int) []int32 {
-	var ids []int32
-	for _, p := range ix.Nearest(c, k, nil) {
-		ids = append(ids, p.ID)
-	}
-	return ids
-}
-
 // slotCircle answers a slot probe the way the engines do: filter the
 // cached candidate list by exact current distance. The list is sorted by
 // slot, so the result needs no sort.
@@ -59,41 +50,6 @@ func TestCachedGenericMatchesOracle(t *testing.T) {
 			if got, want := collectCircle(cached, c, rad), collectCircle(oracle, c, rad); !idsEqual(got, want) {
 				t.Fatalf("RangeCircle mismatch: got=%v want=%v", got, want)
 			}
-			k := 1 + rng.Intn(8)
-			if got, want := collectNearest(cached, c, k), collectNearest(oracle, c, k); !idsEqual(got, want) {
-				t.Fatalf("Nearest mismatch: got=%v want=%v", got, want)
-			}
-		}
-	}
-}
-
-// TestNearestTieBreakDeterministic: equidistant points must come back in
-// ascending-ID order from every implementation — the Index tie rule that
-// makes cached and uncached runs bit-identical.
-func TestNearestTieBreakDeterministic(t *testing.T) {
-	// Four points on a circle of radius 5 around the origin plus two
-	// farther; IDs deliberately unsorted relative to angle.
-	pts := []Point{
-		{Pos: geom.V(5, 0), ID: 31},
-		{Pos: geom.V(-5, 0), ID: 2},
-		{Pos: geom.V(0, 5), ID: 17},
-		{Pos: geom.V(0, -5), ID: 8},
-		{Pos: geom.V(9, 0), ID: 1},
-		{Pos: geom.V(0, 9), ID: 40},
-	}
-	want := []int32{2, 8, 17} // three nearest: all at d=5, ascending ID
-	for _, tc := range []struct {
-		name string
-		ix   Index
-	}{
-		{"scan", NewScan()},
-		{"kdtree", NewKDTree()},
-		{"cached", NewCached(10, 2)},
-	} {
-		tc.ix.Build(append([]Point(nil), pts...))
-		got := collectNearest(tc.ix, geom.V(0, 0), 3)
-		if !idsEqual(got, want) {
-			t.Errorf("%s: Nearest ties = %v, want %v", tc.name, got, want)
 		}
 	}
 }
@@ -127,10 +83,6 @@ func TestCachedReuseRandomWalk(t *testing.T) {
 			rad := rng.Float64() * 12
 			if got, want := collectCircle(cached, c, rad), collectCircle(oracle, c, rad); !idsEqual(got, want) {
 				t.Fatalf("tick %d: generic RangeCircle mismatch: got=%v want=%v", tick, got, want)
-			}
-			k := 1 + rng.Intn(6)
-			if got, want := collectNearest(cached, c, k), collectNearest(oracle, c, k); !idsEqual(got, want) {
-				t.Fatalf("tick %d: Nearest mismatch: got=%v want=%v", tick, got, want)
 			}
 			slot := int32(rng.Intn(n))
 			srad := rng.Float64() * probeRad
@@ -237,7 +189,7 @@ func TestCachedProbeSet(t *testing.T) {
 	}
 }
 
-// FuzzIndexConformance drives all four index implementations through a
+// FuzzIndexConformance drives all three index implementations through a
 // fuzzer-chosen point set, a displacement step, and a probe, requiring
 // identical answers everywhere — including the cached index's stale-tree
 // reuse path when the step stays within the skin.
@@ -273,15 +225,10 @@ func FuzzIndexConformance(f *testing.F) {
 
 		c := geom.V(rng.Float64()*60-5, rng.Float64()*60-5)
 		rad := rng.Float64() * 15
-		k := 1 + rng.Intn(6)
 		want := collectCircle(oracle, c, rad)
-		wantNN := collectNearest(oracle, c, k)
 		for name, ix := range map[string]Index{"kd": kd, "cached": cached} {
 			if got := collectCircle(ix, c, rad); !idsEqual(got, want) {
 				t.Fatalf("%s RangeCircle: got=%v want=%v", name, got, want)
-			}
-			if got := collectNearest(ix, c, k); !idsEqual(got, wantNN) {
-				t.Fatalf("%s Nearest: got=%v want=%v", name, got, wantNN)
 			}
 		}
 		// Slot probes are only served while the adaptive gate keeps lists

@@ -1,6 +1,8 @@
 // Package spatial provides the spatial indexes BRACE uses to turn the
-// query phase of a tick into an orthogonal range query instead of a
-// quadratic all-pairs scan (paper §5.2, Fig. 3–4).
+// query phase of a tick into disc-range queries instead of a quadratic
+// all-pairs scan (paper §5.2, Fig. 3–4): each agent probes the disc of its
+// visible region, the spatial join BRASIL's foreach compiles to. That is
+// the only query the engines issue.
 //
 // Three implementations of Index are provided:
 //
@@ -32,30 +34,19 @@ type Point struct {
 	ID  int32
 }
 
-// Index answers disc-range and nearest-neighbor queries over a point set
-// fixed at Build time.
+// Index answers disc-range queries over a point set fixed at Build time.
 type Index interface {
 	// Build replaces the index contents with pts. Implementations may
 	// retain pts.
 	Build(pts []Point)
-
-	// Len returns the number of indexed points.
-	Len() int
 
 	// RangeCircle calls fn for every point within Euclidean distance rad
 	// of c (closed ball). Iteration order is unspecified. fn must not call
 	// back into the index.
 	RangeCircle(c geom.Vec, rad float64, fn func(Point))
 
-	// Nearest returns the k points closest to c in nondecreasing
-	// (distance, ID) order — equidistant points tie-break by ascending
-	// ID, so the result is a deterministic function of the point set.
-	// Fewer than k are returned if the index holds fewer points. Used by
-	// the MITSIM-style nearest lead/rear vehicle probes.
-	Nearest(c geom.Vec, k int, dst []Point) []Point
-
-	// Stats returns counters accumulated since Build (probes, nodes
-	// visited). Used by the experiment harness's cost model.
+	// Stats returns the work counters accumulated since Build. Used by the
+	// experiment harness's cost model.
 	Stats() Stats
 }
 
@@ -63,7 +54,6 @@ type Index interface {
 // examined, the quantity that separates log-linear from quadratic behavior
 // in Fig. 3.
 type Stats struct {
-	Probes  int64 // queries issued
 	Visited int64 // points examined (including rejected candidates)
 }
 

@@ -59,63 +59,14 @@ func TestIndexesMatchScanOracleCircle(t *testing.T) {
 	}
 }
 
-func TestNearestMatchesOracle(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 20; trial++ {
-		n := 1 + rng.Intn(300)
-		base := randomPoints(rng, n, 50)
-		oracle := NewScan()
-		oracle.Build(append([]Point(nil), base...))
-		kd := NewKDTree()
-		kd.Build(append([]Point(nil), base...))
-
-		for q := 0; q < 10; q++ {
-			c := geom.V(rng.Float64()*60-5, rng.Float64()*60-5)
-			k := 1 + rng.Intn(8)
-			want := oracle.Nearest(c, k, nil)
-			got := kd.Nearest(c, k, nil)
-			if len(got) != len(want) {
-				t.Fatalf("kd Nearest count = %d, want %d", len(got), len(want))
-			}
-			// Distances must match even if equidistant points tie.
-			for i := range got {
-				dg, dw := got[i].Pos.Dist2(c), want[i].Pos.Dist2(c)
-				if dg != dw {
-					t.Fatalf("kd Nearest[%d] dist2 = %v, want %v", i, dg, dw)
-				}
-			}
-		}
-	}
-}
-
-func TestNearestOrdered(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	pts := randomPoints(rng, 200, 30)
-	kd := NewKDTree()
-	kd.Build(pts)
-	c := geom.V(15, 15)
-	got := kd.Nearest(c, 10, nil)
-	for i := 1; i < len(got); i++ {
-		if got[i-1].Pos.Dist2(c) > got[i].Pos.Dist2(c) {
-			t.Fatalf("Nearest not sorted at %d", i)
-		}
-	}
-}
-
 func TestEmptyIndexes(t *testing.T) {
 	for _, kind := range []Kind{KindScan, KindKDTree} {
 		ix := New(kind)
 		ix.Build(nil)
-		if ix.Len() != 0 {
-			t.Errorf("%v Len = %d", kind, ix.Len())
-		}
 		called := false
 		ix.RangeCircle(geom.V(0, 0), 5, func(Point) { called = true })
 		if called {
 			t.Errorf("%v produced results on empty index", kind)
-		}
-		if got := ix.Nearest(geom.V(0, 0), 3, nil); len(got) != 0 {
-			t.Errorf("%v Nearest on empty = %v", kind, got)
 		}
 	}
 }
@@ -128,10 +79,6 @@ func TestSinglePoint(t *testing.T) {
 		ix.RangeCircle(geom.V(2, 3), 0, func(p Point) { got = append(got, p.ID) })
 		if len(got) != 1 || got[0] != 7 {
 			t.Errorf("%v zero-radius self query = %v", kind, got)
-		}
-		nn := ix.Nearest(geom.V(100, 100), 5, nil)
-		if len(nn) != 1 || nn[0].ID != 7 {
-			t.Errorf("%v Nearest = %v", kind, nn)
 		}
 	}
 }
@@ -192,18 +139,15 @@ func TestKindString(t *testing.T) {
 }
 
 func TestStatsCounting(t *testing.T) {
+	pts := randomPoints(rand.New(rand.NewSource(8)), 100, 10)
 	kd := NewKDTree()
-	kd.Build(randomPoints(rand.New(rand.NewSource(8)), 100, 10))
-	if kd.Stats().Probes != 0 {
-		t.Error("fresh build should reset stats")
-	}
+	kd.Build(pts)
 	kd.RangeCircle(geom.V(5, 5), 2, func(Point) {})
-	kd.Nearest(geom.V(5, 5), 3, nil)
-	s := kd.Stats()
-	if s.Probes != 2 {
-		t.Errorf("Probes = %d, want 2", s.Probes)
+	if kd.Stats().Visited == 0 {
+		t.Error("Visited = 0 after a probe")
 	}
-	if s.Visited == 0 {
-		t.Error("Visited = 0")
+	kd.Build(pts)
+	if v := kd.Stats().Visited; v != 0 {
+		t.Errorf("fresh build should reset stats: Visited = %d", v)
 	}
 }

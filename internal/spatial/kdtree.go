@@ -152,14 +152,10 @@ func selectMedian(pts []Point, k int, axis int8) {
 	}
 }
 
-// Len implements Index.
-func (t *KDTree) Len() int { return len(t.pts) }
-
 // RangeCircle implements Index using an explicit stack (no recursion
 // overhead): prune by the circumscribing square, filter candidates by exact
 // distance.
 func (t *KDTree) RangeCircle(c geom.Vec, rad float64, fn func(Point)) {
-	t.stats.Probes++
 	if t.root == kdNil {
 		return
 	}
@@ -242,145 +238,7 @@ func (t *KDTree) rangeCircleSlots(c geom.Vec, rad float64, dst []int32) ([]int32
 	return dst, visited
 }
 
-// Nearest implements Index: best-first descent with a bounded max-heap of
-// candidates, pruning subtrees whose slab cannot beat the k-th best. Ties
-// in distance are broken by ascending ID (the Index contract), so the
-// result is a deterministic function of the point set alone.
-func (t *KDTree) Nearest(c geom.Vec, k int, dst []Point) []Point {
-	t.stats.Probes++
-	var visited int64
-	dst, visited = t.nearestInto(c, k, dst)
-	t.stats.Visited += visited
-	return dst
-}
-
-// nearestInto is Nearest without stats mutation (returns the visited count
-// instead).
-func (t *KDTree) nearestInto(c geom.Vec, k int, dst []Point) ([]Point, int64) {
-	if k <= 0 || t.root == kdNil {
-		return dst, 0
-	}
-	h := &kdHeap{}
-	var visited int64
-	t.nearestRec(t.root, c, k, h, geom.Infinite(), &visited)
-	out := make([]Point, len(h.pts))
-	// Extract in increasing (distance, ID) order.
-	for i := len(out) - 1; i >= 0; i-- {
-		out[i] = h.popMax()
-	}
-	return append(dst, out...), visited
-}
-
-func (t *KDTree) nearestRec(ni int32, c geom.Vec, k int, h *kdHeap, bounds geom.Rect, visited *int64) {
-	n := &t.nodes[ni]
-	if h.len() == k && bounds.Dist2(c) > h.d2[0] {
-		return
-	}
-	if n.axis == leafAxis {
-		*visited += int64(n.end - n.start)
-		for _, p := range t.pts[n.start:n.end] {
-			d2 := p.Pos.Dist2(c)
-			if h.len() < k {
-				h.push(p, d2)
-			} else if d2 < h.d2[0] || (d2 == h.d2[0] && p.ID < h.pts[0].ID) {
-				h.replaceMax(p, d2)
-			}
-		}
-		return
-	}
-	var leftB, rightB geom.Rect
-	var goLeftFirst bool
-	if n.axis == 0 {
-		leftB, rightB = bounds.SplitX(n.split)
-		goLeftFirst = c.X <= n.split
-	} else {
-		leftB, rightB = bounds.SplitY(n.split)
-		goLeftFirst = c.Y <= n.split
-	}
-	if goLeftFirst {
-		t.nearestRec(n.left, c, k, h, leftB, visited)
-		t.nearestRec(n.right, c, k, h, rightB, visited)
-	} else {
-		t.nearestRec(n.right, c, k, h, rightB, visited)
-		t.nearestRec(n.left, c, k, h, leftB, visited)
-	}
-}
-
 // Stats implements Index.
 func (t *KDTree) Stats() Stats { return t.stats }
 
 var _ Index = (*KDTree)(nil)
-
-// kdHeap is a small max-heap of candidate nearest points keyed by
-// (squared distance, ID) lexicographically; the worst candidate sits at
-// index 0.
-type kdHeap struct {
-	pts []Point
-	d2  []float64
-}
-
-func (h *kdHeap) len() int { return len(h.pts) }
-
-// worse reports whether candidate i orders after candidate j in the
-// (distance, ID) total order.
-func (h *kdHeap) worse(i, j int) bool {
-	if h.d2[i] != h.d2[j] {
-		return h.d2[i] > h.d2[j]
-	}
-	return h.pts[i].ID > h.pts[j].ID
-}
-
-func (h *kdHeap) push(p Point, d2 float64) {
-	h.pts = append(h.pts, p)
-	h.d2 = append(h.d2, d2)
-	i := len(h.pts) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.worse(i, parent) {
-			break
-		}
-		h.swap(parent, i)
-		i = parent
-	}
-}
-
-func (h *kdHeap) replaceMax(p Point, d2 float64) {
-	h.pts[0], h.d2[0] = p, d2
-	h.siftDown(0)
-}
-
-func (h *kdHeap) popMax() Point {
-	top := h.pts[0]
-	n := len(h.pts) - 1
-	h.pts[0], h.d2[0] = h.pts[n], h.d2[n]
-	h.pts = h.pts[:n]
-	h.d2 = h.d2[:n]
-	if n > 0 {
-		h.siftDown(0)
-	}
-	return top
-}
-
-func (h *kdHeap) siftDown(i int) {
-	n := len(h.pts)
-	for {
-		l, r := 2*i+1, 2*i+2
-		big := i
-		if l < n && h.worse(l, big) {
-			big = l
-		}
-		if r < n && h.worse(r, big) {
-			big = r
-		}
-		if big == i {
-			return
-		}
-		h.swap(i, big)
-		i = big
-	}
-}
-
-func (h *kdHeap) swap(i, j int) {
-	h.pts[i], h.pts[j] = h.pts[j], h.pts[i]
-	h.d2[i], h.d2[j] = h.d2[j], h.d2[i]
-}

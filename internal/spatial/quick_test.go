@@ -49,46 +49,12 @@ func TestQuickKDTreeRangeCircleMatchesOracle(t *testing.T) {
 	}
 }
 
-// Property: the KD-tree's Nearest distances match the oracle's for any k.
-func TestQuickKDTreeNearestMatchesOracle(t *testing.T) {
-	f := func(ps pointSet, cx, cy float64, k uint8) bool {
-		if len(ps.Pts) == 0 {
-			return true
-		}
-		cx = clampF(cx, -60, 60)
-		cy = clampF(cy, -60, 60)
-		kk := int(k%12) + 1
-		kd := NewKDTree()
-		kd.Build(append([]Point(nil), ps.Pts...))
-		sc := NewScan()
-		sc.Build(append([]Point(nil), ps.Pts...))
-		c := geom.V(cx, cy)
-		a := kd.Nearest(c, kk, nil)
-		b := sc.Nearest(c, kk, nil)
-		if len(a) != len(b) {
-			return false
-		}
-		for i := range a {
-			if a[i].Pos.Dist2(c) != b[i].Pos.Dist2(c) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
-		t.Error(err)
-	}
-}
-
 // Property: Build preserves the point multiset (reordering only).
 func TestQuickKDTreeBuildPreservesPoints(t *testing.T) {
 	f := func(ps pointSet) bool {
 		buf := append([]Point(nil), ps.Pts...)
 		kd := NewKDTree()
 		kd.Build(buf)
-		if kd.Len() != len(ps.Pts) {
-			return false
-		}
 		got := make([]int32, len(buf))
 		for i, p := range buf {
 			got[i] = p.ID

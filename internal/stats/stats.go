@@ -1,6 +1,7 @@
 // Package stats provides the statistical utilities used by the experiment
-// harness: RMSPE goodness-of-fit (the measure of Table 2), running moments,
-// throughput meters and labeled result series for the figure reproductions.
+// harness: RMSPE goodness-of-fit (the measure of Table 2), labeled result
+// series for the figure reproductions, and the shape checks their
+// assertions use.
 package stats
 
 import (
@@ -37,109 +38,6 @@ func RMSPE(ref, meas []float64) (float64, error) {
 		return 0, fmt.Errorf("stats: RMSPE has no usable reference entries")
 	}
 	return math.Sqrt(sum / float64(n)), nil
-}
-
-// Welford accumulates mean and variance in a single numerically stable pass.
-type Welford struct {
-	n    int
-	mean float64
-	m2   float64
-}
-
-// Add folds one observation in.
-func (w *Welford) Add(x float64) {
-	w.n++
-	d := x - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
-}
-
-// N returns the number of observations.
-func (w *Welford) N() int { return w.n }
-
-// Mean returns the running mean (0 with no observations).
-func (w *Welford) Mean() float64 { return w.mean }
-
-// Var returns the population variance.
-func (w *Welford) Var() float64 {
-	if w.n == 0 {
-		return 0
-	}
-	return w.m2 / float64(w.n)
-}
-
-// Std returns the population standard deviation.
-func (w *Welford) Std() float64 { return math.Sqrt(w.Var()) }
-
-// Merge combines another accumulator into w (parallel Welford / Chan et
-// al.), allowing per-worker accumulation with a final reduce.
-func (w *Welford) Merge(o Welford) {
-	if o.n == 0 {
-		return
-	}
-	if w.n == 0 {
-		*w = o
-		return
-	}
-	n := w.n + o.n
-	d := o.mean - w.mean
-	w.m2 += o.m2 + d*d*float64(w.n)*float64(o.n)/float64(n)
-	w.mean += d * float64(o.n) / float64(n)
-	w.n = n
-}
-
-// Histogram is a fixed-bin histogram over [min, max); out-of-range values
-// are clamped into the edge bins so totals are preserved.
-type Histogram struct {
-	Min, Max float64
-	Bins     []int64
-}
-
-// NewHistogram allocates a histogram with n bins over [min, max).
-func NewHistogram(min, max float64, n int) *Histogram {
-	if n <= 0 || max <= min {
-		panic("stats: invalid histogram shape")
-	}
-	return &Histogram{Min: min, Max: max, Bins: make([]int64, n)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	i := int(float64(len(h.Bins)) * (x - h.Min) / (h.Max - h.Min))
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(h.Bins) {
-		i = len(h.Bins) - 1
-	}
-	h.Bins[i]++
-}
-
-// Total returns the number of recorded observations.
-func (h *Histogram) Total() int64 {
-	var t int64
-	for _, b := range h.Bins {
-		t += b
-	}
-	return t
-}
-
-// Quantile returns the q-quantile (0 ≤ q ≤ 1) estimated from bin midpoints.
-func (h *Histogram) Quantile(q float64) float64 {
-	total := h.Total()
-	if total == 0 {
-		return 0
-	}
-	target := int64(q * float64(total))
-	var cum int64
-	w := (h.Max - h.Min) / float64(len(h.Bins))
-	for i, b := range h.Bins {
-		cum += b
-		if cum > target {
-			return h.Min + w*(float64(i)+0.5)
-		}
-	}
-	return h.Max
 }
 
 // Series is one labeled curve of an experiment figure: x values with the

@@ -2,7 +2,6 @@ package stats
 
 import (
 	"math"
-	"math/rand"
 	"strings"
 	"testing"
 )
@@ -45,96 +44,6 @@ func TestRMSPEErrors(t *testing.T) {
 	if _, err := RMSPE(nil, nil); err == nil {
 		t.Error("empty series accepted")
 	}
-}
-
-func TestWelfordAgainstDirect(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	xs := make([]float64, 1000)
-	var w Welford
-	var sum float64
-	for i := range xs {
-		xs[i] = rng.NormFloat64()*3 + 5
-		w.Add(xs[i])
-		sum += xs[i]
-	}
-	mean := sum / float64(len(xs))
-	var v float64
-	for _, x := range xs {
-		v += (x - mean) * (x - mean)
-	}
-	v /= float64(len(xs))
-	if math.Abs(w.Mean()-mean) > 1e-9 {
-		t.Errorf("mean = %v, want %v", w.Mean(), mean)
-	}
-	if math.Abs(w.Var()-v) > 1e-9 {
-		t.Errorf("var = %v, want %v", w.Var(), v)
-	}
-	if w.N() != 1000 {
-		t.Errorf("N = %d", w.N())
-	}
-	if math.Abs(w.Std()-math.Sqrt(v)) > 1e-9 {
-		t.Error("Std mismatch")
-	}
-}
-
-func TestWelfordMergeEqualsSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	var whole, a, b Welford
-	for i := 0; i < 500; i++ {
-		x := rng.Float64() * 10
-		whole.Add(x)
-		if i%2 == 0 {
-			a.Add(x)
-		} else {
-			b.Add(x)
-		}
-	}
-	a.Merge(b)
-	if a.N() != whole.N() {
-		t.Fatalf("merged N = %d", a.N())
-	}
-	if math.Abs(a.Mean()-whole.Mean()) > 1e-9 || math.Abs(a.Var()-whole.Var()) > 1e-9 {
-		t.Errorf("merge mean/var = %v/%v, want %v/%v", a.Mean(), a.Var(), whole.Mean(), whole.Var())
-	}
-	// Merging into empty and merging empty are both identity-ish.
-	var empty Welford
-	empty.Merge(whole)
-	if empty.N() != whole.N() || empty.Mean() != whole.Mean() {
-		t.Error("merge into empty broken")
-	}
-	before := whole
-	whole.Merge(Welford{})
-	if whole != before {
-		t.Error("merging empty changed accumulator")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for i := 0; i < 10; i++ {
-		h.Add(float64(i) + 0.5)
-	}
-	h.Add(-5) // clamps to first bin
-	h.Add(99) // clamps to last bin
-	if h.Total() != 12 {
-		t.Errorf("Total = %d", h.Total())
-	}
-	if h.Bins[0] != 2 || h.Bins[9] != 2 {
-		t.Errorf("edge bins = %d, %d", h.Bins[0], h.Bins[9])
-	}
-	med := h.Quantile(0.5)
-	if med < 3 || med > 7 {
-		t.Errorf("median = %v", med)
-	}
-	if (&Histogram{Min: 0, Max: 1, Bins: make([]int64, 3)}).Quantile(0.5) != 0 {
-		t.Error("empty histogram quantile should be 0")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("invalid histogram accepted")
-		}
-	}()
-	NewHistogram(5, 5, 10)
 }
 
 func TestSeriesAndTable(t *testing.T) {

@@ -16,8 +16,8 @@ import (
 
 // ProtoVersion guards against mismatched coordinator/worker binaries; the
 // handshake rejects any other value with a VersionError, the one skew
-// guard (there is no per-feature negotiation: every v7 binary speaks the
-// whole protocol). Version 7 is: coordinator-owned placement in the Hello
+// guard (there is no per-feature negotiation: every v8 binary speaks the
+// whole protocol). Version 8 is: coordinator-owned placement in the Hello
 // and Stats/Directive/Checkpoint/Restore frames at epoch barriers;
 // Ping/Pong heartbeats answered by the worker's transport reader;
 // differential checkpoint payloads (PartState.Delta) between full
@@ -29,8 +29,9 @@ import (
 // and partitioning, so neither crosses the wire. v7 took the balancer's cost
 // out of PartState: PartStats.Cost counts probe rows since the previous
 // barrier, checkpoints are taken at barriers, so the cost in a checkpoint
-// or a Restore would always be 0.
-const ProtoVersion = 7
+// or a Restore would always be 0. v8 dropped the Hello's partition-at-a-
+// time switch: a worker ticks its partitions concurrently, always.
+const ProtoVersion = 8
 
 // VersionError reports a handshake between binaries speaking different
 // protocol versions.
@@ -84,7 +85,6 @@ type Hello struct {
 	Ticks      int
 	EpochTicks int
 	Index      string // kd | scan
-	Sequential bool
 	// Part names the partitioning scheme: "" or "strips" for quantile
 	// x-strips (the default, required for LoadBalance), "kd2d" for 2-D
 	// recursive median splits. Every process derives the identical
