@@ -36,7 +36,6 @@ import (
 	"github.com/bigreddata/brace/internal/cluster"
 	"github.com/bigreddata/brace/internal/engine"
 	"github.com/bigreddata/brace/internal/geom"
-	"github.com/bigreddata/brace/internal/partition"
 	"github.com/bigreddata/brace/internal/spatial"
 )
 
@@ -127,13 +126,8 @@ type Config struct {
 	EpochTicks int
 	// Checkpoint enables coordinated checkpoints every N epochs (0 off).
 	Checkpoint int
-	// LoadBalance enables the 1-D load balancer at epoch boundaries
-	// (strip partitioning only).
+	// LoadBalance enables the 1-D load balancer at epoch boundaries.
 	LoadBalance bool
-	// TwoDPartition partitions space by 2-D median splits (App. A's
-	// quadtree-style alternative) computed from the initial population,
-	// instead of 1-D strips. Incompatible with LoadBalance.
-	TwoDPartition bool
 	// VirtualTime enables the calibrated cluster cost model, making
 	// Metrics report virtual-time throughput alongside wall time.
 	VirtualTime bool
@@ -171,14 +165,6 @@ func New(m Model, pop []*Agent, cfg Config) (*Simulation, error) {
 			CheckpointEveryEpochs: cfg.Checkpoint,
 		},
 		LoadBalance: cfg.LoadBalance,
-	}
-	if cfg.TwoDPartition {
-		s := m.Schema()
-		pts := make([]geom.Vec, len(pop))
-		for i, a := range pop {
-			pts[i] = a.Pos(s)
-		}
-		opts.InitialPartition = partition.NewKD2D(pts, cfg.Workers)
 	}
 	if cfg.VirtualTime {
 		cm := cluster.DefaultCostModel()

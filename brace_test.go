@@ -168,41 +168,6 @@ func TestPublicAPITrafficAndMITSIM(t *testing.T) {
 	}
 }
 
-func TestTwoDPartitionConfig(t *testing.T) {
-	m := NewFishModel(DefaultFishParams())
-	pop := m.NewPopulation(60, 8)
-	ref := make([]*Agent, len(pop))
-	for i, a := range pop {
-		ref[i] = a.Clone()
-	}
-	twoD, err := New(m, pop, Config{Workers: 4, Seed: 8, TwoDPartition: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	strips, err := New(m, ref, Config{Workers: 4, Seed: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := twoD.Run(8); err != nil {
-		t.Fatal(err)
-	}
-	if err := strips.Run(8); err != nil {
-		t.Fatal(err)
-	}
-	a, b := twoD.Agents(), strips.Agents()
-	for i := range a {
-		if !a[i].Equal(b[i]) {
-			t.Fatalf("partitioning changed semantics at agent %d", a[i].ID)
-		}
-	}
-	// LB + 2-D partitioning is rejected.
-	if _, err := New(m, m.NewPopulation(10, 9), Config{
-		Workers: 2, TwoDPartition: true, LoadBalance: true,
-	}); err == nil {
-		t.Error("LB over 2-D partitioning accepted")
-	}
-}
-
 func TestConfigDefaults(t *testing.T) {
 	m := NewFishModel(DefaultFishParams())
 	sim, err := New(m, m.NewPopulation(10, 6), Config{}) // zero config

@@ -52,7 +52,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	workers := fs.Int("workers", 4, "worker nodes")
 	seed := fs.Uint64("seed", 42, "simulation seed")
 	index := fs.String("index", "kd", "spatial index: kd, scan")
-	part := fs.String("part", "strips", "partitioning: strips (1-D quantile cuts, load-balanceable), kd2d (2-D median splits)")
 	lb := fs.Bool("lb", false, "enable load balancing")
 	ckptEpochs := fs.Int("ckpt-epochs", 0, "coordinated checkpoint every N epochs (0 = initial checkpoint only)")
 	ckptFullEvery := fs.Int("ckpt-full-every", 0, fmt.Sprintf(
@@ -148,7 +147,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			Partitions:  *workers,
 			Ticks:       *ticks,
 			Index:       *index,
-			Part:        *part,
 			LoadBalance: *lb,
 			Tunables: distrib.Tunables{
 				CheckpointEveryEpochs: *ckptEpochs,
@@ -215,16 +213,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		Checkpoint:  *ckptEpochs,
 		VirtualTime: *vt,
 		Sequential:  *seq,
-	}
-	switch *part {
-	case "", "strips":
-	case "kd2d":
-		if *seq {
-			return fail(stderr, fmt.Errorf("-part kd2d needs the distributed engine; drop -seq"))
-		}
-		cfg.TwoDPartition = true
-	default:
-		return fail(stderr, fmt.Errorf("unknown -part %q (supported: strips, kd2d)", *part))
 	}
 	ix, err := brace.ParseIndex(*index)
 	if err != nil {
@@ -323,7 +311,6 @@ var flagModes = map[string]struct {
 	"span":   {modeScript, ""},
 	"vtime":  {modeLocal | modeScript, "distributed and service runs measure real time"},
 	"seq":    {modeLocal | modeScript, "distributed and service runs are partitioned"},
-	"part":   {modeLocal | modeScript | modeDistribute, "the service partitions by strips"},
 
 	"ckpt-full-every": {modeDistribute | modeSubmit, ""},
 	"worker-addrs":    {modeDistribute, ""},

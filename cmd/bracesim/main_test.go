@@ -95,8 +95,6 @@ func TestFlagsRejectedOutsideTheirModes(t *testing.T) {
 		args []string
 		want []string
 	}{
-		{"submit drops -part", []string{"-submit", svc, "-part", "kd2d"},
-			[]string{"-part only applies with an in-process run or -distribute"}},
 		{"submit drops -mesh", []string{"-submit", svc, "-mesh"}, []string{"-mesh only applies with -distribute"}},
 		{"submit keeps -ckpt-full-every out of the error", []string{"-submit", svc, "-ckpt-full-every", "2", "-registry", ":0"},
 			[]string{"-registry only applies with -distribute"}},

@@ -164,7 +164,7 @@ type coordinator struct {
 	live  []bool
 	seqs  []int // attach sequence per proc; fences stale disconnect events
 	gen   int
-	cuts  []float64 // strip cuts currently in force (nil: non-strip)
+	cuts  []float64 // strip cuts currently in force (nil: one partition, nothing to balance)
 
 	epoch        int    // barrier counter, for the checkpoint cadence
 	lastBoundary uint64 // last barrier tick; rebalance only moves forward

@@ -36,7 +36,6 @@ import (
 	"github.com/bigreddata/brace/internal/cluster"
 	"github.com/bigreddata/brace/internal/detutil"
 	"github.com/bigreddata/brace/internal/engine"
-	"github.com/bigreddata/brace/internal/geom"
 	"github.com/bigreddata/brace/internal/partition"
 	"github.com/bigreddata/brace/internal/scenario"
 	"github.com/bigreddata/brace/internal/spatial"
@@ -69,10 +68,6 @@ type Options struct {
 	Tunables
 	// Index selects the spatial index: kd (default when empty) or scan.
 	Index string
-	// Part selects the partitioning scheme: "" or "strips" for quantile
-	// x-strips, "kd2d" for 2-D recursive median splits over the initial
-	// population. kd2d is static, so it is incompatible with LoadBalance.
-	Part string
 	// LoadBalance enables the coordinator-driven 1-D load balancer: the
 	// same decision procedure as the in-memory engine, computed from the
 	// workers' epoch statistics, with new strip cuts broadcast at epoch
@@ -218,15 +213,6 @@ func (o *Options) validate() error {
 	if _, err := spatial.ParseKind(o.Index); err != nil {
 		return fmt.Errorf("distrib: %w", err)
 	}
-	switch o.Part {
-	case "", "strips":
-	case "kd2d":
-		if o.LoadBalance {
-			return fmt.Errorf("distrib: load balancing adjusts strip cuts; incompatible with -part kd2d")
-		}
-	default:
-		return fmt.Errorf("distrib: unknown partitioning %q (want strips or kd2d)", o.Part)
-	}
 	return nil
 }
 
@@ -252,26 +238,6 @@ func checkSize(agents, partitions int) error {
 	return nil
 }
 
-// initialPartition builds the partitioning override a Part name selects,
-// from the run's initial population — the same derivation on coordinator
-// and every worker, so all processes agree on ownership without shipping
-// the function itself. Returns nil for the default strip partitioning.
-func initialPartition(part string, m engine.Model, pop []*agent.Agent, workers int) (partition.Func, error) {
-	switch part {
-	case "", "strips":
-		return nil, nil
-	case "kd2d":
-		s := m.Schema()
-		pts := make([]geom.Vec, len(pop))
-		for i, a := range pop {
-			pts[i] = a.Pos(s)
-		}
-		return partition.NewKD2D(pts, workers), nil
-	default:
-		return nil, fmt.Errorf("distrib: unknown partitioning %q (want strips or kd2d)", part)
-	}
-}
-
 // hello builds worker proc's handshake for the given generation and
 // placement.
 func (o *Options) hello(proc, gen int, assign []int) *transport.Hello {
@@ -291,7 +257,6 @@ func (o *Options) hello(proc, gen int, assign []int) *transport.Hello {
 		Ticks:       o.Ticks,
 		EpochTicks:  o.EpochTicks,
 		Index:       o.Index,
-		Part:        o.Part,
 	}
 	if o.Mesh {
 		// The peer roster: Peers[i] is process i's daemon address, which
@@ -319,23 +284,16 @@ func initialState(o Options) (cuts []float64, parts []transport.PartState, err e
 	if err != nil {
 		return nil, nil, err
 	}
-	ipart, err := initialPartition(o.Part, m, pop, o.Partitions)
-	if err != nil {
-		return nil, nil, err
-	}
 	eng, err := engine.NewDistributed(m, pop, engine.Options{
-		Workers:          o.Partitions,
-		Index:            kind,
-		Seed:             o.Seed,
-		Tunables:         Tunables{EpochTicks: o.EpochTicks},
-		InitialPartition: ipart,
+		Workers:  o.Partitions,
+		Index:    kind,
+		Seed:     o.Seed,
+		Tunables: Tunables{EpochTicks: o.EpochTicks},
 	})
 	if err != nil {
 		return nil, nil, err
 	}
-	if s, ok := eng.Partition().(*partition.Strips); ok {
-		cuts = s.Cuts()
-	}
+	cuts = eng.Partition().Cuts()
 	parts = make([]transport.PartState, o.Partitions)
 	for p := 0; p < o.Partitions; p++ {
 		parts[p] = transport.PartState{Part: p, Full: true, Values: eng.ExportPartition(p)}

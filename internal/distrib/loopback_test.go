@@ -10,7 +10,6 @@ import (
 
 	"github.com/bigreddata/brace/internal/agent"
 	"github.com/bigreddata/brace/internal/engine"
-	"github.com/bigreddata/brace/internal/geom"
 	"github.com/bigreddata/brace/internal/partition"
 	"github.com/bigreddata/brace/internal/scenario"
 	"github.com/bigreddata/brace/internal/spatial"
@@ -169,7 +168,7 @@ func TestLoopbackTCPLoadBalanceEquivalence(t *testing.T) {
 				if err := mem.RunTicks(epoch); err != nil {
 					t.Fatal(err)
 				}
-				memCuts = append(memCuts, mem.Partition().(*partition.Strips).Cuts())
+				memCuts = append(memCuts, mem.Partition().Cuts())
 			}
 			memEpochs := mem.Epochs()
 
@@ -220,74 +219,6 @@ func TestLoopbackTCPLoadBalanceEquivalence(t *testing.T) {
 	}
 }
 
-// A kd2d run across real sockets. Regression: before the overlap gate
-// admitted 2-D partitionings there was no way to request one over the
-// wire, and the two-pass tick's boundary classifier panicked on the
-// unchecked *partition.Strips assertion the moment a KD2D engine
-// overlapped. The run must complete and match the in-memory KD2D engine
-// bit for bit.
-func TestLoopbackTCPKD2D(t *testing.T) {
-	const (
-		agents = 96
-		extent = 30.0
-		seed   = uint64(7)
-		parts  = 4
-		ticks  = 8
-	)
-	sp, ok := scenario.Lookup("fish")
-	if !ok {
-		t.Fatal("fish not registered")
-	}
-	m, pop, err := sp.New(scenario.Config{Agents: agents, Seed: seed, Extent: extent})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pts := make([]geom.Vec, len(pop))
-	for i, a := range pop {
-		pts[i] = a.Pos(m.Schema())
-	}
-	eng, err := engine.NewDistributed(m, pop, engine.Options{
-		Workers: parts, Index: spatial.KindKDTree, Seed: seed,
-		InitialPartition: partition.NewKD2D(pts, parts),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.RunTicks(ticks); err != nil {
-		t.Fatal(err)
-	}
-	want := eng.Agents()
-
-	res, err := Run(Options{
-		Addrs:    startWorkers(t, 2),
-		Scenario: "fish",
-		Agents:   agents, Extent: extent, Seed: seed,
-		Partitions: parts, Ticks: ticks, Index: "kd",
-		Part: "kd2d",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSamePopulation(t, "kd2d tcp vs mem", want, res.Agents)
-	if res.Net.SentMsgs == 0 {
-		t.Error("no traffic crossed the wire; the run was not actually distributed")
-	}
-
-	// Misconfigurations are rejected up front, not mid-run.
-	if _, err := Run(Options{
-		Addrs: []string{"x"}, Scenario: "fish", Partitions: 2, Ticks: 1,
-		Part: "kd2d", LoadBalance: true,
-	}); err == nil || !strings.Contains(err.Error(), "kd2d") {
-		t.Errorf("kd2d + load balancing: %v", err)
-	}
-	if _, err := Run(Options{
-		Addrs: []string{"x"}, Scenario: "fish", Partitions: 2, Ticks: 1,
-		Part: "hexgrid",
-	}); err == nil || !strings.Contains(err.Error(), "hexgrid") {
-		t.Errorf("unknown partitioning: %v", err)
-	}
-}
-
 // A worker that rejects the handshake must fail the coordinator with the
 // worker's reason, not a hang.
 func TestHandshakeRejection(t *testing.T) {
@@ -321,16 +252,16 @@ func TestHandshakeRejection(t *testing.T) {
 		mut(h)
 		return h
 	}
-	old := hello(func(h *transport.Hello) { h.Proto = 7 })
+	old := hello(func(h *transport.Hello) { h.Proto = 8 })
 	var ve *transport.VersionError
-	if _, _, err := checkHello(old); !errors.As(err, &ve) || ve.Got != 7 || ve.Want != transport.ProtoVersion {
-		t.Fatalf("checkHello(v7) = %v, want *transport.VersionError{7, %d}", err, transport.ProtoVersion)
+	if _, _, err := checkHello(old); !errors.As(err, &ve) || ve.Got != 8 || ve.Want != transport.ProtoVersion {
+		t.Fatalf("checkHello(v8) = %v, want *transport.VersionError{8, %d}", err, transport.ProtoVersion)
 	}
 	for _, tc := range []struct {
 		name, want string
 		h          *transport.Hello
 	}{
-		{"stale version", "protocol version 7", old},
+		{"stale version", "protocol version 8", old},
 		{"agents over limit", "agents outside the limit", hello(func(h *transport.Hello) { h.Agents = MaxAgents + 1 })},
 		{"negative agents", "agents outside the limit", hello(func(h *transport.Hello) { h.Agents = -1 })},
 		{"partitions over limit", "partitions outside the limit", hello(func(h *transport.Hello) {

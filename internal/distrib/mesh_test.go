@@ -76,33 +76,6 @@ func TestMeshBitIdenticalRegistryWide(t *testing.T) {
 	}
 }
 
-// A kd2d-partitioned mesh run: 2-D neighbor sets mean every proc pair
-// exchanges envelopes, so the directed peer links form a full mesh.
-func TestMeshKD2D(t *testing.T) {
-	const (
-		agents = 96
-		extent = 30.0
-		seed   = uint64(7)
-		parts  = 4
-		ticks  = 8
-	)
-	ref := memReference(t, "fish", agents, extent, seed, parts, ticks)
-	res, err := Run(Options{
-		Addrs:    startMeshWorkers(t, 2),
-		Scenario: "fish",
-		Agents:   agents, Extent: extent, Seed: seed,
-		Partitions: parts, Ticks: ticks, Index: "kd",
-		Tunables: Tunables{Mesh: true},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSamePopulation(t, "mesh kd", ref, res.Agents)
-	if res.RelayedDataFrames != 0 {
-		t.Errorf("relayed %d data frames in a healthy mesh run", res.RelayedDataFrames)
-	}
-}
-
 // SIGKILL-style chaos with the mesh on: a worker session severed mid-run
 // must recover exactly as on the star path — re-placed from the last
 // coordinated checkpoint, re-admitted at the next generation with a fresh

@@ -337,10 +337,6 @@ func serveSession(fc *transport.Conn, f *transport.Frame, so ServeOptions) error
 	if err != nil {
 		return reject(err)
 	}
-	ipart, err := initialPartition(h.Part, m, pop, h.Partitions)
-	if err != nil {
-		return reject(err)
-	}
 	if err := fc.Send(&transport.Frame{Kind: transport.FrameAck}); err != nil {
 		return err
 	}
@@ -383,13 +379,12 @@ func serveSession(fc *transport.Conn, f *transport.Frame, so ServeOptions) error
 	// right after construction; the hook only fires inside RunTicks.
 	var eng *engine.Distributed
 	eng, err = engine.NewDistributed(m, pop, engine.Options{
-		Workers:          h.Partitions,
-		Index:            kind,
-		Seed:             h.Seed,
-		Tunables:         Tunables{EpochTicks: h.EpochTicks},
-		Transport:        tr,
-		LocalParts:       local,
-		InitialPartition: ipart,
+		Workers:    h.Partitions,
+		Index:      kind,
+		Seed:       h.Seed,
+		Tunables:   Tunables{EpochTicks: h.EpochTicks},
+		Transport:  tr,
+		LocalParts: local,
 		EpochBarrier: func(tick uint64) error {
 			return workerBarrier(eng, tcp, h, ckpts, tick, so.Drain)
 		},
@@ -607,14 +602,6 @@ func checkHello(h *transport.Hello) (scenario.Spec, spatial.Kind, error) {
 	kind, err := spatial.ParseKind(h.Index)
 	if err != nil {
 		return none, 0, err
-	}
-	switch h.Part {
-	case "", "strips", "kd2d":
-	default:
-		return none, 0, fmt.Errorf("unknown partitioning %q", h.Part)
-	}
-	if h.Part == "kd2d" && h.LoadBalance {
-		return none, 0, fmt.Errorf("load balancing is incompatible with kd2d partitioning")
 	}
 	return sp, kind, nil
 }

@@ -57,7 +57,7 @@ func TestLoadBalancerDeterministic(t *testing.T) {
 		if err := e.RunTicks(16); err != nil {
 			t.Fatal(err)
 		}
-		return e.Agents(), e.Partition().(*partition.Strips).Cuts()
+		return e.Agents(), e.Partition().Cuts()
 	}
 	a1, c1 := mkrun()
 	a2, c2 := mkrun()
@@ -157,7 +157,7 @@ func TestRestoreStartsCostEpoch(t *testing.T) {
 	e, _, err = run(opts, func(e *Distributed, tick uint64) error {
 		switch {
 		case tick == 8 && states == nil:
-			cuts = e.Partition().(*partition.Strips).Cuts()
+			cuts = e.Partition().Cuts()
 			states = make(map[int][]*Envelope, workers)
 			for p := 0; p < workers; p++ {
 				states[p] = CloneEnvelopes(e.ExportPartition(p))

@@ -92,9 +92,6 @@ func (e *Distributed) ExportPartition(p int) []*Envelope { return e.rt.Values(p)
 // boundaries — a coordinator rebalancing directive. Only legal at an
 // epoch barrier (no phase may be executing).
 func (e *Distributed) InstallCuts(cuts []float64) error {
-	if _, ok := e.part.(*partition.Strips); !ok {
-		return fmt.Errorf("engine: cannot install cuts over a non-strip partitioning")
-	}
 	p, err := partition.NewStripsFromCuts(cuts)
 	if err != nil {
 		return err

@@ -61,11 +61,6 @@ type Options struct {
 	// Distributed workers use it for the coordinator round-trip (ship
 	// stats, await the directive); a returned error aborts RunTicks.
 	EpochBarrier func(tick uint64) error
-	// InitialPartition overrides the automatic quantile strip
-	// partitioning with any partitioning function (e.g. partition.KD2D
-	// for 2-D median splits). Load balancing applies only when the
-	// function is a *partition.Strips.
-	InitialPartition partition.Func
 }
 
 // EpochStat records one epoch for the Fig. 8 style series.
@@ -83,7 +78,7 @@ type Distributed struct {
 	core
 	opts Options
 
-	part   partition.Func
+	part   *partition.Strips
 	rt     *mapreduce.Runtime[*Envelope]
 	vclock *cluster.VClock
 
@@ -162,35 +157,22 @@ func NewDistributed(m Model, pop []*agent.Agent, opts Options) (*Distributed, er
 	// Initial partitioning: equal-count quantiles of the initial agent x
 	// positions (§3.3: "the master computes a partitioning function based
 	// on the visible regions of the agents and then broadcasts [it]").
-	if opts.InitialPartition != nil {
-		e.part = opts.InitialPartition
-	} else {
-		xs := make([]float64, len(pop))
-		for i, a := range pop {
-			xs[i] = a.Pos(s).X
-		}
-		e.part = partition.InitialStrips(xs, opts.Workers)
+	xs := make([]float64, len(pop))
+	for i, a := range pop {
+		xs[i] = a.Pos(s).X
 	}
-	if e.part.N() != opts.Workers {
-		return nil, fmt.Errorf("engine: partitioning has %d regions, want %d workers", e.part.N(), opts.Workers)
-	}
-	if _, isStrips := e.part.(*partition.Strips); opts.LoadBalance && !isStrips {
-		return nil, fmt.Errorf("engine: load balancing requires a strip partitioning (the paper's 1-D balancer)")
-	}
+	e.part = partition.InitialStrips(xs, opts.Workers)
 
 	if opts.CostModel != nil {
 		e.vclock = cluster.NewVClock(opts.Workers, *opts.CostModel)
 	}
 
 	// Overlap gate: the two-pass tick needs the cached index (KD tree,
-	// bounded visibility, positive skin — never under a cost model), local
-	// effects, and a rectilinear partitioning whose Locate agrees with
-	// rectangle membership, so reduce1Early's per-rectangle distance checks
-	// against Region bounds are sound (Strips and KD2D qualify). The
-	// decision is a pure function of the model, index kind, partitioning
-	// and cost model, so every process of a distributed run takes the same
-	// branch.
-	if !e.nonLocal && overlapPartitioning(e.part) && e.parts[0].cached != nil {
+	// bounded visibility, positive skin — never under a cost model) and
+	// local effects. The decision is a pure function of the model, index
+	// kind and cost model, so every process of a distributed run takes the
+	// same branch.
+	if !e.nonLocal && e.parts[0].cached != nil {
 		e.overlap = true
 		e.obufs = make([]overlapBufs, opts.Workers)
 	}
@@ -220,26 +202,17 @@ func NewDistributed(m Model, pop []*agent.Agent, opts Options) (*Distributed, er
 		Barrier:               opts.EpochBarrier,
 		OnEpoch:               e.onEpoch,
 		// Checkpoints capture master state alongside worker memories: the
-		// strip cuts, which the balancer mutates (nil for the static
-		// partitionings). Its other input, the per-partition cost, restarts
-		// at every barrier, where checkpoints are taken: nothing to capture.
-		SnapshotMaster: func() any {
-			if s, ok := e.part.(*partition.Strips); ok {
-				return s.Cuts()
-			}
-			return nil
-		},
+		// strip cuts, which the balancer mutates. Its other input, the
+		// per-partition cost, restarts at every barrier, where checkpoints
+		// are taken: nothing to capture.
+		SnapshotMaster: func() any { return e.part.Cuts() },
 		RestoreMaster: func(v any) {
 			// Restored values sit consistently under the restored cuts, so
 			// every owned agent self-sends on the next tick: the two-pass
 			// split may resume immediately.
 			e.noSplitTick = neverTick
 			e.resetCosts()
-			cuts, _ := v.([]float64)
-			if cuts == nil {
-				return // static partitionings never change
-			}
-			p, err := partition.NewStripsFromCuts(cuts)
+			p, err := partition.NewStripsFromCuts(v.([]float64))
 			if err != nil {
 				panic(err) // snapshots are produced by us; invalid means a bug
 			}
@@ -277,20 +250,6 @@ func NewDistributed(m Model, pop []*agent.Agent, opts Options) (*Distributed, er
 		}
 	}
 	return e, nil
-}
-
-// overlapPartitioning reports whether p supports the overlapped tick's
-// interior classification: a foreign agent must provably lie on or beyond
-// a face of Region(w), so "self more than vis from every face" proves no
-// foreign agent is visible. Strips and KD2D qualify — their Locate
-// compares coordinates against the exact cut values Region returns, so
-// the bound is exact. Any other Func stays on the single-pass path.
-func overlapPartitioning(p partition.Func) bool {
-	switch p.(type) {
-	case *partition.Strips, *partition.KD2D:
-		return true
-	}
-	return false
 }
 
 // mapPhase is mapᵗ₁: distribute and replicate (Table 1; update has already
@@ -349,7 +308,7 @@ func (e *Distributed) reduce1(ctx *mapreduce.Ctx, envs []*Envelope, emit mapredu
 	}
 }
 
-func ownerOf(p partition.Func, s *agent.Schema, env *Envelope) int32 {
+func ownerOf(p *partition.Strips, s *agent.Schema, env *Envelope) int32 {
 	return int32(p.Locate(env.A.Pos(s)))
 }
 
@@ -512,17 +471,13 @@ func (e *Distributed) onEpoch(tick uint64) {
 // rebalance gathers agent positions and the epoch's per-partition costs and
 // applies the balancer's plan when beneficial.
 func (e *Distributed) rebalance() bool {
-	strips, ok := e.part.(*partition.Strips)
-	if !ok {
-		return false // the 1-D balancer only adjusts strip cuts
-	}
 	xs := make([][]float64, e.opts.Workers)
 	cost := make([]int64, e.opts.Workers)
 	for w := 0; w < e.opts.Workers; w++ {
 		xs[w] = e.PartitionXs(w)
 		cost[w] = e.PartitionCost(w)
 	}
-	d := PlanRebalance(e.opts.Balancer, strips, xs, cost)
+	d := PlanRebalance(e.opts.Balancer, e.part, xs, cost)
 	if !d.Apply {
 		return false
 	}
@@ -549,8 +504,8 @@ func (e *Distributed) Agents() agent.Population {
 // Tick returns completed ticks.
 func (e *Distributed) Tick() uint64 { return e.rt.Tick() }
 
-// Partition returns the current partitioning function.
-func (e *Distributed) Partition() partition.Func { return e.part }
+// Partition returns the current strip partitioning.
+func (e *Distributed) Partition() *partition.Strips { return e.part }
 
 // Runtime exposes the underlying MapReduce runtime (metrics, transport).
 func (e *Distributed) Runtime() *mapreduce.Runtime[*Envelope] { return e.rt }

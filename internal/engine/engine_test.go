@@ -2,12 +2,12 @@ package engine
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"github.com/bigreddata/brace/internal/agent"
 	"github.com/bigreddata/brace/internal/cluster"
 	"github.com/bigreddata/brace/internal/geom"
-	"github.com/bigreddata/brace/internal/partition"
 	"github.com/bigreddata/brace/internal/spatial"
 )
 
@@ -408,47 +408,6 @@ func TestVisibilityLimitsInteraction(t *testing.T) {
 	}
 }
 
-// A 2-D median-split partitioning (App. A's quadtree-style alternative to
-// strips) produces the same simulation as strips and as the sequential
-// engine — partitioning choice never changes semantics.
-func TestKD2DPartitioningAgreesExactly(t *testing.T) {
-	m := newFlockModel(6)
-	base := makePop(m.s, 100, 40, 31)
-
-	seq, err := NewSequential(m, clonePop(base), spatial.KindKDTree, 19)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := seq.RunTicks(10); err != nil {
-		t.Fatal(err)
-	}
-
-	var pts []geom.Vec
-	for _, a := range base {
-		pts = append(pts, a.Pos(m.s))
-	}
-	kd2d := partition.NewKD2D(pts, 4)
-	dist, err := NewDistributed(m, clonePop(base), Options{
-		Workers: 4, Index: spatial.KindKDTree, Seed: 19,
-		InitialPartition: kd2d,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := dist.RunTicks(10); err != nil {
-		t.Fatal(err)
-	}
-	popsExactlyEqual(t, "kd2d partitioning", seq.Agents(), dist.Agents())
-
-	// Load balancing on a non-strip partitioning is rejected up front.
-	if _, err := NewDistributed(m, clonePop(base), Options{
-		Workers: 4, Index: spatial.KindKDTree, Seed: 19,
-		InitialPartition: kd2d, LoadBalance: true,
-	}); err == nil {
-		t.Error("LB over a 2-D partitioning should be rejected")
-	}
-}
-
 // Visibility is a closed bound: two agents at exactly the visibility
 // distance see each other, consistently across engines and index kinds
 // (RangeCircle and ReplicaTargets both use ≤).
@@ -487,14 +446,17 @@ func TestLoadBalancingReducesImbalance(t *testing.T) {
 	for i := 180; i < 200; i++ {
 		pop[i].SetPos(m.s, geom.V(100+float64(i), 0))
 	}
-	// Deliberately bad initial partitioning: uniform over the full span.
 	cm := cluster.DefaultCostModel()
 	e, err := NewDistributed(m, pop, Options{
 		Workers: 4, Index: spatial.KindKDTree, Seed: 3,
 		LoadBalance: true, Tunables: Tunables{EpochTicks: 5}, CostModel: &cm,
-		InitialPartition: mustStrips(t, []float64{75, 150, 225}),
 	})
 	if err != nil {
+		t.Fatal(err)
+	}
+	// Deliberately bad partitioning, installed before the first tick:
+	// uniform over the full span.
+	if err := e.InstallCuts([]float64{75, 150, 225}); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.RunTicks(20); err != nil {
@@ -524,13 +486,29 @@ func TestLoadBalancingReducesImbalance(t *testing.T) {
 	}
 }
 
-func mustStrips(t *testing.T, cuts []float64) *partition.Strips {
-	t.Helper()
-	s, err := partition.NewStripsFromCuts(cuts)
+// Cuts arrive over the wire (rebalancing directives, checkpoints): a
+// non-finite cut is refused and the partitioning stays as it was.
+func TestInstallCutsRejectsNonFinite(t *testing.T) {
+	m := newFlockModel(3)
+	e, err := NewDistributed(m, makePop(m.s, 40, 10, 2), Options{
+		Workers: 4, Index: spatial.KindKDTree, Seed: 2,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return s
+	before := e.Partition().Cuts()
+	for _, cuts := range [][]float64{
+		{0, math.NaN(), 5},
+		{0, 1, math.Inf(1)},
+		{math.Inf(-1), 0, 1},
+	} {
+		if err := e.InstallCuts(cuts); err == nil {
+			t.Errorf("InstallCuts(%v) accepted", cuts)
+		}
+		if got := e.Partition().Cuts(); !slices.Equal(got, before) {
+			t.Fatalf("InstallCuts(%v) changed cuts %v -> %v", cuts, before, got)
+		}
+	}
 }
 
 func TestFailureRecoveryThroughEngine(t *testing.T) {

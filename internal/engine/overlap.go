@@ -68,11 +68,10 @@ func (e *Distributed) reduce1Early(ctx *mapreduce.Ctx, self []*Envelope) {
 	// as far as its distance to this partition's region, so strictly more
 	// than vis from every face of Region(w) means nothing outside can be
 	// visible. Strict, because a foreign agent at exactly distance vis is
-	// visible (the radius comparisons are closed). Strips reduce to the
-	// two-cut x test (their y bounds are ±Inf, which classify everything
-	// interior on the unbounded sides for free); KD2D leaf rectangles test
-	// all four faces. Sound whenever Locate agrees with rectangle
-	// membership — the overlap gate admits only such partitionings.
+	// visible (the radius comparisons are closed). A strip's y bounds are
+	// ±Inf, so the y terms hold for every finite position and the test
+	// reduces to the two cuts. Sound because Strips.Locate compares x
+	// against the exact cut values Region returns.
 	region := e.part.Region(w)
 	vis := e.schema.Visibility
 	p := e.parts[w]

@@ -3,8 +3,6 @@ package engine
 import (
 	"testing"
 
-	"github.com/bigreddata/brace/internal/geom"
-	"github.com/bigreddata/brace/internal/partition"
 	"github.com/bigreddata/brace/internal/spatial"
 )
 
@@ -59,62 +57,6 @@ func TestOverlapAblationBitIdentical(t *testing.T) {
 			popsExactlyEqual(t, tc.name+" overlapped vs single-pass", off.Agents(), on.Agents())
 			popsExactlyEqual(t, tc.name+" overlapped vs sequential", seq.Agents(), on.Agents())
 		}
-	}
-}
-
-// The overlapped tick over a 2-D median-split partitioning. Regression:
-// the boundary classifier used to assert e.part.(*partition.Strips)
-// unconditionally, so admitting KD2D to the overlap gate panicked on the
-// first tick. The generic per-rectangle margin test must classify against
-// Region bounds and stay bit-identical to the single-pass tick and the
-// sequential engine.
-func TestOverlapKD2DBitIdentical(t *testing.T) {
-	m := newFlockModel(8)
-	base := makePop(m.s, 140, 60, 9)
-
-	seq, err := NewSequential(m, clonePop(base), spatial.KindKDTree, 17)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := seq.RunTicks(testTicks); err != nil {
-		t.Fatal(err)
-	}
-
-	var pts []geom.Vec
-	for _, a := range base {
-		pts = append(pts, a.Pos(m.s))
-	}
-	for _, workers := range []int{2, 4} {
-		opts := Options{
-			Workers: workers, Index: spatial.KindKDTree, Seed: 17,
-			InitialPartition: partition.NewKD2D(pts, workers),
-		}
-		on, err := NewDistributed(m, clonePop(base), opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !on.Overlapped() {
-			t.Fatalf("%dw: overlap off for KD2D despite local effects + cached KD index", workers)
-		}
-		if err := on.RunTicks(testTicks); err != nil {
-			t.Fatal(err)
-		}
-
-		offOpts := opts
-		offOpts.Index = spatial.KindScan
-		off, err := NewDistributed(m, clonePop(base), offOpts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if off.Overlapped() {
-			t.Fatalf("%dw: overlap on without a cached index", workers)
-		}
-		if err := off.RunTicks(testTicks); err != nil {
-			t.Fatal(err)
-		}
-
-		popsExactlyEqual(t, "kd2d overlapped vs single-pass", off.Agents(), on.Agents())
-		popsExactlyEqual(t, "kd2d overlap vs sequential", seq.Agents(), on.Agents())
 	}
 }
 

@@ -7,81 +7,15 @@ import (
 	"testing/quick"
 )
 
+// contains reports whether p lies inside the closed rectangle r.
+func contains(r Rect, p Vec) bool {
+	return p.X >= r.Min.X && p.X <= r.Max.X && p.Y >= r.Min.Y && p.Y <= r.Max.Y
+}
+
 func TestRectNormalization(t *testing.T) {
 	r := R(5, 6, 1, 2)
 	if r.Min != V(1, 2) || r.Max != V(5, 6) {
 		t.Errorf("R did not normalize corners: %v", r)
-	}
-}
-
-func TestRectContains(t *testing.T) {
-	r := R(0, 0, 10, 5)
-	for _, p := range []Vec{V(0, 0), V(10, 5), V(5, 2.5)} {
-		if !r.Contains(p) {
-			t.Errorf("Contains(%v) = false", p)
-		}
-	}
-	for _, p := range []Vec{V(-0.1, 0), V(10.1, 5), V(5, 5.1)} {
-		if r.Contains(p) {
-			t.Errorf("Contains(%v) = true", p)
-		}
-	}
-}
-
-func TestRectAreaWH(t *testing.T) {
-	r := R(1, 2, 4, 6)
-	if r.W() != 3 || r.H() != 4 || r.Area() != 12 {
-		t.Errorf("W/H/Area = %v/%v/%v", r.W(), r.H(), r.Area())
-	}
-	empty := Rect{V(1, 1), V(0, 0)}
-	if !empty.Empty() || empty.Area() != 0 {
-		t.Error("inverted rect should be empty with zero area")
-	}
-}
-
-func TestRectIntersects(t *testing.T) {
-	a := R(0, 0, 10, 10)
-	cases := []struct {
-		b    Rect
-		want bool
-	}{
-		{R(5, 5, 15, 15), true},
-		{R(10, 10, 20, 20), true}, // closed rectangles share corner
-		{R(11, 11, 20, 20), false},
-		{R(-5, -5, -1, -1), false},
-		{R(2, 2, 3, 3), true}, // contained
-	}
-	for _, c := range cases {
-		if got := a.Intersects(c.b); got != c.want {
-			t.Errorf("Intersects(%v) = %v, want %v", c.b, got, c.want)
-		}
-		if got := c.b.Intersects(a); got != c.want {
-			t.Errorf("Intersects not symmetric for %v", c.b)
-		}
-	}
-}
-
-func TestRectIntersectUnion(t *testing.T) {
-	a, b := R(0, 0, 10, 10), R(5, 5, 15, 15)
-	if got := a.Intersect(b); got != R(5, 5, 10, 10) {
-		t.Errorf("Intersect = %v", got)
-	}
-	if got := a.Union(b); got != R(0, 0, 15, 15) {
-		t.Errorf("Union = %v", got)
-	}
-	disjoint := a.Intersect(R(20, 20, 30, 30))
-	if !disjoint.Empty() {
-		t.Errorf("disjoint intersection not empty: %v", disjoint)
-	}
-}
-
-func TestRectExpand(t *testing.T) {
-	r := R(0, 0, 2, 2).Expand(1)
-	if r != R(-1, -1, 3, 3) {
-		t.Errorf("Expand = %v", r)
-	}
-	if got := R(0, 0, 4, 4).Expand(-1); got != R(1, 1, 3, 3) {
-		t.Errorf("negative Expand = %v", got)
 	}
 }
 
@@ -103,39 +37,14 @@ func TestRectDist2(t *testing.T) {
 	}
 }
 
-func TestRectIntersectsCircle(t *testing.T) {
-	r := R(0, 0, 10, 10)
-	if !r.IntersectsCircle(V(12, 5), 2) {
-		t.Error("circle touching edge should intersect")
-	}
-	if r.IntersectsCircle(V(13, 5), 2) {
-		t.Error("circle at distance 3 radius 2 should not intersect")
-	}
-	if !r.IntersectsCircle(V(5, 5), 0.1) {
-		t.Error("circle inside should intersect")
-	}
-}
-
-func TestRectSplit(t *testing.T) {
-	r := R(0, 0, 10, 10)
-	l, rt := r.SplitX(4)
-	if l != R(0, 0, 4, 10) || rt != R(4, 0, 10, 10) {
-		t.Errorf("SplitX = %v | %v", l, rt)
-	}
-	b, tp := r.SplitY(7)
-	if b != R(0, 0, 10, 7) || tp != R(0, 7, 10, 10) {
-		t.Errorf("SplitY = %v | %v", b, tp)
-	}
-}
-
 func TestRectInfinite(t *testing.T) {
 	inf := Infinite()
 	f := func(x, y float64) bool {
 		v := V(x, y)
-		if !v.IsFinite() {
+		if !finite(v) {
 			return true
 		}
-		return inf.Contains(v)
+		return inf.Dist2(v) == 0
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -149,49 +58,45 @@ func TestRectSquare(t *testing.T) {
 	}
 }
 
-// Property: Dist2(p) == 0 iff Contains(p), for finite rectangles and points.
+// Property: Dist2(p) == 0 iff p lies in the closed rectangle, for finite
+// rectangles and points.
 func TestRectDist2ZeroIffContains(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for i := 0; i < 500; i++ {
 		r := R(rng.Float64()*10, rng.Float64()*10, rng.Float64()*10, rng.Float64()*10)
 		p := V(rng.Float64()*12-1, rng.Float64()*12-1)
-		if (r.Dist2(p) == 0) != r.Contains(p) {
-			t.Fatalf("Dist2/Contains disagree: r=%v p=%v", r, p)
+		if (r.Dist2(p) == 0) != contains(r, p) {
+			t.Fatalf("Dist2/containment disagree: r=%v p=%v", r, p)
 		}
 	}
 }
 
-// Property: intersection is contained in both; union contains both.
-func TestRectIntersectUnionProperties(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	for i := 0; i < 500; i++ {
-		a := R(rng.Float64()*10, rng.Float64()*10, rng.Float64()*10, rng.Float64()*10)
-		b := R(rng.Float64()*10, rng.Float64()*10, rng.Float64()*10, rng.Float64()*10)
-		inter := a.Intersect(b)
-		if !inter.Empty() {
-			if !a.ContainsRect(inter) || !b.ContainsRect(inter) {
-				t.Fatalf("intersection escapes operands: a=%v b=%v i=%v", a, b, inter)
-			}
-		}
-		u := a.Union(b)
-		if !u.ContainsRect(a) || !u.ContainsRect(b) {
-			t.Fatalf("union misses operand: a=%v b=%v u=%v", a, b, u)
-		}
+// A visibility disc reaches a rectangle iff Dist2 ≤ rad² — the test
+// ReplicaTargets applies to every partition region.
+func TestRectIntersectsCircle(t *testing.T) {
+	r := R(0, 0, 10, 10)
+	if r.Dist2(V(12, 5)) > 2*2 {
+		t.Error("circle touching edge should intersect")
+	}
+	if r.Dist2(V(13, 5)) <= 2*2 {
+		t.Error("circle at distance 3 radius 2 should not intersect")
+	}
+	if r.Dist2(V(5, 5)) > 0.1*0.1 {
+		t.Error("circle inside should intersect")
 	}
 }
 
-// Property: expanding by the visibility radius makes the square around any
-// contained point intersect the rectangle's expansion — this is the
-// replication-sufficiency fact the engine relies on.
+// Property: expanding a rectangle by the visibility radius (every point q
+// with Dist2(q) ≤ rad²) covers the visibility disc of any point inside it
+// — the replication-sufficiency fact the engine relies on.
 func TestRectExpandCoversVisibility(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	for i := 0; i < 500; i++ {
 		r := R(0, 0, 10+rng.Float64()*10, 10+rng.Float64()*10)
 		rad := rng.Float64() * 5
 		p := V(rng.Float64()*r.Max.X, rng.Float64()*r.Max.Y) // p inside r
-		vr := Square(p, rad)
-		q := V(vr.Min.X+rng.Float64()*vr.W(), vr.Min.Y+rng.Float64()*vr.H())
-		if !r.Expand(rad).Contains(q) {
+		q := p.Add(V(rad, 0).Rotate(rng.Float64() * 2 * math.Pi).Scale(rng.Float64()))
+		if r.Dist2(q) > rad*rad*(1+1e-12) {
 			t.Fatalf("q=%v visible from p=%v (rad %v) escapes expanded %v", q, p, rad, r)
 		}
 	}
@@ -200,42 +105,6 @@ func TestRectExpandCoversVisibility(t *testing.T) {
 func TestRectString(t *testing.T) {
 	if s := R(0, 1, 2, 3).String(); s != "[0,2]x[1,3]" {
 		t.Errorf("String = %q", s)
-	}
-}
-
-func TestRectCenter(t *testing.T) {
-	if c := R(0, 0, 4, 8).Center(); c != V(2, 4) {
-		t.Errorf("Center = %v", c)
-	}
-}
-
-func TestRectTranslate(t *testing.T) {
-	r := R(0, 0, 2, 2).Translate(V(3, -1))
-	if r != R(3, -1, 5, 1) {
-		t.Errorf("Translate = %v", r)
-	}
-}
-
-func TestRectContainsRect(t *testing.T) {
-	outer := R(0, 0, 10, 10)
-	if !outer.ContainsRect(R(1, 1, 9, 9)) {
-		t.Error("inner rect rejected")
-	}
-	if outer.ContainsRect(R(5, 5, 11, 9)) {
-		t.Error("overhanging rect accepted")
-	}
-	if !outer.ContainsRect(Rect{V(3, 3), V(2, 2)}) {
-		t.Error("empty rect should be contained everywhere")
-	}
-	if !outer.ContainsRect(outer) {
-		t.Error("rect should contain itself")
-	}
-}
-
-func TestRectClampPoint(t *testing.T) {
-	r := R(0, 0, 10, 10)
-	if p := r.ClampPoint(V(15, -5)); p != V(10, 0) {
-		t.Errorf("ClampPoint = %v", p)
 	}
 }
 

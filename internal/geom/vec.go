@@ -27,12 +27,6 @@ func (v Vec) Sub(w Vec) Vec { return Vec{v.X - w.X, v.Y - w.Y} }
 // Scale returns v scaled by k.
 func (v Vec) Scale(k float64) Vec { return Vec{v.X * k, v.Y * k} }
 
-// Neg returns -v.
-func (v Vec) Neg() Vec { return Vec{-v.X, -v.Y} }
-
-// Dot returns the dot product v·w.
-func (v Vec) Dot(w Vec) float64 { return v.X*w.X + v.Y*w.Y }
-
 // Len returns the Euclidean length |v|.
 func (v Vec) Len() float64 { return math.Hypot(v.X, v.Y) }
 
@@ -62,26 +56,10 @@ func (v Vec) Clamp(r Rect) Vec {
 	return Vec{clamp(v.X, r.Min.X, r.Max.X), clamp(v.Y, r.Min.Y, r.Max.Y)}
 }
 
-// Lerp returns v + t·(w−v), the linear interpolation between v and w.
-func (v Vec) Lerp(w Vec, t float64) Vec {
-	return Vec{v.X + t*(w.X-v.X), v.Y + t*(w.Y-v.Y)}
-}
-
 // Rotate returns v rotated by the given angle in radians.
 func (v Vec) Rotate(rad float64) Vec {
 	s, c := math.Sincos(rad)
 	return Vec{v.X*c - v.Y*s, v.X*s + v.Y*c}
-}
-
-// Angle returns the angle of v in radians in (−π, π].
-func (v Vec) Angle() float64 { return math.Atan2(v.Y, v.X) }
-
-// IsFinite reports whether both coordinates are finite numbers. Simulation
-// update rules divide by distances; this guards against NaN/Inf escaping
-// into agent state.
-func (v Vec) IsFinite() bool {
-	return !math.IsNaN(v.X) && !math.IsInf(v.X, 0) &&
-		!math.IsNaN(v.Y) && !math.IsInf(v.Y, 0)
 }
 
 func clamp(x, lo, hi float64) float64 {

@@ -1,10 +1,11 @@
-// Package partition implements BRACE's spatial partitioning functions
+// Package partition implements BRACE's spatial partitioning function
 // P : L → partitions (paper §3.2, App. A) and the one-dimensional load
-// balancer of §5.1.
+// balancer of §5.1. There is one partitioner, the paper prototype's: 1-D
+// strips along x whose cuts the balancer moves.
 //
-// A partitioning function assigns every location to exactly one partition
-// (its owner); each partition also has a *visible region* — its owned
-// region expanded by the agents' visibility bound — which determines
+// A partitioning assigns every location to exactly one partition (its
+// owner); each partition also has a *visible region* — its owned region
+// expanded by the agents' visibility bound — which determines
 // replication: an agent is copied to every partition whose visible region
 // contains it.
 package partition
@@ -17,16 +18,6 @@ import (
 	"github.com/bigreddata/brace/internal/geom"
 )
 
-// Func is a spatial partitioning function.
-type Func interface {
-	// N returns the number of partitions.
-	N() int
-	// Locate returns the partition owning location p.
-	Locate(p geom.Vec) int
-	// Region returns the owned region of partition i.
-	Region(i int) geom.Rect
-}
-
 // ReplicaTargets appends to dst every partition whose visible region
 // contains pos — i.e. every partition that must receive a replica of an
 // agent at pos, given the visibility distance bound (≤ 0 = unbounded, in
@@ -35,7 +26,7 @@ type Func interface {
 // VR(p) = ∪_{l : P(l)=p} VR(l) is, for distance-bound visibility, exactly
 // Region(p) expanded by the bound; pos ∈ VR(p) ⇔ dist(pos, Region(p)) ≤
 // bound.
-func ReplicaTargets(f Func, pos geom.Vec, visibility float64, dst []int) []int {
+func ReplicaTargets(f *Strips, pos geom.Vec, visibility float64, dst []int) []int {
 	n := f.N()
 	if visibility <= 0 {
 		for i := 0; i < n; i++ {
@@ -52,9 +43,9 @@ func ReplicaTargets(f Func, pos geom.Vec, visibility float64, dst []int) []int {
 	return dst
 }
 
-// Strips is a one-dimensional rectilinear partitioning: vertical strips
-// with variable cut positions along the x axis. It is the partitioning the
-// paper's one-dimensional load balancer adjusts. Strip i owns
+// Strips is the partitioning: vertical strips with variable cut positions
+// along the x axis, which the paper's one-dimensional load balancer
+// adjusts (§5.1). Strip i owns
 // [cut[i-1], cut[i]) × (−∞, ∞), with the first strip extending to −∞ and
 // the last to +∞, so every location always has an owner even as agents
 // wander (the fish "ocean" is unbounded).
@@ -79,23 +70,27 @@ func NewStrips(n int, lo, hi float64) *Strips {
 }
 
 // NewStripsFromCuts builds strips from explicit interior boundaries, which
-// must be strictly increasing.
+// must be finite and strictly increasing. Cuts arrive from the network
+// (rebalancing directives, checkpoints), so both are checked.
 func NewStripsFromCuts(cuts []float64) (*Strips, error) {
-	for i := 1; i < len(cuts); i++ {
-		if cuts[i] <= cuts[i-1] {
+	for i, c := range cuts {
+		if math.IsNaN(c) || math.IsInf(c, 0) {
+			return nil, fmt.Errorf("partition: cut %d is %v", i, c)
+		}
+		if i > 0 && c <= cuts[i-1] {
 			return nil, fmt.Errorf("partition: cuts not strictly increasing at %d", i)
 		}
 	}
 	return &Strips{cuts: append([]float64(nil), cuts...)}, nil
 }
 
-// N implements Func.
+// N returns the number of strips.
 func (s *Strips) N() int { return len(s.cuts) + 1 }
 
 // Cuts returns a copy of the interior boundaries.
 func (s *Strips) Cuts() []float64 { return append([]float64(nil), s.cuts...) }
 
-// Locate implements Func by binary search over the cuts.
+// Locate returns the strip owning p, by binary search over the cuts.
 func (s *Strips) Locate(p geom.Vec) int {
 	return sort.SearchFloat64s(s.cuts, p.X+smallestNonzero(p.X)) // see note below
 }
@@ -113,7 +108,7 @@ func smallestNonzero(x float64) float64 {
 	return u
 }
 
-// Region implements Func.
+// Region returns the owned region of strip i.
 func (s *Strips) Region(i int) geom.Rect {
 	lo, hi := math.Inf(-1), math.Inf(1)
 	if i > 0 {
@@ -127,8 +122,6 @@ func (s *Strips) Region(i int) geom.Rect {
 		Max: geom.Vec{X: hi, Y: math.Inf(1)},
 	}
 }
-
-var _ Func = (*Strips)(nil)
 
 // InitialStrips builds n strips whose cuts sit at equal-count quantiles of
 // the given x coordinates — the master's initial partitioning computed

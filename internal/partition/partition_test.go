@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -40,7 +41,7 @@ func TestStripsRegionsCoverPlane(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		p := geom.V(rng.NormFloat64()*20, rng.NormFloat64()*20)
 		owner := s.Locate(p)
-		if !s.Region(owner).Contains(p) {
+		if s.Region(owner).Dist2(p) != 0 {
 			t.Fatalf("own region %v does not contain %v", s.Region(owner), p)
 		}
 		// Exactly one region owns p — strips are half-open [lo, hi).
@@ -62,21 +63,36 @@ func TestStripsSingle(t *testing.T) {
 	if s.N() != 1 || s.Locate(geom.V(123, 4)) != 0 {
 		t.Error("single strip should own everything")
 	}
-	if !s.Region(0).Contains(geom.V(-1e18, 1e18)) {
+	if s.Region(0) != geom.Infinite() {
 		t.Error("single strip region should be the plane")
 	}
 }
 
 func TestStripsFromCuts(t *testing.T) {
-	if _, err := NewStripsFromCuts([]float64{1, 2, 3}); err != nil {
-		t.Errorf("valid cuts rejected: %v", err)
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		cuts []float64
+		ok   bool
+	}{
+		{[]float64{1, 2, 3}, true},
+		{nil, true},
+		{[]float64{1, 1}, false},
+		{[]float64{2, 1}, false},
+		{[]float64{0, nan, 5}, false},
+		{[]float64{nan}, false},
+		{[]float64{inf}, false},
+		{[]float64{-inf, 0}, false},
+		{[]float64{0, inf}, false},
 	}
-	if _, err := NewStripsFromCuts([]float64{1, 1}); err == nil {
-		t.Error("non-increasing cuts accepted")
-	}
-	s, _ := NewStripsFromCuts(nil)
-	if s.N() != 1 {
-		t.Error("empty cuts should mean one strip")
+	for _, c := range cases {
+		s, err := NewStripsFromCuts(c.cuts)
+		if (err == nil) != c.ok {
+			t.Errorf("NewStripsFromCuts(%v): err = %v, want ok = %v", c.cuts, err, c.ok)
+			continue
+		}
+		if c.ok && s.N() != len(c.cuts)+1 {
+			t.Errorf("NewStripsFromCuts(%v).N() = %d", c.cuts, s.N())
+		}
 	}
 }
 

@@ -123,7 +123,7 @@ func TestCachedEquivalenceUnderLoadBalance(t *testing.T) {
 					if err := e.RunTicks(epoch); err != nil {
 						t.Fatal(err)
 					}
-					log[i].cuts = e.Partition().(*partition.Strips).Cuts()
+					log[i].cuts = e.Partition().Cuts()
 					for p := 0; p < workers; p++ {
 						if c := e.PartitionCost(p); c != 0 {
 							t.Fatalf("partition %d cost = %d after the barrier at tick %d, want 0", p, c, e.Tick())

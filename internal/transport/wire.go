@@ -16,8 +16,8 @@ import (
 
 // ProtoVersion guards against mismatched coordinator/worker binaries; the
 // handshake rejects any other value with a VersionError, the one skew
-// guard (there is no per-feature negotiation: every v8 binary speaks the
-// whole protocol). Version 8 is: coordinator-owned placement in the Hello
+// guard (there is no per-feature negotiation: every v9 binary speaks the
+// whole protocol). Version 9 is: coordinator-owned placement in the Hello
 // and Stats/Directive/Checkpoint/Restore frames at epoch barriers;
 // Ping/Pong heartbeats answered by the worker's transport reader;
 // differential checkpoint payloads (PartState.Delta) between full
@@ -25,13 +25,14 @@ import (
 // per-destination end-of-phase markers with declared frame counts and
 // per-(src,dst) data sequence numbers; worker registration (FrameRegister)
 // and direct worker↔worker sessions (FramePeerHello). Each process derives
-// the query cache and the overlapped tick from the Hello's scenario, index
-// and partitioning, so neither crosses the wire. v7 took the balancer's cost
+// the query cache, the overlapped tick and the initial strip cuts from the
+// Hello's scenario and index, so none of them crosses the wire. v7 took the balancer's cost
 // out of PartState: PartStats.Cost counts probe rows since the previous
 // barrier, checkpoints are taken at barriers, so the cost in a checkpoint
 // or a Restore would always be 0. v8 dropped the Hello's partition-at-a-
-// time switch: a worker ticks its partitions concurrently, always.
-const ProtoVersion = 8
+// time switch: a worker ticks its partitions concurrently, always. v9
+// dropped Hello.Part: quantile strips are the one partitioning.
+const ProtoVersion = 9
 
 // VersionError reports a handshake between binaries speaking different
 // protocol versions.
@@ -85,12 +86,6 @@ type Hello struct {
 	Ticks      int
 	EpochTicks int
 	Index      string // kd | scan
-	// Part names the partitioning scheme: "" or "strips" for quantile
-	// x-strips (the default, required for LoadBalance), "kd2d" for 2-D
-	// recursive median splits. Every process derives the identical
-	// function from the identical initial population, so only the name
-	// crosses the wire.
-	Part string
 	// Peers are the worker daemons' data-plane addresses, indexed by
 	// process: in a mesh run, process i dials Peers[j]
 	// directly for its j-bound envelope traffic. Empty in star runs.
