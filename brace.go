@@ -146,7 +146,10 @@ type Simulation struct {
 
 // New builds a simulation with the given model and initial population.
 func New(m Model, pop []*Agent, cfg Config) (*Simulation, error) {
-	if cfg.Workers <= 0 {
+	if cfg.Workers < 0 || cfg.EpochTicks < 0 || cfg.Checkpoint < 0 {
+		return nil, fmt.Errorf("brace: negative Workers %d, EpochTicks %d or Checkpoint %d", cfg.Workers, cfg.EpochTicks, cfg.Checkpoint)
+	}
+	if cfg.Workers == 0 {
 		cfg.Workers = 1
 	}
 	if cfg.Sequential {

@@ -180,6 +180,11 @@ func TestConfigDefaults(t *testing.T) {
 	if sim.Tick() != 2 {
 		t.Error("Tick")
 	}
+	for _, cfg := range []Config{{Workers: -1}, {EpochTicks: -3}, {Checkpoint: -1}} {
+		if _, err := New(m, m.NewPopulation(10, 6), cfg); err == nil {
+			t.Errorf("%+v accepted", cfg)
+		}
+	}
 }
 
 // Partitioning may replicate work, but only so much: on the benchmark's

@@ -207,6 +207,9 @@ func (o *Options) validate() error {
 	if o.Ticks < 0 {
 		return fmt.Errorf("distrib: negative tick count")
 	}
+	if o.EpochTicks < 0 || o.CheckpointEveryEpochs < 0 {
+		return fmt.Errorf("distrib: negative epoch ticks %d or checkpoint interval %d", o.EpochTicks, o.CheckpointEveryEpochs)
+	}
 	if _, ok := scenario.Lookup(o.Scenario); !ok {
 		return scenario.ErrUnknown(o.Scenario)
 	}

@@ -264,6 +264,7 @@ func TestHandshakeRejection(t *testing.T) {
 		{"stale version", "protocol version 8", old},
 		{"agents over limit", "agents outside the limit", hello(func(h *transport.Hello) { h.Agents = MaxAgents + 1 })},
 		{"negative agents", "agents outside the limit", hello(func(h *transport.Hello) { h.Agents = -1 })},
+		{"negative epoch ticks", "negative epoch ticks", hello(func(h *transport.Hello) { h.EpochTicks = -3 })},
 		{"partitions over limit", "partitions outside the limit", hello(func(h *transport.Hello) {
 			h.Partitions = MaxPartitions + 1
 			h.Assign = make([]int, h.Partitions)
@@ -296,5 +297,11 @@ func TestRunValidation(t *testing.T) {
 	if _, err := Run(Options{Addrs: []string{"x"}, Scenario: "epidemic", Partitions: 1, Index: "btree"}); err == nil ||
 		!strings.Contains(err.Error(), "btree") {
 		t.Errorf("unknown index: %v", err)
+	}
+	for _, tun := range []Tunables{{EpochTicks: -3}, {CheckpointEveryEpochs: -1}} {
+		if _, err := Run(Options{Addrs: []string{"x"}, Scenario: "epidemic", Partitions: 1, Tunables: tun}); err == nil ||
+			!strings.Contains(err.Error(), "negative") {
+			t.Errorf("%+v: %v", tun, err)
+		}
 	}
 }

@@ -595,6 +595,9 @@ func checkHello(h *transport.Hello) (scenario.Spec, spatial.Kind, error) {
 	if h.Ticks < 0 {
 		return none, 0, fmt.Errorf("negative tick count")
 	}
+	if h.EpochTicks < 0 {
+		return none, 0, fmt.Errorf("negative epoch ticks %d", h.EpochTicks)
+	}
 	sp, ok := scenario.Lookup(h.Scenario)
 	if !ok {
 		return none, 0, scenario.ErrUnknown(h.Scenario)

@@ -101,7 +101,7 @@ func (e *Distributed) InstallCuts(cuts []float64) error {
 	}
 	e.part = p
 	// Migrating agents reach their new owner over the wire, so the first
-	// tick under the new cuts runs single-pass (matching the in-memory
+	// tick under the new cuts runs unsplit (matching the in-memory
 	// master, which marks the rebalance tick the same way in onEpoch).
 	e.noSplitTick = e.rt.Tick()
 	return nil

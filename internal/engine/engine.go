@@ -96,11 +96,10 @@ type Distributed struct {
 	parts []*part
 	bufs  []partBufs
 
-	// Overlapped two-pass tick state (overlap.go). obufs[w] carries the
+	// Two-pass tick state (overlap.go). obufs[w] carries the
 	// interior/boundary split between the early and late pass; noSplitTick
 	// is the single tick that must not split (the one right after a live
 	// cut change, when owned agents may still arrive from peers).
-	overlap     bool
 	obufs       []overlapBufs
 	noSplitTick uint64
 
@@ -119,7 +118,10 @@ func NewDistributed(m Model, pop []*agent.Agent, opts Options) (*Distributed, er
 	if opts.Workers < 1 {
 		return nil, fmt.Errorf("engine: Workers must be ≥ 1, got %d", opts.Workers)
 	}
-	if opts.EpochTicks <= 0 {
+	if opts.EpochTicks < 0 || opts.CheckpointEveryEpochs < 0 {
+		return nil, fmt.Errorf("engine: negative EpochTicks %d or CheckpointEveryEpochs %d", opts.EpochTicks, opts.CheckpointEveryEpochs)
+	}
+	if opts.EpochTicks == 0 {
 		opts.EpochTicks = 10
 	}
 	if opts.Balancer == (partition.Balancer{}) {
@@ -146,6 +148,7 @@ func NewDistributed(m Model, pop []*agent.Agent, opts Options) (*Distributed, er
 		wVisited: make([]int64, opts.Workers),
 		parts:    make([]*part, opts.Workers),
 		bufs:     make([]partBufs, opts.Workers),
+		obufs:    make([]overlapBufs, opts.Workers),
 
 		noSplitTick: neverTick,
 	}
@@ -167,30 +170,16 @@ func NewDistributed(m Model, pop []*agent.Agent, opts Options) (*Distributed, er
 		e.vclock = cluster.NewVClock(opts.Workers, *opts.CostModel)
 	}
 
-	// Overlap gate: the two-pass tick needs the cached index (KD tree,
-	// bounded visibility, positive skin — never under a cost model) and
-	// local effects. The decision is a pure function of the model, index
-	// kind and cost model, so every process of a distributed run takes the
-	// same branch.
-	if !e.nonLocal && e.parts[0].cached != nil {
-		e.overlap = true
-		e.obufs = make([]overlapBufs, opts.Workers)
-	}
-
 	job := mapreduce.Job[*Envelope]{
-		Name:    s.Name,
-		Map:     e.mapPhase,
-		Reduce1: e.reduce1,
-		SizeOf:  func(*Envelope) int { return s.ByteSize() },
-		Clone:   cloneEnvelope,
+		Name:         s.Name,
+		Map:          e.mapPhase,
+		Reduce1Early: e.reduce1Early,
+		Reduce1:      e.reduce1Late,
+		SizeOf:       func(*Envelope) int { return s.ByteSize() },
+		Clone:        cloneEnvelope,
 	}
 	if e.nonLocal {
 		job.Reduce2 = e.reduce2
-	}
-	if e.overlap {
-		job.Reduce1 = nil
-		job.Reduce1Early = e.reduce1Early
-		job.Reduce1Late = e.reduce1Late
 	}
 	cfg := mapreduce.Config{
 		Workers:               opts.Workers,
@@ -270,46 +259,6 @@ func (e *Distributed) mapPhase(ctx *mapreduce.Ctx, env *Envelope, emit mapreduce
 		}
 		emit(q, &Envelope{A: env.A.Clone(), Replica: true, SrcPart: int32(owner)})
 	}
-}
-
-// reduce1 is reduceᵗ₁. In local mode it runs the full query phase and the
-// update phase for owned agents. In non-local mode it runs the query phase
-// (assigning effects to local copies) and ships partial aggregates to the
-// owners for reduce₂.
-func (e *Distributed) reduce1(ctx *mapreduce.Ctx, envs []*Envelope, emit mapreduce.Emit[*Envelope]) {
-	w := ctx.Worker
-	owned, ownedSlots, _ := e.prepare(w, envs)
-	visited := e.parts[w].query(ownedSlots, nil)
-	e.wVisited[w] += visited
-	e.wOwned[w] += int64(len(owned))
-	if e.vclock != nil {
-		e.vclock.ChargeCompute(cluster.NodeID(w), visited, int64(len(owned)))
-	}
-
-	if !e.nonLocal {
-		for _, oe := range owned {
-			e.updateAndEmit(ctx, oe, emit)
-		}
-		return
-	}
-
-	// Non-local: route every touched copy to its owner for global ⊕.
-	for _, env := range envs {
-		if !env.Replica {
-			env.SrcPart = int32(w)
-			emit(int(ownerOf(e.part, e.schema, env)), env)
-			continue
-		}
-		if effectsAreIdentity(e.combs, env.A.Effect) {
-			continue // untouched replica: nothing to aggregate
-		}
-		env.SrcPart = int32(w)
-		emit(int(ownerOf(e.part, e.schema, env)), env)
-	}
-}
-
-func ownerOf(p *partition.Strips, s *agent.Schema, env *Envelope) int32 {
-	return int32(p.Locate(env.A.Pos(s)))
 }
 
 // reduce2 is reduceᵗ₂: global effect aggregation ⊕ followed by the update

@@ -221,13 +221,61 @@ func TestSequentialMatchesDistributedLocal(t *testing.T) {
 	}
 }
 
+// KD and scan runs are bit-identical for local and non-local models alike;
+// the load-balanced runs add ticks whose owned agents migrate between
+// partitions, which a non-local model probes in ascending ID order with the
+// core.
 func TestIndexKindsAgreeExactly(t *testing.T) {
-	m := newFlockModel(8)
-	base := makePop(m.s, 100, 50, 2)
-	var ref agent.Population
-	for i, kind := range []spatial.Kind{spatial.KindScan, spatial.KindKDTree} {
+	flock, push := newFlockModel(8), newPushModel(6)
+	lb := Tunables{EpochTicks: 3}
+	for _, tc := range []struct {
+		name string
+		m    Model
+		base []*agent.Agent
+		opts Options
+	}{
+		{"flock", flock, makePop(flock.s, 100, 50, 2), Options{}},
+		{"push", push, makePop(push.s, 80, 40, 4), Options{}},
+		{"push/lb", push, makePop(push.s, 80, 40, 4), Options{LoadBalance: true, Tunables: lb}},
+	} {
+		var ref agent.Population
+		for i, kind := range []spatial.Kind{spatial.KindScan, spatial.KindKDTree} {
+			opts := tc.opts
+			opts.Workers, opts.Index, opts.Seed = 3, kind, 7
+			e, err := NewDistributed(tc.m, clonePop(tc.base), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := e.RunTicks(testTicks); err != nil {
+				t.Fatal(err)
+			}
+			if opts.LoadBalance && !slices.ContainsFunc(e.Epochs(), func(s EpochStat) bool { return s.Rebalanced }) {
+				t.Fatalf("%s/%s: no rebalance, so no migrant tick", tc.name, kind)
+			}
+			if i == 0 {
+				ref = e.Agents()
+			} else {
+				popsExactlyEqual(t, tc.name+"/"+kind.String(), ref, e.Agents())
+			}
+		}
+	}
+}
+
+// Unbounded visibility replicates every agent to every partition and never
+// splits the tick: each probe returns core ∪ halo in ID order.
+func TestDistributedUnboundedVisibility(t *testing.T) {
+	m := newFlockModel(0)
+	base := makePop(m.s, 60, 40, 6)
+	seq, err := NewSequential(m, clonePop(base), spatial.KindKDTree, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := seq.RunTicks(testTicks); err != nil {
+		t.Fatal(err)
+	}
+	for _, kind := range []spatial.Kind{spatial.KindKDTree, spatial.KindScan} {
 		e, err := NewDistributed(m, clonePop(base), Options{
-			Workers: 3, Index: kind, Seed: 7,
+			Workers: 3, Index: kind, Seed: 11, LoadBalance: true, Tunables: Tunables{EpochTicks: 3},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -235,11 +283,7 @@ func TestIndexKindsAgreeExactly(t *testing.T) {
 		if err := e.RunTicks(testTicks); err != nil {
 			t.Fatal(err)
 		}
-		if i == 0 {
-			ref = e.Agents()
-		} else {
-			popsExactlyEqual(t, kind.String(), ref, e.Agents())
-		}
+		popsExactlyEqual(t, "unbounded "+kind.String(), seq.Agents(), e.Agents())
 	}
 }
 
@@ -285,15 +329,21 @@ func TestNonLocalSequentialVsDistributed(t *testing.T) {
 	popsExactlyEqual(t, "nonlocal 1-worker", seq.Agents(), one.Agents())
 
 	// Many workers: the global ⊕ folds per-partition partials, so agree
-	// only up to floating-point reassociation.
-	four, err := NewDistributed(m, clonePop(base), Options{Workers: 4, Index: spatial.KindKDTree, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
+	// only up to floating-point reassociation. Under load balancing the
+	// tick after a cut change also ships the replicas a partition sent
+	// itself of agents it just gave up.
+	for _, lb := range []bool{false, true} {
+		four, err := NewDistributed(m, clonePop(base), Options{
+			Workers: 4, Index: spatial.KindKDTree, Seed: 5, LoadBalance: lb, Tunables: Tunables{EpochTicks: 3},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := four.RunTicks(testTicks); err != nil {
+			t.Fatal(err)
+		}
+		popsApproxEqual(t, "nonlocal 4-worker", seq.Agents(), four.Agents(), 1e-7)
 	}
-	if err := four.RunTicks(testTicks); err != nil {
-		t.Fatal(err)
-	}
-	popsApproxEqual(t, "nonlocal 4-worker", seq.Agents(), four.Agents(), 1e-7)
 }
 
 func TestNonLocalAssignPanicsInLocalModel(t *testing.T) {
@@ -596,8 +646,14 @@ func TestSequentialStatsAccessors(t *testing.T) {
 
 func TestOptionsValidation(t *testing.T) {
 	m := newFlockModel(5)
-	if _, err := NewDistributed(m, nil, Options{Workers: 0}); err == nil {
-		t.Error("zero workers accepted")
+	for _, opts := range []Options{
+		{Workers: 0},
+		{Workers: 1, Tunables: Tunables{EpochTicks: -3}},
+		{Workers: 1, Tunables: Tunables{CheckpointEveryEpochs: -1}},
+	} {
+		if _, err := NewDistributed(m, nil, opts); err == nil {
+			t.Errorf("%+v accepted", opts)
+		}
 	}
 	bad := agent.NewSchema("NoPos")
 	bad.AddState("q", true)

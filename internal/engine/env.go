@@ -26,12 +26,12 @@ import (
 type queryEnv struct {
 	// Bound per pass by part.query.
 	c      *core
-	ix     spatial.Index        // built over copies (Point.ID = slot)
-	cached *spatial.CachedIndex // non-nil: ix is the cached KD-tree
+	ix     spatial.Index        // plain index over copies (Point.ID = slot); nil when cached
+	cached *spatial.CachedIndex // the cached KD-tree over copies, or nil
 	copies []*agent.Agent       // ID-sorted core copies
 	cols   [][]float64          // columnar models: per-state-field columns over all rows
 	lists  bool                 // the tick's build carries Verlet candidate lists
-	// halo is non-nil only in the overlapped late pass: the index covers the
+	// halo is non-nil only in the late (boundary) pass: the index covers the
 	// core (self-sent) copies and probes join in the peer-sent ones.
 	halo *haloJoin
 	// The pass's ID order: coreRank[slot] is the slot's rank among the agent
@@ -43,7 +43,7 @@ type queryEnv struct {
 	self *agent.Agent
 	slot int32 // self's core slot (-1: self is a halo row)
 
-	visited int64 // candidates the cached paths examined (Visited gauge)
+	visited int64 // candidates the probes examined (Visited gauge)
 	cost    int64 // rows returned to the model: the load balancer's input
 	// out[d] holds the result rows of the probe issued at closure-iteration
 	// depth d. A probe made from inside a ForEachVisible/Nearby callback
@@ -101,14 +101,8 @@ func (q *queryEnv) visible() []int32 {
 	if vis := q.c.schema.Visibility; vis > 0 {
 		return q.rows(vis)
 	}
-	// Unbounded visibility never coexists with a halo (the overlapped path
-	// requires the cached index, which requires a bound), so all rows are
-	// the core rows.
-	out := q.buf()
-	for i := range q.copies {
-		out = append(out, int32(i))
-	}
-	return q.done(out)
+	// Unbounded: every row of the pass, core ∪ halo in ID order.
+	return q.done(append(q.buf(), q.rankRow...))
 }
 
 // nearby is visible restricted to the given radius (cropped to the
@@ -139,11 +133,10 @@ func (q *queryEnv) nearby(radius float64) []int32 {
 // no halo whose result is small next to the bitset (see bitsetOrders): a
 // comparison sort of a handful of slots beats scanning every word.
 //
-// Two counters live here and nowhere else (a plain index counts its own
-// probes). visited is the cached paths' share of the Visited gauge: candidates
-// examined, which depends on the source picked above. cost counts the rows
-// returned, which does not — every source yields exactly the agents within
-// radius — and is what the load balancer is charged (see
+// Two counters live here and nowhere else. visited is the Visited gauge:
+// candidates examined, which depends on the source picked above. cost
+// counts the rows returned, which does not — every source yields exactly
+// the agents within radius — and is what the load balancer is charged (see
 // Distributed.PartitionCost).
 func (q *queryEnv) rows(radius float64) []int32 {
 	out := q.buf()
@@ -195,9 +188,11 @@ func (q *queryEnv) rows(radius float64) []int32 {
 		} else {
 			d := q.depth
 			q.out[d] = out
+			before := q.ix.Stats().Visited //bracevet:allow indexstats metrics-only: the probe's share of the Visited gauge
 			q.ix.RangeCircle(pos, radius, func(p spatial.Point) {
 				q.out[d] = append(q.out[d], p.ID)
 			})
+			q.visited += q.ix.Stats().Visited - before //bracevet:allow indexstats metrics-only: Visited gauge
 			out = q.out[d]
 		}
 		if q.halo == nil && !bitsetOrders(len(out), len(q.rankRow)) {

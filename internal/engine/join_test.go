@@ -77,9 +77,7 @@ func (src joinSource) part(c *core) *part {
 	case fromLists:
 		return c.newPart(spatial.KindKDTree, skin)
 	case fromWalk:
-		p := &part{c: c, cached: spatial.NewCached(0, skin)}
-		p.ix = p.cached
-		return p
+		return &part{c: c, cached: spatial.NewCached(0, skin)}
 	}
 	return c.newPart(spatial.KindKDTree, 0)
 }

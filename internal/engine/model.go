@@ -17,8 +17,10 @@
 // and a part runs build → query → update over one ID-sorted copy set. The
 // engines differ only in scheduling. Sequential has one part covering the
 // world; Distributed has one per partition and keeps what is its own:
-// replication, interior/boundary classification and halo assembly for the
-// overlapped tick (overlap.go), emit routing, non-local effect shipping.
+// replication, and one reduce₁ of two passes (overlap.go) — an interior
+// pass in the map phase's network window, then a boundary pass over core
+// ∪ halo that updates owned agents or, for non-local effects, ships
+// partials to reduce₂.
 // Every probe, from either query API, goes through one candidate-selection
 // core (queryEnv.rows in env.go).
 package engine

@@ -1,27 +1,36 @@
-// The overlapped two-pass tick. A bulk-synchronous tick wastes the map
-// phase's network window: every worker blocks at the phase barrier until
-// all peer envelopes arrive, even though most of its owned agents cannot
-// see across a partition cut and need nothing from the wire. The split
-// reduce computes those agents while boundary envelopes are in flight:
+// The two-pass tick, the engine's one reduceᵗ₁. A bulk-synchronous tick
+// wastes the map phase's network window: every worker blocks at the phase
+// barrier until all peer envelopes arrive, even though most of its owned
+// agents cannot see across a partition cut and need nothing from the wire.
+// The split reduce computes those agents while boundary envelopes are in
+// flight:
 //
 //	map (distribute/replicate)  ──FlushPhase──►  peers' markers in flight
 //	  early pass: build core index over self-sent envelopes,
 //	              classify interior vs boundary, probe interior
 //	──AwaitPhase──►  phase drained
 //	  late pass:  probe boundary + halo-owned agents against core ∪ halo,
-//	              update all owned agents in ascending ID order
+//	              then update all owned agents in ascending ID order, or
+//	              ship non-local partials to reduceᵗ₂
 //
 // The split changes scheduling, never results: interior agents are
 // exactly those whose visibility disc lies strictly inside the strip, so
 // their candidate sets cannot contain a peer-sent copy, and the late
 // pass's probes join core and halo candidates by ID rank (haloJoin, the
 // rank bitset in queryEnv.rows) — the same ascending-ID visible sequence
-// a single combined index produces. Update order is immaterial
-// (state-effect pattern; per-agent RNG is a function of (seed, tick, ID)),
-// so the final state is bit-identical to the single-pass engine's.
+// one index over every copy produces. Update order is immaterial
+// (state-effect pattern; per-agent RNG is a function of (seed, tick, ID)).
+// An unsplit tick probes every owned agent in the late pass, in ascending
+// ID order.
 package engine
 
-import "github.com/bigreddata/brace/internal/mapreduce"
+import (
+	"cmp"
+	"slices"
+
+	"github.com/bigreddata/brace/internal/cluster"
+	"github.com/bigreddata/brace/internal/mapreduce"
+)
 
 // neverTick is the "no tick" sentinel for noSplitTick.
 const neverTick = ^uint64(0)
@@ -29,37 +38,40 @@ const neverTick = ^uint64(0)
 // overlapBufs carries one partition's state from the early to the late
 // pass of a tick. Reused every tick; purely allocation avoidance.
 type overlapBufs struct {
-	split     bool // this tick's interior pass ran (no recent cut change)
-	coreOwned []*Envelope
-	interior  []int32 // owned slots probed by the early pass
-	boundary  []int32 // owned rows deferred to the late pass
+	split    bool        // this tick's interior pass ran
+	core     []*Envelope // every self-sent envelope, ID-sorted: core[slot]
+	owned    []*Envelope // the owned envelopes, ascending ID
+	interior []int32     // owned slots probed by the early pass
+	boundary []int32     // owned rows deferred to the late pass
+	visited  int64       // candidates the early pass's probes examined
 
-	halo      haloJoin    // every peer-sent copy, ID-sorted, indexed for the boundary probes
-	haloOwned []*Envelope // non-replica members of the halo (post-cut-change migrants)
+	halo haloJoin // every peer-sent copy, ID-sorted, indexed for the boundary probes
 }
 
-// reduce1Early is the interior pass of the overlapped reduceᵗ₁, running in
-// the window between the map phase's local flush and the peer barrier on
-// exactly the envelopes this partition sent to itself. Owned agents always
-// self-send — an agent's owner at map time is the partition that just
-// updated it — except on the one tick right after a live cut change, so
-// self is the full owned set whenever the split is allowed. The pass
-// builds the core index over self and probes the agents whose visibility
-// disc lies strictly inside the partition's strip: those can never see a
-// peer-sent copy, so their query phases are exact without the halo.
+// reduce1Early is the interior pass of reduceᵗ₁, running in the window
+// between the map phase's local flush and the peer barrier on exactly the
+// envelopes this partition sent to itself. Owned agents always self-send —
+// an agent's owner at map time is the partition that just updated it —
+// except on the one tick right after a live cut change, so self is the
+// full owned set whenever the split is allowed. The pass builds the core
+// index over self and probes the agents whose visibility disc lies
+// strictly inside the partition's strip: those can never see a peer-sent
+// copy, so their query phases are exact without the halo.
 func (e *Distributed) reduce1Early(ctx *mapreduce.Ctx, self []*Envelope) {
 	w := ctx.Worker
 	ob := &e.obufs[w]
-	coreOwned, ownedSlots, built := e.prepare(w, self)
-	ob.coreOwned = coreOwned
+	owned, ownedSlots, built := e.prepare(w, self)
+	ob.core, ob.owned = self, owned
 	e.wVisited[w] += built // the gauge counts the core list build
-	ob.split = ctx.Tick != e.noSplitTick
+	vis := e.schema.Visibility
+	ob.split = ctx.Tick != e.noSplitTick && !e.nonLocal && vis > 0
 	ob.interior = ob.interior[:0]
 	ob.boundary = ob.boundary[:0]
+	ob.visited = 0
 	if !ob.split {
-		// First tick under freshly installed cuts: owned agents may still
-		// be in flight from their previous owners, so every probe must
-		// wait for the halo.
+		// Every probe waits for the halo: right after a cut change owned
+		// agents may still be in flight, unbounded visibility crosses every
+		// cut, and non-local effects must fold in one ascending-ID sweep.
 		ob.boundary = append(ob.boundary, ownedSlots...)
 		return
 	}
@@ -73,7 +85,6 @@ func (e *Distributed) reduce1Early(ctx *mapreduce.Ctx, self []*Envelope) {
 	// reduces to the two cuts. Sound because Strips.Locate compares x
 	// against the exact cut values Region returns.
 	region := e.part.Region(w)
-	vis := e.schema.Visibility
 	p := e.parts[w]
 	for _, slot := range ownedSlots {
 		pos := p.copies[slot].Pos(e.schema)
@@ -84,17 +95,19 @@ func (e *Distributed) reduce1Early(ctx *mapreduce.Ctx, self []*Envelope) {
 			ob.boundary = append(ob.boundary, slot)
 		}
 	}
-	e.wVisited[w] += p.query(ob.interior, nil)
+	ob.visited = p.query(ob.interior, nil)
+	e.wVisited[w] += ob.visited
 }
 
-// reduce1Late finishes the overlapped reduceᵗ₁ once the map phase has
-// fully drained. rest holds everything peers sent this partition: replica
-// copies and, on the tick right after a cut change, owned agents arriving
-// from their previous owners. The halo is indexed once (haloJoin.build: ID
-// ranks against the core, a cell grid over the positions), boundary and
-// halo-owned query phases probe core and halo together, then the update
-// phase runs for all owned agents in ascending ID order — exactly the
-// single-pass engine's visible sequences and fold orders.
+// reduce1Late finishes reduceᵗ₁ once the map phase has fully drained. rest
+// holds everything peers sent this partition: replica copies and, on the
+// tick right after a cut change, owned agents arriving from their previous
+// owners. The halo is indexed once (haloJoin.build: ID ranks against the
+// core, a cell grid over the positions), boundary and halo-owned query
+// phases probe core and halo together, and the tick's compute is charged
+// to the virtual clock as one superstep. Then local effects update every
+// owned agent; non-local effects route every owned copy and every touched
+// replica to its owner for the global ⊕ of reduceᵗ₂.
 func (e *Distributed) reduce1Late(ctx *mapreduce.Ctx, rest []*Envelope, emit mapreduce.Emit[*Envelope]) {
 	w := ctx.Worker
 	ob := &e.obufs[w]
@@ -102,19 +115,35 @@ func (e *Distributed) reduce1Late(ctx *mapreduce.Ctx, rest []*Envelope, emit map
 
 	sortByID(rest)
 	ob.halo.agents = ob.halo.agents[:0]
-	ob.haloOwned = ob.haloOwned[:0]
 	ncore := int32(len(p.copies))
+	migrants := false
 	for j, env := range rest {
 		if !env.Replica {
 			if ob.split {
 				panic("engine: owned envelope arrived from a peer on a split tick")
 			}
 			// A migrant owned agent has no core slot: it probes as halo
-			// row j, after the boundary slots.
-			ob.haloOwned = append(ob.haloOwned, env)
+			// row j.
 			ob.boundary = append(ob.boundary, ncore+int32(j))
+			migrants = true
 		}
 		ob.halo.agents = append(ob.halo.agents, env.A)
+	}
+	if migrants {
+		// The tick is unsplit, so boundary is every owned row: ordered by
+		// agent ID it is the probe order a non-local model's effects fold
+		// in, and the update order.
+		envAt := func(row int32) *Envelope {
+			if row < ncore {
+				return ob.core[row]
+			}
+			return rest[row-ncore]
+		}
+		slices.SortFunc(ob.boundary, func(a, b int32) int { return cmp.Compare(envAt(a).A.ID, envAt(b).A.ID) })
+		ob.owned = ob.owned[:0]
+		for _, row := range ob.boundary {
+			ob.owned = append(ob.owned, envAt(row))
+		}
 	}
 	ob.halo.build(e.schema, p.keys)
 	if e.colM != nil {
@@ -122,23 +151,32 @@ func (e *Distributed) reduce1Late(ctx *mapreduce.Ctx, rest []*Envelope, emit map
 		// can read their state through the columns.
 		p.cols = appendHaloCols(p.cols, ob.halo.agents)
 	}
-	e.wVisited[w] += p.query(ob.boundary, &ob.halo)
-	e.wOwned[w] += int64(len(ob.coreOwned) + len(ob.haloOwned))
+	visited := p.query(ob.boundary, &ob.halo)
+	e.wVisited[w] += visited
+	e.wOwned[w] += int64(len(ob.owned))
+	if e.vclock != nil {
+		e.vclock.ChargeCompute(cluster.NodeID(w), ob.visited+visited, int64(len(ob.owned)))
+	}
+	core, owned := ob.core, ob.owned
+	ob.core, ob.owned = nil, nil
 
-	// Update phase for all owned agents, merging the two ID-sorted owned
-	// sets in ascending ID order.
-	co, ho := ob.coreOwned, ob.haloOwned
-	i, j := 0, 0
-	for i < len(co) || j < len(ho) {
-		if j >= len(ho) || (i < len(co) && co[i].A.ID < ho[j].A.ID) {
-			e.updateAndEmit(ctx, co[i], emit)
-			i++
-		} else {
-			e.updateAndEmit(ctx, ho[j], emit)
-			j++
+	if !e.nonLocal {
+		for _, oe := range owned {
+			e.updateAndEmit(ctx, oe, emit)
+		}
+		return
+	}
+	// Core and halo alike: right after a cut change a partition may
+	// replicate an agent it just gave up to itself.
+	for _, envs := range [2][]*Envelope{core, rest} {
+		for _, env := range envs {
+			if env.Replica && effectsAreIdentity(e.combs, env.A.Effect) {
+				continue // untouched replica: nothing to aggregate
+			}
+			env.SrcPart = int32(w)
+			emit(e.part.Locate(env.A.Pos(e.schema)), env)
 		}
 	}
-	ob.coreOwned = nil
 }
 
 // StartBarrierPrebuild runs the next tick's core builds on a background
@@ -151,11 +189,8 @@ func (e *Distributed) reduce1Late(ctx *mapreduce.Ctx, rest []*Envelope, emit map
 // nor the balancer's cost can tell whether this ran. prepare sorts in place
 // and a checkpoint may still be serializing the live values, so each build
 // works on a copy of the slice. The returned join must be called before the
-// engine ticks again or is restored. No-op when the overlapped path is off.
+// engine ticks again or is restored.
 func (e *Distributed) StartBarrierPrebuild() (join func()) {
-	if !e.overlap {
-		return func() {}
-	}
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -166,7 +201,3 @@ func (e *Distributed) StartBarrierPrebuild() (join func()) {
 	}()
 	return func() { <-done }
 }
-
-// Overlapped reports whether the two-pass (interior/boundary) tick is
-// active.
-func (e *Distributed) Overlapped() bool { return e.overlap }

@@ -6,11 +6,11 @@ import (
 	"github.com/bigreddata/brace/internal/spatial"
 )
 
-// The overlapped two-pass tick changes scheduling, never results: the
-// KindScan run of the same options fails the gate (no cached index), so it
-// takes the single-pass tick, and both must be bit-identical to each other
-// and to the sequential engine at every worker count, including under load
-// balancing where live cut changes force no-split ticks.
+// The two-pass tick changes scheduling, never results: the KindScan run of
+// the same options splits over an uncached index, the KD run over the
+// cached one, and both must be bit-identical to each other and to the
+// sequential engine at every worker count, including under load balancing
+// where live cut changes force no-split ticks.
 func TestOverlapAblationBitIdentical(t *testing.T) {
 	m := newFlockModel(8)
 	base := makePop(m.s, 140, 60, 9)
@@ -42,20 +42,14 @@ func TestOverlapAblationBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !on.Overlapped() {
-				t.Fatalf("%s/%dw: overlap off despite KD strips local-effect config", tc.name, workers)
-			}
-			if off.Overlapped() {
-				t.Fatalf("%s/%dw: overlap on without a cached index", tc.name, workers)
-			}
 			if err := on.RunTicks(testTicks); err != nil {
 				t.Fatal(err)
 			}
 			if err := off.RunTicks(testTicks); err != nil {
 				t.Fatal(err)
 			}
-			popsExactlyEqual(t, tc.name+" overlapped vs single-pass", off.Agents(), on.Agents())
-			popsExactlyEqual(t, tc.name+" overlapped vs sequential", seq.Agents(), on.Agents())
+			popsExactlyEqual(t, tc.name+" KD vs scan", off.Agents(), on.Agents())
+			popsExactlyEqual(t, tc.name+" KD vs sequential", seq.Agents(), on.Agents())
 		}
 	}
 }
@@ -82,11 +76,8 @@ func TestOverlapTickAcrossParallelism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !dist.Overlapped() {
-		t.Fatal("overlap expected on")
-	}
 	if err := dist.RunTicks(testTicks); err != nil {
 		t.Fatal(err)
 	}
-	popsExactlyEqual(t, "seq vs overlapped dist", seq.Agents(), dist.Agents())
+	popsExactlyEqual(t, "seq vs two-pass dist", seq.Agents(), dist.Agents())
 }

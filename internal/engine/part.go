@@ -84,8 +84,8 @@ func (c *core) ThroughputWall() float64 {
 // running several parts (Options.Workers) at once.
 type part struct {
 	c      *core
-	ix     spatial.Index
-	cached *spatial.CachedIndex // non-nil: ix is the cached KD-tree
+	ix     spatial.Index        // the plain index; nil when cached is set
+	cached *spatial.CachedIndex // the cached KD-tree, or nil
 	env    queryEnv             // the part's probe env, rebound per pass
 	uctx   UpdateCtx            // reused across agents; reset re-seeds per agent
 	// cost is the load balancer's input: the rows this part's probes have
@@ -106,7 +106,6 @@ func (c *core) newPart(index spatial.Kind, skin float64) *part {
 	p := &part{c: c}
 	if skin > 0 {
 		p.cached = spatial.NewCached(cacheProbeRadius(c.schema), skin)
-		p.ix = p.cached
 	} else {
 		p.ix = spatial.New(index)
 	}
@@ -142,23 +141,24 @@ func cacheProbeRadius(s *agent.Schema) float64 {
 // with sub-skin motion reuses its candidate lists. Keys are agent IDs and
 // probe is the set of slots that will query (nil = all): any membership or
 // ownership change rebuilds, drift beyond skin/2 rebuilds, everything else
-// reuses. Columnar models gather their state columns first so the build
-// reads the position columns instead of walking the agents again. Returns
-// the candidates the cached index visited constructing lists (0 on reuse),
-// for the Visited gauge.
+// reuses. The keys also rank the core against the late pass's halo
+// (haloJoin.build), so every build fills them. Columnar models gather
+// their state columns first so the build reads the position columns
+// instead of walking the agents again. Returns the candidates the cached
+// index visited constructing lists (0 on reuse), for the Visited gauge.
 func (p *part) build(copies []*agent.Agent, probe []int32) int64 {
 	s := p.c.schema
 	p.copies = copies
 	if p.c.colM != nil {
 		p.cols = gatherCols(p.cols, s, copies)
 	}
-	if p.cached == nil {
-		p.ix.Build(p.points())
-		return 0
-	}
 	p.keys = resize(p.keys, len(copies))
 	for i, a := range copies {
 		p.keys[i] = int64(a.ID)
+	}
+	if p.cached == nil {
+		p.ix.Build(p.points())
+		return 0
 	}
 	before := p.cached.Stats().Visited //bracevet:allow indexstats metrics-only: the build's share of the Visited gauge
 	if p.c.colM != nil {
@@ -190,7 +190,7 @@ func (p *part) allSlots(n int) []int32 {
 // query runs the query phase for the given rows of the last build, adds
 // the rows its probes returned to the part's cost, and returns the
 // candidates the index examined (the Visited gauge). A row below
-// len(copies) is a core slot; the overlapped late pass also passes halo
+// len(copies) is a core slot; the late (boundary) pass also passes halo
 // rows (len(copies)+j: an owned agent that arrived from a peer) along with
 // the halo join, whose copies probes then find beside the core's.
 func (p *part) query(rows []int32, halo *haloJoin) int64 {
@@ -208,7 +208,6 @@ func (p *part) query(rows []int32, halo *haloJoin) int64 {
 	q.words = resize(q.words, (len(q.rankRow)+63)/64)
 	clear(q.words)
 	ncore := int32(len(p.copies))
-	before := p.ix.Stats().Visited //bracevet:allow indexstats metrics-only: the probes' share of the Visited gauge
 	for _, row := range rows {
 		q.self, q.slot = q.agentAt(row), row
 		if row >= ncore {
@@ -220,9 +219,7 @@ func (p *part) query(rows []int32, halo *haloJoin) int64 {
 			c.model.Query(q.self, q)
 		}
 	}
-	// Uncached indexes count their own probes; the cached paths account in
-	// the env.
-	visited := p.ix.Stats().Visited - before + q.visited //bracevet:allow indexstats metrics-only: Visited gauge
+	visited := q.visited
 	p.cost += q.cost
 	q.visited, q.cost = 0, 0
 	return visited

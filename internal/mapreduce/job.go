@@ -58,20 +58,16 @@ type Job[V any] struct {
 	// runs the query phase (reduceᵗ₁). With no Reduce2, its emissions
 	// become next tick's values at their destination partitions. With a
 	// Reduce2, its emissions are the partially aggregated effect values
-	// routed to owning partitions.
+	// routed to owning partitions. When Reduce1Early is set, Reduce1 runs
+	// once the phase has fully drained and receives only the values Early
+	// did not: those sent by peers.
 	Reduce1 func(ctx *Ctx, values []V, emit Emit[V])
 
-	// Reduce1Early and Reduce1Late, when set (always together, and only
-	// without Reduce2), split the query phase into an overlapped two-pass
-	// reduce. Early runs per worker on just the values the worker sent to
-	// *itself* during map, in the window between the map phase's
-	// FlushPhase and AwaitPhase — i.e. while peer envelopes are still in
-	// flight — and may not emit. Late runs in Reduce1's place once the
-	// phase has fully drained, receiving the remaining (peer-sent)
-	// values; its emissions become next tick's values. Reduce1 is ignored
-	// when the pair is set.
+	// Reduce1Early, when non-nil, is a window hook of the query phase: it
+	// runs per worker on just the values the worker sent to *itself* during
+	// map, between the map phase's FlushPhase and AwaitPhase — i.e. while
+	// peer values are still in flight — and may not emit.
 	Reduce1Early func(ctx *Ctx, self []V)
-	Reduce1Late  func(ctx *Ctx, rest []V, emit Emit[V])
 
 	// Reduce2, when non-nil, performs the global effect aggregation ⊕
 	// (reduceᵗ₂). Its emissions become next tick's values. The identity

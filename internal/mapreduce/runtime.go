@@ -36,14 +36,8 @@ func New[V any](job Job[V], cfg Config) *Runtime[V] {
 	if cfg.Workers < 1 {
 		panic("mapreduce: Workers must be ≥ 1")
 	}
-	if job.Map == nil || (job.Reduce1 == nil && job.Reduce1Early == nil) {
-		panic("mapreduce: job needs Map and Reduce1 (or the Reduce1Early/Late pair)")
-	}
-	if (job.Reduce1Early == nil) != (job.Reduce1Late == nil) {
-		panic("mapreduce: Reduce1Early and Reduce1Late must be set together")
-	}
-	if job.Reduce1Early != nil && job.Reduce2 != nil {
-		panic("mapreduce: overlapped reduce1 is incompatible with Reduce2")
+	if job.Map == nil || job.Reduce1 == nil {
+		panic("mapreduce: job needs Map and Reduce1")
 	}
 	if cfg.EpochTicks <= 0 {
 		cfg.EpochTicks = 10
@@ -251,14 +245,10 @@ func (r *Runtime[V]) runTick() error {
 			r.job.Map(ctx, v, emit)
 		}
 	}
-	reduce1 := r.job.Reduce1
-	if r.job.Reduce1Early != nil {
-		reduce1 = r.job.Reduce1Late
-	}
 	if err := r.phase(tagMapOut, mapAll, r.job.Reduce1Early); err != nil {
 		return err
 	}
-	if err := r.phase(tagReduce1Out, reduce1, nil); err != nil {
+	if err := r.phase(tagReduce1Out, r.job.Reduce1, nil); err != nil {
 		return err
 	}
 	if r.job.Reduce2 != nil {

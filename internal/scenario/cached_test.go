@@ -76,9 +76,8 @@ func TestCachedQueryEquivalence(t *testing.T) {
 // see: its cost input is the rows probes return, a function of agent state
 // and cuts alone, so for every registered scenario the per-partition cost
 // of every epoch, the cuts the balancer then picks and the final state are
-// identical between the cached KD-tree (overlapped two-pass tick where the
-// gate admits it) and the KindScan reference (never cached, always
-// single-pass). Charged index candidates instead — as the engine once was —
+// identical between the cached KD-tree and the KindScan reference (never
+// cached). Charged index candidates instead — as the engine once was —
 // the two indexes examine different counts and pick different cuts.
 // Identical cuts mean identical fold groupings, so non-local scenarios are
 // exact here too.

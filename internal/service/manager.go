@@ -232,6 +232,21 @@ func (m *Manager) normalize(spec RunSpec) (RunSpec, error) {
 	if spec.Agents > distrib.MaxAgents {
 		return spec, fmt.Errorf("service: %d agents over the limit of %d", spec.Agents, distrib.MaxAgents)
 	}
+	// Zero selects a default for each of these; a negative value is a
+	// mistake, not a request for one.
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"agents", spec.Agents},
+		{"epoch_ticks", spec.EpochTicks},
+		{"checkpoint_epochs", spec.CheckpointEpochs},
+		{"checkpoint_full_every", spec.CheckpointFullEvery},
+	} {
+		if f.v < 0 {
+			return spec, fmt.Errorf("service: negative %s %d", f.name, f.v)
+		}
+	}
 	fleetN := m.fleetSize()
 	if spec.Workers == 0 {
 		if spec.Workers = m.cfg.DefaultRunWorkers; spec.Workers <= 0 || spec.Workers > fleetN {

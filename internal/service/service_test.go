@@ -202,6 +202,10 @@ func TestSubmitValidation(t *testing.T) {
 		{"bad index", RunSpec{Scenario: "fish", Ticks: 5, Index: "btree"}},
 		{"partitions over limit", RunSpec{Scenario: "fish", Ticks: 5, Partitions: 1 << 30}},
 		{"agents over limit", RunSpec{Scenario: "fish", Ticks: 5, Agents: 1 << 30}},
+		{"negative agents", RunSpec{Scenario: "fish", Ticks: 5, Agents: -5}},
+		{"negative epoch ticks", RunSpec{Scenario: "fish", Ticks: 5, EpochTicks: -3}},
+		{"negative checkpoint epochs", RunSpec{Scenario: "fish", Ticks: 5, CheckpointEpochs: -1}},
+		{"negative full-checkpoint interval", RunSpec{Scenario: "fish", Ticks: 5, CheckpointFullEvery: -1}},
 	} {
 		if _, err := m.Submit(tc.spec); err == nil {
 			t.Errorf("%s: accepted", tc.name)

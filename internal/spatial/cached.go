@@ -23,16 +23,17 @@ import (
 // CacheStats counts how BuildKeyed calls resolved: Builds is full rebuilds
 // (tree + candidate lists), Reuses is ticks served from cached lists.
 // Unlike Index.Stats on the base indexes, these counters — and the cached
-// index's Stats — accumulate across Build calls; callers take deltas.
+// index's Stats — accumulate across builds; callers take deltas.
 type CacheStats struct {
 	Builds int64
 	Reuses int64
 }
 
-// CachedIndex is a KD-tree with Verlet candidate-list reuse. It implements
-// Index (disc probes answer against the *current* positions, even when
-// the underlying tree holds stale build positions), plus the keyed build
-// and per-slot batched probe API the engines use.
+// CachedIndex is a KD-tree with Verlet candidate-list reuse: a keyed build
+// and two probe sources over slots — per-slot candidate lists and disc
+// probes (RangeCircleInto) that answer against the *current* positions,
+// even when the underlying tree holds stale build positions. It is not an
+// Index: every probe names slots, never caller point IDs.
 //
 // A CachedIndex is owned by one engine part: builds and queries run on the
 // goroutine that owns the part, never concurrently.
@@ -42,7 +43,6 @@ type CachedIndex struct {
 	skin     float64 // list inflation s; reuse while max displacement ≤ s/2
 
 	valid bool
-	keyed bool // last build carried caller keys (reuse is possible)
 	n     int
 
 	// Adaptive candidate-list gate. Workloads whose per-tick motion
@@ -63,7 +63,6 @@ type CachedIndex struct {
 	hasProbe bool       // probeSet was provided
 	built    []geom.Vec // positions at build, slot order
 	cur      []geom.Vec // current positions, slot order
-	ids      []int32    // caller Point.IDs, slot order
 	treePts  []Point    // tree's copy (reordered by its Build); ID = slot
 	pad      float64    // max displacement since build (disc-query inflation)
 
@@ -142,14 +141,15 @@ func (c *CachedIndex) HasLists() bool { return c.listsBuilt }
 // ProbeRadius returns the radius the candidate lists cover.
 func (c *CachedIndex) ProbeRadius() float64 { return c.probeRad }
 
-// BuildKeyed installs the tick's point set. keys[i] is a stable identity
-// for slot i (the engines pass agent IDs): when the keyed slot sequence is
-// unchanged since the last build, the probe set is the same, and no point
-// has moved more than s/2 from its build position, the cached tree and
-// candidate lists are reused and only current positions are refreshed.
-// Otherwise the tree is rebuilt and, when probeRad > 0, candidate lists
-// with radius probeRad+s are rebuilt for every probe slot (probe == nil
-// means every slot probes). Returns whether a rebuild happened.
+// BuildKeyed installs the tick's point set; point i is slot i (Point.ID is
+// ignored). keys[i] is a stable identity for slot i (the engines pass agent
+// IDs): when the keyed slot sequence is unchanged since the last build,
+// the probe set is the same, and no point has moved more than s/2 from its
+// build position, the cached tree and candidate lists are reused and only
+// current positions are refreshed. Otherwise the tree is rebuilt and, when
+// probeRad > 0, candidate lists with radius probeRad+s are rebuilt for
+// every probe slot (probe == nil means every slot probes). Returns whether
+// a rebuild happened.
 //
 // The caller's pts slice is copied, not retained or reordered.
 func (c *CachedIndex) BuildKeyed(pts []Point, keys []int64, probe []int32) bool {
@@ -191,18 +191,11 @@ func (c *CachedIndex) BuildKeyedCols(xs, ys []float64, keys []int64, probe []int
 	return c.BuildKeyed(c.colPts, keys, probe)
 }
 
-// Build implements Index: an unkeyed build always rebuilds (without
-// identity, reuse cannot be proven safe). The slice is not retained.
-func (c *CachedIndex) Build(pts []Point) {
-	c.rebuild(pts, nil, nil)
-	c.cs.Builds++
-}
-
 // tryReuse checks the reuse conditions and, when they hold, refreshes
 // current positions and the displacement pad.
 func (c *CachedIndex) tryReuse(pts []Point, keys []int64, probe []int32) bool {
-	if !c.valid || !c.keyed || c.skin <= 0 || keys == nil ||
-		len(pts) != c.n || len(keys) != c.n {
+	if !c.valid || c.skin <= 0 || keys == nil ||
+		len(pts) != c.n || len(keys) != c.n || len(c.keys) != c.n {
 		return false
 	}
 	for i, k := range keys {
@@ -230,7 +223,6 @@ func (c *CachedIndex) tryReuse(pts []Point, keys []int64, probe []int32) bool {
 	}
 	for i := range pts {
 		c.cur[i] = pts[i].Pos
-		c.ids[i] = pts[i].ID
 	}
 	if maxD2 > 0 {
 		c.pad = math.Sqrt(maxD2)
@@ -244,19 +236,16 @@ func (c *CachedIndex) rebuild(pts []Point, keys []int64, probe []int32) {
 	n := len(pts)
 	c.n = n
 	c.valid = true
-	c.keyed = keys != nil
 	c.pad = 0
 	c.keys = append(c.keys[:0], keys...)
 	c.probeSet = append(c.probeSet[:0], probe...)
 	c.hasProbe = probe != nil
 	c.built = grow(c.built, n)
 	c.cur = grow(c.cur, n)
-	c.ids = grow(c.ids, n)
 	c.treePts = grow(c.treePts, n)
 	for i, p := range pts {
 		c.built[i] = p.Pos
 		c.cur[i] = p.Pos
-		c.ids[i] = p.ID
 		c.treePts[i] = Point{Pos: p.Pos, ID: int32(i)}
 	}
 	c.tree.Build(c.treePts)
@@ -466,32 +455,19 @@ func (c *CachedIndex) SlotCandidates(slot int32) ([]int32, []geom.Vec) {
 // slots but not positions).
 func (c *CachedIndex) Current(i int32) geom.Vec { return c.cur[i] }
 
-// Stats implements Index. Counters accumulate across builds (see
-// CacheStats); list construction is included.
+// Stats returns the candidates list construction has visited. Counters
+// accumulate across builds (see CacheStats); probes are not counted.
 func (c *CachedIndex) Stats() Stats { return c.stats }
-
-// The disc queries below answer against *current* positions even when the
-// underlying tree holds stale build positions: the tree is probed with the
-// disc grown by the maximum displacement since build, then candidates
-// filter by where they are now — the queryEnv fallback when a probe exceeds
-// the candidate lists' radius.
-
-// RangeCircle implements Index against current positions.
-func (c *CachedIndex) RangeCircle(cen geom.Vec, rad float64, fn func(Point)) {
-	slots, visited := c.RangeCircleInto(cen, rad, nil)
-	c.stats.Visited += visited
-	for _, i := range slots {
-		fn(Point{Pos: c.cur[i], ID: c.ids[i]})
-	}
-}
 
 // RangeCircleInto appends the slots currently within rad of cen to the
 // caller-owned dst and returns (dst, candidates visited). It is the
 // engines' fallback when a probe is not served by the candidate lists:
 // stats-free (the caller accounts the visits), it reuses the caller's
-// buffer. Right after a
-// rebuild (pad 0) the tree's filter is already exact; on reuse ticks the
-// padded traversal re-filters by current position.
+// buffer. It answers against *current* positions even when the tree holds
+// stale build positions: right after a rebuild (pad 0) the tree's filter is
+// already exact; on reuse ticks the tree is probed with the disc grown by
+// the maximum displacement since build and candidates re-filter by where
+// they are now.
 func (c *CachedIndex) RangeCircleInto(cen geom.Vec, rad float64, dst []int32) ([]int32, int64) {
 	if c.pad == 0 {
 		return c.tree.rangeCircleSlots(cen, rad, dst)
@@ -508,5 +484,3 @@ func (c *CachedIndex) RangeCircleInto(cen geom.Vec, rad float64, dst []int32) ([
 	}
 	return dst[:kept], visited
 }
-
-var _ Index = (*CachedIndex)(nil)

@@ -2,6 +2,7 @@ package spatial
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/bigreddata/brace/internal/geom"
@@ -23,6 +24,14 @@ func slotCircle(c *CachedIndex, slot int32, rad float64) []int32 {
 	return ids
 }
 
+// cachedCircle answers a disc probe through RangeCircleInto, sorted by
+// slot (randomPoints' Point.ID).
+func cachedCircle(c *CachedIndex, cen geom.Vec, rad float64) []int32 {
+	slots, _ := c.RangeCircleInto(cen, rad, nil)
+	slices.Sort(slots)
+	return slots
+}
+
 func keysFor(pts []Point) []int64 {
 	keys := make([]int64, len(pts))
 	for i := range pts {
@@ -31,9 +40,8 @@ func keysFor(pts []Point) []int64 {
 	return keys
 }
 
-// TestCachedGenericMatchesOracle: after a plain (unkeyed) Build, the
-// cached index is just another Index and must agree with every other
-// implementation on random probes.
+// TestCachedGenericMatchesOracle: right after a build, disc probes must
+// agree with the scan oracle on random probes.
 func TestCachedGenericMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 25; trial++ {
@@ -42,13 +50,13 @@ func TestCachedGenericMatchesOracle(t *testing.T) {
 		oracle := NewScan()
 		oracle.Build(append([]Point(nil), base...))
 		cached := NewCached(12, 3)
-		cached.Build(append([]Point(nil), base...))
+		cached.BuildKeyed(append([]Point(nil), base...), keysFor(base), nil)
 
 		for q := 0; q < 15; q++ {
 			c := geom.V(rng.Float64()*70-5, rng.Float64()*70-5)
 			rad := rng.Float64() * 20
-			if got, want := collectCircle(cached, c, rad), collectCircle(oracle, c, rad); !idsEqual(got, want) {
-				t.Fatalf("RangeCircle mismatch: got=%v want=%v", got, want)
+			if got, want := cachedCircle(cached, c, rad), collectCircle(oracle, c, rad); !idsEqual(got, want) {
+				t.Fatalf("RangeCircleInto mismatch: got=%v want=%v", got, want)
 			}
 		}
 	}
@@ -56,7 +64,7 @@ func TestCachedGenericMatchesOracle(t *testing.T) {
 
 // TestCachedReuseRandomWalk drives the keyed build through a random walk
 // with steps below the reuse threshold and checks, at every tick, that
-// generic and slot probes agree with a fresh scan over the *current*
+// disc and slot probes agree with a fresh scan over the *current*
 // positions — stale tree and cached lists included.
 func TestCachedReuseRandomWalk(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
@@ -81,8 +89,8 @@ func TestCachedReuseRandomWalk(t *testing.T) {
 
 			c := geom.V(rng.Float64()*50-5, rng.Float64()*50-5)
 			rad := rng.Float64() * 12
-			if got, want := collectCircle(cached, c, rad), collectCircle(oracle, c, rad); !idsEqual(got, want) {
-				t.Fatalf("tick %d: generic RangeCircle mismatch: got=%v want=%v", tick, got, want)
+			if got, want := cachedCircle(cached, c, rad), collectCircle(oracle, c, rad); !idsEqual(got, want) {
+				t.Fatalf("tick %d: disc probe mismatch: got=%v want=%v", tick, got, want)
 			}
 			slot := int32(rng.Intn(n))
 			srad := rng.Float64() * probeRad
@@ -226,10 +234,11 @@ func FuzzIndexConformance(f *testing.F) {
 		c := geom.V(rng.Float64()*60-5, rng.Float64()*60-5)
 		rad := rng.Float64() * 15
 		want := collectCircle(oracle, c, rad)
-		for name, ix := range map[string]Index{"kd": kd, "cached": cached} {
-			if got := collectCircle(ix, c, rad); !idsEqual(got, want) {
-				t.Fatalf("%s RangeCircle: got=%v want=%v", name, got, want)
-			}
+		if got := collectCircle(kd, c, rad); !idsEqual(got, want) {
+			t.Fatalf("kd RangeCircle: got=%v want=%v", got, want)
+		}
+		if got := cachedCircle(cached, c, rad); !idsEqual(got, want) {
+			t.Fatalf("cached RangeCircleInto: got=%v want=%v", got, want)
 		}
 		// Slot probes are only served while the adaptive gate keeps lists
 		// on (a reuse-miss cycle turns them off); the engines check
@@ -268,12 +277,12 @@ func TestCachedAdaptiveGate(t *testing.T) {
 	if cached.HasLists() {
 		t.Fatal("gate should disable lists after a zero-reuse build cycle")
 	}
-	// Generic probes stay exact with the gate off.
+	// Disc probes stay exact with the gate off.
 	oracle := NewScan()
 	oracle.Build(append([]Point(nil), pts...))
 	c := geom.V(20, 20)
-	if got, want := collectCircle(cached, c, 9), collectCircle(oracle, c, 9); !idsEqual(got, want) {
-		t.Fatalf("gate-off RangeCircle: got=%v want=%v", got, want)
+	if got, want := cachedCircle(cached, c, 9), collectCircle(oracle, c, 9); !idsEqual(got, want) {
+		t.Fatalf("gate-off disc probe: got=%v want=%v", got, want)
 	}
 	jump()
 	cached.BuildKeyed(append([]Point(nil), pts...), keys, nil)

@@ -4,21 +4,21 @@
 // visible region, the spatial join BRASIL's foreach compiles to. That is
 // the only query the engines issue.
 //
-// Three implementations of Index are provided:
+// Two implementations of Index are provided:
 //
 //   - Scan: the no-index baseline ("BRACE - no indexing" in the figures);
 //     every probe enumerates all points.
 //   - KDTree: the paper's "generic KD-tree based spatial index capability"
 //     [Bentley, 3], rebuilt each tick over the agents visible at a reducer.
-//   - CachedIndex: a KD-tree wrapped in Verlet candidate-list reuse (see
-//     cached.go) — the engines' incremental fast path, which skips the
-//     per-tick rebuild while agents stay within half a skin radius of
-//     their build positions.
 //
-// The base indexes are built over immutable point sets: behavioral
-// simulations rebuild at every tick because every agent may move, so they
-// favor fast bulk construction and cheap queries over dynamic updates.
-// CachedIndex layers exact cross-tick reuse on top of that model.
+// Both are built over immutable point sets: behavioral simulations rebuild
+// at every tick because every agent may move, so they favor fast bulk
+// construction and cheap queries over dynamic updates. CachedIndex (see
+// cached.go) layers exact cross-tick reuse on top of that model: a KD-tree
+// wrapped in Verlet candidate lists — the engines' incremental fast path,
+// which skips the per-tick rebuild while agents stay within half a skin
+// radius of their build positions. It probes by slot and keyed build, not
+// through Index.
 package spatial
 
 import (

@@ -25,13 +25,14 @@ import (
 // per-destination end-of-phase markers with declared frame counts and
 // per-(src,dst) data sequence numbers; worker registration (FrameRegister)
 // and direct worker↔worker sessions (FramePeerHello). Each process derives
-// the query cache, the overlapped tick and the initial strip cuts from the
-// Hello's scenario and index, so none of them crosses the wire. v7 took the balancer's cost
-// out of PartState: PartStats.Cost counts probe rows since the previous
-// barrier, checkpoints are taken at barriers, so the cost in a checkpoint
-// or a Restore would always be 0. v8 dropped the Hello's partition-at-a-
-// time switch: a worker ticks its partitions concurrently, always. v9
-// dropped Hello.Part: quantile strips are the one partitioning.
+// the query cache, the two-pass tick's split and the initial strip cuts
+// from the Hello's scenario and index, so none of them crosses the wire.
+// v7 took the balancer's cost out of PartState: PartStats.Cost counts
+// probe rows since the previous barrier, checkpoints are taken at
+// barriers, so the cost in a checkpoint or a Restore would always be 0.
+// v8 dropped the Hello's partition-at-a-time switch: a worker ticks its
+// partitions concurrently, always. v9 dropped Hello.Part: quantile strips
+// are the one partitioning.
 const ProtoVersion = 9
 
 // VersionError reports a handshake between binaries speaking different
