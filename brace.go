@@ -84,35 +84,19 @@ func NewAgent(s *Schema, id ID) *Agent { return agent.New(s, id) }
 // V constructs a Vec.
 func V(x, y float64) Vec { return geom.V(x, y) }
 
-// IndexKind selects the reducer-side spatial index.
-type IndexKind int
+// IndexKind selects the reducer-side spatial index; it marshals as text
+// ("kd", "scan").
+type IndexKind = spatial.Kind
 
 const (
 	// IndexKD is the default KD-tree index (the paper's choice).
-	IndexKD IndexKind = iota
+	IndexKD = spatial.KindKDTree
 	// IndexScan disables indexing (the "no indexing" baselines).
-	IndexScan
+	IndexScan = spatial.KindScan
 )
 
-func (k IndexKind) spatial() spatial.Kind {
-	if k == IndexScan {
-		return spatial.KindScan
-	}
-	return spatial.KindKDTree
-}
-
-// ParseIndex resolves an index name ("kd", "scan"; "" defaults to kd)
-// through the engine's single index vocabulary.
-func ParseIndex(name string) (IndexKind, error) {
-	k, err := spatial.ParseKind(name)
-	if err != nil {
-		return 0, err
-	}
-	if k == spatial.KindScan {
-		return IndexScan, nil
-	}
-	return IndexKD, nil
-}
+// ParseIndex resolves an index name ("kd", "scan"; "" defaults to kd).
+var ParseIndex = spatial.ParseKind
 
 // Config tunes a Simulation.
 type Config struct {
@@ -153,21 +137,19 @@ func New(m Model, pop []*Agent, cfg Config) (*Simulation, error) {
 		cfg.Workers = 1
 	}
 	if cfg.Sequential {
-		seq, err := engine.NewSequential(m, pop, cfg.Index.spatial(), cfg.Seed)
+		seq, err := engine.NewSequential(m, pop, cfg.Index, cfg.Seed)
 		if err != nil {
 			return nil, err
 		}
 		return &Simulation{seq: seq}, nil
 	}
 	opts := engine.Options{
-		Workers: cfg.Workers,
-		Index:   cfg.Index.spatial(),
-		Seed:    cfg.Seed,
-		Tunables: cluster.Tunables{
-			EpochTicks:            cfg.EpochTicks,
-			CheckpointEveryEpochs: cfg.Checkpoint,
-		},
-		LoadBalance: cfg.LoadBalance,
+		Workers:               cfg.Workers,
+		Index:                 cfg.Index,
+		Seed:                  cfg.Seed,
+		EpochTicks:            cfg.EpochTicks,
+		CheckpointEveryEpochs: cfg.Checkpoint,
+		LoadBalance:           cfg.LoadBalance,
 	}
 	if cfg.VirtualTime {
 		cm := cluster.DefaultCostModel()

@@ -167,7 +167,7 @@ func TestSIGTERMMidRunDrainsEpochAndRecovers(t *testing.T) {
 			Scenario: "epidemic",
 			Agents:   agents, Seed: seed,
 			Partitions: parts, Ticks: ticks,
-			Tunables: distrib.Tunables{EpochTicks: epoch, CheckpointEveryEpochs: 1, RejoinTimeout: time.Second},
+			EpochTicks: epoch, CheckpointEveryEpochs: 1, Tunables: distrib.Tunables{DialTimeout: time.Second},
 		})
 		done <- outcome{res, err}
 	}()

@@ -37,7 +37,7 @@ func TestMain(m *testing.M) {
 		if reg := os.Getenv(workerRegisterEnv); reg != "" {
 			err = distrib.ServeWith(lis, distrib.ServeOptions{Log: os.Stderr, Register: reg})
 		} else {
-			err = distrib.Serve(lis, os.Stderr, true)
+			err = distrib.ServeWith(lis, distrib.ServeOptions{Log: os.Stderr, Once: true})
 		}
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -199,7 +199,7 @@ func TestDistributeTCPWorkerKillRecovery(t *testing.T) {
 			Scenario: "epidemic",
 			Agents:   agents, Seed: seed,
 			Partitions: parts, Ticks: ticks,
-			Tunables: distrib.Tunables{EpochTicks: epoch, CheckpointEveryEpochs: 1},
+			EpochTicks: epoch, CheckpointEveryEpochs: 1,
 		})
 		done <- outcome{res, err}
 	}()
@@ -289,13 +289,13 @@ func TestDistributeTCPWorkerStallRecovery(t *testing.T) {
 			Scenario: "epidemic",
 			Agents:   agents, Seed: seed,
 			Partitions: parts, Ticks: ticks,
-			// RejoinTimeout is short because the frozen worker's kernel
+			EpochTicks: epoch, CheckpointEveryEpochs: 1,
+			// DialTimeout is short because the frozen worker's kernel
 			// still completes the rejoin dial's TCP handshake; only the
 			// handshake timeout unmasks it.
 			Tunables: distrib.Tunables{
-				EpochTicks: epoch, CheckpointEveryEpochs: 1,
 				Heartbeat: 100 * time.Millisecond, EpochTimeout: 30 * time.Second,
-				RejoinTimeout: time.Second,
+				DialTimeout: time.Second,
 			},
 		})
 		done <- outcome{res, err}
@@ -370,6 +370,14 @@ func TestDistributeFlagValidation(t *testing.T) {
 		!strings.Contains(errOut, "registry") {
 		t.Errorf("-script with -distribute accepted: %s", errOut)
 	}
+	// A negative cadence or timeout fails the run before any dial (the
+	// address is never contacted), as it does over POST /v1/runs.
+	for _, bad := range [][]string{{"-ckpt-full-every", "-1"}, {"-dial-timeout", "-1s"}} {
+		args := append([]string{"-distribute", "tcp", "-worker-addrs", "127.0.0.1:1"}, bad...)
+		if code, _, errOut := runCLI(t, args...); code != 1 || !strings.Contains(errOut, "negative") {
+			t.Errorf("%v: exit %d, stderr %q; want 1 and a negative-value error", bad, code, errOut)
+		}
+	}
 }
 
 // -lb with -distribute used to be rejected ("needs a global view"); the
@@ -384,7 +392,7 @@ func TestDistributeLoadBalanceFlag(t *testing.T) {
 	code, out, errOut := runCLI(t,
 		"-distribute", "tcp", "-worker-addrs", addrs, "-lb", "-ckpt-epochs", "1",
 		"-ckpt-full-every", "2", "-heartbeat", "200ms", "-epoch-timeout", "30s",
-		"-dial-timeout", "15s", "-rejoin-timeout", "2s",
+		"-dial-timeout", "15s",
 		"-model", "epidemic", "-agents", "120", "-ticks", "8", "-workers", "4", "-seed", "9")
 	if code != 0 {
 		t.Fatalf("exit = %d, stderr:\n%s", code, errOut)

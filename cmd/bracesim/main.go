@@ -51,21 +51,15 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	ticks := fs.Int("ticks", 100, "ticks to simulate")
 	workers := fs.Int("workers", 4, "worker nodes")
 	seed := fs.Uint64("seed", 42, "simulation seed")
-	index := fs.String("index", "kd", "spatial index: kd, scan")
+	var index brace.IndexKind
+	fs.TextVar(&index, "index", brace.IndexKD, "spatial index: kd, scan")
 	lb := fs.Bool("lb", false, "enable load balancing")
 	ckptEpochs := fs.Int("ckpt-epochs", 0, "coordinated checkpoint every N epochs (0 = initial checkpoint only)")
 	ckptFullEvery := fs.Int("ckpt-full-every", 0, fmt.Sprintf(
 		"with -distribute: every Nth checkpoint is a full keyframe, the rest ship deltas (0 = default %d, 1 = always full)",
 		distrib.DefaultCheckpointFullEvery))
-	heartbeat := fs.Duration("heartbeat", 0, fmt.Sprintf(
-		"with -distribute: liveness ping interval; a worker silent for %d intervals is force-dropped (0 = default %v, negative = off)",
-		distrib.DefaultHeartbeatMisses, distrib.DefaultHeartbeat))
-	epochTimeout := fs.Duration("epoch-timeout", 0, fmt.Sprintf(
-		"with -distribute: max age of an epoch barrier round before laggards are force-dropped (0 = adaptive with a %v floor, negative = off)",
-		distrib.DefaultEpochTimeout))
-	dialTimeout := fs.Duration("dial-timeout", 0, fmt.Sprintf(
-		"with -distribute: worker dial+handshake budget (0 = default %v)", distrib.DefaultDialTimeout))
-	rejoinTimeout := fs.Duration("rejoin-timeout", 0, "with -distribute: re-dial budget when re-admitting a dead worker (0 = same as -dial-timeout)")
+	var tun distrib.Tunables
+	tun.Bind(fs, "with -distribute: ")
 	vt := fs.Bool("vtime", false, "enable virtual-time cluster accounting")
 	seq := fs.Bool("seq", false, "use the sequential reference engine (single-threaded, one partition)")
 	invert := fs.Bool("invert", false, "apply effect inversion to the BRASIL script")
@@ -75,7 +69,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	workerAddrs := fs.String("worker-addrs", "", "comma-separated bracesim-worker addresses for -distribute tcp")
 	registry := fs.String("registry", "", "with -distribute: listen here for worker registrations (bracesim-worker -register) instead of naming every address in -worker-addrs")
 	awaitWorkers := fs.Int("await-workers", 0, "with -registry: wait for this many registered workers before starting the run")
-	mesh := fs.Bool("mesh", false, "with -distribute: peer-mesh data plane — workers exchange neighbor envelopes directly and only the control plane crosses the coordinator")
 	verbose := fs.Bool("v", false, "verbose output")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of this process to the file (with -distribute: the coordinator side)")
 	memProfile := fs.String("memprofile", "", "write a heap profile of this process to the file on exit")
@@ -127,7 +120,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			Seed:                *seed,
 			Ticks:               *ticks,
 			Partitions:          *workers,
-			Index:               *index,
+			Index:               index,
 			LoadBalance:         *lb,
 			CheckpointEpochs:    *ckptEpochs,
 			CheckpointFullEvery: *ckptFullEvery,
@@ -139,24 +132,18 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			return fail(stderr, fmt.Errorf("unknown -distribute mode %q (supported: tcp)", *distribute))
 		}
 		o := distrib.Options{
-			Addrs:       splitAddrs(*workerAddrs),
-			Scenario:    *model,
-			Agents:      *agents,
-			Extent:      *extent,
-			Seed:        *seed,
-			Partitions:  *workers,
-			Ticks:       *ticks,
-			Index:       *index,
-			LoadBalance: *lb,
-			Tunables: distrib.Tunables{
-				CheckpointEveryEpochs: *ckptEpochs,
-				CheckpointFullEvery:   *ckptFullEvery,
-				Heartbeat:             *heartbeat,
-				EpochTimeout:          *epochTimeout,
-				DialTimeout:           *dialTimeout,
-				RejoinTimeout:         *rejoinTimeout,
-				Mesh:                  *mesh,
-			},
+			Addrs:                 splitAddrs(*workerAddrs),
+			Scenario:              *model,
+			Agents:                *agents,
+			Extent:                *extent,
+			Seed:                  *seed,
+			Partitions:            *workers,
+			Ticks:                 *ticks,
+			CheckpointEveryEpochs: *ckptEpochs,
+			CheckpointFullEvery:   *ckptFullEvery,
+			Tunables:              tun,
+			Index:                 index,
+			LoadBalance:           *lb,
 		}
 		if *registry != "" {
 			rlis, err := net.Listen("tcp", *registry)
@@ -213,12 +200,8 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		Checkpoint:  *ckptEpochs,
 		VirtualTime: *vt,
 		Sequential:  *seq,
+		Index:       index,
 	}
-	ix, err := brace.ParseIndex(*index)
-	if err != nil {
-		return fail(stderr, err)
-	}
-	cfg.Index = ix
 
 	var m brace.Model
 	var pop []*brace.Agent
@@ -320,7 +303,6 @@ var flagModes = map[string]struct {
 	"heartbeat":       {modeDistribute, ""},
 	"epoch-timeout":   {modeDistribute, ""},
 	"dial-timeout":    {modeDistribute, ""},
-	"rejoin-timeout":  {modeDistribute, ""},
 }
 
 // checkFlagModes rejects every flag the command line set that the run's

@@ -64,7 +64,6 @@ func TestDistributedOnlyFlagsRequireDistribute(t *testing.T) {
 		{"-epoch-timeout", "30s"},
 		{"-ckpt-full-every", "4"},
 		{"-dial-timeout", "5s"},
-		{"-rejoin-timeout", "5s"},
 		{"-worker-addrs", "localhost:9"},
 	} {
 		flagName := args[0]
@@ -158,8 +157,8 @@ func TestLivenessHelpDerivedFromDefaults(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("-h exit = %d", code)
 	}
-	if want := fmt.Sprintf("silent for %d intervals", distrib.DefaultHeartbeatMisses); !strings.Contains(errOut, want) {
-		t.Errorf("-heartbeat help should say %q (distrib.DefaultHeartbeatMisses):\n%s", want, errOut)
+	if want := fmt.Sprintf("silent for %d intervals", distrib.MissedHeartbeats); !strings.Contains(errOut, want) {
+		t.Errorf("-heartbeat help should say %q (distrib.MissedHeartbeats):\n%s", want, errOut)
 	}
 	if want := fmt.Sprintf("default %v", distrib.DefaultHeartbeat); !strings.Contains(errOut, want) {
 		t.Errorf("-heartbeat help should carry the %v default:\n%s", distrib.DefaultHeartbeat, errOut)

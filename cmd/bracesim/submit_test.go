@@ -23,7 +23,7 @@ func startService(t *testing.T, workers int) string {
 		}
 		t.Cleanup(func() { lis.Close() })
 		addrs = append(addrs, lis.Addr().String())
-		go distrib.Serve(lis, io.Discard, false)
+		go distrib.ServeWith(lis, distrib.ServeOptions{})
 	}
 	m, err := service.NewManager(service.Config{WorkerAddrs: addrs, Log: io.Discard})
 	if err != nil {

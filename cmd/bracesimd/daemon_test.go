@@ -41,7 +41,7 @@ func TestMain(m *testing.M) {
 		if reg := os.Getenv(workerRegisterEnv); reg != "" {
 			err = distrib.ServeWith(lis, distrib.ServeOptions{Log: os.Stderr, Register: reg})
 		} else {
-			err = distrib.Serve(lis, os.Stderr, false)
+			err = distrib.ServeWith(lis, distrib.ServeOptions{Log: os.Stderr})
 		}
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -280,7 +280,7 @@ func soloEquivalent(t *testing.T, scenarioName string, agents int, seed uint64, 
 		Scenario: scenarioName,
 		Agents:   agents, Seed: seed,
 		Partitions: parts, Ticks: ticks,
-		Tunables: distrib.Tunables{EpochTicks: epoch},
+		EpochTicks: epoch,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -62,21 +62,14 @@ func run(args []string, shutdown <-chan struct{}, stdout, stderr io.Writer) int 
 	workerAddrs := fs.String("worker-addrs", "", "comma-separated bracesim-worker addresses forming the fleet")
 	localWorkers := fs.Int("local-workers", 0, "spin up this many in-process workers instead of -worker-addrs (self-contained service)")
 	registryAddr := fs.String("registry", "", "listen address for worker registration (bracesim-worker -register); implied on a loopback ephemeral port by -local-workers")
-	mesh := fs.Bool("mesh", false, "peer-mesh data plane: workers exchange neighbor envelopes directly, the daemon keeps only the control plane")
 	maxRuns := fs.Int("max-runs", 0, "max concurrently running simulations (0 = default 4); admitted runs beyond it queue")
 	queueDepth := fs.Int("queue", 0, "max queued runs (0 = default 16); submissions beyond it are rejected")
 	runWorkers := fs.Int("run-workers", 0, "default per-run worker budget when a spec omits one (0 = the whole fleet)")
 	sessionsPer := fs.Int("sessions-per-worker", 0, "max concurrent run sessions multiplexed on each worker (0 = default 4)")
 	keyframeEvery := fs.Int("keyframe-every", 0, fmt.Sprintf(
 		"watch-stream keyframe cadence: a full snapshot every N frames (0 = default %d)", service.DefaultKeyframeEvery))
-	heartbeat := fs.Duration("heartbeat", 0, fmt.Sprintf(
-		"per-run liveness ping interval; a worker silent for %d intervals is force-dropped (0 = default %v, negative = off)",
-		distrib.DefaultHeartbeatMisses, distrib.DefaultHeartbeat))
-	epochTimeout := fs.Duration("epoch-timeout", 0, fmt.Sprintf(
-		"max age of an epoch barrier round before laggards are force-dropped (0 = adaptive with a %v floor, negative = off)",
-		distrib.DefaultEpochTimeout))
-	dialTimeout := fs.Duration("dial-timeout", 0, fmt.Sprintf(
-		"worker dial+handshake budget (0 = default %v)", distrib.DefaultDialTimeout))
+	var tun distrib.Tunables
+	tun.Bind(fs, "per run: ")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
@@ -149,13 +142,8 @@ func run(args []string, shutdown <-chan struct{}, stdout, stderr io.Writer) int 
 		SessionsPerWorker: *sessionsPer,
 		DefaultRunWorkers: *runWorkers,
 		KeyframeEvery:     *keyframeEvery,
-		Tunables: distrib.Tunables{
-			Heartbeat:    *heartbeat,
-			EpochTimeout: *epochTimeout,
-			DialTimeout:  *dialTimeout,
-			Mesh:         *mesh,
-		},
-		Log: stderr,
+		Tunables:          tun,
+		Log:               stderr,
 	})
 	if err != nil {
 		return fail(stderr, err)

@@ -36,25 +36,16 @@ func Run(o Options) (*Result, error) {
 		// when the caller did not name one.
 		o.RunID = randomRunID()
 	}
-	if o.DialTimeout <= 0 {
+	if o.DialTimeout == 0 {
+		// One budget for startup and rejoin dials: a daemon worth waiting
+		// 10s for at startup is worth the same wait after a restart.
 		o.DialTimeout = DefaultDialTimeout
-	}
-	if o.Dial == nil {
-		o.Dial = dialWorker
-	}
-	if o.RejoinTimeout <= 0 {
-		// Unified with DialTimeout: a daemon worth waiting 10s for at
-		// startup is worth the same wait when it rejoins after a restart.
-		o.RejoinTimeout = o.DialTimeout
 	}
 	switch {
 	case o.Heartbeat == 0:
 		o.Heartbeat = DefaultHeartbeat
 	case o.Heartbeat < 0:
 		o.Heartbeat = 0 // disabled
-	}
-	if o.HeartbeatMisses <= 0 {
-		o.HeartbeatMisses = DefaultHeartbeatMisses
 	}
 	adaptive := false
 	switch {
@@ -66,7 +57,7 @@ func Run(o Options) (*Result, error) {
 	case o.EpochTimeout < 0:
 		o.EpochTimeout = 0 // disabled
 	}
-	if o.CheckpointFullEvery <= 0 {
+	if o.CheckpointFullEvery == 0 {
 		o.CheckpointFullEvery = DefaultCheckpointFullEvery
 	}
 	if o.Balancer == (partition.Balancer{}) {
@@ -89,7 +80,7 @@ func Run(o Options) (*Result, error) {
 		ckpt:   &ckptState{tick: 0, cuts: append([]float64(nil), cuts...), parts: parts},
 		stats:  make(map[int]*transport.EpochStats),
 		finals: make(map[int]*transport.FinalReport),
-		lv:     newLiveness(len(o.Addrs), o.Heartbeat*time.Duration(o.HeartbeatMisses), o.EpochTimeout, adaptive, now),
+		lv:     newLiveness(len(o.Addrs), o.Heartbeat*MissedHeartbeats, o.EpochTimeout, adaptive, now),
 	}
 	c.hub = transport.NewHub(o.Partitions, len(o.Addrs), c.place.Assign())
 	defer c.hub.Close()
@@ -100,7 +91,7 @@ func Run(o Options) (*Result, error) {
 	// wait in its socket until every relay destination exists.
 	conns := make([]*transport.Conn, len(o.Addrs))
 	for i, addr := range o.Addrs {
-		conn, err := o.Dial(addr, o.hello(i, c.gen, c.place.Assign()), o.DialTimeout)
+		conn, err := dialWorker(addr, o.hello(i, c.gen, c.place.Assign()), o.DialTimeout)
 		if err != nil {
 			for _, open := range conns[:i] {
 				open.Close()
@@ -129,7 +120,7 @@ func Run(o Options) (*Result, error) {
 // break. The bound is generous: the full liveness window, floored so
 // large restore frames always have time to flush.
 func (c *coordinator) writeTimeout() time.Duration {
-	wt := c.o.Heartbeat * time.Duration(c.o.HeartbeatMisses)
+	wt := c.o.Heartbeat * MissedHeartbeats
 	if c.o.EpochTimeout > wt {
 		wt = c.o.EpochTimeout
 	}
@@ -566,10 +557,6 @@ func (c *coordinator) onCheckpoint(src int, ck *transport.CheckpointMsg, bytes i
 // every live worker from the last complete checkpoint. A failure while
 // broadcasting restores feeds back into another round.
 func (c *coordinator) recoverFrom(src int, cause error) error {
-	maxRecoveries := c.o.MaxRecoveries
-	if maxRecoveries <= 0 {
-		maxRecoveries = DefaultMaxRecoveries
-	}
 	dead := []int{src}
 	for len(dead) > 0 {
 		next := dead[:0:0]
@@ -590,17 +577,13 @@ func (c *coordinator) recoverFrom(src int, cause error) error {
 			// rejoin dial.
 			c.hub.Kill(p)
 			newGen := c.gen + 1
-			if !c.o.NoRejoin {
-				conn, err := c.o.Dial(c.o.Addrs[p], c.o.hello(p, newGen, c.place.Assign()), c.o.RejoinTimeout)
-				if err == nil {
-					conn.SetWriteTimeout(c.writeTimeout())
-					c.live[p] = true
-					c.seqs[p] = c.hub.Attach(p, conn)
-					c.lv.admit(p, time.Now())
-					c.rejoins++
-				}
-			}
-			if !c.live[p] {
+			if conn, err := dialWorker(c.o.Addrs[p], c.o.hello(p, newGen, c.place.Assign()), c.o.DialTimeout); err == nil {
+				conn.SetWriteTimeout(c.writeTimeout())
+				c.live[p] = true
+				c.seqs[p] = c.hub.Attach(p, conn)
+				c.lv.admit(p, time.Now())
+				c.rejoins++
+			} else {
 				c.place.Reassign(p, c.live)
 				if c.o.OnWorkerDown != nil {
 					c.o.OnWorkerDown(p, c.o.Addrs[p], cause)
@@ -622,7 +605,7 @@ func (c *coordinator) recoverFrom(src int, cause error) error {
 		cause = fmt.Errorf("distrib: worker lost while broadcasting restore")
 	}
 	// The rejoin dial above can block this single-threaded loop for the
-	// full RejoinTimeout with pongs queued but unprocessed; survivors
+	// full DialTimeout with pongs queued but unprocessed; survivors
 	// must not be judged by their pre-recovery timestamps when the timer
 	// fires next.
 	c.lv.graceAll(c.live, time.Now())
@@ -706,7 +689,7 @@ func (c *coordinator) admit(w RegisteredWorker) error {
 	c.hub.Grow(proc + 1)
 	c.lv.grow(proc+1, time.Now())
 
-	conn, err := c.o.Dial(w.Addr, c.o.hello(proc, c.gen+1, c.place.Assign()), c.o.DialTimeout)
+	conn, err := dialWorker(w.Addr, c.o.hello(proc, c.gen+1, c.place.Assign()), c.o.DialTimeout)
 	if err != nil {
 		// Vanished between registering and the dial: forget the slot ever
 		// existed so a later registration can try again cleanly.

@@ -28,6 +28,7 @@ package distrib
 
 import (
 	"errors"
+	"flag"
 	"fmt"
 	"sort"
 	"time"
@@ -61,13 +62,20 @@ type Options struct {
 	Partitions int
 	// Ticks to simulate.
 	Ticks int
-	// Tunables carries the shared knob set — epoch cadence, checkpoint
-	// cadence and keyframe interval, liveness timeouts, recovery bounds,
-	// and the mesh switch. See cluster.Tunables for the per-field
-	// contracts; zero values select the Default* constants.
+	// EpochTicks is the master interaction interval (0 = engine default).
+	EpochTicks int
+	// CheckpointEveryEpochs orders a coordinated checkpoint every k epochs
+	// (0 = only the initial tick-0 rollback point is kept).
+	CheckpointEveryEpochs int
+	// CheckpointFullEvery makes every Nth coordinated checkpoint a full
+	// keyframe; the ones between ship field-level deltas against the
+	// previous checkpoint. 1 ships full state every time; 0 means
+	// DefaultCheckpointFullEvery.
+	CheckpointFullEvery int
+	// Tunables are the deployment knobs: liveness timeouts and topology.
 	Tunables
-	// Index selects the spatial index: kd (default when empty) or scan.
-	Index string
+	// Index selects the spatial index (zero value: the KD-tree).
+	Index spatial.Kind
 	// LoadBalance enables the coordinator-driven 1-D load balancer: the
 	// same decision procedure as the in-memory engine, computed from the
 	// workers' epoch statistics, with new strip cuts broadcast at epoch
@@ -76,11 +84,6 @@ type Options struct {
 	LoadBalance bool
 	// Balancer tunes load balancing; zero value means DefaultBalancer.
 	Balancer partition.Balancer
-	// NoRejoin disables re-dialing a dead worker's address before its
-	// partitions are re-placed on the survivors. By default the
-	// coordinator tries once: a daemon that only lost its connection (not
-	// its process) is re-admitted with its old partitions.
-	NoRejoin bool
 	// Registry, when non-nil, is the coordinator-side worker registry:
 	// Addrs may be left empty and are filled from registered workers, and
 	// a worker that registers mid-run is admitted into the running
@@ -113,28 +116,68 @@ type Options struct {
 	// not bring it back, so its partitions moved to the survivors. A fleet
 	// scheduler uses it to steer future placements away from the address.
 	OnWorkerDown func(proc int, addr string, cause error)
-	// Dial, when non-nil, replaces the TCP dial+handshake used to reach
-	// workers (tests inject in-process pipes or fault injectors).
-	Dial func(addr string, h *transport.Hello, timeout time.Duration) (*transport.Conn, error)
 }
 
-// Tunables is the shared knob set embedded by Options, engine.Options and
-// the service run config; aliased here so coordinator callers need not
-// import internal/cluster.
-type Tunables = cluster.Tunables
+// Tunables are the coordinator's deployment knobs: how it watches the
+// fleet and which topology carries the data plane. They belong to where
+// the run is deployed, not to what it simulates, so the bracesimd service
+// sets them once for every run (service.Config embeds them) and both CLIs
+// bind them through Bind. The zero value selects the defaults.
+type Tunables struct {
+	// Heartbeat is the coordinator's liveness ping interval. 0 means
+	// DefaultHeartbeat; negative disables heartbeats. A worker silent for
+	// MissedHeartbeats intervals is declared dead.
+	Heartbeat time.Duration
+	// EpochTimeout bounds every control-plane round and, via observed
+	// marker progress, the gap between barriers. 0 selects adaptive
+	// deadlines floored at DefaultEpochTimeout; an explicit positive value
+	// is a fixed deadline; negative disables the deadline.
+	EpochTimeout time.Duration
+	// DialTimeout bounds dialing + handshaking each worker, at startup and
+	// when re-admitting a dead one (0 = DefaultDialTimeout).
+	DialTimeout time.Duration
+	// Mesh routes data-plane envelope traffic directly between worker
+	// peers instead of relaying it through the coordinator hub; control
+	// frames (stats, directives, checkpoints, pings) stay on the star.
+	// Peer pairs that cannot reach each other fall back to the hub relay,
+	// so the switch changes topology, never results.
+	Mesh bool
+}
 
-// Defaults for the coordinator's tunable options, re-exported from the
-// shared cluster.Tunables home so every CLI (bracesim, bracesim-worker,
-// bracesimd) derives its flag help from the values actually in force, and
-// tests assert against them.
+// Bind registers the four deployment flags on fs; prefix leads each help
+// line (bracesim says which mode the flag applies to).
+func (t *Tunables) Bind(fs *flag.FlagSet, prefix string) {
+	fs.DurationVar(&t.Heartbeat, "heartbeat", 0, fmt.Sprintf(
+		"%sliveness ping interval; a worker silent for %d intervals is force-dropped (0 = default %v, negative = off)",
+		prefix, MissedHeartbeats, DefaultHeartbeat))
+	fs.DurationVar(&t.EpochTimeout, "epoch-timeout", 0, fmt.Sprintf(
+		"%smax age of an epoch barrier round before laggards are force-dropped (0 = adaptive with a %v floor, negative = off)",
+		prefix, DefaultEpochTimeout))
+	fs.DurationVar(&t.DialTimeout, "dial-timeout", 0, fmt.Sprintf(
+		"%sworker dial+handshake budget, also when re-admitting a dead worker (0 = default %v)", prefix, DefaultDialTimeout))
+	fs.BoolVar(&t.Mesh, "mesh", false,
+		prefix+"peer-mesh data plane: workers exchange neighbor envelopes directly and only the control plane crosses the coordinator")
+}
+
+// Defaults for the coordinator's options, exported so every CLI
+// (bracesim, bracesim-worker, bracesimd) derives its flag help from the
+// values actually in force, and tests assert against them.
 const (
-	DefaultHeartbeat           = cluster.DefaultHeartbeat
-	DefaultHeartbeatMisses     = cluster.DefaultHeartbeatMisses
-	DefaultEpochTimeout        = cluster.DefaultEpochTimeout
-	DefaultDialTimeout         = cluster.DefaultDialTimeout
-	DefaultCheckpointFullEvery = cluster.DefaultCheckpointFullEvery
-	DefaultMaxRecoveries       = cluster.DefaultMaxRecoveries
+	DefaultHeartbeat           = 2 * time.Second
+	DefaultEpochTimeout        = 60 * time.Second
+	DefaultDialTimeout         = 10 * time.Second
+	DefaultCheckpointFullEvery = 8
 )
+
+// MissedHeartbeats is how many consecutive silent heartbeat intervals
+// declare a worker dead: Heartbeat×MissedHeartbeats is the detection
+// window.
+const MissedHeartbeats = 5
+
+// maxRecoveries bounds failure recoveries per run: a worker that keeps
+// dying at the same replayed point must eventually fail the run instead
+// of looping forever.
+const maxRecoveries = 8
 
 // ErrCanceled reports a run deliberately aborted through Options.Cancel.
 var ErrCanceled = errors.New("distrib: run canceled")
@@ -207,13 +250,19 @@ func (o *Options) validate() error {
 	if o.Ticks < 0 {
 		return fmt.Errorf("distrib: negative tick count")
 	}
-	if o.EpochTicks < 0 || o.CheckpointEveryEpochs < 0 {
-		return fmt.Errorf("distrib: negative epoch ticks %d or checkpoint interval %d", o.EpochTicks, o.CheckpointEveryEpochs)
+	// Zero selects a default for each of these; a negative value is a
+	// mistake, not a request for one.
+	if o.EpochTicks < 0 || o.CheckpointEveryEpochs < 0 || o.CheckpointFullEvery < 0 {
+		return fmt.Errorf("distrib: negative epoch ticks %d, checkpoint interval %d or keyframe interval %d",
+			o.EpochTicks, o.CheckpointEveryEpochs, o.CheckpointFullEvery)
+	}
+	if o.DialTimeout < 0 {
+		return fmt.Errorf("distrib: negative dial timeout %v", o.DialTimeout)
 	}
 	if _, ok := scenario.Lookup(o.Scenario); !ok {
 		return scenario.ErrUnknown(o.Scenario)
 	}
-	if _, err := spatial.ParseKind(o.Index); err != nil {
+	if err := o.Index.Check(); err != nil {
 		return fmt.Errorf("distrib: %w", err)
 	}
 	return nil
@@ -283,15 +332,11 @@ func initialState(o Options) (cuts []float64, parts []transport.PartState, err e
 	if err != nil {
 		return nil, nil, err
 	}
-	kind, err := spatial.ParseKind(o.Index)
-	if err != nil {
-		return nil, nil, err
-	}
 	eng, err := engine.NewDistributed(m, pop, engine.Options{
-		Workers:  o.Partitions,
-		Index:    kind,
-		Seed:     o.Seed,
-		Tunables: Tunables{EpochTicks: o.EpochTicks},
+		Workers:    o.Partitions,
+		Index:      o.Index,
+		Seed:       o.Seed,
+		EpochTicks: o.EpochTicks,
 	})
 	if err != nil {
 		return nil, nil, err

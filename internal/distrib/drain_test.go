@@ -72,7 +72,7 @@ func TestWorkerDrainMidRunRecovers(t *testing.T) {
 			Scenario: "epidemic",
 			Agents:   agents, Seed: seed,
 			Partitions: parts, Ticks: ticks,
-			Tunables: Tunables{EpochTicks: epoch, CheckpointEveryEpochs: 1, RejoinTimeout: 500 * time.Millisecond},
+			EpochTicks: epoch, CheckpointEveryEpochs: 1, Tunables: Tunables{DialTimeout: 500 * time.Millisecond},
 		})
 		done <- outcome{res, err}
 	}()
@@ -171,7 +171,7 @@ func TestWorkerDrainSharedByTwoRuns(t *testing.T) {
 				Scenario: j.scenario,
 				Agents:   j.agents, Seed: j.seed,
 				Partitions: parts, Ticks: ticks,
-				Tunables: Tunables{EpochTicks: epoch, CheckpointEveryEpochs: 1, RejoinTimeout: 500 * time.Millisecond},
+				EpochTicks: epoch, CheckpointEveryEpochs: 1, Tunables: Tunables{DialTimeout: 500 * time.Millisecond},
 			})
 			done[i] <- outcome{res, err}
 		}()

@@ -125,7 +125,7 @@ func (l *liveness) pong(p int, now time.Time) {
 
 // graceAll restarts every live worker's heartbeat clock. The control
 // loop is single-threaded: a long synchronous step — the rejoin dial
-// during a recovery can block for the full RejoinTimeout — stops pings
+// during a recovery can block for the full DialTimeout — stops pings
 // and pong processing alike, so judging survivors by pre-blockage
 // timestamps right after it would stall-drop healthy workers. Call it
 // whenever the loop resumes from such a step.

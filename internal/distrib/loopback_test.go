@@ -2,11 +2,11 @@ package distrib
 
 import (
 	"errors"
-	"io"
 	"net"
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/bigreddata/brace/internal/agent"
 	"github.com/bigreddata/brace/internal/engine"
@@ -18,7 +18,7 @@ import (
 
 // startWorkers launches n single-session worker daemons on loopback TCP
 // listeners and returns their addresses. Each runs the exact code path of
-// cmd/bracesim-worker (distrib.Serve), just inside this process so the
+// cmd/bracesim-worker (distrib.ServeWith), just inside this process so the
 // suite stays fast and race-instrumented; the real multi-OS-process run is
 // exercised by cmd/bracesim's distributed test.
 func startWorkers(t *testing.T, n int) []string {
@@ -31,7 +31,7 @@ func startWorkers(t *testing.T, n int) []string {
 		}
 		t.Cleanup(func() { lis.Close() })
 		addrs[i] = lis.Addr().String()
-		go Serve(lis, io.Discard, true)
+		go ServeWith(lis, ServeOptions{Once: true})
 	}
 	return addrs
 }
@@ -80,7 +80,7 @@ func TestLoopbackTCPBitIdentical(t *testing.T) {
 				Addrs:    startWorkers(t, 2),
 				Scenario: name,
 				Agents:   agents, Extent: extent, Seed: seed,
-				Partitions: parts, Ticks: ticks, Index: "kd",
+				Partitions: parts, Ticks: ticks, Index: spatial.KindKDTree,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -159,7 +159,7 @@ func TestLoopbackTCPLoadBalanceEquivalence(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			mem := memEngine(t, name, agents, extent, seed, engine.Options{
 				Workers: parts, Seed: seed,
-				Tunables:    engine.Tunables{EpochTicks: epoch},
+				EpochTicks:  epoch,
 				LoadBalance: true, Balancer: bal,
 			})
 			// One RunTicks per epoch, to read the cuts each barrier leaves.
@@ -179,7 +179,7 @@ func TestLoopbackTCPLoadBalanceEquivalence(t *testing.T) {
 					Scenario: name,
 					Agents:   agents, Extent: extent, Seed: seed,
 					Partitions: parts, Ticks: ticks,
-					Tunables:    Tunables{EpochTicks: epoch, Mesh: mesh},
+					EpochTicks: epoch, Tunables: Tunables{Mesh: mesh},
 					LoadBalance: true, Balancer: bal,
 				})
 				if err != nil {
@@ -252,16 +252,23 @@ func TestHandshakeRejection(t *testing.T) {
 		mut(h)
 		return h
 	}
-	old := hello(func(h *transport.Hello) { h.Proto = 8 })
+	old := hello(func(h *transport.Hello) { h.Proto = 9 })
 	var ve *transport.VersionError
-	if _, _, err := checkHello(old); !errors.As(err, &ve) || ve.Got != 8 || ve.Want != transport.ProtoVersion {
-		t.Fatalf("checkHello(v8) = %v, want *transport.VersionError{8, %d}", err, transport.ProtoVersion)
+	if _, err := checkHello(old); !errors.As(err, &ve) || ve.Got != 9 || ve.Want != transport.ProtoVersion {
+		t.Fatalf("checkHello(v9) = %v, want *transport.VersionError{9, %d}", err, transport.ProtoVersion)
+	}
+	badIndex := hello(func(h *transport.Hello) { h.Index = 7 })
+	var uk *spatial.UnknownKindError
+	if _, err := checkHello(badIndex); !errors.As(err, &uk) {
+		t.Fatalf("checkHello(Index 7) = %v, want a *spatial.UnknownKindError", err)
 	}
 	for _, tc := range []struct {
 		name, want string
 		h          *transport.Hello
 	}{
-		{"stale version", "protocol version 8", old},
+		{"stale version", "protocol version 9", old},
+		{"stale version 8", "protocol version 8", hello(func(h *transport.Hello) { h.Proto = 8 })},
+		{"index out of range", `unknown index "7"`, badIndex},
 		{"agents over limit", "agents outside the limit", hello(func(h *transport.Hello) { h.Agents = MaxAgents + 1 })},
 		{"negative agents", "agents outside the limit", hello(func(h *transport.Hello) { h.Agents = -1 })},
 		{"negative epoch ticks", "negative epoch ticks", hello(func(h *transport.Hello) { h.EpochTicks = -3 })},
@@ -294,14 +301,21 @@ func TestRunValidation(t *testing.T) {
 		!strings.Contains(err.Error(), "no-such") {
 		t.Errorf("unknown scenario: %v", err)
 	}
-	if _, err := Run(Options{Addrs: []string{"x"}, Scenario: "epidemic", Partitions: 1, Index: "btree"}); err == nil ||
-		!strings.Contains(err.Error(), "btree") {
-		t.Errorf("unknown index: %v", err)
+	var unknown *spatial.UnknownKindError
+	if _, err := Run(Options{Addrs: []string{"x"}, Scenario: "epidemic", Partitions: 1, Index: 7}); !errors.As(err, &unknown) {
+		t.Errorf("unknown index: %v, want a *spatial.UnknownKindError", err)
 	}
-	for _, tun := range []Tunables{{EpochTicks: -3}, {CheckpointEveryEpochs: -1}} {
-		if _, err := Run(Options{Addrs: []string{"x"}, Scenario: "epidemic", Partitions: 1, Tunables: tun}); err == nil ||
-			!strings.Contains(err.Error(), "negative") {
-			t.Errorf("%+v: %v", tun, err)
+	// Zero selects the default; a negative cadence or timeout is refused
+	// before anything is dialled, never quietly read as the default.
+	for _, o := range []Options{
+		{EpochTicks: -3},
+		{CheckpointEveryEpochs: -1},
+		{CheckpointFullEvery: -1},
+		{Tunables: Tunables{DialTimeout: -time.Second}},
+	} {
+		o.Addrs, o.Scenario, o.Partitions = []string{"x"}, "epidemic", 1
+		if _, err := Run(o); err == nil || !strings.Contains(err.Error(), "negative") {
+			t.Errorf("%+v: %v", o, err)
 		}
 	}
 }

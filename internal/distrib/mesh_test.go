@@ -47,7 +47,7 @@ func TestMeshBitIdenticalRegistryWide(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			mem := memEngine(t, name, agents, extent, seed, engine.Options{
 				Workers: parts, Seed: seed,
-				Tunables:    engine.Tunables{EpochTicks: epoch},
+				EpochTicks:  epoch,
 				LoadBalance: true, Balancer: bal,
 			})
 			if err := mem.RunTicks(ticks); err != nil {
@@ -58,7 +58,7 @@ func TestMeshBitIdenticalRegistryWide(t *testing.T) {
 				Scenario: name,
 				Agents:   agents, Extent: extent, Seed: seed,
 				Partitions: parts, Ticks: ticks,
-				Tunables:    Tunables{EpochTicks: epoch, Mesh: true},
+				EpochTicks: epoch, Tunables: Tunables{Mesh: true},
 				LoadBalance: true, Balancer: bal,
 			})
 			if err != nil {
@@ -91,7 +91,7 @@ func TestMeshRecoveryBitIdentical(t *testing.T) {
 	)
 	ref := memEngine(t, "epidemic", agents, extent, seed, engine.Options{
 		Workers: parts, Seed: seed,
-		Tunables: engine.Tunables{EpochTicks: epoch},
+		EpochTicks: epoch,
 	})
 	if err := ref.RunTicks(ticks); err != nil {
 		t.Fatal(err)
@@ -101,7 +101,7 @@ func TestMeshRecoveryBitIdentical(t *testing.T) {
 		Scenario: "epidemic",
 		Agents:   agents, Extent: extent, Seed: seed,
 		Partitions: parts, Ticks: ticks,
-		Tunables: Tunables{EpochTicks: epoch, CheckpointEveryEpochs: 1, Mesh: true},
+		EpochTicks: epoch, CheckpointEveryEpochs: 1, Tunables: Tunables{Mesh: true},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -129,7 +129,7 @@ func TestMeshStallBitIdentical(t *testing.T) {
 	)
 	ref := memEngine(t, "epidemic", agents, extent, seed, engine.Options{
 		Workers: parts, Seed: seed,
-		Tunables: engine.Tunables{EpochTicks: epoch},
+		EpochTicks: epoch,
 	})
 	if err := ref.RunTicks(ticks); err != nil {
 		t.Fatal(err)
@@ -139,7 +139,7 @@ func TestMeshStallBitIdentical(t *testing.T) {
 		Scenario: "epidemic",
 		Agents:   agents, Extent: extent, Seed: seed,
 		Partitions: parts, Ticks: ticks,
-		Tunables: Tunables{EpochTicks: epoch, CheckpointEveryEpochs: 1, Mesh: true},
+		EpochTicks: epoch, CheckpointEveryEpochs: 1, Tunables: Tunables{Mesh: true},
 	}
 	fastLiveness(&o)
 	res, err := Run(o)
@@ -170,7 +170,7 @@ func TestMeshSeverInOverlapWindow(t *testing.T) {
 	)
 	ref := memEngine(t, "epidemic", agents, extent, seed, engine.Options{
 		Workers: parts, Seed: seed,
-		Tunables: engine.Tunables{EpochTicks: epoch},
+		EpochTicks: epoch,
 	})
 	if err := ref.RunTicks(ticks); err != nil {
 		t.Fatal(err)
@@ -180,7 +180,7 @@ func TestMeshSeverInOverlapWindow(t *testing.T) {
 		Scenario: "epidemic",
 		Agents:   agents, Extent: extent, Seed: seed,
 		Partitions: parts, Ticks: ticks,
-		Tunables: Tunables{EpochTicks: epoch, CheckpointEveryEpochs: 1, Mesh: true},
+		EpochTicks: epoch, CheckpointEveryEpochs: 1, Tunables: Tunables{Mesh: true},
 	}
 	fastLiveness(&o)
 	res, err := Run(o)
@@ -231,7 +231,7 @@ func TestMeshPeerLinkSeverRelaysAndMatches(t *testing.T) {
 	)
 	ref := memEngine(t, "epidemic", agents, extent, seed, engine.Options{
 		Workers: parts, Seed: seed,
-		Tunables: engine.Tunables{EpochTicks: epoch},
+		EpochTicks: epoch,
 	})
 	if err := ref.RunTicks(ticks); err != nil {
 		t.Fatal(err)
@@ -241,7 +241,7 @@ func TestMeshPeerLinkSeverRelaysAndMatches(t *testing.T) {
 		Scenario: "epidemic",
 		Agents:   agents, Extent: extent, Seed: seed,
 		Partitions: parts, Ticks: ticks,
-		Tunables: Tunables{EpochTicks: epoch, CheckpointEveryEpochs: 1, Mesh: true},
+		EpochTicks: epoch, CheckpointEveryEpochs: 1, Tunables: Tunables{Mesh: true},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -270,7 +270,7 @@ func TestMeshPeerLinkStallDedupsAndMatches(t *testing.T) {
 	)
 	ref := memEngine(t, "epidemic", agents, extent, seed, engine.Options{
 		Workers: parts, Seed: seed,
-		Tunables: engine.Tunables{EpochTicks: epoch},
+		EpochTicks: epoch,
 	})
 	if err := ref.RunTicks(ticks); err != nil {
 		t.Fatal(err)
@@ -280,7 +280,7 @@ func TestMeshPeerLinkStallDedupsAndMatches(t *testing.T) {
 		Scenario: "epidemic",
 		Agents:   agents, Extent: extent, Seed: seed,
 		Partitions: parts, Ticks: ticks,
-		Tunables: Tunables{EpochTicks: epoch, CheckpointEveryEpochs: 1, Mesh: true},
+		EpochTicks: epoch, CheckpointEveryEpochs: 1, Tunables: Tunables{Mesh: true},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -310,7 +310,7 @@ func TestMeshMidRunRegistrationJoins(t *testing.T) {
 	)
 	ref := memEngine(t, "epidemic", agents, extent, seed, engine.Options{
 		Workers: parts, Seed: seed,
-		Tunables: engine.Tunables{EpochTicks: epoch},
+		EpochTicks: epoch,
 	})
 	if err := ref.RunTicks(ticks); err != nil {
 		t.Fatal(err)
@@ -356,7 +356,7 @@ func TestMeshMidRunRegistrationJoins(t *testing.T) {
 		Scenario: "epidemic",
 		Agents:   agents, Extent: extent, Seed: seed,
 		Partitions: parts, Ticks: ticks,
-		Tunables: Tunables{EpochTicks: epoch, CheckpointEveryEpochs: 1, Mesh: true},
+		EpochTicks: epoch, CheckpointEveryEpochs: 1, Tunables: Tunables{Mesh: true},
 		Registry: reg,
 	}
 	res, err := Run(o)

@@ -52,7 +52,7 @@ func TestStallBetweenInteriorAndBoundary(t *testing.T) {
 		epoch  = 3
 	)
 	ref := memEngine(t, "epidemic", agents, extent, seed, engine.Options{
-		Workers: parts, Seed: seed, Tunables: Tunables{EpochTicks: epoch},
+		Workers: parts, Seed: seed, EpochTicks: epoch,
 	})
 	if err := ref.RunTicks(ticks); err != nil {
 		t.Fatal(err)
@@ -66,7 +66,7 @@ func TestStallBetweenInteriorAndBoundary(t *testing.T) {
 		Scenario: "epidemic",
 		Agents:   agents, Extent: extent, Seed: seed,
 		Partitions: parts, Ticks: ticks,
-		Tunables: Tunables{EpochTicks: epoch, CheckpointEveryEpochs: 1},
+		EpochTicks: epoch, CheckpointEveryEpochs: 1,
 	}
 	fastLiveness(&o)
 	res, err := Run(o)
@@ -98,7 +98,7 @@ func TestSeverBetweenInteriorAndBoundary(t *testing.T) {
 		epoch  = 3
 	)
 	ref := memEngine(t, "epidemic", agents, extent, seed, engine.Options{
-		Workers: parts, Seed: seed, Tunables: Tunables{EpochTicks: epoch}, LoadBalance: true,
+		Workers: parts, Seed: seed, EpochTicks: epoch, LoadBalance: true,
 	})
 	if err := ref.RunTicks(ticks); err != nil {
 		t.Fatal(err)
@@ -109,7 +109,7 @@ func TestSeverBetweenInteriorAndBoundary(t *testing.T) {
 		Scenario: "epidemic",
 		Agents:   agents, Extent: extent, Seed: seed,
 		Partitions: parts, Ticks: ticks,
-		Tunables:    Tunables{EpochTicks: epoch, CheckpointEveryEpochs: 1},
+		EpochTicks: epoch, CheckpointEveryEpochs: 1,
 		LoadBalance: true,
 	})
 	if err != nil {
@@ -121,7 +121,7 @@ func TestSeverBetweenInteriorAndBoundary(t *testing.T) {
 	assertSamePopulation(t, "sever in overlap window", ref.Agents(), res.Agents)
 }
 
-// The stall window composed with absorption: re-admission disabled, the
+// The stall window composed with absorption: its host gone, the
 // survivors take over the frozen worker's partitions mid-epoch.
 func TestStallInWindowAbsorbed(t *testing.T) {
 	const (
@@ -133,19 +133,18 @@ func TestStallInWindowAbsorbed(t *testing.T) {
 		epoch  = 2
 	)
 	ref := memEngine(t, "evacuate", agents, extent, seed, engine.Options{
-		Workers: parts, Seed: seed, Tunables: Tunables{EpochTicks: epoch},
+		Workers: parts, Seed: seed, EpochTicks: epoch,
 	})
 	if err := ref.RunTicks(ticks); err != nil {
 		t.Fatal(err)
 	}
 
 	o := Options{
-		Addrs:    startChaosWorkers(t, 3, stallProcInWindow(1, 9)), // map barrier mid tick 5
+		Addrs:    startDoomedWorkers(t, 3, stallProcInWindow(1, 9)), // map barrier mid tick 5
 		Scenario: "evacuate",
 		Agents:   agents, Extent: extent, Seed: seed,
 		Partitions: parts, Ticks: ticks,
-		Tunables: Tunables{EpochTicks: epoch, CheckpointEveryEpochs: 1},
-		NoRejoin: true,
+		EpochTicks: epoch, CheckpointEveryEpochs: 1,
 	}
 	fastLiveness(&o)
 	res, err := Run(o)

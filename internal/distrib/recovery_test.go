@@ -9,14 +9,28 @@ import (
 	"github.com/bigreddata/brace/internal/engine"
 	"github.com/bigreddata/brace/internal/partition"
 	"github.com/bigreddata/brace/internal/scenario"
-	"github.com/bigreddata/brace/internal/spatial"
 	"github.com/bigreddata/brace/internal/transport"
 )
+
+// wrapFunc is ServeOptions.Wrap: the chaos suites' fault injector.
+type wrapFunc = func(tr transport.Transport, h *transport.Hello) transport.Transport
 
 // startChaosWorkers launches n multi-session worker daemons (so a severed
 // worker's daemon survives to accept a re-admission dial) whose session
 // transports run through wrap.
-func startChaosWorkers(t *testing.T, n int, wrap func(tr transport.Transport, h *transport.Hello) transport.Transport) []string {
+func startChaosWorkers(t *testing.T, n int, wrap wrapFunc) []string {
+	return startFaultyWorkers(t, n, wrap, false)
+}
+
+// startDoomedWorkers is startChaosWorkers where a fault takes its whole
+// host down: the daemon's listener closes as the fault fires, so the
+// coordinator's rejoin dial is refused and the survivors absorb the dead
+// worker's partitions.
+func startDoomedWorkers(t *testing.T, n int, wrap wrapFunc) []string {
+	return startFaultyWorkers(t, n, wrap, true)
+}
+
+func startFaultyWorkers(t *testing.T, n int, wrap wrapFunc, hostDies bool) []string {
 	t.Helper()
 	addrs := make([]string, n)
 	for i := 0; i < n; i++ {
@@ -26,7 +40,18 @@ func startChaosWorkers(t *testing.T, n int, wrap func(tr transport.Transport, h 
 		}
 		t.Cleanup(func() { lis.Close() })
 		addrs[i] = lis.Addr().String()
-		go ServeWith(lis, ServeOptions{Wrap: wrap})
+		w := wrap
+		if hostDies {
+			w = func(tr transport.Transport, h *transport.Hello) transport.Transport {
+				tr = wrap(tr, h)
+				if f, ok := tr.(*transport.FaultAt); ok {
+					do := f.Do
+					f.Do = func() { lis.Close(); do() }
+				}
+				return tr
+			}
+		}
+		go ServeWith(lis, ServeOptions{Wrap: w})
 	}
 	return addrs
 }
@@ -56,9 +81,6 @@ func memEngine(t *testing.T, name string, agents int, extent float64, seed uint6
 	m, pop, err := sp.New(scenario.Config{Agents: agents, Seed: seed, Extent: extent})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if opts.Index == 0 {
-		opts.Index = spatial.KindKDTree
 	}
 	eng, err := engine.NewDistributed(m, pop, opts)
 	if err != nil {
@@ -93,7 +115,7 @@ func TestRecoverySeveredWorkerRejoins(t *testing.T) {
 	)
 	ref := memEngine(t, "epidemic", agents, extent, seed, engine.Options{
 		Workers: parts, Seed: seed,
-		Tunables: engine.Tunables{EpochTicks: epoch},
+		EpochTicks: epoch,
 	})
 	if err := ref.RunTicks(ticks); err != nil {
 		t.Fatal(err)
@@ -106,7 +128,7 @@ func TestRecoverySeveredWorkerRejoins(t *testing.T) {
 		Scenario: "epidemic",
 		Agents:   agents, Extent: extent, Seed: seed,
 		Partitions: parts, Ticks: ticks,
-		Tunables: Tunables{EpochTicks: epoch, CheckpointEveryEpochs: 1},
+		EpochTicks: epoch, CheckpointEveryEpochs: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -126,8 +148,8 @@ func TestRecoverySeveredWorkerRejoins(t *testing.T) {
 	assertSamePopulation(t, "severed+rejoined", ref.Agents(), res.Agents)
 }
 
-// With re-admission disabled the survivors absorb the dead worker's
-// partitions — and the result is still bit-identical.
+// With its host gone the survivors absorb the dead worker's partitions —
+// and the result is still bit-identical.
 func TestRecoverySeveredWorkerAbsorbed(t *testing.T) {
 	const (
 		agents = 90
@@ -139,19 +161,18 @@ func TestRecoverySeveredWorkerAbsorbed(t *testing.T) {
 	)
 	ref := memEngine(t, "evacuate", agents, extent, seed, engine.Options{
 		Workers: parts, Seed: seed,
-		Tunables: engine.Tunables{EpochTicks: epoch},
+		EpochTicks: epoch,
 	})
 	if err := ref.RunTicks(ticks); err != nil {
 		t.Fatal(err)
 	}
 
 	res, err := Run(Options{
-		Addrs:    startChaosWorkers(t, 3, severProcAt(1, 9)), // mid tick 4
+		Addrs:    startDoomedWorkers(t, 3, severProcAt(1, 9)), // mid tick 4
 		Scenario: "evacuate",
 		Agents:   agents, Extent: extent, Seed: seed,
 		Partitions: parts, Ticks: ticks,
-		Tunables: Tunables{EpochTicks: epoch, CheckpointEveryEpochs: 1},
-		NoRejoin: true,
+		EpochTicks: epoch, CheckpointEveryEpochs: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -160,7 +181,7 @@ func TestRecoverySeveredWorkerAbsorbed(t *testing.T) {
 		t.Errorf("recoveries = %d, want ≥ 1", res.Recoveries)
 	}
 	if res.Rejoins != 0 {
-		t.Errorf("rejoins = %d, want 0 with NoRejoin", res.Rejoins)
+		t.Errorf("rejoins = %d, want 0 with the host down", res.Rejoins)
 	}
 	if res.Procs != 2 {
 		t.Errorf("procs = %d, want 2 survivors", res.Procs)
@@ -171,18 +192,17 @@ func TestRecoverySeveredWorkerAbsorbed(t *testing.T) {
 // A failure with no periodic checkpoints rewinds all the way to tick 0 —
 // the coordinator always holds the initial state.
 func TestRecoveryFromInitialCheckpoint(t *testing.T) {
-	ref := memEngine(t, "epidemic", 60, 30, 7, engine.Options{Workers: 3, Seed: 7, Tunables: Tunables{EpochTicks: 4}})
+	ref := memEngine(t, "epidemic", 60, 30, 7, engine.Options{Workers: 3, Seed: 7, EpochTicks: 4})
 	if err := ref.RunTicks(8); err != nil {
 		t.Fatal(err)
 	}
 	res, err := Run(Options{
-		Addrs:    startChaosWorkers(t, 3, severProcAt(2, 11)), // mid tick 5
+		Addrs:    startDoomedWorkers(t, 3, severProcAt(2, 11)), // mid tick 5
 		Scenario: "epidemic",
 		Agents:   60, Extent: 30, Seed: 7,
 		Partitions: 3, Ticks: 8,
-		Tunables: Tunables{EpochTicks: 4},
+		EpochTicks: 4,
 		// CheckpointEveryEpochs: 0 — only the tick-0 state exists.
-		NoRejoin: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -202,7 +222,7 @@ func TestRecoveryWithLoadBalance(t *testing.T) {
 	bal := partition.Balancer{MigrateCostPerAgent: 1e-9, HorizonTicks: 1000, MinRelativeGain: 0.01}
 	ref := memEngine(t, "epidemic", 96, 30, 5, engine.Options{
 		Workers: 4, Seed: 5, LoadBalance: true, Balancer: bal,
-		Tunables: engine.Tunables{EpochTicks: 3},
+		EpochTicks: 3,
 	})
 	if err := ref.RunTicks(12); err != nil {
 		t.Fatal(err)
@@ -212,7 +232,7 @@ func TestRecoveryWithLoadBalance(t *testing.T) {
 		Scenario: "epidemic",
 		Agents:   96, Extent: 30, Seed: 5,
 		Partitions: 4, Ticks: 12,
-		Tunables:    Tunables{EpochTicks: 3, CheckpointEveryEpochs: 1},
+		EpochTicks: 3, CheckpointEveryEpochs: 1,
 		LoadBalance: true, Balancer: bal,
 	})
 	if err != nil {
@@ -239,7 +259,7 @@ func TestRecoveryGivesUpOnFlappingWorker(t *testing.T) {
 		Scenario: "epidemic",
 		Agents:   60, Extent: 30, Seed: 7,
 		Partitions: 4, Ticks: 8,
-		Tunables: Tunables{EpochTicks: 2, CheckpointEveryEpochs: 1, MaxRecoveries: 3},
+		EpochTicks: 2, CheckpointEveryEpochs: 1,
 	})
 	if err == nil || !strings.Contains(err.Error(), "giving up") {
 		t.Fatalf("err = %v, want recovery budget exhaustion", err)
@@ -262,17 +282,16 @@ func TestRecoveryDoubleDeath(t *testing.T) {
 		}
 		return tr
 	}
-	ref := memEngine(t, "epidemic", 90, 30, 13, engine.Options{Workers: 6, Seed: 13, Tunables: Tunables{EpochTicks: 2}})
+	ref := memEngine(t, "epidemic", 90, 30, 13, engine.Options{Workers: 6, Seed: 13, EpochTicks: 2})
 	if err := ref.RunTicks(10); err != nil {
 		t.Fatal(err)
 	}
 	res, err := Run(Options{
-		Addrs:    startChaosWorkers(t, 3, wrap),
+		Addrs:    startDoomedWorkers(t, 3, wrap),
 		Scenario: "epidemic",
 		Agents:   90, Extent: 30, Seed: 13,
 		Partitions: 6, Ticks: 10,
-		Tunables: Tunables{EpochTicks: 2, CheckpointEveryEpochs: 1},
-		NoRejoin: true,
+		EpochTicks: 2, CheckpointEveryEpochs: 1,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -47,7 +47,7 @@ func TestStallDetectedAndRejoined(t *testing.T) {
 	)
 	ref := memEngine(t, "epidemic", agents, extent, seed, engine.Options{
 		Workers: parts, Seed: seed,
-		Tunables: engine.Tunables{EpochTicks: epoch},
+		EpochTicks: epoch,
 	})
 	if err := ref.RunTicks(ticks); err != nil {
 		t.Fatal(err)
@@ -60,7 +60,7 @@ func TestStallDetectedAndRejoined(t *testing.T) {
 		Scenario: "epidemic",
 		Agents:   agents, Extent: extent, Seed: seed,
 		Partitions: parts, Ticks: ticks,
-		Tunables: Tunables{EpochTicks: epoch, CheckpointEveryEpochs: 1},
+		EpochTicks: epoch, CheckpointEveryEpochs: 1,
 	}
 	fastLiveness(&o)
 	res, err := Run(o)
@@ -85,7 +85,7 @@ func TestStallDetectedAndRejoined(t *testing.T) {
 	assertSamePopulation(t, "stalled+rejoined", ref.Agents(), res.Agents)
 }
 
-// With re-admission disabled the survivors absorb the frozen worker's
+// With its host gone the survivors absorb the frozen worker's
 // partitions — and the result is still bit-identical.
 func TestStallDetectedAndAbsorbed(t *testing.T) {
 	const (
@@ -98,19 +98,18 @@ func TestStallDetectedAndAbsorbed(t *testing.T) {
 	)
 	ref := memEngine(t, "evacuate", agents, extent, seed, engine.Options{
 		Workers: parts, Seed: seed,
-		Tunables: engine.Tunables{EpochTicks: epoch},
+		EpochTicks: epoch,
 	})
 	if err := ref.RunTicks(ticks); err != nil {
 		t.Fatal(err)
 	}
 
 	o := Options{
-		Addrs:    startChaosWorkers(t, 3, stallProcAt(1, 9)), // mid tick 4
+		Addrs:    startDoomedWorkers(t, 3, stallProcAt(1, 9)), // mid tick 4
 		Scenario: "evacuate",
 		Agents:   agents, Extent: extent, Seed: seed,
 		Partitions: parts, Ticks: ticks,
-		Tunables: Tunables{EpochTicks: epoch, CheckpointEveryEpochs: 1},
-		NoRejoin: true,
+		EpochTicks: epoch, CheckpointEveryEpochs: 1,
 	}
 	fastLiveness(&o)
 	res, err := Run(o)
@@ -142,7 +141,7 @@ func TestStallDuringCheckpointRound(t *testing.T) {
 	)
 	ref := memEngine(t, "epidemic", agents, extent, seed, engine.Options{
 		Workers: parts, Seed: seed,
-		Tunables: engine.Tunables{EpochTicks: epoch},
+		EpochTicks: epoch,
 	})
 	if err := ref.RunTicks(ticks); err != nil {
 		t.Fatal(err)
@@ -154,12 +153,11 @@ func TestStallDuringCheckpointRound(t *testing.T) {
 	// phase right after the directive is applied; either way no socket
 	// error ever surfaces and liveness must end the hang.
 	o := Options{
-		Addrs:    startChaosWorkers(t, 2, stallProcAt(0, 8)),
+		Addrs:    startDoomedWorkers(t, 2, stallProcAt(0, 8)),
 		Scenario: "epidemic",
 		Agents:   agents, Extent: extent, Seed: seed,
 		Partitions: parts, Ticks: ticks,
-		Tunables: Tunables{EpochTicks: epoch, CheckpointEveryEpochs: 1},
-		NoRejoin: true,
+		EpochTicks: epoch, CheckpointEveryEpochs: 1,
 	}
 	fastLiveness(&o)
 	res, err := Run(o)
@@ -194,7 +192,6 @@ func TestWorkerCoordinatorWatchdog(t *testing.T) {
 		Partitions: 1, Assign: []int{0}, Gen: 1,
 		Scenario: "epidemic", Agents: 2000, Seed: 1, Ticks: 1 << 30,
 		EpochTicks: 1 << 29,
-		Index:      "kd",
 	}
 	if err := fc.Send(&transport.Frame{Kind: transport.FrameHello, Hello: h}); err != nil {
 		t.Fatal(err)
@@ -240,7 +237,7 @@ func TestIncrementalCheckpointBytesOnFish(t *testing.T) {
 			Scenario: "fish",
 			Agents:   agents, Seed: seed,
 			Partitions: parts, Ticks: ticks,
-			Tunables: Tunables{EpochTicks: epoch, CheckpointEveryEpochs: 1, CheckpointFullEvery: fullEvery},
+			EpochTicks: epoch, CheckpointEveryEpochs: 1, CheckpointFullEvery: fullEvery,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -252,7 +249,7 @@ func TestIncrementalCheckpointBytesOnFish(t *testing.T) {
 
 	ref := memEngine(t, "fish", agents, 0, seed, engine.Options{
 		Workers: parts, Seed: seed,
-		Tunables: engine.Tunables{EpochTicks: epoch},
+		EpochTicks: epoch,
 	})
 	if err := ref.RunTicks(ticks); err != nil {
 		t.Fatal(err)
@@ -291,7 +288,7 @@ func TestRecoveryFromDeltaAssembledCheckpoint(t *testing.T) {
 	)
 	ref := memEngine(t, "epidemic", agents, extent, seed, engine.Options{
 		Workers: parts, Seed: seed,
-		Tunables: engine.Tunables{EpochTicks: epoch},
+		EpochTicks: epoch,
 	})
 	if err := ref.RunTicks(ticks); err != nil {
 		t.Fatal(err)
@@ -305,7 +302,7 @@ func TestRecoveryFromDeltaAssembledCheckpoint(t *testing.T) {
 		Agents:   agents, Extent: extent, Seed: seed,
 		Partitions: parts, Ticks: ticks,
 		// keyframe only at the first checkpoint
-		Tunables: Tunables{EpochTicks: epoch, CheckpointEveryEpochs: 1, CheckpointFullEvery: 100},
+		EpochTicks: epoch, CheckpointEveryEpochs: 1, CheckpointFullEvery: 100,
 	})
 	if err != nil {
 		t.Fatal(err)

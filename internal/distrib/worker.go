@@ -10,7 +10,6 @@ import (
 
 	"github.com/bigreddata/brace/internal/engine"
 	"github.com/bigreddata/brace/internal/scenario"
-	"github.com/bigreddata/brace/internal/spatial"
 	"github.com/bigreddata/brace/internal/transport"
 )
 
@@ -149,22 +148,17 @@ func (s *sessionSet) load() (sessions, peerLinks int) {
 	return len(tcps), peerLinks
 }
 
-// Serve runs the worker daemon's accept loop. Each accepted connection is
-// one coordinator session — a complete simulation, or a re-admission into
-// a recovering one — and sessions run concurrently: a fleet daemon hosts
-// partitions of many runs at once, each session its own framed stream.
-// With once set it returns the first session's error as soon as that
-// session ends; otherwise it serves until the listener closes. Session
-// errors are logged and do not stop the daemon — a failed run must not take
-// the worker down with it, and a coordinator recovering from this worker's
-// death re-dials the same daemon to re-admit it.
-func Serve(lis net.Listener, logw io.Writer, once bool) error {
-	return ServeWith(lis, ServeOptions{Log: logw, Once: once})
-}
-
-// ServeWith is Serve with full options. When ServeOptions.Drain closes,
-// ServeWith stops accepting, waits for every active session to drain, and
-// returns nil.
+// ServeWith runs the worker daemon's accept loop. Each accepted connection
+// is one coordinator session — a complete simulation, or a re-admission
+// into a recovering one — and sessions run concurrently: a fleet daemon
+// hosts partitions of many runs at once, each session its own framed
+// stream. With Once set it returns the first session's error as soon as
+// that session ends; otherwise it serves until the listener closes.
+// Session errors are logged and do not stop the daemon — a failed run must
+// not take the worker down with it, and a coordinator recovering from this
+// worker's death re-dials the same daemon to re-admit it. When
+// ServeOptions.Drain closes, ServeWith stops accepting, waits for every
+// active session to drain, and returns nil.
 func ServeWith(lis net.Listener, so ServeOptions) error {
 	so.sessions = newSessionSet()
 	var wg sync.WaitGroup
@@ -329,7 +323,7 @@ func serveSession(fc *transport.Conn, f *transport.Frame, so ServeOptions) error
 		fc.Send(&transport.Frame{Kind: transport.FrameAck, Err: err.Error()})
 		return fmt.Errorf("rejected run: %w", err)
 	}
-	sp, kind, err := checkHello(h)
+	sp, err := checkHello(h)
 	if err != nil {
 		return reject(err)
 	}
@@ -380,9 +374,9 @@ func serveSession(fc *transport.Conn, f *transport.Frame, so ServeOptions) error
 	var eng *engine.Distributed
 	eng, err = engine.NewDistributed(m, pop, engine.Options{
 		Workers:    h.Partitions,
-		Index:      kind,
+		Index:      h.Index,
 		Seed:       h.Seed,
-		Tunables:   Tunables{EpochTicks: h.EpochTicks},
+		EpochTicks: h.EpochTicks,
 		Transport:  tr,
 		LocalParts: local,
 		EpochBarrier: func(tick uint64) error {
@@ -567,44 +561,43 @@ func workerBarrier(eng *engine.Distributed, tcp *transport.TCP, h *transport.Hel
 }
 
 // checkHello validates a coordinator's handshake against this binary.
-func checkHello(h *transport.Hello) (scenario.Spec, spatial.Kind, error) {
+func checkHello(h *transport.Hello) (scenario.Spec, error) {
 	var none scenario.Spec
 	if h.Proto != transport.ProtoVersion {
-		return none, 0, &transport.VersionError{Got: h.Proto, Want: transport.ProtoVersion}
+		return none, &transport.VersionError{Got: h.Proto, Want: transport.ProtoVersion}
 	}
 	if h.NumProcs < 1 || h.Proc < 0 || h.Proc >= h.NumProcs {
-		return none, 0, fmt.Errorf("bad process index %d of %d", h.Proc, h.NumProcs)
+		return none, fmt.Errorf("bad process index %d of %d", h.Proc, h.NumProcs)
 	}
 	if h.Partitions < 1 {
-		return none, 0, fmt.Errorf("no partitions")
+		return none, fmt.Errorf("no partitions")
 	}
 	if err := checkSize(h.Agents, h.Partitions); err != nil {
-		return none, 0, err
+		return none, err
 	}
 	if len(h.Assign) != h.Partitions {
-		return none, 0, fmt.Errorf("assignment covers %d partitions, want %d", len(h.Assign), h.Partitions)
+		return none, fmt.Errorf("assignment covers %d partitions, want %d", len(h.Assign), h.Partitions)
 	}
 	for p, pr := range h.Assign {
 		if pr < 0 || pr >= h.NumProcs {
-			return none, 0, fmt.Errorf("partition %d assigned to unknown process %d", p, pr)
+			return none, fmt.Errorf("partition %d assigned to unknown process %d", p, pr)
 		}
 	}
 	if h.Gen < 1 {
-		return none, 0, fmt.Errorf("bad generation %d", h.Gen)
+		return none, fmt.Errorf("bad generation %d", h.Gen)
 	}
 	if h.Ticks < 0 {
-		return none, 0, fmt.Errorf("negative tick count")
+		return none, fmt.Errorf("negative tick count")
 	}
 	if h.EpochTicks < 0 {
-		return none, 0, fmt.Errorf("negative epoch ticks %d", h.EpochTicks)
+		return none, fmt.Errorf("negative epoch ticks %d", h.EpochTicks)
+	}
+	if err := h.Index.Check(); err != nil {
+		return none, err
 	}
 	sp, ok := scenario.Lookup(h.Scenario)
 	if !ok {
-		return none, 0, scenario.ErrUnknown(h.Scenario)
+		return none, scenario.ErrUnknown(h.Scenario)
 	}
-	kind, err := spatial.ParseKind(h.Index)
-	if err != nil {
-		return none, 0, err
-	}
-	return sp, kind, nil
+	return sp, nil
 }

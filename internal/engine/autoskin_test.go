@@ -48,7 +48,7 @@ func TestAutoSkinGating(t *testing.T) {
 		opts Options
 		want bool
 	}{
-		{"default", Options{Workers: 2, Index: spatial.KindKDTree, Seed: 3}, true},
+		{"default", Options{Workers: 2, Seed: 3}, true}, // the zero Index is the KD-tree
 		{"non-kd index", Options{Workers: 2, Index: spatial.KindScan, Seed: 3}, false},
 		{"cost model", Options{Workers: 2, Index: spatial.KindKDTree, Seed: 3, CostModel: &cm}, false},
 	} {

@@ -16,7 +16,7 @@ import (
 func TestEpochOwnedCountsConsistent(t *testing.T) {
 	m := newFlockModel(6)
 	e, err := NewDistributed(m, makePop(m.s, 90, 45, 22), Options{
-		Workers: 4, Index: spatial.KindKDTree, Seed: 5, Tunables: Tunables{EpochTicks: 3},
+		Workers: 4, Index: spatial.KindKDTree, Seed: 5, EpochTicks: 3,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -49,7 +49,7 @@ func TestLoadBalancerDeterministic(t *testing.T) {
 		}
 		e, err := NewDistributed(m, pop, Options{
 			Workers: 4, Index: spatial.KindKDTree, Seed: 6,
-			LoadBalance: true, Tunables: Tunables{EpochTicks: 4},
+			LoadBalance: true, EpochTicks: 4,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -86,8 +86,8 @@ func TestRestoreStartsCostEpoch(t *testing.T) {
 	base := makePop(m.s, 120, 30, 23)
 	opts := Options{
 		Workers: workers, Index: spatial.KindKDTree, Seed: 6, LoadBalance: true,
-		Balancer: partition.Balancer{MigrateCostPerAgent: 1e-9, HorizonTicks: 1000, MinRelativeGain: 0.01},
-		Tunables: Tunables{EpochTicks: epoch, CheckpointEveryEpochs: 1},
+		Balancer:   partition.Balancer{MigrateCostPerAgent: 1e-9, HorizonTicks: 1000, MinRelativeGain: 0.01},
+		EpochTicks: epoch, CheckpointEveryEpochs: 1,
 	}
 	// epochCost[tick] is the population-wide cost the barrier at tick found,
 	// as last recorded: summed over partitions it counts every owned agent's

@@ -14,26 +14,20 @@ import (
 	"github.com/bigreddata/brace/internal/transport"
 )
 
-// Tunables aliases the shared knob set Options embeds, so engine callers
-// can write engine.Tunables{...} without importing internal/cluster.
-type Tunables = cluster.Tunables
-
 // Options configures a Distributed engine.
 type Options struct {
 	// Workers is the number of worker nodes (= spatial partitions).
 	Workers int
-	// Index selects the spatial index used by reducers; KindScan is the
-	// "no indexing" configuration of Figs. 3–4.
+	// Index selects the spatial index used by reducers: the zero value is
+	// the KD-tree, KindScan the "no indexing" configuration of Figs. 3–4.
 	Index spatial.Kind
 	// Seed drives all simulation randomness.
 	Seed uint64
-	// Tunables is the knob set shared with distrib.Options and the
-	// service run config. The engine reads EpochTicks (the master
-	// interaction interval, default 10) and CheckpointEveryEpochs (0 = off;
-	// an initial rollback point is still kept); the network timeouts and
-	// the mesh switch belong to the distributed layers and are ignored
-	// here.
-	cluster.Tunables
+	// EpochTicks is the master interaction interval (0 = default 10).
+	EpochTicks int
+	// CheckpointEveryEpochs orders a coordinated checkpoint every k epochs
+	// (0 = only the initial rollback point is kept).
+	CheckpointEveryEpochs int
 	// LoadBalance enables the one-dimensional load balancer at epoch
 	// boundaries.
 	LoadBalance bool

@@ -227,7 +227,6 @@ func TestSequentialMatchesDistributedLocal(t *testing.T) {
 // core.
 func TestIndexKindsAgreeExactly(t *testing.T) {
 	flock, push := newFlockModel(8), newPushModel(6)
-	lb := Tunables{EpochTicks: 3}
 	for _, tc := range []struct {
 		name string
 		m    Model
@@ -236,7 +235,7 @@ func TestIndexKindsAgreeExactly(t *testing.T) {
 	}{
 		{"flock", flock, makePop(flock.s, 100, 50, 2), Options{}},
 		{"push", push, makePop(push.s, 80, 40, 4), Options{}},
-		{"push/lb", push, makePop(push.s, 80, 40, 4), Options{LoadBalance: true, Tunables: lb}},
+		{"push/lb", push, makePop(push.s, 80, 40, 4), Options{LoadBalance: true, EpochTicks: 3}},
 	} {
 		var ref agent.Population
 		for i, kind := range []spatial.Kind{spatial.KindScan, spatial.KindKDTree} {
@@ -275,7 +274,7 @@ func TestDistributedUnboundedVisibility(t *testing.T) {
 	}
 	for _, kind := range []spatial.Kind{spatial.KindKDTree, spatial.KindScan} {
 		e, err := NewDistributed(m, clonePop(base), Options{
-			Workers: 3, Index: kind, Seed: 11, LoadBalance: true, Tunables: Tunables{EpochTicks: 3},
+			Workers: 3, Index: kind, Seed: 11, LoadBalance: true, EpochTicks: 3,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -334,7 +333,7 @@ func TestNonLocalSequentialVsDistributed(t *testing.T) {
 	// itself of agents it just gave up.
 	for _, lb := range []bool{false, true} {
 		four, err := NewDistributed(m, clonePop(base), Options{
-			Workers: 4, Index: spatial.KindKDTree, Seed: 5, LoadBalance: lb, Tunables: Tunables{EpochTicks: 3},
+			Workers: 4, Index: spatial.KindKDTree, Seed: 5, LoadBalance: lb, EpochTicks: 3,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -499,7 +498,7 @@ func TestLoadBalancingReducesImbalance(t *testing.T) {
 	cm := cluster.DefaultCostModel()
 	e, err := NewDistributed(m, pop, Options{
 		Workers: 4, Index: spatial.KindKDTree, Seed: 3,
-		LoadBalance: true, Tunables: Tunables{EpochTicks: 5}, CostModel: &cm,
+		LoadBalance: true, EpochTicks: 5, CostModel: &cm,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -566,7 +565,7 @@ func TestFailureRecoveryThroughEngine(t *testing.T) {
 	base := makePop(m.s, 60, 30, 10)
 	clean, err := NewDistributed(m, clonePop(base), Options{
 		Workers: 3, Index: spatial.KindKDTree, Seed: 13,
-		Tunables: Tunables{EpochTicks: 4, CheckpointEveryEpochs: 1},
+		EpochTicks: 4, CheckpointEveryEpochs: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -576,7 +575,7 @@ func TestFailureRecoveryThroughEngine(t *testing.T) {
 	}
 	faulty, err := NewDistributed(m, clonePop(base), Options{
 		Workers: 3, Index: spatial.KindKDTree, Seed: 13,
-		Tunables: Tunables{EpochTicks: 4, CheckpointEveryEpochs: 1},
+		EpochTicks: 4, CheckpointEveryEpochs: 1,
 		Failures: cluster.NewFailurePlan().CrashAt(6, 1),
 	})
 	if err != nil {
@@ -596,7 +595,7 @@ func TestEngineStatsAccessors(t *testing.T) {
 	cmodel := cluster.DefaultCostModel()
 	e, err := NewDistributed(m, makePop(m.s, 50, 25, 11), Options{
 		Workers: 2, Index: spatial.KindKDTree, Seed: 1, CostModel: &cmodel,
-		Tunables: Tunables{EpochTicks: 5},
+		EpochTicks: 5,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -648,8 +647,8 @@ func TestOptionsValidation(t *testing.T) {
 	m := newFlockModel(5)
 	for _, opts := range []Options{
 		{Workers: 0},
-		{Workers: 1, Tunables: Tunables{EpochTicks: -3}},
-		{Workers: 1, Tunables: Tunables{CheckpointEveryEpochs: -1}},
+		{Workers: 1, EpochTicks: -3},
+		{Workers: 1, CheckpointEveryEpochs: -1},
 	} {
 		if _, err := NewDistributed(m, nil, opts); err == nil {
 			t.Errorf("%+v accepted", opts)

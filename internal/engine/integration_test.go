@@ -80,7 +80,7 @@ func TestEverythingOnIntegration(t *testing.T) {
 	run := func() agent.Population {
 		e, err := NewDistributed(m, mkpop(), Options{
 			Workers: 4, Index: spatial.KindKDTree, Seed: 17,
-			Tunables: Tunables{EpochTicks: 4, CheckpointEveryEpochs: 1}, LoadBalance: true,
+			EpochTicks: 4, CheckpointEveryEpochs: 1, LoadBalance: true,
 			Failures: cluster.NewFailurePlan().CrashAt(9, 2),
 		})
 		if err != nil {

@@ -28,7 +28,7 @@ func TestOverlapAblationBitIdentical(t *testing.T) {
 		opts Options
 	}{
 		{"plain", Options{Index: spatial.KindKDTree, Seed: 17}},
-		{"lb", Options{Index: spatial.KindKDTree, Seed: 17, LoadBalance: true, Tunables: Tunables{EpochTicks: 3}}},
+		{"lb", Options{Index: spatial.KindKDTree, Seed: 17, LoadBalance: true, EpochTicks: 3}},
 	} {
 		for _, workers := range []int{1, 3, 5} {
 			tc.opts.Workers = workers
@@ -71,7 +71,7 @@ func TestOverlapTickAcrossParallelism(t *testing.T) {
 	}
 
 	dist, err := NewDistributed(m, clonePop(base), Options{
-		Workers: 4, Index: spatial.KindKDTree, Seed: 42, Tunables: Tunables{EpochTicks: 4},
+		Workers: 4, Index: spatial.KindKDTree, Seed: 42, EpochTicks: 4,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -87,9 +87,9 @@ func AblationCheckpointInterval(s Scale) (*Result, error) {
 		fp := cluster.NewFailurePlan().CrashAt(crashTick, 1)
 		eng, err := engine.NewDistributed(m, m.NewPopulation(n, s.Seed), engine.Options{
 			Workers: workers, Index: spatial.KindKDTree, Seed: s.Seed,
-			CostModel: &cm,
-			Tunables:  cluster.Tunables{EpochTicks: 2, CheckpointEveryEpochs: everyEpochs},
-			Failures:  fp,
+			CostModel:  &cm,
+			EpochTicks: 2, CheckpointEveryEpochs: everyEpochs,
+			Failures: fp,
 		})
 		if err != nil {
 			return nil, err

@@ -88,7 +88,7 @@ func fishScaleEngine(s Scale, n, workers int, lb bool, epochTicks int) (*engine.
 		Seed:        s.Seed,
 		CostModel:   &cm,
 		LoadBalance: lb,
-		Tunables:    cluster.Tunables{EpochTicks: epochTicks},
+		EpochTicks:  epochTicks,
 	})
 }
 

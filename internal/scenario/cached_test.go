@@ -105,7 +105,7 @@ func TestCachedEquivalenceUnderLoadBalance(t *testing.T) {
 				var log []epochRecord
 				e, err := engine.NewDistributed(m, clonePop(base), engine.Options{
 					Workers: workers, Index: index, Seed: 11,
-					LoadBalance: true, Balancer: bal, Tunables: engine.Tunables{EpochTicks: epoch},
+					LoadBalance: true, Balancer: bal, EpochTicks: epoch,
 					EpochBarrier: func(uint64) error {
 						rec := epochRecord{cost: make([]int64, workers)}
 						for p := range rec.cost {

@@ -161,7 +161,7 @@ func TestColumnarEquivalenceLoadBalanceAndRecovery(t *testing.T) {
 				}
 				e, err := engine.NewDistributed(m, pop, engine.Options{
 					Workers: workers, Index: spatial.KindKDTree, Seed: seed,
-					Tunables:    engine.Tunables{EpochTicks: epochTicks, CheckpointEveryEpochs: 1},
+					EpochTicks: epochTicks, CheckpointEveryEpochs: 1,
 					LoadBalance: lb,
 					Failures:    failures,
 				})

@@ -36,7 +36,7 @@ func TestRecoveryBitIdenticalOnNewScenarios(t *testing.T) {
 				}
 				e, err := engine.NewDistributed(m, pop, engine.Options{
 					Workers: workers, Index: spatial.KindKDTree, Seed: 13,
-					Tunables: engine.Tunables{EpochTicks: epochTicks, CheckpointEveryEpochs: 1},
+					EpochTicks: epochTicks, CheckpointEveryEpochs: 1,
 					Failures: failures,
 				})
 				if err != nil {
@@ -80,7 +80,7 @@ func TestRecoveryFromInitialCheckpoint(t *testing.T) {
 	}
 	e, err := engine.NewDistributed(m, pop, engine.Options{
 		Workers: 3, Index: spatial.KindKDTree, Seed: 29,
-		Tunables: engine.Tunables{EpochTicks: 4},
+		EpochTicks: 4,
 		// No periodic checkpoints: recovery must rewind to tick 0.
 		Failures: cluster.NewFailurePlan().CrashAt(2, 1),
 	})
@@ -99,7 +99,7 @@ func TestRecoveryFromInitialCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	ref, err := engine.NewDistributed(m2, pop2, engine.Options{
-		Workers: 3, Index: spatial.KindKDTree, Seed: 29, Tunables: engine.Tunables{EpochTicks: 4},
+		Workers: 3, Index: spatial.KindKDTree, Seed: 29, EpochTicks: 4,
 	})
 	if err != nil {
 		t.Fatal(err)

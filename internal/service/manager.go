@@ -60,8 +60,9 @@ type RunSpec struct {
 	// EpochTicks is the epoch barrier interval (0 = engine default 10).
 	// Together with CheckpointEpochs it sets the observation cadence:
 	// the watch stream gets one frame per installed checkpoint.
-	EpochTicks int    `json:"epoch_ticks,omitempty"`
-	Index      string `json:"index,omitempty"`
+	EpochTicks int `json:"epoch_ticks,omitempty"`
+	// Index is "kd" (the default, also for "") or "scan".
+	Index spatial.Kind `json:"index"`
 	// LoadBalance enables the coordinator-driven 1-D balancer.
 	LoadBalance bool `json:"lb,omitempty"`
 	// CheckpointEpochs orders a coordinated checkpoint every k epochs
@@ -120,11 +121,9 @@ type Config struct {
 	// (0 = DefaultKeyframeEvery).
 	KeyframeEvery int
 
-	// Tunables carries the shared knob set passed through to every run's
-	// coordinator — liveness timeouts, checkpoint keyframe cadence, the
-	// mesh switch; zero values take the cluster.Default* values. The
-	// per-run cadence knobs (EpochTicks, CheckpointEveryEpochs) come from
-	// each RunSpec instead and are ignored here.
+	// Tunables are the deployment knobs passed through to every run's
+	// coordinator — liveness timeouts and the mesh switch; zero values take
+	// the distrib.Default* values. The cadence knobs come from each RunSpec.
 	distrib.Tunables
 
 	// Registry, when non-nil, is the worker registry the daemon's fleet
@@ -268,10 +267,7 @@ func (m *Manager) normalize(spec RunSpec) (RunSpec, error) {
 	if spec.Partitions < spec.Workers {
 		return spec, fmt.Errorf("service: %d partitions cannot cover %d workers", spec.Partitions, spec.Workers)
 	}
-	if spec.Index == "" {
-		spec.Index = "kd"
-	}
-	if _, err := spatial.ParseKind(spec.Index); err != nil {
+	if err := spec.Index.Check(); err != nil {
 		return spec, err
 	}
 	if spec.CheckpointEpochs == 0 {
@@ -344,42 +340,7 @@ func (m *Manager) execute(r *run) {
 	r.mu.Lock()
 	spec, addrs := r.spec, r.workers
 	r.mu.Unlock()
-	res, err := distrib.Run(distrib.Options{
-		Addrs:       addrs,
-		RunID:       r.id,
-		Scenario:    spec.Scenario,
-		Agents:      spec.Agents,
-		Extent:      spec.Extent,
-		Seed:        spec.Seed,
-		Partitions:  spec.Partitions,
-		Ticks:       spec.Ticks,
-		Index:       spec.Index,
-		LoadBalance: spec.LoadBalance,
-		Tunables: distrib.Tunables{
-			EpochTicks:            spec.EpochTicks,
-			CheckpointEveryEpochs: spec.CheckpointEpochs,
-			CheckpointFullEvery:   spec.CheckpointFullEvery,
-			Heartbeat:             m.cfg.Heartbeat,
-			HeartbeatMisses:       m.cfg.HeartbeatMisses,
-			EpochTimeout:          m.cfg.EpochTimeout,
-			DialTimeout:           m.cfg.DialTimeout,
-			Mesh:                  m.cfg.Mesh,
-		},
-		Cancel:       r.cancel,
-		OnCheckpoint: r.stream.Publish,
-		OnEpoch: func(d distrib.EpochDecision) {
-			r.mu.Lock()
-			r.lastTick = d.Tick
-			r.epochs++
-			r.mu.Unlock()
-		},
-		OnWorkerDown: func(proc int, addr string, cause error) {
-			m.fleet.markDown(addr, cause)
-			if m.cfg.Log != nil {
-				fmt.Fprintf(m.cfg.Log, "bracesimd: %s: worker %s down: %v\n", r.id, addr, cause)
-			}
-		},
-	})
+	res, err := distrib.Run(m.runOptions(r, spec, addrs))
 
 	r.mu.Lock()
 	r.result = res
@@ -411,6 +372,42 @@ func (m *Manager) execute(r *run) {
 	m.running--
 	m.pumpLocked()
 	m.mu.Unlock()
+}
+
+// runOptions is the coordinator configuration of run r on its reserved
+// workers: the spec's scenario and cadence, the daemon's deployment knobs,
+// and the hooks that feed the run's status and observation stream.
+func (m *Manager) runOptions(r *run, spec RunSpec, addrs []string) distrib.Options {
+	return distrib.Options{
+		Addrs:                 addrs,
+		RunID:                 r.id,
+		Scenario:              spec.Scenario,
+		Agents:                spec.Agents,
+		Extent:                spec.Extent,
+		Seed:                  spec.Seed,
+		Partitions:            spec.Partitions,
+		Ticks:                 spec.Ticks,
+		EpochTicks:            spec.EpochTicks,
+		CheckpointEveryEpochs: spec.CheckpointEpochs,
+		CheckpointFullEvery:   spec.CheckpointFullEvery,
+		Tunables:              m.cfg.Tunables,
+		Index:                 spec.Index,
+		LoadBalance:           spec.LoadBalance,
+		Cancel:                r.cancel,
+		OnCheckpoint:          r.stream.Publish,
+		OnEpoch: func(d distrib.EpochDecision) {
+			r.mu.Lock()
+			r.lastTick = d.Tick
+			r.epochs++
+			r.mu.Unlock()
+		},
+		OnWorkerDown: func(proc int, addr string, cause error) {
+			m.fleet.markDown(addr, cause)
+			if m.cfg.Log != nil {
+				fmt.Fprintf(m.cfg.Log, "bracesimd: %s: worker %s down: %v\n", r.id, addr, cause)
+			}
+		},
+	}
 }
 
 // pumpLocked starts every queued run that fits. The scan covers the whole

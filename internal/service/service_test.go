@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -31,7 +32,7 @@ func startFleet(t *testing.T, n int) []string {
 		}
 		t.Cleanup(func() { lis.Close() })
 		addrs = append(addrs, lis.Addr().String())
-		go distrib.Serve(lis, io.Discard, false)
+		go distrib.ServeWith(lis, distrib.ServeOptions{})
 	}
 	return addrs
 }
@@ -109,7 +110,7 @@ func TestTwoConcurrentRunsShareFleetBitIdentical(t *testing.T) {
 			Scenario: tc.spec.Scenario,
 			Agents:   tc.spec.Agents, Seed: tc.spec.Seed,
 			Partitions: tc.spec.Partitions, Ticks: tc.spec.Ticks,
-			Tunables: distrib.Tunables{EpochTicks: tc.spec.EpochTicks},
+			EpochTicks: tc.spec.EpochTicks,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -191,24 +192,57 @@ func TestSubmitValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	for _, tc := range []struct {
-		name string
-		spec RunSpec
-	}{
-		{"unknown scenario", RunSpec{Scenario: "no-such", Ticks: 5}},
-		{"zero ticks", RunSpec{Scenario: "fish"}},
-		{"worker budget over fleet", RunSpec{Scenario: "fish", Ticks: 5, Workers: 3}},
-		{"partitions under workers", RunSpec{Scenario: "fish", Ticks: 5, Workers: 2, Partitions: 1}},
-		{"bad index", RunSpec{Scenario: "fish", Ticks: 5, Index: "btree"}},
-		{"partitions over limit", RunSpec{Scenario: "fish", Ticks: 5, Partitions: 1 << 30}},
-		{"agents over limit", RunSpec{Scenario: "fish", Ticks: 5, Agents: 1 << 30}},
-		{"negative agents", RunSpec{Scenario: "fish", Ticks: 5, Agents: -5}},
-		{"negative epoch ticks", RunSpec{Scenario: "fish", Ticks: 5, EpochTicks: -3}},
-		{"negative checkpoint epochs", RunSpec{Scenario: "fish", Ticks: 5, CheckpointEpochs: -1}},
-		{"negative full-checkpoint interval", RunSpec{Scenario: "fish", Ticks: 5, CheckpointFullEvery: -1}},
+	for _, tc := range []struct{ name, body string }{
+		{"unknown scenario", `{"scenario":"no-such","ticks":5}`},
+		{"zero ticks", `{"scenario":"fish"}`},
+		{"worker budget over fleet", `{"scenario":"fish","ticks":5,"workers":3}`},
+		{"partitions under workers", `{"scenario":"fish","ticks":5,"workers":2,"partitions":1}`},
+		{"unknown index", `{"scenario":"fish","ticks":5,"index":"btree"}`},
+		{"index by number", `{"scenario":"fish","ticks":5,"index":1}`},
+		{"partitions over limit", `{"scenario":"fish","ticks":5,"partitions":1073741824}`},
+		{"agents over limit", `{"scenario":"fish","ticks":5,"agents":1073741824}`},
+		{"negative agents", `{"scenario":"fish","ticks":5,"agents":-5}`},
+		{"negative epoch ticks", `{"scenario":"fish","ticks":5,"epoch_ticks":-3}`},
+		{"negative checkpoint epochs", `{"scenario":"fish","ticks":5,"checkpoint_epochs":-1}`},
+		{"negative full-checkpoint interval", `{"scenario":"fish","ticks":5,"checkpoint_full_every":-1}`},
 	} {
-		if _, err := m.Submit(tc.spec); err == nil {
-			t.Errorf("%s: accepted", tc.name)
+		rec := httptest.NewRecorder()
+		Handler(m).ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/runs", strings.NewReader(tc.body)))
+		if rec.Code != http.StatusBadRequest {
+			t.Errorf("%s: %d %s, want 400", tc.name, rec.Code, rec.Body)
+		}
+	}
+	if got := m.List(); len(got) != 0 {
+		t.Errorf("%d runs were admitted from rejected specs", len(got))
+	}
+}
+
+// Every deployment knob the daemon is configured with reaches each run's
+// coordinator. The fields are enumerated by reflection, so a knob added to
+// distrib.Tunables later cannot be dropped on the way either.
+func TestRunOptionsForwardEveryTunable(t *testing.T) {
+	cfg := Config{WorkerAddrs: []string{"127.0.0.1:1"}}
+	tun := reflect.ValueOf(&cfg.Tunables).Elem()
+	for i := 0; i < tun.NumField(); i++ {
+		switch f := tun.Field(i); f.Kind() {
+		case reflect.Bool:
+			f.SetBool(true)
+		case reflect.Int64: // time.Duration
+			f.SetInt(int64(i+1) * int64(time.Second))
+		default:
+			t.Fatalf("Tunables.%s: no distinct test value for a %v", tun.Type().Field(i).Name, f.Type())
+		}
+	}
+	m, err := NewManager(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	r := &run{id: "run-0001", stream: NewObsStream(0), cancel: make(chan struct{})}
+	got := reflect.ValueOf(m.runOptions(r, RunSpec{Scenario: "fish", Ticks: 1}, cfg.WorkerAddrs).Tunables)
+	for i := 0; i < tun.NumField(); i++ {
+		if want, have := tun.Field(i).Interface(), got.Field(i).Interface(); want != have {
+			t.Errorf("Tunables.%s: configured %v, the run got %v", tun.Type().Field(i).Name, want, have)
 		}
 	}
 }
@@ -527,7 +561,7 @@ func TestRegistryFedFleetMeshRun(t *testing.T) {
 		Scenario: spec.Scenario,
 		Agents:   spec.Agents, Seed: spec.Seed,
 		Partitions: spec.Partitions, Ticks: spec.Ticks,
-		Tunables: distrib.Tunables{EpochTicks: spec.EpochTicks},
+		EpochTicks: spec.EpochTicks,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -23,6 +23,7 @@ package spatial
 
 import (
 	"fmt"
+	"strconv"
 
 	"github.com/bigreddata/brace/internal/geom"
 )
@@ -57,31 +58,52 @@ type Stats struct {
 	Visited int64 // points examined (including rejected candidates)
 }
 
-// Kind selects an index implementation by name; it is the value of the
-// engine's "indexing" switch in the experiments.
+// Kind selects an index implementation; it is the value of the engine's
+// "indexing" switch in the experiments. The zero value is the KD-tree, the
+// paper's choice. Kind is the one index vocabulary of every layer: it
+// marshals as text ("kd", "scan"; "" reads as "kd"), so the bracesim flag
+// and the HTTP run spec parse through UnmarshalText, and it travels the
+// handshake as its number.
 type Kind int
 
 const (
-	KindScan Kind = iota // brute force, no indexing
-	KindKDTree
+	KindKDTree Kind = iota
+	KindScan        // brute force, no indexing
 )
 
 // String returns the name ParseKind accepts for k.
 func (k Kind) String() string {
 	switch k {
-	case KindScan:
-		return "scan"
 	case KindKDTree:
 		return "kd"
+	case KindScan:
+		return "scan"
 	default:
 		return "unknown"
 	}
 }
 
-// ParseKind resolves a CLI/wire index name ("" defaults to the KD-tree,
-// the paper's choice). It is the single source of truth for the index
-// vocabulary: bracesim flags, the distributed handshake and the public
-// API all validate through it.
+// UnknownKindError reports an index outside the vocabulary: a name
+// ParseKind does not know, or a number no Kind constant has (a Kind read
+// off the wire).
+type UnknownKindError struct {
+	Name string
+}
+
+func (e *UnknownKindError) Error() string {
+	return fmt.Sprintf("unknown index %q (kd, scan)", e.Name)
+}
+
+// Check returns an *UnknownKindError unless k names an index
+// implementation.
+func (k Kind) Check() error {
+	if k != KindKDTree && k != KindScan {
+		return &UnknownKindError{Name: strconv.Itoa(int(k))}
+	}
+	return nil
+}
+
+// ParseKind resolves an index name; "" is the KD-tree.
 func ParseKind(name string) (Kind, error) {
 	switch name {
 	case "", "kd":
@@ -89,8 +111,26 @@ func ParseKind(name string) (Kind, error) {
 	case "scan":
 		return KindScan, nil
 	default:
-		return 0, fmt.Errorf("unknown index %q (kd, scan)", name)
+		return 0, &UnknownKindError{Name: name}
 	}
+}
+
+// MarshalText implements encoding.TextMarshaler.
+func (k Kind) MarshalText() ([]byte, error) {
+	if err := k.Check(); err != nil {
+		return nil, err
+	}
+	return []byte(k.String()), nil
+}
+
+// UnmarshalText implements encoding.TextUnmarshaler through ParseKind.
+func (k *Kind) UnmarshalText(text []byte) error {
+	v, err := ParseKind(string(text))
+	if err != nil {
+		return err
+	}
+	*k = v
+	return nil
 }
 
 // New returns a fresh, empty index of the given kind.

@@ -1,6 +1,7 @@
 package spatial
 
 import (
+	"errors"
 	"math/rand"
 	"sort"
 	"strings"
@@ -122,19 +123,37 @@ func TestKDTreeVisitsFewerThanScan(t *testing.T) {
 }
 
 // Kind.String prints the name ParseKind accepts, so a printed kind can be
-// fed back to -index, the handshake or RunSpec.Index.
+// fed back to -index or RunSpec.Index; the text form round-trips, the zero
+// value is the KD-tree, and nothing outside the vocabulary marshals.
 func TestKindString(t *testing.T) {
 	for _, k := range []Kind{KindScan, KindKDTree} {
 		got, err := ParseKind(k.String())
 		if err != nil || got != k {
 			t.Errorf("ParseKind(%q) = %v, %v; want %v", k.String(), got, err, k)
 		}
+		text, err := k.MarshalText()
+		var back Kind
+		if err != nil || back.UnmarshalText(text) != nil || back != k {
+			t.Errorf("%v: text round trip gave %q, %v -> %v", k, text, err, back)
+		}
+	}
+	var zero Kind
+	if zero != KindKDTree || zero.String() != "kd" {
+		t.Errorf("zero Kind = %v, want the KD-tree", zero)
+	}
+	back := KindScan
+	if err := back.UnmarshalText(nil); err != nil || back != KindKDTree {
+		t.Errorf(`UnmarshalText("") = %v, %v; want kd`, back, err)
 	}
 	if Kind(99).String() != "unknown" {
 		t.Error("unknown kind string")
 	}
-	if _, err := ParseKind("btree"); err == nil || !strings.Contains(err.Error(), "(kd, scan)") {
-		t.Errorf("ParseKind(btree) = %v, want an error listing kd, scan", err)
+	var unknown *UnknownKindError
+	if _, err := Kind(99).MarshalText(); !errors.As(err, &unknown) {
+		t.Errorf("Kind(99).MarshalText() error = %v, want an *UnknownKindError", err)
+	}
+	if _, err := ParseKind("btree"); !errors.As(err, &unknown) || !strings.Contains(err.Error(), "(kd, scan)") {
+		t.Errorf("ParseKind(btree) = %v, want an *UnknownKindError listing kd, scan", err)
 	}
 }
 

@@ -12,12 +12,13 @@ import (
 	"time"
 
 	"github.com/bigreddata/brace/internal/cluster"
+	"github.com/bigreddata/brace/internal/spatial"
 )
 
 // ProtoVersion guards against mismatched coordinator/worker binaries; the
 // handshake rejects any other value with a VersionError, the one skew
-// guard (there is no per-feature negotiation: every v9 binary speaks the
-// whole protocol). Version 9 is: coordinator-owned placement in the Hello
+// guard (there is no per-feature negotiation: every v10 binary speaks the
+// whole protocol). Version 10 is: coordinator-owned placement in the Hello
 // and Stats/Directive/Checkpoint/Restore frames at epoch barriers;
 // Ping/Pong heartbeats answered by the worker's transport reader;
 // differential checkpoint payloads (PartState.Delta) between full
@@ -32,8 +33,9 @@ import (
 // barriers, so the cost in a checkpoint or a Restore would always be 0.
 // v8 dropped the Hello's partition-at-a-time switch: a worker ticks its
 // partitions concurrently, always. v9 dropped Hello.Part: quantile strips
-// are the one partitioning.
-const ProtoVersion = 9
+// are the one partitioning. v10 sends Hello.Index as a spatial.Kind number
+// instead of its name.
+const ProtoVersion = 10
 
 // VersionError reports a handshake between binaries speaking different
 // protocol versions.
@@ -86,7 +88,9 @@ type Hello struct {
 	Seed       uint64
 	Ticks      int
 	EpochTicks int
-	Index      string // kd | scan
+	// Index travels as its number; the worker refuses one outside the
+	// vocabulary with a *spatial.UnknownKindError.
+	Index spatial.Kind
 	// Peers are the worker daemons' data-plane addresses, indexed by
 	// process: in a mesh run, process i dials Peers[j]
 	// directly for its j-bound envelope traffic. Empty in star runs.
