@@ -108,8 +108,6 @@ type Config struct {
 	Seed uint64
 	// EpochTicks is the master coordination interval (default 10).
 	EpochTicks int
-	// Checkpoint enables coordinated checkpoints every N epochs (0 off).
-	Checkpoint int
 	// LoadBalance enables the 1-D load balancer at epoch boundaries.
 	LoadBalance bool
 	// VirtualTime enables the calibrated cluster cost model, making
@@ -130,8 +128,8 @@ type Simulation struct {
 
 // New builds a simulation with the given model and initial population.
 func New(m Model, pop []*Agent, cfg Config) (*Simulation, error) {
-	if cfg.Workers < 0 || cfg.EpochTicks < 0 || cfg.Checkpoint < 0 {
-		return nil, fmt.Errorf("brace: negative Workers %d, EpochTicks %d or Checkpoint %d", cfg.Workers, cfg.EpochTicks, cfg.Checkpoint)
+	if cfg.Workers < 0 || cfg.EpochTicks < 0 {
+		return nil, fmt.Errorf("brace: negative Workers %d or EpochTicks %d", cfg.Workers, cfg.EpochTicks)
 	}
 	if cfg.Workers == 0 {
 		cfg.Workers = 1
@@ -144,12 +142,11 @@ func New(m Model, pop []*Agent, cfg Config) (*Simulation, error) {
 		return &Simulation{seq: seq}, nil
 	}
 	opts := engine.Options{
-		Workers:               cfg.Workers,
-		Index:                 cfg.Index,
-		Seed:                  cfg.Seed,
-		EpochTicks:            cfg.EpochTicks,
-		CheckpointEveryEpochs: cfg.Checkpoint,
-		LoadBalance:           cfg.LoadBalance,
+		Workers:     cfg.Workers,
+		Index:       cfg.Index,
+		Seed:        cfg.Seed,
+		EpochTicks:  cfg.EpochTicks,
+		LoadBalance: cfg.LoadBalance,
 	}
 	if cfg.VirtualTime {
 		cm := cluster.DefaultCostModel()

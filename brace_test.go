@@ -180,7 +180,7 @@ func TestConfigDefaults(t *testing.T) {
 	if sim.Tick() != 2 {
 		t.Error("Tick")
 	}
-	for _, cfg := range []Config{{Workers: -1}, {EpochTicks: -3}, {Checkpoint: -1}} {
+	for _, cfg := range []Config{{Workers: -1}, {EpochTicks: -3}} {
 		if _, err := New(m, m.NewPopulation(10, 6), cfg); err == nil {
 			t.Errorf("%+v accepted", cfg)
 		}
@@ -188,10 +188,10 @@ func TestConfigDefaults(t *testing.T) {
 }
 
 // Partitioning may replicate work, but only so much: on the benchmark's
-// fish school, eight partitions examine at most twice the candidates per
-// agent-tick that the sequential engine does (1.6× when this guard went in;
-// 2.3–2.5× while boundary probes still scanned their partition's whole
-// halo). A count, not a timing: it repeats exactly.
+// fish school, eight partitions examine at most 1.2× the candidates per
+// agent-tick that the sequential engine does. Both engines count their
+// candidate-list builds; this run reads 582.0 sequential vs 590.6
+// partitioned (1.01×). A count, not a timing: it repeats exactly.
 func TestPartitionedCandidateWorkGuard(t *testing.T) {
 	sp, ok := LookupScenario("fish")
 	if !ok {
@@ -219,8 +219,8 @@ func TestPartitionedCandidateWorkGuard(t *testing.T) {
 	seq := perAgentTick(Config{Sequential: true})
 	part := perAgentTick(Config{Workers: 8})
 	t.Logf("candidates per agent-tick: sequential %.1f, 8 partitions %.1f (%.2f×)", seq, part, part/seq)
-	if part > 2*seq {
-		t.Errorf("8 partitions examine %.1f candidates per agent-tick, over twice the sequential engine's %.1f", part, seq)
+	if part > 1.2*seq {
+		t.Errorf("8 partitions examine %.1f candidates per agent-tick, over 1.2× the sequential engine's %.1f", part, seq)
 	}
 }
 

@@ -54,7 +54,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	var index brace.IndexKind
 	fs.TextVar(&index, "index", brace.IndexKD, "spatial index: kd, scan")
 	lb := fs.Bool("lb", false, "enable load balancing")
-	ckptEpochs := fs.Int("ckpt-epochs", 0, "coordinated checkpoint every N epochs (0 = initial checkpoint only)")
+	ckptEpochs := fs.Int("ckpt-epochs", 0, "for -distribute and -submit runs: coordinated checkpoint every N epochs (0 = initial checkpoint only)")
 	ckptFullEvery := fs.Int("ckpt-full-every", 0, fmt.Sprintf(
 		"with -distribute: every Nth checkpoint is a full keyframe, the rest ship deltas (0 = default %d, 1 = always full)",
 		distrib.DefaultCheckpointFullEvery))
@@ -197,7 +197,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		Workers:     *workers,
 		Seed:        *seed,
 		LoadBalance: *lb,
-		Checkpoint:  *ckptEpochs,
 		VirtualTime: *vt,
 		Sequential:  *seq,
 		Index:       index,
@@ -295,6 +294,7 @@ var flagModes = map[string]struct {
 	"vtime":  {modeLocal | modeScript, "distributed and service runs measure real time"},
 	"seq":    {modeLocal | modeScript, "distributed and service runs are partitioned"},
 
+	"ckpt-epochs":     {modeDistribute | modeSubmit, "an in-process run injects no failures, so it has nothing to checkpoint for"},
 	"ckpt-full-every": {modeDistribute | modeSubmit, ""},
 	"worker-addrs":    {modeDistribute, ""},
 	"registry":        {modeDistribute, ""},

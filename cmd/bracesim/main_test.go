@@ -62,6 +62,7 @@ func TestDistributedOnlyFlagsRequireDistribute(t *testing.T) {
 	for _, args := range [][]string{
 		{"-heartbeat", "1s"},
 		{"-epoch-timeout", "30s"},
+		{"-ckpt-epochs", "1"},
 		{"-ckpt-full-every", "4"},
 		{"-dial-timeout", "5s"},
 		{"-worker-addrs", "localhost:9"},

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"github.com/bigreddata/brace/internal/agent"
-	"github.com/bigreddata/brace/internal/cluster"
 	"github.com/bigreddata/brace/internal/engine"
 	"github.com/bigreddata/brace/internal/spatial"
 )
@@ -490,12 +489,21 @@ class F { public state float x : x; public state float y : y; #range[-50,50];
 		t.Fatalf("radius = %#v", fe.Radius)
 	}
 
-	// Optimized and unoptimized programs agree exactly.
+	// Optimized and unoptimized programs agree exactly. The unoptimized
+	// twin is the same checked class compiled without selectIndexes.
 	p1, err := Compile(src, CompileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := Compile(src, CompileOptions{NoIndexSelect: true})
+	if cl, err = Parse(src); err != nil {
+		t.Fatal(err)
+	}
+	ck2, err := Check(cl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	foldClass(ck2.Class)
+	p2, err := compileChecked(ck2, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -512,22 +520,20 @@ class F { public state float x : x; public state float y : y; #range[-50,50];
 		return pop
 	}
 	// The equality check runs against the KindScan reference; the
-	// visited-count assertion below measures the optimizer's probe-radius
-	// narrowing against the raw KD-tree, which the Verlet query cache
-	// deliberately blurs (its candidate lists are sized by the visibility
-	// bound, not the probe radius) — a CostModel is what keeps the engine
-	// on the uncached per-tick rebuild.
-	cm := cluster.DefaultCostModel()
-	rawKD := func(p *Program) *engine.Distributed {
-		e, err := engine.NewDistributed(p, mk(p.Schema()), engine.Options{
-			Workers: 1, Index: spatial.KindKDTree, Seed: 1, CostModel: &cm,
+	// narrowing is measured on the rows each program's probes deliver,
+	// which no index or cache state can change.
+	counted := func(p *Program) (*engine.Distributed, *rowCounter) {
+		m := &rowCounter{Model: p}
+		e, err := engine.NewDistributed(m, mk(p.Schema()), engine.Options{
+			Workers: 1, Index: spatial.KindKDTree, Seed: 1,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return e
+		return e, m
 	}
-	e1, e2 := rawKD(p1), rawKD(p2)
+	e1, c1 := counted(p1)
+	e2, c2 := counted(p2)
 	ref, _ := engine.NewSequential(p2, mk(p2.Schema()), spatial.KindScan, 1)
 	if err := ref.RunTicks(5); err != nil {
 		t.Fatal(err)
@@ -544,10 +550,34 @@ class F { public state float x : x; public state float y : y; #range[-50,50];
 			t.Fatalf("index selection changed results at agent %d", a[i].ID)
 		}
 	}
-	// And it must visit far fewer candidates.
-	if v1, v2 := e1.Visited(), e2.Visited(); v1*2 >= v2 {
-		t.Errorf("index selection visited %d vs %d; expected >2x reduction", v1, v2)
+	// And its probes must deliver far fewer rows.
+	if v1, v2 := c1.rows, c2.rows; v1*2 >= v2 {
+		t.Errorf("index selection delivered %d rows vs %d; expected >2x reduction", v1, v2)
 	}
+}
+
+// rowCounter wraps a model and counts the rows its query phases' probes
+// deliver, through either Env iteration method.
+type rowCounter struct {
+	engine.Model
+	rows int64
+}
+
+func (m *rowCounter) Query(self *agent.Agent, env engine.Env) {
+	m.Model.Query(self, countingEnv{env, &m.rows})
+}
+
+type countingEnv struct {
+	engine.Env
+	rows *int64
+}
+
+func (e countingEnv) ForEachVisible(fn func(*agent.Agent)) {
+	e.Env.ForEachVisible(func(a *agent.Agent) { *e.rows++; fn(a) })
+}
+
+func (e countingEnv) Nearby(radius float64, fn func(*agent.Agent)) {
+	e.Env.Nearby(radius, func(a *agent.Agent) { *e.rows++; fn(a) })
 }
 
 func TestIndexSelectionDoesNotFireOnLoopDependentRadius(t *testing.T) {

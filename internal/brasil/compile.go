@@ -9,18 +9,14 @@ import (
 	"github.com/bigreddata/brace/internal/engine"
 )
 
-// CompileOptions selects optimizer passes (§4.2).
+// CompileOptions selects the optional optimizer pass (§4.2); constant
+// folding and index selection always run.
 type CompileOptions struct {
 	// Invert applies effect inversion (Theorem 2/3) when the script has
 	// non-local effect assignments, letting the engine run the cheaper
 	// single-reduce dataflow. Compilation fails if the script is not
 	// invertible (see Invert).
 	Invert bool
-	// NoConstFold disables constant folding (on by default).
-	NoConstFold bool
-	// NoIndexSelect disables the distance-guard → range-probe rewrite
-	// (on by default).
-	NoIndexSelect bool
 }
 
 // Program is a compiled BRASIL script: an engine.Model plus compiler
@@ -52,7 +48,9 @@ type cexpr func(*frame) float64
 type cstmt func(*frame)
 type aexpr func(*frame) *agent.Agent
 
-// Compile parses, checks, optimizes and compiles a BRASIL source file.
+// Compile parses, checks, optimizes and compiles a BRASIL source file: effect
+// inversion when asked, then constant folding and the distance-guard →
+// range-probe rewrite (index selection).
 func Compile(src string, opt CompileOptions) (*Program, error) {
 	cl, err := Parse(src)
 	if err != nil {
@@ -62,7 +60,8 @@ func Compile(src string, opt CompileOptions) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	if opt.Invert && ck.HasNonLocal {
+	inverted := opt.Invert && ck.HasNonLocal
+	if inverted {
 		cl2, err := Invert(ck)
 		if err != nil {
 			return nil, err
@@ -74,19 +73,14 @@ func Compile(src string, opt CompileOptions) (*Program, error) {
 		if ck.HasNonLocal {
 			return nil, fmt.Errorf("brasil: inversion left non-local assignments behind")
 		}
-		return compileChecked(ck, opt, true)
 	}
-	return compileChecked(ck, opt, false)
+	foldClass(ck.Class)
+	selectIndexes(ck)
+	return compileChecked(ck, inverted)
 }
 
-func compileChecked(ck *Checked, opt CompileOptions, inverted bool) (*Program, error) {
-	if !opt.NoConstFold {
-		foldClass(ck.Class)
-	}
-	if !opt.NoIndexSelect {
-		selectIndexes(ck)
-	}
-
+// compileChecked compiles a checked (and optimized) class into a Program.
+func compileChecked(ck *Checked, inverted bool) (*Program, error) {
 	p := &Program{checked: ck, nonLocal: ck.HasNonLocal, inverted: inverted}
 	p.schema = buildSchema(ck)
 	c := &compiler{ck: ck, p: p}

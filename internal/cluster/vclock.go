@@ -9,7 +9,11 @@ import "sync"
 // for cheap models).
 type CostModel struct {
 	// SecPerVisit charges each candidate agent examined during the query
-	// phase (index probes), the dominant compute term.
+	// phase — the engine's Visited gauge: candidates examined building the
+	// Verlet lists, scanning them, or walking the KD-tree (or the scan)
+	// where no list serves a probe, plus halo cells read by boundary
+	// probes. It is the dominant compute term, and it counts the work the
+	// query cache actually does.
 	SecPerVisit float64
 	// SecPerAgent charges per owned agent per tick for map/update work and
 	// per-agent fixed overheads.
@@ -52,9 +56,6 @@ type VClock struct {
 func NewVClock(n int, m CostModel) *VClock {
 	return &VClock{node: make([]float64, n), model: m}
 }
-
-// Model returns the cost model.
-func (c *VClock) Model() CostModel { return c.model }
 
 // Charge adds dt virtual seconds to node n's current superstep.
 func (c *VClock) Charge(n NodeID, dt float64) {
@@ -101,12 +102,4 @@ func (c *VClock) Now() float64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.now
-}
-
-// PeekNode returns node n's accumulated charge in the current superstep,
-// for load statistics sampling before a barrier.
-func (c *VClock) PeekNode(n NodeID) float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.node[n]
 }

@@ -9,9 +9,8 @@ import (
 )
 
 // The cached query path is a pure performance choice the engine derives:
-// it must produce populations bit-identical to the two uncached
-// configurations that remain — the KD-tree under a CostModel and the
-// KindScan reference.
+// a cost-model run takes it too, and the populations must be bit-identical
+// to the default KD-tree's and to the KindScan reference's.
 func TestAutoSkinModesBitIdentical(t *testing.T) {
 	m := newFlockModel(8)
 	base := makePop(m.s, 150, 60, 21)
@@ -33,13 +32,12 @@ func TestAutoSkinModesBitIdentical(t *testing.T) {
 
 	cm := cluster.DefaultCostModel()
 	auto := run(spatial.KindKDTree, nil)
-	popsExactlyEqual(t, "auto vs uncached kd", auto, run(spatial.KindKDTree, &cm))
+	popsExactlyEqual(t, "auto vs cost-model kd", auto, run(spatial.KindKDTree, &cm))
 	popsExactlyEqual(t, "auto vs scan", auto, run(spatial.KindScan, nil))
 }
 
-// The cache engages exactly when the index is the KD-tree and no CostModel
-// asks for per-tick-rebuild accounting (resolveSkin), and every partition
-// then runs the one skin Sequential runs.
+// Every KD-tree partition holds the cached index, a CostModel or not, and
+// runs the one skin Sequential runs (resolveSkin); the scan has no cache.
 func TestAutoSkinGating(t *testing.T) {
 	m := newFlockModel(8)
 	cm := cluster.DefaultCostModel()
@@ -50,13 +48,13 @@ func TestAutoSkinGating(t *testing.T) {
 	}{
 		{"default", Options{Workers: 2, Seed: 3}, true}, // the zero Index is the KD-tree
 		{"non-kd index", Options{Workers: 2, Index: spatial.KindScan, Seed: 3}, false},
-		{"cost model", Options{Workers: 2, Index: spatial.KindKDTree, Seed: 3, CostModel: &cm}, false},
+		{"cost model", Options{Workers: 2, Index: spatial.KindKDTree, Seed: 3, CostModel: &cm}, true},
 	} {
 		e, err := NewDistributed(m, makePop(m.s, 40, 30, 4), tc.opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		skin := resolveSkin(m.s, tc.opts.Index, tc.opts.CostModel != nil)
+		skin := resolveSkin(m.s, tc.opts.Index)
 		if got := skin > 0; got != tc.want {
 			t.Errorf("%s: resolveSkin = %v, want cached = %v", tc.name, skin, tc.want)
 		}

@@ -124,7 +124,10 @@ func DiffPartition(base, cur []*Envelope) (delta []byte, ok bool) {
 // ApplyDelta reconstructs the partition state a delta encodes on top of
 // its baseline. The result shares nothing with base: patched and
 // unchanged envelopes are cloned, so the baseline stays a valid rollback
-// point even if the new checkpoint is later discarded.
+// point even if the new checkpoint is later discarded. Deltas arrive off
+// the network, so a malformed one is an error, never a panic: like
+// DiffPartition, it refuses an agent listed twice, which also bounds the
+// base clones a short blob can demand to one per base agent.
 func ApplyDelta(base []*Envelope, delta []byte) ([]*Envelope, error) {
 	baseIdx := make(map[uint64]*Envelope, len(base))
 	for _, e := range base {
@@ -152,8 +155,13 @@ func ApplyDelta(base []*Envelope, delta []byte) ([]*Envelope, error) {
 		return nil, fmt.Errorf("engine: delta claims %d records in %d bytes", n, len(delta))
 	}
 	out := make([]*Envelope, 0, n)
+	seen := make(map[uint64]bool, n)
 	for i := uint64(0); i < n && r.err == nil; i++ {
 		id := r.uvarint()
+		if seen[id] {
+			return nil, fmt.Errorf("engine: delta lists agent %d twice", id)
+		}
+		seen[id] = true
 		kind := r.byte()
 		switch kind {
 		case deltaSame, deltaPatch:

@@ -5,6 +5,7 @@ import (
 	"encoding/gob"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"github.com/bigreddata/brace/internal/agent"
@@ -254,4 +255,53 @@ func TestDeltaSmallerThanFullState(t *testing.T) {
 	if len(delta)*2 > full.Len() {
 		t.Errorf("delta %dB is not materially smaller than full %dB", len(delta), full.Len())
 	}
+}
+
+// FuzzApplyDelta feeds arbitrary bytes, as a checkpoint or watch-stream
+// frame off the network would, to ApplyDelta against a fixed base. It must
+// return an error or a result, never panic, and allocate no more than the
+// blob's length and the base justify. A result must be a state the codec
+// can encode: diffed against the base again, it decodes to itself.
+func FuzzApplyDelta(f *testing.F) {
+	base := []*Envelope{
+		env(1, []float64{1, 2, 0}, []float64{0, 0}, false, false, 0),
+		env(2, []float64{3, 4, 1}, []float64{5, 0}, false, false, 0),
+		env(7, []float64{9, 9, 2}, []float64{1, 1}, true, false, 1),
+	}
+	moved := CloneEnvelopes(base)
+	moved[0].A.State[0] = 1.5
+	moved[2].SrcPart, moved[2].Replica = 3, true
+	born := append(CloneEnvelopes(base[:1]), env(12, []float64{8, math.NaN()}, []float64{2}, false, true, 2))
+	for _, cur := range [][]*Envelope{nil, base, moved, born} { // empty, same, patch, fresh
+		delta, ok := DiffPartition(base, cur)
+		if !ok {
+			f.Fatal("seed diff refused")
+		}
+		f.Add(delta)
+	}
+	var baseBytes uint64
+	for _, e := range base {
+		baseBytes += 256 + 8*uint64(len(e.A.State)+len(e.A.Effect))
+	}
+	f.Fuzz(func(t *testing.T, delta []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		out, err := ApplyDelta(base, delta)
+		runtime.ReadMemStats(&after)
+		if allocated, limit := after.TotalAlloc-before.TotalAlloc, 64<<10+128*uint64(len(delta))+2*baseBytes; allocated > limit {
+			t.Fatalf("decoding %d bytes allocated %d, limit %d", len(delta), allocated, limit)
+		}
+		if err != nil {
+			return
+		}
+		again, ok := DiffPartition(base, out)
+		if !ok {
+			t.Fatalf("decoded state cannot be re-encoded: %v", out)
+		}
+		back, err := ApplyDelta(base, again)
+		if err != nil {
+			t.Fatalf("re-encoded state does not decode: %v", err)
+		}
+		envsEqual(t, out, back)
+	})
 }

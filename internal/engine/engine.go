@@ -26,7 +26,8 @@ type Options struct {
 	// EpochTicks is the master interaction interval (0 = default 10).
 	EpochTicks int
 	// CheckpointEveryEpochs orders a coordinated checkpoint every k epochs
-	// (0 = only the initial rollback point is kept).
+	// (0 = only the initial rollback point is kept). Checkpoints exist to
+	// recover from Failures: without a failure plan none is taken.
 	CheckpointEveryEpochs int
 	// LoadBalance enables the one-dimensional load balancer at epoch
 	// boundaries.
@@ -146,9 +147,8 @@ func NewDistributed(m Model, pop []*agent.Agent, opts Options) (*Distributed, er
 
 		noSplitTick: neverTick,
 	}
-	skin := resolveSkin(s, opts.Index, opts.CostModel != nil)
 	for i := range e.parts {
-		e.parts[i] = e.newPart(opts.Index, skin)
+		e.parts[i] = e.newPart(opts.Index)
 	}
 
 	// Initial partitioning: equal-count quantiles of the initial agent x

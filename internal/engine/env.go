@@ -26,8 +26,8 @@ import (
 type queryEnv struct {
 	// Bound per pass by part.query.
 	c      *core
-	ix     spatial.Index        // plain index over copies (Point.ID = slot); nil when cached
-	cached *spatial.CachedIndex // the cached KD-tree over copies, or nil
+	ix     spatial.Index        // the part's disc probe over copies, in slots
+	cached *spatial.CachedIndex // the cached KD-tree over copies; nil under the scan
 	copies []*agent.Agent       // ID-sorted core copies
 	cols   [][]float64          // columnar models: per-state-field columns over all rows
 	lists  bool                 // the tick's build carries Verlet candidate lists
@@ -121,10 +121,10 @@ func (q *queryEnv) nearby(radius float64) []int32 {
 //     covering the radius: a linear distance filter with no tree walk, and
 //     already slot-sorted (= ID-sorted), so with no halo to join the filter's
 //     output is the result;
-//   - an exact current-position circle query against the cached index when
-//     no list covers the probe (adaptive gate off, radius beyond the
-//     model's probe-radius hint, or self has no core slot);
-//   - the plain index's RangeCircle otherwise;
+//   - otherwise the index's exact current-position disc probe: the cached
+//     KD-tree's walk when no list covers the probe (no lists built,
+//     adaptive gate off, radius beyond the model's probe-radius hint, or
+//     self has no core slot), or the scan;
 //
 // — and, when the pass has a halo, joins in the halo cells the probe disc
 // touches. ID order does not depend on where a candidate came from: every
@@ -181,20 +181,9 @@ func (q *queryEnv) rows(radius float64) []int32 {
 		marked = len(cand)
 	} else {
 		pos = q.self.Pos(q.c.schema)
-		if q.cached != nil {
-			var visited int64
-			out, visited = q.cached.RangeCircleInto(pos, radius, out)
-			q.visited += visited
-		} else {
-			d := q.depth
-			q.out[d] = out
-			before := q.ix.Stats().Visited //bracevet:allow indexstats metrics-only: the probe's share of the Visited gauge
-			q.ix.RangeCircle(pos, radius, func(p spatial.Point) {
-				q.out[d] = append(q.out[d], p.ID)
-			})
-			q.visited += q.ix.Stats().Visited - before //bracevet:allow indexstats metrics-only: Visited gauge
-			out = q.out[d]
-		}
+		var visited int64
+		out, visited = q.ix.RangeCircleInto(pos, radius, out)
+		q.visited += visited
 		if q.halo == nil && !bitsetOrders(len(out), len(q.rankRow)) {
 			// Slots ascend with agent ID, so sorting slots sorts by ID.
 			slices.Sort(out)

@@ -66,20 +66,19 @@ type joinSource int
 const (
 	fromLists joinSource = iota // Verlet candidate lists
 	fromWalk                    // cached index built without lists: the gate-off tree walk
-	fromPlain                   // plain KD-tree
+	fromScan                    // the no-index scan
 )
 
-func (src joinSource) String() string { return [...]string{"lists", "walk", "plain"}[src] }
+func (src joinSource) String() string { return [...]string{"lists", "walk", "scan"}[src] }
 
 func (src joinSource) part(c *core) *part {
-	skin := resolveSkin(c.schema, spatial.KindKDTree, false)
 	switch src {
 	case fromLists:
-		return c.newPart(spatial.KindKDTree, skin)
+		return c.newPart(spatial.KindKDTree)
 	case fromWalk:
-		return &part{c: c, cached: spatial.NewCached(0, skin)}
+		return &part{c: c, cached: spatial.NewCached(0, resolveSkin(c.schema, spatial.KindKDTree))}
 	}
-	return c.newPart(spatial.KindKDTree, 0)
+	return c.newPart(spatial.KindScan)
 }
 
 func at(s *agent.Schema, id agent.ID, x, y float64) *agent.Agent {
@@ -306,7 +305,7 @@ func TestRowSequenceAcrossSources(t *testing.T) {
 		m.radius = radius
 		pop := scatter(m.s, agent.NewRNG(11, 0, 0), n, 1, 1, geom.Rect{Max: geom.V(span, span)})
 		var sizes []int
-		for _, src := range []joinSource{fromLists, fromWalk, fromPlain} {
+		for _, src := range []joinSource{fromLists, fromWalk, fromScan} {
 			runJoin(t, fmt.Sprint("radius ", radius), m, src, pop, nil)
 			if src == fromWalk {
 				for _, seq := range m.outer {

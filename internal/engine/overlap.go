@@ -43,7 +43,7 @@ type overlapBufs struct {
 	owned    []*Envelope // the owned envelopes, ascending ID
 	interior []int32     // owned slots probed by the early pass
 	boundary []int32     // owned rows deferred to the late pass
-	visited  int64       // candidates the early pass's probes examined
+	visited  int64       // the tick's Visited so far: core build, then both passes
 
 	halo haloJoin // every peer-sent copy, ID-sorted, indexed for the boundary probes
 }
@@ -62,12 +62,11 @@ func (e *Distributed) reduce1Early(ctx *mapreduce.Ctx, self []*Envelope) {
 	ob := &e.obufs[w]
 	owned, ownedSlots, built := e.prepare(w, self)
 	ob.core, ob.owned = self, owned
-	e.wVisited[w] += built // the gauge counts the core list build
+	ob.visited = built
 	vis := e.schema.Visibility
 	ob.split = ctx.Tick != e.noSplitTick && !e.nonLocal && vis > 0
 	ob.interior = ob.interior[:0]
 	ob.boundary = ob.boundary[:0]
-	ob.visited = 0
 	if !ob.split {
 		// Every probe waits for the halo: right after a cut change owned
 		// agents may still be in flight, unbounded visibility crosses every
@@ -95,8 +94,7 @@ func (e *Distributed) reduce1Early(ctx *mapreduce.Ctx, self []*Envelope) {
 			ob.boundary = append(ob.boundary, slot)
 		}
 	}
-	ob.visited = p.query(ob.interior, nil)
-	e.wVisited[w] += ob.visited
+	ob.visited += p.query(ob.interior, nil)
 }
 
 // reduce1Late finishes reduceᵗ₁ once the map phase has fully drained. rest
@@ -104,8 +102,10 @@ func (e *Distributed) reduce1Early(ctx *mapreduce.Ctx, self []*Envelope) {
 // tick right after a cut change, owned agents arriving from their previous
 // owners. The halo is indexed once (haloJoin.build: ID ranks against the
 // core, a cell grid over the positions), boundary and halo-owned query
-// phases probe core and halo together, and the tick's compute is charged
-// to the virtual clock as one superstep. Then local effects update every
+// phases probe core and halo together, and the tick's compute — every
+// candidate the partition's Visited gauge counted this tick, list build
+// and both passes, plus the owned agents — is charged to the virtual clock
+// as one superstep. Then local effects update every
 // owned agent; non-local effects route every owned copy and every touched
 // replica to its owner for the global ⊕ of reduceᵗ₂.
 func (e *Distributed) reduce1Late(ctx *mapreduce.Ctx, rest []*Envelope, emit mapreduce.Emit[*Envelope]) {
@@ -151,11 +151,11 @@ func (e *Distributed) reduce1Late(ctx *mapreduce.Ctx, rest []*Envelope, emit map
 		// can read their state through the columns.
 		p.cols = appendHaloCols(p.cols, ob.halo.agents)
 	}
-	visited := p.query(ob.boundary, &ob.halo)
-	e.wVisited[w] += visited
+	ob.visited += p.query(ob.boundary, &ob.halo)
+	e.wVisited[w] += ob.visited
 	e.wOwned[w] += int64(len(ob.owned))
 	if e.vclock != nil {
-		e.vclock.ChargeCompute(cluster.NodeID(w), ob.visited+visited, int64(len(ob.owned)))
+		e.vclock.ChargeCompute(cluster.NodeID(w), ob.visited, int64(len(ob.owned)))
 	}
 	core, owned := ob.core, ob.owned
 	ob.core, ob.owned = nil, nil

@@ -58,11 +58,12 @@ func (c *core) timed(fn func() error) error {
 // AgentTicks returns the total agent query phases processed.
 func (c *core) AgentTicks() int64 { return c.agentTicks }
 
-// Visited returns total index candidates examined across all ticks and
-// copy sets (index rebuilds reset the indexes' own counters; this
-// accumulates them). A metrics gauge like the wall clock: it depends on the
-// index kind and on what the query caches held, so it never feeds back into
-// the simulation.
+// Visited returns the index candidates examined across all ticks and copy
+// sets: by candidate-list builds, list scans, tree walks or scans, and the
+// halo join. Both engines count the same work, and it is what a cost
+// model charges. A metrics gauge like the wall clock: it depends on the
+// index kind and on what the query caches held, so it never feeds back
+// into the simulation.
 func (c *core) Visited() int64 { return c.visited }
 
 // WallSeconds returns wall time spent in RunTicks.
@@ -84,8 +85,8 @@ func (c *core) ThroughputWall() float64 {
 // running several parts (Options.Workers) at once.
 type part struct {
 	c      *core
-	ix     spatial.Index        // the plain index; nil when cached is set
-	cached *spatial.CachedIndex // the cached KD-tree, or nil
+	cached *spatial.CachedIndex // the KD-tree and its query cache; nil under KindScan
+	scan   *spatial.Scan        // the no-index baseline; nil under the KD-tree
 	env    queryEnv             // the part's probe env, rebound per pass
 	uctx   UpdateCtx            // reused across agents; reset re-seeds per agent
 	// cost is the load balancer's input: the rows this part's probes have
@@ -100,27 +101,28 @@ type part struct {
 	all    []int32 // identity slots, see allSlots
 }
 
-// newPart builds a part over the given index kind; skin > 0 selects the
-// cached KD-tree (see resolveSkin).
-func (c *core) newPart(index spatial.Kind, skin float64) *part {
+// newPart builds a part over the given index kind: the KD-tree always runs
+// behind the query cache, with the skin resolveSkin picks.
+func (c *core) newPart(index spatial.Kind) *part {
 	p := &part{c: c}
-	if skin > 0 {
-		p.cached = spatial.NewCached(cacheProbeRadius(c.schema), skin)
+	if index == spatial.KindScan {
+		p.scan = spatial.NewScan()
 	} else {
-		p.ix = spatial.New(index)
+		p.cached = spatial.NewCached(cacheProbeRadius(c.schema), resolveSkin(c.schema, index))
 	}
 	return p
 }
 
-// resolveSkin is the engine-wide cache policy: the cached query path
-// requires the KD-tree index and a bounded visibility, and runs the default
-// skin on every copy set; 0 means uncached. A cost model also means uncached:
-// virtual-time accounting charges candidates-visited through a model
-// calibrated for the per-tick rebuild dataflow, and the cached path changes
-// what a "visit" physically costs (sequential list scan vs tree walk), so
-// scale-up experiments keep the paper-faithful accounting.
-func resolveSkin(s *agent.Schema, index spatial.Kind, costModel bool) float64 {
-	if index != spatial.KindKDTree || s.Visibility <= 0 || costModel {
+// resolveSkin is the engine-wide cache policy: every KD-tree copy set runs
+// the default skin for a bounded visibility. Unbounded visibility gets 0,
+// and with it a cache that builds no lists and never reuses: a plain tree
+// rebuilt every tick, probed through the same call. The scan has no cache.
+// Every configuration — cost-model runs included — takes this one path, so
+// the Visited gauge, and the virtual clock that charges it, count the work
+// the engine actually does: list builds and list scans where the cache
+// engages, tree walks where it does not.
+func resolveSkin(s *agent.Schema, index spatial.Kind) float64 {
+	if index != spatial.KindKDTree || s.Visibility <= 0 {
 		return 0
 	}
 	return spatial.DefaultSkin(cacheProbeRadius(s), s.Reach)
@@ -145,7 +147,8 @@ func cacheProbeRadius(s *agent.Schema) float64 {
 // (haloJoin.build), so every build fills them. Columnar models gather
 // their state columns first so the build reads the position columns
 // instead of walking the agents again. Returns the candidates the cached
-// index visited constructing lists (0 on reuse), for the Visited gauge.
+// index visited constructing lists (0 on reuse, and always 0 for the
+// scan), for the Visited gauge.
 func (p *part) build(copies []*agent.Agent, probe []int32) int64 {
 	s := p.c.schema
 	p.copies = copies
@@ -156,17 +159,17 @@ func (p *part) build(copies []*agent.Agent, probe []int32) int64 {
 	for i, a := range copies {
 		p.keys[i] = int64(a.ID)
 	}
-	if p.cached == nil {
-		p.ix.Build(p.points())
+	if p.scan != nil {
+		p.scan.Build(p.points())
 		return 0
 	}
-	before := p.cached.Stats().Visited //bracevet:allow indexstats metrics-only: the build's share of the Visited gauge
+	before := p.cached.CacheStats().Visited //bracevet:allow indexstats metrics-only: the build's share of the Visited gauge
 	if p.c.colM != nil {
 		p.cached.BuildKeyedCols(p.cols[s.PosX], p.cols[s.PosY], p.keys, probe)
 	} else {
 		p.cached.BuildKeyed(p.points(), p.keys, probe)
 	}
-	return p.cached.Stats().Visited - before //bracevet:allow indexstats metrics-only: Visited gauge
+	return p.cached.CacheStats().Visited - before //bracevet:allow indexstats metrics-only: Visited gauge
 }
 
 // points materializes the copy set's point set from the agents (the
@@ -196,7 +199,8 @@ func (p *part) allSlots(n int) []int32 {
 func (p *part) query(rows []int32, halo *haloJoin) int64 {
 	c := p.c
 	q := &p.env
-	q.c, q.ix, q.cached = c, p.ix, p.cached
+	q.c, q.cached = c, p.cached
+	q.ix = p.index()
 	q.copies, q.cols, q.halo = p.copies, p.cols, halo
 	q.lists = p.cached != nil && p.cached.HasLists()
 	// Without a halo the ID ranks are the slots themselves.
@@ -241,8 +245,16 @@ func (p *part) update(a *agent.Agent, tick uint64) []*agent.Agent {
 	return p.uctx.spawns
 }
 
-// cacheStats returns the part's query-cache build/reuse counters (zero
-// when the cached path is disabled).
+// index is the part's disc probe: the cached KD-tree or the scan.
+func (p *part) index() spatial.Index {
+	if p.scan != nil {
+		return p.scan
+	}
+	return p.cached
+}
+
+// cacheStats returns the part's query-cache counters (zero under the
+// scan).
 func (p *part) cacheStats() spatial.CacheStats {
 	if p.cached == nil {
 		return spatial.CacheStats{}

@@ -26,8 +26,8 @@ import (
 // With the KD-tree index and a bounded visibility, the engine runs the
 // cached query path: Verlet candidate lists are reused across ticks while
 // no agent has moved more than skin/2. State is bit-identical to the
-// uncached path. The engine is single-threaded: a tick runs on the
-// goroutine that called RunTicks.
+// scan's. The engine is single-threaded: a tick runs on the goroutine that
+// called RunTicks.
 type Sequential struct {
 	core
 	tick   uint64
@@ -36,8 +36,9 @@ type Sequential struct {
 }
 
 // NewSequential builds a sequential engine over the given population. The
-// query cache engages for the KD-tree index with a bounded visibility (see
-// resolveSkin); KindScan is the uncached reference configuration.
+// KD-tree always runs behind the query cache, whose lists engage with a
+// bounded visibility (see resolveSkin); KindScan is the no-index reference
+// configuration.
 func NewSequential(m Model, pop []*agent.Agent, index spatial.Kind, seed uint64) (*Sequential, error) {
 	c, err := newCore(m, seed)
 	if err != nil {
@@ -45,7 +46,7 @@ func NewSequential(m Model, pop []*agent.Agent, index spatial.Kind, seed uint64)
 	}
 	e := &Sequential{core: c, agents: append(agent.Population(nil), pop...)}
 	sort.Sort(e.agents)
-	e.world = e.newPart(index, resolveSkin(e.schema, index, false))
+	e.world = e.newPart(index)
 	return e, nil
 }
 
@@ -79,7 +80,7 @@ func (e *Sequential) runTick() {
 	}
 	// Query phase over the whole world: every agent probes.
 	p := e.world
-	p.build(e.agents, nil)
+	e.visited += p.build(e.agents, nil)
 	e.visited += p.query(p.allSlots(len(e.agents)), nil)
 	e.agentTicks += int64(len(e.agents))
 

@@ -84,8 +84,9 @@ func Fig3(s Scale) (*Result, error) {
 func Fig4(s Scale) (*Result, error) {
 	n := int(8000 * s.Factor)
 	// The index needs enough fish that a probe's candidate set is a small
-	// fraction of the school; below ~2000 the per-tick KD rebuild
-	// dominates and the comparison leaves the paper's regime.
+	// fraction of the school; below ~2000 the index build (KD-tree and
+	// candidate lists) dominates and the comparison leaves the paper's
+	// regime.
 	if n < 2000 {
 		n = 2000
 	}

@@ -12,11 +12,15 @@ import (
 )
 
 // sweepConfig sizes one scenario for the sweep. Traffic derives its
-// population from segment length; everything else honors the agent count.
+// population from segment length; everything else honors the agent count,
+// floored at 500 agents: the sweep is strong scaling, and below ~60 owned
+// agents per partition at 8 workers the replicas outnumber them several
+// times over, so the partitions' per-tick list builds (their copy sets
+// churn) cost more virtual time than one partition's reused lists save.
 func sweepConfig(sp scenario.Spec, s Scale) scenario.Config {
 	cfg := scenario.Config{Seed: s.Seed, Agents: int(3000 * s.Factor)}
-	if cfg.Agents < 200 {
-		cfg.Agents = 200
+	if cfg.Agents < 500 {
+		cfg.Agents = 500
 	}
 	if sp.Name == "traffic" {
 		cfg.Extent = 4000 * s.Factor

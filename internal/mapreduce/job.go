@@ -111,8 +111,9 @@ type Config struct {
 
 	// CheckpointEveryEpochs triggers a coordinated checkpoint every k
 	// epochs; 0 disables periodic checkpoints (an initial checkpoint is
-	// still taken when Clone is available, so recovery can always rewind
-	// to tick 0).
+	// still taken, so recovery can always rewind to tick 0). Checkpoints
+	// exist only to recover from Failures: a run whose plan is empty at
+	// New, or a job without Clone, takes none.
 	CheckpointEveryEpochs int
 
 	// Failures optionally schedules worker crashes (for tests/ablations).

@@ -26,6 +26,10 @@ type Runtime[V any] struct {
 	// injection, recover) and read-only inside phases, so it needs no lock.
 	failed []bool
 
+	// rollback is whether an injected failure can ever roll the run back —
+	// the plan held failures at New and values can be cloned. Only then
+	// are in-process checkpoints taken.
+	rollback  bool
 	ckpt      *checkpoint[V]
 	recovered int // number of recoveries performed (observable in tests)
 }
@@ -68,6 +72,8 @@ func New[V any](job Job[V], cfg Config) *Runtime[V] {
 		local:  local,
 		values: make([][]V, cfg.Workers),
 		failed: make([]bool, cfg.Workers),
+
+		rollback: job.Clone != nil && !cfg.Failures.Empty(),
 	}
 }
 
@@ -106,8 +112,9 @@ func (r *Runtime[V]) Recoveries() int { return r.recovered }
 // from the map are cleared). The distributed worker uses it when the
 // coordinator restores a run from its checkpoint — possibly with a
 // different partition assignment than this process started with. The
-// in-memory rollback point is dropped; the next RunTicks re-seeds it from
-// the restored state. Must not be called while RunTicks is executing.
+// in-memory rollback point is dropped (a run with a failure plan re-seeds
+// it from the restored state at its next RunTicks). Must not be called
+// while RunTicks is executing.
 func (r *Runtime[V]) Reset(tick uint64, local []int, values map[int][]V) {
 	r.tick = tick
 	if local == nil {
@@ -139,9 +146,8 @@ func (r *Runtime[V]) RunTicks(n int) error {
 	if n < 0 {
 		return fmt.Errorf("mapreduce %s: negative tick count %d", r.job.Name, n)
 	}
-	// Always hold a tick-0 checkpoint when cloning is possible, so any
-	// failure is recoverable.
-	if r.ckpt == nil && r.job.Clone != nil {
+	// Hold a rollback point from the start, so every crash is recoverable.
+	if r.ckpt == nil {
 		r.takeCheckpoint()
 	}
 	target := r.tick + uint64(n)
@@ -193,8 +199,11 @@ func (r *Runtime[V]) epochBoundary() error {
 	return nil
 }
 
+// takeCheckpoint clones every owned value into the in-process rollback
+// point. Only an injected failure ever rolls back to it, so a run without
+// a failure plan copies nothing.
 func (r *Runtime[V]) takeCheckpoint() {
-	if r.job.Clone == nil {
+	if !r.rollback {
 		return
 	}
 	ck := &checkpoint[V]{tick: r.tick, values: make([][]V, len(r.values))}

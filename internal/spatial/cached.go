@@ -21,19 +21,22 @@ import (
 )
 
 // CacheStats counts how BuildKeyed calls resolved: Builds is full rebuilds
-// (tree + candidate lists), Reuses is ticks served from cached lists.
-// Unlike Index.Stats on the base indexes, these counters — and the cached
-// index's Stats — accumulate across builds; callers take deltas.
+// (tree + candidate lists), Reuses is ticks served from cached lists, and
+// Visited is the candidates list construction examined. The counters
+// accumulate across builds; callers take deltas. Probes are not counted:
+// RangeCircleInto returns its visits to the caller.
 type CacheStats struct {
-	Builds int64
-	Reuses int64
+	Builds  int64
+	Reuses  int64
+	Visited int64
 }
 
 // CachedIndex is a KD-tree with Verlet candidate-list reuse: a keyed build
 // and two probe sources over slots — per-slot candidate lists and disc
 // probes (RangeCircleInto) that answer against the *current* positions,
-// even when the underlying tree holds stale build positions. It is not an
-// Index: every probe names slots, never caller point IDs.
+// even when the underlying tree holds stale build positions. Its Index
+// probe answers in slots, never caller point IDs. With probeRad and skin 0
+// it is the plain KD-tree: every BuildKeyed rebuilds the tree, no lists.
 //
 // A CachedIndex is owned by one engine part: builds and queries run on the
 // goroutine that owns the part, never concurrently.
@@ -81,8 +84,7 @@ type CachedIndex struct {
 	// Point scratch for BuildKeyedCols (column-fed builds).
 	colPts []Point
 
-	stats Stats // visited counter, cumulative (see Stats)
-	cs    CacheStats
+	cs CacheStats
 }
 
 // NewCached returns a cached KD-tree whose candidate lists cover slot
@@ -119,7 +121,7 @@ func DefaultSkin(probeRad, reach float64) float64 {
 	return s
 }
 
-// CacheStats returns cumulative build/reuse counters.
+// CacheStats returns the cumulative build, reuse and list-visit counters.
 func (c *CachedIndex) CacheStats() CacheStats { return c.cs }
 
 // Invalidate drops the cached build, forcing the next BuildKeyed to
@@ -295,7 +297,7 @@ func (c *CachedIndex) buildLists() {
 	var visited, entries int64
 	for j := 0; j < n; j++ {
 		var v int64
-		hits, v = c.tree.rangeCircleSlots(c.built[j], R, hits[:0])
+		hits, v = c.tree.RangeCircleInto(c.built[j], R, hits[:0])
 		visited += v
 		for _, i := range hits {
 			if c.mask[i] {
@@ -306,7 +308,7 @@ func (c *CachedIndex) buildLists() {
 	}
 	c.hits = hits
 	c.buildCost, c.listWork = visited, entries
-	c.stats.Visited += visited
+	c.cs.Visited += visited
 }
 
 // buildListsGrid is the dense-layout list construction: a uniform grid
@@ -438,7 +440,7 @@ func (c *CachedIndex) buildListsGrid(R float64) bool {
 		}
 	}
 	c.buildCost, c.listWork = visited, entries
-	c.stats.Visited += visited
+	c.cs.Visited += visited
 	return true
 }
 
@@ -455,25 +457,19 @@ func (c *CachedIndex) SlotCandidates(slot int32) ([]int32, []geom.Vec) {
 // slots but not positions).
 func (c *CachedIndex) Current(i int32) geom.Vec { return c.cur[i] }
 
-// Stats returns the candidates list construction has visited. Counters
-// accumulate across builds (see CacheStats); probes are not counted.
-func (c *CachedIndex) Stats() Stats { return c.stats }
-
-// RangeCircleInto appends the slots currently within rad of cen to the
-// caller-owned dst and returns (dst, candidates visited). It is the
-// engines' fallback when a probe is not served by the candidate lists:
-// stats-free (the caller accounts the visits), it reuses the caller's
-// buffer. It answers against *current* positions even when the tree holds
-// stale build positions: right after a rebuild (pad 0) the tree's filter is
-// already exact; on reuse ticks the tree is probed with the disc grown by
-// the maximum displacement since build and candidates re-filter by where
-// they are now.
+// RangeCircleInto implements Index over slots: it appends the slots
+// currently within rad of cen to dst. It is the engines' probe whenever the
+// candidate lists do not serve one. It answers against *current* positions
+// even when the tree holds stale build positions: right after a rebuild
+// (pad 0) the tree's filter is already exact; on reuse ticks the tree is
+// probed with the disc grown by the maximum displacement since build and
+// candidates re-filter by where they are now.
 func (c *CachedIndex) RangeCircleInto(cen geom.Vec, rad float64, dst []int32) ([]int32, int64) {
 	if c.pad == 0 {
-		return c.tree.rangeCircleSlots(cen, rad, dst)
+		return c.tree.RangeCircleInto(cen, rad, dst)
 	}
 	start := len(dst)
-	dst, visited := c.tree.rangeCircleSlots(cen, rad+c.pad, dst)
+	dst, visited := c.tree.RangeCircleInto(cen, rad+c.pad, dst)
 	r2 := rad * rad
 	kept := start
 	for _, i := range dst[start:] {
@@ -484,3 +480,5 @@ func (c *CachedIndex) RangeCircleInto(cen geom.Vec, rad float64, dst []int32) ([
 	}
 	return dst[:kept], visited
 }
+
+var _ Index = (*CachedIndex)(nil)

@@ -235,7 +235,7 @@ func FuzzIndexConformance(f *testing.F) {
 		rad := rng.Float64() * 15
 		want := collectCircle(oracle, c, rad)
 		if got := collectCircle(kd, c, rad); !idsEqual(got, want) {
-			t.Fatalf("kd RangeCircle: got=%v want=%v", got, want)
+			t.Fatalf("kd RangeCircleInto: got=%v want=%v", got, want)
 		}
 		if got := cachedCircle(cached, c, rad); !idsEqual(got, want) {
 			t.Fatalf("cached RangeCircleInto: got=%v want=%v", got, want)
@@ -300,26 +300,26 @@ func TestCachedAdaptiveGate(t *testing.T) {
 func cos(x float64) float64 { return geom.V(1, 0).Rotate(x).X }
 func sin(x float64) float64 { return geom.V(1, 0).Rotate(x).Y }
 
-// TestCachedStatsAccumulate: unlike the base indexes, the cached index's
-// counters survive Build — the engines take deltas, and the cache layer
-// additionally reports builds vs reuses (the §5.2 cost-model split).
+// TestCachedStatsAccumulate: the cached index's counters survive builds —
+// the engines take deltas — and split builds from reuses (the §5.2
+// cost-model split).
 func TestCachedStatsAccumulate(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	pts := randomPoints(rng, 100, 30)
 	keys := keysFor(pts)
 	cached := NewCached(8, 2)
 	cached.BuildKeyed(append([]Point(nil), pts...), keys, nil)
-	v1 := cached.Stats().Visited
+	v1 := cached.CacheStats().Visited
 	if v1 == 0 {
 		t.Fatal("list construction should count visited candidates")
 	}
 	cached.BuildKeyed(append([]Point(nil), pts...), keys, nil) // reuse
-	if v := cached.Stats().Visited; v != v1 {
+	if v := cached.CacheStats().Visited; v != v1 {
 		t.Fatalf("reuse tick should not re-visit; %d -> %d", v1, v)
 	}
 	cached.Invalidate()
 	cached.BuildKeyed(append([]Point(nil), pts...), keys, nil)
-	if v := cached.Stats().Visited; v <= v1 {
+	if v := cached.CacheStats().Visited; v <= v1 {
 		t.Fatalf("rebuild should accumulate, not reset: %d -> %d", v1, v)
 	}
 	cs := cached.CacheStats()

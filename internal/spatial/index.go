@@ -4,21 +4,20 @@
 // visible region, the spatial join BRASIL's foreach compiles to. That is
 // the only query the engines issue.
 //
-// Two implementations of Index are provided:
+// Three types answer that probe, each through the one Index method:
 //
 //   - Scan: the no-index baseline ("BRACE - no indexing" in the figures);
 //     every probe enumerates all points.
 //   - KDTree: the paper's "generic KD-tree based spatial index capability"
 //     [Bentley, 3], rebuilt each tick over the agents visible at a reducer.
+//   - CachedIndex (cached.go): the KD-tree the engines run, wrapped in
+//     Verlet candidate lists for exact cross-tick reuse while agents stay
+//     within half a skin radius of their build positions. It is built by
+//     key and slot, and also serves per-slot candidate lists.
 //
-// Both are built over immutable point sets: behavioral simulations rebuild
-// at every tick because every agent may move, so they favor fast bulk
-// construction and cheap queries over dynamic updates. CachedIndex (see
-// cached.go) layers exact cross-tick reuse on top of that model: a KD-tree
-// wrapped in Verlet candidate lists — the engines' incremental fast path,
-// which skips the per-tick rebuild while agents stay within half a skin
-// radius of their build positions. It probes by slot and keyed build, not
-// through Index.
+// Scan and KDTree are built over immutable point sets: behavioral
+// simulations rebuild at every tick because every agent may move, so they
+// favor fast bulk construction and cheap queries over dynamic updates.
 package spatial
 
 import (
@@ -35,27 +34,14 @@ type Point struct {
 	ID  int32
 }
 
-// Index answers disc-range queries over a point set fixed at Build time.
+// Index is the one disc probe: RangeCircleInto appends the IDs of every
+// point within Euclidean distance rad of c (closed ball) to the
+// caller-owned dst, in unspecified order, and returns the extended slice
+// and the number of candidate points it examined — the quantity that
+// separates log-linear from quadratic behavior in Fig. 3. Probes keep no
+// counters: the caller accounts the visits.
 type Index interface {
-	// Build replaces the index contents with pts. Implementations may
-	// retain pts.
-	Build(pts []Point)
-
-	// RangeCircle calls fn for every point within Euclidean distance rad
-	// of c (closed ball). Iteration order is unspecified. fn must not call
-	// back into the index.
-	RangeCircle(c geom.Vec, rad float64, fn func(Point))
-
-	// Stats returns the work counters accumulated since Build. Used by the
-	// experiment harness's cost model.
-	Stats() Stats
-}
-
-// Stats counts index work; Visited is the number of candidate points
-// examined, the quantity that separates log-linear from quadratic behavior
-// in Fig. 3.
-type Stats struct {
-	Visited int64 // points examined (including rejected candidates)
+	RangeCircleInto(c geom.Vec, rad float64, dst []int32) ([]int32, int64)
 }
 
 // Kind selects an index implementation; it is the value of the engine's
@@ -131,14 +117,6 @@ func (k *Kind) UnmarshalText(text []byte) error {
 	}
 	*k = v
 	return nil
-}
-
-// New returns a fresh, empty index of the given kind.
-func New(kind Kind) Index {
-	if kind == KindKDTree {
-		return NewKDTree()
-	}
-	return NewScan()
 }
 
 // Parallelism and SetParallelism survive for the benchmark; drop with the

@@ -19,11 +19,19 @@ func randomPoints(rng *rand.Rand, n int, span float64) []Point {
 }
 
 func collectCircle(ix Index, c geom.Vec, rad float64) []int32 {
-	var ids []int32
-	ix.RangeCircle(c, rad, func(p Point) { ids = append(ids, p.ID) })
+	ids, _ := ix.RangeCircleInto(c, rad, nil)
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return ids
 }
+
+// builtIndex is an index built from a caller's point set.
+type builtIndex interface {
+	Index
+	Build(pts []Point)
+}
+
+// plainIndexes returns one empty index of each point-set type.
+func plainIndexes() []builtIndex { return []builtIndex{NewScan(), NewKDTree()} }
 
 func idsEqual(a, b []int32) bool {
 	if len(a) != len(b) {
@@ -61,25 +69,19 @@ func TestIndexesMatchScanOracleCircle(t *testing.T) {
 }
 
 func TestEmptyIndexes(t *testing.T) {
-	for _, kind := range []Kind{KindScan, KindKDTree} {
-		ix := New(kind)
+	for _, ix := range plainIndexes() {
 		ix.Build(nil)
-		called := false
-		ix.RangeCircle(geom.V(0, 0), 5, func(Point) { called = true })
-		if called {
-			t.Errorf("%v produced results on empty index", kind)
+		if got, _ := ix.RangeCircleInto(geom.V(0, 0), 5, nil); len(got) != 0 {
+			t.Errorf("%T produced results on empty index: %v", ix, got)
 		}
 	}
 }
 
 func TestSinglePoint(t *testing.T) {
-	for _, kind := range []Kind{KindScan, KindKDTree} {
-		ix := New(kind)
+	for _, ix := range plainIndexes() {
 		ix.Build([]Point{{Pos: geom.V(2, 3), ID: 7}})
-		var got []int32
-		ix.RangeCircle(geom.V(2, 3), 0, func(p Point) { got = append(got, p.ID) })
-		if len(got) != 1 || got[0] != 7 {
-			t.Errorf("%v zero-radius self query = %v", kind, got)
+		if got := collectCircle(ix, geom.V(2, 3), 0); len(got) != 1 || got[0] != 7 {
+			t.Errorf("%T zero-radius self query = %v", ix, got)
 		}
 	}
 }
@@ -91,12 +93,11 @@ func TestDuplicatePositions(t *testing.T) {
 		{Pos: geom.V(1, 1), ID: 2},
 		{Pos: geom.V(5, 5), ID: 3},
 	}
-	for _, kind := range []Kind{KindScan, KindKDTree} {
-		ix := New(kind)
+	for _, ix := range plainIndexes() {
 		ix.Build(append([]Point(nil), pts...))
 		got := collectCircle(ix, geom.V(1, 1), 0.5)
 		if !idsEqual(got, []int32{0, 1, 2}) {
-			t.Errorf("%v duplicates = %v", kind, got)
+			t.Errorf("%T duplicates = %v", ix, got)
 		}
 	}
 }
@@ -111,12 +112,14 @@ func TestKDTreeVisitsFewerThanScan(t *testing.T) {
 	kd.Build(append([]Point(nil), pts...))
 	sc := NewScan()
 	sc.Build(append([]Point(nil), pts...))
+	var kv, sv int64
 	for i := 0; i < 100; i++ {
 		c := geom.V(rng.Float64()*1000, rng.Float64()*1000)
-		kd.RangeCircle(c, 5, func(Point) {})
-		sc.RangeCircle(c, 5, func(Point) {})
+		_, v := kd.RangeCircleInto(c, 5, nil)
+		kv += v
+		_, v = sc.RangeCircleInto(c, 5, nil)
+		sv += v
 	}
-	kv, sv := kd.Stats().Visited, sc.Stats().Visited
 	if kv*10 >= sv {
 		t.Errorf("kdtree visited %d vs scan %d; expected >10x reduction", kv, sv)
 	}
@@ -157,16 +160,19 @@ func TestKindString(t *testing.T) {
 	}
 }
 
+// A probe reports its own visits, appends after what dst already holds,
+// and a scan visits every point.
 func TestStatsCounting(t *testing.T) {
 	pts := randomPoints(rand.New(rand.NewSource(8)), 100, 10)
 	kd := NewKDTree()
-	kd.Build(pts)
-	kd.RangeCircle(geom.V(5, 5), 2, func(Point) {})
-	if kd.Stats().Visited == 0 {
-		t.Error("Visited = 0 after a probe")
+	kd.Build(append([]Point(nil), pts...))
+	got, v := kd.RangeCircleInto(geom.V(5, 5), 2, []int32{-1})
+	if v == 0 || v > int64(len(pts)) || got[0] != -1 || int64(len(got)-1) > v {
+		t.Errorf("kd probe: %d results after the prefix, %d visited", len(got)-1, v)
 	}
-	kd.Build(pts)
-	if v := kd.Stats().Visited; v != 0 {
-		t.Errorf("fresh build should reset stats: Visited = %d", v)
+	sc := NewScan()
+	sc.Build(pts)
+	if _, v := sc.RangeCircleInto(geom.V(5, 5), 2, nil); v != int64(len(pts)) {
+		t.Errorf("scan visited %d, want all %d", v, len(pts))
 	}
 }

@@ -17,7 +17,6 @@ type KDTree struct {
 	pts   []Point // reordered during build; leaves reference spans
 	nodes []kdNode
 	root  int32
-	stats Stats
 }
 
 const leafSize = 16
@@ -37,10 +36,9 @@ const (
 // NewKDTree returns an empty KD-tree.
 func NewKDTree() *KDTree { return &KDTree{root: kdNil} }
 
-// Build implements Index. It takes ownership of pts (the slice is
+// Build indexes pts. It takes ownership of pts (the slice is
 // reordered in place during median partitioning).
 func (t *KDTree) Build(pts []Point) {
-	t.stats = Stats{}
 	t.pts = pts
 	if len(pts) == 0 {
 		t.root = kdNil
@@ -152,52 +150,10 @@ func selectMedian(pts []Point, k int, axis int8) {
 	}
 }
 
-// RangeCircle implements Index using an explicit stack (no recursion
+// RangeCircleInto implements Index with an explicit stack (no recursion
 // overhead): prune by the circumscribing square, filter candidates by exact
 // distance.
-func (t *KDTree) RangeCircle(c geom.Vec, rad float64, fn func(Point)) {
-	if t.root == kdNil {
-		return
-	}
-	r := geom.Square(c, rad)
-	r2 := rad * rad
-	var stack [64]int32
-	sp := 0
-	stack[sp] = t.root
-	sp++
-	for sp > 0 {
-		sp--
-		n := &t.nodes[stack[sp]]
-		if n.axis == leafAxis {
-			t.stats.Visited += int64(n.end - n.start)
-			for _, p := range t.pts[n.start:n.end] {
-				if p.Pos.Dist2(c) <= r2 {
-					fn(p)
-				}
-			}
-			continue
-		}
-		var lo, hi float64
-		if n.axis == 0 {
-			lo, hi = r.Min.X, r.Max.X
-		} else {
-			lo, hi = r.Min.Y, r.Max.Y
-		}
-		if lo <= n.split {
-			stack[sp] = n.left
-			sp++
-		}
-		if hi >= n.split {
-			stack[sp] = n.right
-			sp++
-		}
-	}
-}
-
-// rangeCircleSlots appends the IDs of points within rad of c to dst and
-// returns (dst, candidates visited). Stats-free: the cached index accounts
-// the visits itself.
-func (t *KDTree) rangeCircleSlots(c geom.Vec, rad float64, dst []int32) ([]int32, int64) {
+func (t *KDTree) RangeCircleInto(c geom.Vec, rad float64, dst []int32) ([]int32, int64) {
 	if t.root == kdNil {
 		return dst, 0
 	}
@@ -237,8 +193,5 @@ func (t *KDTree) rangeCircleSlots(c geom.Vec, rad float64, dst []int32) ([]int32
 	}
 	return dst, visited
 }
-
-// Stats implements Index.
-func (t *KDTree) Stats() Stats { return t.stats }
 
 var _ Index = (*KDTree)(nil)

@@ -75,12 +75,9 @@ func TestQuickKDTreeBuildPreservesPoints(t *testing.T) {
 // Property: a disc covering the whole generated plane returns every point.
 func TestQuickRangeEverythingReturnsAll(t *testing.T) {
 	f := func(ps pointSet) bool {
-		for _, kind := range []Kind{KindScan, KindKDTree} {
-			ix := New(kind)
+		for _, ix := range plainIndexes() {
 			ix.Build(append([]Point(nil), ps.Pts...))
-			n := 0
-			ix.RangeCircle(geom.V(0, 0), 1e6, func(Point) { n++ })
-			if n != len(ps.Pts) {
+			if got, _ := ix.RangeCircleInto(geom.V(0, 0), 1e6, nil); len(got) != len(ps.Pts) {
 				return false
 			}
 		}

@@ -7,31 +7,24 @@ import "github.com/bigreddata/brace/internal/geom"
 // "BRACE - no indexing" (Fig. 3: "without indexing every vehicle enumerates
 // and tests every other vehicle during each tick").
 type Scan struct {
-	pts   []Point
-	stats Stats
+	pts []Point
 }
 
 // NewScan returns an empty brute-force index.
 func NewScan() *Scan { return &Scan{} }
 
-// Build implements Index.
-func (s *Scan) Build(pts []Point) {
-	s.pts = pts
-	s.stats = Stats{}
-}
+// Build indexes pts, which the scan retains.
+func (s *Scan) Build(pts []Point) { s.pts = pts }
 
-// RangeCircle implements Index.
-func (s *Scan) RangeCircle(c geom.Vec, rad float64, fn func(Point)) {
-	s.stats.Visited += int64(len(s.pts))
+// RangeCircleInto implements Index; every point is a candidate.
+func (s *Scan) RangeCircleInto(c geom.Vec, rad float64, dst []int32) ([]int32, int64) {
 	r2 := rad * rad
 	for _, p := range s.pts {
 		if p.Pos.Dist2(c) <= r2 {
-			fn(p)
+			dst = append(dst, p.ID)
 		}
 	}
+	return dst, int64(len(s.pts))
 }
-
-// Stats implements Index.
-func (s *Scan) Stats() Stats { return s.stats }
 
 var _ Index = (*Scan)(nil)
