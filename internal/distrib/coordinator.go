@@ -9,7 +9,6 @@ import (
 
 	"github.com/bigreddata/brace/internal/detutil"
 	"github.com/bigreddata/brace/internal/engine"
-	"github.com/bigreddata/brace/internal/partition"
 	"github.com/bigreddata/brace/internal/transport"
 )
 
@@ -57,27 +56,20 @@ func Run(o Options) (*Result, error) {
 	case o.EpochTimeout < 0:
 		o.EpochTimeout = 0 // disabled
 	}
-	if o.CheckpointFullEvery == 0 {
-		o.CheckpointFullEvery = DefaultCheckpointFullEvery
-	}
-	if o.Balancer == (partition.Balancer{}) {
-		o.Balancer = partition.DefaultBalancer()
-	}
 
 	// The tick-0 checkpoint: recovery can always rewind to the start.
-	cuts, parts, err := initialState(o)
+	initial, err := initialState(o)
 	if err != nil {
 		return nil, err
 	}
 	now := time.Now()
 	c := &coordinator{
 		o:      o,
+		m:      engine.NewMaster(initial, o.CheckpointEveryEpochs, o.CheckpointFullEvery, o.LoadBalance, o.Balancer),
 		place:  NewPlacement(o.Partitions, len(o.Addrs)),
 		live:   make([]bool, len(o.Addrs)),
 		seqs:   make([]int, len(o.Addrs)),
 		gen:    1,
-		cuts:   cuts,
-		ckpt:   &ckptState{tick: 0, cuts: append([]float64(nil), cuts...), parts: parts},
 		stats:  make(map[int]*transport.EpochStats),
 		finals: make(map[int]*transport.FinalReport),
 		lv:     newLiveness(len(o.Addrs), o.Heartbeat*MissedHeartbeats, o.EpochTimeout, adaptive, now),
@@ -109,7 +101,7 @@ func Run(o Options) (*Result, error) {
 	}
 	// The tick-0 checkpoint is the first observable state of the run.
 	if o.OnCheckpoint != nil {
-		o.OnCheckpoint(0, livePopulation(c.ckpt.parts))
+		o.OnCheckpoint(0, livePopulation(initial.Parts))
 	}
 	return c.run()
 }
@@ -133,37 +125,31 @@ func (c *coordinator) writeTimeout() time.Duration {
 	return wt
 }
 
-// ckptState is one coordinated checkpoint held on the coordinator — the
-// piece of the design that makes multi-process recovery possible at all:
-// a dead worker's memory dies with it, so the rollback state must live
-// with the master.
-type ckptState struct {
-	tick  uint64
-	seq   uint64 // checkpoint sequence; deltas name the base they build on
-	cuts  []float64
-	parts []transport.PartState // indexed by partition, always Full
-	have  map[int]bool          // procs whose pieces arrived (while assembling)
+// ckptRound is a checkpoint round in flight: its tick, the processes that
+// reported, and the checkpoint the master holds once complete.
+type ckptRound struct {
+	tick uint64
+	have map[int]bool
+	done *engine.Checkpoint
 }
 
-// coordinator is the control-plane state machine. It runs single-threaded
+// coordinator wraps the master (engine.Master: epoch decisions, checkpoint
+// store, rollback) with what needs a network: the hub, liveness, placement,
+// generations and which processes have reported. It runs single-threaded
 // over the hub's event stream: the hub's relay goroutines move the data
 // plane without ever entering this loop.
 type coordinator struct {
 	o     Options
+	m     *engine.Master
 	hub   *transport.Hub
 	place *Placement
 	live  []bool
 	seqs  []int // attach sequence per proc; fences stale disconnect events
 	gen   int
-	cuts  []float64 // strip cuts currently in force (nil: one partition, nothing to balance)
 
-	epoch        int    // barrier counter, for the checkpoint cadence
-	lastBoundary uint64 // last barrier tick; rebalance only moves forward
-
-	ckpt    *ckptState // last complete checkpoint
-	pending *ckptState // checkpoint being assembled
-	stats   map[int]*transport.EpochStats
-	finals  map[int]*transport.FinalReport
+	ckpt   *ckptRound // checkpoint round in flight (nil: none)
+	stats  map[int]*transport.EpochStats
+	finals map[int]*transport.FinalReport
 
 	// Liveness: the detector itself plus the start times of the rounds
 	// currently in flight (zero = round inactive).
@@ -172,14 +158,10 @@ type coordinator struct {
 	ckptSince   time.Time
 	finalsSince time.Time
 
-	ckptSeq     uint64 // sequence of the last *ordered* checkpoint
-	ckptOrdered int    // periodic checkpoints ordered (keyframe cadence)
-
-	recoveries, rejoins, rebalances, stallDrops, joins int
+	recoveries, rejoins, stallDrops, joins int
 
 	ckptBytes                     int64
 	ckptFullParts, ckptDeltaParts int
-	epochs                        []EpochDecision
 }
 
 func (c *coordinator) liveCount() int {
@@ -319,9 +301,9 @@ func (c *coordinator) onTimer(now time.Time) error {
 			}
 		}
 	}
-	if c.pending != nil && c.lv.overdue(c.ckptSince, now) {
+	if c.ckpt != nil && c.lv.overdue(c.ckptSince, now) {
 		for p := range c.live {
-			if c.live[p] && !c.pending.have[p] {
+			if c.live[p] && !c.ckpt.have[p] {
 				stalled[p] = "checkpoint round overdue"
 			}
 		}
@@ -368,7 +350,11 @@ func (c *coordinator) finish() (*Result, error) {
 	}
 	res.Recoveries = c.recoveries
 	res.Rejoins = c.rejoins
-	res.Rebalances = c.rebalances
+	for _, d := range c.m.Log() {
+		if d.Rebalanced {
+			res.Rebalances++
+		}
+	}
 	res.StallDrops = c.stallDrops
 	res.Joins = c.joins
 	traffic := c.hub.Traffic()
@@ -377,13 +363,13 @@ func (c *coordinator) finish() (*Result, error) {
 	res.CheckpointBytes = c.ckptBytes
 	res.CheckpointFullParts = c.ckptFullParts
 	res.CheckpointDeltaParts = c.ckptDeltaParts
-	res.Epochs = c.epochs
+	res.Epochs = c.m.Log()
 	return res, nil
 }
 
 // onStats records one worker's barrier statistics; when the round is
-// complete it makes the master's decisions — rebalance? checkpoint? — and
-// answers every live worker with the directive.
+// complete the master makes its decisions — rebalance? checkpoint? — and
+// every live worker gets the directive.
 func (c *coordinator) onStats(src int, s *transport.EpochStats) error {
 	if s == nil {
 		return fmt.Errorf("distrib: worker %d sent empty stats", src)
@@ -404,53 +390,25 @@ func (c *coordinator) onStats(src int, s *transport.EpochStats) error {
 	c.statsSince = time.Time{}
 	c.lv.roundReset(time.Now())
 
-	tick := s.Tick
-	c.epoch++
-	d := &transport.Directive{Tick: tick}
-	if c.o.CheckpointEveryEpochs > 0 && c.epoch%c.o.CheckpointEveryEpochs == 0 {
-		c.ckptOrdered++
-		c.ckptSeq++
-		d.Checkpoint = true
-		d.CkptSeq = c.ckptSeq
-		// Keyframe cadence: the first periodic checkpoint and every Nth
-		// after it ship full state; the rest ship deltas the coordinator
-		// reassembles on arrival.
-		d.CkptFull = c.o.CheckpointFullEvery <= 1 || (c.ckptOrdered-1)%c.o.CheckpointFullEvery == 0
-		// The checkpoint captures the cuts in force *before* any rebalance
-		// decided at this same barrier — exactly when the in-memory
-		// runtime snapshots master state.
-		c.pending = &ckptState{
-			tick:  tick,
-			seq:   c.ckptSeq,
-			cuts:  append([]float64(nil), c.cuts...),
-			parts: make([]transport.PartState, c.o.Partitions),
-			have:  make(map[int]bool),
-		}
-		for p := range c.pending.parts {
-			c.pending.parts[p].Part = -1 // piece not yet received
-		}
-		c.ckptSince = time.Now()
-	}
-	if c.o.LoadBalance && tick > c.lastBoundary && c.cuts != nil {
-		if cuts, ok := c.planRebalance(); ok {
-			d.NewCuts = cuts
-			c.cuts = cuts
-			c.rebalances++
-		}
-	}
-	c.lastBoundary = tick
-	dec := EpochDecision{
-		Tick:       tick,
-		Rebalanced: d.NewCuts != nil,
-		Cuts:       append([]float64(nil), c.cuts...),
-	}
-	c.epochs = append(c.epochs, dec)
-	if c.o.OnEpoch != nil {
-		c.o.OnEpoch(dec)
+	var parts []transport.PartStats
+	for _, p := range detutil.SortedKeys(c.stats) {
+		parts = append(parts, c.stats[p].Parts...)
 	}
 	c.stats = make(map[int]*transport.EpochStats)
+	d, err := c.m.Barrier(s.Tick, parts)
+	if err != nil {
+		return fmt.Errorf("distrib: %w", err)
+	}
+	if d.Checkpoint {
+		c.ckpt = &ckptRound{tick: d.Tick, have: make(map[int]bool)}
+		c.ckptSince = time.Now()
+	}
+	if c.o.OnEpoch != nil {
+		log := c.m.Log()
+		c.o.OnEpoch(log[len(log)-1])
+	}
 
-	frame := &transport.Frame{Kind: transport.FrameDirective, Gen: c.gen, Dir: d}
+	frame := &transport.Frame{Kind: transport.FrameDirective, Gen: c.gen, Dir: &d}
 	var dead []int
 	for p := range c.live {
 		if !c.live[p] {
@@ -468,85 +426,42 @@ func (c *coordinator) onStats(src int, s *transport.EpochStats) error {
 	return nil
 }
 
-// planRebalance assembles the per-partition balancer inputs from the
-// collected statistics and runs the engine's decision procedure.
-func (c *coordinator) planRebalance() ([]float64, bool) {
-	strips, err := partition.NewStripsFromCuts(c.cuts)
-	if err != nil || strips.N() != c.o.Partitions {
-		return nil, false
-	}
-	xs := make([][]float64, c.o.Partitions)
-	cost := make([]int64, c.o.Partitions)
-	for _, p := range detutil.SortedKeys(c.stats) {
-		for _, ps := range c.stats[p].Parts {
-			if ps.Part < 0 || ps.Part >= c.o.Partitions {
-				continue
-			}
-			xs[ps.Part] = ps.Xs
-			cost[ps.Part] = ps.Cost
-		}
-	}
-	d := engine.PlanRebalance(c.o.Balancer, strips, xs, cost)
-	if !d.Apply {
-		return nil, false
-	}
-	return d.NewCuts, true
-}
-
-// onCheckpoint files one worker's checkpoint pieces — reassembling delta
-// pieces into full state against the previous checkpoint as they arrive —
-// and, once every live worker has reported, installs the assembled state
-// as the rollback point. Holding only full state coordinator-side keeps
-// Restore frames and recovery identical whether the pieces came in whole
-// or as deltas.
+// onCheckpoint files one worker's checkpoint pieces with the master —
+// which reassembles delta pieces into full state as they arrive — and,
+// once every live worker has reported, closes the round: the master now
+// holds the assembled state as its rollback point.
 func (c *coordinator) onCheckpoint(src int, ck *transport.CheckpointMsg, bytes int) error {
-	if ck == nil || c.pending == nil || ck.Tick != c.pending.tick {
+	r := c.ckpt
+	if ck == nil || r == nil || ck.Tick != r.tick {
 		return nil // stale piece from an interrupted checkpoint round
 	}
 	c.ckptBytes += int64(bytes)
+	done, err := c.m.File(ck.Parts...)
+	if err != nil {
+		return fmt.Errorf("distrib: worker %d: %w", src, err)
+	}
+	if done != nil {
+		r.done = done
+	}
 	for _, ps := range ck.Parts {
-		if ps.Part < 0 || ps.Part >= len(c.pending.parts) {
-			return fmt.Errorf("distrib: worker %d checkpointed unknown partition %d", src, ps.Part)
-		}
 		if ps.Full {
 			c.ckptFullParts++
-			c.pending.parts[ps.Part] = transport.PartState{Part: ps.Part, Full: true, Values: ps.Values}
-			continue
+		} else {
+			c.ckptDeltaParts++
 		}
-		// A delta names the base it was computed against; it must be the
-		// checkpoint this coordinator actually holds. A mismatch is a
-		// protocol bug, not a recoverable condition — replaying would
-		// reproduce it.
-		if ps.Base != c.ckpt.seq {
-			return fmt.Errorf("distrib: worker %d sent a delta against checkpoint %d, coordinator holds %d",
-				src, ps.Base, c.ckpt.seq)
-		}
-		base, ok := c.ckpt.parts[ps.Part].Values.([]*engine.Envelope)
-		if !ok && c.ckpt.parts[ps.Part].Values != nil {
-			return fmt.Errorf("distrib: checkpoint base for partition %d holds %T", ps.Part, c.ckpt.parts[ps.Part].Values)
-		}
-		vals, err := engine.ApplyDelta(base, ps.Delta)
-		if err != nil {
-			return fmt.Errorf("distrib: worker %d partition %d: %w", src, ps.Part, err)
-		}
-		c.ckptDeltaParts++
-		c.pending.parts[ps.Part] = transport.PartState{Part: ps.Part, Full: true, Values: vals}
 	}
-	c.pending.have[src] = true
-	if len(c.pending.have) < c.liveCount() {
+	r.have[src] = true
+	if len(r.have) < c.liveCount() {
 		return nil
 	}
-	for p, ps := range c.pending.parts {
-		if ps.Part != p {
-			return fmt.Errorf("distrib: checkpoint at tick %d is missing partition %d", c.pending.tick, p)
-		}
+	if r.done == nil {
+		return fmt.Errorf("distrib: checkpoint at tick %d is missing partitions after every worker reported", r.tick)
 	}
-	c.pending.have = nil
-	c.ckpt, c.pending = c.pending, nil
+	c.ckpt = nil
 	c.ckptSince = time.Time{}
 	c.lv.roundReset(time.Now())
 	if c.o.OnCheckpoint != nil {
-		c.o.OnCheckpoint(c.ckpt.tick, livePopulation(c.ckpt.parts))
+		c.o.OnCheckpoint(r.done.Tick, livePopulation(r.done.Parts))
 	}
 	return nil
 }
@@ -612,38 +527,23 @@ func (c *coordinator) recoverFrom(src int, cause error) error {
 	return nil
 }
 
-// rewind restores the fleet onto the current placement from the last
-// complete checkpoint under the (already bumped) generation: half-
-// assembled barrier state is discarded, the decision log is truncated to
-// the restored tick, and every live worker gets a Restore carrying its
-// partitions — plus the peer roster in mesh runs, so transports re-fence
-// their peer links alongside their generation. Workers whose Restore
-// could not be sent are returned for the caller's recovery loop.
+// rewind restores the fleet onto the current placement from the master's
+// last complete checkpoint under the (already bumped) generation: half-
+// assembled barrier state is discarded, the master truncates its decision
+// log to the restored tick, and every live worker gets a Restore carrying
+// its partitions — plus the peer roster in mesh runs, so transports
+// re-fence their peer links alongside their generation. Workers whose
+// Restore could not be sent are returned for the caller's recovery loop.
 func (c *coordinator) rewind() []int {
-	c.hub.SetAssign(c.place.Assign())
-	c.cuts = append([]float64(nil), c.ckpt.cuts...)
+	assign := c.place.Assign()
+	c.hub.SetAssign(assign)
+	ck := c.m.Rewind()
 	c.stats = make(map[int]*transport.EpochStats)
 	c.finals = make(map[int]*transport.FinalReport)
-	c.pending = nil
+	c.ckpt = nil
 	c.statsSince, c.ckptSince, c.finalsSince = time.Time{}, time.Time{}, time.Time{}
 	c.lv.roundReset(time.Now())
-	// The rewind also rolls back decisions made after the checkpoint:
-	// truncate the decision log to the restored tick and recount, so
-	// Result.Epochs/Rebalances describe what is actually in force.
-	kept := c.epochs[:0]
-	rebalances := 0
-	for _, e := range c.epochs {
-		if e.Tick <= c.ckpt.tick {
-			kept = append(kept, e)
-			if e.Rebalanced {
-				rebalances++
-			}
-		}
-	}
-	c.epochs = kept
-	c.rebalances = rebalances
 
-	assign := c.place.Assign()
 	var failed []int
 	for p := range c.live {
 		if !c.live[p] {
@@ -651,17 +551,17 @@ func (c *coordinator) rewind() []int {
 		}
 		rest := &transport.Restore{
 			Gen:     c.gen,
-			Tick:    c.ckpt.tick,
-			Cuts:    append([]float64(nil), c.ckpt.cuts...),
+			Tick:    ck.Tick,
+			Cuts:    append([]float64(nil), ck.Cuts...),
 			Assign:  assign,
 			Live:    append([]bool(nil), c.live...),
-			CkptSeq: c.ckpt.seq,
+			CkptSeq: ck.Seq,
 		}
 		if c.o.Mesh {
 			rest.Peers = append([]string(nil), c.o.Addrs...)
 		}
 		for _, q := range c.place.Owned(p) {
-			rest.Parts = append(rest.Parts, c.ckpt.parts[q])
+			rest.Parts = append(rest.Parts, ck.Parts[q])
 		}
 		if err := c.hub.Send(p, &transport.Frame{Kind: transport.FrameRestore, Gen: c.gen, Rest: rest}); err != nil {
 			failed = append(failed, p)

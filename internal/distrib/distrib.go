@@ -11,16 +11,17 @@
 // partitions assigned to it through the same lockstep tick loop, and the
 // transport's end-of-phase markers substitute for shared-memory barriers.
 //
-// The coordinator is the master of the paper's §3.3, owning the control
-// plane: at every epoch barrier workers ship statistics up and wait for a
-// directive down. The coordinator runs the 1-D load balancer on those
-// statistics (the same decision procedure as the in-memory engine, so
+// The coordinator drives the master of the paper's §3.3, engine.Master —
+// the same state machine an in-process engine runs — over the network: at
+// every epoch barrier workers ship statistics up and wait for a directive
+// down. The master runs the 1-D load balancer on those statistics (so
 // `-lb` is bit-identical across transports), orders coordinated
-// checkpoints whose state it holds itself, and — when a worker connection
-// dies — re-places the dead worker's partitions (re-admitting the worker
-// if its daemon still answers), bumps the protocol generation, and
-// restores every survivor from the last checkpoint so the run continues
-// bit-identically to an unfailed one. For local-effect scenarios the
+// checkpoints whose state it holds, and hands that state back on a
+// rollback. The coordinator adds what needs a network: when a worker
+// connection dies it re-places the dead worker's partitions (re-admitting
+// the worker if its daemon still answers), bumps the protocol generation,
+// and restores every survivor from the master's last checkpoint so the
+// run continues bit-identically to an unfailed one. For local-effect scenarios the
 // result is bit-identical to an in-memory run at the same seed and
 // partition count; the loopback tests assert exactly that, with and
 // without injected failures.
@@ -77,8 +78,8 @@ type Options struct {
 	// Index selects the spatial index (zero value: the KD-tree).
 	Index spatial.Kind
 	// LoadBalance enables the coordinator-driven 1-D load balancer: the
-	// same decision procedure as the in-memory engine, computed from the
-	// workers' epoch statistics, with new strip cuts broadcast at epoch
+	// same engine.Master as the in-memory engine, run on the workers'
+	// epoch statistics, with new strip cuts broadcast at epoch
 	// barriers. Migrated agents travel through the ordinary data plane at
 	// the next tick's map phase.
 	LoadBalance bool
@@ -166,7 +167,7 @@ const (
 	DefaultHeartbeat           = 2 * time.Second
 	DefaultEpochTimeout        = 60 * time.Second
 	DefaultDialTimeout         = 10 * time.Second
-	DefaultCheckpointFullEvery = 8
+	DefaultCheckpointFullEvery = engine.DefaultCheckpointFullEvery
 )
 
 // MissedHeartbeats is how many consecutive silent heartbeat intervals
@@ -182,14 +183,8 @@ const maxRecoveries = 8
 // ErrCanceled reports a run deliberately aborted through Options.Cancel.
 var ErrCanceled = errors.New("distrib: run canceled")
 
-// EpochDecision records what the control plane decided at one epoch
-// barrier.
-type EpochDecision struct {
-	Tick       uint64
-	Rebalanced bool
-	// Cuts are the strip boundaries in force after the barrier.
-	Cuts []float64
-}
+// EpochDecision records what the master decided at one epoch barrier.
+type EpochDecision = engine.EpochDecision
 
 // Result is what a distributed run yields on the coordinator.
 type Result struct {
@@ -323,30 +318,28 @@ func (o *Options) hello(proc, gen int, assign []int) *transport.Hello {
 // initial strip cuts and per-partition envelopes, computed by the same
 // engine constructor every worker runs, so recovery can always rewind to
 // the exact start even when no periodic checkpoint has completed yet.
-func initialState(o Options) (cuts []float64, parts []transport.PartState, err error) {
+func initialState(o Options) (engine.Checkpoint, error) {
 	sp, ok := scenario.Lookup(o.Scenario)
 	if !ok {
-		return nil, nil, scenario.ErrUnknown(o.Scenario)
+		return engine.Checkpoint{}, scenario.ErrUnknown(o.Scenario)
 	}
 	m, pop, err := sp.New(scenario.Config{Agents: o.Agents, Seed: o.Seed, Extent: o.Extent})
 	if err != nil {
-		return nil, nil, err
+		return engine.Checkpoint{}, err
 	}
 	eng, err := engine.NewDistributed(m, pop, engine.Options{
-		Workers:    o.Partitions,
-		Index:      o.Index,
-		Seed:       o.Seed,
-		EpochTicks: o.EpochTicks,
+		Workers: o.Partitions,
+		Index:   o.Index,
+		Seed:    o.Seed,
 	})
 	if err != nil {
-		return nil, nil, err
+		return engine.Checkpoint{}, err
 	}
-	cuts = eng.Partition().Cuts()
-	parts = make([]transport.PartState, o.Partitions)
-	for p := 0; p < o.Partitions; p++ {
-		parts[p] = transport.PartState{Part: p, Full: true, Values: eng.ExportPartition(p)}
+	ck := engine.Checkpoint{Cuts: eng.Partition().Cuts(), Parts: make([]transport.PartState, o.Partitions)}
+	for p := range ck.Parts {
+		ck.Parts[p] = transport.PartState{Part: p, Full: true, Values: eng.ExportPartition(p)}
 	}
-	return cuts, parts, nil
+	return ck, nil
 }
 
 // livePopulation flattens an assembled (all-Full) checkpoint into the

@@ -131,9 +131,8 @@ func TestLoopbackTCPUnevenBlocks(t *testing.T) {
 // rebalanced-or-not verdict and same strip cuts at every epoch — and end in
 // bit-identical state, for every registered local-effect scenario in the
 // suite, with the data plane on the coordinator relay (star) and on direct
-// peer links (mesh). This is what "the coordinator runs the engine's
-// decision procedure" buys: PlanRebalance on worker statistics ≡
-// rebalance() on in-process state. The daemons are one-shot (Once), so the
+// peer links (mesh). This is what one master buys: engine.Master on
+// worker statistics ≡ engine.Master on in-process state. The daemons are one-shot (Once), so the
 // mesh half also pins that such a daemon keeps accepting peer links while
 // its one coordinator session runs: no data frame may fall back to the
 // relay.

@@ -2,10 +2,12 @@ package distrib
 
 import (
 	"net"
+	"slices"
 	"strings"
 	"testing"
 
 	"github.com/bigreddata/brace/internal/agent"
+	"github.com/bigreddata/brace/internal/cluster"
 	"github.com/bigreddata/brace/internal/engine"
 	"github.com/bigreddata/brace/internal/partition"
 	"github.com/bigreddata/brace/internal/scenario"
@@ -242,6 +244,117 @@ func TestRecoveryWithLoadBalance(t *testing.T) {
 		t.Errorf("recoveries = %d, want ≥ 1", res.Recoveries)
 	}
 	assertSamePopulation(t, "lb+recovery", ref.Agents(), res.Agents)
+}
+
+// One master gives one decision log: the in-process engine, crashing a
+// partition at tick 7, and a two-process run whose worker is severed in
+// the same tick make the same decisions at the same barriers — the failed
+// boundary counted by neither, the re-executed one not re-balanced — and
+// end in the same population.
+func TestRecoveryDecisionLogMatchesInProcess(t *testing.T) {
+	bal := partition.Balancer{MigrateCostPerAgent: 1e-9, HorizonTicks: 1000, MinRelativeGain: 0.01}
+	mem := memEngine(t, "epidemic", 96, 30, 5, engine.Options{
+		Workers: 4, Seed: 5, LoadBalance: true, Balancer: bal,
+		EpochTicks: 3, CheckpointEveryEpochs: 1,
+		Failures: cluster.NewFailurePlan().CrashAt(7, 0),
+	})
+	if err := mem.RunTicks(12); err != nil {
+		t.Fatal(err)
+	}
+	if mem.Recoveries() != 1 {
+		t.Fatalf("in-process recoveries = %d, want 1", mem.Recoveries())
+	}
+	res, err := Run(Options{
+		Addrs:    startChaosWorkers(t, 2, severProcAt(0, 15)), // mid tick 7
+		Scenario: "epidemic",
+		Agents:   96, Extent: 30, Seed: 5,
+		Partitions: 4, Ticks: 12,
+		EpochTicks: 3, CheckpointEveryEpochs: 1,
+		LoadBalance: true, Balancer: bal,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Recoveries != 1 {
+		t.Fatalf("tcp recoveries = %d, want 1", res.Recoveries)
+	}
+	log := mem.Decisions()
+	if len(log) != len(res.Epochs) {
+		t.Fatalf("in-process log has %d decisions, tcp %d:\n  %v\n  %v", len(log), len(res.Epochs), log, res.Epochs)
+	}
+	rebalanced := false
+	for i, d := range log {
+		e := res.Epochs[i]
+		if d.Tick != e.Tick || d.Rebalanced != e.Rebalanced || !slices.Equal(d.Cuts, e.Cuts) {
+			t.Errorf("decision %d: in-process %+v, tcp %+v", i, d, e)
+		}
+		rebalanced = rebalanced || d.Rebalanced
+	}
+	if !rebalanced {
+		t.Error("no barrier rebalanced; the logs agree vacuously")
+	}
+	if res.Rebalances != rebalances(log) {
+		t.Errorf("Result.Rebalances = %d, the log holds %d", res.Rebalances, rebalances(log))
+	}
+	assertSamePopulation(t, "one master", mem.Agents(), res.Agents)
+}
+
+func rebalances(log []EpochDecision) int {
+	n := 0
+	for _, d := range log {
+		if d.Rebalanced {
+			n++
+		}
+	}
+	return n
+}
+
+// A malformed Restore is refused before it reaches the engine — an
+// assignment longer than the partition count used to index the runtime's
+// workers out of range and take the whole daemon down — and a refused
+// restore leaves the engine's tick, cuts and partitions as they were.
+func TestRestoreRefusesMalformedFrames(t *testing.T) {
+	eng := memEngine(t, "epidemic", 60, 30, 7, engine.Options{Workers: 4, Seed: 7, EpochTicks: 2, LocalParts: []int{0, 1}})
+	if err := eng.RunTicks(2); err != nil {
+		t.Fatal(err)
+	}
+	h := &transport.Hello{Proc: 0, NumProcs: 2, Partitions: 4}
+	cuts := eng.Partition().Cuts()
+	part := func(p int) transport.PartState {
+		return transport.PartState{Part: p, Full: true, Values: engine.CloneEnvelopes(eng.ExportPartition(p))}
+	}
+	valid := func() *transport.Restore {
+		return &transport.Restore{Gen: 2, Tick: 0, Cuts: cuts, Assign: []int{0, 0, 1, 1}, Live: []bool{true, true},
+			Parts: []transport.PartState{part(0), part(1)}}
+	}
+	for _, tc := range []struct {
+		name string
+		edit func(r *transport.Restore)
+	}{
+		{"assignment longer than the partition count", func(r *transport.Restore) { r.Assign = []int{0, 0, 1, 1, 0} }},
+		{"assignment shorter than the partition count", func(r *transport.Restore) { r.Assign = r.Assign[:3] }},
+		{"partition assigned to a negative process", func(r *transport.Restore) { r.Assign[2] = -1 }},
+		{"partition assigned past the live roster", func(r *transport.Restore) { r.Assign[3] = 2 }},
+		{"state for a partition another process owns", func(r *transport.Restore) { r.Parts = append(r.Parts, part(2)) }},
+		{"state for an unknown partition", func(r *transport.Restore) { r.Parts[1].Part = 4 }},
+		{"state for a negative partition", func(r *transport.Restore) { r.Parts[0].Part = -1 }},
+		{"state for one partition twice", func(r *transport.Restore) { r.Parts[1] = part(0) }},
+		{"cuts for another partition count", func(r *transport.Restore) { r.Cuts = []float64{1} }},
+		{"delta state", func(r *transport.Restore) { r.Parts[0] = transport.PartState{Part: 0, Delta: []byte{1, 0}} }},
+	} {
+		r := valid()
+		tc.edit(r)
+		// A refusal never reaches the transport, so none is needed.
+		if err := applyRestore(eng, nil, h, r); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
+		if got := eng.Partition().Cuts(); !slices.Equal(got, cuts) {
+			t.Fatalf("%s: refused restore changed the cuts %v -> %v", tc.name, cuts, got)
+		}
+		if eng.Tick() != 2 || !slices.Equal(eng.LocalPartitions(), []int{0, 1}) {
+			t.Fatalf("%s: refused restore moved the engine to tick %d, partitions %v", tc.name, eng.Tick(), eng.LocalPartitions())
+		}
+	}
 }
 
 // A worker that dies at the same replayed point every generation — a

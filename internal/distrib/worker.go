@@ -367,8 +367,6 @@ func serveSession(fc *transport.Conn, f *transport.Frame, so ServeOptions) error
 		defer close(stop)
 		go watchCoordinator(tcp, fc, so.CoordTimeout, stop)
 	}
-	ckpts := newCkptTracker()
-
 	// The barrier hook closes over the engine pointer, which is assigned
 	// right after construction; the hook only fires inside RunTicks.
 	var eng *engine.Distributed
@@ -380,7 +378,7 @@ func serveSession(fc *transport.Conn, f *transport.Frame, so ServeOptions) error
 		Transport:  tr,
 		LocalParts: local,
 		EpochBarrier: func(tick uint64) error {
-			return workerBarrier(eng, tcp, h, ckpts, tick, so.Drain)
+			return workerBarrier(eng, tcp, h, tick, so.Drain)
 		},
 	})
 	if err != nil {
@@ -390,7 +388,7 @@ func serveSession(fc *transport.Conn, f *transport.Frame, so ServeOptions) error
 	if rejoining {
 		// Joined mid-run: the initial population load is placeholder
 		// state; wait for the coordinator's Restore before ticking.
-		if err := awaitAndApplyRestore(eng, tcp, h, ckpts); err != nil {
+		if err := awaitAndApplyRestore(eng, tcp, h); err != nil {
 			return err
 		}
 	}
@@ -413,7 +411,7 @@ func serveSession(fc *transport.Conn, f *transport.Frame, so ServeOptions) error
 			if err != nil {
 				return nil // connection closed: run complete
 			}
-			if err := applyRestore(eng, tcp, h, ckpts, r); err != nil {
+			if err := applyRestore(eng, tcp, h, r); err != nil {
 				return err
 			}
 		case errors.Is(err, errDraining):
@@ -423,7 +421,7 @@ func serveSession(fc *transport.Conn, f *transport.Frame, so ServeOptions) error
 			// coordinator recovers from on the surviving fleet.
 			return nil
 		case errors.Is(err, transport.ErrRestore):
-			if err := awaitAndApplyRestore(eng, tcp, h, ckpts); err != nil {
+			if err := awaitAndApplyRestore(eng, tcp, h); err != nil {
 				return err
 			}
 		default:
@@ -480,49 +478,42 @@ func watchCoordinator(tcp *transport.TCP, fc *transport.Conn, timeout time.Durat
 // awaitAndApplyRestore blocks for the coordinator's Restore, rewinds the
 // engine to the checkpoint it carries, and re-fences the transport onto
 // the new generation.
-func awaitAndApplyRestore(eng *engine.Distributed, tcp *transport.TCP, h *transport.Hello, ckpts *ckptTracker) error {
+func awaitAndApplyRestore(eng *engine.Distributed, tcp *transport.TCP, h *transport.Hello) error {
 	r, err := tcp.AwaitRestore()
 	if err != nil {
 		return err
 	}
-	return applyRestore(eng, tcp, h, ckpts, r)
+	return applyRestore(eng, tcp, h, r)
 }
 
-// applyRestore rewinds the engine to the checkpoint a Restore carries,
-// re-fences the transport onto the new generation, and re-baselines the
-// incremental-checkpoint tracker on the restored state (both sides now
-// hold it bit for bit, so the next checkpoint can delta immediately).
-func applyRestore(eng *engine.Distributed, tcp *transport.TCP, h *transport.Hello, ckpts *ckptTracker, r *transport.Restore) error {
-	vals := make(map[int][]*engine.Envelope, len(r.Parts))
-	for _, ps := range r.Parts {
-		envs, ok := ps.Values.([]*engine.Envelope)
-		if !ok && ps.Values != nil {
-			return fmt.Errorf("distrib: restore carried %T, want []*engine.Envelope", ps.Values)
-		}
-		vals[ps.Part] = envs
+// applyRestore checks a Restore the way checkHello checks a Hello — the
+// placement must cover every partition and name only processes the Restore
+// knows of, and the engine refuses state for a partition the placement
+// does not give this process — so a malformed one changes nothing. Then it
+// rewinds the engine to the checkpoint the Restore carries, which also
+// re-baselines its checkpoint producer, and re-fences the transport onto
+// the new generation.
+func applyRestore(eng *engine.Distributed, tcp *transport.TCP, h *transport.Hello, r *transport.Restore) error {
+	if len(r.Assign) != h.Partitions {
+		return fmt.Errorf("distrib: restore assignment covers %d partitions, want %d", len(r.Assign), h.Partitions)
 	}
-	if err := eng.Restore(r.Tick, r.Cuts, ownedParts(r.Assign, h.Proc), vals); err != nil {
+	for p, pr := range r.Assign {
+		if pr < 0 || pr >= len(r.Live) {
+			return fmt.Errorf("distrib: restore assigns partition %d to unknown process %d of %d", p, pr, len(r.Live))
+		}
+	}
+	ck := &engine.Checkpoint{Tick: r.Tick, Seq: r.CkptSeq, Cuts: r.Cuts, Parts: r.Parts}
+	if err := eng.RestoreCheckpoint(ck, ownedParts(r.Assign, h.Proc)); err != nil {
 		return err
 	}
-	ckpts.reset(r.CkptSeq, r.Parts)
 	tcp.Reset(r)
 	return nil
 }
 
 // workerBarrier is the epoch-boundary round-trip: statistics up, directive
-// down, directive applied (checkpoint state shipped with the cuts still in
-// pre-rebalance force, then new cuts installed — the same order the
-// in-memory master uses).
-func workerBarrier(eng *engine.Distributed, tcp *transport.TCP, h *transport.Hello, ckpts *ckptTracker, tick uint64, drain <-chan struct{}) error {
-	local := eng.LocalPartitions()
-	stats := &transport.EpochStats{Proc: h.Proc, Tick: tick, Parts: make([]transport.PartStats, 0, len(local))}
-	for _, p := range local {
-		ps := transport.PartStats{Part: p, Cost: eng.PartitionCost(p)}
-		if h.LoadBalance {
-			ps.Xs = eng.PartitionXs(p)
-		}
-		stats.Parts = append(stats.Parts, ps)
-	}
+// down, directive applied.
+func workerBarrier(eng *engine.Distributed, tcp *transport.TCP, h *transport.Hello, tick uint64, drain <-chan struct{}) error {
+	stats := &transport.EpochStats{Proc: h.Proc, Tick: tick, Parts: eng.EpochStats(h.LoadBalance)}
 	if err := tcp.Control(&transport.Frame{Kind: transport.FrameStats, Stats: stats}); err != nil {
 		return err
 	}
@@ -540,16 +531,12 @@ func workerBarrier(eng *engine.Distributed, tcp *transport.TCP, h *transport.Hel
 	if d.Tick != tick {
 		return fmt.Errorf("distrib: directive for tick %d at barrier %d", d.Tick, tick)
 	}
-	if d.Checkpoint {
-		ck := ckpts.snapshot(eng, h.Proc, tick, d.CkptSeq, d.CkptFull)
-		if err := tcp.Control(&transport.Frame{Kind: transport.FrameCheckpoint, Ckpt: ck}); err != nil {
-			return err
-		}
-	}
-	if d.NewCuts != nil {
-		if err := eng.InstallCuts(d.NewCuts); err != nil {
-			return err
-		}
+	err = eng.ApplyDirective(d, func(pieces []transport.PartState) error {
+		ck := &transport.CheckpointMsg{Proc: h.Proc, Tick: tick, Parts: pieces}
+		return tcp.Control(&transport.Frame{Kind: transport.FrameCheckpoint, Ckpt: ck})
+	})
+	if err != nil {
+		return err
 	}
 	if draining(drain) {
 		// The round is complete — the coordinator holds this barrier's

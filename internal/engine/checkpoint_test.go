@@ -138,8 +138,8 @@ func TestRestoreStartsCostEpoch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.Runtime().Recoveries() != 1 {
-		t.Fatalf("Recoveries = %d, want 1", e.Runtime().Recoveries())
+	if e.Recoveries() != 1 {
+		t.Fatalf("Recoveries = %d, want 1", e.Recoveries())
 	}
 	if cost[12] != refCost[12] {
 		t.Errorf("re-executed epoch charged %d rows, the unfailed run %d", cost[12], refCost[12])

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -27,14 +28,17 @@ type Options struct {
 	EpochTicks int
 	// CheckpointEveryEpochs orders a coordinated checkpoint every k epochs
 	// (0 = only the initial rollback point is kept). Checkpoints exist to
-	// recover from Failures: without a failure plan none is taken.
+	// recover from Failures: without a failure plan none is taken and no
+	// copy is held. With one, they ship full and delta pieces as a
+	// worker's do, a keyframe every DefaultCheckpointFullEvery.
 	CheckpointEveryEpochs int
 	// LoadBalance enables the one-dimensional load balancer at epoch
 	// boundaries.
 	LoadBalance bool
 	// Balancer tunes load balancing; zero value means DefaultBalancer.
 	Balancer partition.Balancer
-	// Failures optionally schedules worker crashes.
+	// Failures optionally schedules worker crashes. The next epoch
+	// boundary is then no epoch: the master rolls back and re-executes.
 	Failures *cluster.FailurePlan
 	// CostModel, when non-nil, enables virtual-time accounting (see
 	// internal/cluster): required for the scale-up experiments.
@@ -52,9 +56,10 @@ type Options struct {
 	// features and drives this engine through EpochBarrier, InstallCuts
 	// and Restore.
 	LocalParts []int
-	// EpochBarrier, when non-nil, runs first at every epoch boundary.
-	// Distributed workers use it for the coordinator round-trip (ship
-	// stats, await the directive); a returned error aborts RunTicks.
+	// EpochBarrier, when non-nil, runs first at every epoch boundary that
+	// lost no worker. Distributed workers use it for the coordinator
+	// round-trip (ship stats, await the directive); a returned error aborts
+	// RunTicks.
 	EpochBarrier func(tick uint64) error
 }
 
@@ -98,9 +103,16 @@ type Distributed struct {
 	obufs       []overlapBufs
 	noSplitTick uint64
 
+	// master decides the epochs of an engine that computes every partition
+	// (nil under LocalParts: the coordinator's does); recoveries counts its
+	// rollbacks. ckptBase holds the state shipped at checkpoint ckptSeq.
+	master     *Master
+	recoveries int
+	ckptBase   map[int][]*Envelope
+	ckptSeq    uint64
+
 	epochs     []EpochStat
 	lastEpochV float64
-	lastEpochT uint64
 	virtStart  float64
 }
 
@@ -115,12 +127,6 @@ func NewDistributed(m Model, pop []*agent.Agent, opts Options) (*Distributed, er
 	}
 	if opts.EpochTicks < 0 || opts.CheckpointEveryEpochs < 0 {
 		return nil, fmt.Errorf("engine: negative EpochTicks %d or CheckpointEveryEpochs %d", opts.EpochTicks, opts.CheckpointEveryEpochs)
-	}
-	if opts.EpochTicks == 0 {
-		opts.EpochTicks = 10
-	}
-	if opts.Balancer == (partition.Balancer{}) {
-		opts.Balancer = partition.DefaultBalancer()
 	}
 	if opts.LocalParts != nil {
 		// A partial engine sees only its own partitions; features that
@@ -170,52 +176,27 @@ func NewDistributed(m Model, pop []*agent.Agent, opts Options) (*Distributed, er
 		Reduce1Early: e.reduce1Early,
 		Reduce1:      e.reduce1Late,
 		SizeOf:       func(*Envelope) int { return s.ByteSize() },
-		Clone:        cloneEnvelope,
 	}
 	if e.nonLocal {
 		job.Reduce2 = e.reduce2
 	}
-	cfg := mapreduce.Config{
-		Workers:               opts.Workers,
-		Transport:             opts.Transport,
-		LocalParts:            opts.LocalParts,
-		EpochTicks:            opts.EpochTicks,
-		CheckpointEveryEpochs: opts.CheckpointEveryEpochs,
-		Failures:              opts.Failures,
-		Barrier:               opts.EpochBarrier,
-		OnEpoch:               e.onEpoch,
-		// Checkpoints capture master state alongside worker memories: the
-		// strip cuts, which the balancer mutates. Its other input, the
-		// per-partition cost, restarts at every barrier, where checkpoints
-		// are taken: nothing to capture.
-		SnapshotMaster: func() any { return e.part.Cuts() },
-		RestoreMaster: func(v any) {
-			// Restored values sit consistently under the restored cuts, so
-			// every owned agent self-sends on the next tick: the two-pass
-			// split may resume immediately.
-			e.noSplitTick = neverTick
-			e.resetCosts()
-			p, err := partition.NewStripsFromCuts(v.([]float64))
-			if err != nil {
-				panic(err) // snapshots are produced by us; invalid means a bug
-			}
-			e.part = p
-		},
-	}
-	if e.vclock != nil {
-		cfg.VClock = e.vclock
-	}
-	e.rt = mapreduce.New(job, cfg)
+	e.rt = mapreduce.New(job, mapreduce.Config{
+		Workers:    opts.Workers,
+		Transport:  opts.Transport,
+		LocalParts: opts.LocalParts,
+		EpochTicks: opts.EpochTicks,
+		Failures:   opts.Failures,
+		VClock:     e.vclock,
+		Barrier:    opts.EpochBarrier,
+		OnEpoch:    e.onEpoch,
+	})
 
 	// Place initial owned copies. With LocalParts, every process derives
 	// the identical partitioning from the identical full population, then
 	// loads only the agents it owns — the union across processes is
 	// exactly the single-process load.
 	localPart := make([]bool, opts.Workers)
-	for i := range localPart {
-		localPart[i] = opts.LocalParts == nil
-	}
-	for _, p := range opts.LocalParts {
+	for _, p := range e.rt.Local() {
 		localPart[p] = true
 	}
 	sorted := append(agent.Population(nil), pop...)
@@ -231,6 +212,19 @@ func NewDistributed(m Model, pop []*agent.Agent, opts Options) (*Distributed, er
 		if localPart[p] {
 			e.rt.Load(p, []*Envelope{{A: a, SrcPart: int32(p)}})
 		}
+	}
+	if opts.LocalParts == nil {
+		// Only an injected failure ever rolls back, so only then does the
+		// master hold the tick-0 state and order checkpoints.
+		initial, every := Checkpoint{Cuts: e.part.Cuts()}, 0
+		if !opts.Failures.Empty() {
+			every = opts.CheckpointEveryEpochs
+			initial.Parts = make([]transport.PartState, opts.Workers)
+			for p := range initial.Parts {
+				initial.Parts[p] = transport.PartState{Part: p, Full: true, Values: CloneEnvelopes(e.rt.Values(p))}
+			}
+		}
+		e.master = NewMaster(initial, every, 0, opts.LoadBalance, opts.Balancer)
 	}
 	return e, nil
 }
@@ -359,17 +353,31 @@ func (e *Distributed) CacheStats() spatial.CacheStats {
 	return cs
 }
 
-// RunTicks advances the simulation n full ticks (query + update each).
+// RunTicks advances the simulation n full ticks (query + update each),
+// answering an injected crash as a worker answers a restore: the master
+// rewinds, the engine restores, and the run goes on to the same tick.
 func (e *Distributed) RunTicks(n int) error {
 	if e.vclock != nil && e.rt.Tick() == 0 {
 		e.virtStart = e.vclock.Now()
 	}
-	return e.timed(func() error { return e.rt.RunTicks(n) })
+	target := e.rt.Tick() + uint64(max(n, 0))
+	return e.timed(func() error {
+		err := e.rt.RunTicks(n)
+		var lost *mapreduce.LostWorkerError
+		for e.master != nil && errors.As(err, &lost) {
+			if err := e.RestoreCheckpoint(e.master.Rewind(), nil); err != nil {
+				return err
+			}
+			e.recoveries++
+			err = e.rt.RunTicks(int(target - e.rt.Tick()))
+		}
+		return err
+	})
 }
 
-// onEpoch runs on the master at epoch boundaries: record statistics and,
-// when enabled, rebalance partitions.
-func (e *Distributed) onEpoch(tick uint64) {
+// onEpoch runs at epoch boundaries: record statistics and, in an engine
+// that is its own master, have it decide and carry the decision out.
+func (e *Distributed) onEpoch(tick uint64) error {
 	counts := e.rt.OwnedCounts()
 	loads := make([]float64, len(counts))
 	for i, c := range counts {
@@ -394,42 +402,25 @@ func (e *Distributed) onEpoch(tick uint64) {
 	e.agentTicks = owned
 	e.visited = visited
 
-	if e.opts.LoadBalance && tick > e.lastEpochT {
-		st.Rebalanced = e.rebalance()
+	if e.master != nil {
+		d, err := e.master.Barrier(tick, e.EpochStats(e.opts.LoadBalance))
+		if err == nil {
+			err = e.ApplyDirective(&d, func(pieces []transport.PartState) error {
+				_, err := e.master.File(pieces...)
+				return err
+			})
+		}
+		if err != nil {
+			return err
+		}
+		st.Rebalanced = d.NewCuts != nil
 	}
 
 	// The cost is per epoch: a distributed worker shipped it in the barrier
 	// hook, which runs before this one.
 	e.resetCosts()
-	if st.Rebalanced {
-		// The tick right after a cut change cannot split: agents may reach
-		// their new owner from a peer, so no owned agent is provably
-		// local until the map phase drains.
-		e.noSplitTick = tick
-	}
-	e.lastEpochT = tick
 	e.epochs = append(e.epochs, st)
-}
-
-// rebalance gathers agent positions and the epoch's per-partition costs and
-// applies the balancer's plan when beneficial.
-func (e *Distributed) rebalance() bool {
-	xs := make([][]float64, e.opts.Workers)
-	cost := make([]int64, e.opts.Workers)
-	for w := 0; w < e.opts.Workers; w++ {
-		xs[w] = e.PartitionXs(w)
-		cost[w] = e.PartitionCost(w)
-	}
-	d := PlanRebalance(e.opts.Balancer, e.part, xs, cost)
-	if !d.Apply {
-		return false
-	}
-	p, err := partition.NewStripsFromCuts(d.NewCuts)
-	if err != nil {
-		return false
-	}
-	e.part = p
-	return true
+	return nil
 }
 
 // Agents returns the current population, ID-sorted (owned copies only).
@@ -455,6 +446,18 @@ func (e *Distributed) Runtime() *mapreduce.Runtime[*Envelope] { return e.rt }
 
 // Epochs returns per-epoch statistics recorded so far.
 func (e *Distributed) Epochs() []EpochStat { return e.epochs }
+
+// Decisions returns the master's decision log (nil under LocalParts, where
+// the coordinator keeps it).
+func (e *Distributed) Decisions() []EpochDecision {
+	if e.master == nil {
+		return nil
+	}
+	return e.master.Log()
+}
+
+// Recoveries returns how many checkpoint rollbacks the engine performed.
+func (e *Distributed) Recoveries() int { return e.recoveries }
 
 // VirtualSeconds returns virtual time consumed since construction (0 when
 // virtual accounting is disabled).

@@ -584,8 +584,8 @@ func TestFailureRecoveryThroughEngine(t *testing.T) {
 	if err := faulty.RunTicks(16); err != nil {
 		t.Fatal(err)
 	}
-	if faulty.Runtime().Recoveries() != 1 {
-		t.Fatalf("Recoveries = %d", faulty.Runtime().Recoveries())
+	if faulty.Recoveries() != 1 {
+		t.Fatalf("Recoveries = %d", faulty.Recoveries())
 	}
 	popsExactlyEqual(t, "failure recovery", clean.Agents(), faulty.Agents())
 }

@@ -89,8 +89,8 @@ func TestEverythingOnIntegration(t *testing.T) {
 		if err := e.RunTicks(24); err != nil {
 			t.Fatal(err)
 		}
-		if e.Runtime().Recoveries() != 1 {
-			t.Fatalf("Recoveries = %d, want 1", e.Runtime().Recoveries())
+		if e.Recoveries() != 1 {
+			t.Fatalf("Recoveries = %d, want 1", e.Recoveries())
 		}
 		return e.Agents()
 	}

@@ -194,7 +194,7 @@ func (e *Distributed) StartBarrierPrebuild() (join func()) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		for _, w := range e.LocalPartitions() {
+		for _, w := range e.rt.Local() {
 			vs := e.rt.Values(w)
 			e.prepare(w, append(make([]*Envelope, 0, len(vs)), vs...))
 		}

@@ -9,17 +9,15 @@
 //     same-partition traffic bypasses the network (metered as "local");
 //   - the optional second reduce implements the map-reduce-reduce model for
 //     non-local effect assignments (Table 1, Appendix A, Fig. 10);
-//   - the master interacts with workers only at epoch boundaries, where it
-//     triggers coordinated checkpoints, detects failures (recovering by
-//     rollback + re-execution), and lets the application rebalance
-//     partitions.
+//   - the master interacts with workers only at epoch boundaries.
 //
 // Every phase of a tick — map, reduce₁, reduce₂ — is the same superstep
 // (Runtime.phase): compute into an outbox, send, end the transport's phase,
 // collect. The transport only delivers; which workers are alive is this
-// package's state, set from the FailurePlan between ticks and cleared by
-// the epoch boundary's rollback, so a crashed worker is skipped and cut off
-// here without the transport ever hearing of it.
+// package's state, set from the FailurePlan between ticks, so a crashed
+// worker is skipped and cut off here without the transport ever hearing of
+// it. The next epoch boundary reports the crash as a LostWorkerError; the
+// master (engine.Master) decides the rollback, applied through Reset.
 //
 // The runtime is generic over the value type V; the engine package
 // instantiates it with agent envelopes.
@@ -79,10 +77,6 @@ type Job[V any] struct {
 	// SizeOf estimates the wire size of one value in bytes for the
 	// transport meter and network cost model. Nil means size 0.
 	SizeOf func(v V) int
-
-	// Clone deep-copies a value; required for checkpointing. Nil disables
-	// checkpoint support.
-	Clone func(v V) V
 }
 
 // Config tunes the runtime.
@@ -109,19 +103,11 @@ type Config struct {
 	// paper amortizes coordination overhead across an epoch. Default 10.
 	EpochTicks int
 
-	// CheckpointEveryEpochs triggers a coordinated checkpoint every k
-	// epochs; 0 disables periodic checkpoints (an initial checkpoint is
-	// still taken, so recovery can always rewind to tick 0). Checkpoints
-	// exist only to recover from Failures: a run whose plan is empty at
-	// New, or a job without Clone, takes none.
-	CheckpointEveryEpochs int
-
 	// Failures optionally schedules worker crashes (for tests/ablations).
-	// The runtime owns the whole simulation of a crash: from the scheduled
-	// tick the worker loses its values, runs no phase and receives nothing
-	// (batches addressed to it are dropped before the transport sees them)
-	// until the next epoch boundary rolls everyone back to the last
-	// checkpoint.
+	// From the scheduled tick the worker loses its values, runs no phase
+	// and receives nothing (batches addressed to it are dropped before the
+	// transport sees them) until Reset revives it; the next epoch boundary
+	// returns a LostWorkerError.
 	Failures *cluster.FailurePlan
 
 	// VClock, when non-nil, accounts virtual time: the runtime charges
@@ -130,25 +116,18 @@ type Config struct {
 	// inside Map/Reduce (it knows its work counters).
 	VClock *cluster.VClock
 
-	// Barrier, when non-nil, runs first at every epoch boundary, before
-	// failure detection, checkpoints and OnEpoch. A multi-process worker
-	// uses it for the coordinator round-trip: ship epoch statistics, wait
-	// for the master's directive, apply it. A returned error aborts
-	// RunTicks with that error (the distributed worker unwinds this way
-	// when the coordinator orders a restore).
+	// Barrier, when non-nil, runs first at every epoch boundary that lost
+	// no worker. A multi-process worker uses it for the coordinator
+	// round-trip: ship epoch statistics, wait for the master's directive,
+	// apply it. A returned error aborts RunTicks with that error (the
+	// distributed worker unwinds this way when the coordinator orders a
+	// restore).
 	Barrier func(tick uint64) error
 
-	// OnEpoch, when non-nil, runs on the master at each epoch boundary
-	// after the epoch's ticks complete (and after any checkpoint), unless
-	// the boundary detected a failure and rolled back. BRACE hooks load
-	// balancing here.
-	OnEpoch func(tick uint64)
-
-	// SnapshotMaster/RestoreMaster capture application master state (e.g.
-	// the current partitioning function) inside checkpoints so recovery
-	// restores a consistent view. Optional.
-	SnapshotMaster func() any
-	RestoreMaster  func(any)
+	// OnEpoch, when non-nil, runs at each epoch boundary after Barrier.
+	// The in-process engine is its own master here: statistics, load
+	// balancing and checkpoints. A returned error aborts RunTicks.
+	OnEpoch func(tick uint64) error
 }
 
 // phase tags for transport messages.

@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"github.com/bigreddata/brace/internal/cluster"
+	"github.com/bigreddata/brace/internal/detutil"
 	"github.com/bigreddata/brace/internal/transport"
 )
 
@@ -18,20 +19,9 @@ type Runtime[V any] struct {
 	local  []int // partitions this process computes (all of them by default)
 	values [][]V // per-worker owned values (worker main memory)
 	tick   uint64
-	// epoch counts the epoch boundaries run so far. It is the master's
-	// checkpoint cadence, so like the coordinator's it survives across
-	// RunTicks calls and is not rewound by a recovery.
-	epoch int
 	// failed marks crashed workers. Written only between ticks (crash
-	// injection, recover) and read-only inside phases, so it needs no lock.
+	// injection, Reset) and read-only inside phases, so it needs no lock.
 	failed []bool
-
-	// rollback is whether an injected failure can ever roll the run back —
-	// the plan held failures at New and values can be cloned. Only then
-	// are in-process checkpoints taken.
-	rollback  bool
-	ckpt      *checkpoint[V]
-	recovered int // number of recoveries performed (observable in tests)
 }
 
 // New creates a runtime. It panics on structurally invalid configuration —
@@ -53,28 +43,17 @@ func New[V any](job Job[V], cfg Config) *Runtime[V] {
 	if tr.N() != cfg.Workers {
 		panic(fmt.Sprintf("mapreduce: transport has %d nodes, config wants %d workers", tr.N(), cfg.Workers))
 	}
-	local := cfg.LocalParts
-	if local == nil {
-		local = make([]int, cfg.Workers)
-		for i := range local {
-			local[i] = i
-		}
-	}
-	for _, w := range local {
-		if w < 0 || w >= cfg.Workers {
-			panic(fmt.Sprintf("mapreduce: local partition %d out of range [0, %d)", w, cfg.Workers))
-		}
-	}
-	return &Runtime[V]{
+	r := &Runtime[V]{
 		job:    job,
 		cfg:    cfg,
 		tr:     tr,
-		local:  local,
 		values: make([][]V, cfg.Workers),
 		failed: make([]bool, cfg.Workers),
-
-		rollback: job.Clone != nil && !cfg.Failures.Empty(),
 	}
+	if err := r.Reset(0, cfg.LocalParts, nil); err != nil {
+		panic(err)
+	}
+	return r
 }
 
 // Load places initial values at a partition. Call before RunTicks.
@@ -98,36 +77,48 @@ func (r *Runtime[V]) AllValues() []V {
 // Tick returns the number of completed ticks.
 func (r *Runtime[V]) Tick() uint64 { return r.tick }
 
-// Workers returns the worker count.
-func (r *Runtime[V]) Workers() int { return r.cfg.Workers }
+// Local returns the partitions this runtime computes. The slice is
+// read-only.
+func (r *Runtime[V]) Local() []int { return r.local }
 
 // Transport exposes the message layer (traffic metrics).
 func (r *Runtime[V]) Transport() transport.Transport { return r.tr }
 
-// Recoveries returns how many checkpoint rollbacks have occurred.
-func (r *Runtime[V]) Recoveries() int { return r.recovered }
-
-// Reset rewinds the runtime to externally supplied state: the tick, the
-// set of locally computed partitions, and their values (partitions absent
-// from the map are cleared). The distributed worker uses it when the
-// coordinator restores a run from its checkpoint — possibly with a
-// different partition assignment than this process started with. The
-// in-memory rollback point is dropped (a run with a failure plan re-seeds
-// it from the restored state at its next RunTicks). Must not be called
-// while RunTicks is executing.
-func (r *Runtime[V]) Reset(tick uint64, local []int, values map[int][]V) {
-	r.tick = tick
+// Reset rewinds the runtime to a master's checkpoint — after a
+// LostWorkerError, or on a worker the coordinator restores, possibly onto
+// other partitions: the tick, the locally computed partitions (nil: all),
+// and their values (absent ones are cleared). Every worker is alive again
+// afterwards. Reset checks its arguments before it changes anything. Must
+// not be called while RunTicks is executing.
+func (r *Runtime[V]) Reset(tick uint64, local []int, values map[int][]V) error {
+	isLocal := make([]bool, r.cfg.Workers)
+	for _, w := range local {
+		if w < 0 || w >= r.cfg.Workers {
+			return fmt.Errorf("mapreduce %s: local partition %d out of range [0, %d)", r.job.Name, w, r.cfg.Workers)
+		}
+		if isLocal[w] {
+			return fmt.Errorf("mapreduce %s: local partition %d listed twice", r.job.Name, w)
+		}
+		isLocal[w] = true
+	}
+	for _, w := range detutil.SortedKeys(values) {
+		if w < 0 || w >= r.cfg.Workers || (local != nil && !isLocal[w]) {
+			return fmt.Errorf("mapreduce %s: values for partition %d, which this runtime does not compute", r.job.Name, w)
+		}
+	}
 	if local == nil {
 		local = make([]int, r.cfg.Workers)
 		for i := range local {
 			local[i] = i
 		}
 	}
+	r.tick = tick
 	r.local = local
 	for i := range r.values {
 		r.values[i] = values[i]
 	}
-	r.ckpt = nil
+	clear(r.failed)
+	return nil
 }
 
 // OwnedCounts returns the number of values held per worker.
@@ -145,10 +136,6 @@ func (r *Runtime[V]) OwnedCounts() []int {
 func (r *Runtime[V]) RunTicks(n int) error {
 	if n < 0 {
 		return fmt.Errorf("mapreduce %s: negative tick count %d", r.job.Name, n)
-	}
-	// Hold a rollback point from the start, so every crash is recoverable.
-	if r.ckpt == nil {
-		r.takeCheckpoint()
 	}
 	target := r.tick + uint64(n)
 	for r.tick < target {
@@ -173,73 +160,33 @@ func (r *Runtime[V]) RunTicks(n int) error {
 	return nil
 }
 
-// epochBoundary is the master/worker synchronization point: external
-// barrier hook, failure detection + recovery, coordinated checkpoint,
-// application hook.
+// LostWorkerError is what RunTicks returns at the first epoch boundary
+// after a scheduled crash: that boundary is no epoch, and no hook ran.
+// Recovering is the master's decision, carried out through Reset.
+type LostWorkerError struct {
+	Tick uint64 // the boundary that found the loss
+}
+
+func (e *LostWorkerError) Error() string {
+	return fmt.Sprintf("mapreduce: a worker was lost before the epoch boundary at tick %d", e.Tick)
+}
+
+// epochBoundary is the master/worker synchronization point: failure
+// detection, then the external barrier hook, then the application hook.
 func (r *Runtime[V]) epochBoundary() error {
-	r.epoch++
+	// The master's epoch heartbeat notices dead workers. Their epoch is
+	// lost, so the boundary ends here.
+	if slices.Contains(r.failed, true) {
+		return &LostWorkerError{Tick: r.tick}
+	}
 	if r.cfg.Barrier != nil {
 		if err := r.cfg.Barrier(r.tick); err != nil {
 			return err
 		}
 	}
-	// Failure detection: the master's epoch heartbeat notices dead
-	// workers; recovery re-executes from the last coordinated checkpoint.
-	// Checkpoint and hooks re-run when the re-executed ticks arrive here
-	// again.
-	if slices.Contains(r.failed, true) {
-		return r.recover()
-	}
-	if r.cfg.CheckpointEveryEpochs > 0 && r.epoch%r.cfg.CheckpointEveryEpochs == 0 {
-		r.takeCheckpoint()
-	}
 	if r.cfg.OnEpoch != nil {
-		r.cfg.OnEpoch(r.tick)
+		return r.cfg.OnEpoch(r.tick)
 	}
-	return nil
-}
-
-// takeCheckpoint clones every owned value into the in-process rollback
-// point. Only an injected failure ever rolls back to it, so a run without
-// a failure plan copies nothing.
-func (r *Runtime[V]) takeCheckpoint() {
-	if !r.rollback {
-		return
-	}
-	ck := &checkpoint[V]{tick: r.tick, values: make([][]V, len(r.values))}
-	for i, vs := range r.values {
-		cp := make([]V, len(vs))
-		for j, v := range vs {
-			cp[j] = r.job.Clone(v)
-		}
-		ck.values[i] = cp
-	}
-	if r.cfg.SnapshotMaster != nil {
-		ck.master = r.cfg.SnapshotMaster()
-	}
-	r.ckpt = ck
-}
-
-func (r *Runtime[V]) recover() error {
-	if r.ckpt == nil {
-		return fmt.Errorf("mapreduce %s: worker failed with no checkpoint available", r.job.Name)
-	}
-	for n := range r.failed {
-		r.failed[n] = false
-		r.tr.Drain(cluster.NodeID(n)) // discard in-flight messages from the failed epoch
-	}
-	for i, vs := range r.ckpt.values {
-		cp := make([]V, len(vs))
-		for j, v := range vs {
-			cp[j] = r.job.Clone(v)
-		}
-		r.values[i] = cp
-	}
-	if r.cfg.RestoreMaster != nil {
-		r.cfg.RestoreMaster(r.ckpt.master)
-	}
-	r.tick = r.ckpt.tick
-	r.recovered++
 	return nil
 }
 
@@ -380,10 +327,4 @@ func (r *Runtime[V]) eachWorker(fn func(w int)) {
 		}(w)
 	}
 	wg.Wait()
-}
-
-type checkpoint[V any] struct {
-	tick   uint64
-	values [][]V
-	master any
 }

@@ -2,6 +2,7 @@ package mapreduce
 
 import (
 	"encoding/gob"
+	"errors"
 	"slices"
 	"sort"
 	"testing"
@@ -20,8 +21,6 @@ type rec struct {
 }
 
 func init() { gob.Register(rec{}) }
-
-func cloneRec(r rec) rec { return r }
 
 func sizeRec(r rec) int { return 24 }
 
@@ -43,7 +42,6 @@ func ringJob(workers int) Job[rec] {
 			}
 		},
 		SizeOf: sizeRec,
-		Clone:  cloneRec,
 	}
 }
 
@@ -86,7 +84,6 @@ func broadcastJob(workers int) Job[rec] {
 			}
 		},
 		SizeOf: sizeRec,
-		Clone:  cloneRec,
 	}
 }
 
@@ -203,97 +200,78 @@ func TestTwoReducePathGlobalAggregation(t *testing.T) {
 	}
 }
 
-func TestFailureRecoveryMatchesFailureFreeRun(t *testing.T) {
-	const workers, items, ticks = 4, 16, 20
-	clean := New(ringJob(workers), Config{
-		Workers: workers, EpochTicks: 5, CheckpointEveryEpochs: 1,
-	})
-	loadItems(clean, items, workers)
-	if err := clean.RunTicks(ticks); err != nil {
-		t.Fatal(err)
-	}
-
-	failures := cluster.NewFailurePlan().CrashAt(7, 2)
-	faulty := New(ringJob(workers), Config{
-		Workers: workers, EpochTicks: 5, CheckpointEveryEpochs: 1,
-		Failures: failures,
-	})
-	loadItems(faulty, items, workers)
-	if err := faulty.RunTicks(ticks); err != nil {
-		t.Fatal(err)
-	}
-	if faulty.Recoveries() != 1 {
-		t.Fatalf("Recoveries = %d, want 1", faulty.Recoveries())
-	}
-	a, b := sortedItems(clean), sortedItems(faulty)
-	if len(a) != len(b) {
-		t.Fatalf("lengths differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("recovered run diverges at %d: %+v vs %+v", i, a[i], b[i])
-		}
-	}
-}
-
 // A crash is simulated by the runtime alone: from the crash tick to the
 // next epoch boundary the worker's memory is gone, it runs no phase, and
 // batches addressed to it are dropped before the transport sees them (so
 // they are never metered) while the sender still pays the network time for
-// the attempt. Recovery re-enables delivery.
+// the attempt. That boundary reports the loss instead of running its hooks;
+// Reset — here the test's own rollback — re-enables delivery.
 func TestCrashedWorkerIsCutOffUntilRecovery(t *testing.T) {
 	const workers, items, ticks, epoch = 2, 4, 8, 2
-	run := func(failures *cluster.FailurePlan, vc *cluster.VClock, atBoundary func(r *Runtime[rec], tick uint64)) *Runtime[rec] {
+	model := cluster.CostModel{SecPerByte: 1}
+	newRun := func(failures *cluster.FailurePlan, vc *cluster.VClock, onEpoch func(*Runtime[rec], uint64)) *Runtime[rec] {
 		var r *Runtime[rec]
 		r = New(ringJob(workers), Config{
-			Workers: workers, EpochTicks: epoch, CheckpointEveryEpochs: 1,
+			Workers: workers, EpochTicks: epoch,
 			Failures: failures, VClock: vc,
-			// Barrier runs first at a boundary, before failure detection.
-			Barrier: func(tick uint64) error { atBoundary(r, tick); return nil },
+			OnEpoch: func(tick uint64) error { onEpoch(r, tick); return nil },
 		})
 		loadItems(r, items, workers)
-		if err := r.RunTicks(ticks); err != nil {
-			t.Fatal(err)
-		}
 		return r
 	}
-	model := cluster.CostModel{SecPerByte: 1}
 	cleanClock, clock := cluster.NewVClock(workers, model), cluster.NewVClock(workers, model)
-	clean := run(nil, cleanClock, func(*Runtime[rec], uint64) {})
+	clean := newRun(nil, cleanClock, func(*Runtime[rec], uint64) {})
+	if err := clean.RunTicks(ticks); err != nil {
+		t.Fatal(err)
+	}
 
 	// Worker 1 crashes at the start of tick 2, the first tick of an epoch:
 	// that tick worker 0 maps its items to partition 1 and nothing comes
-	// back, so by the boundary at tick 4 every value is gone.
+	// back, so by the boundary at tick 4 every value is gone. The test keeps
+	// the tick-2 state as its rollback point.
 	var beforeCrash cluster.NodeMetrics
 	var clockBeforeCrash float64
-	faulty := run(cluster.NewFailurePlan().CrashAt(2, 1), clock, func(r *Runtime[rec], tick uint64) {
-		if r.Recoveries() > 0 {
-			return
-		}
-		switch tick {
-		case 2:
+	saved := map[int][]rec{}
+	var boundaries []uint64
+	faulty := newRun(cluster.NewFailurePlan().CrashAt(2, 1), clock, func(r *Runtime[rec], tick uint64) {
+		boundaries = append(boundaries, tick)
+		if tick == 2 && len(saved) == 0 {
 			beforeCrash, clockBeforeCrash = r.Transport().Metrics().Totals(), clock.Now()
-		case 4:
-			if got := r.Transport().Metrics().Totals(); got != beforeCrash {
-				t.Errorf("the crashed epoch was metered: %+v before, %+v after", beforeCrash, got)
-			}
-			if clock.Now() <= clockBeforeCrash {
-				t.Error("worker 0's dropped sends cost no virtual network time")
-			}
-			if got := r.OwnedCounts(); got[0] != 0 || got[1] != 0 {
-				t.Errorf("values after the crashed epoch = %v, want none: worker 1 lost its memory and worker 0's sends were dropped", got)
-			}
-			for n := 0; n < workers; n++ {
-				if msgs := r.Transport().Drain(cluster.NodeID(n)); len(msgs) != 0 {
-					t.Errorf("inbox %d holds %d messages; nothing to or from a crashed worker may be delivered", n, len(msgs))
-				}
+			for p := 0; p < workers; p++ {
+				saved[p] = append([]rec(nil), r.Values(p)...)
 			}
 		}
 	})
-	if faulty.Recoveries() != 1 {
-		t.Fatalf("Recoveries = %d, want 1", faulty.Recoveries())
+	err := faulty.RunTicks(ticks)
+	var lost *LostWorkerError
+	if !errors.As(err, &lost) || lost.Tick != 4 {
+		t.Fatalf("RunTicks = %v, want a worker lost at tick 4", err)
 	}
-	// Delivery works again after recovery: the re-executed epoch and the
+	if got := faulty.Transport().Metrics().Totals(); got != beforeCrash {
+		t.Errorf("the crashed epoch was metered: %+v before, %+v after", beforeCrash, got)
+	}
+	if clock.Now() <= clockBeforeCrash {
+		t.Error("worker 0's dropped sends cost no virtual network time")
+	}
+	if got := faulty.OwnedCounts(); got[0] != 0 || got[1] != 0 {
+		t.Errorf("values after the crashed epoch = %v, want none: worker 1 lost its memory and worker 0's sends were dropped", got)
+	}
+	for n := 0; n < workers; n++ {
+		if msgs := faulty.Transport().Drain(cluster.NodeID(n)); len(msgs) != 0 {
+			t.Errorf("inbox %d holds %d messages; nothing to or from a crashed worker may be delivered", n, len(msgs))
+		}
+	}
+	if err := faulty.Reset(2, nil, saved); err != nil {
+		t.Fatal(err)
+	}
+	if err := faulty.RunTicks(ticks - 2); err != nil {
+		t.Fatal(err)
+	}
+	// The lost boundary ran no hook; the replay runs tick 4's.
+	if want := []uint64{2, 4, 6, 8}; !slices.Equal(boundaries, want) {
+		t.Errorf("epoch hooks ran at %v, want %v", boundaries, want)
+	}
+	// Delivery works again after the reset: the re-executed epoch and the
 	// rest of the run move exactly the traffic of the clean run, and end in
 	// its state — later, by the virtual time the lost epoch cost.
 	if got, want := faulty.Transport().Metrics().Totals(), clean.Transport().Metrics().Totals(); got != want {
@@ -313,78 +291,31 @@ func TestCrashedWorkerIsCutOffUntilRecovery(t *testing.T) {
 	}
 }
 
-// The checkpoint cadence is the master's, not the caller's: however a run
-// is sliced into RunTicks calls, the same epochs checkpoint and a crash
-// rolls back to the same tick.
-func TestCheckpointCadenceIndependentOfRunTicksSlicing(t *testing.T) {
-	const workers, items, epoch, every = 2, 4, 5, 2
-	for _, slicing := range []struct{ calls, ticks int }{{1, 20}, {4, 5}} {
-		var checkpoints, rollbacks []uint64
-		var r *Runtime[rec]
-		r = New(ringJob(workers), Config{
-			Workers: workers, EpochTicks: epoch, CheckpointEveryEpochs: every,
-			Failures: cluster.NewFailurePlan().CrashAt(17, 1),
-			// The master snapshot is taken with, and handed back from,
-			// every checkpoint: putting the tick in it observes both.
-			SnapshotMaster: func() any {
-				checkpoints = append(checkpoints, r.Tick())
-				return r.Tick()
-			},
-			RestoreMaster: func(v any) { rollbacks = append(rollbacks, v.(uint64)) },
-		})
-		loadItems(r, items, workers)
-		for i := 0; i < slicing.calls; i++ {
-			if err := r.RunTicks(slicing.ticks); err != nil {
-				t.Fatal(err)
-			}
+// Reset refuses a partition set or values it cannot hold, and changes
+// nothing when it does.
+func TestResetRejectsBadPartitions(t *testing.T) {
+	r := New(ringJob(3), Config{Workers: 3})
+	loadItems(r, 6, 3)
+	for _, tc := range []struct {
+		name   string
+		local  []int
+		values map[int][]rec
+	}{
+		{"partition past the last", []int{0, 3}, nil},
+		{"negative partition", []int{-1}, nil},
+		{"partition listed twice", []int{1, 1}, nil},
+		{"values for a remote partition", []int{0}, map[int][]rec{2: {{ID: 9}}}},
+		{"values for an unknown partition", nil, map[int][]rec{5: {{ID: 9}}}},
+	} {
+		if err := r.Reset(7, tc.local, tc.values); err == nil {
+			t.Errorf("%s: Reset accepted", tc.name)
 		}
-		// Epochs end at ticks 5, 10, 15, 20 and every second one
-		// checkpoints. The crash at tick 17 is detected at tick 20 and
-		// rolls back to tick 10; the master's epoch count is not rewound,
-		// so of the re-executed boundaries (15, 20) the second checkpoints.
-		if want := []uint64{0, 10, 20}; !slices.Equal(checkpoints, want) {
-			t.Errorf("%d×%d ticks: checkpoints at %v, want %v", slicing.calls, slicing.ticks, checkpoints, want)
-		}
-		if want := []uint64{10}; !slices.Equal(rollbacks, want) {
-			t.Errorf("%d×%d ticks: rolled back to %v, want %v", slicing.calls, slicing.ticks, rollbacks, want)
-		}
-		if r.Tick() != 20 {
-			t.Errorf("%d×%d ticks: Tick = %d, want 20", slicing.calls, slicing.ticks, r.Tick())
+		if r.Tick() != 0 || len(r.AllValues()) != 6 {
+			t.Fatalf("%s: refused Reset changed the runtime: tick %d, %d values", tc.name, r.Tick(), len(r.AllValues()))
 		}
 	}
-}
-
-func TestMultipleFailures(t *testing.T) {
-	const workers, items, ticks = 3, 9, 30
-	failures := cluster.NewFailurePlan().CrashAt(4, 0).CrashAt(13, 1).CrashAt(22, 2)
-	r := New(ringJob(workers), Config{
-		Workers: workers, EpochTicks: 5, CheckpointEveryEpochs: 1, Failures: failures,
-	})
-	loadItems(r, items, workers)
-	if err := r.RunTicks(ticks); err != nil {
+	if err := r.RunTicks(2); err != nil {
 		t.Fatal(err)
-	}
-	if r.Recoveries() != 3 {
-		t.Errorf("Recoveries = %d, want 3", r.Recoveries())
-	}
-	if got := len(sortedItems(r)); got != items {
-		t.Errorf("items after recoveries = %d, want %d", got, items)
-	}
-	if r.Tick() != ticks {
-		t.Errorf("Tick = %d, want %d", r.Tick(), ticks)
-	}
-}
-
-func TestFailureWithoutCloneIsFatal(t *testing.T) {
-	job := ringJob(2)
-	job.Clone = nil // no checkpointing possible
-	r := New(job, Config{
-		Workers: 2, EpochTicks: 2,
-		Failures: cluster.NewFailurePlan().CrashAt(1, 0),
-	})
-	loadItems(r, 4, 2)
-	if err := r.RunTicks(6); err == nil {
-		t.Fatal("expected unrecoverable failure error")
 	}
 }
 
@@ -395,12 +326,13 @@ func TestEpochHookAndOwnedCounts(t *testing.T) {
 	var r *Runtime[rec]
 	r = New(ringJob(workers), Config{
 		Workers: workers, EpochTicks: 4,
-		OnEpoch: func(tick uint64) {
+		OnEpoch: func(tick uint64) error {
 			hookTicks = append(hookTicks, tick)
 			lastCounts = r.OwnedCounts()
 			if r.Tick() != tick {
 				t.Errorf("Tick at the hook = %d, want %d", r.Tick(), tick)
 			}
+			return nil
 		},
 	})
 	loadItems(r, 9, workers)
@@ -462,35 +394,6 @@ func TestVClockChargesNetworkOnlyForRemote(t *testing.T) {
 	}
 	if vc1.Now() != 0 {
 		t.Errorf("collocated traffic cost %v virtual seconds; want 0", vc1.Now())
-	}
-}
-
-func TestMasterSnapshotRestoredOnRecovery(t *testing.T) {
-	const workers = 2
-	masterState := 0 // e.g. a partitioning version
-	r := New(ringJob(workers), Config{
-		Workers: workers, EpochTicks: 2, CheckpointEveryEpochs: 1,
-		Failures:       cluster.NewFailurePlan().CrashAt(3, 1),
-		SnapshotMaster: func() any { return masterState },
-		RestoreMaster:  func(v any) { masterState = v.(int) },
-		OnEpoch: func(tick uint64) {
-			masterState++ // master mutates its state each epoch
-		},
-	})
-	loadItems(r, 4, workers)
-	if err := r.RunTicks(8); err != nil {
-		t.Fatal(err)
-	}
-	if r.Recoveries() != 1 {
-		t.Fatalf("Recoveries = %d", r.Recoveries())
-	}
-	// Epochs at ticks 2,4,6,8 → 4 increments in a clean run. The crash at
-	// tick 3 rolls back to the tick-2 checkpoint whose master state was
-	// snapshotted *before* the tick-2 epoch hook ran... the exact count
-	// depends on ordering; what matters is the run completed and state is
-	// consistent with re-execution (> 0 and deterministic).
-	if masterState <= 0 {
-		t.Errorf("masterState = %d", masterState)
 	}
 }
 

@@ -171,8 +171,8 @@ func TestColumnarEquivalenceLoadBalanceAndRecovery(t *testing.T) {
 				if err := e.RunTicks(ticks); err != nil {
 					t.Fatal(err)
 				}
-				if failures != nil && e.Runtime().Recoveries() < 1 {
-					t.Fatalf("expected at least one recovery, got %d", e.Runtime().Recoveries())
+				if failures != nil && e.Recoveries() < 1 {
+					t.Fatalf("expected at least one recovery, got %d", e.Recoveries())
 				}
 				return e.Agents()
 			}

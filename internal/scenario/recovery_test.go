@@ -51,7 +51,7 @@ func TestRecoveryBitIdenticalOnNewScenarios(t *testing.T) {
 			ref := mkrun(nil)
 			faulty := mkrun(cluster.NewFailurePlan().CrashAt(crashTick, 2))
 
-			if got := faulty.Runtime().Recoveries(); got < 1 {
+			if got := faulty.Recoveries(); got < 1 {
 				t.Fatalf("expected at least one recovery, got %d", got)
 			}
 			if faulty.Tick() != ticks {
@@ -90,8 +90,8 @@ func TestRecoveryFromInitialCheckpoint(t *testing.T) {
 	if err := e.RunTicks(8); err != nil {
 		t.Fatal(err)
 	}
-	if e.Runtime().Recoveries() != 1 {
-		t.Fatalf("recoveries = %d, want 1", e.Runtime().Recoveries())
+	if e.Recoveries() != 1 {
+		t.Fatalf("recoveries = %d, want 1", e.Recoveries())
 	}
 
 	m2, pop2, err := sp.New(testConfig(sp, 29))

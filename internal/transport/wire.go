@@ -174,8 +174,8 @@ type Directive struct {
 // PartState is one partition's checkpointed state on the wire: either a
 // complete snapshot (Full) or a differential one — a field-level delta
 // against the partition's state at checkpoint Base, encoded by
-// engine.DiffPartition. The coordinator reassembles deltas into full
-// state on arrival, so Restore frames always carry Full parts.
+// engine.DiffPartition. The master (engine.Master) reassembles deltas into
+// full state on arrival, so Restore frames always carry Full parts.
 type PartState struct {
 	Part int
 	// Full marks Values as the complete partition state.
@@ -204,7 +204,7 @@ type CheckpointMsg struct {
 type Restore struct {
 	Gen  int
 	Tick uint64
-	// Cuts restore the checkpoint's strip partitioning (nil: keep).
+	// Cuts restore the checkpoint's strip partitioning.
 	Cuts []float64
 	// Assign is the new partition→process placement.
 	Assign []int
