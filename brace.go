@@ -113,17 +113,17 @@ type Config struct {
 	// VirtualTime enables the calibrated cluster cost model, making
 	// Metrics report virtual-time throughput alongside wall time.
 	VirtualTime bool
-	// Sequential uses the single-loop, single-threaded reference engine
-	// instead of the distributed runtime (Workers is then ignored).
-	// Partitions are the unit of parallelism: for multi-core, set Workers
-	// to at least the core count instead.
+	// Sequential means exactly Workers: 1, the one-partition engine, which
+	// is how every single-node run executes; setting it with Workers > 1
+	// is an error. It remains as an alias only until the benchmark stops
+	// setting it. Partitions are the unit of parallelism: for multi-core,
+	// set Workers to at least the core count.
 	Sequential bool
 }
 
-// Simulation is a running BRACE simulation over either engine.
+// Simulation is a running BRACE simulation.
 type Simulation struct {
-	dist *engine.Distributed
-	seq  *engine.Sequential
+	e *engine.Distributed
 }
 
 // New builds a simulation with the given model and initial population.
@@ -131,18 +131,11 @@ func New(m Model, pop []*Agent, cfg Config) (*Simulation, error) {
 	if cfg.Workers < 0 || cfg.EpochTicks < 0 {
 		return nil, fmt.Errorf("brace: negative Workers %d or EpochTicks %d", cfg.Workers, cfg.EpochTicks)
 	}
-	if cfg.Workers == 0 {
-		cfg.Workers = 1
-	}
-	if cfg.Sequential {
-		seq, err := engine.NewSequential(m, pop, cfg.Index, cfg.Seed)
-		if err != nil {
-			return nil, err
-		}
-		return &Simulation{seq: seq}, nil
+	if cfg.Sequential && cfg.Workers > 1 {
+		return nil, fmt.Errorf("brace: Sequential means Workers: 1, got Workers %d", cfg.Workers)
 	}
 	opts := engine.Options{
-		Workers:     cfg.Workers,
+		Workers:     max(cfg.Workers, 1),
 		Index:       cfg.Index,
 		Seed:        cfg.Seed,
 		EpochTicks:  cfg.EpochTicks,
@@ -152,37 +145,22 @@ func New(m Model, pop []*Agent, cfg Config) (*Simulation, error) {
 		cm := cluster.DefaultCostModel()
 		opts.CostModel = &cm
 	}
-	dist, err := engine.NewDistributed(m, pop, opts)
+	e, err := engine.NewDistributed(m, pop, opts)
 	if err != nil {
 		return nil, err
 	}
-	return &Simulation{dist: dist}, nil
+	return &Simulation{e: e}, nil
 }
 
 // Run advances the simulation n full ticks (query + update each). A
-// negative n is an error on either engine.
-func (s *Simulation) Run(n int) error {
-	if s.seq != nil {
-		return s.seq.RunTicks(n)
-	}
-	return s.dist.RunTicks(n)
-}
+// negative n is an error.
+func (s *Simulation) Run(n int) error { return s.e.RunTicks(n) }
 
 // Agents returns the live population, sorted by ID.
-func (s *Simulation) Agents() []*Agent {
-	if s.seq != nil {
-		return s.seq.Agents()
-	}
-	return s.dist.Agents()
-}
+func (s *Simulation) Agents() []*Agent { return s.e.Agents() }
 
 // Tick returns completed ticks.
-func (s *Simulation) Tick() uint64 {
-	if s.seq != nil {
-		return s.seq.Tick()
-	}
-	return s.dist.Tick()
-}
+func (s *Simulation) Tick() uint64 { return s.e.Tick() }
 
 // Metrics summarizes a run.
 type Metrics struct {
@@ -196,8 +174,9 @@ type Metrics struct {
 	VirtualSeconds    float64
 	ThroughputWall    float64
 	ThroughputVirtual float64
-	// NetworkBytes / LocalBytes meter the simulated cluster traffic
-	// (distributed engine only).
+	// NetworkBytes / LocalBytes meter the simulated cluster traffic: the
+	// bytes crossing between partitions, and those a partition sends
+	// itself.
 	NetworkBytes int64
 	LocalBytes   int64
 	// CacheBuilds / CacheReuses split query-phase ticks into full index
@@ -209,30 +188,17 @@ type Metrics struct {
 
 // Metrics reports run statistics.
 func (s *Simulation) Metrics() Metrics {
-	if s.seq != nil {
-		cs := s.seq.CacheStats()
-		return Metrics{
-			Ticks:          s.seq.Tick(),
-			Agents:         len(s.seq.Agents()),
-			AgentTicks:     s.seq.AgentTicks(),
-			CandidatesSeen: s.seq.Visited(),
-			WallSeconds:    s.seq.WallSeconds(),
-			ThroughputWall: s.seq.ThroughputWall(),
-			CacheBuilds:    cs.Builds,
-			CacheReuses:    cs.Reuses,
-		}
-	}
-	t := s.dist.Runtime().Transport().Metrics().Totals()
-	cs := s.dist.CacheStats()
+	t := s.e.Runtime().Transport().Metrics().Totals()
+	cs := s.e.CacheStats()
 	return Metrics{
-		Ticks:             s.dist.Tick(),
-		Agents:            len(s.dist.Agents()),
-		AgentTicks:        s.dist.AgentTicks(),
-		CandidatesSeen:    s.dist.Visited(),
-		WallSeconds:       s.dist.WallSeconds(),
-		VirtualSeconds:    s.dist.VirtualSeconds(),
-		ThroughputWall:    s.dist.ThroughputWall(),
-		ThroughputVirtual: s.dist.ThroughputVirtual(),
+		Ticks:             s.e.Tick(),
+		Agents:            len(s.e.Agents()),
+		AgentTicks:        s.e.AgentTicks(),
+		CandidatesSeen:    s.e.Visited(),
+		WallSeconds:       s.e.WallSeconds(),
+		VirtualSeconds:    s.e.VirtualSeconds(),
+		ThroughputWall:    s.e.ThroughputWall(),
+		ThroughputVirtual: s.e.ThroughputVirtual(),
 		NetworkBytes:      t.SentBytes,
 		LocalBytes:        t.LocalBytes,
 		CacheBuilds:       cs.Builds,
@@ -256,19 +222,13 @@ func (m Metrics) String() string {
 	return s
 }
 
-// EpochStat is one epoch's record from the distributed engine: virtual
-// time consumed, per-worker owned-agent counts, load imbalance (max/mean)
-// and whether the load balancer repartitioned.
+// EpochStat is one epoch's record: virtual time consumed, per-worker
+// owned-agent counts, load imbalance (max/mean) and whether the load
+// balancer repartitioned.
 type EpochStat = engine.EpochStat
 
-// EpochStats returns per-epoch statistics (distributed engine only; nil
-// for the sequential engine).
-func (s *Simulation) EpochStats() []EpochStat {
-	if s.dist == nil {
-		return nil
-	}
-	return s.dist.Epochs()
-}
+// EpochStats returns per-epoch statistics.
+func (s *Simulation) EpochStats() []EpochStat { return s.e.Epochs() }
 
 // CompileBRASIL compiles a BRASIL script into a Model.
 func CompileBRASIL(src string, opt CompileOptions) (*Program, error) {

@@ -8,8 +8,9 @@ import (
 )
 
 // Partitions are the only unit of parallelism and they are joined every
-// tick: a finished run leaves no goroutine behind on either engine. At the
-// parent the spatial worker pool kept GOMAXPROCS-1 workers alive forever.
+// tick: a finished run leaves no goroutine behind at any partition count.
+// At the parent the spatial worker pool kept GOMAXPROCS-1 workers alive
+// forever.
 // First in the file, so the pre-run count is the test binary's own.
 func TestRunLeavesNoGoroutines(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
@@ -18,7 +19,7 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 		t.Fatal("fish not registered")
 	}
 	before := runtime.NumGoroutine()
-	for _, cfg := range []Config{{Sequential: true, Seed: 1}, {Workers: 8, Seed: 1}} {
+	for _, cfg := range []Config{{Workers: 1, Seed: 1}, {Workers: 8, Seed: 1}} {
 		// 1500 fish: enough rows per part that the parent fanned out.
 		m, pop, err := sp.New(ScenarioConfig{Agents: 1500, Seed: 1})
 		if err != nil {
@@ -93,9 +94,9 @@ func TestPublicAPISequentialMatchesDistributed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mk := func(sequential bool, workers int) []*Agent {
+	mk := func(workers int) []*Agent {
 		pop := SeedPopulation(prog.Schema(), 40, 2, 25)
-		sim, err := New(prog, pop, Config{Workers: workers, Seed: 9, Sequential: sequential})
+		sim, err := New(prog, pop, Config{Workers: workers, Seed: 9})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,14 +105,14 @@ func TestPublicAPISequentialMatchesDistributed(t *testing.T) {
 		}
 		return sim.Agents()
 	}
-	a := mk(true, 0)
-	b := mk(false, 5)
+	a := mk(1)
+	b := mk(5)
 	if len(a) != len(b) {
 		t.Fatal("sizes differ")
 	}
 	for i := range a {
 		if !a[i].Equal(b[i]) {
-			t.Fatalf("agent %d diverged across engines", a[i].ID)
+			t.Fatalf("agent %d diverged between 1 and 5 workers", a[i].ID)
 		}
 	}
 }
@@ -180,7 +181,7 @@ func TestConfigDefaults(t *testing.T) {
 	if sim.Tick() != 2 {
 		t.Error("Tick")
 	}
-	for _, cfg := range []Config{{Workers: -1}, {EpochTicks: -3}} {
+	for _, cfg := range []Config{{Workers: -1}, {EpochTicks: -3}, {Sequential: true, Workers: 2}} {
 		if _, err := New(m, m.NewPopulation(10, 6), cfg); err == nil {
 			t.Errorf("%+v accepted", cfg)
 		}
@@ -189,9 +190,9 @@ func TestConfigDefaults(t *testing.T) {
 
 // Partitioning may replicate work, but only so much: on the benchmark's
 // fish school, eight partitions examine at most 1.2× the candidates per
-// agent-tick that the sequential engine does. Both engines count their
-// candidate-list builds; this run reads 582.0 sequential vs 590.6
-// partitioned (1.01×). A count, not a timing: it repeats exactly.
+// agent-tick that one does. Both count their candidate-list builds; this
+// run reads 582.0 on one partition vs 590.6 on eight (1.01×). A count,
+// not a timing: it repeats exactly.
 func TestPartitionedCandidateWorkGuard(t *testing.T) {
 	sp, ok := LookupScenario("fish")
 	if !ok {
@@ -216,18 +217,16 @@ func TestPartitionedCandidateWorkGuard(t *testing.T) {
 		}
 		return float64(mt.CandidatesSeen) / float64(mt.AgentTicks)
 	}
-	seq := perAgentTick(Config{Sequential: true})
+	one := perAgentTick(Config{Workers: 1})
 	part := perAgentTick(Config{Workers: 8})
-	t.Logf("candidates per agent-tick: sequential %.1f, 8 partitions %.1f (%.2f×)", seq, part, part/seq)
-	if part > 1.2*seq {
-		t.Errorf("8 partitions examine %.1f candidates per agent-tick, over 1.2× the sequential engine's %.1f", part, seq)
+	t.Logf("candidates per agent-tick: 1 partition %.1f, 8 partitions %.1f (%.2f×)", one, part, part/one)
+	if part > 1.2*one {
+		t.Errorf("8 partitions examine %.1f candidates per agent-tick, over 1.2× one partition's %.1f", part, one)
 	}
 }
 
-// One rule for both engines: a negative tick count is an error and leaves
-// the simulation where it was. At the parent the partitioned engine never
-// returned (its tick target wrapped to ~2^64) and the sequential one
-// silently did nothing.
+// A negative tick count is an error at any partition count and leaves the
+// simulation where it was; it must not wrap the tick target to ~2^64.
 func TestRunNegativeTicksIsAnError(t *testing.T) {
 	prog, err := CompileBRASIL(quickFishSrc, CompileOptions{})
 	if err != nil {
@@ -237,7 +236,6 @@ func TestRunNegativeTicksIsAnError(t *testing.T) {
 		name string
 		cfg  Config
 	}{
-		{"sequential", Config{Sequential: true, Seed: 1}},
 		{"one partition", Config{Workers: 1, Seed: 1}},
 		{"two partitions", Config{Workers: 2, Seed: 1}},
 	} {

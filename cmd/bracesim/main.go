@@ -49,7 +49,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	agents := fs.Int("agents", 0, "population size (0 = scenario default; traffic derives it from -extent)")
 	extent := fs.Float64("extent", 0, "spatial size: segment length (traffic), world radius or room width (0 = scenario default)")
 	ticks := fs.Int("ticks", 100, "ticks to simulate")
-	workers := fs.Int("workers", 4, "worker nodes")
+	workers := fs.Int("workers", 4, "worker nodes = spatial partitions (1: one single-threaded partition)")
 	seed := fs.Uint64("seed", 42, "simulation seed")
 	var index brace.IndexKind
 	fs.TextVar(&index, "index", brace.IndexKD, "spatial index: kd, scan")
@@ -61,7 +61,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	var tun distrib.Tunables
 	tun.Bind(fs, "with -distribute: ")
 	vt := fs.Bool("vtime", false, "enable virtual-time cluster accounting")
-	seq := fs.Bool("seq", false, "use the sequential reference engine (single-threaded, one partition)")
 	invert := fs.Bool("invert", false, "apply effect inversion to the BRASIL script")
 	span := fs.Float64("span", 100, "initial placement span for BRASIL agents")
 	distribute := fs.String("distribute", "", "run across real worker processes: 'tcp' (requires -worker-addrs or -registry)")
@@ -198,7 +197,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		Seed:        *seed,
 		LoadBalance: *lb,
 		VirtualTime: *vt,
-		Sequential:  *seq,
 		Index:       index,
 	}
 
@@ -292,7 +290,6 @@ var flagModes = map[string]struct {
 	"invert": {modeScript, ""},
 	"span":   {modeScript, ""},
 	"vtime":  {modeLocal | modeScript, "distributed and service runs measure real time"},
-	"seq":    {modeLocal | modeScript, "distributed and service runs are partitioned"},
 
 	"ckpt-epochs":     {modeDistribute | modeSubmit, "an in-process run injects no failures, so it has nothing to checkpoint for"},
 	"ckpt-full-every": {modeDistribute | modeSubmit, ""},

@@ -105,11 +105,6 @@ func TestFlagsRejectedOutsideTheirModes(t *testing.T) {
 			[]string{"-heartbeat only applies with -distribute"}},
 		{"two groups, both named", []string{"-submit", svc, "-vtime", "-dial-timeout", "1s"},
 			[]string{"-dial-timeout only applies with -distribute", "-vtime only applies with an in-process run"}},
-		// -seq has one meaning, the single-threaded engine: a partitioned run
-		// has no partition-at-a-time mode to fall back on.
-		{"distribute drops -seq", []string{"-seq", "-distribute", "tcp", "-worker-addrs", worker},
-			[]string{"-seq only applies with an in-process run"}},
-		{"submit drops -seq", []string{"-seq", "-submit", svc}, []string{"-seq only applies with an in-process run"}},
 	} {
 		code, out, errOut := runCLI(t, tc.args...)
 		if code != 1 || out != "" {
@@ -126,10 +121,11 @@ func TestFlagsRejectedOutsideTheirModes(t *testing.T) {
 	}
 }
 
-// A negative tick count is rejected up front on both engines; at the parent
-// -workers 2 never returned (the runtime's tick target wrapped to ~2^64).
+// A negative tick count is rejected up front at any partition count; at
+// the parent -workers 2 never returned (the runtime's tick target wrapped
+// to ~2^64).
 func TestNegativeTicksRejected(t *testing.T) {
-	for _, engine := range [][]string{{"-seq"}, {"-workers", "2"}} {
+	for _, engine := range [][]string{{"-workers", "1"}, {"-workers", "2"}} {
 		args := append([]string{"-model", "fish", "-agents", "200", "-ticks", "-1"}, engine...)
 		type result struct {
 			code   int
@@ -169,28 +165,6 @@ func TestLivenessHelpDerivedFromDefaults(t *testing.T) {
 	}
 }
 
-// -seq once also meant serial partition ticking inside each worker under
-// -distribute/-submit. That meaning is gone: the help states the one that
-// remains, and the rejection under the partitioned modes says why.
-func TestSeqHelpStatesBothMeanings(t *testing.T) {
-	code, _, errOut := runCLI(t, "-h")
-	if code != 0 {
-		t.Fatalf("-h exit = %d", code)
-	}
-	if want := "use the sequential reference engine"; !strings.Contains(errOut, want) {
-		t.Errorf("-seq help should say %q:\n%s", want, errOut)
-	}
-	for _, gone := range []string{"with -distribute or -submit", "ticks its partitions one at a time"} {
-		if strings.Contains(errOut, gone) {
-			t.Errorf("-seq help still describes the deleted meaning %q:\n%s", gone, errOut)
-		}
-	}
-	code, out, errOut := runCLI(t, "-seq", "-submit", "http://127.0.0.1:1")
-	if want := "-seq only applies with an in-process run (distributed and service runs are partitioned)"; code != 1 || out != "" || !strings.Contains(errOut, want) {
-		t.Errorf("-seq -submit: exit=%d stdout=%q, want 1 and %q in stderr:\n%s", code, out, want, errOut)
-	}
-}
-
 func TestEpidemicEndToEnd(t *testing.T) {
 	code, out, errOut := runCLI(t, "-model", "epidemic", "-agents", "120", "-ticks", "5", "-workers", "2", "-v")
 	if code != 0 {
@@ -205,7 +179,7 @@ func TestEpidemicEndToEnd(t *testing.T) {
 }
 
 func TestEvacuateEndToEnd(t *testing.T) {
-	code, out, errOut := runCLI(t, "-model", "evacuate", "-agents", "80", "-ticks", "5", "-workers", "2", "-seq")
+	code, out, errOut := runCLI(t, "-model", "evacuate", "-agents", "80", "-ticks", "5", "-workers", "2")
 	if code != 0 {
 		t.Fatalf("exit = %d, stderr:\n%s", code, errOut)
 	}

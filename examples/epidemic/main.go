@@ -2,8 +2,7 @@
 // Infection pressure is a *local* effect field — each susceptible sums a
 // distance-weighted exposure from the infected agents in its visible
 // region, then converts it into an infection probability in its update
-// phase — so the simulation runs bit-identically on the sequential and
-// distributed engines.
+// phase — so the simulation runs bit-identically at any worker count.
 //
 // This example runs the epidemic on 8 workers and prints the S/I/R wave
 // as it travels outward from the seeded cluster.
@@ -45,5 +44,5 @@ func main() {
 	}
 	fmt.Printf("\n%v\n", sim.Metrics())
 	fmt.Println("note: all effect assignments are local, so this run is bit-identical")
-	fmt.Println("to the sequential reference engine at any worker count (see tests).")
+	fmt.Println("to a one-worker run, and to the naive reference engine (see tests).")
 }

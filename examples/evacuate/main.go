@@ -2,8 +2,8 @@
 // repulsion plus exit seeking, both expressed in the state-effect
 // pattern with local-only effect assignments. Evacuated agents are
 // removed from the simulation, so the population drains — and because
-// kills are deterministic, the drain curve is identical on the
-// sequential and distributed engines.
+// kills are deterministic, the drain curve is identical at any worker
+// count.
 //
 // This example also shows the registry path: the scenario is resolved by
 // name through brace.NewScenario rather than a model constructor.

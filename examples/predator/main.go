@@ -57,5 +57,5 @@ func main() {
 	fmt.Printf("\ninversion speedup: %.1f%%  (the Fig. 5 effect)\n",
 		100*(outcomes[1].tput/outcomes[0].tput-1))
 	fmt.Println("note: population sizes agree up to floating-point reassociation of ⊕;")
-	fmt.Println("on the sequential engine the two variants agree bit-for-bit (see tests).")
+	fmt.Println("on one worker the two variants agree bit-for-bit (see tests).")
 }

@@ -28,7 +28,7 @@ func main() {
 
 	// Side B: the same model on BRACE with fixed-ρ spatial indexing.
 	m := traffic.NewModel(p)
-	eng, err := engine.NewSequential(m, m.NewPopulation(seed), spatial.KindKDTree, seed)
+	eng, err := engine.NewDistributed(m, m.NewPopulation(seed), engine.Options{Workers: 1, Index: spatial.KindKDTree, Seed: seed})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -8,7 +8,7 @@ import (
 
 // ID uniquely identifies an agent for its whole lifetime. The engine never
 // reuses IDs; spawned agents receive IDs derived deterministically from
-// their parent so that distributed and sequential runs agree (see Spawn in
+// their parent so that runs agree at any partition count (see Spawn in
 // the engine package).
 type ID uint64
 
@@ -77,7 +77,7 @@ func CombineEffects(s *Schema, dst, src []float64) {
 
 // Equal reports whether two agents have identical ID, liveness and vectors.
 // It is exact (no tolerance): the determinism tests require bit-equality
-// between sequential and distributed runs.
+// between runs at different partition counts.
 func (a *Agent) Equal(b *Agent) bool {
 	if a.ID != b.ID || a.Dead != b.Dead ||
 		len(a.State) != len(b.State) || len(a.Effect) != len(b.Effect) {

@@ -5,8 +5,7 @@ import "math"
 // RNG is a small counter-based pseudo-random generator (SplitMix64 core).
 // BRACE needs per-agent, per-tick randomness that is *independent of
 // processing order*: the same agent must draw the same sequence whether its
-// partition runs on worker 3 of 36 or inside the sequential reference
-// engine. Seeding a stream from (simulation seed, tick, agent ID) gives
+// partition runs on worker 3 of 36 or as the only one. Seeding a stream from (simulation seed, tick, agent ID) gives
 // exactly that, which is what makes the determinism tests exact.
 type RNG struct {
 	state uint64

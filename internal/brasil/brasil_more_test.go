@@ -28,7 +28,7 @@ func runOne(t *testing.T, p *Program, init func(*agent.Agent)) *agent.Agent {
 	if init != nil {
 		init(a)
 	}
-	e, err := engine.NewSequential(p, []*agent.Agent{a}, spatial.KindScan, 3)
+	e, err := engine.NewDistributed(p, []*agent.Agent{a}, engine.Options{Workers: 1, Index: spatial.KindScan, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ class F { public state float x : x; public state float y : y; #range[-5,5];
 	b.State[0] = 1 // within range of a
 	lone := agent.New(p.Schema(), 3)
 	lone.State[0] = 1000
-	e, err := engine.NewSequential(p, []*agent.Agent{a, b, lone}, spatial.KindKDTree, 1)
+	e, err := engine.NewDistributed(p, []*agent.Agent{a, b, lone}, engine.Options{Workers: 1, Index: spatial.KindKDTree, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ class F { public state float x : x; public state float y : y; #range[-50,50];
 	b.State[0] = 3
 	c := agent.New(p.Schema(), 3)
 	c.State[0] = 10
-	e, err := engine.NewSequential(p, []*agent.Agent{a, b, c}, spatial.KindKDTree, 1)
+	e, err := engine.NewDistributed(p, []*agent.Agent{a, b, c}, engine.Options{Workers: 1, Index: spatial.KindKDTree, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ class F { public state float x : x; public state float y : y; #range[-50,50];
 		agents[i] = agent.New(p.Schema(), agent.ID(i+1))
 		agents[i].State[0] = float64(i)
 	}
-	e, err := engine.NewSequential(p, agents, spatial.KindScan, 1)
+	e, err := engine.NewDistributed(p, agents, engine.Options{Workers: 1, Index: spatial.KindScan, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ class F { public state float x : x; public state float y : y; #range[-5,5];
 			agents[i] = agent.New(p.Schema(), agent.ID(i+1))
 			agents[i].State[0] = float64(i)
 		}
-		e, err := engine.NewSequential(p, agents, cfg.index, 1)
+		e, err := engine.NewDistributed(p, agents, engine.Options{Workers: 1, Index: cfg.index, Seed: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -261,7 +261,7 @@ class F { public state float x : x; public state float y : y; #range[-50,50];
 	a := agent.New(p.Schema(), 1)
 	b := agent.New(p.Schema(), 2)
 	b.State[0] = 3
-	e, err := engine.NewSequential(p, []*agent.Agent{a, b}, spatial.KindScan, 1)
+	e, err := engine.NewDistributed(p, []*agent.Agent{a, b}, engine.Options{Workers: 1, Index: spatial.KindScan, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

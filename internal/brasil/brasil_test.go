@@ -335,11 +335,11 @@ func TestCompiledFishMatchesHandCoded(t *testing.T) {
 	popA := seedPop(prog.Schema(), 60, 5)
 	popB := seedPop(hand.Schema(), 60, 5)
 
-	ea, err := engine.NewSequential(prog, popA, spatial.KindKDTree, 9)
+	ea, err := engine.NewDistributed(prog, popA, engine.Options{Workers: 1, Index: spatial.KindKDTree, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	eb, err := engine.NewSequential(hand, popB, spatial.KindKDTree, 9)
+	eb, err := engine.NewDistributed(hand, popB, engine.Options{Workers: 1, Index: spatial.KindKDTree, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,7 +374,7 @@ func TestCompiledProgramOnDistributedEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := engine.NewSequential(prog, seqPop, spatial.KindKDTree, 3)
+	seq, err := engine.NewDistributed(prog, seqPop, engine.Options{Workers: 1, Index: spatial.KindKDTree, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -421,11 +421,11 @@ func TestEffectInversionExactEquivalence(t *testing.T) {
 		}
 		return pop
 	}
-	ea, err := engine.NewSequential(orig, mkpop(orig.Schema()), spatial.KindKDTree, 2)
+	ea, err := engine.NewDistributed(orig, mkpop(orig.Schema()), engine.Options{Workers: 1, Index: spatial.KindKDTree, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	eb, err := engine.NewSequential(inv, mkpop(inv.Schema()), spatial.KindKDTree, 2)
+	eb, err := engine.NewDistributed(inv, mkpop(inv.Schema()), engine.Options{Workers: 1, Index: spatial.KindKDTree, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -534,7 +534,7 @@ class F { public state float x : x; public state float y : y; #range[-50,50];
 	}
 	e1, c1 := counted(p1)
 	e2, c2 := counted(p2)
-	ref, _ := engine.NewSequential(p2, mk(p2.Schema()), spatial.KindScan, 1)
+	ref, _ := engine.NewDistributed(p2, mk(p2.Schema()), engine.Options{Workers: 1, Index: spatial.KindScan, Seed: 1})
 	if err := ref.RunTicks(5); err != nil {
 		t.Fatal(err)
 	}
@@ -659,7 +659,7 @@ class F { public state float x : x + 100; #range[-1,1];
 		t.Fatal(err)
 	}
 	a := agent.New(prog.Schema(), 1)
-	e, err := engine.NewSequential(prog, []*agent.Agent{a}, spatial.KindScan, 1)
+	e, err := engine.NewDistributed(prog, []*agent.Agent{a}, engine.Options{Workers: 1, Index: spatial.KindScan, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -685,7 +685,7 @@ class F { public state float x : y;
 	a := agent.New(prog.Schema(), 1)
 	a.State[0] = 1
 	a.State[1] = 2
-	e, err := engine.NewSequential(prog, []*agent.Agent{a}, spatial.KindScan, 1)
+	e, err := engine.NewDistributed(prog, []*agent.Agent{a}, engine.Options{Workers: 1, Index: spatial.KindScan, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -710,7 +710,7 @@ class F { public state float x : x + rand();
 			t.Fatal(err)
 		}
 		a := agent.New(prog.Schema(), 7)
-		e, err := engine.NewSequential(prog, []*agent.Agent{a}, spatial.KindScan, 99)
+		e, err := engine.NewDistributed(prog, []*agent.Agent{a}, engine.Options{Workers: 1, Index: spatial.KindScan, Seed: 99})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -45,11 +45,11 @@ func TestFormatPreservesSemantics(t *testing.T) {
 		t.Fatalf("formatted source does not compile: %v\n%s", err, formatted)
 	}
 	mk := func(s *agent.Schema) []*agent.Agent { return seedPop(s, 40, 12) }
-	e1, err := engine.NewSequential(p1, mk(p1.Schema()), spatial.KindKDTree, 4)
+	e1, err := engine.NewDistributed(p1, mk(p1.Schema()), engine.Options{Workers: 1, Index: spatial.KindKDTree, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	e2, err := engine.NewSequential(p2, mk(p2.Schema()), spatial.KindKDTree, 4)
+	e2, err := engine.NewDistributed(p2, mk(p2.Schema()), engine.Options{Workers: 1, Index: spatial.KindKDTree, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

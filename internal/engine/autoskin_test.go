@@ -37,7 +37,7 @@ func TestAutoSkinModesBitIdentical(t *testing.T) {
 }
 
 // Every KD-tree partition holds the cached index, a CostModel or not, and
-// runs the one skin Sequential runs (resolveSkin); the scan has no cache.
+// runs the one skin resolveSkin picks; the scan has no cache.
 func TestAutoSkinGating(t *testing.T) {
 	m := newFlockModel(8)
 	cm := cluster.DefaultCostModel()

@@ -9,6 +9,7 @@ import (
 
 	"github.com/bigreddata/brace/internal/agent"
 	"github.com/bigreddata/brace/internal/cluster"
+	"github.com/bigreddata/brace/internal/geom"
 	"github.com/bigreddata/brace/internal/mapreduce"
 	"github.com/bigreddata/brace/internal/partition"
 	"github.com/bigreddata/brace/internal/spatial"
@@ -17,7 +18,9 @@ import (
 
 // Options configures a Distributed engine.
 type Options struct {
-	// Workers is the number of worker nodes (= spatial partitions).
+	// Workers is the number of worker nodes (= spatial partitions). One
+	// is the single-node engine: its partition ticks on the calling
+	// goroutine.
 	Workers int
 	// Index selects the spatial index used by reducers: the zero value is
 	// the KD-tree, KindScan the "no indexing" configuration of Figs. 3–4.
@@ -157,14 +160,34 @@ func NewDistributed(m Model, pop []*agent.Agent, opts Options) (*Distributed, er
 		e.parts[i] = e.newPart(opts.Index)
 	}
 
+	// The initial population as owned envelopes, one array, in ID order.
+	envs := make([]Envelope, len(pop))
+	vals := make([]*Envelope, len(pop))
+	for i, a := range pop {
+		envs[i].A = a
+		vals[i] = &envs[i]
+	}
+	sortByID(vals)
 	// Initial partitioning: equal-count quantiles of the initial agent x
 	// positions (§3.3: "the master computes a partitioning function based
-	// on the visible regions of the agents and then broadcasts [it]").
-	xs := make([]float64, len(pop))
-	for i, a := range pop {
-		xs[i] = a.Pos(s).X
+	// on the visible regions of the agents and then broadcasts [it]"), and
+	// each partition's owned copies as one batch. One strip owns everything
+	// and needs no positions.
+	e.part = partition.InitialStrips(nil, 1)
+	load := [][]*Envelope{vals}
+	if opts.Workers > 1 {
+		xs := make([]float64, len(vals))
+		for i, env := range vals {
+			xs[i] = env.A.Pos(s).X
+		}
+		e.part = partition.InitialStrips(xs, opts.Workers)
+		load = make([][]*Envelope, opts.Workers)
+		for i, env := range vals {
+			p := e.part.Locate(geom.Vec{X: xs[i]})
+			env.SrcPart = int32(p)
+			load[p] = append(load[p], env)
+		}
 	}
-	e.part = partition.InitialStrips(xs, opts.Workers)
 
 	if opts.CostModel != nil {
 		e.vclock = cluster.NewVClock(opts.Workers, *opts.CostModel)
@@ -175,7 +198,7 @@ func NewDistributed(m Model, pop []*agent.Agent, opts Options) (*Distributed, er
 		Map:          e.mapPhase,
 		Reduce1Early: e.reduce1Early,
 		Reduce1:      e.reduce1Late,
-		SizeOf:       func(*Envelope) int { return s.ByteSize() },
+		ValueBytes:   s.ByteSize(),
 	}
 	if e.nonLocal {
 		job.Reduce2 = e.reduce2
@@ -191,26 +214,19 @@ func NewDistributed(m Model, pop []*agent.Agent, opts Options) (*Distributed, er
 		OnEpoch:    e.onEpoch,
 	})
 
-	// Place initial owned copies. With LocalParts, every process derives
-	// the identical partitioning from the identical full population, then
-	// loads only the agents it owns — the union across processes is
-	// exactly the single-process load.
-	localPart := make([]bool, opts.Workers)
+	// With LocalParts, every process derives the identical partitioning
+	// from the identical full population, then loads only the agents it
+	// owns — the union across processes is exactly the single-process load.
+	local := make([]bool, opts.Workers)
 	for _, p := range e.rt.Local() {
-		localPart[p] = true
+		local[p] = true
+		e.rt.Load(p, load[p])
 	}
-	sorted := append(agent.Population(nil), pop...)
-	sort.Sort(sorted)
-	// Morton-pack the storage once before loading: each partition owns a
-	// spatially contiguous region, so a Z-ordered arena keeps its agents
-	// (and their halo neighbors) dense in memory. Unlike the sequential
-	// engine there is no periodic repack — delta checkpoints and in-flight
-	// envelopes hold references into the current layout across ticks.
-	agent.PackMorton(s, sorted)
-	for _, a := range sorted {
-		p := e.part.Locate(a.Pos(s))
-		if localPart[p] {
-			e.rt.Load(p, []*Envelope{{A: a, SrcPart: int32(p)}})
+	for p, vs := range load {
+		if !local[p] {
+			for _, env := range vs {
+				*env = Envelope{} // another process's agent: keep none of it alive
+			}
 		}
 	}
 	if opts.LocalParts == nil {
@@ -232,20 +248,22 @@ func NewDistributed(m Model, pop []*agent.Agent, opts Options) (*Distributed, er
 // mapPhase is mapᵗ₁: distribute and replicate (Table 1; update has already
 // run at the end of the previous tick's final reduce, which is collocated
 // with this map on the same worker).
-func (e *Distributed) mapPhase(ctx *mapreduce.Ctx, env *Envelope, emit mapreduce.Emit[*Envelope]) {
-	if env.Replica || env.A.Dead {
-		return
-	}
-	pos := env.A.Pos(e.schema)
-	owner := e.part.Locate(pos)
-	env.SrcPart = int32(owner)
-	emit(owner, env)
-	var scratch [64]int
-	for _, q := range partition.ReplicaTargets(e.part, pos, e.schema.Visibility, scratch[:0]) {
-		if q == owner {
+func (e *Distributed) mapPhase(ctx *mapreduce.Ctx, envs []*Envelope, emit mapreduce.Emit[*Envelope]) {
+	b := &e.bufs[ctx.Worker]
+	for _, env := range envs {
+		if env.Replica || env.A.Dead {
 			continue
 		}
-		emit(q, &Envelope{A: env.A.Clone(), Replica: true, SrcPart: int32(owner)})
+		pos := env.A.Pos(e.schema)
+		owner := e.part.Locate(pos)
+		env.SrcPart = int32(owner)
+		emit(owner, env)
+		b.targets = partition.ReplicaTargets(e.part, pos, e.schema.Visibility, b.targets[:0])
+		for _, q := range b.targets {
+			if q != owner {
+				emit(q, &Envelope{A: env.A.Clone(), Replica: true, SrcPart: int32(owner)})
+			}
+		}
 	}
 }
 
@@ -296,7 +314,11 @@ func (e *Distributed) reduce2(ctx *mapreduce.Ctx, envs []*Envelope, emit mapredu
 func (e *Distributed) updateAndEmit(ctx *mapreduce.Ctx, oe *Envelope, emit mapreduce.Emit[*Envelope]) {
 	a := oe.A
 	spawns := e.parts[ctx.Worker].update(a, ctx.Tick)
-	if !a.Dead {
+	if a.Dead {
+		// The envelope may share its allocation with live ones (the
+		// initial population's are one array): let go of the agent.
+		oe.A = nil
+	} else {
 		owner := e.part.Locate(a.Pos(e.schema))
 		oe.Replica = false
 		oe.SrcPart = int32(owner)
@@ -308,31 +330,35 @@ func (e *Distributed) updateAndEmit(ctx *mapreduce.Ctx, oe *Envelope, emit mapre
 	}
 }
 
-// partBufs is one partition's reusable envelope-side tick state; prepare
-// rewrites every entry each tick, so reuse is pure allocation avoidance.
+// partBufs is one partition's reusable envelope-side tick state; every
+// use rewrites what it reads, so reuse is pure allocation avoidance.
 type partBufs struct {
 	copies    []*agent.Agent
-	owned     []*Envelope
 	ownedSlot []int32
+	targets   []int // mapPhase's replica targets
 }
 
 // prepare sorts this reducer's envelopes by agent ID, builds partition w's
-// index over the copies with the owned slots as the probe set, and returns
-// the owned envelopes, their slots, and the build's visited count.
-func (e *Distributed) prepare(w int, envs []*Envelope) (owned []*Envelope, ownedSlots []int32, built int64) {
+// index over the copies with the owned slots as the probe set (nil when
+// every copy is owned), and returns the owned slots and the build's
+// visited count. The caller may reorder the slots: the index keeps its own
+// copy of the probe set.
+func (e *Distributed) prepare(w int, envs []*Envelope) (ownedSlots []int32, built int64) {
 	sortByID(envs)
 	b := &e.bufs[w]
 	b.copies = resize(b.copies, len(envs))
 	b.ownedSlot = b.ownedSlot[:0]
-	b.owned = b.owned[:0]
 	for i, env := range envs {
 		b.copies[i] = env.A
 		if !env.Replica {
 			b.ownedSlot = append(b.ownedSlot, int32(i))
-			b.owned = append(b.owned, env)
 		}
 	}
-	return b.owned, b.ownedSlot, e.parts[w].build(b.copies, b.ownedSlot)
+	probe := b.ownedSlot
+	if len(probe) == len(envs) {
+		probe = nil
+	}
+	return b.ownedSlot, e.parts[w].build(b.copies, probe)
 }
 
 // sortByID orders a reducer's envelopes by agent ID, which is unique among
@@ -362,6 +388,9 @@ func (e *Distributed) RunTicks(n int) error {
 	}
 	target := e.rt.Tick() + uint64(max(n, 0))
 	return e.timed(func() error {
+		if e.rt.Tick() == 0 && n > 0 {
+			e.pack()
+		}
 		err := e.rt.RunTicks(n)
 		var lost *mapreduce.LostWorkerError
 		for e.master != nil && errors.As(err, &lost) {
@@ -373,6 +402,24 @@ func (e *Distributed) RunTicks(n int) error {
 		}
 		return err
 	})
+}
+
+// pack relayouts each local partition's agent storage in Morton order of
+// the current positions, at the start of the first tick: a partition owns
+// a spatially contiguous region, so a Z-ordered arena keeps its agents and
+// their neighbors dense in memory for the candidate walks. It is the one
+// relayout, for every partition count — a pure one, so neither results nor
+// checkpoints can tell (see agent.PackMorton) — and its cost lands in the
+// first tick, not in construction.
+func (e *Distributed) pack() {
+	for _, p := range e.rt.Local() {
+		b := &e.bufs[p]
+		b.copies = b.copies[:0]
+		for _, env := range e.rt.Values(p) {
+			b.copies = append(b.copies, env.A)
+		}
+		agent.PackMorton(e.schema, b.copies)
+	}
 }
 
 // onEpoch runs at epoch boundaries: record statistics and, in an engine
@@ -426,9 +473,11 @@ func (e *Distributed) onEpoch(tick uint64) error {
 // Agents returns the current population, ID-sorted (owned copies only).
 func (e *Distributed) Agents() agent.Population {
 	var pop agent.Population
-	for _, env := range e.rt.AllValues() {
-		if !env.Replica && !env.A.Dead {
-			pop = append(pop, env.A)
+	for p := 0; p < e.opts.Workers; p++ {
+		for _, env := range e.rt.Values(p) {
+			if !env.Replica && !env.A.Dead {
+				pop = append(pop, env.A)
+			}
 		}
 	}
 	sort.Sort(pop)

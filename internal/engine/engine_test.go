@@ -195,17 +195,13 @@ func popsApproxEqual(t *testing.T, name string, a, b agent.Population, tol float
 
 const testTicks = 12
 
+// The naive oracle and the partitioned engine at any partition count agree
+// bit for bit on a local-effects model.
 func TestSequentialMatchesDistributedLocal(t *testing.T) {
 	m := newFlockModel(8)
 	base := makePop(m.s, 120, 60, 1)
 
-	seq, err := NewSequential(m, clonePop(base), spatial.KindKDTree, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := seq.RunTicks(testTicks); err != nil {
-		t.Fatal(err)
-	}
+	want := Naive(m, clonePop(base), 42, testTicks)
 
 	for _, workers := range []int{1, 4, 7} {
 		dist, err := NewDistributed(m, clonePop(base), Options{
@@ -217,7 +213,7 @@ func TestSequentialMatchesDistributedLocal(t *testing.T) {
 		if err := dist.RunTicks(testTicks); err != nil {
 			t.Fatal(err)
 		}
-		popsExactlyEqual(t, "seq vs dist", seq.Agents(), dist.Agents())
+		popsExactlyEqual(t, "oracle vs dist", want, dist.Agents())
 	}
 }
 
@@ -265,13 +261,7 @@ func TestIndexKindsAgreeExactly(t *testing.T) {
 func TestDistributedUnboundedVisibility(t *testing.T) {
 	m := newFlockModel(0)
 	base := makePop(m.s, 60, 40, 6)
-	seq, err := NewSequential(m, clonePop(base), spatial.KindKDTree, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := seq.RunTicks(testTicks); err != nil {
-		t.Fatal(err)
-	}
+	want := Naive(m, clonePop(base), 11, testTicks)
 	for _, kind := range []spatial.Kind{spatial.KindKDTree, spatial.KindScan} {
 		e, err := NewDistributed(m, clonePop(base), Options{
 			Workers: 3, Index: kind, Seed: 11, LoadBalance: true, EpochTicks: 3,
@@ -282,7 +272,7 @@ func TestDistributedUnboundedVisibility(t *testing.T) {
 		if err := e.RunTicks(testTicks); err != nil {
 			t.Fatal(err)
 		}
-		popsExactlyEqual(t, "unbounded "+kind.String(), seq.Agents(), e.Agents())
+		popsExactlyEqual(t, "unbounded "+kind.String(), want, e.Agents())
 	}
 }
 
@@ -308,16 +298,10 @@ func TestNonLocalSequentialVsDistributed(t *testing.T) {
 	m := newPushModel(6)
 	base := makePop(m.s, 80, 40, 4)
 
-	seq, err := NewSequential(m, clonePop(base), spatial.KindKDTree, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := seq.RunTicks(testTicks); err != nil {
-		t.Fatal(err)
-	}
+	want := Naive(m, clonePop(base), 5, testTicks)
 
-	// One worker: a single partition folds effects exactly like the flat
-	// sequential loop.
+	// One worker: a single partition folds effects exactly like the
+	// oracle's ascending-ID sweep.
 	one, err := NewDistributed(m, clonePop(base), Options{Workers: 1, Index: spatial.KindKDTree, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
@@ -325,7 +309,7 @@ func TestNonLocalSequentialVsDistributed(t *testing.T) {
 	if err := one.RunTicks(testTicks); err != nil {
 		t.Fatal(err)
 	}
-	popsExactlyEqual(t, "nonlocal 1-worker", seq.Agents(), one.Agents())
+	popsExactlyEqual(t, "nonlocal 1-worker", want, one.Agents())
 
 	// Many workers: the global ⊕ folds per-partition partials, so agree
 	// only up to floating-point reassociation. Under load balancing the
@@ -341,7 +325,7 @@ func TestNonLocalSequentialVsDistributed(t *testing.T) {
 		if err := four.RunTicks(testTicks); err != nil {
 			t.Fatal(err)
 		}
-		popsApproxEqual(t, "nonlocal 4-worker", seq.Agents(), four.Agents(), 1e-7)
+		popsApproxEqual(t, "nonlocal 4-worker", want, four.Agents(), 1e-7)
 	}
 }
 
@@ -350,9 +334,9 @@ func TestNonLocalAssignPanicsInLocalModel(t *testing.T) {
 	m := newFlockModel(8)
 	bad := &badModel{flockModel: m}
 	pop := makePop(m.s, 10, 5, 6)
-	// The panic is raised by queryEnv.Assign, which both engines share; the
-	// sequential one raises it on this goroutine, where recover() sees it.
-	e, err := NewSequential(bad, pop, spatial.KindScan, 1)
+	// The panic is raised by queryEnv.Assign; a lone partition runs on
+	// this goroutine, where recover() sees it.
+	e, err := NewDistributed(bad, pop, Options{Workers: 1, Index: spatial.KindScan, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,13 +361,7 @@ func (b *badModel) Query(self *agent.Agent, env Env) {
 func TestSpawnAndKillDeterministic(t *testing.T) {
 	m := newLifeModel()
 	base := makePop(m.s, 20, 20, 7)
-	seq, err := NewSequential(m, clonePop(base), spatial.KindKDTree, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := seq.RunTicks(15); err != nil {
-		t.Fatal(err)
-	}
+	want := Naive(m, clonePop(base), 11, 15)
 	dist, err := NewDistributed(m, clonePop(base), Options{Workers: 3, Index: spatial.KindKDTree, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
@@ -391,12 +369,12 @@ func TestSpawnAndKillDeterministic(t *testing.T) {
 	if err := dist.RunTicks(15); err != nil {
 		t.Fatal(err)
 	}
-	popsExactlyEqual(t, "life", seq.Agents(), dist.Agents())
-	if len(seq.Agents()) == 0 {
+	popsExactlyEqual(t, "life", want, dist.Agents())
+	if len(want) == 0 {
 		t.Fatal("population died out; test model mis-tuned")
 	}
 	// Originals (lifespan 7) must all be gone after 15 ticks.
-	for _, a := range seq.Agents() {
+	for _, a := range want {
 		if a.ID <= 20 {
 			t.Errorf("agent %d outlived its lifespan", a.ID)
 		}
@@ -406,7 +384,7 @@ func TestSpawnAndKillDeterministic(t *testing.T) {
 func TestReachCrop(t *testing.T) {
 	m := &jumpModel{newFlockModel(8)}
 	pop := makePop(m.s, 5, 10, 8)
-	e, err := NewSequential(m, clonePop(pop), spatial.KindScan, 1)
+	e, err := NewDistributed(m, clonePop(pop), Options{Workers: 1, Index: spatial.KindScan, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -626,9 +604,10 @@ func TestEngineStatsAccessors(t *testing.T) {
 	}
 }
 
+// A one-partition run keeps the same gauges as any other.
 func TestSequentialStatsAccessors(t *testing.T) {
 	m := newFlockModel(5)
-	e, err := NewSequential(m, makePop(m.s, 30, 15, 12), spatial.KindScan, 1)
+	e, err := NewDistributed(m, makePop(m.s, 30, 15, 12), Options{Workers: 1, Index: spatial.KindScan, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -639,7 +618,7 @@ func TestSequentialStatsAccessors(t *testing.T) {
 		t.Errorf("Tick/AgentTicks = %d/%d", e.Tick(), e.AgentTicks())
 	}
 	if e.Visited() == 0 || e.WallSeconds() <= 0 || e.ThroughputWall() <= 0 {
-		t.Error("sequential stats broken")
+		t.Error("one-partition stats broken")
 	}
 }
 
@@ -656,7 +635,7 @@ func TestOptionsValidation(t *testing.T) {
 	}
 	bad := agent.NewSchema("NoPos")
 	bad.AddState("q", true)
-	if _, err := NewSequential(&schemaOnlyModel{bad}, nil, spatial.KindScan, 1); err == nil {
+	if _, err := NewDistributed(&schemaOnlyModel{bad}, nil, Options{Workers: 1, Index: spatial.KindScan, Seed: 1}); err == nil {
 		t.Error("schema without position accepted")
 	}
 }

@@ -31,8 +31,9 @@ type queryEnv struct {
 	copies []*agent.Agent       // ID-sorted core copies
 	cols   [][]float64          // columnar models: per-state-field columns over all rows
 	lists  bool                 // the tick's build carries Verlet candidate lists
-	// halo is non-nil only in the late (boundary) pass: the index covers the
-	// core (self-sent) copies and probes join in the peer-sent ones.
+	// halo is non-nil only in a late (boundary) pass with peer-sent copies:
+	// the index covers the core (self-sent) copies and probes join in the
+	// peer-sent ones.
 	halo *haloJoin
 	// The pass's ID order: coreRank[slot] is the slot's rank among the agent
 	// IDs of core ∪ halo, rankRow[rank] the row holding that rank. Both are

@@ -103,7 +103,7 @@ func TestEverythingOnIntegration(t *testing.T) {
 
 // The same stress model must also survive an index-kind change with only
 // FP-reassociation-level drift (non-local ⊕ order depends on partitions,
-// not on the index), and match the sequential engine on 1 worker exactly.
+// not on the index), and match the naive oracle on 1 worker exactly.
 func TestStressModelOneWorkerMatchesSequential(t *testing.T) {
 	m := newLifecyclePushModel()
 	mkpop := func() []*agent.Agent {
@@ -119,13 +119,7 @@ func TestStressModelOneWorkerMatchesSequential(t *testing.T) {
 		}
 		return pop
 	}
-	seq, err := NewSequential(m, mkpop(), spatial.KindKDTree, 17)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := seq.RunTicks(15); err != nil {
-		t.Fatal(err)
-	}
+	want := Naive(m, mkpop(), 17, 15)
 	one, err := NewDistributed(m, mkpop(), Options{Workers: 1, Index: spatial.KindKDTree, Seed: 17})
 	if err != nil {
 		t.Fatal(err)
@@ -133,5 +127,5 @@ func TestStressModelOneWorkerMatchesSequential(t *testing.T) {
 	if err := one.RunTicks(15); err != nil {
 		t.Fatal(err)
 	}
-	popsExactlyEqual(t, "stress 1-worker", seq.Agents(), one.Agents())
+	popsExactlyEqual(t, "stress 1-worker", want, one.Agents())
 }

@@ -10,17 +10,18 @@
 // second reduce that globally aggregates effect values at each agent's
 // owner partition.
 //
-// Two engines share the same Model interface: Distributed (the BRACE
-// runtime over internal/mapreduce) and Sequential (a single-loop reference
-// used for validation and as the single-node baseline). They also share one
-// tick body (part.go): a core holds what a run derives from its model once,
-// and a part runs build → query → update over one ID-sorted copy set. The
-// engines differ only in scheduling. Sequential has one part covering the
-// world; Distributed has one per partition and keeps what is its own:
-// replication, and one reduce₁ of two passes (overlap.go) — an interior
-// pass in the map phase's network window, then a boundary pass over core
-// ∪ halo that updates owned agents or, for non-local effects, ships
-// partials to reduce₂.
+// There is one engine, Distributed: the BRACE runtime over
+// internal/mapreduce, whose Options.Workers spatial partitions are its unit
+// of parallelism. A single-node run is the one-partition engine (Workers:
+// 1), which runs on the calling goroutine and hands its batches to itself
+// in memory. Its tick body (part.go) is shared by every partition: a core
+// holds what a run derives from its model once, and a part runs build →
+// query → update over one ID-sorted copy set. Beyond that, a partition has
+// replication and one reduce₁ of two passes (overlap.go) — an interior
+// pass in the map phase's network window, then a boundary pass over core ∪
+// halo that updates owned agents or, for non-local effects, ships partials
+// to reduce₂. The package's tests hold a naive O(n²) engine as the
+// oracle it must agree with.
 // Every probe, from either query API, goes through one candidate-selection
 // core (queryEnv.rows in env.go).
 package engine

@@ -10,8 +10,8 @@
 //	              classify interior vs boundary, probe interior
 //	──AwaitPhase──►  phase drained
 //	  late pass:  probe boundary + halo-owned agents against core ∪ halo,
-//	              then update all owned agents in ascending ID order, or
-//	              ship non-local partials to reduceᵗ₂
+//	              then update all owned agents, or ship non-local
+//	              partials to reduceᵗ₂
 //
 // The split changes scheduling, never results: interior agents are
 // exactly those whose visibility disc lies strictly inside the strip, so
@@ -40,8 +40,7 @@ const neverTick = ^uint64(0)
 type overlapBufs struct {
 	split    bool        // this tick's interior pass ran
 	core     []*Envelope // every self-sent envelope, ID-sorted: core[slot]
-	owned    []*Envelope // the owned envelopes, ascending ID
-	interior []int32     // owned slots probed by the early pass
+	owned    int         // owned agents: core's, then the migrants'
 	boundary []int32     // owned rows deferred to the late pass
 	visited  int64       // the tick's Visited so far: core build, then both passes
 
@@ -60,12 +59,11 @@ type overlapBufs struct {
 func (e *Distributed) reduce1Early(ctx *mapreduce.Ctx, self []*Envelope) {
 	w := ctx.Worker
 	ob := &e.obufs[w]
-	owned, ownedSlots, built := e.prepare(w, self)
-	ob.core, ob.owned = self, owned
+	ownedSlots, built := e.prepare(w, self)
+	ob.core, ob.owned = self, len(ownedSlots)
 	ob.visited = built
 	vis := e.schema.Visibility
 	ob.split = ctx.Tick != e.noSplitTick && !e.nonLocal && vis > 0
-	ob.interior = ob.interior[:0]
 	ob.boundary = ob.boundary[:0]
 	if !ob.split {
 		// Every probe waits for the halo: right after a cut change owned
@@ -82,19 +80,21 @@ func (e *Distributed) reduce1Early(ctx *mapreduce.Ctx, self []*Envelope) {
 	// visible (the radius comparisons are closed). A strip's y bounds are
 	// ±Inf, so the y terms hold for every finite position and the test
 	// reduces to the two cuts. Sound because Strips.Locate compares x
-	// against the exact cut values Region returns.
+	// against the exact cut values Region returns. The interior slots are
+	// compacted in place: each lands at or before the index it is read from.
 	region := e.part.Region(w)
 	p := e.parts[w]
+	interior := ownedSlots[:0]
 	for _, slot := range ownedSlots {
 		pos := p.copies[slot].Pos(e.schema)
 		if pos.X-region.Min.X > vis && region.Max.X-pos.X > vis &&
 			pos.Y-region.Min.Y > vis && region.Max.Y-pos.Y > vis {
-			ob.interior = append(ob.interior, slot)
+			interior = append(interior, slot)
 		} else {
 			ob.boundary = append(ob.boundary, slot)
 		}
 	}
-	ob.visited += p.query(ob.interior, nil)
+	ob.visited += p.query(interior, nil)
 }
 
 // reduce1Late finishes reduceᵗ₁ once the map phase has fully drained. rest
@@ -105,9 +105,10 @@ func (e *Distributed) reduce1Early(ctx *mapreduce.Ctx, self []*Envelope) {
 // phases probe core and halo together, and the tick's compute — every
 // candidate the partition's Visited gauge counted this tick, list build
 // and both passes, plus the owned agents — is charged to the virtual clock
-// as one superstep. Then local effects update every
-// owned agent; non-local effects route every owned copy and every touched
-// replica to its owner for the global ⊕ of reduceᵗ₂.
+// as one superstep. Then local effects update every owned agent (in any
+// order: an update reads only its own agent, and its randomness is a
+// function of seed, tick and ID); non-local effects route every owned copy
+// and every touched replica to its owner for the global ⊕ of reduceᵗ₂.
 func (e *Distributed) reduce1Late(ctx *mapreduce.Ctx, rest []*Envelope, emit mapreduce.Emit[*Envelope]) {
 	w := ctx.Worker
 	ob := &e.obufs[w]
@@ -125,6 +126,7 @@ func (e *Distributed) reduce1Late(ctx *mapreduce.Ctx, rest []*Envelope, emit map
 			// A migrant owned agent has no core slot: it probes as halo
 			// row j.
 			ob.boundary = append(ob.boundary, ncore+int32(j))
+			ob.owned++
 			migrants = true
 		}
 		ob.halo.agents = append(ob.halo.agents, env.A)
@@ -132,7 +134,7 @@ func (e *Distributed) reduce1Late(ctx *mapreduce.Ctx, rest []*Envelope, emit map
 	if migrants {
 		// The tick is unsplit, so boundary is every owned row: ordered by
 		// agent ID it is the probe order a non-local model's effects fold
-		// in, and the update order.
+		// in.
 		envAt := func(row int32) *Envelope {
 			if row < ncore {
 				return ob.core[row]
@@ -140,41 +142,51 @@ func (e *Distributed) reduce1Late(ctx *mapreduce.Ctx, rest []*Envelope, emit map
 			return rest[row-ncore]
 		}
 		slices.SortFunc(ob.boundary, func(a, b int32) int { return cmp.Compare(envAt(a).A.ID, envAt(b).A.ID) })
-		ob.owned = ob.owned[:0]
-		for _, row := range ob.boundary {
-			ob.owned = append(ob.owned, envAt(row))
+	}
+	if len(ob.boundary) > 0 {
+		// Peer-sent copies join the probes through the halo index; with
+		// none, the core index answers them alone.
+		var halo *haloJoin
+		if len(ob.halo.agents) > 0 {
+			ob.halo.build(e.schema, p.keys)
+			if e.colM != nil {
+				// Halo copies become rows len(copies)+j so boundary query
+				// phases can read their state through the columns.
+				p.cols = appendHaloCols(p.cols, ob.halo.agents)
+			}
+			halo = &ob.halo
 		}
+		ob.visited += p.query(ob.boundary, halo)
 	}
-	ob.halo.build(e.schema, p.keys)
-	if e.colM != nil {
-		// Halo copies become rows len(copies)+j so boundary query phases
-		// can read their state through the columns.
-		p.cols = appendHaloCols(p.cols, ob.halo.agents)
-	}
-	ob.visited += p.query(ob.boundary, &ob.halo)
 	e.wVisited[w] += ob.visited
-	e.wOwned[w] += int64(len(ob.owned))
+	e.wOwned[w] += int64(ob.owned)
 	if e.vclock != nil {
-		e.vclock.ChargeCompute(cluster.NodeID(w), ob.visited, int64(len(ob.owned)))
+		e.vclock.ChargeCompute(cluster.NodeID(w), ob.visited, int64(ob.owned))
 	}
-	core, owned := ob.core, ob.owned
-	ob.core, ob.owned = nil, nil
+	core := ob.core
+	ob.core = nil
 
-	if !e.nonLocal {
-		for _, oe := range owned {
-			e.updateAndEmit(ctx, oe, emit)
-		}
-		return
-	}
-	// Core and halo alike: right after a cut change a partition may
-	// replicate an agent it just gave up to itself.
+	// Local effects: update every owned agent. Non-local ones: ship every
+	// owned copy, and every touched replica — core and halo alike, since
+	// right after a cut change a partition may replicate an agent it just
+	// gave up to itself — to the agent's owner for reduce₂.
 	for _, envs := range [2][]*Envelope{core, rest} {
 		for _, env := range envs {
-			if env.Replica && effectsAreIdentity(e.combs, env.A.Effect) {
-				continue // untouched replica: nothing to aggregate
+			switch {
+			case !e.nonLocal:
+				if !env.Replica {
+					e.updateAndEmit(ctx, env, emit)
+				}
+			case !env.Replica:
+				// An owned copy is at its owner already.
+				env.SrcPart = int32(w)
+				emit(w, env)
+			case effectsAreIdentity(e.combs, env.A.Effect):
+				// untouched replica: nothing to aggregate
+			default:
+				env.SrcPart = int32(w)
+				emit(e.part.Locate(env.A.Pos(e.schema)), env)
 			}
-			env.SrcPart = int32(w)
-			emit(e.part.Locate(env.A.Pos(e.schema)), env)
 		}
 	}
 }

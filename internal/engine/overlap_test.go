@@ -9,19 +9,13 @@ import (
 // The two-pass tick changes scheduling, never results: the KindScan run of
 // the same options splits over an uncached index, the KD run over the
 // cached one, and both must be bit-identical to each other and to the
-// sequential engine at every worker count, including under load balancing
+// naive oracle at every worker count, including under load balancing
 // where live cut changes force no-split ticks.
 func TestOverlapAblationBitIdentical(t *testing.T) {
 	m := newFlockModel(8)
 	base := makePop(m.s, 140, 60, 9)
 
-	seq, err := NewSequential(m, clonePop(base), spatial.KindKDTree, 17)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := seq.RunTicks(testTicks); err != nil {
-		t.Fatal(err)
-	}
+	want := Naive(m, clonePop(base), 17, testTicks)
 
 	for _, tc := range []struct {
 		name string
@@ -49,7 +43,7 @@ func TestOverlapAblationBitIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			popsExactlyEqual(t, tc.name+" KD vs scan", off.Agents(), on.Agents())
-			popsExactlyEqual(t, tc.name+" KD vs sequential", seq.Agents(), on.Agents())
+			popsExactlyEqual(t, tc.name+" KD vs oracle", want, on.Agents())
 		}
 	}
 }
@@ -62,13 +56,7 @@ func TestOverlapTickAcrossParallelism(t *testing.T) {
 	m := newFlockModel(8)
 	base := makePop(m.s, 120, 60, 5)
 
-	seq, err := NewSequential(m, clonePop(base), spatial.KindKDTree, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := seq.RunTicks(testTicks); err != nil {
-		t.Fatal(err)
-	}
+	want := Naive(m, clonePop(base), 42, testTicks)
 
 	dist, err := NewDistributed(m, clonePop(base), Options{
 		Workers: 4, Index: spatial.KindKDTree, Seed: 42, EpochTicks: 4,
@@ -79,5 +67,5 @@ func TestOverlapTickAcrossParallelism(t *testing.T) {
 	if err := dist.RunTicks(testTicks); err != nil {
 		t.Fatal(err)
 	}
-	popsExactlyEqual(t, "seq vs two-pass dist", seq.Agents(), dist.Agents())
+	popsExactlyEqual(t, "oracle vs two-pass dist", want, dist.Agents())
 }

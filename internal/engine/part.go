@@ -1,8 +1,7 @@
-// The one query pass. Both engines run a tick as build → query → update
-// over an ID-sorted copy set; what differs is scheduling — which copy sets
-// exist, when their passes run and where updated agents go. core is what a
-// run shares across its copy sets, part is one copy set's machine, and its
-// three methods are the only place the tick's compute term is spelled out.
+// The one query pass. Every partition runs a tick as build → query →
+// update over an ID-sorted copy set. core is what a run shares across its
+// copy sets, part is one copy set's machine, and its three methods are the
+// only place the tick's compute term is spelled out.
 package engine
 
 import (
@@ -13,8 +12,8 @@ import (
 	"github.com/bigreddata/brace/internal/spatial"
 )
 
-// core is the per-run state both engines embed: the model and what is
-// derived from it once, the seed, and the throughput gauges.
+// core is the per-run state: the model and what is derived from it once,
+// the seed, and the throughput gauges.
 type core struct {
 	model    Model
 	schema   *agent.Schema
@@ -60,8 +59,7 @@ func (c *core) AgentTicks() int64 { return c.agentTicks }
 
 // Visited returns the index candidates examined across all ticks and copy
 // sets: by candidate-list builds, list scans, tree walks or scans, and the
-// halo join. Both engines count the same work, and it is what a cost
-// model charges. A metrics gauge like the wall clock: it depends on the
+// halo join. It is the work a cost model charges. A metrics gauge like the wall clock: it depends on the
 // index kind and on what the query caches held, so it never feeds back
 // into the simulation.
 func (c *core) Visited() int64 { return c.visited }
@@ -78,9 +76,8 @@ func (c *core) ThroughputWall() float64 {
 	return float64(c.agentTicks) / w
 }
 
-// part is the query machine over one ID-sorted copy set: the whole world
-// for Sequential, one partition's owned agents plus replicas for
-// Distributed. A part is the unit of parallelism: its build, query and
+// part is the query machine over one ID-sorted copy set: one partition's
+// owned agents plus replicas. A part is the unit of parallelism: its build, query and
 // update run on the goroutine that owns it, and multi-core comes from
 // running several parts (Options.Workers) at once.
 type part struct {
@@ -182,7 +179,8 @@ func (p *part) points() []spatial.Point {
 	return p.pts
 }
 
-// allSlots returns the identity rows [0, n): Sequential queries every copy.
+// allSlots returns the identity rows [0, n), the slot ranks of a pass with
+// no halo.
 func (p *part) allSlots(n int) []int32 {
 	for i := len(p.all); i < n; i++ {
 		p.all = append(p.all, int32(i))

@@ -143,8 +143,8 @@ class Ball {
 // AblationInversionPass runs the same BRASIL script compiled (a) as
 // written — non-local, two reduce passes — and (b) through the automatic
 // effect-inversion pass — local, one reduce pass — and reports virtual
-// throughput plus the maximum state divergence (which must be zero on the
-// sequential engine and FP-reassociation-sized when distributed).
+// throughput plus the maximum state divergence (which must be zero on one
+// partition and FP-reassociation-sized on many).
 func AblationInversionPass(s Scale) (*Result, error) {
 	n := int(3000 * s.Factor)
 	if n < 500 {

@@ -49,7 +49,7 @@ func Fig3(s Scale) (*Result, error) {
 			{spatial.KindKDTree, idx, idxWork},
 		} {
 			m := traffic.NewModel(p)
-			eng, err := engine.NewSequential(m, m.NewPopulation(s.Seed), cfg.kind, s.Seed)
+			eng, err := engine.NewDistributed(m, m.NewPopulation(s.Seed), engine.Options{Workers: 1, Index: cfg.kind, Seed: s.Seed})
 			if err != nil {
 				return nil, err
 			}
@@ -119,7 +119,7 @@ func Fig4(s Scale) (*Result, error) {
 			{spatial.KindKDTree, idx, idxWork},
 		} {
 			m := fish.NewModel(p)
-			eng, err := engine.NewSequential(m, m.NewPopulation(n, s.Seed), cfg.kind, s.Seed)
+			eng, err := engine.NewDistributed(m, m.NewPopulation(n, s.Seed), engine.Options{Workers: 1, Index: cfg.kind, Seed: s.Seed})
 			if err != nil {
 				return nil, err
 			}

@@ -30,7 +30,7 @@ func Table2(s Scale) (*Result, error) {
 	}
 
 	m := traffic.NewModel(p)
-	eng, err := engine.NewSequential(m, m.NewPopulation(s.Seed), spatial.KindKDTree, s.Seed)
+	eng, err := engine.NewDistributed(m, m.NewPopulation(s.Seed), engine.Options{Workers: 1, Index: spatial.KindKDTree, Seed: s.Seed})
 	if err != nil {
 		return nil, err
 	}

@@ -6,7 +6,9 @@
 //   - ticks are short, so everything stays in main memory and the output of
 //     one tick's final reduce feeds the next tick's map directly;
 //   - map and reduce tasks for a partition are collocated on one worker, so
-//     same-partition traffic bypasses the network (metered as "local");
+//     same-partition traffic bypasses the network: a worker's batch to
+//     itself stays in its memory, never entering the transport, and is
+//     metered as "local";
 //   - the optional second reduce implements the map-reduce-reduce model for
 //     non-local effect assignments (Table 1, Appendix A, Fig. 10);
 //   - the master interacts with workers only at epoch boundaries.
@@ -46,11 +48,11 @@ type Job[V any] struct {
 	// Name labels the job in errors and checkpoints.
 	Name string
 
-	// Map is invoked once per value held by a worker at the start of a
-	// tick. For BRACE this is the update phase of tick t−1 followed by
-	// distribution/replication (mapᵗ₁ of Table 1). Emissions are grouped
-	// by destination partition and delivered to Reduce1.
-	Map func(ctx *Ctx, v V, emit Emit[V])
+	// Map receives the values a worker holds at the start of a tick and
+	// maps each one. For BRACE this is the update phase of tick t−1
+	// followed by distribution/replication (mapᵗ₁ of Table 1). Emissions
+	// are grouped by destination partition and delivered to Reduce1.
+	Map func(ctx *Ctx, values []V, emit Emit[V])
 
 	// Reduce1 receives every value emitted to this worker's partition and
 	// runs the query phase (reduceᵗ₁). With no Reduce2, its emissions
@@ -74,9 +76,9 @@ type Job[V any] struct {
 	// eliminated here.
 	Reduce2 func(ctx *Ctx, values []V, emit Emit[V])
 
-	// SizeOf estimates the wire size of one value in bytes for the
-	// transport meter and network cost model. Nil means size 0.
-	SizeOf func(v V) int
+	// ValueBytes is the wire size of one value in bytes, for the transport
+	// meter and the network cost model.
+	ValueBytes int
 }
 
 // Config tunes the runtime.

@@ -21,10 +21,12 @@ func TestQuickConservationAndParallelEquivalence(t *testing.T) {
 		// stride derived from its ID.
 		job := Job[rec]{
 			Name: "quick",
-			Map: func(ctx *Ctx, v rec, emit Emit[rec]) {
-				stride := v.ID%workers + 1
-				v.Owner = (v.Owner + stride) % workers
-				emit(v.Owner, v)
+			Map: func(ctx *Ctx, vs []rec, emit Emit[rec]) {
+				for _, v := range vs {
+					stride := v.ID%workers + 1
+					v.Owner = (v.Owner + stride) % workers
+					emit(v.Owner, v)
+				}
 			},
 			Reduce1: func(ctx *Ctx, vs []rec, emit Emit[rec]) {
 				for _, v := range vs {
@@ -32,7 +34,7 @@ func TestQuickConservationAndParallelEquivalence(t *testing.T) {
 					emit(v.Owner, v)
 				}
 			},
-			SizeOf: sizeRec,
+			ValueBytes: recBytes,
 		}
 		r := New(job, Config{Workers: workers})
 		for i := 0; i < items; i++ {

@@ -22,6 +22,18 @@ type Runtime[V any] struct {
 	// failed marks crashed workers. Written only between ticks (crash
 	// injection, Reset) and read-only inside phases, so it needs no lock.
 	failed []bool
+
+	bufs []workerBufs[V] // per worker, reused by every phase
+	errs []error         // per local partition, eachWorker's results
+	cur  phaseSpec[V]    // the phase being run, read by each worker's steps
+}
+
+// phaseSpec is one phase of a tick: its message tag, the function every
+// worker runs over its values, and the optional window (see phase).
+type phaseSpec[V any] struct {
+	tag    int
+	fn     func(*Ctx, []V, Emit[V])
+	window func(*Ctx, []V)
 }
 
 // New creates a runtime. It panics on structurally invalid configuration —
@@ -49,6 +61,10 @@ func New[V any](job Job[V], cfg Config) *Runtime[V] {
 		tr:     tr,
 		values: make([][]V, cfg.Workers),
 		failed: make([]bool, cfg.Workers),
+		bufs:   make([]workerBufs[V], cfg.Workers),
+	}
+	for w := range r.bufs {
+		r.bufs[w] = newWorkerBufs[V](cfg.Workers)
 	}
 	if err := r.Reset(0, cfg.LocalParts, nil); err != nil {
 		panic(err)
@@ -56,9 +72,15 @@ func New[V any](job Job[V], cfg Config) *Runtime[V] {
 	return r
 }
 
-// Load places initial values at a partition. Call before RunTicks.
+// Load places initial values at a partition. Call before RunTicks. The
+// runtime reads vs and never writes it; it may keep it as the partition's
+// values until the first tick.
 func (r *Runtime[V]) Load(part int, vs []V) {
-	r.values[part] = append(r.values[part], vs...)
+	if r.values[part] == nil {
+		r.values[part] = vs
+		return
+	}
+	r.values[part] = append(slices.Clip(r.values[part]), vs...)
 }
 
 // Values returns the values currently owned by a partition. The caller
@@ -114,6 +136,7 @@ func (r *Runtime[V]) Reset(tick uint64, local []int, values map[int][]V) error {
 	}
 	r.tick = tick
 	r.local = local
+	r.errs = make([]error, len(local))
 	for i := range r.values {
 		r.values[i] = values[i]
 	}
@@ -196,135 +219,233 @@ func (r *Runtime[V]) epochBoundary() error {
 // ("the final reducer ... sends them to the map task on the same node",
 // §3.3).
 func (r *Runtime[V]) runTick() error {
-	mapAll := func(ctx *Ctx, vs []V, emit Emit[V]) {
-		for _, v := range vs {
-			r.job.Map(ctx, v, emit)
-		}
-	}
-	if err := r.phase(tagMapOut, mapAll, r.job.Reduce1Early); err != nil {
+	if err := r.phase(phaseSpec[V]{tagMapOut, r.job.Map, r.job.Reduce1Early}); err != nil {
 		return err
 	}
-	if err := r.phase(tagReduce1Out, r.job.Reduce1, nil); err != nil {
+	if err := r.phase(phaseSpec[V]{tagReduce1Out, r.job.Reduce1, nil}); err != nil {
 		return err
 	}
 	if r.job.Reduce2 != nil {
-		return r.phase(tagReduce2Out, r.job.Reduce2, nil)
+		return r.phase(phaseSpec[V]{tagReduce2Out, r.job.Reduce2, nil})
 	}
 	return nil
 }
 
 // phase is the one shape every compute phase has: each live worker runs fn
-// over its values into an outbox, the batches are sent, the transport's
+// over its values into its outbox and sends the batches, the transport's
 // phase ends, and every worker collects what was addressed to it — under
 // its own barrier: all workers (local goroutines and, over TCP, remote
 // processes) must finish sending before any worker collects, otherwise a
 // fast worker's next-phase output could land in a slow worker's
 // not-yet-drained inbox.
 //
-// window, when non-nil, runs between the transport's FlushPhase and
-// AwaitPhase on just the values each worker sent to itself: those are
-// complete the moment the local flush returns, so the early (interior)
-// pass computes while peer envelopes are still in flight.
-func (r *Runtime[V]) phase(tag int, fn func(*Ctx, []V, Emit[V]), window func(*Ctx, []V)) error {
-	r.eachWorker(func(w int) {
-		in := r.values[w]
-		r.values[w] = nil // ownership moves through the dataflow
-		out := newOutbox[V](r.cfg.Workers)
-		fn(r.ctx(w), in, out.emit)
-		r.flush(w, tag, out)
-	})
+// A worker's batch to itself never enters the transport: collocated
+// tasks hand it over in memory (§3.3), and it is metered as local traffic
+// all the same. So the window, when set, can run between the transport's
+// FlushPhase and AwaitPhase on just those self-sent values: the early
+// (interior) pass computes while peer envelopes are still in flight.
+//
+// A worker's buffers are reused phase after phase (see workerBufs), so a
+// steady-state phase allocates nothing. What a phase delivers stays valid
+// through the next phase and, between ticks, until the next tick's map
+// has run.
+func (r *Runtime[V]) phase(ph phaseSpec[V]) error {
+	r.cur = ph
+	_ = r.eachWorker(stepCompute)
 	if err := r.tr.FlushPhase(); err != nil {
 		return err
 	}
-	if window != nil {
-		r.eachWorker(func(w int) { window(r.ctx(w), r.collect(w, tag, r.tr.DrainSelf)) })
+	if ph.window != nil {
+		_ = r.eachWorker(stepWindow)
 	}
 	if err := r.tr.AwaitPhase(); err != nil {
 		return err
 	}
-	r.eachWorker(func(w int) { r.values[w] = r.collect(w, tag, r.tr.Drain) })
+	if err := r.eachWorker(stepDeliver); err != nil {
+		return err
+	}
 	if r.cfg.VClock != nil {
 		r.cfg.VClock.Barrier()
 	}
 	return nil
 }
 
-func (r *Runtime[V]) ctx(w int) *Ctx { return &Ctx{Tick: r.tick, Worker: w} }
+// step is one of a worker's parts in a phase, run by eachWorker.
+type step int
 
-// outbox buffers emissions grouped by destination partition so each
-// (sender, receiver, phase) triple costs one message.
-type outbox[V any] struct {
-	byDest [][]V
+const (
+	stepCompute step = iota // compute
+	stepWindow              // runWindow
+	stepDeliver             // deliver
+)
+
+func (r *Runtime[V]) run(s step, w int) error {
+	switch s {
+	case stepCompute:
+		r.compute(w)
+	case stepWindow:
+		r.runWindow(w)
+	default:
+		return r.deliver(w)
+	}
+	return nil
 }
 
-func newOutbox[V any](n int) *outbox[V] {
-	return &outbox[V]{byDest: make([][]V, n)}
+// compute runs the phase's function on worker w's values and sends what
+// it emitted to other partitions.
+func (r *Runtime[V]) compute(w int) {
+	b := &r.bufs[w]
+	b.ctx = Ctx{Tick: r.tick, Worker: w}
+	in := r.values[w]
+	r.values[w] = nil // ownership moves through the dataflow
+	for d := range b.out {
+		b.out[d] = reuse(b.out[d])
+	}
+	r.cur.fn(&b.ctx, in, b.emit)
+	// The input is consumed, so the buffer it came from is free to collect
+	// into.
+	b.in = reuse(b.in)
+	r.flush(w, b.out)
 }
 
-func (o *outbox[V]) emit(part int, v V) {
-	o.byDest[part] = append(o.byDest[part], v)
+// runWindow runs the phase's window on the batch worker w sent itself.
+func (r *Runtime[V]) runWindow(w int) {
+	b := &r.bufs[w]
+	b.in = append(b.in, b.out[w]...)
+	r.cur.window(&b.ctx, b.in)
 }
 
-// flush sends the buffered batches and charges the sender's network time.
+// deliver makes worker w's values for the next phase: its batch to itself,
+// unless the window took it, then everything peers sent it.
+func (r *Runtime[V]) deliver(w int) error {
+	b := &r.bufs[w]
+	taken := len(b.in)
+	if r.cur.window == nil {
+		b.in = append(b.in, b.out[w]...)
+	}
+	var err error
+	b.in, err = r.collect(w, b.in)
+	r.values[w] = b.in[taken:]
+	return err
+}
+
+// workerBufs is one worker's phase machinery: its Ctx, its outbox (out[d]
+// is the batch for partition d, so each (sender, receiver, phase) triple
+// costs one message) with the emit function filling it, and in, the
+// buffer its values are collected into. Every phase reuses them.
+type workerBufs[V any] struct {
+	ctx  Ctx
+	out  [][]V
+	emit Emit[V]
+	in   []V
+}
+
+func newWorkerBufs[V any](n int) workerBufs[V] {
+	b := workerBufs[V]{out: make([][]V, n)}
+	out := b.out
+	b.emit = func(part int, v V) { out[part] = append(out[part], v) }
+	return b
+}
+
+// reuse empties a buffer for refilling. It zeroes what the buffer held, so
+// a reused buffer keeps nothing alive that the dataflow has dropped.
+func reuse[V any](s []V) []V {
+	clear(s)
+	return s[:0]
+}
+
+// flush sends worker w's batches to other partitions and charges its
+// network time; its batch to itself stays in its outbox, metered as local.
 // A batch addressed to a crashed worker is lost before it is sent — so the
-// transport never meters it — but the sender paid for the attempt.
-func (r *Runtime[V]) flush(w int, tag int, o *outbox[V]) {
-	for dest, batch := range o.byDest {
+// transport never meters it — but the sender paid for the attempt. A sent
+// batch stays the sender's buffer: receivers copy it out, and the sender
+// reuses it next phase.
+func (r *Runtime[V]) flush(w int, out [][]V) {
+	for dest, batch := range out {
 		if len(batch) == 0 {
 			continue
 		}
-		bytes := 0
-		if r.job.SizeOf != nil {
-			for _, v := range batch {
-				bytes += r.job.SizeOf(v)
-			}
+		bytes := len(batch) * r.job.ValueBytes
+		if dest == w {
+			// Collocated traffic bypasses the network: free.
+			r.tr.Metrics().RecordSend(cluster.NodeID(w), cluster.NodeID(w), bytes, true)
+			continue
 		}
 		if !r.failed[dest] {
 			_ = r.tr.Send(cluster.Message{
 				From:    cluster.NodeID(w),
 				To:      cluster.NodeID(dest),
-				Tag:     tag,
+				Tag:     r.cur.tag,
 				Payload: batch,
 				Bytes:   bytes,
 			})
 		}
-		if r.cfg.VClock != nil && dest != w {
-			// Collocated traffic bypasses the network: free.
+		if r.cfg.VClock != nil {
 			r.cfg.VClock.ChargeNetwork(cluster.NodeID(w), 1, int64(bytes))
 		}
 	}
 }
 
-// collect empties worker w's inbox through drain — the transport's Drain,
-// or DrainSelf for just w's sends to itself — and concatenates the batches,
-// which must all carry the given phase tag.
-func (r *Runtime[V]) collect(w int, tag int, drain func(cluster.NodeID) []cluster.Message) []V {
-	var out []V
-	for _, m := range drain(cluster.NodeID(w)) {
-		if m.Tag != tag {
-			// A phase mismatch means a routing bug; fail loudly.
-			panic(fmt.Sprintf("mapreduce: worker %d got tag %d during phase %d", w, m.Tag, tag))
-		}
-		out = append(out, m.Payload.([]V)...)
-	}
-	return out
+// MessageError is a data message a worker cannot accept: it carries
+// another phase's tag, or a payload that is not a batch of the job's
+// values. Only a broken peer or relay sends one, so it ends the run.
+type MessageError struct {
+	Job       string
+	Worker    int            // the receiving partition
+	From      cluster.NodeID // the sender the message names
+	Tag, Want int            // the message's phase tag and the running phase's
+	Payload   string         // the payload's dynamic type
 }
 
-// eachWorker runs fn for every locally computed partition whose worker is
-// alive, concurrently. In a single-process runtime that is every partition;
-// in a multi-process run each process covers only its LocalParts block and
-// the transport's phase protocol keeps the processes in lockstep.
-func (r *Runtime[V]) eachWorker(fn func(w int)) {
+func (e *MessageError) Error() string {
+	return fmt.Sprintf("mapreduce %s: worker %d got a message from %d with tag %d and a %s payload during phase %d",
+		e.Job, e.Worker, e.From, e.Tag, e.Payload, e.Want)
+}
+
+// collect empties worker w's inbox, appending the batches to buf, and
+// returns it. Every message must carry the running phase's tag and a batch
+// of values; the first that does not is a *MessageError.
+func (r *Runtime[V]) collect(w int, buf []V) ([]V, error) {
+	for _, m := range r.tr.Drain(cluster.NodeID(w)) {
+		batch, ok := m.Payload.([]V)
+		if m.Tag != r.cur.tag || !ok {
+			return buf, &MessageError{Job: r.job.Name, Worker: w, From: m.From, Tag: m.Tag, Want: r.cur.tag, Payload: fmt.Sprintf("%T", m.Payload)}
+		}
+		buf = append(buf, batch...)
+	}
+	return buf, nil
+}
+
+// eachWorker runs step s for every locally computed partition whose worker
+// is alive, concurrently, and returns the first error in partition order.
+// In a single-process runtime that is every partition; in a multi-process
+// run each process covers only its LocalParts block and the transport's
+// phase protocol keeps the processes in lockstep. A lone partition runs on
+// the calling goroutine.
+func (r *Runtime[V]) eachWorker(s step) error {
+	if len(r.local) == 1 {
+		if w := r.local[0]; !r.failed[w] {
+			return r.run(s, w)
+		}
+		return nil
+	}
 	var wg sync.WaitGroup
-	for _, w := range r.local {
+	for i, w := range r.local {
+		r.errs[i] = nil
 		if r.failed[w] { // a crashed worker runs nothing
 			continue
 		}
 		wg.Add(1)
-		go func(w int) {
+		go func(i, w int) {
 			defer wg.Done()
-			fn(w)
-		}(w)
+			r.errs[i] = r.run(s, w)
+		}(i, w)
 	}
 	wg.Wait()
+	for _, err := range r.errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }

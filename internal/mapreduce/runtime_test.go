@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"github.com/bigreddata/brace/internal/cluster"
+	"github.com/bigreddata/brace/internal/transport"
 )
 
 // rec is the toy value for runtime tests: either an "item" (an agent
@@ -22,7 +23,8 @@ type rec struct {
 
 func init() { gob.Register(rec{}) }
 
-func sizeRec(r rec) int { return 24 }
+// recBytes is the wire size the tests meter per rec.
+const recBytes = 24
 
 // ringJob moves every item one partition to the right each tick and has
 // the reducer add the number of co-located items to each item's Val. The
@@ -30,9 +32,11 @@ func sizeRec(r rec) int { return 24 }
 func ringJob(workers int) Job[rec] {
 	return Job[rec]{
 		Name: "ring",
-		Map: func(ctx *Ctx, v rec, emit Emit[rec]) {
-			v.Owner = (v.Owner + 1) % workers
-			emit(v.Owner, v)
+		Map: func(ctx *Ctx, vs []rec, emit Emit[rec]) {
+			for _, v := range vs {
+				v.Owner = (v.Owner + 1) % workers
+				emit(v.Owner, v)
+			}
 		},
 		Reduce1: func(ctx *Ctx, vs []rec, emit Emit[rec]) {
 			n := float64(len(vs))
@@ -41,7 +45,7 @@ func ringJob(workers int) Job[rec] {
 				emit(v.Owner, v)
 			}
 		},
-		SizeOf: sizeRec,
+		ValueBytes: recBytes,
 	}
 }
 
@@ -52,12 +56,14 @@ func ringJob(workers int) Job[rec] {
 func broadcastJob(workers int) Job[rec] {
 	return Job[rec]{
 		Name: "broadcast",
-		Map: func(ctx *Ctx, v rec, emit Emit[rec]) {
-			v.Val = 0
-			for p := 0; p < workers; p++ {
-				cp := v
-				cp.Partial = p != v.Owner // the owner keeps the real item
-				emit(p, cp)
+		Map: func(ctx *Ctx, vs []rec, emit Emit[rec]) {
+			for _, v := range vs {
+				v.Val = 0
+				for p := 0; p < workers; p++ {
+					cp := v
+					cp.Partial = p != v.Owner // the owner keeps the real item
+					emit(p, cp)
+				}
 			}
 		},
 		Reduce1: func(ctx *Ctx, vs []rec, emit Emit[rec]) {
@@ -83,7 +89,7 @@ func broadcastJob(workers int) Job[rec] {
 				emit(it.Owner, it)
 			}
 		},
-		SizeOf: sizeRec,
+		ValueBytes: recBytes,
 	}
 }
 
@@ -139,9 +145,7 @@ func runSerial(job Job[rec], workers int, parts [][]rec, ticks int) []rec {
 		next := make([][]rec, workers)
 		for p, vs := range parts {
 			ctx := &Ctx{Tick: uint64(tick), Worker: p}
-			for _, v := range vs {
-				job.Map(ctx, v, func(dst int, v rec) { next[dst] = append(next[dst], v) })
-			}
+			job.Map(ctx, vs, func(dst int, v rec) { next[dst] = append(next[dst], v) })
 		}
 		parts = make([][]rec, workers)
 		for p, vs := range next {
@@ -316,6 +320,30 @@ func TestResetRejectsBadPartitions(t *testing.T) {
 	}
 	if err := r.RunTicks(2); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A data message a worker cannot accept — another phase's tag, or a
+// payload that is not a batch of the job's values — fails the run with a
+// *MessageError; it never panics a phase.
+func TestMalformedMessageFailsTheRun(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		m    cluster.Message
+	}{
+		{"wrong tag", cluster.Message{From: 1, To: 0, Tag: tagReduce2Out, Payload: []rec{{ID: 9}}}},
+		{"wrong payload", cluster.Message{From: 1, To: 0, Tag: tagMapOut, Payload: []float64{1}}},
+	} {
+		tr := transport.NewMem(2)
+		r := New(ringJob(2), Config{Workers: 2, Transport: tr})
+		loadItems(r, 4, 2)
+		if err := tr.Send(tc.m); err != nil {
+			t.Fatal(err)
+		}
+		var me *MessageError
+		if err := r.RunTicks(1); !errors.As(err, &me) || me.Worker != 0 || me.Tag != tc.m.Tag {
+			t.Errorf("%s: RunTicks = %v, want a *MessageError for worker 0", tc.name, err)
+		}
 	}
 }
 

@@ -90,22 +90,11 @@ func (s *Strips) N() int { return len(s.cuts) + 1 }
 // Cuts returns a copy of the interior boundaries.
 func (s *Strips) Cuts() []float64 { return append([]float64(nil), s.cuts...) }
 
-// Locate returns the strip owning p, by binary search over the cuts.
+// Locate returns the strip owning p: the first strip whose cut lies above
+// p.X, which is exactly the half-open [prev, c) ownership. NaN belongs to
+// the last strip.
 func (s *Strips) Locate(p geom.Vec) int {
-	return sort.SearchFloat64s(s.cuts, p.X+smallestNonzero(p.X)) // see note below
-}
-
-// smallestNonzero nudges the search key so a point exactly on cut c belongs
-// to the strip on its right, matching the half-open [prev, c) ownership.
-// sort.SearchFloat64s returns the first index with cuts[i] >= key; with
-// key = x we would mis-assign x == cuts[i] to strip i, so bias the key up
-// by one ulp.
-func smallestNonzero(x float64) float64 {
-	u := math.Nextafter(x, math.Inf(1)) - x
-	if u <= 0 { // x == +Inf
-		return 0
-	}
-	return u
+	return sort.Search(len(s.cuts), func(i int) bool { return s.cuts[i] > p.X })
 }
 
 // Region returns the owned region of strip i.

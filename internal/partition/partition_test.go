@@ -35,6 +35,33 @@ func TestStripsUniform(t *testing.T) {
 	}
 }
 
+// Locate is the half-open [prev, c) rule at the extremes too: infinities,
+// the largest finite magnitudes, points exactly on a cut and between cuts.
+// Every x but +Inf lies in its owner's Region, which is open above.
+func TestLocateEdges(t *testing.T) {
+	s, err := NewStripsFromCuts([]float64{-1, 0, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		x    float64
+		want int
+	}{
+		{math.Inf(-1), 0}, {-math.MaxFloat64, 0}, {-1.5, 0},
+		{-1, 1}, {-0.5, 1}, {math.Nextafter(0, -1), 1},
+		{0, 2}, {math.Copysign(0, -1), 2}, {0.5, 2},
+		{1, 3}, {2, 3}, {math.MaxFloat64, 3}, {math.Inf(1), 3},
+	} {
+		got := s.Locate(geom.V(c.x, 0))
+		if got != c.want {
+			t.Errorf("Locate(%v) = %d, want %d", c.x, got, c.want)
+		}
+		if r := s.Region(got); !math.IsInf(c.x, 1) && !(r.Min.X <= c.x && c.x < r.Max.X) {
+			t.Errorf("x = %v: owner %d's region [%v, %v) does not contain it", c.x, got, r.Min.X, r.Max.X)
+		}
+	}
+}
+
 func TestStripsRegionsCoverPlane(t *testing.T) {
 	s := NewStrips(5, -10, 10)
 	rng := rand.New(rand.NewSource(1))

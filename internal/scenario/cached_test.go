@@ -13,12 +13,9 @@ import (
 // TestCachedQueryEquivalence asserts the Verlet query cache is
 // semantics-preserving for every registered scenario: the cached KD-tree
 // engines (the default) compute bit-identical state to the KindScan
-// reference, which never caches, on the sequential engine and on the
-// distributed engine at 1, 2 and 8 workers. Sequential comparisons are
-// exact even for non-local scenarios (one process, one fold order);
-// distributed comparisons pin cached vs scan at the *same* worker count,
-// where the fold grouping is identical, so they are exact for every
-// scenario too.
+// reference, which never caches, at 1, 2 and 8 workers. The comparisons
+// pin cached vs scan at the *same* worker count, where the fold grouping
+// is identical, so they are exact for every scenario, non-local ones too.
 func TestCachedQueryEquivalence(t *testing.T) {
 	const ticks = 12
 	for _, sp := range All() {
@@ -29,22 +26,6 @@ func TestCachedQueryEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-
-				plain, err := engine.NewSequential(m, clonePop(base), spatial.KindScan, seed)
-				if err != nil {
-					t.Fatal(err)
-				}
-				cached, err := engine.NewSequential(m, clonePop(base), spatial.KindKDTree, seed)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := plain.RunTicks(ticks); err != nil {
-					t.Fatal(err)
-				}
-				if err := cached.RunTicks(ticks); err != nil {
-					t.Fatal(err)
-				}
-				assertExact(t, sp.Name+"/seq-cached", seed, 1, plain.Agents(), cached.Agents())
 
 				for _, workers := range []int{1, 2, 8} {
 					dPlain, err := engine.NewDistributed(m, clonePop(base), engine.Options{

@@ -9,10 +9,10 @@
 // The effect-locality flag drives the engine-equivalence oracle that is
 // this codebase's core correctness claim: scenarios whose query phase
 // assigns effects only to self (LocalOnly) must produce *bit-identical*
-// state on the sequential and distributed engines at any worker count;
-// scenarios with non-local assignments agree exactly at one worker and up
-// to floating-point reassociation of the global ⊕ fold beyond that
-// (bounded by Tolerance).
+// state at any worker count, and the same state as the engine package's
+// naive oracle; scenarios with non-local assignments agree exactly at one
+// worker and up to floating-point reassociation of the global ⊕ fold
+// beyond that (bounded by Tolerance).
 package scenario
 
 import (

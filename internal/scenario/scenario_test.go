@@ -103,12 +103,12 @@ func clonePop(pop []*agent.Agent) []*agent.Agent {
 	return out
 }
 
-// TestCrossEngineEquivalence is the registry-driven form of this
-// codebase's core correctness claim: every registered scenario computes
-// the same simulation on the sequential reference engine and on the
-// distributed MapReduce engine at any worker count — bit-identically for
-// local-effect scenarios, and within the spec's tolerance for non-local
-// ones at >1 workers (the global ⊕ fold reassociates floating point).
+// TestCrossEngineEquivalence is the registry-driven form of partition
+// invariance: every registered scenario computes the same simulation on
+// one partition and on 2 and 8 — bit-identically for local-effect
+// scenarios, and within the spec's tolerance for non-local ones (the
+// global ⊕ fold reassociates floating point). The engine package's
+// TestOracleEquivalence checks one partition against its naive oracle.
 func TestCrossEngineEquivalence(t *testing.T) {
 	const ticks = 10
 	for _, sp := range All() {
@@ -119,35 +119,33 @@ func TestCrossEngineEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				seq, err := engine.NewSequential(m, clonePop(base), spatial.KindKDTree, seed)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := seq.RunTicks(ticks); err != nil {
-					t.Fatal(err)
-				}
-				if len(seq.Agents()) == 0 {
+				one := runWorkers(t, m, base, seed, 1, ticks)
+				if len(one) == 0 {
 					t.Fatalf("seed %d: population died out; test config mis-tuned", seed)
 				}
-				for _, workers := range []int{1, 2, 8} {
-					dist, err := engine.NewDistributed(m, clonePop(base), engine.Options{
-						Workers: workers, Index: spatial.KindKDTree, Seed: seed,
-					})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if err := dist.RunTicks(ticks); err != nil {
-						t.Fatal(err)
-					}
-					if sp.LocalOnly || workers == 1 {
-						assertExact(t, sp.Name, seed, workers, seq.Agents(), dist.Agents())
+				for _, workers := range []int{2, 8} {
+					many := runWorkers(t, m, base, seed, workers, ticks)
+					if sp.LocalOnly {
+						assertExact(t, sp.Name, seed, workers, one, many)
 					} else {
-						assertApprox(t, sp.Name, seed, workers, seq.Agents(), dist.Agents(), sp.Tolerance)
+						assertApprox(t, sp.Name, seed, workers, one, many, sp.Tolerance)
 					}
 				}
 			}
 		})
 	}
+}
+
+func runWorkers(t *testing.T, m engine.Model, base []*agent.Agent, seed uint64, workers, ticks int) []*agent.Agent {
+	t.Helper()
+	e, err := engine.NewDistributed(m, clonePop(base), engine.Options{Workers: workers, Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.RunTicks(ticks); err != nil {
+		t.Fatal(err)
+	}
+	return e.Agents()
 }
 
 func assertExact(t *testing.T, name string, seed uint64, workers int, a, b []*agent.Agent) {
@@ -158,7 +156,7 @@ func assertExact(t *testing.T, name string, seed uint64, workers int, a, b []*ag
 	}
 	for i := range a {
 		if !a[i].Equal(b[i]) {
-			t.Fatalf("%s seed=%d workers=%d: agent %d differs:\n  seq:  %v\n  dist: %v",
+			t.Fatalf("%s seed=%d workers=%d: agent %d differs:\n  ref:  %v\n  got:  %v",
 				name, seed, workers, a[i].ID, a[i], b[i])
 		}
 	}

@@ -40,7 +40,7 @@ func TestPopulationLayout(t *testing.T) {
 func TestEpidemicSpreadsAndRecovers(t *testing.T) {
 	p := DefaultParams()
 	m := NewModel(p)
-	e, err := engine.NewSequential(m, m.NewPopulation(800, 2), spatial.KindKDTree, 2)
+	e, err := engine.NewDistributed(m, m.NewPopulation(800, 2), engine.Options{Workers: 1, Index: spatial.KindKDTree, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestRecoveredAreImmune(t *testing.T) {
 		a.State[m.status] = Infected
 		pop = append(pop, a)
 	}
-	e, err := engine.NewSequential(m, pop, spatial.KindScan, 3)
+	e, err := engine.NewDistributed(m, pop, engine.Options{Workers: 1, Index: spatial.KindScan, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestIsolatedSusceptibleStaysHealthy(t *testing.T) {
 	b := agent.New(m.s, 2)
 	b.SetPos(m.s, geom.V(200, 0)) // far outside the infection radius
 	b.State[m.status] = Infected
-	e, err := engine.NewSequential(m, []*agent.Agent{a, b}, spatial.KindScan, 4)
+	e, err := engine.NewDistributed(m, []*agent.Agent{a, b}, engine.Options{Workers: 1, Index: spatial.KindScan, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestInfectionRunsItsCourse(t *testing.T) {
 	m := NewModel(p)
 	a := agent.New(m.s, 1)
 	a.State[m.status] = Infected
-	e, err := engine.NewSequential(m, []*agent.Agent{a}, spatial.KindScan, 5)
+	e, err := engine.NewDistributed(m, []*agent.Agent{a}, engine.Options{Workers: 1, Index: spatial.KindScan, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestSequentialMatchesDistributed(t *testing.T) {
 	for i, a := range pop {
 		pop2[i] = a.Clone()
 	}
-	seq, err := engine.NewSequential(m, pop, spatial.KindKDTree, 6)
+	seq, err := engine.NewDistributed(m, pop, engine.Options{Workers: 1, Index: spatial.KindKDTree, Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}

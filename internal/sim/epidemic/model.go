@@ -5,8 +5,8 @@
 // infected agents it can see, then converts the aggregate into an
 // infection probability during its update phase. Because every effect
 // assignment targets self and the accumulator is a sum, the query phase
-// is order-independent and the model runs bit-identically on the
-// sequential and distributed engines with the single-reduce dataflow.
+// is order-independent and the model runs bit-identically at any
+// partition count with the single-reduce dataflow.
 //
 // The model is the classic agent-based SIR on a moving population:
 // agents random-walk inside a soft world disc, susceptibles catch the
@@ -70,8 +70,8 @@ func DefaultParams() Params {
 }
 
 // Model is the BRACE form of the SIR epidemic. All effect assignments are
-// local, so the engine uses the single-reduce dataflow and the sequential
-// and distributed engines agree exactly.
+// local, so the engine uses the single-reduce dataflow and runs agree
+// exactly at any partition count.
 type Model struct {
 	P Params
 

@@ -30,7 +30,7 @@ func TestPopulationLayout(t *testing.T) {
 
 func TestCrowdDrains(t *testing.T) {
 	m := NewModel(DefaultParams())
-	e, err := engine.NewSequential(m, m.NewPopulation(250, 2), spatial.KindKDTree, 2)
+	e, err := engine.NewDistributed(m, m.NewPopulation(250, 2), engine.Options{Workers: 1, Index: spatial.KindKDTree, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestCrowdDrains(t *testing.T) {
 
 func TestAgentsStayInRoom(t *testing.T) {
 	m := NewModel(DefaultParams())
-	e, err := engine.NewSequential(m, m.NewPopulation(150, 3), spatial.KindKDTree, 3)
+	e, err := engine.NewDistributed(m, m.NewPopulation(150, 3), engine.Options{Workers: 1, Index: spatial.KindKDTree, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestLonePedestrianWalksToNearestExit(t *testing.T) {
 	m := NewModel(p)
 	a := agent.New(m.s, 1)
 	a.SetPos(m.s, geom.V(10, 20)) // nearest exit is (0, 20)
-	e, err := engine.NewSequential(m, []*agent.Agent{a}, spatial.KindScan, 4)
+	e, err := engine.NewDistributed(m, []*agent.Agent{a}, engine.Options{Workers: 1, Index: spatial.KindScan, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestRepulsionSeparatesPair(t *testing.T) {
 	a.SetPos(m.s, geom.V(30, 19.5))
 	b := agent.New(m.s, 2)
 	b.SetPos(m.s, geom.V(30, 20.5)) // 1m apart, inside RepelRadius=3
-	e, err := engine.NewSequential(m, []*agent.Agent{a, b}, spatial.KindScan, 5)
+	e, err := engine.NewDistributed(m, []*agent.Agent{a, b}, engine.Options{Workers: 1, Index: spatial.KindScan, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestSequentialMatchesDistributed(t *testing.T) {
 	for i, a := range pop {
 		pop2[i] = a.Clone()
 	}
-	seq, err := engine.NewSequential(m, pop, spatial.KindKDTree, 6)
+	seq, err := engine.NewDistributed(m, pop, engine.Options{Workers: 1, Index: spatial.KindKDTree, Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}

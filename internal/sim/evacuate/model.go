@@ -4,7 +4,8 @@
 // (Helbing-Molnár in miniature). The query phase accumulates the repulsive
 // force from visible neighbors into the agent's own effect fields — local
 // assignments folded by sum combinators, so the query is exactly
-// order-independent and the model runs bit-identically on both engines.
+// order-independent and the model runs bit-identically at any partition
+// count.
 // The update phase blends exit attraction with the aggregated repulsion,
 // crops the step to the agent's reach, and removes agents that arrive at
 // an exit (the population monotonically drains, exercising the engines'

@@ -50,7 +50,7 @@ func TestSequentialMatchesDistributed(t *testing.T) {
 	for i, a := range pop {
 		pop2[i] = a.Clone()
 	}
-	seq, err := engine.NewSequential(m, pop, spatial.KindKDTree, 2)
+	seq, err := engine.NewDistributed(m, pop, engine.Options{Workers: 1, Index: spatial.KindKDTree, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestSequentialMatchesDistributed(t *testing.T) {
 
 func TestHeadingsStayUnit(t *testing.T) {
 	m := NewModel(DefaultParams())
-	e, err := engine.NewSequential(m, m.NewPopulation(80, 3), spatial.KindKDTree, 3)
+	e, err := engine.NewDistributed(m, m.NewPopulation(80, 3), engine.Options{Workers: 1, Index: spatial.KindKDTree, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestAvoidanceSeparatesPair(t *testing.T) {
 	b := agent.New(m.s, 2)
 	b.SetPos(m.s, geom.V(0.5, 0)) // inside avoidance radius α=1
 	b.State[m.hx] = 1
-	e, err := engine.NewSequential(m, []*agent.Agent{a, b}, spatial.KindScan, 1)
+	e, err := engine.NewDistributed(m, []*agent.Agent{a, b}, engine.Options{Workers: 1, Index: spatial.KindScan, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestAttractionPullsPairTogether(t *testing.T) {
 	b := agent.New(m.s, 2)
 	b.SetPos(m.s, geom.V(5, 0)) // inside ρ=10, outside α=1
 	b.State[m.hy] = 1
-	e, err := engine.NewSequential(m, []*agent.Agent{a, b}, spatial.KindScan, 1)
+	e, err := engine.NewDistributed(m, []*agent.Agent{a, b}, engine.Options{Workers: 1, Index: spatial.KindScan, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestInformedClassesSplitSchool(t *testing.T) {
 	p.InformedFrac = 0.2
 	p.Omega = 0.8
 	m := NewModel(p)
-	e, err := engine.NewSequential(m, m.NewPopulation(200, 4), spatial.KindKDTree, 4)
+	e, err := engine.NewDistributed(m, m.NewPopulation(200, 4), engine.Options{Workers: 1, Index: spatial.KindKDTree, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestLonelyFishKeepsSwimming(t *testing.T) {
 	m := NewModel(p)
 	a := agent.New(m.s, 1)
 	a.State[m.hx] = 1
-	e, err := engine.NewSequential(m, []*agent.Agent{a}, spatial.KindScan, 1)
+	e, err := engine.NewDistributed(m, []*agent.Agent{a}, engine.Options{Workers: 1, Index: spatial.KindScan, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,7 @@
 // on the two-reduce dataflow; NewModel(Inverted: true) is the
 // effect-inverted equivalent on the single-reduce dataflow (Fig. 5's
 // Inv configurations). Theorem 2 says they compute the same simulation;
-// the tests verify it exactly on the sequential engine.
+// the tests verify it exactly on one partition.
 package predator
 
 import (

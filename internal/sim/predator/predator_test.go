@@ -18,8 +18,8 @@ func clonePop(pop []*agent.Agent) []*agent.Agent {
 }
 
 // Effect inversion (Theorem 2): the non-local script and its inverted
-// local form compute the same simulation. On the sequential engine both
-// fold each victim's hurt in ascending biter-ID order, so the agreement is
+// local form compute the same simulation. On one partition both fold each
+// victim's hurt in ascending biter-ID order, so the agreement is
 // exact, not approximate.
 func TestInvertedScriptMatchesNonLocalExactly(t *testing.T) {
 	p := DefaultParams()
@@ -27,11 +27,11 @@ func TestInvertedScriptMatchesNonLocalExactly(t *testing.T) {
 	inv := NewModel(p, true)
 	base := nl.NewPopulation(200, 1)
 
-	e1, err := engine.NewSequential(nl, clonePop(base), spatial.KindKDTree, 1)
+	e1, err := engine.NewDistributed(nl, clonePop(base), engine.Options{Workers: 1, Index: spatial.KindKDTree, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	e2, err := engine.NewSequential(inv, clonePop(base), spatial.KindKDTree, 1)
+	e2, err := engine.NewDistributed(inv, clonePop(base), engine.Options{Workers: 1, Index: spatial.KindKDTree, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,13 +53,13 @@ func TestInvertedScriptMatchesNonLocalExactly(t *testing.T) {
 	}
 }
 
-// The inverted (local-only) model must agree exactly between sequential
-// and distributed engines at any worker count.
+// The inverted (local-only) model must agree exactly between one
+// partition and many.
 func TestInvertedDistributedMatchesSequential(t *testing.T) {
 	p := DefaultParams()
 	inv := NewModel(p, true)
 	base := inv.NewPopulation(150, 2)
-	seq, err := engine.NewSequential(inv, clonePop(base), spatial.KindKDTree, 2)
+	seq, err := engine.NewDistributed(inv, clonePop(base), engine.Options{Workers: 1, Index: spatial.KindKDTree, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,13 +86,13 @@ func TestInvertedDistributedMatchesSequential(t *testing.T) {
 	}
 }
 
-// The non-local model on the two-reduce dataflow agrees with sequential up
-// to floating-point reassociation of the global ⊕.
+// The non-local model on the two-reduce dataflow agrees with one partition
+// up to floating-point reassociation of the global ⊕.
 func TestNonLocalDistributedApproxSequential(t *testing.T) {
 	p := DefaultParams()
 	nl := NewModel(p, false)
 	base := nl.NewPopulation(150, 3)
-	seq, err := engine.NewSequential(nl, clonePop(base), spatial.KindKDTree, 3)
+	seq, err := engine.NewDistributed(nl, clonePop(base), engine.Options{Workers: 1, Index: spatial.KindKDTree, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestBiteTransfersEnergy(t *testing.T) {
 	weak := agent.New(m.s, 2)
 	weak.SetPos(m.s, geom.V(1, 0))
 	weak.State[m.energy] = 5
-	e, err := engine.NewSequential(m, []*agent.Agent{strong, weak}, spatial.KindScan, 1)
+	e, err := engine.NewDistributed(m, []*agent.Agent{strong, weak}, engine.Options{Workers: 1, Index: spatial.KindScan, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestStarvationKills(t *testing.T) {
 	m := NewModel(p, true)
 	a := agent.New(m.s, 1)
 	a.State[m.energy] = 3 * p.Metabolism // survives 2 ticks, dies on the 3rd
-	e, err := engine.NewSequential(m, []*agent.Agent{a}, spatial.KindScan, 1)
+	e, err := engine.NewDistributed(m, []*agent.Agent{a}, engine.Options{Workers: 1, Index: spatial.KindScan, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestSpawnSplitsEnergy(t *testing.T) {
 	m := NewModel(p, true)
 	a := agent.New(m.s, 1)
 	a.State[m.energy] = p.SpawnEnergy + 1
-	e, err := engine.NewSequential(m, []*agent.Agent{a}, spatial.KindScan, 1)
+	e, err := engine.NewDistributed(m, []*agent.Agent{a}, engine.Options{Workers: 1, Index: spatial.KindScan, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +247,7 @@ func TestDensityEquilibrium(t *testing.T) {
 	}
 	p := DefaultParams()
 	m := NewModel(p, true)
-	e, err := engine.NewSequential(m, m.NewPopulation(300, 5), spatial.KindKDTree, 5)
+	e, err := engine.NewDistributed(m, m.NewPopulation(300, 5), engine.Options{Workers: 1, Index: spatial.KindKDTree, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

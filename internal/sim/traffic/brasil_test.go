@@ -103,8 +103,8 @@ func followPopulation(s *agent.Schema, n int, seed uint64) []*agent.Agent {
 }
 
 // The BRASIL car-following script matches its hand-written Go twin
-// bit-for-bit on the sequential engine (the §5.2 parity claim on the
-// traffic domain).
+// bit-for-bit on one partition (the §5.2 parity claim on the traffic
+// domain).
 func TestFollowScriptMatchesGoTwin(t *testing.T) {
 	prog, err := brasil.Compile(FollowScript, brasil.CompileOptions{})
 	if err != nil {
@@ -118,11 +118,11 @@ func TestFollowScriptMatchesGoTwin(t *testing.T) {
 	}
 	twin := newGoFollowTwin()
 
-	e1, err := engine.NewSequential(prog, followPopulation(prog.Schema(), 120, 9), spatial.KindKDTree, 9)
+	e1, err := engine.NewDistributed(prog, followPopulation(prog.Schema(), 120, 9), engine.Options{Workers: 1, Index: spatial.KindKDTree, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	e2, err := engine.NewSequential(twin, followPopulation(twin.s, 120, 9), spatial.KindKDTree, 9)
+	e2, err := engine.NewDistributed(twin, followPopulation(twin.s, 120, 9), engine.Options{Workers: 1, Index: spatial.KindKDTree, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestFollowScriptPhysicalInvariants(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := prog.Schema()
-	e, err := engine.NewSequential(prog, followPopulation(s, 160, 10), spatial.KindKDTree, 10)
+	e, err := engine.NewDistributed(prog, followPopulation(s, 160, 10), engine.Options{Workers: 1, Index: spatial.KindKDTree, Seed: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,14 +175,14 @@ func TestFollowScriptPhysicalInvariants(t *testing.T) {
 	}
 }
 
-// The script also runs distributed, identically to sequential (local
+// The script also runs on many partitions, identically to one (local
 // effects ⇒ exact).
 func TestFollowScriptDistributed(t *testing.T) {
 	prog, err := brasil.Compile(FollowScript, brasil.CompileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := engine.NewSequential(prog, followPopulation(prog.Schema(), 100, 11), spatial.KindKDTree, 11)
+	seq, err := engine.NewDistributed(prog, followPopulation(prog.Schema(), 100, 11), engine.Options{Workers: 1, Index: spatial.KindKDTree, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}

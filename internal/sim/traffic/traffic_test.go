@@ -49,7 +49,7 @@ func TestSequentialMatchesDistributed(t *testing.T) {
 	for i, a := range pop {
 		pop2[i] = a.Clone()
 	}
-	seq, err := engine.NewSequential(m, pop, spatial.KindKDTree, 7)
+	seq, err := engine.NewDistributed(m, pop, engine.Options{Workers: 1, Index: spatial.KindKDTree, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestSequentialMatchesDistributed(t *testing.T) {
 
 func TestVehiclesStayOnRoad(t *testing.T) {
 	m := NewModel(smallParams())
-	e, err := engine.NewSequential(m, m.NewPopulation(3), spatial.KindKDTree, 3)
+	e, err := engine.NewDistributed(m, m.NewPopulation(3), engine.Options{Workers: 1, Index: spatial.KindKDTree, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestVehiclesStayOnRoad(t *testing.T) {
 
 func TestRecyclingConservesDensity(t *testing.T) {
 	m := NewModel(smallParams())
-	e, err := engine.NewSequential(m, m.NewPopulation(5), spatial.KindKDTree, 5)
+	e, err := engine.NewDistributed(m, m.NewPopulation(5), engine.Options{Workers: 1, Index: spatial.KindKDTree, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +250,7 @@ func TestValidateTable2Shape(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := NewModel(p)
-	eng, err := engine.NewSequential(m, m.NewPopulation(11), spatial.KindKDTree, 11)
+	eng, err := engine.NewDistributed(m, m.NewPopulation(11), engine.Options{Workers: 1, Index: spatial.KindKDTree, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,7 @@ package traffic
 import (
 	"fmt"
 
-	"github.com/bigreddata/brace/internal/agent"
+	"github.com/bigreddata/brace/internal/engine"
 	"github.com/bigreddata/brace/internal/stats"
 )
 
@@ -75,32 +75,23 @@ func collect(s tickStepper, ticks, window int) (*LaneSeries, error) {
 	return ls, nil
 }
 
-// braceStepper adapts a BRACE engine (sequential or distributed) running a
-// traffic Model.
+// braceStepper adapts a BRACE engine running a traffic Model.
 type braceStepper struct {
-	m   *Model
-	run func(int) error
-	pop func() agent.Population
+	m *Model
+	e *engine.Distributed
 }
 
-func (b *braceStepper) step() error { return b.run(1) }
+func (b *braceStepper) step() error { return b.e.RunTicks(1) }
 func (b *braceStepper) each(fn func(uint64, int, float64)) {
-	for _, a := range b.pop() {
+	for _, a := range b.e.Agents() {
 		fn(uint64(a.ID), b.m.Lane(a), b.m.Speed(a))
 	}
 }
 func (b *braceStepper) params() Params { return b.m.P }
 
-// Engine is the subset of engine.Sequential / engine.Distributed the
-// telemetry needs.
-type Engine interface {
-	RunTicks(int) error
-	Agents() agent.Population
-}
-
 // CollectBRACE gathers windowed lane statistics from a BRACE engine.
-func CollectBRACE(e Engine, m *Model, ticks, window int) (*LaneSeries, error) {
-	return collect(&braceStepper{m: m, run: e.RunTicks, pop: e.Agents}, ticks, window)
+func CollectBRACE(e *engine.Distributed, m *Model, ticks, window int) (*LaneSeries, error) {
+	return collect(&braceStepper{m: m, e: e}, ticks, window)
 }
 
 // mitsimStepper adapts the hand-coded simulator.

@@ -404,7 +404,7 @@ func (c *CachedIndex) buildListsGrid(R float64) bool {
 		}
 		return
 	}
-	// The all-slots-probe case (every sequential tick) gets its own inner
+	// The all-slots-probe case (every one-partition tick) gets its own inner
 	// loop without the per-candidate mask load.
 	var visited, entries int64
 	lists := c.lists

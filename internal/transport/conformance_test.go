@@ -128,38 +128,6 @@ func TestConformance(t *testing.T) {
 				}
 			})
 
-			// Self-sends are complete at the local flush; peers' sends at
-			// the await. Nothing is delivered twice.
-			t.Run("SelfAtFlushPeersAtAwait", func(t *testing.T) {
-				f := impl.new(t)
-				f.send(t, 0, 0, 1, 8)
-				f.send(t, 0, 0, 2, 8)
-				f.send(t, 0, 1, 3, 8)
-				f.send(t, 1, 0, 4, 8)
-				f.send(t, 1, 0, 5, 8)
-				f.send(t, 1, 1, 6, 8)
-				f.flushAll(t)
-				if got := tags(t, 0, f.at(0).DrainSelf(0)); !slices.Equal(got, []int{1, 2}) {
-					t.Errorf("DrainSelf(0) after FlushPhase = %v, want [1 2]", got)
-				}
-				if got := f.at(0).DrainSelf(0); len(got) != 0 {
-					t.Errorf("second DrainSelf(0) returned %d messages again", len(got))
-				}
-				f.awaitAll(t)
-				if got := tags(t, 0, f.at(0).Drain(0)); !slices.Equal(got, []int{4, 5}) {
-					t.Errorf("Drain(0) after AwaitPhase = %v, want the peer's [4 5] and no self-send again", got)
-				}
-				// A node that skipped the window gets everything from Drain.
-				if got := tags(t, 1, f.at(1).Drain(1)); !slices.Equal(got, []int{3, 6}) {
-					t.Errorf("Drain(1) after AwaitPhase = %v, want [3 6]", got)
-				}
-				for n := cluster.NodeID(0); n < 2; n++ {
-					if got := f.at(n).Drain(n); len(got) != 0 {
-						t.Errorf("second Drain(%d) returned %d messages again", n, len(got))
-					}
-				}
-			})
-
 			// A peer process that finished phase k is free to start sending
 			// phase k+1 before this process has drained phase k.
 			t.Run("RacingAheadPeerStaysQueued", func(t *testing.T) {

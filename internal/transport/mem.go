@@ -55,23 +55,6 @@ func (t *Mem) Drain(n cluster.NodeID) []cluster.Message {
 // Metrics returns the transport's traffic counters.
 func (t *Mem) Metrics() *cluster.Metrics { return t.metrics }
 
-// DrainSelf removes and returns the messages node n sent to itself.
-func (t *Mem) DrainSelf(n cluster.NodeID) []cluster.Message {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var out []cluster.Message
-	var keep []cluster.Message
-	for _, m := range t.inbox[n] {
-		if m.From == n {
-			out = append(out, m)
-		} else {
-			keep = append(keep, m)
-		}
-	}
-	t.inbox[n] = keep
-	return out
-}
-
 // FlushPhase is a no-op: in-memory sends are visible immediately.
 func (t *Mem) FlushPhase() error { return nil }
 

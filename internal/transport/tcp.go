@@ -682,9 +682,7 @@ func (t *TCP) Metrics() *cluster.Metrics { return t.metrics }
 
 // FlushPhase advances the local phase counter and sends every live peer an
 // end-of-phase marker declaring this process's Data-frame count to it,
-// without waiting. Self-sends of the phase (collocated, already in the
-// local inboxes) become drainable through DrainSelf the moment it returns.
-// In mesh mode an extra Dst=-1 marker goes to the coordinator so its
+// without waiting. In mesh mode an extra Dst=-1 marker goes to the coordinator so its
 // liveness machinery still observes barrier progress it no longer relays.
 func (t *TCP) FlushPhase() error {
 	t.mu.Lock()
@@ -777,26 +775,6 @@ func (t *TCP) phaseDoneLocked(phase uint64) bool {
 		}
 	}
 	return true
-}
-
-// DrainSelf removes and returns partition n's messages to itself from the
-// phase the last FlushPhase ended (or earlier). All of a partition's sends
-// to itself are collocated, so they are complete without waiting for any
-// peer marker.
-func (t *TCP) DrainSelf(n cluster.NodeID) []cluster.Message {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var out []cluster.Message
-	var keep []phasedMsg
-	for _, pm := range t.inbox[n] {
-		if pm.phase <= t.phase && pm.m.From == n {
-			out = append(out, pm.m)
-		} else {
-			keep = append(keep, pm)
-		}
-	}
-	t.inbox[n] = keep
-	return out
 }
 
 // Control sends a control-plane frame (stats, checkpoint, final report),

@@ -37,14 +37,6 @@ type Transport interface {
 	// reducers order-independent); tests shuffle drained batches to enforce
 	// that. It is complete only after AwaitPhase.
 	Drain(n cluster.NodeID) []cluster.Message
-	// DrainSelf removes and returns the messages node n sent to itself
-	// in the phase just flushed. Self-sends never cross a process
-	// boundary, so they are complete as soon as the local FlushPhase
-	// returns — the overlap window the two-pass tick computes in while
-	// peer envelopes are still in flight. Valid between FlushPhase and
-	// AwaitPhase (and after); messages it returns are not returned again
-	// by Drain.
-	DrainSelf(n cluster.NodeID) []cluster.Message
 	// FlushPhase is the first half of the send/drain boundary, called after
 	// all of a phase's sends complete: it declares this process's sends for
 	// the phase complete (networked transports emit their end-of-phase
