@@ -48,21 +48,12 @@ func (a *Agent) SetPos(s *Schema, p geom.Vec) {
 	a.State[s.PosY] = p.Y
 }
 
-// Clone returns a deep copy; used when replicating agents to the partitions
-// whose visible region contains them.
+// Clone returns a deep copy.
 func (a *Agent) Clone() *Agent {
 	c := &Agent{ID: a.ID, Dead: a.Dead}
 	c.State = append([]float64(nil), a.State...)
 	c.Effect = append([]float64(nil), a.Effect...)
 	return c
-}
-
-// CloneInto copies a into dst, reusing dst's slices when capacities allow.
-func (a *Agent) CloneInto(dst *Agent) {
-	dst.ID = a.ID
-	dst.Dead = a.Dead
-	dst.State = append(dst.State[:0], a.State...)
-	dst.Effect = append(dst.Effect[:0], a.Effect...)
 }
 
 // CombineEffects folds src's effect vector into dst's using the schema's

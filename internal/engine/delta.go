@@ -52,10 +52,31 @@ const maxMaskFields = 64
 
 // CloneEnvelopes deep-copies a partition's envelopes — the baseline an
 // incremental checkpoint diffs against must not alias live engine state.
+// The copies come from one block each of envelopes, agents and floats;
+// every vector is capped (s[i:j:j], as agent.PackMorton hands out its
+// segments), so an append through one can never spill into its neighbor.
 func CloneEnvelopes(envs []*Envelope) []*Envelope {
+	nf := 0
+	for _, e := range envs {
+		nf += len(e.A.State) + len(e.A.Effect)
+	}
 	out := make([]*Envelope, len(envs))
+	block := make([]Envelope, len(envs))
+	agents := make([]agent.Agent, len(envs))
+	floats := make([]float64, 0, nf)
+	vec := func(v []float64) []float64 {
+		if len(v) == 0 {
+			return nil // as Clone leaves it
+		}
+		i := len(floats)
+		floats = append(floats, v...)
+		return floats[i:len(floats):len(floats)]
+	}
 	for i, e := range envs {
-		out[i] = cloneEnvelope(e)
+		a := e.A
+		agents[i] = agent.Agent{ID: a.ID, State: vec(a.State), Effect: vec(a.Effect), Dead: a.Dead}
+		block[i] = Envelope{A: &agents[i], Replica: e.Replica, SrcPart: e.SrcPart}
+		out[i] = &block[i]
 	}
 	return out
 }

@@ -198,6 +198,7 @@ func NewDistributed(m Model, pop []*agent.Agent, opts Options) (*Distributed, er
 		Map:          e.mapPhase,
 		Reduce1Early: e.reduce1Early,
 		Reduce1:      e.reduce1Late,
+		Check:        e.checkPeer,
 		ValueBytes:   s.ByteSize(),
 	}
 	if e.nonLocal {
@@ -248,8 +249,19 @@ func NewDistributed(m Model, pop []*agent.Agent, opts Options) (*Distributed, er
 // mapPhase is mapᵗ₁: distribute and replicate (Table 1; update has already
 // run at the end of the previous tick's final reduce, which is collocated
 // with this map on the same worker).
+//
+// Replicas come from the worker's replicaArena, which this call resets: a
+// replica is valid from here until this worker's next map phase. Every
+// reader is done before then — reduce₁'s early and late passes (halo join,
+// appendHaloCols) and, for non-local models, reduce₂'s ⊕ in the same tick
+// — because eachWorker is a barrier between phases. Under TCP a
+// co-resident partition receives the pointer within the phase and a remote
+// one a gob copy, encoded before Send returns. Checkpoints, exports, the
+// barrier prebuild, Agents and the final report read owned values only,
+// and the query cache copies positions and keys, never agents.
 func (e *Distributed) mapPhase(ctx *mapreduce.Ctx, envs []*Envelope, emit mapreduce.Emit[*Envelope]) {
 	b := &e.bufs[ctx.Worker]
+	b.arena.reset()
 	for _, env := range envs {
 		if env.Replica || env.A.Dead {
 			continue
@@ -259,12 +271,36 @@ func (e *Distributed) mapPhase(ctx *mapreduce.Ctx, envs []*Envelope, emit mapred
 		env.SrcPart = int32(owner)
 		emit(owner, env)
 		b.targets = partition.ReplicaTargets(e.part, pos, e.schema.Visibility, b.targets[:0])
+		var state []float64 // the agent's snapshot, taken at its first foreign target
 		for _, q := range b.targets {
-			if q != owner {
-				emit(q, &Envelope{A: env.A.Clone(), Replica: true, SrcPart: int32(owner)})
+			if q == owner {
+				continue
 			}
+			if state == nil {
+				state = b.arena.snapshot(env.A)
+			}
+			emit(q, b.arena.replica(env.A, state, int32(owner)))
 		}
 	}
+}
+
+// checkPeer vets an envelope a peer sent (mapreduce.Job.Check), so that
+// a broken or hostile peer fails the run instead of panicking a phase: the
+// envelope must carry an agent of the schema's shape, and on a split tick
+// the map phase delivers replicas only, since every owned agent sent
+// itself (reduce1Early).
+func (e *Distributed) checkPeer(ctx *mapreduce.Ctx, env *Envelope) error {
+	s := e.schema
+	switch {
+	case env == nil || env.A == nil:
+		return errors.New("engine: envelope without an agent")
+	case len(env.A.State) != s.NumState() || len(env.A.Effect) != s.NumEffect():
+		return fmt.Errorf("engine: agent %d has %d state and %d effect fields, schema %s has %d and %d",
+			env.A.ID, len(env.A.State), len(env.A.Effect), s.Name, s.NumState(), s.NumEffect())
+	case ctx.Phase == mapreduce.PhaseMap && !env.Replica && e.obufs[ctx.Worker].split:
+		return fmt.Errorf("engine: owned agent %d arrived from a peer on a split tick", env.A.ID)
+	}
+	return nil
 }
 
 // reduce2 is reduceᵗ₂: global effect aggregation ⊕ followed by the update
@@ -336,6 +372,7 @@ type partBufs struct {
 	copies    []*agent.Agent
 	ownedSlot []int32
 	targets   []int // mapPhase's replica targets
+	arena     replicaArena
 }
 
 // prepare sorts this reducer's envelopes by agent ID, builds partition w's

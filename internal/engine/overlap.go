@@ -120,11 +120,9 @@ func (e *Distributed) reduce1Late(ctx *mapreduce.Ctx, rest []*Envelope, emit map
 	migrants := false
 	for j, env := range rest {
 		if !env.Replica {
-			if ob.split {
-				panic("engine: owned envelope arrived from a peer on a split tick")
-			}
 			// A migrant owned agent has no core slot: it probes as halo
-			// row j.
+			// row j. The tick is unsplit: checkPeer refuses an owned
+			// envelope from a peer on a split tick.
 			ob.boundary = append(ob.boundary, ncore+int32(j))
 			ob.owned++
 			migrants = true

@@ -1,0 +1,127 @@
+package engine
+
+import (
+	"errors"
+	"slices"
+	"testing"
+
+	"github.com/bigreddata/brace/internal/agent"
+	"github.com/bigreddata/brace/internal/cluster"
+	"github.com/bigreddata/brace/internal/mapreduce"
+	"github.com/bigreddata/brace/internal/transport"
+)
+
+// The map phase's replicas are arena snapshots: on strips narrower than
+// the visibility every agent replicates to several partitions, and its
+// replicas share one copy of its State — equal to the owner's, never the
+// owner's array — while each has its own Envelope and Effect. Mutating the
+// owned agent afterwards leaves them as they were, and a second map phase
+// on the same worker allocates nothing.
+func TestReplicaSnapshots(t *testing.T) {
+	const workers, vis = 8, 5.0
+	m := newFlockModel(vis)
+	e, err := NewDistributed(m, makePop(m.s, 200, 20, 3), Options{Workers: workers, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := e.Partition().Region(1); r.Max.X-r.Min.X >= vis {
+		t.Fatalf("strip %v is not narrower than visibility %v", r, vis)
+	}
+	owned := map[agent.ID]*agent.Agent{}
+	replicas := map[agent.ID][]*Envelope{}
+	out := make([][]*Envelope, workers)
+	emit := func(p int, env *Envelope) { out[p] = append(out[p], env) }
+	mapAll := func() {
+		for p := range out {
+			out[p] = out[p][:0]
+		}
+		for w := 0; w < workers; w++ {
+			e.mapPhase(&mapreduce.Ctx{Worker: w, Phase: mapreduce.PhaseMap}, e.rt.Values(w), emit)
+		}
+	}
+	mapAll()
+	for _, batch := range out {
+		for _, env := range batch {
+			if env.Replica {
+				replicas[env.A.ID] = append(replicas[env.A.ID], env)
+			} else {
+				owned[env.A.ID] = env.A
+			}
+		}
+	}
+	shared := 0
+	for id, rs := range replicas {
+		a := owned[id]
+		for i, r := range rs {
+			if !slices.Equal(r.A.State, a.State) || !slices.Equal(r.A.Effect, a.Effect) {
+				t.Fatalf("agent %d: replica %v differs from its owner %v", id, r.A, a)
+			}
+			if &r.A.State[0] == &a.State[0] || &r.A.Effect[0] == &a.Effect[0] {
+				t.Fatalf("agent %d: replica aliases its owner", id)
+			}
+			if i == 0 {
+				continue
+			}
+			if &r.A.State[0] != &rs[0].A.State[0] {
+				t.Fatalf("agent %d: replicas hold separate State copies", id)
+			}
+			if r == rs[0] || r.A == rs[0].A || &r.A.Effect[0] == &rs[0].A.Effect[0] {
+				t.Fatalf("agent %d: replicas share an Envelope, agent header or Effect", id)
+			}
+			shared++
+		}
+	}
+	if shared == 0 {
+		t.Fatal("no agent replicated to two partitions; the test's geometry is mis-tuned")
+	}
+
+	before := map[agent.ID]*agent.Agent{}
+	for id, rs := range replicas {
+		before[id] = rs[0].A.Clone()
+		a := owned[id]
+		for i := range a.State {
+			a.State[i] += 100
+		}
+	}
+	for id, rs := range replicas {
+		for _, r := range rs {
+			if !r.A.Equal(before[id]) {
+				t.Fatalf("agent %d: mutating the owner changed a replica to %v", id, r.A)
+			}
+		}
+	}
+
+	if allocs := testing.AllocsPerRun(4, mapAll); allocs != 0 {
+		t.Errorf("a refilling map phase allocates %v times, want 0", allocs)
+	}
+}
+
+// An envelope a peer may send but the engine cannot take fails the run
+// with a *mapreduce.MessageError instead of panicking the phase: one
+// without an agent (what gob makes of an empty Envelope), one whose State
+// is shorter than the schema's, and an owned one on a split tick.
+func TestMalformedEnvelopeFailsTheRun(t *testing.T) {
+	m := newFlockModel(2)
+	pop := makePop(m.s, 40, 20, 1)
+	for _, tc := range []struct {
+		name string
+		env  *Envelope
+	}{
+		{"no agent", &Envelope{Replica: true}},
+		{"short state", &Envelope{A: &agent.Agent{ID: 99, State: []float64{1}, Effect: m.s.IdentityEffects()}, Replica: true}},
+		{"owned on a split tick", &Envelope{A: agent.New(m.s, 99)}},
+	} {
+		tr := transport.NewMem(2)
+		e, err := NewDistributed(m, clonePop(pop), Options{Workers: 2, Transport: tr, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tr.Send(cluster.Message{From: 1, To: 0, Tag: int(mapreduce.PhaseMap), Payload: []*Envelope{tc.env}}); err != nil {
+			t.Fatal(err)
+		}
+		var me *mapreduce.MessageError
+		if err := e.RunTicks(1); !errors.As(err, &me) || me.Worker != 0 || me.Reason == "" {
+			t.Errorf("%s: RunTicks = %v, want a *MessageError refusing the value at worker 0", tc.name, err)
+		}
+	}
+}

@@ -37,7 +37,20 @@ type Ctx struct {
 	// Worker is the node executing this call. Partitions and workers are
 	// 1:1 in BRACE — partition p's map/reduce tasks run on worker p.
 	Worker int
+	// Phase is the phase running: the one whose function got this Ctx, or,
+	// in Job.Check, the one that sent the value.
+	Phase Phase
 }
+
+// Phase is one step of a tick. Its value is the tag of the messages the
+// phase sends.
+type Phase int
+
+const (
+	PhaseMap     Phase = iota + 1 // mapᵗ₁
+	PhaseReduce1                  // reduceᵗ₁
+	PhaseReduce2                  // reduceᵗ₂
+)
 
 // Emit routes a value to the partition part; the runtime delivers it to the
 // task of the next phase on the worker owning that partition.
@@ -75,6 +88,13 @@ type Job[V any] struct {
 	// computation and can be eliminated in an implementation" — it is
 	// eliminated here.
 	Reduce2 func(ctx *Ctx, values []V, emit Emit[V])
+
+	// Check, when non-nil, vets every value a peer sent before the next
+	// phase sees it; ctx is the receiving worker's, in the phase that sent
+	// the value. The first value it refuses fails the run with a
+	// *MessageError carrying its reason. A worker's batch to itself never
+	// left the worker and is not checked.
+	Check func(ctx *Ctx, v V) error
 
 	// ValueBytes is the wire size of one value in bytes, for the transport
 	// meter and the network cost model.
@@ -131,10 +151,3 @@ type Config struct {
 	// balancing and checkpoints. A returned error aborts RunTicks.
 	OnEpoch func(tick uint64) error
 }
-
-// phase tags for transport messages.
-const (
-	tagMapOut = iota + 1
-	tagReduce1Out
-	tagReduce2Out
-)

@@ -28,10 +28,10 @@ type Runtime[V any] struct {
 	cur  phaseSpec[V]    // the phase being run, read by each worker's steps
 }
 
-// phaseSpec is one phase of a tick: its message tag, the function every
+// phaseSpec is one phase of a tick: which one it is, the function every
 // worker runs over its values, and the optional window (see phase).
 type phaseSpec[V any] struct {
-	tag    int
+	phase  Phase
 	fn     func(*Ctx, []V, Emit[V])
 	window func(*Ctx, []V)
 }
@@ -219,14 +219,14 @@ func (r *Runtime[V]) epochBoundary() error {
 // ("the final reducer ... sends them to the map task on the same node",
 // §3.3).
 func (r *Runtime[V]) runTick() error {
-	if err := r.phase(phaseSpec[V]{tagMapOut, r.job.Map, r.job.Reduce1Early}); err != nil {
+	if err := r.phase(phaseSpec[V]{PhaseMap, r.job.Map, r.job.Reduce1Early}); err != nil {
 		return err
 	}
-	if err := r.phase(phaseSpec[V]{tagReduce1Out, r.job.Reduce1, nil}); err != nil {
+	if err := r.phase(phaseSpec[V]{PhaseReduce1, r.job.Reduce1, nil}); err != nil {
 		return err
 	}
 	if r.job.Reduce2 != nil {
-		return r.phase(phaseSpec[V]{tagReduce2Out, r.job.Reduce2, nil})
+		return r.phase(phaseSpec[V]{PhaseReduce2, r.job.Reduce2, nil})
 	}
 	return nil
 }
@@ -295,7 +295,7 @@ func (r *Runtime[V]) run(s step, w int) error {
 // it emitted to other partitions.
 func (r *Runtime[V]) compute(w int) {
 	b := &r.bufs[w]
-	b.ctx = Ctx{Tick: r.tick, Worker: w}
+	b.ctx = Ctx{Tick: r.tick, Worker: w, Phase: r.cur.phase}
 	in := r.values[w]
 	r.values[w] = nil // ownership moves through the dataflow
 	for d := range b.out {
@@ -375,7 +375,7 @@ func (r *Runtime[V]) flush(w int, out [][]V) {
 			_ = r.tr.Send(cluster.Message{
 				From:    cluster.NodeID(w),
 				To:      cluster.NodeID(dest),
-				Tag:     r.cur.tag,
+				Tag:     int(r.cur.phase),
 				Payload: batch,
 				Bytes:   bytes,
 			})
@@ -387,33 +387,51 @@ func (r *Runtime[V]) flush(w int, out [][]V) {
 }
 
 // MessageError is a data message a worker cannot accept: it carries
-// another phase's tag, or a payload that is not a batch of the job's
-// values. Only a broken peer or relay sends one, so it ends the run.
+// another phase's tag, a payload that is not a batch of the job's values,
+// or a value Job.Check refuses. Only a broken peer or relay sends one, so
+// it ends the run.
 type MessageError struct {
 	Job       string
 	Worker    int            // the receiving partition
 	From      cluster.NodeID // the sender the message names
 	Tag, Want int            // the message's phase tag and the running phase's
 	Payload   string         // the payload's dynamic type
+	Reason    string         // why Job.Check refused a value; empty when the message itself was wrong
 }
 
 func (e *MessageError) Error() string {
+	if e.Reason != "" {
+		return fmt.Sprintf("mapreduce %s: worker %d refused a value from %d during phase %d: %s",
+			e.Job, e.Worker, e.From, e.Want, e.Reason)
+	}
 	return fmt.Sprintf("mapreduce %s: worker %d got a message from %d with tag %d and a %s payload during phase %d",
 		e.Job, e.Worker, e.From, e.Tag, e.Payload, e.Want)
 }
 
 // collect empties worker w's inbox, appending the batches to buf, and
 // returns it. Every message must carry the running phase's tag and a batch
-// of values; the first that does not is a *MessageError.
+// of values that Job.Check accepts; the first that does not is a
+// *MessageError.
 func (r *Runtime[V]) collect(w int, buf []V) ([]V, error) {
 	for _, m := range r.tr.Drain(cluster.NodeID(w)) {
 		batch, ok := m.Payload.([]V)
-		if m.Tag != r.cur.tag || !ok {
-			return buf, &MessageError{Job: r.job.Name, Worker: w, From: m.From, Tag: m.Tag, Want: r.cur.tag, Payload: fmt.Sprintf("%T", m.Payload)}
+		if m.Tag != int(r.cur.phase) || !ok {
+			return buf, r.messageError(w, m, "")
+		}
+		if check := r.job.Check; check != nil {
+			for _, v := range batch {
+				if err := check(&r.bufs[w].ctx, v); err != nil {
+					return buf, r.messageError(w, m, err.Error())
+				}
+			}
 		}
 		buf = append(buf, batch...)
 	}
 	return buf, nil
+}
+
+func (r *Runtime[V]) messageError(w int, m cluster.Message, reason string) *MessageError {
+	return &MessageError{Job: r.job.Name, Worker: w, From: m.From, Tag: m.Tag, Want: int(r.cur.phase), Payload: fmt.Sprintf("%T", m.Payload), Reason: reason}
 }
 
 // eachWorker runs step s for every locally computed partition whose worker

@@ -3,8 +3,11 @@ package mapreduce
 import (
 	"encoding/gob"
 	"errors"
+	"fmt"
+	"maps"
 	"slices"
 	"sort"
+	"sync"
 	"testing"
 
 	"github.com/bigreddata/brace/internal/cluster"
@@ -323,27 +326,61 @@ func TestResetRejectsBadPartitions(t *testing.T) {
 	}
 }
 
-// A data message a worker cannot accept — another phase's tag, or a
-// payload that is not a batch of the job's values — fails the run with a
-// *MessageError; it never panics a phase.
+// A data message a worker cannot accept — another phase's tag, a payload
+// that is not a batch of the job's values, or a value the job's Check
+// refuses — fails the run with a *MessageError; it never panics a phase.
 func TestMalformedMessageFailsTheRun(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		m    cluster.Message
+		name   string
+		m      cluster.Message
+		reason string
 	}{
-		{"wrong tag", cluster.Message{From: 1, To: 0, Tag: tagReduce2Out, Payload: []rec{{ID: 9}}}},
-		{"wrong payload", cluster.Message{From: 1, To: 0, Tag: tagMapOut, Payload: []float64{1}}},
+		{"wrong tag", cluster.Message{From: 1, To: 0, Tag: int(PhaseReduce2), Payload: []rec{{ID: 9}}}, ""},
+		{"wrong payload", cluster.Message{From: 1, To: 0, Tag: int(PhaseMap), Payload: []float64{1}}, ""},
+		{"refused value", cluster.Message{From: 1, To: 0, Tag: int(PhaseMap), Payload: []rec{{ID: -1}}}, "negative ID in phase 1"},
 	} {
 		tr := transport.NewMem(2)
-		r := New(ringJob(2), Config{Workers: 2, Transport: tr})
+		job := ringJob(2)
+		job.Check = func(ctx *Ctx, v rec) error {
+			if v.ID < 0 {
+				return fmt.Errorf("negative ID in phase %d", ctx.Phase)
+			}
+			return nil
+		}
+		r := New(job, Config{Workers: 2, Transport: tr})
 		loadItems(r, 4, 2)
 		if err := tr.Send(tc.m); err != nil {
 			t.Fatal(err)
 		}
 		var me *MessageError
-		if err := r.RunTicks(1); !errors.As(err, &me) || me.Worker != 0 || me.Tag != tc.m.Tag {
-			t.Errorf("%s: RunTicks = %v, want a *MessageError for worker 0", tc.name, err)
+		if err := r.RunTicks(1); !errors.As(err, &me) || me.Worker != 0 || me.Tag != tc.m.Tag || me.Reason != tc.reason {
+			t.Errorf("%s: RunTicks = %v, want a *MessageError for worker 0 with reason %q", tc.name, err, tc.reason)
 		}
+	}
+}
+
+// Check sees every value a peer sent and none a worker sent itself.
+func TestCheckSeesPeerValuesOnly(t *testing.T) {
+	job := broadcastJob(3)
+	var mu sync.Mutex
+	checked := map[Phase]int{}
+	job.Check = func(ctx *Ctx, v rec) error {
+		mu.Lock()
+		checked[ctx.Phase]++
+		mu.Unlock()
+		return nil
+	}
+	r := New(job, Config{Workers: 3})
+	loadItems(r, 6, 3)
+	if err := r.RunTicks(1); err != nil {
+		t.Fatal(err)
+	}
+	// Map sends each of the six items to two peers; reduce₁ sends one
+	// partial per foreign copy (four per partition) to its owner; reduce₂
+	// keeps every item where it is.
+	want := map[Phase]int{PhaseMap: 12, PhaseReduce1: 12}
+	if !maps.Equal(checked, want) {
+		t.Errorf("checked per phase = %v, want %v", checked, want)
 	}
 }
 

@@ -107,6 +107,37 @@ func TestFishTickSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestPartitionedTickSteadyStateAllocs pins replication's allocation
+// behavior: at eight partitions a fish tick sends a few thousand replicas,
+// and once each worker's replica arena has grown to the tick's peak they
+// cost copies, not heap objects. What remains is per message and per
+// goroutine, not per agent: cloning every replica made ≈ 21k.
+func TestPartitionedTickSteadyStateAllocs(t *testing.T) {
+	sp, ok := Lookup("fish")
+	if !ok {
+		t.Fatal("fish not registered")
+	}
+	m, pop, err := sp.New(Config{Agents: 2000, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := engine.NewDistributed(m, pop, engine.Options{Workers: 8, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.RunTicks(16); err != nil {
+		t.Fatal(err)
+	}
+	avg := testing.AllocsPerRun(32, func() {
+		if err := e.RunTicks(1); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if avg > 400 {
+		t.Errorf("steady-state 8-partition fish tick allocates %.1f times/op, want ≤ 400", avg)
+	}
+}
+
 // TestColumnarEquivalenceLoadBalanceAndRecovery runs the same ablation
 // through the two dataflows that restructure a run mid-flight: the 1-D
 // load balancer (repartitioning at epoch barriers) and checkpoint
