@@ -4,9 +4,9 @@ package cluster
 // transport payloads stay in memory and Bytes carries the size the payload
 // would occupy on the wire, supplied by the sender (schemas know their
 // encoded size), so the cost model can charge transfer time without
-// serializing. On the TCP transport the payload is gob-encoded for real;
-// Bytes still carries the schema-derived estimate so both transports meter
-// identically.
+// serializing. On the TCP transport the payload is encoded for real (a
+// column block, for envelope batches); Bytes still carries the
+// schema-derived estimate so both transports meter identically.
 type Message struct {
 	From, To NodeID
 	Tag      int // phase tag, lets a receiver sanity-check routing

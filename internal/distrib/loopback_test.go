@@ -1,6 +1,9 @@
 package distrib
 
 import (
+	"bytes"
+	"encoding/binary"
+	"encoding/gob"
 	"errors"
 	"net"
 	"slices"
@@ -251,10 +254,10 @@ func TestHandshakeRejection(t *testing.T) {
 		mut(h)
 		return h
 	}
-	old := hello(func(h *transport.Hello) { h.Proto = 9 })
+	old := hello(func(h *transport.Hello) { h.Proto = 10 })
 	var ve *transport.VersionError
-	if _, err := checkHello(old); !errors.As(err, &ve) || ve.Got != 9 || ve.Want != transport.ProtoVersion {
-		t.Fatalf("checkHello(v9) = %v, want *transport.VersionError{9, %d}", err, transport.ProtoVersion)
+	if _, err := checkHello(old); !errors.As(err, &ve) || ve.Got != 10 || ve.Want != transport.ProtoVersion {
+		t.Fatalf("checkHello(v10) = %v, want *transport.VersionError{10, %d}", err, transport.ProtoVersion)
 	}
 	badIndex := hello(func(h *transport.Hello) { h.Index = 7 })
 	var uk *spatial.UnknownKindError
@@ -265,8 +268,8 @@ func TestHandshakeRejection(t *testing.T) {
 		name, want string
 		h          *transport.Hello
 	}{
-		{"stale version", "protocol version 9", old},
-		{"stale version 8", "protocol version 8", hello(func(h *transport.Hello) { h.Proto = 8 })},
+		{"stale version", "protocol version 10", old},
+		{"stale version 9", "protocol version 9", hello(func(h *transport.Hello) { h.Proto = 9 })},
 		{"index out of range", `unknown index "7"`, badIndex},
 		{"agents over limit", "agents outside the limit", hello(func(h *transport.Hello) { h.Agents = MaxAgents + 1 })},
 		{"negative agents", "agents outside the limit", hello(func(h *transport.Hello) { h.Agents = -1 })},
@@ -289,6 +292,36 @@ func TestHandshakeRejection(t *testing.T) {
 			t.Errorf("%s: Hello answered with %+v, %v; want an Ack carrying %q", tc.name, ack, err, tc.want)
 		}
 		fc.Close()
+	}
+}
+
+// A v10 coordinator's hello was a gob stream. A v11 daemon's handshake
+// reader must refuse one with a typed *transport.ProtocolError, promptly
+// and without a panic.
+func TestHandshakeRefusesV10GobHello(t *testing.T) {
+	h := (&Options{Addrs: []string{"x"}, Scenario: "epidemic", Partitions: 1}).hello(0, 1, []int{0})
+	h.Proto = 10
+	var body bytes.Buffer
+	if err := gob.NewEncoder(&body).Encode(&transport.Frame{Kind: transport.FrameHello, Hello: h}); err != nil {
+		t.Fatal(err)
+	}
+	msg := append(binary.BigEndian.AppendUint32(nil, uint32(body.Len())), body.Bytes()...)
+	coord, worker := net.Pipe()
+	defer coord.Close()
+	go coord.Write(msg)
+	done := make(chan error, 1)
+	go func() {
+		_, err := serveConn(worker, ServeOptions{})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		var pe *transport.ProtocolError
+		if !errors.As(err, &pe) {
+			t.Fatalf("v10 hello: %v, want a *transport.ProtocolError", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("v10 hello hung the handshake")
 	}
 }
 

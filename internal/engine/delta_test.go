@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"bytes"
-	"encoding/gob"
 	"math"
 	"math/rand"
 	"runtime"
@@ -230,7 +228,7 @@ func TestDeltaChainRandomized(t *testing.T) {
 
 // The point of the exercise: a delta of a typical epoch (every agent
 // moved, most other fields quiet) must be materially smaller than the
-// gob-encoded full state a v2 checkpoint would ship.
+// full state a keyframe ships: the partition's column block.
 func TestDeltaSmallerThanFullState(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	base := make([]*Envelope, 0, 200)
@@ -248,12 +246,10 @@ func TestDeltaSmallerThanFullState(t *testing.T) {
 	if !ok {
 		t.Fatal("diff refused")
 	}
-	var full bytes.Buffer
-	if err := gob.NewEncoder(&full).Encode(cur); err != nil {
-		t.Fatal(err)
-	}
-	if len(delta)*2 > full.Len() {
-		t.Errorf("delta %dB is not materially smaller than full %dB", len(delta), full.Len())
+	full := blockBytes(t, cur)
+	t.Logf("delta %dB, full block %dB", len(delta), full)
+	if len(delta)*2 > full {
+		t.Errorf("delta %dB is not materially smaller than full %dB", len(delta), full)
 	}
 }
 

@@ -256,9 +256,10 @@ func NewDistributed(m Model, pop []*agent.Agent, opts Options) (*Distributed, er
 // appendHaloCols) and, for non-local models, reduce₂'s ⊕ in the same tick
 // — because eachWorker is a barrier between phases. Under TCP a
 // co-resident partition receives the pointer within the phase and a remote
-// one a gob copy, encoded before Send returns. Checkpoints, exports, the
-// barrier prebuild, Agents and the final report read owned values only,
-// and the query cache copies positions and keys, never agents.
+// one a copy in a column block, encoded before Send returns. Checkpoints,
+// exports, the barrier prebuild, Agents and the final report read owned
+// values only, and the query cache copies positions and keys, never
+// agents.
 func (e *Distributed) mapPhase(ctx *mapreduce.Ctx, envs []*Envelope, emit mapreduce.Emit[*Envelope]) {
 	b := &e.bufs[ctx.Worker]
 	b.arena.reset()
@@ -383,6 +384,7 @@ type partBufs struct {
 func (e *Distributed) prepare(w int, envs []*Envelope) (ownedSlots []int32, built int64) {
 	sortByID(envs)
 	b := &e.bufs[w]
+	clear(b.copies) // see reduce1Late: no stale agent past the new length
 	b.copies = resize(b.copies, len(envs))
 	b.ownedSlot = b.ownedSlot[:0]
 	for i, env := range envs {

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"github.com/bigreddata/brace/internal/agent"
+	"github.com/bigreddata/brace/internal/transport"
 )
 
 // Envelope is the value flowing through the MapReduce dataflow: an agent
@@ -26,10 +27,55 @@ type Envelope struct {
 	SrcPart int32
 }
 
-// Envelopes travel inside interface-typed fields (cluster.Message.Payload
-// on the TCP transport, FinalReport.Values, disk checkpoints), which
-// requires gob registration; internal/scenario performs it, so every
-// registered workload is wire-ready by construction.
+// envelopeTag is an envelope batch's codec tag on the wire.
+const envelopeTag = 1
+
+// Envelope batches travel inside interface-typed frame fields — a Data
+// frame's cluster.Message.Payload, PartState.Values, FinalReport.Values —
+// so the engine registers their codec with the transport, which cannot
+// import it. Any binary that links the engine can send them.
+func init() { transport.RegisterCodec(envelopeTag, envelopeCodec{}) }
+
+// envelopeCodec carries a []*Envelope as one transport column block.
+// Decoding gives the replicas and the owned envelopes a block of
+// Envelopes each, beside the Block's two blocks of agents and vectors, so
+// a long-lived owned envelope never shares memory with a replica.
+type envelopeCodec struct{}
+
+func (envelopeCodec) Append(e *transport.Encoder, v any) bool {
+	batch, ok := v.([]*Envelope)
+	if !ok {
+		return false
+	}
+	e.Block(len(batch), func(i int) (*agent.Agent, bool, int32) {
+		if x := batch[i]; x != nil {
+			return x.A, x.Replica, x.SrcPart
+		}
+		return nil, false, 0
+	})
+	return true
+}
+
+func (envelopeCodec) Read(d *transport.Decoder) (any, error) {
+	b, err := d.Block()
+	if err != nil {
+		return nil, err
+	}
+	out := make([]*Envelope, b.Len())
+	replicas, owned := make([]Envelope, b.Replicas()), make([]Envelope, b.Len()-b.Replicas())
+	for i := range out {
+		a, replica, src := b.Next()
+		var env *Envelope
+		if replica {
+			env, replicas = &replicas[0], replicas[1:]
+		} else {
+			env, owned = &owned[0], owned[1:]
+		}
+		*env = Envelope{A: a, Replica: replica, SrcPart: src}
+		out[i] = env
+	}
+	return out, nil
+}
 
 func cloneEnvelope(e *Envelope) *Envelope {
 	return &Envelope{A: e.A.Clone(), Replica: e.Replica, SrcPart: e.SrcPart}

@@ -115,6 +115,9 @@ func (e *Distributed) reduce1Late(ctx *mapreduce.Ctx, rest []*Envelope, emit map
 	p := e.parts[w]
 
 	sortByID(rest)
+	// Cleared, not just truncated: a stale pointer past the new length
+	// would keep a whole decoded frame's block of replicas alive.
+	clear(ob.halo.agents)
 	ob.halo.agents = ob.halo.agents[:0]
 	ncore := int32(len(p.copies))
 	migrants := false

@@ -98,8 +98,8 @@ func TestReplicaSnapshots(t *testing.T) {
 
 // An envelope a peer may send but the engine cannot take fails the run
 // with a *mapreduce.MessageError instead of panicking the phase: one
-// without an agent (what gob makes of an empty Envelope), one whose State
-// is shorter than the schema's, and an owned one on a split tick.
+// without an agent, one whose State is shorter than the schema's, and an
+// owned one on a split tick.
 func TestMalformedEnvelopeFailsTheRun(t *testing.T) {
 	m := newFlockModel(2)
 	pop := makePop(m.s, 40, 20, 1)

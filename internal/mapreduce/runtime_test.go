@@ -1,7 +1,6 @@
 package mapreduce
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"maps"
@@ -23,8 +22,6 @@ type rec struct {
 	Val     float64
 	Partial bool
 }
-
-func init() { gob.Register(rec{}) }
 
 // recBytes is the wire size the tests meter per rec.
 const recBytes = 24

@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"encoding/gob"
 	"errors"
 	"net"
 	"strings"
@@ -11,13 +10,6 @@ import (
 
 	"github.com/bigreddata/brace/internal/cluster"
 )
-
-func init() {
-	// Test payloads travel inside cluster.Message.Payload (an interface
-	// field), so their concrete type must be gob-registered — production
-	// runs register engine envelopes via internal/scenario the same way.
-	gob.Register([]float64{})
-}
 
 type hubResult struct {
 	finals []*FinalReport

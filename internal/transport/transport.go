@@ -7,8 +7,9 @@
 //     reference semantics for everything else.
 //   - TCP connects real OS processes through a coordinator: messages for
 //     partitions owned by another process travel as length-prefixed
-//     gob-encoded frames over sockets, with an end-of-phase marker protocol
-//     standing in for the in-memory runtime's barriers.
+//     frames over sockets — a fixed header, then envelope batches as
+//     column blocks (wire.go, codec.go) — with an end-of-phase marker
+//     protocol standing in for the in-memory runtime's barriers.
 //
 // The runtime is bulk-synchronous: a phase's sends all complete before any
 // receiver drains its inbox, so the interface exposes phase-oriented

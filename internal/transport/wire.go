@@ -2,12 +2,11 @@ package transport
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -34,8 +33,9 @@ import (
 // v8 dropped the Hello's partition-at-a-time switch: a worker ticks its
 // partitions concurrently, always. v9 dropped Hello.Part: quantile strips
 // are the one partitioning. v10 sends Hello.Index as a spatial.Kind number
-// instead of its name.
-const ProtoVersion = 10
+// instead of its name. v11 replaces gob with this package's own frame
+// codec (see Frame), so a v10 peer's frames do not even decode.
+const ProtoVersion = 11
 
 // VersionError reports a handshake between binaries speaking different
 // protocol versions.
@@ -126,7 +126,7 @@ type Registration struct {
 type FinalReport struct {
 	Proc   int
 	Ticks  uint64
-	Values any // []*engine.Envelope for scenario runs (gob-registered by internal/scenario)
+	Values any // []*engine.Envelope for scenario runs (a Codec registered by internal/engine)
 	Net    cluster.NodeMetrics
 }
 
@@ -180,7 +180,7 @@ type PartState struct {
 	Part int
 	// Full marks Values as the complete partition state.
 	Full   bool
-	Values any // []*engine.Envelope (gob-registered by internal/scenario)
+	Values any // []*engine.Envelope (a Codec registered by internal/engine)
 	// Base is the checkpoint sequence number the delta builds on; Delta
 	// is the packed per-agent field delta (engine delta codec). Unset
 	// when Full.
@@ -299,14 +299,24 @@ func (k FrameKind) String() string {
 type ProtocolError struct {
 	Kind  FrameKind
 	Where string // which loop saw the frame
+	// Reason, when set, says why the frame decoder refused a malformed
+	// frame; Kind is then the kind its header claimed.
+	Reason string
 }
 
 func (e *ProtocolError) Error() string {
+	if e.Reason != "" {
+		return fmt.Sprintf("transport: protocol violation: malformed %v frame in %s: %s", e.Kind, e.Where, e.Reason)
+	}
 	return fmt.Sprintf("transport: protocol violation: unexpected %v frame in %s", e.Kind, e.Where)
 }
 
-// Frame is the unit of the wire protocol: one gob-encoded, length-prefixed
-// record. Only the fields relevant to Kind are populated.
+// Frame is the unit of the wire protocol. On a Conn it travels as a
+// 4-byte big-endian length, then a fixed header — Kind, Src, Gen, Phase,
+// Dst, Count, Seq and Msg's From, To, Tag and Bytes — then a body that
+// depends on Kind: Msg.Payload for Data, Err for Ack and Error, the
+// matching struct for the other kinds, nothing for EndPhase, Ping and
+// Pong. Only the fields relevant to Kind travel.
 type Frame struct {
 	Kind  FrameKind
 	Src   int    // sending worker process
@@ -338,8 +348,285 @@ type Frame struct {
 	Err   string        // FrameAck (empty = ok) and FrameError
 }
 
+// frame writes f's header and body. Numbers are fixed-width little-endian
+// (every int is 8 bytes), so each frame has exactly one encoding and the
+// decoder can refuse anything else.
+func (e *Encoder) frame(f *Frame) {
+	e.u8(uint8(f.Kind))
+	e.int(f.Src)
+	e.int(f.Gen)
+	e.u64(f.Phase)
+	e.int(f.Dst)
+	e.u32(f.Count)
+	e.u64(f.Seq)
+	e.int(int(f.Msg.From))
+	e.int(int(f.Msg.To))
+	e.int(f.Msg.Tag)
+	e.int(f.Msg.Bytes)
+	switch f.Kind {
+	case FrameData:
+		e.value(f.Msg.Payload)
+	case FrameEndPhase, FramePing, FramePong:
+	case FrameAck, FrameError:
+		e.str(f.Err)
+	case FrameHello:
+		if e.present(f.Hello != nil) {
+			e.hello(f.Hello)
+		}
+	case FrameFinal:
+		if e.present(f.Final != nil) {
+			e.final(f.Final)
+		}
+	case FrameStats:
+		if e.present(f.Stats != nil) {
+			e.stats(f.Stats)
+		}
+	case FrameDirective:
+		if e.present(f.Dir != nil) {
+			e.directive(f.Dir)
+		}
+	case FrameCheckpoint:
+		if e.present(f.Ckpt != nil) {
+			e.int(f.Ckpt.Proc)
+			e.u64(f.Ckpt.Tick)
+			e.partStates(f.Ckpt.Parts)
+		}
+	case FrameRestore:
+		if e.present(f.Rest != nil) {
+			e.restore(f.Rest)
+		}
+	case FramePeerHello:
+		if e.present(f.Peer != nil) {
+			p := f.Peer
+			e.str(p.RunID)
+			e.int(p.From)
+			e.int(p.To)
+			e.int(p.Gen)
+		}
+	case FrameRegister:
+		if e.present(f.Reg != nil) {
+			r := f.Reg
+			e.str(r.Addr)
+			e.int(r.Sessions)
+			e.int(r.PeerLinks)
+		}
+	default:
+		e.fail(&ProtocolError{Kind: f.Kind, Where: "frame encoder"})
+	}
+}
+
+// present writes a pointer body's presence byte and returns it.
+func (e *Encoder) present(ok bool) bool {
+	e.bool(ok)
+	return ok
+}
+
+func (e *Encoder) hello(h *Hello) {
+	e.int(h.Proto)
+	e.str(h.RunID)
+	e.int(h.Proc)
+	e.int(h.NumProcs)
+	e.int(h.Partitions)
+	e.ints(h.Assign)
+	e.int(h.Gen)
+	e.bool(h.LoadBalance)
+	e.str(h.Scenario)
+	e.int(h.Agents)
+	e.f64(h.Extent)
+	e.u64(h.Seed)
+	e.int(h.Ticks)
+	e.int(h.EpochTicks)
+	e.int(int(h.Index))
+	e.strs(h.Peers)
+}
+
+func (e *Encoder) final(r *FinalReport) {
+	e.int(r.Proc)
+	e.u64(r.Ticks)
+	e.value(r.Values)
+	n := r.Net
+	for _, v := range [...]int64{n.SentMsgs, n.SentBytes, n.RecvMsgs, n.RecvBytes, n.LocalMsgs, n.LocalBytes} {
+		e.u64(uint64(v))
+	}
+}
+
+func (e *Encoder) stats(s *EpochStats) {
+	e.int(s.Proc)
+	e.u64(s.Tick)
+	e.count(len(s.Parts))
+	for _, p := range s.Parts {
+		e.int(p.Part)
+		e.u64(uint64(p.Cost))
+		e.floats(p.Xs)
+	}
+}
+
+func (e *Encoder) directive(d *Directive) {
+	e.u64(d.Tick)
+	e.floats(d.NewCuts)
+	e.bool(d.Checkpoint)
+	e.u64(d.CkptSeq)
+	e.bool(d.CkptFull)
+}
+
+func (e *Encoder) partStates(ps []PartState) {
+	e.count(len(ps))
+	for i := range ps {
+		p := &ps[i]
+		e.int(p.Part)
+		e.bool(p.Full)
+		e.value(p.Values)
+		e.u64(p.Base)
+		e.bytes(p.Delta)
+	}
+}
+
+func (e *Encoder) restore(r *Restore) {
+	e.int(r.Gen)
+	e.u64(r.Tick)
+	e.floats(r.Cuts)
+	e.ints(r.Assign)
+	e.count(len(r.Live))
+	for _, l := range r.Live {
+		e.bool(l)
+	}
+	e.partStates(r.Parts)
+	e.u64(r.CkptSeq)
+	e.strs(r.Peers)
+}
+
+// decodeFrame decodes one frame body. Anything but exactly one frame's
+// encoding — a truncated field, a count the body cannot hold, an unknown
+// kind or codec tag, a non-canonical byte, trailing bytes — is a
+// *ProtocolError.
+func decodeFrame(d *Decoder, body []byte) (*Frame, error) {
+	*d = Decoder{b: body, slot: d.slot}
+	f := &Frame{Kind: FrameKind(d.u8())}
+	d.kind = f.Kind
+	f.Src = d.int()
+	f.Gen = d.int()
+	f.Phase = d.u64()
+	f.Dst = d.int()
+	f.Count = d.u32()
+	f.Seq = d.u64()
+	f.Msg.From = cluster.NodeID(d.int())
+	f.Msg.To = cluster.NodeID(d.int())
+	f.Msg.Tag = d.int()
+	f.Msg.Bytes = d.int()
+	switch f.Kind {
+	case FrameData:
+		f.Msg.Payload = d.value()
+	case FrameEndPhase, FramePing, FramePong:
+	case FrameAck, FrameError:
+		f.Err = d.str()
+	case FrameHello:
+		if d.bool() {
+			f.Hello = d.hello()
+		}
+	case FrameFinal:
+		if d.bool() {
+			f.Final = &FinalReport{Proc: d.int(), Ticks: d.u64(), Values: d.value()}
+			n := &f.Final.Net
+			for _, v := range [...]*int64{&n.SentMsgs, &n.SentBytes, &n.RecvMsgs, &n.RecvBytes, &n.LocalMsgs, &n.LocalBytes} {
+				*v = int64(d.u64())
+			}
+		}
+	case FrameStats:
+		if d.bool() {
+			f.Stats = d.stats()
+		}
+	case FrameDirective:
+		if d.bool() {
+			f.Dir = &Directive{Tick: d.u64(), NewCuts: d.floats(), Checkpoint: d.bool(), CkptSeq: d.u64(), CkptFull: d.bool()}
+		}
+	case FrameCheckpoint:
+		if d.bool() {
+			f.Ckpt = &CheckpointMsg{Proc: d.int(), Tick: d.u64(), Parts: d.partStates()}
+		}
+	case FrameRestore:
+		if d.bool() {
+			f.Rest = d.restore()
+		}
+	case FramePeerHello:
+		if d.bool() {
+			f.Peer = &PeerHello{RunID: d.str(), From: d.int(), To: d.int(), Gen: d.int()}
+		}
+	case FrameRegister:
+		if d.bool() {
+			f.Reg = &Registration{Addr: d.str(), Sessions: d.int(), PeerLinks: d.int()}
+		}
+	default:
+		d.fail("unknown kind")
+	}
+	if d.err == nil && d.off != len(d.b) {
+		d.fail("%d trailing bytes", len(d.b)-d.off)
+	}
+	if d.err != nil {
+		return nil, d.err
+	}
+	return f, nil
+}
+
+func (d *Decoder) hello() *Hello {
+	return &Hello{
+		Proto:       d.int(),
+		RunID:       d.str(),
+		Proc:        d.int(),
+		NumProcs:    d.int(),
+		Partitions:  d.int(),
+		Assign:      d.ints(),
+		Gen:         d.int(),
+		LoadBalance: d.bool(),
+		Scenario:    d.str(),
+		Agents:      d.int(),
+		Extent:      d.f64(),
+		Seed:        d.u64(),
+		Ticks:       d.int(),
+		EpochTicks:  d.int(),
+		Index:       spatial.Kind(d.int()),
+		Peers:       d.strs(),
+	}
+}
+
+func (d *Decoder) stats() *EpochStats {
+	s := &EpochStats{Proc: d.int(), Tick: d.u64()}
+	if n := d.count(20); n > 0 {
+		s.Parts = make([]PartStats, n)
+		for i := range s.Parts {
+			s.Parts[i] = PartStats{Part: d.int(), Cost: int64(d.u64()), Xs: d.floats()}
+		}
+	}
+	return s
+}
+
+func (d *Decoder) partStates() []PartState {
+	n := d.count(22)
+	if n == 0 {
+		return nil
+	}
+	ps := make([]PartState, n)
+	for i := range ps {
+		ps[i] = PartState{Part: d.int(), Full: d.bool(), Values: d.value(), Base: d.u64(), Delta: d.bytes()}
+	}
+	return ps
+}
+
+func (d *Decoder) restore() *Restore {
+	r := &Restore{Gen: d.int(), Tick: d.u64(), Cuts: d.floats(), Assign: d.ints()}
+	if n := d.count(1); n > 0 {
+		r.Live = make([]bool, n)
+		for i := range r.Live {
+			r.Live[i] = d.bool()
+		}
+	}
+	r.Parts = d.partStates()
+	r.CkptSeq = d.u64()
+	r.Peers = d.strs()
+	return r
+}
+
 // Conn frames a network connection: each Frame travels as a 4-byte
-// big-endian length followed by its own independent gob stream, so frames
+// big-endian length followed by its encoding, self-contained, so frames
 // can be produced by multiple writers (Send holds a lock) and relayed
 // without shared encoder state.
 type Conn struct {
@@ -347,6 +634,10 @@ type Conn struct {
 	r  *bufio.Reader
 	mu sync.Mutex // serializes writes; also guards wt
 	wt time.Duration
+	// body and dec are RecvSized's frame buffer and decoder, reused
+	// from frame to frame: decoding copies every value out of body.
+	body []byte
+	dec  Decoder
 }
 
 // NewConn wraps a network connection for framed use.
@@ -365,16 +656,34 @@ func (fc *Conn) SetWriteTimeout(d time.Duration) {
 	fc.mu.Unlock()
 }
 
-// Send writes one frame. It is safe for concurrent use. Header and body
+// encoders pools Send's buffers. A buffer grown past maxPooled by a bulk
+// frame (a checkpoint, a final report) is left to the collector.
+var encoders = sync.Pool{New: func() any { return new(Encoder) }}
+
+const maxPooled = 1 << 20
+
+// Send writes one frame. It is safe for concurrent use. The frame is
+// encoded in full before Send returns, so the caller may reuse whatever
+// it points to — a worker's replica arena relies on this. Header and body
 // go out in a single Write: with TCP_NODELAY (Go's default) two writes
 // would emit two segments per frame on the latency-critical relay path.
 func (fc *Conn) Send(f *Frame) error {
-	var buf bytes.Buffer
-	buf.Write(make([]byte, 4)) // length prefix, filled in below
-	if err := gob.NewEncoder(&buf).Encode(f); err != nil {
-		return fmt.Errorf("transport: encode frame: %w", err)
+	e := encoders.Get().(*Encoder)
+	defer func() {
+		e.err = nil
+		if cap(e.b) <= maxPooled {
+			encoders.Put(e)
+		}
+	}()
+	e.b = append(e.b[:0], 0, 0, 0, 0) // length prefix, filled in below
+	e.frame(f)
+	if e.err != nil {
+		return fmt.Errorf("transport: encode frame: %w", e.err)
 	}
-	b := buf.Bytes()
+	b := e.b
+	if len(b)-4 > maxFrame {
+		return fmt.Errorf("transport: frame of %d bytes exceeds limit", len(b)-4)
+	}
 	binary.BigEndian.PutUint32(b[:4], uint32(len(b)-4))
 	fc.mu.Lock()
 	defer fc.mu.Unlock()
@@ -406,15 +715,39 @@ func (fc *Conn) RecvSized() (*Frame, int, error) {
 	if n > maxFrame {
 		return nil, 0, fmt.Errorf("transport: frame of %d bytes exceeds limit", n)
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(fc.r, body); err != nil {
+	body, err := fc.readBody(int(n))
+	if err != nil {
 		return nil, 0, fmt.Errorf("transport: short frame: %w", err)
 	}
-	var f Frame
-	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&f); err != nil {
-		return nil, 0, fmt.Errorf("transport: decode frame: %w", err)
+	f, err := decodeFrame(&fc.dec, body)
+	if err != nil {
+		return nil, 0, err
 	}
-	return &f, int(n) + 4, nil
+	return f, int(n) + 4, nil
+}
+
+// recvChunk is the first step by which readBody grows the frame buffer.
+const recvChunk = 64 << 10
+
+// readBody reads an n-byte frame body into the connection's reused
+// buffer. The buffer grows only as bytes arrive — by at most its own size
+// (at least recvChunk) per read — so a length prefix that lies costs
+// about what the peer actually sent, never maxFrame.
+func (fc *Conn) readBody(n int) ([]byte, error) {
+	b := fc.body[:0]
+	for len(b) < n {
+		if len(b) == cap(b) {
+			b = slices.Grow(b, min(n-len(b), max(recvChunk, len(b))))
+		}
+		end := min(n, cap(b))
+		_, err := io.ReadFull(fc.r, b[len(b):end])
+		b = b[:end]
+		if err != nil {
+			return nil, err
+		}
+	}
+	fc.body = b
+	return b, nil
 }
 
 // Close closes the underlying connection.
