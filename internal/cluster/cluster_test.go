@@ -87,32 +87,6 @@ func TestVClockConcurrentCharges(t *testing.T) {
 	}
 }
 
-func TestFailurePlan(t *testing.T) {
-	p := NewFailurePlan().CrashAt(5, 2).CrashAt(5, 3).CrashAt(9, 0)
-	if p.Empty() {
-		t.Error("plan with events reported empty")
-	}
-	if got := p.At(4); got != nil {
-		t.Errorf("At(4) = %v", got)
-	}
-	got := p.At(5)
-	if len(got) != 2 || got[0] != 2 || got[1] != 3 {
-		t.Errorf("At(5) = %v", got)
-	}
-	// Consumed: re-executing tick 5 after recovery must not crash again.
-	if got := p.At(5); got != nil {
-		t.Errorf("At(5) second call = %v", got)
-	}
-	p.At(9)
-	if !p.Empty() {
-		t.Error("plan should be empty after all events consumed")
-	}
-	var nilPlan *FailurePlan
-	if nilPlan.At(1) != nil || !nilPlan.Empty() {
-		t.Error("nil plan should be a no-op")
-	}
-}
-
 func TestDefaultCostModelSane(t *testing.T) {
 	m := DefaultCostModel()
 	if m.SecPerVisit <= 0 || m.SecPerAgent <= 0 || m.SecPerByte <= 0 || m.SecPerMsg <= 0 || m.SecPerBarrier <= 0 {

@@ -1,7 +1,7 @@
 // Package cluster models the shared-nothing cluster BRACE runs on: node
-// identities, message and traffic metering types, failure plans, and the
-// virtual clock. The message-delivery mechanisms themselves (in-memory and
-// TCP) live in internal/transport.
+// identities, message and traffic metering types, and the virtual clock.
+// The message-delivery mechanisms themselves (in-memory and TCP) live in
+// internal/transport, and so do failures: a crash is a closed transport.
 //
 // The paper evaluates on 60 nodes of the Cornell Web Lab connected by
 // 1 Gbit/s Ethernet. This reproduction defaults to a single machine, where

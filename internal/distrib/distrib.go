@@ -24,7 +24,7 @@
 // run continues bit-identically to an unfailed one. For local-effect scenarios the
 // result is bit-identical to an in-memory run at the same seed and
 // partition count; the loopback tests assert exactly that, with and
-// without injected failures.
+// without injected faults.
 package distrib
 
 import (

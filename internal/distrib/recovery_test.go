@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"github.com/bigreddata/brace/internal/agent"
-	"github.com/bigreddata/brace/internal/cluster"
 	"github.com/bigreddata/brace/internal/engine"
 	"github.com/bigreddata/brace/internal/partition"
 	"github.com/bigreddata/brace/internal/scenario"
@@ -246,17 +245,20 @@ func TestRecoveryWithLoadBalance(t *testing.T) {
 	assertSamePopulation(t, "lb+recovery", ref.Agents(), res.Agents)
 }
 
-// One master gives one decision log: the in-process engine, crashing a
-// partition at tick 7, and a two-process run whose worker is severed in
-// the same tick make the same decisions at the same barriers — the failed
-// boundary counted by neither, the re-executed one not re-balanced — and
-// end in the same population.
+// One fault model gives one decision log: the same fault — a transport
+// closed at barrier 15, mid tick 7 — on the in-process engine's Mem and on
+// one worker's TCP session makes the same decisions at the same barriers —
+// the lost tick counted by neither, the re-executed boundary not
+// re-balanced — and ends in the same population.
 func TestRecoveryDecisionLogMatchesInProcess(t *testing.T) {
 	bal := partition.Balancer{MigrateCostPerAgent: 1e-9, HorizonTicks: 1000, MinRelativeGain: 0.01}
+	fault := func(tr transport.Transport) transport.Transport {
+		return &transport.FaultAt{Transport: tr, Phase: 15, Do: sever(tr)}
+	}
 	mem := memEngine(t, "epidemic", 96, 30, 5, engine.Options{
 		Workers: 4, Seed: 5, LoadBalance: true, Balancer: bal,
 		EpochTicks: 3, CheckpointEveryEpochs: 1,
-		Failures: cluster.NewFailurePlan().CrashAt(7, 0),
+		Transport: fault(transport.NewMem(4)),
 	})
 	if err := mem.RunTicks(12); err != nil {
 		t.Fatal(err)
@@ -265,7 +267,12 @@ func TestRecoveryDecisionLogMatchesInProcess(t *testing.T) {
 		t.Fatalf("in-process recoveries = %d, want 1", mem.Recoveries())
 	}
 	res, err := Run(Options{
-		Addrs:    startChaosWorkers(t, 2, severProcAt(0, 15)), // mid tick 7
+		Addrs: startChaosWorkers(t, 2, func(tr transport.Transport, h *transport.Hello) transport.Transport {
+			if h.Proc == 0 && h.Gen == 1 {
+				return fault(tr)
+			}
+			return tr
+		}),
 		Scenario: "epidemic",
 		Agents:   96, Extent: 30, Seed: 5,
 		Partitions: 4, Ticks: 12,

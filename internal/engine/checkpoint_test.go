@@ -5,10 +5,10 @@ import (
 	"testing"
 
 	"github.com/bigreddata/brace/internal/agent"
-	"github.com/bigreddata/brace/internal/cluster"
 	"github.com/bigreddata/brace/internal/geom"
 	"github.com/bigreddata/brace/internal/partition"
 	"github.com/bigreddata/brace/internal/spatial"
+	"github.com/bigreddata/brace/internal/transport"
 )
 
 // Epoch statistics must account for every agent: owned counts sum to the
@@ -128,12 +128,12 @@ func TestRestoreStartsCostEpoch(t *testing.T) {
 		t.Fatal("the reference run charged nothing; test mis-tuned")
 	}
 
-	// The in-memory master: a crash at tick 9 is detected at barrier 12 and
-	// rolls back to the checkpoint of barrier 8. The re-executed epoch must
-	// be charged exactly what the unfailed run's was, not that plus the
-	// failed attempt's.
+	// The in-memory master: a crash in tick 9 is detected at that tick's
+	// map barrier and rolls back to the checkpoint of barrier 8. The
+	// re-executed epoch must be charged exactly what the unfailed run's
+	// was, not that plus the failed attempt's.
 	crashed := opts
-	crashed.Failures = cluster.NewFailurePlan().CrashAt(9, 2)
+	crashed.Transport = closeAt(transport.NewMem(workers), 19) // tick 9's map
 	e, cost, err := run(crashed, nil)
 	if err != nil {
 		t.Fatal(err)

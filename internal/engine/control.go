@@ -127,8 +127,8 @@ func (e *Distributed) strips(cuts []float64) (*partition.Strips, error) {
 // Restore rewinds the engine to a checkpoint's state: tick, strip cuts,
 // the partitions this process now computes (nil: all), and their owned
 // envelopes, which the engine takes over. It checks every argument before
-// it changes anything, and drops the checkpoint baselines. Only legal
-// between RunTicks calls.
+// it changes anything, and drops the checkpoint baselines and the epoch
+// statistics past tick. Only legal between RunTicks calls.
 func (e *Distributed) Restore(tick uint64, cuts []float64, local []int, vals map[int][]*Envelope) error {
 	part, err := e.strips(cuts)
 	if err != nil {
@@ -140,6 +140,14 @@ func (e *Distributed) Restore(tick uint64, cuts []float64, local []int, vals map
 	e.part = part
 	e.ckptBase = nil
 	e.resetCosts() // checkpoints are taken at barriers, where the cost is 0
+	// The epochs past tick were rolled back: the replay records them again.
+	// The cap makes the next append copy, leaving slices Epochs returned
+	// intact.
+	n := len(e.epochs)
+	for n > 0 && e.epochs[n-1].Tick > tick {
+		n--
+	}
+	e.epochs = e.epochs[:n:n]
 	// The restored values sit consistently under the restored cuts, so the
 	// next tick self-sends every owned agent: the two-pass split resumes
 	// immediately.

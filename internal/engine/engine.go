@@ -31,38 +31,37 @@ type Options struct {
 	EpochTicks int
 	// CheckpointEveryEpochs orders a coordinated checkpoint every k epochs
 	// (0 = only the initial rollback point is kept). Checkpoints exist to
-	// recover from Failures: without a failure plan none is taken and no
-	// copy is held. With one, they ship full and delta pieces as a
-	// worker's do, a keyframe every DefaultCheckpointFullEvery.
+	// recover from a crash, and only a caller that supplied Transport can
+	// close it under the engine: without one none is taken and no copy is
+	// held. With one, they ship full and delta pieces as a worker's do, a
+	// keyframe every DefaultCheckpointFullEvery.
 	CheckpointEveryEpochs int
 	// LoadBalance enables the one-dimensional load balancer at epoch
 	// boundaries.
 	LoadBalance bool
 	// Balancer tunes load balancing; zero value means DefaultBalancer.
 	Balancer partition.Balancer
-	// Failures optionally schedules worker crashes. The next epoch
-	// boundary is then no epoch: the master rolls back and re-executes.
-	Failures *cluster.FailurePlan
 	// CostModel, when non-nil, enables virtual-time accounting (see
 	// internal/cluster): required for the scale-up experiments.
 	CostModel *cluster.CostModel
-	// Transport overrides the message layer (default: in-memory). A
-	// multi-process run passes the TCP transport wired to its
-	// coordinator; its node count must equal Workers.
+	// Transport overrides the message layer (default: in-memory); its
+	// node count must equal Workers. A multi-process run passes the TCP
+	// transport wired to its coordinator. In process, closing it is the
+	// crash: the phase it interrupts is lost (transport.ErrRestore), and
+	// the master rolls back to its last checkpoint and re-executes.
 	Transport transport.Transport
 	// LocalParts restricts this engine to computing the given partitions
 	// (nil = all). Set by the distributed driver: every worker process
 	// builds the same model and initial population, then loads and ticks
 	// only the partitions the coordinator assigned it. Incompatible with
-	// engine-local LoadBalance, CostModel and Failures, which need a
-	// global view — in multi-process runs the coordinator owns those
-	// features and drives this engine through EpochBarrier, InstallCuts
-	// and Restore.
+	// engine-local LoadBalance and CostModel, which need a global view — in
+	// multi-process runs the coordinator owns load balancing and recovery,
+	// and drives this engine through EpochBarrier, InstallCuts and Restore;
+	// a lost phase's transport.ErrRestore reaches the caller unanswered.
 	LocalParts []int
-	// EpochBarrier, when non-nil, runs first at every epoch boundary that
-	// lost no worker. Distributed workers use it for the coordinator
-	// round-trip (ship stats, await the directive); a returned error aborts
-	// RunTicks.
+	// EpochBarrier, when non-nil, runs first at every epoch boundary.
+	// Distributed workers use it for the coordinator round-trip (ship
+	// stats, await the directive); a returned error aborts RunTicks.
 	EpochBarrier func(tick uint64) error
 }
 
@@ -140,8 +139,6 @@ func NewDistributed(m Model, pop []*agent.Agent, opts Options) (*Distributed, er
 			return nil, fmt.Errorf("engine: LoadBalance needs a global view; unsupported with LocalParts")
 		case opts.CostModel != nil:
 			return nil, fmt.Errorf("engine: CostModel needs a global view; unsupported with LocalParts")
-		case opts.Failures != nil && !opts.Failures.Empty():
-			return nil, fmt.Errorf("engine: failure injection is unsupported with LocalParts")
 		}
 	}
 	s := c.schema
@@ -209,7 +206,6 @@ func NewDistributed(m Model, pop []*agent.Agent, opts Options) (*Distributed, er
 		Transport:  opts.Transport,
 		LocalParts: opts.LocalParts,
 		EpochTicks: opts.EpochTicks,
-		Failures:   opts.Failures,
 		VClock:     e.vclock,
 		Barrier:    opts.EpochBarrier,
 		OnEpoch:    e.onEpoch,
@@ -231,10 +227,11 @@ func NewDistributed(m Model, pop []*agent.Agent, opts Options) (*Distributed, er
 		}
 	}
 	if opts.LocalParts == nil {
-		// Only an injected failure ever rolls back, so only then does the
+		// Only a caller holding the transport can close it under the engine
+		// (nobody reaches the runtime's own Mem), so only then does the
 		// master hold the tick-0 state and order checkpoints.
 		initial, every := Checkpoint{Cuts: e.part.Cuts()}, 0
-		if !opts.Failures.Empty() {
+		if opts.Transport != nil {
 			every = opts.CheckpointEveryEpochs
 			initial.Parts = make([]transport.PartState, opts.Workers)
 			for p := range initial.Parts {
@@ -419,8 +416,9 @@ func (e *Distributed) CacheStats() spatial.CacheStats {
 }
 
 // RunTicks advances the simulation n full ticks (query + update each),
-// answering an injected crash as a worker answers a restore: the master
-// rewinds, the engine restores, and the run goes on to the same tick.
+// answering a lost phase (a closed transport) as a worker answers a
+// restore: the master rewinds, the engine restores, and the run goes on to
+// the same tick.
 func (e *Distributed) RunTicks(n int) error {
 	if e.vclock != nil && e.rt.Tick() == 0 {
 		e.virtStart = e.vclock.Now()
@@ -431,8 +429,7 @@ func (e *Distributed) RunTicks(n int) error {
 			e.pack()
 		}
 		err := e.rt.RunTicks(n)
-		var lost *mapreduce.LostWorkerError
-		for e.master != nil && errors.As(err, &lost) {
+		for e.master != nil && errors.Is(err, transport.ErrRestore) {
 			if err := e.RestoreCheckpoint(e.master.Rewind(), nil); err != nil {
 				return err
 			}

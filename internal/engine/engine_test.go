@@ -9,6 +9,7 @@ import (
 	"github.com/bigreddata/brace/internal/cluster"
 	"github.com/bigreddata/brace/internal/geom"
 	"github.com/bigreddata/brace/internal/spatial"
+	"github.com/bigreddata/brace/internal/transport"
 )
 
 // flockModel is a minimal local-effects model: agents repel each other
@@ -554,7 +555,7 @@ func TestFailureRecoveryThroughEngine(t *testing.T) {
 	faulty, err := NewDistributed(m, clonePop(base), Options{
 		Workers: 3, Index: spatial.KindKDTree, Seed: 13,
 		EpochTicks: 4, CheckpointEveryEpochs: 1,
-		Failures: cluster.NewFailurePlan().CrashAt(6, 1),
+		Transport: closeAt(transport.NewMem(3), 13), // tick 6's map
 	})
 	if err != nil {
 		t.Fatal(err)

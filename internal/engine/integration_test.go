@@ -4,8 +4,8 @@ import (
 	"testing"
 
 	"github.com/bigreddata/brace/internal/agent"
-	"github.com/bigreddata/brace/internal/cluster"
 	"github.com/bigreddata/brace/internal/spatial"
+	"github.com/bigreddata/brace/internal/transport"
 )
 
 // lifecyclePushModel combines every engine feature in one model: non-local
@@ -61,7 +61,7 @@ func (m *lifecyclePushModel) Update(self *agent.Agent, u *UpdateCtx) {
 // Everything on at once: non-local effects (map-reduce-reduce), spawning
 // and death, load balancing, checkpoints, and a mid-run crash. The run
 // must (a) complete, (b) recover exactly once, and (c) be reproducible:
-// an identical second run (same failure plan) ends bit-identical.
+// an identical second run (same fault) ends bit-identical.
 func TestEverythingOnIntegration(t *testing.T) {
 	m := newLifecyclePushModel()
 	mkpop := func() []*agent.Agent {
@@ -81,7 +81,9 @@ func TestEverythingOnIntegration(t *testing.T) {
 		e, err := NewDistributed(m, mkpop(), Options{
 			Workers: 4, Index: spatial.KindKDTree, Seed: 17,
 			EpochTicks: 4, CheckpointEveryEpochs: 1, LoadBalance: true,
-			Failures: cluster.NewFailurePlan().CrashAt(9, 2),
+			// Non-local effects run three phases a tick: barrier 28 is
+			// tick 9's map.
+			Transport: closeAt(transport.NewMem(4), 28),
 		})
 		if err != nil {
 			t.Fatal(err)

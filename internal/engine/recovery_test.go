@@ -7,7 +7,6 @@ import (
 	"testing/quick"
 
 	"github.com/bigreddata/brace/internal/agent"
-	"github.com/bigreddata/brace/internal/cluster"
 	"github.com/bigreddata/brace/internal/geom"
 	"github.com/bigreddata/brace/internal/transport"
 )
@@ -26,10 +25,18 @@ func runFlock(t *testing.T, opts Options, ticks int) *Distributed {
 	return e
 }
 
+// closeAt wraps tr so that it closes right before phase barrier phase, the
+// in-process crash. Barriers are 1-based and counted over the whole run,
+// the ones a rollback re-executes included; the flock model runs two a
+// tick, so tick t's map is barrier 2t+1 until the first rollback.
+func closeAt(tr transport.Transport, phase int) transport.Transport {
+	return &transport.FaultAt{Transport: tr, Phase: phase, Do: func() { tr.Close() }}
+}
+
 func TestFailureRecoveryMatchesFailureFreeRun(t *testing.T) {
 	opts := Options{Workers: 4, Seed: 3, EpochTicks: 5, CheckpointEveryEpochs: 1}
 	clean := runFlock(t, opts, 20)
-	opts.Failures = cluster.NewFailurePlan().CrashAt(7, 2)
+	opts.Transport = closeAt(transport.NewMem(4), 15) // tick 7's map
 	faulty := runFlock(t, opts, 20)
 	if faulty.Recoveries() != 1 {
 		t.Fatalf("Recoveries = %d, want 1", faulty.Recoveries())
@@ -40,7 +47,10 @@ func TestFailureRecoveryMatchesFailureFreeRun(t *testing.T) {
 func TestMultipleFailures(t *testing.T) {
 	opts := Options{Workers: 3, Seed: 3, EpochTicks: 5, CheckpointEveryEpochs: 1}
 	clean := runFlock(t, opts, 30)
-	opts.Failures = cluster.NewFailurePlan().CrashAt(4, 0).CrashAt(13, 1).CrashAt(22, 2)
+	// Tick 4's map is barrier 9; it rolls back to tick 0, so afterwards
+	// tick t's map is barrier 9+2t+1. Tick 13's, barrier 36, rolls back to
+	// the checkpoint at 10; tick 22's is then barrier 36+2·(22−10)+1 = 61.
+	opts.Transport = closeAt(closeAt(closeAt(transport.NewMem(3), 9), 36), 61)
 	faulty := runFlock(t, opts, 30)
 	if faulty.Recoveries() != 3 {
 		t.Errorf("Recoveries = %d, want 3", faulty.Recoveries())
@@ -53,9 +63,8 @@ func TestMultipleFailures(t *testing.T) {
 
 // The checkpoint cadence is the master's, not the caller's: however a run
 // is sliced into RunTicks calls, the same epochs checkpoint and a crash
-// rolls back to the same tick. The boundary that finds a crash is not an
-// epoch, so the checkpoint the failed round would have counted towards
-// lands on the first re-executed boundary instead.
+// rolls back to the same tick. A rollback does not rewind the epoch count,
+// so the cadence runs on through the re-executed boundaries.
 func TestCheckpointCadenceIndependentOfRunTicksSlicing(t *testing.T) {
 	for _, slicing := range []struct{ calls, ticks int }{{1, 20}, {4, 5}} {
 		m := newFlockModel(6)
@@ -68,7 +77,7 @@ func TestCheckpointCadenceIndependentOfRunTicksSlicing(t *testing.T) {
 		}
 		e, err := NewDistributed(m, makePop(m.s, 60, 30, 7), Options{
 			Workers: 2, Seed: 7, EpochTicks: 5, CheckpointEveryEpochs: 2,
-			Failures: cluster.NewFailurePlan().CrashAt(17, 1),
+			Transport: closeAt(transport.NewMem(2), 35), // tick 17's map
 			EpochBarrier: func(tick uint64) error {
 				barriers = append(barriers, tick)
 				observe()
@@ -85,9 +94,9 @@ func TestCheckpointCadenceIndependentOfRunTicksSlicing(t *testing.T) {
 		}
 		observe()
 		// Epochs end at ticks 5, 10 and 15, and the second checkpoints. The
-		// crash at tick 17 is found at tick 20, which is no epoch, and rolls
-		// back to tick 10. The re-executed boundary at 15 is the fourth
-		// epoch, so it checkpoints; the one at 20 is the fifth.
+		// crash in tick 17 is found at its map barrier and rolls back to
+		// tick 10. The re-executed boundary at 15 is the fourth epoch, so it
+		// checkpoints; the one at 20 is the fifth.
 		if want := []uint64{0, 10, 15}; !slices.Equal(held, want) {
 			t.Errorf("%d×%d ticks: checkpoints at %v, want %v", slicing.calls, slicing.ticks, held, want)
 		}
@@ -96,6 +105,18 @@ func TestCheckpointCadenceIndependentOfRunTicksSlicing(t *testing.T) {
 		}
 		if e.Recoveries() != 1 || e.Tick() != 20 {
 			t.Errorf("%d×%d ticks: Recoveries = %d, Tick = %d, want 1 and 20", slicing.calls, slicing.ticks, e.Recoveries(), e.Tick())
+		}
+		// The rollback rewinds the epoch statistics with the decision log:
+		// both read every epoch once, in tick order.
+		var epochs, decisions []uint64
+		for _, st := range e.Epochs() {
+			epochs = append(epochs, st.Tick)
+		}
+		for _, d := range e.Decisions() {
+			decisions = append(decisions, d.Tick)
+		}
+		if want := []uint64{5, 10, 15, 20}; !slices.Equal(epochs, want) || !slices.Equal(decisions, want) {
+			t.Errorf("%d×%d ticks: Epochs at %v, Decisions at %v, want both %v", slicing.calls, slicing.ticks, epochs, decisions, want)
 		}
 	}
 }
@@ -115,7 +136,7 @@ func TestMasterSnapshotRestoredOnRecovery(t *testing.T) {
 	e, err := NewDistributed(m, pop, Options{
 		Workers: 4, Seed: 6, EpochTicks: 4, CheckpointEveryEpochs: 1,
 		LoadBalance: true, Balancer: eagerBalancer,
-		Failures: cluster.NewFailurePlan().CrashAt(9, 2),
+		Transport: closeAt(transport.NewMem(4), 19), // tick 9's map
 		EpochBarrier: func(tick uint64) error {
 			cutsAt[tick] = append(cutsAt[tick], e.Partition().Cuts())
 			return nil
@@ -130,8 +151,8 @@ func TestMasterSnapshotRestoredOnRecovery(t *testing.T) {
 	if e.Recoveries() != 1 {
 		t.Fatalf("Recoveries = %d, want 1", e.Recoveries())
 	}
-	// The crash at 9 is found at 12 and rolls back to the checkpoint at 8:
-	// barrier 12 runs once, after the replay, under barrier 8's cuts.
+	// The crash in tick 9 rolls back to the checkpoint at 8: barrier 12
+	// runs once, after the replay, under barrier 8's cuts.
 	if len(cutsAt[8]) != 1 || len(cutsAt[12]) != 1 {
 		t.Fatalf("barriers ran %d times at 8 and %d at 12, want once each", len(cutsAt[8]), len(cutsAt[12]))
 	}
@@ -154,19 +175,20 @@ func TestMasterSnapshotRestoredOnRecovery(t *testing.T) {
 	}
 }
 
-// Property: checkpoints are transparent. A run whose crash is scheduled
-// past its end takes every checkpoint and never rolls back; it must end
-// exactly like the run without a failure plan, with the same decisions.
+// Property: checkpoints are transparent. A run given a transport it could
+// close takes every checkpoint; never closed, it never rolls back, and it
+// must end exactly like the run on the engine's own transport, with the
+// same decisions.
 func TestQuickCheckpointTransparency(t *testing.T) {
 	m := newFlockModel(5)
 	f := func(nw, na, nt, nk uint8, lb bool) bool {
 		workers := int(nw%4) + 1
 		agents := int(na%40) + 1
 		ticks := int(nt%12) + 2
-		run := func(failures *cluster.FailurePlan) *Distributed {
+		run := func(tr transport.Transport) *Distributed {
 			e, err := NewDistributed(m, makePop(m.s, agents, 30, uint64(na)), Options{
 				Workers: workers, Seed: 9, EpochTicks: 3, CheckpointEveryEpochs: int(nk%3) + 1,
-				LoadBalance: lb, Balancer: eagerBalancer, Failures: failures,
+				LoadBalance: lb, Balancer: eagerBalancer, Transport: tr,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -177,7 +199,7 @@ func TestQuickCheckpointTransparency(t *testing.T) {
 			return e
 		}
 		a := run(nil)
-		b := run(cluster.NewFailurePlan().CrashAt(1000, 0))
+		b := run(transport.NewMem(workers))
 		if b.master.seq == 0 && ticks >= 3*(int(nk%3)+1) {
 			t.Errorf("no checkpoint taken in %d ticks", ticks)
 		}

@@ -10,6 +10,7 @@ import (
 	"github.com/bigreddata/brace/internal/sim/fish"
 	"github.com/bigreddata/brace/internal/spatial"
 	"github.com/bigreddata/brace/internal/stats"
+	"github.com/bigreddata/brace/internal/transport"
 )
 
 // This file holds ablations beyond the paper's figures, for the design
@@ -62,6 +63,11 @@ func AblationCollocation(s Scale) (*Result, error) {
 // checkpoint overhead, rare ones waste re-execution. Re-execution cost is
 // measured (rolled-back ticks really re-run on the virtual clock);
 // checkpoint overhead is charged analytically at δ seconds each.
+//
+// The crash closes the in-memory transport in the crash tick's map phase.
+// The barrier it breaks detects it, as over TCP, so the crash tick is lost
+// whole and the re-executed ticks are those since the last checkpoint: 0
+// when a checkpoint lands on the crash tick.
 func AblationCheckpointInterval(s Scale) (*Result, error) {
 	const workers = 4
 	n := int(1500 * s.Factor)
@@ -84,12 +90,15 @@ func AblationCheckpointInterval(s Scale) (*Result, error) {
 	reexec := &stats.Series{Label: "re-executed ticks"}
 	for _, everyEpochs := range []int{1, 2, 5, 10, 25} {
 		cm := cluster.DefaultCostModel()
-		fp := cluster.NewFailurePlan().CrashAt(crashTick, 1)
+		// Fish is local-effect, so each tick runs two phases: barrier
+		// 2·crashTick+1 is the crash tick's map.
+		mem := transport.NewMem(workers)
+		sever := func() { mem.Close() }
 		eng, err := engine.NewDistributed(m, m.NewPopulation(n, s.Seed), engine.Options{
 			Workers: workers, Index: spatial.KindKDTree, Seed: s.Seed,
 			CostModel:  &cm,
 			EpochTicks: 2, CheckpointEveryEpochs: everyEpochs,
-			Failures: fp,
+			Transport: &transport.FaultAt{Transport: mem, Phase: 2*int(crashTick) + 1, Do: sever},
 		})
 		if err != nil {
 			return nil, err

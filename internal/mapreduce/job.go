@@ -15,11 +15,10 @@
 //
 // Every phase of a tick — map, reduce₁, reduce₂ — is the same superstep
 // (Runtime.phase): compute into an outbox, send, end the transport's phase,
-// collect. The transport only delivers; which workers are alive is this
-// package's state, set from the FailurePlan between ticks, so a crashed
-// worker is skipped and cut off here without the transport ever hearing of
-// it. The next epoch boundary reports the crash as a LostWorkerError; the
-// master (engine.Master) decides the rollback, applied through Reset.
+// collect. A crash is the transport's: a phase it loses (a closed Mem, a
+// dead TCP peer) ends RunTicks with transport.ErrRestore at that phase's
+// barrier, and the master (engine.Master) decides the rollback, applied
+// through Reset.
 //
 // The runtime is generic over the value type V; the engine package
 // instantiates it with agent envelopes.
@@ -116,21 +115,13 @@ type Config struct {
 	// process runs the same lockstep loop over its own partition block;
 	// the transport's phase protocol delivers everything else. With
 	// LocalParts set, Values/AllValues/OwnedCounts cover only the local
-	// block, and failure injection and load balancing are unsupported
-	// (the callers enforce this).
+	// block.
 	LocalParts []int
 
 	// EpochTicks is the number of ticks between master/worker
-	// interactions (checkpoints, failure detection, rebalancing). The
-	// paper amortizes coordination overhead across an epoch. Default 10.
+	// interactions (statistics, checkpoints, rebalancing). The paper
+	// amortizes coordination overhead across an epoch. Default 10.
 	EpochTicks int
-
-	// Failures optionally schedules worker crashes (for tests/ablations).
-	// From the scheduled tick the worker loses its values, runs no phase
-	// and receives nothing (batches addressed to it are dropped before the
-	// transport sees them) until Reset revives it; the next epoch boundary
-	// returns a LostWorkerError.
-	Failures *cluster.FailurePlan
 
 	// VClock, when non-nil, accounts virtual time: the runtime charges
 	// network costs per message batch and calls Barrier after each
@@ -138,12 +129,11 @@ type Config struct {
 	// inside Map/Reduce (it knows its work counters).
 	VClock *cluster.VClock
 
-	// Barrier, when non-nil, runs first at every epoch boundary that lost
-	// no worker. A multi-process worker uses it for the coordinator
-	// round-trip: ship epoch statistics, wait for the master's directive,
-	// apply it. A returned error aborts RunTicks with that error (the
-	// distributed worker unwinds this way when the coordinator orders a
-	// restore).
+	// Barrier, when non-nil, runs first at every epoch boundary. A
+	// multi-process worker uses it for the coordinator round-trip: ship
+	// epoch statistics, wait for the master's directive, apply it. A
+	// returned error aborts RunTicks with that error (the distributed
+	// worker unwinds this way when the coordinator orders a restore).
 	Barrier func(tick uint64) error
 
 	// OnEpoch, when non-nil, runs at each epoch boundary after Barrier.

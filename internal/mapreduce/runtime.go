@@ -19,9 +19,6 @@ type Runtime[V any] struct {
 	local  []int // partitions this process computes (all of them by default)
 	values [][]V // per-worker owned values (worker main memory)
 	tick   uint64
-	// failed marks crashed workers. Written only between ticks (crash
-	// injection, Reset) and read-only inside phases, so it needs no lock.
-	failed []bool
 
 	bufs []workerBufs[V] // per worker, reused by every phase
 	errs []error         // per local partition, eachWorker's results
@@ -60,7 +57,6 @@ func New[V any](job Job[V], cfg Config) *Runtime[V] {
 		cfg:    cfg,
 		tr:     tr,
 		values: make([][]V, cfg.Workers),
-		failed: make([]bool, cfg.Workers),
 		bufs:   make([]workerBufs[V], cfg.Workers),
 	}
 	for w := range r.bufs {
@@ -106,12 +102,11 @@ func (r *Runtime[V]) Local() []int { return r.local }
 // Transport exposes the message layer (traffic metrics).
 func (r *Runtime[V]) Transport() transport.Transport { return r.tr }
 
-// Reset rewinds the runtime to a master's checkpoint — after a
-// LostWorkerError, or on a worker the coordinator restores, possibly onto
-// other partitions: the tick, the locally computed partitions (nil: all),
-// and their values (absent ones are cleared). Every worker is alive again
-// afterwards. Reset checks its arguments before it changes anything. Must
-// not be called while RunTicks is executing.
+// Reset rewinds the runtime to a master's checkpoint after the transport
+// lost a phase (transport.ErrRestore), possibly onto other partitions: the
+// tick, the locally computed partitions (nil: all), and their values
+// (absent ones are cleared). Reset checks its arguments before it changes
+// anything. Must not be called while RunTicks is executing.
 func (r *Runtime[V]) Reset(tick uint64, local []int, values map[int][]V) error {
 	isLocal := make([]bool, r.cfg.Workers)
 	for _, w := range local {
@@ -140,7 +135,6 @@ func (r *Runtime[V]) Reset(tick uint64, local []int, values map[int][]V) error {
 	for i := range r.values {
 		r.values[i] = values[i]
 	}
-	clear(r.failed)
 	return nil
 }
 
@@ -154,21 +148,15 @@ func (r *Runtime[V]) OwnedCounts() []int {
 }
 
 // RunTicks advances the computation n ticks (running any epoch-boundary
-// work that falls inside). It returns the first unrecoverable error; a
-// negative n is one.
+// work that falls inside). It returns the first error, a negative n
+// included; a lost phase is the transport's transport.ErrRestore, wrapped,
+// and leaves the tick it interrupted to be rolled back through Reset.
 func (r *Runtime[V]) RunTicks(n int) error {
 	if n < 0 {
 		return fmt.Errorf("mapreduce %s: negative tick count %d", r.job.Name, n)
 	}
 	target := r.tick + uint64(n)
 	for r.tick < target {
-		// Inject scheduled crashes at tick start. Inboxes are empty between
-		// ticks, so main memory is all a crashed worker has to lose.
-		for _, node := range r.cfg.Failures.At(r.tick) {
-			r.failed[node] = true
-			r.values[node] = nil
-		}
-
 		if err := r.runTick(); err != nil {
 			return fmt.Errorf("mapreduce %s: tick %d: %w", r.job.Name, r.tick, err)
 		}
@@ -183,25 +171,9 @@ func (r *Runtime[V]) RunTicks(n int) error {
 	return nil
 }
 
-// LostWorkerError is what RunTicks returns at the first epoch boundary
-// after a scheduled crash: that boundary is no epoch, and no hook ran.
-// Recovering is the master's decision, carried out through Reset.
-type LostWorkerError struct {
-	Tick uint64 // the boundary that found the loss
-}
-
-func (e *LostWorkerError) Error() string {
-	return fmt.Sprintf("mapreduce: a worker was lost before the epoch boundary at tick %d", e.Tick)
-}
-
-// epochBoundary is the master/worker synchronization point: failure
-// detection, then the external barrier hook, then the application hook.
+// epochBoundary is the master/worker synchronization point: the external
+// barrier hook, then the application hook.
 func (r *Runtime[V]) epochBoundary() error {
-	// The master's epoch heartbeat notices dead workers. Their epoch is
-	// lost, so the boundary ends here.
-	if slices.Contains(r.failed, true) {
-		return &LostWorkerError{Tick: r.tick}
-	}
 	if r.cfg.Barrier != nil {
 		if err := r.cfg.Barrier(r.tick); err != nil {
 			return err
@@ -231,7 +203,7 @@ func (r *Runtime[V]) runTick() error {
 	return nil
 }
 
-// phase is the one shape every compute phase has: each live worker runs fn
+// phase is the one shape every compute phase has: each worker runs fn
 // over its values into its outbox and sends the batches, the transport's
 // phase ends, and every worker collects what was addressed to it — under
 // its own barrier: all workers (local goroutines and, over TCP, remote
@@ -249,25 +221,26 @@ func (r *Runtime[V]) runTick() error {
 // steady-state phase allocates nothing. What a phase delivers stays valid
 // through the next phase and, between ticks, until the next tick's map
 // has run.
+//
+// A phase the transport loses still ends its virtual-clock superstep: its
+// work was paid for, and the re-execution pays again.
 func (r *Runtime[V]) phase(ph phaseSpec[V]) error {
 	r.cur = ph
 	_ = r.eachWorker(stepCompute)
-	if err := r.tr.FlushPhase(); err != nil {
-		return err
-	}
-	if ph.window != nil {
+	err := r.tr.FlushPhase()
+	if err == nil && ph.window != nil {
 		_ = r.eachWorker(stepWindow)
 	}
-	if err := r.tr.AwaitPhase(); err != nil {
-		return err
+	if err == nil {
+		err = r.tr.AwaitPhase()
 	}
-	if err := r.eachWorker(stepDeliver); err != nil {
-		return err
+	if err == nil {
+		err = r.eachWorker(stepDeliver)
 	}
 	if r.cfg.VClock != nil {
 		r.cfg.VClock.Barrier()
 	}
-	return nil
+	return err
 }
 
 // step is one of a worker's parts in a phase, run by eachWorker.
@@ -356,10 +329,8 @@ func reuse[V any](s []V) []V {
 
 // flush sends worker w's batches to other partitions and charges its
 // network time; its batch to itself stays in its outbox, metered as local.
-// A batch addressed to a crashed worker is lost before it is sent — so the
-// transport never meters it — but the sender paid for the attempt. A sent
-// batch stays the sender's buffer: receivers copy it out, and the sender
-// reuses it next phase.
+// A sent batch stays the sender's buffer: receivers copy it out, and the
+// sender reuses it next phase.
 func (r *Runtime[V]) flush(w int, out [][]V) {
 	for dest, batch := range out {
 		if len(batch) == 0 {
@@ -371,15 +342,13 @@ func (r *Runtime[V]) flush(w int, out [][]V) {
 			r.tr.Metrics().RecordSend(cluster.NodeID(w), cluster.NodeID(w), bytes, true)
 			continue
 		}
-		if !r.failed[dest] {
-			_ = r.tr.Send(cluster.Message{
-				From:    cluster.NodeID(w),
-				To:      cluster.NodeID(dest),
-				Tag:     int(r.cur.phase),
-				Payload: batch,
-				Bytes:   bytes,
-			})
-		}
+		_ = r.tr.Send(cluster.Message{
+			From:    cluster.NodeID(w),
+			To:      cluster.NodeID(dest),
+			Tag:     int(r.cur.phase),
+			Payload: batch,
+			Bytes:   bytes,
+		})
 		if r.cfg.VClock != nil {
 			r.cfg.VClock.ChargeNetwork(cluster.NodeID(w), 1, int64(bytes))
 		}
@@ -434,25 +403,19 @@ func (r *Runtime[V]) messageError(w int, m cluster.Message, reason string) *Mess
 	return &MessageError{Job: r.job.Name, Worker: w, From: m.From, Tag: m.Tag, Want: int(r.cur.phase), Payload: fmt.Sprintf("%T", m.Payload), Reason: reason}
 }
 
-// eachWorker runs step s for every locally computed partition whose worker
-// is alive, concurrently, and returns the first error in partition order.
+// eachWorker runs step s for every locally computed partition,
+// concurrently, and returns the first error in partition order.
 // In a single-process runtime that is every partition; in a multi-process
 // run each process covers only its LocalParts block and the transport's
 // phase protocol keeps the processes in lockstep. A lone partition runs on
 // the calling goroutine.
 func (r *Runtime[V]) eachWorker(s step) error {
 	if len(r.local) == 1 {
-		if w := r.local[0]; !r.failed[w] {
-			return r.run(s, w)
-		}
-		return nil
+		return r.run(s, r.local[0])
 	}
 	var wg sync.WaitGroup
 	for i, w := range r.local {
 		r.errs[i] = nil
-		if r.failed[w] { // a crashed worker runs nothing
-			continue
-		}
 		wg.Add(1)
 		go func(i, w int) {
 			defer wg.Done()

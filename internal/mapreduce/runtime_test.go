@@ -204,20 +204,18 @@ func TestTwoReducePathGlobalAggregation(t *testing.T) {
 	}
 }
 
-// A crash is simulated by the runtime alone: from the crash tick to the
-// next epoch boundary the worker's memory is gone, it runs no phase, and
-// batches addressed to it are dropped before the transport sees them (so
-// they are never metered) while the sender still pays the network time for
-// the attempt. That boundary reports the loss instead of running its hooks;
-// Reset — here the test's own rollback — re-enables delivery.
-func TestCrashedWorkerIsCutOffUntilRecovery(t *testing.T) {
+// A crash is a closed transport: the phase it interrupts is lost, RunTicks
+// stops at that barrier with transport.ErrRestore, and Reset — here the
+// test's own rollback — resumes the run. The lost phase's traffic stays
+// metered and its virtual time stays paid; the replay then moves exactly
+// the clean run's traffic and ends in its state.
+func TestClosedTransportRestoresThroughReset(t *testing.T) {
 	const workers, items, ticks, epoch = 2, 4, 8, 2
 	model := cluster.CostModel{SecPerByte: 1}
-	newRun := func(failures *cluster.FailurePlan, vc *cluster.VClock, onEpoch func(*Runtime[rec], uint64)) *Runtime[rec] {
+	newRun := func(tr transport.Transport, vc *cluster.VClock, onEpoch func(*Runtime[rec], uint64)) *Runtime[rec] {
 		var r *Runtime[rec]
 		r = New(ringJob(workers), Config{
-			Workers: workers, EpochTicks: epoch,
-			Failures: failures, VClock: vc,
+			Workers: workers, EpochTicks: epoch, Transport: tr, VClock: vc,
 			OnEpoch: func(tick uint64) error { onEpoch(r, tick); return nil },
 		})
 		loadItems(r, items, workers)
@@ -229,40 +227,36 @@ func TestCrashedWorkerIsCutOffUntilRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Worker 1 crashes at the start of tick 2, the first tick of an epoch:
-	// that tick worker 0 maps its items to partition 1 and nothing comes
-	// back, so by the boundary at tick 4 every value is gone. The test keeps
-	// the tick-2 state as its rollback point.
+	// The ring job runs two phases a tick, so barrier 6 is tick 2's reduce:
+	// its batches are queued when the transport closes. The test keeps the
+	// tick-2 state as its rollback point.
+	mem := transport.NewMem(workers)
 	var beforeCrash cluster.NodeMetrics
 	var clockBeforeCrash float64
 	saved := map[int][]rec{}
 	var boundaries []uint64
-	faulty := newRun(cluster.NewFailurePlan().CrashAt(2, 1), clock, func(r *Runtime[rec], tick uint64) {
+	faulty := newRun(&transport.FaultAt{Transport: mem, Phase: 6, Do: func() { mem.Close() }}, clock, func(r *Runtime[rec], tick uint64) {
 		boundaries = append(boundaries, tick)
 		if tick == 2 && len(saved) == 0 {
-			beforeCrash, clockBeforeCrash = r.Transport().Metrics().Totals(), clock.Now()
+			beforeCrash, clockBeforeCrash = mem.Metrics().Totals(), clock.Now()
 			for p := 0; p < workers; p++ {
 				saved[p] = append([]rec(nil), r.Values(p)...)
 			}
 		}
 	})
-	err := faulty.RunTicks(ticks)
-	var lost *LostWorkerError
-	if !errors.As(err, &lost) || lost.Tick != 4 {
-		t.Fatalf("RunTicks = %v, want a worker lost at tick 4", err)
+	if err := faulty.RunTicks(ticks); !errors.Is(err, transport.ErrRestore) || faulty.Tick() != 2 {
+		t.Fatalf("RunTicks = %v at tick %d, want ErrRestore at tick 2", err, faulty.Tick())
 	}
-	if got := faulty.Transport().Metrics().Totals(); got != beforeCrash {
-		t.Errorf("the crashed epoch was metered: %+v before, %+v after", beforeCrash, got)
+	lost := sub(mem.Metrics().Totals(), beforeCrash)
+	if lost.SentMsgs == 0 {
+		t.Error("the lost phase's sends were not metered")
 	}
 	if clock.Now() <= clockBeforeCrash {
-		t.Error("worker 0's dropped sends cost no virtual network time")
-	}
-	if got := faulty.OwnedCounts(); got[0] != 0 || got[1] != 0 {
-		t.Errorf("values after the crashed epoch = %v, want none: worker 1 lost its memory and worker 0's sends were dropped", got)
+		t.Error("the lost phase cost no virtual time")
 	}
 	for n := 0; n < workers; n++ {
-		if msgs := faulty.Transport().Drain(cluster.NodeID(n)); len(msgs) != 0 {
-			t.Errorf("inbox %d holds %d messages; nothing to or from a crashed worker may be delivered", n, len(msgs))
+		if msgs := mem.Drain(cluster.NodeID(n)); len(msgs) != 0 {
+			t.Errorf("inbox %d holds %d messages of the lost phase", n, len(msgs))
 		}
 	}
 	if err := faulty.Reset(2, nil, saved); err != nil {
@@ -271,18 +265,14 @@ func TestCrashedWorkerIsCutOffUntilRecovery(t *testing.T) {
 	if err := faulty.RunTicks(ticks - 2); err != nil {
 		t.Fatal(err)
 	}
-	// The lost boundary ran no hook; the replay runs tick 4's.
 	if want := []uint64{2, 4, 6, 8}; !slices.Equal(boundaries, want) {
 		t.Errorf("epoch hooks ran at %v, want %v", boundaries, want)
 	}
-	// Delivery works again after the reset: the re-executed epoch and the
-	// rest of the run move exactly the traffic of the clean run, and end in
-	// its state — later, by the virtual time the lost epoch cost.
-	if got, want := faulty.Transport().Metrics().Totals(), clean.Transport().Metrics().Totals(); got != want {
-		t.Errorf("traffic with a recovered crash = %+v, want the clean run's %+v", got, want)
+	if got, want := sub(mem.Metrics().Totals(), lost), clean.Transport().Metrics().Totals(); got != want {
+		t.Errorf("traffic without the lost phase's = %+v, want the clean run's %+v", got, want)
 	}
 	if clock.Now() <= cleanClock.Now() {
-		t.Error("the lost epoch cost no virtual time")
+		t.Error("the recovered run cost no more virtual time than the clean one")
 	}
 	a, b := sortedItems(clean), sortedItems(faulty)
 	if len(a) != items || len(b) != items {
@@ -292,6 +282,15 @@ func TestCrashedWorkerIsCutOffUntilRecovery(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("recovered run diverges at %d: %+v vs %+v", i, a[i], b[i])
 		}
+	}
+}
+
+// sub returns the traffic a metered since b.
+func sub(a, b cluster.NodeMetrics) cluster.NodeMetrics {
+	return cluster.NodeMetrics{
+		LocalMsgs: a.LocalMsgs - b.LocalMsgs, LocalBytes: a.LocalBytes - b.LocalBytes,
+		SentMsgs: a.SentMsgs - b.SentMsgs, SentBytes: a.SentBytes - b.SentBytes,
+		RecvMsgs: a.RecvMsgs - b.RecvMsgs, RecvBytes: a.RecvBytes - b.RecvBytes,
 	}
 }
 

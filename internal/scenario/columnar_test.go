@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"github.com/bigreddata/brace/internal/agent"
-	"github.com/bigreddata/brace/internal/cluster"
 	"github.com/bigreddata/brace/internal/engine"
 	"github.com/bigreddata/brace/internal/spatial"
 )
@@ -161,7 +160,7 @@ func TestColumnarEquivalenceLoadBalanceAndRecovery(t *testing.T) {
 			if _, ok := m.(engine.ColumnarModel); !ok {
 				t.Skipf("%s does not implement ColumnarModel", sp.Name)
 			}
-			run := func(columnar, lb bool, failures *cluster.FailurePlan) []*agent.Agent {
+			run := func(columnar, lb, crash bool) []*agent.Agent {
 				t.Helper()
 				m, pop, err := sp.New(testConfig(sp, seed))
 				if err != nil {
@@ -170,33 +169,36 @@ func TestColumnarEquivalenceLoadBalanceAndRecovery(t *testing.T) {
 				if !columnar {
 					m = classic{m}
 				}
-				e, err := engine.NewDistributed(m, pop, engine.Options{
+				opts := engine.Options{
 					Workers: workers, Index: spatial.KindKDTree, Seed: seed,
 					EpochTicks: epochTicks, CheckpointEveryEpochs: 1,
 					LoadBalance: lb,
-					Failures:    failures,
-				})
+				}
+				if crash {
+					opts.Transport = crashAt(m, workers, crashTick, 0, false)
+				}
+				e, err := engine.NewDistributed(m, pop, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if err := e.RunTicks(ticks); err != nil {
 					t.Fatal(err)
 				}
-				if failures != nil && e.Recoveries() < 1 {
+				if crash && e.Recoveries() < 1 {
 					t.Fatalf("expected at least one recovery, got %d", e.Recoveries())
 				}
 				return e.Agents()
 			}
 
-			lbRef := run(false, true, nil)
-			lbCol := run(true, true, nil)
+			lbRef := run(false, true, false)
+			lbCol := run(true, true, false)
 			if len(lbRef) == 0 {
 				t.Fatal("population died out; test config mis-tuned")
 			}
 			assertExact(t, sp.Name+"/lb", seed, workers, lbRef, lbCol)
 
-			recRef := run(false, false, cluster.NewFailurePlan().CrashAt(crashTick, 2))
-			recCol := run(true, false, cluster.NewFailurePlan().CrashAt(crashTick, 2))
+			recRef := run(false, false, true)
+			recCol := run(true, false, true)
 			assertExact(t, sp.Name+"/recovery", seed, workers, recRef, recCol)
 		})
 	}

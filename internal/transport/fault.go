@@ -4,9 +4,11 @@ package transport
 // and mesh chaos suites: it counts phase barriers and fires Do immediately
 // before the Nth FlushPhase (or, with Await set, between that phase's
 // FlushPhase and its AwaitPhase). What the fault is belongs to the caller,
-// usually a method of the wrapped *TCP:
+// usually a method of the wrapped transport:
 //
-//   - Close severs the coordinator connection. To the coordinator this is
+//   - Mem.Close is the in-process crash: the phase is lost, its AwaitPhase
+//     returns ErrRestore, and the engine's master rolls the run back.
+//   - TCP.Close severs the coordinator connection. To the coordinator this is
 //     indistinguishable from the worker process dying mid-phase; to the
 //     worker every subsequent transport operation fails, so its session
 //     unwinds exactly like a crash while the daemon survives to accept a
@@ -24,10 +26,12 @@ package transport
 //
 // Local-effect scenarios run two phases per tick (map, reduce₁) and
 // non-local ones three, so Phase = 2·tick+1 hits a local-effect worker in
-// the middle of that tick. With Await the fault lands in the overlap window
-// of the two-pass tick: the phase's sends and marker are already out, the
-// interior pass has its inputs, but the boundary drain has not happened —
-// so peers sail through this barrier and only the next one hangs.
+// the middle of that tick. The count runs on through a recovery, so a
+// fault nested inside another counts the barriers the rollback re-executes.
+// With Await the fault lands in the overlap window of the two-pass tick:
+// the phase's sends and marker are already out, the interior pass has its
+// inputs, but the boundary drain has not happened — so peers sail through
+// this barrier and only the next one hangs.
 type FaultAt struct {
 	Transport
 	// Phase is the 1-based phase barrier the fault fires at.

@@ -3,6 +3,7 @@ package transport
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"github.com/bigreddata/brace/internal/cluster"
 )
@@ -12,10 +13,16 @@ import (
 // network); Message.Bytes carries the size the payload would occupy on the
 // wire, supplied by the sender, so the cost model can charge transfer time
 // without serializing.
+//
+// Close is the in-process crash: the phase it interrupts is lost, as it is
+// to every process of a TCP run when one of them dies. The next AwaitPhase
+// drops every queued message and returns ErrRestore, once; after that the
+// Mem serves the restored run, as a re-admitted worker's new session does.
 type Mem struct {
 	mu      sync.Mutex
 	inbox   [][]cluster.Message
 	metrics *cluster.Metrics
+	lost    atomic.Bool // Close interrupted the running phase
 }
 
 var _ Transport = (*Mem)(nil)
@@ -58,8 +65,20 @@ func (t *Mem) Metrics() *cluster.Metrics { return t.metrics }
 // FlushPhase is a no-op: in-memory sends are visible immediately.
 func (t *Mem) FlushPhase() error { return nil }
 
-// AwaitPhase is a no-op.
-func (t *Mem) AwaitPhase() error { return nil }
+// AwaitPhase completes the phase, unless Close interrupted it: then it
+// drops every queued message and returns ErrRestore.
+func (t *Mem) AwaitPhase() error {
+	if !t.lost.CompareAndSwap(true, false) {
+		return nil
+	}
+	t.mu.Lock()
+	clear(t.inbox)
+	t.mu.Unlock()
+	return ErrRestore
+}
 
-// Close is a no-op.
-func (t *Mem) Close() error { return nil }
+// Close loses the phase it interrupts (see Mem).
+func (t *Mem) Close() error {
+	t.lost.Store(true)
+	return nil
+}

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"sync"
@@ -106,5 +107,43 @@ func TestPartitionOwnershipConsistent(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// Close is the in-process crash: the phase it interrupts is lost. Its
+// AwaitPhase drops every queued message and returns ErrRestore, once; the
+// next phase runs clean, as the restored run's does. Close itself succeeds,
+// and neither the clean nor the lost AwaitPhase allocates.
+func TestMemCloseLosesThePhase(t *testing.T) {
+	tr := NewMem(2)
+	tr.Send(cluster.Message{From: 0, To: 1, Tag: 1, Bytes: 8})
+	if err := tr.Close(); err != nil {
+		t.Fatalf("Close = %v", err)
+	}
+	tr.Send(cluster.Message{From: 1, To: 0, Tag: 1, Bytes: 8})
+	if err := tr.FlushPhase(); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.AwaitPhase(); !errors.Is(err, ErrRestore) {
+		t.Fatalf("AwaitPhase after Close = %v, want ErrRestore", err)
+	}
+	for n := cluster.NodeID(0); n < 2; n++ {
+		if msgs := tr.Drain(n); len(msgs) != 0 {
+			t.Errorf("node %d drained %d messages of the lost phase", n, len(msgs))
+		}
+	}
+	tr.Send(cluster.Message{From: 0, To: 1, Tag: 2, Bytes: 8})
+	if err := endPhase(tr); err != nil {
+		t.Fatalf("the phase after the lost one: %v", err)
+	}
+	if msgs := tr.Drain(1); len(msgs) != 1 || msgs[0].Tag != 2 {
+		t.Errorf("the phase after the lost one delivered %v, want its one message", msgs)
+	}
+	if got := testing.AllocsPerRun(100, func() {
+		tr.Close()
+		tr.AwaitPhase()
+		tr.AwaitPhase()
+	}); got != 0 {
+		t.Errorf("AwaitPhase allocates %v times", got)
 	}
 }

@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -10,12 +9,6 @@ import (
 
 	"github.com/bigreddata/brace/internal/cluster"
 )
-
-// ErrRestore is returned by a blocked or attempted transport operation
-// when the coordinator has ordered a restore: the worker must unwind its
-// tick loop, apply the pending Restore (AwaitRestore + Reset), and resume
-// from the checkpoint.
-var ErrRestore = errors.New("transport: restore directive pending")
 
 // peerDialTimeout bounds dialing + handshaking a peer worker. A peer that
 // cannot be reached in this budget is marked down for the generation and

@@ -14,11 +14,25 @@
 // The runtime is bulk-synchronous: a phase's sends all complete before any
 // receiver drains its inbox, so the interface exposes phase-oriented
 // Send / FlushPhase / AwaitPhase / Drain rather than streaming channels.
-// Delivery is all a transport does: which workers are alive is the
-// runtime's (in process) or the coordinator's (across processes) business.
+//
+// A failure is a lost phase, on both: a closed Mem, or a TCP worker that
+// dies or stalls, makes AwaitPhase (over TCP, any blocked operation)
+// return ErrRestore. Deciding the rollback is the master's business
+// (engine.Master), in process as across processes.
 package transport
 
-import "github.com/bigreddata/brace/internal/cluster"
+import (
+	"errors"
+
+	"github.com/bigreddata/brace/internal/cluster"
+)
+
+// ErrRestore is returned by a transport operation when the phase it ends
+// was lost — a Mem was closed, or the coordinator of a TCP run ordered a
+// restore because a worker died at or before this barrier. The caller must
+// unwind its tick loop and resume from the master's checkpoint (in
+// process: Master.Rewind, then Reset; over TCP: AwaitRestore, then Reset).
+var ErrRestore = errors.New("transport: restore directive pending")
 
 // Transport delivers messages between the nodes (= partitions) of a BRACE
 // cluster and meters every delivery.
@@ -52,7 +66,8 @@ type Transport interface {
 	// transports each process meters the messages it sends (so summing
 	// Totals across processes counts each delivery exactly once).
 	Metrics() *cluster.Metrics
-	// Close releases any resources (connections, goroutines).
+	// Close releases any resources (connections, goroutines). The phase
+	// it interrupts is lost; on a Mem that is all it does.
 	Close() error
 }
 
