@@ -89,7 +89,8 @@ func V(x, y float64) Vec { return geom.V(x, y) }
 type IndexKind = spatial.Kind
 
 const (
-	// IndexKD is the default KD-tree index (the paper's choice).
+	// IndexKD is the default index: the engine's per-tick cell grid (the
+	// name is the paper's KD-tree, which the grid replaced).
 	IndexKD = spatial.KindKDTree
 	// IndexScan disables indexing (the "no indexing" baselines).
 	IndexScan = spatial.KindScan
@@ -102,7 +103,7 @@ var ParseIndex = spatial.ParseKind
 type Config struct {
 	// Workers is the number of simulated worker nodes (≥1). Zero means 1.
 	Workers int
-	// Index selects the spatial index (default KD-tree).
+	// Index selects the spatial index (default: the cell grid).
 	Index IndexKind
 	// Seed drives all simulation randomness.
 	Seed uint64
@@ -179,9 +180,9 @@ type Metrics struct {
 	// itself.
 	NetworkBytes int64
 	LocalBytes   int64
-	// CacheBuilds / CacheReuses split query-phase ticks into full index
-	// rebuilds and Verlet-list reuse hits (zero when the cached path is
-	// off) — the knob for reasoning about §5.2-style indexing cost.
+	// CacheBuilds counts the partitions' per-tick cell-grid builds (zero
+	// under the scan). CacheReuses is always zero: nothing is kept between
+	// ticks. Both keep their names for the benchmark, which reads them.
 	CacheBuilds int64
 	CacheReuses int64
 }
@@ -189,7 +190,6 @@ type Metrics struct {
 // Metrics reports run statistics.
 func (s *Simulation) Metrics() Metrics {
 	t := s.e.Runtime().Transport().Metrics().Totals()
-	cs := s.e.CacheStats()
 	return Metrics{
 		Ticks:             s.e.Tick(),
 		Agents:            len(s.e.Agents()),
@@ -201,8 +201,7 @@ func (s *Simulation) Metrics() Metrics {
 		ThroughputVirtual: s.e.ThroughputVirtual(),
 		NetworkBytes:      t.SentBytes,
 		LocalBytes:        t.LocalBytes,
-		CacheBuilds:       cs.Builds,
-		CacheReuses:       cs.Reuses,
+		CacheBuilds:       s.e.GridBuilds(),
 	}
 }
 
@@ -215,9 +214,6 @@ func (m Metrics) String() string {
 	}
 	if m.NetworkBytes > 0 || m.LocalBytes > 0 {
 		s += fmt.Sprintf(" net=%dB local=%dB", m.NetworkBytes, m.LocalBytes)
-	}
-	if m.CacheBuilds > 0 || m.CacheReuses > 0 {
-		s += fmt.Sprintf(" qcache=%d builds/%d reuses", m.CacheBuilds, m.CacheReuses)
 	}
 	return s
 }

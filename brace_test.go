@@ -189,10 +189,11 @@ func TestConfigDefaults(t *testing.T) {
 }
 
 // Partitioning may replicate work, but only so much: on the benchmark's
-// fish school, eight partitions examine at most 1.2× the candidates per
-// agent-tick that one does. Both count their candidate-list builds; this
-// run reads 582.0 on one partition vs 590.6 on eight (1.01×). A count,
-// not a timing: it repeats exactly.
+// fish school, eight partitions examine at most 1.03× the candidates per
+// agent-tick that one does. Core and halo probes read cell grids of one
+// edge rule, so the bound is the measured ratio plus 5 %: this run reads
+// 365.4 on one partition vs 357.4 on eight (0.98×). A count, not a
+// timing: it repeats exactly.
 func TestPartitionedCandidateWorkGuard(t *testing.T) {
 	sp, ok := LookupScenario("fish")
 	if !ok {
@@ -220,8 +221,8 @@ func TestPartitionedCandidateWorkGuard(t *testing.T) {
 	one := perAgentTick(Config{Workers: 1})
 	part := perAgentTick(Config{Workers: 8})
 	t.Logf("candidates per agent-tick: 1 partition %.1f, 8 partitions %.1f (%.2f×)", one, part, part/one)
-	if part > 1.2*one {
-		t.Errorf("8 partitions examine %.1f candidates per agent-tick, over 1.2× one partition's %.1f", part, one)
+	if part > 1.03*one {
+		t.Errorf("8 partitions examine %.1f candidates per agent-tick, over 1.03× one partition's %.1f", part, one)
 	}
 }
 

@@ -59,9 +59,9 @@ type Schema struct {
 	// everything everywhere, which is correct but slow).
 	Visibility float64
 
-	// ProbeRadius optionally bounds the radius the model's query phase
-	// probes at (0 = up to Visibility). A performance hint for the
-	// engine's query cache; see SetProbeRadius.
+	// ProbeRadius is read by the benchmark's spatial probe (bench/), which
+	// sizes its candidate lists to it when positive; nothing in this module
+	// sets or reads it. It goes with that probe.
 	ProbeRadius float64
 
 	// Reach bounds how far the position may move in one update phase; the
@@ -123,14 +123,6 @@ func (s *Schema) SetVisibility(rho float64) *Schema { s.Visibility = rho; return
 
 // SetReach sets the per-tick movement bound (<=0 for unbounded).
 func (s *Schema) SetReach(d float64) *Schema { s.Reach = d; return s }
-
-// SetProbeRadius declares the largest radius the model's query phase
-// actually probes (Nearby arguments), when it is smaller than the
-// visibility bound — e.g. the predator bites within 2 but sees within 5.
-// It is a performance hint only: the engine sizes its cached candidate
-// lists to it, and probes beyond it fall back to an exact index query.
-// Zero (the default) means probes may use the full visibility.
-func (s *Schema) SetProbeRadius(r float64) *Schema { s.ProbeRadius = r; return s }
 
 // Validate checks that the schema is usable by the engine.
 func (s *Schema) Validate() error {

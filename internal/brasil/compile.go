@@ -29,6 +29,8 @@ type Program struct {
 	crops    []*RangeTag // by state index
 	nonLocal bool
 	inverted bool
+	// foreach[k] makes the k-th foreach loop's body callback for a frame.
+	foreach []func(*frame) func(*agent.Agent)
 
 	frames sync.Pool
 }
@@ -42,6 +44,10 @@ type frame struct {
 	state  []float64 // update-phase scratch for simultaneous assignment
 	env    engine.Env
 	u      *engine.UpdateCtx
+	// iters[k] is the k-th foreach loop's body callback, bound to this
+	// frame once when the pool makes it: a callback made per loop would
+	// escape through the Env and allocate every query phase.
+	iters []func(*agent.Agent)
 }
 
 type cexpr func(*frame) float64
@@ -112,11 +118,16 @@ func compileChecked(ck *Checked, inverted bool) (*Program, error) {
 	}
 
 	p.frames.New = func() any {
-		return &frame{
+		fr := &frame{
 			agents: make([]*agent.Agent, ck.NAgents),
 			locals: make([]float64, ck.NLocals),
 			state:  make([]float64, len(ck.StateIdx)),
+			iters:  make([]func(*agent.Agent), len(p.foreach)),
 		}
+		for k, mk := range p.foreach {
+			fr.iters[k] = mk(fr)
+		}
+		return fr
 	}
 	return p, nil
 }
@@ -273,13 +284,17 @@ func (c *compiler) stmt(s Stmt) (cstmt, error) {
 			}
 			radius = r
 		}
-		return func(fr *frame) {
-			iter := func(nb *agent.Agent) {
+		k := len(c.p.foreach)
+		c.p.foreach = append(c.p.foreach, func(fr *frame) func(*agent.Agent) {
+			return func(nb *agent.Agent) {
 				fr.agents[depth] = nb
 				for _, s := range body {
 					s(fr)
 				}
 			}
+		})
+		return func(fr *frame) {
+			iter := fr.iters[k]
 			if radius != nil {
 				fr.env.Nearby(radius(fr), iter)
 			} else {

@@ -9,11 +9,10 @@ import "sync"
 // for cheap models).
 type CostModel struct {
 	// SecPerVisit charges each candidate agent examined during the query
-	// phase — the engine's Visited gauge: candidates examined building the
-	// Verlet lists, scanning them, or walking the KD-tree (or the scan)
-	// where no list serves a probe, plus halo cells read by boundary
-	// probes. It is the dominant compute term, and it counts the work the
-	// query cache actually does.
+	// phase — the engine's Visited gauge: the members of the core and halo
+	// grid cells each probe reads (or every copy, under the scan). It is
+	// the dominant compute term, and a function of the state, the
+	// partitioning and the index kind alone.
 	SecPerVisit float64
 	// SecPerAgent charges per owned agent per tick for map/update work and
 	// per-agent fixed overheads.

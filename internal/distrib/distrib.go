@@ -75,7 +75,7 @@ type Options struct {
 	CheckpointFullEvery int
 	// Tunables are the deployment knobs: liveness timeouts and topology.
 	Tunables
-	// Index selects the spatial index (zero value: the KD-tree).
+	// Index selects the spatial index (zero value: the cell grid).
 	Index spatial.Kind
 	// LoadBalance enables the coordinator-driven 1-D load balancer: the
 	// same engine.Master as the in-memory engine, run on the workers'

@@ -517,13 +517,6 @@ func workerBarrier(eng *engine.Distributed, tcp *transport.TCP, h *transport.Hel
 	if err := tcp.Control(&transport.Frame{Kind: transport.FrameStats, Stats: stats}); err != nil {
 		return err
 	}
-	// Pipeline the next tick's index build behind the coordinator
-	// round-trip: the core builds run on a goroutine while this worker
-	// waits for the directive (and ships its checkpoint), and are joined
-	// before the barrier returns — on every path, so neither a tick nor a
-	// Restore ever meets a build in flight.
-	join := eng.StartBarrierPrebuild()
-	defer join()
 	d, err := tcp.AwaitDirective()
 	if err != nil {
 		return err

@@ -1,7 +1,7 @@
 // Control-plane surface of the distributed engine: what a Master's barrier
 // round needs from the partitions an engine runs, whether the engine is its
 // own master or a worker of the coordinator's. The balancer's inputs are
-// functions of agent state and cuts alone — never index or cache counters —
+// functions of agent state and cuts alone — never index counters —
 // which is what makes `-lb` bit-identical over TCP, across index kinds and
 // after a recovery, with nothing but agent state in a checkpoint.
 package engine
@@ -40,8 +40,8 @@ func (e *Distributed) EpochStats(withXs bool) []transport.PartStats {
 // PartitionCost returns the balancer's cost input for partition p: the
 // rows its probes have returned since the last epoch barrier (or restore).
 // A probe's rows are the agents within its radius, so the count is a
-// function of agent state and cuts alone — the same whichever index, cache
-// state, tick schedule or transport produced them — and it restarts where
+// function of agent state and cuts alone — the same whichever index, tick
+// schedule or transport produced them — and it restarts where
 // checkpoints are taken, so no checkpoint carries it.
 func (e *Distributed) PartitionCost(p int) int64 { return e.parts[p].cost }
 

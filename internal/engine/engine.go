@@ -22,8 +22,9 @@ type Options struct {
 	// is the single-node engine: its partition ticks on the calling
 	// goroutine.
 	Workers int
-	// Index selects the spatial index used by reducers: the zero value is
-	// the KD-tree, KindScan the "no indexing" configuration of Figs. 3–4.
+	// Index selects the spatial index used by reducers: the zero value
+	// (KindKDTree) is the per-tick cell grid, KindScan the "no indexing"
+	// configuration of Figs. 3–4.
 	Index spatial.Kind
 	// Seed drives all simulation randomness.
 	Seed uint64
@@ -86,8 +87,7 @@ type Distributed struct {
 
 	// Per-worker tick counters; each worker writes only its own slot
 	// during a phase and the master reads after the phase barrier. Metrics
-	// only: wVisited depends on what the query caches happened to hold, so
-	// no decision may read it (the balancer's input is part.cost).
+	// only: no decision reads wVisited (the balancer's input is part.cost).
 	wOwned   []int64
 	wVisited []int64
 
@@ -254,9 +254,8 @@ func NewDistributed(m Model, pop []*agent.Agent, opts Options) (*Distributed, er
 // — because eachWorker is a barrier between phases. Under TCP a
 // co-resident partition receives the pointer within the phase and a remote
 // one a copy in a column block, encoded before Send returns. Checkpoints,
-// exports, the barrier prebuild, Agents and the final report read owned
-// values only, and the query cache copies positions and keys, never
-// agents.
+// exports, Agents and the final report read owned values only, and the
+// cell grids copy positions, never agents.
 func (e *Distributed) mapPhase(ctx *mapreduce.Ctx, envs []*Envelope, emit mapreduce.Emit[*Envelope]) {
 	b := &e.bufs[ctx.Worker]
 	b.arena.reset()
@@ -374,11 +373,9 @@ type partBufs struct {
 }
 
 // prepare sorts this reducer's envelopes by agent ID, builds partition w's
-// index over the copies with the owned slots as the probe set (nil when
-// every copy is owned), and returns the owned slots and the build's
-// visited count. The caller may reorder the slots: the index keeps its own
-// copy of the probe set.
-func (e *Distributed) prepare(w int, envs []*Envelope) (ownedSlots []int32, built int64) {
+// index over the copies, and returns the owned slots. The caller may
+// reorder the slots.
+func (e *Distributed) prepare(w int, envs []*Envelope) (ownedSlots []int32) {
 	sortByID(envs)
 	b := &e.bufs[w]
 	clear(b.copies) // see reduce1Late: no stale agent past the new length
@@ -390,11 +387,8 @@ func (e *Distributed) prepare(w int, envs []*Envelope) (ownedSlots []int32, buil
 			b.ownedSlot = append(b.ownedSlot, int32(i))
 		}
 	}
-	probe := b.ownedSlot
-	if len(probe) == len(envs) {
-		probe = nil
-	}
-	return b.ownedSlot, e.parts[w].build(b.copies, probe)
+	e.parts[w].build(b.copies)
+	return b.ownedSlot
 }
 
 // sortByID orders a reducer's envelopes by agent ID, which is unique among
@@ -403,16 +397,14 @@ func sortByID(envs []*Envelope) {
 	slices.SortFunc(envs, func(a, b *Envelope) int { return cmp.Compare(a.A.ID, b.A.ID) })
 }
 
-// CacheStats sums the query-cache counters across partitions (zero when
-// the cached path is disabled).
-func (e *Distributed) CacheStats() spatial.CacheStats {
-	var cs spatial.CacheStats
+// GridBuilds returns the cell grids the partitions have built, one per
+// partition-tick (zero under KindScan).
+func (e *Distributed) GridBuilds() int64 {
+	var n int64
 	for _, p := range e.parts {
-		s := p.cacheStats()
-		cs.Builds += s.Builds
-		cs.Reuses += s.Reuses
+		n += p.builds
 	}
-	return cs
+	return n
 }
 
 // RunTicks advances the simulation n full ticks (query + update each),

@@ -218,7 +218,7 @@ func TestSequentialMatchesDistributedLocal(t *testing.T) {
 	}
 }
 
-// KD and scan runs are bit-identical for local and non-local models alike;
+// Grid and scan runs are bit-identical for local and non-local models alike;
 // the load-balanced runs add ticks whose owned agents migrate between
 // partitions, which a non-local model probes in ascending ID order with the
 // core.

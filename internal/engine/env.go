@@ -2,35 +2,30 @@ package engine
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 	"slices"
 
 	"github.com/bigreddata/brace/internal/agent"
-	"github.com/bigreddata/brace/internal/geom"
 	"github.com/bigreddata/brace/internal/spatial"
 )
 
 // queryEnv implements Env (and, viewed as Cols, the columnar window) over
 // one part's copy set. The copies are sorted by agent ID, and every probe
-// yields its rows in ascending ID order no matter which index
-// implementation found them, making query phases deterministic across
-// index kinds and partition layouts (and giving the BRASIL weak-reference
-// visibility semantics of Theorem 1: agents outside the bound simply do
-// not appear).
+// yields its rows in ascending ID order no matter which index found them,
+// making query phases deterministic across index kinds and partition
+// layouts (and giving the BRASIL weak-reference visibility semantics of
+// Theorem 1: agents outside the bound simply do not appear).
 //
 // Rows are the one probe representation: row i < len(copies) is core copy
 // i (its slot in the index), row len(copies)+j is halo copy j. The rows
-// core below picks the candidate source once; Cols hands its result to the
+// core below probes the index and the halo; Cols hands its result to the
 // model as is, and the closure-style Env methods iterate it.
 type queryEnv struct {
 	// Bound per pass by part.query.
 	c      *core
-	ix     spatial.Index        // the part's disc probe over copies, in slots
-	cached *spatial.CachedIndex // the cached KD-tree over copies; nil under the scan
-	copies []*agent.Agent       // ID-sorted core copies
-	cols   [][]float64          // columnar models: per-state-field columns over all rows
-	lists  bool                 // the tick's build carries Verlet candidate lists
+	ix     spatial.Index  // the part's disc probe over copies, in slots: its cell grid or the scan
+	copies []*agent.Agent // ID-sorted core copies
+	cols   [][]float64    // columnar models: per-state-field columns over all rows
 	// halo is non-nil only in a late (boundary) pass with peer-sent copies:
 	// the index covers the core (self-sent) copies and probes join in the
 	// peer-sent ones.
@@ -42,9 +37,8 @@ type queryEnv struct {
 
 	// Bound per agent.
 	self *agent.Agent
-	slot int32 // self's core slot (-1: self is a halo row)
 
-	visited int64 // candidates the probes examined (Visited gauge)
+	visited int64 // grid members (or scanned copies) the probes examined: the Visited gauge
 	cost    int64 // rows returned to the model: the load balancer's input
 	// out[d] holds the result rows of the probe issued at closure-iteration
 	// depth d. A probe made from inside a ForEachVisible/Nearby callback
@@ -52,10 +46,13 @@ type queryEnv struct {
 	// live iteration level owns one; steady-state probes allocate nothing.
 	out   [][]int32
 	depth int
-	// words is the rank bitset, one bit per rank of the pass. Every probe
-	// that sets bits drains them (ordered) before rows returns, so the words
-	// are all zero between probes and nested probes share them.
-	words []uint64
+	// words is the rank bitset, one bit per rank of the pass, and summary
+	// its index, one bit per word that may be nonzero, so a drain reads
+	// one summary word per 4096 ranks and then only the words holding
+	// results. Every probe that sets bits drains them (ordered) before rows
+	// returns, so both are all zero between probes and nested probes share
+	// them.
+	words, summary []uint64
 }
 
 var _ Env = (*queryEnv)(nil)
@@ -116,92 +113,43 @@ func (q *queryEnv) nearby(radius float64) []int32 {
 }
 
 // rows is the probe core: the rows within radius of self's position, self
-// included, ascending by agent ID. It picks the core candidate source once —
-//
-//   - the slot's Verlet candidate list when the tick's build carries lists
-//     covering the radius: a linear distance filter with no tree walk, and
-//     already slot-sorted (= ID-sorted), so with no halo to join the filter's
-//     output is the result;
-//   - otherwise the index's exact current-position disc probe: the cached
-//     KD-tree's walk when no list covers the probe (no lists built,
-//     adaptive gate off, radius beyond the model's probe-radius hint, or
-//     self has no core slot), or the scan;
-//
-// — and, when the pass has a halo, joins in the halo cells the probe disc
-// touches. ID order does not depend on where a candidate came from: every
-// source sets the in-range candidate's bit in the rank bitset and drain
-// reads the rows back in rank order. The one exception is a tree walk with
-// no halo whose result is small next to the bitset (see bitsetOrders): a
-// comparison sort of a handful of slots beats scanning every word.
+// included, ascending by agent ID. The index appends the in-range core
+// slots, in cell (or scan) order; when the pass has a halo, its grid
+// appends the in-range halo ranks. Every row found sets its rank's bit in
+// the rank bitset and drain reads the rows back in rank order. The one
+// exception is a pass with no halo whose result is a handful of rows (see
+// bitsetOrders): a comparison sort of those slots beats the bitset.
 //
 // Two counters live here and nowhere else. visited is the Visited gauge:
-// candidates examined, which depends on the source picked above. cost
-// counts the rows returned, which does not — every source yields exactly
+// the grid members (or scanned copies) examined, a function of the state,
+// the partitioning and the index kind. cost counts the rows returned,
+// which does not depend on the index kind — every source yields exactly
 // the agents within radius — and is what the load balancer is charged (see
 // Distributed.PartitionCost).
 func (q *queryEnv) rows(radius float64) []int32 {
-	out := q.buf()
-	var pos geom.Vec
-	r2 := radius * radius
-	marked := 0 // candidates whose bit may be set: bounds the drained rows
-	if q.lists && q.slot >= 0 && radius <= q.cached.ProbeRadius() {
-		cand, cur := q.cached.SlotCandidates(q.slot)
-		q.visited += int64(len(cand))
-		pos = cur[q.slot]
-		if q.halo == nil {
-			// Pre-sized buffer with an unconditional store and a conditional
-			// advance: the pass/fail branch is data-dependent (≈ the ratio of
-			// the probe disc to the list's ρ+skin disc), so keeping it off the
-			// store's critical path is worth a few percent on the hottest loop
-			// in the engine.
-			out = resize(out, len(cand))
-			k := 0
-			for _, j := range cand {
-				p := cur[j]
-				dx, dy := p.X-pos.X, p.Y-pos.Y
-				out[k] = j
-				if dx*dx+dy*dy <= r2 {
-					k++
-				}
-			}
-			return q.done(out[:k])
-		}
-		// Same filter, but the hit lands as a bit: an OR of 0 or 1, so the
-		// data-dependent outcome never becomes a branch.
-		words, rank := q.words, q.coreRank
-		for _, j := range cand {
-			p := cur[j]
-			dx, dy := p.X-pos.X, p.Y-pos.Y
-			var in uint64
-			if dx*dx+dy*dy <= r2 {
-				in = 1
-			}
-			r := uint32(rank[j])
-			words[r>>6] |= in << (r & 63)
-		}
-		marked = len(cand)
-	} else {
-		pos = q.self.Pos(q.c.schema)
-		var visited int64
-		out, visited = q.ix.RangeCircleInto(pos, radius, out)
+	pos := q.self.Pos(q.c.schema)
+	out, visited := q.ix.RangeCircleInto(pos, radius, q.buf())
+	if q.halo == nil && !bitsetOrders(len(out), len(q.rankRow)) {
 		q.visited += visited
-		if q.halo == nil && !bitsetOrders(len(out), len(q.rankRow)) {
-			// Slots ascend with agent ID, so sorting slots sorts by ID.
-			slices.Sort(out)
-			return q.done(out)
-		}
-		for _, j := range out {
-			r := uint32(q.coreRank[j])
-			q.words[r>>6] |= 1 << (r & 63)
-		}
-		marked = len(out)
+		// Slots ascend with agent ID, so sorting slots sorts by ID.
+		slices.Sort(out)
+		return q.done(out)
+	}
+	rank := q.coreRank
+	for _, j := range out {
+		q.mark(uint32(rank[j]))
 	}
 	if q.halo != nil {
-		seen := q.halo.mark(q.words, pos, radius)
-		q.visited += int64(seen)
-		marked += seen
+		n := len(out)
+		var seen int64
+		out, seen = q.halo.grid.RangeCircleInto(pos, radius, out)
+		visited += seen
+		for _, r := range out[n:] {
+			q.mark(uint32(r))
+		}
 	}
-	return q.done(q.drain(resize(out, marked)))
+	q.visited += visited
+	return q.done(q.drain(out))
 }
 
 // done installs a probe's result as the current depth's buffer and charges
@@ -212,115 +160,81 @@ func (q *queryEnv) done(out []int32) []int32 {
 	return out
 }
 
+// mark sets rank r's bit.
+func (q *queryEnv) mark(r uint32) {
+	q.words[r>>6] |= 1 << (r & 63)
+	q.summary[r>>12] |= 1 << ((r >> 6) & 63)
+}
+
 // drain empties the rank bitset into out — the rows of the set ranks,
 // ascending — and returns the filled prefix. out must have room for every
 // set bit.
 func (q *queryEnv) drain(out []int32) []int32 {
 	k := 0
-	rankRow := q.rankRow
-	for wi, w := range q.words {
-		if w == 0 {
+	rankRow, words := q.rankRow, q.words
+	for si, s := range q.summary {
+		if s == 0 {
 			continue
 		}
-		q.words[wi] = 0
-		for base := wi << 6; w != 0; w &= w - 1 {
-			out[k] = rankRow[base+bits.TrailingZeros64(w)]
-			k++
+		q.summary[si] = 0
+		for ; s != 0; s &= s - 1 {
+			wi := si<<6 + bits.TrailingZeros64(s)
+			w := words[wi]
+			words[wi] = 0
+			for base := wi << 6; w != 0; w &= w - 1 {
+				out[k] = rankRow[base+bits.TrailingZeros64(w)]
+				k++
+			}
 		}
 	}
 	return out[:k]
 }
 
-// bitsetOrders is the size rule for ordering a tree walk's n result slots
-// out of a copy set of the given size. The bitset costs a pass over every
-// word (~0.5 ns each) plus a few ns per row; slices.Sort is an insertion
-// sort up to 12 elements (≤ 60 ns) and ~5·n·log₂n ns beyond. Measured
-// crossovers: 17 rows tie at 4000 copies, 32 rows at ~32000, and under
-// ~1000 copies the bitset wins at any size the sort leaves insertion mode.
-// So the sort keeps the results that are a handful of rows out of thousands
-// (the scripted avoidance model: ~17 of 4000) and, at any result size,
-// copy sets too large to sweep per probe. Either way the order is the same.
+// bitsetOrders is the size rule for ordering a probe's n result slots out
+// of a copy set of the given size. The bitset costs a pass over the
+// summary (one word per 4096 copies, ~0.5 ns each), one word per 64-rank
+// block holding a result, and a few ns per row; slices.Sort is an
+// insertion sort up to 12 elements (≤ 60 ns) and ~5·n·log₂n ns beyond. The
+// factor 8 is the crossover measured for a sweep of every word (17 rows
+// tied at 4000 copies), now applied to the summary. So the sort keeps the
+// results of a handful of rows and, at any result size, copy sets so large
+// that even their summary outweighs sorting. Either way the order is the
+// same.
 func bitsetOrders(n, copies int) bool {
-	return n > 12 && (copies+63)/64 <= 8*n
+	return n > 12 && (copies+4095)/4096 <= 8*n
 }
 
 // haloJoin is the probe-side index over a partition's peer-sent copies for
 // one late pass, rebuilt by build once per partition-tick. At 2–3 replicas
 // per owned agent the halo outnumbers the core, so probes cannot afford to
-// scan it: the copies are binned into a uniform cell grid no finer than the
-// visibility bound, and a probe reads only the ≤ 3×3 cells its disc
-// touches. Cells hold positions and ID ranks, not agents — a probe touches
-// no agent until the model reads its result rows.
+// scan it: the copies go into a cell grid whose ids are their ranks, and a
+// probe reads only the cells its disc touches. The grid holds positions
+// and ranks, not agents — a probe touches no agent until the model reads
+// its result rows.
 type haloJoin struct {
 	agents []*agent.Agent // ascending agent ID; halo row j is row len(copies)+j
 
 	// ID ranks over core ∪ halo (see queryEnv.coreRank).
 	coreRank, rankRow []int32
 
-	// The grid: nx×ny cells of the given edge from (minX, minY), the copies
-	// counting-sorted by cell (cell c holds [start[c], start[c+1])) as
-	// position and rank columns. One cell when the extents are degenerate.
-	minX, minY, edge float64
-	nx, ny           int
-	start            []int32
-	xs, ys           []float64
-	rank             []int32
+	grid cellGrid
 
-	px, py    []float64 // build scratch: positions by halo row
-	cell, cur []int32   // build scratch: cell by halo row, fill cursor by cell
+	px, py []float64 // build scratch: positions by halo row
+	rank   []int32   // build scratch: rank by halo row
 }
 
 // build indexes h.agents (already ID-sorted) against the core's ID-sorted
-// keys: one merge-join assigns every copy its rank, and halo copies drop
-// into their cell as the join reaches them.
+// keys: one merge-join assigns every copy its rank, then the halo copies
+// are binned by position with their ranks as ids.
 func (h *haloJoin) build(s *agent.Schema, coreKeys []int64) {
 	nc, nh := len(coreKeys), len(h.agents)
-	h.px, h.py = resize(h.px, nh), resize(h.py, nh)
-	minX, minY := math.Inf(1), math.Inf(1)
-	maxX, maxY := math.Inf(-1), math.Inf(-1)
+	h.px, h.py, h.rank = resize(h.px, nh), resize(h.py, nh), resize(h.rank, nh)
 	for j, a := range h.agents {
 		p := a.Pos(s)
 		h.px[j], h.py[j] = p.X, p.Y
-		minX, minY = math.Min(minX, p.X), math.Min(minY, p.Y)
-		maxX, maxY = math.Max(maxX, p.X), math.Max(maxY, p.Y)
 	}
-
-	// Cell edge: the visibility bound — no probe reaches further, so a disc
-	// spans at most three cells per axis — doubled until the grid is no
-	// larger than the halo warrants. Extents that are empty or not finite
-	// (no copies, a NaN or infinite coordinate) get the one cell that is
-	// always correct.
-	h.minX, h.minY, h.edge, h.nx, h.ny = minX, minY, s.Visibility, 1, 1
-	if w, d := maxX-minX, maxY-minY; h.edge > 0 && w >= 0 && d >= 0 && !math.IsInf(w, 0) && !math.IsInf(d, 0) {
-		fx, fy := math.Floor(w/h.edge)+1, math.Floor(d/h.edge)+1
-		for fx*fy > float64(4*nh+64) {
-			h.edge *= 2
-			fx, fy = math.Floor(w/h.edge)+1, math.Floor(d/h.edge)+1
-		}
-		h.nx, h.ny = int(fx), int(fy)
-	}
-	ncells := h.nx * h.ny
-
-	h.cell = resize(h.cell, nh)
-	h.start = resize(h.start, ncells+1)
-	clear(h.start)
-	for j := range h.cell {
-		c := 0
-		if ncells > 1 {
-			cx, cy := int((h.px[j]-minX)/h.edge), int((h.py[j]-minY)/h.edge)
-			c = min(cy, h.ny-1)*h.nx + min(cx, h.nx-1)
-		}
-		h.cell[j] = int32(c)
-		h.start[c+1]++
-	}
-	for c := 0; c < ncells; c++ {
-		h.start[c+1] += h.start[c]
-	}
-	h.cur = append(h.cur[:0], h.start[:ncells]...)
-
 	h.coreRank = resize(h.coreRank, nc)
 	h.rankRow = resize(h.rankRow, nc+nh)
-	h.xs, h.ys, h.rank = resize(h.xs, nh), resize(h.ys, nh), resize(h.rank, nh)
 	i, j := 0, 0
 	for r := range h.rankRow {
 		if j >= nh || (i < nc && agent.ID(coreKeys[i]) < h.agents[j].ID) {
@@ -328,69 +242,10 @@ func (h *haloJoin) build(s *agent.Schema, coreKeys []int64) {
 			i++
 			continue
 		}
-		k := h.cur[h.cell[j]]
-		h.cur[h.cell[j]]++
-		h.xs[k], h.ys[k], h.rank[k] = h.px[j], h.py[j], int32(r)
-		h.rankRow[r] = int32(nc + j)
+		h.rank[j], h.rankRow[r] = int32(r), int32(nc+j)
 		j++
 	}
-}
-
-// mark sets, in the rank bitset, the bit of every halo copy within radius
-// of pos, and returns how many copies it examined: those of the cells the
-// disc touches. The cells of one grid row are adjacent in the bin layout,
-// so each row is one contiguous span.
-func (h *haloJoin) mark(words []uint64, pos geom.Vec, radius float64) int {
-	cxlo, cxhi, cylo, cyhi := 0, 0, 0, 0
-	if h.nx*h.ny > 1 {
-		// A copy passes the distance test below when its computed offset is
-		// within radius, which rounding lets exceed pos±radius by an ulp or
-		// so; the slack keeps such a copy's cell inside the span.
-		reach := radius + (math.Abs(pos.X)+math.Abs(pos.Y)+radius)*1e-12
-		var okX, okY bool
-		cxlo, cxhi, okX = cellSpan(pos.X, reach, h.minX, h.edge, h.nx)
-		cylo, cyhi, okY = cellSpan(pos.Y, reach, h.minY, h.edge, h.ny)
-		if !okX || !okY {
-			return 0
-		}
-	}
-	r2 := radius * radius
-	seen := 0
-	for cy := cylo; cy <= cyhi; cy++ {
-		s, e := h.start[cy*h.nx+cxlo], h.start[cy*h.nx+cxhi+1]
-		xs, ys, rank := h.xs[s:e], h.ys[s:e], h.rank[s:e]
-		seen += len(xs)
-		for k, x := range xs {
-			dx, dy := x-pos.X, ys[k]-pos.Y
-			var in uint64
-			if dx*dx+dy*dy <= r2 {
-				in = 1
-			}
-			r := uint32(rank[k])
-			words[r>>6] |= in << (r & 63)
-		}
-	}
-	return seen
-}
-
-// cellSpan returns the cells [lo, hi], of an axis of n cells of the given
-// edge starting at origin, that the interval [c-r, c+r] touches; ok is false
-// when it touches none (or c is not a number). The comparisons run on the
-// float quotients, so a probe far outside the grid never converts an
-// out-of-range value to int.
-func cellSpan(c, r, origin, edge float64, n int) (lo, hi int, ok bool) {
-	flo, fhi := (c-r-origin)/edge, (c+r-origin)/edge
-	if !(fhi >= 0 && flo < float64(n)) {
-		return 0, 0, false
-	}
-	if flo > 0 {
-		lo = int(flo)
-	}
-	hi = n - 1
-	if fhi < float64(hi) {
-		hi = int(fhi)
-	}
-	return lo, hi, true
+	h.grid.build(h.px, h.py, h.rank, s.Visibility)
 }
 
 // Assign implements Env.

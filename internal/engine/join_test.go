@@ -11,9 +11,10 @@ import (
 	"github.com/bigreddata/brace/internal/spatial"
 )
 
-// The ordered join — core candidates from whichever index source plus the
-// halo cells, put in agent-ID order by the rank bitset — against the
-// definition it implements: for every copy, in radius? then sort by ID.
+// The ordered join — core rows from the part's index (its cell grid or the
+// scan) plus the halo grid's, put in agent-ID order by the rank bitset or
+// the comparison sort — against the definition it implements: for every
+// copy, in radius? then sort by ID.
 
 // probeModel records the IDs every probe returns, in the order the model
 // sees them. With nested > 0 each callback of the outer probe issues a
@@ -60,25 +61,21 @@ func (m *probeModel) Query(self *agent.Agent, env Env) {
 	})
 }
 
-// joinSource names one of the three candidate sources rows picks between.
+// joinSource names one of the part's two index kinds.
 type joinSource int
 
 const (
-	fromLists joinSource = iota // Verlet candidate lists
-	fromWalk                    // cached index built without lists: the gate-off tree walk
-	fromScan                    // the no-index scan
+	fromGrid joinSource = iota // the per-tick cell grid
+	fromScan                   // the no-index scan
 )
 
-func (src joinSource) String() string { return [...]string{"lists", "walk", "scan"}[src] }
+func (src joinSource) String() string { return [...]string{"grid", "scan"}[src] }
 
 func (src joinSource) part(c *core) *part {
-	switch src {
-	case fromLists:
-		return c.newPart(spatial.KindKDTree)
-	case fromWalk:
-		return &part{c: c, cached: spatial.NewCached(0, resolveSkin(c.schema, spatial.KindKDTree))}
+	if src == fromScan {
+		return c.newPart(spatial.KindScan)
 	}
-	return c.newPart(spatial.KindScan)
+	return c.newPart(spatial.KindKDTree)
 }
 
 func at(s *agent.Schema, id agent.ID, x, y float64) *agent.Agent {
@@ -112,7 +109,7 @@ func runJoin(t *testing.T, name string, m *probeModel, src joinSource, core, hal
 	sortAgents(core)
 	sortAgents(halo)
 	p := src.part(&c)
-	p.build(core, nil)
+	p.build(core)
 	rows := append([]int32(nil), p.allSlots(len(core))...)
 	var join *haloJoin
 	if halo != nil {
@@ -126,8 +123,15 @@ func runJoin(t *testing.T, name string, m *probeModel, src joinSource, core, hal
 	p.query(rows, join)
 
 	all := append(append([]*agent.Agent(nil), core...), halo...)
+	// radiusOf is the disc a probe of the given radius covers (0: the
+	// visibility probe); +Inf is the unbounded visibility probe, which sees
+	// every copy, positions not numbers included.
 	radiusOf := func(r float64) float64 {
-		if vis := m.s.Visibility; r == 0 || r > vis {
+		vis := m.s.Visibility
+		switch {
+		case vis <= 0 && r == 0:
+			return math.Inf(1)
+		case vis > 0 && (r == 0 || r > vis):
 			return vis
 		}
 		return r
@@ -137,7 +141,7 @@ func runJoin(t *testing.T, name string, m *probeModel, src joinSource, core, hal
 		ids := []agent.ID{}
 		for _, a := range all {
 			q := a.Pos(m.s)
-			if dx, dy := q.X-pos.X, q.Y-pos.Y; dx*dx+dy*dy <= r2 {
+			if dx, dy := q.X-pos.X, q.Y-pos.Y; math.IsInf(r, 1) || dx*dx+dy*dy <= r2 {
 				ids = append(ids, a.ID)
 			}
 		}
@@ -195,11 +199,11 @@ func TestOrderedJoinMatchesBruteForce(t *testing.T) {
 		{"one word", 20, 30, 6, 0, 30},
 		{"multi word", 90, 160, 5, 0, 40}, // > 64 rows
 		{"multi word, short probe", 90, 160, 5, 2.5, 40},
-		{"sparse, grid coarsened", 40, 25, 1, 0, 400}, // cells capped at 4·|halo|+64
+		{"sparse, grid coarsened", 40, 25, 1, 0, 400}, // cells capped at 4n+64
 		{"dense", 150, 400, 8, 0, 20},
 		{"4096+ rows", 1800, 3000, 4, 0, 120},
 	} {
-		for _, src := range []joinSource{fromLists, fromWalk} {
+		for _, src := range []joinSource{fromGrid, fromScan} {
 			m := newProbeModel(tc.vis)
 			m.radius = tc.radius
 			rng := agent.NewRNG(7, uint64(tc.ncore), agent.ID(tc.nhalo))
@@ -227,7 +231,7 @@ func TestOrderedJoinEdgeCases(t *testing.T) {
 		}
 		return out
 	}
-	for _, src := range []joinSource{fromLists, fromWalk} {
+	for _, src := range []joinSource{fromGrid, fromScan} {
 		// Probes entirely outside the halo's bounding box on each side, at
 		// every distance class: far beyond the grid, just out of reach, and
 		// reaching the edge cells. Core IDs above and below the halo's.
@@ -247,6 +251,14 @@ func TestOrderedJoinEdgeCases(t *testing.T) {
 			}
 		}
 		runJoin(t, "outside the bounding box", m, src, core, lattice(m, 5500))
+		// The mirror image: halo rows — migrant owned agents — probing the
+		// core grid from outside its bounding box.
+		m = s()
+		var halo []*agent.Agent
+		for _, a := range core {
+			halo = append(halo, at(m.s, a.ID, a.Pos(m.s).X, a.Pos(m.s).Y))
+		}
+		runJoin(t, "outside the core grid", m, src, lattice(m, 5500), halo)
 
 		m = s()
 		runJoin(t, "empty halo", m, src, scatter(m.s, agent.NewRNG(1, 0, 0), 40, 1, 1, geom.Rect{Max: geom.V(20, 20)}), []*agent.Agent{})
@@ -273,8 +285,20 @@ func TestOrderedJoinEdgeCases(t *testing.T) {
 			[]*agent.Agent{at(m.s, 2, 0, 0), at(m.s, 4, 3, 4), at(m.s, 6, 40, 40)},
 			[]*agent.Agent{at(m.s, 1, -3, -4), at(m.s, 3, 5, 0), at(m.s, 5, 0, -5), at(m.s, 7, 45, 40), at(m.s, 8, 40, 45.000001)})
 
+		// Every copy at one point: a one-cell grid, core and halo alike.
+		m = s()
+		var same, sameHalo []*agent.Agent
+		for i := 0; i < 70; i++ {
+			same = append(same, at(m.s, agent.ID(2*i+1), 7, -3))
+			sameHalo = append(sameHalo, at(m.s, agent.ID(2*i+2), 7, -3))
+		}
+		runJoin(t, "one point", m, src, same, sameHalo)
+		m = s()
+		runJoin(t, "one point, no halo", m, src, same, nil)
+
 		// Non-finite extents: the grid falls back to one cell, nothing
-		// panics, and the finite copies are still found.
+		// panics, and the finite copies are still found — in the halo grid
+		// and in the core grid.
 		for name, bad := range map[string]geom.Vec{
 			"+Inf x": {X: math.Inf(1), Y: 3}, "-Inf y": {X: 3, Y: math.Inf(-1)}, "NaN": {X: math.NaN(), Y: math.NaN()},
 		} {
@@ -283,21 +307,60 @@ func TestOrderedJoinEdgeCases(t *testing.T) {
 			halo = append(halo, at(m.s, 50, bad.X, bad.Y))
 			runJoin(t, "non-finite halo "+name, m, src,
 				[]*agent.Agent{at(m.s, 1, 99, 99), at(m.s, 200, 110, 110), at(m.s, 300, 500, 500)}, halo)
+			m = s()
+			core := lattice(m, 100)
+			core = append(core, at(m.s, 50, bad.X, bad.Y))
+			runJoin(t, "non-finite core "+name, m, src, core,
+				[]*agent.Agent{at(m.s, 1, 99, 99), at(m.s, 200, 110, 110), at(m.s, 300, 500, 500)})
+			m = s()
+			runJoin(t, "non-finite core, no halo "+name, m, src, core, nil)
 		}
+
+		// A radius below the cell edge (half the visibility bound): the
+		// predator's bite radius 2 against visibility 5, alone and nested
+		// in the visibility probe.
+		m = s()
+		m.radius = 2
+		rng := agent.NewRNG(5, 0, 0)
+		box := geom.Rect{Max: geom.V(30, 30)}
+		runJoin(t, "bite radius", m, src, scatter(m.s, rng, 120, 1, 2, box), scatter(m.s, rng, 90, 2, 2, box))
+		m = s()
+		m.radius = 2
+		runJoin(t, "bite radius, no halo", m, src, scatter(m.s, rng, 200, 1, 1, box), nil)
+		m = s()
+		m.nested = 2
+		runJoin(t, "bite radius nested", m, src, scatter(m.s, rng, 50, 1, 2, box), scatter(m.s, rng, 40, 2, 2, box))
+
+		// Unbounded visibility: the visibility probe returns every row, and
+		// Nearby probes a grid whose edge comes from the extent and size.
+		for _, r := range []float64{0, 3, 40, math.Inf(1)} {
+			m = newProbeModel(0)
+			m.radius = r
+			rng := agent.NewRNG(6, 0, 0)
+			box := geom.Rect{Max: geom.V(60, 25)}
+			name := fmt.Sprint("unbounded, radius ", r)
+			runJoin(t, name, m, src, scatter(m.s, rng, 150, 1, 2, box), scatter(m.s, rng, 100, 2, 2, box))
+			m = newProbeModel(0)
+			m.radius = r
+			runJoin(t, name+", no halo", m, src, scatter(m.s, rng, 150, 1, 1, box), nil)
+		}
+		m = newProbeModel(0)
+		m.radius = 1
+		runJoin(t, "unbounded, one point", m, src, same, sameHalo)
 
 		// A probe issued from inside a ForEachVisible callback: the outer
 		// rows must already be out of the bitset.
 		m = s()
 		m.nested = 3
-		rng := agent.NewRNG(3, 0, 0)
-		box := geom.Rect{Max: geom.V(25, 25)}
+		rng = agent.NewRNG(3, 0, 0)
+		box = geom.Rect{Max: geom.V(25, 25)}
 		runJoin(t, "nested", m, src, scatter(m.s, rng, 60, 1, 2, box), scatter(m.s, rng, 80, 2, 2, box))
 	}
 }
 
-// One copy set, no halo, all three candidate sources: the same row sequence
-// whether the size rule picks the comparison sort (short probes) or the
-// bitset (the visibility probe).
+// One copy set, no halo, both index kinds: the same row sequence whether
+// the size rule picks the comparison sort (short probes) or the bitset
+// (the visibility probe).
 func TestRowSequenceAcrossSources(t *testing.T) {
 	const n, span, vis = 3000, 100.0, 12.0
 	for _, radius := range []float64{1.5, 0} {
@@ -305,9 +368,9 @@ func TestRowSequenceAcrossSources(t *testing.T) {
 		m.radius = radius
 		pop := scatter(m.s, agent.NewRNG(11, 0, 0), n, 1, 1, geom.Rect{Max: geom.V(span, span)})
 		var sizes []int
-		for _, src := range []joinSource{fromLists, fromWalk, fromScan} {
+		for _, src := range []joinSource{fromGrid, fromScan} {
 			runJoin(t, fmt.Sprint("radius ", radius), m, src, pop, nil)
-			if src == fromWalk {
+			if src == fromGrid {
 				for _, seq := range m.outer {
 					sizes = append(sizes, len(seq))
 				}
@@ -328,15 +391,15 @@ func TestBitsetOrdersTable(t *testing.T) {
 		want      bool
 	}{
 		{0, 0, false},
-		{12, 250, false},    // insertion-sort territory
-		{13, 250, true},     // a partition-sized copy set: bitset as soon as the sort leaves it
-		{17, 4000, true},    // 63 words: the measured tie goes to the bitset
-		{17, 16000, false},  // 250 words to sweep for 17 rows
-		{32, 16000, true},   // 250 ≤ 256
-		{32, 64000, false},  // 1000 words
-		{128, 64000, true},  // a big result pays for the sweep
-		{5, 1 << 20, false}, // never sweep a huge set for a few rows
-		{400, 1 << 20, false},
+		{12, 250, false},     // insertion-sort territory
+		{13, 250, true},      // a partition-sized copy set: bitset as soon as the sort leaves it
+		{17, 4000, true},     // the scripted avoidance probe: one summary word
+		{17, 16000, true},    // 4 summary words
+		{32, 64000, true},    // 16
+		{200, 200000, true},  // fish ×200k at one partition: 49 summary words, not a 200-slot sort
+		{5, 1 << 20, false},  // a handful of rows never pays for the bitset
+		{400, 1 << 20, true}, // 256 summary words ≤ 8·400
+		{13, 1 << 22, false}, // 1024 summary words for 13 rows
 	} {
 		if got := bitsetOrders(tc.n, tc.copies); got != tc.want {
 			t.Errorf("bitsetOrders(%d, %d) = %v, want %v", tc.n, tc.copies, got, tc.want)

@@ -121,7 +121,7 @@ func digest(pop []*agent.Agent) uint64 {
 
 // TestOracleDigestAtBenchmarkShape runs the oracle on the benchmark's
 // fish shape — 2000 fish, the default scenario — where the engine's
-// Verlet lists, columnar queries and halo joins all engage, and requires
+// multi-cell grids, columnar queries and halo joins all engage, and requires
 // one and eight partitions to end on its digest.
 func TestOracleDigestAtBenchmarkShape(t *testing.T) {
 	if testing.Short() {

@@ -42,7 +42,7 @@ type overlapBufs struct {
 	core     []*Envelope // every self-sent envelope, ID-sorted: core[slot]
 	owned    int         // owned agents: core's, then the migrants'
 	boundary []int32     // owned rows deferred to the late pass
-	visited  int64       // the tick's Visited so far: core build, then both passes
+	visited  int64       // the tick's Visited so far: both passes
 
 	halo haloJoin // every peer-sent copy, ID-sorted, indexed for the boundary probes
 }
@@ -59,9 +59,9 @@ type overlapBufs struct {
 func (e *Distributed) reduce1Early(ctx *mapreduce.Ctx, self []*Envelope) {
 	w := ctx.Worker
 	ob := &e.obufs[w]
-	ownedSlots, built := e.prepare(w, self)
+	ownedSlots := e.prepare(w, self)
 	ob.core, ob.owned = self, len(ownedSlots)
-	ob.visited = built
+	ob.visited = 0
 	vis := e.schema.Visibility
 	ob.split = ctx.Tick != e.noSplitTick && !e.nonLocal && vis > 0
 	ob.boundary = ob.boundary[:0]
@@ -103,8 +103,8 @@ func (e *Distributed) reduce1Early(ctx *mapreduce.Ctx, self []*Envelope) {
 // owners. The halo is indexed once (haloJoin.build: ID ranks against the
 // core, a cell grid over the positions), boundary and halo-owned query
 // phases probe core and halo together, and the tick's compute — every
-// candidate the partition's Visited gauge counted this tick, list build
-// and both passes, plus the owned agents — is charged to the virtual clock
+// candidate the partition's Visited gauge counted in both passes, plus the
+// owned agents — is charged to the virtual clock
 // as one superstep. Then local effects update every owned agent (in any
 // order: an update reads only its own agent, and its randomness is a
 // function of seed, tick and ID); non-local effects route every owned copy
@@ -190,27 +190,4 @@ func (e *Distributed) reduce1Late(ctx *mapreduce.Ctx, rest []*Envelope, emit map
 			}
 		}
 	}
-}
-
-// StartBarrierPrebuild runs the next tick's core builds on a background
-// goroutine, so a distributed worker overlaps them with the coordinator
-// round-trip. At an epoch barrier the next tick's self-sent envelope set is
-// exactly the values each local partition holds now, so the early pass
-// finds its build in the cache (same keys, same probe set, zero
-// displacement) unless the directive moves the cuts, and then the keyed
-// cache rebuilds as it would have anyway. Pure scheduling: neither results
-// nor the balancer's cost can tell whether this ran. prepare sorts in place
-// and a checkpoint may still be serializing the live values, so each build
-// works on a copy of the slice. The returned join must be called before the
-// engine ticks again or is restored.
-func (e *Distributed) StartBarrierPrebuild() (join func()) {
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for _, w := range e.rt.Local() {
-			vs := e.rt.Values(w)
-			e.prepare(w, append(make([]*Envelope, 0, len(vs)), vs...))
-		}
-	}()
-	return func() { <-done }
 }

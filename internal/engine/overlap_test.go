@@ -7,8 +7,8 @@ import (
 )
 
 // The two-pass tick changes scheduling, never results: the KindScan run of
-// the same options splits over an uncached index, the KD run over the
-// cached one, and both must be bit-identical to each other and to the
+// the same options splits over the scan, the default run over the cell
+// grids, and both must be bit-identical to each other and to the
 // naive oracle at every worker count, including under load balancing
 // where live cut changes force no-split ticks.
 func TestOverlapAblationBitIdentical(t *testing.T) {
@@ -42,16 +42,16 @@ func TestOverlapAblationBitIdentical(t *testing.T) {
 			if err := off.RunTicks(testTicks); err != nil {
 				t.Fatal(err)
 			}
-			popsExactlyEqual(t, tc.name+" KD vs scan", off.Agents(), on.Agents())
-			popsExactlyEqual(t, tc.name+" KD vs oracle", want, on.Agents())
+			popsExactlyEqual(t, tc.name+" grid vs scan", off.Agents(), on.Agents())
+			popsExactlyEqual(t, tc.name+" grid vs oracle", want, on.Agents())
 		}
 	}
 }
 
 // The two-pass tick across an epoch barrier — the race-detector canary for
-// the overlap window, where the interior pass, the boundary merge and the
-// barrier prebuild all touch the per-partition cache state from partition
-// goroutines. CI runs this with -race.
+// the overlap window, where the interior pass and the boundary merge both
+// touch the per-partition grid state from partition goroutines. CI runs
+// this with -race.
 func TestOverlapTickAcrossParallelism(t *testing.T) {
 	m := newFlockModel(8)
 	base := makePop(m.s, 120, 60, 5)

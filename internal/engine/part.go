@@ -58,10 +58,11 @@ func (c *core) timed(fn func() error) error {
 func (c *core) AgentTicks() int64 { return c.agentTicks }
 
 // Visited returns the index candidates examined across all ticks and copy
-// sets: by candidate-list builds, list scans, tree walks or scans, and the
-// halo join. It is the work a cost model charges. A metrics gauge like the wall clock: it depends on the
-// index kind and on what the query caches held, so it never feeds back
-// into the simulation.
+// sets: the members of the grid cells each probe touched, core and halo,
+// or every copy under the scan. It is the work a cost model charges, and
+// a function of the state, the partitioning and the index kind alone.
+// Still a metrics gauge like the wall clock: no decision reads it (the
+// balancer's input is the rows returned, PartitionCost).
 func (c *core) Visited() int64 { return c.visited }
 
 // WallSeconds returns wall time spent in RunTicks.
@@ -81,72 +82,45 @@ func (c *core) ThroughputWall() float64 {
 // update run on the goroutine that owns it, and multi-core comes from
 // running several parts (Options.Workers) at once.
 type part struct {
-	c      *core
-	cached *spatial.CachedIndex // the KD-tree and its query cache; nil under KindScan
-	scan   *spatial.Scan        // the no-index baseline; nil under the KD-tree
-	env    queryEnv             // the part's probe env, rebound per pass
-	uctx   UpdateCtx            // reused across agents; reset re-seeds per agent
+	c    *core
+	grid *cellGrid     // the copies' cell grid; nil under KindScan
+	scan *spatial.Scan // the no-index baseline; nil under the grid
+	env  queryEnv      // the part's probe env, rebound per pass
+	uctx UpdateCtx     // reused across agents; reset re-seeds per agent
 	// cost is the load balancer's input: the rows this part's probes have
 	// returned since Distributed last reset it (see PartitionCost).
 	cost int64
+	// builds counts the grid builds, one per tick (Metrics.CacheBuilds).
+	builds int64
 
 	// The tick's build, rewritten by every build call.
 	copies []*agent.Agent
 	cols   [][]float64 // state columns (columnar models only)
+	px, py []float64   // positions by slot (non-columnar models only)
 	pts    []spatial.Point
 	keys   []int64
 	all    []int32 // identity slots, see allSlots
 }
 
-// newPart builds a part over the given index kind: the KD-tree always runs
-// behind the query cache, with the skin resolveSkin picks.
+// newPart builds a part over the given index kind: KindKDTree, the zero
+// value, probes a cell grid (the name stays: it is the vocabulary of the
+// flag, the run spec and the handshake), KindScan the scan.
 func (c *core) newPart(index spatial.Kind) *part {
 	p := &part{c: c}
 	if index == spatial.KindScan {
 		p.scan = spatial.NewScan()
 	} else {
-		p.cached = spatial.NewCached(cacheProbeRadius(c.schema), resolveSkin(c.schema, index))
+		p.grid = &cellGrid{}
 	}
 	return p
 }
 
-// resolveSkin is the engine-wide cache policy: every KD-tree copy set runs
-// the default skin for a bounded visibility. Unbounded visibility gets 0,
-// and with it a cache that builds no lists and never reuses: a plain tree
-// rebuilt every tick, probed through the same call. The scan has no cache.
-// Every configuration — cost-model runs included — takes this one path, so
-// the Visited gauge, and the virtual clock that charges it, count the work
-// the engine actually does: list builds and list scans where the cache
-// engages, tree walks where it does not.
-func resolveSkin(s *agent.Schema, index spatial.Kind) float64 {
-	if index != spatial.KindKDTree || s.Visibility <= 0 {
-		return 0
-	}
-	return spatial.DefaultSkin(cacheProbeRadius(s), s.Reach)
-}
-
-// cacheProbeRadius is the radius the query cache's candidate lists cover:
-// the model's declared probe radius when it is tighter than visibility
-// (e.g. predators bite within 2 but see within 5), else visibility.
-func cacheProbeRadius(s *agent.Schema) float64 {
-	if s.ProbeRadius > 0 && s.ProbeRadius < s.Visibility {
-		return s.ProbeRadius
-	}
-	return s.Visibility
-}
-
-// build installs the tick's ID-sorted copy set and (re)builds the index
-// over it — through the keyed cache when enabled, so an unchanged copy set
-// with sub-skin motion reuses its candidate lists. Keys are agent IDs and
-// probe is the set of slots that will query (nil = all): any membership or
-// ownership change rebuilds, drift beyond skin/2 rebuilds, everything else
-// reuses. The keys also rank the core against the late pass's halo
-// (haloJoin.build), so every build fills them. Columnar models gather
-// their state columns first so the build reads the position columns
-// instead of walking the agents again. Returns the candidates the cached
-// index visited constructing lists (0 on reuse, and always 0 for the
-// scan), for the Visited gauge.
-func (p *part) build(copies []*agent.Agent, probe []int32) int64 {
+// build installs the tick's ID-sorted copy set and builds the index over
+// it. The keys rank the core against the late pass's halo
+// (haloJoin.build), so every build fills them. Columnar models gather their
+// state columns first so the grid reads the position columns instead of
+// walking the agents again.
+func (p *part) build(copies []*agent.Agent) {
 	s := p.c.schema
 	p.copies = copies
 	if p.c.colM != nil {
@@ -158,19 +132,30 @@ func (p *part) build(copies []*agent.Agent, probe []int32) int64 {
 	}
 	if p.scan != nil {
 		p.scan.Build(p.points())
-		return 0
+		return
 	}
-	before := p.cached.CacheStats().Visited //bracevet:allow indexstats metrics-only: the build's share of the Visited gauge
-	if p.c.colM != nil {
-		p.cached.BuildKeyedCols(p.cols[s.PosX], p.cols[s.PosY], p.keys, probe)
-	} else {
-		p.cached.BuildKeyed(p.points(), p.keys, probe)
-	}
-	return p.cached.CacheStats().Visited - before //bracevet:allow indexstats metrics-only: Visited gauge
+	xs, ys := p.positions()
+	p.grid.build(xs, ys, nil, s.Visibility)
+	p.builds++
 }
 
-// points materializes the copy set's point set from the agents (the
-// non-columnar build input); Point.ID is the slot.
+// positions returns the copies' position columns: the state columns of a
+// columnar model, else gathered from the agents.
+func (p *part) positions() (xs, ys []float64) {
+	s := p.c.schema
+	if p.c.colM != nil {
+		return p.cols[s.PosX], p.cols[s.PosY]
+	}
+	p.px, p.py = resize(p.px, len(p.copies)), resize(p.py, len(p.copies))
+	for i, a := range p.copies {
+		pos := a.Pos(s)
+		p.px[i], p.py[i] = pos.X, pos.Y
+	}
+	return p.px, p.py
+}
+
+// points materializes the copy set's point set from the agents (the scan's
+// build input); Point.ID is the slot.
 func (p *part) points() []spatial.Point {
 	p.pts = resize(p.pts, len(p.copies))
 	for i, a := range p.copies {
@@ -197,10 +182,9 @@ func (p *part) allSlots(n int) []int32 {
 func (p *part) query(rows []int32, halo *haloJoin) int64 {
 	c := p.c
 	q := &p.env
-	q.c, q.cached = c, p.cached
+	q.c = c
 	q.ix = p.index()
 	q.copies, q.cols, q.halo = p.copies, p.cols, halo
-	q.lists = p.cached != nil && p.cached.HasLists()
 	// Without a halo the ID ranks are the slots themselves.
 	q.coreRank = p.allSlots(len(p.copies))
 	q.rankRow = q.coreRank
@@ -208,13 +192,11 @@ func (p *part) query(rows []int32, halo *haloJoin) int64 {
 		q.coreRank, q.rankRow = halo.coreRank, halo.rankRow
 	}
 	q.words = resize(q.words, (len(q.rankRow)+63)/64)
+	q.summary = resize(q.summary, (len(q.words)+63)/64)
 	clear(q.words)
-	ncore := int32(len(p.copies))
+	clear(q.summary)
 	for _, row := range rows {
-		q.self, q.slot = q.agentAt(row), row
-		if row >= ncore {
-			q.slot = -1 // no core slot: index queries plus the halo join
-		}
+		q.self = q.agentAt(row)
 		if c.colM != nil {
 			c.colM.QueryCols((*Cols)(q), row)
 		} else {
@@ -243,21 +225,12 @@ func (p *part) update(a *agent.Agent, tick uint64) []*agent.Agent {
 	return p.uctx.spawns
 }
 
-// index is the part's disc probe: the cached KD-tree or the scan.
+// index is the part's disc probe: the cell grid or the scan.
 func (p *part) index() spatial.Index {
 	if p.scan != nil {
 		return p.scan
 	}
-	return p.cached
-}
-
-// cacheStats returns the part's query-cache counters (zero under the
-// scan).
-func (p *part) cacheStats() spatial.CacheStats {
-	if p.cached == nil {
-		return spatial.CacheStats{}
-	}
-	return p.cached.CacheStats() //bracevet:allow indexstats metrics-only: build/reuse counters for Metrics and the benchmark
+	return p.grid
 }
 
 // resize returns s with length n, reusing capacity.

@@ -108,9 +108,10 @@ func Runners() []Runner {
 	return []Runner{
 		// Table 2 (§5.1): the engine reproduces MITSIM's lane statistics.
 		{"table2", []string{"t2"}, "traffic validation RMSPE vs MITSIM", Table2},
-		// Fig. 3 (§5.2): KD-tree vs no index as the traffic segment grows.
+		// Fig. 3 (§5.2): indexing (the paper's KD-tree, this engine's cell
+		// grid) vs no index as the traffic segment grows.
 		{"fig3", []string{"figure3"}, "traffic: indexing vs segment length", Fig3},
-		// Fig. 4 (§5.2): KD-tree vs no index as fish visibility grows.
+		// Fig. 4 (§5.2): indexing vs no index as fish visibility grows.
 		{"fig4", []string{"figure4"}, "fish: indexing vs visibility", Fig4},
 		// Fig. 5 (§5.2): non-local predator script vs its inverted form.
 		{"fig5", []string{"figure5"}, "predator: effect inversion", Fig5},

@@ -15,8 +15,8 @@ import (
 // population from segment length; everything else honors the agent count,
 // floored at 500 agents: the sweep is strong scaling, and below ~60 owned
 // agents per partition at 8 workers the replicas outnumber them several
-// times over, so the partitions' per-tick list builds (their copy sets
-// churn) cost more virtual time than one partition's reused lists save.
+// times over, so the partitions' probes read more halo than core and the
+// replicated work eats the speedup.
 func sweepConfig(sp scenario.Spec, s Scale) scenario.Config {
 	cfg := scenario.Config{Seed: s.Seed, Agents: int(3000 * s.Factor)}
 	if cfg.Agents < 500 {

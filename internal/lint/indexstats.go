@@ -8,7 +8,7 @@ import (
 // IndexStats flags reads of the spatial indexes' work counters (Stats,
 // CacheStats) in the packages that decide simulation behavior. How many
 // candidates an index examined, and how often a query cache rebuilt,
-// depends on the index kind and on what the cache happened to hold — on a
+// depends on the index kind and on what a cache happened to hold — on a
 // run's history, not its state — so a value that reaches a placement or
 // load-balancing decision makes a recovered run diverge from an unfailed
 // one. The counters are metrics, like the wall clock: gauge sites carry a

@@ -10,12 +10,13 @@ import (
 	"github.com/bigreddata/brace/internal/spatial"
 )
 
-// TestCachedQueryEquivalence asserts the Verlet query cache is
-// semantics-preserving for every registered scenario: the cached KD-tree
-// engines (the default) compute bit-identical state to the KindScan
-// reference, which never caches, at 1, 2 and 8 workers. The comparisons
-// pin cached vs scan at the *same* worker count, where the fold grouping
-// is identical, so they are exact for every scenario, non-local ones too.
+// TestCachedQueryEquivalence asserts the default index — the per-tick
+// cell grid — is semantics-preserving for every registered scenario: it
+// computes bit-identical state to the KindScan reference at 1, 2 and 8
+// workers. The comparisons pin grid vs scan at the *same* worker count,
+// where the fold grouping is identical, so they are exact for every
+// scenario, non-local ones too. (The name is from the Verlet cache the
+// grid replaced.)
 func TestCachedQueryEquivalence(t *testing.T) {
 	const ticks = 12
 	for _, sp := range All() {
@@ -57,8 +58,8 @@ func TestCachedQueryEquivalence(t *testing.T) {
 // see: its cost input is the rows probes return, a function of agent state
 // and cuts alone, so for every registered scenario the per-partition cost
 // of every epoch, the cuts the balancer then picks and the final state are
-// identical between the cached KD-tree and the KindScan reference (never
-// cached). Charged index candidates instead — as the engine once was —
+// identical between the cell grid and the KindScan reference. Charged
+// index candidates instead — as the engine once was —
 // the two indexes examine different counts and pick different cuts.
 // Identical cuts mean identical fold groupings, so non-local scenarios are
 // exact here too.

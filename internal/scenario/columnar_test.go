@@ -72,7 +72,7 @@ func TestColumnarEquivalence(t *testing.T) {
 
 // TestFishTickSteadyStateAllocs pins the columnar tick's allocation
 // behavior: once buffers have warmed up, a fish tick on one partition
-// allocates (near) nothing — the columns, candidate lists, probe scratch,
+// allocates (near) nothing — the columns, the cell grid, probe scratch,
 // update context and the runtime's phase buffers are all reused. Each
 // one-tick run also ends on an epoch barrier, whose statistics allocate a
 // few times.
@@ -97,10 +97,10 @@ func TestFishTickSteadyStateAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// The bound leaves headroom for amortized Verlet-list growth (a list
-	// append can still cross a capacity boundary as the school spreads)
-	// while catching any per-agent or per-probe regression: 500 agents
-	// would blow straight past it.
+	// The bound leaves headroom for amortized buffer growth (a grid or
+	// row buffer can still cross a capacity boundary as the school
+	// spreads) while catching any per-agent or per-probe regression: 500
+	// agents would blow straight past it.
 	if avg > 16 {
 		t.Errorf("steady-state fish tick allocates %.1f times/op, want ≤ 16", avg)
 	}

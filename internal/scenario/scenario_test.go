@@ -187,7 +187,7 @@ func assertApprox(t *testing.T, name string, seed uint64, workers int, a, b []*a
 
 // TestDistributedDeterminismAcrossIndexes spot-checks that the index
 // structure never changes scenario semantics: for every registered
-// scenario, scan and KD-tree runs agree bit-for-bit.
+// scenario, scan and cell-grid runs agree bit-for-bit.
 func TestDistributedDeterminismAcrossIndexes(t *testing.T) {
 	const ticks = 6
 	for _, sp := range All() {

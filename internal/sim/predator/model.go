@@ -94,10 +94,6 @@ func NewModel(p Params, inverted bool) *Model {
 	m.fed = s.AddEffect("fed", false, agent.Sum)
 	s.SetPosition("x", "y")
 	s.SetVisibility(p.Visibility)
-	// Both variants only ever probe within the bite radius; telling the
-	// engine lets its query cache size candidate lists to the bite range
-	// instead of the (much larger) visible region.
-	s.SetProbeRadius(p.BiteRadius)
 	s.SetReach(p.Speed + 1e-9)
 	return m
 }

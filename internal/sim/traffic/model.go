@@ -11,7 +11,7 @@ import (
 // Model is the BRACE (state-effect) form of the MITSIM driving model. Its
 // agents live in a 2-D space where x is the position along the segment and
 // y is the lane index, so the engine's spatial machinery (strip
-// partitioning along x, KD-tree range queries with ρ = Lookahead) applies
+// partitioning along x, grid range queries with ρ = Lookahead) applies
 // directly.
 //
 // The query phase perceives lead/rear vehicles and per-lane average speeds

@@ -1,23 +1,24 @@
-// Package spatial provides the spatial indexes BRACE uses to turn the
-// query phase of a tick into disc-range queries instead of a quadratic
-// all-pairs scan (paper §5.2, Fig. 3–4): each agent probes the disc of its
-// visible region, the spatial join BRASIL's foreach compiles to. That is
-// the only query the engines issue.
+// Package spatial provides the index vocabulary and the disc probe BRACE
+// turns the query phase of a tick into, instead of a quadratic all-pairs
+// scan (paper §5.2, Fig. 3–4): each agent probes the disc of its visible
+// region, the spatial join BRASIL's foreach compiles to. That is the only
+// query the engines issue.
 //
-// Three types answer that probe, each through the one Index method:
+// The engine answers that probe with a uniform cell grid it rebuilds every
+// tick (internal/engine) or, under KindScan, with Scan. Three types here
+// answer it through the one Index method:
 //
 //   - Scan: the no-index baseline ("BRACE - no indexing" in the figures);
 //     every probe enumerates all points.
 //   - KDTree: the paper's "generic KD-tree based spatial index capability"
-//     [Bentley, 3], rebuilt each tick over the agents visible at a reducer.
-//   - CachedIndex (cached.go): the KD-tree the engines run, wrapped in
-//     Verlet candidate lists for exact cross-tick reuse while agents stay
-//     within half a skin radius of their build positions. It is built by
-//     key and slot, and also serves per-slot candidate lists.
+//     [Bentley, 3].
+//   - CachedIndex (cached.go): the KD-tree wrapped in Verlet candidate
+//     lists for cross-tick reuse while points stay within half a skin
+//     radius of their build positions.
 //
-// Scan and KDTree are built over immutable point sets: behavioral
-// simulations rebuild at every tick because every agent may move, so they
-// favor fast bulk construction and cheap queries over dynamic updates.
+// The engine no longer uses KDTree or CachedIndex; they stay, with
+// DefaultSkin and SetParallelism, because the benchmark's per-layer
+// spatial probes (bench/) time them, and go with those probes.
 package spatial
 
 import (
@@ -45,16 +46,18 @@ type Index interface {
 }
 
 // Kind selects an index implementation; it is the value of the engine's
-// "indexing" switch in the experiments. The zero value is the KD-tree, the
-// paper's choice. Kind is the one index vocabulary of every layer: it
-// marshals as text ("kd", "scan"; "" reads as "kd"), so the bracesim flag
-// and the HTTP run spec parse through UnmarshalText, and it travels the
-// handshake as its number.
+// "indexing" switch in the experiments. The zero value, KindKDTree, is the
+// engine's per-tick cell grid: it keeps the name and the text "kd" from
+// when it was the paper's KD-tree, because the flag, the run spec and the
+// handshake spell it that way. Kind is the one index vocabulary of every
+// layer: it marshals as text ("kd", "scan"; "" reads as "kd"), so the
+// bracesim flag and the HTTP run spec parse through UnmarshalText, and it
+// travels the handshake as its number.
 type Kind int
 
 const (
-	KindKDTree Kind = iota
-	KindScan        // brute force, no indexing
+	KindKDTree Kind = iota // the engine's per-tick cell grid
+	KindScan               // brute force, no indexing
 )
 
 // String returns the name ParseKind accepts for k.

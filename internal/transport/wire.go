@@ -25,7 +25,7 @@ import (
 // per-destination end-of-phase markers with declared frame counts and
 // per-(src,dst) data sequence numbers; worker registration (FrameRegister)
 // and direct worker↔worker sessions (FramePeerHello). Each process derives
-// the query cache, the two-pass tick's split and the initial strip cuts
+// the cell grids, the two-pass tick's split and the initial strip cuts
 // from the Hello's scenario and index, so none of them crosses the wire.
 // v7 took the balancer's cost out of PartState: PartStats.Cost counts
 // probe rows since the previous barrier, checkpoints are taken at
