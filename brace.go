@@ -92,7 +92,8 @@ const (
 	// IndexKD is the default index: the engine's per-tick cell grid (the
 	// name is the paper's KD-tree, which the grid replaced).
 	IndexKD = spatial.KindKDTree
-	// IndexScan disables indexing (the "no indexing" baselines).
+	// IndexScan disables indexing (the "no indexing" baselines): the
+	// grid has one cell, so every candidate block holds every agent.
 	IndexScan = spatial.KindScan
 )
 
@@ -165,9 +166,15 @@ func (s *Simulation) Tick() uint64 { return s.e.Tick() }
 
 // Metrics summarizes a run.
 type Metrics struct {
-	Ticks          uint64
-	Agents         int
-	AgentTicks     int64
+	Ticks      uint64
+	Agents     int
+	AgentTicks int64
+	// CandidatesSeen counts the candidates the query phases examined:
+	// for each group of agents that shares a candidate block (the agents
+	// of one crowded grid cell, else one agent), the grid members the
+	// block's build read, plus for each probe the block members its
+	// filter read. A metric, not an input: it depends on the index kind
+	// and the partitioning, and no decision reads it.
 	CandidatesSeen int64
 	WallSeconds    float64
 	// VirtualSeconds and ThroughputVirtual are zero unless VirtualTime
@@ -180,9 +187,10 @@ type Metrics struct {
 	// itself.
 	NetworkBytes int64
 	LocalBytes   int64
-	// CacheBuilds counts the partitions' per-tick cell-grid builds (zero
-	// under the scan). CacheReuses is always zero: nothing is kept between
-	// ticks. Both keep their names for the benchmark, which reads them.
+	// CacheBuilds counts the partitions' per-tick cell-grid builds (of
+	// one cell under the scan). CacheReuses is always zero: nothing is
+	// kept between ticks. Both keep their names for the benchmark, which
+	// reads them.
 	CacheBuilds int64
 	CacheReuses int64
 }

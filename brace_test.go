@@ -190,10 +190,10 @@ func TestConfigDefaults(t *testing.T) {
 
 // Partitioning may replicate work, but only so much: on the benchmark's
 // fish school, eight partitions examine at most 1.03× the candidates per
-// agent-tick that one does. Core and halo probes read cell grids of one
-// edge rule, so the bound is the measured ratio plus 5 %: this run reads
-// 365.4 on one partition vs 357.4 on eight (0.98×). A count, not a
-// timing: it repeats exactly.
+// agent-tick that one does. Core and halo blocks are built from cell
+// grids of one edge rule, so the bound is the measured ratio plus 5 %:
+// this run reads 332.3 on one partition vs 330.8 on eight (1.00×). A
+// count, not a timing: it repeats exactly.
 func TestPartitionedCandidateWorkGuard(t *testing.T) {
 	sp, ok := LookupScenario("fish")
 	if !ok {

@@ -45,11 +45,12 @@ func (c *Cols) Rows() int { return len(c.cols[0]) }
 
 // Visible returns the rows within the visibility bound of self's position,
 // including self, in ascending agent-ID order — the columnar mirror of
-// Env.ForEachVisible. The slice is valid until the next probe on this env.
+// Env.ForEachVisible. The slice is valid until the next probe on this env,
+// and read-only: it may be the candidate block later probes filter.
 func (c *Cols) Visible() []int32 { return (*queryEnv)(c).visible() }
 
-// Nearby is Visible restricted to the given radius (cropped to the
-// visibility bound) — the columnar mirror of Env.Nearby.
+// Nearby is Visible restricted to the given radius (its magnitude cropped
+// to the visibility bound) — the columnar mirror of Env.Nearby.
 func (c *Cols) Nearby(radius float64) []int32 { return (*queryEnv)(c).nearby(radius) }
 
 // Assign folds value into the row's effect field using the schema's

@@ -23,8 +23,8 @@ type Options struct {
 	// goroutine.
 	Workers int
 	// Index selects the spatial index used by reducers: the zero value
-	// (KindKDTree) is the per-tick cell grid, KindScan the "no indexing"
-	// configuration of Figs. 3–4.
+	// (KindKDTree) is the per-tick cell grid, KindScan a grid of one cell,
+	// the "no indexing" configuration of Figs. 3–4.
 	Index spatial.Kind
 	// Seed drives all simulation randomness.
 	Seed uint64
@@ -398,7 +398,7 @@ func sortByID(envs []*Envelope) {
 }
 
 // GridBuilds returns the cell grids the partitions have built, one per
-// partition-tick (zero under KindScan).
+// partition-tick (a one-cell grid under KindScan).
 func (e *Distributed) GridBuilds() int64 {
 	var n int64
 	for _, p := range e.parts {

@@ -2,43 +2,61 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 
 	"github.com/bigreddata/brace/internal/agent"
-	"github.com/bigreddata/brace/internal/spatial"
+	"github.com/bigreddata/brace/internal/geom"
 )
 
 // queryEnv implements Env (and, viewed as Cols, the columnar window) over
 // one part's copy set. The copies are sorted by agent ID, and every probe
-// yields its rows in ascending ID order no matter which index found them,
+// yields its rows in ascending ID order no matter how they were found,
 // making query phases deterministic across index kinds and partition
 // layouts (and giving the BRASIL weak-reference visibility semantics of
 // Theorem 1: agents outside the bound simply do not appear).
 //
 // Rows are the one probe representation: row i < len(copies) is core copy
-// i (its slot in the index), row len(copies)+j is halo copy j. The rows
-// core below probes the index and the halo; Cols hands its result to the
-// model as is, and the closure-style Env methods iterate it.
+// i (its slot in the core grid), row len(copies)+j is halo copy j. The
+// probing agents ("selves") come in groups (part.query), and a group
+// shares one candidate block: the rows near the box of its selves'
+// positions, in ID order, with their positions beside them. Every probe
+// of the group filters the block by its own disc, which keeps the order,
+// so no probe sorts anything. Cols hands a probe's rows to the model as
+// is, and the closure-style Env methods iterate them.
 type queryEnv struct {
 	// Bound per pass by part.query.
 	c      *core
-	ix     spatial.Index  // the part's disc probe over copies, in slots: its cell grid or the scan
+	grid   *cellGrid      // the core grid: slots as ids
 	copies []*agent.Agent // ID-sorted core copies
 	cols   [][]float64    // columnar models: per-state-field columns over all rows
+	xs, ys []float64      // positions by row, core and halo
 	// halo is non-nil only in a late (boundary) pass with peer-sent copies:
-	// the index covers the core (self-sent) copies and probes join in the
-	// peer-sent ones.
+	// the core grid covers the core (self-sent) copies and blocks join in
+	// the peer-sent ones.
 	halo *haloJoin
 	// The pass's ID order: coreRank[slot] is the slot's rank among the agent
 	// IDs of core ∪ halo, rankRow[rank] the row holding that rank. Both are
 	// the identity when the pass has no halo.
 	coreRank, rankRow []int32
 
+	// Bound per group by group.
+	box geom.Rect // the selves' bounding box
+	// one is set for a one-self group with a finite position: its block
+	// is then exactly its probe at the block's radius.
+	one bool
+	// The group's candidate block (see group): the rows within blkR of
+	// box, ascending by ID, and their positions once a filter needs them
+	// (pack). blkR is negative while the group has none.
+	blkR   float64
+	blk    []int32
+	bx, by []float64
+
 	// Bound per agent.
 	self *agent.Agent
 
-	visited int64 // grid members (or scanned copies) the probes examined: the Visited gauge
+	visited int64 // members the block builds and filters examined: the Visited gauge
 	cost    int64 // rows returned to the model: the load balancer's input
 	// out[d] holds the result rows of the probe issued at closure-iteration
 	// depth d. A probe made from inside a ForEachVisible/Nearby callback
@@ -49,9 +67,8 @@ type queryEnv struct {
 	// words is the rank bitset, one bit per rank of the pass, and summary
 	// its index, one bit per word that may be nonzero, so a drain reads
 	// one summary word per 4096 ranks and then only the words holding
-	// results. Every probe that sets bits drains them (ordered) before rows
-	// returns, so both are all zero between probes and nested probes share
-	// them.
+	// results. A block build that sets bits drains them before it
+	// returns, so both are all zero between builds.
 	words, summary []uint64
 }
 
@@ -103,53 +120,164 @@ func (q *queryEnv) visible() []int32 {
 	return q.done(append(q.buf(), q.rankRow...))
 }
 
-// nearby is visible restricted to the given radius (cropped to the
-// visibility bound).
+// nearby is visible restricted to the given radius, whose magnitude is
+// cropped to the visibility bound.
 func (q *queryEnv) nearby(radius float64) []int32 {
-	if vis := q.c.schema.Visibility; vis > 0 && radius > vis {
+	if vis := q.c.schema.Visibility; vis > 0 && math.Abs(radius) > vis {
 		radius = vis
 	}
 	return q.rows(radius)
 }
 
-// rows is the probe core: the rows within radius of self's position, self
-// included, ascending by agent ID. The index appends the in-range core
-// slots, in cell (or scan) order; when the pass has a halo, its grid
-// appends the in-range halo ranks. Every row found sets its rank's bit in
-// the rank bitset and drain reads the rows back in rank order. The one
-// exception is a pass with no halo whose result is a handful of rows (see
-// bitsetOrders): a comparison sort of those slots beats the bitset.
-//
-// Two counters live here and nowhere else. visited is the Visited gauge:
-// the grid members (or scanned copies) examined, a function of the state,
-// the partitioning and the index kind. cost counts the rows returned,
-// which does not depend on the index kind — every source yields exactly
-// the agents within radius — and is what the load balancer is charged (see
-// Distributed.PartitionCost).
-func (q *queryEnv) rows(radius float64) []int32 {
-	pos := q.self.Pos(q.c.schema)
-	out, visited := q.ix.RangeCircleInto(pos, radius, q.buf())
-	if q.halo == nil && !bitsetOrders(len(out), len(q.rankRow)) {
-		q.visited += visited
-		// Slots ascend with agent ID, so sorting slots sorts by ID.
-		slices.Sort(out)
-		return q.done(out)
-	}
-	rank := q.coreRank
-	for _, j := range out {
-		q.mark(uint32(rank[j]))
-	}
-	if q.halo != nil {
-		n := len(out)
-		var seen int64
-		out, seen = q.halo.grid.RangeCircleInto(pos, radius, out)
-		visited += seen
-		for _, r := range out[n:] {
-			q.mark(uint32(r))
+// group binds a group of selves (rows of the pass, at least one) and runs
+// their query phases. The selves share one candidate block, built lazily
+// at their first probe's radius and rebuilt only when a later probe
+// reaches further: a model that only looks within a short radius of a
+// long visibility bound (a predator's bite) never pays for the bound.
+func (q *queryEnv) group(selves []int32) {
+	// A NaN self after the first leaves the box alone: its probes find
+	// nothing, so the block need not cover them.
+	first := geom.V(q.xs[selves[0]], q.ys[selves[0]])
+	b := geom.Rect{Min: first, Max: first}
+	for _, row := range selves[1:] {
+		x, y := q.xs[row], q.ys[row]
+		if x < b.Min.X {
+			b.Min.X = x
+		} else if x > b.Max.X {
+			b.Max.X = x
+		}
+		if y < b.Min.Y {
+			b.Min.Y = y
+		} else if y > b.Max.Y {
+			b.Max.Y = y
 		}
 	}
-	q.visited += visited
-	return q.done(q.drain(out))
+	q.box, q.blkR = b, -1
+	q.one = len(selves) == 1 && finite(b)
+	c := q.c
+	for _, row := range selves {
+		q.self = q.agentAt(row)
+		if c.colM != nil {
+			c.colM.QueryCols((*Cols)(q), row)
+		} else {
+			c.model.Query(q.self, q)
+		}
+	}
+}
+
+// alone runs each of the selves as a group of its own, in order.
+func (q *queryEnv) alone(selves []int32) {
+	for i := range selves {
+		q.group(selves[i : i+1])
+	}
+}
+
+// finite reports whether every coordinate of b, and its extent, is a
+// finite number.
+func finite(b geom.Rect) bool {
+	w, d := b.Max.X-b.Min.X, b.Max.Y-b.Min.Y
+	return !math.IsInf(w, 0) && !math.IsNaN(w) && !math.IsInf(d, 0) && !math.IsNaN(d)
+}
+
+// rows is the probe core: the rows within radius of self's position, self
+// included, ascending by agent ID. It filters the group's block with the
+// disc test every probe has always used, dx*dx+dy*dy <= r², dx = x-pos.X,
+// which keeps the block's order. A one-self group's block at the
+// visibility bound is its visibility probe and is handed out as is.
+//
+// Two counters live here and in build and nowhere else. visited is the
+// Visited gauge: the members the block builds and the filters examined, a
+// function of the state, the partitioning, the index kind and the
+// grouping. cost counts the rows returned, which depends on none of those
+// — every probe yields exactly the agents within radius — and is what the
+// load balancer is charged (see Distributed.PartitionCost).
+func (q *queryEnv) rows(radius float64) []int32 {
+	r := math.Abs(radius)
+	if math.IsNaN(r) {
+		return q.done(q.buf()) // no distance is within NaN
+	}
+	if !(r <= q.blkR) {
+		q.build(r)
+	}
+	blk := q.blk
+	if vis := q.c.schema.Visibility; q.one && vis > 0 && r == vis {
+		// A block at the visibility bound is never rebuilt, so the rows
+		// stay valid however deep the model's probes nest.
+		q.cost += int64(len(blk))
+		return blk
+	}
+	if len(q.bx) != len(blk) {
+		q.pack()
+	}
+	pos := q.self.Pos(q.c.schema)
+	r2 := radius * radius
+	out := slices.Grow(q.buf(), len(blk))[:len(blk)]
+	k := 0
+	bx, by := q.bx[:len(blk)], q.by[:len(blk)]
+	for i, x := range bx {
+		dx, dy := x-pos.X, by[i]-pos.Y
+		out[k] = blk[i]
+		if dx*dx+dy*dy <= r2 {
+			k++
+		}
+	}
+	q.visited += int64(len(blk))
+	return q.done(out[:k])
+}
+
+// build makes the group's block at radius r: every row within r of the
+// group's box (cellGrid.near), core grid and halo grid alike, in
+// ascending ID order. The candidates come back in cell order; a block of
+// a handful of rows is put in order by a comparison sort of its ranks and
+// any other through the rank bitset (bitsetOrders). The positions follow
+// when a filter first needs them. A box that is not finite (a self at NaN
+// or ±Inf) has every row of the pass as its block, which the filters then
+// cut down exactly.
+func (q *queryEnv) build(r float64) {
+	q.blkR = r
+	rows := q.blk[:0]
+	if !finite(q.box) {
+		rows = append(rows, q.rankRow...)
+		q.visited += int64(len(rows))
+	} else {
+		var seen int64
+		rows, seen = q.grid.near(q.box, r, rows)
+		if q.halo != nil {
+			for i, slot := range rows {
+				rows[i] = q.coreRank[slot]
+			}
+			var hs int64
+			rows, hs = q.halo.grid.near(q.box, r, rows)
+			seen += hs
+		}
+		q.visited += seen
+		if bitsetOrders(len(rows), len(q.rankRow)) {
+			for _, rank := range rows {
+				q.mark(uint32(rank))
+			}
+			rows = q.drain(rows)
+		} else {
+			slices.Sort(rows)
+			if q.halo != nil { // without one, a rank is its row
+				for i, rank := range rows {
+					rows[i] = q.rankRow[rank]
+				}
+			}
+		}
+	}
+	q.blk = rows
+	q.bx, q.by = q.bx[:0], q.by[:0]
+}
+
+// pack lays the block's positions out beside its rows for the filter. A
+// one-self group whose probes all reach the visibility bound never needs
+// them.
+func (q *queryEnv) pack() {
+	n := len(q.blk)
+	q.bx, q.by = slices.Grow(q.bx[:0], n)[:n], slices.Grow(q.by[:0], n)[:n]
+	for i, row := range q.blk {
+		q.bx[i], q.by[i] = q.xs[row], q.ys[row]
+	}
 }
 
 // done installs a probe's result as the current depth's buffer and charges
@@ -190,27 +318,27 @@ func (q *queryEnv) drain(out []int32) []int32 {
 	return out[:k]
 }
 
-// bitsetOrders is the size rule for ordering a probe's n result slots out
-// of a copy set of the given size. The bitset costs a pass over the
+// bitsetOrders is the size rule for ordering a block's n candidate ranks
+// out of a copy set of the given size. The bitset costs a pass over the
 // summary (one word per 4096 copies, ~0.5 ns each), one word per 64-rank
-// block holding a result, and a few ns per row; slices.Sort is an
+// block holding a candidate, and a few ns per row; slices.Sort is an
 // insertion sort up to 12 elements (≤ 60 ns) and ~5·n·log₂n ns beyond. The
 // factor 8 is the crossover measured for a sweep of every word (17 rows
 // tied at 4000 copies), now applied to the summary. So the sort keeps the
-// results of a handful of rows and, at any result size, copy sets so large
-// that even their summary outweighs sorting. Either way the order is the
-// same.
+// blocks of a handful of rows — a one-self group of a sparse scenario —
+// and, at any block size, copy sets so large that even their summary
+// outweighs sorting. Either way the order is the same.
 func bitsetOrders(n, copies int) bool {
 	return n > 12 && (copies+4095)/4096 <= 8*n
 }
 
-// haloJoin is the probe-side index over a partition's peer-sent copies for
-// one late pass, rebuilt by build once per partition-tick. At 2–3 replicas
-// per owned agent the halo outnumbers the core, so probes cannot afford to
-// scan it: the copies go into a cell grid whose ids are their ranks, and a
-// probe reads only the cells its disc touches. The grid holds positions
-// and ranks, not agents — a probe touches no agent until the model reads
-// its result rows.
+// haloJoin is the candidate source over a partition's peer-sent copies
+// for one late pass, rebuilt by build once per partition-tick. At 2–3
+// replicas per owned agent the halo outnumbers the core, so blocks cannot
+// afford to scan it: the copies go into a cell grid whose ids are their
+// ranks, and a block build reads only the cells its box touches. The grid
+// holds positions and ranks, not agents — a probe touches no agent until
+// the model reads its result rows.
 type haloJoin struct {
 	agents []*agent.Agent // ascending agent ID; halo row j is row len(copies)+j
 
@@ -225,8 +353,9 @@ type haloJoin struct {
 
 // build indexes h.agents (already ID-sorted) against the core's ID-sorted
 // keys: one merge-join assigns every copy its rank, then the halo copies
-// are binned by position with their ranks as ids.
-func (h *haloJoin) build(s *agent.Schema, coreKeys []int64) {
+// are binned by position with their ranks as ids, into one cell under
+// scan (KindScan).
+func (h *haloJoin) build(s *agent.Schema, coreKeys []int64, scan bool) {
 	nc, nh := len(coreKeys), len(h.agents)
 	h.px, h.py, h.rank = resize(h.px, nh), resize(h.py, nh), resize(h.rank, nh)
 	for j, a := range h.agents {
@@ -245,6 +374,7 @@ func (h *haloJoin) build(s *agent.Schema, coreKeys []int64) {
 		h.rank[j], h.rankRow[r] = int32(r), int32(nc+j)
 		j++
 	}
+	h.grid.scan = scan
 	h.grid.build(h.px, h.py, h.rank, s.Visibility)
 }
 

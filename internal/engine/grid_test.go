@@ -9,8 +9,9 @@ import (
 	"github.com/bigreddata/brace/internal/geom"
 )
 
-// FuzzCellGrid checks the cell grid's probe against a brute-force disc:
-// the same members, each once, and no more examined than the grid holds.
+// FuzzCellGrid checks the cell grid's disc probe — a block build around a
+// point box — against a brute-force disc: the same members, each once, and
+// no more examined than the grid holds.
 // Points are int16 lattice coordinates times a scale, with a marker byte
 // that occasionally turns one into NaN or ±Inf; the visibility bound the
 // grid is binned for (≤ 0: unbounded), the probe centre and the radius are
@@ -26,16 +27,17 @@ func FuzzCellGrid(f *testing.F) {
 		return b
 	}
 	lattice := pts(0, 0, 3, 4, -3, -4, 5, 0, 10, 10, 10, 11, 20, -7, -20, 7, 0, 5)
-	f.Add(lattice, 1.0, 5.0, 0.0, 0.0, 5.0)                                 // exactly-r members
-	f.Add(lattice, 1.0, 5.0, 0.0, 0.0, 2.0)                                 // radius below the cell edge
-	f.Add(lattice, 0.5, 0.0, 3.0, 1.0, 4.0)                                 // unbounded visibility
-	f.Add(lattice, 1.0, 5.0, 1e9, -3.0, 5.0)                                // centre far outside the grid
-	f.Add(pts(7, 7, 7, 7, 7, 7), 1.0, 5.0, 7.0, 7.0, 0.0)                   // one point, zero radius
-	f.Add(append(lattice, 0, 0, 0, 0, 0), 1.0, 5.0, 3.0, 4.0, 6.0)          // a NaN member
-	f.Add(append(lattice, 32, 0, 0, 0, 0), 1.0, 5.0, 3.0, 4.0, 6.0)         // a +Inf member
-	f.Add(pts(-300, 2, 300, 2, 0, -300, 1, 300), 1e-3, 0.01, 0.0, 0.0, 0.5) // grid coarsened
-	f.Add(pts(1, 1, 2, 2), 1.0, 5.0, math.NaN(), 0.0, 5.0)                  // NaN centre
-	f.Add(lattice, 1.0, 5.0, 0.0, 0.0, -5.0)                                // negative radius
+	f.Add(lattice, 1.0, 5.0, 0.0, 0.0, 5.0)                                         // exactly-r members
+	f.Add(lattice, 1.0, 5.0, 0.0, 0.0, 2.0)                                         // radius below the cell edge
+	f.Add(lattice, 0.5, 0.0, 3.0, 1.0, 4.0)                                         // unbounded visibility
+	f.Add(lattice, 1.0, 5.0, 1e9, -3.0, 5.0)                                        // centre far outside the grid
+	f.Add(pts(7, 7, 7, 7, 7, 7), 1.0, 5.0, 7.0, 7.0, 0.0)                           // one point, zero radius
+	f.Add(append(lattice, 0, 0, 0, 0, 0), 1.0, 5.0, 3.0, 4.0, 6.0)                  // a NaN member
+	f.Add(append(lattice, 32, 0, 0, 0, 0), 1.0, 5.0, 3.0, 4.0, 6.0)                 // a +Inf member
+	f.Add(pts(-300, 2, 300, 2, 0, -300, 1, 300), 1e-3, 0.01, 0.0, 0.0, 0.5)         // grid coarsened
+	f.Add(pts(1, 1, 2, 2), 1.0, 5.0, math.NaN(), 0.0, 5.0)                          // NaN centre
+	f.Add(lattice, 1.0, 5.0, 0.0, 0.0, -5.0)                                        // negative radius
+	f.Add(append(lattice, 32, 0, 0, 0, 0), 1.0, 5.0, math.Inf(1), 3.0, math.Inf(1)) // infinite centre and radius
 	f.Fuzz(func(t *testing.T, data []byte, scale, vis, cx, cy, radius float64) {
 		var xs, ys []float64
 		special := [...]float64{math.NaN(), math.Inf(1), math.Inf(-1)}
@@ -62,7 +64,7 @@ func FuzzCellGrid(f *testing.F) {
 			t.Fatalf("%d×%d cells for %d points", g.nx, g.ny, n)
 		}
 		pos := geom.V(cx, cy)
-		got, seen := g.RangeCircleInto(pos, radius, []int32{-1})
+		got, seen := g.near(geom.Rect{Min: pos, Max: pos}, radius, []int32{-1})
 		if got[0] != -1 {
 			t.Fatal("the probe overwrote dst's prefix")
 		}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
@@ -11,10 +12,11 @@ import (
 	"github.com/bigreddata/brace/internal/spatial"
 )
 
-// The ordered join — core rows from the part's index (its cell grid or the
-// scan) plus the halo grid's, put in agent-ID order by the rank bitset or
-// the comparison sort — against the definition it implements: for every
-// copy, in radius? then sort by ID.
+// The ordered join — selves grouped by core-grid cell, each group's block
+// built from the core grid (a cell grid, or one cell under the scan) and
+// the halo grid and put in agent-ID order by the rank bitset or the
+// comparison sort, each probe a filter of its group's block — against the
+// definition it implements: for every copy, in radius? then sort by ID.
 
 // probeModel records the IDs every probe returns, in the order the model
 // sees them. With nested > 0 each callback of the outer probe issues a
@@ -102,6 +104,14 @@ func sortAgents(as []*agent.Agent) {
 // oracle. halo == nil runs the pass without a halo join.
 func runJoin(t *testing.T, name string, m *probeModel, src joinSource, core, halo []*agent.Agent) {
 	t.Helper()
+	runGroups(t, name, m, src, core, halo, nil)
+}
+
+// runGroups is runJoin with the selves in the given groups instead of the
+// pass's own: groups(n) splits the rows [0, n) of the pass, core then
+// halo, into groups that each share one block. nil groups runs the pass.
+func runGroups(t *testing.T, name string, m *probeModel, src joinSource, core, halo []*agent.Agent, groups func(n int) [][]int32) {
+	t.Helper()
 	c, err := newCore(m, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -114,34 +124,46 @@ func runJoin(t *testing.T, name string, m *probeModel, src joinSource, core, hal
 	var join *haloJoin
 	if halo != nil {
 		join = &haloJoin{agents: halo}
-		join.build(m.s, p.keys)
+		join.build(m.s, p.keys, p.grid.scan)
 		for j := range halo {
 			rows = append(rows, int32(len(core)+j))
 		}
 	}
 	m.outer, m.inner = map[agent.ID][]agent.ID{}, map[agent.ID][][]agent.ID{}
-	p.query(rows, join)
+	if groups == nil {
+		p.query(rows, join)
+	} else {
+		q := p.bind(join)
+		for _, g := range groups(len(rows)) {
+			if len(g) > 0 {
+				q.group(g)
+			}
+		}
+		p.cost += q.cost
+	}
 
 	all := append(append([]*agent.Agent(nil), core...), halo...)
 	// radiusOf is the disc a probe of the given radius covers (0: the
-	// visibility probe); +Inf is the unbounded visibility probe, which sees
-	// every copy, positions not numbers included.
-	radiusOf := func(r float64) float64 {
+	// visibility probe; a radius whose magnitude exceeds the bound: the
+	// bound). every marks the unbounded visibility probe, which sees every
+	// copy, positions not numbers included.
+	radiusOf := func(r float64) (float64, bool) {
 		vis := m.s.Visibility
 		switch {
-		case vis <= 0 && r == 0:
-			return math.Inf(1)
-		case vis > 0 && (r == 0 || r > vis):
-			return vis
+		case !(vis > 0) && r == 0:
+			return 0, true
+		case vis > 0 && (r == 0 || math.Abs(r) > vis):
+			return vis, false
 		}
-		return r
+		return r, false
 	}
-	oracle := func(self *agent.Agent, r float64) []agent.ID {
+	oracle := func(self *agent.Agent, probe float64) []agent.ID {
+		r, every := radiusOf(probe)
 		pos, r2 := self.Pos(m.s), r*r
 		ids := []agent.ID{}
 		for _, a := range all {
 			q := a.Pos(m.s)
-			if dx, dy := q.X-pos.X, q.Y-pos.Y; math.IsInf(r, 1) || dx*dx+dy*dy <= r2 {
+			if dx, dy := q.X-pos.X, q.Y-pos.Y; every || dx*dx+dy*dy <= r2 {
 				ids = append(ids, a.ID)
 			}
 		}
@@ -150,7 +172,7 @@ func runJoin(t *testing.T, name string, m *probeModel, src joinSource, core, hal
 	}
 	var cost int64
 	for _, self := range all {
-		want := oracle(self, radiusOf(m.radius))
+		want := oracle(self, m.radius)
 		got, ok := m.outer[self.ID]
 		if !ok {
 			t.Fatalf("%s/%v: agent %d never probed", name, src, self.ID)
@@ -162,7 +184,7 @@ func runJoin(t *testing.T, name string, m *probeModel, src joinSource, core, hal
 		if m.nested > 0 {
 			// The nested probes are self's own (the env probes around self
 			// whoever the callback's neighbour is), one per outer row.
-			wantIn := oracle(self, radiusOf(m.nested))
+			wantIn := oracle(self, m.nested)
 			if len(m.inner[self.ID]) != len(want) {
 				t.Fatalf("%s/%v: agent %d ran %d nested probes, want %d", name, src, self.ID, len(m.inner[self.ID]), len(want))
 			}
@@ -202,6 +224,10 @@ func TestOrderedJoinMatchesBruteForce(t *testing.T) {
 		{"sparse, grid coarsened", 40, 25, 1, 0, 400}, // cells capped at 4n+64
 		{"dense", 150, 400, 8, 0, 20},
 		{"4096+ rows", 1800, 3000, 4, 0, 120},
+		// ≥ 16 selves per cell (edge 2.5, ~33 core copies to a cell): the
+		// groups share large blocks, and short probes filter them.
+		{"crowded cells", 1600, 1200, 5, 0, 30},
+		{"crowded cells, short probe", 1600, 1200, 5, 1.5, 30},
 	} {
 		for _, src := range []joinSource{fromGrid, fromScan} {
 			m := newProbeModel(tc.vis)
@@ -285,6 +311,14 @@ func TestOrderedJoinEdgeCases(t *testing.T) {
 			[]*agent.Agent{at(m.s, 2, 0, 0), at(m.s, 4, 3, 4), at(m.s, 6, 40, 40)},
 			[]*agent.Agent{at(m.s, 1, -3, -4), at(m.s, 3, 5, 0), at(m.s, 5, 0, -5), at(m.s, 7, 45, 40), at(m.s, 8, 40, 45.000001)})
 
+		// A wide box rounds its centre and half-width: from the box around
+		// these two selves (one group under the scan), the halo copy
+		// exactly the visibility bound from the right-hand self measures
+		// an ulp further, and only the block's slack keeps it.
+		lo, hi, far := 60.466028797961954, 63.28755606209699, 66.61035632818944
+		m = newProbeModel(far - hi)
+		runJoin(t, "rounded box", m, src, []*agent.Agent{at(m.s, 1, lo, 0), at(m.s, 2, hi, 0)}, []*agent.Agent{at(m.s, 3, far, 0)})
+
 		// Every copy at one point: a one-cell grid, core and halo alike.
 		m = s()
 		var same, sameHalo []*agent.Agent
@@ -355,34 +389,189 @@ func TestOrderedJoinEdgeCases(t *testing.T) {
 		rng = agent.NewRNG(3, 0, 0)
 		box = geom.Rect{Max: geom.V(25, 25)}
 		runJoin(t, "nested", m, src, scatter(m.s, rng, 60, 1, 2, box), scatter(m.s, rng, 80, 2, 2, box))
+		// The same inside groups of ≥ 16 selves: the nested probes filter
+		// the block the outer probe's rows came from.
+		m = s()
+		m.nested = 2
+		box = geom.Rect{Max: geom.V(10, 10)}
+		runJoin(t, "nested, crowded cells", m, src, scatter(m.s, rng, 400, 1, 2, box), scatter(m.s, rng, 100, 2, 2, box))
+		m = s()
+		m.radius, m.nested = 2, 4
+		runJoin(t, "nested, crowded cells, no halo", m, src, scatter(m.s, rng, 400, 1, 1, box), nil)
+
+		// A short probe first, then one at the bound from inside its
+		// callback: the block, built at the short radius, is rebuilt at the
+		// bound while the outer rows are still being walked — for lone
+		// selves and for crowded groups.
+		m = s()
+		m.radius, m.nested = 2, vis
+		rng = agent.NewRNG(4, 0, 0)
+		runJoin(t, "short then bound, sparse", m, src, scatter(m.s, rng, 60, 1, 2, geom.Rect{Max: geom.V(40, 40)}), scatter(m.s, rng, 40, 2, 2, geom.Rect{Max: geom.V(40, 40)}))
+		m = s()
+		m.radius, m.nested = 2, vis
+		runJoin(t, "short then bound, crowded", m, src, scatter(m.s, rng, 300, 1, 2, box), scatter(m.s, rng, 100, 2, 2, box))
+
+		// Selves exactly on cell edges (multiples of the edge, 2.5, from
+		// the grid's origin), many to a cell, with copies exactly r away.
+		m = s()
+		var edge, edgeHalo []*agent.Agent
+		for i := 0; i < 12; i++ {
+			for j := 0; j < 12; j++ {
+				x, y := 2.5*float64(i), 2.5*float64(j)
+				edge = append(edge, at(m.s, agent.ID(4*(12*i+j)+1), x, y), at(m.s, agent.ID(4*(12*i+j)+2), x, y+2.5))
+				edgeHalo = append(edgeHalo, at(m.s, agent.ID(4*(12*i+j)+3), x+5, y), at(m.s, agent.ID(4*(12*i+j)+4), x+3, y+4))
+			}
+		}
+		runJoin(t, "selves on cell edges", m, src, edge, edgeHalo)
+		m = s()
+		runJoin(t, "selves on cell edges, no halo", m, src, edge, nil)
+
+		// A group whose box is not finite, in a crowded pass: the NaN or
+		// infinite self shares the core's one cell with every other self,
+		// and the block must still hold the halo rows the finite selves
+		// see.
+		for name, bad := range map[string]geom.Vec{"+Inf": {X: math.Inf(1), Y: 1}, "NaN": {X: 2, Y: math.NaN()}} {
+			m = s()
+			core := scatter(m.s, agent.NewRNG(8, 0, 0), 200, 1, 2, geom.Rect{Max: geom.V(10, 10)})
+			core = append(core, at(m.s, 1001, bad.X, bad.Y))
+			runJoin(t, "non-finite group "+name, m, src, core,
+				scatter(m.s, agent.NewRNG(9, 0, 0), 150, 2, 2, geom.Rect{Min: geom.V(-5, -5), Max: geom.V(15, 15)}))
+		}
+
+		// Migrant (halo-owned) selves far outside the core grid, crowded
+		// together: each is its own group, and none may lose the halo
+		// copies around it or the core copies in reach.
+		m = s()
+		rng = agent.NewRNG(10, 0, 0)
+		runJoin(t, "migrants outside the core grid", m, src,
+			scatter(m.s, rng, 100, 1, 2, geom.Rect{Max: geom.V(10, 10)}),
+			scatter(m.s, rng, 300, 2, 2, geom.Rect{Min: geom.V(-20, 8), Max: geom.V(-9, 12)}))
+
+		// Unbounded visibility with radii that grow within a query phase:
+		// the block is built at the first probe's radius and rebuilt when a
+		// nested probe reaches further, while the outer rows are still
+		// being walked; under the scan every self shares one group.
+		for _, radii := range [][2]float64{{3, 40}, {0.5, 7}, {40, 3}} {
+			m = newProbeModel(0)
+			m.radius, m.nested = radii[0], radii[1]
+			rng := agent.NewRNG(12, 0, 0)
+			box := geom.Rect{Max: geom.V(30, 20)}
+			name := fmt.Sprint("unbounded, radius ", radii[0], " then ", radii[1])
+			runJoin(t, name, m, src, scatter(m.s, rng, 120, 1, 2, box), scatter(m.s, rng, 60, 2, 2, box))
+			m = newProbeModel(0)
+			m.radius, m.nested = radii[0], radii[1]
+			runJoin(t, name+", no halo", m, src, scatter(m.s, rng, 120, 1, 1, box), nil)
+		}
 	}
 }
 
 // One copy set, no halo, both index kinds: the same row sequence whether
-// the size rule picks the comparison sort (short probes) or the bitset
-// (the visibility probe).
+// the size rule puts a group's block in order by the comparison sort (a
+// short visibility bound: a handful of rows per block) or by the bitset
+// (a long one).
 func TestRowSequenceAcrossSources(t *testing.T) {
-	const n, span, vis = 3000, 100.0, 12.0
-	for _, radius := range []float64{1.5, 0} {
+	const n, span = 3000, 100.0
+	for _, vis := range []float64{1.5, 12} {
 		m := newProbeModel(vis)
-		m.radius = radius
 		pop := scatter(m.s, agent.NewRNG(11, 0, 0), n, 1, 1, geom.Rect{Max: geom.V(span, span)})
-		var sizes []int
 		for _, src := range []joinSource{fromGrid, fromScan} {
-			runJoin(t, fmt.Sprint("radius ", radius), m, src, pop, nil)
-			if src == fromGrid {
-				for _, seq := range m.outer {
-					sizes = append(sizes, len(seq))
-				}
+			runJoin(t, fmt.Sprint("visibility ", vis), m, src, pop, nil)
+		}
+		// Guard the premise: the blocks of the grid's groups sit on their
+		// side of the rule — all of them under the long bound, all but a
+		// few of the most crowded under the short one.
+		c, err := newCore(m, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := fromGrid.part(&c)
+		p.build(pop)
+		boxes := map[int32]geom.Rect{}
+		for slot, cell := range p.grid.cell {
+			pos := geom.V(p.px[slot], p.py[slot])
+			b, ok := boxes[cell]
+			if !ok {
+				b = geom.Rect{Min: pos, Max: pos}
+			}
+			b.Min.X, b.Min.Y = min(b.Min.X, pos.X), min(b.Min.Y, pos.Y)
+			b.Max.X, b.Max.Y = max(b.Max.X, pos.X), max(b.Max.Y, pos.Y)
+			boxes[cell] = b
+		}
+		wrong := 0
+		for _, b := range boxes {
+			blk, _ := p.grid.near(b, vis, nil)
+			if bitsetOrders(len(blk), n) != (vis > 10) {
+				wrong++
 			}
 		}
-		// Guard the premise: each radius sits on its side of the rule.
-		for _, k := range sizes {
-			if bitsetOrders(k, n) != (radius == 0) {
-				t.Fatalf("radius %v: a %d-row result is on the wrong side of the size rule", radius, k)
-			}
+		if limit := len(boxes) / 50; wrong > limit || (vis > 10 && wrong > 0) {
+			t.Fatalf("visibility %v: %d of %d blocks are on the wrong side of the size rule", vis, wrong, len(boxes))
 		}
 	}
+}
+
+// FuzzGroupBlock checks one group's block, and the probes that filter it,
+// against a brute-force disc (runGroups' oracle): a random copy set split
+// into core and halo, a random group of selves sharing one block (the
+// other rows a second group), a visibility bound (≤ 0: unbounded), and an
+// outer and a nested probe radius, cropped to the bound like any probe.
+// Each copy is a marker byte and int16 lattice coordinates times scale:
+// an odd marker makes it a halo copy, and 0xfd–0xff make a coordinate NaN
+// or infinite.
+func FuzzGroupBlock(f *testing.F) {
+	rec := func(marker byte, x, y int16) []byte {
+		b := []byte{marker}
+		b = binary.LittleEndian.AppendUint16(b, uint16(x))
+		return binary.LittleEndian.AppendUint16(b, uint16(y))
+	}
+	var crowd, edges []byte
+	for i := int16(0); i < 48; i++ {
+		crowd = append(crowd, rec(byte(i), i%7, i%5)...) // ≥ 16 selves to a cell
+		edges = append(edges, rec(byte(i), 10*(i%6), 10*(i/6))...)
+	}
+	f.Add(crowd, 0.5, 5.0, ^uint64(0), 0.0, 0.0)
+	f.Add(crowd, 0.5, 5.0, uint64(0x5555_5555), 2.0, 0.0)
+	f.Add(crowd, 0.5, 5.0, uint64(0xffff), 0.0, 1.5)                             // nested in a shared block
+	f.Add(edges, 0.25, 5.0, uint64(0x0f0f_0f0f), 0.0, 0.0)                       // selves on cell edges
+	f.Add(edges, 0.25, 5.0, uint64(0xff), 5.0, 0.0)                              // copies exactly r away
+	f.Add(crowd, 1.0, 0.0, uint64(0x3ff), 2.0, 6.0)                              // unbounded, growing radius
+	f.Add(crowd, 1.0, 0.0, uint64(0x3ff), 6.0, 2.0)                              // unbounded, shrinking radius
+	f.Add(append(crowd, rec(0xfe, 0, 0)...), 0.5, 5.0, ^uint64(0), 0.0, 0.0)     // an infinite self
+	f.Add(append(crowd, rec(0xfd, 0, 0)...), 0.5, 5.0, ^uint64(0), 0.0, 0.0)     // a NaN self
+	f.Add(append(edges, rec(1, -500, 3)...), 0.25, 5.0, uint64(1)<<48, 0.0, 0.0) // a migrant far out
+	f.Fuzz(func(t *testing.T, data []byte, scale, vis float64, mask uint64, outer, nested float64) {
+		m := newProbeModel(vis)
+		m.radius, m.nested = outer, nested
+		var core, halo []*agent.Agent
+		for id := agent.ID(1); len(data) >= 5 && id <= 150; data, id = data[5:], id+1 {
+			x := float64(int16(binary.LittleEndian.Uint16(data[1:]))) * scale
+			y := float64(int16(binary.LittleEndian.Uint16(data[3:]))) * scale
+			switch data[0] {
+			case 0xfd:
+				x = math.NaN()
+			case 0xfe:
+				x = math.Inf(1)
+			case 0xff:
+				y = math.Inf(-1)
+			}
+			if data[0]&1 == 1 {
+				halo = append(halo, at(m.s, id, x, y))
+			} else {
+				core = append(core, at(m.s, id, x, y))
+			}
+		}
+		runGroups(t, "fuzz", m, fromGrid, core, halo, func(n int) [][]int32 {
+			var in, out []int32
+			for r := 0; r < n; r++ {
+				if r < 64 && mask>>r&1 == 1 {
+					in = append(in, int32(r))
+				} else {
+					out = append(out, int32(r))
+				}
+			}
+			return [][]int32{in, out}
+		})
+	})
 }
 
 func TestBitsetOrdersTable(t *testing.T) {
@@ -410,29 +599,33 @@ func TestBitsetOrdersTable(t *testing.T) {
 func TestCellSpan(t *testing.T) {
 	inf, nan := math.Inf(1), math.NaN()
 	for _, tc := range []struct {
-		c, r, origin, edge float64
-		n                  int
-		lo, hi             int
-		ok                 bool
+		from, to, origin, edge float64
+		n                      int
+		lo, hi                 int
+		ok                     bool
 	}{
-		{12, 5, 0, 5, 6, 1, 3, true},    // interior: three cells
-		{2, 5, 0, 5, 6, 0, 1, true},     // clipped on the low side
-		{29, 5, 0, 5, 6, 4, 5, true},    // clipped on the high side
-		{-5, 5, 0, 5, 6, 0, 0, true},    // touches the first cell's edge exactly
-		{-5.1, 5, 0, 5, 6, 0, 0, false}, // just short of it
-		{35, 5, 0, 5, 6, 5, 5, false},   // starts exactly where the last cell ends
-		{34.9, 5, 0, 5, 6, 5, 5, true},
-		{1e300, 5, 0, 5, 6, 0, 0, false}, // far outside: no int conversion
-		{-1e300, 5, 0, 5, 6, 0, 0, false},
-		{inf, 5, 0, 5, 6, 0, 0, false},
-		{-inf, 5, 0, 5, 6, 0, 0, false},
-		{nan, 5, 0, 5, 6, 0, 0, false},
-		{3, 5, 0, 5, 1, 0, 0, true}, // one cell
+		{7, 17, 0, 5, 6, 1, 3, true},         // interior: three cells
+		{-3, 7, 0, 5, 6, 0, 1, true},         // clipped on the low side
+		{24, 34, 0, 5, 6, 4, 5, true},        // clipped on the high side
+		{-10, 0, 0, 5, 6, 0, 0, true},        // touches the first cell's edge exactly
+		{-10.1, -0.1, 0, 5, 6, 0, 0, false},  // just short of it
+		{30, 40, 0, 5, 6, 5, 5, false},       // starts exactly where the last cell ends
+		{29.9, 39.9, 0, 5, 6, 5, 5, true},    //
+		{1e300, 1e300, 0, 5, 6, 0, 0, false}, // far outside: no int conversion
+		{-1e300, -1e300, 0, 5, 6, 0, 0, false},
+		{inf, inf, 0, 5, 6, 0, 0, false},
+		{-inf, -inf, 0, 5, 6, 0, 0, false},
+		{nan, nan, 0, 5, 6, 0, 0, false},
+		{nan, 10, 0, 5, 6, 0, 0, false},
+		{0, nan, 0, 5, 6, 0, 0, false},
+		{-2, 8, 0, 5, 1, 0, 0, true},     // one cell
+		{-inf, inf, 0, 5, 6, 0, 5, true}, // every cell
+		{7, 23, 0, 5, 6, 1, 4, true},     // a box wider than a cell
 	} {
-		lo, hi, ok := cellSpan(tc.c, tc.r, tc.origin, tc.edge, tc.n)
+		lo, hi, ok := cellSpan(tc.from, tc.to, tc.origin, tc.edge, tc.n)
 		if ok != tc.ok || (ok && (lo != tc.lo || hi != tc.hi)) {
-			t.Errorf("cellSpan(%v±%v over %d cells) = [%d,%d] %v, want [%d,%d] %v",
-				tc.c, tc.r, tc.n, lo, hi, ok, tc.lo, tc.hi, tc.ok)
+			t.Errorf("cellSpan([%v, %v] over %d cells) = [%d,%d] %v, want [%d,%d] %v",
+				tc.from, tc.to, tc.n, lo, hi, ok, tc.lo, tc.hi, tc.ok)
 		}
 	}
 }

@@ -22,8 +22,9 @@
 // halo that updates owned agents or, for non-local effects, ships partials
 // to reduce₂. The package's tests hold a naive O(n²) engine as the
 // oracle it must agree with.
-// Every probe, from either query API, goes through one candidate-selection
-// core (queryEnv.rows in env.go).
+// Every probe, from either query API, goes through one probe core
+// (queryEnv.rows in env.go), which filters the candidate block the
+// probing agent's group shares.
 package engine
 
 import (
@@ -48,6 +49,11 @@ import (
 //     Each invocation still sees its own Env and its deterministic
 //     ID-ordered iteration; results are bit-identical to a serial run.
 //     (Compiled BRASIL programs satisfy this via per-invocation frames.)
+//   - The engine runs a local-effect model's query phases in any order
+//     (grouped by grid cell, see part.query) and a non-local model's in
+//     ascending agent-ID order within a partition, the order its Assigns
+//     fold in; either way Query carries no state from one call to the
+//     next.
 type Model interface {
 	// Schema describes the agent class.
 	Schema() *agent.Schema
@@ -77,8 +83,8 @@ type Env interface {
 	// of self's position, including self (BRASIL's Extent<Class>; scripts
 	// guard with p != this when needed).
 	ForEachVisible(fn func(*agent.Agent))
-	// Nearby is ForEachVisible restricted to the given radius (cropped to
-	// the visibility bound).
+	// Nearby is ForEachVisible restricted to the given radius (its
+	// magnitude cropped to the visibility bound).
 	Nearby(radius float64, fn func(*agent.Agent))
 	// Assign folds value into target's effect field using the schema's
 	// combinator. Assigning to an agent other than Self is a non-local

@@ -16,12 +16,14 @@
 // The split changes scheduling, never results: interior agents are
 // exactly those whose visibility disc lies strictly inside the strip, so
 // their candidate sets cannot contain a peer-sent copy, and the late
-// pass's probes join core and halo candidates by ID rank (haloJoin, the
-// rank bitset in queryEnv.rows) — the same ascending-ID visible sequence
+// pass's blocks join core and halo candidates by ID rank (haloJoin, the
+// rank bitset in queryEnv.build) — the same ascending-ID visible sequence
 // one index over every copy produces. Update order is immaterial
-// (state-effect pattern; per-agent RNG is a function of (seed, tick, ID)).
-// An unsplit tick probes every owned agent in the late pass, in ascending
-// ID order.
+// (state-effect pattern; per-agent RNG is a function of (seed, tick, ID)),
+// and so is the order of local-effect query phases, which part.query runs
+// grouped by grid cell. An unsplit tick probes every owned agent in the
+// late pass; a non-local model's in ascending ID order, the order its
+// Assigns fold in.
 package engine
 
 import (
@@ -149,7 +151,7 @@ func (e *Distributed) reduce1Late(ctx *mapreduce.Ctx, rest []*Envelope, emit map
 		// none, the core index answers them alone.
 		var halo *haloJoin
 		if len(ob.halo.agents) > 0 {
-			ob.halo.build(e.schema, p.keys)
+			ob.halo.build(e.schema, p.keys, p.grid.scan)
 			if e.colM != nil {
 				// Halo copies become rows len(copies)+j so boundary query
 				// phases can read their state through the columns.

@@ -5,20 +5,21 @@
 // query the engines issue.
 //
 // The engine answers that probe with a uniform cell grid it rebuilds every
-// tick (internal/engine) or, under KindScan, with Scan. Three types here
-// answer it through the one Index method:
+// tick (internal/engine), one cell under KindScan. Three types here answer
+// it through the one Index method:
 //
-//   - Scan: the no-index baseline ("BRACE - no indexing" in the figures);
-//     every probe enumerates all points.
+//   - Scan: brute force, every probe enumerates all points; the oracle
+//     the other two are checked against. (The figures' "BRACE - no
+//     indexing" is the engine's one-cell grid, which does the same.)
 //   - KDTree: the paper's "generic KD-tree based spatial index capability"
 //     [Bentley, 3].
 //   - CachedIndex (cached.go): the KD-tree wrapped in Verlet candidate
 //     lists for cross-tick reuse while points stay within half a skin
 //     radius of their build positions.
 //
-// The engine no longer uses KDTree or CachedIndex; they stay, with
-// DefaultSkin and SetParallelism, because the benchmark's per-layer
-// spatial probes (bench/) time them, and go with those probes.
+// The engine uses none of the three; they stay, with DefaultSkin and
+// SetParallelism, because the benchmark's per-layer spatial probes
+// (bench/) time them, and go with those probes.
 package spatial
 
 import (
