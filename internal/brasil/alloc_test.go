@@ -10,29 +10,9 @@ import (
 	"testing"
 
 	"github.com/bigreddata/brace/internal/agent"
+	"github.com/bigreddata/brace/internal/engine"
 	"github.com/bigreddata/brace/internal/geom"
 )
-
-// nestedSrc nests one range probe inside another, so two foreach loops
-// iterate at once.
-const nestedSrc = `
-class N {
-  public state float x : x;
-  public state float y : y;
-  public effect float near : sum;
-  public void run() {
-    foreach (N p : Extent<N>) {
-      if (dist(this, p) < 2) {
-        foreach (N q : Extent<N>) {
-          if (dist(p, q) < 1) {
-            near <- 1;
-          }
-        }
-      }
-    }
-  }
-}
-`
 
 // sliceEnv is an engine.Env over a fixed slice of agents that allocates
 // nothing itself, so any allocation a query phase makes is the script's.
@@ -88,6 +68,43 @@ func TestQueryDoesNotAllocate(t *testing.T) {
 		query() // fill the frame pool
 		if n := testing.AllocsPerRun(50, query); n != 0 {
 			t.Errorf("%s: %v allocations per %d query phases, want 0", name, n, len(env.agents))
+		}
+	}
+}
+
+// TestColumnPlanTickSteadyStateAllocs pins the column plan's allocation
+// behaviour, after TestFishTickSteadyStateAllocs: once the pooled frames'
+// uniform slots and column buffers have grown to the densest probe, a
+// one-partition tick of a compiled script allocates no more than the same
+// tick under the closure plan, whose query phase allocates nothing
+// (TestQueryDoesNotAllocate) — what is left is the epoch barrier's. One
+// allocation per agent or per probe would put 500 agents far past it.
+func TestColumnPlanTickSteadyStateAllocs(t *testing.T) {
+	tickAllocs := func(m engine.Model) float64 {
+		e, err := engine.NewDistributed(m, planPop(m.Schema(), 500, 1, 40), engine.Options{Workers: 1, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.RunTicks(16); err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(32, func() {
+			if err := e.RunTicks(1); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	for name, sc := range planScripts(t) {
+		if sc.closes > 0 {
+			continue
+		}
+		p, err := Compile(sc.src, sc.opt)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		cols, closures := tickAllocs(p), tickAllocs(closurePlan{p})
+		if cols > closures {
+			t.Errorf("%s: steady-state tick allocates %.1f times under the column plan, %.1f under the closure plan", name, cols, closures)
 		}
 	}
 }

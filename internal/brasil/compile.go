@@ -3,6 +3,7 @@ package brasil
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"github.com/bigreddata/brace/internal/agent"
@@ -19,12 +20,26 @@ type CompileOptions struct {
 	Invert bool
 }
 
-// Program is a compiled BRASIL script: an engine.Model plus compiler
-// metadata.
+// Program is a compiled BRASIL script: an engine.ColumnarModel plus
+// compiler metadata. Its query phase has two compile targets. The closure
+// plan (Query) walks a tree of Go closures once per visible neighbour; it
+// runs non-local scripts, which the engines keep off the columnar path. The
+// column plan (QueryCols, plan.go) runs each outermost foreach loop once per
+// probe as column ops over the state columns, and keeps the closure plan for
+// a loop it cannot express. The two agree bit for bit (NaN payloads
+// aside, see plan.go).
 type Program struct {
-	checked  *Checked
-	schema   *agent.Schema
-	query    []cstmt
+	checked *Checked
+	schema  *agent.Schema
+	query   []cstmt
+	// colQuery is run() under the column plan: query's statements, with
+	// each statement that holds a foreach loop recompiled.
+	colQuery []cstmt
+	// The loop plans' uniform slots, the constant ones among them, and the
+	// most column buffers any plan uses.
+	nuni     int
+	consts   []uniConst
+	nbuf     int
 	updates  []cexpr     // by state index
 	crops    []*RangeTag // by state index
 	nonLocal bool
@@ -44,6 +59,13 @@ type frame struct {
 	state  []float64 // update-phase scratch for simultaneous assignment
 	env    engine.Env
 	u      *engine.UpdateCtx
+	// The column plan's probe state (QueryCols only): the window, the
+	// self's row, the loops' uniform values and their column buffers.
+	cols    *engine.Cols
+	selfRow int32
+	uni     []float64
+	bufs    [][]float64 // a probe's column buffers, views of slab
+	slab    []float64
 	// iters[k] is the k-th foreach loop's body callback, bound to this
 	// frame once when the pool makes it: a callback made per loop would
 	// escape through the Env and allocate every query phase.
@@ -99,6 +121,19 @@ func compileChecked(ck *Checked, inverted bool) (*Program, error) {
 		}
 		p.query = append(p.query, st)
 	}
+	c.cols = true
+	for i, s := range ck.Class.Run.Body {
+		if !hasForeach(s) {
+			p.colQuery = append(p.colQuery, p.query[i])
+			continue
+		}
+		st, err := c.stmt(s)
+		if err != nil {
+			return nil, err
+		}
+		p.colQuery = append(p.colQuery, st)
+	}
+	c.cols = false
 
 	// Update rules, by state index, evaluated simultaneously against the
 	// old state (Fig. 2 semantics: `x : (x+vx)` uses tick-start values).
@@ -123,9 +158,14 @@ func compileChecked(ck *Checked, inverted bool) (*Program, error) {
 			locals: make([]float64, ck.NLocals),
 			state:  make([]float64, len(ck.StateIdx)),
 			iters:  make([]func(*agent.Agent), len(p.foreach)),
+			uni:    make([]float64, p.nuni),
+			bufs:   make([][]float64, p.nbuf),
 		}
 		for k, mk := range p.foreach {
 			fr.iters[k] = mk(fr)
+		}
+		for _, c := range p.consts {
+			fr.uni[c.slot] = c.v
 		}
 		return fr
 	}
@@ -160,7 +200,7 @@ func (p *Program) Inverted() bool { return p.inverted }
 // Checked exposes the analysis result (for tools and tests).
 func (p *Program) Checked() *Checked { return p.checked }
 
-// Query implements engine.Model by interpreting the compiled run() plan.
+// Query implements engine.Model by running the closure plan.
 func (p *Program) Query(self *agent.Agent, env engine.Env) {
 	fr := p.frames.Get().(*frame)
 	fr.self = self
@@ -170,6 +210,22 @@ func (p *Program) Query(self *agent.Agent, env engine.Env) {
 		s(fr)
 	}
 	fr.self, fr.env = nil, nil
+	p.frames.Put(fr)
+}
+
+// QueryCols implements engine.ColumnarModel by running the column plan:
+// run()'s statements outside loops and any fallback loop run as closures
+// against env.Env(), each other outermost foreach loop as its loopPlan.
+// The result is bit-identical to Query's.
+func (p *Program) QueryCols(env *engine.Cols, self int32) {
+	fr := p.frames.Get().(*frame)
+	e := env.Env()
+	fr.self, fr.env, fr.u = e.Self(), e, nil
+	fr.cols, fr.selfRow = env, self
+	for _, s := range p.colQuery {
+		s(fr)
+	}
+	fr.self, fr.env, fr.cols = nil, nil, nil
 	p.frames.Put(fr)
 }
 
@@ -199,14 +255,27 @@ func (p *Program) Update(self *agent.Agent, u *engine.UpdateCtx) {
 }
 
 var (
-	_ engine.Model         = (*Program)(nil)
+	_ engine.ColumnarModel = (*Program)(nil)
 	_ engine.NonLocalModel = (*Program)(nil)
 )
 
-// compiler lowers checked AST to closures.
+// compiler lowers checked AST to closures, and with cols set an outermost
+// foreach loop to its column plan.
 type compiler struct {
-	ck *Checked
-	p  *Program
+	ck   *Checked
+	p    *Program
+	cols bool
+}
+
+// hasForeach reports whether s is or holds a foreach loop.
+func hasForeach(s Stmt) bool {
+	switch st := s.(type) {
+	case *Foreach:
+		return true
+	case *If:
+		return slices.ContainsFunc(st.Then, hasForeach) || slices.ContainsFunc(st.Else, hasForeach)
+	}
+	return false
 }
 
 func (c *compiler) stmt(s Stmt) (cstmt, error) {
@@ -267,6 +336,19 @@ func (c *compiler) stmt(s Stmt) (cstmt, error) {
 		}, nil
 
 	case *Foreach:
+		if c.cols {
+			pl, err := c.planLoop(st)
+			if err == nil {
+				c.p.nbuf = max(c.p.nbuf, pl.nbuf)
+				return pl.run, nil
+			}
+			if err != errFallback {
+				return nil, err
+			}
+			// The loop keeps its closure plan, inner loops included.
+			c.cols = false
+			defer func() { c.cols = true }()
+		}
 		depth := c.ck.Agents[st]
 		var body []cstmt
 		for _, x := range st.Body {

@@ -37,11 +37,28 @@ type ColumnarModel interface {
 type Cols queryEnv
 
 // State returns the column of the given state field, one entry per row
-// (core copies in ascending agent-ID order, then halo copies).
-func (c *Cols) State(field int) []float64 { return c.cols[field] }
+// (core copies in ascending agent-ID order, then halo copies). A field
+// other than the position is gathered on its first read in a tick, so a
+// model pays only for the columns it reads.
+func (c *Cols) State(field int) []float64 {
+	q := (*queryEnv)(c)
+	if !q.cols.have[field] {
+		var halo []*agent.Agent
+		if q.halo != nil {
+			halo = q.halo.agents
+		}
+		q.cols.gather(field, q.copies, halo)
+	}
+	return q.cols.cols[field]
+}
 
 // Rows returns the total row count (core + halo).
-func (c *Cols) Rows() int { return len(c.cols[0]) }
+func (c *Cols) Rows() int {
+	if c.halo != nil {
+		return len(c.copies) + len(c.halo.agents)
+	}
+	return len(c.copies)
+}
 
 // Visible returns the rows within the visibility bound of self's position,
 // including self, in ascending agent-ID order — the columnar mirror of
@@ -52,6 +69,12 @@ func (c *Cols) Visible() []int32 { return (*queryEnv)(c).visible() }
 // Nearby is Visible restricted to the given radius (its magnitude cropped
 // to the visibility bound) — the columnar mirror of Env.Nearby.
 func (c *Cols) Nearby(radius float64) []int32 { return (*queryEnv)(c).nearby(radius) }
+
+// Env returns the closure-style window onto the same probe core, for a
+// query phase that runs part of its work per agent: Env().Self() is the
+// agent at the self row, and its probes are charged exactly as the
+// columnar ones. A columnar model may mix the two views within one call.
+func (c *Cols) Env() Env { return (*queryEnv)(c) }
 
 // Assign folds value into the row's effect field using the schema's
 // combinator — the columnar mirror of Env.Assign. Effects stay in the
@@ -73,33 +96,49 @@ func columnarModel(m Model) ColumnarModel {
 	return nil
 }
 
-// gatherCols (re)fills per-state-field columns from the ID-sorted copies.
-func gatherCols(cols [][]float64, s *agent.Schema, copies []*agent.Agent) [][]float64 {
-	nf := s.NumState()
-	if cap(cols) < nf {
-		cols = make([][]float64, nf)
-	}
-	cols = cols[:nf]
-	n := len(copies)
-	for f := 0; f < nf; f++ {
-		col := resize(cols[f], n)
-		for i, a := range copies {
-			col[i] = a.State[f]
-		}
-		cols[f] = col
-	}
-	return cols
+// colSet is a part's state columns over the rows of its passes. The
+// position columns are gathered at build, since the grid reads them; any
+// other column on its first Cols.State read.
+type colSet struct {
+	cols [][]float64
+	// have[f] reports that cols[f] holds the current build's rows, and the
+	// halo's once appendHalo ran.
+	have []bool
 }
 
-// appendHaloCols extends the columns with the halo copies' state, giving
-// halo row j the global row index len(copies)+j.
-func appendHaloCols(cols [][]float64, halo []*agent.Agent) [][]float64 {
-	for f := range cols {
-		col := cols[f]
+// build starts a tick's columns over the ID-sorted copies: the position
+// columns are gathered, the others wait for their first read.
+func (cs *colSet) build(s *agent.Schema, copies []*agent.Agent) {
+	nf := s.NumState()
+	cs.cols, cs.have = resize(cs.cols, nf), resize(cs.have, nf)
+	clear(cs.have)
+	cs.gather(s.PosX, copies, nil)
+	cs.gather(s.PosY, copies, nil)
+}
+
+// gather (re)fills column f from the copies, then the halo copies.
+func (cs *colSet) gather(f int, copies, halo []*agent.Agent) {
+	col := resize(cs.cols[f], len(copies))
+	for i, a := range copies {
+		col[i] = a.State[f]
+	}
+	for _, a := range halo {
+		col = append(col, a.State[f])
+	}
+	cs.cols[f], cs.have[f] = col, true
+}
+
+// appendHalo extends the gathered columns with the halo copies' state,
+// giving halo row j the global row index len(copies)+j.
+func (cs *colSet) appendHalo(halo []*agent.Agent) {
+	for f, ok := range cs.have {
+		if !ok {
+			continue
+		}
+		col := cs.cols[f]
 		for _, a := range halo {
 			col = append(col, a.State[f])
 		}
-		cols[f] = col
+		cs.cols[f] = col
 	}
-	return cols
 }

@@ -250,7 +250,7 @@ func NewDistributed(m Model, pop []*agent.Agent, opts Options) (*Distributed, er
 // Replicas come from the worker's replicaArena, which this call resets: a
 // replica is valid from here until this worker's next map phase. Every
 // reader is done before then — reduce₁'s early and late passes (halo join,
-// appendHaloCols) and, for non-local models, reduce₂'s ⊕ in the same tick
+// colSet.appendHalo) and, for non-local models, reduce₂'s ⊕ in the same tick
 // — because eachWorker is a barrier between phases. Under TCP a
 // co-resident partition receives the pointer within the phase and a remote
 // one a copy in a column block, encoded before Send returns. Checkpoints,

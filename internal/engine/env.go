@@ -30,7 +30,7 @@ type queryEnv struct {
 	c      *core
 	grid   *cellGrid      // the core grid: slots as ids
 	copies []*agent.Agent // ID-sorted core copies
-	cols   [][]float64    // columnar models: per-state-field columns over all rows
+	cols   *colSet        // columnar models: per-state-field columns over all rows
 	xs, ys []float64      // positions by row, core and halo
 	// halo is non-nil only in a late (boundary) pass with peer-sent copies:
 	// the core grid covers the core (self-sent) copies and blocks join in

@@ -155,7 +155,7 @@ func (e *Distributed) reduce1Late(ctx *mapreduce.Ctx, rest []*Envelope, emit map
 			if e.colM != nil {
 				// Halo copies become rows len(copies)+j so boundary query
 				// phases can read their state through the columns.
-				p.cols = appendHaloCols(p.cols, ob.halo.agents)
+				p.cols.appendHalo(ob.halo.agents)
 			}
 			halo = &ob.halo
 		}

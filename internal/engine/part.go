@@ -96,8 +96,8 @@ type part struct {
 
 	// The tick's build, rewritten by every build call.
 	copies []*agent.Agent
-	cols   [][]float64 // state columns (columnar models only)
-	px, py []float64   // positions by row (non-columnar models only)
+	cols   colSet    // state columns (columnar models only)
+	px, py []float64 // positions by row (non-columnar models only)
 	keys   []int64
 	all    []int32 // identity slots, see allSlots
 
@@ -117,14 +117,16 @@ func (c *core) newPart(index spatial.Kind) *part {
 
 // build installs the tick's ID-sorted copy set and builds the grid over
 // it. The keys rank the core against the late pass's halo
-// (haloJoin.build), so every build fills them. Columnar models gather their
-// state columns first so the grid reads the position columns instead of
-// walking the agents again; other models' positions are gathered here.
+// (haloJoin.build), so every build fills them. Columnar models start their
+// state columns first (colSet.build gathers the position columns, the
+// others wait for their first read) so the grid reads the position
+// columns instead of walking the agents again; other models' positions
+// are gathered here.
 func (p *part) build(copies []*agent.Agent) {
 	s := p.c.schema
 	p.copies = copies
 	if p.c.colM != nil {
-		p.cols = gatherCols(p.cols, s, copies)
+		p.cols.build(s, copies)
 	}
 	p.keys = resize(p.keys, len(copies))
 	for i, a := range copies {
@@ -144,12 +146,12 @@ func (p *part) build(copies []*agent.Agent) {
 
 // positions returns the position columns by row of a pass with the given
 // halo: the state columns of a columnar model (which carry the halo's
-// rows once appendHaloCols ran), else the core's positions gathered at
+// rows once colSet.appendHalo ran), else the core's positions gathered at
 // build, extended with the halo's.
 func (p *part) positions(halo *haloJoin) (xs, ys []float64) {
 	s := p.c.schema
 	if p.c.colM != nil {
-		return p.cols[s.PosX], p.cols[s.PosY]
+		return p.cols.cols[s.PosX], p.cols.cols[s.PosY]
 	}
 	n := len(p.copies)
 	p.px, p.py = p.px[:n], p.py[:n]
@@ -200,7 +202,7 @@ func (p *part) query(rows []int32, halo *haloJoin) int64 {
 func (p *part) bind(halo *haloJoin) *queryEnv {
 	q := &p.env
 	q.c, q.grid = p.c, &p.grid
-	q.copies, q.cols, q.halo = p.copies, p.cols, halo
+	q.copies, q.cols, q.halo = p.copies, &p.cols, halo
 	q.xs, q.ys = p.positions(halo)
 	// Without a halo the ID ranks are the slots themselves.
 	q.coreRank = p.allSlots(len(p.copies))

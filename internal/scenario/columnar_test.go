@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/bigreddata/brace/internal/agent"
@@ -24,9 +25,10 @@ func (c classic) HasNonLocalEffects() bool {
 // query path (the default for local-effect models that implement
 // engine.ColumnarModel) must compute bit-identical state to the classic
 // per-agent Env path at 1, 2 and 8 workers. The columnar path is a pure layout
-// optimization — any divergence, even one ulp, is a bug. The candidates
-// visited must match too: both paths promise identical probe accounting,
-// because it is the load balancer's cost input.
+// optimization — any divergence, even one ulp, is a bug. Both paths
+// promise identical probe accounting, so the Visited gauge must match, and
+// so must every partition's PartitionCost, the rows its probes returned:
+// the load balancer's cost input.
 func TestColumnarEquivalence(t *testing.T) {
 	const ticks = 10
 	for _, sp := range All() {
@@ -42,10 +44,20 @@ func TestColumnarEquivalence(t *testing.T) {
 				}
 
 				for _, workers := range []int{1, 2, 8} {
-					run := func(m engine.Model) ([]*agent.Agent, int64) {
+					run := func(m engine.Model) ([]*agent.Agent, int64, []int64) {
 						t.Helper()
+						// The cost restarts at every epoch barrier, so the
+						// barrier hook reads it.
+						var e *engine.Distributed
+						var costs []int64
 						e, err := engine.NewDistributed(m, clonePop(base), engine.Options{
 							Workers: workers, Index: spatial.KindKDTree, Seed: seed,
+							EpochBarrier: func(uint64) error {
+								for p := 0; p < workers; p++ {
+									costs = append(costs, e.PartitionCost(p))
+								}
+								return nil
+							},
 						})
 						if err != nil {
 							t.Fatal(err)
@@ -53,16 +65,19 @@ func TestColumnarEquivalence(t *testing.T) {
 						if err := e.RunTicks(ticks); err != nil {
 							t.Fatal(err)
 						}
-						return e.Agents(), e.Visited()
+						return e.Agents(), e.Visited(), costs
 					}
-					refA, refV := run(classic{m})
-					colA, colV := run(m)
+					refA, refV, refC := run(classic{m})
+					colA, colV, colC := run(m)
 					if len(refA) == 0 {
 						t.Fatalf("seed %d: population died out; test config mis-tuned", seed)
 					}
 					assertExact(t, sp.Name+"/dist", seed, workers, refA, colA)
 					if refV != colV {
 						t.Errorf("seed %d workers %d: classic visited %d candidates, columnar %d", seed, workers, refV, colV)
+					}
+					if len(refC) == 0 || !slices.Equal(refC, colC) {
+						t.Errorf("seed %d workers %d: partition costs by epoch %v classic, %v columnar", seed, workers, refC, colC)
 					}
 				}
 			}
