@@ -349,8 +349,7 @@ func initialState(o Options) (engine.Checkpoint, error) {
 func livePopulation(parts []transport.PartState) []*engine.Envelope {
 	var out []*engine.Envelope
 	for _, ps := range parts {
-		envs, _ := ps.Values.([]*engine.Envelope)
-		for _, env := range envs {
+		for _, env := range ps.Values {
 			if env != nil && !env.Replica && !env.A.Dead {
 				out = append(out, env)
 			}
@@ -386,11 +385,7 @@ func assemble(finals map[int]*transport.FinalReport) (*Result, error) {
 		} else if f.Ticks != res.Ticks {
 			return nil, fmt.Errorf("distrib: worker %d stopped at tick %d, others at %d", proc, f.Ticks, res.Ticks)
 		}
-		envs, ok := f.Values.([]*engine.Envelope)
-		if !ok && f.Values != nil {
-			return nil, fmt.Errorf("distrib: worker %d reported %T, want []*engine.Envelope", proc, f.Values)
-		}
-		for _, env := range envs {
+		for _, env := range f.Values {
 			if !env.Replica && !env.A.Dead {
 				res.Agents = append(res.Agents, env.A)
 			}

@@ -254,10 +254,10 @@ func TestHandshakeRejection(t *testing.T) {
 		mut(h)
 		return h
 	}
-	old := hello(func(h *transport.Hello) { h.Proto = 10 })
+	old := hello(func(h *transport.Hello) { h.Proto = 11 })
 	var ve *transport.VersionError
-	if _, err := checkHello(old); !errors.As(err, &ve) || ve.Got != 10 || ve.Want != transport.ProtoVersion {
-		t.Fatalf("checkHello(v10) = %v, want *transport.VersionError{10, %d}", err, transport.ProtoVersion)
+	if _, err := checkHello(old); !errors.As(err, &ve) || ve.Got != 11 || ve.Want != 12 || transport.ProtoVersion != 12 {
+		t.Fatalf("checkHello(v11) = %v, want *transport.VersionError{11, 12}", err)
 	}
 	badIndex := hello(func(h *transport.Hello) { h.Index = 7 })
 	var uk *spatial.UnknownKindError
@@ -268,8 +268,8 @@ func TestHandshakeRejection(t *testing.T) {
 		name, want string
 		h          *transport.Hello
 	}{
-		{"stale version", "protocol version 10", old},
-		{"stale version 9", "protocol version 9", hello(func(h *transport.Hello) { h.Proto = 9 })},
+		{"stale version", "protocol version 11", old},
+		{"stale version 10", "protocol version 10", hello(func(h *transport.Hello) { h.Proto = 10 })},
 		{"index out of range", `unknown index "7"`, badIndex},
 		{"agents over limit", "agents outside the limit", hello(func(h *transport.Hello) { h.Agents = MaxAgents + 1 })},
 		{"negative agents", "agents outside the limit", hello(func(h *transport.Hello) { h.Agents = -1 })},
@@ -295,7 +295,7 @@ func TestHandshakeRejection(t *testing.T) {
 	}
 }
 
-// A v10 coordinator's hello was a gob stream. A v11 daemon's handshake
+// A v10 coordinator's hello was a gob stream. A v12 daemon's handshake
 // reader must refuse one with a typed *transport.ProtocolError, promptly
 // and without a panic.
 func TestHandshakeRefusesV10GobHello(t *testing.T) {

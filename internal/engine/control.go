@@ -163,12 +163,11 @@ func (e *Distributed) RestoreCheckpoint(ck *Checkpoint, local []int) error {
 	vals := make(map[int][]*Envelope, len(ck.Parts))
 	base := make(map[int][]*Envelope, len(ck.Parts))
 	for _, ps := range ck.Parts {
-		envs, ok := ps.Values.([]*Envelope)
-		if _, dup := vals[ps.Part]; dup || !ps.Full || (!ok && ps.Values != nil) {
-			return fmt.Errorf("engine: checkpoint piece for partition %d is not its one full []*engine.Envelope state", ps.Part)
+		if _, dup := vals[ps.Part]; dup || !ps.Full {
+			return fmt.Errorf("engine: checkpoint piece for partition %d is not its one full state", ps.Part)
 		}
-		vals[ps.Part] = CloneEnvelopes(envs)
-		base[ps.Part] = envs
+		vals[ps.Part] = CloneEnvelopes(ps.Values)
+		base[ps.Part] = ps.Values
 	}
 	if err := e.Restore(ck.Tick, ck.Cuts, local, vals); err != nil {
 		return err

@@ -6,76 +6,16 @@ import (
 )
 
 // Envelope is the value flowing through the MapReduce dataflow: an agent
-// copy plus routing metadata. Between ticks only owned copies exist; during
-// a tick the map task adds replicas for every partition whose visible
-// region contains the agent (App. A).
+// copy plus routing metadata (App. A). It is the wire's own record type,
+// so a batch of them crosses a TCP transport as one column block with no
+// conversion.
 //
 // A replica lives in its sender's replicaArena: it is valid from the
 // sender's map phase until that worker's next map phase, and the replicas
 // of one agent share one State snapshot, so a receiver never writes a
 // replica's State. Its Envelope, agent header and Effect are its own: a
 // non-local reduce₁ rewrites SrcPart and folds partial effects into it.
-type Envelope struct {
-	A *agent.Agent
-	// Replica marks copies distributed for reading (and, in non-local
-	// mode, for collecting partial effect aggregates); the one non-replica
-	// copy per agent carries the authoritative state.
-	Replica bool
-	// SrcPart is the partition that produced this record. reduce₂ folds
-	// partial aggregates in ascending SrcPart order, making the global ⊕
-	// deterministic for a fixed partitioning.
-	SrcPart int32
-}
-
-// envelopeTag is an envelope batch's codec tag on the wire.
-const envelopeTag = 1
-
-// Envelope batches travel inside interface-typed frame fields — a Data
-// frame's cluster.Message.Payload, PartState.Values, FinalReport.Values —
-// so the engine registers their codec with the transport, which cannot
-// import it. Any binary that links the engine can send them.
-func init() { transport.RegisterCodec(envelopeTag, envelopeCodec{}) }
-
-// envelopeCodec carries a []*Envelope as one transport column block.
-// Decoding gives the replicas and the owned envelopes a block of
-// Envelopes each, beside the Block's two blocks of agents and vectors, so
-// a long-lived owned envelope never shares memory with a replica.
-type envelopeCodec struct{}
-
-func (envelopeCodec) Append(e *transport.Encoder, v any) bool {
-	batch, ok := v.([]*Envelope)
-	if !ok {
-		return false
-	}
-	e.Block(len(batch), func(i int) (*agent.Agent, bool, int32) {
-		if x := batch[i]; x != nil {
-			return x.A, x.Replica, x.SrcPart
-		}
-		return nil, false, 0
-	})
-	return true
-}
-
-func (envelopeCodec) Read(d *transport.Decoder) (any, error) {
-	b, err := d.Block()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*Envelope, b.Len())
-	replicas, owned := make([]Envelope, b.Replicas()), make([]Envelope, b.Len()-b.Replicas())
-	for i := range out {
-		a, replica, src := b.Next()
-		var env *Envelope
-		if replica {
-			env, replicas = &replicas[0], replicas[1:]
-		} else {
-			env, owned = &owned[0], owned[1:]
-		}
-		*env = Envelope{A: a, Replica: replica, SrcPart: src}
-		out[i] = env
-	}
-	return out, nil
-}
+type Envelope = transport.Envelope
 
 func cloneEnvelope(e *Envelope) *Envelope {
 	return &Envelope{A: e.A.Clone(), Replica: e.Replica, SrcPart: e.SrcPart}

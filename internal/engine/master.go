@@ -190,11 +190,7 @@ func (m *Master) File(pieces ...transport.PartState) (*Checkpoint, error) {
 		}
 		vals := ps.Values
 		if !ps.Full {
-			base, ok := m.held.Parts[ps.Part].Values.([]*Envelope)
-			if !ok && m.held.Parts[ps.Part].Values != nil {
-				return nil, fmt.Errorf("engine: checkpoint base for partition %d holds %T", ps.Part, m.held.Parts[ps.Part].Values)
-			}
-			applied, err := ApplyDelta(base, ps.Delta)
+			applied, err := ApplyDelta(m.held.Parts[ps.Part].Values, ps.Delta)
 			if err != nil {
 				return nil, fmt.Errorf("engine: partition %d: %w", ps.Part, err)
 			}

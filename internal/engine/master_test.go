@@ -229,7 +229,7 @@ func TestMasterAssemblesDeltas(t *testing.T) {
 			t.Fatalf("tick %d: checkpoint not complete after every partition filed", tick)
 		}
 		for p := range held.Parts {
-			envsEqual(t, held.Parts[p].Values.([]*Envelope), e.ExportPartition(p))
+			envsEqual(t, held.Parts[p].Values, e.ExportPartition(p))
 		}
 	}
 	if ck := ms.Rewind(); ck != held {

@@ -271,12 +271,13 @@ func TestRestoreRefusesBadArguments(t *testing.T) {
 		}
 		popsExactlyEqual(t, tc.name, pop, e.Agents())
 	}
-	full := func(p int, v any) transport.PartState { return transport.PartState{Part: p, Full: true, Values: v} }
+	full := func(p int, v []*Envelope) transport.PartState {
+		return transport.PartState{Part: p, Full: true, Values: v}
+	}
 	for _, tc := range []struct {
 		name  string
 		parts []transport.PartState
 	}{
-		{"foreign payload", []transport.PartState{full(0, []int{1})}},
 		{"delta piece", []transport.PartState{{Part: 0, Delta: []byte{1, 0}}}},
 		{"partition twice", []transport.PartState{full(0, other), full(0, other)}},
 		{"partition past the last", []transport.PartState{full(3, other)}},

@@ -102,15 +102,13 @@ func TestSendCopiesBatchBeforeReturning(t *testing.T) {
 	envsEqual(t, want, recvBatch(t, conn))
 }
 
-// blockBytes is the size of envs' column block on the wire: a frame
-// carrying them less the same frame carrying nothing.
+// blockBytes is the size of envs' rows on the wire: a frame carrying them
+// less the same frame carrying an empty batch.
 func blockBytes(t *testing.T, envs []*Envelope) int {
 	t.Helper()
 	conn := transport.NewConn(&memConn{})
-	size := func(payload any) int {
-		f := dataFrame(nil)
-		f.Msg.Payload = payload
-		if err := conn.Send(f); err != nil {
+	size := func(batch []*Envelope) int {
+		if err := conn.Send(dataFrame(batch)); err != nil {
 			t.Fatal(err)
 		}
 		_, n, err := conn.RecvSized()

@@ -358,7 +358,9 @@ func (r *Runtime[V]) flush(w int, out [][]V) {
 // MessageError is a data message a worker cannot accept: it carries
 // another phase's tag, a payload that is not a batch of the job's values,
 // or a value Job.Check refuses. Only a broken peer or relay sends one, so
-// it ends the run.
+// it ends the run. Over TCP every payload decodes as a batch of
+// transport.Envelope, so a payload of another type can only come from an
+// in-memory sender.
 type MessageError struct {
 	Job       string
 	Worker    int            // the receiving partition

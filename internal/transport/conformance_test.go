@@ -35,7 +35,7 @@ func (f fixture) at(n cluster.NodeID) Transport { return f.procs[int(n)%len(f.pr
 
 func (f fixture) send(t *testing.T, from, to cluster.NodeID, tag, bytes int) {
 	t.Helper()
-	m := cluster.Message{From: from, To: to, Tag: tag, Payload: []float64{float64(tag)}, Bytes: bytes}
+	m := cluster.Message{From: from, To: to, Tag: tag, Payload: oneRow(float64(tag)), Bytes: bytes}
 	if err := f.at(from).Send(m); err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func tags(t *testing.T, to cluster.NodeID, msgs []cluster.Message) []int {
 		if m.To != to {
 			t.Errorf("node %d drained a message addressed to %d", to, m.To)
 		}
-		if p, ok := m.Payload.([]float64); !ok || len(p) != 1 || p[0] != float64(m.Tag) {
+		if p, ok := m.Payload.([]*Envelope); !ok || len(p) != 1 || p[0].A.State[0] != float64(m.Tag) {
 			t.Errorf("payload of tag %d did not survive delivery: %#v", m.Tag, m.Payload)
 		}
 		out = append(out, m.Tag)

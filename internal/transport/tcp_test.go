@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/bigreddata/brace/internal/agent"
 	"github.com/bigreddata/brace/internal/cluster"
 )
 
@@ -93,7 +94,7 @@ func miniCluster(t testing.TB, procs, parts int) ([]*TCP, []*Conn, chan hubResul
 func TestTCPRoutesAndMeters(t *testing.T) {
 	trs, conns, res := miniCluster(t, 2, 4) // proc0 owns {0,1}, proc1 owns {2,3}
 
-	pl := []float64{1, 2, 3}
+	pl := []*Envelope{{A: &agent.Agent{ID: 1, State: []float64{1, 2, 3}}}}
 	if err := trs[0].Send(cluster.Message{From: 0, To: 1, Tag: 5, Payload: pl, Bytes: 24}); err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +125,7 @@ func TestTCPRoutesAndMeters(t *testing.T) {
 	if len(got) != 1 {
 		t.Fatalf("proc0 part0 (remote) = %v", got)
 	}
-	if p, ok := got[0].Payload.([]float64); !ok || len(p) != 3 || p[2] != 3 {
+	if p, ok := got[0].Payload.([]*Envelope); !ok || len(p) != 1 || p[0].A.ID != 1 || p[0].A.State[2] != 3 {
 		t.Fatalf("payload did not survive the wire: %#v", got[0].Payload)
 	}
 	if msgs := trs[1].Drain(2); len(msgs) != 1 {
@@ -187,7 +188,7 @@ func TestTCPErrorUnblocksPeers(t *testing.T) {
 		t.Fatalf("hub err = %v", r.err)
 	}
 	// Subsequent sends fail fast instead of writing into a dead run.
-	if err := trs[1].Send(cluster.Message{From: 1, To: 0}); err == nil {
+	if err := trs[1].Send(cluster.Message{From: 1, To: 0, Payload: oneRow(1)}); err == nil {
 		t.Error("send after peer failure should error")
 	}
 }
@@ -224,7 +225,7 @@ func TestHubAttachAllRelaysFramesSentBeforeAttach(t *testing.T) {
 		workers, coord = append(workers, w), append(coord, c)
 	}
 	early := []*Frame{
-		{Kind: FrameData, Src: 0, Gen: 1, Phase: 1, Dst: 1, Seq: 1, Msg: cluster.Message{From: 0, To: 1, Tag: 7, Payload: []float64{1}}},
+		{Kind: FrameData, Src: 0, Gen: 1, Phase: 1, Dst: 1, Seq: 1, Msg: cluster.Message{From: 0, To: 1, Tag: 7, Payload: oneRow(1)}},
 		{Kind: FrameEndPhase, Src: 0, Gen: 1, Phase: 1, Dst: 1, Count: 1},
 	}
 	for _, f := range early {
@@ -281,12 +282,12 @@ func TestTCPRestoreFencesGenerations(t *testing.T) {
 	// Early next-generation traffic from a peer that restored first: must
 	// buffer, then replay at Reset.
 	if err := coord.Send(&Frame{Kind: FrameData, Src: 0, Gen: 2, Phase: 1,
-		Msg: cluster.Message{From: 0, To: 1, Tag: 9, Payload: []float64{4}, Bytes: 8}}); err != nil {
+		Msg: cluster.Message{From: 0, To: 1, Tag: 9, Payload: oneRow(4), Bytes: 8}}); err != nil {
 		t.Fatal(err)
 	}
 	// Stale old-generation traffic: must be invisible after Reset.
 	if err := coord.Send(&Frame{Kind: FrameData, Src: 0, Gen: 1, Phase: 7,
-		Msg: cluster.Message{From: 0, To: 1, Tag: 8, Payload: []float64{5}, Bytes: 8}}); err != nil {
+		Msg: cluster.Message{From: 0, To: 1, Tag: 8, Payload: oneRow(5), Bytes: 8}}); err != nil {
 		t.Fatal(err)
 	}
 	rest := &Restore{Gen: 2, Tick: 0, Assign: []int{0, 1}, Live: []bool{true, true}}

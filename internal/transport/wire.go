@@ -16,9 +16,9 @@ import (
 
 // ProtoVersion guards against mismatched coordinator/worker binaries; the
 // handshake rejects any other value with a VersionError, the one skew
-// guard (there is no per-feature negotiation: every v10 binary speaks the
-// whole protocol). Version 10 is: coordinator-owned placement in the Hello
-// and Stats/Directive/Checkpoint/Restore frames at epoch barriers;
+// guard (there is no per-feature negotiation: every binary speaks its
+// version's whole protocol). Version 10 is: coordinator-owned placement in
+// the Hello and Stats/Directive/Checkpoint/Restore frames at epoch barriers;
 // Ping/Pong heartbeats answered by the worker's transport reader;
 // differential checkpoint payloads (PartState.Delta) between full
 // keyframes; concurrent sessions per worker daemon, scoped by Hello.RunID;
@@ -34,8 +34,10 @@ import (
 // partitions concurrently, always. v9 dropped Hello.Part: quantile strips
 // are the one partitioning. v10 sends Hello.Index as a spatial.Kind number
 // instead of its name. v11 replaces gob with this package's own frame
-// codec (see Frame), so a v10 peer's frames do not even decode.
-const ProtoVersion = 11
+// codec (see Frame), so a v10 peer's frames do not even decode. v12 drops
+// the payload's codec tag: envelope batches are the wire's one payload
+// type.
+const ProtoVersion = 12
 
 // VersionError reports a handshake between binaries speaking different
 // protocol versions.
@@ -120,13 +122,13 @@ type Registration struct {
 	PeerLinks int
 }
 
-// FinalReport is a worker's end-of-run message: its owned values, how far
-// it ran, and its traffic totals (senders meter, so summing across
+// FinalReport is a worker's end-of-run message: its owned envelopes, how
+// far it ran, and its traffic totals (senders meter, so summing across
 // processes counts each delivery once).
 type FinalReport struct {
 	Proc   int
 	Ticks  uint64
-	Values any // []*engine.Envelope for scenario runs (a Codec registered by internal/engine)
+	Values []*Envelope
 	Net    cluster.NodeMetrics
 }
 
@@ -178,9 +180,9 @@ type Directive struct {
 // full state on arrival, so Restore frames always carry Full parts.
 type PartState struct {
 	Part int
-	// Full marks Values as the complete partition state.
+	// Full marks Values as the complete partition state: its envelopes.
 	Full   bool
-	Values any // []*engine.Envelope (a Codec registered by internal/engine)
+	Values []*Envelope
 	// Base is the checkpoint sequence number the delta builds on; Delta
 	// is the packed per-agent field delta (engine delta codec). Unset
 	// when Full.
@@ -314,9 +316,9 @@ func (e *ProtocolError) Error() string {
 // Frame is the unit of the wire protocol. On a Conn it travels as a
 // 4-byte big-endian length, then a fixed header — Kind, Src, Gen, Phase,
 // Dst, Count, Seq and Msg's From, To, Tag and Bytes — then a body that
-// depends on Kind: Msg.Payload for Data, Err for Ack and Error, the
-// matching struct for the other kinds, nothing for EndPhase, Ping and
-// Pong. Only the fields relevant to Kind travel.
+// depends on Kind: Msg.Payload, which must be a []*Envelope, for Data; Err
+// for Ack and Error; the matching struct for the other kinds; nothing for
+// EndPhase, Ping and Pong. Only the fields relevant to Kind travel.
 type Frame struct {
 	Kind  FrameKind
 	Src   int    // sending worker process
@@ -351,7 +353,7 @@ type Frame struct {
 // frame writes f's header and body. Numbers are fixed-width little-endian
 // (every int is 8 bytes), so each frame has exactly one encoding and the
 // decoder can refuse anything else.
-func (e *Encoder) frame(f *Frame) {
+func (e *encoder) frame(f *Frame) {
 	e.u8(uint8(f.Kind))
 	e.int(f.Src)
 	e.int(f.Gen)
@@ -365,7 +367,12 @@ func (e *Encoder) frame(f *Frame) {
 	e.int(f.Msg.Bytes)
 	switch f.Kind {
 	case FrameData:
-		e.value(f.Msg.Payload)
+		batch, ok := f.Msg.Payload.([]*Envelope)
+		if !ok {
+			e.fail(fmt.Errorf("transport: a Data frame carries []*transport.Envelope, not %T", f.Msg.Payload))
+			return
+		}
+		e.envelopes(batch)
 	case FrameEndPhase, FramePing, FramePong:
 	case FrameAck, FrameError:
 		e.str(f.Err)
@@ -416,12 +423,12 @@ func (e *Encoder) frame(f *Frame) {
 }
 
 // present writes a pointer body's presence byte and returns it.
-func (e *Encoder) present(ok bool) bool {
+func (e *encoder) present(ok bool) bool {
 	e.bool(ok)
 	return ok
 }
 
-func (e *Encoder) hello(h *Hello) {
+func (e *encoder) hello(h *Hello) {
 	e.int(h.Proto)
 	e.str(h.RunID)
 	e.int(h.Proc)
@@ -440,17 +447,17 @@ func (e *Encoder) hello(h *Hello) {
 	e.strs(h.Peers)
 }
 
-func (e *Encoder) final(r *FinalReport) {
+func (e *encoder) final(r *FinalReport) {
 	e.int(r.Proc)
 	e.u64(r.Ticks)
-	e.value(r.Values)
+	e.envelopes(r.Values)
 	n := r.Net
 	for _, v := range [...]int64{n.SentMsgs, n.SentBytes, n.RecvMsgs, n.RecvBytes, n.LocalMsgs, n.LocalBytes} {
 		e.u64(uint64(v))
 	}
 }
 
-func (e *Encoder) stats(s *EpochStats) {
+func (e *encoder) stats(s *EpochStats) {
 	e.int(s.Proc)
 	e.u64(s.Tick)
 	e.count(len(s.Parts))
@@ -461,7 +468,7 @@ func (e *Encoder) stats(s *EpochStats) {
 	}
 }
 
-func (e *Encoder) directive(d *Directive) {
+func (e *encoder) directive(d *Directive) {
 	e.u64(d.Tick)
 	e.floats(d.NewCuts)
 	e.bool(d.Checkpoint)
@@ -469,19 +476,19 @@ func (e *Encoder) directive(d *Directive) {
 	e.bool(d.CkptFull)
 }
 
-func (e *Encoder) partStates(ps []PartState) {
+func (e *encoder) partStates(ps []PartState) {
 	e.count(len(ps))
 	for i := range ps {
 		p := &ps[i]
 		e.int(p.Part)
 		e.bool(p.Full)
-		e.value(p.Values)
+		e.envelopes(p.Values)
 		e.u64(p.Base)
 		e.bytes(p.Delta)
 	}
 }
 
-func (e *Encoder) restore(r *Restore) {
+func (e *encoder) restore(r *Restore) {
 	e.int(r.Gen)
 	e.u64(r.Tick)
 	e.floats(r.Cuts)
@@ -497,10 +504,10 @@ func (e *Encoder) restore(r *Restore) {
 
 // decodeFrame decodes one frame body. Anything but exactly one frame's
 // encoding — a truncated field, a count the body cannot hold, an unknown
-// kind or codec tag, a non-canonical byte, trailing bytes — is a
+// kind, a non-canonical byte, trailing bytes — is a
 // *ProtocolError.
-func decodeFrame(d *Decoder, body []byte) (*Frame, error) {
-	*d = Decoder{b: body, slot: d.slot}
+func decodeFrame(d *decoder, body []byte) (*Frame, error) {
+	*d = decoder{b: body, slot: d.slot}
 	f := &Frame{Kind: FrameKind(d.u8())}
 	d.kind = f.Kind
 	f.Src = d.int()
@@ -515,7 +522,7 @@ func decodeFrame(d *Decoder, body []byte) (*Frame, error) {
 	f.Msg.Bytes = d.int()
 	switch f.Kind {
 	case FrameData:
-		f.Msg.Payload = d.value()
+		f.Msg.Payload = d.envelopes()
 	case FrameEndPhase, FramePing, FramePong:
 	case FrameAck, FrameError:
 		f.Err = d.str()
@@ -525,7 +532,7 @@ func decodeFrame(d *Decoder, body []byte) (*Frame, error) {
 		}
 	case FrameFinal:
 		if d.bool() {
-			f.Final = &FinalReport{Proc: d.int(), Ticks: d.u64(), Values: d.value()}
+			f.Final = &FinalReport{Proc: d.int(), Ticks: d.u64(), Values: d.envelopes()}
 			n := &f.Final.Net
 			for _, v := range [...]*int64{&n.SentMsgs, &n.SentBytes, &n.RecvMsgs, &n.RecvBytes, &n.LocalMsgs, &n.LocalBytes} {
 				*v = int64(d.u64())
@@ -567,7 +574,7 @@ func decodeFrame(d *Decoder, body []byte) (*Frame, error) {
 	return f, nil
 }
 
-func (d *Decoder) hello() *Hello {
+func (d *decoder) hello() *Hello {
 	return &Hello{
 		Proto:       d.int(),
 		RunID:       d.str(),
@@ -588,7 +595,7 @@ func (d *Decoder) hello() *Hello {
 	}
 }
 
-func (d *Decoder) stats() *EpochStats {
+func (d *decoder) stats() *EpochStats {
 	s := &EpochStats{Proc: d.int(), Tick: d.u64()}
 	if n := d.count(20); n > 0 {
 		s.Parts = make([]PartStats, n)
@@ -599,19 +606,19 @@ func (d *Decoder) stats() *EpochStats {
 	return s
 }
 
-func (d *Decoder) partStates() []PartState {
-	n := d.count(22)
+func (d *decoder) partStates() []PartState {
+	n := d.count(25)
 	if n == 0 {
 		return nil
 	}
 	ps := make([]PartState, n)
 	for i := range ps {
-		ps[i] = PartState{Part: d.int(), Full: d.bool(), Values: d.value(), Base: d.u64(), Delta: d.bytes()}
+		ps[i] = PartState{Part: d.int(), Full: d.bool(), Values: d.envelopes(), Base: d.u64(), Delta: d.bytes()}
 	}
 	return ps
 }
 
-func (d *Decoder) restore() *Restore {
+func (d *decoder) restore() *Restore {
 	r := &Restore{Gen: d.int(), Tick: d.u64(), Cuts: d.floats(), Assign: d.ints()}
 	if n := d.count(1); n > 0 {
 		r.Live = make([]bool, n)
@@ -637,7 +644,7 @@ type Conn struct {
 	// body and dec are RecvSized's frame buffer and decoder, reused
 	// from frame to frame: decoding copies every value out of body.
 	body []byte
-	dec  Decoder
+	dec  decoder
 }
 
 // NewConn wraps a network connection for framed use.
@@ -658,7 +665,7 @@ func (fc *Conn) SetWriteTimeout(d time.Duration) {
 
 // encoders pools Send's buffers. A buffer grown past maxPooled by a bulk
 // frame (a checkpoint, a final report) is left to the collector.
-var encoders = sync.Pool{New: func() any { return new(Encoder) }}
+var encoders = sync.Pool{New: func() any { return new(encoder) }}
 
 const maxPooled = 1 << 20
 
@@ -668,7 +675,7 @@ const maxPooled = 1 << 20
 // go out in a single Write: with TCP_NODELAY (Go's default) two writes
 // would emit two segments per frame on the latency-critical relay path.
 func (fc *Conn) Send(f *Frame) error {
-	e := encoders.Get().(*Encoder)
+	e := encoders.Get().(*encoder)
 	defer func() {
 		e.err = nil
 		if cap(e.b) <= maxPooled {

@@ -9,68 +9,25 @@ import (
 	"net"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
+	"unsafe"
 
 	"github.com/bigreddata/brace/internal/agent"
 	"github.com/bigreddata/brace/internal/cluster"
 )
 
-// The tests carry two payload types through the codec hook the engine
-// uses for its envelope batches: []float64, and testBatch, an envelope
-// look-alike that exercises the column block.
-func init() {
-	RegisterCodec(250, floatsCodec{})
-	RegisterCodec(251, batchCodec{})
-}
-
-type floatsCodec struct{}
-
-func (floatsCodec) Append(e *Encoder, v any) bool {
-	x, ok := v.([]float64)
-	if ok {
-		e.floats(x)
-	}
-	return ok
-}
-
-func (floatsCodec) Read(d *Decoder) (any, error) { return d.floats(), d.err }
-
-type testEnv struct {
-	A       *agent.Agent
-	Replica bool
-	Src     int32
-}
-
-type testBatch []*testEnv
-
-type batchCodec struct{}
-
-func (batchCodec) Append(e *Encoder, v any) bool {
-	b, ok := v.(testBatch)
-	if ok {
-		e.Block(len(b), func(i int) (*agent.Agent, bool, int32) { return b[i].A, b[i].Replica, b[i].Src })
-	}
-	return ok
-}
-
-func (batchCodec) Read(d *Decoder) (any, error) {
-	blk, err := d.Block()
-	if err != nil {
-		return nil, err
-	}
-	out := make(testBatch, blk.Len())
-	for i := range out {
-		a, replica, src := blk.Next()
-		out[i] = &testEnv{A: a, Replica: replica, Src: src}
-	}
-	return out, nil
+// oneRow is a one-envelope batch whose agent carries v as its ID and its
+// one state field.
+func oneRow(v float64) []*Envelope {
+	return []*Envelope{{A: &agent.Agent{ID: agent.ID(v), State: []float64{v}}}}
 }
 
 // encodeFrame is one frame's body, as Send writes it after the length
 // prefix.
 func encodeFrame(f *Frame) ([]byte, error) {
-	var e Encoder
+	var e encoder
 	e.frame(f)
 	return e.b, e.err
 }
@@ -82,11 +39,11 @@ var nanPayload = math.Float64frombits(0x7ff8_dead_beef_0001)
 
 // sampleBatch mixes replicas and owned rows, a dead agent, two source
 // partitions, a constant column and the float values comparisons lose.
-func sampleBatch() testBatch {
-	return testBatch{
-		{A: &agent.Agent{ID: 7, State: []float64{1, negZero, nanPayload}, Effect: []float64{0, 1}}, Replica: true, Src: 3},
-		{A: &agent.Agent{ID: 9, State: []float64{math.Inf(1), 2, 3}, Effect: []float64{0, 1}, Dead: true}, Src: 3},
-		{A: &agent.Agent{ID: 1 << 60, State: []float64{math.Inf(-1), 2, math.NaN()}, Effect: []float64{0, 1}}, Replica: true, Src: -1},
+func sampleBatch() []*Envelope {
+	return []*Envelope{
+		{A: &agent.Agent{ID: 7, State: []float64{1, negZero, nanPayload}, Effect: []float64{0, 1}}, Replica: true, SrcPart: 3},
+		{A: &agent.Agent{ID: 9, State: []float64{math.Inf(1), 2, 3}, Effect: []float64{0, 1}, Dead: true}, SrcPart: 3},
+		{A: &agent.Agent{ID: 1 << 60, State: []float64{math.Inf(-1), 2, math.NaN()}, Effect: []float64{0, 1}}, Replica: true, SrcPart: -1},
 	}
 }
 
@@ -98,12 +55,11 @@ func sampleFrames() []*Frame {
 			Msg: cluster.Message{From: 4, To: 5, Tag: -6, Bytes: 1 << 33}}
 	}
 	data := hdr(FrameData)
-	data.Msg.Payload = []float64{nanPayload, negZero, math.Inf(1), math.Inf(-1), 1.5}
-	block := hdr(FrameData)
-	block.Msg.Payload = sampleBatch()
+	data.Msg.Payload = sampleBatch()
+	row := hdr(FrameData)
+	row.Msg.Payload = oneRow(5)
 	empty := hdr(FrameData)
-	empty.Msg.Payload = testBatch{}
-	nilPayload := hdr(FrameData)
+	empty.Msg.Payload = []*Envelope{}
 	hello := hdr(FrameHello)
 	hello.Hello = &Hello{Proto: ProtoVersion, RunID: "run-1", Proc: 1, NumProcs: 2, Partitions: 4,
 		Assign: []int{0, 0, 1, 1}, Gen: 2, LoadBalance: true, Scenario: "fish", Agents: 2000,
@@ -127,7 +83,7 @@ func sampleFrames() []*Frame {
 	ckpt.Ckpt = &CheckpointMsg{Proc: 1, Tick: 12, Parts: []PartState{
 		{Part: 2, Full: true, Values: sampleBatch()},
 		{Part: 3, Base: 4, Delta: []byte{1, 2, 0, 255}},
-		{Part: 4, Full: true, Values: testBatch{}},
+		{Part: 4, Full: true, Values: []*Envelope{}},
 	}}
 	rest := hdr(FrameRestore)
 	rest.Rest = &Restore{Gen: 4, Tick: 12, Cuts: []float64{5}, Assign: []int{1, 0}, Live: []bool{true, false, true},
@@ -137,12 +93,13 @@ func sampleFrames() []*Frame {
 	reg := hdr(FrameRegister)
 	reg.Reg = &Registration{Addr: "127.0.0.1:7101", Sessions: 2, PeerLinks: 5}
 	noBody := hdr(FrameRestore)
-	return []*Frame{data, block, empty, nilPayload, hdr(FrameEndPhase), hello, ack, fail, final, noValues, ownedOnly,
+	return []*Frame{data, row, empty, hdr(FrameEndPhase), hello, ack, fail, final, noValues, ownedOnly,
 		stats, dir, ckpt, rest, hdr(FramePing), hdr(FramePong), peer, reg, noBody}
 }
 
 // sameBits is reflect.DeepEqual with floats compared bit for bit, so that
-// NaN payloads and −0 count as values.
+// NaN payloads and −0 count as values, and with a nil and an empty
+// envelope batch the same value: they share one encoding.
 func sameBits(a, b reflect.Value) bool {
 	if a.Kind() != b.Kind() || a.Type() != b.Type() {
 		return false
@@ -156,7 +113,7 @@ func sameBits(a, b reflect.Value) bool {
 		}
 		return sameBits(a.Elem(), b.Elem())
 	case reflect.Slice:
-		if a.IsNil() != b.IsNil() {
+		if a.IsNil() != b.IsNil() && a.Type() != reflect.TypeOf([]*Envelope(nil)) {
 			return false
 		}
 		fallthrough
@@ -190,7 +147,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: encode: %v", want.Kind, err)
 		}
-		var d Decoder
+		var d decoder
 		got, err := decodeFrame(&d, body)
 		if err != nil {
 			t.Fatalf("%v: decode: %v", want.Kind, err)
@@ -206,27 +163,28 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
-// A decoded block puts its replicas in one block of agents and one of
-// floats, and its owned rows in another pair, with every vector capped.
+// A decoded batch puts its replicas in one block of envelope rows and one
+// of floats, and its owned rows in another pair, with every vector
+// capped.
 func TestBlockSeparatesOwnedFromReplicas(t *testing.T) {
-	body, err := encodeFrame(sampleFrames()[1])
+	body, err := encodeFrame(sampleFrames()[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	var d Decoder
+	var d decoder
 	f, err := decodeFrame(&d, body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := f.Msg.Payload.(testBatch) // replica, owned, replica
+	b := f.Msg.Payload.([]*Envelope) // replica, owned, replica
 	addr := func(p any) uintptr { return reflect.ValueOf(p).Pointer() }
 	within := func(p, lo uintptr, n int) bool { return p >= lo && p < lo+uintptr(n) }
-	agentSize := int(reflect.TypeOf(agent.Agent{}).Size())
-	if addr(b[2].A)-addr(b[0].A) != uintptr(agentSize) {
-		t.Error("the replicas' agents are not one block")
+	rowSize := int(unsafe.Sizeof(envRow{}))
+	if addr(b[2])-addr(b[0]) != uintptr(rowSize) || addr(b[2].A)-addr(b[0].A) != uintptr(rowSize) {
+		t.Error("the replicas' envelopes and agents are not one block")
 	}
-	if within(addr(b[1].A), addr(b[0].A), 2*agentSize) {
-		t.Error("the owned agent sits in the replicas' block")
+	if within(addr(b[1]), addr(b[0]), 2*rowSize) || within(addr(b[1].A), addr(b[0].A), 2*rowSize) {
+		t.Error("the owned envelope sits in the replicas' block")
 	}
 	if addr(b[2].A.State) != addr(b[0].A.State)+5*8 {
 		t.Error("the replicas' vectors are not one block")
@@ -241,31 +199,101 @@ func TestBlockSeparatesOwnedFromReplicas(t *testing.T) {
 	}
 }
 
+// A nil and an empty batch have one encoding, in every field that carries
+// a batch, and it decodes as an empty batch, never nil.
+func TestNilAndEmptyBatchEncodeAlike(t *testing.T) {
+	frames := func(batch []*Envelope) []*Frame {
+		return []*Frame{
+			{Kind: FrameData, Msg: cluster.Message{Payload: batch}},
+			{Kind: FrameFinal, Final: &FinalReport{Proc: 1, Values: batch}},
+			{Kind: FrameCheckpoint, Ckpt: &CheckpointMsg{Parts: []PartState{{Part: 2, Values: batch}}}},
+		}
+	}
+	nils, empties := frames(nil), frames([]*Envelope{})
+	for i := range nils {
+		a, errA := encodeFrame(nils[i])
+		b, errB := encodeFrame(empties[i])
+		if errA != nil || errB != nil {
+			t.Fatalf("%v: encode: %v, %v", nils[i].Kind, errA, errB)
+		}
+		if !bytes.Equal(a, b) {
+			t.Errorf("%v: a nil batch encodes as %x, an empty one as %x", nils[i].Kind, a, b)
+		}
+		var d decoder
+		f, err := decodeFrame(&d, a)
+		if err != nil {
+			t.Fatalf("%v: decode: %v", nils[i].Kind, err)
+		}
+		var got []*Envelope
+		switch f.Kind {
+		case FrameData:
+			got = f.Msg.Payload.([]*Envelope)
+		case FrameFinal:
+			got = f.Final.Values
+		default:
+			got = f.Ckpt.Parts[0].Values
+		}
+		if got == nil || len(got) != 0 {
+			t.Errorf("%v: the batch decoded as %#v, want an empty batch", f.Kind, got)
+		}
+	}
+}
+
 func TestEncodeRefusesWhatItCannotCarry(t *testing.T) {
 	for name, f := range map[string]*Frame{
-		"unregistered payload": {Kind: FrameData, Msg: cluster.Message{Payload: "text"}},
-		"unknown kind":         {Kind: 0},
-		"ragged block": {Kind: FrameData, Msg: cluster.Message{Payload: testBatch{
+		"unknown kind": {Kind: 0},
+		"ragged block": {Kind: FrameData, Msg: cluster.Message{Payload: []*Envelope{
 			{A: &agent.Agent{ID: 1, State: []float64{1}}}, {A: &agent.Agent{ID: 2, State: []float64{1, 2}}}}}},
-		"nil agent": {Kind: FrameData, Msg: cluster.Message{Payload: testBatch{{}}}},
-		"wide block": {Kind: FrameData, Msg: cluster.Message{Payload: testBatch{
+		"nil agent":    {Kind: FrameData, Msg: cluster.Message{Payload: []*Envelope{{}}}},
+		"nil envelope": {Kind: FrameFinal, Final: &FinalReport{Values: []*Envelope{nil}}},
+		"wide block": {Kind: FrameData, Msg: cluster.Message{Payload: []*Envelope{
 			{A: &agent.Agent{ID: 1, State: make([]float64, maxBlockWidth+1)}}}}},
 	} {
 		if _, err := encodeFrame(f); err == nil {
 			t.Errorf("%s: encoded", name)
 		}
 	}
-	// Send refuses before writing anything.
+}
+
+// Over TCP a Data frame carries an envelope batch and nothing else. Any
+// other payload fails at Send, and no bytes reach the connection, whether
+// it is sent through the transport or a bare Conn.
+func TestSendRefusesNonEnvelopePayload(t *testing.T) {
+	tr, coord := directPair(t, 1, 2, 2, []int{0, 1})
+	for _, payload := range []any{nil, []float64{1}, "text", []Envelope{}} {
+		if err := tr.Send(cluster.Message{From: 1, To: 0, Tag: 1, Payload: payload, Bytes: 8}); err == nil {
+			t.Errorf("Send of a %T payload succeeded", payload)
+		}
+	}
+	if err := tr.Send(cluster.Message{From: 1, To: 0, Tag: 2, Payload: oneRow(2), Bytes: 8}); err != nil {
+		t.Fatal(err)
+	}
+	if f := recvWithin(t, coord, 5*time.Second); f == nil || f.Kind != FrameData || f.Msg.Tag != 2 {
+		t.Fatalf("the coordinator's first frame is %+v, want the envelope batch", f)
+	}
+
+	// net.Pipe is unbuffered and nothing reads w: a Send that wrote a
+	// byte would block.
 	c, w := net.Pipe()
 	defer c.Close()
 	defer w.Close()
-	if err := NewConn(c).Send(&Frame{Kind: FrameData, Msg: cluster.Message{Payload: "text"}}); err == nil {
-		t.Error("Send of an unregistered payload succeeded")
+	if err := NewConn(c).Send(&Frame{Kind: FrameData, Msg: cluster.Message{Payload: []float64{1}}}); err == nil {
+		t.Error("Conn.Send of a []float64 payload succeeded")
 	}
 }
 
-// Every truncation of every sample frame, and a few corrupted bytes, are
-// refused with a *ProtocolError.
+// v11Body is a v11 binary's Data frame: the v12 encoding of an envelope
+// batch with the payload's old codec tag (1, the engine's) in front.
+func v11Body(t testing.TB) []byte {
+	body, err := encodeFrame(sampleFrames()[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	return slices.Insert(body, frameHeaderLen, 1)
+}
+
+// Every truncation of every sample frame, a few corrupted bytes and a v11
+// peer's Data frame are refused with a *ProtocolError.
 func TestDecodeRefusesMalformedFrames(t *testing.T) {
 	for _, f := range sampleFrames() {
 		body, err := encodeFrame(f)
@@ -273,26 +301,29 @@ func TestDecodeRefusesMalformedFrames(t *testing.T) {
 			t.Fatal(err)
 		}
 		for n := 0; n < len(body); n++ {
-			var d Decoder
+			var d decoder
 			if _, err := decodeFrame(&d, body[:n]); !isProtocolError(err) {
 				t.Fatalf("%v cut at %d of %d bytes: %v", f.Kind, n, len(body), err)
 			}
 		}
-		var d Decoder
+		var d decoder
 		if _, err := decodeFrame(&d, append(body, 0)); !isProtocolError(err) {
 			t.Fatalf("%v with a trailing byte: %v", f.Kind, err)
 		}
 	}
 	body, _ := encodeFrame(sampleFrames()[0])
-	for name, mut := range map[string]func(b []byte){
-		"unknown kind":    func(b []byte) { b[0] = 200 },
-		"unknown codec":   func(b []byte) { b[frameHeaderLen] = 9 },
-		"count too large": func(b []byte) { b[frameHeaderLen+1] = 0xff },
+	// sampleBatch's flags column, after the count, the two widths and
+	// three IDs: a mode byte, then one byte a row.
+	flags := frameHeaderLen + 4 + 2 + 3*8
+	for name, mut := range map[string]func() []byte{
+		"unknown kind":     func() []byte { b := slices.Clone(body); b[0] = 200; return b },
+		"count too large":  func() []byte { b := slices.Clone(body); b[frameHeaderLen+3] = 0xff; return b },
+		"unknown row flag": func() []byte { b := slices.Clone(body); b[flags+1] = 0x80; return b },
+		"unknown mode":     func() []byte { b := slices.Clone(body); b[flags] = 7; return b },
+		"v11 Data frame":   func() []byte { return v11Body(t) },
 	} {
-		b := append([]byte(nil), body...)
-		mut(b)
-		var d Decoder
-		if _, err := decodeFrame(&d, b); !isProtocolError(err) {
+		var d decoder
+		if _, err := decodeFrame(&d, mut()); !isProtocolError(err) {
 			t.Errorf("%s: %v", name, err)
 		}
 	}
@@ -335,15 +366,16 @@ func TestLyingLengthPrefixCostsWhatWasSent(t *testing.T) {
 // its first chunk, and keeps it for the next frame.
 func TestLargeFrameCrossesChunks(t *testing.T) {
 	coord, worker := connPair(t)
-	xs := make([]float64, 3*recvChunk/8)
-	for i := range xs {
-		xs[i] = float64(i)
+	batch := make([]*Envelope, 3*recvChunk/40) // 40 bytes a row: ID and 4 state fields
+	for i := range batch {
+		x := float64(i)
+		batch[i] = &Envelope{A: &agent.Agent{ID: agent.ID(i), State: []float64{x, -x, x / 2, x * x}}}
 	}
-	f := &Frame{Kind: FrameData, Msg: cluster.Message{Payload: xs}}
+	f := &Frame{Kind: FrameData, Msg: cluster.Message{Payload: batch}}
 	for i := 0; i < 2; i++ {
 		go worker.Send(f)
 		got := recvWithin(t, coord, 5*time.Second)
-		if got == nil || !reflect.DeepEqual(got.Msg.Payload, xs) {
+		if got == nil || !sameBits(reflect.ValueOf(got.Msg.Payload), reflect.ValueOf(any(batch))) {
 			t.Fatalf("round %d: large payload did not survive", i)
 		}
 	}
@@ -361,11 +393,13 @@ func FuzzDecodeFrame(f *testing.F) {
 		}
 		f.Add(body)
 	}
-	// A v10 peer's gob stream starts somewhere else entirely.
+	// A v10 peer's gob stream starts somewhere else entirely; a v11
+	// peer's Data frame has a codec tag before its batch.
 	f.Add([]byte{0x3f, 0xff, 0x81, 0x03, 0x01, 0x01, 0x05, 'F', 'r', 'a', 'm', 'e'})
+	f.Add(v11Body(f))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var before, after runtime.MemStats
-		var d Decoder
+		var d decoder
 		runtime.ReadMemStats(&before)
 		fr, err := decodeFrame(&d, body)
 		runtime.ReadMemStats(&after)
