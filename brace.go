@@ -13,7 +13,9 @@
 //
 // Two ways to define behavior:
 //
-//   - implement Model in Go (see the models returned by NewFishModel,
+//   - implement Model in Go: one query body, Query(env *Cols, self int32),
+//     reads the state columns over the rows its probes return and folds
+//     effects through env.Assign (see the models returned by NewFishModel,
 //     NewTrafficModel, NewPredatorModel), or
 //   - write a BRASIL script and CompileBRASIL it; the compiler enforces
 //     the state-effect pattern and applies automatic index selection and
@@ -53,7 +55,10 @@ type (
 	Combinator = agent.Combinator
 	// Model is agent behavior under the state-effect pattern.
 	Model = engine.Model
-	// Env is the query phase's view of the visible region.
+	// Cols is the query phase's window onto the visible region: state
+	// columns, probes that return rows, and Assign.
+	Cols = engine.Cols
+	// Env is the closure-style view of the same window (Cols.Env).
 	Env = engine.Env
 	// UpdateCtx carries update-phase randomness and lifecycle operations.
 	UpdateCtx = engine.UpdateCtx

@@ -136,6 +136,45 @@ func TestPublicAPIGoModel(t *testing.T) {
 	}
 }
 
+// seenModel is a Go model written against this package alone: each agent
+// counts the agents it sees, itself included.
+type seenModel struct {
+	s          *Schema
+	seen, near int
+}
+
+func (m *seenModel) Schema() *Schema { return m.s }
+func (m *seenModel) Query(env *Cols, self int32) {
+	env.Assign(self, m.near, float64(len(env.Visible())))
+}
+func (m *seenModel) Update(self *Agent, _ *UpdateCtx) { self.State[m.seen] = self.Effect[m.near] }
+
+func TestPublicAPIColsModel(t *testing.T) {
+	s := NewSchema("Seen")
+	s.AddState("x", true)
+	s.AddState("y", true)
+	m := &seenModel{s: s, seen: s.AddState("seen", false), near: s.AddEffect("near", false, Sum)}
+	s.SetPosition("x", "y").SetVisibility(2)
+	var pop []*Agent
+	for i, x := range []float64{0, 1, 10} {
+		a := NewAgent(s, ID(i+1))
+		a.SetPos(s, V(x, 0))
+		pop = append(pop, a)
+	}
+	sim, err := New(m, pop, Config{Workers: 2, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sim.Run(1); err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []float64{2, 2, 1} {
+		if got := sim.Agents()[i].State[m.seen]; got != want {
+			t.Errorf("agent %d sees %v agents, want %v", i+1, got, want)
+		}
+	}
+}
+
 func TestPublicAPIPredatorVariants(t *testing.T) {
 	for _, inverted := range []bool{false, true} {
 		m := NewPredatorModel(DefaultPredatorParams(), inverted)

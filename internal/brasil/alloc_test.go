@@ -43,7 +43,7 @@ func (e *sliceEnv) Assign(target *agent.Agent, effectIndex int, value float64) {
 	target.Effect[effectIndex] += value
 }
 
-// A compiled script's query phase allocates nothing in steady state: each
+// A compiled script's closure plan allocates nothing in steady state: each
 // foreach loop's body callback is bound to the pooled frame once, not built
 // per loop.
 func TestQueryDoesNotAllocate(t *testing.T) {
@@ -62,7 +62,7 @@ func TestQueryDoesNotAllocate(t *testing.T) {
 		query := func() {
 			for _, a := range env.agents {
 				env.self = a
-				p.Query(a, env)
+				p.queryClosures(a, env)
 			}
 		}
 		query() // fill the frame pool

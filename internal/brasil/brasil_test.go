@@ -283,16 +283,17 @@ func newHandFish() *handFish {
 
 func (m *handFish) Schema() *agent.Schema { return m.s }
 
-func (m *handFish) Query(self *agent.Agent, env engine.Env) {
-	env.ForEachVisible(func(p *agent.Agent) {
-		if p.ID == self.ID {
-			return
+func (m *handFish) Query(env *engine.Cols, self int32) {
+	xs, ys := env.State(m.x), env.State(m.y)
+	for _, j := range env.Visible() {
+		if j == self {
+			continue
 		}
-		d := math.Hypot(self.State[m.x]-p.State[m.x], self.State[m.y]-p.State[m.y])
-		env.Assign(self, m.avx, (self.State[m.x]-p.State[m.x])/(d+0.01))
-		env.Assign(self, m.avy, (self.State[m.y]-p.State[m.y])/(d+0.01))
+		d := math.Hypot(xs[self]-xs[j], ys[self]-ys[j])
+		env.Assign(self, m.avx, (xs[self]-xs[j])/(d+0.01))
+		env.Assign(self, m.avy, (ys[self]-ys[j])/(d+0.01))
 		env.Assign(self, m.cnt, 1)
-	})
+	}
 }
 
 func (m *handFish) Update(self *agent.Agent, u *engine.UpdateCtx) {
@@ -520,64 +521,29 @@ class F { public state float x : x; public state float y : y; #range[-50,50];
 		return pop
 	}
 	// The equality check runs against the KindScan reference; the
-	// narrowing is measured on the rows each program's probes deliver,
-	// which no index or cache state can change.
-	counted := func(p *Program) (*engine.Distributed, *rowCounter) {
-		m := &rowCounter{Model: p}
-		e, err := engine.NewDistributed(m, mk(p.Schema()), engine.Options{
-			Workers: 1, Index: spatial.KindKDTree, Seed: 1,
-		})
-		if err != nil {
-			t.Fatal(err)
+	// narrowing is measured on the rows each program's probes deliver (the
+	// engine's PartitionCost, summed over epochs), which no index or cache
+	// state can change.
+	run := func(p *Program, index spatial.Kind) ([]*agent.Agent, int64) {
+		r := runPlan(t, p, mk(p.Schema()), engine.Options{Workers: 1, Index: index, Seed: 1}, 5)
+		var rows int64
+		for _, c := range r.costs {
+			rows += c
 		}
-		return e, m
+		return r.agents, rows
 	}
-	e1, c1 := counted(p1)
-	e2, c2 := counted(p2)
-	ref, _ := engine.NewDistributed(p2, mk(p2.Schema()), engine.Options{Workers: 1, Index: spatial.KindScan, Seed: 1})
-	if err := ref.RunTicks(5); err != nil {
-		t.Fatal(err)
-	}
-	if err := e1.RunTicks(5); err != nil {
-		t.Fatal(err)
-	}
-	if err := e2.RunTicks(5); err != nil {
-		t.Fatal(err)
-	}
-	a, b, r := e1.Agents(), e2.Agents(), ref.Agents()
+	a, v1 := run(p1, spatial.KindKDTree)
+	b, v2 := run(p2, spatial.KindKDTree)
+	r, _ := run(p2, spatial.KindScan)
 	for i := range a {
 		if !a[i].Equal(b[i]) || !a[i].Equal(r[i]) {
 			t.Fatalf("index selection changed results at agent %d", a[i].ID)
 		}
 	}
 	// And its probes must deliver far fewer rows.
-	if v1, v2 := c1.rows, c2.rows; v1*2 >= v2 {
+	if v1*2 >= v2 {
 		t.Errorf("index selection delivered %d rows vs %d; expected >2x reduction", v1, v2)
 	}
-}
-
-// rowCounter wraps a model and counts the rows its query phases' probes
-// deliver, through either Env iteration method.
-type rowCounter struct {
-	engine.Model
-	rows int64
-}
-
-func (m *rowCounter) Query(self *agent.Agent, env engine.Env) {
-	m.Model.Query(self, countingEnv{env, &m.rows})
-}
-
-type countingEnv struct {
-	engine.Env
-	rows *int64
-}
-
-func (e countingEnv) ForEachVisible(fn func(*agent.Agent)) {
-	e.Env.ForEachVisible(func(a *agent.Agent) { *e.rows++; fn(a) })
-}
-
-func (e countingEnv) Nearby(radius float64, fn func(*agent.Agent)) {
-	e.Env.Nearby(radius, func(a *agent.Agent) { *e.rows++; fn(a) })
 }
 
 func TestIndexSelectionDoesNotFireOnLoopDependentRadius(t *testing.T) {

@@ -20,18 +20,19 @@ type CompileOptions struct {
 	Invert bool
 }
 
-// Program is a compiled BRASIL script: an engine.ColumnarModel plus
-// compiler metadata. Its query phase has two compile targets. The closure
-// plan (Query) walks a tree of Go closures once per visible neighbour; it
-// runs non-local scripts, which the engines keep off the columnar path. The
-// column plan (QueryCols, plan.go) runs each outermost foreach loop once per
-// probe as column ops over the state columns, and keeps the closure plan for
-// a loop it cannot express. The two agree bit for bit (NaN payloads
-// aside, see plan.go).
+// Program is a compiled BRASIL script: an engine.Model plus compiler
+// metadata. Its query phase (Query) is the column plan (plan.go): each
+// outermost foreach loop runs once per probe as column ops over the state
+// columns, local and non-local scripts alike. A loop the plan cannot
+// express — a nested or a non-local one — keeps the closure plan, which
+// walks a tree of Go closures once per visible neighbour through
+// Cols.Env. The whole closure plan (queryClosures) is the column plan's
+// oracle; the two agree bit for bit (NaN payloads aside, see plan.go).
 type Program struct {
 	checked *Checked
 	schema  *agent.Schema
-	query   []cstmt
+	// query is run() under the closure plan.
+	query []cstmt
 	// colQuery is run() under the column plan: query's statements, with
 	// each statement that holds a foreach loop recompiled.
 	colQuery []cstmt
@@ -59,7 +60,7 @@ type frame struct {
 	state  []float64 // update-phase scratch for simultaneous assignment
 	env    engine.Env
 	u      *engine.UpdateCtx
-	// The column plan's probe state (QueryCols only): the window, the
+	// The column plan's probe state (Query only): the window, the
 	// self's row, the loops' uniform values and their column buffers.
 	cols    *engine.Cols
 	selfRow int32
@@ -200,24 +201,10 @@ func (p *Program) Inverted() bool { return p.inverted }
 // Checked exposes the analysis result (for tools and tests).
 func (p *Program) Checked() *Checked { return p.checked }
 
-// Query implements engine.Model by running the closure plan.
-func (p *Program) Query(self *agent.Agent, env engine.Env) {
-	fr := p.frames.Get().(*frame)
-	fr.self = self
-	fr.env = env
-	fr.u = nil
-	for _, s := range p.query {
-		s(fr)
-	}
-	fr.self, fr.env = nil, nil
-	p.frames.Put(fr)
-}
-
-// QueryCols implements engine.ColumnarModel by running the column plan:
-// run()'s statements outside loops and any fallback loop run as closures
-// against env.Env(), each other outermost foreach loop as its loopPlan.
-// The result is bit-identical to Query's.
-func (p *Program) QueryCols(env *engine.Cols, self int32) {
+// Query implements engine.Model by running the column plan: run()'s
+// statements outside loops and any fallback loop run as closures against
+// env.Env(), each other outermost foreach loop as its loopPlan.
+func (p *Program) Query(env *engine.Cols, self int32) {
 	fr := p.frames.Get().(*frame)
 	e := env.Env()
 	fr.self, fr.env, fr.u = e.Self(), e, nil
@@ -226,6 +213,20 @@ func (p *Program) QueryCols(env *engine.Cols, self int32) {
 		s(fr)
 	}
 	fr.self, fr.env, fr.cols = nil, nil, nil
+	p.frames.Put(fr)
+}
+
+// queryClosures runs self's query phase under the closure plan alone:
+// the column plan's oracle.
+func (p *Program) queryClosures(self *agent.Agent, env engine.Env) {
+	fr := p.frames.Get().(*frame)
+	fr.self = self
+	fr.env = env
+	fr.u = nil
+	for _, s := range p.query {
+		s(fr)
+	}
+	fr.self, fr.env = nil, nil
 	p.frames.Put(fr)
 }
 
@@ -255,7 +256,7 @@ func (p *Program) Update(self *agent.Agent, u *engine.UpdateCtx) {
 }
 
 var (
-	_ engine.ColumnarModel = (*Program)(nil)
+	_ engine.Model         = (*Program)(nil)
 	_ engine.NonLocalModel = (*Program)(nil)
 )
 

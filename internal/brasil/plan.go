@@ -1,10 +1,10 @@
 package brasil
 
-// The column plan: BRASIL's second compile target, the "data-flow
-// representation" of the paper's abstract for one node. The closure plan
-// (compile.go) walks a tree of Go closures once per visible neighbour; the
-// column plan runs each outermost foreach loop as a schedule of column ops
-// over the probe's rows instead:
+// The column plan: BRASIL's query-phase compile target (Program.Query),
+// the "data-flow representation" of the paper's abstract for one node.
+// The closure plan (compile.go) walks a tree of Go closures once per
+// visible neighbour; the column plan runs each outermost foreach loop as a
+// schedule of column ops over the probe's rows instead:
 //
 //   - the loop probes once (Cols.Visible, or Cols.Nearby at the radius
 //     index selection installed), exactly as the closure plan's Env call;

@@ -38,14 +38,18 @@ class N {
 }
 `
 
-// closurePlan hides a Program's QueryCols, so the engines run its closure
-// plan (Query) instead of its column plan.
+// closurePlan runs a Program's query phase under its closure plan alone
+// (queryClosures) instead of its column plan.
 type closurePlan struct{ p *Program }
 
 func (c closurePlan) Schema() *agent.Schema                         { return c.p.Schema() }
-func (c closurePlan) Query(self *agent.Agent, env engine.Env)       { c.p.Query(self, env) }
 func (c closurePlan) Update(self *agent.Agent, u *engine.UpdateCtx) { c.p.Update(self, u) }
 func (c closurePlan) HasNonLocalEffects() bool                      { return c.p.HasNonLocalEffects() }
+
+func (c closurePlan) Query(env *engine.Cols, _ int32) {
+	e := env.Env()
+	c.p.queryClosures(e.Self(), e)
+}
 
 // planScript is a script the column plan is checked on.
 type planScript struct {
@@ -56,8 +60,8 @@ type planScript struct {
 }
 
 // planScripts returns the scripts of the column-plan oracle: the benchmark's
-// avoidance script, the fish, push (inverted) and nested test scripts, the
-// quickstart example's script and testdata/plan/*.brasil.
+// avoidance script, the fish, push (inverted and not) and nested test
+// scripts, the quickstart example's script and testdata/plan/*.brasil.
 func planScripts(t testing.TB) map[string]planScript {
 	t.Helper()
 	read := func(path string) string {
@@ -68,11 +72,12 @@ func planScripts(t testing.TB) map[string]planScript {
 		return string(b)
 	}
 	scripts := map[string]planScript{
-		"avoid":      {src: read("../../bench/testdata/avoid.brasil"), plans: 1},
-		"fish":       {src: fishSrc, plans: 1},
-		"push":       {src: pushSrc, opt: CompileOptions{Invert: true}, plans: 1},
-		"nested":     {src: nestedSrc, closes: 1},
-		"quickstart": {src: quickstartSrc(t), plans: 1},
+		"avoid":         {src: read("../../bench/testdata/avoid.brasil"), plans: 1},
+		"fish":          {src: fishSrc, plans: 1},
+		"push":          {src: pushSrc, opt: CompileOptions{Invert: true}, plans: 1},
+		"push-nonlocal": {src: pushSrc, closes: 1},
+		"nested":        {src: nestedSrc, closes: 1},
+		"quickstart":    {src: quickstartSrc(t), plans: 1},
 	}
 	files, err := filepath.Glob("testdata/plan/*.brasil")
 	if err != nil || len(files) == 0 {
@@ -84,7 +89,7 @@ func planScripts(t testing.TB) map[string]planScript {
 		switch name {
 		case "twoloops.brasil":
 			s.plans = 2
-		case "mixed.brasil":
+		case "mixed.brasil", "nonlocal.brasil":
 			s.closes = 1
 		}
 		scripts[name] = s
@@ -247,9 +252,6 @@ func TestColumnPlanMatchesClosures(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, ok := engine.Model(p).(engine.ColumnarModel); !ok || p.HasNonLocalEffects() {
-				t.Fatal("script does not run on the columnar path")
-			}
 			if plans, closes := countPlans(t, p); plans != sc.plans || closes != sc.closes {
 				t.Fatalf("%d column-plan loops and %d closure-plan loops, want %d and %d", plans, closes, sc.plans, sc.closes)
 			}
@@ -285,9 +287,9 @@ func clonePop(pop []*agent.Agent) []*agent.Agent {
 }
 
 // FuzzColumnPlan checks the column plan against the closure plan on
-// arbitrary sources: a source that compiles to a local program runs 3
-// ticks on 40 agents both ways and must agree bit for bit. A compile error
-// is fine; a panic is not. Loops nested deeper than two are skipped, as
+// arbitrary sources: a source that compiles, local or not, runs 3 ticks on
+// 40 agents both ways and must agree bit for bit. A compile error is fine;
+// a panic is not. Loops nested deeper than two are skipped, as
 // their cost grows with the power of the population.
 func FuzzColumnPlan(f *testing.F) {
 	for _, sc := range planScripts(f) {
@@ -295,7 +297,7 @@ func FuzzColumnPlan(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, src string) {
 		p, err := Compile(src, CompileOptions{})
-		if err != nil || p.HasNonLocalEffects() || p.checked.NAgents > 2 {
+		if err != nil || p.checked.NAgents > 2 {
 			return
 		}
 		opts := engine.Options{Workers: 2, Index: spatial.KindKDTree, Seed: 1}

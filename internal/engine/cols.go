@@ -1,39 +1,25 @@
-// Columnar query phase: struct-of-arrays state access for hot models.
+// The query window: struct-of-arrays state access for every model.
 //
-// The classic Env hands the model one *agent.Agent at a time through a
-// closure, so a query phase pays an indirect call plus two pointer
-// dereferences per visible neighbor, and the accumulator lives in a
-// heap-escaping closure frame. The columnar path instead exposes the
-// reducer's ID-sorted copy set as contiguous per-field float64 columns:
-// the model asks once for the visible row set and then streams the columns
-// directly, with its accumulators in registers.
+// A closure-style window hands the model one *agent.Agent at a time, so a
+// query phase pays an indirect call plus two pointer dereferences per
+// visible neighbor, and the accumulator lives in a heap-escaping closure
+// frame. Cols instead exposes the reducer's ID-sorted copy set as
+// contiguous per-field float64 columns: the model asks once for the
+// visible row set and then streams the columns directly, with its
+// accumulators in registers.
 //
-// Both paths are views over one probe core (queryEnv.rows): the candidate
-// source, the distance arithmetic, the ascending-agent-ID row order and the
-// probe accounting exist once, so a columnar query phase is bit-identical
-// to the classic one, down to the rows charged to the load balancer and
-// the Visited gauge.
+// Cols and its closure view (Cols.Env) are views over one probe core
+// (queryEnv.rows): the candidate source, the distance arithmetic, the
+// ascending-agent-ID row order and the probe accounting exist once.
 package engine
 
 import "github.com/bigreddata/brace/internal/agent"
 
-// ColumnarModel is implemented by models whose query phase can run against
-// column slices instead of per-agent callbacks. The engines use QueryCols
-// in place of Query whenever the model implements it and has only local
-// effects; the two must compute identical effect values (the equivalence
-// suite enforces this bit-for-bit for every registered scenario).
-type ColumnarModel interface {
-	Model
-	// QueryCols runs the query phase for the agent at row self. Rows index
-	// the reducer's copy set: env.State(f)[row] is copies[row].State[f],
-	// with any halo (peer-sent) copies appended after the core rows.
-	QueryCols(env *Cols, self int32)
-}
-
-// Cols is the columnar query window: the same queryEnv the classic Env path
-// uses, with its probes returning rows instead of iterating them. The
-// defined type (rather than embedding) keeps the two method sets
-// independent — Cols.Assign takes a row, Env.Assign takes an agent.
+// Cols is the query window over a part's copy set (queryEnv), with its
+// probes returning rows. Rows index the copy set: core copies in
+// ascending agent-ID order, then any halo (peer-sent) copies. The defined
+// type (rather than embedding) keeps the two method sets independent —
+// Cols.Assign takes a row, Env.Assign takes an agent.
 type Cols queryEnv
 
 // State returns the column of the given state field, one entry per row
@@ -52,48 +38,30 @@ func (c *Cols) State(field int) []float64 {
 	return q.cols.cols[field]
 }
 
-// Rows returns the total row count (core + halo).
-func (c *Cols) Rows() int {
-	if c.halo != nil {
-		return len(c.copies) + len(c.halo.agents)
-	}
-	return len(c.copies)
-}
-
 // Visible returns the rows within the visibility bound of self's position,
-// including self, in ascending agent-ID order — the columnar mirror of
-// Env.ForEachVisible. The slice is valid until the next probe on this env,
-// and read-only: it may be the candidate block later probes filter.
+// including self, in ascending agent-ID order (Env.ForEachVisible's
+// agents). The slice is valid until the next probe on this env, and
+// read-only: it may be the candidate block later probes filter.
 func (c *Cols) Visible() []int32 { return (*queryEnv)(c).visible() }
 
 // Nearby is Visible restricted to the given radius (its magnitude cropped
-// to the visibility bound) — the columnar mirror of Env.Nearby.
+// to the visibility bound).
 func (c *Cols) Nearby(radius float64) []int32 { return (*queryEnv)(c).nearby(radius) }
 
-// Env returns the closure-style window onto the same probe core, for a
+// Env returns the closure-style view onto the same probe core, for a
 // query phase that runs part of its work per agent: Env().Self() is the
-// agent at the self row, and its probes are charged exactly as the
-// columnar ones. A columnar model may mix the two views within one call.
+// agent at the self row, and its probes are charged exactly as the row
+// probes. A model may mix the two views within one call.
 func (c *Cols) Env() Env { return (*queryEnv)(c) }
 
 // Assign folds value into the row's effect field using the schema's
-// combinator — the columnar mirror of Env.Assign. Effects stay in the
+// combinator. A row other than self is a non-local assignment: it panics
+// unless the model declares HasNonLocalEffects. Effects stay in the
 // per-agent vectors (the update phase and the wire format read them
 // there), so this writes through to the row's agent.
 func (c *Cols) Assign(row int32, effectIndex int, value float64) {
 	q := (*queryEnv)(c)
 	q.Assign(q.agentAt(row), effectIndex, value)
-}
-
-// columnarModel resolves the engines' columnar fast path: the model must
-// opt in and have only local effects (the non-local dataflow ships and
-// folds envelopes per partition; its query phases stay on the classic
-// path).
-func columnarModel(m Model) ColumnarModel {
-	if cm, ok := m.(ColumnarModel); ok && !modelNonLocal(m) {
-		return cm
-	}
-	return nil
 }
 
 // colSet is a part's state columns over the rows of its passes. The

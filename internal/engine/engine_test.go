@@ -3,6 +3,7 @@ package engine
 import (
 	"math"
 	"slices"
+	"strings"
 	"testing"
 
 	"github.com/bigreddata/brace/internal/agent"
@@ -37,21 +38,22 @@ func newFlockModel(vis float64) *flockModel {
 
 func (m *flockModel) Schema() *agent.Schema { return m.s }
 
-func (m *flockModel) Query(self *agent.Agent, env Env) {
-	sx, sy := self.State[m.x], self.State[m.y]
-	env.ForEachVisible(func(p *agent.Agent) {
-		if p.ID == self.ID {
-			return
+func (m *flockModel) Query(env *Cols, self int32) {
+	xs, ys := env.State(m.x), env.State(m.y)
+	sx, sy := xs[self], ys[self]
+	for _, j := range env.Visible() {
+		if j == self {
+			continue
 		}
-		dx, dy := sx-p.State[m.x], sy-p.State[m.y]
+		dx, dy := sx-xs[j], sy-ys[j]
 		d2 := dx*dx + dy*dy
 		if d2 == 0 {
-			return
+			continue
 		}
 		env.Assign(self, m.ax, dx/d2)
 		env.Assign(self, m.ay, dy/d2)
 		env.Assign(self, m.cnt, 1)
-	})
+	}
 }
 
 func (m *flockModel) Update(self *agent.Agent, u *UpdateCtx) {
@@ -88,20 +90,21 @@ func newPushModel(vis float64) *pushModel {
 func (m *pushModel) Schema() *agent.Schema    { return m.s }
 func (m *pushModel) HasNonLocalEffects() bool { return true }
 
-func (m *pushModel) Query(self *agent.Agent, env Env) {
-	sx, sy := self.State[m.x], self.State[m.y]
-	env.ForEachVisible(func(p *agent.Agent) {
-		if p.ID == self.ID {
-			return
+func (m *pushModel) Query(env *Cols, self int32) {
+	xs, ys := env.State(m.x), env.State(m.y)
+	sx, sy := xs[self], ys[self]
+	for _, j := range env.Visible() {
+		if j == self {
+			continue
 		}
-		dx, dy := p.State[m.x]-sx, p.State[m.y]-sy
+		dx, dy := xs[j]-sx, ys[j]-sy
 		d := math.Hypot(dx, dy)
 		if d == 0 {
-			return
+			continue
 		}
-		env.Assign(p, m.px, 0.1*dx/d)
-		env.Assign(p, m.py, 0.1*dy/d)
-	})
+		env.Assign(j, m.px, 0.1*dx/d)
+		env.Assign(j, m.py, 0.1*dy/d)
+	}
 }
 
 func (m *pushModel) Update(self *agent.Agent, u *UpdateCtx) {
@@ -128,8 +131,8 @@ func newLifeModel() *lifeModel {
 	return m
 }
 
-func (m *lifeModel) Schema() *agent.Schema            { return m.s }
-func (m *lifeModel) Query(self *agent.Agent, env Env) {}
+func (m *lifeModel) Schema() *agent.Schema { return m.s }
+func (m *lifeModel) Query(*Cols, int32)    {}
 
 func (m *lifeModel) Update(self *agent.Agent, u *UpdateCtx) {
 	self.State[m.age]++
@@ -342,8 +345,10 @@ func TestNonLocalAssignPanicsInLocalModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() {
-		if recover() == nil {
-			t.Error("undeclared non-local assignment did not panic")
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "engine: non-local effect assignment (agent ") ||
+			!strings.Contains(msg, "in a local-effects model; implement NonLocalModel") {
+			t.Errorf("undeclared non-local assignment panicked with %q", msg)
 		}
 	}()
 	_ = e.RunTicks(1)
@@ -351,12 +356,12 @@ func TestNonLocalAssignPanicsInLocalModel(t *testing.T) {
 
 type badModel struct{ *flockModel }
 
-func (b *badModel) Query(self *agent.Agent, env Env) {
-	env.ForEachVisible(func(p *agent.Agent) {
-		if p.ID != self.ID {
-			env.Assign(p, b.cnt, 1) // non-local, undeclared
+func (b *badModel) Query(env *Cols, self int32) {
+	for _, j := range env.Visible() {
+		if j != self {
+			env.Assign(j, b.cnt, 1) // non-local, undeclared
 		}
-	})
+	}
 }
 
 func TestSpawnAndKillDeterministic(t *testing.T) {
@@ -644,5 +649,5 @@ func TestOptionsValidation(t *testing.T) {
 type schemaOnlyModel struct{ s *agent.Schema }
 
 func (m *schemaOnlyModel) Schema() *agent.Schema           { return m.s }
-func (m *schemaOnlyModel) Query(*agent.Agent, Env)         {}
+func (m *schemaOnlyModel) Query(*Cols, int32)              {}
 func (m *schemaOnlyModel) Update(*agent.Agent, *UpdateCtx) {}

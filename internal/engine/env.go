@@ -10,7 +10,7 @@ import (
 	"github.com/bigreddata/brace/internal/geom"
 )
 
-// queryEnv implements Env (and, viewed as Cols, the columnar window) over
+// queryEnv implements Env (and, viewed as Cols, the query window) over
 // one part's copy set. The copies are sorted by agent ID, and every probe
 // yields its rows in ascending ID order no matter how they were found,
 // making query phases deterministic across index kinds and partition
@@ -30,7 +30,7 @@ type queryEnv struct {
 	c      *core
 	grid   *cellGrid      // the core grid: slots as ids
 	copies []*agent.Agent // ID-sorted core copies
-	cols   *colSet        // columnar models: per-state-field columns over all rows
+	cols   *colSet        // per-state-field columns over all rows
 	xs, ys []float64      // positions by row, core and halo
 	// halo is non-nil only in a late (boundary) pass with peer-sent copies:
 	// the core grid covers the core (self-sent) copies and blocks join in
@@ -154,14 +154,9 @@ func (q *queryEnv) group(selves []int32) {
 	}
 	q.box, q.blkR = b, -1
 	q.one = len(selves) == 1 && finite(b)
-	c := q.c
 	for _, row := range selves {
 		q.self = q.agentAt(row)
-		if c.colM != nil {
-			c.colM.QueryCols((*Cols)(q), row)
-		} else {
-			c.model.Query(q.self, q)
-		}
+		q.c.model.Query((*Cols)(q), row)
 	}
 }
 
@@ -347,21 +342,16 @@ type haloJoin struct {
 
 	grid cellGrid
 
-	px, py []float64 // build scratch: positions by halo row
-	rank   []int32   // build scratch: rank by halo row
+	rank []int32 // build scratch: rank by halo row
 }
 
-// build indexes h.agents (already ID-sorted) against the core's ID-sorted
-// keys: one merge-join assigns every copy its rank, then the halo copies
-// are binned by position with their ranks as ids, into one cell under
-// scan (KindScan).
-func (h *haloJoin) build(s *agent.Schema, coreKeys []int64, scan bool) {
+// build indexes h.agents (already ID-sorted), at positions (xs[j], ys[j]),
+// against the core's ID-sorted keys: one merge-join assigns every copy its
+// rank, then the halo copies are binned by position with their ranks as
+// ids, into one cell under scan (KindScan).
+func (h *haloJoin) build(coreKeys []int64, xs, ys []float64, vis float64, scan bool) {
 	nc, nh := len(coreKeys), len(h.agents)
-	h.px, h.py, h.rank = resize(h.px, nh), resize(h.py, nh), resize(h.rank, nh)
-	for j, a := range h.agents {
-		p := a.Pos(s)
-		h.px[j], h.py[j] = p.X, p.Y
-	}
+	h.rank = resize(h.rank, nh)
 	h.coreRank = resize(h.coreRank, nc)
 	h.rankRow = resize(h.rankRow, nc+nh)
 	i, j := 0, 0
@@ -375,7 +365,7 @@ func (h *haloJoin) build(s *agent.Schema, coreKeys []int64, scan bool) {
 		j++
 	}
 	h.grid.scan = scan
-	h.grid.build(h.px, h.py, h.rank, s.Visibility)
+	h.grid.build(xs, ys, h.rank, vis)
 }
 
 // Assign implements Env.

@@ -32,12 +32,13 @@ func newLifecyclePushModel() *lifecyclePushModel {
 func (m *lifecyclePushModel) Schema() *agent.Schema    { return m.s }
 func (m *lifecyclePushModel) HasNonLocalEffects() bool { return true }
 
-func (m *lifecyclePushModel) Query(self *agent.Agent, env Env) {
-	env.Nearby(2, func(o *agent.Agent) {
-		if o.ID != self.ID && self.State[m.en] > o.State[m.en] {
-			env.Assign(o, m.hurt, 0.4)
+func (m *lifecyclePushModel) Query(env *Cols, self int32) {
+	en := env.State(m.en)
+	for _, j := range env.Nearby(2) {
+		if j != self && en[self] > en[j] {
+			env.Assign(j, m.hurt, 0.4)
 		}
-	})
+	}
 }
 
 func (m *lifecyclePushModel) Update(self *agent.Agent, u *UpdateCtx) {

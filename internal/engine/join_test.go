@@ -44,7 +44,11 @@ func newProbeModel(vis float64) *probeModel {
 func (m *probeModel) Schema() *agent.Schema           { return m.s }
 func (m *probeModel) Update(*agent.Agent, *UpdateCtx) {}
 
-func (m *probeModel) Query(self *agent.Agent, env Env) {
+// Query probes through the closure view: a nested probe runs inside the
+// outer one's callback, where the outer rows must stay live.
+func (m *probeModel) Query(c *Cols, _ int32) {
+	env := c.Env()
+	self := env.Self()
 	probe := func(r float64, fn func(*agent.Agent)) {
 		if r == 0 {
 			env.ForEachVisible(fn)
@@ -124,7 +128,7 @@ func runGroups(t *testing.T, name string, m *probeModel, src joinSource, core, h
 	var join *haloJoin
 	if halo != nil {
 		join = &haloJoin{agents: halo}
-		join.build(m.s, p.keys, p.grid.scan)
+		p.join(join)
 		for j := range halo {
 			rows = append(rows, int32(len(core)+j))
 		}
@@ -486,9 +490,10 @@ func TestRowSequenceAcrossSources(t *testing.T) {
 		}
 		p := fromGrid.part(&c)
 		p.build(pop)
+		xs, ys := p.cols.cols[m.s.PosX], p.cols.cols[m.s.PosY]
 		boxes := map[int32]geom.Rect{}
 		for slot, cell := range p.grid.cell {
-			pos := geom.V(p.px[slot], p.py[slot])
+			pos := geom.V(xs[slot], ys[slot])
 			b, ok := boxes[cell]
 			if !ok {
 				b = geom.Rect{Min: pos, Max: pos}

@@ -22,9 +22,12 @@
 // halo that updates owned agents or, for non-local effects, ships partials
 // to reduce₂. The package's tests hold a naive O(n²) engine as the
 // oracle it must agree with.
-// Every probe, from either query API, goes through one probe core
-// (queryEnv.rows in env.go), which filters the candidate block the
-// probing agent's group shares.
+//
+// A model's query phase reads one window, Cols: the copy set's state
+// columns and probes that return rows. Every probe, including those of
+// its closure view Cols.Env, goes through one probe core (queryEnv.rows in
+// env.go), which filters the candidate block the probing agent's group
+// shares.
 package engine
 
 import (
@@ -37,17 +40,17 @@ import (
 // Implementations must follow the pattern's read/write discipline (which
 // the BRASIL compiler enforces mechanically for scripted models):
 //
-//   - Query may read any visible agent's State, but writes only Effect
-//     fields, and only through Env.Assign;
+//   - Query may read any visible agent's state, but writes only effect
+//     fields, and only through Cols.Assign (or the Assign of Cols.Env);
 //   - Update may read and write only the agent's own fields;
 //   - Query must be insensitive to neighbor *iteration order* beyond what
-//     commutative effect combinators absorb. Env iterates visible agents
+//     commutative effect combinators absorb. Every probe returns its rows
 //     in ascending agent-ID order, so any residual order dependence is at
 //     least deterministic.
 //   - Partitions tick concurrently, so Query runs for agents of different
 //     partitions at the same time and must not mutate shared model state.
-//     Each invocation still sees its own Env and its deterministic
-//     ID-ordered iteration; results are bit-identical to a serial run.
+//     Each invocation still sees its own window and its deterministic
+//     ID-ordered rows; results are bit-identical to a serial run.
 //     (Compiled BRASIL programs satisfy this via per-invocation frames.)
 //   - The engine runs a local-effect model's query phases in any order
 //     (grouped by grid cell, see part.query) and a non-local model's in
@@ -57,8 +60,10 @@ import (
 type Model interface {
 	// Schema describes the agent class.
 	Schema() *agent.Schema
-	// Query runs the query phase for self against its visible region.
-	Query(self *agent.Agent, env Env)
+	// Query runs the query phase for the agent at row self of the column
+	// window: env.State(f)[row] is field f of the row's copy, its probes
+	// (Visible, Nearby) return rows, and Assign folds into a row's effect.
+	Query(env *Cols, self int32)
 	// Update runs the update phase: compute tick t+1 state from tick t
 	// state and aggregated effects.
 	Update(self *agent.Agent, u *UpdateCtx)
@@ -73,9 +78,10 @@ type NonLocalModel interface {
 	HasNonLocalEffects() bool
 }
 
-// Env is the query phase's window onto the visible region. All iteration
-// respects the schema's visibility bound and runs in ascending agent-ID
-// order (see Model).
+// Env is the closure-style view of the query window, which Cols.Env
+// returns: the same probes as Cols, yielding agents to a callback instead
+// of rows. All iteration respects the schema's visibility bound and runs
+// in ascending agent-ID order (see Model).
 type Env interface {
 	// Self returns the agent whose query phase is running.
 	Self() *agent.Agent

@@ -1,7 +1,7 @@
 package engine
 
 import (
-	"fmt"
+	"math"
 	"sort"
 
 	"github.com/bigreddata/brace/internal/agent"
@@ -15,20 +15,27 @@ import (
 // into its target, then every agent's update phase. The partitioned engine
 // must reproduce it bit for bit on one partition, and on any number of
 // partitions for models with only local effects.
+//
+// The model reads the oracle through the one query window, Cols, but the
+// oracle fills it itself: every state column over the whole ID-sorted
+// population, and for each self a candidate block it scans for with its
+// own disc test. No cell grid, halo join, block build or grouping runs.
 type naive struct {
-	m        Model
-	s        *agent.Schema
-	combs    []agent.Combinator
-	nonLocal bool
-	seed     uint64
-	tick     uint64
-	agents   agent.Population // ID-sorted
+	m      Model
+	c      core
+	s      *agent.Schema
+	seed   uint64
+	tick   uint64
+	agents agent.Population // ID-sorted
 }
 
 func newNaive(m Model, pop []*agent.Agent, seed uint64) *naive {
+	c, err := newCore(m, seed)
+	if err != nil {
+		panic(err)
+	}
 	n := &naive{
-		m: m, s: m.Schema(), combs: effectCombs(m.Schema()),
-		nonLocal: modelNonLocal(m), seed: seed,
+		m: m, c: c, s: m.Schema(), seed: seed,
 		agents: append(agent.Population(nil), pop...),
 	}
 	sort.Sort(n.agents)
@@ -38,9 +45,12 @@ func newNaive(m Model, pop []*agent.Agent, seed uint64) *naive {
 // run advances n ticks.
 func (n *naive) run(ticks int) {
 	var u UpdateCtx
+	var q queryEnv
 	for ; ticks > 0; ticks-- {
-		for _, a := range n.agents {
-			n.m.Query(a, &naiveEnv{n: n, self: a})
+		n.window(&q)
+		for row := range n.agents {
+			n.seat(&q, int32(row))
+			n.m.Query((*Cols)(&q), int32(row))
 		}
 		var next agent.Population
 		for _, a := range n.agents {
@@ -62,49 +72,48 @@ func (n *naive) run(ticks int) {
 	}
 }
 
-// naiveEnv is one agent's query phase in the oracle.
-type naiveEnv struct {
-	n    *naive
-	self *agent.Agent
+// window points q at the tick's population: row i is agent i of the
+// ID-sorted population, and every state column is filled up front.
+func (n *naive) window(q *queryEnv) {
+	nf := n.s.NumState()
+	cs := &colSet{cols: make([][]float64, nf), have: make([]bool, nf)}
+	for f := range cs.cols {
+		cs.cols[f] = make([]float64, len(n.agents))
+		for i, a := range n.agents {
+			cs.cols[f][i] = a.State[f]
+		}
+		cs.have[f] = true
+	}
+	rows := make([]int32, len(n.agents))
+	for i := range rows {
+		rows[i] = int32(i)
+	}
+	*q = queryEnv{
+		c: &n.c, copies: n.agents, cols: cs,
+		xs: cs.cols[n.s.PosX], ys: cs.cols[n.s.PosY],
+		coreRank: rows, rankRow: rows,
+	}
 }
 
-func (q *naiveEnv) Self() *agent.Agent { return q.self }
-
-// ForEachVisible visits every agent within the visibility bound, or every
-// agent when visibility is unbounded.
-func (q *naiveEnv) ForEachVisible(fn func(*agent.Agent)) {
-	if vis := q.n.s.Visibility; vis > 0 {
-		q.within(vis, fn)
-		return
-	}
-	for _, a := range q.n.agents {
-		fn(a)
-	}
-}
-
-func (q *naiveEnv) Nearby(radius float64, fn func(*agent.Agent)) {
-	if vis := q.n.s.Visibility; vis > 0 && radius > vis {
-		radius = vis
-	}
-	q.within(radius, fn)
-}
-
-// within visits, in ascending ID order, the agents in the closed disc of
-// the given radius around self.
-func (q *naiveEnv) within(radius float64, fn func(*agent.Agent)) {
-	pos := q.self.Pos(q.n.s)
-	for _, a := range q.n.agents {
-		p := a.Pos(q.n.s)
-		dx, dy := p.X-pos.X, p.Y-pos.Y
-		if dx*dx+dy*dy <= radius*radius {
-			fn(a)
+// seat makes row self the probing agent, with its candidate block the
+// rows in the closed disc of the visibility bound around it, ascending
+// by ID — every row under unbounded visibility. Every probe's radius is
+// cropped to the bound, so the block is never rebuilt: probes at the
+// bound return it as is, shorter ones filter it.
+func (n *naive) seat(q *queryEnv, self int32) {
+	q.self = n.agents[self]
+	vis := n.s.Visibility
+	px, py := q.xs[self], q.ys[self]
+	q.blk = q.blk[:0]
+	for row := range n.agents {
+		dx, dy := q.xs[row]-px, q.ys[row]-py
+		if !(vis > 0) || dx*dx+dy*dy <= vis*vis {
+			q.blk = append(q.blk, int32(row))
 		}
 	}
-}
-
-func (q *naiveEnv) Assign(target *agent.Agent, i int, v float64) {
-	if !q.n.nonLocal && target.ID != q.self.ID {
-		panic(fmt.Sprintf("naive: non-local assignment %d -> %d in a local-effects model", q.self.ID, target.ID))
+	q.blkR, q.one = vis, vis > 0
+	if !(vis > 0) {
+		q.blkR = math.Inf(1)
 	}
-	target.Effect[i] = q.n.combs[i].Combine(target.Effect[i], v)
+	q.bx, q.by = q.bx[:0], q.by[:0]
 }

@@ -4,10 +4,12 @@ import (
 	"encoding/binary"
 	"hash/fnv"
 	"math"
+	"slices"
 	"testing"
 
 	"github.com/bigreddata/brace/internal/agent"
 	"github.com/bigreddata/brace/internal/engine"
+	"github.com/bigreddata/brace/internal/partition"
 	"github.com/bigreddata/brace/internal/scenario"
 )
 
@@ -19,25 +21,30 @@ func clonePop(pop []*agent.Agent) []*agent.Agent {
 	return out
 }
 
-func runWorkers(t *testing.T, m engine.Model, pop []*agent.Agent, seed uint64, workers, ticks int) agent.Population {
+func runWorkers(t *testing.T, m engine.Model, pop []*agent.Agent, opts engine.Options, ticks int) *engine.Distributed {
 	t.Helper()
-	e, err := engine.NewDistributed(m, clonePop(pop), engine.Options{Workers: workers, Seed: seed})
+	e, err := engine.NewDistributed(m, clonePop(pop), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := e.RunTicks(ticks); err != nil {
 		t.Fatal(err)
 	}
-	return e.Agents()
+	return e
 }
+
+// eager rebalances at the slightest projected gain, so a short run moves
+// its cuts.
+var eager = partition.Balancer{MigrateCostPerAgent: 1e-9, HorizonTicks: 1000, MinRelativeGain: 0.01}
 
 // TestOracleEquivalence is the registry-driven form of this codebase's
 // core correctness claim, checked against the naive oracle, which shares
 // no index, partition or runtime code with the engine: every registered
 // scenario computes the oracle's simulation bit for bit on one partition,
-// and on any number of partitions when its effects are local. A
-// non-local scenario's global ⊕ folds per-partition partials beyond one
-// partition, so there it agrees within the spec's tolerance.
+// and on any number of partitions when its effects are local, the load
+// balancer moving the cuts included. A non-local scenario's global ⊕
+// folds per-partition partials beyond one partition, so there it agrees
+// within the spec's tolerance.
 func TestOracleEquivalence(t *testing.T) {
 	const ticks = 10
 	for _, sp := range scenario.All() {
@@ -56,13 +63,24 @@ func TestOracleEquivalence(t *testing.T) {
 				if len(want) == 0 {
 					t.Fatalf("seed %d: population died out; test config mis-tuned", seed)
 				}
-				for _, workers := range []int{1, 2, 8} {
-					got := runWorkers(t, m, base, seed, workers, ticks)
+				for _, opts := range []engine.Options{
+					{Workers: 1}, {Workers: 2}, {Workers: 8},
+					{Workers: 4, LoadBalance: true, Balancer: eager, EpochTicks: 2},
+				} {
+					opts.Seed = seed
+					e := runWorkers(t, m, base, opts, ticks)
+					name := sp.Name
+					if opts.LoadBalance {
+						name += "/lb"
+						if !slices.ContainsFunc(e.Epochs(), func(s engine.EpochStat) bool { return s.Rebalanced }) {
+							t.Fatalf("%s seed=%d: the balancer never moved a cut", name, seed)
+						}
+					}
 					tol := 0.0
-					if !sp.LocalOnly && workers > 1 {
+					if !sp.LocalOnly && opts.Workers > 1 {
 						tol = sp.Tolerance
 					}
-					comparePops(t, sp.Name, seed, workers, want, got, tol)
+					comparePops(t, name, seed, opts.Workers, want, e.Agents(), tol)
 				}
 			}
 		})
@@ -121,7 +139,7 @@ func digest(pop []*agent.Agent) uint64 {
 
 // TestOracleDigestAtBenchmarkShape runs the oracle on the benchmark's
 // fish shape — 2000 fish, the default scenario — where the engine's
-// multi-cell grids, columnar queries and halo joins all engage, and requires
+// multi-cell grids, grouped probes and halo joins all engage, and requires
 // one and eight partitions to end on its digest.
 func TestOracleDigestAtBenchmarkShape(t *testing.T) {
 	if testing.Short() {
@@ -135,7 +153,7 @@ func TestOracleDigestAtBenchmarkShape(t *testing.T) {
 	}
 	want := digest(engine.Naive(m, clonePop(base), seed, ticks))
 	for _, workers := range []int{1, 8} {
-		if got := digest(runWorkers(t, m, base, seed, workers, ticks)); got != want {
+		if got := digest(runWorkers(t, m, base, engine.Options{Workers: workers, Seed: seed}, ticks).Agents()); got != want {
 			t.Errorf("fish ×2000, %d ticks, %d workers: digest %016x, oracle %016x", ticks, workers, got, want)
 		}
 	}

@@ -151,12 +151,7 @@ func (e *Distributed) reduce1Late(ctx *mapreduce.Ctx, rest []*Envelope, emit map
 		// none, the core index answers them alone.
 		var halo *haloJoin
 		if len(ob.halo.agents) > 0 {
-			ob.halo.build(e.schema, p.keys, p.grid.scan)
-			if e.colM != nil {
-				// Halo copies become rows len(copies)+j so boundary query
-				// phases can read their state through the columns.
-				p.cols.appendHalo(ob.halo.agents)
-			}
+			p.join(&ob.halo)
 			halo = &ob.halo
 		}
 		ob.visited += p.query(ob.boundary, halo)

@@ -88,7 +88,7 @@ type orderModel struct {
 }
 
 type orderKey struct {
-	env  Env
+	env  *Cols
 	tick float64
 }
 
@@ -106,8 +106,11 @@ func newOrderModel() *orderModel {
 func (m *orderModel) Schema() *agent.Schema    { return m.s }
 func (m *orderModel) HasNonLocalEffects() bool { return true }
 
-func (m *orderModel) Query(self *agent.Agent, env Env) {
-	k := orderKey{env, self.State[m.tick]}
+// Query records agent IDs, so it probes through the closure view.
+func (m *orderModel) Query(c *Cols, _ int32) {
+	env := c.Env()
+	self := env.Self()
+	k := orderKey{c, self.State[m.tick]}
 	m.mu.Lock()
 	m.selves[k] = append(m.selves[k], self.ID)
 	m.mu.Unlock()

@@ -20,10 +20,7 @@ type core struct {
 	combs    []agent.Combinator
 	isSum    []bool // devirtualized fast path for the ubiquitous sum fold
 	nonLocal bool
-	// colM is non-nil when query phases run QueryCols: the model implements
-	// ColumnarModel and has only local effects (see columnarModel).
-	colM ColumnarModel
-	seed uint64
+	seed     uint64
 
 	agentTicks int64
 	visited    int64
@@ -41,7 +38,6 @@ func newCore(m Model, seed uint64) (core, error) {
 		combs:    combs,
 		isSum:    sumMask(combs),
 		nonLocal: modelNonLocal(m),
-		colM:     columnarModel(m),
 		seed:     seed,
 	}, nil
 }
@@ -96,8 +92,7 @@ type part struct {
 
 	// The tick's build, rewritten by every build call.
 	copies []*agent.Agent
-	cols   colSet    // state columns (columnar models only)
-	px, py []float64 // positions by row (non-columnar models only)
+	cols   colSet // state columns by row, core then halo
 	keys   []int64
 	all    []int32 // identity slots, see allSlots
 
@@ -117,48 +112,28 @@ func (c *core) newPart(index spatial.Kind) *part {
 
 // build installs the tick's ID-sorted copy set and builds the grid over
 // it. The keys rank the core against the late pass's halo
-// (haloJoin.build), so every build fills them. Columnar models start their
-// state columns first (colSet.build gathers the position columns, the
-// others wait for their first read) so the grid reads the position
-// columns instead of walking the agents again; other models' positions
-// are gathered here.
+// (haloJoin.build), so every build fills them. The state columns start
+// first (colSet.build gathers the position columns, the others wait for
+// their first read), and the grid reads the position columns.
 func (p *part) build(copies []*agent.Agent) {
 	s := p.c.schema
 	p.copies = copies
-	if p.c.colM != nil {
-		p.cols.build(s, copies)
-	}
+	p.cols.build(s, copies)
 	p.keys = resize(p.keys, len(copies))
 	for i, a := range copies {
 		p.keys[i] = int64(a.ID)
 	}
-	if p.c.colM == nil {
-		p.px, p.py = resize(p.px, len(copies)), resize(p.py, len(copies))
-		for i, a := range copies {
-			pos := a.Pos(s)
-			p.px[i], p.py[i] = pos.X, pos.Y
-		}
-	}
-	xs, ys := p.positions(nil)
-	p.grid.build(xs, ys, nil, s.Visibility)
+	p.grid.build(p.cols.cols[s.PosX], p.cols.cols[s.PosY], nil, s.Visibility)
 	p.builds++
 }
 
-// positions returns the position columns by row of a pass with the given
-// halo: the state columns of a columnar model (which carry the halo's
-// rows once colSet.appendHalo ran), else the core's positions gathered at
-// build, extended with the halo's.
-func (p *part) positions(halo *haloJoin) (xs, ys []float64) {
-	s := p.c.schema
-	if p.c.colM != nil {
-		return p.cols.cols[s.PosX], p.cols.cols[s.PosY]
-	}
-	n := len(p.copies)
-	p.px, p.py = p.px[:n], p.py[:n]
-	if halo != nil {
-		p.px, p.py = append(p.px, halo.px...), append(p.py, halo.py...)
-	}
-	return p.px, p.py
+// join makes h, whose ID-sorted agents are the peer-sent copies of the
+// late pass, the pass's halo: the state columns gain its rows
+// (len(copies)+j), and its grid and ID ranks are built from them.
+func (p *part) join(h *haloJoin) {
+	s, n := p.c.schema, len(p.copies)
+	p.cols.appendHalo(h.agents)
+	h.build(p.keys, p.cols.cols[s.PosX][n:], p.cols.cols[s.PosY][n:], s.Visibility, p.grid.scan)
 }
 
 // allSlots returns the identity rows [0, n), the slot ranks of a pass with
@@ -203,7 +178,9 @@ func (p *part) bind(halo *haloJoin) *queryEnv {
 	q := &p.env
 	q.c, q.grid = p.c, &p.grid
 	q.copies, q.cols, q.halo = p.copies, &p.cols, halo
-	q.xs, q.ys = p.positions(halo)
+	// The position columns carry the halo's rows once join ran.
+	s := p.c.schema
+	q.xs, q.ys = p.cols.cols[s.PosX], p.cols.cols[s.PosY]
 	// Without a halo the ID ranks are the slots themselves.
 	q.coreRank = p.allSlots(len(p.copies))
 	q.rankRow = q.coreRank

@@ -106,33 +106,10 @@ func (m *Model) Schema() *agent.Schema { return m.s }
 
 // Query implements engine.Model: a susceptible agent collects exposure
 // from every infected agent within the infection radius, weighted by a
-// linear distance kernel (closer contacts transmit more).
-func (m *Model) Query(self *agent.Agent, env engine.Env) {
-	if self.State[m.status] != Susceptible {
-		return
-	}
-	r := m.P.InfectRadius
-	env.Nearby(r, func(o *agent.Agent) {
-		if o.ID == self.ID || o.State[m.status] != Infected {
-			return
-		}
-		dx := o.State[m.x] - self.State[m.x]
-		dy := o.State[m.y] - self.State[m.y]
-		d := math.Sqrt(dx*dx + dy*dy)
-		if d > r {
-			return
-		}
-		env.Assign(self, m.exposure, 1-d/r)
-	})
-}
-
-// QueryCols implements engine.ColumnarModel: Query streamed over the
-// state columns. The non-susceptible early return happens before any
-// probe, exactly as in Query, so probe accounting matches too. The local
-// exposure accumulator folds the same terms in the same order starting
-// from zero that the per-neighbor Assign sequence folds into the θ = 0
-// effect, so the aggregate is bit-identical.
-func (m *Model) QueryCols(env *engine.Cols, self int32) {
+// linear distance kernel (closer contacts transmit more). The local
+// exposure accumulator folds the terms in neighbor order starting from
+// zero, as per-neighbor Assigns would fold them into the θ = 0 effect.
+func (m *Model) Query(env *engine.Cols, self int32) {
 	status := env.State(m.status)
 	if status[self] != Susceptible {
 		return
@@ -229,7 +206,4 @@ func (m *Model) Counts(pop []*agent.Agent) (s, i, r int) {
 	return
 }
 
-var (
-	_ engine.Model         = (*Model)(nil)
-	_ engine.ColumnarModel = (*Model)(nil)
-)
+var _ engine.Model = (*Model)(nil)

@@ -92,32 +92,10 @@ func (m *Model) Schema() *agent.Schema { return m.s }
 
 // Query implements engine.Model: accumulate the social force — each
 // visible neighbor pushes the agent away with strength falling linearly
-// to zero at the repulsion radius.
-func (m *Model) Query(self *agent.Agent, env engine.Env) {
-	sx, sy := self.State[m.x], self.State[m.y]
-	r := m.P.RepelRadius
-	env.ForEachVisible(func(o *agent.Agent) {
-		if o.ID == self.ID {
-			return
-		}
-		dx, dy := sx-o.State[m.x], sy-o.State[m.y]
-		d := math.Sqrt(dx*dx + dy*dy)
-		if d == 0 || d > r {
-			return
-		}
-		w := (1 - d/r) / d
-		env.Assign(self, m.repx, dx*w)
-		env.Assign(self, m.repy, dy*w)
-		env.Assign(self, m.crowd, 1)
-	})
-}
-
-// QueryCols implements engine.ColumnarModel: the social-force
-// accumulation streamed over the state columns. Same visible rows, same
-// arithmetic; the local accumulators fold the same additions in the same
-// order the per-neighbor Assigns fold into the θ = 0 effects, so the
-// result is bit-identical.
-func (m *Model) QueryCols(env *engine.Cols, self int32) {
+// to zero at the repulsion radius. The local accumulators fold the
+// additions in neighbor order starting from zero, as per-neighbor Assigns
+// would fold them into the θ = 0 effects.
+func (m *Model) Query(env *engine.Cols, self int32) {
 	xs, ys := env.State(m.x), env.State(m.y)
 	sx, sy := xs[self], ys[self]
 	r := m.P.RepelRadius
@@ -216,7 +194,4 @@ func (m *Model) NewPopulation(n int, seed uint64) []*agent.Agent {
 // Pos returns a pedestrian's position.
 func (m *Model) Pos(a *agent.Agent) geom.Vec { return a.Pos(m.s) }
 
-var (
-	_ engine.Model         = (*Model)(nil)
-	_ engine.ColumnarModel = (*Model)(nil)
-)
+var _ engine.Model = (*Model)(nil)

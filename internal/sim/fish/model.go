@@ -94,63 +94,14 @@ func NewModel(p Params) *Model {
 func (m *Model) Schema() *agent.Schema { return m.s }
 
 // Query implements engine.Model: accumulate the avoidance and social
-// (attraction + alignment) vectors. Both accumulations are sums, so the
-// query is exactly order-independent. Like the traffic model (and the
-// BRASIL compiler's output), it folds into local variables and assigns
-// each effect once: every field still receives the same additions in the
-// same neighbor order starting from θ = 0, so the result is bit-identical
-// to per-neighbor assignment — without an interface call per neighbor per
-// field on the hottest loop in the tree.
-func (m *Model) Query(self *agent.Agent, env engine.Env) {
-	sx, sy := self.State[m.x], self.State[m.y]
-	a2 := m.P.Alpha * m.P.Alpha
-	// One escaping struct, not eight escaping floats: the closure capture
-	// costs a single allocation per query phase.
-	var acc struct {
-		avx, avy, cntAv            float64
-		atx, aty, alx, aly, cntSoc float64
-	}
-	env.ForEachVisible(func(o *agent.Agent) {
-		if o.ID == self.ID {
-			return
-		}
-		dx, dy := o.State[m.x]-sx, o.State[m.y]-sy
-		d2 := dx*dx + dy*dy
-		if d2 == 0 {
-			return
-		}
-		d := math.Sqrt(d2)
-		if d2 < a2 {
-			// Avoidance: turn away from too-close neighbors.
-			acc.avx += -dx / d
-			acc.avy += -dy / d
-			acc.cntAv++
-			return
-		}
-		// Attraction toward, and alignment with, visible neighbors.
-		acc.atx += dx / d
-		acc.aty += dy / d
-		acc.alx += o.State[m.hx]
-		acc.aly += o.State[m.hy]
-		acc.cntSoc++
-	})
-	env.Assign(self, m.avx, acc.avx)
-	env.Assign(self, m.avy, acc.avy)
-	env.Assign(self, m.cntAv, acc.cntAv)
-	env.Assign(self, m.atx, acc.atx)
-	env.Assign(self, m.aty, acc.aty)
-	env.Assign(self, m.alx, acc.alx)
-	env.Assign(self, m.aly, acc.aly)
-	env.Assign(self, m.cntSoc, acc.cntSoc)
-}
-
-// QueryCols implements engine.ColumnarModel: the same accumulation as
-// Query, streamed over the state columns. Same visible rows in the same
-// ascending-ID order, same arithmetic on the same float64 values, so the
-// effects are bit-identical — without the per-neighbor indirect call, the
-// two pointer chases into each neighbor's State, or the escaping closure
-// frame. This is the hottest loop of the benchmark suite.
-func (m *Model) QueryCols(env *engine.Cols, self int32) {
+// (attraction + alignment) vectors over the state columns. Both
+// accumulations are sums, so the query is exactly order-independent. Like
+// the traffic model (and the BRASIL compiler's output), it folds into
+// local variables and assigns each effect once: every field still
+// receives the same additions in the same neighbor order starting from
+// θ = 0, so the result is bit-identical to per-neighbor assignment. This
+// is the hottest loop of the benchmark suite.
+func (m *Model) Query(env *engine.Cols, self int32) {
 	xs, ys := env.State(m.x), env.State(m.y)
 	hxs, hys := env.State(m.hx), env.State(m.hy)
 	sx, sy := xs[self], ys[self]
@@ -168,11 +119,13 @@ func (m *Model) QueryCols(env *engine.Cols, self int32) {
 		}
 		d := math.Sqrt(d2)
 		if d2 < a2 {
+			// Avoidance: turn away from too-close neighbors.
 			avx += -dx / d
 			avy += -dy / d
 			cntAv++
 			continue
 		}
+		// Attraction toward, and alignment with, visible neighbors.
 		atx += dx / d
 		aty += dy / d
 		alx += hxs[j]
@@ -255,7 +208,4 @@ func (m *Model) Pos(a *agent.Agent) geom.Vec { return a.Pos(m.s) }
 // Class returns 0 for uninformed fish, ±1 for the two informed classes.
 func (m *Model) Class(a *agent.Agent) float64 { return a.State[m.class] }
 
-var (
-	_ engine.Model         = (*Model)(nil)
-	_ engine.ColumnarModel = (*Model)(nil)
-)
+var _ engine.Model = (*Model)(nil)

@@ -104,48 +104,15 @@ func (m *Model) Schema() *agent.Schema { return m.s }
 // HasNonLocalEffects implements engine.NonLocalModel.
 func (m *Model) HasNonLocalEffects() bool { return !m.Inverted }
 
-// bites reports whether biter takes a bite out of victim this tick: a fish
-// bites every strictly weaker fish within the bite radius. The predicate
-// depends only on the pair's states and a symmetric distance, which is
+// Query implements engine.Model: a fish bites every strictly weaker fish
+// within the bite radius. In both variants the biter's feeding gain is a
+// *local* assignment (counting my victims only reads visible state), so
+// the variants differ solely in how hurt reaches the victim: the
+// non-local script assigns it to the victim's row, the inverted one
+// collects it from everyone biting me. The pair test depends only on the
+// pair's states and a symmetric distance (dx negates exactly), which is
 // what makes the inversion exact (Theorem 2).
-func (m *Model) bites(biter, victim *agent.Agent) bool {
-	if biter.ID == victim.ID {
-		return false
-	}
-	dx := biter.State[m.x] - victim.State[m.x]
-	dy := biter.State[m.y] - victim.State[m.y]
-	if dx*dx+dy*dy > m.P.BiteRadius*m.P.BiteRadius {
-		return false
-	}
-	return biter.State[m.energy] > victim.State[m.energy]
-}
-
-// Query implements engine.Model. In both variants the biter's feeding gain
-// is a *local* assignment (counting my victims only reads visible state),
-// so the variants differ solely in how hurt reaches the victim.
-func (m *Model) Query(self *agent.Agent, env engine.Env) {
-	env.Nearby(m.P.BiteRadius, func(o *agent.Agent) {
-		if m.bites(self, o) {
-			env.Assign(self, m.fed, m.P.BiteGain)
-			if !m.Inverted {
-				// Non-local script: assign hurt to the victim.
-				env.Assign(o, m.hurt, m.P.BiteDamage)
-			}
-		}
-		if m.Inverted && m.bites(o, self) {
-			// Inverted script: collect hurt from everyone biting me.
-			env.Assign(self, m.hurt, m.P.BiteDamage)
-		}
-	})
-}
-
-// QueryCols implements engine.ColumnarModel. The engine only takes the
-// columnar path for local-effect models, i.e. the inverted variant; the
-// classic script (hurt assigned to the victim, a non-local effect) always
-// runs through Query. The bite predicate is inlined over the columns with
-// the same arithmetic as bites — dx negates exactly, so both directions
-// of the pair test agree bit-for-bit with the pointer path.
-func (m *Model) QueryCols(env *engine.Cols, self int32) {
+func (m *Model) Query(env *engine.Cols, self int32) {
 	xs, ys := env.State(m.x), env.State(m.y)
 	es := env.State(m.energy)
 	sx, sy, se := xs[self], ys[self], es[self]
@@ -161,6 +128,9 @@ func (m *Model) QueryCols(env *engine.Cols, self int32) {
 		}
 		if se > es[j] {
 			fed += m.P.BiteGain
+			if !m.Inverted {
+				env.Assign(j, m.hurt, m.P.BiteDamage)
+			}
 		}
 		if m.Inverted && es[j] > se {
 			hurt += m.P.BiteDamage
@@ -225,5 +195,4 @@ func (m *Model) Energy(a *agent.Agent) float64 { return a.State[m.energy] }
 var (
 	_ engine.Model         = (*Model)(nil)
 	_ engine.NonLocalModel = (*Model)(nil)
-	_ engine.ColumnarModel = (*Model)(nil)
 )

@@ -125,30 +125,34 @@ func TestNonLocalDistributedApproxSequential(t *testing.T) {
 	}
 }
 
+// A fish bites every strictly weaker fish within the bite radius, never
+// itself or a fish beyond the radius, in both variants: one tick moves
+// one bite's energy from the weak fish to the strong one and leaves the
+// far fish to graze.
 func TestBitePredicate(t *testing.T) {
 	p := DefaultParams()
-	m := NewModel(p, false)
-	strong := agent.New(m.s, 1)
-	strong.SetPos(m.s, geom.V(0, 0))
-	strong.State[m.energy] = 10
-	weak := agent.New(m.s, 2)
-	weak.SetPos(m.s, geom.V(1, 0))
-	weak.State[m.energy] = 5
-	far := agent.New(m.s, 3)
-	far.SetPos(m.s, geom.V(100, 0))
-	far.State[m.energy] = 1
-
-	if !m.bites(strong, weak) {
-		t.Error("strong should bite adjacent weak")
-	}
-	if m.bites(weak, strong) {
-		t.Error("weak should not bite strong")
-	}
-	if m.bites(strong, far) {
-		t.Error("bite beyond radius")
-	}
-	if m.bites(strong, strong) {
-		t.Error("self bite")
+	for _, inverted := range []bool{false, true} {
+		m := NewModel(p, inverted)
+		fish := func(id agent.ID, x, energy float64) *agent.Agent {
+			a := agent.New(m.s, id)
+			a.SetPos(m.s, geom.V(x, 0))
+			a.State[m.energy] = energy
+			return a
+		}
+		pop := []*agent.Agent{fish(1, 0, 10), fish(2, 1, 5), fish(3, 100, 1)}
+		e, err := engine.NewDistributed(m, pop, engine.Options{Workers: 1, Index: spatial.KindScan, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.RunTicks(1); err != nil {
+			t.Fatal(err)
+		}
+		upkeep := p.Graze - p.Metabolism
+		for i, want := range []float64{10 + p.BiteGain + upkeep, 5 - p.BiteDamage + upkeep, 1 + upkeep} {
+			if got := e.Agents()[i].State[m.energy]; got != want {
+				t.Errorf("inverted %v: fish %d energy = %v, want %v", inverted, i+1, got, want)
+			}
+		}
 	}
 }
 

@@ -38,23 +38,21 @@ func newGoFollowTwin() *goFollowTwin {
 
 func (m *goFollowTwin) Schema() *agent.Schema { return m.s }
 
-func (m *goFollowTwin) Query(self *agent.Agent, env engine.Env) {
-	env.ForEachVisible(func(p *agent.Agent) {
-		if p.ID == self.ID {
-			return
+func (m *goFollowTwin) Query(env *engine.Cols, self int32) {
+	xs, ys, vs := env.State(m.x), env.State(m.y), env.State(m.v)
+	for _, j := range env.Visible() {
+		if j == self || ys[j] != ys[self] {
+			continue
 		}
-		if p.State[m.y] != self.State[m.y] {
-			return
-		}
-		d := math.Mod(p.State[m.x]-self.State[m.x]+4000, 4000)
+		d := math.Mod(xs[j]-xs[self]+4000, 4000)
 		if d < 200 {
 			env.Assign(self, m.gap, d)
-			if d < self.State[m.v]*1.6+6 {
-				env.Assign(self, m.vsum, p.State[m.v])
+			if d < vs[self]*1.6+6 {
+				env.Assign(self, m.vsum, vs[j])
 				env.Assign(self, m.cnt, 1)
 			}
 		}
-	})
+	}
 }
 
 func (m *goFollowTwin) Update(self *agent.Agent, u *engine.UpdateCtx) {

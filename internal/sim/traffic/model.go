@@ -56,54 +56,9 @@ func NewModel(p Params) *Model {
 // Schema implements engine.Model.
 func (m *Model) Schema() *agent.Schema { return m.s }
 
-// Query implements engine.Model: perceive the three candidate lanes.
-func (m *Model) Query(self *agent.Agent, env engine.Env) {
-	sx := self.State[m.x]
-	lane := int(self.State[m.lane])
-
-	var leadGap, leadV, rearGap, sumV [3]float64
-	var cnt [3]float64
-	for i := range leadGap {
-		leadGap[i] = math.Inf(1)
-		rearGap[i] = math.Inf(1)
-		leadV[i] = math.Inf(1)
-	}
-
-	env.ForEachVisible(func(o *agent.Agent) {
-		if o.ID == self.ID {
-			return
-		}
-		rel := int(o.State[m.lane]) - lane + 1
-		if rel < 0 || rel > 2 {
-			return
-		}
-		dx := o.State[m.x] - sx
-		sumV[rel] += o.State[m.v]
-		cnt[rel]++
-		if dx >= 0 {
-			if dx < leadGap[rel] {
-				leadGap[rel] = dx
-				leadV[rel] = o.State[m.v]
-			}
-		} else if -dx < rearGap[rel] {
-			rearGap[rel] = -dx
-		}
-	})
-
-	for i := 0; i < 3; i++ {
-		env.Assign(self, m.effLeadGap[i], leadGap[i])
-		env.Assign(self, m.effLeadV[i], leadV[i])
-		env.Assign(self, m.effRearGap[i], rearGap[i])
-		env.Assign(self, m.effAvgV[i], sumV[i])
-		env.Assign(self, m.effCnt[i], cnt[i])
-	}
-}
-
-// QueryCols implements engine.ColumnarModel: the three-lane perception
-// streamed over the state columns. Same visible rows in the same
-// ascending-ID order, same arithmetic and the same single Assign per
-// effect field as Query, so the perceived values are bit-identical.
-func (m *Model) QueryCols(env *engine.Cols, self int32) {
+// Query implements engine.Model: perceive the three candidate lanes over
+// the state columns, with one Assign per effect field.
+func (m *Model) Query(env *engine.Cols, self int32) {
 	xs := env.State(m.x)
 	lanes := env.State(m.lane)
 	vs := env.State(m.v)
@@ -217,7 +172,4 @@ func (m *Model) Speed(a *agent.Agent) float64 { return a.State[m.v] }
 // Changes returns a vehicle's cumulative lane-change count.
 func (m *Model) Changes(a *agent.Agent) float64 { return a.State[m.changes] }
 
-var (
-	_ engine.Model         = (*Model)(nil)
-	_ engine.ColumnarModel = (*Model)(nil)
-)
+var _ engine.Model = (*Model)(nil)
