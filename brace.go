@@ -174,12 +174,17 @@ type Metrics struct {
 	Ticks      uint64
 	Agents     int
 	AgentTicks int64
+	// Digest fingerprints the live population (agent.Digest): two runs
+	// print the same digest only if they end on the same state bit for
+	// bit.
+	Digest uint64
 	// CandidatesSeen counts the candidates the query phases examined:
 	// for each group of agents that shares a candidate block (the agents
-	// of one crowded grid cell, else one agent), the grid members the
-	// block's build read, plus for each probe the block members its
-	// filter read. A metric, not an input: it depends on the index kind
-	// and the partitioning, and no decision reads it.
+	// of one tile of grid cells when it holds enough of them, else one
+	// agent), the grid members the block's build read, plus for each
+	// probe the block members its filter read. A metric, not an input:
+	// it depends on the index kind and the partitioning, and no decision
+	// reads it.
 	CandidatesSeen int64
 	WallSeconds    float64
 	// VirtualSeconds and ThroughputVirtual are zero unless VirtualTime
@@ -203,10 +208,12 @@ type Metrics struct {
 // Metrics reports run statistics.
 func (s *Simulation) Metrics() Metrics {
 	t := s.e.Runtime().Transport().Metrics().Totals()
+	pop := s.e.Agents()
 	return Metrics{
 		Ticks:             s.e.Tick(),
-		Agents:            len(s.e.Agents()),
+		Agents:            len(pop),
 		AgentTicks:        s.e.AgentTicks(),
+		Digest:            agent.Digest(pop),
 		CandidatesSeen:    s.e.Visited(),
 		WallSeconds:       s.e.WallSeconds(),
 		VirtualSeconds:    s.e.VirtualSeconds(),
@@ -220,8 +227,8 @@ func (s *Simulation) Metrics() Metrics {
 
 // String implements fmt.Stringer.
 func (m Metrics) String() string {
-	s := fmt.Sprintf("ticks=%d agents=%d agent-ticks=%d wall=%.3fs tput=%.3g at/s",
-		m.Ticks, m.Agents, m.AgentTicks, m.WallSeconds, m.ThroughputWall)
+	s := fmt.Sprintf("ticks=%d agents=%d agent-ticks=%d digest=%016x wall=%.3fs tput=%.3g at/s",
+		m.Ticks, m.Agents, m.AgentTicks, m.Digest, m.WallSeconds, m.ThroughputWall)
 	if m.VirtualSeconds > 0 {
 		s += fmt.Sprintf(" virtual=%.3fs vtput=%.3g at/s", m.VirtualSeconds, m.ThroughputVirtual)
 	}

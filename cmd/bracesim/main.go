@@ -29,6 +29,7 @@ import (
 	"time"
 
 	"github.com/bigreddata/brace"
+	"github.com/bigreddata/brace/internal/agent"
 	"github.com/bigreddata/brace/internal/distrib"
 	"github.com/bigreddata/brace/internal/service"
 	"github.com/bigreddata/brace/internal/transport"
@@ -181,8 +182,8 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		if err != nil {
 			return fail(stderr, err)
 		}
-		fmt.Fprintf(stdout, "distributed ticks=%d agents=%d procs=%d partitions=%d net=%dB (%d msgs) local=%dB rebalances=%d recoveries=%d stalls=%d ckpt=%dB (%d full / %d delta parts)\n",
-			res.Ticks, len(res.Agents), res.Procs, *workers, res.Net.SentBytes, res.Net.SentMsgs, res.Net.LocalBytes,
+		fmt.Fprintf(stdout, "distributed ticks=%d agents=%d digest=%016x procs=%d partitions=%d net=%dB (%d msgs) local=%dB rebalances=%d recoveries=%d stalls=%d ckpt=%dB (%d full / %d delta parts)\n",
+			res.Ticks, len(res.Agents), agent.Digest(res.Agents), res.Procs, *workers, res.Net.SentBytes, res.Net.SentMsgs, res.Net.LocalBytes,
 			res.Rebalances, res.Recoveries, res.StallDrops, res.CheckpointBytes, res.CheckpointFullParts, res.CheckpointDeltaParts)
 		if *verbose {
 			for i, ep := range res.Epochs {

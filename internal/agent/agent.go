@@ -1,7 +1,10 @@
 package agent
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
+	"math"
 
 	"github.com/bigreddata/brace/internal/geom"
 )
@@ -121,4 +124,32 @@ func (p Population) Equal(q Population) bool {
 		}
 	}
 	return true
+}
+
+// Digest is an ID-sorted population's fingerprint: FNV-64a over its
+// agents in order, each as its ID, its liveness and the exact bits of its
+// state and effects. Two populations share it only if they agree bit for
+// bit.
+func Digest(pop []*Agent) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	put := func(v uint64) {
+		binary.LittleEndian.PutUint64(b[:], v)
+		h.Write(b[:])
+	}
+	for _, a := range pop {
+		put(uint64(a.ID))
+		if a.Dead {
+			put(1)
+		} else {
+			put(0)
+		}
+		for _, v := range a.State {
+			put(math.Float64bits(v))
+		}
+		for _, v := range a.Effect {
+			put(math.Float64bits(v))
+		}
+	}
+	return h.Sum64()
 }

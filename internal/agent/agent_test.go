@@ -316,6 +316,33 @@ func TestPopulationSortCloneEqual(t *testing.T) {
 	}
 }
 
+func TestDigest(t *testing.T) {
+	s := fishSchema(t)
+	if got := Digest(nil); got != 0xcbf29ce484222325 {
+		t.Errorf("Digest(nil) = %016x, want the FNV-64a offset basis", got)
+	}
+	p := Population{New(s, 1), New(s, 2), New(s, 3)}
+	want := Digest(p)
+	if got := Digest(p.Clone()); got != want {
+		t.Errorf("a clone's digest %016x, the original's %016x", got, want)
+	}
+	for _, tc := range []struct {
+		name string
+		edit func(q Population)
+	}{
+		{"state", func(q Population) { q[0].State[0] = math.Copysign(0, -1) }},
+		{"effect", func(q Population) { q[1].Effect[0] = 1 }},
+		{"liveness", func(q Population) { q[2].Dead = true }},
+		{"identity", func(q Population) { q[2].ID = 4 }},
+	} {
+		q := p.Clone()
+		tc.edit(q)
+		if Digest(q) == want {
+			t.Errorf("Digest ignored a changed %s", tc.name)
+		}
+	}
+}
+
 func TestSchemaByteSize(t *testing.T) {
 	s := fishSchema(t)
 	if got := s.ByteSize(); got != 8+8*(4+3) {

@@ -53,8 +53,9 @@ type queryEnv struct {
 	blk    []int32
 	bx, by []float64
 
-	// Bound per agent.
+	// Bound per agent: the self and its row.
 	self *agent.Agent
+	row  int32
 
 	visited int64 // members the block builds and filters examined: the Visited gauge
 	cost    int64 // rows returned to the model: the load balancer's input
@@ -155,7 +156,7 @@ func (q *queryEnv) group(selves []int32) {
 	q.box, q.blkR = b, -1
 	q.one = len(selves) == 1 && finite(b)
 	for _, row := range selves {
-		q.self = q.agentAt(row)
+		q.self, q.row = q.agentAt(row), row
 		q.c.model.Query((*Cols)(q), row)
 	}
 }
@@ -176,8 +177,9 @@ func finite(b geom.Rect) bool {
 
 // rows is the probe core: the rows within radius of self's position, self
 // included, ascending by agent ID. It filters the group's block with the
-// disc test every probe has always used, dx*dx+dy*dy <= r², dx = x-pos.X,
-// which keeps the block's order. A one-self group's block at the
+// disc test every probe has always used, dx*dx+dy*dy <= r², dx = x-px,
+// with the self's position read from the pass's position columns at its
+// row, and keeps the block's order. A one-self group's block at the
 // visibility bound is its visibility probe and is handed out as is.
 //
 // Two counters live here and in build and nowhere else. visited is the
@@ -204,13 +206,13 @@ func (q *queryEnv) rows(radius float64) []int32 {
 	if len(q.bx) != len(blk) {
 		q.pack()
 	}
-	pos := q.self.Pos(q.c.schema)
+	px, py := q.xs[q.row], q.ys[q.row]
 	r2 := radius * radius
 	out := slices.Grow(q.buf(), len(blk))[:len(blk)]
 	k := 0
 	bx, by := q.bx[:len(blk)], q.by[:len(blk)]
 	for i, x := range bx {
-		dx, dy := x-pos.X, by[i]-pos.Y
+		dx, dy := x-px, by[i]-py
 		out[k] = blk[i]
 		if dx*dx+dy*dy <= r2 {
 			k++

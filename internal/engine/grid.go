@@ -27,11 +27,9 @@ type cellGrid struct {
 	start            []int32
 	xs, ys           []float64
 	id               []int32
-	// cell is the cell of each input point, kept after the build: the
-	// query pass walks the core grid's cells through it to group the
-	// probing agents (part.query).
-	cell []int32
-	cur  []int32 // build scratch: fill cursor by cell
+	// Build scratch: the cell of each input point, and the fill cursor by
+	// cell.
+	cell, cur []int32
 
 	// scan makes every build one cell whatever the extent: the "no
 	// indexing" configuration (KindScan), in which a block build examines

@@ -12,11 +12,12 @@ import (
 	"github.com/bigreddata/brace/internal/spatial"
 )
 
-// The ordered join — selves grouped by core-grid cell, each group's block
-// built from the core grid (a cell grid, or one cell under the scan) and
-// the halo grid and put in agent-ID order by the rank bitset or the
-// comparison sort, each probe a filter of its group's block — against the
-// definition it implements: for every copy, in radius? then sort by ID.
+// The ordered join — selves grouped by tiles of core-grid cells, each
+// group's block built from the core grid (a cell grid, or one cell under
+// the scan) and the halo grid and put in agent-ID order by the rank
+// bitset or the comparison sort, each probe a filter of its group's block
+// — against the definition it implements: for every copy, in radius? then
+// sort by ID.
 
 // probeModel records the IDs every probe returns, in the order the model
 // sees them. With nested > 0 each callback of the outer probe issues a

@@ -53,7 +53,7 @@ import (
 //     ID-ordered rows; results are bit-identical to a serial run.
 //     (Compiled BRASIL programs satisfy this via per-invocation frames.)
 //   - The engine runs a local-effect model's query phases in any order
-//     (grouped by grid cell, see part.query) and a non-local model's in
+//     (grouped by tiles of grid cells, see part.query) and a non-local model's in
 //     ascending agent-ID order within a partition, the order its Assigns
 //     fold in; either way Query carries no state from one call to the
 //     next.

@@ -101,7 +101,7 @@ func (n *naive) window(q *queryEnv) {
 // cropped to the bound, so the block is never rebuilt: probes at the
 // bound return it as is, shorter ones filter it.
 func (n *naive) seat(q *queryEnv, self int32) {
-	q.self = n.agents[self]
+	q.self, q.row = n.agents[self], self
 	vis := n.s.Visibility
 	px, py := q.xs[self], q.ys[self]
 	q.blk = q.blk[:0]

@@ -1,8 +1,6 @@
 package engine_test
 
 import (
-	"encoding/binary"
-	"hash/fnv"
 	"math"
 	"slices"
 	"testing"
@@ -44,9 +42,11 @@ var eager = partition.Balancer{MigrateCostPerAgent: 1e-9, HorizonTicks: 1000, Mi
 // and on any number of partitions when its effects are local, the load
 // balancer moving the cuts included. A non-local scenario's global ⊕
 // folds per-partition partials beyond one partition, so there it agrees
-// within the spec's tolerance.
+// within the spec's tolerance. At this size the grids are sparse, so at
+// least one run must group its selves by tiles wider than one cell.
 func TestOracleEquivalence(t *testing.T) {
 	const ticks = 10
+	tiled := false
 	for _, sp := range scenario.All() {
 		sp := sp
 		t.Run(sp.Name, func(t *testing.T) {
@@ -69,6 +69,7 @@ func TestOracleEquivalence(t *testing.T) {
 				} {
 					opts.Seed = seed
 					e := runWorkers(t, m, base, opts, ticks)
+					tiled = tiled || slices.Max(e.TileEdges()) > 1
 					name := sp.Name
 					if opts.LoadBalance {
 						name += "/lb"
@@ -84,6 +85,9 @@ func TestOracleEquivalence(t *testing.T) {
 				}
 			}
 		})
+	}
+	if !tiled {
+		t.Error("no run grouped its selves by tiles wider than one cell")
 	}
 }
 
@@ -110,33 +114,6 @@ func comparePops(t *testing.T, name string, seed uint64, workers int, want, got 
 	}
 }
 
-// digest is FNV-64a over the ID-ordered population's identity, liveness
-// and exact state and effect bits: two populations share it only if they
-// agree bit for bit.
-func digest(pop []*agent.Agent) uint64 {
-	h := fnv.New64a()
-	var b [8]byte
-	put := func(v uint64) {
-		binary.LittleEndian.PutUint64(b[:], v)
-		h.Write(b[:])
-	}
-	for _, a := range pop {
-		put(uint64(a.ID))
-		if a.Dead {
-			put(1)
-		} else {
-			put(0)
-		}
-		for _, v := range a.State {
-			put(math.Float64bits(v))
-		}
-		for _, v := range a.Effect {
-			put(math.Float64bits(v))
-		}
-	}
-	return h.Sum64()
-}
-
 // TestOracleDigestAtBenchmarkShape runs the oracle on the benchmark's
 // fish shape — 2000 fish, the default scenario — where the engine's
 // multi-cell grids, grouped probes and halo joins all engage, and requires
@@ -151,9 +128,9 @@ func TestOracleDigestAtBenchmarkShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := digest(engine.Naive(m, clonePop(base), seed, ticks))
+	want := agent.Digest(engine.Naive(m, clonePop(base), seed, ticks))
 	for _, workers := range []int{1, 8} {
-		if got := digest(runWorkers(t, m, base, engine.Options{Workers: workers, Seed: seed}, ticks).Agents()); got != want {
+		if got := agent.Digest(runWorkers(t, m, base, engine.Options{Workers: workers, Seed: seed}, ticks).Agents()); got != want {
 			t.Errorf("fish ×2000, %d ticks, %d workers: digest %016x, oracle %016x", ticks, workers, got, want)
 		}
 	}

@@ -21,7 +21,7 @@
 // one index over every copy produces. Update order is immaterial
 // (state-effect pattern; per-agent RNG is a function of (seed, tick, ID)),
 // and so is the order of local-effect query phases, which part.query runs
-// grouped by grid cell. An unsplit tick probes every owned agent in the
+// grouped by tiles of grid cells. An unsplit tick probes every owned agent in the
 // late pass; a non-local model's in ascending ID order, the order its
 // Assigns fold in.
 package engine

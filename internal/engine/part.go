@@ -154,9 +154,10 @@ func (p *part) allSlots(n int) []int32 {
 // beside the core's.
 //
 // The selves run in groups that share a candidate block (queryEnv.group).
-// A local-effect model's selves are grouped by core-grid cell, walked in
-// the grid's cell order, and a halo row is a group of its own: each self
-// writes only its own effects, so its query phase may run in any order.
+// A local-effect model's selves are grouped by tiles of core-grid cells
+// sized to the grid's occupancy (groups), and a halo row is a group of
+// its own: each self writes only its own effects, so its query phase may
+// run in any order.
 // A non-local model's selves run one per group in the order given, which
 // is ascending ID: their Assigns fold into other agents' effects, and
 // that fold order is part of the result.
@@ -195,8 +196,11 @@ func (p *part) bind(halo *haloJoin) *queryEnv {
 }
 
 // groups runs a local-effect pass: each halo row alone, then the core
-// rows one core-grid cell at a time, in the grid's cell order (within a
-// cell, ascending slot).
+// rows one tile at a time. A tile is a square of t×t core-grid cells
+// (tileEdge), clipped at the grid's right and top edges; the tiles run
+// row-major from the grid's first cell, and within a tile the cells run
+// row-major and a cell's selves by ascending slot. At t = 1 a tile is one
+// cell and the walk is the grid's own order.
 func (p *part) groups(rows []int32) {
 	q := &p.env
 	n := int32(len(p.copies))
@@ -209,32 +213,68 @@ func (p *part) groups(rows []int32) {
 		}
 		p.sel[row>>6] |= 1 << (row & 63)
 	}
-	g, grp, cell := &p.grid, p.grp[:0], int32(-1)
-	for _, slot := range g.id {
-		if p.sel[slot>>6]&(1<<(slot&63)) == 0 {
-			continue
-		}
-		if c := g.cell[slot]; c != cell {
+	g, grp := &p.grid, p.grp[:0]
+	t := g.tileEdge()
+	for ty := 0; ty < g.ny; ty += t {
+		for tx := 0; tx < g.nx; tx += t {
+			grp = grp[:0]
+			// The cells of one tile row are adjacent in the bin layout.
+			for cy := ty; cy < min(ty+t, g.ny); cy++ {
+				c := cy * g.nx
+				for _, slot := range g.id[g.start[c+tx]:g.start[c+min(tx+t, g.nx)]] {
+					if p.sel[slot>>6]&(1<<(slot&63)) != 0 {
+						grp = append(grp, slot)
+					}
+				}
+			}
 			p.flush(grp)
-			grp, cell = grp[:0], c
 		}
-		grp = append(grp, slot)
 	}
-	p.flush(grp)
 	p.grp = grp
 }
 
-// minGroup is the fewest selves of one cell that share a block; fewer
+// tileMass is the cell population a group's tile should hold, counted the
+// way a copy sees it: tileEdge picks the smallest t with ω·t² ≥ tileMass.
+// The cell edge is half the visibility bound for every model, so what a
+// shared block saves depends only on how many selves share it. Swept on
+// the wall time of the scripted avoidance benchmark, ω ≈ 1.5–2.1 (4 runs of
+// 3 s each, shared 2-vCPU host, median agent-ticks/s): 0.77M with every
+// cell its own tile, 0.87M at 4 (t = 2), 0.90M at 10 (t = 3), 1.01M at 20
+// (t = 4). The fish school must keep t = 1: its ω is 17–20 at one
+// partition and 14–19 at eight (2000 fish, seed 7, 40 ticks), and at 16
+// its sparser partitions alone take t = 2, so eight partitions read 1.09×
+// the candidates of one (TestPartitionedCandidateWorkGuard fails). 10
+// keeps a margin below that.
+const tileMass = 10
+
+// tileEdge returns the pass's tile edge t in cells, chosen from the grid's
+// occupancy ω = Σk²/Σk over its cells' populations k: the population of
+// the cell a typical copy is in. A crowded grid keeps one cell to a tile;
+// a sparse one widens its tiles until a tile holds about tileMass copies.
+func (g *cellGrid) tileEdge() int {
+	var sq int64 // Σk²; Σk is every member
+	for c := 0; c < g.nx*g.ny; c++ {
+		k := int64(g.start[c+1] - g.start[c])
+		sq += k * k
+	}
+	t := 1
+	for int64(t*t)*sq < tileMass*int64(len(g.id)) {
+		t++
+	}
+	return t
+}
+
+// minGroup is the fewest selves of one tile that share a block; fewer
 // probe alone. A block is wider than any one probe's disc (it covers the
-// disc of every point of the group's box), so sharing pays only once it
-// saves more cell reads than the wider filters cost. Measured on Visited
-// per agent-tick: the scripted avoidance benchmark, ≈1.1 selves to a
-// cell, reads 22.5 when every cell shares and 21.3 from 3 up, the same
-// as one probe per agent; the fish school, 16 to a cell, reads least at 4
-// to 6.
+// disc of every point of the group's box), so sharing pays only once the
+// reads it saves outweigh the wider filters. Swept on wall time with
+// tileMass at 10 (3 runs of 3 s each, shared 2-vCPU host, median
+// agent-ticks/s): the scripted avoidance benchmark read 0.87M, 0.93M and
+// 0.86M at 2, 4 and 8, the fish school 0.33M, 0.34M and 0.32M, no
+// difference beyond the host's noise.
 const minGroup = 4
 
-// flush runs one cell's selves: as one group when there are enough of
+// flush runs one tile's selves: as one group when there are enough of
 // them, else one at a time.
 func (p *part) flush(selves []int32) {
 	if len(selves) >= minGroup {
