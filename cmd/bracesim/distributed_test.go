@@ -370,6 +370,11 @@ func TestDistributeFlagValidation(t *testing.T) {
 		!strings.Contains(errOut, "registry") {
 		t.Errorf("-script with -distribute accepted: %s", errOut)
 	}
+	// The peer mesh carries every run; there is no topology to choose.
+	if code, _, errOut := runCLI(t, "-distribute", "tcp", "-worker-addrs", "127.0.0.1:1", "-mesh"); code != 2 ||
+		!strings.Contains(errOut, "flag provided but not defined: -mesh") {
+		t.Errorf("-mesh: exit %d, stderr %q; want 2 and an undefined-flag error", code, errOut)
+	}
 	// A negative cadence or timeout fails the run before any dial (the
 	// address is never contacted), as it does over POST /v1/runs.
 	for _, bad := range [][]string{{"-ckpt-full-every", "-1"}, {"-dial-timeout", "-1s"}} {
@@ -432,7 +437,6 @@ func TestDistributeTCPMeshRegistration(t *testing.T) {
 		Scenario: "epidemic",
 		Agents:   120, Seed: 9,
 		Partitions: 4, Ticks: 6,
-		Tunables: distrib.Tunables{Mesh: true},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -466,9 +470,9 @@ func TestDistributeTCPMeshRegistration(t *testing.T) {
 }
 
 // The same discovery path through the CLI flags: `-registry` owns the
-// registry socket, `-await-workers` gates on fleet width, `-mesh` moves
-// the data plane onto peer links. Workers retry their registry dial, so
-// they can be spawned before the coordinator binds the socket.
+// registry socket, `-await-workers` gates on fleet width, and the data
+// plane runs on peer links. Workers retry their registry dial, so they can
+// be spawned before the coordinator binds the socket.
 func TestDistributeTCPMeshRegistrationCLI(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns OS processes")
@@ -486,7 +490,7 @@ func TestDistributeTCPMeshRegistrationCLI(t *testing.T) {
 	spawnWorker(t, workerRegisterEnv+"="+regAddr)
 
 	code, out, errOut := runCLI(t,
-		"-distribute", "tcp", "-registry", regAddr, "-await-workers", "2", "-mesh",
+		"-distribute", "tcp", "-registry", regAddr, "-await-workers", "2",
 		"-model", "epidemic", "-agents", "120", "-ticks", "6", "-workers", "4", "-seed", "9")
 	if code != 0 {
 		t.Fatalf("exit = %d, stderr:\n%s", code, errOut)

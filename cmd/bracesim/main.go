@@ -297,7 +297,6 @@ var flagModes = map[string]struct {
 	"worker-addrs":    {modeDistribute, ""},
 	"registry":        {modeDistribute, ""},
 	"await-workers":   {modeDistribute, ""},
-	"mesh":            {modeDistribute, ""},
 	"heartbeat":       {modeDistribute, ""},
 	"epoch-timeout":   {modeDistribute, ""},
 	"dial-timeout":    {modeDistribute, ""},

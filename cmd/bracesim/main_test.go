@@ -95,7 +95,7 @@ func TestFlagsRejectedOutsideTheirModes(t *testing.T) {
 		args []string
 		want []string
 	}{
-		{"submit drops -mesh", []string{"-submit", svc, "-mesh"}, []string{"-mesh only applies with -distribute"}},
+		{"submit drops -epoch-timeout", []string{"-submit", svc, "-epoch-timeout", "1s"}, []string{"-epoch-timeout only applies with -distribute"}},
 		{"submit keeps -ckpt-full-every out of the error", []string{"-submit", svc, "-ckpt-full-every", "2", "-registry", ":0"},
 			[]string{"-registry only applies with -distribute"}},
 		{"distribute drops -invert", []string{"-distribute", "tcp", "-worker-addrs", worker, "-invert"},

@@ -430,14 +430,19 @@ func TestDaemonFlagValidation(t *testing.T) {
 	if code := run([]string{"-no-such"}, nil, io.Discard, io.Discard); code != 2 {
 		t.Errorf("bad flag: exit = %d, want 2", code)
 	}
+	// The peer mesh carries every run; there is no topology to choose.
+	var stderr strings.Builder
+	if code := run([]string{"-local-workers", "2", "-mesh"}, nil, io.Discard, &stderr); code != 2 ||
+		!strings.Contains(stderr.String(), "flag provided but not defined: -mesh") {
+		t.Errorf("-mesh: exit = %d, stderr %q; want 2 and an undefined-flag error", code, stderr.String())
+	}
 }
 
-// The self-contained fleet now wires itself through registration: with
-// -mesh the local workers' sessions exchange envelopes directly, the run
-// completes over HTTP as before, and /v1/fleet reports every worker as
-// registered.
+// The self-contained fleet now wires itself through registration: the
+// local workers' sessions exchange envelopes directly, the run completes
+// over HTTP as before, and /v1/fleet reports every worker as registered.
 func TestDaemonLocalWorkersRegistryMesh(t *testing.T) {
-	base := startDaemon(t, "-listen", "127.0.0.1:0", "-local-workers", "2", "-mesh")
+	base := startDaemon(t, "-listen", "127.0.0.1:0", "-local-workers", "2")
 	st := postRun(t, base, `{"scenario":"epidemic","agents":90,"seed":4,"ticks":20,"epoch_ticks":5}`)
 	waitDone(t, base, st.ID, 60*time.Second)
 
@@ -462,7 +467,7 @@ func TestDaemonLocalWorkersRegistryMesh(t *testing.T) {
 
 // An externally-owned registry fleet: real worker OS processes announce
 // themselves at the daemon's -registry socket (no -worker-addrs, no
-// -local-workers) and a mesh run completes over them.
+// -local-workers) and a run on their peer mesh completes over them.
 func TestDaemonRegistryMeshWorkerProcesses(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns OS processes")
@@ -479,7 +484,7 @@ func TestDaemonRegistryMeshWorkerProcesses(t *testing.T) {
 	spawnWorker(t, workerRegisterEnv+"="+regAddr)
 	spawnWorker(t, workerRegisterEnv+"="+regAddr)
 
-	base := startDaemon(t, "-listen", "127.0.0.1:0", "-registry", regAddr, "-mesh")
+	base := startDaemon(t, "-listen", "127.0.0.1:0", "-registry", regAddr)
 
 	// Wait for both announcements to land: runs submitted into an empty
 	// fleet are rejected, not queued.

@@ -13,12 +13,12 @@ import (
 )
 
 // Run executes a distributed simulation from the coordinator: dial every
-// worker daemon, handshake, then run the control loop — relay the data
-// plane through a transport.Hub while owning the control plane (placement,
-// load balancing, checkpoints, failure recovery) — until every live worker
-// reports its final state. The coordinator does no simulation compute: it
-// is the master of §3.3, interacting with workers only at epoch
-// boundaries.
+// worker daemon, handshake, then run the control loop — own the control
+// plane (placement, load balancing, checkpoints, failure recovery) through
+// a transport.Hub, which also relays the data plane of any peer link that
+// is down — until every live worker reports its final state. The
+// coordinator does no simulation compute: it is the master of §3.3,
+// interacting with workers only at epoch boundaries.
 func Run(o Options) (*Result, error) {
 	if o.Registry != nil && len(o.Addrs) == 0 {
 		for _, w := range o.Registry.Workers() {
@@ -29,10 +29,10 @@ func Run(o Options) (*Result, error) {
 	if err := o.validate(); err != nil {
 		return nil, err
 	}
-	if o.Mesh && o.RunID == "" {
+	if o.RunID == "" {
 		// Peer links address sessions by (run, process) on the target
-		// daemon, so a mesh run must have a distinguishable identity even
-		// when the caller did not name one.
+		// daemon, so a run must have a distinguishable identity even when
+		// the caller did not name one.
 		o.RunID = randomRunID()
 	}
 	if o.DialTimeout == 0 {
@@ -136,8 +136,8 @@ type ckptRound struct {
 // coordinator wraps the master (engine.Master: epoch decisions, checkpoint
 // store, rollback) with what needs a network: the hub, liveness, placement,
 // generations and which processes have reported. It runs single-threaded
-// over the hub's event stream: the hub's relay goroutines move the data
-// plane without ever entering this loop.
+// over the hub's event stream: the hub's relay goroutines move whatever
+// data-plane traffic falls back to them without ever entering this loop.
 type coordinator struct {
 	o     Options
 	m     *engine.Master
@@ -531,9 +531,9 @@ func (c *coordinator) recoverFrom(src int, cause error) error {
 // last complete checkpoint under the (already bumped) generation: half-
 // assembled barrier state is discarded, the master truncates its decision
 // log to the restored tick, and every live worker gets a Restore carrying
-// its partitions — plus the peer roster in mesh runs, so transports
-// re-fence their peer links alongside their generation. Workers whose
-// Restore could not be sent are returned for the caller's recovery loop.
+// its partitions and the peer roster, so transports re-fence their peer
+// links alongside their generation. Workers whose Restore could not be sent
+// are returned for the caller's recovery loop.
 func (c *coordinator) rewind() []int {
 	assign := c.place.Assign()
 	c.hub.SetAssign(assign)
@@ -556,9 +556,7 @@ func (c *coordinator) rewind() []int {
 			Assign:  assign,
 			Live:    append([]bool(nil), c.live...),
 			CkptSeq: ck.Seq,
-		}
-		if c.o.Mesh {
-			rest.Peers = append([]string(nil), c.o.Addrs...)
+			Peers:   append([]string(nil), c.o.Addrs...),
 		}
 		for _, q := range c.place.Owned(p) {
 			rest.Parts = append(rest.Parts, ck.Parts[q])
@@ -616,8 +614,8 @@ func (c *coordinator) admit(w RegisteredWorker) error {
 	return nil
 }
 
-// randomRunID names an anonymous mesh run. Collisions only matter within
-// one daemon fleet at one moment, so 64 random bits are plenty.
+// randomRunID names a run whose caller named none. Collisions only matter
+// within one daemon fleet at one moment, so 64 random bits are plenty.
 func randomRunID() string {
 	var b [8]byte
 	if _, err := rand.Read(b[:]); err != nil {

@@ -1,8 +1,9 @@
 // Package distrib runs a BRACE simulation across real OS processes: a
 // coordinator (bracesim -distribute tcp) dials one or more worker daemons
-// (bracesim-worker), hands each a Hello naming a registry scenario and the
-// coordinator-owned partition assignment, and relays the per-phase
-// envelope traffic between them over the TCP transport.
+// (bracesim-worker), hands each a Hello naming a registry scenario, the
+// coordinator-owned partition assignment and the peer roster, and the
+// workers exchange the per-phase envelope traffic directly over the TCP
+// transport's peer mesh, with the coordinator as relay fallback.
 //
 // The design exploits what makes BRACE's dataflow distributable in the
 // first place: behavior is *code*, reconstructible anywhere from the
@@ -50,8 +51,8 @@ type Options struct {
 	// Addrs[i]. The coordinator computes the partition placement.
 	Addrs []string
 	// RunID scopes the run's worker sessions when the daemons serve many
-	// concurrent coordinators (the bracesimd fleet). Purely diagnostic on
-	// the wire; empty for single-run CLI coordinators.
+	// concurrent coordinators (the bracesimd fleet): peer links address a
+	// session by (RunID, process). Empty draws a random one.
 	RunID string
 	// Scenario is the registry name every process rebuilds locally.
 	Scenario string
@@ -73,7 +74,7 @@ type Options struct {
 	// previous checkpoint. 1 ships full state every time; 0 means
 	// DefaultCheckpointFullEvery.
 	CheckpointFullEvery int
-	// Tunables are the deployment knobs: liveness timeouts and topology.
+	// Tunables are the deployment knobs: liveness timeouts.
 	Tunables
 	// Index selects the spatial index (zero value: the cell grid).
 	Index spatial.Kind
@@ -120,10 +121,10 @@ type Options struct {
 }
 
 // Tunables are the coordinator's deployment knobs: how it watches the
-// fleet and which topology carries the data plane. They belong to where
-// the run is deployed, not to what it simulates, so the bracesimd service
-// sets them once for every run (service.Config embeds them) and both CLIs
-// bind them through Bind. The zero value selects the defaults.
+// fleet. They belong to where the run is deployed, not to what it
+// simulates, so the bracesimd service sets them once for every run
+// (service.Config embeds them) and both CLIs bind them through Bind. The
+// zero value selects the defaults.
 type Tunables struct {
 	// Heartbeat is the coordinator's liveness ping interval. 0 means
 	// DefaultHeartbeat; negative disables heartbeats. A worker silent for
@@ -137,15 +138,13 @@ type Tunables struct {
 	// DialTimeout bounds dialing + handshaking each worker, at startup and
 	// when re-admitting a dead one (0 = DefaultDialTimeout).
 	DialTimeout time.Duration
-	// Mesh routes data-plane envelope traffic directly between worker
-	// peers instead of relaying it through the coordinator hub; control
-	// frames (stats, directives, checkpoints, pings) stay on the star.
-	// Peer pairs that cannot reach each other fall back to the hub relay,
-	// so the switch changes topology, never results.
+	// Mesh does nothing: the peer mesh carries every run's data plane.
+	// No flag binds it and nothing reads it; it is kept only until the
+	// benchmark module, which still sets it, stops doing so.
 	Mesh bool
 }
 
-// Bind registers the four deployment flags on fs; prefix leads each help
+// Bind registers the three deployment flags on fs; prefix leads each help
 // line (bracesim says which mode the flag applies to).
 func (t *Tunables) Bind(fs *flag.FlagSet, prefix string) {
 	fs.DurationVar(&t.Heartbeat, "heartbeat", 0, fmt.Sprintf(
@@ -156,8 +155,6 @@ func (t *Tunables) Bind(fs *flag.FlagSet, prefix string) {
 		prefix, DefaultEpochTimeout))
 	fs.DurationVar(&t.DialTimeout, "dial-timeout", 0, fmt.Sprintf(
 		"%sworker dial+handshake budget, also when re-admitting a dead worker (0 = default %v)", prefix, DefaultDialTimeout))
-	fs.BoolVar(&t.Mesh, "mesh", false,
-		prefix+"peer-mesh data plane: workers exchange neighbor envelopes directly and only the control plane crosses the coordinator")
 }
 
 // Defaults for the coordinator's options, exported so every CLI
@@ -215,10 +212,10 @@ type Result struct {
 	// mid-run registration placed through the join path).
 	Joins int
 	// RelayedDataFrames/RelayedDataBytes count the data-plane envelope
-	// frames the coordinator relayed. In a star run that is all of them;
-	// in a healthy mesh run both stay zero — the chaos suite's evidence
-	// that envelopes really traveled peer-to-peer — and any nonzero count
-	// under an injected peer-link fault is the relay fallback working.
+	// frames the coordinator relayed. In a healthy run both stay zero —
+	// the loopback and chaos suites' evidence that envelopes really
+	// traveled peer-to-peer — and any nonzero count under an injected
+	// peer-link fault is the relay fallback working.
 	RelayedDataFrames int64
 	RelayedDataBytes  int64
 	// CheckpointBytes is the wire size of every checkpoint frame workers
@@ -286,9 +283,11 @@ func checkSize(agents, partitions int) error {
 }
 
 // hello builds worker proc's handshake for the given generation and
-// placement.
+// placement. Peers is the roster: Peers[i] is process i's daemon address,
+// which the other workers' transports dial lazily for direct neighbor
+// exchange.
 func (o *Options) hello(proc, gen int, assign []int) *transport.Hello {
-	h := &transport.Hello{
+	return &transport.Hello{
 		Proto:       transport.ProtoVersion,
 		RunID:       o.RunID,
 		Proc:        proc,
@@ -304,14 +303,8 @@ func (o *Options) hello(proc, gen int, assign []int) *transport.Hello {
 		Ticks:       o.Ticks,
 		EpochTicks:  o.EpochTicks,
 		Index:       o.Index,
+		Peers:       append([]string(nil), o.Addrs...),
 	}
-	if o.Mesh {
-		// The peer roster: Peers[i] is process i's daemon address, which
-		// the worker's transport dials lazily for direct neighbor
-		// exchange. Its presence is what switches a session into mesh mode.
-		h.Peers = append([]string(nil), o.Addrs...)
-	}
-	return h
 }
 
 // initialState derives the run's tick-0 checkpoint on the coordinator: the

@@ -66,17 +66,25 @@ func memReference(t *testing.T, name string, agents int, extent float64, seed ui
 // TestLoopbackTCPBitIdentical is the tentpole's acceptance oracle: a run
 // across real sockets, with the partitions split over ≥ 2 worker
 // processes, must end in bit-identical state to the in-memory transport
-// at the same seed and partition count for local-effect scenarios.
+// at the same seed and partition count, for every registered
+// local-effect scenario — and the peer mesh must carry its own data
+// plane: the coordinator relays no data frame in a healthy run.
 func TestLoopbackTCPBitIdentical(t *testing.T) {
 	const (
 		agents = 96
-		extent = 30.0
 		seed   = uint64(5)
 		parts  = 4
 		ticks  = 8
 	)
-	for _, name := range []string{"epidemic", "evacuate", "fish"} {
-		name := name
+	for _, sp := range scenario.All() {
+		if !sp.LocalOnly {
+			continue // non-local effects are not bit-stable across partitionings
+		}
+		name := sp.Name
+		extent := 30.0
+		if name == "traffic" {
+			extent = 1800 // traffic derives its population from Extent
+		}
 		t.Run(name, func(t *testing.T) {
 			want := memReference(t, name, agents, extent, seed, parts, ticks)
 			res, err := Run(Options{
@@ -91,16 +99,13 @@ func TestLoopbackTCPBitIdentical(t *testing.T) {
 			if res.Ticks != ticks || res.Procs != 2 {
 				t.Fatalf("ticks=%d procs=%d", res.Ticks, res.Procs)
 			}
-			if len(res.Agents) != len(want) {
-				t.Fatalf("population sizes differ: tcp %d vs mem %d", len(res.Agents), len(want))
-			}
-			for i := range want {
-				if !want[i].Equal(res.Agents[i]) {
-					t.Fatalf("agent %d differs:\n  mem: %v\n  tcp: %v", want[i].ID, want[i], res.Agents[i])
-				}
-			}
+			assertSamePopulation(t, name+"/loopback", want, res.Agents)
 			if res.Net.SentMsgs == 0 {
 				t.Error("no traffic crossed the wire; the run was not actually distributed")
+			}
+			if res.RelayedDataFrames != 0 {
+				t.Errorf("coordinator relayed %d data frames (%d bytes); a healthy mesh carries its own data plane",
+					res.RelayedDataFrames, res.RelayedDataBytes)
 			}
 		})
 	}
@@ -129,16 +134,29 @@ func TestLoopbackTCPUnevenBlocks(t *testing.T) {
 	}
 }
 
+// cutAllPeers cuts every outgoing peer link of a session before its first
+// send, so the coordinator relay carries the session's whole data plane.
+func cutAllPeers(tr transport.Transport, h *transport.Hello) transport.Transport {
+	for dst := 0; dst < h.NumProcs; dst++ {
+		if dst != h.Proc {
+			tr.(*transport.TCP).CutPeer(dst)
+		}
+	}
+	return tr
+}
+
 // The cross-transport load-balancing oracle: `-lb` over loopback TCP must
 // make the *same migration decisions* as the in-memory engine — same
 // rebalanced-or-not verdict and same strip cuts at every epoch — and end in
 // bit-identical state, for every registered local-effect scenario in the
-// suite, with the data plane on the coordinator relay (star) and on direct
-// peer links (mesh). This is what one master buys: engine.Master on
-// worker statistics ≡ engine.Master on in-process state. The daemons are one-shot (Once), so the
-// mesh half also pins that such a daemon keeps accepting peer links while
-// its one coordinator session runs: no data frame may fall back to the
-// relay.
+// suite. This is what one master buys: engine.Master on worker statistics
+// ≡ engine.Master on in-process state. Each scenario runs twice: with the
+// data plane on direct peer links, and with every peer link cut before the
+// first send, so the coordinator relay carries all of it while checkpoint
+// frames of every epoch share the hub with it. The first run's daemons are
+// one-shot (Once), so it also pins that such a daemon keeps accepting peer
+// links while its one coordinator session runs: no data frame may fall
+// back to the relay.
 func TestLoopbackTCPLoadBalanceEquivalence(t *testing.T) {
 	const (
 		agents = 96
@@ -174,47 +192,57 @@ func TestLoopbackTCPLoadBalanceEquivalence(t *testing.T) {
 			}
 			memEpochs := mem.Epochs()
 
-			var star agent.Population
-			for _, mesh := range []bool{false, true} {
+			for _, run := range []struct {
+				path  string
+				addrs []string
+				ckpt  int
+			}{
+				{"peer links", startWorkers(t, 2), 0},
+				{"relay", startChaosWorkers(t, 2, cutAllPeers), 1},
+			} {
 				res, err := Run(Options{
-					Addrs:    startWorkers(t, 2),
+					Addrs:    run.addrs,
 					Scenario: name,
 					Agents:   agents, Extent: extent, Seed: seed,
 					Partitions: parts, Ticks: ticks,
-					EpochTicks: epoch, Tunables: Tunables{Mesh: mesh},
+					EpochTicks: epoch, CheckpointEveryEpochs: run.ckpt,
 					LoadBalance: true, Balancer: bal,
 				})
 				if err != nil {
-					t.Fatalf("mesh=%v: %v", mesh, err)
+					t.Fatalf("%s: %v", run.path, err)
 				}
 
 				// Identical migration decisions and cuts, epoch by epoch.
 				if len(memEpochs) != len(res.Epochs) {
-					t.Fatalf("mesh=%v: epoch counts differ: mem %d vs tcp %d", mesh, len(memEpochs), len(res.Epochs))
+					t.Fatalf("%s: epoch counts differ: mem %d vs tcp %d", run.path, len(memEpochs), len(res.Epochs))
 				}
 				for i, me := range memEpochs {
 					te := res.Epochs[i]
 					if me.Tick != te.Tick || me.Rebalanced != te.Rebalanced {
-						t.Errorf("mesh=%v epoch %d: mem (tick %d, rebalanced %v) vs tcp (tick %d, rebalanced %v)",
-							mesh, i, me.Tick, me.Rebalanced, te.Tick, te.Rebalanced)
+						t.Errorf("%s epoch %d: mem (tick %d, rebalanced %v) vs tcp (tick %d, rebalanced %v)",
+							run.path, i, me.Tick, me.Rebalanced, te.Tick, te.Rebalanced)
 					}
 					if !slices.Equal(memCuts[i], te.Cuts) {
-						t.Fatalf("mesh=%v epoch %d: cuts differ: mem %v vs tcp %v", mesh, i, memCuts[i], te.Cuts)
+						t.Fatalf("%s epoch %d: cuts differ: mem %v vs tcp %v", run.path, i, memCuts[i], te.Cuts)
 					}
 				}
 				if res.Rebalances == 0 {
-					t.Error("no rebalances happened; the equivalence was not exercised")
+					t.Errorf("%s: no rebalances happened; the equivalence was not exercised", run.path)
 				}
 
 				// Identical final state.
-				assertSamePopulation(t, name+"/lb-equivalence", mem.Agents(), res.Agents)
-				if !mesh {
-					star = res.Agents
+				assertSamePopulation(t, name+"/lb-equivalence/"+run.path, mem.Agents(), res.Agents)
+				if run.ckpt == 0 {
+					if res.RelayedDataFrames != 0 {
+						t.Errorf("coordinator relayed %d data frames; one-shot daemons must still accept peer links", res.RelayedDataFrames)
+					}
 					continue
 				}
-				assertSamePopulation(t, name+"/mesh-vs-star", star, res.Agents)
-				if res.RelayedDataFrames != 0 {
-					t.Errorf("coordinator relayed %d data frames; one-shot daemons must still accept peer links", res.RelayedDataFrames)
+				if res.RelayedDataFrames == 0 {
+					t.Error("relay: no data frames were relayed; the peer links were never cut")
+				}
+				if res.Recoveries != 0 {
+					t.Errorf("relay: recoveries = %d, want 0: a link that is down is not a dead worker", res.Recoveries)
 				}
 			}
 		})
@@ -246,11 +274,12 @@ func TestHandshakeRejection(t *testing.T) {
 
 	// A Hello this daemon must not serve is refused by checkHello — before
 	// anything is built from it — and the daemon says why on the Ack
-	// instead of hanging up: version skew (typed), and run sizes outside
-	// the limits, which would otherwise size a population from a number
-	// read off the network.
+	// instead of hanging up: version skew (typed), run sizes outside the
+	// limits, which would otherwise size a population from a number read
+	// off the network, and a roster or run ID that peer links could not
+	// use.
 	hello := func(mut func(*transport.Hello)) *transport.Hello {
-		h := (&Options{Addrs: []string{"x"}, Scenario: "epidemic", Partitions: 1}).hello(0, 1, []int{0})
+		h := (&Options{Addrs: []string{"x"}, RunID: "run-1", Scenario: "epidemic", Partitions: 1}).hello(0, 1, []int{0})
 		mut(h)
 		return h
 	}
@@ -274,6 +303,11 @@ func TestHandshakeRejection(t *testing.T) {
 		{"agents over limit", "agents outside the limit", hello(func(h *transport.Hello) { h.Agents = MaxAgents + 1 })},
 		{"negative agents", "agents outside the limit", hello(func(h *transport.Hello) { h.Agents = -1 })},
 		{"negative epoch ticks", "negative epoch ticks", hello(func(h *transport.Hello) { h.EpochTicks = -3 })},
+		// A coordinator from before every run was a mesh sent no roster
+		// and no run ID.
+		{"star hello", "Peers lists 0 addresses for 1 processes", hello(func(h *transport.Hello) { h.Peers, h.RunID = nil, "" })},
+		{"roster longer than the fleet", "Peers lists 2 addresses for 1 processes", hello(func(h *transport.Hello) { h.Peers = []string{"x", "y"} })},
+		{"empty run ID", "empty RunID", hello(func(h *transport.Hello) { h.RunID = "" })},
 		{"partitions over limit", "partitions outside the limit", hello(func(h *transport.Hello) {
 			h.Partitions = MaxPartitions + 1
 			h.Assign = make([]int, h.Partitions)

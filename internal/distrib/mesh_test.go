@@ -6,80 +6,13 @@ import (
 	"time"
 
 	"github.com/bigreddata/brace/internal/engine"
-	"github.com/bigreddata/brace/internal/partition"
-	"github.com/bigreddata/brace/internal/scenario"
 	"github.com/bigreddata/brace/internal/transport"
 )
 
-// startMeshWorkers launches n multi-session worker daemons that route
-// peer links: exactly what startChaosWorkers builds, minus the fault
-// wrapper. Mesh runs need multi-session daemons because a peer dial is a
-// second connection to the same listener.
-func startMeshWorkers(t *testing.T, n int) []string {
-	t.Helper()
-	return startChaosWorkers(t, n, nil)
-}
-
-// TestMeshBitIdenticalRegistryWide is the tentpole's equivalence oracle:
-// with the peer mesh carrying the data plane, every registered
-// local-effect scenario — load balancing on, so cuts move mid-run — must
-// end bit-identical to the in-memory engine, and the coordinator must
-// relay zero data frames in steady state (the star carried them all
-// before this PR).
-func TestMeshBitIdenticalRegistryWide(t *testing.T) {
-	const (
-		agents = 96
-		seed   = uint64(5)
-		parts  = 4
-		ticks  = 12
-		epoch  = 4
-	)
-	bal := partition.Balancer{MigrateCostPerAgent: 1e-9, HorizonTicks: 1000, MinRelativeGain: 0.01}
-	for _, sp := range scenario.All() {
-		if !sp.LocalOnly {
-			continue // non-local effects are not bit-stable across partitionings
-		}
-		name := sp.Name
-		extent := 30.0
-		if name == "traffic" {
-			extent = 1800 // traffic derives its population from Extent
-		}
-		t.Run(name, func(t *testing.T) {
-			mem := memEngine(t, name, agents, extent, seed, engine.Options{
-				Workers: parts, Seed: seed,
-				EpochTicks:  epoch,
-				LoadBalance: true, Balancer: bal,
-			})
-			if err := mem.RunTicks(ticks); err != nil {
-				t.Fatal(err)
-			}
-			res, err := Run(Options{
-				Addrs:    startMeshWorkers(t, 2),
-				Scenario: name,
-				Agents:   agents, Extent: extent, Seed: seed,
-				Partitions: parts, Ticks: ticks,
-				EpochTicks: epoch, Tunables: Tunables{Mesh: true},
-				LoadBalance: true, Balancer: bal,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertSamePopulation(t, name+"/mesh", mem.Agents(), res.Agents)
-			if res.Net.SentMsgs == 0 {
-				t.Error("no traffic crossed the wire; the run was not distributed")
-			}
-			if res.RelayedDataFrames != 0 {
-				t.Errorf("coordinator relayed %d data frames (%d bytes); a healthy mesh carries its own data plane",
-					res.RelayedDataFrames, res.RelayedDataBytes)
-			}
-		})
-	}
-}
-
-// SIGKILL-style chaos with the mesh on: a worker session severed mid-run
-// must recover exactly as on the star path — re-placed from the last
-// coordinated checkpoint, re-admitted at the next generation with a fresh
-// peer roster — and end bit-identical to the unfailed reference.
+// SIGKILL-style chaos on the peer mesh: a worker session severed mid-run
+// must recover — re-placed from the last coordinated checkpoint,
+// re-admitted at the next generation with a fresh peer roster — and end
+// bit-identical to the unfailed reference.
 func TestMeshRecoveryBitIdentical(t *testing.T) {
 	const (
 		agents = 96
@@ -101,7 +34,7 @@ func TestMeshRecoveryBitIdentical(t *testing.T) {
 		Scenario: "epidemic",
 		Agents:   agents, Extent: extent, Seed: seed,
 		Partitions: parts, Ticks: ticks,
-		EpochTicks: epoch, CheckpointEveryEpochs: 1, Tunables: Tunables{Mesh: true},
+		EpochTicks: epoch, CheckpointEveryEpochs: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -115,7 +48,7 @@ func TestMeshRecoveryBitIdentical(t *testing.T) {
 	assertSamePopulation(t, "mesh recovery", ref.Agents(), res.Agents)
 }
 
-// SIGSTOP-style chaos with the mesh on: the frozen worker raises no
+// SIGSTOP-style chaos on the peer mesh: the frozen worker raises no
 // socket error anywhere — including on its peer links — so only the
 // coordinator's heartbeat can break the barrier.
 func TestMeshStallBitIdentical(t *testing.T) {
@@ -139,7 +72,7 @@ func TestMeshStallBitIdentical(t *testing.T) {
 		Scenario: "epidemic",
 		Agents:   agents, Extent: extent, Seed: seed,
 		Partitions: parts, Ticks: ticks,
-		EpochTicks: epoch, CheckpointEveryEpochs: 1, Tunables: Tunables{Mesh: true},
+		EpochTicks: epoch, CheckpointEveryEpochs: 1,
 	}
 	fastLiveness(&o)
 	res, err := Run(o)
@@ -155,7 +88,7 @@ func TestMeshStallBitIdentical(t *testing.T) {
 	assertSamePopulation(t, "mesh stall", ref.Agents(), res.Agents)
 }
 
-// Chaos in the overlapped tick's failure window, mesh on: the fault lands
+// Chaos in the overlapped tick's failure window on the peer mesh: the fault lands
 // between the interior pass and the boundary drain, so the victim's
 // envelopes and count markers are already out on the peer links when it
 // dies. The count-based barrier must stay exact through the recovery.
@@ -180,7 +113,7 @@ func TestMeshSeverInOverlapWindow(t *testing.T) {
 		Scenario: "epidemic",
 		Agents:   agents, Extent: extent, Seed: seed,
 		Partitions: parts, Ticks: ticks,
-		EpochTicks: epoch, CheckpointEveryEpochs: 1, Tunables: Tunables{Mesh: true},
+		EpochTicks: epoch, CheckpointEveryEpochs: 1,
 	}
 	fastLiveness(&o)
 	res, err := Run(o)
@@ -241,7 +174,7 @@ func TestMeshPeerLinkSeverRelaysAndMatches(t *testing.T) {
 		Scenario: "epidemic",
 		Agents:   agents, Extent: extent, Seed: seed,
 		Partitions: parts, Ticks: ticks,
-		EpochTicks: epoch, CheckpointEveryEpochs: 1, Tunables: Tunables{Mesh: true},
+		EpochTicks: epoch, CheckpointEveryEpochs: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -280,7 +213,7 @@ func TestMeshPeerLinkStallDedupsAndMatches(t *testing.T) {
 		Scenario: "epidemic",
 		Agents:   agents, Extent: extent, Seed: seed,
 		Partitions: parts, Ticks: ticks,
-		EpochTicks: epoch, CheckpointEveryEpochs: 1, Tunables: Tunables{Mesh: true},
+		EpochTicks: epoch, CheckpointEveryEpochs: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -356,7 +289,7 @@ func TestMeshMidRunRegistrationJoins(t *testing.T) {
 		Scenario: "epidemic",
 		Agents:   agents, Extent: extent, Seed: seed,
 		Partitions: parts, Ticks: ticks,
-		EpochTicks: epoch, CheckpointEveryEpochs: 1, Tunables: Tunables{Mesh: true},
+		EpochTicks: epoch, CheckpointEveryEpochs: 1,
 		Registry: reg,
 	}
 	res, err := Run(o)

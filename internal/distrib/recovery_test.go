@@ -332,7 +332,7 @@ func TestRestoreRefusesMalformedFrames(t *testing.T) {
 	}
 	valid := func() *transport.Restore {
 		return &transport.Restore{Gen: 2, Tick: 0, Cuts: cuts, Assign: []int{0, 0, 1, 1}, Live: []bool{true, true},
-			Parts: []transport.PartState{part(0), part(1)}}
+			Parts: []transport.PartState{part(0), part(1)}, Peers: []string{"a", "b"}}
 	}
 	for _, tc := range []struct {
 		name string
@@ -348,6 +348,8 @@ func TestRestoreRefusesMalformedFrames(t *testing.T) {
 		{"state for one partition twice", func(r *transport.Restore) { r.Parts[1] = part(0) }},
 		{"cuts for another partition count", func(r *transport.Restore) { r.Cuts = []float64{1} }},
 		{"delta state", func(r *transport.Restore) { r.Parts[0] = transport.PartState{Part: 0, Delta: []byte{1, 0}} }},
+		{"no roster", func(r *transport.Restore) { r.Peers = nil }},
+		{"roster shorter than the live set", func(r *transport.Restore) { r.Peers = r.Peers[:1] }},
 	} {
 		r := valid()
 		tc.edit(r)

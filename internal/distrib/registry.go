@@ -3,7 +3,7 @@
 // address they serve sessions on (bracesim-worker -register). The
 // coordinator (or the bracesimd daemon) owns the registry, waits for the
 // fleet it needs, and keeps listening: a worker that registers mid-run is
-// admitted into a running mesh through the same placement path a
+// admitted into a running fleet through the same placement path a
 // re-admitted worker uses.
 package distrib
 

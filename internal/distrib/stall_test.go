@@ -188,8 +188,8 @@ func TestWorkerCoordinatorWatchdog(t *testing.T) {
 	defer nc.Close()
 	fc := transport.NewConn(nc)
 	h := &transport.Hello{
-		Proto: transport.ProtoVersion, Proc: 0, NumProcs: 1,
-		Partitions: 1, Assign: []int{0}, Gen: 1,
+		Proto: transport.ProtoVersion, RunID: "run-1", Proc: 0, NumProcs: 1,
+		Partitions: 1, Assign: []int{0}, Gen: 1, Peers: []string{lis.Addr().String()},
 		Scenario: "epidemic", Agents: 2000, Seed: 1, Ticks: 1 << 30,
 		EpochTicks: 1 << 29,
 	}

@@ -19,8 +19,8 @@ type ServeOptions struct {
 	Log io.Writer
 	// Once makes the daemon exit when its first coordinator session ends
 	// (tests and one-shot jobs). Peer links are not sessions: the daemon
-	// keeps accepting them while that session runs, so a mesh run works
-	// over one-shot daemons.
+	// keeps accepting them while that session runs, so a run's peer mesh
+	// works over one-shot daemons.
 	Once bool
 	// Wrap, when non-nil, wraps each session's transport — always the
 	// session's *transport.TCP — before the engine sees it. Fault-injection
@@ -349,15 +349,10 @@ func serveSession(fc *transport.Conn, f *transport.Frame, so ServeOptions) error
 	if rejoining {
 		tGen = h.Gen - 1
 	}
-	tcp := transport.NewTCP(fc, h.Proc, h.NumProcs, h.Partitions, h.Assign, tGen)
-	if len(h.Peers) > 0 {
-		tcp.EnableMesh(h.RunID, h.Peers)
-	}
-	if h.RunID != "" {
-		key := sessionKey(h.RunID, h.Proc)
-		so.sessions.put(key, tcp)
-		defer so.sessions.drop(key, tcp)
-	}
+	tcp := transport.NewTCP(fc, h, tGen)
+	key := sessionKey(h.RunID, h.Proc)
+	so.sessions.put(key, tcp)
+	defer so.sessions.drop(key, tcp)
 	var tr transport.Transport = tcp
 	if so.Wrap != nil {
 		tr = so.Wrap(tcp, h)
@@ -488,11 +483,11 @@ func awaitAndApplyRestore(eng *engine.Distributed, tcp *transport.TCP, h *transp
 
 // applyRestore checks a Restore the way checkHello checks a Hello — the
 // placement must cover every partition and name only processes the Restore
-// knows of, and the engine refuses state for a partition the placement
-// does not give this process — so a malformed one changes nothing. Then it
-// rewinds the engine to the checkpoint the Restore carries, which also
-// re-baselines its checkpoint producer, and re-fences the transport onto
-// the new generation.
+// knows of, the roster must name one address per process, and the engine
+// refuses state for a partition the placement does not give this process —
+// so a malformed one changes nothing. Then it rewinds the engine to the
+// checkpoint the Restore carries, which also re-baselines its checkpoint
+// producer, and re-fences the transport onto the new generation.
 func applyRestore(eng *engine.Distributed, tcp *transport.TCP, h *transport.Hello, r *transport.Restore) error {
 	if len(r.Assign) != h.Partitions {
 		return fmt.Errorf("distrib: restore assignment covers %d partitions, want %d", len(r.Assign), h.Partitions)
@@ -501,6 +496,9 @@ func applyRestore(eng *engine.Distributed, tcp *transport.TCP, h *transport.Hell
 		if pr < 0 || pr >= len(r.Live) {
 			return fmt.Errorf("distrib: restore assigns partition %d to unknown process %d of %d", p, pr, len(r.Live))
 		}
+	}
+	if len(r.Peers) != len(r.Live) {
+		return fmt.Errorf("distrib: restore Peers lists %d addresses for %d processes", len(r.Peers), len(r.Live))
 	}
 	ck := &engine.Checkpoint{Tick: r.Tick, Seq: r.CkptSeq, Cuts: r.Cuts, Parts: r.Parts}
 	if err := eng.RestoreCheckpoint(ck, ownedParts(r.Assign, h.Proc)); err != nil {
@@ -562,6 +560,12 @@ func checkHello(h *transport.Hello) (scenario.Spec, error) {
 		if pr < 0 || pr >= h.NumProcs {
 			return none, fmt.Errorf("partition %d assigned to unknown process %d", p, pr)
 		}
+	}
+	if len(h.Peers) != h.NumProcs {
+		return none, fmt.Errorf("Peers lists %d addresses for %d processes", len(h.Peers), h.NumProcs)
+	}
+	if h.RunID == "" {
+		return none, fmt.Errorf("empty RunID: peer links cannot address this session")
 	}
 	if h.Gen < 1 {
 		return none, fmt.Errorf("bad generation %d", h.Gen)

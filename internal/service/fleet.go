@@ -24,7 +24,7 @@ type WorkerInfo struct {
 	// Registered marks a worker that announced itself through the
 	// registry (-register) rather than being pre-wired via -worker-addrs.
 	Registered bool `json:"registered,omitempty"`
-	// PeerLinks is the worker-reported count of open mesh peer links.
+	// PeerLinks is the worker-reported count of open peer links.
 	PeerLinks int `json:"peer_links,omitempty"`
 }
 

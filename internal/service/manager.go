@@ -122,8 +122,8 @@ type Config struct {
 	KeyframeEvery int
 
 	// Tunables are the deployment knobs passed through to every run's
-	// coordinator — liveness timeouts and the mesh switch; zero values take
-	// the distrib.Default* values. The cadence knobs come from each RunSpec.
+	// coordinator — liveness timeouts; zero values take the
+	// distrib.Default* values. The cadence knobs come from each RunSpec.
 	distrib.Tunables
 
 	// Registry, when non-nil, is the worker registry the daemon's fleet

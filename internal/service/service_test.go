@@ -514,9 +514,9 @@ func TestSubmitBodyIsBoundedAndSingleValued(t *testing.T) {
 }
 
 // A registry-fed fleet end to end: the manager starts with no worker
-// addresses at all, daemons announce themselves, a mesh run completes
-// bit-identical to a star-fleet equivalent, and /v1/fleet's data reports
-// the workers as registered.
+// addresses at all, daemons announce themselves, a run on their peer mesh
+// completes bit-identical to the same run on a fleet named by address, and
+// /v1/fleet's data reports the workers as registered.
 func TestRegistryFedFleetMeshRun(t *testing.T) {
 	rlis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -538,7 +538,6 @@ func TestRegistryFedFleetMeshRun(t *testing.T) {
 
 	m, err := NewManager(Config{
 		Registry: reg,
-		Tunables: distrib.Tunables{Mesh: true},
 		Log:      io.Discard,
 	})
 	if err != nil {

@@ -17,7 +17,7 @@ package transport
 //     or silently-partitioned worker. No error, no EOF: every peer blocks at
 //     the barrier waiting for a marker that never comes, and only
 //     heartbeat/deadline liveness can break the hang.
-//   - CutPeer(dst) closes one outgoing mesh link. The run must not notice:
+//   - CutPeer(dst) closes one outgoing peer link. The run must not notice:
 //     traffic to dst falls back to the coordinator relay mid-epoch and the
 //     count-based barrier stays exact.
 //   - StallPeer(dst) makes that link fail *after* each write reaches the

@@ -6,16 +6,16 @@ import (
 	"sync"
 )
 
-// Hub is the coordinator's star: one framed connection per worker
-// process, each read by its own goroutine. In star runs it relays the
-// whole data plane — addressed Data frames and per-peer EndPhase markers
-// go to their Dst — and in mesh runs it is the control plane plus a relay
-// *fallback*: workers exchange data directly and the hub carries only
+// Hub is the coordinator's end of the control plane: one framed
+// connection per worker process, each read by its own goroutine. Workers
+// exchange data directly over peer links (see TCP); the hub carries
 // stats/directives/checkpoints/heartbeats, progress notes (Dst = -1
-// markers), and whatever traffic a failed peer link diverts back to it.
-// The count-based barrier protocol (see TCP) is path-independent, so the
-// fallback needs no ordering guarantees from the hub. Everything that is
-// not relayable surfaces as HubEvents for the coordinator's control loop.
+// markers), and, as the relay *fallback*, whatever a peer link that is
+// down diverts to it: addressed Data frames and per-peer EndPhase markers
+// go on to their Dst. The count-based barrier protocol (see TCP) is
+// path-independent, so the fallback needs no ordering guarantees from the
+// hub. Everything that is not relayable surfaces as HubEvents for the
+// coordinator's control loop.
 //
 // Routing is dynamic: frames carry their destination, the assignment
 // table backs up unaddressed ones, and both the table (SetAssign) and the
@@ -35,18 +35,19 @@ type Hub struct {
 }
 
 // HubTraffic is the relay's frame accounting, split by plane. In a healthy
-// mesh run the data-plane counters stay at zero in steady state — envelope
+// run the data-plane counters stay at zero in steady state — envelope
 // traffic and markers travel peer-to-peer and only progress notes and
-// control frames reach the star — which the chaos suite asserts; any
-// DataFrames that do appear are the relay fallback earning its keep.
+// control frames reach the hub — which the loopback and chaos suites
+// assert; any DataFrames that do appear are the relay fallback earning its
+// keep.
 type HubTraffic struct {
 	// DataFrames/DataBytes count relayed envelope (FrameData) traffic.
 	DataFrames, DataBytes int64
-	// MarkerFrames counts relayed end-of-phase markers (star mode, or a
-	// mesh pair whose direct link failed).
+	// MarkerFrames counts relayed end-of-phase markers: those of a pair
+	// whose direct link is down.
 	MarkerFrames int64
-	// ProgressFrames counts mesh progress notes (Dst = -1): markers the
-	// hub records for liveness and relays nowhere.
+	// ProgressFrames counts progress notes (Dst = -1): markers the hub
+	// records for liveness and relays nowhere.
 	ProgressFrames int64
 	// ControlFrames counts stats/checkpoint/final/pong frames surfaced to
 	// the coordinator loop.
@@ -306,7 +307,7 @@ func (h *Hub) relay(src int, c *Conn) {
 		case FrameEndPhase:
 			h.noteProgress(src, f.Gen, f.Phase)
 			if f.Dst < 0 {
-				// A mesh progress note: liveness evidence only, relayed
+				// A progress note: liveness evidence only, relayed
 				// nowhere.
 				h.mu.Lock()
 				h.traffic.ProgressFrames++

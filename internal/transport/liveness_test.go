@@ -59,7 +59,7 @@ func recvWithin(t *testing.T, c *Conn, d time.Duration) *Frame {
 // its process alive.
 func TestPingAnsweredByPong(t *testing.T) {
 	coord, worker := connPair(t)
-	tcp := NewTCP(worker, 1, 2, 2, []int{0, 1}, 1)
+	tcp := NewTCP(worker, &Hello{Proc: 1, NumProcs: 2, Partitions: 2, Assign: []int{0, 1}}, 1)
 	defer tcp.Close()
 
 	if err := coord.Send(&Frame{Kind: FramePing, Gen: 1}); err != nil {
@@ -79,7 +79,7 @@ func TestPingAnsweredByPong(t *testing.T) {
 // (the coordinator's force-drop) unwinds them.
 func TestStallSilencesWorker(t *testing.T) {
 	coord, worker := connPair(t)
-	tcp := NewTCP(worker, 0, 2, 2, []int{0, 1}, 1)
+	tcp := NewTCP(worker, &Hello{Proc: 0, NumProcs: 2, Partitions: 2, Assign: []int{0, 1}}, 1)
 	defer tcp.Close()
 	st := &FaultAt{Transport: tcp, Phase: 1, Do: tcp.Stall}
 

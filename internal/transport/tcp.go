@@ -19,10 +19,12 @@ const peerDialTimeout = 5 * time.Second
 // distributed (multi-process) BRACE cluster. The process computes the
 // partitions the coordinator assigned to it; a send between two of its own
 // partitions stays in memory (collocation), a send to any other partition
-// travels as a Data frame addressed to the owning process — directly over
-// a peer link when the mesh is on, through the coordinator relay otherwise.
-// The assignment is coordinator-owned state: it arrives in the handshake
-// and can change mid-run through a Restore.
+// travels as a Data frame addressed to the owning process over a direct
+// peer link: the processes form a mesh, dialed lazily from the roster the
+// handshake carries. The coordinator relay is the fallback for a link that
+// is down — unreachable, failed mid-send, or cut by fault injection. The
+// assignment and the roster are coordinator-owned state: they arrive in the
+// handshake and can change mid-run through a Restore.
 //
 // Phase completeness is counted, not ordered: every FlushPhase sends each
 // live peer an end-of-phase marker declaring how many Data frames this
@@ -70,7 +72,6 @@ type TCP struct {
 	stalled   bool                      // fault injection: process frozen (Stall)
 	lastRecv  time.Time                 // time of the last frame from the coordinator
 
-	mesh   bool
 	runID  string
 	peers  []string // data-plane addresses by process ("" = unreachable)
 	peerIn map[*Conn]bool
@@ -112,28 +113,32 @@ type phasedMsg struct {
 var _ Transport = (*TCP)(nil)
 
 // NewTCP wraps an already-handshaken coordinator connection as the
-// transport for worker process proc of procs, computing the partitions
-// assign maps to it out of parts total. gen is the generation the process
-// joins at (1 for a fresh run; a re-admitted worker passes Hello.Gen-1 so
-// that the new generation's traffic buffers until its Restore applies).
-// It starts the connection's reader goroutine, so the caller must not
-// Recv on fc afterwards.
-func NewTCP(fc *Conn, proc, procs, parts int, assign []int, gen int) *TCP {
-	if len(assign) != parts {
-		panic(fmt.Sprintf("transport: assignment covers %d partitions, want %d", len(assign), parts))
+// transport for the worker process h describes: process h.Proc of
+// h.NumProcs, computing the partitions h.Assign maps to it out of
+// h.Partitions total, with h.Peers as the data-plane roster (indexed by
+// process; "" marks a peer that is always reached through the relay) and
+// h.RunID scoping its peer handshakes to its run on daemons serving many
+// sessions. gen is the generation the process joins at (1 for a fresh run;
+// a re-admitted worker passes Hello.Gen-1 so that the new generation's
+// traffic buffers until its Restore applies). It starts the connection's
+// reader goroutine, so the caller must not Recv on fc afterwards.
+func NewTCP(fc *Conn, h *Hello, gen int) *TCP {
+	if len(h.Assign) != h.Partitions {
+		panic(fmt.Sprintf("transport: assignment covers %d partitions, want %d", len(h.Assign), h.Partitions))
 	}
+	procs, parts := h.NumProcs, h.Partitions
 	live := make([]bool, procs)
 	for i := range live {
 		live[i] = true
 	}
 	t := &TCP{
-		proc:     proc,
+		proc:     h.Proc,
 		procs:    procs,
 		parts:    parts,
 		fc:       fc,
 		metrics:  cluster.NewMetrics(parts),
 		gen:      gen,
-		assign:   append([]int(nil), assign...),
+		assign:   append([]int(nil), h.Assign...),
 		live:     live,
 		inbox:    make([][]phasedMsg, parts),
 		sent:     make([]uint32, procs),
@@ -141,6 +146,8 @@ func NewTCP(fc *Conn, proc, procs, parts int, assign []int, gen int) *TCP {
 		dedup:    newDedup(procs),
 		marks:    make(map[uint64]map[int]uint32),
 		recvd:    make(map[uint64]map[int]uint32),
+		runID:    h.RunID,
+		peers:    append([]string(nil), h.Peers...),
 		peerIn:   make(map[*Conn]bool),
 		links:    make([]*peerLink, procs),
 		lastRecv: time.Now(),
@@ -156,20 +163,6 @@ func newDedup(procs int) []recvSeq {
 		d[i].next = 1
 	}
 	return d
-}
-
-// EnableMesh turns on the peer-mesh data plane: envelope traffic and phase
-// markers go directly to the peer addresses in the roster (indexed by
-// process), with the coordinator relay as the fallback for peers that
-// cannot be reached. runID scopes this process's peer handshakes to its
-// run on daemons serving many sessions. Must be called before the first
-// Send; the roster can be refreshed later through Reset.
-func (t *TCP) EnableMesh(runID string, peers []string) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.mesh = true
-	t.runID = runID
-	t.peers = append([]string(nil), peers...)
 }
 
 func (t *TCP) readLoop() {
@@ -415,38 +408,29 @@ func (t *TCP) Send(m cluster.Message) error {
 }
 
 // sendFrame routes one addressed data-plane frame: over the direct peer
-// link when the mesh is on and the peer is reachable, through the
-// coordinator relay otherwise. A mid-send link failure falls back to the
-// relay with the same frame — the receiver's sequence dedup absorbs the
-// maybe-delivered original.
+// link when the peer is reachable, through the coordinator relay
+// otherwise. A mid-send link failure falls back to the relay with the same
+// frame — the receiver's sequence dedup absorbs the maybe-delivered
+// original.
 func (t *TCP) sendFrame(dst int, f *Frame) error {
-	if t.isMesh() {
-		if c := t.peerConn(dst, f.Gen); c != nil {
-			l := t.linkFor(dst)
-			l.mu.Lock()
-			stalled := l.stalled
-			l.mu.Unlock()
-			if stalled {
-				// Fault injection: the write reaches the socket (the frame
-				// may be delivered) but the sender sees a failure, exactly
-				// like a write deadline expiring on a congested link.
-				_ = c.Send(f)
-				t.downPeer(dst, f.Gen, c)
-			} else if err := c.Send(f); err == nil {
-				return nil
-			} else {
-				t.downPeer(dst, f.Gen, c)
-			}
+	if c := t.peerConn(dst, f.Gen); c != nil {
+		l := t.linkFor(dst)
+		l.mu.Lock()
+		stalled := l.stalled
+		l.mu.Unlock()
+		if stalled {
+			// Fault injection: the write reaches the socket (the frame
+			// may be delivered) but the sender sees a failure, exactly
+			// like a write deadline expiring on a congested link.
+			_ = c.Send(f)
+			t.downPeer(dst, f.Gen, c)
+		} else if err := c.Send(f); err == nil {
+			return nil
+		} else {
+			t.downPeer(dst, f.Gen, c)
 		}
 	}
 	return t.fc.Send(f)
-}
-
-// isMesh reports whether the mesh data plane is on.
-func (t *TCP) isMesh() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.mesh
 }
 
 // linkFor returns the (always non-nil) link record for dst, growing the
@@ -675,8 +659,8 @@ func (t *TCP) Metrics() *cluster.Metrics { return t.metrics }
 
 // FlushPhase advances the local phase counter and sends every live peer an
 // end-of-phase marker declaring this process's Data-frame count to it,
-// without waiting. In mesh mode an extra Dst=-1 marker goes to the coordinator so its
-// liveness machinery still observes barrier progress it no longer relays.
+// without waiting. An extra Dst=-1 marker goes to the coordinator so its
+// liveness machinery observes barrier progress that peer links keep from it.
 func (t *TCP) FlushPhase() error {
 	t.mu.Lock()
 	if t.stalled {
@@ -695,7 +679,6 @@ func (t *TCP) FlushPhase() error {
 	t.phase++
 	phase := t.phase
 	gen := t.gen
-	mesh := t.mesh
 	type mark struct {
 		dst   int
 		count uint32
@@ -716,7 +699,7 @@ func (t *TCP) FlushPhase() error {
 			return err
 		}
 	}
-	if mesh && len(outs) > 0 {
+	if len(outs) > 0 {
 		// Control-plane progress note; the hub records it and relays
 		// nothing.
 		if err := t.fc.Send(&Frame{Kind: FrameEndPhase, Src: t.proc, Gen: gen, Phase: phase, Dst: -1}); err != nil {
@@ -772,7 +755,7 @@ func (t *TCP) phaseDoneLocked(phase uint64) bool {
 
 // Control sends a control-plane frame (stats, checkpoint, final report),
 // stamped with this process's index and current generation. Control
-// frames always ride the coordinator star, mesh or not.
+// frames always ride the coordinator connection.
 func (t *TCP) Control(f *Frame) error {
 	t.mu.Lock()
 	if t.stalled {
@@ -829,8 +812,8 @@ func (t *TCP) AwaitRestore() (*Restore, error) {
 	return nil, t.readErr
 }
 
-// Reset installs a restore: new generation, assignment, live set and (mesh)
-// peer roster; phase counters, markers, sequence state, inboxes and any
+// Reset installs a restore: new generation, assignment, live set and peer
+// roster; phase counters, markers, sequence state, inboxes and any
 // stale directive are discarded, and buffered frames of the new generation
 // (from peers that restored first) are replayed. The process table grows
 // when the restore admits processes beyond the handshake's count (a worker
@@ -853,9 +836,7 @@ func (t *TCP) Reset(r *Restore) {
 	t.dedup = newDedup(t.procs)
 	t.marks = make(map[uint64]map[int]uint32)
 	t.recvd = make(map[uint64]map[int]uint32)
-	if r.Peers != nil {
-		t.peers = append([]string(nil), r.Peers...)
-	}
+	t.peers = append([]string(nil), r.Peers...)
 	for i := range t.inbox {
 		t.inbox[i] = nil
 	}

@@ -31,7 +31,8 @@ func blockAssign(parts, procs int) []int {
 // real loopback sockets and returns the transports, the worker-side framed
 // conns (for final reports), and a result channel fed by a minimal control
 // loop (collect finals; abort on error or disconnect — what distrib's
-// coordinator does, minus recovery).
+// coordinator does, minus recovery). The transports get no peer roster, so
+// every peer link is down and the hub relays the whole data plane.
 func miniCluster(t testing.TB, procs, parts int) ([]*TCP, []*Conn, chan hubResult) {
 	t.Helper()
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
@@ -57,7 +58,7 @@ func miniCluster(t testing.TB, procs, parts int) ([]*TCP, []*Conn, chan hubResul
 	}
 	trs := make([]*TCP, procs)
 	for i := range trs {
-		trs[i] = NewTCP(workers[i], i, procs, parts, assign, 1)
+		trs[i] = NewTCP(workers[i], &Hello{Proc: i, NumProcs: procs, Partitions: parts, Assign: assign}, 1)
 		tr := trs[i]
 		t.Cleanup(func() { tr.Close() })
 	}
@@ -263,7 +264,7 @@ func directPair(t *testing.T, proc, procs, parts int, assign []int) (*TCP, *Conn
 	}
 	coord := NewConn(a)
 	t.Cleanup(func() { coord.Close() })
-	tr := NewTCP(NewConn(d), proc, procs, parts, assign, 1)
+	tr := NewTCP(NewConn(d), &Hello{Proc: proc, NumProcs: procs, Partitions: parts, Assign: assign}, 1)
 	t.Cleanup(func() { tr.Close() })
 	return tr, coord
 }

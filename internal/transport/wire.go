@@ -60,9 +60,10 @@ const maxFrame = 1 << 30
 type Hello struct {
 	Proto int
 	// RunID scopes this session to one run when a worker daemon serves
-	// several concurrent coordinators (the bracesimd fleet). Sessions are
-	// per-connection, so frames never mix across runs; the ID exists for
-	// logs and diagnostics. Empty for single-run CLI coordinators.
+	// several concurrent coordinators (the bracesimd fleet): peer links
+	// address a session by (RunID, process). The coordinator draws a
+	// random one when its caller names none; a worker refuses an empty
+	// one.
 	RunID string
 	// Proc is this worker process's index in [0, NumProcs).
 	Proc     int
@@ -94,12 +95,13 @@ type Hello struct {
 	// vocabulary with a *spatial.UnknownKindError.
 	Index spatial.Kind
 	// Peers are the worker daemons' data-plane addresses, indexed by
-	// process: in a mesh run, process i dials Peers[j]
-	// directly for its j-bound envelope traffic. Empty in star runs.
+	// process: process i dials Peers[j] directly for its j-bound envelope
+	// traffic, and falls back to the coordinator relay while that link is
+	// down. It must have NumProcs entries.
 	Peers []string
 }
 
-// PeerHello opens a direct worker↔worker data-plane session (mesh runs):
+// PeerHello opens a direct worker↔worker data-plane session:
 // the dialing process announces which run, direction and generation the
 // link carries; the accepting daemon routes it to the matching session's
 // transport or rejects it. One link is one direction — process i's frames
@@ -219,9 +221,9 @@ type Restore struct {
 	// CkptSeq is the sequence number of the checkpoint being restored;
 	// workers re-baseline their incremental-checkpoint tracker on it.
 	CkptSeq uint64
-	// Peers is the refreshed data-plane roster (mesh runs): recovery and
-	// mid-run admissions change who serves which process index, so every
-	// Restore re-announces it. Empty in star runs.
+	// Peers is the refreshed data-plane roster, one address per entry of
+	// Live: recovery and mid-run admissions change who serves which
+	// process index, so every Restore re-announces it.
 	Peers []string
 }
 
@@ -247,8 +249,8 @@ const (
 	FrameRestore
 	FramePing
 	FramePong
-	// FramePeerHello opens a direct worker↔worker data-plane link (mesh
-	// runs); answered with a FrameAck like the coordinator handshake.
+	// FramePeerHello opens a direct worker↔worker data-plane link;
+	// answered with a FrameAck like the coordinator handshake.
 	FramePeerHello
 	// FrameRegister announces a worker daemon to the coordinator-side
 	// registry and streams its load updates.
@@ -328,7 +330,7 @@ type Frame struct {
 	// frame's Dst names the process owning Msg.To so relays route without
 	// consulting the assignment; an EndPhase marker's Dst names the peer
 	// whose inbox it closes, with -1 meaning "progress note only" (the
-	// mesh's control-plane copy to the coordinator).
+	// control-plane copy to the coordinator).
 	Dst int
 	// Count, on an EndPhase marker, declares how many Data frames Src
 	// addressed to Dst this phase; the receiver's barrier completes only
