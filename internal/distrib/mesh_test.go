@@ -6,8 +6,65 @@ import (
 	"time"
 
 	"github.com/bigreddata/brace/internal/engine"
+	"github.com/bigreddata/brace/internal/partition"
+	"github.com/bigreddata/brace/internal/scenario"
 	"github.com/bigreddata/brace/internal/transport"
 )
+
+// TestMeshBitIdenticalRegistryWide is the mesh's equivalence oracle: with
+// multi-session daemons and load balancing on, so cuts move mid-run,
+// every registered local-effect scenario must end bit-identical to the
+// in-memory engine, and the coordinator must relay zero data frames in
+// steady state: the peer links carry the whole data plane.
+func TestMeshBitIdenticalRegistryWide(t *testing.T) {
+	const (
+		agents = 96
+		seed   = uint64(5)
+		parts  = 4
+		ticks  = 12
+		epoch  = 4
+	)
+	bal := partition.Balancer{MigrateCostPerAgent: 1e-9, HorizonTicks: 1000, MinRelativeGain: 0.01}
+	for _, sp := range scenario.All() {
+		if !sp.LocalOnly {
+			continue // non-local effects are not bit-stable across partitionings
+		}
+		name := sp.Name
+		extent := 30.0
+		if name == "traffic" {
+			extent = 1800 // traffic derives its population from Extent
+		}
+		t.Run(name, func(t *testing.T) {
+			mem := memEngine(t, name, agents, extent, seed, engine.Options{
+				Workers: parts, Seed: seed,
+				EpochTicks:  epoch,
+				LoadBalance: true, Balancer: bal,
+			})
+			if err := mem.RunTicks(ticks); err != nil {
+				t.Fatal(err)
+			}
+			res, err := Run(Options{
+				Addrs:    startChaosWorkers(t, 2, nil),
+				Scenario: name,
+				Agents:   agents, Extent: extent, Seed: seed,
+				Partitions: parts, Ticks: ticks,
+				EpochTicks:  epoch,
+				LoadBalance: true, Balancer: bal,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSamePopulation(t, name+"/mesh", mem.Agents(), res.Agents)
+			if res.Net.SentMsgs == 0 {
+				t.Error("no traffic crossed the wire; the run was not distributed")
+			}
+			if res.RelayedDataFrames != 0 {
+				t.Errorf("coordinator relayed %d data frames (%d bytes); a healthy mesh carries its own data plane",
+					res.RelayedDataFrames, res.RelayedDataBytes)
+			}
+		})
+	}
+}
 
 // SIGKILL-style chaos on the peer mesh: a worker session severed mid-run
 // must recover — re-placed from the last coordinated checkpoint,
