@@ -9,8 +9,8 @@ import "sync"
 // for cheap models).
 type CostModel struct {
 	// SecPerVisit charges each candidate agent examined during the query
-	// phase — the engine's Visited gauge: the members of the core and halo
-	// grid cells each probe reads (or every copy, under the scan). It is
+	// phase — the engine's Visited gauge: the members of the grid cells
+	// each probe reads (or every copy, under the scan). It is
 	// the dominant compute term, and a function of the state, the
 	// partitioning and the index kind alone.
 	SecPerVisit float64

@@ -30,10 +30,10 @@ import (
 // epoch timeout), the detector auto-tunes both deadlines from the observed
 // control-round cadence: an EWMA over the intervals between roundReset
 // calls. Tuning only ever *raises* a deadline above its configured base —
-// a slow box whose barriers legitimately take tens of seconds (overlapped
-// ticks hide compute behind the exchange, so a barrier can carry a whole
-// interior pass plus a checkpoint) must not trip a timeout sized for a
-// fast one, while the fixed bases keep today's behavior as the floor.
+// a slow box whose barriers legitimately take tens of seconds (a barrier
+// waits out the slowest peer's whole query pass, and an epoch barrier a
+// checkpoint too) must not trip a timeout sized for a fast one, while the
+// fixed bases keep today's behavior as the floor.
 //
 // All methods take the current time explicitly, so the bookkeeping is a
 // pure function of its inputs and unit-testable without sleeping.

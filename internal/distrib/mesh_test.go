@@ -145,8 +145,8 @@ func TestMeshStallBitIdentical(t *testing.T) {
 	assertSamePopulation(t, "mesh stall", ref.Agents(), res.Agents)
 }
 
-// Chaos in the overlapped tick's failure window on the peer mesh: the fault lands
-// between the interior pass and the boundary drain, so the victim's
+// Chaos on the peer mesh with the marker sent and the drain pending: the
+// fault lands between the victim's FlushPhase and its AwaitPhase, so its
 // envelopes and count markers are already out on the peer links when it
 // dies. The count-based barrier must stay exact through the recovery.
 func TestMeshSeverInOverlapWindow(t *testing.T) {

@@ -7,17 +7,18 @@ import (
 	"github.com/bigreddata/brace/internal/transport"
 )
 
-// Chaos for the overlapped tick's new failure window: the fault lands
-// *between* the interior pass and the boundary drain — the worker's phase
-// marker and envelopes are already out, its interior agents are already
-// computed, but it never collects the peers' envelopes. Peers sail through
-// the current barrier on the frozen worker's marker and only the next one
-// hangs, so detection and recovery must not depend on the barrier the
-// fault actually occurred in.
+// Chaos in the window every TCP phase has: marker sent, drain pending. The
+// fault lands *between* a worker's FlushPhase and its AwaitPhase — its
+// phase marker and envelopes are already out, but it never collects the
+// peers' envelopes. Peers sail through the current barrier on the frozen
+// worker's marker and only the next one hangs, so detection and recovery
+// must not depend on the barrier the fault actually occurred in. The
+// tests' names keep "Interior"/"Boundary" from when an interior pass ran
+// in this window; the CI stall suite selects them by those names.
 
 // stallProcInWindow freezes the given worker's first-generation session
-// between the n-th phase's flush and its await — a SIGSTOP in the overlap
-// window. Re-admitted sessions run unharmed.
+// between the n-th phase's flush and its await — a SIGSTOP with the marker
+// sent and the drain pending. Re-admitted sessions run unharmed.
 func stallProcInWindow(proc, phase int) func(tr transport.Transport, h *transport.Hello) transport.Transport {
 	return func(tr transport.Transport, h *transport.Hello) transport.Transport {
 		if h.Proc == proc && h.Gen == 1 {
@@ -38,7 +39,7 @@ func severProcInWindow(proc, phase int) func(tr transport.Transport, h *transpor
 	}
 }
 
-// A silent freeze in the overlap window: no socket error ever surfaces and
+// A silent freeze with the marker sent: no socket error ever surfaces and
 // the barrier the stall belongs to *completes* — only liveness can break
 // the hang at the next one. The recovered run must be bit-identical to the
 // unfailed in-memory reference.
@@ -60,7 +61,7 @@ func TestStallBetweenInteriorAndBoundary(t *testing.T) {
 
 	// Phase 15 is the map barrier of a mid-run tick, after the tick-3 and
 	// tick-6 checkpoints have committed; Await lands the freeze after the
-	// interior pass, before the boundary drain.
+	// marker went out, before the drain.
 	o := Options{
 		Addrs:    startChaosWorkers(t, 2, stallProcInWindow(1, 15)),
 		Scenario: "epidemic",
@@ -82,10 +83,11 @@ func TestStallBetweenInteriorAndBoundary(t *testing.T) {
 	if res.Ticks != ticks {
 		t.Fatalf("ticks = %d, want %d", res.Ticks, ticks)
 	}
-	assertSamePopulation(t, "stall in overlap window", ref.Agents(), res.Agents)
+	assertSamePopulation(t, "stall with the drain pending", ref.Agents(), res.Agents)
 }
 
-// A crash in the overlap window, with load balancing on: the worker died
+// A crash with the marker sent and the drain pending, with load balancing
+// on: the worker died
 // after exporting its envelopes, so its partial tick must be fully
 // discarded by the checkpoint restore even though peers consumed its data.
 func TestSeverBetweenInteriorAndBoundary(t *testing.T) {
@@ -118,7 +120,7 @@ func TestSeverBetweenInteriorAndBoundary(t *testing.T) {
 	if res.Recoveries < 1 {
 		t.Errorf("recoveries = %d, want ≥ 1", res.Recoveries)
 	}
-	assertSamePopulation(t, "sever in overlap window", ref.Agents(), res.Agents)
+	assertSamePopulation(t, "sever with the drain pending", ref.Agents(), res.Agents)
 }
 
 // The stall window composed with absorption: its host gone, the

@@ -16,24 +16,18 @@ package engine
 import "github.com/bigreddata/brace/internal/agent"
 
 // Cols is the query window over a part's copy set (queryEnv), with its
-// probes returning rows. Rows index the copy set: core copies in
-// ascending agent-ID order, then any halo (peer-sent) copies. The defined
-// type (rather than embedding) keeps the two method sets independent —
-// Cols.Assign takes a row, Env.Assign takes an agent.
+// probes returning rows. Rows index the copy set, in ascending agent-ID
+// order. The defined type (rather than embedding) keeps the two method
+// sets independent — Cols.Assign takes a row, Env.Assign takes an agent.
 type Cols queryEnv
 
-// State returns the column of the given state field, one entry per row
-// (core copies in ascending agent-ID order, then halo copies). A field
-// other than the position is gathered on its first read in a tick, so a
-// model pays only for the columns it reads.
+// State returns the column of the given state field, one entry per row.
+// A field other than the position is gathered on its first read in a
+// tick, so a model pays only for the columns it reads.
 func (c *Cols) State(field int) []float64 {
 	q := (*queryEnv)(c)
 	if !q.cols.have[field] {
-		var halo []*agent.Agent
-		if q.halo != nil {
-			halo = q.halo.agents
-		}
-		q.cols.gather(field, q.copies, halo)
+		q.cols.gather(field, q.copies)
 	}
 	return q.cols.cols[field]
 }
@@ -61,17 +55,15 @@ func (c *Cols) Env() Env { return (*queryEnv)(c) }
 // there), so this writes through to the row's agent.
 func (c *Cols) Assign(row int32, effectIndex int, value float64) {
 	q := (*queryEnv)(c)
-	q.Assign(q.agentAt(row), effectIndex, value)
+	q.Assign(q.copies[row], effectIndex, value)
 }
 
-// colSet is a part's state columns over the rows of its passes. The
+// colSet is a part's state columns over the rows of its copy set. The
 // position columns are gathered at build, since the grid reads them; any
 // other column on its first Cols.State read.
 type colSet struct {
 	cols [][]float64
-	// have[f] reports that cols[f] holds the current build's rows, and the
-	// halo's once appendHalo ran.
-	have []bool
+	have []bool // have[f] reports that cols[f] holds the current build's rows
 }
 
 // build starts a tick's columns over the ID-sorted copies: the position
@@ -80,33 +72,15 @@ func (cs *colSet) build(s *agent.Schema, copies []*agent.Agent) {
 	nf := s.NumState()
 	cs.cols, cs.have = resize(cs.cols, nf), resize(cs.have, nf)
 	clear(cs.have)
-	cs.gather(s.PosX, copies, nil)
-	cs.gather(s.PosY, copies, nil)
+	cs.gather(s.PosX, copies)
+	cs.gather(s.PosY, copies)
 }
 
-// gather (re)fills column f from the copies, then the halo copies.
-func (cs *colSet) gather(f int, copies, halo []*agent.Agent) {
+// gather (re)fills column f from the copies.
+func (cs *colSet) gather(f int, copies []*agent.Agent) {
 	col := resize(cs.cols[f], len(copies))
 	for i, a := range copies {
 		col[i] = a.State[f]
 	}
-	for _, a := range halo {
-		col = append(col, a.State[f])
-	}
 	cs.cols[f], cs.have[f] = col, true
-}
-
-// appendHalo extends the gathered columns with the halo copies' state,
-// giving halo row j the global row index len(copies)+j.
-func (cs *colSet) appendHalo(halo []*agent.Agent) {
-	for f, ok := range cs.have {
-		if !ok {
-			continue
-		}
-		col := cs.cols[f]
-		for _, a := range halo {
-			col = append(col, a.State[f])
-		}
-		cs.cols[f] = col
-	}
 }

@@ -106,9 +106,9 @@ func (e *Distributed) InstallCuts(cuts []float64) error {
 		return err
 	}
 	e.part = p
-	// Migrating agents reach their new owner over the wire, so the first
-	// tick under the new cuts runs unsplit.
-	e.noSplitTick = e.rt.Tick()
+	// Migrating agents reach their new owner over the wire on the first
+	// tick under the new cuts.
+	e.migrateTick = e.rt.Tick()
 	return nil
 }
 
@@ -149,9 +149,8 @@ func (e *Distributed) Restore(tick uint64, cuts []float64, local []int, vals map
 	}
 	e.epochs = e.epochs[:n:n]
 	// The restored values sit consistently under the restored cuts, so the
-	// next tick self-sends every owned agent: the two-pass split resumes
-	// immediately.
-	e.noSplitTick = neverTick
+	// next tick self-sends every owned agent: no agent migrates.
+	e.migrateTick = neverTick
 	return nil
 }
 

@@ -98,12 +98,11 @@ type Distributed struct {
 	parts []*part
 	bufs  []partBufs
 
-	// Two-pass tick state (overlap.go). obufs[w] carries the
-	// interior/boundary split between the early and late pass; noSplitTick
-	// is the single tick that must not split (the one right after a live
-	// cut change, when owned agents may still arrive from peers).
-	obufs       []overlapBufs
-	noSplitTick uint64
+	// migrateTick is the one tick on which owned agents may arrive from
+	// peers: the first under cuts InstallCuts replaced, when agents move
+	// to their new owners. On every other tick an owned agent sends
+	// itself, and checkPeer refuses one a peer sent.
+	migrateTick uint64
 
 	// master decides the epochs of an engine that computes every partition
 	// (nil under LocalParts: the coordinator's does); recoveries counts its
@@ -149,9 +148,8 @@ func NewDistributed(m Model, pop []*agent.Agent, opts Options) (*Distributed, er
 		wVisited: make([]int64, opts.Workers),
 		parts:    make([]*part, opts.Workers),
 		bufs:     make([]partBufs, opts.Workers),
-		obufs:    make([]overlapBufs, opts.Workers),
 
-		noSplitTick: neverTick,
+		migrateTick: neverTick,
 	}
 	for i := range e.parts {
 		e.parts[i] = e.newPart(opts.Index)
@@ -191,12 +189,11 @@ func NewDistributed(m Model, pop []*agent.Agent, opts Options) (*Distributed, er
 	}
 
 	job := mapreduce.Job[*Envelope]{
-		Name:         s.Name,
-		Map:          e.mapPhase,
-		Reduce1Early: e.reduce1Early,
-		Reduce1:      e.reduce1Late,
-		Check:        e.checkPeer,
-		ValueBytes:   s.ByteSize(),
+		Name:       s.Name,
+		Map:        e.mapPhase,
+		Reduce1:    e.reduce1,
+		Check:      e.checkPeer,
+		ValueBytes: s.ByteSize(),
 	}
 	if e.nonLocal {
 		job.Reduce2 = e.reduce2
@@ -249,13 +246,13 @@ func NewDistributed(m Model, pop []*agent.Agent, opts Options) (*Distributed, er
 //
 // Replicas come from the worker's replicaArena, which this call resets: a
 // replica is valid from here until this worker's next map phase. Every
-// reader is done before then — reduce₁'s early and late passes (halo join,
-// colSet.appendHalo) and, for non-local models, reduce₂'s ⊕ in the same tick
-// — because eachWorker is a barrier between phases. Under TCP a
-// co-resident partition receives the pointer within the phase and a remote
-// one a copy in a column block, encoded before Send returns. Checkpoints,
-// exports, Agents and the final report read owned values only, and the
-// cell grids copy positions, never agents.
+// reader is done before then — reduce₁'s pass (the column gathers) and,
+// for non-local models, reduce₂'s ⊕ in the same tick — because eachWorker
+// is a barrier between phases. Under TCP a co-resident partition receives
+// the pointer within the phase and a remote one a copy in a column block,
+// encoded before Send returns. Checkpoints, exports, Agents and the final
+// report read owned values only, and the cell grid copies positions, never
+// agents.
 func (e *Distributed) mapPhase(ctx *mapreduce.Ctx, envs []*Envelope, emit mapreduce.Emit[*Envelope]) {
 	b := &e.bufs[ctx.Worker]
 	b.arena.reset()
@@ -283,9 +280,9 @@ func (e *Distributed) mapPhase(ctx *mapreduce.Ctx, envs []*Envelope, emit mapred
 
 // checkPeer vets an envelope a peer sent (mapreduce.Job.Check), so that
 // a broken or hostile peer fails the run instead of panicking a phase: the
-// envelope must carry an agent of the schema's shape, and on a split tick
-// the map phase delivers replicas only, since every owned agent sent
-// itself (reduce1Early).
+// envelope must carry an agent of the schema's shape, and outside the
+// migration tick the map phase delivers replicas only, since every owned
+// agent sent itself.
 func (e *Distributed) checkPeer(ctx *mapreduce.Ctx, env *Envelope) error {
 	s := e.schema
 	switch {
@@ -294,10 +291,51 @@ func (e *Distributed) checkPeer(ctx *mapreduce.Ctx, env *Envelope) error {
 	case len(env.A.State) != s.NumState() || len(env.A.Effect) != s.NumEffect():
 		return fmt.Errorf("engine: agent %d has %d state and %d effect fields, schema %s has %d and %d",
 			env.A.ID, len(env.A.State), len(env.A.Effect), s.Name, s.NumState(), s.NumEffect())
-	case ctx.Phase == mapreduce.PhaseMap && !env.Replica && e.obufs[ctx.Worker].split:
-		return fmt.Errorf("engine: owned agent %d arrived from a peer on a split tick", env.A.ID)
+	case ctx.Phase == mapreduce.PhaseMap && !env.Replica && ctx.Tick != e.migrateTick:
+		return fmt.Errorf("engine: owned agent %d arrived from a peer outside a migration tick", env.A.ID)
 	}
 	return nil
+}
+
+// reduce1 is reduceᵗ₁, one pass once the map phase has fully drained.
+// Everything it delivered — the copies this partition sent itself and
+// those its peers sent, owned agents and replicas alike — is sorted by
+// agent ID into one copy set with one cell grid (prepare), and the owned
+// slots probe it. The tick's compute — every candidate the partition's
+// Visited gauge counted, plus the owned agents — is charged to the
+// virtual clock as one superstep. Then local effects update every owned
+// agent (in any order: an update reads only its own agent, and its
+// randomness is a function of seed, tick and ID); non-local effects route
+// every owned copy and every touched replica to its owner for the global
+// ⊕ of reduceᵗ₂.
+func (e *Distributed) reduce1(ctx *mapreduce.Ctx, envs []*Envelope, emit mapreduce.Emit[*Envelope]) {
+	w := ctx.Worker
+	owned := e.prepare(w, envs)
+	visited := e.parts[w].query(owned)
+	e.wVisited[w] += visited
+	e.wOwned[w] += int64(len(owned))
+	if e.vclock != nil {
+		e.vclock.ChargeCompute(cluster.NodeID(w), visited, int64(len(owned)))
+	}
+	for _, env := range envs {
+		switch {
+		case !e.nonLocal:
+			if !env.Replica {
+				e.updateAndEmit(ctx, env, emit)
+			}
+		case !env.Replica:
+			// An owned copy is at its owner already.
+			env.SrcPart = int32(w)
+			emit(w, env)
+		case effectsAreIdentity(e.combs, env.A.Effect):
+			// untouched replica: nothing to aggregate
+		default:
+			// Right after a cut change the owner may be this partition:
+			// it replicated an agent it just gave up to itself.
+			env.SrcPart = int32(w)
+			emit(e.part.Locate(env.A.Pos(e.schema)), env)
+		}
+	}
 }
 
 // reduce2 is reduceᵗ₂: global effect aggregation ⊕ followed by the update
@@ -373,12 +411,13 @@ type partBufs struct {
 }
 
 // prepare sorts this reducer's envelopes by agent ID, builds partition w's
-// index over the copies, and returns the owned slots. The caller may
-// reorder the slots.
+// index over the copies, and returns the owned slots, ascending.
 func (e *Distributed) prepare(w int, envs []*Envelope) (ownedSlots []int32) {
 	sortByID(envs)
 	b := &e.bufs[w]
-	clear(b.copies) // see reduce1Late: no stale agent past the new length
+	// Cleared, not just truncated: a stale pointer past the new length
+	// would keep a whole decoded frame's block of replicas alive.
+	clear(b.copies)
 	b.copies = resize(b.copies, len(envs))
 	b.ownedSlot = b.ownedSlot[:0]
 	for i, env := range envs {
@@ -396,6 +435,9 @@ func (e *Distributed) prepare(w int, envs []*Envelope) (ownedSlots []int32) {
 func sortByID(envs []*Envelope) {
 	slices.SortFunc(envs, func(a, b *Envelope) int { return cmp.Compare(a.A.ID, b.A.ID) })
 }
+
+// neverTick is the "no tick" sentinel for migrateTick.
+const neverTick = ^uint64(0)
 
 // GridBuilds returns the cell grids the partitions have built, one per
 // partition-tick (a one-cell grid under KindScan).

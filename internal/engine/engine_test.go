@@ -260,8 +260,8 @@ func TestIndexKindsAgreeExactly(t *testing.T) {
 	}
 }
 
-// Unbounded visibility replicates every agent to every partition and never
-// splits the tick: each probe returns core ∪ halo in ID order.
+// Unbounded visibility replicates every agent to every partition: each
+// probe returns the whole copy set in ID order.
 func TestDistributedUnboundedVisibility(t *testing.T) {
 	m := newFlockModel(0)
 	base := makePop(m.s, 60, 40, 6)

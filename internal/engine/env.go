@@ -17,29 +17,21 @@ import (
 // layouts (and giving the BRASIL weak-reference visibility semantics of
 // Theorem 1: agents outside the bound simply do not appear).
 //
-// Rows are the one probe representation: row i < len(copies) is core copy
-// i (its slot in the core grid), row len(copies)+j is halo copy j. The
-// probing agents ("selves") come in groups (part.query), and a group
-// shares one candidate block: the rows near the box of its selves'
-// positions, in ID order, with their positions beside them. Every probe
-// of the group filters the block by its own disc, which keeps the order,
-// so no probe sorts anything. Cols hands a probe's rows to the model as
-// is, and the closure-style Env methods iterate them.
+// Rows are the one probe representation: row i is copy i, its slot in the
+// grid, and rows ascend with agent ID. The probing agents ("selves") come
+// in groups (part.query), and a group shares one candidate block: the rows
+// near the box of its selves' positions, in ID order, with their
+// positions beside them. Every probe of the group filters the block by
+// its own disc, which keeps the order, so no probe sorts anything. Cols
+// hands a probe's rows to the model as is, and the closure-style Env
+// methods iterate them.
 type queryEnv struct {
 	// Bound per pass by part.query.
 	c      *core
-	grid   *cellGrid      // the core grid: slots as ids
-	copies []*agent.Agent // ID-sorted core copies
+	grid   *cellGrid      // the copies' grid: slots as ids
+	copies []*agent.Agent // ID-sorted copies
 	cols   *colSet        // per-state-field columns over all rows
-	xs, ys []float64      // positions by row, core and halo
-	// halo is non-nil only in a late (boundary) pass with peer-sent copies:
-	// the core grid covers the core (self-sent) copies and blocks join in
-	// the peer-sent ones.
-	halo *haloJoin
-	// The pass's ID order: coreRank[slot] is the slot's rank among the agent
-	// IDs of core ∪ halo, rankRow[rank] the row holding that rank. Both are
-	// the identity when the pass has no halo.
-	coreRank, rankRow []int32
+	xs, ys []float64      // positions by row
 
 	// Bound per group by group.
 	box geom.Rect // the selves' bounding box
@@ -65,9 +57,9 @@ type queryEnv struct {
 	// live iteration level owns one; steady-state probes allocate nothing.
 	out   [][]int32
 	depth int
-	// words is the rank bitset, one bit per rank of the pass, and summary
+	// words is the row bitset, one bit per row of the pass, and summary
 	// its index, one bit per word that may be nonzero, so a drain reads
-	// one summary word per 4096 ranks and then only the words holding
+	// one summary word per 4096 rows and then only the words holding
 	// results. A block build that sets bits drains them before it
 	// returns, so both are all zero between builds.
 	words, summary []uint64
@@ -89,17 +81,9 @@ func (q *queryEnv) Nearby(radius float64, fn func(*agent.Agent)) { q.each(q.near
 func (q *queryEnv) each(rows []int32, fn func(*agent.Agent)) {
 	q.depth++
 	for _, r := range rows {
-		fn(q.agentAt(r))
+		fn(q.copies[r])
 	}
 	q.depth--
-}
-
-// agentAt resolves a row to its copy.
-func (q *queryEnv) agentAt(row int32) *agent.Agent {
-	if n := len(q.copies); int(row) >= n {
-		return q.halo.agents[int(row)-n]
-	}
-	return q.copies[row]
 }
 
 // buf returns the emptied row buffer of the current iteration depth.
@@ -117,8 +101,16 @@ func (q *queryEnv) visible() []int32 {
 	if vis := q.c.schema.Visibility; vis > 0 {
 		return q.rows(vis)
 	}
-	// Unbounded: every row of the pass, core ∪ halo in ID order.
-	return q.done(append(q.buf(), q.rankRow...))
+	// Unbounded: every row of the pass.
+	return q.done(q.every(q.buf()))
+}
+
+// every appends every row of the pass to dst, in order.
+func (q *queryEnv) every(dst []int32) []int32 {
+	for row := range q.copies {
+		dst = append(dst, int32(row))
+	}
+	return dst
 }
 
 // nearby is visible restricted to the given radius, whose magnitude is
@@ -156,7 +148,7 @@ func (q *queryEnv) group(selves []int32) {
 	q.box, q.blkR = b, -1
 	q.one = len(selves) == 1 && finite(b)
 	for _, row := range selves {
-		q.self, q.row = q.agentAt(row), row
+		q.self, q.row = q.copies[row], row
 		q.c.model.Query((*Cols)(q), row)
 	}
 }
@@ -223,43 +215,29 @@ func (q *queryEnv) rows(radius float64) []int32 {
 }
 
 // build makes the group's block at radius r: every row within r of the
-// group's box (cellGrid.near), core grid and halo grid alike, in
-// ascending ID order. The candidates come back in cell order; a block of
-// a handful of rows is put in order by a comparison sort of its ranks and
-// any other through the rank bitset (bitsetOrders). The positions follow
-// when a filter first needs them. A box that is not finite (a self at NaN
-// or ±Inf) has every row of the pass as its block, which the filters then
-// cut down exactly.
+// group's box (cellGrid.near), in ascending ID order. The candidates come
+// back in cell order; a block of a handful of rows is put in order by a
+// comparison sort and any other through the row bitset (bitsetOrders).
+// The positions follow when a filter first needs them. A box that is not
+// finite (a self at NaN or ±Inf) has every row of the pass as its block,
+// which the filters then cut down exactly.
 func (q *queryEnv) build(r float64) {
 	q.blkR = r
 	rows := q.blk[:0]
 	if !finite(q.box) {
-		rows = append(rows, q.rankRow...)
+		rows = q.every(rows)
 		q.visited += int64(len(rows))
 	} else {
 		var seen int64
 		rows, seen = q.grid.near(q.box, r, rows)
-		if q.halo != nil {
-			for i, slot := range rows {
-				rows[i] = q.coreRank[slot]
-			}
-			var hs int64
-			rows, hs = q.halo.grid.near(q.box, r, rows)
-			seen += hs
-		}
 		q.visited += seen
-		if bitsetOrders(len(rows), len(q.rankRow)) {
-			for _, rank := range rows {
-				q.mark(uint32(rank))
+		if bitsetOrders(len(rows), len(q.copies)) {
+			for _, row := range rows {
+				q.mark(uint32(row))
 			}
 			rows = q.drain(rows)
 		} else {
 			slices.Sort(rows)
-			if q.halo != nil { // without one, a rank is its row
-				for i, rank := range rows {
-					rows[i] = q.rankRow[rank]
-				}
-			}
 		}
 	}
 	q.blk = rows
@@ -285,18 +263,17 @@ func (q *queryEnv) done(out []int32) []int32 {
 	return out
 }
 
-// mark sets rank r's bit.
+// mark sets row r's bit.
 func (q *queryEnv) mark(r uint32) {
 	q.words[r>>6] |= 1 << (r & 63)
 	q.summary[r>>12] |= 1 << ((r >> 6) & 63)
 }
 
-// drain empties the rank bitset into out — the rows of the set ranks,
-// ascending — and returns the filled prefix. out must have room for every
-// set bit.
+// drain empties the row bitset into out — the set rows, ascending — and
+// returns the filled prefix. out must have room for every set bit.
 func (q *queryEnv) drain(out []int32) []int32 {
 	k := 0
-	rankRow, words := q.rankRow, q.words
+	words := q.words
 	for si, s := range q.summary {
 		if s == 0 {
 			continue
@@ -307,7 +284,7 @@ func (q *queryEnv) drain(out []int32) []int32 {
 			w := words[wi]
 			words[wi] = 0
 			for base := wi << 6; w != 0; w &= w - 1 {
-				out[k] = rankRow[base+bits.TrailingZeros64(w)]
+				out[k] = int32(base + bits.TrailingZeros64(w))
 				k++
 			}
 		}
@@ -315,9 +292,9 @@ func (q *queryEnv) drain(out []int32) []int32 {
 	return out[:k]
 }
 
-// bitsetOrders is the size rule for ordering a block's n candidate ranks
+// bitsetOrders is the size rule for ordering a block's n candidate rows
 // out of a copy set of the given size. The bitset costs a pass over the
-// summary (one word per 4096 copies, ~0.5 ns each), one word per 64-rank
+// summary (one word per 4096 copies, ~0.5 ns each), one word per 64-row
 // block holding a candidate, and a few ns per row; slices.Sort is an
 // insertion sort up to 12 elements (≤ 60 ns) and ~5·n·log₂n ns beyond. The
 // factor 8 is the crossover measured for a sweep of every word (17 rows
@@ -327,47 +304,6 @@ func (q *queryEnv) drain(out []int32) []int32 {
 // outweighs sorting. Either way the order is the same.
 func bitsetOrders(n, copies int) bool {
 	return n > 12 && (copies+4095)/4096 <= 8*n
-}
-
-// haloJoin is the candidate source over a partition's peer-sent copies
-// for one late pass, rebuilt by build once per partition-tick. At 2–3
-// replicas per owned agent the halo outnumbers the core, so blocks cannot
-// afford to scan it: the copies go into a cell grid whose ids are their
-// ranks, and a block build reads only the cells its box touches. The grid
-// holds positions and ranks, not agents — a probe touches no agent until
-// the model reads its result rows.
-type haloJoin struct {
-	agents []*agent.Agent // ascending agent ID; halo row j is row len(copies)+j
-
-	// ID ranks over core ∪ halo (see queryEnv.coreRank).
-	coreRank, rankRow []int32
-
-	grid cellGrid
-
-	rank []int32 // build scratch: rank by halo row
-}
-
-// build indexes h.agents (already ID-sorted), at positions (xs[j], ys[j]),
-// against the core's ID-sorted keys: one merge-join assigns every copy its
-// rank, then the halo copies are binned by position with their ranks as
-// ids, into one cell under scan (KindScan).
-func (h *haloJoin) build(coreKeys []int64, xs, ys []float64, vis float64, scan bool) {
-	nc, nh := len(coreKeys), len(h.agents)
-	h.rank = resize(h.rank, nh)
-	h.coreRank = resize(h.coreRank, nc)
-	h.rankRow = resize(h.rankRow, nc+nh)
-	i, j := 0, 0
-	for r := range h.rankRow {
-		if j >= nh || (i < nc && agent.ID(coreKeys[i]) < h.agents[j].ID) {
-			h.coreRank[i], h.rankRow[r] = int32(r), int32(i)
-			i++
-			continue
-		}
-		h.rank[j], h.rankRow[r] = int32(r), int32(nc+j)
-		j++
-	}
-	h.grid.scan = scan
-	h.grid.build(xs, ys, h.rank, vis)
 }
 
 // Assign implements Env.

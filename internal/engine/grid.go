@@ -15,9 +15,9 @@ import (
 // spatial self-join over the current positions (§3), so nothing is kept
 // from one tick to the next.
 //
-// A pass has up to two grids: the core grid over the part's copies, whose
-// ids are the core slots, and the halo grid over the peer-sent copies,
-// whose ids are their ranks among core ∪ halo (haloJoin).
+// A partition builds one grid per tick, over its whole copy set (the
+// copies it sent itself and those its peers sent), with the copies' slots
+// as ids.
 type cellGrid struct {
 	// nx×ny cells of the given edge from (minX, minY); cell c holds the
 	// members [start[c], start[c+1]). One cell when the extents are
@@ -37,8 +37,8 @@ type cellGrid struct {
 	scan bool
 }
 
-// build bins the points (xs[j], ys[j]) with id ids[j], or j itself when ids
-// is nil, for probes of radius at most vis (vis ≤ 0: unbounded).
+// build bins the points (xs[j], ys[j]) with id j, for probes of radius at
+// most vis (vis ≤ 0: unbounded).
 //
 // The cell edge is half the visibility bound, so a visibility disc spans
 // five cells per axis (six when it ends on a cell edge) and reads about
@@ -47,7 +47,7 @@ type cellGrid struct {
 // grid has no more than 4n+64 cells. Extents that are empty or not finite
 // (no copies, a NaN or infinite coordinate) get the one cell that is
 // always correct, as does every build of a scan grid.
-func (g *cellGrid) build(xs, ys []float64, ids []int32, vis float64) {
+func (g *cellGrid) build(xs, ys []float64, vis float64) {
 	n := len(xs)
 	minX, minY := math.Inf(1), math.Inf(1)
 	maxX, maxY := math.Inf(-1), math.Inf(-1)
@@ -94,12 +94,7 @@ func (g *cellGrid) build(xs, ys []float64, ids []int32, vis float64) {
 	for j, c := range g.cell {
 		k := g.cur[c]
 		g.cur[c]++
-		g.xs[k], g.ys[k] = xs[j], ys[j]
-		if ids != nil {
-			g.id[k] = ids[j]
-		} else {
-			g.id[k] = int32(j)
-		}
+		g.xs[k], g.ys[k], g.id[k] = xs[j], ys[j], int32(j)
 	}
 }
 

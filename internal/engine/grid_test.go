@@ -55,11 +55,7 @@ func FuzzCellGrid(f *testing.F) {
 			xs, ys = append(xs, x), append(ys, y)
 		}
 		var g cellGrid
-		ids := make([]int32, len(xs))
-		for j := range ids {
-			ids[j] = int32(3*j + 1) // ids need not be the input order
-		}
-		g.build(xs, ys, ids, vis)
+		g.build(xs, ys, vis)
 		if n := len(xs); g.nx*g.ny > 4*n+64 {
 			t.Fatalf("%d×%d cells for %d points", g.nx, g.ny, n)
 		}
@@ -76,7 +72,7 @@ func FuzzCellGrid(f *testing.F) {
 		for j := range xs {
 			dx, dy := xs[j]-pos.X, ys[j]-pos.Y
 			if dx*dx+dy*dy <= radius*radius {
-				want = append(want, ids[j])
+				want = append(want, int32(j))
 			}
 		}
 		slices.Sort(got)
@@ -84,4 +80,25 @@ func FuzzCellGrid(f *testing.F) {
 			t.Fatalf("grid %d×%d edge %v: probe %v r=%v found\n  %v\nwant\n  %v", g.nx, g.ny, g.edge, pos, radius, got, want)
 		}
 	})
+}
+
+// A buffer that resize grows one element at a time, as a partition's copy
+// set creeps to a new high-water mark tick after tick, must reallocate a
+// logarithmic number of times, as append does, and not once per step.
+func TestResizeGrowsGeometrically(t *testing.T) {
+	var s []float64
+	reallocs := 0
+	for n := 1; n <= 10000; n++ {
+		before := cap(s)
+		s = resize(s, n)
+		if len(s) != n {
+			t.Fatalf("resize to %d: length %d", n, len(s))
+		}
+		if cap(s) != before {
+			reallocs++
+		}
+	}
+	if reallocs > 40 {
+		t.Fatalf("growing to 10000 one element at a time reallocated %d times, want ≤ 40", reallocs)
+	}
 }

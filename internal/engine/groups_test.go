@@ -24,10 +24,11 @@ func (m *selfCounter) Query(c *Cols, self int32) {
 
 func (m *selfCounter) Update(*agent.Agent, *UpdateCtx) {}
 
-// TestGroupsRunEachSelfOnce drives both passes of a partition-tick through
-// tiles wider than one cell, clipped at the grid's right and top edges,
-// and requires every selected self, core or halo, to run its query phase
-// exactly once per pass and no other agent to run at all.
+// TestGroupsRunEachSelfOnce drives a partition-tick's pass through tiles
+// wider than one cell, clipped at the grid's right and top edges, and
+// requires every selected self to run its query phase exactly once and no
+// other copy to run at all — for the owned slots of a copy set and then
+// for the rest of it.
 func TestGroupsRunEachSelfOnce(t *testing.T) {
 	s := agent.NewSchema("Count")
 	s.AddState("x", true)
@@ -40,21 +41,17 @@ func TestGroupsRunEachSelfOnce(t *testing.T) {
 	}
 	p := c.newPart(spatial.KindKDTree)
 
-	// Odd IDs are the core, even ones the halo, over one square: about
-	// one core copy to a 2.5-wide cell, on a grid of 31×31 cells.
-	const n, span = 1000, 76
+	// One square: about two copies to a 2.5-wide cell, on a grid of 31×31
+	// cells.
+	const n, span = 2000, 76
 	rng := agent.NewRNG(1, 0, 0)
-	var core, halo []*agent.Agent
-	for i := 0; i < 2*n; i++ {
+	var copies []*agent.Agent
+	for i := 0; i < n; i++ {
 		a := agent.New(s, agent.ID(i+1))
 		a.SetPos(s, geom.V(rng.Float64()*span, rng.Float64()*span))
-		if i%2 == 0 {
-			core = append(core, a)
-		} else {
-			halo = append(halo, a)
-		}
+		copies = append(copies, a)
 	}
-	p.build(core)
+	p.build(copies)
 	g := &p.grid
 	te := g.tileEdge()
 	if te < 2 || g.nx%te == 0 || g.ny%te == 0 {
@@ -65,46 +62,33 @@ func TestGroupsRunEachSelfOnce(t *testing.T) {
 		t.Helper()
 		for id, k := range m.runs {
 			if !want[id] {
-				t.Errorf("%s pass: unselected agent %d ran %d times", pass, id, k)
+				t.Errorf("%s: unselected agent %d ran %d times", pass, id, k)
 			}
 		}
 		for id := range want {
 			if k := m.runs[id]; k != 1 {
-				t.Errorf("%s pass: agent %d ran %d times, want once", pass, id, k)
+				t.Errorf("%s: agent %d ran %d times, want once", pass, id, k)
 			}
 		}
 	}
 
-	// The early pass: every core slot but each seventh, ascending.
-	var early, late []int32
-	want := map[agent.ID]bool{}
-	for slot, a := range core {
+	// The owned slots: every slot but each seventh, ascending; then the
+	// rest, the replicas.
+	var owned, rest []int32
+	wantOwned, wantRest := map[agent.ID]bool{}, map[agent.ID]bool{}
+	for slot, a := range copies {
 		if slot%7 == 0 {
-			late = append(late, int32(slot))
+			rest = append(rest, int32(slot))
+			wantRest[a.ID] = true
 			continue
 		}
-		early = append(early, int32(slot))
-		want[a.ID] = true
+		owned = append(owned, int32(slot))
+		wantOwned[a.ID] = true
 	}
 	m.runs = map[agent.ID]int{}
-	p.query(early, nil)
-	check("early", want)
-
-	// The late pass: the rest of the core and every third halo copy, as
-	// owned agents arriving from a peer.
-	h := &haloJoin{agents: halo}
-	p.join(h)
-	want = map[agent.ID]bool{}
-	for _, slot := range late {
-		want[core[slot].ID] = true
-	}
-	for j, a := range halo {
-		if j%3 == 0 {
-			late = append(late, int32(len(core)+j))
-			want[a.ID] = true
-		}
-	}
+	p.query(owned)
+	check("owned slots", wantOwned)
 	m.runs = map[agent.ID]int{}
-	p.query(late, h)
-	check("late", want)
+	p.query(rest)
+	check("the rest", wantRest)
 }

@@ -12,12 +12,11 @@ import (
 	"github.com/bigreddata/brace/internal/spatial"
 )
 
-// The ordered join — selves grouped by tiles of core-grid cells, each
-// group's block built from the core grid (a cell grid, or one cell under
-// the scan) and the halo grid and put in agent-ID order by the rank
-// bitset or the comparison sort, each probe a filter of its group's block
-// — against the definition it implements: for every copy, in radius? then
-// sort by ID.
+// The ordered join — selves grouped by tiles of grid cells, each group's
+// block built from the copy set's one grid (a cell grid, or one cell under
+// the scan) and put in agent-ID order by the row bitset or the comparison
+// sort, each probe a filter of its group's block — against the definition
+// it implements: for every copy, in radius? then sort by ID.
 
 // probeModel records the IDs every probe returns, in the order the model
 // sees them. With nested > 0 each callback of the outer probe issues a
@@ -103,43 +102,42 @@ func sortAgents(as []*agent.Agent) {
 	})
 }
 
-// runJoin runs one query pass the way the late pass does — every core copy
-// and every halo copy probes (a halo copy as a halo-owned row with no core
-// slot) — and checks each recorded sequence against the brute-force
-// oracle. halo == nil runs the pass without a halo join.
-func runJoin(t *testing.T, name string, m *probeModel, src joinSource, core, halo []*agent.Agent) {
+// runJoin runs one query pass over the copies of the given sets, merged
+// into one ID-sorted copy set the way a partition's reduce₁ merges what it
+// sent itself with what its peers sent, with every copy probing as an
+// owned slot, and checks each recorded sequence against the brute-force
+// oracle.
+func runJoin(t *testing.T, name string, m *probeModel, src joinSource, sets ...[]*agent.Agent) {
 	t.Helper()
-	runGroups(t, name, m, src, core, halo, nil)
+	var all []*agent.Agent
+	for _, set := range sets {
+		all = append(all, set...)
+	}
+	runGroups(t, name, m, src, all, nil)
 }
 
-// runGroups is runJoin with the selves in the given groups instead of the
-// pass's own: groups(n) splits the rows [0, n) of the pass, core then
-// halo, into groups that each share one block. nil groups runs the pass.
-func runGroups(t *testing.T, name string, m *probeModel, src joinSource, core, halo []*agent.Agent, groups func(n int) [][]int32) {
+// runGroups is runJoin over one copy set with the selves in the given
+// groups instead of the pass's own: groups(n) splits the slots [0, n) into
+// groups that each share one block. nil groups runs the pass.
+func runGroups(t *testing.T, name string, m *probeModel, src joinSource, all []*agent.Agent, groups func(n int) [][]int32) {
 	t.Helper()
 	c, err := newCore(m, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sortAgents(core)
-	sortAgents(halo)
+	sortAgents(all)
 	p := src.part(&c)
-	p.build(core)
-	rows := append([]int32(nil), p.allSlots(len(core))...)
-	var join *haloJoin
-	if halo != nil {
-		join = &haloJoin{agents: halo}
-		p.join(join)
-		for j := range halo {
-			rows = append(rows, int32(len(core)+j))
-		}
+	p.build(all)
+	slots := make([]int32, len(all))
+	for i := range slots {
+		slots[i] = int32(i)
 	}
 	m.outer, m.inner = map[agent.ID][]agent.ID{}, map[agent.ID][][]agent.ID{}
 	if groups == nil {
-		p.query(rows, join)
+		p.query(slots)
 	} else {
-		q := p.bind(join)
-		for _, g := range groups(len(rows)) {
+		q := p.bind()
+		for _, g := range groups(len(slots)) {
 			if len(g) > 0 {
 				q.group(g)
 			}
@@ -147,7 +145,6 @@ func runGroups(t *testing.T, name string, m *probeModel, src joinSource, core, h
 		p.cost += q.cost
 	}
 
-	all := append(append([]*agent.Agent(nil), core...), halo...)
 	// radiusOf is the disc a probe of the given radius covers (0: the
 	// visibility probe; a radius whose magnitude exceeds the bound: the
 	// bound). every marks the unbounded visibility probe, which sees every
@@ -218,10 +215,10 @@ func scatter(s *agent.Schema, rng *agent.RNG, n int, idBase, stride agent.ID, bo
 
 func TestOrderedJoinMatchesBruteForce(t *testing.T) {
 	for _, tc := range []struct {
-		name         string
-		ncore, nhalo int
-		vis, radius  float64 // radius 0 = the visibility probe
-		span         float64
+		name          string
+		nstrip, nwide int
+		vis, radius   float64 // radius 0 = the visibility probe
+		span          float64
 	}{
 		{"one word", 20, 30, 6, 0, 30},
 		{"multi word", 90, 160, 5, 0, 40}, // > 64 rows
@@ -229,7 +226,7 @@ func TestOrderedJoinMatchesBruteForce(t *testing.T) {
 		{"sparse, grid coarsened", 40, 25, 1, 0, 400}, // cells capped at 4n+64
 		{"dense", 150, 400, 8, 0, 20},
 		{"4096+ rows", 1800, 3000, 4, 0, 120},
-		// ≥ 16 selves per cell (edge 2.5, ~33 core copies to a cell): the
+		// ≥ 16 selves per cell (edge 2.5, ~33 strip copies to a cell): the
 		// groups share large blocks, and short probes filter them.
 		{"crowded cells", 1600, 1200, 5, 0, 30},
 		{"crowded cells, short probe", 1600, 1200, 5, 1.5, 30},
@@ -237,13 +234,14 @@ func TestOrderedJoinMatchesBruteForce(t *testing.T) {
 		for _, src := range []joinSource{fromGrid, fromScan} {
 			m := newProbeModel(tc.vis)
 			m.radius = tc.radius
-			rng := agent.NewRNG(7, uint64(tc.ncore), agent.ID(tc.nhalo))
-			// Core in the middle strip, halo in the bands either side and
-			// overlapping it; interleaved IDs so ranks alternate.
+			rng := agent.NewRNG(7, uint64(tc.nstrip), agent.ID(tc.nwide))
+			// One population crowding the middle strip, another across the
+			// whole box and overlapping it; interleaved IDs, so a cell's
+			// slots are far from contiguous.
 			box := geom.Rect{Min: geom.V(0, 0), Max: geom.V(tc.span, tc.span)}
-			core := scatter(m.s, rng, tc.ncore, 2, 3, geom.Rect{Min: geom.V(tc.span/3, 0), Max: geom.V(2*tc.span/3, tc.span)})
-			halo := scatter(m.s, rng, tc.nhalo, 1, 3, box)
-			runJoin(t, tc.name, m, src, core, halo)
+			strip := scatter(m.s, rng, tc.nstrip, 2, 3, geom.Rect{Min: geom.V(tc.span/3, 0), Max: geom.V(2*tc.span/3, tc.span)})
+			wide := scatter(m.s, rng, tc.nwide, 1, 3, box)
+			runJoin(t, tc.name, m, src, strip, wide)
 		}
 	}
 }
@@ -251,7 +249,7 @@ func TestOrderedJoinMatchesBruteForce(t *testing.T) {
 func TestOrderedJoinEdgeCases(t *testing.T) {
 	const vis = 5
 	s := func() *probeModel { return newProbeModel(vis) }
-	// A halo wide and tall enough for a multi-cell grid: a 6×6 lattice of
+	// A set wide and tall enough for a multi-cell grid: a 6×6 lattice of
 	// pitch 4 over [100,120]².
 	lattice := func(m *probeModel, idBase agent.ID) []*agent.Agent {
 		var out []*agent.Agent
@@ -263,96 +261,86 @@ func TestOrderedJoinEdgeCases(t *testing.T) {
 		return out
 	}
 	for _, src := range []joinSource{fromGrid, fromScan} {
-		// Probes entirely outside the halo's bounding box on each side, at
-		// every distance class: far beyond the grid, just out of reach, and
-		// reaching the edge cells. Core IDs above and below the halo's.
+		// Selves entirely outside the lattice's bounding box on each side,
+		// at every distance class: far beyond it (the grid, coarsened to
+		// span them, then puts the lattice in one cell), just out of reach,
+		// and reaching its edge cells. IDs above and below the lattice's.
 		m := s()
-		var core []*agent.Agent
+		var probes []*agent.Agent
 		id := agent.ID(1)
 		for _, d := range []float64{1e9, 3 * vis, vis + 0.001, vis, vis - 0.001, 0.5} {
 			for _, p := range []geom.Vec{
 				{X: 100 - d, Y: 110}, {X: 120 + d, Y: 110}, {X: 110, Y: 100 - d}, {X: 110, Y: 120 + d},
 				{X: 100 - d, Y: 100 - d}, {X: 120 + d, Y: 120 + d},
 			} {
-				core = append(core, at(m.s, id, p.X, p.Y))
-				id += 1000 // half below the halo's IDs, half above
+				probes = append(probes, at(m.s, id, p.X, p.Y))
+				id += 1000 // half below the lattice's IDs, half above
 				if id > 12000 {
 					id -= 11999
 				}
 			}
 		}
-		runJoin(t, "outside the bounding box", m, src, core, lattice(m, 5500))
-		// The mirror image: halo rows — migrant owned agents — probing the
-		// core grid from outside its bounding box.
-		m = s()
-		var halo []*agent.Agent
-		for _, a := range core {
-			halo = append(halo, at(m.s, a.ID, a.Pos(m.s).X, a.Pos(m.s).Y))
-		}
-		runJoin(t, "outside the core grid", m, src, lattice(m, 5500), halo)
+		runJoin(t, "outside the bounding box", m, src, probes, lattice(m, 5500))
 
 		m = s()
-		runJoin(t, "empty halo", m, src, scatter(m.s, agent.NewRNG(1, 0, 0), 40, 1, 1, geom.Rect{Max: geom.V(20, 20)}), []*agent.Agent{})
+		runJoin(t, "empty copy set", m, src)
+		m = s()
+		runJoin(t, "scattered", m, src, scatter(m.s, agent.NewRNG(1, 0, 0), 40, 1, 1, geom.Rect{Max: geom.V(20, 20)}))
 
 		m = s()
-		runJoin(t, "single-copy halo", m, src,
+		runJoin(t, "single added copy", m, src,
 			scatter(m.s, agent.NewRNG(2, 0, 0), 40, 1, 2, geom.Rect{Max: geom.V(12, 12)}),
 			[]*agent.Agent{at(m.s, 40, 6, 6)})
 
 		m = s()
-		runJoin(t, "empty core", m, src, nil, lattice(m, 1))
+		runJoin(t, "lattice alone", m, src, lattice(m, 1))
 
-		// Coincident positions: within the core, within the halo, and across.
+		// Coincident positions, with interleaved IDs.
 		m = s()
 		runJoin(t, "coincident", m, src,
 			[]*agent.Agent{at(m.s, 1, 10, 10), at(m.s, 4, 10, 10), at(m.s, 6, 13, 10)},
 			[]*agent.Agent{at(m.s, 2, 10, 10), at(m.s, 3, 13, 10), at(m.s, 5, 13, 10), at(m.s, 7, 30, 30)})
 
 		// A copy at distance exactly r is visible (closed inequality): 3-4-5
-		// triangles in both directions, core-to-halo and halo-to-core, and
-		// straight along an axis where the cell span ends exactly at r.
+		// triangles in every direction, and straight along an axis where the
+		// cell span ends exactly at r.
 		m = s()
 		runJoin(t, "exactly r", m, src,
 			[]*agent.Agent{at(m.s, 2, 0, 0), at(m.s, 4, 3, 4), at(m.s, 6, 40, 40)},
 			[]*agent.Agent{at(m.s, 1, -3, -4), at(m.s, 3, 5, 0), at(m.s, 5, 0, -5), at(m.s, 7, 45, 40), at(m.s, 8, 40, 45.000001)})
 
 		// A wide box rounds its centre and half-width: from the box around
-		// these two selves (one group under the scan), the halo copy
-		// exactly the visibility bound from the right-hand self measures
+		// these two selves (one group under the scan), the third copy,
+		// exactly the visibility bound from the right-hand self, measures
 		// an ulp further, and only the block's slack keeps it.
 		lo, hi, far := 60.466028797961954, 63.28755606209699, 66.61035632818944
 		m = newProbeModel(far - hi)
 		runJoin(t, "rounded box", m, src, []*agent.Agent{at(m.s, 1, lo, 0), at(m.s, 2, hi, 0)}, []*agent.Agent{at(m.s, 3, far, 0)})
 
-		// Every copy at one point: a one-cell grid, core and halo alike.
+		// Every copy at one point: a one-cell grid, at 140 copies and at 70.
 		m = s()
-		var same, sameHalo []*agent.Agent
+		var same, sameOdd []*agent.Agent
 		for i := 0; i < 70; i++ {
 			same = append(same, at(m.s, agent.ID(2*i+1), 7, -3))
-			sameHalo = append(sameHalo, at(m.s, agent.ID(2*i+2), 7, -3))
+			sameOdd = append(sameOdd, at(m.s, agent.ID(2*i+2), 7, -3))
 		}
-		runJoin(t, "one point", m, src, same, sameHalo)
+		runJoin(t, "one point", m, src, same, sameOdd)
 		m = s()
-		runJoin(t, "one point, no halo", m, src, same, nil)
+		runJoin(t, "one point, 70 copies", m, src, same)
 
 		// Non-finite extents: the grid falls back to one cell, nothing
-		// panics, and the finite copies are still found — in the halo grid
-		// and in the core grid.
+		// panics, and the finite copies are still found, with probes near
+		// the lattice and far from it, and without them.
 		for name, bad := range map[string]geom.Vec{
 			"+Inf x": {X: math.Inf(1), Y: 3}, "-Inf y": {X: 3, Y: math.Inf(-1)}, "NaN": {X: math.NaN(), Y: math.NaN()},
 		} {
 			m = s()
-			halo := lattice(m, 100)
-			halo = append(halo, at(m.s, 50, bad.X, bad.Y))
-			runJoin(t, "non-finite halo "+name, m, src,
-				[]*agent.Agent{at(m.s, 1, 99, 99), at(m.s, 200, 110, 110), at(m.s, 300, 500, 500)}, halo)
-			m = s()
-			core := lattice(m, 100)
-			core = append(core, at(m.s, 50, bad.X, bad.Y))
-			runJoin(t, "non-finite core "+name, m, src, core,
+			withBad := lattice(m, 100)
+			withBad = append(withBad, at(m.s, 50, bad.X, bad.Y))
+			runJoin(t, "non-finite "+name, m, src, withBad,
 				[]*agent.Agent{at(m.s, 1, 99, 99), at(m.s, 200, 110, 110), at(m.s, 300, 500, 500)})
 			m = s()
-			runJoin(t, "non-finite core, no halo "+name, m, src, core, nil)
+			runJoin(t, "non-finite, lattice alone "+name, m, src, withBad)
 		}
 
 		// A radius below the cell edge (half the visibility bound): the
@@ -365,7 +353,7 @@ func TestOrderedJoinEdgeCases(t *testing.T) {
 		runJoin(t, "bite radius", m, src, scatter(m.s, rng, 120, 1, 2, box), scatter(m.s, rng, 90, 2, 2, box))
 		m = s()
 		m.radius = 2
-		runJoin(t, "bite radius, no halo", m, src, scatter(m.s, rng, 200, 1, 1, box), nil)
+		runJoin(t, "bite radius, one set", m, src, scatter(m.s, rng, 200, 1, 1, box))
 		m = s()
 		m.nested = 2
 		runJoin(t, "bite radius nested", m, src, scatter(m.s, rng, 50, 1, 2, box), scatter(m.s, rng, 40, 2, 2, box))
@@ -381,11 +369,11 @@ func TestOrderedJoinEdgeCases(t *testing.T) {
 			runJoin(t, name, m, src, scatter(m.s, rng, 150, 1, 2, box), scatter(m.s, rng, 100, 2, 2, box))
 			m = newProbeModel(0)
 			m.radius = r
-			runJoin(t, name+", no halo", m, src, scatter(m.s, rng, 150, 1, 1, box), nil)
+			runJoin(t, name+", one set", m, src, scatter(m.s, rng, 150, 1, 1, box))
 		}
 		m = newProbeModel(0)
 		m.radius = 1
-		runJoin(t, "unbounded, one point", m, src, same, sameHalo)
+		runJoin(t, "unbounded, one point", m, src, same, sameOdd)
 
 		// A probe issued from inside a ForEachVisible callback: the outer
 		// rows must already be out of the bitset.
@@ -402,7 +390,7 @@ func TestOrderedJoinEdgeCases(t *testing.T) {
 		runJoin(t, "nested, crowded cells", m, src, scatter(m.s, rng, 400, 1, 2, box), scatter(m.s, rng, 100, 2, 2, box))
 		m = s()
 		m.radius, m.nested = 2, 4
-		runJoin(t, "nested, crowded cells, no halo", m, src, scatter(m.s, rng, 400, 1, 1, box), nil)
+		runJoin(t, "nested, crowded cells, one set", m, src, scatter(m.s, rng, 400, 1, 1, box))
 
 		// A short probe first, then one at the bound from inside its
 		// callback: the block, built at the short radius, is rebuilt at the
@@ -419,36 +407,35 @@ func TestOrderedJoinEdgeCases(t *testing.T) {
 		// Selves exactly on cell edges (multiples of the edge, 2.5, from
 		// the grid's origin), many to a cell, with copies exactly r away.
 		m = s()
-		var edge, edgeHalo []*agent.Agent
+		var edge, edgeOff []*agent.Agent
 		for i := 0; i < 12; i++ {
 			for j := 0; j < 12; j++ {
 				x, y := 2.5*float64(i), 2.5*float64(j)
 				edge = append(edge, at(m.s, agent.ID(4*(12*i+j)+1), x, y), at(m.s, agent.ID(4*(12*i+j)+2), x, y+2.5))
-				edgeHalo = append(edgeHalo, at(m.s, agent.ID(4*(12*i+j)+3), x+5, y), at(m.s, agent.ID(4*(12*i+j)+4), x+3, y+4))
+				edgeOff = append(edgeOff, at(m.s, agent.ID(4*(12*i+j)+3), x+5, y), at(m.s, agent.ID(4*(12*i+j)+4), x+3, y+4))
 			}
 		}
-		runJoin(t, "selves on cell edges", m, src, edge, edgeHalo)
+		runJoin(t, "selves on cell edges", m, src, edge, edgeOff)
 		m = s()
-		runJoin(t, "selves on cell edges, no halo", m, src, edge, nil)
+		runJoin(t, "selves on cell edges, edges alone", m, src, edge)
 
 		// A group whose box is not finite, in a crowded pass: the NaN or
-		// infinite self shares the core's one cell with every other self,
-		// and the block must still hold the halo rows the finite selves
-		// see.
+		// infinite self shares the grid's one cell with every other self,
+		// and the block must still hold every row the finite selves see.
 		for name, bad := range map[string]geom.Vec{"+Inf": {X: math.Inf(1), Y: 1}, "NaN": {X: 2, Y: math.NaN()}} {
 			m = s()
-			core := scatter(m.s, agent.NewRNG(8, 0, 0), 200, 1, 2, geom.Rect{Max: geom.V(10, 10)})
-			core = append(core, at(m.s, 1001, bad.X, bad.Y))
-			runJoin(t, "non-finite group "+name, m, src, core,
+			crowd := scatter(m.s, agent.NewRNG(8, 0, 0), 200, 1, 2, geom.Rect{Max: geom.V(10, 10)})
+			crowd = append(crowd, at(m.s, 1001, bad.X, bad.Y))
+			runJoin(t, "non-finite group "+name, m, src, crowd,
 				scatter(m.s, agent.NewRNG(9, 0, 0), 150, 2, 2, geom.Rect{Min: geom.V(-5, -5), Max: geom.V(15, 15)}))
 		}
 
-		// Migrant (halo-owned) selves far outside the core grid, crowded
-		// together: each is its own group, and none may lose the halo
-		// copies around it or the core copies in reach.
+		// Two crowds apart, as when owned agents arrive from a peer after a
+		// cut change: neither may lose the copies around it or those of the
+		// other crowd in reach.
 		m = s()
 		rng = agent.NewRNG(10, 0, 0)
-		runJoin(t, "migrants outside the core grid", m, src,
+		runJoin(t, "two crowds apart", m, src,
 			scatter(m.s, rng, 100, 1, 2, geom.Rect{Max: geom.V(10, 10)}),
 			scatter(m.s, rng, 300, 2, 2, geom.Rect{Min: geom.V(-20, 8), Max: geom.V(-9, 12)}))
 
@@ -465,12 +452,12 @@ func TestOrderedJoinEdgeCases(t *testing.T) {
 			runJoin(t, name, m, src, scatter(m.s, rng, 120, 1, 2, box), scatter(m.s, rng, 60, 2, 2, box))
 			m = newProbeModel(0)
 			m.radius, m.nested = radii[0], radii[1]
-			runJoin(t, name+", no halo", m, src, scatter(m.s, rng, 120, 1, 1, box), nil)
+			runJoin(t, name+", one set", m, src, scatter(m.s, rng, 120, 1, 1, box))
 		}
 	}
 }
 
-// One copy set, no halo, both index kinds: the same row sequence whether
+// One copy set, both index kinds: the same row sequence whether
 // the size rule puts a group's block in order by the comparison sort (a
 // short visibility bound: a handful of rows per block) or by the bitset
 // (a long one).
@@ -480,7 +467,7 @@ func TestRowSequenceAcrossSources(t *testing.T) {
 		m := newProbeModel(vis)
 		pop := scatter(m.s, agent.NewRNG(11, 0, 0), n, 1, 1, geom.Rect{Max: geom.V(span, span)})
 		for _, src := range []joinSource{fromGrid, fromScan} {
-			runJoin(t, fmt.Sprint("visibility ", vis), m, src, pop, nil)
+			runJoin(t, fmt.Sprint("visibility ", vis), m, src, pop)
 		}
 		// Guard the premise: the blocks of the grid's groups sit on their
 		// side of the rule — all of them under the long bound, all but a
@@ -517,13 +504,12 @@ func TestRowSequenceAcrossSources(t *testing.T) {
 }
 
 // FuzzGroupBlock checks one group's block, and the probes that filter it,
-// against a brute-force disc (runGroups' oracle): a random copy set split
-// into core and halo, a random group of selves sharing one block (the
-// other rows a second group), a visibility bound (≤ 0: unbounded), and an
-// outer and a nested probe radius, cropped to the bound like any probe.
-// Each copy is a marker byte and int16 lattice coordinates times scale:
-// an odd marker makes it a halo copy, and 0xfd–0xff make a coordinate NaN
-// or infinite.
+// against a brute-force disc (runGroups' oracle): a random copy set, a
+// random group of selves sharing one block (the other slots a second
+// group), a visibility bound (≤ 0: unbounded), and an outer and a nested
+// probe radius, cropped to the bound like any probe. Each copy is a
+// marker byte and int16 lattice coordinates times scale: markers
+// 0xfd–0xff make a coordinate NaN or infinite.
 func FuzzGroupBlock(f *testing.F) {
 	rec := func(marker byte, x, y int16) []byte {
 		b := []byte{marker}
@@ -544,11 +530,11 @@ func FuzzGroupBlock(f *testing.F) {
 	f.Add(crowd, 1.0, 0.0, uint64(0x3ff), 6.0, 2.0)                              // unbounded, shrinking radius
 	f.Add(append(crowd, rec(0xfe, 0, 0)...), 0.5, 5.0, ^uint64(0), 0.0, 0.0)     // an infinite self
 	f.Add(append(crowd, rec(0xfd, 0, 0)...), 0.5, 5.0, ^uint64(0), 0.0, 0.0)     // a NaN self
-	f.Add(append(edges, rec(1, -500, 3)...), 0.25, 5.0, uint64(1)<<48, 0.0, 0.0) // a migrant far out
+	f.Add(append(edges, rec(1, -500, 3)...), 0.25, 5.0, uint64(1)<<48, 0.0, 0.0) // a self far out
 	f.Fuzz(func(t *testing.T, data []byte, scale, vis float64, mask uint64, outer, nested float64) {
 		m := newProbeModel(vis)
 		m.radius, m.nested = outer, nested
-		var core, halo []*agent.Agent
+		var copies []*agent.Agent
 		for id := agent.ID(1); len(data) >= 5 && id <= 150; data, id = data[5:], id+1 {
 			x := float64(int16(binary.LittleEndian.Uint16(data[1:]))) * scale
 			y := float64(int16(binary.LittleEndian.Uint16(data[3:]))) * scale
@@ -560,13 +546,9 @@ func FuzzGroupBlock(f *testing.F) {
 			case 0xff:
 				y = math.Inf(-1)
 			}
-			if data[0]&1 == 1 {
-				halo = append(halo, at(m.s, id, x, y))
-			} else {
-				core = append(core, at(m.s, id, x, y))
-			}
+			copies = append(copies, at(m.s, id, x, y))
 		}
-		runGroups(t, "fuzz", m, fromGrid, core, halo, func(n int) [][]int32 {
+		runGroups(t, "fuzz", m, fromGrid, copies, func(n int) [][]int32 {
 			var in, out []int32
 			for r := 0; r < n; r++ {
 				if r < 64 && mask>>r&1 == 1 {

@@ -17,11 +17,11 @@
 // in memory. Its tick body (part.go) is shared by every partition: a core
 // holds what a run derives from its model once, and a part runs build →
 // query → update over one ID-sorted copy set. Beyond that, a partition has
-// replication and one reduce₁ of two passes (overlap.go) — an interior
-// pass in the map phase's network window, then a boundary pass over core ∪
-// halo that updates owned agents or, for non-local effects, ships partials
-// to reduce₂. The package's tests hold a naive O(n²) engine as the
-// oracle it must agree with.
+// replication and one reduce₁ pass once the map phase has drained: over
+// everything it was sent, owned agents and replicas in one copy set, that
+// updates owned agents or, for non-local effects, ships partials to
+// reduce₂. The package's tests hold a naive O(n²) engine as the oracle it
+// must agree with.
 //
 // A model's query phase reads one window, Cols: the copy set's state
 // columns and probes that return rows. Every probe, including those of

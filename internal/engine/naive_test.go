@@ -19,7 +19,7 @@ import (
 // The model reads the oracle through the one query window, Cols, but the
 // oracle fills it itself: every state column over the whole ID-sorted
 // population, and for each self a candidate block it scans for with its
-// own disc test. No cell grid, halo join, block build or grouping runs.
+// own disc test. No cell grid, block build or grouping runs.
 type naive struct {
 	m      Model
 	c      core
@@ -84,14 +84,9 @@ func (n *naive) window(q *queryEnv) {
 		}
 		cs.have[f] = true
 	}
-	rows := make([]int32, len(n.agents))
-	for i := range rows {
-		rows[i] = int32(i)
-	}
 	*q = queryEnv{
 		c: &n.c, copies: n.agents, cols: cs,
 		xs: cs.cols[n.s.PosX], ys: cs.cols[n.s.PosY],
-		coreRank: rows, rankRow: rows,
 	}
 }
 

@@ -116,7 +116,7 @@ func comparePops(t *testing.T, name string, seed uint64, workers int, want, got 
 
 // TestOracleDigestAtBenchmarkShape runs the oracle on the benchmark's
 // fish shape — 2000 fish, the default scenario — where the engine's
-// multi-cell grids, grouped probes and halo joins all engage, and requires
+// multi-cell grids, grouped probes and replicas all engage, and requires
 // one and eight partitions to end on its digest.
 func TestOracleDigestAtBenchmarkShape(t *testing.T) {
 	if testing.Short() {

@@ -9,11 +9,12 @@ import (
 	"github.com/bigreddata/brace/internal/spatial"
 )
 
-// The two-pass tick changes scheduling, never results: the KindScan run of
-// the same options splits over the scan, the default run over the cell
-// grids, and both must be bit-identical to each other and to the
-// naive oracle at every worker count, including under load balancing
-// where live cut changes force no-split ticks.
+// The one reduce₁ pass over the cell grid and over the scan: the KindScan
+// run and the default run of the same options must be bit-identical to
+// each other and to the naive oracle at every worker count, including
+// under load balancing, where live cut changes make owned agents migrate.
+// The name keeps "Overlap" from the two-pass tick it once ablated; the CI
+// stall suite selects it by that name.
 func TestOverlapAblationBitIdentical(t *testing.T) {
 	m := newFlockModel(8)
 	base := makePop(m.s, 140, 60, 9)
@@ -51,9 +52,9 @@ func TestOverlapAblationBitIdentical(t *testing.T) {
 	}
 }
 
-// The two-pass tick across an epoch barrier — the race-detector canary for
-// the overlap window, where the interior pass and the boundary merge both
-// touch the per-partition grid state from partition goroutines. CI runs
+// Four partitions ticking concurrently across epoch barriers, each
+// building and probing its grid on its own goroutine between the phase
+// barriers — the race-detector canary for per-partition state. CI runs
 // this with -race.
 func TestOverlapTickAcrossParallelism(t *testing.T) {
 	m := newFlockModel(8)
@@ -70,7 +71,7 @@ func TestOverlapTickAcrossParallelism(t *testing.T) {
 	if err := dist.RunTicks(testTicks); err != nil {
 		t.Fatal(err)
 	}
-	popsExactlyEqual(t, "oracle vs two-pass dist", want, dist.Agents())
+	popsExactlyEqual(t, "oracle vs dist", want, dist.Agents())
 }
 
 // orderModel is a non-local model that logs, per probe env (one per
@@ -132,8 +133,7 @@ func (m *orderModel) Update(self *agent.Agent, u *UpdateCtx) {
 // (the engine groups them by grid cell), but a non-local model's Assigns
 // fold into other agents' effects, so its selves run, and fold, in
 // ascending ID order within every partition and tick — at any worker
-// count, on split and unsplit ticks, and when owned agents arrive from a
-// peer after a cut change.
+// count, and when owned agents arrive from a peer after a cut change.
 func TestNonLocalSelvesFoldInIDOrder(t *testing.T) {
 	for _, workers := range []int{1, 2, 8} {
 		m := newOrderModel()

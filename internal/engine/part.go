@@ -5,6 +5,7 @@
 package engine
 
 import (
+	"slices"
 	"time"
 
 	"github.com/bigreddata/brace/internal/agent"
@@ -55,12 +56,12 @@ func (c *core) AgentTicks() int64 { return c.agentTicks }
 
 // Visited returns the candidates examined across all ticks and copy sets:
 // for every group of probing agents, the grid members its block build
-// read (the core and halo cells its box touches, or every copy under the
-// scan), plus for every probe the block members its filter read. It is
-// the work a cost model charges, and a function of the state, the
-// partitioning and the index kind alone. Still a metrics gauge like the
-// wall clock: no decision reads it (the balancer's input is the rows
-// returned, PartitionCost).
+// read (the cells its box touches, or every copy under the scan), plus
+// for every probe the block members its filter read. It is the work a
+// cost model charges, and a function of the state, the partitioning and
+// the index kind alone. Still a metrics gauge like the wall clock: no
+// decision reads it (the balancer's input is the rows returned,
+// PartitionCost).
 func (c *core) Visited() int64 { return c.visited }
 
 // WallSeconds returns wall time spent in RunTicks.
@@ -92,11 +93,9 @@ type part struct {
 
 	// The tick's build, rewritten by every build call.
 	copies []*agent.Agent
-	cols   colSet // state columns by row, core then halo
-	keys   []int64
-	all    []int32 // identity slots, see allSlots
+	cols   colSet // state columns by row
 
-	// Query scratch: the pass's selves by core slot, and one group.
+	// Query scratch: the pass's selves by slot, and one group.
 	sel []uint64
 	grp []int32
 }
@@ -111,62 +110,34 @@ func (c *core) newPart(index spatial.Kind) *part {
 }
 
 // build installs the tick's ID-sorted copy set and builds the grid over
-// it. The keys rank the core against the late pass's halo
-// (haloJoin.build), so every build fills them. The state columns start
-// first (colSet.build gathers the position columns, the others wait for
-// their first read), and the grid reads the position columns.
+// it. The state columns start first (colSet.build gathers the position
+// columns, the others wait for their first read), and the grid reads the
+// position columns.
 func (p *part) build(copies []*agent.Agent) {
 	s := p.c.schema
 	p.copies = copies
 	p.cols.build(s, copies)
-	p.keys = resize(p.keys, len(copies))
-	for i, a := range copies {
-		p.keys[i] = int64(a.ID)
-	}
-	p.grid.build(p.cols.cols[s.PosX], p.cols.cols[s.PosY], nil, s.Visibility)
+	p.grid.build(p.cols.cols[s.PosX], p.cols.cols[s.PosY], s.Visibility)
 	p.builds++
 }
 
-// join makes h, whose ID-sorted agents are the peer-sent copies of the
-// late pass, the pass's halo: the state columns gain its rows
-// (len(copies)+j), and its grid and ID ranks are built from them.
-func (p *part) join(h *haloJoin) {
-	s, n := p.c.schema, len(p.copies)
-	p.cols.appendHalo(h.agents)
-	h.build(p.keys, p.cols.cols[s.PosX][n:], p.cols.cols[s.PosY][n:], s.Visibility, p.grid.scan)
-}
-
-// allSlots returns the identity rows [0, n), the slot ranks of a pass with
-// no halo.
-func (p *part) allSlots(n int) []int32 {
-	for i := len(p.all); i < n; i++ {
-		p.all = append(p.all, int32(i))
-	}
-	return p.all[:n]
-}
-
-// query runs the query phase for the given rows of the last build, adds
+// query runs the query phase for the given slots of the last build, adds
 // the rows its probes returned to the part's cost, and returns the
-// candidates the block builds and filters examined (the Visited gauge). A
-// row below len(copies) is a core slot; the late (boundary) pass also
-// passes halo rows (len(copies)+j: an owned agent that arrived from a
-// peer) along with the halo join, whose copies the blocks then hold
-// beside the core's.
+// candidates the block builds and filters examined (the Visited gauge).
 //
 // The selves run in groups that share a candidate block (queryEnv.group).
-// A local-effect model's selves are grouped by tiles of core-grid cells
-// sized to the grid's occupancy (groups), and a halo row is a group of
-// its own: each self writes only its own effects, so its query phase may
-// run in any order.
+// A local-effect model's selves are grouped by tiles of grid cells sized
+// to the grid's occupancy (groups): each self writes only its own
+// effects, so its query phase may run in any order.
 // A non-local model's selves run one per group in the order given, which
 // is ascending ID: their Assigns fold into other agents' effects, and
 // that fold order is part of the result.
-func (p *part) query(rows []int32, halo *haloJoin) int64 {
-	q := p.bind(halo)
+func (p *part) query(slots []int32) int64 {
+	q := p.bind()
 	if p.c.nonLocal {
-		q.alone(rows)
+		q.alone(slots)
 	} else {
-		p.groups(rows)
+		p.groups(slots)
 	}
 	visited := q.visited
 	p.cost += q.cost
@@ -174,44 +145,31 @@ func (p *part) query(rows []int32, halo *haloJoin) int64 {
 	return visited
 }
 
-// bind points the part's env at the last build and the pass's halo.
-func (p *part) bind(halo *haloJoin) *queryEnv {
+// bind points the part's env at the last build.
+func (p *part) bind() *queryEnv {
 	q := &p.env
 	q.c, q.grid = p.c, &p.grid
-	q.copies, q.cols, q.halo = p.copies, &p.cols, halo
-	// The position columns carry the halo's rows once join ran.
+	q.copies, q.cols = p.copies, &p.cols
 	s := p.c.schema
 	q.xs, q.ys = p.cols.cols[s.PosX], p.cols.cols[s.PosY]
-	// Without a halo the ID ranks are the slots themselves.
-	q.coreRank = p.allSlots(len(p.copies))
-	q.rankRow = q.coreRank
-	if halo != nil {
-		q.coreRank, q.rankRow = halo.coreRank, halo.rankRow
-	}
-	q.words = resize(q.words, (len(q.rankRow)+63)/64)
+	q.words = resize(q.words, (len(p.copies)+63)/64)
 	q.summary = resize(q.summary, (len(q.words)+63)/64)
 	clear(q.words)
 	clear(q.summary)
 	return q
 }
 
-// groups runs a local-effect pass: each halo row alone, then the core
-// rows one tile at a time. A tile is a square of t×t core-grid cells
-// (tileEdge), clipped at the grid's right and top edges; the tiles run
-// row-major from the grid's first cell, and within a tile the cells run
-// row-major and a cell's selves by ascending slot. At t = 1 a tile is one
-// cell and the walk is the grid's own order.
-func (p *part) groups(rows []int32) {
-	q := &p.env
-	n := int32(len(p.copies))
-	p.sel = resize(p.sel, (int(n)+63)/64)
+// groups runs a local-effect pass one tile at a time. A tile is a square
+// of t×t grid cells (tileEdge), clipped at the grid's right and top
+// edges; the tiles run row-major from the grid's first cell, and within a
+// tile the cells run row-major and a cell's selves by ascending slot. At
+// t = 1 a tile is one cell and the walk is the grid's own order.
+func (p *part) groups(slots []int32) {
+	n := len(p.copies)
+	p.sel = resize(p.sel, (n+63)/64)
 	clear(p.sel)
-	for i, row := range rows {
-		if row >= n {
-			q.group(rows[i : i+1])
-			continue
-		}
-		p.sel[row>>6] |= 1 << (row & 63)
+	for _, slot := range slots {
+		p.sel[slot>>6] |= 1 << (slot & 63)
 	}
 	g, grp := &p.grid, p.grp[:0]
 	t := g.tileEdge()
@@ -241,9 +199,9 @@ func (p *part) groups(rows []int32) {
 // 3 s each, shared 2-vCPU host, median agent-ticks/s): 0.77M with every
 // cell its own tile, 0.87M at 4 (t = 2), 0.90M at 10 (t = 3), 1.01M at 20
 // (t = 4). The fish school must keep t = 1: its ω is 17–20 at one
-// partition and 14–19 at eight (2000 fish, seed 7, 40 ticks), and at 16
-// its sparser partitions alone take t = 2, so eight partitions read 1.09×
-// the candidates of one (TestPartitionedCandidateWorkGuard fails). 10
+// partition and 16–20 at eight, replicas counted (2000 fish, seed 7, 40
+// ticks), and a partition that took t = 2 would read more candidates per
+// agent than one partition does (TestPartitionedCandidateWorkGuard). 10
 // keeps a margin below that.
 const tileMass = 10
 
@@ -300,10 +258,9 @@ func (p *part) update(a *agent.Agent, tick uint64) []*agent.Agent {
 	return p.uctx.spawns
 }
 
-// resize returns s with length n, reusing capacity.
+// resize returns s with length n, reusing capacity and growing it as
+// append does, so a buffer that creeps up tick after tick reallocates a
+// logarithmic number of times. The elements are left as they were.
 func resize[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	return s[:n]
+	return slices.Grow(s[:0], n)[:n]
 }

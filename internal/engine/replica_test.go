@@ -99,7 +99,8 @@ func TestReplicaSnapshots(t *testing.T) {
 // An envelope a peer may send but the engine cannot take fails the run
 // with a *mapreduce.MessageError instead of panicking the phase: one
 // without an agent, one whose State is shorter than the schema's, and an
-// owned one on a split tick.
+// owned one outside a migration tick (no cut changed, so every owned agent
+// sent itself).
 func TestMalformedEnvelopeFailsTheRun(t *testing.T) {
 	m := newFlockModel(2)
 	pop := makePop(m.s, 40, 20, 1)
@@ -109,7 +110,7 @@ func TestMalformedEnvelopeFailsTheRun(t *testing.T) {
 	}{
 		{"no agent", &Envelope{Replica: true}},
 		{"short state", &Envelope{A: &agent.Agent{ID: 99, State: []float64{1}, Effect: m.s.IdentityEffects()}, Replica: true}},
-		{"owned on a split tick", &Envelope{A: agent.New(m.s, 99)}},
+		{"owned outside a migration tick", &Envelope{A: agent.New(m.s, 99)}},
 	} {
 		tr := transport.NewMem(2)
 		e, err := NewDistributed(m, clonePop(pop), Options{Workers: 2, Transport: tr, Seed: 1})

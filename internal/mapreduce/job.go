@@ -70,16 +70,10 @@ type Job[V any] struct {
 	// runs the query phase (reduceᵗ₁). With no Reduce2, its emissions
 	// become next tick's values at their destination partitions. With a
 	// Reduce2, its emissions are the partially aggregated effect values
-	// routed to owning partitions. When Reduce1Early is set, Reduce1 runs
-	// once the phase has fully drained and receives only the values Early
-	// did not: those sent by peers.
+	// routed to owning partitions. It runs once the map phase has fully
+	// drained, on the values the worker sent itself and those its peers
+	// sent it together: one superstep, as in §3.3.
 	Reduce1 func(ctx *Ctx, values []V, emit Emit[V])
-
-	// Reduce1Early, when non-nil, is a window hook of the query phase: it
-	// runs per worker on just the values the worker sent to *itself* during
-	// map, between the map phase's FlushPhase and AwaitPhase — i.e. while
-	// peer values are still in flight — and may not emit.
-	Reduce1Early func(ctx *Ctx, self []V)
 
 	// Reduce2, when non-nil, performs the global effect aggregation ⊕
 	// (reduceᵗ₂). Its emissions become next tick's values. The identity

@@ -25,12 +25,11 @@ type Runtime[V any] struct {
 	cur  phaseSpec[V]    // the phase being run, read by each worker's steps
 }
 
-// phaseSpec is one phase of a tick: which one it is, the function every
-// worker runs over its values, and the optional window (see phase).
+// phaseSpec is one phase of a tick: which one it is and the function
+// every worker runs over its values.
 type phaseSpec[V any] struct {
-	phase  Phase
-	fn     func(*Ctx, []V, Emit[V])
-	window func(*Ctx, []V)
+	phase Phase
+	fn    func(*Ctx, []V, Emit[V])
 }
 
 // New creates a runtime. It panics on structurally invalid configuration —
@@ -191,14 +190,14 @@ func (r *Runtime[V]) epochBoundary() error {
 // ("the final reducer ... sends them to the map task on the same node",
 // §3.3).
 func (r *Runtime[V]) runTick() error {
-	if err := r.phase(phaseSpec[V]{PhaseMap, r.job.Map, r.job.Reduce1Early}); err != nil {
+	if err := r.phase(phaseSpec[V]{PhaseMap, r.job.Map}); err != nil {
 		return err
 	}
-	if err := r.phase(phaseSpec[V]{PhaseReduce1, r.job.Reduce1, nil}); err != nil {
+	if err := r.phase(phaseSpec[V]{PhaseReduce1, r.job.Reduce1}); err != nil {
 		return err
 	}
 	if r.job.Reduce2 != nil {
-		return r.phase(phaseSpec[V]{PhaseReduce2, r.job.Reduce2, nil})
+		return r.phase(phaseSpec[V]{PhaseReduce2, r.job.Reduce2})
 	}
 	return nil
 }
@@ -213,9 +212,7 @@ func (r *Runtime[V]) runTick() error {
 //
 // A worker's batch to itself never enters the transport: collocated
 // tasks hand it over in memory (§3.3), and it is metered as local traffic
-// all the same. So the window, when set, can run between the transport's
-// FlushPhase and AwaitPhase on just those self-sent values: the early
-// (interior) pass computes while peer envelopes are still in flight.
+// all the same.
 //
 // A worker's buffers are reused phase after phase (see workerBufs), so a
 // steady-state phase allocates nothing. What a phase delivers stays valid
@@ -228,9 +225,6 @@ func (r *Runtime[V]) phase(ph phaseSpec[V]) error {
 	r.cur = ph
 	_ = r.eachWorker(stepCompute)
 	err := r.tr.FlushPhase()
-	if err == nil && ph.window != nil {
-		_ = r.eachWorker(stepWindow)
-	}
 	if err == nil {
 		err = r.tr.AwaitPhase()
 	}
@@ -248,20 +242,15 @@ type step int
 
 const (
 	stepCompute step = iota // compute
-	stepWindow              // runWindow
 	stepDeliver             // deliver
 )
 
 func (r *Runtime[V]) run(s step, w int) error {
-	switch s {
-	case stepCompute:
+	if s == stepCompute {
 		r.compute(w)
-	case stepWindow:
-		r.runWindow(w)
-	default:
-		return r.deliver(w)
+		return nil
 	}
-	return nil
+	return r.deliver(w)
 }
 
 // compute runs the phase's function on worker w's values and sends what
@@ -281,24 +270,13 @@ func (r *Runtime[V]) compute(w int) {
 	r.flush(w, b.out)
 }
 
-// runWindow runs the phase's window on the batch worker w sent itself.
-func (r *Runtime[V]) runWindow(w int) {
-	b := &r.bufs[w]
-	b.in = append(b.in, b.out[w]...)
-	r.cur.window(&b.ctx, b.in)
-}
-
-// deliver makes worker w's values for the next phase: its batch to itself,
-// unless the window took it, then everything peers sent it.
+// deliver makes worker w's values for the next phase: its batch to
+// itself, then everything peers sent it.
 func (r *Runtime[V]) deliver(w int) error {
 	b := &r.bufs[w]
-	taken := len(b.in)
-	if r.cur.window == nil {
-		b.in = append(b.in, b.out[w]...)
-	}
 	var err error
-	b.in, err = r.collect(w, b.in)
-	r.values[w] = b.in[taken:]
+	b.in, err = r.collect(w, append(b.in, b.out[w]...))
+	r.values[w] = b.in
 	return err
 }
 

@@ -12,8 +12,8 @@ import (
 // crashAt returns a transport for workers partitions that closes — the
 // in-process crash — in the given phase (0: map, 1: reduce₁, 2: reduce₂)
 // of the given tick of a run of m, before that phase's flush or, with
-// await, in its overlap window. The barrier count assumes no earlier
-// rollback.
+// await, after its marker went out and before its drain. The barrier
+// count assumes no earlier rollback.
 func crashAt(m engine.Model, workers, tick, phase int, await bool) transport.Transport {
 	mem := transport.NewMem(workers)
 	return &transport.FaultAt{
@@ -137,8 +137,8 @@ func TestRecoveryFromInitialCheckpoint(t *testing.T) {
 
 // TestRecoveryAtEveryPhase closes the transport in every phase of one tick
 // of every registered scenario — map, reduce₁ and, on non-local models,
-// reduce₂ — both before the phase's flush and in its overlap window, with
-// the load balancer on. Each crash loses its tick and rolls back to the
+// reduce₂ — both before the phase's flush and between its flush and its
+// drain, with the load balancer on. Each crash loses its tick and rolls back to the
 // checkpoint at tick 8; the run must end bit-identical to the fault-free
 // one.
 func TestRecoveryAtEveryPhase(t *testing.T) {

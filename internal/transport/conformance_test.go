@@ -9,8 +9,8 @@ import (
 	"github.com/bigreddata/brace/internal/cluster"
 )
 
-// endPhase is the unsplit barrier: what a caller with nothing to do in the
-// overlap window between FlushPhase and AwaitPhase runs.
+// endPhase is the whole barrier: FlushPhase, then AwaitPhase, with nothing
+// between them, as the runtime runs it.
 func endPhase(tr Transport) error {
 	if err := tr.FlushPhase(); err != nil {
 		return err

@@ -28,10 +28,11 @@ package transport
 // non-local ones three, so Phase = 2·tick+1 hits a local-effect worker in
 // the middle of that tick. The count runs on through a recovery, so a
 // fault nested inside another counts the barriers the rollback re-executes.
-// With Await the fault lands in the overlap window of the two-pass tick:
-// the phase's sends and marker are already out, the interior pass has its
-// inputs, but the boundary drain has not happened — so peers sail through
-// this barrier and only the next one hangs.
+// With Await the fault lands after the phase's marker went out and before
+// its drain: the phase's sends and marker are already out, but this
+// process has not collected what its peers sent — so peers sail through
+// this barrier and only the next one hangs. TCP has that window on every
+// phase, since a process flushes before it awaits.
 type FaultAt struct {
 	Transport
 	// Phase is the 1-based phase barrier the fault fires at.

@@ -25,8 +25,8 @@ import (
 // per-destination end-of-phase markers with declared frame counts and
 // per-(src,dst) data sequence numbers; worker registration (FrameRegister)
 // and direct worker↔worker sessions (FramePeerHello). Each process derives
-// the cell grids, the two-pass tick's split and the initial strip cuts
-// from the Hello's scenario and index, so none of them crosses the wire.
+// the cell grids and the initial strip cuts from the Hello's scenario and
+// index, so neither crosses the wire.
 // v7 took the balancer's cost out of PartState: PartStats.Cost counts
 // probe rows since the previous barrier, checkpoints are taken at
 // barriers, so the cost in a checkpoint or a Restore would always be 0.
