@@ -1,6 +1,7 @@
 package distrib
 
 import (
+	"fmt"
 	"net"
 	"testing"
 	"time"
@@ -289,12 +290,19 @@ func TestMeshPeerLinkStallDedupsAndMatches(t *testing.T) {
 // generation, grows the placement, and rewinds the run from the last
 // coordinated checkpoint onto the larger fleet. Local-effect state is
 // partition-independent, so the end state must still be bit-identical.
+// With two partitions on two workers the newcomer is placed none: it
+// ticks on, computing nothing.
 func TestMeshMidRunRegistrationJoins(t *testing.T) {
+	for _, parts := range []int{4, 2} {
+		t.Run(fmt.Sprintf("parts=%d", parts), func(t *testing.T) { checkMidRunRegistration(t, parts) })
+	}
+}
+
+func checkMidRunRegistration(t *testing.T, parts int) {
 	const (
 		agents = 96
 		extent = 30.0
 		seed   = uint64(5)
-		parts  = 4
 		ticks  = 24
 		epoch  = 3
 	)

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -154,6 +153,14 @@ func NewDistributed(m Model, pop []*agent.Agent, opts Options) (*Distributed, er
 	for i := range e.parts {
 		e.parts[i] = e.newPart(opts.Index)
 	}
+	if !e.nonLocal && opts.Workers > 1 {
+		// Capped, so that an append through a replica's Effect cannot
+		// write into the shared vector. One partition replicates nothing.
+		theta := slices.Clip(s.IdentityEffects())
+		for _, p := range e.parts {
+			p.theta = theta
+		}
+	}
 
 	// The initial population as owned envelopes, one array, in ID order.
 	envs := make([]Envelope, len(pop))
@@ -162,7 +169,7 @@ func NewDistributed(m Model, pop []*agent.Agent, opts Options) (*Distributed, er
 		envs[i].A = a
 		vals[i] = &envs[i]
 	}
-	sortByID(vals)
+	slices.SortFunc(vals, byID)
 	// Initial partitioning: equal-count quantiles of the initial agent x
 	// positions (§3.3: "the master computes a partitioning function based
 	// on the visible regions of the agents and then broadcasts [it]"), and
@@ -254,7 +261,7 @@ func NewDistributed(m Model, pop []*agent.Agent, opts Options) (*Distributed, er
 // report read owned values only, and the cell grid copies positions, never
 // agents.
 func (e *Distributed) mapPhase(ctx *mapreduce.Ctx, envs []*Envelope, emit mapreduce.Emit[*Envelope]) {
-	b := &e.bufs[ctx.Worker]
+	b, p := &e.bufs[ctx.Worker], e.parts[ctx.Worker]
 	b.arena.reset()
 	for _, env := range envs {
 		if env.Replica || env.A.Dead {
@@ -273,7 +280,7 @@ func (e *Distributed) mapPhase(ctx *mapreduce.Ctx, envs []*Envelope, emit mapred
 			if state == nil {
 				state = b.arena.snapshot(env.A)
 			}
-			emit(q, b.arena.replica(env.A, state, int32(owner)))
+			emit(q, b.arena.replica(env.A, state, int32(owner), p.theta))
 		}
 	}
 }
@@ -299,9 +306,9 @@ func (e *Distributed) checkPeer(ctx *mapreduce.Ctx, env *Envelope) error {
 
 // reduce1 is reduceᵗ₁, one pass once the map phase has fully drained.
 // Everything it delivered — the copies this partition sent itself and
-// those its peers sent, owned agents and replicas alike — is sorted by
-// agent ID into one copy set with one cell grid (prepare), and the owned
-// slots probe it. The tick's compute — every candidate the partition's
+// those its peers sent, owned agents and replicas alike — is merged in
+// agent ID order into one copy set with one cell grid (prepare), and the
+// owned slots probe it. The tick's compute — every candidate the partition's
 // Visited gauge counted, plus the owned agents — is charged to the
 // virtual clock as one superstep. Then local effects update every owned
 // agent (in any order: an update reads only its own agent, and its
@@ -343,19 +350,9 @@ func (e *Distributed) reduce1(ctx *mapreduce.Ctx, envs []*Envelope, emit mapredu
 func (e *Distributed) reduce2(ctx *mapreduce.Ctx, envs []*Envelope, emit mapreduce.Emit[*Envelope]) {
 	w := ctx.Worker
 	// Group by agent; fold partials in ascending SrcPart order so the ⊕
-	// fold order is a function of the partitioning alone.
-	slices.SortFunc(envs, func(a, b *Envelope) int {
-		if c := cmp.Compare(a.A.ID, b.A.ID); c != 0 {
-			return c
-		}
-		if a.Replica != b.Replica {
-			if b.Replica {
-				return -1 // owned copy first
-			}
-			return 1
-		}
-		return cmp.Compare(a.SrcPart, b.SrcPart)
-	})
+	// fold order is a function of the partitioning alone. Each sender's
+	// batch is one run of that order, so a merge makes it.
+	e.bufs[w].order(envs, byPartial)
 	i := 0
 	for i < len(envs) {
 		j := i
@@ -408,13 +405,30 @@ type partBufs struct {
 	ownedSlot []int32
 	targets   []int // mapPhase's replica targets
 	arena     replicaArena
+	merge     *runMerger[*Envelope] // order's, made at the first input that is not one run
 }
 
-// prepare sorts this reducer's envelopes by agent ID, builds partition w's
-// index over the copies, and returns the owned slots, ascending.
+// order orders envs by cmp: a merge of their ascending runs. A lone
+// partition's input is one run, the batch it sent itself, so its
+// partBufs carries no merger until an input is not.
+func (b *partBufs) order(envs []*Envelope, cmp func(a, b *Envelope) int) {
+	if b.merge == nil {
+		if slices.IsSortedFunc(envs, cmp) {
+			return
+		}
+		b.merge = new(runMerger[*Envelope])
+	}
+	b.merge.sort(envs, cmp)
+}
+
+// prepare orders this reducer's envelopes by agent ID, builds partition
+// w's index over the copies, and returns the owned slots, ascending. What
+// the map phase delivered is the batch w sent itself, then each peer's
+// batch, each emitted in the order its sender walked its values, so the
+// order is a merge of those runs (runMerger), not a sort.
 func (e *Distributed) prepare(w int, envs []*Envelope) (ownedSlots []int32) {
-	sortByID(envs)
 	b := &e.bufs[w]
+	b.order(envs, byID)
 	// Cleared, not just truncated: a stale pointer past the new length
 	// would keep a whole decoded frame's block of replicas alive.
 	clear(b.copies)
@@ -428,12 +442,6 @@ func (e *Distributed) prepare(w int, envs []*Envelope) (ownedSlots []int32) {
 	}
 	e.parts[w].build(b.copies)
 	return b.ownedSlot
-}
-
-// sortByID orders a reducer's envelopes by agent ID, which is unique among
-// them: a partition receives at most one copy of an agent per phase.
-func sortByID(envs []*Envelope) {
-	slices.SortFunc(envs, func(a, b *Envelope) int { return cmp.Compare(a.A.ID, b.A.ID) })
 }
 
 // neverTick is the "no tick" sentinel for migrateTick.

@@ -13,8 +13,10 @@ import (
 // A replica lives in its sender's replicaArena: it is valid from the
 // sender's map phase until that worker's next map phase, and the replicas
 // of one agent share one State snapshot, so a receiver never writes a
-// replica's State. Its Envelope, agent header and Effect are its own: a
-// non-local reduce₁ rewrites SrcPart and folds partial effects into it.
+// replica's State. Its Envelope and agent header are its own. A local
+// model's replicas all share one read-only Effect, the identity θ; a
+// non-local model's each own theirs, because reduce₁ folds partial effects
+// into it and rewrites SrcPart.
 type Envelope = transport.Envelope
 
 func cloneEnvelope(e *Envelope) *Envelope {
@@ -23,8 +25,14 @@ func cloneEnvelope(e *Envelope) *Envelope {
 
 // replicaArena is one worker's replica storage. mapPhase resets and
 // refills it every tick, so in steady state replication allocates
-// nothing: a replica costs a copy of its Effect, its agent header and its
-// Envelope, plus one State copy per replicated agent.
+// nothing: a replica costs its agent header and its Envelope, plus one
+// State copy per replicated agent and, for a non-local model, a copy of
+// its Effect.
+//
+// A local model never assigns to a replica — its Assigns reach only the
+// probing agent, which is owned — and the owner's Effect is θ between
+// ticks (the update resets it), so its replicas point at theta, one θ
+// vector the engine owns (part.theta), and copy no Effect at all.
 type replicaArena struct {
 	replicas slab[replicaSlot]
 	floats   slab[float64]
@@ -50,11 +58,16 @@ func (ar *replicaArena) snapshot(a *agent.Agent) []float64 {
 }
 
 // replica returns a replica of the live agent a over its State snapshot
-// state, produced by partition src.
-func (ar *replicaArena) replica(a *agent.Agent, state []float64, src int32) *Envelope {
+// state, produced by partition src. Its Effect is theta, the shared θ of
+// a local model, or under non-local effects (theta nil) a copy of a's.
+func (ar *replicaArena) replica(a *agent.Agent, state []float64, src int32, theta []float64) *Envelope {
 	r := &ar.replicas.take(1)[0]
-	r.a = agent.Agent{ID: a.ID, State: state, Effect: ar.floats.take(len(a.Effect))}
-	copy(r.a.Effect, a.Effect)
+	eff := theta
+	if eff == nil {
+		eff = ar.floats.take(len(a.Effect))
+		copy(eff, a.Effect)
+	}
+	r.a = agent.Agent{ID: a.ID, State: state, Effect: eff}
 	r.env = Envelope{A: &r.a, Replica: true, SrcPart: src}
 	return &r.env
 }

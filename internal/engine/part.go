@@ -98,6 +98,12 @@ type part struct {
 	// Query scratch: the pass's selves by slot, and one group.
 	sel []uint64
 	grp []int32
+
+	// theta is the read-only identity θ a local model's replicas share as
+	// their Effect (replicaArena.replica), one vector for every part of
+	// the engine: the θ this part's update resets an owned Effect to. Nil
+	// under non-local effects and at one partition, which has no replicas.
+	theta []float64
 }
 
 // newPart builds a part over the given index kind: KindKDTree, the zero

@@ -14,13 +14,29 @@ import (
 // The map phase's replicas are arena snapshots: on strips narrower than
 // the visibility every agent replicates to several partitions, and its
 // replicas share one copy of its State — equal to the owner's, never the
-// owner's array — while each has its own Envelope and Effect. Mutating the
-// owned agent afterwards leaves them as they were, and a second map phase
-// on the same worker allocates nothing.
+// owner's array — while each has its own Envelope and agent header. A
+// local model's replicas all share one read-only Effect, the identity θ,
+// which is never an owner's; a non-local model's each own a copy of the
+// owner's, since reduce₁ folds partials into it. Mutating the owned agent
+// afterwards leaves them as they were, and a second map phase on the same
+// worker allocates nothing.
 func TestReplicaSnapshots(t *testing.T) {
 	const workers, vis = 8, 5.0
-	m := newFlockModel(vis)
-	e, err := NewDistributed(m, makePop(m.s, 200, 20, 3), Options{Workers: workers, Seed: 3})
+	flock, push := newFlockModel(vis), newPushModel(vis)
+	for _, tc := range []struct {
+		name  string
+		model Model
+		s     *agent.Schema
+	}{
+		{"local", flock, flock.s},
+		{"non-local", push, push.s},
+	} {
+		t.Run(tc.name, func(t *testing.T) { checkReplicaSnapshots(t, tc.model, tc.s, workers, vis) })
+	}
+}
+
+func checkReplicaSnapshots(t *testing.T, m Model, s *agent.Schema, workers int, vis float64) {
+	e, err := NewDistributed(m, makePop(s, 200, 20, 3), Options{Workers: workers, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,15 +65,32 @@ func TestReplicaSnapshots(t *testing.T) {
 			}
 		}
 	}
-	shared := 0
+	local := !modelNonLocal(m)
+	theta := s.IdentityEffects()
+	var shared []float64 // the one Effect every replica of a local model holds
+	sharing := 0
 	for id, rs := range replicas {
 		a := owned[id]
 		for i, r := range rs {
 			if !slices.Equal(r.A.State, a.State) || !slices.Equal(r.A.Effect, a.Effect) {
 				t.Fatalf("agent %d: replica %v differs from its owner %v", id, r.A, a)
 			}
+			if !slices.Equal(r.A.Effect, theta) {
+				t.Fatalf("agent %d: replica Effect %v is not θ %v", id, r.A.Effect, theta)
+			}
 			if &r.A.State[0] == &a.State[0] || &r.A.Effect[0] == &a.Effect[0] {
 				t.Fatalf("agent %d: replica aliases its owner", id)
+			}
+			if local {
+				if shared == nil {
+					shared = r.A.Effect
+				}
+				if &r.A.Effect[0] != &shared[0] {
+					t.Fatalf("agent %d: a local model's replicas hold separate Effects", id)
+				}
+				if cap(r.A.Effect) != len(r.A.Effect) {
+					t.Fatalf("agent %d: the shared θ is not capped (len %d, cap %d)", id, len(r.A.Effect), cap(r.A.Effect))
+				}
 			}
 			if i == 0 {
 				continue
@@ -65,13 +98,16 @@ func TestReplicaSnapshots(t *testing.T) {
 			if &r.A.State[0] != &rs[0].A.State[0] {
 				t.Fatalf("agent %d: replicas hold separate State copies", id)
 			}
-			if r == rs[0] || r.A == rs[0].A || &r.A.Effect[0] == &rs[0].A.Effect[0] {
-				t.Fatalf("agent %d: replicas share an Envelope, agent header or Effect", id)
+			if r == rs[0] || r.A == rs[0].A {
+				t.Fatalf("agent %d: replicas share an Envelope or agent header", id)
 			}
-			shared++
+			if !local && &r.A.Effect[0] == &rs[0].A.Effect[0] {
+				t.Fatalf("agent %d: a non-local model's replicas share an Effect", id)
+			}
+			sharing++
 		}
 	}
-	if shared == 0 {
+	if sharing == 0 {
 		t.Fatal("no agent replicated to two partitions; the test's geometry is mis-tuned")
 	}
 
@@ -81,6 +117,9 @@ func TestReplicaSnapshots(t *testing.T) {
 		a := owned[id]
 		for i := range a.State {
 			a.State[i] += 100
+		}
+		for i := range a.Effect {
+			a.Effect[i] += 100
 		}
 	}
 	for id, rs := range replicas {

@@ -36,7 +36,7 @@ func arenaBatch(ar *replicaArena, n int, seed float64) []*Envelope {
 			batch = append(batch, &Envelope{A: a, SrcPart: 3}) // a migrant
 			continue
 		}
-		batch = append(batch, ar.replica(a, ar.snapshot(a), 3))
+		batch = append(batch, ar.replica(a, ar.snapshot(a), 3, nil))
 	}
 	return batch
 }

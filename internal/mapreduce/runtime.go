@@ -2,8 +2,10 @@ package mapreduce
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"github.com/bigreddata/brace/internal/cluster"
 	"github.com/bigreddata/brace/internal/detutil"
@@ -22,7 +24,15 @@ type Runtime[V any] struct {
 
 	bufs []workerBufs[V] // per worker, reused by every phase
 	errs []error         // per local partition, eachWorker's results
+	pool *runnerPool     // eachWorker's, made at its first step over several partitions
 	cur  phaseSpec[V]    // the phase being run, read by each worker's steps
+}
+
+// runnerPool is eachWorker's shared state: the counter its runners take
+// local indexes by, and the runners to wait for.
+type runnerPool struct {
+	next atomic.Int64
+	wg   sync.WaitGroup
 }
 
 // phaseSpec is one phase of a tick: which one it is and the function
@@ -205,10 +215,10 @@ func (r *Runtime[V]) runTick() error {
 // phase is the one shape every compute phase has: each worker runs fn
 // over its values into its outbox and sends the batches, the transport's
 // phase ends, and every worker collects what was addressed to it — under
-// its own barrier: all workers (local goroutines and, over TCP, remote
-// processes) must finish sending before any worker collects, otherwise a
-// fast worker's next-phase output could land in a slow worker's
-// not-yet-drained inbox.
+// its own barrier: all workers (this process's partitions, which
+// eachWorker's runner pool steps, and, over TCP, remote processes) must
+// finish sending before any worker collects, otherwise a fast worker's
+// next-phase output could land in a slow worker's not-yet-drained inbox.
 //
 // A worker's batch to itself never enters the transport: collocated
 // tasks hand it over in memory (§3.3), and it is metered as local traffic
@@ -383,30 +393,55 @@ func (r *Runtime[V]) messageError(w int, m cluster.Message, reason string) *Mess
 	return &MessageError{Job: r.job.Name, Worker: w, From: m.From, Tag: m.Tag, Want: int(r.cur.phase), Payload: fmt.Sprintf("%T", m.Payload), Reason: reason}
 }
 
-// eachWorker runs step s for every locally computed partition,
-// concurrently, and returns the first error in partition order.
-// In a single-process runtime that is every partition; in a multi-process
-// run each process covers only its LocalParts block and the transport's
-// phase protocol keeps the processes in lockstep. A lone partition runs on
-// the calling goroutine.
+// eachWorker runs step s for every locally computed partition and returns
+// the first error in partition order. In a single-process runtime that is
+// every partition; in a multi-process run each process covers only its
+// LocalParts block, which may be empty, and the transport's phase
+// protocol keeps the processes in lockstep.
+//
+// A pool of min(GOMAXPROCS, len(local)) runners, the calling goroutine
+// one of them, takes the partitions in order from a shared counter: on
+// fewer cores than partitions a runner that finishes early takes the next
+// partition instead of waiting for a goroutine the scheduler has not run
+// yet. A lone partition runs on the calling goroutine.
 func (r *Runtime[V]) eachWorker(s step) error {
-	if len(r.local) == 1 {
+	switch len(r.local) {
+	case 0:
+		return nil
+	case 1:
 		return r.run(s, r.local[0])
 	}
-	var wg sync.WaitGroup
-	for i, w := range r.local {
-		r.errs[i] = nil
-		wg.Add(1)
-		go func(i, w int) {
-			defer wg.Done()
-			r.errs[i] = r.run(s, w)
-		}(i, w)
+	if r.pool == nil {
+		r.pool = new(runnerPool)
 	}
-	wg.Wait()
+	clear(r.errs)
+	r.pool.next.Store(0)
+	runners := min(runtime.GOMAXPROCS(0), len(r.local))
+	r.pool.wg.Add(runners - 1)
+	for k := 1; k < runners; k++ {
+		go func() {
+			defer r.pool.wg.Done()
+			r.runner(s)
+		}()
+	}
+	r.runner(s)
+	r.pool.wg.Wait()
 	for _, err := range r.errs {
 		if err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// runner is one runner of eachWorker's pool: it runs step s for the
+// next local partition until none is left.
+func (r *Runtime[V]) runner(s step) {
+	for {
+		i := int(r.pool.next.Add(1)) - 1
+		if i >= len(r.local) {
+			return
+		}
+		r.errs[i] = r.run(s, r.local[i])
+	}
 }

@@ -21,11 +21,14 @@ import (
 // ReplicaTargets appends to dst every partition whose visible region
 // contains pos — i.e. every partition that must receive a replica of an
 // agent at pos, given the visibility distance bound (≤ 0 = unbounded, in
-// which case every partition receives the agent).
+// which case every partition receives the agent) — in ascending order.
 //
 // VR(p) = ∪_{l : P(l)=p} VR(l) is, for distance-bound visibility, exactly
 // Region(p) expanded by the bound; pos ∈ VR(p) ⇔ dist(pos, Region(p)) ≤
-// bound.
+// bound. A strip's distance from pos grows with its distance from the
+// owner's strip, where it is zero, so the targets are one run of strips
+// around the owner: the scan walks outward from it and stops at the first
+// strip out of reach on each side.
 func ReplicaTargets(f *Strips, pos geom.Vec, visibility float64, dst []int) []int {
 	n := f.N()
 	if visibility <= 0 {
@@ -35,10 +38,20 @@ func ReplicaTargets(f *Strips, pos geom.Vec, visibility float64, dst []int) []in
 		return dst
 	}
 	v2 := visibility * visibility
-	for i := 0; i < n; i++ {
-		if f.Region(i).Dist2(pos) <= v2 {
-			dst = append(dst, i)
-		}
+	reach := func(i int) bool { return f.Region(i).Dist2(pos) <= v2 }
+	lo := f.Locate(pos)
+	if !reach(lo) {
+		return dst // a NaN bound reaches nothing, not even the owner
+	}
+	hi := lo
+	for lo > 0 && reach(lo-1) {
+		lo--
+	}
+	for hi < n-1 && reach(hi+1) {
+		hi++
+	}
+	for i := lo; i <= hi; i++ {
+		dst = append(dst, i)
 	}
 	return dst
 }

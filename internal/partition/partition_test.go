@@ -3,6 +3,7 @@ package partition
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/bigreddata/brace/internal/geom"
@@ -157,6 +158,62 @@ func TestReplicaTargets(t *testing.T) {
 	got = ReplicaTargets(s, geom.V(60, 0), 0, nil)
 	if len(got) != 4 {
 		t.Errorf("ReplicaTargets unbounded = %v", got)
+	}
+}
+
+// ReplicaTargets scans outward from the owner's strip; it must return
+// exactly the strips the visibility predicate admits when every strip is
+// tested, in ascending order: at random positions, at NaN and ±Inf
+// coordinates, for bounds from tiny to infinite and NaN, over uniform cuts
+// and cuts the balancer moved.
+func TestReplicaTargetsMatchAllStrips(t *testing.T) {
+	all := func(s *Strips, pos geom.Vec, vis float64) []int {
+		var out []int
+		for i := 0; i < s.N(); i++ {
+			if vis <= 0 || s.Region(i).Dist2(pos) <= vis*vis {
+				out = append(out, i)
+			}
+		}
+		return out
+	}
+	rng := rand.New(rand.NewSource(9))
+	strips := []*Strips{NewStrips(1, 0, 1), NewStrips(2, 0, 60), NewStrips(8, 0, 60)}
+	for k := 0; k < 6; k++ {
+		xs := make([]float64, 500)
+		for i := range xs {
+			xs[i] = math.Abs(rng.NormFloat64()) * 20 * float64(k+1)
+		}
+		cur := strips[1+k%2]
+		d := DefaultBalancer().Plan(cur, xs, nil)
+		moved, err := NewStripsFromCuts(d.NewCuts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		strips = append(strips, moved)
+	}
+	odd := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, 30, 60}
+	visibilities := []float64{0, -1, 1e-9, 0.5, 4, 7.5, 30, 1e9, math.Inf(1), math.NaN()}
+	var dst []int
+	for _, s := range strips {
+		for i := 0; i < 3000; i++ {
+			pos := geom.V(rng.Float64()*80-10, rng.Float64()*80-10)
+			switch i % 5 {
+			case 1:
+				pos.X = odd[rng.Intn(len(odd))]
+			case 2:
+				pos.Y = odd[rng.Intn(len(odd))]
+			case 3:
+				pos = geom.V(odd[rng.Intn(len(odd))], odd[rng.Intn(len(odd))])
+			}
+			if c := s.Cuts(); len(c) > 0 && i%7 == 0 {
+				pos.X = c[rng.Intn(len(c))] // on a cut
+			}
+			vis := visibilities[rng.Intn(len(visibilities))]
+			dst = ReplicaTargets(s, pos, vis, dst[:0])
+			if want := all(s, pos, vis); !slices.Equal(dst, want) {
+				t.Fatalf("cuts %v, pos %v, vis %v: ReplicaTargets = %v, every strip tested = %v", s.Cuts(), pos, vis, dst, want)
+			}
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 
 	"github.com/bigreddata/brace/internal/agent"
 )
@@ -238,10 +239,101 @@ type decoder struct {
 	off  int
 	err  error
 	kind FrameKind
-	// envelopes' per-frame scratch, kept with the connection: slot[i]
+	// envelopes' per-frame scratch, kept with the connection: place[i]
 	// places row i, as index k into the replica block or ^k into the
 	// owned one.
-	slot []int32
+	place []int32
+	// slots hold the replica memory of the last three phases' Data
+	// frames, slot phase mod 3, for a decoder whose connection feeds a TCP
+	// transport; clock is that transport's flushed (gen, phase), nil on
+	// any other connection, whose frames all decode into fresh memory.
+	slots [3]decodeSlot
+	clock *phaseClock
+}
+
+// phaseClock is the (generation, phase) a TCP transport's FlushPhase last
+// reached: every phase up to it has finished computing in this process.
+// Its decoders read it to tell when a slot's replicas can have no reader
+// left.
+type phaseClock struct {
+	mu    sync.Mutex
+	gen   int
+	phase uint64
+}
+
+func (c *phaseClock) set(gen int, phase uint64) {
+	c.mu.Lock()
+	c.gen, c.phase = gen, phase
+	c.mu.Unlock()
+}
+
+func (c *phaseClock) get() (gen int, phase uint64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.gen, c.phase
+}
+
+// decodeSlot is the reused memory for one phase's replica rows on one
+// connection: the rows, their floats and the batch slices of every Data
+// frame of (gen, phase). Each array grows to the phase's high-water mark,
+// by at least a quarter and otherwise to exactly what the phase needs, so
+// in steady state a Data frame's replicas allocate nothing.
+type decodeSlot struct {
+	gen    int
+	phase  uint64
+	rows   []envRow
+	floats []float64
+	batch  []*Envelope
+	// How much of each array the slot's phase has used.
+	nRows, nFloats, nBatch int
+}
+
+// slotFor returns the slot a Data frame of (gen, phase) decodes its
+// replicas into, or nil for fresh memory.
+//
+// A replica decoded in phase p is read until this process's compute of
+// phase p+1 — or p+2, when reduce₂ folds a partial a co-resident reduce₁
+// forwarded — has finished, so a slot keyed (gen, p) may be refilled by
+// phase p+3 once the clock shows phase p+2 flushed. A peer sends phase
+// p+3 only after it has seen this process's p+2 marker, which goes out
+// after that flush, so every frame of the current generation passes the
+// clock's test; a frame that fails it — of another generation, or of a
+// phase the clock has not reached — decodes into fresh memory. So does a
+// frame older than its slot's (a relayed duplicate): the slot's rows may
+// still be read. A new generation's first frame leaves the old
+// generation's arrays to whoever still holds them.
+func (d *decoder) slotFor(gen int, phase uint64) *decodeSlot {
+	if d.clock == nil {
+		return nil
+	}
+	if g, flushed := d.clock.get(); gen != g || phase > flushed+1 {
+		return nil
+	}
+	s := &d.slots[phase%uint64(len(d.slots))]
+	switch {
+	case s.gen != gen:
+		*s = decodeSlot{gen: gen, phase: phase}
+	case phase < s.phase:
+		return nil
+	case phase > s.phase:
+		s.phase = phase
+		s.nRows, s.nFloats, s.nBatch = 0, 0, 0
+	}
+	return s
+}
+
+// grab returns the next n values of *buf after the *used its phase has
+// taken, capped. When they do not fit, *buf becomes a new array of at
+// least 1.25× the old length: the values already handed out stay where
+// they are, in the old array, and the new one is used from *used on.
+func grab[T any](buf *[]T, used *int, n int) []T {
+	need := *used + n
+	if need > len(*buf) {
+		*buf = make([]T, max(need, len(*buf)+len(*buf)/4))
+	}
+	v := (*buf)[*used:need:need]
+	*used = need
+	return v
 }
 
 // fail records a decoding error for the frame being read unless one is
@@ -426,7 +518,11 @@ func (d *decoder) column(n, width int) column {
 // replicas. Every vector is capped, so an append through one cannot spill
 // into its neighbour, and nothing aliases the frame body. A block of no
 // rows decodes as an empty batch, never nil.
-func (d *decoder) envelopes() []*Envelope {
+//
+// With a slot (a Data frame on a TCP transport's connection, slotFor), the
+// replica rows, their floats and the batch slice come from the slot's
+// arrays; the owned rows are fresh memory all the same.
+func (d *decoder) envelopes(slot *decodeSlot) []*Envelope {
 	n := d.count(8) // the ID column alone is 8 bytes a row
 	if n == 0 {
 		return []*Envelope{}
@@ -438,7 +534,7 @@ func (d *decoder) envelopes() []*Envelope {
 	if d.err != nil {
 		return nil
 	}
-	slot := d.slot[:0]
+	place := d.place[:0]
 	var replicas, owned int32
 	for i := 0; i < n; i++ {
 		f := uint8(flags.at(i))
@@ -447,24 +543,32 @@ func (d *decoder) envelopes() []*Envelope {
 			d.fail("row %d flags %#x", i, f)
 			return nil
 		case f&flagReplica != 0:
-			slot = append(slot, replicas)
+			place = append(place, replicas)
 			replicas++
 		default:
-			slot = append(slot, ^owned)
+			place = append(place, ^owned)
 			owned++
 		}
 	}
-	d.slot = slot
+	d.place = place
 	// Row i's vector is its block's floats [k·w, (k+1)·w), state then
 	// effect.
 	w := ns + ne
-	rep, own := make([]envRow, replicas), make([]envRow, owned)
+	own := make([]envRow, owned)
+	var rep []envRow
 	var repf, ownf []float64
-	if w > 0 {
-		repf, ownf = make([]float64, w*int(replicas)), make([]float64, w*int(owned))
+	var out []*Envelope
+	if slot != nil {
+		rep = grab(&slot.rows, &slot.nRows, int(replicas))
+		repf = grab(&slot.floats, &slot.nFloats, w*int(replicas))
+		out = grab(&slot.batch, &slot.nBatch, n)
+	} else {
+		rep, repf, out = make([]envRow, replicas), make([]float64, w*int(replicas)), make([]*Envelope, n)
 	}
-	out := make([]*Envelope, n)
-	for i, k := range slot {
+	if w > 0 {
+		ownf = make([]float64, w*int(owned))
+	}
+	for i, k := range place {
 		rows, fl := rep, repf
 		if k < 0 {
 			k, rows, fl = ^k, own, ownf
@@ -496,7 +600,7 @@ func (d *decoder) envelopes() []*Envelope {
 			}
 			continue
 		}
-		for i, k := range slot {
+		for i, k := range place {
 			v := math.Float64frombits(binary.LittleEndian.Uint64(c.raw[8*i:]))
 			if k >= 0 {
 				repf[int(k)*w+j] = v

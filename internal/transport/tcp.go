@@ -71,6 +71,9 @@ type TCP struct {
 	readErr   error                     // terminal reader state; sticky
 	stalled   bool                      // fault injection: process frozen (Stall)
 	lastRecv  time.Time                 // time of the last frame from the coordinator
+	// clock mirrors (gen, phase) for the decoders of the connections
+	// that feed this transport, which reuse replica memory by it.
+	clock phaseClock
 
 	runID  string
 	peers  []string // data-plane addresses by process ("" = unreachable)
@@ -153,6 +156,8 @@ func NewTCP(fc *Conn, h *Hello, gen int) *TCP {
 		lastRecv: time.Now(),
 	}
 	t.cond = sync.NewCond(&t.mu)
+	t.clock.set(gen, 0)
+	fc.dec.clock = &t.clock
 	go t.readLoop()
 	return t
 }
@@ -575,6 +580,7 @@ func (t *TCP) AcceptPeer(fc *Conn, ph *PeerHello) error {
 	t.mu.Lock()
 	t.peerIn[fc] = true
 	t.mu.Unlock()
+	fc.dec.clock = &t.clock
 	go t.readPeer(fc)
 	return nil
 }
@@ -679,6 +685,7 @@ func (t *TCP) FlushPhase() error {
 	t.phase++
 	phase := t.phase
 	gen := t.gen
+	t.clock.set(gen, phase)
 	type mark struct {
 		dst   int
 		count uint32
@@ -831,6 +838,7 @@ func (t *TCP) Reset(r *Restore) {
 		t.procs = n
 	}
 	t.phase = 0
+	t.clock.set(r.Gen, 0)
 	t.sent = make([]uint32, t.procs)
 	t.seqTo = make([]uint64, t.procs)
 	t.dedup = newDedup(t.procs)

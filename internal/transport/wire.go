@@ -509,7 +509,7 @@ func (e *encoder) restore(r *Restore) {
 // kind, a non-canonical byte, trailing bytes — is a
 // *ProtocolError.
 func decodeFrame(d *decoder, body []byte) (*Frame, error) {
-	*d = decoder{b: body, slot: d.slot}
+	d.b, d.off, d.err, d.kind = body, 0, nil, 0
 	f := &Frame{Kind: FrameKind(d.u8())}
 	d.kind = f.Kind
 	f.Src = d.int()
@@ -524,7 +524,7 @@ func decodeFrame(d *decoder, body []byte) (*Frame, error) {
 	f.Msg.Bytes = d.int()
 	switch f.Kind {
 	case FrameData:
-		f.Msg.Payload = d.envelopes()
+		f.Msg.Payload = d.envelopes(d.slotFor(f.Gen, f.Phase))
 	case FrameEndPhase, FramePing, FramePong:
 	case FrameAck, FrameError:
 		f.Err = d.str()
@@ -534,7 +534,7 @@ func decodeFrame(d *decoder, body []byte) (*Frame, error) {
 		}
 	case FrameFinal:
 		if d.bool() {
-			f.Final = &FinalReport{Proc: d.int(), Ticks: d.u64(), Values: d.envelopes()}
+			f.Final = &FinalReport{Proc: d.int(), Ticks: d.u64(), Values: d.envelopes(nil)}
 			n := &f.Final.Net
 			for _, v := range [...]*int64{&n.SentMsgs, &n.SentBytes, &n.RecvMsgs, &n.RecvBytes, &n.LocalMsgs, &n.LocalBytes} {
 				*v = int64(d.u64())
@@ -615,7 +615,7 @@ func (d *decoder) partStates() []PartState {
 	}
 	ps := make([]PartState, n)
 	for i := range ps {
-		ps[i] = PartState{Part: d.int(), Full: d.bool(), Values: d.envelopes(), Base: d.u64(), Delta: d.bytes()}
+		ps[i] = PartState{Part: d.int(), Full: d.bool(), Values: d.envelopes(nil), Base: d.u64(), Delta: d.bytes()}
 	}
 	return ps
 }
