@@ -255,13 +255,10 @@ func CompileBRASIL(src string, opt CompileOptions) (*Program, error) {
 // rectangle [0,span]×[0,span] with zeroed non-position state — a
 // convenience for quickstarts; real workloads build their own populations.
 func SeedPopulation(s *Schema, n int, seed uint64, span float64) []*Agent {
-	pop := make([]*Agent, n)
-	for i := range pop {
-		id := agent.ID(i + 1)
-		rng := agent.NewRNG(seed, 0, id)
-		a := agent.New(s, id)
+	pop := agent.NewBlock(s, n)
+	for _, a := range pop {
+		rng := agent.NewRNG(seed, 0, a.ID)
 		a.SetPos(s, geom.V(rng.Float64()*span, rng.Float64()*span))
-		pop[i] = a
 	}
 	return pop
 }

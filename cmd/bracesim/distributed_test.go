@@ -375,9 +375,14 @@ func TestDistributeFlagValidation(t *testing.T) {
 		!strings.Contains(errOut, "flag provided but not defined: -mesh") {
 		t.Errorf("-mesh: exit %d, stderr %q; want 2 and an undefined-flag error", code, errOut)
 	}
+	// Every checkpoint is full; there is no keyframe cadence to choose.
+	if code, _, errOut := runCLI(t, "-distribute", "tcp", "-worker-addrs", "127.0.0.1:1", "-ckpt-full-every", "2"); code != 2 ||
+		!strings.Contains(errOut, "flag provided but not defined: -ckpt-full-every") {
+		t.Errorf("-ckpt-full-every: exit %d, stderr %q; want 2 and an undefined-flag error", code, errOut)
+	}
 	// A negative cadence or timeout fails the run before any dial (the
 	// address is never contacted), as it does over POST /v1/runs.
-	for _, bad := range [][]string{{"-ckpt-full-every", "-1"}, {"-dial-timeout", "-1s"}} {
+	for _, bad := range [][]string{{"-ckpt-epochs", "-1"}, {"-dial-timeout", "-1s"}} {
 		args := append([]string{"-distribute", "tcp", "-worker-addrs", "127.0.0.1:1"}, bad...)
 		if code, _, errOut := runCLI(t, args...); code != 1 || !strings.Contains(errOut, "negative") {
 			t.Errorf("%v: exit %d, stderr %q; want 1 and a negative-value error", bad, code, errOut)
@@ -396,7 +401,7 @@ func TestDistributeLoadBalanceFlag(t *testing.T) {
 	addrs := spawnWorkerProc(t) + "," + spawnWorkerProc(t)
 	code, out, errOut := runCLI(t,
 		"-distribute", "tcp", "-worker-addrs", addrs, "-lb", "-ckpt-epochs", "1",
-		"-ckpt-full-every", "2", "-heartbeat", "200ms", "-epoch-timeout", "30s",
+		"-heartbeat", "200ms", "-epoch-timeout", "30s",
 		"-dial-timeout", "15s",
 		"-model", "epidemic", "-agents", "120", "-ticks", "8", "-workers", "4", "-seed", "9")
 	if code != 0 {

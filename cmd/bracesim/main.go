@@ -56,9 +56,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	fs.TextVar(&index, "index", brace.IndexKD, "spatial index: kd, scan")
 	lb := fs.Bool("lb", false, "enable load balancing")
 	ckptEpochs := fs.Int("ckpt-epochs", 0, "for -distribute and -submit runs: coordinated checkpoint every N epochs (0 = initial checkpoint only)")
-	ckptFullEvery := fs.Int("ckpt-full-every", 0, fmt.Sprintf(
-		"with -distribute: every Nth checkpoint is a full keyframe, the rest ship deltas (0 = default %d, 1 = always full)",
-		distrib.DefaultCheckpointFullEvery))
 	var tun distrib.Tunables
 	tun.Bind(fs, "with -distribute: ")
 	vt := fs.Bool("vtime", false, "enable virtual-time cluster accounting")
@@ -114,16 +111,15 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 
 	if *submit != "" {
 		return submitRun(*submit, service.RunSpec{
-			Scenario:            *model,
-			Agents:              *agents,
-			Extent:              *extent,
-			Seed:                *seed,
-			Ticks:               *ticks,
-			Partitions:          *workers,
-			Index:               index,
-			LoadBalance:         *lb,
-			CheckpointEpochs:    *ckptEpochs,
-			CheckpointFullEvery: *ckptFullEvery,
+			Scenario:         *model,
+			Agents:           *agents,
+			Extent:           *extent,
+			Seed:             *seed,
+			Ticks:            *ticks,
+			Partitions:       *workers,
+			Index:            index,
+			LoadBalance:      *lb,
+			CheckpointEpochs: *ckptEpochs,
 		}, *verbose, stdout, stderr)
 	}
 
@@ -140,7 +136,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			Partitions:            *workers,
 			Ticks:                 *ticks,
 			CheckpointEveryEpochs: *ckptEpochs,
-			CheckpointFullEvery:   *ckptFullEvery,
 			Tunables:              tun,
 			Index:                 index,
 			LoadBalance:           *lb,
@@ -182,9 +177,9 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		if err != nil {
 			return fail(stderr, err)
 		}
-		fmt.Fprintf(stdout, "distributed ticks=%d agents=%d digest=%016x procs=%d partitions=%d net=%dB (%d msgs) local=%dB rebalances=%d recoveries=%d stalls=%d ckpt=%dB (%d full / %d delta parts)\n",
+		fmt.Fprintf(stdout, "distributed ticks=%d agents=%d digest=%016x procs=%d partitions=%d net=%dB (%d msgs) local=%dB rebalances=%d recoveries=%d stalls=%d ckpt=%dB (%d parts)\n",
 			res.Ticks, len(res.Agents), agent.Digest(res.Agents), res.Procs, *workers, res.Net.SentBytes, res.Net.SentMsgs, res.Net.LocalBytes,
-			res.Rebalances, res.Recoveries, res.StallDrops, res.CheckpointBytes, res.CheckpointFullParts, res.CheckpointDeltaParts)
+			res.Rebalances, res.Recoveries, res.StallDrops, res.CheckpointBytes, res.CheckpointFullParts)
 		if *verbose {
 			for i, ep := range res.Epochs {
 				fmt.Fprintf(stdout, "epoch %d: tick=%d rebalanced=%v\n", i+1, ep.Tick, ep.Rebalanced)
@@ -292,14 +287,13 @@ var flagModes = map[string]struct {
 	"span":   {modeScript, ""},
 	"vtime":  {modeLocal | modeScript, "distributed and service runs measure real time"},
 
-	"ckpt-epochs":     {modeDistribute | modeSubmit, "an in-process run injects no failures, so it has nothing to checkpoint for"},
-	"ckpt-full-every": {modeDistribute | modeSubmit, ""},
-	"worker-addrs":    {modeDistribute, ""},
-	"registry":        {modeDistribute, ""},
-	"await-workers":   {modeDistribute, ""},
-	"heartbeat":       {modeDistribute, ""},
-	"epoch-timeout":   {modeDistribute, ""},
-	"dial-timeout":    {modeDistribute, ""},
+	"ckpt-epochs":   {modeDistribute | modeSubmit, "an in-process run injects no failures, so it has nothing to checkpoint for"},
+	"worker-addrs":  {modeDistribute, ""},
+	"registry":      {modeDistribute, ""},
+	"await-workers": {modeDistribute, ""},
+	"heartbeat":     {modeDistribute, ""},
+	"epoch-timeout": {modeDistribute, ""},
+	"dial-timeout":  {modeDistribute, ""},
 }
 
 // checkFlagModes rejects every flag the command line set that the run's

@@ -63,7 +63,6 @@ func TestDistributedOnlyFlagsRequireDistribute(t *testing.T) {
 		{"-heartbeat", "1s"},
 		{"-epoch-timeout", "30s"},
 		{"-ckpt-epochs", "1"},
-		{"-ckpt-full-every", "4"},
 		{"-dial-timeout", "5s"},
 		{"-worker-addrs", "localhost:9"},
 	} {
@@ -96,7 +95,7 @@ func TestFlagsRejectedOutsideTheirModes(t *testing.T) {
 		want []string
 	}{
 		{"submit drops -epoch-timeout", []string{"-submit", svc, "-epoch-timeout", "1s"}, []string{"-epoch-timeout only applies with -distribute"}},
-		{"submit keeps -ckpt-full-every out of the error", []string{"-submit", svc, "-ckpt-full-every", "2", "-registry", ":0"},
+		{"submit keeps -ckpt-epochs out of the error", []string{"-submit", svc, "-ckpt-epochs", "2", "-registry", ":0"},
 			[]string{"-registry only applies with -distribute"}},
 		{"distribute drops -invert", []string{"-distribute", "tcp", "-worker-addrs", worker, "-invert"},
 			[]string{"-invert only applies with -script"}},
@@ -115,8 +114,8 @@ func TestFlagsRejectedOutsideTheirModes(t *testing.T) {
 				t.Errorf("%s: stderr should say %q:\n%s", tc.name, want, errOut)
 			}
 		}
-		if strings.Contains(errOut, "-ckpt-full-every") {
-			t.Errorf("%s: -ckpt-full-every applies with -submit:\n%s", tc.name, errOut)
+		if strings.Contains(errOut, "-ckpt-epochs") {
+			t.Errorf("%s: -ckpt-epochs applies with -submit:\n%s", tc.name, errOut)
 		}
 	}
 }

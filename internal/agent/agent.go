@@ -40,6 +40,32 @@ func New(s *Schema, id ID) *Agent {
 	}
 }
 
+// NewBlock allocates n agents of the given schema with IDs 1..n, zero
+// state and identity effects: a generated population. Every agent's State
+// and Effect are capped segments (s[i:j:j], as PackMorton hands out) of
+// one float block, so an append through one can never spill into its
+// neighbor. The headers stay separate allocations: a process that keeps
+// only some of the agents keeps only their headers and the block, and the
+// block goes once PackMorton re-homes the kept agents.
+func NewBlock(s *Schema, n int) []*Agent {
+	ns, ne := s.NumState(), s.NumEffect()
+	stride := ns + ne
+	theta := s.IdentityEffects()
+	block := make([]float64, n*stride)
+	pop := make([]*Agent, n)
+	for i := range pop {
+		off := i * stride
+		a := &Agent{
+			ID:     ID(i + 1),
+			State:  block[off : off+ns : off+ns],
+			Effect: block[off+ns : off+stride : off+stride],
+		}
+		copy(a.Effect, theta)
+		pop[i] = a
+	}
+	return pop
+}
+
 // Pos returns the agent's location per the schema's position fields.
 func (a *Agent) Pos(s *Schema) geom.Vec {
 	return geom.Vec{X: a.State[s.PosX], Y: a.State[s.PosY]}

@@ -97,6 +97,26 @@ func TestAgentPosClone(t *testing.T) {
 	}
 }
 
+// NewBlock's agents equal New's one for one, and their capped vectors
+// keep an append through one from reaching its neighbor.
+func TestNewBlock(t *testing.T) {
+	s := fishSchema(t)
+	pop := NewBlock(s, 3)
+	for i, a := range pop {
+		if want := New(s, ID(i+1)); !a.Equal(want) {
+			t.Errorf("NewBlock agent %d = %v, want %v", i, a, want)
+		}
+	}
+	_ = append(pop[0].Effect, 7)
+	_ = append(pop[0].State, 7)
+	if !pop[1].Equal(New(s, 2)) {
+		t.Errorf("an append through agent 1 reached agent 2: %v", pop[1])
+	}
+	if len(NewBlock(s, 0)) != 0 {
+		t.Error("NewBlock(s, 0) is not empty")
+	}
+}
+
 func TestAgentEqual(t *testing.T) {
 	s := fishSchema(t)
 	a, b := New(s, 1), New(s, 1)

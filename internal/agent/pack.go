@@ -14,7 +14,7 @@ import "sort"
 // its neighbor's segment.
 //
 // Packing is safe at any tick boundary: it is a pure relayout with no
-// value change, so determinism suites and checkpoint diffs see identical
+// value change, so determinism suites and checkpoints see identical
 // populations whether or not (and however often) it runs.
 func PackMorton(s *Schema, pop []*Agent) {
 	n := len(pop)
@@ -47,11 +47,11 @@ func PackMorton(s *Schema, pop []*Agent) {
 	if maxY > minY {
 		sy = 65535 / (maxY - minY)
 	}
-	codes := make([]uint64, n)
+	codes := make([]uint32, n)
 	for i, a := range pop {
 		qx := uint32((a.State[s.PosX] - minX) * sx)
 		qy := uint32((a.State[s.PosY] - minY) * sy)
-		codes[i] = spread16(qx) | spread16(qy)<<1
+		codes[i] = uint32(spread16(qx) | spread16(qy)<<1)
 	}
 
 	// Arena slots in Morton order; ties (same cell) break by ID so the

@@ -65,7 +65,7 @@ func Run(o Options) (*Result, error) {
 	now := time.Now()
 	c := &coordinator{
 		o:      o,
-		m:      engine.NewMaster(initial, o.CheckpointEveryEpochs, o.CheckpointFullEvery, o.LoadBalance, o.Balancer),
+		m:      engine.NewMaster(initial, o.CheckpointEveryEpochs, o.LoadBalance, o.Balancer),
 		place:  NewPlacement(o.Partitions, len(o.Addrs)),
 		live:   make([]bool, len(o.Addrs)),
 		seqs:   make([]int, len(o.Addrs)),
@@ -147,7 +147,10 @@ type coordinator struct {
 	seqs  []int // attach sequence per proc; fences stale disconnect events
 	gen   int
 
-	ckpt   *ckptRound // checkpoint round in flight (nil: none)
+	ckpt *ckptRound // checkpoint round in flight (nil: none)
+	// lost holds the workers lost after they reported to ckpt, with the
+	// cause; they recover once it completes (see lose).
+	lost   map[int]error
 	stats  map[int]*transport.EpochStats
 	finals map[int]*transport.FinalReport
 
@@ -160,8 +163,8 @@ type coordinator struct {
 
 	recoveries, rejoins, stallDrops, joins int
 
-	ckptBytes                     int64
-	ckptFullParts, ckptDeltaParts int
+	ckptBytes     int64
+	ckptFullParts int
 }
 
 func (c *coordinator) liveCount() int {
@@ -233,7 +236,7 @@ func (c *coordinator) onEvent(ev transport.HubEvent) (*Result, error) {
 		if ev.Seq != 0 && ev.Seq < c.seqs[ev.Src] {
 			return nil, nil // a connection we already replaced; the rejoined worker is fine
 		}
-		return nil, c.recoverFrom(ev.Src, ev.Err)
+		return nil, c.lose(ev.Src, ev.Err)
 	}
 	f := ev.Frame
 	if f.Kind == transport.FrameError {
@@ -324,8 +327,8 @@ func (c *coordinator) onTimer(now time.Time) error {
 	// survivor-absorb placement, which must not depend on map iteration.
 	for _, p := range detutil.SortedKeys(stalled) {
 		why := stalled[p]
-		if !c.live[p] {
-			continue // a recovery below may have rejoined or absorbed it
+		if _, waits := c.lost[p]; !c.live[p] || waits {
+			continue // a recovery below may have rejoined or absorbed it, or it waits for the round
 		}
 		c.stallDrops++
 		if err := c.recoverFrom(p, fmt.Errorf("distrib: worker %d stalled: %s", p, why)); err != nil {
@@ -336,7 +339,7 @@ func (c *coordinator) onTimer(now time.Time) error {
 		if !c.live[p] {
 			continue
 		}
-		if err := c.recoverFrom(p, fmt.Errorf("distrib: worker %d unreachable at heartbeat", p)); err != nil {
+		if err := c.lose(p, fmt.Errorf("distrib: worker %d unreachable at heartbeat", p)); err != nil {
 			return err
 		}
 	}
@@ -362,7 +365,6 @@ func (c *coordinator) finish() (*Result, error) {
 	res.RelayedDataBytes = traffic.DataBytes
 	res.CheckpointBytes = c.ckptBytes
 	res.CheckpointFullParts = c.ckptFullParts
-	res.CheckpointDeltaParts = c.ckptDeltaParts
 	res.Epochs = c.m.Log()
 	return res, nil
 }
@@ -427,9 +429,9 @@ func (c *coordinator) onStats(src int, s *transport.EpochStats) error {
 }
 
 // onCheckpoint files one worker's checkpoint pieces with the master —
-// which reassembles delta pieces into full state as they arrive — and,
-// once every live worker has reported, closes the round: the master now
-// holds the assembled state as its rollback point.
+// which holds the decoded full pieces as they are — and, once every live
+// worker has reported, closes the round: the master now holds the
+// assembled state as its rollback point.
 func (c *coordinator) onCheckpoint(src int, ck *transport.CheckpointMsg, bytes int) error {
 	r := c.ckpt
 	if ck == nil || r == nil || ck.Tick != r.tick {
@@ -443,13 +445,7 @@ func (c *coordinator) onCheckpoint(src int, ck *transport.CheckpointMsg, bytes i
 	if done != nil {
 		r.done = done
 	}
-	for _, ps := range ck.Parts {
-		if ps.Full {
-			c.ckptFullParts++
-		} else {
-			c.ckptDeltaParts++
-		}
-	}
+	c.ckptFullParts += len(ck.Parts)
 	r.have[src] = true
 	if len(r.have) < c.liveCount() {
 		return nil
@@ -463,16 +459,44 @@ func (c *coordinator) onCheckpoint(src int, ck *transport.CheckpointMsg, bytes i
 	if c.o.OnCheckpoint != nil {
 		c.o.OnCheckpoint(r.done.Tick, livePopulation(r.done.Parts))
 	}
+	if len(c.lost) > 0 {
+		p := detutil.SortedKeys(c.lost)[0]
+		return c.recoverFrom(p, c.lost[p])
+	}
 	return nil
+}
+
+// lose answers a worker's lost connection. A worker lost after it
+// reported its pieces of the checkpoint round in flight is recovered once
+// that round completes: every other worker ships its pieces whatever
+// became of this one, and an in-process master, whose crash never
+// interrupts a round already filed, rolls back to that checkpoint too.
+// Any other loss recovers at once.
+func (c *coordinator) lose(p int, cause error) error {
+	if c.ckpt != nil && c.ckpt.have[p] {
+		if c.lost == nil {
+			c.lost = make(map[int]error)
+		}
+		c.lost[p] = cause
+		return nil
+	}
+	return c.recoverFrom(p, cause)
 }
 
 // recoverFrom handles a worker connection death: re-admit the worker if
 // its daemon still answers (its partitions stay put), otherwise re-place
 // its partitions on the survivors; then bump the generation and restore
 // every live worker from the last complete checkpoint. A failure while
-// broadcasting restores feeds back into another round.
+// broadcasting restores feeds back into another round. The workers that
+// waited for a checkpoint round (see lose) recover with it.
 func (c *coordinator) recoverFrom(src int, cause error) error {
 	dead := []int{src}
+	for _, p := range detutil.SortedKeys(c.lost) {
+		if p != src {
+			dead = append(dead, p)
+		}
+	}
+	c.lost = nil
 	for len(dead) > 0 {
 		next := dead[:0:0]
 		changed := false
@@ -550,13 +574,12 @@ func (c *coordinator) rewind() []int {
 			continue
 		}
 		rest := &transport.Restore{
-			Gen:     c.gen,
-			Tick:    ck.Tick,
-			Cuts:    append([]float64(nil), ck.Cuts...),
-			Assign:  assign,
-			Live:    append([]bool(nil), c.live...),
-			CkptSeq: ck.Seq,
-			Peers:   append([]string(nil), c.o.Addrs...),
+			Gen:    c.gen,
+			Tick:   ck.Tick,
+			Cuts:   append([]float64(nil), ck.Cuts...),
+			Assign: assign,
+			Live:   append([]bool(nil), c.live...),
+			Peers:  append([]string(nil), c.o.Addrs...),
 		}
 		for _, q := range c.place.Owned(p) {
 			rest.Parts = append(rest.Parts, ck.Parts[q])

@@ -69,11 +69,6 @@ type Options struct {
 	// CheckpointEveryEpochs orders a coordinated checkpoint every k epochs
 	// (0 = only the initial tick-0 rollback point is kept).
 	CheckpointEveryEpochs int
-	// CheckpointFullEvery makes every Nth coordinated checkpoint a full
-	// keyframe; the ones between ship field-level deltas against the
-	// previous checkpoint. 1 ships full state every time; 0 means
-	// DefaultCheckpointFullEvery.
-	CheckpointFullEvery int
 	// Tunables are the deployment knobs: liveness timeouts.
 	Tunables
 	// Index selects the spatial index (zero value: the cell grid).
@@ -161,10 +156,9 @@ func (t *Tunables) Bind(fs *flag.FlagSet, prefix string) {
 // (bracesim, bracesim-worker, bracesimd) derives its flag help from the
 // values actually in force, and tests assert against them.
 const (
-	DefaultHeartbeat           = 2 * time.Second
-	DefaultEpochTimeout        = 60 * time.Second
-	DefaultDialTimeout         = 10 * time.Second
-	DefaultCheckpointFullEvery = engine.DefaultCheckpointFullEvery
+	DefaultHeartbeat    = 2 * time.Second
+	DefaultEpochTimeout = 60 * time.Second
+	DefaultDialTimeout  = 10 * time.Second
 )
 
 // MissedHeartbeats is how many consecutive silent heartbeat intervals
@@ -219,11 +213,12 @@ type Result struct {
 	RelayedDataFrames int64
 	RelayedDataBytes  int64
 	// CheckpointBytes is the wire size of every checkpoint frame workers
-	// shipped; CheckpointFullParts and CheckpointDeltaParts split the
-	// received partition snapshots by kind. Together they measure what
-	// incremental checkpoints save over full-state shipping.
-	CheckpointBytes      int64
-	CheckpointFullParts  int
+	// shipped, and CheckpointFullParts counts the partition snapshots they
+	// carried: every piece is a partition's full state.
+	CheckpointBytes     int64
+	CheckpointFullParts int
+	// CheckpointDeltaParts is always 0: checkpoints ship no deltas. It is
+	// kept because the benchmark harness in bench/ still reports it.
 	CheckpointDeltaParts int
 	// Epochs records the control plane's per-barrier decisions.
 	Epochs []EpochDecision
@@ -244,9 +239,9 @@ func (o *Options) validate() error {
 	}
 	// Zero selects a default for each of these; a negative value is a
 	// mistake, not a request for one.
-	if o.EpochTicks < 0 || o.CheckpointEveryEpochs < 0 || o.CheckpointFullEvery < 0 {
-		return fmt.Errorf("distrib: negative epoch ticks %d, checkpoint interval %d or keyframe interval %d",
-			o.EpochTicks, o.CheckpointEveryEpochs, o.CheckpointFullEvery)
+	if o.EpochTicks < 0 || o.CheckpointEveryEpochs < 0 {
+		return fmt.Errorf("distrib: negative epoch ticks %d or checkpoint interval %d",
+			o.EpochTicks, o.CheckpointEveryEpochs)
 	}
 	if o.DialTimeout < 0 {
 		return fmt.Errorf("distrib: negative dial timeout %v", o.DialTimeout)

@@ -277,10 +277,10 @@ func TestHandshakeRejection(t *testing.T) {
 		mut(h)
 		return h
 	}
-	old := hello(func(h *transport.Hello) { h.Proto = 11 })
+	old := hello(func(h *transport.Hello) { h.Proto = 12 })
 	var ve *transport.VersionError
-	if _, err := checkHello(old); !errors.As(err, &ve) || ve.Got != 11 || ve.Want != 12 || transport.ProtoVersion != 12 {
-		t.Fatalf("checkHello(v11) = %v, want *transport.VersionError{11, 12}", err)
+	if _, err := checkHello(old); !errors.As(err, &ve) || ve.Got != 12 || ve.Want != 13 || transport.ProtoVersion != 13 {
+		t.Fatalf("checkHello(v12) = %v, want *transport.VersionError{12, 13}", err)
 	}
 	badIndex := hello(func(h *transport.Hello) { h.Index = 7 })
 	var uk *spatial.UnknownKindError
@@ -291,7 +291,8 @@ func TestHandshakeRejection(t *testing.T) {
 		name, want string
 		h          *transport.Hello
 	}{
-		{"stale version", "protocol version 11", old},
+		{"stale version", "protocol version 12", old},
+		{"stale version 11", "protocol version 11", hello(func(h *transport.Hello) { h.Proto = 11 })},
 		{"stale version 10", "protocol version 10", hello(func(h *transport.Hello) { h.Proto = 10 })},
 		{"index out of range", `unknown index "7"`, badIndex},
 		{"agents over limit", "agents outside the limit", hello(func(h *transport.Hello) { h.Agents = MaxAgents + 1 })},
@@ -370,7 +371,6 @@ func TestRunValidation(t *testing.T) {
 	for _, o := range []Options{
 		{EpochTicks: -3},
 		{CheckpointEveryEpochs: -1},
-		{CheckpointFullEvery: -1},
 		{Tunables: Tunables{DialTimeout: -time.Second}},
 	} {
 		o.Addrs, o.Scenario, o.Partitions = []string{"x"}, "epidemic", 1

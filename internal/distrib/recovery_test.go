@@ -347,7 +347,7 @@ func TestRestoreRefusesMalformedFrames(t *testing.T) {
 		{"state for a negative partition", func(r *transport.Restore) { r.Parts[0].Part = -1 }},
 		{"state for one partition twice", func(r *transport.Restore) { r.Parts[1] = part(0) }},
 		{"cuts for another partition count", func(r *transport.Restore) { r.Cuts = []float64{1} }},
-		{"delta state", func(r *transport.Restore) { r.Parts[0] = transport.PartState{Part: 0, Delta: []byte{1, 0}} }},
+		{"state that is not full", func(r *transport.Restore) { r.Parts[0].Full = false }},
 		{"no roster", func(r *transport.Restore) { r.Peers = nil }},
 		{"roster shorter than the live set", func(r *transport.Restore) { r.Peers = r.Peers[:1] }},
 	} {

@@ -219,10 +219,10 @@ func TestWorkerCoordinatorWatchdog(t *testing.T) {
 	}
 }
 
-// Incremental checkpoints ship measurably fewer bytes than full-state
-// shipping on the fish workload, with identical final state — the
-// tentpole's A/B oracle, logged through Result's checkpoint metrics.
-func TestIncrementalCheckpointBytesOnFish(t *testing.T) {
+// Every coordinated checkpoint ships each partition's full state: one
+// full piece per partition per checkpoint, no delta piece, and a final
+// state identical to the in-memory engine's.
+func TestCheckpointsShipFullPieces(t *testing.T) {
 	const (
 		agents = 80
 		seed   = uint64(3)
@@ -230,23 +230,16 @@ func TestIncrementalCheckpointBytesOnFish(t *testing.T) {
 		ticks  = 12
 		epoch  = 2
 	)
-	run := func(fullEvery int) *Result {
-		t.Helper()
-		res, err := Run(Options{
-			Addrs:    startWorkers(t, 2),
-			Scenario: "fish",
-			Agents:   agents, Seed: seed,
-			Partitions: parts, Ticks: ticks,
-			EpochTicks: epoch, CheckpointEveryEpochs: 1, CheckpointFullEvery: fullEvery,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+	res, err := Run(Options{
+		Addrs:    startWorkers(t, 2),
+		Scenario: "fish",
+		Agents:   agents, Seed: seed,
+		Partitions: parts, Ticks: ticks,
+		EpochTicks: epoch, CheckpointEveryEpochs: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	full := run(1)
-	delta := run(0) // default keyframe cadence: 1 keyframe, then deltas
-
 	ref := memEngine(t, "fish", agents, 0, seed, engine.Options{
 		Workers: parts, Seed: seed,
 		EpochTicks: epoch,
@@ -254,30 +247,20 @@ func TestIncrementalCheckpointBytesOnFish(t *testing.T) {
 	if err := ref.RunTicks(ticks); err != nil {
 		t.Fatal(err)
 	}
-	assertSamePopulation(t, "full-ckpt run", ref.Agents(), full.Agents)
-	assertSamePopulation(t, "delta-ckpt run", ref.Agents(), delta.Agents)
-
-	if full.CheckpointDeltaParts != 0 {
-		t.Errorf("full run shipped %d delta parts, want 0", full.CheckpointDeltaParts)
+	assertSamePopulation(t, "checkpointed run", ref.Agents(), res.Agents)
+	if want := parts * ticks / epoch; res.CheckpointFullParts != want || res.CheckpointDeltaParts != 0 {
+		t.Errorf("checkpoints shipped %d full and %d delta parts, want %d and 0",
+			res.CheckpointFullParts, res.CheckpointDeltaParts, want)
 	}
-	if delta.CheckpointDeltaParts == 0 {
-		t.Error("incremental run shipped no delta parts")
-	}
-	t.Logf("checkpoint bytes: full=%d incremental=%d (%.1f%%), parts full=%d delta=%d",
-		full.CheckpointBytes, delta.CheckpointBytes,
-		100*float64(delta.CheckpointBytes)/float64(full.CheckpointBytes),
-		delta.CheckpointFullParts, delta.CheckpointDeltaParts)
-	if delta.CheckpointBytes*100 >= full.CheckpointBytes*95 {
-		t.Errorf("incremental checkpoints saved <5%%: full=%dB incremental=%dB",
-			full.CheckpointBytes, delta.CheckpointBytes)
+	if res.CheckpointBytes == 0 {
+		t.Error("checkpoint frames metered 0 bytes")
 	}
 }
 
-// Incremental checkpoints compose with load balancing and recovery: a
-// severed worker is restored from a delta-assembled checkpoint (the
-// default keyframe cadence leaves every checkpoint after the first as a
-// delta), and the run still ends bit-identical to the in-memory engine.
-func TestRecoveryFromDeltaAssembledCheckpoint(t *testing.T) {
+// A severed worker is restored from a checkpoint the coordinator holds as
+// its workers' decoded pieces, several checkpoints into the run, and the
+// run still ends bit-identical to the in-memory engine.
+func TestRecoveryFromHeldWorkerPieces(t *testing.T) {
 	const (
 		agents = 96
 		extent = 30.0
@@ -293,16 +276,14 @@ func TestRecoveryFromDeltaAssembledCheckpoint(t *testing.T) {
 	if err := ref.RunTicks(ticks); err != nil {
 		t.Fatal(err)
 	}
-	// Sever at phase 21 = mid tick 10: checkpoints at ticks 2..8 are all
-	// deltas after the tick-2 keyframe, so the restore state is the
-	// product of four delta applications.
+	// Sever at phase 21 = mid tick 10: the restore state is the
+	// checkpoint at tick 8, the fourth one filed.
 	res, err := Run(Options{
 		Addrs:    startChaosWorkers(t, 2, severProcAt(1, 21)),
 		Scenario: "epidemic",
 		Agents:   agents, Extent: extent, Seed: seed,
 		Partitions: parts, Ticks: ticks,
-		// keyframe only at the first checkpoint
-		EpochTicks: epoch, CheckpointEveryEpochs: 1, CheckpointFullEvery: 100,
+		EpochTicks: epoch, CheckpointEveryEpochs: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -310,8 +291,5 @@ func TestRecoveryFromDeltaAssembledCheckpoint(t *testing.T) {
 	if res.Recoveries < 1 {
 		t.Errorf("recoveries = %d, want ≥ 1", res.Recoveries)
 	}
-	if res.CheckpointDeltaParts == 0 {
-		t.Error("run shipped no delta parts; the test is not exercising delta assembly")
-	}
-	assertSamePopulation(t, "delta-assembled recovery", ref.Agents(), res.Agents)
+	assertSamePopulation(t, "recovery from held pieces", ref.Agents(), res.Agents)
 }

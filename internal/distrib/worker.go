@@ -486,8 +486,8 @@ func awaitAndApplyRestore(eng *engine.Distributed, tcp *transport.TCP, h *transp
 // knows of, the roster must name one address per process, and the engine
 // refuses state for a partition the placement does not give this process —
 // so a malformed one changes nothing. Then it rewinds the engine to the
-// checkpoint the Restore carries, which also re-baselines its checkpoint
-// producer, and re-fences the transport onto the new generation.
+// checkpoint the Restore carries and re-fences the transport onto the new
+// generation.
 func applyRestore(eng *engine.Distributed, tcp *transport.TCP, h *transport.Hello, r *transport.Restore) error {
 	if len(r.Assign) != h.Partitions {
 		return fmt.Errorf("distrib: restore assignment covers %d partitions, want %d", len(r.Assign), h.Partitions)
@@ -500,7 +500,7 @@ func applyRestore(eng *engine.Distributed, tcp *transport.TCP, h *transport.Hell
 	if len(r.Peers) != len(r.Live) {
 		return fmt.Errorf("distrib: restore Peers lists %d addresses for %d processes", len(r.Peers), len(r.Live))
 	}
-	ck := &engine.Checkpoint{Tick: r.Tick, Seq: r.CkptSeq, Cuts: r.Cuts, Parts: r.Parts}
+	ck := &engine.Checkpoint{Tick: r.Tick, Cuts: r.Cuts, Parts: r.Parts}
 	if err := eng.RestoreCheckpoint(ck, ownedParts(r.Assign, h.Proc)); err != nil {
 		return err
 	}

@@ -57,37 +57,28 @@ func (e *Distributed) resetCosts() {
 // the engine ticks again.
 func (e *Distributed) ExportPartition(p int) []*Envelope { return e.rt.Values(p) }
 
-// Checkpoint answers the checkpoint order seq with one piece per local
-// partition: full state for a keyframe (full), without a baseline or when
-// the codec cannot delta-encode, else a delta against the baseline shipped
-// last. That is what the master holds, because an interrupted round is
-// always followed by a restore, which re-baselines. Pieces and new
-// baselines share their (never mutated) values.
-func (e *Distributed) Checkpoint(seq uint64, full bool) []transport.PartState {
+// Checkpoint returns one full piece per local partition: its owned
+// envelopes as they are, not copied. The pieces alias live engine state
+// and are valid until the engine ticks again: a worker encodes them into a
+// frame before it returns, and an engine that is its own master clones
+// them before filing.
+func (e *Distributed) Checkpoint() []transport.PartState {
 	local := e.rt.Local()
-	pieces := make([]transport.PartState, 0, len(local))
-	base := make(map[int][]*Envelope, len(local))
-	for _, p := range local {
-		cur := CloneEnvelopes(e.rt.Values(p))
-		ps := transport.PartState{Part: p, Full: true, Values: cur}
-		if prev, ok := e.ckptBase[p]; ok && !full {
-			if delta, ok := DiffPartition(prev, cur); ok {
-				ps = transport.PartState{Part: p, Base: e.ckptSeq, Delta: delta}
-			}
-		}
-		pieces = append(pieces, ps)
-		base[p] = cur
+	pieces := make([]transport.PartState, len(local))
+	for i, p := range local {
+		pieces[i] = transport.PartState{Part: p, Full: true, Values: e.rt.Values(p)}
 	}
-	e.ckptBase, e.ckptSeq = base, seq
 	return pieces
 }
 
 // ApplyDirective carries out a master's directive at a barrier: an
 // ordered checkpoint's pieces go to ship while the cuts the checkpoint
-// records are still in force, then new cuts are installed.
+// records are still in force, then new cuts are installed. The pieces
+// alias live state (see Checkpoint): ship must copy or encode them before
+// it returns.
 func (e *Distributed) ApplyDirective(d *transport.Directive, ship func([]transport.PartState) error) error {
 	if d.Checkpoint {
-		if err := ship(e.Checkpoint(d.CkptSeq, d.CkptFull)); err != nil {
+		if err := ship(e.Checkpoint()); err != nil {
 			return err
 		}
 	}
@@ -127,8 +118,8 @@ func (e *Distributed) strips(cuts []float64) (*partition.Strips, error) {
 // Restore rewinds the engine to a checkpoint's state: tick, strip cuts,
 // the partitions this process now computes (nil: all), and their owned
 // envelopes, which the engine takes over. It checks every argument before
-// it changes anything, and drops the checkpoint baselines and the epoch
-// statistics past tick. Only legal between RunTicks calls.
+// it changes anything, and drops the epoch statistics past tick. Only
+// legal between RunTicks calls.
 func (e *Distributed) Restore(tick uint64, cuts []float64, local []int, vals map[int][]*Envelope) error {
 	part, err := e.strips(cuts)
 	if err != nil {
@@ -138,7 +129,6 @@ func (e *Distributed) Restore(tick uint64, cuts []float64, local []int, vals map
 		return err
 	}
 	e.part = part
-	e.ckptBase = nil
 	e.resetCosts() // checkpoints are taken at barriers, where the cost is 0
 	// The epochs past tick were rolled back: the replay records them again.
 	// The cap makes the next append copy, leaving slices Epochs returned
@@ -156,21 +146,15 @@ func (e *Distributed) Restore(tick uint64, cuts []float64, local []int, vals map
 
 // RestoreCheckpoint rewinds the engine to a master's checkpoint, or to
 // the pieces of it a Restore frame carries, computing local (nil: all).
-// The engine runs on clones; the checkpoint's own values become the
-// baselines, so the next checkpoint can ship deltas at once.
+// The engine runs on clones, so the checkpoint stays intact for another
+// rewind.
 func (e *Distributed) RestoreCheckpoint(ck *Checkpoint, local []int) error {
 	vals := make(map[int][]*Envelope, len(ck.Parts))
-	base := make(map[int][]*Envelope, len(ck.Parts))
 	for _, ps := range ck.Parts {
 		if _, dup := vals[ps.Part]; dup || !ps.Full {
 			return fmt.Errorf("engine: checkpoint piece for partition %d is not its one full state", ps.Part)
 		}
 		vals[ps.Part] = CloneEnvelopes(ps.Values)
-		base[ps.Part] = ps.Values
 	}
-	if err := e.Restore(ck.Tick, ck.Cuts, local, vals); err != nil {
-		return err
-	}
-	e.ckptBase, e.ckptSeq = base, ck.Seq
-	return nil
+	return e.Restore(ck.Tick, ck.Cuts, local, vals)
 }

@@ -33,8 +33,8 @@ type Options struct {
 	// (0 = only the initial rollback point is kept). Checkpoints exist to
 	// recover from a crash, and only a caller that supplied Transport can
 	// close it under the engine: without one none is taken and no copy is
-	// held. With one, they ship full and delta pieces as a worker's do, a
-	// keyframe every DefaultCheckpointFullEvery.
+	// held. With one, every checkpoint is each partition's full state,
+	// cloned once for the engine's own master to hold.
 	CheckpointEveryEpochs int
 	// LoadBalance enables the one-dimensional load balancer at epoch
 	// boundaries.
@@ -105,11 +105,9 @@ type Distributed struct {
 
 	// master decides the epochs of an engine that computes every partition
 	// (nil under LocalParts: the coordinator's does); recoveries counts its
-	// rollbacks. ckptBase holds the state shipped at checkpoint ckptSeq.
+	// rollbacks.
 	master     *Master
 	recoveries int
-	ckptBase   map[int][]*Envelope
-	ckptSeq    uint64
 
 	epochs     []EpochStat
 	lastEpochV float64
@@ -242,7 +240,7 @@ func NewDistributed(m Model, pop []*agent.Agent, opts Options) (*Distributed, er
 				initial.Parts[p] = transport.PartState{Part: p, Full: true, Values: CloneEnvelopes(e.rt.Values(p))}
 			}
 		}
-		e.master = NewMaster(initial, every, 0, opts.LoadBalance, opts.Balancer)
+		e.master = NewMaster(initial, every, opts.LoadBalance, opts.Balancer)
 	}
 	return e, nil
 }
@@ -531,6 +529,11 @@ func (e *Distributed) onEpoch(tick uint64) error {
 		d, err := e.master.Barrier(tick, e.EpochStats(e.opts.LoadBalance))
 		if err == nil {
 			err = e.ApplyDirective(&d, func(pieces []transport.PartState) error {
+				// The pieces alias live state, and the master holds what it
+				// files: this is the checkpoint's one copy.
+				for i := range pieces {
+					pieces[i].Values = CloneEnvelopes(pieces[i].Values)
+				}
 				_, err := e.master.File(pieces...)
 				return err
 			})

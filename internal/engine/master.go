@@ -1,9 +1,10 @@
 // The master of the paper's §3.3, once: at every epoch barrier it decides
 // whether to repartition and whether to order a coordinated checkpoint; it
-// assembles checkpoint pieces into the state it holds; on a failure it
-// hands that state back for rollback and re-execution. It has no transport
-// and no clock, so the same state machine is driven in process by
-// Distributed's epoch hook and over TCP by the distrib coordinator.
+// files the partitions' full checkpoint pieces as the state it holds; on a
+// failure it hands that state back for rollback and re-execution. It has
+// no transport and no clock, so the same state machine is driven in
+// process by Distributed's epoch hook and over TCP by the distrib
+// coordinator.
 package engine
 
 import (
@@ -15,9 +16,6 @@ import (
 	"github.com/bigreddata/brace/internal/transport"
 )
 
-// DefaultCheckpointFullEvery is the keyframe interval when none is given.
-const DefaultCheckpointFullEvery = 8
-
 // EpochDecision records what the master decided at one epoch barrier.
 type EpochDecision struct {
 	Tick       uint64
@@ -26,13 +24,11 @@ type EpochDecision struct {
 }
 
 // Checkpoint is one coordinated checkpoint as the master holds it: the
-// barrier tick, its sequence number (deltas name the base they build on),
-// the cuts in force before that barrier's own rebalance, and every
-// partition's full state, indexed by partition. Its values are read-only:
-// whoever restores from it clones them.
+// barrier tick, the cuts in force before that barrier's own rebalance, and
+// every partition's full state, indexed by partition. Its values are
+// read-only: whoever restores from it clones them.
 type Checkpoint struct {
 	Tick  uint64
-	Seq   uint64
 	Cuts  []float64
 	Parts []transport.PartState
 }
@@ -49,20 +45,36 @@ func (e *StatsError) Error() string {
 	return fmt.Sprintf("engine: epoch statistics at tick %d: partition %d %s", e.Tick, e.Part, e.Problem)
 }
 
+// PieceError refuses a checkpoint piece the master cannot file: one with
+// no checkpoint ordered, for a partition the run does not have, filed
+// twice, or not marked as its partition's full state.
+type PieceError struct {
+	Tick    uint64 // the ordered checkpoint's tick; 0 with none ordered
+	Part    int
+	Problem string // "with no checkpoint ordered", "unknown", "filed twice" or "not full"
+}
+
+func (e *PieceError) Error() string {
+	return fmt.Sprintf("engine: checkpoint piece at tick %d for partition %d: %s", e.Tick, e.Part, e.Problem)
+}
+
 // Master is the epoch-boundary state machine; callers serialize its use.
+//
+// The checkpoints it holds are the pieces File was given, kept as they
+// are: a piece's values must not change once filed. Over TCP they are
+// decoded frames nobody else holds; in process the engine clones its live
+// state once before filing it.
 type Master struct {
-	parts     int
-	every     int // checkpoint interval in epochs; 0 orders none
-	fullEvery int // keyframe interval in ordered checkpoints
-	lb        bool
-	balancer  partition.Balancer
-	cuts      []float64 // cuts currently in force
+	parts    int
+	every    int // checkpoint interval in epochs; 0 orders none
+	lb       bool
+	balancer partition.Balancer
+	cuts     []float64 // cuts currently in force
 
 	// epoch counts completed barrier rounds, the checkpoint cadence. It and
 	// lastBoundary survive a rewind: the replay does not reset them.
 	epoch        int
 	lastBoundary uint64
-	seq          uint64 // sequence of the last ordered checkpoint
 
 	held    *Checkpoint // last complete checkpoint
 	pending *Checkpoint // checkpoint being assembled; its filed parts are Full
@@ -73,31 +85,26 @@ type Master struct {
 
 // NewMaster starts a master holding initial — whose cuts fix the partition
 // count, and whose Parts may be nil in a run that never rolls back. It
-// orders a checkpoint every `every` epochs (0: none), every fullEvery-th a
-// keyframe (0: DefaultCheckpointFullEvery), and with lb runs the balancer
-// b (zero value: partition.DefaultBalancer) at every barrier.
-func NewMaster(initial Checkpoint, every, fullEvery int, lb bool, b partition.Balancer) *Master {
-	if fullEvery == 0 {
-		fullEvery = DefaultCheckpointFullEvery
-	}
+// orders a checkpoint every `every` epochs (0: none), and with lb runs the
+// balancer b (zero value: partition.DefaultBalancer) at every barrier.
+func NewMaster(initial Checkpoint, every int, lb bool, b partition.Balancer) *Master {
 	if b == (partition.Balancer{}) {
 		b = partition.DefaultBalancer()
 	}
 	return &Master{
-		parts:     len(initial.Cuts) + 1,
-		every:     every,
-		fullEvery: fullEvery,
-		lb:        lb,
-		balancer:  b,
-		cuts:      slices.Clone(initial.Cuts),
-		held:      &initial,
+		parts:    len(initial.Cuts) + 1,
+		every:    every,
+		lb:       lb,
+		balancer: b,
+		cuts:     slices.Clone(initial.Cuts),
+		held:     &initial,
 	}
 }
 
 // Barrier decides, from every partition's statistics, whether the barrier
-// at tick orders a checkpoint (and whether a keyframe) and whether it
-// rebalances — only past the last barrier, so a re-executed one never does
-// — and logs the decision. Incomplete statistics are a *StatsError.
+// at tick orders a checkpoint and whether it rebalances — only past the
+// last barrier, so a re-executed one never does — and logs the decision.
+// Incomplete statistics are a *StatsError.
 func (m *Master) Barrier(tick uint64, stats []transport.PartStats) (transport.Directive, error) {
 	byPart, err := m.index(tick, stats)
 	if err != nil {
@@ -106,10 +113,8 @@ func (m *Master) Barrier(tick uint64, stats []transport.PartStats) (transport.Di
 	m.epoch++
 	d := transport.Directive{Tick: tick}
 	if m.every > 0 && m.epoch%m.every == 0 {
-		m.seq++
-		d.Checkpoint, d.CkptSeq = true, m.seq
-		d.CkptFull = m.fullEvery <= 1 || (m.seq-1)%uint64(m.fullEvery) == 0
-		m.pending = &Checkpoint{Tick: tick, Seq: m.seq, Cuts: slices.Clone(m.cuts), Parts: make([]transport.PartState, m.parts)}
+		d.Checkpoint = true
+		m.pending = &Checkpoint{Tick: tick, Cuts: slices.Clone(m.cuts), Parts: make([]transport.PartState, m.parts)}
 		m.filed = 0
 	}
 	if m.lb && tick > m.lastBoundary {
@@ -171,32 +176,32 @@ func (m *Master) plan(byPart []*transport.PartStats) ([]float64, bool) {
 	return d.NewCuts, d.Apply
 }
 
-// File adds pieces to the checkpoint being assembled; a delta must build
-// on the held checkpoint, and is applied to it. The call that files the
-// last piece makes the checkpoint the held one, and returns it.
+// File adds full pieces to the checkpoint being assembled and holds them
+// as they are: it copies no value. A piece it cannot file is a
+// *PieceError. The call that files the last piece makes the checkpoint the
+// held one, and returns it.
 func (m *Master) File(pieces ...transport.PartState) (*Checkpoint, error) {
 	for _, ps := range pieces {
 		ck := m.pending
+		problem := ""
 		switch {
 		case ck == nil:
-			return nil, fmt.Errorf("engine: checkpoint piece for partition %d with no checkpoint ordered", ps.Part)
+			problem = "with no checkpoint ordered"
 		case ps.Part < 0 || ps.Part >= m.parts:
-			return nil, fmt.Errorf("engine: checkpoint piece for unknown partition %d", ps.Part)
+			problem = "unknown"
 		case ck.Parts[ps.Part].Full:
-			return nil, fmt.Errorf("engine: checkpoint at tick %d got partition %d twice", ck.Tick, ps.Part)
-		case !ps.Full && ps.Base != m.held.Seq:
-			return nil, fmt.Errorf("engine: partition %d delta against checkpoint %d, the master holds %d",
-				ps.Part, ps.Base, m.held.Seq)
+			problem = "filed twice"
+		case !ps.Full:
+			problem = "not full"
 		}
-		vals := ps.Values
-		if !ps.Full {
-			applied, err := ApplyDelta(m.held.Parts[ps.Part].Values, ps.Delta)
-			if err != nil {
-				return nil, fmt.Errorf("engine: partition %d: %w", ps.Part, err)
+		if problem != "" {
+			e := &PieceError{Part: ps.Part, Problem: problem}
+			if ck != nil {
+				e.Tick = ck.Tick
 			}
-			vals = applied
+			return nil, e
 		}
-		ck.Parts[ps.Part] = transport.PartState{Part: ps.Part, Full: true, Values: vals}
+		ck.Parts[ps.Part] = ps
 		m.filed++
 	}
 	if m.pending == nil || m.filed < m.parts {

@@ -38,11 +38,7 @@ func masterOutcome(m *Master, st masterStep) string {
 		}
 		out := "-"
 		if d.Checkpoint {
-			kind := "delta"
-			if d.CkptFull {
-				kind = "full"
-			}
-			out = fmt.Sprintf("ckpt %d %s", d.CkptSeq, kind)
+			out = "ckpt"
 		}
 		if d.NewCuts != nil {
 			out += " cuts"
@@ -50,20 +46,23 @@ func masterOutcome(m *Master, st masterStep) string {
 		return out
 	case "file":
 		ck, err := m.File(st.piece)
+		var pe *PieceError
 		switch {
+		case errors.As(err, &pe):
+			return "piece: " + err.Error()
 		case err != nil:
 			return "err: " + err.Error()
 		case ck == nil:
 			return "pending"
 		}
-		return fmt.Sprintf("held %d", ck.Seq)
+		return fmt.Sprintf("held %d", ck.Tick)
 	default:
 		ck := m.Rewind()
 		var ticks []uint64
 		for _, d := range m.Log() {
 			ticks = append(ticks, d.Tick)
 		}
-		return fmt.Sprintf("tick %d seq %d, log %v", ck.Tick, ck.Seq, ticks)
+		return fmt.Sprintf("tick %d, log %v", ck.Tick, ticks)
 	}
 }
 
@@ -82,10 +81,10 @@ var (
 	eagerBalancer = partition.Balancer{MigrateCostPerAgent: 1e-9, HorizonTicks: 1000, MinRelativeGain: 0.01}
 )
 
-// The master alone, with no engine and no sockets: the checkpoint and
-// keyframe cadence, the forward-only rebalance rule, delta filing against
-// the held sequence, the log a rewind truncates, the rule that a boundary
-// whose round never completed is no epoch, and refused statistics.
+// The master alone, with no engine and no sockets: the checkpoint
+// cadence, the forward-only rebalance rule, filing full pieces once each,
+// the log a rewind truncates, the rule that a boundary whose round never
+// completed is no epoch, and refused statistics and pieces.
 func TestMaster(t *testing.T) {
 	s := newFlockModel(1).s
 	state := func(xs ...float64) []*Envelope {
@@ -103,13 +102,6 @@ func TestMaster(t *testing.T) {
 	full := func(p int, vals [][]*Envelope) masterStep {
 		return masterStep{op: "file", piece: transport.PartState{Part: p, Full: true, Values: vals[p]}}
 	}
-	delta := func(p int, base uint64) masterStep {
-		d, ok := DiffPartition(before[p], after[p])
-		if !ok {
-			t.Fatal("DiffPartition refused")
-		}
-		return masterStep{op: "file", piece: transport.PartState{Part: p, Base: base, Delta: d}}
-	}
 	barrier := func(tick uint64, want string) masterStep {
 		return masterStep{op: "barrier", tick: tick, want: want}
 	}
@@ -117,54 +109,50 @@ func TestMaster(t *testing.T) {
 	rewind := func(want string) masterStep { return masterStep{op: "rewind", want: want} }
 
 	for _, tc := range []struct {
-		name             string
-		every, fullEvery int
-		lb               bool
-		steps            []masterStep
+		name  string
+		every int
+		lb    bool
+		steps []masterStep
 	}{
-		{"keyframe cadence: the first ordered checkpoint and every third after it are full", 1, 3, false, []masterStep{
-			barrier(1, "ckpt 1 full"), barrier(2, "ckpt 2 delta"), barrier(3, "ckpt 3 delta"),
-			barrier(4, "ckpt 4 full"), barrier(5, "ckpt 5 delta"), barrier(6, "ckpt 6 delta"),
-			barrier(7, "ckpt 7 full"),
+		{"checkpoint interval counts barriers", 2, false, []masterStep{
+			barrier(3, "-"), barrier(6, "ckpt"), barrier(9, "-"), barrier(12, "ckpt"),
 		}},
-		{"checkpoint interval counts barriers", 2, 1, false, []masterStep{
-			barrier(3, "-"), barrier(6, "ckpt 1 full"), barrier(9, "-"), barrier(12, "ckpt 2 full"),
+		{"a piece is a partition's full state, filed once", 1, false, []masterStep{
+			barrier(2, "ckpt"),
+			with(full(0, before), "pending"), with(full(1, before), "held 2"),
+			barrier(4, "ckpt"),
+			{op: "file", piece: transport.PartState{Part: 0, Values: after[0]},
+				want: "piece: engine: checkpoint piece at tick 4 for partition 0: not full"},
+			with(full(1, after), "pending"),
+			with(full(1, after), "piece: engine: checkpoint piece at tick 4 for partition 1: filed twice"),
+			with(full(0, after), "held 4"),
+			with(full(0, after), "piece: engine: checkpoint piece at tick 0 for partition 0: with no checkpoint ordered"),
 		}},
-		{"a delta files against the held sequence only", 1, 2, false, []masterStep{
-			barrier(2, "ckpt 1 full"),
-			with(full(0, before), "pending"), with(full(1, before), "held 1"),
-			barrier(4, "ckpt 2 delta"),
-			with(delta(0, 0), "err: engine: partition 0 delta against checkpoint 0, the master holds 1"),
-			with(delta(1, 1), "pending"),
-			with(full(1, after), "err: engine: checkpoint at tick 4 got partition 1 twice"),
-			with(full(0, after), "held 2"),
-			with(full(0, after), "err: engine: checkpoint piece for partition 0 with no checkpoint ordered"),
+		{"rewind truncates the log to the held tick and drops the round in flight", 1, false, []masterStep{
+			barrier(3, "ckpt"), with(full(0, before), "pending"), with(full(1, before), "held 3"),
+			barrier(6, "ckpt"), with(full(0, after), "pending"),
+			barrier(9, "ckpt"),
+			rewind("tick 3, log [3]"),
+			with(full(1, after), "piece: engine: checkpoint piece at tick 0 for partition 1: with no checkpoint ordered"),
 		}},
-		{"rewind truncates the log to the held tick and drops the round in flight", 1, 1, false, []masterStep{
-			barrier(3, "ckpt 1 full"), with(full(0, before), "pending"), with(full(1, before), "held 1"),
-			barrier(6, "ckpt 2 full"), with(full(0, after), "pending"),
-			barrier(9, "ckpt 3 full"),
-			rewind("tick 3 seq 1, log [3]"),
-			with(full(1, after), "err: engine: checkpoint piece for partition 1 with no checkpoint ordered"),
-		}},
-		{"a failed boundary is no epoch: with checkpoints every 2 epochs and a crash at 17, they land on 0, 10, 15", 2, 1, false, []masterStep{
+		{"a failed boundary is no epoch: with checkpoints every 2 epochs and a crash at 17, they land on 0, 10, 15", 2, false, []masterStep{
 			barrier(5, "-"),
-			barrier(10, "ckpt 1 full"), with(full(0, before), "pending"), with(full(1, before), "held 1"),
+			barrier(10, "ckpt"), with(full(0, before), "pending"), with(full(1, before), "held 10"),
 			barrier(15, "-"),
 			// The boundary at 20 found the crash: no barrier round, a rewind.
-			rewind("tick 10 seq 1, log [5 10]"),
-			barrier(15, "ckpt 2 full"), with(full(0, after), "pending"), with(full(1, after), "held 2"),
+			rewind("tick 10, log [5 10]"),
+			barrier(15, "ckpt"), with(full(0, after), "pending"), with(full(1, after), "held 15"),
 			barrier(20, "-"),
-			rewind("tick 15 seq 2, log [5 10 15]"),
+			rewind("tick 15, log [5 10 15]"),
 		}},
-		{"forward-only rebalance: a re-executed barrier never re-decides one", 1, 1, true, []masterStep{
-			barrier(3, "ckpt 1 full"), with(full(0, before), "pending"), with(full(1, before), "held 1"),
-			{op: "barrier", tick: 6, stats: skewedStats, want: "ckpt 2 full cuts"},
-			rewind("tick 3 seq 1, log [3]"),
-			{op: "barrier", tick: 6, stats: skewedStats, want: "ckpt 3 full"},
-			{op: "barrier", tick: 9, stats: skewedStats, want: "ckpt 4 full cuts"},
+		{"forward-only rebalance: a re-executed barrier never re-decides one", 1, true, []masterStep{
+			barrier(3, "ckpt"), with(full(0, before), "pending"), with(full(1, before), "held 3"),
+			{op: "barrier", tick: 6, stats: skewedStats, want: "ckpt cuts"},
+			rewind("tick 3, log [3]"),
+			{op: "barrier", tick: 6, stats: skewedStats, want: "ckpt"},
+			{op: "barrier", tick: 9, stats: skewedStats, want: "ckpt cuts"},
 		}},
-		{"statistics must cover every partition exactly once, and a refused round is no epoch", 2, 1, true, []masterStep{
+		{"statistics must cover every partition exactly once, and a refused round is no epoch", 2, true, []masterStep{
 			{op: "barrier", tick: 2, stats: balancedStats[:1], want: "stats: engine: epoch statistics at tick 2: partition 1 missing"},
 			{op: "barrier", tick: 2, stats: append(skewedStats[:1:1], skewedStats[0], balancedStats[1]),
 				want: "stats: engine: epoch statistics at tick 2: partition 0 reported twice"},
@@ -174,19 +162,19 @@ func TestMaster(t *testing.T) {
 				want: "stats: engine: epoch statistics at tick 2: partition -1 unknown"},
 			{op: "barrier", tick: 2, stats: []transport.PartStats{skewedStats[0], {Part: 0}},
 				want: "stats: engine: epoch statistics at tick 2: partition 0 reported twice"},
-			barrier(2, "-"), barrier(4, "ckpt 1 full"),
+			barrier(2, "-"), barrier(4, "ckpt"),
 		}},
-		{"pieces for unknown partitions are refused", 1, 1, false, []masterStep{
-			barrier(1, "ckpt 1 full"),
-			{op: "file", piece: transport.PartState{Part: 2, Full: true}, want: "err: engine: checkpoint piece for unknown partition 2"},
-			{op: "file", piece: transport.PartState{Part: -1, Full: true}, want: "err: engine: checkpoint piece for unknown partition -1"},
+		{"pieces for unknown partitions are refused", 1, false, []masterStep{
+			barrier(1, "ckpt"),
+			{op: "file", piece: transport.PartState{Part: 2, Full: true}, want: "piece: engine: checkpoint piece at tick 1 for partition 2: unknown"},
+			{op: "file", piece: transport.PartState{Part: -1, Full: true}, want: "piece: engine: checkpoint piece at tick 1 for partition -1: unknown"},
 		}},
 	} {
 		initial := Checkpoint{Cuts: []float64{50}, Parts: []transport.PartState{
 			{Part: 0, Full: true, Values: before[0]},
 			{Part: 1, Full: true, Values: before[1]},
 		}}
-		m := NewMaster(initial, tc.every, tc.fullEvery, tc.lb, eagerBalancer)
+		m := NewMaster(initial, tc.every, tc.lb, eagerBalancer)
 		for i, st := range tc.steps {
 			if got := masterOutcome(m, st); got != st.want {
 				t.Errorf("%s: step %d (%s %d): got %q, want %q", tc.name, i, st.op, st.tick, got, st.want)
@@ -195,9 +183,11 @@ func TestMaster(t *testing.T) {
 	}
 }
 
-// A delta filed against the held checkpoint is reassembled into exactly the
-// state the producer diffed, and a rewind hands that state back.
-func TestMasterAssemblesDeltas(t *testing.T) {
+// The master holds the pieces it is given as they are: after every
+// partition of a checkpoint has filed, the held checkpoint's values are
+// the very slices filed, equal to the engine's state at that barrier, and
+// a rewind hands that checkpoint back.
+func TestMasterHoldsFiledPieces(t *testing.T) {
 	m := newFlockModel(6)
 	e, err := NewDistributed(m, makePop(m.s, 60, 30, 4), Options{Workers: 3, Seed: 4, EpochTicks: 2})
 	if err != nil {
@@ -207,20 +197,22 @@ func TestMasterAssemblesDeltas(t *testing.T) {
 	for p := range parts {
 		parts[p] = transport.PartState{Part: p, Full: true, Values: CloneEnvelopes(e.ExportPartition(p))}
 	}
-	ms := NewMaster(Checkpoint{Cuts: e.Partition().Cuts(), Parts: parts}, 1, 4, false, partition.Balancer{})
+	ms := NewMaster(Checkpoint{Cuts: e.Partition().Cuts(), Parts: parts}, 1, false, partition.Balancer{})
 	var held *Checkpoint
 	for tick := uint64(2); tick <= 8; tick += 2 {
 		if err := e.RunTicks(2); err != nil {
 			t.Fatal(err)
 		}
-		d, err := ms.Barrier(tick, e.EpochStats(false))
-		if err != nil {
+		if _, err := ms.Barrier(tick, e.EpochStats(false)); err != nil {
 			t.Fatal(err)
 		}
-		for _, ps := range e.Checkpoint(d.CkptSeq, d.CkptFull) {
-			if tick > 2 && ps.Full {
-				t.Errorf("tick %d: partition %d shipped full state between keyframes", tick, ps.Part)
+		var filed [][]*Envelope
+		for _, ps := range e.Checkpoint() {
+			if !ps.Full {
+				t.Fatalf("tick %d: partition %d shipped a piece that is not full", tick, ps.Part)
 			}
+			ps.Values = CloneEnvelopes(ps.Values)
+			filed = append(filed, ps.Values)
 			if held, err = ms.File(ps); err != nil {
 				t.Fatal(err)
 			}
@@ -229,6 +221,9 @@ func TestMasterAssemblesDeltas(t *testing.T) {
 			t.Fatalf("tick %d: checkpoint not complete after every partition filed", tick)
 		}
 		for p := range held.Parts {
+			if got := held.Parts[p].Values; len(got) > 0 && &got[0] != &filed[p][0] {
+				t.Errorf("tick %d: partition %d is held as a copy of the piece filed", tick, p)
+			}
 			envsEqual(t, held.Parts[p].Values, e.ExportPartition(p))
 		}
 	}

@@ -1,8 +1,10 @@
 package engine
 
 import (
+	"errors"
 	"math"
 	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -200,7 +202,7 @@ func TestQuickCheckpointTransparency(t *testing.T) {
 		}
 		a := run(nil)
 		b := run(transport.NewMem(workers))
-		if b.master.seq == 0 && ticks >= 3*(int(nk%3)+1) {
+		if b.master.held.Tick == 0 && ticks >= 3*(int(nk%3)+1) {
 			t.Errorf("no checkpoint taken in %d ticks", ticks)
 		}
 		x, y := a.Agents(), b.Agents()
@@ -278,7 +280,7 @@ func TestRestoreRefusesBadArguments(t *testing.T) {
 		name  string
 		parts []transport.PartState
 	}{
-		{"delta piece", []transport.PartState{{Part: 0, Delta: []byte{1, 0}}}},
+		{"piece that is not full", []transport.PartState{{Part: 0, Values: other}}},
 		{"partition twice", []transport.PartState{full(0, other), full(0, other)}},
 		{"partition past the last", []transport.PartState{full(3, other)}},
 	} {
@@ -292,5 +294,54 @@ func TestRestoreRefusesBadArguments(t *testing.T) {
 	}
 	if err := e.RunTicks(2); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// The checkpoint the engine's own master holds is a copy: ticking 20 ticks
+// past it leaves it as it was at its barrier. A master that held the
+// engine's live envelopes would hand back the state of tick 45. The run
+// stops in the tick-45 barrier's first hook, before that barrier orders
+// the next checkpoint.
+func TestHeldCheckpointIsNotLiveState(t *testing.T) {
+	m := newFlockModel(6)
+	stop := errors.New("stop before the barrier at tick 45 checkpoints")
+	var want uint64
+	var e *Distributed
+	e, err := NewDistributed(m, makePop(m.s, 90, 45, 31), Options{
+		Workers: 4, Seed: 3, EpochTicks: 25, CheckpointEveryEpochs: 1, Transport: transport.NewMem(4),
+		EpochBarrier: func(tick uint64) error {
+			switch tick {
+			case 25:
+				want = agent.Digest(e.Agents())
+			case 45:
+				return stop
+			}
+			return nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.RunTicks(45); !errors.Is(err, stop) {
+		t.Fatalf("RunTicks(45) = %v, want the hook's stop", err)
+	}
+	if agent.Digest(e.Agents()) == want {
+		t.Fatal("20 ticks left the population as it was; the test cannot tell a copy from live state")
+	}
+	ck := e.master.Rewind()
+	if ck.Tick != 25 {
+		t.Fatalf("master holds the checkpoint at tick %d, want 25", ck.Tick)
+	}
+	var held agent.Population
+	for _, ps := range ck.Parts {
+		for _, env := range ps.Values {
+			if !env.Replica && !env.A.Dead {
+				held = append(held, env.A)
+			}
+		}
+	}
+	sort.Sort(held)
+	if got := agent.Digest(held); got != want {
+		t.Errorf("held checkpoint digest %016x, want the tick-25 digest %016x", got, want)
 	}
 }

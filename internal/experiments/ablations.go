@@ -201,15 +201,12 @@ func AblationInversionPass(s Scale) (*Result, error) {
 func seedBalls(prog *brasil.Program, n int, seed uint64) []*agent.Agent {
 	s := prog.Schema()
 	wi := s.StateIndex("w")
-	pop := make([]*agent.Agent, n)
-	for i := range pop {
-		id := agent.ID(i + 1)
-		rng := agent.NewRNG(seed, 0, id)
-		a := agent.New(s, id)
+	pop := agent.NewBlock(s, n)
+	for _, a := range pop {
+		rng := agent.NewRNG(seed, 0, a.ID)
 		a.State[s.StateIndex("x")] = rng.Float64() * 80
 		a.State[s.StateIndex("y")] = rng.Float64() * 80
 		a.State[wi] = rng.Range(0.5, 1.5)
-		pop[i] = a
 	}
 	return pop
 }

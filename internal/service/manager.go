@@ -68,8 +68,7 @@ type RunSpec struct {
 	// CheckpointEpochs orders a coordinated checkpoint every k epochs
 	// (0 = every epoch — the service default leans observable, unlike the
 	// CLI's initial-checkpoint-only default).
-	CheckpointEpochs    int `json:"checkpoint_epochs,omitempty"`
-	CheckpointFullEvery int `json:"checkpoint_full_every,omitempty"`
+	CheckpointEpochs int `json:"checkpoint_epochs,omitempty"`
 }
 
 // RunStatus is a run's externally visible state, the JSON body of
@@ -240,7 +239,6 @@ func (m *Manager) normalize(spec RunSpec) (RunSpec, error) {
 		{"agents", spec.Agents},
 		{"epoch_ticks", spec.EpochTicks},
 		{"checkpoint_epochs", spec.CheckpointEpochs},
-		{"checkpoint_full_every", spec.CheckpointFullEvery},
 	} {
 		if f.v < 0 {
 			return spec, fmt.Errorf("service: negative %s %d", f.name, f.v)
@@ -389,7 +387,6 @@ func (m *Manager) runOptions(r *run, spec RunSpec, addrs []string) distrib.Optio
 		Ticks:                 spec.Ticks,
 		EpochTicks:            spec.EpochTicks,
 		CheckpointEveryEpochs: spec.CheckpointEpochs,
-		CheckpointFullEvery:   spec.CheckpointFullEvery,
 		Tunables:              m.cfg.Tunables,
 		Index:                 spec.Index,
 		LoadBalance:           spec.LoadBalance,

@@ -204,7 +204,8 @@ func TestSubmitValidation(t *testing.T) {
 		{"negative agents", `{"scenario":"fish","ticks":5,"agents":-5}`},
 		{"negative epoch ticks", `{"scenario":"fish","ticks":5,"epoch_ticks":-3}`},
 		{"negative checkpoint epochs", `{"scenario":"fish","ticks":5,"checkpoint_epochs":-1}`},
-		{"negative full-checkpoint interval", `{"scenario":"fish","ticks":5,"checkpoint_full_every":-1}`},
+		// Every checkpoint is full: the keyframe interval is an unknown field.
+		{"full-checkpoint interval", `{"scenario":"fish","ticks":5,"checkpoint_full_every":2}`},
 	} {
 		rec := httptest.NewRecorder()
 		Handler(m).ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/runs", strings.NewReader(tc.body)))

@@ -164,15 +164,13 @@ func (m *Model) Update(self *agent.Agent, u *engine.UpdateCtx) {
 // NewPopulation scatters n agents uniformly in the world disc and infects
 // SeedInfected of them in a cluster at the center.
 func (m *Model) NewPopulation(n int, seed uint64) []*agent.Agent {
-	pop := make([]*agent.Agent, n)
+	pop := agent.NewBlock(m.s, n)
 	seeded := m.P.SeedInfected
 	if seeded > n {
 		seeded = n
 	}
-	for i := 0; i < n; i++ {
-		id := agent.ID(i + 1)
-		rng := agent.NewRNG(seed, 0, id)
-		a := agent.New(m.s, id)
+	for i, a := range pop {
+		rng := agent.NewRNG(seed, 0, a.ID)
 		radius := m.P.WorldRadius * 0.9
 		if i < seeded {
 			radius = m.P.SeedRadius
@@ -182,7 +180,6 @@ func (m *Model) NewPopulation(n int, seed uint64) []*agent.Agent {
 		th := rng.Range(0, 2*math.Pi)
 		a.State[m.x] = r * math.Cos(th)
 		a.State[m.y] = r * math.Sin(th)
-		pop[i] = a
 	}
 	return pop
 }

@@ -162,12 +162,10 @@ func (m *Model) Update(self *agent.Agent, u *engine.UpdateCtx) {
 // accepted rather than looping forever — those agents just evacuate
 // immediately.
 func (m *Model) NewPopulation(n int, seed uint64) []*agent.Agent {
-	pop := make([]*agent.Agent, n)
+	pop := agent.NewBlock(m.s, n)
 	margin := m.P.ExitRadius
-	for i := 0; i < n; i++ {
-		id := agent.ID(i + 1)
-		rng := agent.NewRNG(seed, 0, id)
-		a := agent.New(m.s, id)
+	for _, a := range pop {
+		rng := agent.NewRNG(seed, 0, a.ID)
 		for try := 0; ; try++ {
 			p := geom.V(
 				rng.Range(margin, m.P.Width-margin),
@@ -186,7 +184,6 @@ func (m *Model) NewPopulation(n int, seed uint64) []*agent.Agent {
 				break
 			}
 		}
-		pop[i] = a
 	}
 	return pop
 }

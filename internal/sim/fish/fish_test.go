@@ -216,3 +216,29 @@ func TestLonelyFishKeepsSwimming(t *testing.T) {
 		t.Errorf("lonely fish at (%v,%v), want (%v,0)", got.State[m.x], got.State[m.y], 5*p.Speed)
 	}
 }
+
+// Building a population allocates one header per fish and a constant
+// number of blocks besides: one float block holds every fish's State and
+// Effect.
+func TestPopulationFloatBlock(t *testing.T) {
+	m := NewModel(DefaultParams())
+	const n = 2000
+	allocs := testing.AllocsPerRun(10, func() { m.NewPopulation(n, 1) })
+	t.Logf("%.0f allocations for %d fish", allocs, n)
+	if allocs > n+4 {
+		t.Errorf("building %d fish allocates %.0f times, want ≤ %d: one header each and O(1) blocks", n, allocs, n+4)
+	}
+	pop := m.NewPopulation(n, 1)
+	theta := m.s.IdentityEffects()
+	for _, a := range pop {
+		if cap(a.State) != len(a.State) || cap(a.Effect) != len(a.Effect) {
+			t.Fatalf("fish %d: vectors not capped (state %d/%d, effect %d/%d)",
+				a.ID, len(a.State), cap(a.State), len(a.Effect), cap(a.Effect))
+		}
+		for i, v := range a.Effect {
+			if math.Float64bits(v) != math.Float64bits(theta[i]) {
+				t.Fatalf("fish %d: effect %d = %v, want the identity %v", a.ID, i, v, theta[i])
+			}
+		}
+	}
+}

@@ -177,12 +177,10 @@ func (m *Model) Update(self *agent.Agent, u *engine.UpdateCtx) {
 // InformedFrac of them are informed, alternating between the +x and −x
 // preferred directions.
 func (m *Model) NewPopulation(n int, seed uint64) []*agent.Agent {
-	pop := make([]*agent.Agent, n)
+	pop := agent.NewBlock(m.s, n)
 	informed := int(float64(n) * m.P.InformedFrac)
-	for i := 0; i < n; i++ {
-		id := agent.ID(i + 1)
-		rng := agent.NewRNG(seed, 0, id)
-		a := agent.New(m.s, id)
+	for i, a := range pop {
+		rng := agent.NewRNG(seed, 0, a.ID)
 		r := m.P.SchoolRadius * math.Sqrt(rng.Float64())
 		th := rng.Range(0, 2*math.Pi)
 		a.State[m.x] = r * math.Cos(th)
@@ -197,7 +195,6 @@ func (m *Model) NewPopulation(n int, seed uint64) []*agent.Agent {
 				a.State[m.class] = -1
 			}
 		}
-		pop[i] = a
 	}
 	return pop
 }

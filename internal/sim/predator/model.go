@@ -174,17 +174,14 @@ func (m *Model) Update(self *agent.Agent, u *engine.UpdateCtx) {
 // NewPopulation scatters n fish uniformly in the world disc with energies
 // jittered around InitEnergy.
 func (m *Model) NewPopulation(n int, seed uint64) []*agent.Agent {
-	pop := make([]*agent.Agent, n)
-	for i := 0; i < n; i++ {
-		id := agent.ID(i + 1)
-		rng := agent.NewRNG(seed, 0, id)
-		a := agent.New(m.s, id)
+	pop := agent.NewBlock(m.s, n)
+	for _, a := range pop {
+		rng := agent.NewRNG(seed, 0, a.ID)
 		r := m.P.WorldRadius * 0.8 * math.Sqrt(rng.Float64())
 		th := rng.Range(0, 2*math.Pi)
 		a.State[m.x] = r * math.Cos(th)
 		a.State[m.y] = r * math.Sin(th)
 		a.State[m.energy] = m.P.InitEnergy * rng.Range(0.5, 1.5)
-		pop[i] = a
 	}
 	return pop
 }

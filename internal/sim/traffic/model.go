@@ -141,20 +141,17 @@ func (m *Model) Update(self *agent.Agent, u *engine.UpdateCtx) {
 func (m *Model) NewPopulation(seed uint64) []*agent.Agent {
 	p := m.P
 	n := p.Vehicles()
-	pop := make([]*agent.Agent, 0, n)
 	perLane := n / p.Lanes
-	id := agent.ID(1)
+	pop := agent.NewBlock(m.s, perLane*p.Lanes)
 	for lane := 0; lane < p.Lanes; lane++ {
 		for i := 0; i < perLane; i++ {
-			rng := agent.NewRNG(seed, 0, id)
-			a := agent.New(m.s, id)
+			a := pop[lane*perLane+i]
+			rng := agent.NewRNG(seed, 0, a.ID)
 			spacing := p.Length / float64(perLane)
 			a.State[m.x] = (float64(i) + 0.5*rng.Float64()) * spacing
 			a.State[m.lane] = float64(lane)
 			a.State[m.v] = rng.Range(p.DesiredMean-p.DesiredSpread, p.DesiredMean)
 			a.State[m.desired] = rng.Range(p.DesiredMean-p.DesiredSpread, p.DesiredMean+p.DesiredSpread)
-			pop = append(pop, a)
-			id++
 		}
 	}
 	return pop

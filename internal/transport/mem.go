@@ -19,8 +19,11 @@ import (
 // drops every queued message and returns ErrRestore, once; after that the
 // Mem serves the restored run, as a re-admitted worker's new session does.
 type Mem struct {
-	mu      sync.Mutex
-	inbox   [][]cluster.Message
+	mu    sync.Mutex
+	inbox [][]cluster.Message
+	// spare[n] is the slice node n drained last; its next Drain hands it
+	// back as the new inbox, so a steady run stops allocating inboxes.
+	spare   [][]cluster.Message
 	metrics *cluster.Metrics
 	lost    atomic.Bool // Close interrupted the running phase
 }
@@ -31,6 +34,7 @@ var _ Transport = (*Mem)(nil)
 func NewMem(n int) *Mem {
 	return &Mem{
 		inbox:   make([][]cluster.Message, n),
+		spare:   make([][]cluster.Message, n),
 		metrics: cluster.NewMetrics(n),
 	}
 }
@@ -50,12 +54,14 @@ func (t *Mem) Send(m cluster.Message) error {
 	return nil
 }
 
-// Drain removes and returns all messages queued for node n.
+// Drain removes and returns all messages queued for node n. The slice is
+// valid until node n's next Drain, which reuses its array as the inbox.
 func (t *Mem) Drain(n cluster.NodeID) []cluster.Message {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	msgs := t.inbox[n]
-	t.inbox[n] = nil
+	msgs, old := t.inbox[n], t.spare[n]
+	clear(old) // drop the payloads the caller was done with
+	t.inbox[n], t.spare[n] = old[:0], msgs
 	return msgs
 }
 
@@ -72,7 +78,10 @@ func (t *Mem) AwaitPhase() error {
 		return nil
 	}
 	t.mu.Lock()
-	clear(t.inbox)
+	for n, msgs := range t.inbox {
+		clear(msgs)
+		t.inbox[n] = msgs[:0]
+	}
 	t.mu.Unlock()
 	return ErrRestore
 }

@@ -50,7 +50,8 @@ type Transport interface {
 	// phases ended so far, in arrival order. Arrival order is deliberately
 	// *not* part of the runtime's semantics (the state-effect pattern makes
 	// reducers order-independent); tests shuffle drained batches to enforce
-	// that. It is complete only after AwaitPhase.
+	// that. It is complete only after AwaitPhase. The slice is valid
+	// until node n's next Drain: a transport may reuse its array.
 	Drain(n cluster.NodeID) []cluster.Message
 	// FlushPhase is the first half of the send/drain boundary, called after
 	// all of a phase's sends complete: it declares this process's sends for

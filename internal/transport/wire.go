@@ -20,8 +20,7 @@ import (
 // version's whole protocol). Version 10 is: coordinator-owned placement in
 // the Hello and Stats/Directive/Checkpoint/Restore frames at epoch barriers;
 // Ping/Pong heartbeats answered by the worker's transport reader;
-// differential checkpoint payloads (PartState.Delta) between full
-// keyframes; concurrent sessions per worker daemon, scoped by Hello.RunID;
+// concurrent sessions per worker daemon, scoped by Hello.RunID;
 // per-destination end-of-phase markers with declared frame counts and
 // per-(src,dst) data sequence numbers; worker registration (FrameRegister)
 // and direct worker↔worker sessions (FramePeerHello). Each process derives
@@ -36,8 +35,10 @@ import (
 // instead of its name. v11 replaces gob with this package's own frame
 // codec (see Frame), so a v10 peer's frames do not even decode. v12 drops
 // the payload's codec tag: envelope batches are the wire's one payload
-// type.
-const ProtoVersion = 12
+// type. v13 ships every checkpoint piece as full state: Directive loses
+// CkptSeq and CkptFull, PartState its Base and Delta, and Restore its
+// CkptSeq.
+const ProtoVersion = 13
 
 // VersionError reports a handshake between binaries speaking different
 // protocol versions.
@@ -163,33 +164,19 @@ type Directive struct {
 	// NewCuts, when non-nil, are rebalanced strip boundaries the worker
 	// must install before the next tick.
 	NewCuts []float64
-	// Checkpoint orders the worker to ship its partitions' state to the
-	// coordinator (a CheckpointMsg) before continuing.
+	// Checkpoint orders the worker to ship its partitions' full state to
+	// the coordinator (a CheckpointMsg) before continuing.
 	Checkpoint bool
-	// CkptSeq numbers the ordered checkpoint; workers echo it in
-	// PartState.Base so the coordinator can verify a delta builds on the
-	// base it actually holds.
-	CkptSeq uint64
-	// CkptFull forces a keyframe: every partition ships complete state
-	// instead of a delta against the previous checkpoint.
-	CkptFull bool
 }
 
-// PartState is one partition's checkpointed state on the wire: either a
-// complete snapshot (Full) or a differential one — a field-level delta
-// against the partition's state at checkpoint Base, encoded by
-// engine.DiffPartition. The master (engine.Master) reassembles deltas into
-// full state on arrival, so Restore frames always carry Full parts.
+// PartState is one partition's checkpointed state on the wire: its owned
+// envelopes, complete. The master (engine.Master) refuses a piece that is
+// not marked Full, in a Checkpoint frame and a Restore frame alike.
 type PartState struct {
 	Part int
 	// Full marks Values as the complete partition state: its envelopes.
 	Full   bool
 	Values []*Envelope
-	// Base is the checkpoint sequence number the delta builds on; Delta
-	// is the packed per-agent field delta (engine delta codec). Unset
-	// when Full.
-	Base  uint64
-	Delta []byte
 }
 
 // CheckpointMsg flows worker → coordinator when a Directive orders a
@@ -218,9 +205,6 @@ type Restore struct {
 	// Parts carry the checkpoint state for the partitions this worker now
 	// owns. Restore parts are always Full.
 	Parts []PartState
-	// CkptSeq is the sequence number of the checkpoint being restored;
-	// workers re-baseline their incremental-checkpoint tracker on it.
-	CkptSeq uint64
 	// Peers is the refreshed data-plane roster, one address per entry of
 	// Live: recovery and mid-run admissions change who serves which
 	// process index, so every Restore re-announces it.
@@ -474,8 +458,6 @@ func (e *encoder) directive(d *Directive) {
 	e.u64(d.Tick)
 	e.floats(d.NewCuts)
 	e.bool(d.Checkpoint)
-	e.u64(d.CkptSeq)
-	e.bool(d.CkptFull)
 }
 
 func (e *encoder) partStates(ps []PartState) {
@@ -485,8 +467,6 @@ func (e *encoder) partStates(ps []PartState) {
 		e.int(p.Part)
 		e.bool(p.Full)
 		e.envelopes(p.Values)
-		e.u64(p.Base)
-		e.bytes(p.Delta)
 	}
 }
 
@@ -500,7 +480,6 @@ func (e *encoder) restore(r *Restore) {
 		e.bool(l)
 	}
 	e.partStates(r.Parts)
-	e.u64(r.CkptSeq)
 	e.strs(r.Peers)
 }
 
@@ -546,7 +525,7 @@ func decodeFrame(d *decoder, body []byte) (*Frame, error) {
 		}
 	case FrameDirective:
 		if d.bool() {
-			f.Dir = &Directive{Tick: d.u64(), NewCuts: d.floats(), Checkpoint: d.bool(), CkptSeq: d.u64(), CkptFull: d.bool()}
+			f.Dir = &Directive{Tick: d.u64(), NewCuts: d.floats(), Checkpoint: d.bool()}
 		}
 	case FrameCheckpoint:
 		if d.bool() {
@@ -609,13 +588,13 @@ func (d *decoder) stats() *EpochStats {
 }
 
 func (d *decoder) partStates() []PartState {
-	n := d.count(25)
+	n := d.count(13)
 	if n == 0 {
 		return nil
 	}
 	ps := make([]PartState, n)
 	for i := range ps {
-		ps[i] = PartState{Part: d.int(), Full: d.bool(), Values: d.envelopes(nil), Base: d.u64(), Delta: d.bytes()}
+		ps[i] = PartState{Part: d.int(), Full: d.bool(), Values: d.envelopes(nil)}
 	}
 	return ps
 }
@@ -629,7 +608,6 @@ func (d *decoder) restore() *Restore {
 		}
 	}
 	r.Parts = d.partStates()
-	r.CkptSeq = d.u64()
 	r.Peers = d.strs()
 	return r
 }

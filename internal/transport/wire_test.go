@@ -78,16 +78,16 @@ func sampleFrames() []*Frame {
 	stats := hdr(FrameStats)
 	stats.Stats = &EpochStats{Proc: 1, Tick: 12, Parts: []PartStats{{Part: 2, Cost: 1 << 40, Xs: []float64{nanPayload, 3}}, {Part: 3}}}
 	dir := hdr(FrameDirective)
-	dir.Dir = &Directive{Tick: 12, NewCuts: []float64{negZero, 10}, Checkpoint: true, CkptSeq: 4, CkptFull: true}
+	dir.Dir = &Directive{Tick: 12, NewCuts: []float64{negZero, 10}, Checkpoint: true}
 	ckpt := hdr(FrameCheckpoint)
 	ckpt.Ckpt = &CheckpointMsg{Proc: 1, Tick: 12, Parts: []PartState{
 		{Part: 2, Full: true, Values: sampleBatch()},
-		{Part: 3, Base: 4, Delta: []byte{1, 2, 0, 255}},
+		{Part: 3, Values: sampleBatch()[:1]},
 		{Part: 4, Full: true, Values: []*Envelope{}},
 	}}
 	rest := hdr(FrameRestore)
 	rest.Rest = &Restore{Gen: 4, Tick: 12, Cuts: []float64{5}, Assign: []int{1, 0}, Live: []bool{true, false, true},
-		Parts: []PartState{{Part: 1, Full: true, Values: sampleBatch()}}, CkptSeq: 4, Peers: []string{"x:1", "y:2"}}
+		Parts: []PartState{{Part: 1, Full: true, Values: sampleBatch()}}, Peers: []string{"x:1", "y:2"}}
 	peer := hdr(FramePeerHello)
 	peer.Peer = &PeerHello{RunID: "run-1", From: 1, To: 0, Gen: 3}
 	reg := hdr(FrameRegister)
