@@ -1,10 +1,10 @@
 package engine
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 
 	"github.com/bigreddata/brace/internal/agent"
 	"github.com/bigreddata/brace/internal/cluster"
@@ -552,16 +552,26 @@ func (e *Distributed) onEpoch(tick uint64) error {
 }
 
 // Agents returns the current population, ID-sorted (owned copies only).
+// It counts the agents first, so the population is one allocation.
 func (e *Distributed) Agents() agent.Population {
-	var pop agent.Population
+	live := func(env *Envelope) bool { return !env.Replica && !env.A.Dead }
+	n := 0
 	for p := 0; p < e.opts.Workers; p++ {
 		for _, env := range e.rt.Values(p) {
-			if !env.Replica && !env.A.Dead {
+			if live(env) {
+				n++
+			}
+		}
+	}
+	pop := make(agent.Population, 0, n)
+	for p := 0; p < e.opts.Workers; p++ {
+		for _, env := range e.rt.Values(p) {
+			if live(env) {
 				pop = append(pop, env.A)
 			}
 		}
 	}
-	sort.Sort(pop)
+	slices.SortFunc(pop, func(a, b *agent.Agent) int { return cmp.Compare(a.ID, b.ID) })
 	return pop
 }
 

@@ -156,7 +156,7 @@ func TestMalformedEnvelopeFailsTheRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := tr.Send(cluster.Message{From: 1, To: 0, Tag: int(mapreduce.PhaseMap), Payload: []*Envelope{tc.env}}); err != nil {
+		if err := tr.Send(cluster.Message{From: 1, To: 0, Tag: int(mapreduce.PhaseMap), Payload: &[]*Envelope{tc.env}}); err != nil {
 			t.Fatal(err)
 		}
 		var me *mapreduce.MessageError

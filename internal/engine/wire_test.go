@@ -52,11 +52,11 @@ func recvBatch(t *testing.T, conn *transport.Conn) []*Envelope {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, ok := f.Msg.Payload.([]*Envelope)
-	if !ok {
+	got, ok := f.Msg.Payload.(*[]*Envelope)
+	if !ok || got == nil {
 		t.Fatalf("payload decoded as %T", f.Msg.Payload)
 	}
-	return got
+	return *got
 }
 
 // Envelope batches cross the wire bit for bit: replicas and owned rows

@@ -28,11 +28,15 @@ type Runtime[V any] struct {
 	cur  phaseSpec[V]    // the phase being run, read by each worker's steps
 }
 
-// runnerPool is eachWorker's shared state: the counter its runners take
-// local indexes by, and the runners to wait for.
+// runnerPool is eachWorker's shared state: the step its runners run, the
+// counter they take local indexes by, the runners to wait for, and spawn,
+// one runner's life, built once so that starting a runner allocates no
+// closure.
 type runnerPool struct {
-	next atomic.Int64
-	wg   sync.WaitGroup
+	step  step
+	next  atomic.Int64
+	wg    sync.WaitGroup
+	spawn func()
 }
 
 // phaseSpec is one phase of a tick: which one it is and the function
@@ -317,8 +321,9 @@ func reuse[V any](s []V) []V {
 
 // flush sends worker w's batches to other partitions and charges its
 // network time; its batch to itself stays in its outbox, metered as local.
-// A sent batch stays the sender's buffer: receivers copy it out, and the
-// sender reuses it next phase.
+// A sent batch stays the sender's buffer and travels as a pointer to its
+// outbox slot, which boxes into the payload without allocating: receivers
+// copy it out, and the sender reuses it next phase.
 func (r *Runtime[V]) flush(w int, out [][]V) {
 	for dest, batch := range out {
 		if len(batch) == 0 {
@@ -334,7 +339,7 @@ func (r *Runtime[V]) flush(w int, out [][]V) {
 			From:    cluster.NodeID(w),
 			To:      cluster.NodeID(dest),
 			Tag:     int(r.cur.phase),
-			Payload: batch,
+			Payload: &out[dest],
 			Bytes:   bytes,
 		})
 		if r.cfg.VClock != nil {
@@ -344,11 +349,11 @@ func (r *Runtime[V]) flush(w int, out [][]V) {
 }
 
 // MessageError is a data message a worker cannot accept: it carries
-// another phase's tag, a payload that is not a batch of the job's values,
-// or a value Job.Check refuses. Only a broken peer or relay sends one, so
-// it ends the run. Over TCP every payload decodes as a batch of
-// transport.Envelope, so a payload of another type can only come from an
-// in-memory sender.
+// another phase's tag, a payload that is not a pointer to a batch of the
+// job's values (*[]V, the shape flush sends), or a value Job.Check
+// refuses. Only a broken peer or relay sends one, so it ends the run. Over
+// TCP every payload decodes as a *[]*transport.Envelope, so a payload of
+// another type can only come from an in-memory sender.
 type MessageError struct {
 	Job       string
 	Worker    int            // the receiving partition
@@ -368,15 +373,16 @@ func (e *MessageError) Error() string {
 }
 
 // collect empties worker w's inbox, appending the batches to buf, and
-// returns it. Every message must carry the running phase's tag and a batch
-// of values that Job.Check accepts; the first that does not is a
-// *MessageError.
+// returns it. Every message must carry the running phase's tag and a
+// pointer to a batch of values that Job.Check accepts; the first that does
+// not is a *MessageError.
 func (r *Runtime[V]) collect(w int, buf []V) ([]V, error) {
 	for _, m := range r.tr.Drain(cluster.NodeID(w)) {
-		batch, ok := m.Payload.([]V)
-		if m.Tag != int(r.cur.phase) || !ok {
+		p, ok := m.Payload.(*[]V)
+		if m.Tag != int(r.cur.phase) || !ok || p == nil {
 			return buf, r.messageError(w, m, "")
 		}
+		batch := *p
 		if check := r.job.Check; check != nil {
 			for _, v := range batch {
 				if err := check(&r.bufs[w].ctx, v); err != nil {
@@ -411,21 +417,25 @@ func (r *Runtime[V]) eachWorker(s step) error {
 	case 1:
 		return r.run(s, r.local[0])
 	}
-	if r.pool == nil {
-		r.pool = new(runnerPool)
+	p := r.pool
+	if p == nil {
+		p = new(runnerPool)
+		p.spawn = func() {
+			defer p.wg.Done()
+			r.runner(p.step)
+		}
+		r.pool = p
 	}
 	clear(r.errs)
-	r.pool.next.Store(0)
+	p.step = s
+	p.next.Store(0)
 	runners := min(runtime.GOMAXPROCS(0), len(r.local))
-	r.pool.wg.Add(runners - 1)
+	p.wg.Add(runners - 1)
 	for k := 1; k < runners; k++ {
-		go func() {
-			defer r.pool.wg.Done()
-			r.runner(s)
-		}()
+		go p.spawn()
 	}
 	r.runner(s)
-	r.pool.wg.Wait()
+	p.wg.Wait()
 	for _, err := range r.errs {
 		if err != nil {
 			return err

@@ -323,17 +323,20 @@ func TestResetRejectsBadPartitions(t *testing.T) {
 }
 
 // A data message a worker cannot accept — another phase's tag, a payload
-// that is not a batch of the job's values, or a value the job's Check
-// refuses — fails the run with a *MessageError; it never panics a phase.
+// that is not a pointer to a batch of the job's values (a bare batch or a
+// nil pointer included), or a value the job's Check refuses — fails the
+// run with a *MessageError; it never panics a phase.
 func TestMalformedMessageFailsTheRun(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		m      cluster.Message
 		reason string
 	}{
-		{"wrong tag", cluster.Message{From: 1, To: 0, Tag: int(PhaseReduce2), Payload: []rec{{ID: 9}}}, ""},
-		{"wrong payload", cluster.Message{From: 1, To: 0, Tag: int(PhaseMap), Payload: []float64{1}}, ""},
-		{"refused value", cluster.Message{From: 1, To: 0, Tag: int(PhaseMap), Payload: []rec{{ID: -1}}}, "negative ID in phase 1"},
+		{"wrong tag", cluster.Message{From: 1, To: 0, Tag: int(PhaseReduce2), Payload: &[]rec{{ID: 9}}}, ""},
+		{"wrong payload", cluster.Message{From: 1, To: 0, Tag: int(PhaseMap), Payload: &[]float64{1}}, ""},
+		{"bare batch", cluster.Message{From: 1, To: 0, Tag: int(PhaseMap), Payload: []rec{{ID: 9}}}, ""},
+		{"nil batch pointer", cluster.Message{From: 1, To: 0, Tag: int(PhaseMap), Payload: (*[]rec)(nil)}, ""},
+		{"refused value", cluster.Message{From: 1, To: 0, Tag: int(PhaseMap), Payload: &[]rec{{ID: -1}}}, "negative ID in phase 1"},
 	} {
 		tr := transport.NewMem(2)
 		job := ringJob(2)

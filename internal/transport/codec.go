@@ -284,8 +284,11 @@ type decodeSlot struct {
 	rows   []envRow
 	floats []float64
 	batch  []*Envelope
+	// heads holds the batch slices themselves, one per frame, so that a
+	// frame's payload is a pointer into the slot.
+	heads [][]*Envelope
 	// How much of each array the slot's phase has used.
-	nRows, nFloats, nBatch int
+	nRows, nFloats, nBatch, nHeads int
 }
 
 // slotFor returns the slot a Data frame of (gen, phase) decodes its
@@ -317,7 +320,7 @@ func (d *decoder) slotFor(gen int, phase uint64) *decodeSlot {
 		return nil
 	case phase > s.phase:
 		s.phase = phase
-		s.nRows, s.nFloats, s.nBatch = 0, 0, 0
+		s.nRows, s.nFloats, s.nBatch, s.nHeads = 0, 0, 0, 0
 	}
 	return s
 }
@@ -509,6 +512,19 @@ func (d *decoder) column(n, width int) column {
 		}
 	}
 	return c
+}
+
+// batch reads a Data frame's envelope block and returns its payload, a
+// pointer to the batch: into the slot when there is one, so boxing it
+// allocates nothing, and to fresh memory otherwise.
+func (d *decoder) batch(slot *decodeSlot) *[]*Envelope {
+	if slot == nil {
+		b := d.envelopes(nil)
+		return &b
+	}
+	h := grab(&slot.heads, &slot.nHeads, 1)
+	h[0] = d.envelopes(slot)
+	return &h[0]
 }
 
 // envelopes reads a batch encoder.envelopes wrote. Its rows come from two

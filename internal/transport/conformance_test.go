@@ -70,7 +70,7 @@ func tags(t *testing.T, to cluster.NodeID, msgs []cluster.Message) []int {
 		if m.To != to {
 			t.Errorf("node %d drained a message addressed to %d", to, m.To)
 		}
-		if p, ok := m.Payload.([]*Envelope); !ok || len(p) != 1 || p[0].A.State[0] != float64(m.Tag) {
+		if p, ok := batchOf(m.Payload); !ok || len(p) != 1 || p[0].A.State[0] != float64(m.Tag) {
 			t.Errorf("payload of tag %d did not survive delivery: %#v", m.Tag, m.Payload)
 		}
 		out = append(out, m.Tag)
@@ -100,7 +100,8 @@ func TestConformance(t *testing.T) {
 					deadline := time.Now().Add(5 * time.Second)
 					for {
 						trs[dst].mu.Lock()
-						_, ok := trs[dst].marks[phase][src]
+						pt := &trs[dst].tallies[phase%phaseWindow]
+						ok := pt.phase == phase && pt.marked[src]
 						trs[dst].mu.Unlock()
 						if ok {
 							return

@@ -259,10 +259,12 @@ func (h *Hub) drop(proc int, c *Conn) (bool, int) {
 
 // relay forwards one worker's frames until its connection dies: Data to
 // the destination partition's owner, EndPhase markers to every live peer,
-// everything else to the control loop.
+// everything else to the control loop. A Data or EndPhase frame is sent on
+// before the next is read, so it decodes into the connection's reused
+// Frame (Conn.next); what goes to the control loop is fresh.
 func (h *Hub) relay(src int, c *Conn) {
 	for {
-		f, n, err := c.RecvSized()
+		f, n, err := c.next()
 		if err != nil {
 			if err == io.EOF {
 				err = fmt.Errorf("transport: worker %d disconnected mid-run", src)

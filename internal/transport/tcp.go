@@ -59,18 +59,20 @@ type TCP struct {
 	assign    []int
 	live      []bool
 	inbox     [][]phasedMsg
+	drained   [][]cluster.Message // per partition, what its last Drain returned
 	phase     uint64
-	sent      []uint32                  // per-destination-process Data frames this phase
-	seqTo     []uint64                  // per-destination-process Data sequence (this gen)
-	dedup     []recvSeq                 // per-source-process receive dedup (this gen)
-	marks     map[uint64]map[int]uint32 // phase → src → declared Data count
-	recvd     map[uint64]map[int]uint32 // phase → src → unique Data frames received
-	future    []*Frame                  // data-plane frames from a generation ahead
-	directive *Directive                // pending epoch directive (slot of one)
-	restore   *Restore                  // pending restore; wins over everything
-	readErr   error                     // terminal reader state; sticky
-	stalled   bool                      // fault injection: process frozen (Stall)
-	lastRecv  time.Time                 // time of the last frame from the coordinator
+	done      uint64                  // the last phase AwaitPhase completed
+	sent      []uint32                // per-destination-process Data frames this phase
+	seqTo     []uint64                // per-destination-process Data sequence (this gen)
+	dedup     []recvSeq               // per-source-process receive dedup (this gen)
+	tallies   [phaseWindow]phaseTally // barrier counts of the phases in flight
+	outMarks  []mark                  // FlushPhase's markers to send, reused
+	future    []*Frame                // data-plane frames from a generation ahead
+	directive *Directive              // pending epoch directive (slot of one)
+	restore   *Restore                // pending restore; wins over everything
+	readErr   error                   // terminal reader state; sticky
+	stalled   bool                    // fault injection: process frozen (Stall)
+	lastRecv  time.Time               // time of the last frame from the coordinator
 	// clock mirrors (gen, phase) for the decoders of the connections
 	// that feed this transport, which reuse replica memory by it.
 	clock phaseClock
@@ -101,6 +103,30 @@ type peerLink struct {
 type recvSeq struct {
 	next    uint64
 	pending map[uint64]bool
+}
+
+// phaseWindow is how many phases' barrier counts a TCP transport keeps.
+// A peer sends phase k+1 only after its AwaitPhase(k) has seen this
+// process's marker k, which this process sends at FlushPhase(k). So once
+// this process has completed phase done, and perhaps flushed done+1,
+// frames of phases done+1 and done+2 can arrive, and no later one.
+const phaseWindow = 2
+
+// phaseTally is one phase's barrier evidence by source process: whether
+// its end-of-phase marker arrived, the Data frames the marker declared,
+// and the unique Data frames received.
+type phaseTally struct {
+	phase  uint64
+	marked []bool
+	count  []uint32
+	recvd  []uint32
+}
+
+// mark is one end-of-phase marker FlushPhase sends: its destination
+// process and the Data frames this process addressed to it.
+type mark struct {
+	dst   int
+	count uint32
 }
 
 // phasedMsg tags an inbox entry with the phase it was sent in. A fast peer
@@ -144,11 +170,10 @@ func NewTCP(fc *Conn, h *Hello, gen int) *TCP {
 		assign:   append([]int(nil), h.Assign...),
 		live:     live,
 		inbox:    make([][]phasedMsg, parts),
+		drained:  make([][]cluster.Message, parts),
 		sent:     make([]uint32, procs),
 		seqTo:    make([]uint64, procs),
 		dedup:    newDedup(procs),
-		marks:    make(map[uint64]map[int]uint32),
-		recvd:    make(map[uint64]map[int]uint32),
 		runID:    h.RunID,
 		peers:    append([]string(nil), h.Peers...),
 		peerIn:   make(map[*Conn]bool),
@@ -156,6 +181,7 @@ func NewTCP(fc *Conn, h *Hello, gen int) *TCP {
 		lastRecv: time.Now(),
 	}
 	t.cond = sync.NewCond(&t.mu)
+	t.resetTallies()
 	t.clock.set(gen, 0)
 	fc.dec.clock = &t.clock
 	go t.readLoop()
@@ -170,9 +196,12 @@ func newDedup(procs int) []recvSeq {
 	return d
 }
 
+// readLoop reads the coordinator connection until it dies. Data and
+// EndPhase frames decode into the connection's reused Frame (Conn.next),
+// which ingest copies if it has to keep one.
 func (t *TCP) readLoop() {
 	for {
-		f, err := t.fc.Recv()
+		f, _, err := t.fc.next()
 		if err != nil {
 			if err == io.EOF {
 				err = fmt.Errorf("transport: coordinator closed connection")
@@ -222,13 +251,16 @@ func (t *TCP) readLoop() {
 // ingest generation-fences one data-plane frame, whichever path delivered
 // it: current generation applies, a future one (a peer that restored first
 // and raced ahead) buffers for Reset to replay, a stale one is dropped.
+// It keeps no pointer to f, which a reader loop reuses: a buffered frame
+// is a copy.
 func (t *TCP) ingest(f *Frame) {
 	t.mu.Lock()
 	switch {
 	case f.Gen == t.gen:
 		t.apply(f)
 	case f.Gen > t.gen:
-		t.future = append(t.future, f)
+		kept := *f
+		t.future = append(t.future, &kept)
 	}
 	t.mu.Unlock()
 }
@@ -281,7 +313,9 @@ func (t *TCP) apply(f *Frame) {
 				return
 			}
 			// Count the unique arrival toward its phase's declared total.
-			t.recvdAdd(f.Phase, f.Src)
+			if pt := t.tally(f); pt != nil {
+				pt.recvd[f.Src]++
+			}
 		}
 		m := f.Msg
 		if m.To >= 0 && int(m.To) < len(t.inbox) {
@@ -291,12 +325,9 @@ func (t *TCP) apply(f *Frame) {
 	case FrameEndPhase:
 		// Assignment, not increment: a marker that traveled both paths
 		// (direct and relay re-send) must land exactly once.
-		mk := t.marks[f.Phase]
-		if mk == nil {
-			mk = make(map[int]uint32)
-			t.marks[f.Phase] = mk
+		if pt := t.tally(f); pt != nil && f.Src >= 0 && f.Src < len(pt.marked) {
+			pt.marked[f.Src], pt.count[f.Src] = true, f.Count
 		}
-		mk[f.Src] = f.Count
 		t.cond.Broadcast()
 	case FrameDirective:
 		t.directive = f.Dir
@@ -334,15 +365,39 @@ func (d *recvSeq) accept(seq uint64) bool {
 	return true
 }
 
-// recvdAdd counts one unique Data arrival from src toward phase. Caller
-// holds t.mu.
-func (t *TCP) recvdAdd(phase uint64, src int) {
-	rc := t.recvd[phase]
-	if rc == nil {
-		rc = make(map[int]uint32)
-		t.recvd[phase] = rc
+// tally returns the barrier counts of f's phase, recycling the table of a
+// completed phase, or nil for a phase no barrier of this session will
+// wait on. One at or before the last completed phase is a marker that
+// came round both paths after the barrier it closed. One beyond
+// phaseWindow reaches only a session that joined at the generation before
+// its Restore (NewTCP): the previous session's frames still in flight,
+// which that Restore's Reset discards. Caller holds t.mu.
+func (t *TCP) tally(f *Frame) *phaseTally {
+	if f.Phase <= t.done || f.Phase > t.done+phaseWindow {
+		return nil
 	}
-	rc[src]++
+	pt := &t.tallies[f.Phase%phaseWindow]
+	if pt.phase != f.Phase {
+		pt.phase = f.Phase
+		clear(pt.marked)
+		clear(pt.count)
+		clear(pt.recvd)
+	}
+	return pt
+}
+
+// resetTallies sizes the phase tables for t.procs processes, empties
+// them and starts the generation's phases over (no phase completed).
+// Caller holds t.mu or owns t.
+func (t *TCP) resetTallies() {
+	t.done = 0
+	for i := range t.tallies {
+		t.tallies[i] = phaseTally{
+			marked: make([]bool, t.procs),
+			count:  make([]uint32, t.procs),
+			recvd:  make([]uint32, t.procs),
+		}
+	}
 }
 
 func (t *TCP) failConn(err error) {
@@ -597,7 +652,7 @@ func (t *TCP) readPeer(fc *Conn) {
 		_ = fc.Close()
 	}()
 	for {
-		f, err := fc.Recv()
+		f, _, err := fc.next()
 		if err != nil {
 			return
 		}
@@ -643,20 +698,27 @@ func (t *TCP) PeerLinks() int {
 
 // Drain removes and returns the messages queued for partition n that
 // belong to the just-ended phase (or earlier). Arrivals a racing-ahead
-// peer already sent for the next phase stay queued for their own drain.
+// peer already sent for the next phase stay queued for their own drain,
+// compacted to the front of the inbox. The slice is valid until n's next
+// Drain, which reuses its array; so does the inbox, so a steady run
+// allocates neither.
 func (t *TCP) Drain(n cluster.NodeID) []cluster.Message {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	var out []cluster.Message
-	var keep []phasedMsg
-	for _, pm := range t.inbox[n] {
+	out := t.drained[n]
+	clear(out) // drop the payloads the caller was done with
+	out = out[:0]
+	in := t.inbox[n]
+	keep := in[:0]
+	for _, pm := range in {
 		if pm.phase <= t.phase {
 			out = append(out, pm.m)
 		} else {
 			keep = append(keep, pm)
 		}
 	}
-	t.inbox[n] = keep
+	clear(in[len(keep):])
+	t.inbox[n], t.drained[n] = keep, out
 	return out
 }
 
@@ -686,19 +748,16 @@ func (t *TCP) FlushPhase() error {
 	phase := t.phase
 	gen := t.gen
 	t.clock.set(gen, phase)
-	type mark struct {
-		dst   int
-		count uint32
-	}
-	var outs []mark
+	// t.outMarks is FlushPhase's own: the runtime flushes from one
+	// goroutine at a time, and nothing else touches it.
+	outs := t.outMarks[:0]
 	for p := 0; p < t.procs && p < len(t.live); p++ {
 		if p != t.proc && t.live[p] {
 			outs = append(outs, mark{dst: p, count: t.sent[p]})
 		}
 	}
-	for p := range t.sent {
-		t.sent[p] = 0
-	}
+	t.outMarks = outs
+	clear(t.sent)
 	t.mu.Unlock()
 	for _, o := range outs {
 		f := &Frame{Kind: FrameEndPhase, Src: t.proc, Gen: gen, Phase: phase, Dst: o.dst, Count: o.count}
@@ -737,23 +796,19 @@ func (t *TCP) AwaitPhase() error {
 	case t.readErr != nil:
 		return t.readErr
 	}
-	delete(t.marks, phase)
-	delete(t.recvd, phase)
+	t.done = phase
 	return nil
 }
 
 // phaseDoneLocked reports whether every live peer's marker for phase has
 // arrived with its declared Data count satisfied. Caller holds t.mu.
 func (t *TCP) phaseDoneLocked(phase uint64) bool {
+	pt := &t.tallies[phase%phaseWindow]
 	for p := 0; p < len(t.live); p++ {
 		if p == t.proc || !t.live[p] {
 			continue
 		}
-		count, ok := t.marks[phase][p]
-		if !ok {
-			return false
-		}
-		if t.recvd[phase][p] < count {
+		if pt.phase != phase || !pt.marked[p] || pt.recvd[p] < pt.count[p] {
 			return false
 		}
 	}
@@ -842,11 +897,11 @@ func (t *TCP) Reset(r *Restore) {
 	t.sent = make([]uint32, t.procs)
 	t.seqTo = make([]uint64, t.procs)
 	t.dedup = newDedup(t.procs)
-	t.marks = make(map[uint64]map[int]uint32)
-	t.recvd = make(map[uint64]map[int]uint32)
+	t.resetTallies()
 	t.peers = append([]string(nil), r.Peers...)
-	for i := range t.inbox {
-		t.inbox[i] = nil
+	for i, in := range t.inbox {
+		clear(in)
+		t.inbox[i] = in[:0]
 	}
 	t.directive = nil
 	if t.restore != nil && t.restore.Gen <= r.Gen {

@@ -35,6 +35,13 @@ func blockAssign(parts, procs int) []int {
 // every peer link is down and the hub relays the whole data plane.
 func miniCluster(t testing.TB, procs, parts int) ([]*TCP, []*Conn, chan hubResult) {
 	t.Helper()
+	return newCluster(t, procs, parts, nil)
+}
+
+// newCluster is miniCluster with peers as the transports' data-plane
+// roster (nil: none).
+func newCluster(t testing.TB, procs, parts int, peers []string) ([]*TCP, []*Conn, chan hubResult) {
+	t.Helper()
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -58,7 +65,7 @@ func miniCluster(t testing.TB, procs, parts int) ([]*TCP, []*Conn, chan hubResul
 	}
 	trs := make([]*TCP, procs)
 	for i := range trs {
-		trs[i] = NewTCP(workers[i], &Hello{Proc: i, NumProcs: procs, Partitions: parts, Assign: assign}, 1)
+		trs[i] = NewTCP(workers[i], &Hello{Proc: i, NumProcs: procs, Partitions: parts, Assign: assign, Peers: peers}, 1)
 		tr := trs[i]
 		t.Cleanup(func() { tr.Close() })
 	}
@@ -126,7 +133,7 @@ func TestTCPRoutesAndMeters(t *testing.T) {
 	if len(got) != 1 {
 		t.Fatalf("proc0 part0 (remote) = %v", got)
 	}
-	if p, ok := got[0].Payload.([]*Envelope); !ok || len(p) != 1 || p[0].A.ID != 1 || p[0].A.State[2] != 3 {
+	if p, ok := batchOf(got[0].Payload); !ok || len(p) != 1 || p[0].A.ID != 1 || p[0].A.State[2] != 3 {
 		t.Fatalf("payload did not survive the wire: %#v", got[0].Payload)
 	}
 	if msgs := trs[1].Drain(2); len(msgs) != 1 {

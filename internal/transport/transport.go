@@ -49,9 +49,13 @@ type Transport interface {
 	// Drain removes and returns all messages queued for node n from the
 	// phases ended so far, in arrival order. Arrival order is deliberately
 	// *not* part of the runtime's semantics (the state-effect pattern makes
-	// reducers order-independent); tests shuffle drained batches to enforce
-	// that. It is complete only after AwaitPhase. The slice is valid
-	// until node n's next Drain: a transport may reuse its array.
+	// reducers order-independent); the scenario package's
+	// TestDrainOrderDoesNotMatter shuffles every drained batch to enforce
+	// that. It is complete only after AwaitPhase. The slice is valid until
+	// node n's next Drain, which reuses its array on Mem and TCP alike, as
+	// both reuse their inboxes: a steady run drains without allocating.
+	// A message's payload lives as long as its sender or decoder keeps it
+	// (cluster.Message), so a caller copies out what it keeps.
 	Drain(n cluster.NodeID) []cluster.Message
 	// FlushPhase is the first half of the send/drain boundary, called after
 	// all of a phase's sends complete: it declares this process's sends for

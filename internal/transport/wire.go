@@ -302,9 +302,10 @@ func (e *ProtocolError) Error() string {
 // Frame is the unit of the wire protocol. On a Conn it travels as a
 // 4-byte big-endian length, then a fixed header — Kind, Src, Gen, Phase,
 // Dst, Count, Seq and Msg's From, To, Tag and Bytes — then a body that
-// depends on Kind: Msg.Payload, which must be a []*Envelope, for Data; Err
-// for Ack and Error; the matching struct for the other kinds; nothing for
-// EndPhase, Ping and Pong. Only the fields relevant to Kind travel.
+// depends on Kind: Msg.Payload for Data, which must be a *[]*Envelope or a
+// []*Envelope and decodes as a *[]*Envelope; Err for Ack and Error; the
+// matching struct for the other kinds; nothing for EndPhase, Ping and
+// Pong. Only the fields relevant to Kind travel.
 type Frame struct {
 	Kind  FrameKind
 	Src   int    // sending worker process
@@ -354,8 +355,11 @@ func (e *encoder) frame(f *Frame) {
 	switch f.Kind {
 	case FrameData:
 		batch, ok := f.Msg.Payload.([]*Envelope)
+		if p, isPtr := f.Msg.Payload.(*[]*Envelope); isPtr && p != nil {
+			batch, ok = *p, true
+		}
 		if !ok {
-			e.fail(fmt.Errorf("transport: a Data frame carries []*transport.Envelope, not %T", f.Msg.Payload))
+			e.fail(fmt.Errorf("transport: a Data frame carries *[]*transport.Envelope or []*transport.Envelope, not %T", f.Msg.Payload))
 			return
 		}
 		e.envelopes(batch)
@@ -487,10 +491,20 @@ func (e *encoder) restore(r *Restore) {
 // encoding — a truncated field, a count the body cannot hold, an unknown
 // kind, a non-canonical byte, trailing bytes — is a
 // *ProtocolError.
-func decodeFrame(d *decoder, body []byte) (*Frame, error) {
+//
+// A Data or EndPhase frame decodes into reuse when it is not nil, which
+// the caller must be done with; every other kind, and every kind when
+// reuse is nil, decodes into a fresh Frame that the caller may keep.
+func decodeFrame(d *decoder, body []byte, reuse *Frame) (*Frame, error) {
 	d.b, d.off, d.err, d.kind = body, 0, nil, 0
-	f := &Frame{Kind: FrameKind(d.u8())}
-	d.kind = f.Kind
+	d.kind = FrameKind(d.u8())
+	f := reuse
+	if f == nil || (d.kind != FrameData && d.kind != FrameEndPhase) {
+		f = new(Frame)
+	} else {
+		*f = Frame{}
+	}
+	f.Kind = d.kind
 	f.Src = d.int()
 	f.Gen = d.int()
 	f.Phase = d.u64()
@@ -503,7 +517,7 @@ func decodeFrame(d *decoder, body []byte) (*Frame, error) {
 	f.Msg.Bytes = d.int()
 	switch f.Kind {
 	case FrameData:
-		f.Msg.Payload = d.envelopes(d.slotFor(f.Gen, f.Phase))
+		f.Msg.Payload = d.batch(d.slotFor(f.Gen, f.Phase))
 	case FrameEndPhase, FramePing, FramePong:
 	case FrameAck, FrameError:
 		f.Err = d.str()
@@ -621,10 +635,14 @@ type Conn struct {
 	r  *bufio.Reader
 	mu sync.Mutex // serializes writes; also guards wt
 	wt time.Duration
-	// body and dec are RecvSized's frame buffer and decoder, reused
-	// from frame to frame: decoding copies every value out of body.
+	// hdr, body and dec are the receiving side's length prefix, frame
+	// buffer and decoder, reused from frame to frame: decoding copies
+	// every value out of body.
+	hdr  [4]byte
 	body []byte
 	dec  decoder
+	// frame is what next decodes Data and EndPhase frames into.
+	frame Frame
 }
 
 // NewConn wraps a network connection for framed use.
@@ -684,21 +702,37 @@ func (fc *Conn) Send(f *Frame) error {
 	return nil
 }
 
-// Recv reads one frame. Only one goroutine may call Recv at a time.
+// Recv reads one frame into a fresh Frame, which the caller may keep
+// (the hub hands control frames on whole, a handshake keeps its Hello).
+// A Data frame's batch is fresh memory too, except on a connection that
+// feeds a TCP transport, whose reader decodes replicas into reused slots.
+// Only one goroutine may call Recv at a time.
 func (fc *Conn) Recv() (*Frame, error) {
 	f, _, err := fc.RecvSized()
 	return f, err
 }
 
-// RecvSized reads one frame and also reports its size on the wire
-// (length prefix included) — the coordinator meters checkpoint traffic
-// with it. Only one goroutine may call Recv/RecvSized at a time.
-func (fc *Conn) RecvSized() (*Frame, int, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(fc.r, hdr[:]); err != nil {
+// RecvSized reads one frame, as Recv, and also reports its size on the
+// wire (length prefix included) — the coordinator meters checkpoint
+// traffic with it. Only one goroutine may call Recv/RecvSized at a time.
+func (fc *Conn) RecvSized() (*Frame, int, error) { return fc.recv(nil) }
+
+// next reads one frame for a reader loop that is done with a Data or
+// EndPhase frame when it reads the next one (a TCP transport's, the hub's
+// relay), and reports its size, as RecvSized. Such a frame decodes into
+// the connection's one reused Frame, valid until the next call; every
+// other kind into a fresh one, as Recv. The batch a Data frame's payload
+// points to is not the Frame's: it lives as long as its decode slot
+// (decoder.slotFor), or for good on a connection without one.
+func (fc *Conn) next() (*Frame, int, error) { return fc.recv(&fc.frame) }
+
+// recv reads one frame and its size on the wire, decoding a Data or
+// EndPhase frame into reuse when it is not nil.
+func (fc *Conn) recv(reuse *Frame) (*Frame, int, error) {
+	if _, err := io.ReadFull(fc.r, fc.hdr[:]); err != nil {
 		return nil, 0, err // io.EOF on clean close
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(fc.hdr[:])
 	if n > maxFrame {
 		return nil, 0, fmt.Errorf("transport: frame of %d bytes exceeds limit", n)
 	}
@@ -706,7 +740,7 @@ func (fc *Conn) RecvSized() (*Frame, int, error) {
 	if err != nil {
 		return nil, 0, fmt.Errorf("transport: short frame: %w", err)
 	}
-	f, err := decodeFrame(&fc.dec, body)
+	f, err := decodeFrame(&fc.dec, body, reuse)
 	if err != nil {
 		return nil, 0, err
 	}

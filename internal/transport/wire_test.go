@@ -24,6 +24,25 @@ func oneRow(v float64) []*Envelope {
 	return []*Envelope{{A: &agent.Agent{ID: agent.ID(v), State: []float64{v}}}}
 }
 
+// batchOf returns the envelope batch a payload carries: the
+// *[]*Envelope a Data frame decodes as (and the runtime sends), or a bare
+// []*Envelope a test sent through a Mem.
+func batchOf(payload any) ([]*Envelope, bool) {
+	switch p := payload.(type) {
+	case *[]*Envelope:
+		if p != nil {
+			return *p, true
+		}
+	case []*Envelope:
+		return p, true
+	}
+	return nil, false
+}
+
+// ptr boxes a batch the way the runtime sends it and a Data frame
+// decodes it.
+func ptr(b []*Envelope) *[]*Envelope { return &b }
+
 // encodeFrame is one frame's body, as Send writes it after the length
 // prefix.
 func encodeFrame(f *Frame) ([]byte, error) {
@@ -55,11 +74,11 @@ func sampleFrames() []*Frame {
 			Msg: cluster.Message{From: 4, To: 5, Tag: -6, Bytes: 1 << 33}}
 	}
 	data := hdr(FrameData)
-	data.Msg.Payload = sampleBatch()
+	data.Msg.Payload = ptr(sampleBatch())
 	row := hdr(FrameData)
-	row.Msg.Payload = oneRow(5)
+	row.Msg.Payload = ptr(oneRow(5))
 	empty := hdr(FrameData)
-	empty.Msg.Payload = []*Envelope{}
+	empty.Msg.Payload = ptr([]*Envelope{})
 	hello := hdr(FrameHello)
 	hello.Hello = &Hello{Proto: ProtoVersion, RunID: "run-1", Proc: 1, NumProcs: 2, Partitions: 4,
 		Assign: []int{0, 0, 1, 1}, Gen: 2, LoadBalance: true, Scenario: "fish", Agents: 2000,
@@ -148,12 +167,21 @@ func TestFrameRoundTrip(t *testing.T) {
 			t.Fatalf("%v: encode: %v", want.Kind, err)
 		}
 		var d decoder
-		got, err := decodeFrame(&d, body)
+		got, err := decodeFrame(&d, body, nil)
 		if err != nil {
 			t.Fatalf("%v: decode: %v", want.Kind, err)
 		}
 		if !sameBits(reflect.ValueOf(got), reflect.ValueOf(want)) {
 			t.Errorf("%v frame changed on the wire:\n got %+v\nwant %+v", want.Kind, got, want)
+		}
+		if want.Kind == FrameData {
+			// A bare batch, as a probe or a test builds one, is the same
+			// frame on the wire.
+			bare := *want
+			bare.Msg.Payload = *want.Msg.Payload.(*[]*Envelope)
+			if again, err := encodeFrame(&bare); err != nil || !bytes.Equal(again, body) {
+				t.Errorf("a bare batch encodes as %x (%v), its pointer as %x", again, err, body)
+			}
 		}
 	}
 	for k := FrameHello; k <= FrameRegister; k++ {
@@ -172,11 +200,11 @@ func TestBlockSeparatesOwnedFromReplicas(t *testing.T) {
 		t.Fatal(err)
 	}
 	var d decoder
-	f, err := decodeFrame(&d, body)
+	f, err := decodeFrame(&d, body, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := f.Msg.Payload.([]*Envelope) // replica, owned, replica
+	b, _ := batchOf(f.Msg.Payload) // replica, owned, replica
 	addr := func(p any) uintptr { return reflect.ValueOf(p).Pointer() }
 	within := func(p, lo uintptr, n int) bool { return p >= lo && p < lo+uintptr(n) }
 	rowSize := int(unsafe.Sizeof(envRow{}))
@@ -220,14 +248,14 @@ func TestNilAndEmptyBatchEncodeAlike(t *testing.T) {
 			t.Errorf("%v: a nil batch encodes as %x, an empty one as %x", nils[i].Kind, a, b)
 		}
 		var d decoder
-		f, err := decodeFrame(&d, a)
+		f, err := decodeFrame(&d, a, nil)
 		if err != nil {
 			t.Fatalf("%v: decode: %v", nils[i].Kind, err)
 		}
 		var got []*Envelope
 		switch f.Kind {
 		case FrameData:
-			got = f.Msg.Payload.([]*Envelope)
+			got, _ = batchOf(f.Msg.Payload)
 		case FrameFinal:
 			got = f.Final.Values
 		default:
@@ -260,7 +288,7 @@ func TestEncodeRefusesWhatItCannotCarry(t *testing.T) {
 // it is sent through the transport or a bare Conn.
 func TestSendRefusesNonEnvelopePayload(t *testing.T) {
 	tr, coord := directPair(t, 1, 2, 2, []int{0, 1})
-	for _, payload := range []any{nil, []float64{1}, "text", []Envelope{}} {
+	for _, payload := range []any{nil, []float64{1}, "text", []Envelope{}, (*[]*Envelope)(nil)} {
 		if err := tr.Send(cluster.Message{From: 1, To: 0, Tag: 1, Payload: payload, Bytes: 8}); err == nil {
 			t.Errorf("Send of a %T payload succeeded", payload)
 		}
@@ -302,12 +330,12 @@ func TestDecodeRefusesMalformedFrames(t *testing.T) {
 		}
 		for n := 0; n < len(body); n++ {
 			var d decoder
-			if _, err := decodeFrame(&d, body[:n]); !isProtocolError(err) {
+			if _, err := decodeFrame(&d, body[:n], nil); !isProtocolError(err) {
 				t.Fatalf("%v cut at %d of %d bytes: %v", f.Kind, n, len(body), err)
 			}
 		}
 		var d decoder
-		if _, err := decodeFrame(&d, append(body, 0)); !isProtocolError(err) {
+		if _, err := decodeFrame(&d, append(body, 0), nil); !isProtocolError(err) {
 			t.Fatalf("%v with a trailing byte: %v", f.Kind, err)
 		}
 	}
@@ -323,7 +351,7 @@ func TestDecodeRefusesMalformedFrames(t *testing.T) {
 		"v11 Data frame":   func() []byte { return v11Body(t) },
 	} {
 		var d decoder
-		if _, err := decodeFrame(&d, mut()); !isProtocolError(err) {
+		if _, err := decodeFrame(&d, mut(), nil); !isProtocolError(err) {
 			t.Errorf("%s: %v", name, err)
 		}
 	}
@@ -375,7 +403,7 @@ func TestLargeFrameCrossesChunks(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		go worker.Send(f)
 		got := recvWithin(t, coord, 5*time.Second)
-		if got == nil || !sameBits(reflect.ValueOf(got.Msg.Payload), reflect.ValueOf(any(batch))) {
+		if got == nil || !sameBits(reflect.ValueOf(got.Msg.Payload), reflect.ValueOf(any(&batch))) {
 			t.Fatalf("round %d: large payload did not survive", i)
 		}
 	}
@@ -401,7 +429,7 @@ func FuzzDecodeFrame(f *testing.F) {
 		var before, after runtime.MemStats
 		var d decoder
 		runtime.ReadMemStats(&before)
-		fr, err := decodeFrame(&d, body)
+		fr, err := decodeFrame(&d, body, nil)
 		runtime.ReadMemStats(&after)
 		// A block row of 8 ID bytes may fan out into an agent with
 		// 2·maxBlockWidth floats.
